@@ -139,20 +139,21 @@ bench-smoke:
 bench: bench-json
 	$(GO) test -run xxx -bench . -benchtime 1x -timeout 3600s .
 
-# Machine-readable perf numbers for the controller-merge, batched-ingest,
-# collector-decode, fabric, RDMA-collect, WAL-append and failover-
-# promotion hot paths: ns/op, B/op and allocs/op, emitted as
-# BENCH_PR10.json for cross-PR diffing (BENCH_PR4, PR6, PR7, PR8 and PR9
-# snapshots are kept for comparison). The ingest, WAL-append and
-# fenced-append benchmarks carry 0 allocs/op baselines, so the compare
-# gate pins them at zero: any new steady-state allocation on a pooled or
-# fencing hot path fails bench-diff.
-BENCH_PATTERN = BenchmarkControllerSharded|BenchmarkControllerIngestBatch|BenchmarkCollectorDecodeIngest|BenchmarkFabric|BenchmarkRDMACollect|BenchmarkWALAppendRotating|BenchmarkFailoverPromotion
+# Machine-readable perf numbers for the per-packet path and the
+# controller-merge, batched-ingest, collector-decode, fabric,
+# RDMA-collect, WAL-append and failover-promotion hot paths: ns/op, B/op
+# and allocs/op, emitted as BENCH_PR15.json for cross-PR diffing
+# (BENCH_PR4, PR6, PR7, PR8, PR9 and PR10 snapshots are kept for
+# comparison). The ProcessPacket, ingest, WAL-append and fenced-append
+# benchmarks carry 0 allocs/op baselines, so the compare gate pins them
+# at zero: any new steady-state allocation on the packet path or a
+# pooled or fencing hot path fails bench-diff.
+BENCH_PATTERN = BenchmarkProcessPacket|BenchmarkControllerSharded|BenchmarkControllerIngestBatch|BenchmarkCollectorDecodeIngest|BenchmarkFabric|BenchmarkRDMACollect|BenchmarkWALAppendRotating|BenchmarkFailoverPromotion
 
 bench-json:
 	$(GO) test -run xxx -bench '$(BENCH_PATTERN)' \
 		-benchtime 100x -benchmem . ./internal/fabric/ \
-		| $(GO) run ./cmd/benchjson -o BENCH_PR10.json
+		| $(GO) run ./cmd/benchjson -o BENCH_PR15.json
 
 # Perf-regression gate: rerun the hot-path benchmarks and fail if any
 # shared benchmark's ns/op or allocs/op grew more than 15% over the
@@ -164,7 +165,7 @@ bench-diff:
 	$(GO) test -run xxx -bench '$(BENCH_PATTERN)' \
 		-benchtime 100x -benchmem . ./internal/fabric/ \
 		| $(GO) run ./cmd/benchjson -o $(BENCH_CURRENT)
-	$(GO) run ./cmd/benchjson -compare BENCH_PR10.json $(BENCH_CURRENT) \
+	$(GO) run ./cmd/benchjson -compare BENCH_PR15.json $(BENCH_CURRENT) \
 		-tolerance 0.15
 
 # Micro-benchmarks across all packages.
@@ -178,9 +179,10 @@ fuzz:
 	$(GO) test -fuzz 'FuzzDecodeWALRecord$$' -fuzztime 30s ./internal/wire/
 	$(GO) test -fuzz 'FuzzDecodeTermRecord$$' -fuzztime 30s ./internal/wire/
 
-# Nightly depth: long fuzz runs on every wire decoder plus the chaos,
-# failover, fabric-chaos, rdma-chaos, disk-chaos and partition-chaos
-# suites widened with 10 extra derived seeds per table
+# Nightly depth: long fuzz runs on every wire decoder and on the frozen
+# key hash (lane-built Key64 vs its byte-serialising reference), plus the
+# chaos, failover, fabric-chaos, rdma-chaos, disk-chaos and
+# partition-chaos suites widened with 10 extra derived seeds per table
 # (faults.ExtraSeeds). Mirrors .github/workflows/nightly.yml; run
 # locally to reproduce a nightly failure.
 nightly:
@@ -189,6 +191,7 @@ nightly:
 	$(GO) test -fuzz 'FuzzDecodeSnapshot$$' -fuzztime 300s ./internal/wire/
 	$(GO) test -fuzz 'FuzzDecodeWALRecord$$' -fuzztime 300s ./internal/wire/
 	$(GO) test -fuzz 'FuzzDecodeTermRecord$$' -fuzztime 300s ./internal/wire/
+	$(GO) test -fuzz 'FuzzKey64Identity$$' -fuzztime 300s ./internal/hashing/
 	OMNIWINDOW_EXTRA_SEEDS=10 $(MAKE) chaos failover fabric-chaos rdma-chaos disk-chaos partition-chaos
 
 examples:

@@ -29,6 +29,7 @@ import (
 	"omniwindow/internal/sketch"
 	"omniwindow/internal/switchsim"
 	"omniwindow/internal/telemetry"
+	"omniwindow/internal/trace"
 	"omniwindow/internal/window"
 	"omniwindow/internal/wire"
 )
@@ -380,6 +381,57 @@ func BenchmarkSketchZoo(b *testing.B) {
 			b.Logf("Extension (sketch zoo)\n%s", res.Table())
 		}
 	}
+}
+
+// BenchmarkProcessPacket measures the per-packet path alone — switch pass,
+// window stamp, flowkey tracking, Count-Min update — on one sub-window of
+// the repository benchmark's pkt_heavy workload (bench/workloads.go: the
+// same flow mix, sketch and default tracker, one fifteenth of the trace).
+// One op replays the whole slice (about 80 K packets), so -benchtime 100x
+// is long enough to time; ns/pkt is the per-packet figure. Every packet
+// stays inside sub-window 0 and a warm-up pass has tracked every key, so
+// this is the steady state: no termination, no spill, and — pinned by the
+// bench-regression gate's 0 allocs/op baseline — no allocation.
+func BenchmarkProcessPacket(b *testing.B) {
+	const subWindow = 100 * time.Millisecond
+	cfg := trace.Config{Seed: benchSeed, Duration: int64(subWindow), Flows: 1600, MaxFlowPackets: 400}
+	for i := 0; i < 256; i++ {
+		cfg.Anomalies = append(cfg.Anomalies, trace.HeavyBurst{
+			Key: trace.BurstKey(i), Packets: 80, At: cfg.Duration / 2, Spread: cfg.Duration,
+		})
+	}
+	pkts := trace.New(cfg).Generate() // every Time < Duration: all of sub-window 0
+	width := sketch.NewCountMinBytes(4, 256<<10, 1).Width()
+	d, err := omniwindow.New(omniwindow.Config{
+		SubWindow: subWindow,
+		Plan:      window.Tumbling(5),
+		Kind:      afr.Frequency,
+		Threshold: 300,
+		AppFactory: func(region int) afr.StateApp {
+			return telemetry.NewFrequencyApp(sketch.NewCountMinBytes(4, 256<<10, uint64(region+1)), width)
+		},
+		Slots:             width,
+		CollectionPackets: 3,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	replay := func() {
+		for i := range pkts {
+			d.ProcessPacket(&pkts[i])
+		}
+	}
+	replay()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		replay()
+	}
+	b.StopTimer()
+	if st := d.Stats(); st.Spills != 0 || st.SubWindows != 0 {
+		b.Fatalf("not the steady state: %d spills, %d sub-windows collected", st.Spills, st.SubWindows)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pkts)), "ns/pkt")
 }
 
 // benchRDMATrace builds a deterministic 5-sub-window, 40-flow trace for

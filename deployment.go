@@ -147,28 +147,27 @@ func (d *Deployment) installProgram() {
 // through the deployment. Completed windows accumulate in Results. The
 // packet is copied before entering the pipeline: the first-hop stamp this
 // deployment writes must not leak into the caller's trace (which may be
-// replayed through other deployments).
+// replayed through other deployments). The copy is a deployment-owned
+// scratch packet, overwritten by the next call — nothing downstream keeps
+// the pointer (clones go to the controller, see switchsim.Output).
 func (d *Deployment) ProcessPacket(p *packet.Packet) {
-	if d.crashed {
-		return
-	}
-	d.now = p.Time
-	d.runDueCollections()
-	if d.crashed {
-		return
-	}
-	q := *p
-	out := d.sw.Inject(&q)
-	d.stats.Packets++
-	d.obs.packets.Inc()
-	d.handleSwitchOutput(out)
+	d.process(p, &d.scratch)
 }
 
 // ProcessAndForward feeds one packet through the deployment and returns
 // the packets leaving on egress — carrying this switch's sub-window stamp,
 // ready to be fed into a downstream deployment (the network-wide mode of
-// §5: the first hop stamps, later hops adopt).
+// §5: the first hop stamps, later hops adopt). The forwarded packets are
+// heap copies the caller may keep; the returned slice itself is the
+// switch's egress buffer, valid until this deployment's next packet or
+// collection.
 func (d *Deployment) ProcessAndForward(p *packet.Packet) []*packet.Packet {
+	return d.process(p, new(packet.Packet))
+}
+
+// process runs due collections up to p's time, then injects q — the
+// pipeline's private copy of p — and routes what the switch emitted.
+func (d *Deployment) process(p, q *packet.Packet) []*packet.Packet {
 	if d.crashed {
 		return nil
 	}
@@ -177,8 +176,8 @@ func (d *Deployment) ProcessAndForward(p *packet.Packet) []*packet.Packet {
 	if d.crashed {
 		return nil
 	}
-	q := *p
-	out := d.sw.Inject(&q)
+	*q = *p
+	out := d.sw.Inject(q)
 	d.stats.Packets++
 	d.obs.packets.Inc()
 	d.handleSwitchOutput(out)

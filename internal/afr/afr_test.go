@@ -1,7 +1,10 @@
 package afr
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"omniwindow/internal/packet"
 	"omniwindow/internal/switchsim"
@@ -165,6 +168,46 @@ func runCollection(t *testing.T, e *Engine, sw uint64, packets int) []packet.AFR
 		}
 	}
 	return got
+}
+
+// TestCollectionRoundPinsNoAFRPackets: the switch reuses its emission
+// buffers across Injects, and one collection packet emits an AFR clone per
+// tracked key. Once the round's clear packets have run and the receiver has
+// let go, nothing on the switch side (engine, pass, buffers) may still
+// reference those clones — a pinned round would show as retained heap that
+// grows with the flow count.
+func TestCollectionRoundPinsNoAFRPackets(t *testing.T) {
+	e, _, _ := newEngineForTest(t, 4096)
+	for i := 0; i < 3000; i++ {
+		e.Update(0, &packet.Packet{Key: fk(i)})
+	}
+	ss := switchsim.New(0)
+	ss.SetProgram(func(pass *switchsim.Pass) { e.HandleSpecial(pass) })
+
+	var emitted, freed atomic.Int64
+	func() {
+		e.BeginCollection(0)
+		out := ss.Inject(&packet.Packet{OW: packet.OWHeader{Flag: packet.OWCollection}})
+		for _, c := range out.ToController {
+			emitted.Add(1)
+			runtime.SetFinalizer(c, func(*packet.Packet) { freed.Add(1) })
+		}
+	}()
+	if emitted.Load() < 2000 {
+		t.Fatalf("collection emitted only %d AFR packets", emitted.Load())
+	}
+	ss.Inject(&packet.Packet{OW: packet.OWHeader{Flag: packet.OWReset}})
+
+	deadline := time.Now().Add(5 * time.Second)
+	for freed.Load() < emitted.Load() && time.Now().Before(deadline) {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if freed.Load() != emitted.Load() {
+		t.Fatalf("%d of %d AFR packets still reachable after the round", emitted.Load()-freed.Load(), emitted.Load())
+	}
+	runtime.KeepAlive(ss)
+	runtime.KeepAlive(e)
 }
 
 func TestEngineCollectionEnumeratesAllKeys(t *testing.T) {

@@ -9,6 +9,7 @@ package hashing
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"math/bits"
 
 	"omniwindow/internal/packet"
 )
@@ -34,25 +35,52 @@ func Mix64(h uint64) uint64 {
 	return h
 }
 
-// Key64 hashes a flow key with the given seed into 64 bits. Different seeds
-// yield (empirically) independent hash functions, standing in for the
-// per-row CRC polynomials of the switch hash units.
-func Key64(k packet.FlowKey, seed uint64) uint64 {
-	b := k.Bytes()
-	// Treat the 13 bytes as one 8-byte lane, one 4-byte lane and one byte.
-	lane0 := binary.LittleEndian.Uint64(b[0:8])
-	lane1 := uint64(binary.LittleEndian.Uint32(b[8:12]))
-	lane2 := uint64(b[12])
+// Lanes is the seed-independent half of Key64: the 13-byte big-endian key
+// (packet.FlowKey.Bytes) read as one little-endian 8-byte lane, one 4-byte
+// lane and one byte, each already multiplied into the mixer. A structure
+// that applies several seeded functions to one key (Bloom, Count-Min rows)
+// computes Lanes once and runs only the seeded tail per function.
+type Lanes struct{ l0, l1, l2 uint64 }
 
+// LanesOf builds the lanes straight from the key's fields: a little-endian
+// load of big-endian bytes is a byte reversal, so no byte array is needed.
+func LanesOf(k packet.FlowKey) Lanes {
+	lane0 := bits.ReverseBytes64(uint64(k.SrcIP)<<32 | uint64(k.DstIP))
+	lane1 := uint64(bits.ReverseBytes32(uint32(k.SrcPort)<<16 | uint32(k.DstPort)))
+	return Lanes{
+		l0: rotl(lane0*prime2, 31) * prime1,
+		l1: lane1 * prime1,
+		l2: uint64(k.Proto) * prime5,
+	}
+}
+
+// Hash finishes the hash for one seed; LanesOf(k).Hash(seed) == Key64(k, seed).
+func (l Lanes) Hash(seed uint64) uint64 {
 	h := seed + prime5 + packet.KeyBytes
-	h ^= rotl(lane0*prime2, 31) * prime1
+	h ^= l.l0
 	h = rotl(h, 27)*prime1 + prime4
-	h ^= lane1 * prime1
+	h ^= l.l1
 	h = rotl(h, 23)*prime2 + prime3
-	h ^= lane2 * prime5
+	h ^= l.l2
 	h = rotl(h, 11) * prime1
 	return Mix64(h)
 }
+
+// Index finishes the hash for one seed and reduces it into [0, buckets).
+// buckets must be > 0.
+func (l Lanes) Index(seed uint64, buckets int) int {
+	// Multiply-shift range reduction avoids modulo bias and is cheaper
+	// than %, matching the fixed-width range tables switches use.
+	return int(uint64(uint32(l.Hash(seed))) * uint64(buckets) >> 32)
+}
+
+// Key64 hashes a flow key with the given seed into 64 bits. Different seeds
+// yield (empirically) independent hash functions, standing in for the
+// per-row CRC polynomials of the switch hash units. Its outputs are frozen:
+// every sketch cell, Bloom bit and window digest in the repository is a
+// function of them (hashing_test.go pins them against the byte-serialising
+// reference and golden values).
+func Key64(k packet.FlowKey, seed uint64) uint64 { return LanesOf(k).Hash(seed) }
 
 // Key32 hashes a flow key into 32 bits.
 func Key32(k packet.FlowKey, seed uint64) uint32 {
@@ -61,9 +89,7 @@ func Key32(k packet.FlowKey, seed uint64) uint32 {
 
 // Index hashes a flow key into [0, buckets). buckets must be > 0.
 func Index(k packet.FlowKey, seed uint64, buckets int) int {
-	// Multiply-shift range reduction avoids modulo bias and is cheaper
-	// than %, matching the fixed-width range tables switches use.
-	return int(uint64(uint32(Key64(k, seed))) * uint64(buckets) >> 32)
+	return LanesOf(k).Index(seed, buckets)
 }
 
 // Bytes64 hashes an arbitrary byte slice with the given seed. It is used

@@ -1,6 +1,7 @@
 package hashing
 
 import (
+	"encoding/binary"
 	"hash/crc32"
 	"math"
 	"math/rand"
@@ -17,6 +18,126 @@ func randKey(rng *rand.Rand) packet.FlowKey {
 		SrcPort: uint16(rng.Uint32()),
 		DstPort: uint16(rng.Uint32()),
 		Proto:   uint8(rng.Uint32()),
+	}
+}
+
+// refKey64 is the byte-serialising Key64 this package shipped before the
+// lane rewrite, kept here as the oracle: every sketch cell, Bloom bit and
+// window digest is a function of these outputs, so the production hash must
+// never drift from it.
+func refKey64(k packet.FlowKey, seed uint64) uint64 {
+	b := k.Bytes()
+	lane0 := binary.LittleEndian.Uint64(b[0:8])
+	lane1 := uint64(binary.LittleEndian.Uint32(b[8:12]))
+	lane2 := uint64(b[12])
+
+	h := seed + prime5 + packet.KeyBytes
+	h ^= rotl(lane0*prime2, 31) * prime1
+	h = rotl(h, 27)*prime1 + prime4
+	h ^= lane1 * prime1
+	h = rotl(h, 23)*prime2 + prime3
+	h ^= lane2 * prime5
+	h = rotl(h, 11) * prime1
+	return Mix64(h)
+}
+
+func refIndex(k packet.FlowKey, seed uint64, buckets int) int {
+	return int(uint64(uint32(refKey64(k, seed))) * uint64(buckets) >> 32)
+}
+
+func refPair64(k packet.FlowKey, v, seed uint64) uint64 {
+	return Mix64(refKey64(k, seed) ^ rotl(v*prime2, 31)*prime1)
+}
+
+// checkIdentity holds every exported key hash against the reference for one
+// (key, seed, value) triple.
+func checkIdentity(t *testing.T, fam *Family, k packet.FlowKey, seed, v uint64) {
+	t.Helper()
+	want := refKey64(k, seed)
+	if got := Key64(k, seed); got != want {
+		t.Fatalf("Key64(%+v, %#x) = %#x, reference %#x", k, seed, got, want)
+	}
+	if got := LanesOf(k).Hash(seed); got != want {
+		t.Fatalf("LanesOf(%+v).Hash(%#x) = %#x, reference %#x", k, seed, got, want)
+	}
+	if got := Key32(k, seed); got != uint32(want) {
+		t.Fatalf("Key32(%+v, %#x) = %#x, reference %#x", k, seed, got, uint32(want))
+	}
+	buckets := int(v%(1<<22)) + 1
+	if got, want := Index(k, seed, buckets), refIndex(k, seed, buckets); got != want {
+		t.Fatalf("Index(%+v, %#x, %d) = %d, reference %d", k, seed, buckets, got, want)
+	}
+	if got, want := LanesOf(k).Index(seed, buckets), refIndex(k, seed, buckets); got != want {
+		t.Fatalf("Lanes.Index(%+v, %#x, %d) = %d, reference %d", k, seed, buckets, got, want)
+	}
+	if got, want := Pair64(k, v, seed), refPair64(k, v, seed); got != want {
+		t.Fatalf("Pair64(%+v, %#x, %#x) = %#x, reference %#x", k, v, seed, got, want)
+	}
+	i := int(v % uint64(fam.Size()))
+	if got, want := fam.Hash64(i, k), refKey64(k, fam.Seed(i)); got != want {
+		t.Fatalf("Family.Hash64(%d, %+v) = %#x, reference %#x", i, k, got, want)
+	}
+	if got, want := fam.Index(i, k, buckets), refIndex(k, fam.Seed(i), buckets); got != want {
+		t.Fatalf("Family.Index(%d, %+v, %d) = %d, reference %d", i, k, buckets, got, want)
+	}
+}
+
+// TestKey64Identity: the lane-built hash equals the byte-serialising
+// reference on a million random (key, seed) pairs.
+func TestKey64Identity(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	fam := NewFamily(7, 0xB100F)
+	for i := 0; i < 1<<20; i++ {
+		checkIdentity(t, fam, randKey(rng), rng.Uint64(), rng.Uint64())
+	}
+}
+
+// FuzzKey64Identity lets the fuzzer hunt for a (key, seed) the lane rewrite
+// hashes differently from the reference.
+func FuzzKey64Identity(f *testing.F) {
+	f.Add(uint32(0), uint32(0), uint16(0), uint16(0), uint8(0), uint64(0), uint64(0))
+	f.Add(uint32(0x0A0B0C0D), uint32(0x01020304), uint16(5555), uint16(443), uint8(6), uint64(0xB100F), uint64(1<<20))
+	f.Add(^uint32(0), ^uint32(0), ^uint16(0), ^uint16(0), ^uint8(0), ^uint64(0), ^uint64(0))
+	fam := NewFamily(7, 0xB100F)
+	f.Fuzz(func(t *testing.T, src, dst uint32, sp, dp uint16, proto uint8, seed, v uint64) {
+		k := packet.FlowKey{SrcIP: src, DstIP: dst, SrcPort: sp, DstPort: dp, Proto: proto}
+		checkIdentity(t, fam, k, seed, v)
+	})
+}
+
+// TestKey64Golden pins literal outputs (taken from the byte-serialising
+// implementation) so that an edit which changes the reference and the
+// production hash together still cannot drift silently.
+func TestKey64Golden(t *testing.T) {
+	fam := NewFamily(4, 99)
+	for _, g := range []struct {
+		k            packet.FlowKey
+		seed0, bloom uint64
+		index        int
+		pair         uint64
+		famIndex     int
+	}{
+		{packet.FlowKey{}, 0xa0537b08c36938b4, 0x13c174e6875b78b8, 553568, 0x17a114822a71a81c, 769},
+		{packet.FlowKey{SrcIP: 0x0A0B0C0D, DstIP: 0x01020304, SrcPort: 5555, DstPort: 443, Proto: 6},
+			0xa43c0d7fd52a238b, 0xa981145f79ba29a3, 397681, 0x54a537a2026c0343, 317},
+		{packet.FlowKey{SrcIP: 0xFFFFFFFF, DstIP: 0xFEDCBA98, SrcPort: 0xFFFF, DstPort: 0x8001, Proto: 0xFF},
+			0xed8780de6b3a3c98, 0x8723b1256798bd07, 845032, 0xe1078522cbc0bad0, 485},
+	} {
+		if got := Key64(g.k, 0); got != g.seed0 {
+			t.Errorf("Key64(%+v, 0) = %#x, golden %#x", g.k, got, g.seed0)
+		}
+		if got := Key64(g.k, 0xB100F); got != g.bloom {
+			t.Errorf("Key64(%+v, 0xB100F) = %#x, golden %#x", g.k, got, g.bloom)
+		}
+		if got := Index(g.k, 7, 1<<20); got != g.index {
+			t.Errorf("Index(%+v, 7, 1<<20) = %d, golden %d", g.k, got, g.index)
+		}
+		if got := Pair64(g.k, 0xDEADBEEF, 3); got != g.pair {
+			t.Errorf("Pair64(%+v, 0xDEADBEEF, 3) = %#x, golden %#x", g.k, got, g.pair)
+		}
+		if got := fam.Index(3, g.k, 1000); got != g.famIndex {
+			t.Errorf("NewFamily(4, 99).Index(3, %+v, 1000) = %d, golden %d", g.k, got, g.famIndex)
+		}
 	}
 }
 

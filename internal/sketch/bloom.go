@@ -10,7 +10,11 @@ import (
 // appending to the data-plane flowkey array or spilling to the controller.
 type Bloom struct {
 	bits []uint64
-	m    int
+	m    uint64
+	// mask is m-1 when m is a power of two (the default 1<<20 is), so bit
+	// positions reduce with an AND — the same value as h % m — instead of a
+	// 64-bit division per hash; 0 otherwise.
+	mask uint64
 	fam  *hashing.Family
 }
 
@@ -21,7 +25,19 @@ func NewBloom(m, k int, seed uint64) *Bloom {
 		panic("sketch: Bloom parameters must be positive")
 	}
 	words := (m + 63) / 64
-	return &Bloom{bits: make([]uint64, words), m: words * 64, fam: hashing.NewFamily(k, seed)}
+	b := &Bloom{bits: make([]uint64, words), m: uint64(words) * 64, fam: hashing.NewFamily(k, seed)}
+	if b.m&(b.m-1) == 0 {
+		b.mask = b.m - 1
+	}
+	return b
+}
+
+// pos reduces a hash to a bit position in [0, m).
+func (b *Bloom) pos(h uint64) uint64 {
+	if b.mask != 0 {
+		return h & b.mask
+	}
+	return h % b.m
 }
 
 // NewBloomBytes builds a Bloom filter within memoryBytes with k hashes.
@@ -31,8 +47,9 @@ func NewBloomBytes(memoryBytes, k int, seed uint64) *Bloom {
 
 // Contains reports whether k may have been added (no false negatives).
 func (b *Bloom) Contains(k packet.FlowKey) bool {
+	l := hashing.LanesOf(k)
 	for i := 0; i < b.fam.Size(); i++ {
-		h := b.fam.Hash64(i, k) % uint64(b.m)
+		h := b.pos(l.Hash(b.fam.Seed(i)))
 		if b.bits[h/64]&(1<<(h%64)) == 0 {
 			return false
 		}
@@ -42,8 +59,9 @@ func (b *Bloom) Contains(k packet.FlowKey) bool {
 
 // Add inserts k.
 func (b *Bloom) Add(k packet.FlowKey) {
+	l := hashing.LanesOf(k)
 	for i := 0; i < b.fam.Size(); i++ {
-		h := b.fam.Hash64(i, k) % uint64(b.m)
+		h := b.pos(l.Hash(b.fam.Seed(i)))
 		b.bits[h/64] |= 1 << (h % 64)
 	}
 }
@@ -52,8 +70,9 @@ func (b *Bloom) Add(k packet.FlowKey) {
 // before — the single-pass check-then-update of Algorithm 1 lines 2-3.
 func (b *Bloom) TestAndAdd(k packet.FlowKey) bool {
 	present := true
+	l := hashing.LanesOf(k)
 	for i := 0; i < b.fam.Size(); i++ {
-		h := b.fam.Hash64(i, k) % uint64(b.m)
+		h := b.pos(l.Hash(b.fam.Seed(i)))
 		if b.bits[h/64]&(1<<(h%64)) == 0 {
 			present = false
 			b.bits[h/64] |= 1 << (h % 64)
@@ -66,7 +85,7 @@ func (b *Bloom) TestAndAdd(k packet.FlowKey) bool {
 func (b *Bloom) Reset() { clear(b.bits) }
 
 // MemoryBytes reports the bitmap footprint.
-func (b *Bloom) MemoryBytes() int { return b.m / 8 }
+func (b *Bloom) MemoryBytes() int { return int(b.m / 8) }
 
 // Hashes returns the number of hash functions (one SALU-visible access
 // per hash in the data plane).

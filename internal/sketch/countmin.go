@@ -47,16 +47,18 @@ func (cm *CountMin) Width() int { return cm.w }
 
 // Update implements Sketch.
 func (cm *CountMin) Update(k packet.FlowKey, v uint64) {
+	l := hashing.LanesOf(k)
 	for i, row := range cm.rows {
-		row[cm.fam.Index(i, k, cm.w)] += v
+		row[l.Index(cm.fam.Seed(i), cm.w)] += v
 	}
 }
 
 // Query implements Sketch.
 func (cm *CountMin) Query(k packet.FlowKey) uint64 {
 	est := ^uint64(0)
+	l := hashing.LanesOf(k)
 	for i, row := range cm.rows {
-		if c := row[cm.fam.Index(i, k, cm.w)]; c < est {
+		if c := row[l.Index(cm.fam.Seed(i), cm.w)]; c < est {
 			est = c
 		}
 	}
@@ -127,8 +129,9 @@ func NewSuMaxBytes(d, memoryBytes int, seed uint64) *SuMax {
 // Update implements Sketch with the conservative-update rule.
 func (sm *SuMax) Update(k packet.FlowKey, v uint64) {
 	min := ^uint64(0)
+	l := hashing.LanesOf(k)
 	for i, row := range sm.rows {
-		sm.idx[i] = sm.fam.Index(i, k, sm.w)
+		sm.idx[i] = l.Index(sm.fam.Seed(i), sm.w)
 		if c := row[sm.idx[i]]; c < min {
 			min = c
 		}
@@ -144,8 +147,9 @@ func (sm *SuMax) Update(k packet.FlowKey, v uint64) {
 // Query implements Sketch.
 func (sm *SuMax) Query(k packet.FlowKey) uint64 {
 	est := ^uint64(0)
+	l := hashing.LanesOf(k)
 	for i, row := range sm.rows {
-		if c := row[sm.fam.Index(i, k, sm.w)]; c < est {
+		if c := row[l.Index(sm.fam.Seed(i), sm.w)]; c < est {
 			est = c
 		}
 	}

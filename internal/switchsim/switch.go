@@ -32,6 +32,10 @@ type Switch struct {
 	// allocation per packet.
 	passGen    int
 	touchedGen []int
+
+	// pass is the one Pass every Inject reuses; its emission buffers back
+	// the returned Output (see Output for the lifetime rule).
+	pass Pass
 }
 
 // New creates a switch with the default capacity and cost model.
@@ -47,6 +51,10 @@ func NewWithCapacity(id int, capacity Capacity, costs CostModel) *Switch {
 		ledger:    NewLedger(capacity),
 		feature:   "uncategorized",
 		maxPasses: 1 << 22,
+		pass: Pass{
+			forward:      make([]*packet.Packet, 0, retainCap),
+			toController: make([]*packet.Packet, 0, retainCap),
+		},
 	}
 }
 
@@ -76,6 +84,12 @@ func (sw *Switch) Registers() []RegisterRef {
 }
 
 // Output is everything one Inject produced, with its virtual-time cost.
+//
+// Lifetime: Forward and ToController are buffers the switch owns and
+// reuses. They are valid until the next Inject on the same switch, which
+// overwrites them; a caller that needs the slices longer copies them. The
+// packets they point to are not reused: a clone handed to the controller
+// stays intact for as long as the caller keeps the pointer.
 type Output struct {
 	// Forward are the packets leaving on egress ports (normal traffic).
 	Forward []*packet.Packet
@@ -94,14 +108,36 @@ type Output struct {
 type Pass struct {
 	sw *Switch
 	// Pkt is the packet being processed; programs mutate its OW header.
+	// It may be a scratch packet its owner overwrites for the next Inject:
+	// a program that wants to keep it (or emit a copy) clones it, and does
+	// not hold the Pass itself past the call.
 	Pkt *packet.Packet
 
 	lastStage int
 
+	// forward and toController accumulate over all passes of one Inject.
 	forward      []*packet.Packet
 	toController []*packet.Packet
 	recirculate  bool
 	dropped      bool
+}
+
+// retainCap bounds the emission-buffer capacity a switch keeps between
+// Injects. A per-packet pass emits a handful of packets; a collection
+// packet emits one AFR clone per tracked key, and a buffer grown to that
+// size is released rather than carried through every per-packet Inject
+// that follows.
+const retainCap = 16
+
+// recycle empties an emission buffer for the next Inject: stale pointers
+// are cleared so the switch pins no packet of an earlier Inject, and a
+// boundary-sized backing array is dropped (its last Output still owns it).
+func recycle(buf []*packet.Packet) []*packet.Packet {
+	if cap(buf) > retainCap {
+		return nil
+	}
+	clear(buf)
+	return buf[:0]
 }
 
 // touch records an access to a register and panics on constraint
@@ -147,40 +183,40 @@ func (p *Pass) Drop() { p.dropped = true }
 // ports, so recirculating packets do not steal bandwidth from normal
 // traffic (paper §4.2).
 func (sw *Switch) Inject(pkt *packet.Packet) Output {
+	pass := &sw.pass
+	pass.forward, pass.toController = recycle(pass.forward), recycle(pass.toController)
+	passes := 1
 	if sw.program == nil {
-		return Output{Forward: []*packet.Packet{pkt}, Passes: 1, Latency: sw.Costs.PipelinePass}
-	}
-	if len(sw.touchedGen) < sw.nextRegID {
-		sw.touchedGen = make([]int, sw.nextRegID)
-	}
-	var out Output
-	cur := pkt
-	pass := &Pass{sw: sw}
-	for {
-		out.Passes++
-		if out.Passes > sw.maxPasses {
-			panic(fmt.Sprintf("switchsim: packet exceeded %d passes — runaway recirculation loop", sw.maxPasses))
+		pass.forward = append(pass.forward, pkt)
+	} else {
+		if len(sw.touchedGen) < sw.nextRegID {
+			sw.touchedGen = make([]int, sw.nextRegID)
 		}
-		sw.passGen++
-		pass.Pkt = cur
-		pass.lastStage = 0
-		pass.recirculate = false
-		pass.dropped = false
-		pass.forward = pass.forward[:0]
-		pass.toController = pass.toController[:0]
-		sw.program(pass)
-		out.ToController = append(out.ToController, pass.toController...)
-		out.Forward = append(out.Forward, pass.forward...)
-		if pass.recirculate {
-			continue
+		pass.sw, pass.Pkt = sw, pkt
+		for ; ; passes++ {
+			if passes > sw.maxPasses {
+				panic(fmt.Sprintf("switchsim: packet exceeded %d passes — runaway recirculation loop", sw.maxPasses))
+			}
+			sw.passGen++
+			pass.lastStage = 0
+			pass.recirculate = false
+			pass.dropped = false
+			sw.program(pass)
+			if !pass.recirculate {
+				break
+			}
 		}
+		pass.Pkt = nil
 		if !pass.dropped {
-			out.Forward = append(out.Forward, cur)
+			pass.forward = append(pass.forward, pkt)
 		}
-		break
 	}
-	out.Latency = time.Duration(out.Passes) * sw.Costs.PipelinePass
-	return out
+	return Output{
+		Forward:      pass.forward,
+		ToController: pass.toController,
+		Passes:       passes,
+		Latency:      time.Duration(passes) * sw.Costs.PipelinePass,
+	}
 }
 
 // OSReadRegister models the switch-OS path reading a whole register via

@@ -333,3 +333,90 @@ func TestTouchBooksAccess(t *testing.T) {
 	})
 	sw.Inject(&packet.Packet{})
 }
+
+// TestInjectZeroAlloc pins the per-packet pass at zero allocations, with an
+// empty program and with none installed: the Pass and both emission buffers
+// are the switch's own.
+func TestInjectZeroAlloc(t *testing.T) {
+	for name, program := range map[string]ProgramFunc{"empty program": func(*Pass) {}, "no program": nil} {
+		sw := New(0)
+		sw.SetProgram(program)
+		pkt := &packet.Packet{}
+		if allocs := testing.AllocsPerRun(1000, func() {
+			if out := sw.Inject(pkt); len(out.Forward) != 1 || out.Forward[0] != pkt {
+				t.Fatalf("%s: forward = %v", name, out.Forward)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: Inject allocated %v per packet, want 0", name, allocs)
+		}
+	}
+}
+
+// TestOutputLifetime states the reuse rule by example: the next Inject
+// overwrites the previous Output's slices, but never the packets they
+// pointed to — a clone handed to the controller stays as emitted.
+func TestOutputLifetime(t *testing.T) {
+	sw := New(0)
+	sw.SetProgram(func(p *Pass) {
+		c := p.Pkt.Clone()
+		c.OW.Flag = packet.OWTrigger
+		c.OW.SubWindow = uint64(p.Pkt.Seq)
+		c.OW.AFRs = []packet.AFR{{Seq: p.Pkt.Seq}}
+		p.CloneToController(c)
+	})
+	kept := sw.Inject(&packet.Packet{Seq: 1}).ToController[0]
+	second := sw.Inject(&packet.Packet{Seq: 2})
+	if kept.OW.Flag != packet.OWTrigger || kept.OW.SubWindow != 1 || kept.Seq != 1 ||
+		len(kept.OW.AFRs) != 1 || kept.OW.AFRs[0].Seq != 1 {
+		t.Fatalf("clone from the first Inject was mutated by the second: %+v", kept)
+	}
+	if second.ToController[0] == kept || second.ToController[0].OW.SubWindow != 2 {
+		t.Fatalf("second Inject emitted %+v", second.ToController[0])
+	}
+}
+
+// TestInjectDropsBoundarySizedBuffers: a collection-style Inject that emits
+// thousands of clones must not leave the switch holding them (or a slice
+// that large) once the next Inject has run.
+func TestInjectDropsBoundarySizedBuffers(t *testing.T) {
+	const emitted = 5000
+	sw := New(0)
+	n := 0
+	sw.SetProgram(func(p *Pass) {
+		if p.Pkt.OW.Flag != packet.OWCollection {
+			return
+		}
+		p.CloneToController(&packet.Packet{OW: packet.OWHeader{Flag: packet.OWAFR}})
+		p.Emit(&packet.Packet{})
+		if n++; n < emitted {
+			p.Recirculate()
+			return
+		}
+		p.Drop()
+	})
+	out := sw.Inject(&packet.Packet{OW: packet.OWHeader{Flag: packet.OWCollection}})
+	if len(out.ToController) != emitted || len(out.Forward) != emitted || out.Passes != emitted {
+		t.Fatalf("collection emitted %d/%d in %d passes", len(out.ToController), len(out.Forward), out.Passes)
+	}
+	sw.Inject(&packet.Packet{})
+	if c := cap(sw.pass.toController); c > retainCap {
+		t.Errorf("switch kept a %d-entry controller buffer after the boundary, bound %d", c, retainCap)
+	}
+	if c := cap(sw.pass.forward); c > retainCap {
+		t.Errorf("switch kept a %d-entry forward buffer after the boundary, bound %d", c, retainCap)
+	}
+	for _, buf := range [][]*packet.Packet{sw.pass.toController, sw.pass.forward} {
+		for _, p := range buf[:cap(buf)] {
+			if p != nil && p.OW.Flag == packet.OWAFR {
+				t.Fatal("switch still references an AFR clone of the finished collection")
+			}
+		}
+	}
+	if sw.pass.Pkt != nil {
+		t.Error("switch still references the injected packet")
+	}
+	// The caller's Output of the collection is untouched by the drop.
+	if out.ToController[emitted-1] == nil || out.ToController[emitted-1].OW.Flag != packet.OWAFR {
+		t.Error("the collection's own Output lost its packets")
+	}
+}

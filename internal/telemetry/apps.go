@@ -17,9 +17,6 @@ import (
 	"omniwindow/internal/sketch"
 )
 
-// seedHash hashes a key for slot indexing.
-func seedHash(k packet.FlowKey, seed uint64) uint64 { return hashing.Key64(k, seed) }
-
 // FrequencyApp adapts a frequency sketch (Count-Min, SuMax, MV, HashPipe)
 // to afr.StateApp. KeyOf and VolumeOf default to the 5-tuple and packet
 // count.
@@ -154,8 +151,7 @@ func NewSpanApp(slots int, seed uint64) *SpanApp {
 }
 
 func (a *SpanApp) slot(k packet.FlowKey) *spanSlot {
-	h := int(uint64(uint32(seedHash(k, a.seed))) * uint64(len(a.slots)) >> 32)
-	return &a.slots[h]
+	return &a.slots[hashing.Index(k, a.seed, len(a.slots))]
 }
 
 // Update implements afr.StateApp.

@@ -484,7 +484,9 @@ type Deployment struct {
 	// Hot-path staging scratch, reused across deliveries so steady-state
 	// ingest and WAL grouping allocate nothing (see durability.go logBatch
 	// and deployment.go ingestByApp). Deliveries are single-threaded per
-	// deployment, so plain fields suffice.
+	// deployment, so plain fields suffice. scratch is ProcessPacket's
+	// pipeline copy of the packet in flight.
+	scratch  packet.Packet
 	walKeys  []walKey
 	walParts [][]packet.AFR
 	appParts [][]packet.AFR
@@ -846,7 +848,10 @@ func (d *Deployment) ResyncBeacon(epoch, sw uint64) {
 
 // SetDecisionHook registers an observer over every traffic packet's window
 // decision (stamp written/adopted, spike escape, stale-epoch rejection).
-// The fabric's invariant checker uses it; nil unregisters.
+// The fabric's invariant checker uses it; nil unregisters. The packet is
+// the pipeline's copy (switchsim.Pass.Pkt), overwritten by the next
+// ProcessPacket: the hook reads what it needs during the call and does not
+// keep the pointer.
 func (d *Deployment) SetDecisionHook(h func(p *packet.Packet, r window.Result)) {
 	d.decisionHook = h
 }
