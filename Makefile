@@ -66,7 +66,9 @@ fabric-chaos:
 # RDMA chaos suite: the fault-tolerant transport (QP state machine, PSN
 # replay, mid-window fallback, failover re-registration) under seeded
 # RDMASchedule fault runs, with the race detector. Fixed seeds make every
-# schedule a reproducible test case.
+# schedule a reproducible test case. The pattern also selects the replay
+# ring's differential test against the slice-window reference
+# (TestTransportRingMatchesSliceWindow) and FuzzTransportRing's seed corpus.
 rdma-chaos:
 	$(GO) test -race -run 'RDMA|Transport' . ./internal/rdma/ ./internal/faults/
 
@@ -141,14 +143,14 @@ bench: bench-json
 
 # Machine-readable perf numbers for the per-packet path and the
 # controller-merge, batched-ingest, collector-decode, fabric,
-# RDMA-collect, WAL-append and failover-promotion hot paths: ns/op, B/op
-# and allocs/op, emitted as BENCH_PR15.json for cross-PR diffing
-# (BENCH_PR4, PR6, PR7, PR8, PR9 and PR10 snapshots are kept for
-# comparison). The ProcessPacket, ingest, WAL-append and fenced-append
-# benchmarks carry 0 allocs/op baselines, so the compare gate pins them
-# at zero: any new steady-state allocation on the packet path or a
-# pooled or fencing hot path fails bench-diff.
-BENCH_PATTERN = BenchmarkProcessPacket|BenchmarkControllerSharded|BenchmarkControllerIngestBatch|BenchmarkCollectorDecodeIngest|BenchmarkFabric|BenchmarkRDMACollect|BenchmarkWALAppendRotating|BenchmarkFailoverPromotion
+# RDMA-collect, RDMA full-window send, WAL-append and failover-promotion
+# hot paths: ns/op, B/op and allocs/op, emitted as BENCH_PR15.json for
+# cross-PR diffing (BENCH_PR4, PR6, PR7, PR8, PR9 and PR10 snapshots are
+# kept for comparison). The ProcessPacket, ingest, full-window send,
+# WAL-append and fenced-append benchmarks carry 0 allocs/op baselines, so
+# the compare gate pins them at zero: any new steady-state allocation on
+# the packet path or a pooled or fencing hot path fails bench-diff.
+BENCH_PATTERN = BenchmarkProcessPacket|BenchmarkControllerSharded|BenchmarkControllerIngestBatch|BenchmarkCollectorDecodeIngest|BenchmarkFabric|BenchmarkRDMACollect|BenchmarkTransportSendFullWindow|BenchmarkWALAppendRotating|BenchmarkFailoverPromotion
 
 bench-json:
 	$(GO) test -run xxx -bench '$(BENCH_PATTERN)' \
@@ -178,9 +180,11 @@ fuzz:
 	$(GO) test -fuzz 'FuzzDecodeSnapshot$$' -fuzztime 30s ./internal/wire/
 	$(GO) test -fuzz 'FuzzDecodeWALRecord$$' -fuzztime 30s ./internal/wire/
 	$(GO) test -fuzz 'FuzzDecodeTermRecord$$' -fuzztime 30s ./internal/wire/
+	$(GO) test -fuzz 'FuzzTransportRing$$' -fuzztime 30s ./internal/rdma/
 
-# Nightly depth: long fuzz runs on every wire decoder and on the frozen
-# key hash (lane-built Key64 vs its byte-serialising reference), plus the
+# Nightly depth: long fuzz runs on every wire decoder, on the frozen key
+# hash (lane-built Key64 vs its byte-serialising reference) and on the
+# RDMA replay ring (vs its slice-window reference), plus the
 # chaos, failover, fabric-chaos, rdma-chaos, disk-chaos and
 # partition-chaos suites widened with 10 extra derived seeds per table
 # (faults.ExtraSeeds). Mirrors .github/workflows/nightly.yml; run
@@ -192,6 +196,7 @@ nightly:
 	$(GO) test -fuzz 'FuzzDecodeWALRecord$$' -fuzztime 300s ./internal/wire/
 	$(GO) test -fuzz 'FuzzDecodeTermRecord$$' -fuzztime 300s ./internal/wire/
 	$(GO) test -fuzz 'FuzzKey64Identity$$' -fuzztime 300s ./internal/hashing/
+	$(GO) test -fuzz 'FuzzTransportRing$$' -fuzztime 300s ./internal/rdma/
 	OMNIWINDOW_EXTRA_SEEDS=10 $(MAKE) chaos failover fabric-chaos rdma-chaos disk-chaos partition-chaos
 
 examples:

@@ -26,6 +26,7 @@ import (
 	"omniwindow/internal/faults"
 	"omniwindow/internal/hashing"
 	"omniwindow/internal/packet"
+	"omniwindow/internal/rdma"
 	"omniwindow/internal/sketch"
 	"omniwindow/internal/switchsim"
 	"omniwindow/internal/telemetry"
@@ -498,6 +499,57 @@ func BenchmarkRDMACollect(b *testing.B) {
 			VerbError: 0.15, PSNDrop: 0.20,
 			QPError: faults.CrashSchedule{Prob: 0.3}})
 	})
+}
+
+// BenchmarkTransportSendFullWindow measures cold Sends into a replay
+// window already holding ReplayDepth verbs — the regime every send of a
+// boundary larger than the window runs in, where each send also evicts
+// the oldest verb. One op is 1024 sends, so -benchtime 100x is timeable.
+// The cost must not depend on the depth, and the path must not allocate.
+func BenchmarkTransportSendFullWindow(b *testing.B) {
+	const sendsPerOp, opsPerDrain = 1024, 16
+	for _, depth := range []int{100, 8192} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			tr := rdma.NewTransport(rdma.TransportConfig{Rows: 4, Lanes: 3, BufCap: 1 << 16, ReplayDepth: depth})
+			rec := packet.AFR{Key: packet.FlowKey{SrcIP: 1, Proto: packet.ProtoTCP}, Attr: 1}
+			fill := func() {
+				for i := 0; i < depth; i++ {
+					tr.Send(rec)
+				}
+			}
+			// Two untimed rounds grow both halves of the cold buffer to
+			// what a round between drains appends.
+			for round := 0; round < 2; round++ {
+				fill()
+				for i := 0; i < opsPerDrain*sendsPerOp; i++ {
+					tr.Send(rec)
+				}
+				tr.Drain(0)
+			}
+			fill()
+			if got := tr.PendingLen(); got != depth {
+				b.Fatalf("window holds %d verbs, want a full %d", got, depth)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i%opsPerDrain == opsPerDrain-1 {
+					// Empty the cold buffer before it overflows, then
+					// refill the window the drain acked.
+					b.StopTimer()
+					tr.Drain(0)
+					fill()
+					b.StartTimer()
+				}
+				for j := 0; j < sendsPerOp; j++ {
+					if _, delivered := tr.Send(rec); !delivered {
+						b.Fatal("send fell back")
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sendsPerOp), "ns/send")
+		})
+	}
 }
 
 // BenchmarkWALAppendRotating measures the durable WAL append hot path

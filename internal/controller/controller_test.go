@@ -302,6 +302,18 @@ func TestHotTrackerDecayDemotes(t *testing.T) {
 	}
 }
 
+// TestHotTrackerObserveZeroAllocs: observing a key the tracker already
+// holds — every recurring flow, every sub-window — must not allocate.
+func TestHotTrackerObserveZeroAllocs(t *testing.T) {
+	h := NewHotTracker(8, 3)
+	for i := 0; i < 64; i++ {
+		h.Observe(fk(i))
+	}
+	if got := testing.AllocsPerRun(256, func() { h.Observe(fk(7)) }); got != 0 {
+		t.Fatalf("Observe on a seen key allocates %.1f allocs/op, want 0", got)
+	}
+}
+
 // TestEvictionEqualsRecomputeProperty: for random contribution streams and
 // random sliding plans, the incrementally evicted merged value always
 // equals a from-scratch recomputation over the surviving sub-windows.

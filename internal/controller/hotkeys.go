@@ -10,9 +10,14 @@ import "omniwindow/internal/packet"
 type HotTracker struct {
 	capacity  int
 	threshold int
-	counts    map[packet.FlowKey]int
-	hot       map[packet.FlowKey]bool
+	hotCount  int
+	// state packs each tracked key's observation count (bits 1 and up)
+	// with its hotness (bit 0), so one map holds both and Observe is one
+	// read-modify-write of one entry.
+	state map[packet.FlowKey]int32
 }
+
+const hotBit = 1
 
 // NewHotTracker builds a tracker for an address MAT of the given capacity;
 // keys become hot after `threshold` observations.
@@ -26,8 +31,7 @@ func NewHotTracker(capacity, threshold int) *HotTracker {
 	return &HotTracker{
 		capacity:  capacity,
 		threshold: threshold,
-		counts:    make(map[packet.FlowKey]int),
-		hot:       make(map[packet.FlowKey]bool),
+		state:     make(map[packet.FlowKey]int32),
 	}
 }
 
@@ -35,38 +39,37 @@ func NewHotTracker(capacity, threshold int) *HotTracker {
 // returns whether k just crossed into hotness and should be installed in
 // the switch's address MAT (subject to capacity).
 func (h *HotTracker) Observe(k packet.FlowKey) (promote bool) {
-	h.counts[k]++
-	if h.hot[k] || h.counts[k] < h.threshold || len(h.hot) >= h.capacity {
-		return false
+	v := h.state[k] + 2
+	if v&hotBit == 0 && int(v>>1) >= h.threshold && h.hotCount < h.capacity {
+		v |= hotBit
+		h.hotCount++
+		promote = true
 	}
-	h.hot[k] = true
-	return true
+	h.state[k] = v
+	return promote
 }
 
 // IsHot reports whether k currently holds an address MAT entry.
-func (h *HotTracker) IsHot(k packet.FlowKey) bool { return h.hot[k] }
+func (h *HotTracker) IsHot(k packet.FlowKey) bool { return h.state[k]&hotBit != 0 }
 
 // HotCount returns the number of installed hot keys.
-func (h *HotTracker) HotCount() int { return len(h.hot) }
+func (h *HotTracker) HotCount() int { return h.hotCount }
 
 // Decay ages all counts at a window boundary and returns the keys that
 // went cold and must be deleted from the address MAT.
 func (h *HotTracker) Decay() (demote []packet.FlowKey) {
-	for k, c := range h.counts {
-		c /= 2
-		if c == 0 {
-			delete(h.counts, k)
-			if h.hot[k] {
-				delete(h.hot, k)
-				demote = append(demote, k)
-			}
-			continue
-		}
-		h.counts[k] = c
-		if h.hot[k] && c < h.threshold {
-			delete(h.hot, k)
+	for k, v := range h.state {
+		c, hot := v>>2, v&hotBit
+		if hot != 0 && int(c) < h.threshold {
+			hot = 0
+			h.hotCount--
 			demote = append(demote, k)
 		}
+		if c == 0 {
+			delete(h.state, k)
+			continue
+		}
+		h.state[k] = c<<1 | hot
 	}
 	return demote
 }

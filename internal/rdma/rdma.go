@@ -13,6 +13,7 @@ package rdma
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"omniwindow/internal/afr"
 	"omniwindow/internal/packet"
@@ -23,7 +24,7 @@ import (
 var ErrBufferFull = errors.New("rdma: cold-key buffer full")
 
 // MemoryRegion is the RDMA-registered controller memory: a hot-key table
-// of fixed-size rows plus a cold-key append buffer.
+// of fixed-size rows plus a double-buffered cold-key append buffer.
 type MemoryRegion struct {
 	// lanes is the number of slots per hot-key row: one per sub-window
 	// position within a window, so per-sub-window attributes group by key
@@ -33,12 +34,15 @@ type MemoryRegion struct {
 	rows  int
 	used  int
 
-	buffer []packet.AFR
-	bufCap int
+	// buffer is the half of the cold buffer the RNIC appends into; spare
+	// is the half the last Drain handed to the controller. Both grow on
+	// demand, to at most bufCap records.
+	buffer, spare []packet.AFR
+	bufCap        int
 }
 
 // NewMemoryRegion registers memory for `rows` hot keys of `lanes` slots
-// each and a cold buffer of bufCap records.
+// each and a cold buffer bounded at bufCap records.
 func NewMemoryRegion(rows, lanes, bufCap int) *MemoryRegion {
 	if rows <= 0 || lanes <= 0 || bufCap <= 0 {
 		panic("rdma: memory region dimensions must be positive")
@@ -47,7 +51,6 @@ func NewMemoryRegion(rows, lanes, bufCap int) *MemoryRegion {
 		lanes:  lanes,
 		slots:  make([]uint64, rows*lanes),
 		rows:   rows,
-		buffer: make([]packet.AFR, 0, bufCap),
 		bufCap: bufCap,
 	}
 }
@@ -176,19 +179,28 @@ func (n *NIC) Append(rec packet.AFR) error {
 	if err := n.injectFault("append", -1); err != nil {
 		return err
 	}
-	if len(n.mr.buffer) >= n.mr.bufCap {
+	buf := n.mr.buffer
+	if len(buf) >= n.mr.bufCap {
 		return ErrBufferFull
 	}
-	n.mr.buffer = append(n.mr.buffer, rec)
+	if len(buf) == cap(buf) {
+		// Double (append's own 1.25x steps would allocate several times
+		// the final size on the way to a large boundary), bounded by
+		// what the registration allows.
+		buf = slices.Grow(buf, min(max(len(buf), 1024), n.mr.bufCap-len(buf)))
+	}
+	n.mr.buffer = append(buf, rec)
 	n.Appends++
 	return nil
 }
 
-// Drain hands the buffered cold-key AFRs to the controller CPU and clears
-// the buffer — the only RDMA-path step that costs controller cycles.
+// Drain hands the buffered cold-key AFRs to the controller CPU — the only
+// RDMA-path step that costs controller cycles — by swapping the cold
+// buffer's halves instead of copying: appends continue into the other
+// half, and the returned slice is valid only until the next Drain.
 func (n *NIC) Drain() []packet.AFR {
-	out := append([]packet.AFR(nil), n.mr.buffer...)
-	n.mr.buffer = n.mr.buffer[:0]
+	out := n.mr.buffer
+	n.mr.buffer, n.mr.spare = n.mr.spare[:0], out
 	return out
 }
 

@@ -74,7 +74,8 @@ type TransportConfig struct {
 	// the transport can replay after in-flight loss or region
 	// invalidation. Older verbs are evicted; an evicted unapplied verb
 	// is permanently lost (charged to OnShed). 0 means the default
-	// (8192).
+	// (8192); any positive depth is honoured exactly, power of two or
+	// not.
 	ReplayDepth int
 	// Faults is the deterministic fault schedule (nil = healthy).
 	Faults *faults.RDMASchedule
@@ -113,14 +114,42 @@ type TransportStats struct {
 	MRInvalidations, Reregistrations, MATRebuilds int
 }
 
-// pendingVerb is one unacked verb in the PSN replay window.
+// verbState is where a verb in the replay window stands.
+type verbState uint8
+
+const (
+	// verbApplied: landed in the region, awaiting the drain's ack.
+	verbApplied verbState = iota
+	// verbUnapplied: lost in flight (a PSN gap) or wiped by invalidation.
+	verbUnapplied
+	// verbTaken: a tombstone — TakeUnapplied handed the record to the
+	// packet path; the slot no longer counts toward the window.
+	verbTaken
+)
+
+// pendingVerb is one unacked verb in the PSN replay ring. Its PSN is not
+// stored: the slot it occupies is its PSN (see Transport.ring).
 type pendingVerb struct {
 	rec      packet.AFR
-	psn      uint32
 	idx      uint64 // verb index parameterizing the fault schedule
 	attempts int    // highest attempt number drawn so far
 	hot      bool
-	applied  bool // false: lost in flight (a PSN gap) or wiped by invalidation
+	state    verbState
+}
+
+// shedRun counts consecutive evictions of applied verbs that belong to one
+// sub-window: what a region invalidation before the next drain would lose.
+type shedRun struct {
+	sw uint64
+	n  int
+}
+
+// hotRow is the transport's bookkeeping for one allocated hot-key row.
+type hotRow struct {
+	key     packet.FlowKey
+	seq     uint32 // true seq of the last write applied this drain interval
+	written bool   // on Transport.written
+	live    bool   // false once the key is demoted (rows are not reclaimed)
 }
 
 // Transport owns the RDMA collection plumbing for one deployment: the
@@ -136,14 +165,25 @@ type Transport struct {
 
 	state QPState
 
-	rows   map[packet.FlowKey]int    // hot key → row base address
-	hotSeq map[packet.FlowKey]uint32 // applied hot writes this drain interval → true seq
+	rows    map[packet.FlowKey]int // hot key → row base address
+	hotRows []hotRow               // indexed by row (base / lanes)
+	written []int                  // rows written this drain interval, in first-write order
+	hotOut  []packet.AFR           // Drain's hot readback, reused across drains
 
-	pending     []pendingVerb
-	unprotected map[uint64]int // applied verbs evicted from the window, per sub-window
-	psnScratch  []uint32
-
+	// The PSN replay ring: the verb with PSN p occupies ring[p&(len-1)]
+	// while p is inside the span [head, nextPSN) — tested wrap-safe as
+	// p-head < nextPSN-head. head is the oldest non-tombstone entry
+	// (nextPSN when the window is empty); live counts the span's
+	// non-tombstone entries and is what ReplayDepth bounds; unapplied
+	// counts the PSN gaps among them.
+	ring        []pendingVerb
+	head        uint32
 	nextPSN     uint32
+	live        int
+	unapplied   int
+	unprotected []shedRun // applied verbs evicted from the window since the last drain
+	psnScratch  []uint32  // MissingPSNs' result, reused across calls
+
 	verbIdx     uint64
 	verbRetries int
 	rnrBackoff  time.Duration
@@ -161,15 +201,14 @@ type Transport struct {
 func NewTransport(cfg TransportConfig) *Transport {
 	mr := NewMemoryRegion(cfg.Rows, cfg.Lanes, cfg.BufCap)
 	t := &Transport{
-		mr:          mr,
-		nic:         NewNIC(mr),
-		mat:         NewAddressMAT(cfg.Rows),
-		rows:        make(map[packet.FlowKey]int),
-		hotSeq:      make(map[packet.FlowKey]uint32),
-		unprotected: make(map[uint64]int),
-		faults:      cfg.Faults,
-		injector:    cfg.Injector,
-		onShed:      cfg.OnShed,
+		mr:       mr,
+		nic:      NewNIC(mr),
+		mat:      NewAddressMAT(cfg.Rows),
+		rows:     make(map[packet.FlowKey]int),
+		hotRows:  make([]hotRow, 0, cfg.Rows),
+		faults:   cfg.Faults,
+		injector: cfg.Injector,
+		onShed:   cfg.OnShed,
 	}
 	switch {
 	case cfg.VerbRetries < 0:
@@ -185,6 +224,11 @@ func NewTransport(cfg TransportConfig) *Transport {
 	if t.replayDepth = cfg.ReplayDepth; t.replayDepth <= 0 {
 		t.replayDepth = 8192
 	}
+	ringCap := 1
+	for ringCap < t.replayDepth {
+		ringCap <<= 1
+	}
+	t.ring = make([]pendingVerb, ringCap)
 	return t
 }
 
@@ -216,7 +260,7 @@ func (t *Transport) MATLen() int {
 func (t *Transport) PendingLen() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.pending)
+	return t.live
 }
 
 // TakeRetryWait returns and resets the accumulated virtual RNR backoff,
@@ -249,6 +293,7 @@ func (t *Transport) Promote(k packet.FlowKey) bool {
 		return false
 	}
 	t.rows[k] = base
+	t.hotRows = append(t.hotRows, hotRow{key: k, live: true})
 	t.mat.Insert(k, base)
 	return true
 }
@@ -260,7 +305,10 @@ func (t *Transport) Demote(k packet.FlowKey) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.mat.Delete(k)
-	delete(t.rows, k)
+	if base, ok := t.rows[k]; ok {
+		t.hotRows[base/t.mr.Lanes()].live = false
+		delete(t.rows, k)
+	}
 }
 
 // HotRows reports the number of installed hot keys.
@@ -282,28 +330,89 @@ func (t *Transport) verbFault(op string, addr int, idx uint64, attempt int) bool
 	return false
 }
 
+// slot returns the ring slot PSN p maps to.
+func (t *Transport) slot(p uint32) *pendingVerb {
+	return &t.ring[p&uint32(len(t.ring)-1)]
+}
+
+// inWindow reports whether PSN p lies inside the span [head, nextPSN).
+func (t *Transport) inWindow(p uint32) bool {
+	return p-t.head < t.nextPSN-t.head
+}
+
+// eachUnapplied visits the window's PSN gaps, oldest first, stopping at
+// the last one.
+func (t *Transport) eachUnapplied(visit func(p uint32, e *pendingVerb)) {
+	for p, left := t.head, t.unapplied; left > 0 && p != t.nextPSN; p++ {
+		if e := t.slot(p); e.state == verbUnapplied {
+			visit(p, e)
+			left--
+		}
+	}
+}
+
+// skipTaken advances head past tombstones to the oldest windowed verb.
+func (t *Transport) skipTaken() {
+	for t.head != t.nextPSN && t.slot(t.head).state == verbTaken {
+		t.head++
+	}
+}
+
 // track enrolls one sent verb in the PSN replay window, evicting the
-// oldest entry when the window is full. Caller holds t.mu.
-func (t *Transport) track(rec packet.AFR, hot bool, idx uint64, attempt int, applied bool) {
-	if len(t.pending) >= t.replayDepth {
-		e := t.pending[0]
-		n := copy(t.pending, t.pending[1:])
-		t.pending = t.pending[:n]
-		if !e.applied {
+// oldest entry when the window holds ReplayDepth verbs. Caller holds t.mu.
+func (t *Transport) track(rec packet.AFR, hot bool, idx uint64, attempt int, state verbState) {
+	if t.live >= t.replayDepth {
+		e := t.slot(t.head)
+		if e.state == verbUnapplied {
 			// Evicted before ever reaching the region: permanently
 			// lost — charged to shed, surfaces as a missing seq.
 			t.shed(e.rec.SubWindow, 1)
 			t.stats.Lost++
+			t.unapplied--
 		} else {
 			// Applied but no longer replayable: lost only if the
 			// region is invalidated before the next drain.
-			t.unprotected[e.rec.SubWindow]++
+			if n := len(t.unprotected); n > 0 && t.unprotected[n-1].sw == e.rec.SubWindow {
+				t.unprotected[n-1].n++
+			} else {
+				t.unprotected = append(t.unprotected, shedRun{e.rec.SubWindow, 1})
+			}
 		}
+		t.live--
+		t.head++
+		t.skipTaken()
 	}
-	t.pending = append(t.pending, pendingVerb{
-		rec: rec, psn: t.nextPSN, idx: idx, attempts: attempt, hot: hot, applied: applied,
-	})
+	if int(t.nextPSN-t.head) == len(t.ring) {
+		// Tombstones between windowed verbs have stretched the span to
+		// the ring's capacity with the window not yet full — reachable
+		// only by sending on after TakeUnapplied without a Drain, which
+		// the deployment never does. Widen the ring rather than evict a
+		// verb the window still owes a replay.
+		wider := make([]pendingVerb, 2*len(t.ring))
+		for p := t.head; p != t.nextPSN; p++ {
+			wider[p&uint32(len(wider)-1)] = *t.slot(p)
+		}
+		t.ring = wider
+	}
+	e := t.slot(t.nextPSN)
+	e.rec, e.idx, e.attempts, e.hot, e.state = rec, idx, attempt, hot, state
 	t.nextPSN++
+	t.live++
+	if state == verbUnapplied {
+		t.unapplied++
+	}
+}
+
+// noteHotWrite records that a WRITE into the row at base applied, so the
+// next Drain reads the row back with the record's true sequence number.
+func (t *Transport) noteHotWrite(base int, seq uint32) {
+	row := base / t.mr.Lanes()
+	r := &t.hotRows[row]
+	if !r.written {
+		r.written = true
+		t.written = append(t.written, row)
+	}
+	r.seq = seq
 }
 
 // Send transmits one AFR over the RDMA path. hot reports whether the
@@ -346,7 +455,7 @@ func (t *Transport) Send(rec packet.AFR) (hot, delivered bool) {
 		// surfaces as a PSN gap at the next drain, not as a CQ error.
 		if t.faults.PSNDropAt(idx, a) {
 			t.stats.PSNDrops++
-			t.track(rec, isHot, idx, a, false)
+			t.track(rec, isHot, idx, a, verbUnapplied)
 			return isHot, true
 		}
 		if isHot {
@@ -354,7 +463,7 @@ func (t *Transport) Send(rec packet.AFR) (hot, delivered bool) {
 				t.stats.VerbErrors++
 				continue
 			}
-			t.hotSeq[rec.Key] = rec.Seq
+			t.noteHotWrite(base, rec.Seq)
 		} else {
 			if err := t.nic.Append(rec); err != nil {
 				if err == ErrBufferFull {
@@ -370,7 +479,7 @@ func (t *Transport) Send(rec packet.AFR) (hot, delivered bool) {
 				continue
 			}
 		}
-		t.track(rec, isHot, idx, a, true)
+		t.track(rec, isHot, idx, a, verbApplied)
 		return isHot, true
 	}
 	// Retries exhausted: the CQ reports a persistent completion error,
@@ -430,30 +539,33 @@ func (t *Transport) Reregister() {
 func (t *Transport) reregisterLocked() {
 	t.stats.Reregistrations++
 	t.mr.Invalidate()
-	for k := range t.rows {
-		base, ok := t.mr.AllocRow()
-		if !ok {
-			// Unreachable with matching capacities; drop the key to
-			// cold rather than alias a stale address.
-			t.mat.Delete(k)
-			delete(t.rows, k)
+	// Live rows move down into the fresh region in row order; at most as
+	// many rows as were allocated before, so AllocRow cannot run out.
+	old := t.hotRows
+	t.hotRows = t.hotRows[:0]
+	for _, r := range old {
+		if !r.live {
 			continue
 		}
-		t.rows[k] = base
+		t.rows[r.key], _ = t.mr.AllocRow()
+		t.hotRows = append(t.hotRows, hotRow{key: r.key, live: true})
 	}
+	t.written = t.written[:0]
 	t.rebuildMATLocked()
 	// Applied verbs died with the old registration: replay them into the
 	// fresh region. Applied verbs already evicted from the replay window
 	// cannot come back — they are lost for good.
-	for i := range t.pending {
-		t.pending[i].applied = false
+	for p := t.head; p != t.nextPSN; p++ {
+		if e := t.slot(p); e.state == verbApplied {
+			e.state = verbUnapplied
+		}
 	}
-	clear(t.hotSeq)
-	for sw, n := range t.unprotected {
-		t.shed(sw, n)
-		t.stats.Lost += n
+	t.unapplied = t.live
+	for _, r := range t.unprotected {
+		t.shed(r.sw, r.n)
+		t.stats.Lost += r.n
 	}
-	clear(t.unprotected)
+	t.unprotected = t.unprotected[:0]
 }
 
 // rebuildMATLocked republishes every hot key's current base address —
@@ -467,17 +579,19 @@ func (t *Transport) rebuildMATLocked() {
 }
 
 // MissingPSNs lists the PSNs of verbs sent but never applied — the gaps
-// the controller-side scan detects at collect time. It feeds
-// controller.RecoverSubWindow as the `missing` hook.
+// the controller-side scan detects at collect time — oldest first. It
+// feeds controller.RecoverSubWindow as the `missing` hook. The result is
+// transport-owned and valid until the next MissingPSNs call; a window
+// without gaps returns nil without scanning.
 func (t *Transport) MissingPSNs() []uint32 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var out []uint32
-	for i := range t.pending {
-		if !t.pending[i].applied {
-			out = append(out, t.pending[i].psn)
-		}
+	if t.unapplied == 0 {
+		return nil
 	}
+	out := t.psnScratch[:0]
+	t.eachUnapplied(func(p uint32, _ *pendingVerb) { out = append(out, p) })
+	t.psnScratch = out
 	return out
 }
 
@@ -493,39 +607,43 @@ func (t *Transport) Replay(psns []uint32) int {
 	}
 	applied := 0
 	for _, psn := range psns {
-		for i := range t.pending {
-			e := &t.pending[i]
-			if e.psn != psn || e.applied {
+		if !t.inWindow(psn) {
+			continue
+		}
+		e := t.slot(psn)
+		if e.state != verbUnapplied {
+			continue
+		}
+		e.attempts++
+		// A hot verb whose key was demoted since it was sent has no row
+		// to write: it replays as a cold append.
+		base, hot := t.rows[e.rec.Key]
+		hot = hot && e.hot
+		op, addr := "append", -1
+		if hot {
+			op, addr = "write", base+int(e.rec.SubWindow)%t.mr.Lanes()
+		}
+		if t.verbFault(op, addr, e.idx, e.attempts) {
+			t.stats.VerbErrors++
+			continue
+		}
+		if t.faults.PSNDropAt(e.idx, e.attempts) {
+			t.stats.PSNDrops++
+			continue
+		}
+		if hot {
+			if t.nic.Write(addr, e.rec.Attr) != nil {
+				t.stats.VerbErrors++
 				continue
 			}
-			e.attempts++
-			op, addr := "append", -1
-			if e.hot {
-				addr = t.rows[e.rec.Key] + int(e.rec.SubWindow)%t.mr.Lanes()
-				op = "write"
-			}
-			if t.verbFault(op, addr, e.idx, e.attempts) {
-				t.stats.VerbErrors++
-				break
-			}
-			if t.faults.PSNDropAt(e.idx, e.attempts) {
-				t.stats.PSNDrops++
-				break
-			}
-			if e.hot {
-				if t.nic.Write(addr, e.rec.Attr) != nil {
-					t.stats.VerbErrors++
-					break
-				}
-				t.hotSeq[e.rec.Key] = e.rec.Seq
-			} else if t.nic.Append(e.rec) != nil {
-				break // buffer full again: stays unapplied for fallback
-			}
-			e.applied = true
-			applied++
-			t.stats.Replayed++
-			break
+			t.noteHotWrite(base, e.rec.Seq)
+		} else if t.nic.Append(e.rec) != nil {
+			continue // buffer full again: stays unapplied for fallback
 		}
+		e.state = verbApplied
+		t.unapplied--
+		applied++
+		t.stats.Replayed++
 	}
 	return applied
 }
@@ -534,53 +652,66 @@ func (t *Transport) Replay(psns []uint32) int {
 // applied — the replay budget is exhausted (or the QP is down) and the
 // deployment hands them to the packet C&R path, mid-sub-window, with
 // their original sequence numbers so the controller's dedup keeps the
-// transport switch exact.
+// transport switch exact. Their slots become tombstones; a window without
+// gaps returns nil without scanning.
 func (t *Transport) TakeUnapplied() []packet.AFR {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var out []packet.AFR
-	kept := t.pending[:0]
-	for _, e := range t.pending {
-		if e.applied {
-			kept = append(kept, e)
-		} else {
-			out = append(out, e.rec)
-			t.stats.Fallbacks++
-		}
+	if t.unapplied == 0 {
+		return nil
 	}
-	t.pending = kept
+	out := make([]packet.AFR, 0, t.unapplied)
+	t.eachUnapplied(func(_ uint32, e *pendingVerb) {
+		e.state = verbTaken
+		out = append(out, e.rec)
+	})
+	t.stats.Fallbacks += len(out)
+	t.live -= len(out)
+	t.unapplied = 0
+	t.skipTaken()
 	return out
 }
 
 // Drain consumes boundary sw's delivered records: the cold buffer is
-// handed off wholesale and each hot key written this interval is read
-// back from its per-sub-window lane with its true enumeration sequence
-// number (then the lane resets for the next same-lane sub-window). The
-// replay window acks — any verb still unapplied here (the caller already
-// took the fallback set) is permanently lost and charged to shed — and a
-// Recovering QP commits back to RTS.
+// handed off wholesale and each hot row written this interval is read
+// back, in first-write order, from its per-sub-window lane with its true
+// enumeration sequence number (then the lane resets for the next
+// same-lane sub-window). The replay window acks — any verb still
+// unapplied here (the caller already took the fallback set) is
+// permanently lost and charged to shed, as is a hot write whose key was
+// demoted before this drain — and a Recovering QP commits back to RTS.
+//
+// Both returned slices are transport-owned buffers (the filled half of
+// the double-buffered cold buffer and the reused hot readback): they are
+// valid until the next Drain, so consume or copy them before draining
+// again.
 func (t *Transport) Drain(sw uint64) (cold, hot []packet.AFR) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	cold = t.nic.Drain()
-	lane := int(sw) % t.mr.Lanes()
-	for k, seq := range t.hotSeq {
-		base, ok := t.rows[k]
-		if !ok {
+	lanes := t.mr.Lanes()
+	lane := int(sw) % lanes
+	hot = t.hotOut[:0]
+	for _, row := range t.written {
+		r := &t.hotRows[row]
+		r.written = false
+		if !r.live {
+			t.shed(sw, 1)
+			t.stats.Lost++
 			continue
 		}
-		hot = append(hot, packet.AFR{Key: k, Attr: t.mr.slots[base+lane], SubWindow: sw, Seq: seq})
+		base := row * lanes
+		hot = append(hot, packet.AFR{Key: r.key, Attr: t.mr.slots[base+lane], SubWindow: sw, Seq: r.seq})
 		t.mr.ResetLane(base, lane)
 	}
-	for _, e := range t.pending {
-		if !e.applied {
-			t.shed(e.rec.SubWindow, 1)
-			t.stats.Lost++
-		}
-	}
-	t.pending = t.pending[:0]
-	clear(t.hotSeq)
-	clear(t.unprotected)
+	t.written = t.written[:0]
+	t.hotOut = hot
+	t.eachUnapplied(func(_ uint32, e *pendingVerb) {
+		t.shed(e.rec.SubWindow, 1)
+		t.stats.Lost++
+	})
+	t.head, t.live, t.unapplied = t.nextPSN, 0, 0
+	t.unprotected = t.unprotected[:0]
 	if t.state == QPRecovering {
 		t.state = QPRts
 	}

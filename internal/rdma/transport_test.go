@@ -459,26 +459,161 @@ func TestTransportHandoffPropertyRandomSchedules(t *testing.T) {
 	}
 }
 
-// TestTransportSendZeroAllocs pins the steady-state send path at zero
-// allocations per record, for both the hot-row write and the cold append.
+// TestTransportSendZeroAllocs pins the steady-state paths at zero
+// allocations: the hot-row write and the cold append into a replay window
+// that is full (so every send also evicts), and a boundary's drain once
+// both halves of the cold buffer have grown to the boundary's size.
 func TestTransportSendZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc accounting is perturbed by the race detector")
 	}
-	tr := healthyTransport(4, 3, 1<<12)
+	const depth = 8192
+	tr := healthyTransport(4, 3, 1<<15)
 	tr.Promote(fk(0))
-	// Warm: grow the pending window and the hot-seq map once.
-	for i := 0; i < 512; i++ {
-		tr.Send(seqRec(i%2, 0, uint32(i), 1))
+	fill := func() {
+		for i := 0; i < depth+512; i++ {
+			tr.Send(seqRec(i%2, 0, uint32(i), 1))
+		}
+		if got := tr.PendingLen(); got != depth {
+			t.Fatalf("window holds %d verbs, want a full %d", got, depth)
+		}
 	}
-	tr.Drain(0)
+	fill()
 	hotRec := seqRec(0, 0, 1, 1)
 	if got := testing.AllocsPerRun(256, func() { tr.Send(hotRec) }); got != 0 {
-		t.Fatalf("hot send allocates %.1f allocs/op, want 0", got)
+		t.Fatalf("hot send into a full window allocates %.1f allocs/op, want 0", got)
 	}
-	tr.Drain(0)
 	coldRec := seqRec(1, 0, 2, 1)
 	if got := testing.AllocsPerRun(256, func() { tr.Send(coldRec) }); got != 0 {
-		t.Fatalf("cold send allocates %.1f allocs/op, want 0", got)
+		t.Fatalf("cold send into a full window allocates %.1f allocs/op, want 0", got)
+	}
+	if got := tr.PendingLen(); got != depth {
+		t.Fatalf("window holds %d verbs after the measured sends, want %d", got, depth)
+	}
+	// One boundary: the collect-time calls of a healthy window, then the
+	// drain. The first two boundaries grow the cold buffer's two halves.
+	boundary := func() {
+		for i := 0; i < 64; i++ {
+			tr.Send(seqRec(i%2, 0, uint32(i), 1))
+		}
+		tr.BeginCollect(0)
+		if tr.MissingPSNs() != nil || tr.TakeUnapplied() != nil {
+			t.Fatal("healthy window reported gaps")
+		}
+		if cold, hot := tr.Drain(0); len(cold) == 0 || len(hot) != 1 {
+			t.Fatalf("drained cold=%d hot=%d", len(cold), len(hot))
+		}
+	}
+	if got := testing.AllocsPerRun(64, boundary); got != 0 {
+		t.Fatalf("steady-state boundary allocates %.1f allocs/op, want 0", got)
+	}
+}
+
+// TestTransportDrainBuffersLiveUntilNextDrain: the slices Drain returns
+// are the transport's own buffers — untouched by the sends that follow,
+// reused by the drain after.
+func TestTransportDrainBuffersLiveUntilNextDrain(t *testing.T) {
+	tr := healthyTransport(4, 3, 1<<10)
+	tr.Promote(fk(0))
+	for i := 0; i < 6; i++ {
+		tr.Send(seqRec(i%3, 0, uint32(i), uint64(10+i)))
+	}
+	cold, hot := tr.Drain(0)
+	wantCold, wantHot := append([]packet.AFR(nil), cold...), append([]packet.AFR(nil), hot...)
+	if len(cold) != 4 || len(hot) != 1 {
+		t.Fatalf("drained cold=%d hot=%d, want 4/1", len(cold), len(hot))
+	}
+	for i := 0; i < 6; i++ {
+		tr.Send(seqRec(i%3, 1, uint32(100+i), uint64(50+i)))
+	}
+	for i := range wantCold {
+		if cold[i] != wantCold[i] {
+			t.Fatalf("cold[%d] changed before the next drain: %v, was %v", i, cold[i], wantCold[i])
+		}
+	}
+	if hot[0] != wantHot[0] {
+		t.Fatalf("hot readback changed before the next drain: %v, was %v", hot[0], wantHot[0])
+	}
+	cold2, hot2 := tr.Drain(1)
+	if len(cold2) != 4 || len(hot2) != 1 || cold2[0].Seq != 101 || hot2[0].Seq != 103 {
+		t.Fatalf("second drain = %v / %v", cold2, hot2)
+	}
+}
+
+// TestTransportHotReadbackInFirstWriteOrder: Drain emits hot records in
+// the order their rows were first written this interval, the same on
+// every run, not in a map's iteration order.
+func TestTransportHotReadbackInFirstWriteOrder(t *testing.T) {
+	const keys = 32
+	tr := healthyTransport(keys, 3, 16)
+	for k := 0; k < keys; k++ {
+		tr.Promote(fk(k))
+	}
+	// Write in a scrambled order, every key twice.
+	var order []int
+	for i := 0; i < 2*keys; i++ {
+		k := (i * 13) % keys
+		if i < keys {
+			order = append(order, k)
+		}
+		tr.Send(seqRec(k, 0, uint32(i), uint64(i+1)))
+	}
+	_, hot := tr.Drain(0)
+	if len(hot) != keys {
+		t.Fatalf("drained %d hot records, want %d", len(hot), keys)
+	}
+	for i, r := range hot {
+		// The lane holds the second write; its seq is keys + position.
+		if r.Key != fk(order[i]) || r.Seq != uint32(keys+i) || r.Attr != uint64(keys+i+1) {
+			t.Fatalf("hot[%d] = %+v, want key %d seq %d", i, r, order[i], keys+i)
+		}
+	}
+}
+
+// TestTransportDemotedHotVerbReplaysCold: a hot verb dropped in flight
+// whose key is demoted before the replay has no row to write — it must
+// land as a cold append, not in whichever row sits at address 0.
+func TestTransportDemotedHotVerbReplaysCold(t *testing.T) {
+	// Seed 10 drops verb 1's first attempt and passes its second.
+	sched := &faults.RDMASchedule{Seed: 10, PSNDrop: 0.5}
+	if sched.PSNDropAt(0, 0) || !sched.PSNDropAt(1, 0) || sched.PSNDropAt(1, 1) {
+		t.Fatal("seed no longer yields pass / drop / pass-on-replay for verbs 0 and 1")
+	}
+	tr := NewTransport(TransportConfig{Rows: 4, Lanes: 3, BufCap: 16, Faults: sched})
+	tr.Promote(fk(0)) // row at address 0
+	tr.Promote(fk(1))
+	tr.Send(seqRec(0, 0, 0, 7)) // verb 0: applied into row 0
+	tr.Send(seqRec(1, 0, 1, 9)) // verb 1: hot, dropped in flight
+	tr.Demote(fk(1))
+	if n := tr.Replay(tr.MissingPSNs()); n != 1 {
+		t.Fatalf("replay applied %d verbs, want 1", n)
+	}
+	cold, hot := tr.Drain(0)
+	if len(hot) != 1 || hot[0] != seqRec(0, 0, 0, 7) {
+		t.Fatalf("row 0 was corrupted by the replay: hot = %v", hot)
+	}
+	if len(cold) != 1 || cold[0] != seqRec(1, 0, 1, 9) {
+		t.Fatalf("demoted key's verb did not replay as a cold append: cold = %v", cold)
+	}
+}
+
+// TestTransportDrainChargesDemotedHotWrite: a hot write whose key is
+// demoted before the drain cannot be read back; the drop is charged to
+// shed and Lost instead of vanishing.
+func TestTransportDrainChargesDemotedHotWrite(t *testing.T) {
+	shed := map[uint64]int{}
+	tr := NewTransport(TransportConfig{Rows: 4, Lanes: 3, BufCap: 16,
+		OnShed: func(sw uint64, n int) { shed[sw] += n }})
+	tr.Promote(fk(0))
+	tr.Promote(fk(1))
+	tr.Send(seqRec(0, 2, 0, 7))
+	tr.Send(seqRec(1, 2, 1, 9))
+	tr.Demote(fk(0))
+	_, hot := tr.Drain(2)
+	if len(hot) != 1 || hot[0].Key != fk(1) {
+		t.Fatalf("hot = %v, want key 1 only", hot)
+	}
+	if shed[2] != 1 || tr.Stats().Lost != 1 {
+		t.Fatalf("shed = %v lost = %d, want the demoted write charged once", shed, tr.Stats().Lost)
 	}
 }

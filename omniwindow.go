@@ -245,7 +245,9 @@ type Config struct {
 	RDMAVerbRetries int
 	// RDMAReplayDepth bounds the transport's PSN replay window: how many
 	// unacked verbs can be replayed after in-flight loss or a region
-	// invalidation. 0 uses the default (8192). Records evicted from the
+	// invalidation. 0 uses the default (8192); any positive depth is
+	// honoured exactly, and the window's memory (about 100 bytes a verb)
+	// is reserved when the deployment is built. Records evicted from the
 	// window are charged to shed accounting if they are lost.
 	RDMAReplayDepth int
 	// RDMAFaults schedules deterministic RDMA transport failures (verb

@@ -1,8 +1,11 @@
 package omniwindow
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -310,5 +313,53 @@ func TestRDMAChaosDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(d1.Results(), d2.Results()) {
 		t.Fatal("same schedule, different window results")
+	}
+}
+
+// TestRDMADurableRunsByteIdentical: two identical RDMA runs with
+// durability on write identical WAL segments. The WAL logs records in
+// the order the boundary drain hands them over, so this pins the hot
+// readback to a run-independent order (first write, not map iteration)
+// — with dozens of hot keys per boundary, any other order differs between
+// two runs with near certainty.
+func TestRDMADurableRunsByteIdentical(t *testing.T) {
+	run := func() (map[string][]byte, Stats) {
+		dir := t.TempDir()
+		d := runRDMAChaos(t, func(c *Config) {
+			c.CheckpointDir = dir
+			c.CheckpointEvery = 100 // keep every WAL segment on disk
+			c.Shards = 1            // one WAL group per boundary: order fully visible
+			c.HotThreshold = 2
+		})
+		d.CloseDurability()
+		files, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("no WAL segments in %s (err %v)", dir, err)
+		}
+		wal := make(map[string][]byte)
+		for _, f := range files {
+			b, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wal[filepath.Base(f)] = b
+		}
+		return wal, d.Stats()
+	}
+	wal1, st1 := run()
+	wal2, st2 := run()
+	if st1.HotAFRs < 40 {
+		t.Fatalf("only %d hot AFRs: the run does not exercise the hot readback", st1.HotAFRs)
+	}
+	if st1 != st2 {
+		t.Fatalf("identical runs, different stats:\n%+v\n%+v", st1, st2)
+	}
+	if len(wal1) != len(wal2) {
+		t.Fatalf("identical runs wrote %d and %d WAL segments", len(wal1), len(wal2))
+	}
+	for name, b := range wal1 {
+		if !bytes.Equal(b, wal2[name]) {
+			t.Fatalf("WAL segment %s differs between two identical runs", name)
+		}
 	}
 }
