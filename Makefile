@@ -44,16 +44,18 @@ ci: build vet fmt-check test race chaos failover fabric-chaos rdma-chaos \
 
 # Chaos suite: the full pipeline under seeded drop/dup/reorder/corruption
 # schedules, run with the race detector. Fixed seeds (1, 2, 3 in the test
-# tables) make every schedule a reproducible test case.
+# tables) make every schedule a reproducible test case. CollectBatch is
+# TestCollectBatchFlushPoints: its faults, failover and wal subtests hold
+# the boundary's delivery batch under this suite, failover and disk-chaos.
 chaos:
-	$(GO) test -race -run 'Chaos' . ./internal/controller/ ./internal/faults/
+	$(GO) test -race -run 'Chaos|CollectBatch' . ./internal/controller/ ./internal/faults/
 
 # Durability suite: kill-and-restart at every sub-window boundary,
 # WAL-replay recovery, hot-standby failover and admission-control shedding,
 # all under the race detector. Crash schedules use fixed seeds (and the
 # Fixed boundary lists in failover_test.go), so every death is replayable.
 failover:
-	$(GO) test -race -run 'Crash|Failover|Shed|Store|Lease' \
+	$(GO) test -race -run 'Crash|Failover|Shed|Store|Lease|CollectBatch' \
 		. ./internal/controller/ ./internal/faults/ ./internal/durable/
 
 # Fabric chaos suite: switch reboots, stalls and clock drift on multi-hop
@@ -78,7 +80,7 @@ rdma-chaos:
 # recovery — under the race detector. Fixed seeds (the schedule tables in
 # disk_chaos_test.go) make every fault sequence a reproducible test case.
 disk-chaos:
-	$(GO) test -race -run 'Disk|Scrub|Quarantine|Segment|Heal|Degrad' \
+	$(GO) test -race -run 'Disk|Scrub|Quarantine|Segment|Heal|Degrad|CollectBatch' \
 		. ./internal/durable/ ./internal/faults/
 
 # Partition chaos suite: the hot-standby pair under network partitions
@@ -134,15 +136,15 @@ fuzz-smoke:
 	$(GO) test -fuzz 'FuzzDecodeTermRecord$$' -fuzztime 10s ./internal/wire/
 
 bench-smoke:
-	$(GO) test -run xxx -bench BenchmarkController -benchtime 1x .
+	$(GO) test -run xxx -bench 'BenchmarkController|BenchmarkBoundaryCollect' -benchtime 1x .
 
 # Regenerate every paper table/figure once (tables in the bench log), and
 # refresh the machine-readable perf snapshot.
 bench: bench-json
 	$(GO) test -run xxx -bench . -benchtime 1x -timeout 3600s .
 
-# Machine-readable perf numbers for the per-packet path and the
-# controller-merge, batched-ingest, collector-decode, fabric,
+# Machine-readable perf numbers for the per-packet path, the boundary
+# (enumeration + delivery + finish per AFR) and the controller-merge, batched-ingest, collector-decode, fabric,
 # RDMA-collect, RDMA full-window send, WAL-append and failover-promotion
 # hot paths: ns/op, B/op and allocs/op, emitted as BENCH_PR15.json for
 # cross-PR diffing (BENCH_PR4, PR6, PR7, PR8, PR9 and PR10 snapshots are
@@ -150,7 +152,7 @@ bench: bench-json
 # WAL-append and fenced-append benchmarks carry 0 allocs/op baselines, so
 # the compare gate pins them at zero: any new steady-state allocation on
 # the packet path or a pooled or fencing hot path fails bench-diff.
-BENCH_PATTERN = BenchmarkProcessPacket|BenchmarkControllerSharded|BenchmarkControllerIngestBatch|BenchmarkCollectorDecodeIngest|BenchmarkFabric|BenchmarkRDMACollect|BenchmarkTransportSendFullWindow|BenchmarkWALAppendRotating|BenchmarkFailoverPromotion
+BENCH_PATTERN = BenchmarkProcessPacket|BenchmarkBoundaryCollect|BenchmarkControllerSharded|BenchmarkControllerIngestBatch|BenchmarkCollectorDecodeIngest|BenchmarkFabric|BenchmarkRDMACollect|BenchmarkTransportSendFullWindow|BenchmarkWALAppendRotating|BenchmarkFailoverPromotion
 
 bench-json:
 	$(GO) test -run xxx -bench '$(BENCH_PATTERN)' \

@@ -435,6 +435,80 @@ func BenchmarkProcessPacket(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pkts)), "ns/pkt")
 }
 
+// BenchmarkBoundaryCollect measures one flow_churn-shaped boundary per op:
+// 34 000 single-packet flows, new every sub-window, overflow the default
+// 32 K flowkey array, so a boundary enumerates the array, injects the
+// spilled keys, delivers every AFR to the controller and assembles the
+// sliding window. Feeding the sub-window's packets is untimed; the timed
+// part is Tick(edge) .. Tick(edge+grace), as in bench/replay.go. ns/AFR
+// covers enumeration, delivery and finish; allocs/AFR is dominated by
+// finish (the switch and delivery side add about 0.03).
+func BenchmarkBoundaryCollect(b *testing.B) {
+	const (
+		subWindow = 100 * time.Millisecond
+		flows     = 34_000
+	)
+	width := sketch.NewCountMinBytes(4, 256<<10, 1).Width()
+	d, err := omniwindow.New(omniwindow.Config{
+		SubWindow: subWindow,
+		Plan:      window.SlidingPlan(5, 1),
+		Kind:      afr.Frequency,
+		Threshold: 15,
+		AppFactory: func(region int) afr.StateApp {
+			return telemetry.NewFrequencyApp(sketch.NewCountMinBytes(4, 256<<10, uint64(region+1)), width)
+		},
+		Slots:             width,
+		CollectionPackets: 3,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	grace := int64(switchsim.DefaultCosts().ControllerWait)
+	sw := 0
+	var m0, m1 runtime.MemStats
+	var mallocs uint64
+	boundary := func(timed bool) {
+		start := int64(sw) * int64(subWindow)
+		for i := 0; i < flows; i++ {
+			n := uint32(sw*flows + i + 1)
+			d.ProcessPacket(&packet.Packet{
+				Key:  packet.FlowKey{SrcIP: n, DstIP: 9, SrcPort: uint16(n), DstPort: 443, Proto: packet.ProtoTCP},
+				Size: 100, Time: start + int64(i),
+			})
+		}
+		sw++
+		edge := int64(sw) * int64(subWindow)
+		if timed {
+			runtime.ReadMemStats(&m0)
+			b.StartTimer()
+		}
+		d.Tick(edge)
+		d.Tick(edge + grace)
+		if timed {
+			b.StopTimer()
+			runtime.ReadMemStats(&m1)
+			mallocs += m1.Mallocs - m0.Mallocs
+		}
+	}
+	for i := 0; i < 6; i++ { // fill the sliding window and warm every scratch buffer
+		boundary(false)
+	}
+	before := d.Stats()
+	b.ResetTimer()
+	b.StopTimer()
+	for i := 0; i < b.N; i++ {
+		boundary(true)
+	}
+	st := d.Stats()
+	afrs := st.AFRs - before.AFRs
+	if afrs < b.N*flows*9/10 || st.Spills == before.Spills || st.SubWindows-before.SubWindows != b.N {
+		b.Fatalf("not a flow_churn boundary: %d AFRs, %d spills over %d sub-windows",
+			afrs, st.Spills-before.Spills, st.SubWindows-before.SubWindows)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(afrs), "ns/AFR")
+	b.ReportMetric(float64(mallocs)/float64(afrs), "allocs/AFR")
+}
+
 // benchRDMATrace builds a deterministic 5-sub-window, 40-flow trace for
 // the RDMA collection benchmarks (sub-windows are 100 ms).
 func benchRDMATrace() []packet.Packet {

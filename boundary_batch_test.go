@@ -1,0 +1,336 @@
+package omniwindow
+
+import (
+	"reflect"
+	"testing"
+	"time"
+
+	"omniwindow/internal/afr"
+	"omniwindow/internal/controller"
+	"omniwindow/internal/faults"
+	"omniwindow/internal/obs"
+	"omniwindow/internal/packet"
+	"omniwindow/internal/window"
+)
+
+// Batch-boundary trace: batchFlows flows in each of five sub-windows, more
+// than two delivery batches, so every boundary flushes full batches and
+// ends on a partly filled one (300 = 2×128 + 44). With spillTracker the
+// flowkey array holds only 200 of them: Phase 1 ends mid-batch (128 + 72)
+// and the spilled remainder fills and flushes that batch mid-Phase-2.
+const batchFlows = 300
+
+func spillTracker(c *Config) {
+	c.Tracker = afr.TrackerConfig{BufferKeys: 200, BloomBits: 1 << 16, BloomHashes: 3}
+}
+
+func batchTrace() []packet.Packet {
+	var pkts []packet.Packet
+	for swi := 0; swi < 5; swi++ {
+		for i := 0; i < 3; i++ {
+			for f := 1; f <= batchFlows; f++ {
+				if i > (f+swi)%3 {
+					continue // flow f sends 1 + (f+swi)%3 packets in this sub-window
+				}
+				pkts = append(pkts, packet.Packet{
+					Key: fk(f), Size: 100, Seq: uint32(i),
+					Time: int64(swi)*100*ms + int64(i)*30*ms + int64(f)*ms/20,
+				})
+			}
+		}
+	}
+	return pkts
+}
+
+func batchConfig(mutate func(*Config)) Config {
+	cfg := freqConfig(window.SlidingPlan(3, 1), 6, false)
+	cfg.RetryBackoff = time.Millisecond
+	cfg.RetryMaxBackoff = 2 * time.Millisecond
+	cfg.Shards = 2
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	return cfg
+}
+
+func runBatch(t *testing.T, mutate func(*Config)) *Deployment {
+	t.Helper()
+	d, err := New(batchConfig(mutate))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.RunFor(batchTrace(), 500*ms)
+	return d
+}
+
+func counter(reg *obs.Registry, name string) int64 { return reg.Counter(name, "").Value() }
+
+// TestCollectBatchFlushPoints holds the delivery batch to the behaviour of
+// one-clone-at-a-time delivery at each place a flush must sit.
+func TestCollectBatchFlushPoints(t *testing.T) {
+	baseline := runBatch(t, nil)
+	if st := baseline.Stats(); st.AFRs != 5*batchFlows || len(baseline.Results()) == 0 {
+		t.Fatalf("baseline is not the batch-boundary shape: %+v", st)
+	}
+
+	// (a) Fault draws stay per clone, in the old order; the flag-change
+	// flush keeps first deliveries and recoveries in separate packets; the
+	// flush after each retransmit round lets MissingSeqs see it. The
+	// counts below were read off the parent commit, which delivered every
+	// clone on its own.
+	t.Run("faults", func(t *testing.T) {
+		const (
+			wantRetransmitted  = 1083
+			wantRecoveryRounds = 9
+			wantDuplicates     = 352
+			wantRecovered      = 601
+		)
+		reg := obs.NewRegistry()
+		d, err := New(batchConfig(func(c *Config) {
+			c.AFRFaults = faults.New(faults.Config{Seed: 1, Drop: 0.10, Duplicate: 0.20, MaxDuplicates: 2})
+			c.Obs = reg
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.testAFRLoss = func(i int) bool { return i%3 == 0 }
+		d.RunFor(batchTrace(), 500*ms)
+		if !reflect.DeepEqual(baseline.Results(), d.Results()) {
+			t.Fatal("faulted run's windows differ from the fault-free run's")
+		}
+		st := d.Stats()
+		dups := counter(reg, "omniwindow_controller_duplicates_total")
+		rec := counter(reg, "omniwindow_controller_recovered_total")
+		if st.Retransmitted != wantRetransmitted || st.RecoveryRounds != wantRecoveryRounds ||
+			dups != wantDuplicates || rec != wantRecovered || st.IncompleteSubWindows != 0 {
+			t.Fatalf("retransmitted %d (want %d), rounds %d (want %d), duplicates %d (want %d), recovered %d (want %d), incomplete %d",
+				st.Retransmitted, wantRetransmitted, st.RecoveryRounds, wantRecoveryRounds,
+				dups, wantDuplicates, rec, wantRecovered, st.IncompleteSubWindows)
+		}
+	})
+
+	// (b) The flush before the failover probe: everything Phases 1 and 2
+	// delivered — the partial batch included — went to the dead primary,
+	// and the promoted standby NACKs back exactly that sub-window.
+	t.Run("failover", func(t *testing.T) {
+		reg := obs.NewRegistry()
+		d, err := New(batchConfig(func(c *Config) {
+			c.CheckpointDir = t.TempDir()
+			c.Crash = &faults.CrashSchedule{Fixed: []uint64{2}}
+			c.Standby = true
+			c.Obs = reg
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		primary := d.ctrl
+		d.RunFor(batchTrace(), 500*ms)
+		if err := d.CloseDurability(); err != nil {
+			t.Fatal(err)
+		}
+		st := d.Stats()
+		if st.Failovers != 1 || d.ctrl == primary {
+			t.Fatalf("no failover: %+v", st)
+		}
+		if got := primary.Reliability(2).Received; got != batchFlows {
+			t.Fatalf("dead primary had received %d of sub-window 2's %d records before the probe", got, batchFlows)
+		}
+		if st.Retransmitted != batchFlows || st.IncompleteSubWindows != 0 {
+			t.Fatalf("retransmitted %d want the takeover sub-window's %d; incomplete %d",
+				st.Retransmitted, batchFlows, st.IncompleteSubWindows)
+		}
+		if dups := counter(reg, "omniwindow_controller_duplicates_total"); dups != 0 {
+			t.Fatalf("%d records reached the standby twice: a batch straddled the promotion", dups)
+		}
+		if !reflect.DeepEqual(baseline.Results(), d.Results()) {
+			t.Fatal("failover changed the windows")
+		}
+	})
+
+	// (c) WAL group commit: a boundary writes one frame per (shard,
+	// sub-window) group of one batch, and those frames replay exactly —
+	// here with a third of the records arriving by the spilled-key path.
+	t.Run("wal", func(t *testing.T) {
+		const (
+			ckptEvery = 2 // checkpoints at boundaries 1 and 3: the crash at 2 leaves real WAL to replay
+			crashAt   = 2
+			// Per data chain, beside its frames: the scrub's read-back and a
+			// cadence seal. The control chain pays the same plus the finish
+			// frame and its next segment's header; a checkpoint is a temp
+			// write and a rename.
+			perChainOps, controlOps = 2, 6
+		)
+		dir := t.TempDir()
+		durable := func(crash *faults.CrashSchedule) *Deployment {
+			d, err := New(batchConfig(func(c *Config) {
+				spillTracker(c)
+				c.CheckpointDir = dir
+				c.CheckpointEvery = ckptEvery
+				c.DiskFaults = &faults.DiskSchedule{}
+				c.Crash = crash
+			}))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return d
+		}
+		d1 := durable(&faults.CrashSchedule{Fixed: []uint64{crashAt}})
+		pkts := batchTrace()
+		next := 0
+		for k := 1; k <= 5; k++ {
+			edge := int64(k) * 100 * ms
+			for ; next < len(pkts) && pkts[next].Time < edge; next++ {
+				d1.ProcessPacket(&pkts[next])
+			}
+			if _, crashed := d1.Crashed(); crashed {
+				break
+			}
+			d1.Tick(edge)
+			ops := d1.store.FSOps()
+			d1.Tick(edge + int64(d1.cfg.Grace))
+			ops = d1.store.FSOps() - ops
+			batches := (batchFlows + afrBatchCap - 1) / afrBatchCap
+			if limit := uint64(d1.ckptShards*(batches+perChainOps) + controlOps); ops == 0 || ops > limit {
+				t.Fatalf("boundary %d issued %d filesystem operations, want 1..%d (one per AFR would be %d)",
+					k-1, ops, limit, batchFlows)
+			}
+		}
+		if sw, ok := d1.Crashed(); !ok || sw != crashAt {
+			t.Fatalf("crash at %d did not fire: %v %d", crashAt, ok, sw)
+		}
+		if err := d1.DurabilityErr(); err != nil {
+			t.Fatal(err)
+		}
+		if d1.Stats().Spills == 0 {
+			t.Fatal("no key spilled")
+		}
+
+		d2 := durable(nil)
+		d2.RunFor(traceTail(pkts, crashAt), 500*ms)
+		if err := d2.CloseDurability(); err != nil {
+			t.Fatal(err)
+		}
+		if d2.Stats().ReplayedWindows == 0 {
+			t.Fatal("restart replayed no window from the batched frames")
+		}
+		var combined []controller.WindowResult
+		if ckpt, ok := lastCheckpointBefore(crashAt, ckptEvery); ok {
+			for _, w := range d1.Results() {
+				if w.End <= ckpt {
+					combined = append(combined, w)
+				}
+			}
+		}
+		combined = append(combined, d2.Results()...)
+		if !reflect.DeepEqual(baseline.Results(), combined) {
+			t.Fatalf("crash-restart from batched WAL frames not exact:\nuncrashed: %+v\nstitched:  %+v",
+				baseline.Results(), combined)
+		}
+	})
+}
+
+// TestStaleCollectDropsSpilledKeys: a sub-window whose region a newer one
+// takes over before its collection runs has nothing to collect — its
+// spilled keys must still leave the map.
+func TestStaleCollectDropsSpilledKeys(t *testing.T) {
+	d, err := New(batchConfig(spillTracker))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Sub-window 0 spills, sub-window 1 is idle, and sub-window 2's first
+	// packet arrives — without a Tick in between — before sub-window 0's
+	// grace period has run: region 0 changes hands with 0 uncollected.
+	feed := func(at int64) {
+		for f := 1; f <= batchFlows; f++ {
+			d.ProcessPacket(&packet.Packet{Key: fk(f), Size: 100, Time: at + int64(f)})
+		}
+	}
+	feed(10 * ms)
+	if d.Stats().Spills == 0 || len(d.spilled[0]) == 0 {
+		t.Fatalf("sub-window 0 did not spill: %+v", d.Stats())
+	}
+	feed(210 * ms)
+	d.Finalize()
+	if st := d.Stats(); st.SubWindows != 3 {
+		t.Fatalf("want sub-windows 0, 1 and 2 collected: %+v", st)
+	}
+	if len(d.spilled) != 0 {
+		t.Fatalf("spilled keys of %d sub-window(s) left behind: a stale collection leaked them", len(d.spilled))
+	}
+}
+
+// TestBoundaryAllocsPerAFR gates the boundary's enumeration and delivery
+// at 0.1 allocations per AFR (it was 3 for the clone plus 1 per spilled-key
+// inject). Whole steady-state boundaries are measured — the packet phase
+// is allocation-free but for the spill clones — and the window assembly is
+// taken out by subtracting a controller-only run that is fed the same
+// record stream and allocates for FinishSubWindow alone.
+func TestBoundaryAllocsPerAFR(t *testing.T) {
+	const (
+		flows  = 8400
+		buffer = 8192
+		warm   = 6
+		runs   = 4
+	)
+	cfg := freqConfig(window.SlidingPlan(5, 1), 1<<40, false)
+	cfg.Tracker = afr.TrackerConfig{BufferKeys: buffer, BloomBits: 1 << 22, BloomHashes: 3}
+	cfg.CaptureValues = false
+	cfg.Shards = 1
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shadow, err := controller.NewWithError(controller.Config{
+		Plan: cfg.Plan, Kind: cfg.Kind, Threshold: cfg.Threshold, Shards: cfg.Shards,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := func(sw, i int) packet.FlowKey {
+		n := uint32(sw*flows + i + 1)
+		return packet.FlowKey{SrcIP: n, DstIP: 9, SrcPort: uint16(n), DstPort: 443, Proto: packet.ProtoTCP}
+	}
+	var p packet.Packet
+	sw := 0
+	boundary := func() {
+		for i := 0; i < flows; i++ {
+			p = packet.Packet{Key: key(sw, i), Size: 100, Time: int64(sw)*100*ms + int64(i)}
+			d.ProcessPacket(&p)
+		}
+		sw++
+		d.Tick(int64(sw) * 100 * ms)
+		d.Tick(int64(sw)*100*ms + int64(d.cfg.Grace))
+	}
+	recs := make([]packet.AFR, flows)
+	trigger := packet.Packet{OW: packet.OWHeader{Flag: packet.OWTrigger, KeyCount: buffer}}
+	ssw, shadowWindows := 0, 0
+	finishOnly := func() {
+		for i := range recs {
+			recs[i] = packet.AFR{Key: key(ssw, i), Attr: 1, SubWindow: uint64(ssw), Seq: uint32(i)}
+		}
+		trigger.OW.SubWindow = uint64(ssw)
+		shadow.Receive(&trigger)
+		shadow.IngestAFRs(recs)
+		shadowWindows += len(shadow.FinishSubWindow(uint64(ssw)))
+		ssw++
+	}
+	for i := 0; i < warm; i++ {
+		boundary()
+		finishOnly()
+	}
+	total := testing.AllocsPerRun(runs, boundary)
+	finish := testing.AllocsPerRun(runs, finishOnly)
+
+	st := d.Stats()
+	if st.AFRs != sw*flows || st.Spills != sw*(flows-buffer) || st.Retransmitted != 0 {
+		t.Fatalf("not %d-AFR boundaries with %d spills each: %+v", flows, flows-buffer, st)
+	}
+	if got, want := shadowWindows, len(d.Results()); got != want || finish < flows/2 {
+		t.Fatalf("shadow is not assembling the deployment's windows: %d vs %d windows, %v allocs per finish", got, want, finish)
+	}
+	perAFR := (total - finish) / flows
+	t.Logf("boundary %.0f allocs, finish alone %.0f: enumeration + delivery %.3f allocs/AFR", total, finish, perAFR)
+	if perAFR > 0.1 {
+		t.Fatalf("enumeration + delivery allocate %.3f per AFR, want <= 0.1", perAFR)
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"omniwindow/internal/packet"
 	"omniwindow/internal/rdma"
 	"omniwindow/internal/switchsim"
+	"omniwindow/internal/wire"
 )
 
 // deployResources compiles the OmniWindow data-plane program onto the
@@ -276,6 +277,7 @@ func (d *Deployment) handleSwitchOutput(out switchsim.Output) {
 			d.ingestSpike(c)
 		case packet.OWAFR:
 			d.deliverAFRs(c)
+			d.flushAFRs() // nothing later in this call delivers: leave no record parked
 		}
 	}
 }
@@ -343,6 +345,11 @@ func (d *Deployment) collect(sw uint64) {
 	// have nothing to collect — and must not reset a region now owned by
 	// a newer sub-window.
 	owned := d.regionOwned[region] && d.regionOwner[region] == sw
+	// Taken on every collection, owned or not: a sub-window whose region a
+	// newer one took over can no longer query its spilled keys, and must
+	// not leave them in the map forever.
+	spilled := d.spilled[sw]
+	delete(d.spilled, sw)
 
 	// Crash-restart gap: when recovery's durable record ended before this
 	// sub-window and no traffic for it ever reached this incarnation, it
@@ -370,34 +377,23 @@ func (d *Deployment) collect(sw uint64) {
 		// array is exhausted.
 		passes := 0
 		for i := 0; i < d.cfg.CollectionPackets; i++ {
-			out := d.sw.Inject(&packet.Packet{OW: packet.OWHeader{Flag: packet.OWCollection}})
+			out := d.injectSpecial(packet.OWHeader{Flag: packet.OWCollection})
 			passes += out.Passes
-			for _, c := range out.ToController {
-				if c.OW.Flag == packet.OWAFR {
-					afrs += len(c.OW.AFRs)
-					d.deliverAFRs(c)
-				}
-			}
+			afrs += d.deliverClones(out)
 		}
 		virtual += costs.RecircTime(d.cfg.CollectionPackets, keyCount)
 
 		// Phase 2 — controller-injected flow keys for the spilled
 		// remainder (§4.2), queried while the region still holds state.
-		spilled := d.spilled[sw]
-		delete(d.spilled, sw)
-		seq := uint32(keyCount)
-		for _, k := range spilled {
-			inj := &packet.Packet{OW: packet.OWHeader{Flag: packet.OWInjectKey, Key: k, Index: seq, SubWindow: sw}}
-			seq++
-			out := d.sw.Inject(inj)
-			for _, c := range out.ToController {
-				if c.OW.Flag == packet.OWAFR {
-					afrs += len(c.OW.AFRs)
-					d.deliverAFRs(c)
-				}
-			}
+		for i, k := range spilled {
+			afrs += d.deliverClones(d.injectSpecial(packet.OWHeader{
+				Flag: packet.OWInjectKey, Key: k, Index: uint32(keyCount + i), SubWindow: sw,
+			}))
 		}
 		virtual += time.Duration(len(spilled)) * costs.DPDKInjectPerKey
+		// Flush point: the probes below may swap the controller, and the
+		// Phase-3 loop reads its delivery state.
+		d.flushAFRs()
 
 		// Failover probe: the standby declares the primary dead only once
 		// its lease lapses (the wait is charged to the C&R budget), then
@@ -436,6 +432,7 @@ func (d *Deployment) collect(sw uint64) {
 						d.obs.retrans.Add(int64(len(rp.OW.AFRs)))
 						d.deliverAFRs(rp)
 					}
+					d.flushAFRs() // MissingSeqs is re-read next
 					return nil
 				},
 				func(wait time.Duration) { virtual += wait },
@@ -453,8 +450,7 @@ func (d *Deployment) collect(sw uint64) {
 		// reused as clear packets (§4.3), each zeroing one slot of every
 		// register per pass.
 		for i := 0; i < d.cfg.CollectionPackets; i++ {
-			out := d.sw.Inject(&packet.Packet{OW: packet.OWHeader{Flag: packet.OWReset}})
-			passes += out.Passes
+			passes += d.injectSpecial(packet.OWHeader{Flag: packet.OWReset}).Passes
 		}
 		d.stats.RecircPasses += passes
 		virtual += costs.RecircTime(d.cfg.CollectionPackets, d.cfg.Slots)
@@ -568,6 +564,27 @@ func (d *Deployment) collect(sw uint64) {
 	}
 }
 
+// injectSpecial runs one control packet through the switch. The packet is
+// the deployment's scratch packet, reset per use: collections run between
+// traffic packets, the engine copies what it clones to the controller, and
+// a control packet never leaves on egress.
+func (d *Deployment) injectSpecial(h packet.OWHeader) switchsim.Output {
+	d.scratch = packet.Packet{OW: h}
+	return d.sw.Inject(&d.scratch)
+}
+
+// deliverClones delivers the AFR clones one collection Inject emitted and
+// returns their record count.
+func (d *Deployment) deliverClones(out switchsim.Output) (afrs int) {
+	for _, c := range out.ToController {
+		if c.OW.Flag == packet.OWAFR {
+			afrs += len(c.OW.AFRs)
+			d.deliverAFRs(c)
+		}
+	}
+	return afrs
+}
+
 // rdmaIngest hands RDMA-delivered (or fallen-back) records to the
 // controller, logging them to the WAL first when durability is on — the
 // RDMA path's records become durable at controller-ingest time, exactly
@@ -576,9 +593,7 @@ func (d *Deployment) rdmaIngest(recs []packet.AFR) {
 	if len(recs) == 0 {
 		return
 	}
-	if d.store != nil {
-		d.logBatch(&packet.Packet{OW: packet.OWHeader{Flag: packet.OWAFR, AFRs: recs}})
-	}
+	d.logBatch(false, recs)
 	d.ctrl.IngestAFRs(recs)
 }
 
@@ -601,11 +616,16 @@ func (d *Deployment) retryPolicy() controller.RetryPolicy {
 	return pol
 }
 
+// afrBatchCap is the delivery batch's fixed capacity: one wire datagram's
+// worth of records per WAL append and controller ingest.
+const afrBatchCap = wire.MaxAFRsPerDatagram
+
 // deliverAFRs routes AFR-bearing packets (first transmissions and
 // retransmissions) toward the controller, first pushing them through the
-// configured fault schedule: a drop loses the packet — the reliability
-// protocol must notice and repair — and duplicates arrive back to back,
-// which the controller's sequence dedup must suppress.
+// configured fault schedule, drawn once per packet: a drop loses the
+// packet — the reliability protocol must notice and repair — and
+// duplicates arrive back to back, which the controller's sequence dedup
+// must suppress.
 func (d *Deployment) deliverAFRs(c *packet.Packet) {
 	if d.testAFRLoss != nil {
 		i := d.afrPktCount
@@ -614,31 +634,28 @@ func (d *Deployment) deliverAFRs(c *packet.Packet) {
 			return // injected loss: cloned packets have lowest priority
 		}
 	}
+	copies := 1
 	if d.cfg.AFRFaults != nil {
 		act := d.cfg.AFRFaults.Packet()
 		if act.Drop {
 			return
 		}
-		for i := 0; i < act.Duplicates; i++ {
-			d.deliverAFRsOnce(c.Clone())
-		}
+		copies += act.Duplicates
 	}
-	d.deliverAFRsOnce(c)
+	for ; copies > 0; copies-- {
+		d.deliverAFRsOnce(c)
+	}
 }
 
-// deliverAFRsOnce hands one surviving packet to the controller — via the
-// RNIC when RDMA is enabled, via DPDK packet RX otherwise.
+// deliverAFRsOnce sends one surviving packet's records toward the
+// controller — via the RNIC when RDMA is enabled, via the delivery batch
+// (DPDK packet RX) otherwise.
 func (d *Deployment) deliverAFRsOnce(c *packet.Packet) {
 	if !d.cfg.RDMA {
-		d.logBatch(c)
-		if len(d.ctrls) == 1 {
-			d.ctrl.Receive(c)
-			return
-		}
-		d.ingestByApp(c.OW.AFRs)
+		d.batchAFRs(c.OW.Flag, c.OW.AFRs)
 		return
 	}
-	for _, r := range c.OW.AFRs {
+	for i, r := range c.OW.AFRs {
 		if d.hot.Observe(r.Key) {
 			d.rdma.Promote(r.Key)
 		}
@@ -650,7 +667,7 @@ func (d *Deployment) deliverAFRsOnce(c *packet.Packet) {
 			// original sequence number intact, so the controller's dedup
 			// keeps the handoff exact.
 			d.stats.FallbackAFRs++
-			d.rdmaIngest([]packet.AFR{r})
+			d.batchAFRs(packet.OWAFR, c.OW.AFRs[i:i+1])
 			continue
 		}
 		if hot {
@@ -659,6 +676,45 @@ func (d *Deployment) deliverAFRsOnce(c *packet.Packet) {
 			d.stats.ColdAFRs++
 		}
 	}
+}
+
+// batchAFRs copies records into the delivery batch, flushing whenever it
+// fills and before the flag changes between OWAFR and OWRetransmit (the
+// controller's recovery accounting is per delivered packet). Records wait
+// in the batch only until the next flush point; every reader of controller
+// or store state sits behind one (see flushAFRs' callers).
+func (d *Deployment) batchAFRs(flag packet.OWFlag, recs []packet.AFR) {
+	b := &d.batch.OW
+	if b.Flag != flag {
+		d.flushAFRs()
+		b.Flag = flag
+	}
+	for len(recs) > 0 {
+		n := copy(b.AFRs[len(b.AFRs):cap(b.AFRs)], recs)
+		b.AFRs, recs = b.AFRs[:len(b.AFRs)+n], recs[n:]
+		if len(b.AFRs) == cap(b.AFRs) {
+			d.flushAFRs()
+		}
+	}
+}
+
+// flushAFRs delivers the batched records as one packet: one WAL append
+// (grouped per shard and sub-window), then one controller ingest.
+func (d *Deployment) flushAFRs() {
+	b := &d.batch.OW
+	if len(b.AFRs) == 0 {
+		return
+	}
+	d.logBatch(b.Flag == packet.OWRetransmit, b.AFRs)
+	switch {
+	case d.cfg.RDMA:
+		d.ctrl.IngestAFRs(b.AFRs)
+	case len(d.ctrls) == 1:
+		d.ctrl.Receive(&d.batch)
+	default:
+		d.ingestByApp(b.AFRs)
+	}
+	b.AFRs = b.AFRs[:0]
 }
 
 // ingestByApp routes records to their app's controller, batched per app

@@ -28,23 +28,24 @@ import (
 // charged as Missing (NoteLost), so their windows assemble Incomplete —
 // explicitly, never silently wrong.
 
-// logBatch appends one delivered AFR packet's records to the write-ahead
-// log, grouped per controller shard (matching the table partitioning) and
-// per sub-window (one WAL frame describes one sub-window's records).
-// Grouping runs over deployment-held scratch (walKeys/walParts) that is
-// reused across packets: the group count is tiny (shards × live
-// sub-windows), so a linear key scan beats a per-packet map allocation.
-func (d *Deployment) logBatch(c *packet.Packet) {
-	if d.store == nil || d.storeDead || d.crashed || len(c.OW.AFRs) == 0 {
+// logBatch appends one delivery batch's records to the write-ahead log,
+// grouped per controller shard (matching the table partitioning) and per
+// sub-window: one WAL frame is one (shard, sub-window) group of one batch,
+// so a boundary writes about shards × batches frames, not one per AFR.
+// retrans marks records that answer a NACK. Grouping runs over
+// deployment-held scratch (walKeys/walParts) that is reused across
+// batches: the group count is tiny (shards × live sub-windows), so a
+// linear key scan beats a per-batch map allocation.
+func (d *Deployment) logBatch(retrans bool, recs []packet.AFR) {
+	if d.store == nil || d.storeDead || d.crashed || len(recs) == 0 {
 		return
 	}
 	if d.degraded {
 		d.noteDurabilityGap()
 		return
 	}
-	retrans := c.OW.Flag == packet.OWRetransmit
 	keys, parts := d.walKeys[:0], d.walParts
-	for _, r := range c.OW.AFRs {
+	for _, r := range recs {
 		k := walKey{hashing.Shard(r.Key, d.ckptShards), r.SubWindow}
 		gi := -1
 		for i := range keys {
@@ -66,7 +67,7 @@ func (d *Deployment) logBatch(c *packet.Packet) {
 	for i, k := range keys {
 		var err error
 		if d.degraded {
-			// A mid-packet fault degrades the rest of the packet's
+			// A mid-batch fault degrades the rest of the batch's
 			// groups too — each skipped frame is one more gap.
 			d.noteDurabilityGap()
 		} else {

@@ -2,9 +2,8 @@ package afr
 
 import (
 	"runtime"
-	"sync/atomic"
 	"testing"
-	"time"
+	"unsafe"
 
 	"omniwindow/internal/packet"
 	"omniwindow/internal/switchsim"
@@ -172,42 +171,119 @@ func runCollection(t *testing.T, e *Engine, sw uint64, packets int) []packet.AFR
 
 // TestCollectionRoundPinsNoAFRPackets: the switch reuses its emission
 // buffers across Injects, and one collection packet emits an AFR clone per
-// tracked key. Once the round's clear packets have run and the receiver has
-// let go, nothing on the switch side (engine, pass, buffers) may still
-// reference those clones — a pinned round would show as retained heap that
-// grows with the flow count.
+// tracked key, carved from the engine's slab chunks. Once the round's clear
+// packets have run and the receiver has let go, nothing on the switch side
+// (engine, pass, buffers) may still reference those clones beyond the
+// engine's one partly used chunk — a pinned round would show as retained
+// heap that grows with the flow count.
 func TestCollectionRoundPinsNoAFRPackets(t *testing.T) {
-	e, _, _ := newEngineForTest(t, 4096)
-	for i := 0; i < 3000; i++ {
-		e.Update(0, &packet.Packet{Key: fk(i)})
-	}
-	ss := switchsim.New(0)
-	ss.SetProgram(func(pass *switchsim.Pass) { e.HandleSpecial(pass) })
-
-	var emitted, freed atomic.Int64
-	func() {
-		e.BeginCollection(0)
-		out := ss.Inject(&packet.Packet{OW: packet.OWHeader{Flag: packet.OWCollection}})
-		for _, c := range out.ToController {
-			emitted.Add(1)
-			runtime.SetFinalizer(c, func(*packet.Packet) { freed.Add(1) })
-		}
-	}()
-	if emitted.Load() < 2000 {
-		t.Fatalf("collection emitted only %d AFR packets", emitted.Load())
-	}
-	ss.Inject(&packet.Packet{OW: packet.OWHeader{Flag: packet.OWReset}})
-
-	deadline := time.Now().Add(5 * time.Second)
-	for freed.Load() < emitted.Load() && time.Now().Before(deadline) {
+	liveHeap := func() int64 {
 		runtime.GC()
-		time.Sleep(time.Millisecond)
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
 	}
-	if freed.Load() != emitted.Load() {
-		t.Fatalf("%d of %d AFR packets still reachable after the round", emitted.Load()-freed.Load(), emitted.Load())
+	// Two chunks of clones and records, plus slack for runtime noise. A
+	// pinned round holds ~300 B per key: 0.9 MB at 3 000 keys.
+	const bound = 2*slabClones*(int64(unsafe.Sizeof(packet.Packet{}))+int64(unsafe.Sizeof(packet.AFR{}))) + 32<<10
+	for _, flows := range []int{3000, 30000} {
+		tr := NewTracker(TrackerConfig{BufferKeys: 1 << 15, BloomBits: 1 << 20, BloomHashes: 3, Regions: 2})
+		e := NewEngine(tr, []StateApp{newCountApp(8), newCountApp(8)}, window.NewRegions(2, 8))
+		for i := 0; i < flows; i++ {
+			e.Update(0, &packet.Packet{Key: fk(i)})
+		}
+		ss := switchsim.New(0)
+		ss.SetProgram(func(pass *switchsim.Pass) { e.HandleSpecial(pass) })
+
+		before := liveHeap()
+		e.BeginCollection(0)
+		held := append([]*packet.Packet(nil), ss.Inject(&packet.Packet{OW: packet.OWHeader{Flag: packet.OWCollection}}).ToController...)
+		if len(held) < flows*9/10 {
+			t.Fatalf("%d flows: collection emitted only %d AFR packets", flows, len(held))
+		}
+		ss.Inject(&packet.Packet{OW: packet.OWHeader{Flag: packet.OWReset}})
+		holding := liveHeap()
+		runtime.KeepAlive(held)
+		n := int64(len(held))
+		held = nil
+		after := liveHeap()
+		if after-before > bound {
+			t.Fatalf("%d flows: %d B still live after the round, want <= %d (a chunk or two)", flows, after-before, bound)
+		}
+		if holding-after < n*200 {
+			t.Fatalf("%d flows: letting go of %d clones freed only %d B — the measurement is blind", flows, n, holding-after)
+		}
+		runtime.KeepAlive(ss)
+		runtime.KeepAlive(e)
 	}
-	runtime.KeepAlive(ss)
-	runtime.KeepAlive(e)
+}
+
+// TestAFRClonesSurviveLaterInjects: a receiver may hold every clone of a
+// round across all later Injects of that round (bench/ladder.go does) —
+// slab chunks are never reused, so each clone still reads its own
+// key/seq/attr afterwards, one contiguous record per co-deployed app.
+func TestAFRClonesSurviveLaterInjects(t *testing.T) {
+	const inBuffer, spilled = 3*slabClones + 7, slabClones + 5
+	for _, apps := range []int{1, 2} {
+		per := make([][]StateApp, 2)
+		for r := range per {
+			for a := 0; a < apps; a++ {
+				per[r] = append(per[r], newCountApp(8))
+			}
+		}
+		e := NewMultiEngine(smallTracker(inBuffer), per, window.NewRegions(2, 8))
+		// Key i is seen i%5+1 times; app a additionally reads 100*a higher.
+		for i := 0; i < inBuffer+spilled; i++ {
+			for j := 0; j <= i%5; j++ {
+				e.Update(0, &packet.Packet{Key: fk(i)})
+			}
+			for a := 1; a < apps; a++ {
+				per[0][a].(*countApp).counts[fk(i)] += uint64(100 * a)
+			}
+		}
+		keys := append([]packet.FlowKey(nil), e.Tracker().Keys(0)...)
+		if len(keys) != inBuffer {
+			t.Fatalf("tracked %d keys, want a full buffer of %d", len(keys), inBuffer)
+		}
+		ss := switchsim.New(0)
+		ss.SetProgram(func(pass *switchsim.Pass) { e.HandleSpecial(pass) })
+
+		e.BeginCollection(0)
+		var held []*packet.Packet
+		for i := 0; i < 3; i++ {
+			held = append(held, ss.Inject(&packet.Packet{OW: packet.OWHeader{Flag: packet.OWCollection}}).ToController...)
+		}
+		for i := inBuffer; i < inBuffer+spilled; i++ {
+			keys = append(keys, fk(i))
+			held = append(held, ss.Inject(&packet.Packet{OW: packet.OWHeader{
+				Flag: packet.OWInjectKey, Key: fk(i), Index: uint32(i),
+			}}).ToController...)
+		}
+		for i := 0; i < 3; i++ {
+			ss.Inject(&packet.Packet{OW: packet.OWHeader{Flag: packet.OWReset}})
+		}
+		if e.Collecting() {
+			t.Fatal("round not finished")
+		}
+
+		if len(held) != len(keys) {
+			t.Fatalf("apps=%d: held %d clones for %d keys", apps, len(held), len(keys))
+		}
+		// A holder appending to its records must not reach its neighbour's.
+		held[0].OW.AFRs = append(held[0].OW.AFRs, packet.AFR{Seq: 1 << 30})[:apps]
+		for seq, c := range held {
+			if c.OW.Flag != packet.OWAFR || len(c.OW.AFRs) != apps {
+				t.Fatalf("apps=%d clone %d: flag %v with %d records", apps, seq, c.OW.Flag, len(c.OW.AFRs))
+			}
+			for a, r := range c.OW.AFRs {
+				want := packet.AFR{Key: keys[seq], Attr: uint64(seq%5 + 1 + 100*a), Seq: uint32(seq), App: uint8(a)}
+				if r != want {
+					t.Fatalf("apps=%d clone %d record %d = %+v, want %+v", apps, seq, a, r, want)
+				}
+			}
+		}
+	}
 }
 
 func TestEngineCollectionEnumeratesAllKeys(t *testing.T) {

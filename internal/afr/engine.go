@@ -70,7 +70,16 @@ type Engine struct {
 	// parked counts collection packets whose enumeration finished and
 	// that wait to be reused as clear packets.
 	parked int
+
+	// The chunks AFR clones and their records are carved from (see
+	// cloneAFRs): pktSlab is the packet chunk's unused tail, afrSlab the
+	// record chunk, its length the part already handed out.
+	pktSlab []packet.Packet
+	afrSlab []packet.AFR
 }
+
+// slabClones is the number of AFR clones carved from one slab chunk.
+const slabClones = 64
 
 // NewEngine wires a tracker and one StateApp per region (the single-app
 // form; see NewMultiEngine for co-deployed applications).
@@ -264,16 +273,10 @@ func (e *Engine) handleCollection(pass *switchsim.Pass) {
 		pass.Drop()
 		return
 	}
-	k := keys[idx]
 	p.OW.Index = uint32(idx)
-	p.OW.AFRs = append(p.OW.AFRs, e.queryAFRs(k, uint32(idx))...)
-
-	c := p.Clone()
-	c.OW.Flag = packet.OWAFR
-	pass.CloneToController(c)
+	e.cloneAFRs(pass, keys[idx], uint32(idx))
 	// The original keeps recirculating to move the enumeration forward;
-	// its accumulated AFRs are trimmed so header growth stays bounded.
-	p.OW.AFRs = p.OW.AFRs[:0]
+	// the records ride the clone only, so its header never grows.
 	pass.Recirculate()
 }
 
@@ -307,20 +310,41 @@ func (e *Engine) handleReset(pass *switchsim.Pass) {
 // §4.2: extract the key, query the terminated region, and send the AFR
 // back to the controller.
 func (e *Engine) handleInjectedKey(pass *switchsim.Pass) {
-	p := pass.Pkt
-	p.OW.Flag = packet.OWAFR
-	p.OW.AFRs = append(p.OW.AFRs, e.queryAFRs(p.OW.Key, p.OW.Index)...)
-	pass.CloneToController(p.Clone())
+	e.cloneAFRs(pass, pass.Pkt.OW.Key, pass.Pkt.OW.Index)
 	pass.Drop()
 }
 
-// queryAFRs builds one AFR per co-deployed app from the collected
-// region's state.
-func (e *Engine) queryAFRs(k packet.FlowKey, seq uint32) []packet.AFR {
-	out := make([]packet.AFR, 0, e.AppCount())
+// cloneAFRs clones the pass's packet to the controller as an OWAFR packet
+// carrying key k's records. Clone and records are carved from engine-owned
+// slab chunks: two allocations per slabClones clones. A chunk is never
+// reused — the engine only moves forward through it and forgets it when
+// exhausted — so a clone stays intact for as long as its holder keeps the
+// pointer (the switchsim.Output lifetime rule), and a chunk is freed once
+// every clone carved from it is let go.
+func (e *Engine) cloneAFRs(pass *switchsim.Pass, k packet.FlowKey, seq uint32) {
+	if len(e.pktSlab) == 0 {
+		e.pktSlab = make([]packet.Packet, slabClones)
+		e.afrSlab = make([]packet.AFR, 0, slabClones*e.AppCount())
+	}
+	c := &e.pktSlab[0]
+	e.pktSlab = e.pktSlab[1:]
+	*c = *pass.Pkt
+	c.OW.Flag = packet.OWAFR
+	c.OW.RawWords, c.OW.Seqs = nil, nil // a clone aliases no header data
+	start := len(e.afrSlab)
+	e.afrSlab = e.appendAFRs(e.afrSlab, k, seq)
+	// Capacity-clipped: a holder appending to its records cannot reach
+	// the next clone's.
+	c.OW.AFRs = e.afrSlab[start:len(e.afrSlab):len(e.afrSlab)]
+	pass.CloneToController(c)
+}
+
+// appendAFRs appends one AFR per co-deployed app, queried from the
+// collected region's state, to dst.
+func (e *Engine) appendAFRs(dst []packet.AFR, k packet.FlowKey, seq uint32) []packet.AFR {
 	for i, app := range e.apps[e.collectRegion] {
 		a := app.Query(k)
-		out = append(out, packet.AFR{
+		dst = append(dst, packet.AFR{
 			Key:         k,
 			Attr:        a.Value,
 			SubWindow:   e.collectSW,
@@ -330,7 +354,7 @@ func (e *Engine) queryAFRs(k packet.FlowKey, seq uint32) []packet.AFR {
 			HasDistinct: a.HasDistinct,
 		})
 	}
-	return out
+	return dst
 }
 
 // Retransmit re-queries specific sequence indexes of the collected region
@@ -338,10 +362,10 @@ func (e *Engine) queryAFRs(k packet.FlowKey, seq uint32) []packet.AFR {
 // must be called before the region is reset.
 func (e *Engine) Retransmit(seqs []uint32) []packet.AFR {
 	keys := e.tracker.Keys(e.collectRegion)
-	out := make([]packet.AFR, 0, len(seqs))
+	out := make([]packet.AFR, 0, len(seqs)*e.AppCount())
 	for _, s := range seqs {
 		if int(s) < len(keys) {
-			out = append(out, e.queryAFRs(keys[s], s)...)
+			out = e.appendAFRs(out, keys[s], s)
 		}
 	}
 	return out
@@ -351,7 +375,8 @@ func (e *Engine) Retransmit(seqs []uint32) []packet.AFR {
 // indexes and wraps the records into OWRetransmit packets, chunked to the
 // wire AFR bound, ready to send to the controller. The distinct flag lets
 // the controller's delivery accounting tell recoveries from first
-// deliveries.
+// deliveries. The packets' records are capacity-clipped windows onto the
+// one slice Retransmit returned.
 func (e *Engine) RetransmitPackets(seqs []uint32) []*packet.Packet {
 	recs := e.Retransmit(seqs)
 	out := make([]*packet.Packet, 0, (len(recs)+wire.MaxAFRsPerDatagram-1)/wire.MaxAFRsPerDatagram)
@@ -361,7 +386,7 @@ func (e *Engine) RetransmitPackets(seqs []uint32) []*packet.Packet {
 			Flag:         packet.OWRetransmit,
 			SubWindow:    e.collectSW,
 			HasSubWindow: true,
-			AFRs:         append([]packet.AFR(nil), recs[start:end]...),
+			AFRs:         recs[start:end:end],
 		}})
 	}
 	return out

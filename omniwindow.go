@@ -364,7 +364,9 @@ type Stats struct {
 	// recovery, included in Results in their original positions.
 	ReplayedWindows int
 	// DurabilityGaps counts durable writes skipped (or failed) while the
-	// deployment ran in degraded durability — pressure, not damage: the
+	// deployment ran in degraded durability. It is a write count, not a
+	// record count: one skipped AFR write covers up to one delivery batch
+	// (128 records). Pressure, not damage: the
 	// live windows stayed byte-identical; only a crash or failover inside
 	// the degraded stretch turns gaps into Missing records.
 	DurabilityGaps int
@@ -486,9 +488,13 @@ type Deployment struct {
 	// Hot-path staging scratch, reused across deliveries so steady-state
 	// ingest and WAL grouping allocate nothing (see durability.go logBatch
 	// and deployment.go ingestByApp). Deliveries are single-threaded per
-	// deployment, so plain fields suffice. scratch is ProcessPacket's
-	// pipeline copy of the packet in flight.
+	// deployment, so plain fields suffice. scratch is the pipeline's packet
+	// in flight: ProcessPacket's copy of a traffic packet, or a collection's
+	// control packet (injectSpecial). batch is the boundary's delivery
+	// batch (batchAFRs/flushAFRs): its record buffer has fixed capacity
+	// afrBatchCap and is empty between boundaries.
 	scratch  packet.Packet
+	batch    packet.Packet
 	walKeys  []walKey
 	walParts [][]packet.AFR
 	appParts [][]packet.AFR
@@ -632,6 +638,7 @@ func New(cfg Config) (*Deployment, error) {
 		apps:    apps,
 		spilled: make(map[uint64][]packet.FlowKey),
 	}
+	d.batch.OW.AFRs = make([]packet.AFR, 0, afrBatchCap)
 	d.sw = switchsim.NewWithCapacity(0, switchsim.DefaultCapacity(), cfg.Costs)
 
 	regions := window.NewRegions(2, cfg.Slots)
