@@ -16,6 +16,10 @@ build:
 test:
 	$(GO) test -shuffle=on ./...
 
+# The race run includes the columnar table's differential against the old
+# map table (TestTableDifferential, internal/controller) at 1, 3 and 8
+# shards: every finish worker folds, merges, scans and retires its own
+# table while the model is driven beside it.
 race:
 	$(GO) test -race ./...
 
@@ -127,13 +131,15 @@ cover:
 	fi; \
 	echo "coverage $$total% meets the $(COVER_THRESHOLD)% gate"
 
-# Short fuzz and bench runs that surface parser/perf regressions in PRs.
+# Short fuzz and bench runs that surface parser, table and perf
+# regressions in PRs.
 fuzz-smoke:
 	$(GO) test -fuzz 'FuzzDecode$$' -fuzztime 10s ./internal/wire/
 	$(GO) test -fuzz 'FuzzDecodePatched$$' -fuzztime 10s ./internal/wire/
 	$(GO) test -fuzz 'FuzzDecodeSnapshot$$' -fuzztime 10s ./internal/wire/
 	$(GO) test -fuzz 'FuzzDecodeWALRecord$$' -fuzztime 10s ./internal/wire/
 	$(GO) test -fuzz 'FuzzDecodeTermRecord$$' -fuzztime 10s ./internal/wire/
+	$(GO) test -fuzz 'FuzzTableDifferential$$' -fuzztime 10s ./internal/controller/
 
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkController|BenchmarkBoundaryCollect' -benchtime 1x .
@@ -183,10 +189,12 @@ fuzz:
 	$(GO) test -fuzz 'FuzzDecodeWALRecord$$' -fuzztime 30s ./internal/wire/
 	$(GO) test -fuzz 'FuzzDecodeTermRecord$$' -fuzztime 30s ./internal/wire/
 	$(GO) test -fuzz 'FuzzTransportRing$$' -fuzztime 30s ./internal/rdma/
+	$(GO) test -fuzz 'FuzzTableDifferential$$' -fuzztime 30s ./internal/controller/
 
 # Nightly depth: long fuzz runs on every wire decoder, on the frozen key
-# hash (lane-built Key64 vs its byte-serialising reference) and on the
-# RDMA replay ring (vs its slice-window reference), plus the
+# hash (lane-built Key64 vs its byte-serialising reference), on the
+# RDMA replay ring (vs its slice-window reference) and on the controller's
+# columnar table (vs the map table it replaced), plus the
 # chaos, failover, fabric-chaos, rdma-chaos, disk-chaos and
 # partition-chaos suites widened with 10 extra derived seeds per table
 # (faults.ExtraSeeds). Mirrors .github/workflows/nightly.yml; run
@@ -199,6 +207,7 @@ nightly:
 	$(GO) test -fuzz 'FuzzDecodeTermRecord$$' -fuzztime 300s ./internal/wire/
 	$(GO) test -fuzz 'FuzzKey64Identity$$' -fuzztime 300s ./internal/hashing/
 	$(GO) test -fuzz 'FuzzTransportRing$$' -fuzztime 300s ./internal/rdma/
+	$(GO) test -fuzz 'FuzzTableDifferential$$' -fuzztime 300s ./internal/controller/
 	OMNIWINDOW_EXTRA_SEEDS=10 $(MAKE) chaos failover fabric-chaos rdma-chaos disk-chaos partition-chaos
 
 examples:

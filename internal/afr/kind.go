@@ -104,26 +104,31 @@ func (m *Merged) Absorb(attr uint64, distinct [4]uint64, hasDistinct bool) {
 // Value returns the merged statistic. For Distinction it counts the merged
 // summary via the multiresolution-bitmap estimator.
 func (m *Merged) Value() uint64 {
-	if m.kind == Distinction {
-		if !m.hasSummary {
-			return m.value
-		}
-		var est uint64
-		if m.counter != nil {
-			est = m.counter(m.distinct)
-		} else {
-			est = uint64(sketch.MRBFromComponents(m.distinct[:]).Estimate() + 0.5)
-		}
-		// The scalar sum over-counts elements that recur across
-		// sub-windows but is exact otherwise; the summary estimate is
-		// duplicate-free but noisy. Both err upward relative to the
-		// smaller one, so take the minimum.
-		if m.value > 0 && m.value < est {
-			return m.value
-		}
-		return est
+	if m.kind == Distinction && m.hasSummary {
+		return DistinctValue(m.value, m.distinct, m.counter)
 	}
 	return m.value
+}
+
+// DistinctValue combines a Distinction flow's two merged halves — the
+// scalar sum of its sub-window counts and the OR of its summaries — into
+// the reported count; counter nil selects the multiresolution-bitmap
+// estimator.
+func DistinctValue(sum uint64, summary [4]uint64, counter DistinctCounter) uint64 {
+	var est uint64
+	if counter != nil {
+		est = counter(summary)
+	} else {
+		est = uint64(sketch.MRBFromComponents(summary[:]).Estimate() + 0.5)
+	}
+	// The scalar sum over-counts elements that recur across sub-windows
+	// but is exact otherwise; the summary estimate is duplicate-free but
+	// noisy. Both err upward relative to the smaller one, so take the
+	// minimum.
+	if sum > 0 && sum < est {
+		return sum
+	}
+	return est
 }
 
 // Seeded reports whether any sub-window contributed yet.

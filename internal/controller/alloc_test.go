@@ -2,6 +2,7 @@ package controller
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"omniwindow/internal/afr"
@@ -135,6 +136,79 @@ func TestIngestAFRsZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("IngestAFRs allocated %v per batch in steady state, want 0", allocs)
+	}
+}
+
+// TestFinishSteadyStateAllocs pins the columnar table's steady state: once
+// a sliding plan's ring of columns, the row storage and the free list are
+// warm, ingesting a sub-window of churning keys (four fifths of them new,
+// taking rows the last retire freed) and finishing it — O2 fold, O3 merge,
+// O4 scan, O5 retire — allocates a small constant per call whatever the
+// number of AFRs: per-sub-window bookkeeping (dedup bitset, OpTimes,
+// reliability entry, the returned window), nothing per record. The
+// non-invertible kinds run too, so retire's re-fold path is covered as
+// well as its subtraction path.
+func TestFinishSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc accounting is perturbed by the race detector")
+	}
+	pool.SetEnabled(true)
+	t.Cleanup(func() { pool.SetEnabled(true) })
+
+	// Measured: 12-13 at one shard, 39-40 at four (a goroutine and its
+	// closure per shard for each of O2+O3, O4 and O5).
+	const perCall = 64
+	// The default Distinction estimator builds a multiresolution bitmap
+	// per value read — O4's cost, not the table's — so the table is pinned
+	// under a summary counter that allocates nothing.
+	popcount := diffKinds[len(diffKinds)-1].counter
+	for _, kind := range []afr.Kind{afr.Frequency, afr.Max, afr.Min, afr.Distinction} {
+		for _, shards := range []int{1, 4} {
+			for _, flows := range []int{2000, 8000} {
+				t.Run(fmt.Sprintf("%v/shards%d/flows%d", kind, shards, flows), func(t *testing.T) {
+					c := New(Config{
+						Plan: window.SlidingPlan(5, 1), Kind: kind, DistinctCounter: popcount,
+						Threshold: math.MaxUint64, Shards: shards,
+					})
+					recs := make([]packet.AFR, flows)
+					sw := uint64(0)
+					windows := 0
+					step := func() {
+						for i := range recs {
+							// A fifth of the keys persist (present in every live
+							// column: retire re-folds them); the rest churn.
+							id := i
+							if i%5 != 0 {
+								id = int(sw)*flows + i
+							}
+							recs[i] = packet.AFR{
+								Key: fk(id), SubWindow: sw, Attr: uint64(i%7 + 1), Seq: uint32(i),
+								HasDistinct: kind == afr.Distinction, Distinct: [4]uint64{1 << (sw % 64), uint64(i)},
+							}
+						}
+						c.IngestAFRs(recs)
+						windows += len(c.FinishSubWindow(sw))
+						sw++
+					}
+					for i := 0; i < 12; i++ {
+						step()
+					}
+					windows = 0
+					allocs := testing.AllocsPerRun(10, step)
+					if windows != 11 {
+						t.Fatalf("steady state emitted %d windows in 11 calls", windows)
+					}
+					// Four sub-windows stay live after each retire.
+					if want := flows/5 + 4*(flows-flows/5); c.TableSize() != want {
+						t.Fatalf("TableSize %d, want %d live rows", c.TableSize(), want)
+					}
+					t.Logf("%.1f allocs per IngestAFRs+FinishSubWindow of %d AFRs", allocs, flows)
+					if allocs > perCall {
+						t.Fatalf("IngestAFRs+FinishSubWindow allocated %.1f per call of %d AFRs, want <= %d whatever the AFR count", allocs, flows, perCall)
+					}
+				})
+			}
+		}
 	}
 }
 

@@ -15,10 +15,11 @@
 package controller
 
 import (
+	"cmp"
 	"fmt"
 	"math/bits"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -64,34 +65,29 @@ type Config struct {
 	ExpectedFlows int
 }
 
-// contrib is one sub-window's contribution to a flow.
-type contrib struct {
-	sw          uint64
-	attr        uint64
-	distinct    [4]uint64
-	hasDistinct bool
-}
-
-// entry is one flow's row in the key-value table.
-type entry struct {
-	contribs []contrib
-	merged   afr.Merged
-}
-
 // shard owns one partition of the key-value table plus the routed-but-not-
 // yet-inserted records for each open sub-window. Its mutex serializes
 // concurrent ingest appends against the FinishSubWindow worker that drains
-// and merges them; table entries are only ever touched by the worker that
-// owns the shard, so no per-entry locking is needed.
+// and merges them; the table is only ever touched by the worker that owns
+// the shard, so no per-row locking is needed.
 type shard struct {
 	mu      sync.Mutex
-	table   map[packet.FlowKey]*entry
+	table   table
 	pending map[uint64][]packet.AFR
 	// prevCard is the record count the last finished sub-window drained
 	// from this shard. A new sub-window's pending slice is pre-sized from
 	// it (steady traffic repeats its cardinality), so appends stay within
 	// one pool-classed allocation instead of regrowing per batch.
 	prevCard int
+	// fin is this shard's share of the finish in progress: its worker
+	// fills it, finishOne folds it once the workers are done (finishMu
+	// keeps two finishes apart). detected keeps its capacity across
+	// windows.
+	fin struct {
+		insert, merge, scan, evict time.Duration
+		detected                   []packet.FlowKey
+		values                     map[packet.FlowKey]uint64
+	}
 }
 
 // pendingFor returns sub-window sw's pending slice, creating it from the
@@ -190,8 +186,7 @@ func (s *seqSet) appendSorted(dst []uint32) []uint32 {
 		for seq := range s.overflow {
 			dst = append(dst, seq)
 		}
-		ovf := dst[start:]
-		sort.Slice(ovf, func(i, j int) bool { return ovf[i] < ovf[j] })
+		slices.Sort(dst[start:])
 	}
 	return dst
 }
@@ -343,7 +338,7 @@ func NewWithError(cfg Config) (*Controller, error) {
 	}
 	for i := range c.shards {
 		c.shards[i] = &shard{
-			table:    make(map[packet.FlowKey]*entry, perShard),
+			table:    newTable(cfg, perShard),
 			pending:  make(map[uint64][]packet.AFR),
 			prevCard: perShard,
 		}
@@ -369,7 +364,7 @@ func (c *Controller) TableSize() int {
 	n := 0
 	for _, s := range c.shards {
 		s.mu.Lock()
-		n += len(s.table)
+		n += s.table.rows
 		s.mu.Unlock()
 	}
 	return n
@@ -753,7 +748,7 @@ func (c *Controller) forEachShard(f func(i int, s *shard)) {
 // All four operations run across shards on a worker pool; per-shard
 // durations are summed into the sub-window's OpTimes so Exp#4's breakdown
 // reports total CPU work, not wall-clock. Per-shard results are folded
-// deterministically (a single packetKeyLess sort over the concatenated
+// deterministically (a single packetKeyCmp sort over the concatenated
 // detections), so the output is byte-for-byte identical for every shard
 // count.
 func (c *Controller) FinishSubWindow(sw uint64) []WindowResult {
@@ -790,39 +785,32 @@ func (c *Controller) FinishSubWindow(sw uint64) []WindowResult {
 // sub-window in finish order.
 func (c *Controller) finishOne(sw uint64) []WindowResult {
 	finStart := time.Now()
-	// O2 + O3 per shard: drain the routed records, insert, merge.
-	type o23 struct{ insert, merge time.Duration }
-	o23s := make([]o23, len(c.shards))
-	c.forEachShard(func(i int, s *shard) {
+	// O2 + O3 per shard: drain the routed records, fold them into the
+	// sub-window's column, merge the column. A sub-window no window covers
+	// (subsampling plans) is accounted like any other but never reaches
+	// the table: nothing would read it, and the retire that should have
+	// covered it has already run.
+	covered := c.cfg.Plan.Covers(sw)
+	c.forEachShard(func(_ int, s *shard) {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		recs := s.pending[sw]
 		delete(s.pending, sw)
 
 		start := time.Now()
-		touched := make([]*entry, 0, len(recs))
-		for _, r := range recs {
-			e, ok := s.table[r.Key]
-			if !ok {
-				e = &entry{merged: afr.NewMergedWithCounter(c.cfg.Kind, c.cfg.DistinctCounter)}
-				s.table[r.Key] = e
-			}
-			e.contribs = append(e.contribs, contrib{
-				sw: r.SubWindow, attr: r.Attr, distinct: r.Distinct, hasDistinct: r.HasDistinct,
-			})
-			touched = append(touched, e)
+		if covered {
+			s.table.insert(sw, recs)
 		}
-		o23s[i].insert = time.Since(start)
+		s.fin.insert = time.Since(start)
 
 		start = time.Now()
-		for j, e := range touched {
-			r := recs[j]
-			e.merged.Absorb(r.Attr, r.Distinct, r.HasDistinct)
+		if covered {
+			s.table.merge(sw)
 		}
-		o23s[i].merge = time.Since(start)
+		s.fin.merge = time.Since(start)
 
-		// The drained slice's job is done (contributions were copied into
-		// table entries): remember its cardinality to pre-size the next
+		// The drained slice's job is done (the records were folded into
+		// the column): remember its cardinality to pre-size the next
 		// sub-window, then recycle it.
 		s.prevCard = len(recs)
 		pool.PutAFRs(recs)
@@ -835,11 +823,11 @@ func (c *Controller) finishOne(sw uint64) []WindowResult {
 		c.times[sw] = t
 	}
 	var o2sum, o3sum time.Duration
-	for _, o := range o23s {
-		t.Insert += o.insert
-		t.Merge += o.merge
-		o2sum += o.insert
-		o3sum += o.merge
+	for _, s := range c.shards {
+		t.Insert += s.fin.insert
+		t.Merge += s.fin.merge
+		o2sum += s.fin.insert
+		o3sum += s.fin.merge
 	}
 	// Snapshot the final delivery accounting before retiring the dedup
 	// state: window assembly needs to know whether recovery left gaps.
@@ -878,32 +866,16 @@ func (c *Controller) finishOne(sw uint64) []WindowResult {
 	}
 
 	// O4: evaluate the query over each shard's slice of the merged
-	// table, then fold.
-	type o4 struct {
-		detected []packet.FlowKey
-		values   map[packet.FlowKey]uint64
-		size     int
-		scan     time.Duration
-	}
-	o4s := make([]o4, len(c.shards))
-	c.forEachShard(func(i int, s *shard) {
+	// column, then fold.
+	c.forEachShard(func(_ int, s *shard) {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		start := time.Now()
 		if c.cfg.CaptureValues {
-			o4s[i].values = make(map[packet.FlowKey]uint64, len(s.table))
+			s.fin.values = make(map[packet.FlowKey]uint64, s.table.rows)
 		}
-		for k, e := range s.table {
-			v := e.merged.Value()
-			if c.detect(k, v) {
-				o4s[i].detected = append(o4s[i].detected, k)
-			}
-			if o4s[i].values != nil {
-				o4s[i].values[k] = v
-			}
-		}
-		o4s[i].size = len(s.table)
-		o4s[i].scan = time.Since(start)
+		s.fin.detected = s.table.scan(&c.cfg, s.fin.detected[:0], s.fin.values)
+		s.fin.scan = time.Since(start)
 	})
 
 	start := time.Now()
@@ -920,29 +892,32 @@ func (c *Controller) finishOne(sw uint64) []WindowResult {
 	}
 	c.mu.Unlock()
 	res.Incomplete = res.MissingAFRs > 0
-	total := 0
-	for _, o := range o4s {
-		total += o.size
+	detected, total := 0, 0
+	for _, s := range c.shards {
+		detected += len(s.fin.detected)
+		total += len(s.fin.values)
+	}
+	if detected > 0 {
+		res.Detected = make([]packet.FlowKey, 0, detected)
 	}
 	if c.cfg.CaptureValues {
 		res.Values = make(map[packet.FlowKey]uint64, total)
 	}
-	for _, o := range o4s {
-		res.Detected = append(res.Detected, o.detected...)
-		for k, v := range o.values {
+	for _, s := range c.shards {
+		res.Detected = append(res.Detected, s.fin.detected...)
+		for k, v := range s.fin.values {
 			res.Values[k] = v
 		}
+		s.fin.values = nil
 	}
-	sort.Slice(res.Detected, func(i, j int) bool {
-		return packetKeyLess(res.Detected[i], res.Detected[j])
-	})
+	slices.SortFunc(res.Detected, packetKeyCmp)
 	fold := time.Since(start)
 
 	c.mu.Lock()
 	o4sum := fold
-	for _, o := range o4s {
-		t.Process += o.scan
-		o4sum += o.scan
+	for _, s := range c.shards {
+		t.Process += s.fin.scan
+		o4sum += s.fin.scan
 	}
 	t.Process += fold
 	c.mu.Unlock()
@@ -950,19 +925,24 @@ func (c *Controller) finishOne(sw uint64) []WindowResult {
 
 	// O5: retire sub-windows that no future window needs.
 	if retire, ok := c.cfg.Plan.Retire(sw); ok {
-		evicts := make([]time.Duration, len(c.shards))
-		c.forEachShard(func(i int, s *shard) {
+		c.forEachShard(func(_ int, s *shard) {
 			s.mu.Lock()
 			defer s.mu.Unlock()
 			start := time.Now()
-			c.evictShard(s, retire)
-			evicts[i] = time.Since(start)
+			s.table.retire(retire)
+			for old, recs := range s.pending {
+				if old <= retire {
+					pool.PutAFRs(recs)
+					delete(s.pending, old)
+				}
+			}
+			s.fin.evict = time.Since(start)
 		})
 		c.mu.Lock()
 		var o5sum time.Duration
-		for _, dt := range evicts {
-			t.Evict += dt
-			o5sum += dt
+		for _, s := range c.shards {
+			t.Evict += s.fin.evict
+			o5sum += s.fin.evict
 		}
 		c.obs.OpEvict.Observe(o5sum)
 		for old := range c.dedups {
@@ -1000,62 +980,13 @@ func (c *Controller) finishOne(sw uint64) []WindowResult {
 	return []WindowResult{res}
 }
 
-// detect applies the configured query predicate.
-func (c *Controller) detect(k packet.FlowKey, v uint64) bool {
-	if c.cfg.Detector != nil {
-		return c.cfg.Detector(k, v)
+// packetKeyCmp orders flow keys deterministically for stable output:
+// by source IP, destination IP, source port, destination port, protocol.
+func packetKeyCmp(a, b packet.FlowKey) int {
+	if c := cmp.Compare(uint64(a.SrcIP)<<32|uint64(a.DstIP), uint64(b.SrcIP)<<32|uint64(b.DstIP)); c != 0 {
+		return c
 	}
-	return v >= c.cfg.Threshold
-}
-
-// evictShard removes contributions of sub-windows <= retire from one
-// shard, rebuilding merged values from the surviving contributions, and
-// deletes flows whose every contribution retired (the paper's O5:
-// "updating the merged value and deleting the flows that only appear in
-// the oldest sub-window"). Caller holds s.mu.
-func (c *Controller) evictShard(s *shard, retire uint64) {
-	for k, e := range s.table {
-		kept := e.contribs[:0]
-		for _, cb := range e.contribs {
-			if cb.sw > retire {
-				kept = append(kept, cb)
-			}
-		}
-		if len(kept) == 0 {
-			delete(s.table, k)
-			continue
-		}
-		if len(kept) != len(e.contribs) {
-			e.contribs = kept
-			e.merged = afr.NewMergedWithCounter(c.cfg.Kind, c.cfg.DistinctCounter)
-			for _, cb := range kept {
-				e.merged.Absorb(cb.attr, cb.distinct, cb.hasDistinct)
-			}
-		} else {
-			e.contribs = kept
-		}
-	}
-	for sw := range s.pending {
-		if sw <= retire {
-			pool.PutAFRs(s.pending[sw])
-			delete(s.pending, sw)
-		}
-	}
-}
-
-// packetKeyLess orders flow keys deterministically for stable output.
-func packetKeyLess(a, b packet.FlowKey) bool {
-	if a.SrcIP != b.SrcIP {
-		return a.SrcIP < b.SrcIP
-	}
-	if a.DstIP != b.DstIP {
-		return a.DstIP < b.DstIP
-	}
-	if a.SrcPort != b.SrcPort {
-		return a.SrcPort < b.SrcPort
-	}
-	if a.DstPort != b.DstPort {
-		return a.DstPort < b.DstPort
-	}
-	return a.Proto < b.Proto
+	return cmp.Compare(
+		uint64(a.SrcPort)<<24|uint64(a.DstPort)<<8|uint64(a.Proto),
+		uint64(b.SrcPort)<<24|uint64(b.DstPort)<<8|uint64(b.Proto))
 }

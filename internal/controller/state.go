@@ -2,16 +2,16 @@
 // (internal/durable). A snapshot taken at a sub-window boundary plus the
 // write-ahead log of everything ingested since is enough to rebuild the
 // controller to the exact pre-crash state: merged values are rebuilt by
-// re-absorbing the stored contributions (every merge kind is
-// order-insensitive, so the rebuild is exact), and sequence-number dedup
-// makes replaying batches the snapshot already covers harmless.
+// re-folding the stored contributions into their columns (every merge
+// kind is order-insensitive, so the rebuild is exact), and sequence-number
+// dedup makes replaying batches the snapshot already covers harmless.
 
 package controller
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
-	"omniwindow/internal/afr"
 	"omniwindow/internal/metrics"
 	"omniwindow/internal/obs"
 	"omniwindow/internal/packet"
@@ -76,7 +76,7 @@ func (c *Controller) LastFinished() (sw uint64, ok bool) {
 // ExportState snapshots the controller's complete restorable state: the
 // key-value table, routed-but-unmerged records, open sub-window arrival
 // state and finished sub-window accounting. Output ordering is fully
-// deterministic (keys by packetKeyLess, everything else by sub-window and
+// deterministic (keys by packetKeyCmp, everything else by sub-window and
 // sequence), so encoding the snapshot is byte-stable regardless of shard
 // count or ingest interleaving. ThroughLSN is left zero; the durable layer
 // stamps it with its own log position.
@@ -84,33 +84,28 @@ func (c *Controller) ExportState() *wire.Snapshot {
 	c.finishMu.Lock()
 	defer c.finishMu.Unlock()
 
+	// The table only changes under finishMu, so the sizes counted here
+	// still hold when the shards are walked again below.
+	rows, cells := 0, 0
+	for _, sh := range c.shards {
+		rows += sh.table.rows
+		cells += sh.table.cells()
+	}
 	s := &wire.Snapshot{}
+	if rows > 0 {
+		s.Entries = make([]wire.SnapEntry, 0, rows)
+	}
+	slab := make([]wire.SnapContrib, 0, cells)
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		for k, e := range sh.table {
-			se := wire.SnapEntry{Key: k, Contribs: make([]wire.SnapContrib, len(e.contribs))}
-			for i, cb := range e.contribs {
-				se.Contribs[i] = wire.SnapContrib{
-					SW: cb.sw, Attr: cb.attr, Distinct: cb.distinct, HasDistinct: cb.hasDistinct,
-				}
-			}
-			s.Entries = append(s.Entries, se)
-		}
+		s.Entries, slab = sh.table.appendEntries(s.Entries, slab)
 		for _, recs := range sh.pending {
 			s.Pending = append(s.Pending, recs...)
 		}
 		sh.mu.Unlock()
 	}
-	sort.Slice(s.Entries, func(i, j int) bool {
-		return packetKeyLess(s.Entries[i].Key, s.Entries[j].Key)
-	})
-	sort.Slice(s.Pending, func(i, j int) bool {
-		a, b := &s.Pending[i], &s.Pending[j]
-		if a.SubWindow != b.SubWindow {
-			return a.SubWindow < b.SubWindow
-		}
-		return a.Seq < b.Seq
-	})
+	slices.SortFunc(s.Entries, func(a, b wire.SnapEntry) int { return packetKeyCmp(a.Key, b.Key) })
+	slices.SortFunc(s.Pending, comparePending)
 
 	c.mu.Lock()
 	s.LastFinished, s.HasFinished = c.lastFin, c.hasFin
@@ -141,9 +136,29 @@ func (c *Controller) ExportState() *wire.Snapshot {
 		})
 	}
 	c.mu.Unlock()
-	sort.Slice(s.Dedups, func(i, j int) bool { return s.Dedups[i].SW < s.Dedups[j].SW })
-	sort.Slice(s.Rels, func(i, j int) bool { return s.Rels[i].SW < s.Rels[j].SW })
+	slices.SortFunc(s.Dedups, func(a, b wire.SnapDedup) int { return cmp.Compare(a.SW, b.SW) })
+	slices.SortFunc(s.Rels, func(a, b wire.SnapRel) int { return cmp.Compare(a.SW, b.SW) })
 	return s
+}
+
+// comparePending orders routed-but-unmerged records by sub-window and
+// sequence. Spike copies carry no sequence number of their own (they all
+// read 0), so ties fall through to the rest of the record: the order is
+// total, and the snapshot bytes do not depend on shard count or map order.
+func comparePending(a, b packet.AFR) int {
+	if c := cmp.Compare(a.SubWindow, b.SubWindow); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Seq, b.Seq); c != 0 {
+		return c
+	}
+	if c := packetKeyCmp(a.Key, b.Key); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Attr, b.Attr); c != 0 {
+		return c
+	}
+	return slices.Compare(a.Distinct[:], b.Distinct[:])
 }
 
 // RestoreState replaces the controller's state with a snapshot's. Rows are
@@ -157,24 +172,19 @@ func (c *Controller) RestoreState(s *wire.Snapshot) {
 
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		sh.table = make(map[packet.FlowKey]*entry)
+		sh.table = newTable(c.cfg, sh.table.hint)
 		sh.pending = make(map[uint64][]packet.AFR)
 		sh.mu.Unlock()
 	}
-	for _, se := range s.Entries {
-		sh := c.shards[c.shardIndex(se.Key)]
-		e := &entry{
-			contribs: make([]contrib, len(se.Contribs)),
-			merged:   afr.NewMergedWithCounter(c.cfg.Kind, c.cfg.DistinctCounter),
-		}
-		for i, cb := range se.Contribs {
-			e.contribs[i] = contrib{
-				sw: cb.SW, attr: cb.Attr, distinct: cb.Distinct, hasDistinct: cb.HasDistinct,
-			}
-			e.merged.Absorb(cb.Attr, cb.Distinct, cb.HasDistinct)
-		}
+	for i := range s.Entries {
+		sh := c.shards[c.shardIndex(s.Entries[i].Key)]
 		sh.mu.Lock()
-		sh.table[se.Key] = e
+		sh.table.load(&s.Entries[i])
+		sh.mu.Unlock()
+	}
+	for _, sh := range c.shards {
+		sh.mu.Lock()
+		sh.table.mergeAll()
 		sh.mu.Unlock()
 	}
 	for _, r := range s.Pending {

@@ -1,0 +1,630 @@
+package controller
+
+import (
+	"bytes"
+	"cmp"
+	"fmt"
+	"math"
+	"math/bits"
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+
+	"omniwindow/internal/afr"
+	"omniwindow/internal/metrics"
+	"omniwindow/internal/packet"
+	"omniwindow/internal/window"
+	"omniwindow/internal/wire"
+)
+
+// This file holds the naive reference the columnar table is tested
+// against: the key-value table the controller used before it — a map of
+// flow key to *entry, each entry a slice of per-sub-window contributions
+// plus an afr.Merged rebuilt from the survivors on every eviction — moved
+// here verbatim (contrib, entry, the O2 insert loop, evictShard), wrapped
+// in a single-shard, lock-free restatement of the controller's dedup,
+// reliability and spike accounting so it can answer every question the
+// real controller answers. A seeded differential test and
+// FuzzTableDifferential drive a real Controller and the model through one
+// op stream and require identical WindowResults, table sizes and snapshot
+// bytes after every finish, across a mid-stream restore into a different
+// shard count.
+
+// contrib is one sub-window's contribution to a flow.
+type contrib struct {
+	sw          uint64
+	attr        uint64
+	distinct    [4]uint64
+	hasDistinct bool
+}
+
+// entry is one flow's row in the key-value table.
+type entry struct {
+	contribs []contrib
+	merged   afr.Merged
+}
+
+type modelDedup struct {
+	seen                      map[uint32]bool
+	expected, recovered, shed int
+}
+
+type modelSpikeID struct {
+	key packet.FlowKey
+	seq uint32
+}
+
+type modelSpikes struct {
+	seen  map[modelSpikeID]bool
+	count int
+}
+
+type modelController struct {
+	cfg       Config
+	table     map[packet.FlowKey]*entry
+	pending   map[uint64][]packet.AFR
+	dedups    map[uint64]*modelDedup
+	spikes    map[uint64]*modelSpikes
+	spikeDone map[uint64]int
+	rel       map[uint64]metrics.Reliability
+	lastFin   uint64
+	hasFin    bool
+}
+
+func newModelController(cfg Config) *modelController {
+	return &modelController{
+		cfg:       cfg,
+		table:     make(map[packet.FlowKey]*entry),
+		pending:   make(map[uint64][]packet.AFR),
+		dedups:    make(map[uint64]*modelDedup),
+		spikes:    make(map[uint64]*modelSpikes),
+		spikeDone: make(map[uint64]int),
+		rel:       make(map[uint64]metrics.Reliability),
+	}
+}
+
+func (m *modelController) dedupFor(sw uint64) *modelDedup {
+	d, ok := m.dedups[sw]
+	if !ok {
+		d = &modelDedup{seen: make(map[uint32]bool), expected: -1}
+		m.dedups[sw] = d
+	}
+	return d
+}
+
+func (m *modelController) trigger(sw uint64, keyCount int) {
+	if d := m.dedupFor(sw); keyCount > d.expected {
+		d.expected = keyCount
+	}
+}
+
+func (m *modelController) ingest(recs []packet.AFR, retrans bool) {
+	for _, r := range recs {
+		d := m.dedupFor(r.SubWindow)
+		if d.seen[r.Seq] {
+			continue
+		}
+		d.seen[r.Seq] = true
+		if retrans {
+			d.recovered++
+		}
+		m.pending[r.SubWindow] = append(m.pending[r.SubWindow], r)
+	}
+}
+
+func (m *modelController) spike(p *packet.Packet, attr uint64) bool {
+	if !p.OW.HasSubWindow {
+		return false
+	}
+	sw := p.OW.SubWindow
+	if m.hasFin && sw <= m.lastFin {
+		return false
+	}
+	st, ok := m.spikes[sw]
+	if !ok {
+		st = &modelSpikes{seen: make(map[modelSpikeID]bool)}
+		m.spikes[sw] = st
+	}
+	id := modelSpikeID{p.Key, p.Seq}
+	if st.seen[id] {
+		return false
+	}
+	st.seen[id] = true
+	st.count++
+	m.pending[sw] = append(m.pending[sw], packet.AFR{Key: p.Key, Attr: attr, SubWindow: sw})
+	return true
+}
+
+func (m *modelController) noteShed(sw uint64, n int) {
+	if d, live := m.dedups[sw]; live {
+		d.shed += n
+	} else if rel, done := m.rel[sw]; done {
+		rel.Shed += n
+		m.rel[sw] = rel
+	}
+}
+
+func (m *modelController) noteLost(sw uint64, n int) {
+	rel := m.rel[sw]
+	rel.Missing += n
+	m.rel[sw] = rel
+}
+
+func (m *modelController) tableSize() int { return len(m.table) }
+
+func (m *modelController) finish(sw uint64) []WindowResult {
+	if m.hasFin && sw <= m.lastFin {
+		return nil
+	}
+	var out []WindowResult
+	if m.hasFin {
+		for fill := m.lastFin + 1; fill < sw; fill++ {
+			_, announced := m.dedups[fill]
+			_, accounted := m.rel[fill]
+			if !announced && !accounted {
+				m.rel[fill] = metrics.Reliability{Missing: 1}
+			}
+			out = append(out, m.finishOne(fill)...)
+		}
+	}
+	return append(out, m.finishOne(sw)...)
+}
+
+func (m *modelController) finishOne(sw uint64) []WindowResult {
+	recs := m.pending[sw]
+	delete(m.pending, sw)
+	if m.cfg.Plan.Covers(sw) {
+		// The old O2 insert and O3 merge, verbatim.
+		touched := make([]*entry, 0, len(recs))
+		for _, r := range recs {
+			e, ok := m.table[r.Key]
+			if !ok {
+				e = &entry{merged: afr.NewMergedWithCounter(m.cfg.Kind, m.cfg.DistinctCounter)}
+				m.table[r.Key] = e
+			}
+			e.contribs = append(e.contribs, contrib{
+				sw: r.SubWindow, attr: r.Attr, distinct: r.Distinct, hasDistinct: r.HasDistinct,
+			})
+			touched = append(touched, e)
+		}
+		for j, e := range touched {
+			r := recs[j]
+			e.merged.Absorb(r.Attr, r.Distinct, r.HasDistinct)
+		}
+	}
+
+	if d, live := m.dedups[sw]; live {
+		rel := metrics.Reliability{Expected: d.expected, Received: len(d.seen), Recovered: d.recovered, Shed: d.shed}
+		for s := 0; s < d.expected; s++ {
+			if !d.seen[uint32(s)] {
+				rel.Missing++
+			}
+		}
+		if prior, ok := m.rel[sw]; ok {
+			rel.Missing += prior.Missing
+		}
+		m.rel[sw] = rel
+	}
+	delete(m.dedups, sw)
+	if st, live := m.spikes[sw]; live {
+		m.spikeDone[sw] = st.count
+		delete(m.spikes, sw)
+	}
+	if !m.hasFin || sw > m.lastFin {
+		m.lastFin, m.hasFin = sw, true
+	}
+
+	wStart, ok := m.cfg.Plan.Ends(sw)
+	if !ok {
+		return nil
+	}
+	res := WindowResult{Start: wStart, End: sw}
+	if m.cfg.CaptureValues {
+		res.Values = make(map[packet.FlowKey]uint64, len(m.table))
+	}
+	for k, e := range m.table {
+		v := e.merged.Value()
+		if m.detect(k, v) {
+			res.Detected = append(res.Detected, k)
+		}
+		if res.Values != nil {
+			res.Values[k] = v
+		}
+	}
+	slices.SortFunc(res.Detected, packetKeyCmp)
+	for s := wStart; s <= sw; s++ {
+		r := m.rel[s]
+		res.MissingAFRs += r.Missing
+		res.ShedAFRs += r.Shed
+		if r.Shed > 0 && r.Missing > 0 {
+			res.Degraded = true
+		}
+		res.SpikePackets += m.spikeDone[s]
+	}
+	res.Incomplete = res.MissingAFRs > 0
+
+	if retire, ok := m.cfg.Plan.Retire(sw); ok {
+		m.evictShard(retire)
+		for old := range m.dedups {
+			if old <= retire {
+				delete(m.dedups, old)
+			}
+		}
+		for old := range m.rel {
+			if old <= retire {
+				delete(m.rel, old)
+			}
+		}
+		for old := range m.spikes {
+			if old <= retire {
+				delete(m.spikes, old)
+			}
+		}
+		for old := range m.spikeDone {
+			if old <= retire {
+				delete(m.spikeDone, old)
+			}
+		}
+	}
+	return []WindowResult{res}
+}
+
+func (m *modelController) detect(k packet.FlowKey, v uint64) bool {
+	if m.cfg.Detector != nil {
+		return m.cfg.Detector(k, v)
+	}
+	return v >= m.cfg.Threshold
+}
+
+// evictShard is the old O5, verbatim: drop contributions of sub-windows
+// <= retire, rebuild merged values from the survivors, delete flows with
+// none left.
+func (m *modelController) evictShard(retire uint64) {
+	for k, e := range m.table {
+		kept := e.contribs[:0]
+		for _, cb := range e.contribs {
+			if cb.sw > retire {
+				kept = append(kept, cb)
+			}
+		}
+		if len(kept) == 0 {
+			delete(m.table, k)
+			continue
+		}
+		if len(kept) != len(e.contribs) {
+			e.contribs = kept
+			e.merged = afr.NewMergedWithCounter(m.cfg.Kind, m.cfg.DistinctCounter)
+			for _, cb := range kept {
+				e.merged.Absorb(cb.attr, cb.distinct, cb.hasDistinct)
+			}
+		} else {
+			e.contribs = kept
+		}
+	}
+	for sw := range m.pending {
+		if sw <= retire {
+			delete(m.pending, sw)
+		}
+	}
+}
+
+// coalesce folds a flow's contributions of one sub-window into one, the way
+// a column cell holds them. Contributions arrive in sub-window order.
+func (m *modelController) coalesce(cbs []contrib) []wire.SnapContrib {
+	var out []wire.SnapContrib
+	for _, cb := range cbs {
+		if n := len(out); n > 0 && out[n-1].SW == cb.sw {
+			o := &out[n-1]
+			switch m.cfg.Kind {
+			case afr.Frequency, afr.Distinction:
+				o.Attr += cb.attr
+			case afr.Existence:
+				o.Attr |= cb.attr
+			case afr.Max:
+				o.Attr = max(o.Attr, cb.attr)
+			case afr.Min:
+				o.Attr = min(o.Attr, cb.attr)
+			}
+			if cb.hasDistinct && m.cfg.Kind == afr.Distinction {
+				o.HasDistinct = true
+				for i := range o.Distinct {
+					o.Distinct[i] |= cb.distinct[i]
+				}
+			}
+			continue
+		}
+		sc := wire.SnapContrib{SW: cb.sw, Attr: cb.attr}
+		if cb.hasDistinct && m.cfg.Kind == afr.Distinction {
+			sc.HasDistinct, sc.Distinct = true, cb.distinct
+		}
+		out = append(out, sc)
+	}
+	return out
+}
+
+func (m *modelController) export() *wire.Snapshot {
+	s := &wire.Snapshot{LastFinished: m.lastFin, HasFinished: m.hasFin}
+	for k, e := range m.table {
+		s.Entries = append(s.Entries, wire.SnapEntry{Key: k, Contribs: m.coalesce(e.contribs)})
+	}
+	slices.SortFunc(s.Entries, func(a, b wire.SnapEntry) int { return packetKeyCmp(a.Key, b.Key) })
+	for _, recs := range m.pending {
+		s.Pending = append(s.Pending, recs...)
+	}
+	slices.SortFunc(s.Pending, comparePending)
+	for sw, d := range m.dedups {
+		sd := wire.SnapDedup{SW: sw, Expected: int32(d.expected), Recovered: uint32(d.recovered), Shed: uint32(d.shed)}
+		for seq := range d.seen {
+			sd.Seen = append(sd.Seen, seq)
+		}
+		slices.Sort(sd.Seen)
+		s.Dedups = append(s.Dedups, sd)
+	}
+	slices.SortFunc(s.Dedups, func(a, b wire.SnapDedup) int { return cmp.Compare(a.SW, b.SW) })
+	for sw, r := range m.rel {
+		s.Rels = append(s.Rels, wire.SnapRel{
+			SW: sw, Expected: int32(r.Expected), Received: uint32(r.Received),
+			Recovered: uint32(r.Recovered), Missing: uint32(r.Missing), Shed: uint32(r.Shed),
+		})
+	}
+	slices.SortFunc(s.Rels, func(a, b wire.SnapRel) int { return cmp.Compare(a.SW, b.SW) })
+	return s
+}
+
+// restore is the old RestoreState. Like the real one it leaves spike
+// bookkeeping alone, which snapshots do not carry.
+func (m *modelController) restore(s *wire.Snapshot) {
+	m.table = make(map[packet.FlowKey]*entry)
+	m.pending = make(map[uint64][]packet.AFR)
+	for _, se := range s.Entries {
+		e := &entry{
+			contribs: make([]contrib, len(se.Contribs)),
+			merged:   afr.NewMergedWithCounter(m.cfg.Kind, m.cfg.DistinctCounter),
+		}
+		for i, cb := range se.Contribs {
+			e.contribs[i] = contrib{sw: cb.SW, attr: cb.Attr, distinct: cb.Distinct, hasDistinct: cb.HasDistinct}
+			e.merged.Absorb(cb.Attr, cb.Distinct, cb.HasDistinct)
+		}
+		m.table[se.Key] = e
+	}
+	for _, r := range s.Pending {
+		m.pending[r.SubWindow] = append(m.pending[r.SubWindow], r)
+	}
+	m.dedups = make(map[uint64]*modelDedup)
+	m.rel = make(map[uint64]metrics.Reliability)
+	m.lastFin, m.hasFin = s.LastFinished, s.HasFinished
+	for _, sd := range s.Dedups {
+		d := &modelDedup{seen: make(map[uint32]bool), expected: int(sd.Expected), recovered: int(sd.Recovered), shed: int(sd.Shed)}
+		for _, seq := range sd.Seen {
+			d.seen[seq] = true
+		}
+		m.dedups[sd.SW] = d
+	}
+	for _, sr := range s.Rels {
+		m.rel[sr.SW] = metrics.Reliability{
+			Expected: int(sr.Expected), Received: int(sr.Received),
+			Recovered: int(sr.Recovered), Missing: int(sr.Missing), Shed: int(sr.Shed),
+		}
+	}
+}
+
+// diffKinds are the merge kinds the differential runs: the five patterns
+// plus Distinction under a custom summary counter.
+var diffKinds = []struct {
+	name    string
+	kind    afr.Kind
+	counter afr.DistinctCounter
+}{
+	{"frequency", afr.Frequency, nil},
+	{"existence", afr.Existence, nil},
+	{"max", afr.Max, nil},
+	{"min", afr.Min, nil},
+	{"distinction", afr.Distinction, nil},
+	{"distinction-popcount", afr.Distinction, func(s [4]uint64) uint64 {
+		return uint64(bits.OnesCount64(s[0]) + bits.OnesCount64(s[1]) + bits.OnesCount64(s[2]) + bits.OnesCount64(s[3]))
+	}},
+}
+
+var diffPlans = []window.Plan{
+	window.Tumbling(1), window.Tumbling(5),
+	window.SlidingPlan(3, 1), window.SlidingPlan(5, 1), window.SlidingPlan(4, 2), window.SlidingPlan(5, 2),
+	{Size: 2, Slide: 4},
+}
+
+// diffAttrs are the attribute values the stream draws from: zero, small
+// counts, both ends of the range (Min/Max identities, Frequency
+// wrap-around when two large values meet) and a mid-range value.
+var diffAttrs = []uint64{0, 0, 1, 1, 2, 3, 7, 40, 1 << 33, math.MaxUint64, math.MaxUint64 - 3, math.MaxUint64 / 2}
+
+// runTableOps drives a real controller and the model through the op
+// stream in data, comparing them after every finish and restore. detector
+// selects a custom Detector instead of the threshold. The stream draws
+// keys from a universe of 24, so a key routinely has several records in
+// one sub-window under different sequence numbers, leaves the table when
+// its last sub-window retires and comes back to a recycled row later.
+func runTableOps(t *testing.T, cfg Config, data []byte) {
+	t.Helper()
+	next := func() int {
+		if len(data) == 0 {
+			return 0
+		}
+		b := data[0]
+		data = data[1:]
+		return int(b)
+	}
+	shardCounts := []int{cfg.Shards, 3, 8, 1}
+	real, model := New(cfg), newModelController(cfg)
+	key := func(i int) packet.FlowKey {
+		return packet.FlowKey{SrcIP: uint32(i%24) * 2654435761, DstIP: uint32(i % 3), SrcPort: uint16(i % 24), DstPort: 443, Proto: packet.ProtoTCP}
+	}
+	cur := uint64(0) // the next sub-window to finish
+	seqs := map[uint64]uint32{}
+	pickSW := func() uint64 {
+		switch v := next() % 16; {
+		case v < 10:
+			return cur
+		case v < 13:
+			return cur + 1
+		case v < 14:
+			return cur + 4
+		default: // a finished (possibly retired) sub-window
+			return cur - min(cur, uint64(1+v%3))
+		}
+	}
+	check := func(what string, got, want []WindowResult) {
+		t.Helper()
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s (next sub-window %d): windows differ\n real  %+v\n model %+v", what, cur, got, want)
+		}
+		if g, w := real.TableSize(), model.tableSize(); g != w {
+			t.Fatalf("%s (next sub-window %d): TableSize %d, model %d", what, cur, g, w)
+		}
+		g, w := wire.EncodeSnapshot(nil, real.ExportState()), wire.EncodeSnapshot(nil, model.export())
+		if !bytes.Equal(g, w) {
+			gs, _ := wire.DecodeSnapshot(g)
+			ws, _ := wire.DecodeSnapshot(w)
+			t.Fatalf("%s (next sub-window %d): snapshot bytes differ\n real  %+v\n model %+v", what, cur, gs, ws)
+		}
+	}
+	restores := 0
+	for len(data) > 0 {
+		switch op := next() % 16; {
+		case op < 8: // a batch of AFRs
+			sw := pickSW()
+			recs := make([]packet.AFR, 1+next()%12)
+			for i := range recs {
+				r := packet.AFR{Key: key(next()), SubWindow: sw, Attr: diffAttrs[next()%len(diffAttrs)], Seq: seqs[sw]}
+				if v := next(); v%8 == 0 && seqs[sw] > 0 {
+					r.Seq = uint32(v) % seqs[sw] // a duplicate delivery
+				} else {
+					seqs[sw]++
+				}
+				if cfg.Kind == afr.Distinction && next()%4 != 0 {
+					r.HasDistinct = true
+					for w := range r.Distinct {
+						r.Distinct[w] = 1<<(next()%64) | 1<<(next()%64)
+					}
+				}
+				recs[i] = r
+			}
+			switch next() % 3 {
+			case 0:
+				real.IngestAFRs(recs)
+				model.ingest(recs, false)
+			case 1:
+				real.Receive(afrPkt(recs...))
+				model.ingest(recs, false)
+			default:
+				real.Receive(&packet.Packet{OW: packet.OWHeader{Flag: packet.OWRetransmit, AFRs: recs}})
+				model.ingest(recs, true)
+			}
+		case op < 9: // trigger announcement
+			sw, n := pickSW(), next()%20
+			real.Receive(&packet.Packet{OW: packet.OWHeader{Flag: packet.OWTrigger, SubWindow: sw, KeyCount: uint32(n)}})
+			model.trigger(sw, n)
+		case op < 11: // latency-spike copy through the software path
+			p := &packet.Packet{Key: key(next()), Seq: uint32(next() % 4), OW: packet.OWHeader{HasSubWindow: true, SubWindow: pickSW()}}
+			attr := diffAttrs[next()%len(diffAttrs)]
+			if g, w := real.IngestSpike(p, attr), model.spike(p, attr); g != w {
+				t.Fatalf("IngestSpike(sw %d) = %v, model %v", p.OW.SubWindow, g, w)
+			}
+		case op < 12:
+			sw, n := pickSW(), 1+next()%3
+			if next()%2 == 0 {
+				real.NoteLost(sw, n)
+				model.noteLost(sw, n)
+			} else {
+				real.NoteShed(sw, n)
+				model.noteShed(sw, n)
+			}
+		case op < 15: // finish: in order, re-finish, or skipping ahead (gap fill)
+			sw := cur
+			switch v := next() % 16; {
+			case v == 0:
+				sw = cur + 3
+			case v == 1 && cur > 0:
+				sw = cur - 1
+			}
+			check(fmt.Sprintf("FinishSubWindow(%d)", sw), real.FinishSubWindow(sw), model.finish(sw))
+			if sw >= cur {
+				cur = sw + 1
+			}
+		default: // export, encode, restore into another shard count, go on
+			enc := wire.EncodeSnapshot(nil, real.ExportState())
+			snap, err := wire.DecodeSnapshot(enc)
+			if err != nil {
+				t.Fatalf("decode own snapshot: %v", err)
+			}
+			cfg.Shards = shardCounts[restores%len(shardCounts)]
+			restores++
+			real = New(cfg)
+			real.RestoreState(snap)
+			msnap, err := wire.DecodeSnapshot(wire.EncodeSnapshot(nil, model.export()))
+			if err != nil {
+				t.Fatalf("decode model snapshot: %v", err)
+			}
+			// Spike bookkeeping is not in snapshots: a restored controller
+			// starts it empty, so the model does too.
+			model.spikes, model.spikeDone = map[uint64]*modelSpikes{}, map[uint64]int{}
+			model.restore(msnap)
+			check(fmt.Sprintf("restore at %d shards", cfg.Shards), nil, nil)
+		}
+	}
+	// Drain: finish enough sub-windows to emit and retire everything.
+	for end := cur + uint64(cfg.Plan.Size+cfg.Plan.Slide); cur < end; cur++ {
+		check(fmt.Sprintf("final FinishSubWindow(%d)", cur), real.FinishSubWindow(cur), model.finish(cur))
+	}
+}
+
+func diffConfig(kind, plan, shards int, detector bool) Config {
+	k := diffKinds[kind%len(diffKinds)]
+	cfg := Config{
+		Plan: diffPlans[plan%len(diffPlans)], Kind: k.kind, DistinctCounter: k.counter,
+		Threshold: 3, CaptureValues: true, Shards: shards,
+	}
+	if k.kind == afr.Existence {
+		cfg.Threshold = 1
+	}
+	if detector {
+		cfg.Detector = func(k packet.FlowKey, v uint64) bool { return v%3 == 0 || k.SrcPort%5 == 0 }
+	}
+	return cfg
+}
+
+// TestTableDifferential: every kind x plan x shard count, threshold and
+// custom detector, over seeded op streams.
+func TestTableDifferential(t *testing.T) {
+	for ki, k := range diffKinds {
+		for pi, p := range diffPlans {
+			for _, shards := range []int{1, 3, 8} {
+				t.Run(fmt.Sprintf("%s/size%d-slide%d/shards%d", k.name, p.Size, p.Slide, shards), func(t *testing.T) {
+					for seed := int64(1); seed <= 3; seed++ {
+						rng := rand.New(rand.NewSource(seed*1000 + int64(ki*100+pi*10+shards)))
+						data := make([]byte, 3000)
+						rng.Read(data)
+						runTableOps(t, diffConfig(ki, pi, shards, seed == 2), data)
+					}
+				})
+			}
+		}
+	}
+}
+
+// FuzzTableDifferential shares the driver: the first four bytes pick the
+// configuration, the rest is the op stream.
+func FuzzTableDifferential(f *testing.F) {
+	for seed := int64(0); seed < 6; seed++ {
+		data := make([]byte, 96)
+		rand.New(rand.NewSource(seed)).Read(data)
+		data[0] = byte(seed)
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		cfg := diffConfig(int(data[0]), int(data[1]), []int{1, 3, 8}[int(data[2])%3], data[3]%2 == 1)
+		runTableOps(t, cfg, data[4:])
+	})
+}

@@ -33,6 +33,28 @@ func Sum(dst, src []uint64) {
 	}
 }
 
+// Sub subtracts src from dst element-wise, modulo 2^64: the exact inverse
+// of Sum, which is how the controller retires a sub-window's column from
+// its merged sums. Slices must have equal length.
+func Sub(dst, src []uint64) {
+	n := len(dst) &^ (lanes - 1)
+	for i := 0; i < n; i += lanes {
+		d := dst[i : i+lanes : i+lanes]
+		s := src[i : i+lanes : i+lanes]
+		d[0] -= s[0]
+		d[1] -= s[1]
+		d[2] -= s[2]
+		d[3] -= s[3]
+		d[4] -= s[4]
+		d[5] -= s[5]
+		d[6] -= s[6]
+		d[7] -= s[7]
+	}
+	for i := n; i < len(dst); i++ {
+		dst[i] -= src[i]
+	}
+}
+
 // Max folds src into dst taking element-wise maxima.
 func Max(dst, src []uint64) {
 	n := len(dst) &^ (lanes - 1)

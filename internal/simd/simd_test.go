@@ -1,6 +1,7 @@
 package simd
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -48,6 +49,43 @@ func TestKernelsMatchScalar(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSubInvertsSum: Sub is Sum's exact inverse modulo 2^64 at every
+// length around the unroll width, including across wrap-around.
+func TestSubInvertsSum(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for n := 0; n <= 17; n++ {
+		dst, src := make([]uint64, n), make([]uint64, n)
+		for i := range dst {
+			dst[i], src[i] = rng.Uint64(), rng.Uint64()
+		}
+		if n > 0 {
+			dst[0], src[0] = 3, math.MaxUint64 // 3 - MaxUint64 wraps to 4
+			dst[n-1], src[n-1] = math.MaxUint64, math.MaxUint64
+		}
+		orig := append([]uint64(nil), dst...)
+		want := make([]uint64, n)
+		for i := range want {
+			want[i] = dst[i] - src[i]
+		}
+		Sub(dst, src)
+		for i := range dst {
+			if dst[i] != want[i] {
+				t.Fatalf("n %d idx %d: Sub = %d, want %d", n, i, dst[i], want[i])
+			}
+		}
+		Sum(dst, src)
+		for i := range dst {
+			if dst[i] != orig[i] {
+				t.Fatalf("n %d idx %d: Sum after Sub = %d, want the original %d", n, i, dst[i], orig[i])
+			}
+		}
+	}
+	d := []uint64{3}
+	if Sub(d, []uint64{math.MaxUint64}); d[0] != 4 {
+		t.Fatalf("3 - MaxUint64 = %d, want 4 (mod 2^64)", d[0])
 	}
 }
 
@@ -114,6 +152,17 @@ func BenchmarkMergeColumnarSum(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Sum(dst, src)
+	}
+}
+
+func BenchmarkMergeColumnarSub(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	dst := randVec(rng, 1<<20)
+	src := randVec(rng, 1<<20)
+	b.SetBytes(int64(len(dst) * 8))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		Sub(dst, src)
 	}
 }
 

@@ -91,6 +91,14 @@ func (p Plan) Ends(sw uint64) (start uint64, ok bool) {
 	return sw + 1 - uint64(p.Size), true
 }
 
+// Covers reports whether sub-window sw belongs to at least one window.
+// Every sub-window does unless the plan subsamples (Slide > Size), which
+// leaves Slide-Size sub-windows between consecutive windows that no
+// window will ever read.
+func (p Plan) Covers(sw uint64) bool {
+	return sw%uint64(p.Slide) < uint64(p.Size)
+}
+
 // Retire returns the highest sub-window index that can be discarded once
 // the window ending at sw has been processed: sub-windows older than the
 // next window's start will never be needed again.

@@ -244,6 +244,48 @@ func TestPlanRetire(t *testing.T) {
 	}
 }
 
+// TestPlanCovers: a sub-window is covered exactly when some window
+// [k*Slide, k*Slide+Size) contains it — always, unless the plan subsamples.
+func TestPlanCovers(t *testing.T) {
+	for _, tc := range []struct {
+		plan      Plan
+		uncovered []uint64 // among sub-windows 0..11
+	}{
+		{Tumbling(1), nil},
+		{Tumbling(5), nil},
+		{SlidingPlan(5, 1), nil},
+		{SlidingPlan(5, 2), nil}, // Slide does not divide Size
+		{SlidingPlan(4, 3), nil},
+		{Plan{Size: 2, Slide: 4}, []uint64{2, 3, 6, 7, 10, 11}},
+		{Plan{Size: 2, Slide: 3}, []uint64{2, 5, 8, 11}}, // nor here
+		{Plan{Size: 1, Slide: 5}, []uint64{1, 2, 3, 4, 6, 7, 8, 9, 11}},
+	} {
+		want := map[uint64]bool{}
+		for _, sw := range tc.uncovered {
+			want[sw] = true
+		}
+		for sw := uint64(0); sw < 12; sw++ {
+			// The definition, by enumeration of windows.
+			covered := false
+			for start := uint64(0); start <= sw; start += uint64(tc.plan.Slide) {
+				if sw < start+uint64(tc.plan.Size) {
+					covered = true
+				}
+			}
+			if covered == want[sw] {
+				t.Fatalf("%+v: test table disagrees with the definition at sub-window %d", tc.plan, sw)
+			}
+			if got := tc.plan.Covers(sw); got != covered {
+				t.Fatalf("%+v.Covers(%d) = %v, want %v", tc.plan, sw, got, covered)
+			}
+			// A sub-window that ends a window is covered by it.
+			if _, ends := tc.plan.Ends(sw); ends && !tc.plan.Covers(sw) {
+				t.Fatalf("%+v: sub-window %d ends a window but is not covered", tc.plan, sw)
+			}
+		}
+	}
+}
+
 func TestPlanValidate(t *testing.T) {
 	if (Plan{Size: 0, Slide: 1}).Validate() == nil {
 		t.Fatal("zero size accepted")

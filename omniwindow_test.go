@@ -180,6 +180,72 @@ func TestSlidingCatchesBoundaryBurst(t *testing.T) {
 	}
 }
 
+// TestSubsamplingPlanMatchesGroundTruth: Sliding(2, 4) reports windows
+// [0,1], [4,5], [8,9] and nothing of the sub-windows between them. Every
+// flow sends in every sub-window, so a contribution leaking out of an
+// uncovered sub-window into the next window (what the controller did
+// before Plan.Covers) shows up as an over-count against the exact
+// per-window packet counts.
+func TestSubsamplingPlanMatchesGroundTruth(t *testing.T) {
+	const (
+		flows      = 20
+		subWindows = 12
+	)
+	var pkts []packet.Packet
+	truth := map[uint64]map[packet.FlowKey]uint64{} // window start -> flow -> packets
+	plan := Sliding(2, 4)
+	for sw := 0; sw < subWindows; sw++ {
+		for f := 1; f <= flows; f++ {
+			n := 1 + (sw+f)%4
+			for i := 0; i < n; i++ {
+				pkts = append(pkts, packet.Packet{Key: fk(f), Size: 100, Time: int64(sw)*100*ms + int64(f*4+i)*ms/10})
+			}
+			if plan.Covers(uint64(sw)) {
+				start := uint64(sw - sw%plan.Slide)
+				if truth[start] == nil {
+					truth[start] = map[packet.FlowKey]uint64{}
+				}
+				truth[start][fk(f)] += uint64(n)
+			}
+		}
+	}
+	d, err := New(freqConfig(plan, 6, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := d.RunFor(pkts, subWindows*100*ms)
+	if len(results) != 3 {
+		t.Fatalf("windows = %d, want [0,1] [4,5] [8,9]", len(results))
+	}
+	for i, w := range results {
+		if w.Start != uint64(4*i) || w.End != uint64(4*i+1) || w.Incomplete {
+			t.Fatalf("window %d is [%d,%d] incomplete=%v", i, w.Start, w.End, w.Incomplete)
+		}
+		want := truth[w.Start]
+		if len(w.Values) != len(want) {
+			t.Fatalf("window [%d,%d] has %d flows, want %d", w.Start, w.End, len(w.Values), len(want))
+		}
+		detected := 0
+		for k, v := range want {
+			if w.Values[k] != v {
+				t.Fatalf("window [%d,%d] flow %v = %d, ground truth %d", w.Start, w.End, k, w.Values[k], v)
+			}
+			if v >= 6 {
+				detected++
+			}
+		}
+		if len(w.Detected) != detected {
+			t.Fatalf("window [%d,%d] detected %d flows, ground truth %d", w.Start, w.End, len(w.Detected), detected)
+		}
+	}
+	if n := d.Controller().TableSize(); n != 0 {
+		t.Fatalf("%d flows left in the table after the last window", n)
+	}
+	if err := d.assertConsistent(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestSpilledKeysAreStillCollected(t *testing.T) {
 	// Flowkey buffer of 8: most keys spill to the controller, but every
 	// flow must still appear in the merged window.
