@@ -1,0 +1,151 @@
+package omniwindow
+
+import (
+	"fmt"
+	"hash/fnv"
+	"strings"
+	"testing"
+	"time"
+
+	"omniwindow/internal/faults"
+	"omniwindow/internal/obs"
+)
+
+// TestBoundaryGolden holds the boundary pipeline to ABSOLUTE values. Every
+// chaos suite compares a faulted run to a fault-free run of the same code,
+// so a refactor that moved both the same way would pass them all; this
+// test runs one spilling trace (batchTrace over spillTracker's 200-key
+// array) through each arm of the boundary — packet, RDMA, durable, both,
+// crash failover, partition takeover, disk faults, and the two recovery
+// loops under loss — and pins a digest of Results(), Stats() and the trace
+// ring's (stage, sub-window, shard, value) sequence. The digests were read
+// off the 232-line collect before it was split into phases: a change of
+// phase order, of a flush point, of a fault draw or of a virtual-time
+// charge moves at least one of them.
+func TestBoundaryGolden(t *testing.T) {
+	dir := ""
+	durable := func(c *Config) { c.CheckpointDir = dir }
+	cases := []struct {
+		name   string
+		mutate func(*Config)
+		loss   bool // drop every third AFR packet before delivery
+		want   string
+		// restartAt: the first incarnation crashes at this boundary and the
+		// digest is the second's, recovered from the same directory.
+		restartAt uint64
+	}{
+		{"packet", nil, false, "b4c5bdc8525a1429", 0},
+		{"packet+loss", func(c *Config) {
+			c.AFRFaults = faults.New(faults.Config{Seed: 1, Drop: 0.10, Duplicate: 0.20, MaxDuplicates: 2})
+		}, true, "4e9beaad4780793e", 0},
+		{"rdma", func(c *Config) { c.RDMA = true }, false, "d8c6c783db3f306b", 0},
+		{"rdma+faults", func(c *Config) {
+			c.RDMA = true
+			c.RDMAReplayDepth = 256
+			c.RetryLimit = 2
+			c.RDMAFaults = &faults.RDMASchedule{Seed: 1, VerbError: 0.15, PSNDrop: 0.15,
+				QPError:      faults.CrashSchedule{Prob: 0.3},
+				MRInvalidate: faults.CrashSchedule{Prob: 0.3}}
+		}, false, "d2916c25f7ed58b5", 0},
+		{"durable", durable, false, "b6009c739a67fd8e", 0},
+		{"rdma+durable", func(c *Config) { durable(c); c.RDMA = true }, false, "22c514b80a706e90", 0},
+		{"standby+crash", func(c *Config) {
+			durable(c)
+			c.Standby = true
+			c.Crash = &faults.CrashSchedule{Fixed: []uint64{2}}
+		}, false, "b00c6e797288e567", 0},
+		{"standby+partition", func(c *Config) {
+			durable(c)
+			c.Standby = true
+			c.LeaseTTL = 170 * time.Millisecond
+			c.PartitionFaults = &faults.PartitionSchedule{Seed: 3, Gray: 0.2,
+				Windows: []faults.PartitionWindow{{Start: 1, Len: 2}}}
+		}, false, "e46993aac9078c10", 0},
+		{"disk-faults", func(c *Config) {
+			durable(c)
+			c.DiskFaults = &faults.DiskSchedule{Seed: 7, WriteEIO: 0.10, ShortWrite: 0.05,
+				BitRot: 0.02, SlowIO: 0.10, ENOSPCStart: 25, ENOSPCLen: 2}
+			c.DurabilityRetryLimit = 1
+		}, false, "c5207c108124a95e", 0},
+		{"crash-restart", func(c *Config) {
+			durable(c)
+			c.CheckpointEvery = 2
+		}, false, "d38fc8abf0ef8e9d", 2},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir = t.TempDir()
+			reg := obs.NewRegistry()
+			build := func(crash *faults.CrashSchedule) *Deployment {
+				d, err := New(batchConfig(func(c *Config) {
+					spillTracker(c)
+					c.Obs = reg
+					if tc.mutate != nil {
+						tc.mutate(c)
+					}
+					if crash != nil {
+						c.Crash = crash
+					}
+				}))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return d
+			}
+			pkts := batchTrace()
+			if tc.restartAt > 0 {
+				d := build(&faults.CrashSchedule{Fixed: []uint64{tc.restartAt}})
+				d.RunFor(pkts, 500*ms)
+				if sw, ok := d.Crashed(); !ok || sw != tc.restartAt {
+					t.Fatalf("first incarnation did not crash at %d", tc.restartAt)
+				}
+				pkts, reg = traceTail(pkts, tc.restartAt), obs.NewRegistry()
+			}
+			d := build(nil)
+			if tc.loss {
+				d.testAFRLoss = func(i int) bool { return i%3 == 0 }
+			}
+			d.RunFor(pkts, 500*ms)
+			if err := d.CloseDurability(); err != nil {
+				t.Fatal(err)
+			}
+			st := d.Stats()
+			subWindows := 5
+			if tc.restartAt > 0 {
+				subWindows = 4 - int(tc.restartAt) // the second incarnation's share
+			}
+			if st.Spills == 0 || st.SubWindows != subWindows || len(d.Results()) == 0 {
+				t.Fatalf("not the spilling five-sub-window run: %+v", st)
+			}
+			results, stats, ring := fmt.Sprintf("%+v", d.Results()), fmt.Sprintf("%+v", st), ringSequence(reg)
+			got := fmt.Sprintf("%016x", digest64(results, stats, ring))
+			if got != tc.want {
+				t.Errorf("digest %s, want %s (results %016x, stats %016x, ring %016x)\nstats: %s\nring: %s",
+					got, tc.want, digest64(results), digest64(stats), digest64(ring), stats, ring)
+			}
+		})
+	}
+}
+
+// ringSequence renders the trace ring as its (stage, sub-window, shard,
+// value) sequence. The two stages whose value is a wall-clock duration
+// keep their place in the order and drop the value.
+func ringSequence(reg *obs.Registry) string {
+	var b strings.Builder
+	for _, e := range reg.Ring(0).Snapshot() {
+		if e.Stage == obs.StageCheckpoint || e.Stage == obs.StageFinished {
+			e.Value = 0
+		}
+		fmt.Fprintf(&b, "%s/%d/%d/%d ", e.Stage, e.SubWindow, e.Shard, e.Value)
+	}
+	return b.String()
+}
+
+func digest64(parts ...string) uint64 {
+	h := fnv.New64a()
+	for _, p := range parts {
+		h.Write([]byte(p))
+		h.Write([]byte{0})
+	}
+	return h.Sum64()
+}
