@@ -26,16 +26,29 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
+// mix hashes input x under (seed, salt). Every stateless schedule decides
+// through it: a fault kind's salt keeps its stream independent of every
+// other kind's, and of every other schedule family's.
+func mix(seed, salt, x uint64) uint64 {
+	return splitmix64(seed ^ salt ^ splitmix64(x))
+}
+
+// draw maps mix's hash to [0, 1): the one probability draw behind every
+// schedule predicate.
+func draw(seed, salt, x uint64) float64 {
+	return float64(mix(seed, salt, x)>>11) / float64(1<<53)
+}
+
 // At reports whether the schedule crashes the controller at boundary sw.
-func (c CrashSchedule) At(sw uint64) bool {
+func (c CrashSchedule) At(sw uint64) bool { return c.at(0, sw) }
+
+// at is At under a salt, so schedules that embed a CrashSchedule (switch,
+// RDMA) draw each of their boundary faults from its own stream.
+func (c CrashSchedule) at(salt, sw uint64) bool {
 	for _, f := range c.Fixed {
 		if f == sw {
 			return true
 		}
 	}
-	if c.Prob <= 0 {
-		return false
-	}
-	h := splitmix64(c.Seed ^ splitmix64(sw))
-	return float64(h>>11)/float64(1<<53) < c.Prob
+	return c.Prob > 0 && draw(c.Seed, salt, sw) < c.Prob
 }

@@ -70,19 +70,13 @@ const (
 	saltRotSpot    = 0x4449534B5253_07 // "DISKRS"
 )
 
-// prob maps a hash to [0, 1) exactly as CrashSchedule.At does.
-func (s *DiskSchedule) prob(salt, op uint64) float64 {
-	h := splitmix64(s.Seed ^ salt ^ splitmix64(op))
-	return float64(h>>11) / float64(1<<53)
-}
-
 // WriteEIOAt reports whether write operation op fails transiently.
 // Nil-safe.
 func (s *DiskSchedule) WriteEIOAt(op uint64) bool {
 	if s == nil || s.WriteEIO <= 0 {
 		return false
 	}
-	return s.prob(saltWriteEIO, op) < s.WriteEIO
+	return draw(s.Seed, saltWriteEIO, op) < s.WriteEIO
 }
 
 // ReadEIOAt reports whether read operation op fails transiently.
@@ -91,7 +85,7 @@ func (s *DiskSchedule) ReadEIOAt(op uint64) bool {
 	if s == nil || s.ReadEIO <= 0 {
 		return false
 	}
-	return s.prob(saltReadEIO, op) < s.ReadEIO
+	return draw(s.Seed, saltReadEIO, op) < s.ReadEIO
 }
 
 // ShortWriteAt reports whether write operation op tears. Nil-safe.
@@ -99,7 +93,7 @@ func (s *DiskSchedule) ShortWriteAt(op uint64) bool {
 	if s == nil || s.ShortWrite <= 0 {
 		return false
 	}
-	return s.prob(saltShortWrite, op) < s.ShortWrite
+	return draw(s.Seed, saltShortWrite, op) < s.ShortWrite
 }
 
 // BitRotAt reports whether write operation op silently corrupts one
@@ -108,7 +102,7 @@ func (s *DiskSchedule) BitRotAt(op uint64) bool {
 	if s == nil || s.BitRot <= 0 {
 		return false
 	}
-	return s.prob(saltBitRot, op) < s.BitRot
+	return draw(s.Seed, saltBitRot, op) < s.BitRot
 }
 
 // BitRotSpot returns the deterministic corruption for operation op over
@@ -118,7 +112,7 @@ func (s *DiskSchedule) BitRotSpot(op uint64, n int) (idx int, mask byte) {
 	if n <= 0 {
 		return 0, 1
 	}
-	h := splitmix64(s.Seed ^ saltRotSpot ^ splitmix64(op))
+	h := mix(s.Seed, saltRotSpot, op)
 	return int(h % uint64(n)), byte(1 << ((h >> 32) % 8))
 }
 
@@ -128,7 +122,7 @@ func (s *DiskSchedule) SlowIOAt(op uint64) (bool, int64) {
 	if s == nil || s.SlowIO <= 0 {
 		return false, 0
 	}
-	if s.prob(saltSlowIO, op) >= s.SlowIO {
+	if draw(s.Seed, saltSlowIO, op) >= s.SlowIO {
 		return false, 0
 	}
 	lat := s.SlowIOLatency
@@ -150,5 +144,5 @@ func (s *DiskSchedule) ENOSPCAt(op uint64) bool {
 	if s.ENOSPC <= 0 {
 		return false
 	}
-	return s.prob(saltENOSPC, op) < s.ENOSPC
+	return draw(s.Seed, saltENOSPC, op) < s.ENOSPC
 }

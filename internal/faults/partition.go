@@ -69,12 +69,6 @@ const (
 	saltPartGray  = 0x504152544752_04 // "PARTGR"
 )
 
-// prob maps a hash to [0, 1) exactly as CrashSchedule.At does.
-func (s *PartitionSchedule) prob(salt, sw uint64) float64 {
-	h := splitmix64(s.Seed ^ salt ^ splitmix64(sw))
-	return float64(h>>11) / float64(1<<53)
-}
-
 // symmetricAt reports a full cut at boundary sw — a sustained window, or
 // the per-boundary draw.
 func (s *PartitionSchedule) symmetricAt(sw uint64) bool {
@@ -86,7 +80,7 @@ func (s *PartitionSchedule) symmetricAt(sw uint64) bool {
 	if s.Symmetric <= 0 {
 		return false
 	}
-	return s.prob(saltPartSym, sw) < s.Symmetric
+	return draw(s.Seed, saltPartSym, sw) < s.Symmetric
 }
 
 // RenewCut reports whether the primary's lease renewal at boundary sw is
@@ -101,7 +95,7 @@ func (s *PartitionSchedule) RenewCut(sw uint64) bool {
 	if s.RenewOnly <= 0 {
 		return false
 	}
-	return s.prob(saltPartRenew, sw) < s.RenewOnly
+	return draw(s.Seed, saltPartRenew, sw) < s.RenewOnly
 }
 
 // CkptCut reports whether the standby's checkpoint tailing at boundary sw
@@ -117,7 +111,7 @@ func (s *PartitionSchedule) CkptCut(sw uint64) bool {
 	if s.CkptOnly <= 0 {
 		return false
 	}
-	return s.prob(saltPartCkpt, sw) < s.CkptOnly
+	return draw(s.Seed, saltPartCkpt, sw) < s.CkptOnly
 }
 
 // GrayAt reports whether the renewal at boundary sw is delayed rather
@@ -127,7 +121,7 @@ func (s *PartitionSchedule) GrayAt(sw uint64) (bool, int64) {
 	if s == nil || s.Gray <= 0 || s.RenewCut(sw) {
 		return false, 0
 	}
-	if s.prob(saltPartGray, sw) >= s.Gray {
+	if draw(s.Seed, saltPartGray, sw) >= s.Gray {
 		return false, 0
 	}
 	d := s.DelayNs

@@ -67,9 +67,7 @@ func TestPartitionScheduleKindsIndependent(t *testing.T) {
 	both := &PartitionSchedule{Seed: 9, CkptOnly: 0.25, RenewOnly: 0.5}
 	for sw := uint64(0); sw < 1000; sw++ {
 		// CkptOnly draws must be identical whether or not RenewOnly runs.
-		loneHit := lone.prob(saltPartCkpt, sw) < lone.CkptOnly
-		bothHit := both.prob(saltPartCkpt, sw) < both.CkptOnly
-		if loneHit != bothHit {
+		if lone.CkptCut(sw) != both.CkptCut(sw) {
 			t.Fatalf("enabling RenewOnly shifted the CkptOnly stream at boundary %d", sw)
 		}
 	}

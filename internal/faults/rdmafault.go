@@ -49,12 +49,6 @@ const (
 	saltMRInvalidate = 0x52444D414D52_04 // "RDMAMR"
 )
 
-// prob maps a hash to [0, 1) exactly as CrashSchedule.At does.
-func (s *RDMASchedule) prob(salt, x uint64) float64 {
-	h := splitmix64(s.Seed ^ salt ^ splitmix64(x))
-	return float64(h>>11) / float64(1<<53)
-}
-
 // verbKey folds (verb index, attempt) into one hash input. Attempts are
 // small (bounded retries), so the golden-ratio stride keeps redraws for
 // the same verb independent without colliding across verbs.
@@ -68,7 +62,7 @@ func (s *RDMASchedule) VerbErrorAt(idx uint64, attempt int) bool {
 	if s == nil || s.VerbError <= 0 {
 		return false
 	}
-	return s.prob(saltVerbError, verbKey(idx, attempt)) < s.VerbError
+	return draw(s.Seed, saltVerbError, verbKey(idx, attempt)) < s.VerbError
 }
 
 // PSNDropAt reports whether verb idx's attempt is lost in flight.
@@ -77,35 +71,19 @@ func (s *RDMASchedule) PSNDropAt(idx uint64, attempt int) bool {
 	if s == nil || s.PSNDrop <= 0 {
 		return false
 	}
-	return s.prob(saltPSNDrop, verbKey(idx, attempt)) < s.PSNDrop
+	return draw(s.Seed, saltPSNDrop, verbKey(idx, attempt)) < s.PSNDrop
 }
 
 // QPErrorAt reports whether the QP faults to Error at boundary sw.
 // Nil-safe.
 func (s *RDMASchedule) QPErrorAt(sw uint64) bool {
-	if s == nil {
-		return false
-	}
-	c := s.QPError
-	if c.Prob <= 0 && len(c.Fixed) == 0 {
-		return false
-	}
-	c.Seed ^= saltQPError
-	return c.At(sw)
+	return s != nil && s.QPError.at(saltQPError, sw)
 }
 
 // MRInvalidateAt reports whether the registered region is destroyed at
 // boundary sw. Nil-safe.
 func (s *RDMASchedule) MRInvalidateAt(sw uint64) bool {
-	if s == nil {
-		return false
-	}
-	c := s.MRInvalidate
-	if c.Prob <= 0 && len(c.Fixed) == 0 {
-		return false
-	}
-	c.Seed ^= saltMRInvalidate
-	return c.At(sw)
+	return s != nil && s.MRInvalidate.at(saltMRInvalidate, sw)
 }
 
 // OutageAt reports whether QP recovery is impossible at boundary sw.
