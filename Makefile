@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race bench bench-json bench-diff fuzz examples \
+.PHONY: all build test race bench-json bench-diff fuzz examples \
 	reproduce fmt vet clean ci fmt-check fuzz-smoke bench-smoke chaos \
 	failover fabric-chaos rdma-chaos disk-chaos partition-chaos \
 	staticcheck cover nightly microbench
@@ -144,17 +144,11 @@ fuzz-smoke:
 bench-smoke:
 	$(GO) test -run xxx -bench 'BenchmarkController|BenchmarkBoundaryCollect' -benchtime 1x .
 
-# Regenerate every paper table/figure once (tables in the bench log), and
-# refresh the machine-readable perf snapshot.
-bench: bench-json
-	$(GO) test -run xxx -bench . -benchtime 1x -timeout 3600s .
-
 # Machine-readable perf numbers for the per-packet path, the boundary
 # (enumeration + delivery + finish per AFR) and the controller-merge, batched-ingest, collector-decode, fabric,
 # RDMA-collect, RDMA full-window send, WAL-append and failover-promotion
 # hot paths: ns/op, B/op and allocs/op, emitted as BENCH_PR15.json for
-# cross-PR diffing (BENCH_PR4, PR6, PR7, PR8, PR9 and PR10 snapshots are
-# kept for comparison). The ProcessPacket, ingest, full-window send,
+# cross-PR diffing. The ProcessPacket, ingest, full-window send,
 # WAL-append and fenced-append benchmarks carry 0 allocs/op baselines, so
 # the compare gate pins them at zero: any new steady-state allocation on
 # the packet path or a pooled or fencing hot path fails bench-diff.

@@ -1,0 +1,260 @@
+package omniwindow
+
+import (
+	"time"
+
+	"omniwindow/internal/controller"
+	"omniwindow/internal/obs"
+	"omniwindow/internal/packet"
+	"omniwindow/internal/switchsim"
+)
+
+// boundary is one sub-window's collect-and-reset round in flight: what
+// collect's phases hand each other, held on collect's stack. DESIGN.md
+// ("Boundary pipeline") tabulates what each phase charges and which
+// faults act there.
+type boundary struct {
+	d      *Deployment
+	sw     uint64
+	region int
+	// owned: the region still holds sw's state (Deployment.regionOwner).
+	// A stale termination — an idle gap longer than the region count —
+	// has nothing to collect, and must not reset the newer owner's region.
+	owned bool
+	// at is the boundary-anchored time, termination + grace. The standby
+	// reads the lease at it, not at d.now, which Finalize and RunFor jump
+	// far ahead to flush trailing collections.
+	at      int64
+	spilled []packet.FlowKey
+	afrs    int
+	passes  int
+	// virtual is the round's modeled C&R time so far.
+	virtual time.Duration
+	// windows are the first app's windows this boundary completed.
+	windows []controller.WindowResult
+}
+
+// begin settles what the round works on. The spilled keys leave the map
+// owned or not: a sub-window whose region a newer one took over can no
+// longer query them, and must not leave them there forever.
+func (b *boundary) begin() {
+	d := b.d
+	d.transport.begin(b.sw)
+	b.region = d.manager.Regions().Index(b.sw)
+	b.owned = d.regionOwned[b.region] && d.regionOwner[b.region] == b.sw
+	b.spilled = d.spilled[b.sw]
+	delete(d.spilled, b.sw)
+	b.virtual = d.cfg.Grace
+
+	// Crash-restart gap (Deployment.unattested): an idle sub-window the
+	// durable record never attested cannot be proven empty — charge it
+	// Missing. The first owned sub-window closes the gap: from there on,
+	// idle sub-windows really are empty, witnessed live.
+	if d.unattested {
+		if b.owned {
+			d.unattested = false
+		} else if b.sw >= d.unattestedFrom {
+			d.ctrl.NoteLost(b.sw, 1)
+		}
+	}
+}
+
+// enumerate generates the sub-window's AFRs while the region still holds
+// its state: the collection packets recirculate, emitting one AFR per
+// pass, until the flowkey array is exhausted (Algorithm 2); then the
+// controller injects the keys that overflowed the array (§4.2).
+func (b *boundary) enumerate() {
+	if !b.owned {
+		return
+	}
+	d, costs := b.d, &b.d.cfg.Costs
+	d.engine.BeginCollection(b.sw)
+	keyCount := d.engine.Tracker().KeyCount(b.region)
+	for i := 0; i < d.cfg.CollectionPackets; i++ {
+		out := d.injectSpecial(packet.OWHeader{Flag: packet.OWCollection})
+		b.passes += out.Passes
+		b.afrs += d.deliverClones(out)
+	}
+	b.virtual += costs.RecircTime(d.cfg.CollectionPackets, keyCount)
+	for i, k := range b.spilled {
+		b.afrs += d.deliverClones(d.injectSpecial(packet.OWHeader{
+			Flag: packet.OWInjectKey, Key: k, Index: uint32(keyCount + i), SubWindow: b.sw,
+		}))
+	}
+	b.virtual += time.Duration(len(b.spilled)) * costs.DPDKInjectPerKey
+	// Flush point: the probes next may swap the controller, and recovery
+	// reads its delivery state.
+	d.transport.flush()
+}
+
+// probeStandby is the standby's boundary health check, run before recover
+// so that a promotion's re-announced sub-window is repaired into the
+// controller that now serves. A scheduled death of the primary is acted
+// on only while the region still holds the sub-window to recover; the
+// partition probe also runs on idle boundaries — the lease lapses on
+// virtual time, not on traffic, so a partition spanning an idle stretch
+// must still promote (nothing is in flight; the re-sent trigger announces
+// an empty key count).
+func (b *boundary) probeStandby() {
+	d := b.d
+	if b.owned && d.standby != nil && !d.failedOver && d.cfg.Crash != nil && d.cfg.Crash.At(b.sw) {
+		b.virtual += d.failover(b.sw, b.at)
+	}
+	b.virtual += d.partitionProbe(b.sw, b.at)
+}
+
+// recover repairs what was lost on the way (§8), before the reset
+// destroys the state it is re-queried from: the controller NACKs the
+// gaps, the transport replays them, and bounded retries with exponential
+// backoff (charged to the C&R budget) keep an unrecoverable loss from
+// stalling the reset forever — the sub-window then finalizes with its
+// gaps recorded and its windows Incomplete.
+func (b *boundary) recover() {
+	d, t := b.d, b.d.transport
+	t.beginRecovery(b.sw)
+	rec := controller.RecoverSubWindow(d.retryPolicy(),
+		func() []uint32 { return t.missing(b.sw, b.owned) },
+		func(seqs []uint32) error { t.replay(seqs); return nil },
+		func(wait time.Duration) { b.virtual += wait },
+	)
+	d.stats.RecoveryRounds += rec.Rounds
+	if rec.Rounds > 0 {
+		d.obs.ring.Record(obs.StageRecovered, b.sw, -1, int64(rec.Rounds))
+	}
+	if !rec.Complete && len(rec.Missing) > 0 {
+		d.stats.IncompleteSubWindows++
+	}
+}
+
+// reset zeroes the region in the switch: the parked collection packets are
+// reused as clear packets (§4.3), each zeroing one slot of every register
+// per pass.
+func (b *boundary) reset() {
+	if !b.owned {
+		return
+	}
+	d := b.d
+	for i := 0; i < d.cfg.CollectionPackets; i++ {
+		b.passes += d.injectSpecial(packet.OWHeader{Flag: packet.OWReset}).Passes
+	}
+	d.stats.RecircPasses += b.passes
+	b.virtual += d.cfg.Costs.RecircTime(d.cfg.CollectionPackets, d.cfg.Slots)
+	d.regionOwned[b.region] = false
+}
+
+// drain ends the switch half.
+func (b *boundary) drain() {
+	b.virtual += b.d.transport.drain(b.sw, b.afrs)
+}
+
+func (b *boundary) account() {
+	d := b.d
+	d.stats.AFRs += b.afrs
+	d.stats.SubWindows++
+	d.stats.CollectVirtual += b.virtual
+	d.stats.MaxCollectVirtual = max(d.stats.MaxCollectVirtual, b.virtual)
+	d.obs.afrs.Add(int64(b.afrs))
+	d.obs.collect.Observe(b.virtual)
+	if b.owned {
+		d.obs.ring.Record(obs.StageCollected, b.sw, b.region, int64(b.afrs))
+	}
+}
+
+// finish assembles the sub-window's windows and makes the boundary
+// durable: the finish is logged (replay re-runs the assembly at the same
+// point in the ingest order) and checkpointed, the lease renewed — and
+// then the process dies here if the crash schedule says so, leaving
+// exactly the on-disk state a real mid-operation power cut would.
+func (b *boundary) finish() {
+	d := b.d
+	for i, ctrl := range d.ctrls {
+		w := ctrl.FinishSubWindow(b.sw)
+		d.appResults[i] = append(d.appResults[i], w...)
+		if i == 0 {
+			b.windows = w
+		}
+	}
+	d.logFinish(b.sw)
+	if d.store != nil {
+		// Disk retry backoffs and injected slow-IO latency accrued since
+		// the last boundary, charged as virtual time to the run's C&R
+		// total. Deliberately NOT folded into MaxCollectVirtual: the §6
+		// two-region feasibility bound is about switch-side region reuse,
+		// and controller-side disk stalls overlap the next sub-window's
+		// traffic instead of holding a region hostage.
+		d.stats.CollectVirtual += time.Duration(d.store.TakeIOWait())
+	}
+	d.renewLease(b.sw)
+	d.maintainPartition(b.sw)
+	d.crashIfScheduled(b.sw)
+}
+
+func (b *boundary) windowClosed() {
+	if len(b.windows) > 0 {
+		b.d.transport.windowClosed()
+	}
+}
+
+// injectSpecial runs one control packet through the switch, reusing the
+// scratch packet: collections run between traffic packets, the engine
+// copies what it clones to the controller, and a control packet never
+// leaves on egress.
+func (d *Deployment) injectSpecial(h packet.OWHeader) switchsim.Output {
+	d.scratch = packet.Packet{OW: h}
+	return d.sw.Inject(&d.scratch)
+}
+
+// deliverClones delivers the AFR clones one collection Inject emitted and
+// returns their record count.
+func (d *Deployment) deliverClones(out switchsim.Output) (afrs int) {
+	for _, c := range out.ToController {
+		if c.OW.Flag == packet.OWAFR {
+			afrs += len(c.OW.AFRs)
+			d.deliverAFRs(c)
+		}
+	}
+	return afrs
+}
+
+// deliverAFRs routes AFR-bearing packets (first transmissions and
+// retransmissions) toward the controller, first pushing them through the
+// configured fault schedule, drawn once per packet: a drop loses the
+// packet — the reliability protocol must notice and repair — and
+// duplicates arrive back to back, which the controller's sequence dedup
+// must suppress.
+func (d *Deployment) deliverAFRs(c *packet.Packet) {
+	if d.testAFRLoss != nil {
+		i := d.afrPktCount
+		d.afrPktCount++
+		if d.testAFRLoss(i) {
+			return // injected loss: cloned packets have lowest priority
+		}
+	}
+	copies := 1
+	if d.cfg.AFRFaults != nil {
+		act := d.cfg.AFRFaults.Packet()
+		if act.Drop {
+			return
+		}
+		copies += act.Duplicates
+	}
+	for ; copies > 0; copies-- {
+		d.transport.deliver(c.OW.Flag, c.OW.AFRs)
+	}
+}
+
+// retryPolicy resolves the configured reliability knobs against the
+// controller defaults. A negative RetryLimit disables recovery.
+func (d *Deployment) retryPolicy() controller.RetryPolicy {
+	pol := controller.DefaultRetryPolicy()
+	if d.cfg.RetryLimit != 0 {
+		pol.MaxRetries = max(d.cfg.RetryLimit, 0)
+	}
+	if d.cfg.RetryBackoff > 0 {
+		pol.Backoff = d.cfg.RetryBackoff
+	}
+	if d.cfg.RetryMaxBackoff > 0 {
+		pol.MaxBackoff = d.cfg.RetryMaxBackoff
+	}
+	return pol
+}

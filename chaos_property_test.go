@@ -65,9 +65,9 @@ func TestChaosNeverDoubleCountsProperty(t *testing.T) {
 // lose telemetry data — the failed verb's record falls back to the
 // packet path, so results match a fault-free RDMA run exactly.
 func TestChaosRDMAVerbErrors(t *testing.T) {
-	run := func(inj *faults.Injector) *Deployment {
+	run := func(sched *faults.RDMASchedule) *Deployment {
 		cfg := freqConfig(window.SlidingPlan(3, 1), 25, true)
-		cfg.AFRFaults = inj
+		cfg.RDMAFaults = sched
 		d, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -80,10 +80,9 @@ func TestChaosRDMAVerbErrors(t *testing.T) {
 		t.Fatal("baseline produced no windows")
 	}
 
-	for _, seed := range []int64{1, 2, 3} {
-		inj := faults.New(faults.Config{Seed: seed, VerbError: 0.3})
-		d := run(inj)
-		if inj.Stats().VerbErrors == 0 {
+	for _, seed := range []uint64{1, 2, 3} {
+		d := run(&faults.RDMASchedule{Seed: seed, VerbError: 0.3})
+		if rdmaOf(d).Stats().VerbErrors == 0 {
 			t.Fatalf("seed %d: schedule injected no verb errors", seed)
 		}
 		if !reflect.DeepEqual(baseline.Results(), d.Results()) {

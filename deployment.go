@@ -2,14 +2,10 @@ package omniwindow
 
 import (
 	"fmt"
-	"time"
 
 	"omniwindow/internal/controller"
-	"omniwindow/internal/obs"
 	"omniwindow/internal/packet"
-	"omniwindow/internal/rdma"
 	"omniwindow/internal/switchsim"
-	"omniwindow/internal/wire"
 )
 
 // deployResources compiles the OmniWindow data-plane program onto the
@@ -49,13 +45,13 @@ func (d *Deployment) deployResources() error {
 			bloomNames = append(bloomNames, name)
 			spec.Registers = append(spec.Registers, switchsim.RegSpec{
 				Name: name, Feature: "Flowkey tracking",
-				Entries: maxInt(t.BloomBits/64, 1), Width: 8,
+				Entries: max(t.BloomBits/64, 1), Width: 8,
 				After: []string{"fk_track_gate"},
 			})
 		}
 		spec.Registers = append(spec.Registers, switchsim.RegSpec{
 			Name: fmt.Sprintf("fk_buffer_r%d", r), Feature: "Flowkey tracking",
-			Entries: maxInt(t.BufferKeys, 1), Width: packet.KeyBytes,
+			Entries: max(t.BufferKeys, 1), Width: packet.KeyBytes,
 			After: bloomNames,
 		})
 	}
@@ -90,13 +86,6 @@ func (d *Deployment) deployResources() error {
 	}
 	_, err := switchsim.Place(d.sw, spec)
 	return err
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // installProgram wires the per-packet pipeline logic.
@@ -227,7 +216,7 @@ func (d *Deployment) Run(pkts []packet.Packet) []controller.WindowResult {
 		d.ProcessPacket(&pkts[i])
 	}
 	d.Finalize()
-	return d.results
+	return d.Results()
 }
 
 // RunFor processes a trace and then advances the clock to duration, so
@@ -241,7 +230,7 @@ func (d *Deployment) RunFor(pkts []packet.Packet, duration int64) []controller.W
 	d.Tick(duration)
 	d.now += 1 << 40 // move past every grace deadline
 	d.runDueCollections()
-	return d.results
+	return d.Results()
 }
 
 // Finalize terminates the active sub-window and flushes every pending
@@ -277,7 +266,7 @@ func (d *Deployment) handleSwitchOutput(out switchsim.Output) {
 			d.ingestSpike(c)
 		case packet.OWAFR:
 			d.deliverAFRs(c)
-			d.flushAFRs() // nothing later in this call delivers: leave no record parked
+			d.transport.flush() // nothing later in this call delivers: leave no record parked
 		}
 	}
 }
@@ -319,440 +308,37 @@ func (d *Deployment) runDueCollections() {
 	for !d.crashed && len(d.pending) > 0 && d.pending[0].due <= d.now {
 		cr := d.pending[0]
 		d.pending = d.pending[1:]
-		// The boundary-anchored timestamp: probes that model an observer
-		// AT the boundary (the standby's lease check) read this instead of
-		// d.now, which test harnesses may have jumped far ahead to flush
-		// trailing collections.
-		d.collectAt = cr.due
-		d.collect(cr.sw)
+		d.collect(cr.sw, cr.due)
 	}
 }
 
-// collect runs the full C&R round for one sub-window: collection-packet
-// enumeration (Algorithm 2), controller-injected spilled keys, the
-// reliability check, in-switch reset, and controller window assembly.
-func (d *Deployment) collect(sw uint64) {
-	costs := d.cfg.Costs
-	// An async QP error scheduled for this boundary strikes before the
-	// collection traffic: every send below then falls back to the packet
-	// path mid-sub-window, seamlessly.
-	if d.cfg.RDMA {
-		d.rdma.BeginBoundary(sw)
-	}
-	region := d.manager.Regions().Index(sw)
-	// A region only holds the state of the newest sub-window that used
-	// it. Stale terminations (idle gaps longer than the region count)
-	// have nothing to collect — and must not reset a region now owned by
-	// a newer sub-window.
-	owned := d.regionOwned[region] && d.regionOwner[region] == sw
-	// Taken on every collection, owned or not: a sub-window whose region a
-	// newer one took over can no longer query its spilled keys, and must
-	// not leave them in the map forever.
-	spilled := d.spilled[sw]
-	delete(d.spilled, sw)
-
-	// Crash-restart gap: when recovery's durable record ended before this
-	// sub-window and no traffic for it ever reached this incarnation, it
-	// cannot be proven empty — charge it Missing so its windows assemble
-	// Incomplete (damage, never silently partial). The first owned
-	// sub-window closes the gap: from there on, idle sub-windows really
-	// are empty, witnessed live.
-	if d.unattested {
-		if owned {
-			d.unattested = false
-		} else if sw >= d.unattestedFrom {
-			d.ctrl.NoteLost(sw, 1)
-		}
-	}
-
-	var afrs int
-	virtual := d.cfg.Grace
-
-	if owned {
-		d.engine.BeginCollection(sw)
-		keyCount := d.engine.Tracker().KeyCount(region)
-
-		// Phase 1 — enumeration: inject the collection packets; each
-		// recirculates, emitting one AFR per pass, until the flowkey
-		// array is exhausted.
-		passes := 0
-		for i := 0; i < d.cfg.CollectionPackets; i++ {
-			out := d.injectSpecial(packet.OWHeader{Flag: packet.OWCollection})
-			passes += out.Passes
-			afrs += d.deliverClones(out)
-		}
-		virtual += costs.RecircTime(d.cfg.CollectionPackets, keyCount)
-
-		// Phase 2 — controller-injected flow keys for the spilled
-		// remainder (§4.2), queried while the region still holds state.
-		for i, k := range spilled {
-			afrs += d.deliverClones(d.injectSpecial(packet.OWHeader{
-				Flag: packet.OWInjectKey, Key: k, Index: uint32(keyCount + i), SubWindow: sw,
-			}))
-		}
-		virtual += time.Duration(len(spilled)) * costs.DPDKInjectPerKey
-		// Flush point: the probes below may swap the controller, and the
-		// Phase-3 loop reads its delivery state.
-		d.flushAFRs()
-
-		// Failover probe: the standby declares the primary dead only once
-		// its lease lapses (the wait is charged to the C&R budget), then
-		// promotes from the checkpoint it tailed at the previous boundary.
-		// Everything delivered for THIS sub-window above went to the dead
-		// primary and is gone; the re-sent trigger re-announces the key
-		// count, and the Phase-3 loop below NACKs the whole gap back from
-		// the still-unreset region — at most one sub-window of loss,
-		// fully NACK-recoverable.
-		if d.standby != nil && !d.failedOver && d.cfg.Crash != nil && d.cfg.Crash.At(sw) {
-			virtual += d.failover(sw)
-		}
-
-		// Partition probe: the standby's lease observation may declare the
-		// still-live primary dead (lost/gray renewals, clock drift) and
-		// promote behind a fencing term. Runs before Phase 3 so the NACK
-		// loop below recovers this sub-window into the promoted controller.
-		virtual += d.partitionProbe(sw)
-
-		// Phase 3 — reliability: recover AFRs lost on the way (§8),
-		// before the reset destroys the state they are queried from.
-		// The controller NACKs the sequence gaps; the switch re-queries
-		// and retransmits; bounded retries with exponential backoff
-		// (charged to the C&R virtual-time budget) keep an unrecoverable
-		// loss from stalling the reset forever — the sub-window then
-		// finalizes with its gaps recorded and its windows Incomplete.
-		// The RDMA path runs its own recovery at drain time below: PSN
-		// gaps are NACKed into the transport's replay window instead of
-		// re-queried from the switch.
-		if !d.cfg.RDMA {
-			rec := controller.RecoverSubWindow(d.retryPolicy(),
-				func() []uint32 { return d.ctrl.MissingSeqs(sw) },
-				func(seqs []uint32) error {
-					for _, rp := range d.engine.RetransmitPackets(seqs) {
-						d.stats.Retransmitted += len(rp.OW.AFRs)
-						d.obs.retrans.Add(int64(len(rp.OW.AFRs)))
-						d.deliverAFRs(rp)
-					}
-					d.flushAFRs() // MissingSeqs is re-read next
-					return nil
-				},
-				func(wait time.Duration) { virtual += wait },
-			)
-			d.stats.RecoveryRounds += rec.Rounds
-			if rec.Rounds > 0 {
-				d.obs.ring.Record(obs.StageRecovered, sw, -1, int64(rec.Rounds))
-			}
-			if !rec.Complete && len(rec.Missing) > 0 {
-				d.stats.IncompleteSubWindows++
-			}
-		}
-
-		// Phase 4 — in-switch reset: the parked collection packets are
-		// reused as clear packets (§4.3), each zeroing one slot of every
-		// register per pass.
-		for i := 0; i < d.cfg.CollectionPackets; i++ {
-			passes += d.injectSpecial(packet.OWHeader{Flag: packet.OWReset}).Passes
-		}
-		d.stats.RecircPasses += passes
-		virtual += costs.RecircTime(d.cfg.CollectionPackets, d.cfg.Slots)
-
-		d.regionOwned[region] = false
-	}
-
-	if !owned {
-		// Idle boundaries probe too: the lease lapses on virtual time, not
-		// on traffic, so a partition spanning an idle stretch must still
-		// promote the standby (nothing is in flight; the re-sent trigger
-		// announces an empty key count).
-		virtual += d.partitionProbe(sw)
-	}
-
-	// RDMA mode: the boundary recovery step. Scheduled region
-	// invalidations strike, a faulted QP attempts recovery, the
-	// controller-side PSN-gap scan NACKs dropped verbs into the bounded
-	// replay loop (the same virtual-time retry/backoff machinery as the
-	// packet path's Phase 3), gaps the budget cannot close hand off to
-	// the packet path, and the drain delivers the cold buffer plus the
-	// hot-row readback — zeroing each consumed lane for its next
-	// same-lane sub-window.
-	if d.cfg.RDMA {
-		d.rdma.BeginCollect(sw)
-		if d.rdma.State() == rdma.QPRecovering {
-			d.obs.ring.Record(obs.StageQPRecovered, sw, -1, 0)
-		}
-		if d.rdma.State() != rdma.QPError {
-			rec := controller.RecoverSubWindow(d.retryPolicy(),
-				d.rdma.MissingPSNs,
-				func(psns []uint32) error {
-					d.stats.RDMAReplayed += d.rdma.Replay(psns)
-					return nil
-				},
-				func(wait time.Duration) { virtual += wait },
-			)
-			d.stats.RecoveryRounds += rec.Rounds
-			if rec.Rounds > 0 {
-				d.obs.ring.Record(obs.StageRecovered, sw, -1, int64(rec.Rounds))
-			}
-			if !rec.Complete && len(rec.Missing) > 0 {
-				d.stats.IncompleteSubWindows++
-			}
-		}
-		// Per-key handoff: whatever the replay budget could not land on
-		// the region rides the packet path instead, original sequence
-		// numbers intact — the controller's dedup makes the transport
-		// switch exact (nothing double-counted, nothing lost).
-		if fb := d.rdma.TakeUnapplied(); len(fb) > 0 {
-			d.stats.FallbackAFRs += len(fb)
-			d.obs.ring.Record(obs.StageRDMAFallback, sw, -1, int64(len(fb)))
-			d.rdmaIngest(fb)
-			d.stats.ControllerCPUVirtual += time.Duration(len(fb)) * costs.DPDKRxPerPacket
-		}
-		cold, hotRecs := d.rdma.Drain(sw)
-		d.rdmaIngest(cold)
-		d.rdmaIngest(hotRecs)
-		d.stats.ControllerCPUVirtual += time.Duration(len(cold)) * costs.DPDKRxPerPacket
-		virtual += d.rdma.TakeRetryWait()
-	} else {
-		d.stats.ControllerCPUVirtual += time.Duration(afrs) * costs.DPDKRxPerPacket
-	}
-
-	d.stats.AFRs += afrs
-	d.stats.SubWindows++
-	d.stats.CollectVirtual += virtual
-	if virtual > d.stats.MaxCollectVirtual {
-		d.stats.MaxCollectVirtual = virtual
-	}
-	d.obs.afrs.Add(int64(afrs))
-	d.obs.collect.Observe(virtual)
-	if owned {
-		d.obs.ring.Record(obs.StageCollected, sw, region, int64(afrs))
-	}
-
-	var windows []controller.WindowResult
-	for i, ctrl := range d.ctrls {
-		w := ctrl.FinishSubWindow(sw)
-		d.appResults[i] = append(d.appResults[i], w...)
-		if i == 0 {
-			windows = w
-		}
-	}
-	d.results = d.appResults[0]
-	// Durability: log the finish (replay re-runs the assembly at the same
-	// point in the ingest order), checkpoint if this is a checkpoint
-	// boundary, renew the liveness lease — then die here if the crash
-	// schedule says so, leaving exactly the on-disk state a real
-	// mid-operation power cut would.
-	d.logFinish(sw)
-	if d.store != nil {
-		// Disk retry backoffs and injected slow-IO latency accrued since
-		// the last boundary, charged as virtual time to the run's C&R
-		// total. Deliberately NOT folded into MaxCollectVirtual: the §6
-		// two-region feasibility bound is about switch-side region reuse,
-		// and controller-side disk stalls overlap the next sub-window's
-		// traffic instead of holding a region hostage.
-		d.stats.CollectVirtual += time.Duration(d.store.TakeIOWait())
-	}
-	d.renewLease(sw)
-	d.maintainPartition(sw)
-	d.crashIfScheduled(sw)
-
-	// RDMA: age key hotness once per completed window, demoting keys
-	// that stopped recurring.
-	if d.cfg.RDMA && len(windows) > 0 {
-		for _, k := range d.hot.Decay() {
-			d.rdma.Demote(k)
-		}
-	}
-}
-
-// injectSpecial runs one control packet through the switch. The packet is
-// the deployment's scratch packet, reset per use: collections run between
-// traffic packets, the engine copies what it clones to the controller, and
-// a control packet never leaves on egress.
-func (d *Deployment) injectSpecial(h packet.OWHeader) switchsim.Output {
-	d.scratch = packet.Packet{OW: h}
-	return d.sw.Inject(&d.scratch)
-}
-
-// deliverClones delivers the AFR clones one collection Inject emitted and
-// returns their record count.
-func (d *Deployment) deliverClones(out switchsim.Output) (afrs int) {
-	for _, c := range out.ToController {
-		if c.OW.Flag == packet.OWAFR {
-			afrs += len(c.OW.AFRs)
-			d.deliverAFRs(c)
-		}
-	}
-	return afrs
-}
-
-// rdmaIngest hands RDMA-delivered (or fallen-back) records to the
-// controller, logging them to the WAL first when durability is on — the
-// RDMA path's records become durable at controller-ingest time, exactly
-// when the controller's state starts reflecting them.
-func (d *Deployment) rdmaIngest(recs []packet.AFR) {
-	if len(recs) == 0 {
-		return
-	}
-	d.logBatch(false, recs)
-	d.ctrl.IngestAFRs(recs)
-}
-
-// retryPolicy resolves the configured reliability knobs against the
-// controller defaults. A negative RetryLimit disables recovery.
-func (d *Deployment) retryPolicy() controller.RetryPolicy {
-	pol := controller.DefaultRetryPolicy()
-	switch {
-	case d.cfg.RetryLimit < 0:
-		pol.MaxRetries = 0
-	case d.cfg.RetryLimit > 0:
-		pol.MaxRetries = d.cfg.RetryLimit
-	}
-	if d.cfg.RetryBackoff > 0 {
-		pol.Backoff = d.cfg.RetryBackoff
-	}
-	if d.cfg.RetryMaxBackoff > 0 {
-		pol.MaxBackoff = d.cfg.RetryMaxBackoff
-	}
-	return pol
-}
-
-// afrBatchCap is the delivery batch's fixed capacity: one wire datagram's
-// worth of records per WAL append and controller ingest.
-const afrBatchCap = wire.MaxAFRsPerDatagram
-
-// deliverAFRs routes AFR-bearing packets (first transmissions and
-// retransmissions) toward the controller, first pushing them through the
-// configured fault schedule, drawn once per packet: a drop loses the
-// packet — the reliability protocol must notice and repair — and
-// duplicates arrive back to back, which the controller's sequence dedup
-// must suppress.
-func (d *Deployment) deliverAFRs(c *packet.Packet) {
-	if d.testAFRLoss != nil {
-		i := d.afrPktCount
-		d.afrPktCount++
-		if d.testAFRLoss(i) {
-			return // injected loss: cloned packets have lowest priority
-		}
-	}
-	copies := 1
-	if d.cfg.AFRFaults != nil {
-		act := d.cfg.AFRFaults.Packet()
-		if act.Drop {
-			return
-		}
-		copies += act.Duplicates
-	}
-	for ; copies > 0; copies-- {
-		d.deliverAFRsOnce(c)
-	}
-}
-
-// deliverAFRsOnce sends one surviving packet's records toward the
-// controller — via the RNIC when RDMA is enabled, via the delivery batch
-// (DPDK packet RX) otherwise.
-func (d *Deployment) deliverAFRsOnce(c *packet.Packet) {
-	if !d.cfg.RDMA {
-		d.batchAFRs(c.OW.Flag, c.OW.AFRs)
-		return
-	}
-	for i, r := range c.OW.AFRs {
-		if d.hot.Observe(r.Key) {
-			d.rdma.Promote(r.Key)
-		}
-		hot, delivered := d.rdma.Send(r)
-		if !delivered {
-			// Seamless mid-sub-window fallback: the transport could not
-			// take the record (QP down, retries exhausted, or the cold
-			// buffer overflowed) — the packet path carries it from here,
-			// original sequence number intact, so the controller's dedup
-			// keeps the handoff exact.
-			d.stats.FallbackAFRs++
-			d.batchAFRs(packet.OWAFR, c.OW.AFRs[i:i+1])
-			continue
-		}
-		if hot {
-			d.stats.HotAFRs++
-		} else {
-			d.stats.ColdAFRs++
-		}
-	}
-}
-
-// batchAFRs copies records into the delivery batch, flushing whenever it
-// fills and before the flag changes between OWAFR and OWRetransmit (the
-// controller's recovery accounting is per delivered packet). Records wait
-// in the batch only until the next flush point; every reader of controller
-// or store state sits behind one (see flushAFRs' callers).
-func (d *Deployment) batchAFRs(flag packet.OWFlag, recs []packet.AFR) {
-	b := &d.batch.OW
-	if b.Flag != flag {
-		d.flushAFRs()
-		b.Flag = flag
-	}
-	for len(recs) > 0 {
-		n := copy(b.AFRs[len(b.AFRs):cap(b.AFRs)], recs)
-		b.AFRs, recs = b.AFRs[:len(b.AFRs)+n], recs[n:]
-		if len(b.AFRs) == cap(b.AFRs) {
-			d.flushAFRs()
-		}
-	}
-}
-
-// flushAFRs delivers the batched records as one packet: one WAL append
-// (grouped per shard and sub-window), then one controller ingest.
-func (d *Deployment) flushAFRs() {
-	b := &d.batch.OW
-	if len(b.AFRs) == 0 {
-		return
-	}
-	d.logBatch(b.Flag == packet.OWRetransmit, b.AFRs)
-	switch {
-	case d.cfg.RDMA:
-		d.ctrl.IngestAFRs(b.AFRs)
-	case len(d.ctrls) == 1:
-		d.ctrl.Receive(&d.batch)
-	default:
-		d.ingestByApp(b.AFRs)
-	}
-	b.AFRs = b.AFRs[:0]
-}
-
-// ingestByApp routes records to their app's controller, batched per app
-// so each controller sees one IngestAFRs call per delivered packet
-// instead of one per record. The staging slices are deployment-held
-// scratch, reused across packets.
-func (d *Deployment) ingestByApp(recs []packet.AFR) {
-	if d.appParts == nil {
-		d.appParts = make([][]packet.AFR, len(d.ctrls))
-	}
-	for _, r := range recs {
-		if int(r.App) < len(d.ctrls) {
-			d.appParts[r.App] = append(d.appParts[r.App], r)
-		}
-	}
-	for app, part := range d.appParts {
-		if len(part) == 0 {
-			continue
-		}
-		d.ctrls[app].IngestAFRs(part)
-		d.appParts[app] = part[:0]
-	}
+// collect runs the full C&R round for one sub-window — the paper's four
+// steps on a sealed region (§4.2 enumerate, §8 recover, §4.3 reset, §7
+// hand the AFRs to the controller), then the controller's window assembly
+// — as a fixed sequence of phases over one boundary value (boundary.go).
+// Phases no-op where the deployment has no standby or no store; nothing
+// joins or leaves the sequence at run time. begin through drain are the
+// switch half: they touch the region and must finish before it is reused.
+// The rest is the controller half, which reads only what drain handed
+// over and its own state.
+func (d *Deployment) collect(sw uint64, at int64) {
+	b := boundary{d: d, sw: sw, at: at}
+	b.begin()
+	b.enumerate()
+	b.probeStandby()
+	b.recover()
+	b.reset()
+	b.drain()
+	b.account()
+	b.finish()
+	b.windowClosed()
 }
 
 // assertConsistent double-checks internal invariants; exposed for tests.
 func (d *Deployment) assertConsistent() error {
-	if d.stats.MaxCollectVirtual > 0 && d.cfg.SubWindow > 0 &&
-		d.stats.MaxCollectVirtual > d.cfg.SubWindow {
-		return errCollectTooSlow{d.stats.MaxCollectVirtual, d.cfg.SubWindow}
+	if worst := d.stats.MaxCollectVirtual; d.cfg.SubWindow > 0 && worst > d.cfg.SubWindow {
+		return fmt.Errorf("omniwindow: C&R time %v exceeds sub-window %v — two memory regions are insufficient at this rate (§6)",
+			worst, d.cfg.SubWindow)
 	}
 	return nil
-}
-
-type errCollectTooSlow struct {
-	got, budget time.Duration
-}
-
-func (e errCollectTooSlow) Error() string {
-	return "omniwindow: C&R time " + e.got.String() + " exceeds sub-window " + e.budget.String() +
-		" — two memory regions are insufficient at this rate (§6)"
 }

@@ -80,7 +80,6 @@ func main() {
 		Workers:       runtime.GOMAXPROCS(0),
 		MaxQueueDepth: 4096,
 		ShedWatermark: 0.75,
-		Policy:        controller.ShedRecoverableFirst,
 		OnClose: func() {
 			// Runs after the reader exits and every ingest worker has
 			// drained: the point to flush a WAL segment or, here, to

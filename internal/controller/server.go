@@ -111,26 +111,6 @@ func (a *Async) Close() {
 	a.mu.Unlock()
 }
 
-// ShedPolicy selects what admission control drops when the ingest queue
-// backs up.
-type ShedPolicy int
-
-const (
-	// ShedRecoverableFirst is the default: above the watermark,
-	// first-transmission AFR datagrams are shed — the reliability
-	// protocol's NACK/retransmit path can bring every one of them back —
-	// while retransmissions (already-recovered data; shedding them risks
-	// exhausting the retry budget) are kept until the queue is hard-full.
-	// Control frames are never queued, so they are never shed.
-	ShedRecoverableFirst ShedPolicy = iota
-	// ShedTailDrop disables the priority tiers: any data frame arriving
-	// at a full queue is dropped, none earlier. This is the legacy
-	// overrun behaviour, kept for comparison runs — but unlike the old
-	// silent discard, drops are still peeked and attributed to their
-	// sub-windows.
-	ShedTailDrop
-)
-
 // CollectorConfig tunes the UDP collector's worker pool and admission
 // control. The zero value reproduces the defaults.
 type CollectorConfig struct {
@@ -140,12 +120,15 @@ type CollectorConfig struct {
 	// MaxQueueDepth bounds the raw-datagram queue between the socket
 	// reader and the ingest workers (<= 0 means 4096).
 	MaxQueueDepth int
-	// ShedWatermark is the queue-fill fraction above which the shed
-	// policy starts dropping recoverable datagrams (<= 0 means 0.75;
-	// values >= 1 only shed when hard-full).
+	// ShedWatermark is the queue-fill fraction above which admission
+	// control sheds recoverable datagrams first: first-transmission AFR
+	// datagrams are dropped — the reliability protocol's NACK/retransmit
+	// path can bring every one of them back — while retransmissions
+	// (already-recovered data; shedding them risks exhausting the retry
+	// budget) are kept until the queue is hard-full. Control frames are
+	// never queued, so they are never shed. <= 0 means 0.75; values >= 1
+	// only shed when hard-full.
 	ShedWatermark float64
-	// Policy selects what to shed under pressure.
-	Policy ShedPolicy
 	// OnClose, when set, runs after the reader has exited and every
 	// ingest worker has drained, before Close returns — the hook for
 	// flushing a WAL segment or final accounting exactly once, after the
@@ -174,7 +157,6 @@ type Collector struct {
 	workWG    sync.WaitGroup
 	queue     chan []byte
 	watermark int
-	policy    ShedPolicy
 	onClose   func()
 	drops     atomic.Int64
 	recvd     atomic.Int64
@@ -219,7 +201,6 @@ func NewCollectorConfig(conn net.PacketConn, sink *Async, cfg CollectorConfig) *
 		sink:      sink,
 		queue:     make(chan []byte, cfg.MaxQueueDepth),
 		watermark: wm,
-		policy:    cfg.Policy,
 		onClose:   cfg.OnClose,
 	}
 	c.readWG.Add(1)
@@ -277,8 +258,7 @@ func (c *Collector) readLoop() {
 		}
 
 		depth := len(c.queue)
-		if c.policy == ShedRecoverableFirst && depth >= c.watermark &&
-			(!peeked || flag == packet.OWAFR) {
+		if depth >= c.watermark && (!peeked || flag == packet.OWAFR) {
 			// Above the watermark: shed recoverable first transmissions
 			// (and unpeekable garbage) to keep room for retransmissions.
 			c.shedData(d)
@@ -380,10 +360,9 @@ func (c *Collector) Received() int { return int(c.recvd.Load()) }
 // against Recovered. Safe to call while running.
 func (c *Collector) Recovered() int { return int(c.recov.Load()) }
 
-// Overruns reports data datagrams shed by admission control — at the
-// watermark under ShedRecoverableFirst, or only when hard-full under
-// ShedTailDrop. The reliability protocol's retransmission covers them
-// (§8), and each shed datagram's records are charged to their
+// Overruns reports data datagrams shed by admission control — recoverable
+// first transmissions at the watermark, anything when hard-full. The
+// reliability protocol's retransmission covers them (§8), and each shed datagram's records are charged to their
 // sub-windows' accounting (see ShedAFRs). Safe to call while running.
 func (c *Collector) Overruns() int { return int(c.overrun.Load()) }
 

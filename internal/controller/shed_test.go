@@ -12,7 +12,7 @@ import (
 
 // shedHarness is a collector over real loopback UDP with a vanishing shed
 // watermark: watermark 0 means EVERY first-transmission data frame is shed
-// under ShedRecoverableFirst, with no dependency on worker-drain timing —
+// (recoverable-first admission), with no dependency on worker-drain timing —
 // the admission-control paths become fully deterministic.
 type shedHarness struct {
 	t    *testing.T
@@ -21,7 +21,7 @@ type shedHarness struct {
 	sw   net.PacketConn
 }
 
-func newShedHarness(t *testing.T, policy ShedPolicy) *shedHarness {
+func newShedHarness(t *testing.T) *shedHarness {
 	t.Helper()
 	serverConn, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
@@ -32,7 +32,6 @@ func newShedHarness(t *testing.T, policy ShedPolicy) *shedHarness {
 		Workers:       2,
 		MaxQueueDepth: 64,
 		ShedWatermark: 0.001, // floors to 0: shed every recoverable frame
-		Policy:        policy,
 	})
 	switchConn, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
@@ -74,7 +73,7 @@ func (h *shedHarness) wait(what string, cond func() bool) {
 // bring every record back: the window finalizes exact, Shed accounted but
 // not Degraded.
 func TestShedRecoverableFirstRecoversEverything(t *testing.T) {
-	h := newShedHarness(t, ShedRecoverableFirst)
+	h := newShedHarness(t)
 
 	// Control frame: never shed, even at watermark 0.
 	h.send(&packet.Packet{OW: packet.OWHeader{Flag: packet.OWTrigger, SubWindow: 0, KeyCount: 3}})
@@ -124,7 +123,7 @@ func TestShedRecoverableFirstRecoversEverything(t *testing.T) {
 // never brings back leave the window both Incomplete (data is missing) and
 // Degraded (the cause was overload, not wire loss).
 func TestShedUnrecoveredMarksDegraded(t *testing.T) {
-	h := newShedHarness(t, ShedRecoverableFirst)
+	h := newShedHarness(t)
 
 	h.send(&packet.Packet{OW: packet.OWHeader{Flag: packet.OWTrigger, SubWindow: 0, KeyCount: 2}})
 	h.wait("trigger delivery", func() bool { return h.col.Received() == 1 })
@@ -144,26 +143,5 @@ func TestShedUnrecoveredMarksDegraded(t *testing.T) {
 	if !w.Incomplete || w.MissingAFRs != 2 || w.ShedAFRs != 2 {
 		t.Fatalf("damage accounting wrong: Incomplete=%v MissingAFRs=%d ShedAFRs=%d",
 			w.Incomplete, w.MissingAFRs, w.ShedAFRs)
-	}
-}
-
-// TestShedTailDropIgnoresWatermark: the legacy policy sheds only when the
-// queue is hard-full — with a drained queue, the same watermark-0 setup
-// ingests every frame and nothing is shed.
-func TestShedTailDropIgnoresWatermark(t *testing.T) {
-	h := newShedHarness(t, ShedTailDrop)
-
-	h.send(&packet.Packet{OW: packet.OWHeader{Flag: packet.OWTrigger, SubWindow: 0, KeyCount: 8}})
-	for i := 0; i < 8; i++ {
-		h.send(afrPkt(rec(i, 0, 7, i)))
-	}
-	h.wait("full ingest", func() bool { return h.col.Received() == 9 })
-	if h.col.Overruns() != 0 || h.col.ShedAFRs() != 0 {
-		t.Fatalf("tail-drop policy shed below hard-full: %d overruns, %d AFRs",
-			h.col.Overruns(), h.col.ShedAFRs())
-	}
-	res := h.sink.FinishSubWindow(0)
-	if len(res) != 1 || res[0].ShedAFRs != 0 || res[0].Incomplete {
-		t.Fatalf("clean run produced damaged window: %+v", res)
 	}
 }

@@ -39,6 +39,12 @@ func draw(seed, salt, x uint64) float64 {
 	return float64(mix(seed, salt, x)>>11) / float64(1<<53)
 }
 
+// hit reports whether a fault of probability p fires at input x. A kind
+// that is switched off (p <= 0) never fires, whatever the hash.
+func hit(p float64, seed, salt, x uint64) bool {
+	return p > 0 && draw(seed, salt, x) < p
+}
+
 // At reports whether the schedule crashes the controller at boundary sw.
 func (c CrashSchedule) At(sw uint64) bool { return c.at(0, sw) }
 
@@ -50,5 +56,5 @@ func (c CrashSchedule) at(salt, sw uint64) bool {
 			return true
 		}
 	}
-	return c.Prob > 0 && draw(c.Seed, salt, sw) < c.Prob
+	return hit(c.Prob, c.Seed, salt, sw)
 }

@@ -73,36 +73,24 @@ const (
 // WriteEIOAt reports whether write operation op fails transiently.
 // Nil-safe.
 func (s *DiskSchedule) WriteEIOAt(op uint64) bool {
-	if s == nil || s.WriteEIO <= 0 {
-		return false
-	}
-	return draw(s.Seed, saltWriteEIO, op) < s.WriteEIO
+	return s != nil && hit(s.WriteEIO, s.Seed, saltWriteEIO, op)
 }
 
 // ReadEIOAt reports whether read operation op fails transiently.
 // Nil-safe.
 func (s *DiskSchedule) ReadEIOAt(op uint64) bool {
-	if s == nil || s.ReadEIO <= 0 {
-		return false
-	}
-	return draw(s.Seed, saltReadEIO, op) < s.ReadEIO
+	return s != nil && hit(s.ReadEIO, s.Seed, saltReadEIO, op)
 }
 
 // ShortWriteAt reports whether write operation op tears. Nil-safe.
 func (s *DiskSchedule) ShortWriteAt(op uint64) bool {
-	if s == nil || s.ShortWrite <= 0 {
-		return false
-	}
-	return draw(s.Seed, saltShortWrite, op) < s.ShortWrite
+	return s != nil && hit(s.ShortWrite, s.Seed, saltShortWrite, op)
 }
 
 // BitRotAt reports whether write operation op silently corrupts one
 // stored byte. Nil-safe.
 func (s *DiskSchedule) BitRotAt(op uint64) bool {
-	if s == nil || s.BitRot <= 0 {
-		return false
-	}
-	return draw(s.Seed, saltBitRot, op) < s.BitRot
+	return s != nil && hit(s.BitRot, s.Seed, saltBitRot, op)
 }
 
 // BitRotSpot returns the deterministic corruption for operation op over
@@ -119,10 +107,7 @@ func (s *DiskSchedule) BitRotSpot(op uint64, n int) (idx int, mask byte) {
 // SlowIOAt reports whether operation op is slow; the second return is the
 // virtual latency to charge. Nil-safe.
 func (s *DiskSchedule) SlowIOAt(op uint64) (bool, int64) {
-	if s == nil || s.SlowIO <= 0 {
-		return false, 0
-	}
-	if draw(s.Seed, saltSlowIO, op) >= s.SlowIO {
+	if s == nil || !hit(s.SlowIO, s.Seed, saltSlowIO, op) {
 		return false, 0
 	}
 	lat := s.SlowIOLatency
@@ -141,8 +126,5 @@ func (s *DiskSchedule) ENOSPCAt(op uint64) bool {
 	if s.ENOSPCLen > 0 && op >= s.ENOSPCStart && op < s.ENOSPCStart+s.ENOSPCLen {
 		return true
 	}
-	if s.ENOSPC <= 0 {
-		return false
-	}
-	return draw(s.Seed, saltENOSPC, op) < s.ENOSPC
+	return hit(s.ENOSPC, s.Seed, saltENOSPC, op)
 }

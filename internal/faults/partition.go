@@ -77,51 +77,27 @@ func (s *PartitionSchedule) symmetricAt(sw uint64) bool {
 			return true
 		}
 	}
-	if s.Symmetric <= 0 {
-		return false
-	}
-	return draw(s.Seed, saltPartSym, sw) < s.Symmetric
+	return hit(s.Symmetric, s.Seed, saltPartSym, sw)
 }
 
 // RenewCut reports whether the primary's lease renewal at boundary sw is
 // lost (symmetric cut, or the asymmetric renewal-only cut). Nil-safe.
 func (s *PartitionSchedule) RenewCut(sw uint64) bool {
-	if s == nil {
-		return false
-	}
-	if s.symmetricAt(sw) {
-		return true
-	}
-	if s.RenewOnly <= 0 {
-		return false
-	}
-	return draw(s.Seed, saltPartRenew, sw) < s.RenewOnly
+	return s != nil && (s.symmetricAt(sw) || hit(s.RenewOnly, s.Seed, saltPartRenew, sw))
 }
 
 // CkptCut reports whether the standby's checkpoint tailing at boundary sw
 // is lost (symmetric cut, or the asymmetric checkpoint-only cut).
 // Nil-safe.
 func (s *PartitionSchedule) CkptCut(sw uint64) bool {
-	if s == nil {
-		return false
-	}
-	if s.symmetricAt(sw) {
-		return true
-	}
-	if s.CkptOnly <= 0 {
-		return false
-	}
-	return draw(s.Seed, saltPartCkpt, sw) < s.CkptOnly
+	return s != nil && (s.symmetricAt(sw) || hit(s.CkptOnly, s.Seed, saltPartCkpt, sw))
 }
 
 // GrayAt reports whether the renewal at boundary sw is delayed rather
 // than lost, and by how much virtual time. A boundary that is already cut
 // (RenewCut) is not also gray — loss dominates slowness. Nil-safe.
 func (s *PartitionSchedule) GrayAt(sw uint64) (bool, int64) {
-	if s == nil || s.Gray <= 0 || s.RenewCut(sw) {
-		return false, 0
-	}
-	if draw(s.Seed, saltPartGray, sw) >= s.Gray {
+	if s == nil || s.RenewCut(sw) || !hit(s.Gray, s.Seed, saltPartGray, sw) {
 		return false, 0
 	}
 	d := s.DelayNs

@@ -59,19 +59,13 @@ func verbKey(idx uint64, attempt int) uint64 {
 // VerbErrorAt reports whether verb idx's attempt completes with an
 // injected CQ error. Nil-safe.
 func (s *RDMASchedule) VerbErrorAt(idx uint64, attempt int) bool {
-	if s == nil || s.VerbError <= 0 {
-		return false
-	}
-	return draw(s.Seed, saltVerbError, verbKey(idx, attempt)) < s.VerbError
+	return s != nil && hit(s.VerbError, s.Seed, saltVerbError, verbKey(idx, attempt))
 }
 
 // PSNDropAt reports whether verb idx's attempt is lost in flight.
 // Nil-safe.
 func (s *RDMASchedule) PSNDropAt(idx uint64, attempt int) bool {
-	if s == nil || s.PSNDrop <= 0 {
-		return false
-	}
-	return draw(s.Seed, saltPSNDrop, verbKey(idx, attempt)) < s.PSNDrop
+	return s != nil && hit(s.PSNDrop, s.Seed, saltPSNDrop, verbKey(idx, attempt))
 }
 
 // QPErrorAt reports whether the QP faults to Error at boundary sw.

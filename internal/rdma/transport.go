@@ -79,10 +79,6 @@ type TransportConfig struct {
 	ReplayDepth int
 	// Faults is the deterministic fault schedule (nil = healthy).
 	Faults *faults.RDMASchedule
-	// Injector is the legacy per-verb completion-error hook (e.g. a
-	// seeded faults.Injector's Verb method); consulted on every attempt
-	// in addition to Faults.
-	Injector func(op string, addr int) error
 	// OnShed is charged whenever the transport irrecoverably drops
 	// records destined for a sub-window (overflow, eviction,
 	// invalidation). Nil ignores the charge.
@@ -190,9 +186,8 @@ type Transport struct {
 	replayDepth int
 	retryWait   time.Duration
 
-	faults   *faults.RDMASchedule
-	injector func(op string, addr int) error
-	onShed   func(sw uint64, n int)
+	faults *faults.RDMASchedule
+	onShed func(sw uint64, n int)
 
 	stats TransportStats
 }
@@ -201,14 +196,13 @@ type Transport struct {
 func NewTransport(cfg TransportConfig) *Transport {
 	mr := NewMemoryRegion(cfg.Rows, cfg.Lanes, cfg.BufCap)
 	t := &Transport{
-		mr:       mr,
-		nic:      NewNIC(mr),
-		mat:      NewAddressMAT(cfg.Rows),
-		rows:     make(map[packet.FlowKey]int),
-		hotRows:  make([]hotRow, 0, cfg.Rows),
-		faults:   cfg.Faults,
-		injector: cfg.Injector,
-		onShed:   cfg.OnShed,
+		mr:      mr,
+		nic:     NewNIC(mr),
+		mat:     NewAddressMAT(cfg.Rows),
+		rows:    make(map[packet.FlowKey]int),
+		hotRows: make([]hotRow, 0, cfg.Rows),
+		faults:  cfg.Faults,
+		onShed:  cfg.OnShed,
 	}
 	switch {
 	case cfg.VerbRetries < 0:
@@ -318,18 +312,6 @@ func (t *Transport) HotRows() int {
 	return len(t.rows)
 }
 
-// verbFault draws one attempt's completion-error fate from the schedule
-// and the legacy injector hook. Caller holds t.mu.
-func (t *Transport) verbFault(op string, addr int, idx uint64, attempt int) bool {
-	if t.faults.VerbErrorAt(idx, attempt) {
-		return true
-	}
-	if t.injector != nil && t.injector(op, addr) != nil {
-		return true
-	}
-	return false
-}
-
 // slot returns the ring slot PSN p maps to.
 func (t *Transport) slot(p uint32) *pendingVerb {
 	return &t.ring[p&uint32(len(t.ring)-1)]
@@ -428,11 +410,6 @@ func (t *Transport) Send(rec packet.AFR) (hot, delivered bool) {
 		return false, false
 	}
 	base, isHot := t.rows[rec.Key]
-	op, addr := "append", -1
-	if isHot {
-		op = "write"
-		addr = base + int(rec.SubWindow)%t.mr.Lanes()
-	}
 	idx := t.verbIdx
 	t.verbIdx++
 	backoff := t.rnrBackoff
@@ -447,7 +424,7 @@ func (t *Transport) Send(rec packet.AFR) (hot, delivered bool) {
 				backoff = maxBackoff
 			}
 		}
-		if t.verbFault(op, addr, idx, a) {
+		if t.faults.VerbErrorAt(idx, a) {
 			t.stats.VerbErrors++
 			continue
 		}
@@ -459,7 +436,7 @@ func (t *Transport) Send(rec packet.AFR) (hot, delivered bool) {
 			return isHot, true
 		}
 		if isHot {
-			if t.nic.Write(addr, rec.Attr) != nil {
+			if t.nic.Write(base+int(rec.SubWindow)%t.mr.Lanes(), rec.Attr) != nil {
 				t.stats.VerbErrors++
 				continue
 			}
@@ -619,11 +596,7 @@ func (t *Transport) Replay(psns []uint32) int {
 		// to write: it replays as a cold append.
 		base, hot := t.rows[e.rec.Key]
 		hot = hot && e.hot
-		op, addr := "append", -1
-		if hot {
-			op, addr = "write", base+int(e.rec.SubWindow)%t.mr.Lanes()
-		}
-		if t.verbFault(op, addr, e.idx, e.attempts) {
+		if t.faults.VerbErrorAt(e.idx, e.attempts) {
 			t.stats.VerbErrors++
 			continue
 		}
@@ -632,7 +605,7 @@ func (t *Transport) Replay(psns []uint32) int {
 			continue
 		}
 		if hot {
-			if t.nic.Write(addr, e.rec.Attr) != nil {
+			if t.nic.Write(base+int(e.rec.SubWindow)%t.mr.Lanes(), e.rec.Attr) != nil {
 				t.stats.VerbErrors++
 				continue
 			}

@@ -72,7 +72,7 @@ func (d *Deployment) finishAt(at int64) []WindowResult {
 	d.Tick(at)
 	d.now = at + 1<<40
 	d.runDueCollections()
-	return d.results
+	return d.Results()
 }
 
 // TestNetworkWideSpikeHandling sends a packet whose stamp is older than

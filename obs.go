@@ -69,8 +69,8 @@ func (d *Deployment) setupObs() error {
 	// RDMA transport: the QP state gauge and the fault/recovery counters
 	// are scrape-time functions over the transport's own (mutex-guarded)
 	// stats, so the hot send path carries no extra instrumentation.
-	if d.rdma != nil {
-		tr := d.rdma
+	if rp, ok := d.transport.(*rdmaPath); ok {
+		tr := rp.tr
 		d.reg.GaugeFunc(n("omniwindow_rdma_qp_state"), "RDMA queue pair state (0=RTS, 1=Error, 2=Recovering)",
 			func() int64 { return int64(tr.State()) })
 		d.reg.CounterFunc(n("omniwindow_rdma_verb_errors_total"), "RDMA verb completion errors (injected CQ errors)",

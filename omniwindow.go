@@ -33,7 +33,6 @@ import (
 	"omniwindow/internal/faults"
 	"omniwindow/internal/obs"
 	"omniwindow/internal/packet"
-	"omniwindow/internal/rdma"
 	"omniwindow/internal/switchsim"
 	"omniwindow/internal/window"
 )
@@ -128,10 +127,9 @@ type Config struct {
 	// AFRFaults optionally pushes every controller-bound AFR packet —
 	// first transmissions and retransmissions alike — through a seeded
 	// fault schedule (drop/duplicate; the in-process path carries
-	// structs, not bytes, so truncation/corruption do not apply). With
-	// RDMA enabled the same injector also supplies verb completion
-	// errors. Chaos-testing use: it turns the deployment's lossless
-	// internal wire into an adversarial one.
+	// structs, not bytes, so truncation/corruption do not apply).
+	// Chaos-testing use: it turns the deployment's lossless internal wire
+	// into an adversarial one.
 	AFRFaults *faults.Injector
 
 	// CheckpointDir enables controller durability: at sub-window
@@ -225,9 +223,6 @@ type Config struct {
 	// config is served over UDP (see CollectorConfig); <= 0 uses the
 	// collector default. Negative values are rejected.
 	MaxQueueDepth int
-	// ShedPolicy selects what the network collector's admission control
-	// drops under overload.
-	ShedPolicy controller.ShedPolicy
 
 	// RDMA enables the §7 collection path: AFRs land in registered
 	// controller memory via simulated WRITE verbs, with hot keys cached
@@ -409,24 +404,16 @@ type Deployment struct {
 	ctrls []*controller.Controller
 	ctrl  *controller.Controller
 
-	// RDMA path: the fault-tolerant transport (QP state machine, PSN
-	// replay window, AddressMAT) plus the key-hotness tracker that
-	// drives promotions.
-	rdma *rdma.Transport
-	hot  *controller.HotTracker
+	// transport carries each boundary's AFRs to the controller: packets,
+	// or the §7 verbs (transport.go).
+	transport collectTransport
 
 	spilled map[uint64][]packet.FlowKey
 	pending []pendingCR
-	// results aliases appResults[0]; per-app windows live in appResults.
-	results    []controller.WindowResult
+	// appResults holds each app's completed windows.
 	appResults [][]controller.WindowResult
 	stats      Stats
 	now        int64
-	// collectAt is the current collection's boundary-anchored due time
-	// (termination + grace). The standby's partition probe observes the
-	// lease at this instant — the boundary it runs at — not at d.now,
-	// which a trailing-flush time jump may have moved arbitrarily far.
-	collectAt int64
 
 	// regionOwner tracks which sub-window's state each memory region
 	// currently holds, so stale terminations cannot reset a region a
@@ -486,18 +473,14 @@ type Deployment struct {
 	afrPktCount int
 
 	// Hot-path staging scratch, reused across deliveries so steady-state
-	// ingest and WAL grouping allocate nothing (see durability.go logBatch
-	// and deployment.go ingestByApp). Deliveries are single-threaded per
-	// deployment, so plain fields suffice. scratch is the pipeline's packet
-	// in flight: ProcessPacket's copy of a traffic packet, or a collection's
-	// control packet (injectSpecial). batch is the boundary's delivery
-	// batch (batchAFRs/flushAFRs): its record buffer has fixed capacity
-	// afrBatchCap and is empty between boundaries.
+	// WAL grouping allocates nothing (see durability.go appendGroups; the
+	// delivery batch itself is the transport's). Deliveries are
+	// single-threaded per deployment, so plain fields suffice. scratch is
+	// the pipeline's packet in flight: ProcessPacket's copy of a traffic
+	// packet, or a collection's control packet (injectSpecial).
 	scratch  packet.Packet
-	batch    packet.Packet
 	walKeys  []walKey
 	walParts [][]packet.AFR
-	appParts [][]packet.AFR
 }
 
 // walKey identifies one WAL frame's grouping: (controller shard,
@@ -513,111 +496,126 @@ type pendingCR struct {
 	due int64
 }
 
-// New validates the configuration and builds a deployment.
-func New(cfg Config) (*Deployment, error) {
-	if cfg.Signal == nil {
-		if cfg.SubWindow <= 0 {
-			return nil, fmt.Errorf("omniwindow: SubWindow must be positive when no custom Signal is given")
-		}
-		cfg.Signal = window.TimeoutSignal{Interval: int64(cfg.SubWindow)}
+// validate rejects configurations New cannot build. It reads cfg as the
+// caller wrote it; withDefaults runs after.
+func (cfg *Config) validate() error {
+	if cfg.Signal == nil && cfg.SubWindow <= 0 {
+		return fmt.Errorf("omniwindow: SubWindow must be positive when no custom Signal is given")
 	}
 	if err := cfg.Plan.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if cfg.RetryBackoff < 0 {
-		return nil, fmt.Errorf("omniwindow: RetryBackoff must be non-negative, got %v (use RetryLimit < 0 to disable recovery)", cfg.RetryBackoff)
+		return fmt.Errorf("omniwindow: RetryBackoff must be non-negative, got %v (use RetryLimit < 0 to disable recovery)", cfg.RetryBackoff)
 	}
 	if cfg.RetryMaxBackoff < 0 {
-		return nil, fmt.Errorf("omniwindow: RetryMaxBackoff must be non-negative, got %v", cfg.RetryMaxBackoff)
+		return fmt.Errorf("omniwindow: RetryMaxBackoff must be non-negative, got %v", cfg.RetryMaxBackoff)
 	}
 	if cfg.MaxQueueDepth < 0 {
-		return nil, fmt.Errorf("omniwindow: MaxQueueDepth must be non-negative, got %d (0 means the collector default)", cfg.MaxQueueDepth)
+		return fmt.Errorf("omniwindow: MaxQueueDepth must be non-negative, got %d (0 means the collector default)", cfg.MaxQueueDepth)
 	}
 	if cfg.CheckpointEvery < 0 {
-		return nil, fmt.Errorf("omniwindow: CheckpointEvery must be non-negative, got %d (0 means every boundary)", cfg.CheckpointEvery)
+		return fmt.Errorf("omniwindow: CheckpointEvery must be non-negative, got %d (0 means every boundary)", cfg.CheckpointEvery)
 	}
 	if cfg.CheckpointEvery > 1 {
 		if cfg.CheckpointDir == "" {
-			return nil, fmt.Errorf("omniwindow: CheckpointEvery %d is set but CheckpointDir is empty — nothing would be checkpointed", cfg.CheckpointEvery)
+			return fmt.Errorf("omniwindow: CheckpointEvery %d is set but CheckpointDir is empty — nothing would be checkpointed", cfg.CheckpointEvery)
 		}
 		if cfg.CheckpointEvery%cfg.Plan.Slide != 0 && cfg.Plan.Slide%cfg.CheckpointEvery != 0 {
-			return nil, fmt.Errorf("omniwindow: CheckpointEvery %d does not align with the plan's slide %d (it must be a multiple or a divisor, so checkpoints land at window-emission cadence)", cfg.CheckpointEvery, cfg.Plan.Slide)
+			return fmt.Errorf("omniwindow: CheckpointEvery %d does not align with the plan's slide %d (it must be a multiple or a divisor, so checkpoints land at window-emission cadence)", cfg.CheckpointEvery, cfg.Plan.Slide)
 		}
 	}
 	if cfg.CheckpointDir == "" {
 		if cfg.DiskFaults != nil || cfg.WALSegmentBytes != 0 || cfg.DurabilityRetryLimit != 0 ||
 			cfg.DurabilityRetryBackoff != 0 || cfg.DurabilityRetryMaxBackoff != 0 || cfg.ScrubDepth != 0 {
-			return nil, fmt.Errorf("omniwindow: DiskFaults/WALSegmentBytes/DurabilityRetry*/ScrubDepth require CheckpointDir — there is no durable store to apply them to")
+			return fmt.Errorf("omniwindow: DiskFaults/WALSegmentBytes/DurabilityRetry*/ScrubDepth require CheckpointDir — there is no durable store to apply them to")
 		}
 	}
 	if cfg.WALSegmentBytes < 0 {
-		return nil, fmt.Errorf("omniwindow: WALSegmentBytes must be non-negative, got %d (0 means the durable default)", cfg.WALSegmentBytes)
+		return fmt.Errorf("omniwindow: WALSegmentBytes must be non-negative, got %d (0 means the durable default)", cfg.WALSegmentBytes)
 	}
 	if cfg.DurabilityRetryBackoff < 0 {
-		return nil, fmt.Errorf("omniwindow: DurabilityRetryBackoff must be non-negative, got %v (use DurabilityRetryLimit < 0 to disable retries)", cfg.DurabilityRetryBackoff)
+		return fmt.Errorf("omniwindow: DurabilityRetryBackoff must be non-negative, got %v (use DurabilityRetryLimit < 0 to disable retries)", cfg.DurabilityRetryBackoff)
 	}
 	if cfg.DurabilityRetryMaxBackoff < 0 {
-		return nil, fmt.Errorf("omniwindow: DurabilityRetryMaxBackoff must be non-negative, got %v", cfg.DurabilityRetryMaxBackoff)
+		return fmt.Errorf("omniwindow: DurabilityRetryMaxBackoff must be non-negative, got %v", cfg.DurabilityRetryMaxBackoff)
 	}
 	if cfg.Standby {
 		if cfg.CheckpointDir == "" {
-			return nil, fmt.Errorf("omniwindow: Standby requires CheckpointDir — the standby promotes from tailed checkpoints")
+			return fmt.Errorf("omniwindow: Standby requires CheckpointDir — the standby promotes from tailed checkpoints")
 		}
 		if cfg.Shards <= 0 {
-			return nil, fmt.Errorf("omniwindow: Standby requires an explicit Shards count, got %d — primary and standby must agree on the WAL's shard layout across restarts", cfg.Shards)
+			return fmt.Errorf("omniwindow: Standby requires an explicit Shards count, got %d — primary and standby must agree on the WAL's shard layout across restarts", cfg.Shards)
 		}
 		if cfg.CheckpointEvery > 1 {
-			return nil, fmt.Errorf("omniwindow: Standby requires CheckpointEvery 1, got %d — only the in-flight sub-window's switch state is still queryable at takeover", cfg.CheckpointEvery)
+			return fmt.Errorf("omniwindow: Standby requires CheckpointEvery 1, got %d — only the in-flight sub-window's switch state is still queryable at takeover", cfg.CheckpointEvery)
 		}
 	}
 	if cfg.PartitionFaults != nil && !cfg.Standby {
-		return nil, fmt.Errorf("omniwindow: PartitionFaults requires Standby — a partition needs two halves to separate")
+		return fmt.Errorf("omniwindow: PartitionFaults requires Standby — a partition needs two halves to separate")
 	}
 	if cfg.ReadmitAfter != 0 && cfg.PartitionFaults == nil {
-		return nil, fmt.Errorf("omniwindow: ReadmitAfter requires PartitionFaults — only a partition demotion leaves a node to re-admit")
+		return fmt.Errorf("omniwindow: ReadmitAfter requires PartitionFaults — only a partition demotion leaves a node to re-admit")
 	}
-	apps := cfg.Apps
+	apps := cfg.appSpecs()
 	if len(apps) == 0 {
-		if cfg.AppFactory == nil {
-			return nil, fmt.Errorf("omniwindow: AppFactory (or Apps) is required")
-		}
-		apps = []AppSpec{{
-			Name:            "app",
-			Factory:         cfg.AppFactory,
-			Kind:            cfg.Kind,
-			Threshold:       cfg.Threshold,
-			Detector:        cfg.Detector,
-			DistinctCounter: cfg.DistinctCounter,
-			CaptureValues:   cfg.CaptureValues,
-			SpikeAttr:       cfg.SpikeAttr,
-		}}
+		return fmt.Errorf("omniwindow: AppFactory (or Apps) is required")
 	}
 	for i, a := range apps {
 		if a.Factory == nil {
-			return nil, fmt.Errorf("omniwindow: app %d has no factory", i)
+			return fmt.Errorf("omniwindow: app %d has no factory", i)
 		}
 	}
 	if cfg.RDMA && len(apps) > 1 {
-		return nil, fmt.Errorf("omniwindow: the RDMA path supports single-app deployments only")
+		return fmt.Errorf("omniwindow: the RDMA path supports single-app deployments only")
 	}
 	if !cfg.RDMA && (cfg.RDMAFaults != nil || cfg.RDMAVerbRetries != 0 || cfg.RDMAReplayDepth != 0) {
-		return nil, fmt.Errorf("omniwindow: RDMAFaults/RDMAVerbRetries/RDMAReplayDepth require RDMA")
+		return fmt.Errorf("omniwindow: RDMAFaults/RDMAVerbRetries/RDMAReplayDepth require RDMA")
 	}
 	if cfg.RDMAReplayDepth < 0 {
-		return nil, fmt.Errorf("omniwindow: RDMAReplayDepth must be non-negative, got %d", cfg.RDMAReplayDepth)
+		return fmt.Errorf("omniwindow: RDMAReplayDepth must be non-negative, got %d", cfg.RDMAReplayDepth)
 	}
 	if cfg.Slots <= 0 {
-		return nil, fmt.Errorf("omniwindow: Slots must be positive")
+		return fmt.Errorf("omniwindow: Slots must be positive")
+	}
+	if cfg.CheckpointDir != "" && len(apps) > 1 {
+		return fmt.Errorf("omniwindow: durability supports single-app deployments only, got %d apps", len(apps))
+	}
+	return nil
+}
+
+// appSpecs lists the co-deployed apps: Apps, or the one app the
+// single-app fields describe (none without an AppFactory).
+func (cfg *Config) appSpecs() []AppSpec {
+	if len(cfg.Apps) > 0 || cfg.AppFactory == nil {
+		return cfg.Apps
+	}
+	return []AppSpec{{
+		Name:            "app",
+		Factory:         cfg.AppFactory,
+		Kind:            cfg.Kind,
+		Threshold:       cfg.Threshold,
+		Detector:        cfg.Detector,
+		DistinctCounter: cfg.DistinctCounter,
+		CaptureValues:   cfg.CaptureValues,
+		SpikeAttr:       cfg.SpikeAttr,
+	}}
+}
+
+// withDefaults resolves every zero-means-default field of a validated
+// configuration.
+func (cfg Config) withDefaults() Config {
+	if cfg.Signal == nil {
+		cfg.Signal = window.TimeoutSignal{Interval: int64(cfg.SubWindow)}
 	}
 	if cfg.Tracker.BloomBits == 0 {
 		cfg.Tracker = afr.DefaultTrackerConfig()
 	}
 	cfg.Tracker.Regions = 2
 	if cfg.CollectionPackets <= 0 {
+		cfg.CollectionPackets = 3
 		if cfg.RDMA {
 			cfg.CollectionPackets = 16
-		} else {
-			cfg.CollectionPackets = 3
 		}
 	}
 	if cfg.Costs == (switchsim.CostModel{}) {
@@ -632,13 +630,59 @@ func New(cfg Config) (*Deployment, error) {
 	if cfg.AddressMATSize <= 0 {
 		cfg.AddressMATSize = 4096
 	}
+	return cfg
+}
 
+// newController builds one app's controller — a primary, or the standby
+// that must agree with it on everything.
+func newController(cfg *Config, spec AppSpec) (*controller.Controller, error) {
+	return controller.NewWithError(controller.Config{
+		Plan:            cfg.Plan,
+		Kind:            spec.Kind,
+		Threshold:       spec.Threshold,
+		Detector:        spec.Detector,
+		DistinctCounter: spec.DistinctCounter,
+		CaptureValues:   spec.CaptureValues,
+		Shards:          cfg.Shards,
+		ExpectedFlows:   cfg.ExpectedFlows,
+	})
+}
+
+// newEngine builds the AFR engine over each region's application state.
+func newEngine(cfg *Config, apps []AppSpec, regions window.Regions) (*afr.Engine, error) {
+	perRegion := make([][]afr.StateApp, 2)
+	for r := range perRegion {
+		for ai, spec := range apps {
+			a := spec.Factory(r)
+			switch {
+			case a == nil:
+				return nil, fmt.Errorf("omniwindow: app %d factory returned nil for region %d", ai, r)
+			case len(apps) == 1 && a.Slots() != cfg.Slots:
+				return nil, fmt.Errorf("omniwindow: region %d app has %d slots, config says %d", r, a.Slots(), cfg.Slots)
+			case a.Slots() > cfg.Slots:
+				return nil, fmt.Errorf("omniwindow: app %d has %d slots exceeding the configured %d", ai, a.Slots(), cfg.Slots)
+			}
+			perRegion[r] = append(perRegion[r], a)
+		}
+	}
+	engine := afr.NewMultiEngine(afr.NewTracker(cfg.Tracker), perRegion, regions)
+	if cfg.KeyOf != nil {
+		engine.SetKeyFunc(cfg.KeyOf)
+	}
+	return engine, nil
+}
+
+// New validates the configuration and builds a deployment.
+func New(cfg Config) (*Deployment, error) {
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	cfg = cfg.withDefaults()
 	d := &Deployment{
 		cfg:     cfg,
-		apps:    apps,
+		apps:    cfg.appSpecs(),
 		spilled: make(map[uint64][]packet.FlowKey),
 	}
-	d.batch.OW.AFRs = make([]packet.AFR, 0, afrBatchCap)
 	d.sw = switchsim.NewWithCapacity(0, switchsim.DefaultCapacity(), cfg.Costs)
 
 	regions := window.NewRegions(2, cfg.Slots)
@@ -646,81 +690,29 @@ func New(cfg Config) (*Deployment, error) {
 	if d.preserve == 0 {
 		d.preserve = regions.N() - 1
 	}
-	manager, err := window.NewManagerPreserve(cfg.Signal, regions, d.preserve)
-	if err != nil {
+	var err error
+	if d.manager, err = window.NewManagerPreserve(cfg.Signal, regions, d.preserve); err != nil {
 		return nil, fmt.Errorf("omniwindow: %w", err)
 	}
-	d.manager = manager
-
-	perRegion := make([][]afr.StateApp, 2)
-	for r := range perRegion {
-		for ai, spec := range apps {
-			a := spec.Factory(r)
-			if a == nil {
-				return nil, fmt.Errorf("omniwindow: app %d factory returned nil for region %d", ai, r)
-			}
-			if len(apps) == 1 && a.Slots() != cfg.Slots {
-				return nil, fmt.Errorf("omniwindow: region %d app has %d slots, config says %d", r, a.Slots(), cfg.Slots)
-			}
-			if a.Slots() > cfg.Slots {
-				return nil, fmt.Errorf("omniwindow: app %d has %d slots exceeding the configured %d", ai, a.Slots(), cfg.Slots)
-			}
-			perRegion[r] = append(perRegion[r], a)
-		}
+	if d.engine, err = newEngine(&d.cfg, d.apps, regions); err != nil {
+		return nil, err
 	}
-	d.engine = afr.NewMultiEngine(afr.NewTracker(cfg.Tracker), perRegion, regions)
-	if cfg.KeyOf != nil {
-		d.engine.SetKeyFunc(cfg.KeyOf)
-	}
-
-	d.appResults = make([][]controller.WindowResult, len(apps))
-	for i, spec := range apps {
-		ctrl, err := controller.NewWithError(controller.Config{
-			Plan:            cfg.Plan,
-			Kind:            spec.Kind,
-			Threshold:       spec.Threshold,
-			Detector:        spec.Detector,
-			DistinctCounter: spec.DistinctCounter,
-			CaptureValues:   spec.CaptureValues,
-			Shards:          cfg.Shards,
-			ExpectedFlows:   cfg.ExpectedFlows,
-		})
+	d.appResults = make([][]controller.WindowResult, len(d.apps))
+	for i, spec := range d.apps {
+		ctrl, err := newController(&d.cfg, spec)
 		if err != nil {
 			return nil, fmt.Errorf("omniwindow: app %d controller: %w", i, err)
 		}
 		d.ctrls = append(d.ctrls, ctrl)
 	}
 	d.ctrl = d.ctrls[0]
-
-	if cfg.RDMA {
-		var injector func(op string, addr int) error
-		if cfg.AFRFaults != nil {
-			injector = cfg.AFRFaults.Verb
-		}
-		d.rdma = rdma.NewTransport(rdma.TransportConfig{
-			Rows:        cfg.AddressMATSize,
-			Lanes:       cfg.Plan.Size,
-			BufCap:      1 << 18,
-			VerbRetries: cfg.RDMAVerbRetries,
-			ReplayDepth: cfg.RDMAReplayDepth,
-			Faults:      cfg.RDMAFaults,
-			Injector:    injector,
-			// The closure reads d.ctrl at charge time, so shed notes
-			// follow a failover to the promoted standby.
-			OnShed: func(sw uint64, n int) { d.noteRDMAShed(sw, n) },
-		})
-		d.hot = controller.NewHotTracker(cfg.AddressMATSize, cfg.HotThreshold)
-	}
+	d.transport = newTransport(d)
 
 	if cfg.CheckpointDir != "" {
-		if len(apps) > 1 {
-			return nil, fmt.Errorf("omniwindow: durability supports single-app deployments only, got %d apps", len(apps))
-		}
 		if err := d.openDurability(); err != nil {
 			return nil, err
 		}
 	}
-
 	if err := d.setupObs(); err != nil {
 		return nil, err
 	}
@@ -736,70 +728,11 @@ func New(cfg Config) (*Deployment, error) {
 	return d, nil
 }
 
-// openDurability opens the checkpoint/WAL store and, when configured,
-// builds the hot-standby controller and the liveness lease.
-func (d *Deployment) openDurability() error {
-	cfg := &d.cfg
-	d.ckptShards = d.ctrl.Shards()
-	opts := durable.Options{
-		SegmentBytes:    cfg.WALSegmentBytes,
-		RetryLimit:      cfg.DurabilityRetryLimit,
-		RetryBackoff:    cfg.DurabilityRetryBackoff,
-		RetryMaxBackoff: cfg.DurabilityRetryMaxBackoff,
-		ScrubDepth:      cfg.ScrubDepth,
-	}
-	if cfg.DiskFaults != nil {
-		opts.FS = durable.NewFaultFS(durable.OSFS{}, cfg.DiskFaults)
-	}
-	store, err := durable.OpenStore(cfg.CheckpointDir, d.ckptShards, opts)
-	if err != nil {
-		return fmt.Errorf("omniwindow: %w", err)
-	}
-	d.store = store
-	// The opener implicitly adopts the persisted term (the store loads
-	// the term file — or rebuilds authority from segment headers — and
-	// resumes writing under it). A CAS only happens at promotion: the
-	// term advances when a standby takes over, never on a plain restart,
-	// so the WAL's term sequence reads as the exact failover history.
-	d.term = store.Term()
-	if !cfg.Standby {
-		return nil
-	}
-	spec := d.apps[0]
-	standby, err := controller.NewWithError(controller.Config{
-		Plan:            cfg.Plan,
-		Kind:            spec.Kind,
-		Threshold:       spec.Threshold,
-		Detector:        spec.Detector,
-		DistinctCounter: spec.DistinctCounter,
-		CaptureValues:   spec.CaptureValues,
-		Shards:          cfg.Shards,
-		ExpectedFlows:   cfg.ExpectedFlows,
-	})
-	if err != nil {
-		return fmt.Errorf("omniwindow: standby controller: %w", err)
-	}
-	d.standby = standby
-	ttl := cfg.LeaseTTL
-	if ttl <= 0 {
-		ttl = 2 * cfg.SubWindow
-	}
-	if ttl <= 0 {
-		ttl = 2 * cfg.Grace
-	}
-	d.lease = durable.NewLease(int64(ttl))
-	d.lease.Renew(0)
-	return nil
-}
-
 // CollectorConfig translates the deployment's overload knobs into the UDP
 // collector's admission-control settings, for callers serving this config
 // over the network (see examples/udpcollector).
 func (c Config) CollectorConfig() controller.CollectorConfig {
-	return controller.CollectorConfig{
-		MaxQueueDepth: c.MaxQueueDepth,
-		Policy:        c.ShedPolicy,
-	}
+	return controller.CollectorConfig{MaxQueueDepth: c.MaxQueueDepth}
 }
 
 // Crashed reports whether (and at which sub-window boundary) the
@@ -974,7 +907,7 @@ func (d *Deployment) Feasibility() Feasibility {
 
 // Results returns the windows completed so far (the first app's, which is
 // the only one in single-app deployments).
-func (d *Deployment) Results() []controller.WindowResult { return d.results }
+func (d *Deployment) Results() []controller.WindowResult { return d.appResults[0] }
 
 // ResultsFor returns a co-deployed app's completed windows by index.
 func (d *Deployment) ResultsFor(app int) []controller.WindowResult {

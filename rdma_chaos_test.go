@@ -145,7 +145,7 @@ func TestRDMAChaosByteIdentical(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			d := runRDMAChaos(t, func(c *Config) { c.RDMAFaults = tc.sched })
-			st := d.rdma.Stats()
+			st := rdmaOf(d).Stats()
 			if msg := tc.exercised(st); msg != "" {
 				t.Fatalf("%s: %+v", msg, st)
 			}
@@ -180,7 +180,7 @@ func TestRDMAChaosBeyondBudgetDegrades(t *testing.T) {
 		c.RDMAReplayDepth = 8
 		c.RetryLimit = 2
 	})
-	st := d.rdma.Stats()
+	st := rdmaOf(d).Stats()
 	if st.Lost == 0 {
 		t.Fatalf("beyond-budget schedule lost nothing: %+v", st)
 	}
@@ -238,7 +238,7 @@ func TestRDMAChaosFallbackNeverDoubleCounts(t *testing.T) {
 			c.RDMAReplayDepth = depth
 			c.RetryLimit = 2
 		})
-		st := d.rdma.Stats()
+		st := rdmaOf(d).Stats()
 		if st.Lost == 0 {
 			if !reflect.DeepEqual(baseline.Results(), d.Results()) {
 				t.Fatalf("trial %d (depth %d): lossless run not byte-identical", trial, depth)
@@ -281,7 +281,7 @@ func TestRDMAChaosFailoverReregisters(t *testing.T) {
 	if d.Stats().Failovers != 1 {
 		t.Fatalf("failovers = %d, want 1", d.Stats().Failovers)
 	}
-	st := d.rdma.Stats()
+	st := rdmaOf(d).Stats()
 	if st.Reregistrations == 0 {
 		t.Fatal("promoted standby never re-registered the memory region")
 	}
@@ -305,8 +305,8 @@ func TestRDMAChaosDeterministic(t *testing.T) {
 		})
 	}
 	d1, d2 := run(), run()
-	if d1.rdma.Stats() != d2.rdma.Stats() {
-		t.Fatalf("same schedule, different transport stats:\n%+v\n%+v", d1.rdma.Stats(), d2.rdma.Stats())
+	if rdmaOf(d1).Stats() != rdmaOf(d2).Stats() {
+		t.Fatalf("same schedule, different transport stats:\n%+v\n%+v", rdmaOf(d1).Stats(), rdmaOf(d2).Stats())
 	}
 	if d1.Stats() != d2.Stats() {
 		t.Fatalf("same schedule, different run stats:\n%+v\n%+v", d1.Stats(), d2.Stats())

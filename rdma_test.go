@@ -7,6 +7,9 @@ import (
 	"omniwindow/internal/window"
 )
 
+// rdmaOf reaches the deployment's RDMA transport (white-box).
+func rdmaOf(d *Deployment) *rdma.Transport { return d.transport.(*rdmaPath).tr }
+
 // TestRDMAColdBufferOverflowFallsBack forces the cold-key append buffer to
 // overflow: records must fall back to the packet path instead of being
 // lost, so window values stay exact.
@@ -20,7 +23,7 @@ func TestRDMAColdBufferOverflowFallsBack(t *testing.T) {
 	}
 	// Rewire the transport onto an 8-record cold buffer (white-box),
 	// keeping the deployment's shed hook so overflow is charged.
-	d.rdma = rdma.NewTransport(rdma.TransportConfig{
+	d.transport.(*rdmaPath).tr = rdma.NewTransport(rdma.TransportConfig{
 		Rows: cfg.AddressMATSize, Lanes: cfg.Plan.Size, BufCap: 8,
 		OnShed: func(sw uint64, n int) { d.noteRDMAShed(sw, n) },
 	})
@@ -50,7 +53,7 @@ func TestRDMAColdBufferOverflowFallsBack(t *testing.T) {
 	if d.stats.ColdAFRs >= 40 {
 		t.Fatalf("cold buffer never overflowed (cold=%d)", d.stats.ColdAFRs)
 	}
-	if st := d.rdma.Stats(); st.Overflows == 0 || d.stats.FallbackAFRs != st.Overflows {
+	if st := rdmaOf(d).Stats(); st.Overflows == 0 || d.stats.FallbackAFRs != st.Overflows {
 		t.Fatalf("overflow fallback not accounted: transport %+v, deployment fallbacks %d",
 			st, d.stats.FallbackAFRs)
 	}
@@ -97,8 +100,8 @@ func TestRDMAHotPromotionLifecycle(t *testing.T) {
 	}
 	// Flow 2 appeared once: never hot. Flow 1 may or may not have been
 	// demoted by the trailing decay, but the MAT must hold at most it.
-	if d.rdma.MATLen() > 1 {
-		t.Fatalf("address MAT holds %d entries, want <= 1", d.rdma.MATLen())
+	if rdmaOf(d).MATLen() > 1 {
+		t.Fatalf("address MAT holds %d entries, want <= 1", rdmaOf(d).MATLen())
 	}
 	// Totals survive both paths.
 	total := uint64(0)

@@ -1,0 +1,277 @@
+package omniwindow
+
+import (
+	"time"
+
+	"omniwindow/internal/controller"
+	"omniwindow/internal/obs"
+	"omniwindow/internal/packet"
+	"omniwindow/internal/rdma"
+	"omniwindow/internal/wire"
+)
+
+// collectTransport is how a boundary's AFRs travel from the switch to the
+// controller (§7: as packets, or as RDMA verbs into registered memory).
+// The boundary pipeline drives one through these calls in a fixed order
+// and never asks which one it holds; the two implementations below are
+// the only code that knows.
+type collectTransport interface {
+	// begin: faults scheduled before sw's collection traffic strike.
+	begin(sw uint64)
+	// deliver sends one surviving AFR packet's records toward the
+	// controller. They may park short of it until the next flush: every
+	// reader of controller or store state sits behind one.
+	deliver(flag packet.OWFlag, recs []packet.AFR)
+	flush()
+	// beginRecovery: faults scheduled between the collection traffic and
+	// recovery strike. missing then lists what to NACK for sw (valid until
+	// the next call) and replay answers one round of it.
+	beginRecovery(sw uint64)
+	missing(sw uint64, owned bool) []uint32
+	replay(seqs []uint32)
+	// drain hands the controller what the transport still holds for sw,
+	// charges the controller CPU that receiving the boundary's afrs
+	// records cost, and returns the virtual time sending them waited.
+	drain(sw uint64, afrs int) time.Duration
+	// windowClosed runs after each boundary that completed a window.
+	windowClosed()
+	// reregister follows a promotion: the new controller owns fresh memory.
+	reregister()
+}
+
+// newTransport builds the deployment's collection transport.
+func newTransport(d *Deployment) collectTransport {
+	cfg := &d.cfg
+	if !cfg.RDMA {
+		batch := packet.OWHeader{AFRs: make([]packet.AFR, 0, afrBatchCap)}
+		return &packetPath{d: d, batch: packet.Packet{OW: batch}}
+	}
+	return &rdmaPath{
+		d: d,
+		tr: rdma.NewTransport(rdma.TransportConfig{
+			Rows:        cfg.AddressMATSize,
+			Lanes:       cfg.Plan.Size,
+			BufCap:      1 << 18,
+			VerbRetries: cfg.RDMAVerbRetries,
+			ReplayDepth: cfg.RDMAReplayDepth,
+			Faults:      cfg.RDMAFaults,
+			// noteRDMAShed reads d.ctrl at charge time, so shed notes
+			// follow a failover to the promoted standby.
+			OnShed: d.noteRDMAShed,
+		}),
+		hot:    controller.NewHotTracker(cfg.AddressMATSize, cfg.HotThreshold),
+		parked: make([]packet.AFR, 0, afrBatchCap),
+	}
+}
+
+// afrBatchCap is the delivery batch's fixed capacity: one wire datagram's
+// worth of records per WAL append and controller ingest.
+const afrBatchCap = wire.MaxAFRsPerDatagram
+
+// packetPath carries AFRs as packets (DPDK RX). Nothing strikes it at a
+// boundary and it holds no memory of its own, so those calls are empty.
+type packetPath struct {
+	d *Deployment
+	// batch is the delivery batch: its record buffer has fixed capacity
+	// afrBatchCap and is empty between boundaries.
+	batch packet.Packet
+	// appParts is ingestByApp's per-app staging, reused across batches.
+	appParts [][]packet.AFR
+}
+
+func (p *packetPath) begin(uint64)         {}
+func (p *packetPath) beginRecovery(uint64) {}
+func (p *packetPath) windowClosed()        {}
+func (p *packetPath) reregister()          {}
+
+// deliver copies records into the delivery batch, flushing whenever it
+// fills and before the flag changes between OWAFR and OWRetransmit (the
+// controller's recovery accounting is per delivered packet).
+func (p *packetPath) deliver(flag packet.OWFlag, recs []packet.AFR) {
+	b := &p.batch.OW
+	if b.Flag != flag {
+		p.flush()
+		b.Flag = flag
+	}
+	for len(recs) > 0 {
+		n := copy(b.AFRs[len(b.AFRs):cap(b.AFRs)], recs)
+		b.AFRs, recs = b.AFRs[:len(b.AFRs)+n], recs[n:]
+		if len(b.AFRs) == cap(b.AFRs) {
+			p.flush()
+		}
+	}
+}
+
+// flush delivers the batched records as one packet: one WAL append, then
+// one controller ingest.
+func (p *packetPath) flush() {
+	b := &p.batch.OW
+	if len(b.AFRs) == 0 {
+		return
+	}
+	p.d.logBatch(b.Flag == packet.OWRetransmit, b.AFRs)
+	if len(p.d.ctrls) == 1 {
+		p.d.ctrl.Receive(&p.batch)
+	} else {
+		p.ingestByApp(b.AFRs)
+	}
+	b.AFRs = b.AFRs[:0]
+}
+
+// ingestByApp routes records to their app's controller, batched per app
+// so each controller sees one IngestAFRs call per delivered packet
+// instead of one per record.
+func (p *packetPath) ingestByApp(recs []packet.AFR) {
+	ctrls := p.d.ctrls
+	if p.appParts == nil {
+		p.appParts = make([][]packet.AFR, len(ctrls))
+	}
+	for _, r := range recs {
+		if int(r.App) < len(ctrls) {
+			p.appParts[r.App] = append(p.appParts[r.App], r)
+		}
+	}
+	for app, part := range p.appParts {
+		if len(part) > 0 {
+			ctrls[app].IngestAFRs(part)
+			p.appParts[app] = part[:0]
+		}
+	}
+}
+
+// missing is the controller's sequence gaps — none on an unowned boundary:
+// a region a newer sub-window took over has nothing left to re-query.
+func (p *packetPath) missing(sw uint64, owned bool) []uint32 {
+	if !owned {
+		return nil
+	}
+	return p.d.ctrl.MissingSeqs(sw)
+}
+
+// replay has the switch re-query the NACKed sequence numbers from the
+// still-unreset region and retransmit them — through the fault draw, like
+// any AFR packet.
+func (p *packetPath) replay(seqs []uint32) {
+	d := p.d
+	for _, rp := range d.engine.RetransmitPackets(seqs) {
+		d.stats.Retransmitted += len(rp.OW.AFRs)
+		d.obs.retrans.Add(int64(len(rp.OW.AFRs)))
+		d.deliverAFRs(rp)
+	}
+	p.flush() // MissingSeqs is re-read next
+}
+
+func (p *packetPath) drain(_ uint64, afrs int) time.Duration {
+	p.d.stats.ControllerCPUVirtual += time.Duration(afrs) * p.d.cfg.Costs.DPDKRxPerPacket
+	return 0
+}
+
+// rdmaPath carries AFRs as RDMA verbs (§7): hot keys as WRITEs into
+// per-key rows resolved by the switch-side address MAT, cold keys as
+// appends. It owns the fault-tolerant transport (QP state machine, PSN
+// replay window) and the key-hotness tracker that drives promotions.
+// NACKs are PSN gaps, answered from the replay window instead of
+// re-queried from the switch. What the transport cannot carry rides on as
+// packet-path records, original sequence numbers intact — the controller's
+// dedup makes the hand-off exact (nothing double-counted, nothing lost).
+type rdmaPath struct {
+	d   *Deployment
+	tr  *rdma.Transport
+	hot *controller.HotTracker
+	// parked holds records the transport handed back mid-sub-window, up
+	// to one delivery batch.
+	parked []packet.AFR
+}
+
+// begin: an async QP error here makes every send of the round fall back.
+func (r *rdmaPath) begin(sw uint64) { r.tr.BeginBoundary(sw) }
+
+func (r *rdmaPath) deliver(_ packet.OWFlag, recs []packet.AFR) {
+	st := &r.d.stats
+	for _, rec := range recs {
+		if r.hot.Observe(rec.Key) {
+			r.tr.Promote(rec.Key)
+		}
+		hot, delivered := r.tr.Send(rec)
+		switch {
+		case !delivered:
+			// The transport could not take the record: QP down, retries
+			// exhausted, or the cold buffer overflowed.
+			st.FallbackAFRs++
+			if r.parked = append(r.parked, rec); len(r.parked) == cap(r.parked) {
+				r.flush()
+			}
+		case hot:
+			st.HotAFRs++
+		default:
+			st.ColdAFRs++
+		}
+	}
+}
+
+func (r *rdmaPath) flush() {
+	r.ingest(r.parked)
+	r.parked = r.parked[:0]
+}
+
+// ingest hands RDMA-delivered (or fallen-back) records to the controller,
+// logging them to the WAL first — they become durable at controller-ingest
+// time, exactly when the controller's state starts reflecting them. They
+// are memory writes, not packets: no O1 receive is charged.
+func (r *rdmaPath) ingest(recs []packet.AFR) {
+	if len(recs) > 0 {
+		r.d.logBatch(false, recs)
+		r.d.ctrl.IngestAFRs(recs)
+	}
+}
+
+// beginRecovery: scheduled region invalidations strike and a faulted QP
+// attempts recovery.
+func (r *rdmaPath) beginRecovery(sw uint64) {
+	r.tr.BeginCollect(sw)
+	if r.tr.State() == rdma.QPRecovering {
+		r.d.obs.ring.Record(obs.StageQPRecovered, sw, -1, 0)
+	}
+}
+
+// missing is the controller-side PSN-gap scan. A QP still in Error cannot
+// replay: its gaps go straight to drain's hand-off.
+func (r *rdmaPath) missing(uint64, bool) []uint32 {
+	if r.tr.State() == rdma.QPError {
+		return nil
+	}
+	return r.tr.MissingPSNs()
+}
+
+func (r *rdmaPath) replay(psns []uint32) { r.d.stats.RDMAReplayed += r.tr.Replay(psns) }
+
+// drain first takes the per-key hand-off — what the replay budget could
+// not land on the region — then the cold buffer plus the hot-row readback,
+// zeroing each consumed lane for its next same-lane sub-window. Hot-row
+// records cost the controller CPU nothing.
+func (r *rdmaPath) drain(sw uint64, _ int) time.Duration {
+	d, rx := r.d, r.d.cfg.Costs.DPDKRxPerPacket
+	if fb := r.tr.TakeUnapplied(); len(fb) > 0 {
+		d.stats.FallbackAFRs += len(fb)
+		d.obs.ring.Record(obs.StageRDMAFallback, sw, -1, int64(len(fb)))
+		r.ingest(fb)
+		d.stats.ControllerCPUVirtual += time.Duration(len(fb)) * rx
+	}
+	cold, hot := r.tr.Drain(sw)
+	r.ingest(cold)
+	r.ingest(hot)
+	d.stats.ControllerCPUVirtual += time.Duration(len(cold)) * rx
+	return r.tr.TakeRetryWait()
+}
+
+// windowClosed ages key hotness, demoting keys that stopped recurring.
+func (r *rdmaPath) windowClosed() {
+	for _, k := range r.hot.Decay() {
+		r.tr.Demote(k)
+	}
+}
+
+// reregister rebuilds the switch-side AddressMAT over a fresh region, so
+// hot-key verbs resolve to the new controller's addresses; verbs applied
+// to the old region replay into it through the recovery that follows.
+func (r *rdmaPath) reregister() { r.tr.Reregister() }
