@@ -89,12 +89,11 @@ func (b *boundary) enumerate() {
 
 // probeStandby is the standby's boundary health check, run before recover
 // so that a promotion's re-announced sub-window is repaired into the
-// controller that now serves. A scheduled death of the primary is acted
-// on only while the region still holds the sub-window to recover; the
+// controller that now serves. A scheduled death of the primary is acted on
+// only while the region still holds the sub-window to recover; the
 // partition probe also runs on idle boundaries — the lease lapses on
-// virtual time, not on traffic, so a partition spanning an idle stretch
-// must still promote (nothing is in flight; the re-sent trigger announces
-// an empty key count).
+// virtual time, not on traffic (nothing is in flight then: the re-sent
+// trigger announces an empty key count).
 func (b *boundary) probeStandby() {
 	d := b.d
 	if b.owned && d.standby != nil && !d.failedOver && d.cfg.Crash != nil && d.cfg.Crash.At(b.sw) {
@@ -177,11 +176,10 @@ func (b *boundary) finish() {
 	d.logFinish(b.sw)
 	if d.store != nil {
 		// Disk retry backoffs and injected slow-IO latency accrued since
-		// the last boundary, charged as virtual time to the run's C&R
-		// total. Deliberately NOT folded into MaxCollectVirtual: the §6
-		// two-region feasibility bound is about switch-side region reuse,
-		// and controller-side disk stalls overlap the next sub-window's
-		// traffic instead of holding a region hostage.
+		// the last boundary. Deliberately NOT folded into MaxCollectVirtual:
+		// the §6 two-region bound is about switch-side region reuse, and a
+		// controller-side disk stall overlaps the next sub-window's traffic
+		// instead of holding a region hostage.
 		d.stats.CollectVirtual += time.Duration(d.store.TakeIOWait())
 	}
 	d.renewLease(b.sw)

@@ -15,7 +15,7 @@
 // JSON documents and fails when any shared benchmark slowed down past the
 // tolerance —
 //
-//	benchjson -compare BENCH_PR4.json BENCH_NOW.json -tolerance 0.15
+//	benchjson -compare BENCH_PR15.json BENCH_NOW.json -tolerance 0.15
 //
 // exits 1 if any benchmark's ns/op grew by more than 15%, or if any
 // benchmark's allocs/op grew past the same fractional tolerance when both

@@ -460,8 +460,6 @@ type Deployment struct {
 	obs      deployObs
 	debugSrv *obs.Server
 
-	// preserve is the resolved consistency-model preservation depth.
-	preserve int
 	// decisionHook, when set, observes every traffic packet's window
 	// decision — the fabric's invariant checker uses it to prove no
 	// stale-epoch stamp is ever monitored and spikes are copied once.
@@ -612,6 +610,9 @@ func (cfg Config) withDefaults() Config {
 		cfg.Tracker = afr.DefaultTrackerConfig()
 	}
 	cfg.Tracker.Regions = 2
+	if cfg.Preserve == 0 {
+		cfg.Preserve = cfg.Tracker.Regions - 1 // the deepest depth: every region but the active one
+	}
 	if cfg.CollectionPackets <= 0 {
 		cfg.CollectionPackets = 3
 		if cfg.RDMA {
@@ -685,13 +686,9 @@ func New(cfg Config) (*Deployment, error) {
 	}
 	d.sw = switchsim.NewWithCapacity(0, switchsim.DefaultCapacity(), cfg.Costs)
 
-	regions := window.NewRegions(2, cfg.Slots)
-	d.preserve = cfg.Preserve
-	if d.preserve == 0 {
-		d.preserve = regions.N() - 1
-	}
+	regions := window.NewRegions(cfg.Tracker.Regions, cfg.Slots)
 	var err error
-	if d.manager, err = window.NewManagerPreserve(cfg.Signal, regions, d.preserve); err != nil {
+	if d.manager, err = window.NewManagerPreserve(cfg.Signal, regions, cfg.Preserve); err != nil {
 		return nil, fmt.Errorf("omniwindow: %w", err)
 	}
 	if d.engine, err = newEngine(&d.cfg, d.apps, regions); err != nil {
@@ -846,7 +843,7 @@ func (d *Deployment) Reboot() {
 	}
 	d.obs.reboots.Inc()
 	d.engine.PowerCycle()
-	manager, err := window.NewManagerPreserve(d.cfg.Signal, d.manager.Regions(), d.preserve)
+	manager, err := window.NewManagerPreserve(d.cfg.Signal, d.manager.Regions(), d.cfg.Preserve)
 	if err != nil {
 		panic(err) // unreachable: the same arguments validated in New
 	}
