@@ -23,63 +23,57 @@ import (
 // phase order, of a flush point, of a fault draw or of a virtual-time
 // charge moves at least one of them.
 func TestBoundaryGolden(t *testing.T) {
-	dir := ""
-	durable := func(c *Config) { c.CheckpointDir = dir }
 	cases := []struct {
-		name   string
-		mutate func(*Config)
-		loss   bool // drop every third AFR packet before delivery
-		want   string
-		// restartAt: the first incarnation crashes at this boundary and the
-		// digest is the second's, recovered from the same directory.
-		restartAt uint64
+		name      string
+		want      string
+		mutate    func(*Config)
+		durable   bool   // run on a checkpoint directory
+		loss      bool   // drop every third AFR packet before delivery
+		restartAt uint64 // crash the first incarnation here and digest the second, recovered from the same directory
 	}{
-		{"packet", nil, false, "b4c5bdc8525a1429", 0},
-		{"packet+loss", func(c *Config) {
+		{name: "packet", want: "b4c5bdc8525a1429"},
+		{name: "packet+loss", want: "4e9beaad4780793e", loss: true, mutate: func(c *Config) {
 			c.AFRFaults = faults.New(faults.Config{Seed: 1, Drop: 0.10, Duplicate: 0.20, MaxDuplicates: 2})
-		}, true, "4e9beaad4780793e", 0},
-		{"rdma", func(c *Config) { c.RDMA = true }, false, "d8c6c783db3f306b", 0},
-		{"rdma+faults", func(c *Config) {
+		}},
+		{name: "rdma", want: "d8c6c783db3f306b", mutate: func(c *Config) { c.RDMA = true }},
+		{name: "rdma+faults", want: "d2916c25f7ed58b5", mutate: func(c *Config) {
 			c.RDMA = true
 			c.RDMAReplayDepth = 256
 			c.RetryLimit = 2
 			c.RDMAFaults = &faults.RDMASchedule{Seed: 1, VerbError: 0.15, PSNDrop: 0.15,
 				QPError:      faults.CrashSchedule{Prob: 0.3},
 				MRInvalidate: faults.CrashSchedule{Prob: 0.3}}
-		}, false, "d2916c25f7ed58b5", 0},
-		{"durable", durable, false, "b6009c739a67fd8e", 0},
-		{"rdma+durable", func(c *Config) { durable(c); c.RDMA = true }, false, "22c514b80a706e90", 0},
-		{"standby+crash", func(c *Config) {
-			durable(c)
+		}},
+		{name: "durable", want: "b6009c739a67fd8e", durable: true},
+		{name: "rdma+durable", want: "22c514b80a706e90", durable: true, mutate: func(c *Config) { c.RDMA = true }},
+		{name: "standby+crash", want: "b00c6e797288e567", durable: true, mutate: func(c *Config) {
 			c.Standby = true
 			c.Crash = &faults.CrashSchedule{Fixed: []uint64{2}}
-		}, false, "b00c6e797288e567", 0},
-		{"standby+partition", func(c *Config) {
-			durable(c)
+		}},
+		{name: "standby+partition", want: "e46993aac9078c10", durable: true, mutate: func(c *Config) {
 			c.Standby = true
 			c.LeaseTTL = 170 * time.Millisecond
 			c.PartitionFaults = &faults.PartitionSchedule{Seed: 3, Gray: 0.2,
 				Windows: []faults.PartitionWindow{{Start: 1, Len: 2}}}
-		}, false, "e46993aac9078c10", 0},
-		{"disk-faults", func(c *Config) {
-			durable(c)
+		}},
+		{name: "disk-faults", want: "c5207c108124a95e", durable: true, mutate: func(c *Config) {
 			c.DiskFaults = &faults.DiskSchedule{Seed: 7, WriteEIO: 0.10, ShortWrite: 0.05,
 				BitRot: 0.02, SlowIO: 0.10, ENOSPCStart: 25, ENOSPCLen: 2}
 			c.DurabilityRetryLimit = 1
-		}, false, "c5207c108124a95e", 0},
-		{"crash-restart", func(c *Config) {
-			durable(c)
-			c.CheckpointEvery = 2
-		}, false, "d38fc8abf0ef8e9d", 2},
+		}},
+		{name: "crash-restart", want: "d38fc8abf0ef8e9d", durable: true, restartAt: 2,
+			mutate: func(c *Config) { c.CheckpointEvery = 2 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			dir = t.TempDir()
-			reg := obs.NewRegistry()
+			dir, reg := t.TempDir(), obs.NewRegistry()
 			build := func(crash *faults.CrashSchedule) *Deployment {
 				d, err := New(batchConfig(func(c *Config) {
 					spillTracker(c)
 					c.Obs = reg
+					if tc.durable {
+						c.CheckpointDir = dir
+					}
 					if tc.mutate != nil {
 						tc.mutate(c)
 					}

@@ -5,8 +5,6 @@ import (
 	"go/parser"
 	"go/token"
 	"testing"
-
-	"omniwindow/internal/faults"
 )
 
 // TestBoundaryPathShape holds the shape the boundary pipeline was given
@@ -68,38 +66,4 @@ func TestBoundaryPathShape(t *testing.T) {
 		}
 	}
 	t.Error("deployment.go has no collect")
-}
-
-// TestFailoverLeaseWaitAtBoundaryTime: the standby waits out the lease as
-// it reads AT the boundary. Finalize and RunFor jump d.now far ahead before
-// the trailing collection, so a crash failover at the last sub-window used
-// to read the lease long expired and charge no wait at all.
-func TestFailoverLeaseWaitAtBoundaryTime(t *testing.T) {
-	for _, crashAt := range []uint64{2, 4} {
-		d, err := New(batchConfig(func(c *Config) {
-			c.CheckpointDir = t.TempDir()
-			c.Standby = true
-			c.Crash = &faults.CrashSchedule{Fixed: []uint64{crashAt}}
-		}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		quiet := runBatch(t, nil).Stats().MaxCollectVirtual
-		d.RunFor(batchTrace(), 500*ms)
-		if err := d.CloseDurability(); err != nil {
-			t.Fatal(err)
-		}
-		st := d.Stats()
-		if st.Failovers != 1 {
-			t.Fatalf("crash at %d: %d failovers, want 1", crashAt, st.Failovers)
-		}
-		// Everything the takeover adds to the worst round beyond the lease
-		// wait is one NACK round of backoff.
-		ttl := 2 * d.cfg.SubWindow
-		wait := st.MaxCollectVirtual - quiet - d.cfg.RetryBackoff
-		if wait <= 0 || wait > ttl {
-			t.Fatalf("crash at %d: lease wait %v, want in (0, %v] (worst round %v, fault-free %v)",
-				crashAt, wait, ttl, st.MaxCollectVirtual, quiet)
-		}
-	}
 }

@@ -84,7 +84,10 @@ func (d *Deployment) durableWrite(sw uint64, write func() error) bool {
 // degraded is one gap.
 func (d *Deployment) logBatch(retrans bool, recs []packet.AFR) {
 	if len(recs) > 0 {
-		d.durableWrite(recs[0].SubWindow, func() error { return d.appendGroups(retrans, recs) })
+		d.durableWrite(recs[0].SubWindow, func() error {
+			d.appendGroups(retrans, recs) // charges each failed frame to its own sub-window
+			return nil
+		})
 	}
 }
 
@@ -93,9 +96,8 @@ func (d *Deployment) logBatch(retrans bool, recs []packet.AFR) {
 // about shards × batches frames, not one per AFR. Grouping runs over
 // deployment-held scratch (walKeys/walParts) reused across batches: the
 // group count is tiny (shards × live sub-windows), so a linear key scan
-// beats a per-batch map allocation. A failed frame is charged to its own
-// sub-window here, so the error returned is always nil.
-func (d *Deployment) appendGroups(retrans bool, recs []packet.AFR) error {
+// beats a per-batch map allocation.
+func (d *Deployment) appendGroups(retrans bool, recs []packet.AFR) {
 	keys, parts := d.walKeys[:0], d.walParts
 	for _, r := range recs {
 		k := walKey{hashing.Shard(r.Key, d.ckptShards), r.SubWindow}
@@ -123,11 +125,10 @@ func (d *Deployment) appendGroups(retrans bool, recs []packet.AFR) error {
 		if err != nil {
 			d.durabilityFault(k.sw, err)
 			if d.storeDead {
-				break
+				return
 			}
 		}
 	}
-	return nil
 }
 
 // logTrigger appends a sub-window's trigger announcement to the control log.

@@ -196,7 +196,8 @@ func (d *Deployment) maintainPartition(sw uint64) {
 	if d.demotedCtrl == nil || d.cfg.ReadmitAfter < 0 {
 		return
 	}
-	if d.cleanSince++; d.cleanSince >= max(d.cfg.ReadmitAfter, 1) {
+	d.cleanSince++
+	if d.cleanSince >= max(d.cfg.ReadmitAfter, 1) {
 		d.readmitDemoted(sw)
 	}
 }
