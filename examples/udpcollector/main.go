@@ -58,7 +58,7 @@ func main() {
 	}
 	// NewWithError (not New): a collector service must reject a bad
 	// window plan gracefully instead of crashing on a panic.
-	inner, err := controller.NewWithError(controller.Config{
+	ctrl, err := controller.NewWithError(controller.Config{
 		Plan:          window.Tumbling(windowSub),
 		Kind:          afr.Frequency,
 		Threshold:     400,
@@ -68,7 +68,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("rejecting controller config: %v", err)
 	}
-	ctrl := controller.NewAsync(inner)
 	// Explicit admission control: a bounded ingest queue with watermark
 	// shedding. Under overload the collector drops recoverable
 	// first-transmission datagrams first (the NACK loop below brings them
@@ -76,7 +75,7 @@ func main() {
 	// control frames — and every shed record is charged to its
 	// sub-window, so windows that overload actually damaged print as
 	// DEGRADED instead of silently under-counting.
-	col := controller.NewCollectorConfig(serverConn, ctrl, controller.CollectorConfig{
+	col := controller.NewCollector(serverConn, ctrl, controller.CollectorConfig{
 		Workers:       runtime.GOMAXPROCS(0),
 		MaxQueueDepth: 4096,
 		ShedWatermark: 0.75,
@@ -87,7 +86,6 @@ func main() {
 			fmt.Println("collector drained: all in-flight datagrams ingested")
 		},
 	})
-	defer ctrl.Close()
 
 	// Manual instrumentation — this example assembles the collector from
 	// parts rather than going through omniwindow.Config, so it wires the
@@ -96,7 +94,7 @@ func main() {
 	// on one endpoint. Point owtop (cmd/owtop) at it while this runs.
 	if *debugAddr != "" {
 		reg := obs.NewRegistry()
-		inner.SetObs(controller.Instrument(reg, ""))
+		ctrl.SetObs(controller.Instrument(reg, ""))
 		col.Instrument(reg, "")
 		srv, err := obs.Serve(*debugAddr, reg)
 		if err != nil {

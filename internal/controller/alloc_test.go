@@ -144,8 +144,8 @@ func TestIngestAFRsZeroAlloc(t *testing.T) {
 // warm, ingesting a sub-window of churning keys (four fifths of them new,
 // taking rows the last retire freed) and finishing it — O2 fold, O3 merge,
 // O4 scan, O5 retire — allocates a small constant per call whatever the
-// number of AFRs: per-sub-window bookkeeping (dedup bitset, OpTimes,
-// reliability entry, the returned window), nothing per record. The
+// number of AFRs: per-sub-window bookkeeping (the ledger record and its
+// dedup bitset, OpTimes, the returned window), nothing per record. The
 // non-invertible kinds run too, so retire's re-fold path is covered as
 // well as its subtraction path.
 func TestFinishSteadyStateAllocs(t *testing.T) {
@@ -155,9 +155,9 @@ func TestFinishSteadyStateAllocs(t *testing.T) {
 	pool.SetEnabled(true)
 	t.Cleanup(func() { pool.SetEnabled(true) })
 
-	// Measured: 12-13 at one shard, 39-40 at four (a goroutine and its
-	// closure per shard for each of O2+O3, O4 and O5).
-	const perCall = 64
+	// Measured: 10-11 at one shard, 19-20 at four (one goroutine and its
+	// closure per shard per finish: the single pass).
+	const perCall = 24
 	// The default Distinction estimator builds a multiresolution bitmap
 	// per value read — O4's cost, not the table's — so the table is pinned
 	// under a summary counter that allocates nothing.

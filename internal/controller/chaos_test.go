@@ -20,7 +20,7 @@ import (
 // scheduling — which the delivery barrier makes irrelevant.
 type chaosHarness struct {
 	t     *testing.T
-	sink  *Async
+	sink  *Controller
 	col   *Collector
 	fconn *faults.PacketConn
 	inj   *faults.Injector
@@ -40,8 +40,8 @@ func newChaosHarness(t *testing.T, cfg faults.Config) *chaosHarness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := NewAsync(New(Config{Plan: window.Tumbling(1), Kind: afr.Frequency, Threshold: 1, CaptureValues: true}))
-	col := NewCollector(serverConn, sink)
+	sink := New(Config{Plan: window.Tumbling(1), Kind: afr.Frequency, Threshold: 1, CaptureValues: true})
+	col := NewCollector(serverConn, sink, CollectorConfig{})
 
 	switchConn, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
@@ -56,7 +56,6 @@ func newChaosHarness(t *testing.T, cfg faults.Config) *chaosHarness {
 		inj:   inj,
 	}
 	t.Cleanup(func() {
-		sink.Close()
 		col.Close() // closes serverConn
 		switchConn.Close()
 	})

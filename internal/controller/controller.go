@@ -17,7 +17,6 @@ package controller
 import (
 	"cmp"
 	"fmt"
-	"math/bits"
 	"runtime"
 	"slices"
 	"sync"
@@ -25,7 +24,6 @@ import (
 
 	"omniwindow/internal/afr"
 	"omniwindow/internal/hashing"
-	"omniwindow/internal/metrics"
 	"omniwindow/internal/obs"
 	"omniwindow/internal/packet"
 	"omniwindow/internal/pool"
@@ -81,12 +79,12 @@ type shard struct {
 	prevCard int
 	// fin is this shard's share of the finish in progress: its worker
 	// fills it, finishOne folds it once the workers are done (finishMu
-	// keeps two finishes apart). detected keeps its capacity across
-	// windows.
+	// keeps two finishes apart). ops holds this shard's O2–O5 durations;
+	// detected keeps its capacity across windows.
 	fin struct {
-		insert, merge, scan, evict time.Duration
-		detected                   []packet.FlowKey
-		values                     map[packet.FlowKey]uint64
+		ops      OpTimes
+		detected []packet.FlowKey
+		values   map[packet.FlowKey]uint64
 	}
 }
 
@@ -96,112 +94,9 @@ type shard struct {
 func (s *shard) pendingFor(sw uint64, hint int) []packet.AFR {
 	p, ok := s.pending[sw]
 	if !ok {
-		if hint < s.prevCard {
-			hint = s.prevCard
-		}
-		p = pool.GetAFRs(hint)
+		p = pool.GetAFRs(max(hint, s.prevCard))
 	}
 	return p
-}
-
-// seqSet tracks the AFR sequence numbers seen in one sub-window. Switch
-// sequence spaces are dense (0..expected-1), so the set is a growable
-// bitset — one bit per record where the map it replaced paid tens of bytes
-// per entry — with a spill map for hostile/garbage sequence numbers above
-// the dense bound so a single corrupt frame cannot balloon the words
-// array. Iteration (export, gap scans) is naturally in ascending order.
-type seqSet struct {
-	words    []uint64
-	n        int
-	overflow map[uint32]struct{}
-}
-
-// maxDenseSeq bounds the bitset-backed range: 1<<22 sequences cost at most
-// 512 KiB of words. Anything above (no real sub-window announces that many
-// AFRs) lands in the overflow map.
-const maxDenseSeq = 1 << 22
-
-// add inserts seq, reporting whether it was absent.
-func (s *seqSet) add(seq uint32) bool {
-	if seq >= maxDenseSeq {
-		if _, dup := s.overflow[seq]; dup {
-			return false
-		}
-		if s.overflow == nil {
-			s.overflow = make(map[uint32]struct{})
-		}
-		s.overflow[seq] = struct{}{}
-		s.n++
-		return true
-	}
-	w := int(seq >> 6)
-	if w >= len(s.words) {
-		// The region [len, cap) is zero by construction: words only ever
-		// grows (freshly made backing arrays are zeroed, and bits are set
-		// only below len), so extending within capacity needs no clearing.
-		if need := w + 1; need <= cap(s.words) {
-			s.words = s.words[:need]
-		} else {
-			grown := make([]uint64, need, 2*need)
-			copy(grown, s.words)
-			s.words = grown
-		}
-	}
-	bit := uint64(1) << (seq & 63)
-	if s.words[w]&bit != 0 {
-		return false
-	}
-	s.words[w] |= bit
-	s.n++
-	return true
-}
-
-// has reports whether seq is in the set.
-func (s *seqSet) has(seq uint32) bool {
-	if seq >= maxDenseSeq {
-		_, ok := s.overflow[seq]
-		return ok
-	}
-	w := int(seq >> 6)
-	return w < len(s.words) && s.words[w]&(1<<(seq&63)) != 0
-}
-
-// size is the number of distinct sequences added.
-func (s *seqSet) size() int { return s.n }
-
-// appendSorted appends every sequence in ascending order — bitset words
-// iterate sorted by construction, and every overflow sequence is above the
-// dense bound, so the concatenation is fully sorted. Snapshot encoding
-// depends on this determinism.
-func (s *seqSet) appendSorted(dst []uint32) []uint32 {
-	for w, word := range s.words {
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			dst = append(dst, uint32(w<<6+b))
-			word &^= 1 << b
-		}
-	}
-	if len(s.overflow) > 0 {
-		start := len(dst)
-		for seq := range s.overflow {
-			dst = append(dst, seq)
-		}
-		slices.Sort(dst[start:])
-	}
-	return dst
-}
-
-// dedup is the per-sub-window arrival state shared by every shard: the
-// AFR sequence numbers seen so far (duplicate suppression, §8 reliability),
-// the key count announced by the trigger packet (-1 when unknown), the
-// count of sequences whose first arrival was a retransmission, and the
-// count of records admission control shed under overload.
-type dedup struct {
-	mu        sync.Mutex
-	seen      seqSet
-	expected  int
-	recovered int
-	shed      int
 }
 
 // OpTimes is the per-sub-window controller time breakdown of Exp#4.
@@ -222,6 +117,15 @@ type OpTimes struct {
 // Total sums all operations.
 func (t OpTimes) Total() time.Duration {
 	return t.Collect + t.Insert + t.Merge + t.Process + t.Evict
+}
+
+// add accumulates o into t.
+func (t *OpTimes) add(o OpTimes) {
+	t.Collect += o.Collect
+	t.Insert += o.Insert
+	t.Merge += o.Merge
+	t.Process += o.Process
+	t.Evict += o.Evict
 }
 
 // WindowResult is one completed window's output.
@@ -275,22 +179,12 @@ type Controller struct {
 	cfg    Config
 	shards []*shard
 
-	// mu guards dedups, times, rel, spikes and spikeDone. Per-shard and
-	// per-sub-window state have their own finer locks so concurrent
-	// ingest mostly avoids this one.
+	// mu guards the ledger map, times, lastFin and hasFin. Shards and
+	// ledger records have their own locks, so concurrent ingest holds this
+	// one only to look a record up.
 	mu     sync.Mutex
-	dedups map[uint64]*dedup
+	ledger map[uint64]*subWindow
 	times  map[uint64]*OpTimes
-	// spikes tracks, per open sub-window, the latency-spike copies merged
-	// through the software path (dedup so each copy counts exactly once);
-	// spikeDone keeps each finished sub-window's final count until the
-	// sub-window retires, for window-level SpikePackets accounting.
-	spikes    map[uint64]*spikeState
-	spikeDone map[uint64]int
-	// rel records each finished sub-window's final delivery accounting
-	// (snapshotted by FinishSubWindow before the dedup state retires) so
-	// window assembly can mark windows with unrecovered gaps Incomplete.
-	rel map[uint64]metrics.Reliability
 	// lastFin is the highest sub-window FinishSubWindow has completed
 	// (valid only when hasFin). Checkpoints carry it so a restored
 	// controller knows which WAL finish records are already applied.
@@ -324,13 +218,10 @@ func NewWithError(cfg Config) (*Controller, error) {
 		cfg.Shards = runtime.GOMAXPROCS(0)
 	}
 	c := &Controller{
-		cfg:       cfg,
-		shards:    make([]*shard, cfg.Shards),
-		dedups:    make(map[uint64]*dedup),
-		times:     make(map[uint64]*OpTimes),
-		rel:       make(map[uint64]metrics.Reliability),
-		spikes:    make(map[uint64]*spikeState),
-		spikeDone: make(map[uint64]int),
+		cfg:    cfg,
+		shards: make([]*shard, cfg.Shards),
+		ledger: make(map[uint64]*subWindow),
+		times:  make(map[uint64]*OpTimes),
 	}
 	perShard := 0
 	if cfg.ExpectedFlows > 0 {
@@ -378,17 +269,6 @@ func (c *Controller) shardIndex(k packet.FlowKey) int {
 	return hashing.Shard(k, len(c.shards))
 }
 
-func (c *Controller) dedupFor(sw uint64) *dedup {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	d, ok := c.dedups[sw]
-	if !ok {
-		d = &dedup{expected: -1}
-		c.dedups[sw] = d
-	}
-	return d
-}
-
 // ingestScratch is ingestBatch's reusable workspace: the per-record shard
 // routing and the per-shard survivor partitions. Slices keep their
 // capacity across batches; parts are truncated, never freed.
@@ -418,15 +298,21 @@ func (c *Controller) putScratch(sc *ingestScratch) {
 	c.scratchMu.Unlock()
 }
 
-// addCollect charges O1 time to a sub-window (concurrent-safe).
-func (c *Controller) addCollect(sw uint64, dt time.Duration) {
-	c.mu.Lock()
+// timesFor returns sub-window sw's OpTimes, creating it on first use.
+// Caller holds c.mu.
+func (c *Controller) timesFor(sw uint64) *OpTimes {
 	t, ok := c.times[sw]
 	if !ok {
 		t = &OpTimes{}
 		c.times[sw] = t
 	}
-	t.Collect += dt
+	return t
+}
+
+// addCollect charges O1 time to a sub-window (concurrent-safe).
+func (c *Controller) addCollect(sw uint64, dt time.Duration) {
+	c.mu.Lock()
+	c.timesFor(sw).Collect += dt
 	c.mu.Unlock()
 }
 
@@ -449,18 +335,22 @@ func (c *Controller) Receive(p *packet.Packet) {
 	case packet.OWAFR, packet.OWRetransmit:
 		c.ingestBatch(p.OW.AFRs, p.OW.Flag == packet.OWRetransmit, true)
 	case packet.OWTrigger:
-		d := c.dedupFor(p.OW.SubWindow)
-		d.mu.Lock()
+		r := c.open(p.OW.SubWindow)
+		if r == nil {
+			c.obs.Duplicates.Inc()
+			return
+		}
 		// Announcements are cumulative knowledge: a retransmitted or
 		// post-recovery trigger (e.g. a switch re-terminating against an
 		// already-drained data structure announces KeyCount 0) must never
 		// lower an expectation a replayed trigger already established —
 		// that would erase Missing entries for keys the controller knows
 		// it has not received. Keep the max; -1 means "not yet announced".
-		if n := int(p.OW.KeyCount); n > d.expected {
-			d.expected = n
+		r.arrived = true
+		if n := int(p.OW.KeyCount); n > r.expected {
+			r.expected = n
 		}
-		d.mu.Unlock()
+		r.mu.Unlock()
 		c.obs.Ring.Record(obs.StageAnnounced, p.OW.SubWindow, -1, int64(p.OW.KeyCount))
 		c.addCollect(p.OW.SubWindow, time.Since(start))
 	}
@@ -468,19 +358,16 @@ func (c *Controller) Receive(p *packet.Packet) {
 
 // IngestAFRs adds records directly (the RDMA path delivers memory writes,
 // not packets). Dedup by sequence still applies. Safe for concurrent
-// callers; the batch is hashed lock-free, deduplicated per sub-window,
-// then appended to each shard with one lock acquisition per (shard,
-// batch).
+// callers.
 func (c *Controller) IngestAFRs(recs []packet.AFR) {
 	c.ingestBatch(recs, false, false)
 }
 
 // ingestBatch is the shared batched ingest under Receive and IngestAFRs:
-// route lock-free, dedup with one lock acquisition per run of equal
-// sub-windows, then append each shard's survivors under one shard lock
-// acquisition per (shard, batch) — where the per-record path took the
-// dedup and shard locks once per AFR. retrans marks records arriving via
-// the NACK/retransmit path, so recovery accounting counts only sequences
+// route lock-free, dedup with one hold of the ledger record per run of
+// equal sub-windows, then append each shard's survivors under one shard
+// lock acquisition per (shard, batch). retrans marks records arriving via
+// the NACK/retransmit path: recovery accounting counts only sequences
 // whose FIRST arrival was a retransmission (a retransmit of a record that
 // also arrived normally is a plain duplicate). charge attributes the
 // elapsed time to O1 Collect (the packet path; direct RDMA ingest is not
@@ -500,43 +387,37 @@ func (c *Controller) ingestBatch(recs []packet.AFR, retrans, charge bool) {
 		sis[i] = c.shardIndex(recs[i].Key)
 	}
 	parts := sc.parts
-	var d *dedup
-	var dsw uint64
-	var admitted, dups, recovered int64
-	for i := range recs {
-		r := &recs[i]
-		if d == nil || r.SubWindow != dsw {
-			if d != nil {
-				d.mu.Unlock()
-				if charge {
-					c.addCollect(dsw, time.Since(start))
-					start = time.Now()
-				}
-			}
-			d, dsw = c.dedupFor(r.SubWindow), r.SubWindow
-			d.mu.Lock()
+	admitted := 0
+	for i, j := 0, 0; i < len(recs); i = j {
+		sw := recs[i].SubWindow
+		for j = i + 1; j < len(recs) && recs[j].SubWindow == sw; j++ {
 		}
-		if !d.seen.add(r.Seq) {
-			dups++
-			continue // duplicate delivery
+		r := c.open(sw)
+		if r == nil {
+			continue // late: the whole run is duplicate delivery
+		}
+		r.arrived = true
+		n := 0
+		for k := i; k < j; k++ {
+			if r.seen.add(recs[k].Seq) {
+				n++
+				parts[sis[k]] = append(parts[sis[k]], recs[k])
+			}
 		}
 		if retrans {
-			d.recovered++
-			recovered++
+			r.recovered += n
 		}
-		admitted++
-		parts[sis[i]] = append(parts[sis[i]], *r)
-	}
-	if d != nil {
-		d.mu.Unlock()
+		r.mu.Unlock()
+		admitted += n
 		if charge {
-			c.addCollect(dsw, time.Since(start))
+			c.addCollect(sw, time.Since(start))
+			start = time.Now()
 		}
 	}
-	c.obs.Ingested.Add(admitted)
-	c.obs.Duplicates.Add(dups)
-	if recovered > 0 {
-		c.obs.Recovered.Add(recovered)
+	c.obs.Ingested.Add(int64(admitted))
+	c.obs.Duplicates.Add(int64(len(recs) - admitted))
+	if retrans && admitted > 0 {
+		c.obs.Recovered.Add(int64(admitted))
 	}
 	for si, part := range parts {
 		if len(part) == 0 {
@@ -559,34 +440,6 @@ func (c *Controller) ingestBatch(recs []packet.AFR, retrans, charge bool) {
 	c.putScratch(sc)
 }
 
-// spikeID identifies one latency-spike packet copy within its stamped
-// sub-window: the flow key plus the packet-level sequence number. Link
-// faults can duplicate a spike copy, and several downstream switches of
-// one path may each clone the same late packet toward a shared controller;
-// the ID makes every copy merge exactly once.
-type spikeID struct {
-	key packet.FlowKey
-	seq uint32
-}
-
-// spikeState is one open sub-window's software-path bookkeeping.
-type spikeState struct {
-	mu    sync.Mutex
-	seen  map[spikeID]bool
-	count int
-}
-
-func (c *Controller) spikeFor(sw uint64) *spikeState {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s, ok := c.spikes[sw]
-	if !ok {
-		s = &spikeState{seen: make(map[spikeID]bool)}
-		c.spikes[sw] = s
-	}
-	return s
-}
-
 // IngestSpike merges one latency-spike packet copy through the software
 // path (§5): the packet's stamped sub-window is no longer preserved in any
 // data-plane region, so its contribution — attr, computed by the caller
@@ -603,22 +456,21 @@ func (c *Controller) IngestSpike(p *packet.Packet, attr uint64) bool {
 		return false
 	}
 	sw := p.OW.SubWindow
-	c.mu.Lock()
-	finished := c.hasFin && sw <= c.lastFin
-	c.mu.Unlock()
-	if finished {
+	r := c.open(sw)
+	if r == nil {
 		return false
 	}
-	st := c.spikeFor(sw)
 	id := spikeID{key: p.Key, seq: p.Seq}
-	st.mu.Lock()
-	if st.seen[id] {
-		st.mu.Unlock()
+	if r.spikeSeen[id] {
+		r.mu.Unlock()
 		return false
 	}
-	st.seen[id] = true
-	st.count++
-	st.mu.Unlock()
+	if r.spikeSeen == nil {
+		r.spikeSeen = make(map[spikeID]bool)
+	}
+	r.spikeSeen[id] = true
+	r.spikes++
+	r.mu.Unlock()
 
 	// The contribution enters the owning shard's pending list like an AFR
 	// and is folded by the next FinishSubWindow. It deliberately bypasses
@@ -633,97 +485,20 @@ func (c *Controller) IngestSpike(p *packet.Packet, attr uint64) bool {
 	return true
 }
 
-// SpikePackets reports the number of spike copies merged so far for a
-// sub-window (live state while open, the final count after finishing, 0
-// once retired or never seen).
-func (c *Controller) SpikePackets(sw uint64) int {
-	c.mu.Lock()
-	st, live := c.spikes[sw]
-	done, ok := c.spikeDone[sw]
-	c.mu.Unlock()
-	if live {
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		return st.count
-	}
-	if ok {
-		return done
-	}
-	return 0
-}
-
-// MissingSeqs reports AFR sequence numbers the controller has not received
-// for a sub-window, given the key count announced by the trigger packet.
-// It returns nil when nothing is known to be missing (§8, reliability).
-func (c *Controller) MissingSeqs(sw uint64) []uint32 {
-	c.mu.Lock()
-	d, ok := c.dedups[sw]
-	c.mu.Unlock()
-	if !ok {
-		return nil
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.expected < 0 {
-		return nil
-	}
-	var missing []uint32
-	for s := 0; s < d.expected; s++ {
-		if !d.seen.has(uint32(s)) {
-			missing = append(missing, uint32(s))
-		}
-	}
-	return missing
-}
-
-// snapshotReliability reads a dedup's delivery accounting. Caller must
-// not hold d.mu.
-func snapshotReliability(d *dedup) metrics.Reliability {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	r := metrics.Reliability{Expected: d.expected, Received: d.seen.size(), Recovered: d.recovered, Shed: d.shed}
-	if d.expected >= 0 {
-		for s := 0; s < d.expected; s++ {
-			if !d.seen.has(uint32(s)) {
-				r.Missing++
-			}
-		}
-	}
-	return r
-}
-
-// Reliability reports a sub-window's AFR delivery accounting: live state
-// while the sub-window is still collecting, the final snapshot after
-// FinishSubWindow, and a zero-value "never heard of it" record (Expected
-// -1) otherwise.
-func (c *Controller) Reliability(sw uint64) metrics.Reliability {
-	c.mu.Lock()
-	d, live := c.dedups[sw]
-	rel, done := c.rel[sw]
-	c.mu.Unlock()
-	if live {
-		return snapshotReliability(d)
-	}
-	if done {
-		return rel
-	}
-	return metrics.Reliability{Expected: -1}
-}
-
 // forEachShard runs f once per shard — inline when there is a single
 // shard, on a worker goroutine per shard otherwise.
-func (c *Controller) forEachShard(f func(i int, s *shard)) {
+func (c *Controller) forEachShard(f func(s *shard)) {
 	if len(c.shards) == 1 {
-		f(0, c.shards[0])
+		f(c.shards[0])
 		return
 	}
 	var wg sync.WaitGroup
 	wg.Add(len(c.shards))
-	for i, s := range c.shards {
-		go func(i int, s *shard) {
+	for _, s := range c.shards {
+		go func(s *shard) {
 			defer wg.Done()
-			f(i, s)
-		}(i, s)
+			f(s)
+		}(s)
 	}
 	wg.Wait()
 }
@@ -744,154 +519,144 @@ func (c *Controller) forEachShard(f func(i int, s *shard)) {
 // never announced by a trigger is charged one missing AFR, so the window
 // spanning it reports Incomplete instead of passing off the data loss as
 // an exact result.
-//
-// All four operations run across shards on a worker pool; per-shard
-// durations are summed into the sub-window's OpTimes so Exp#4's breakdown
-// reports total CPU work, not wall-clock. Per-shard results are folded
-// deterministically (a single packetKeyCmp sort over the concatenated
-// detections), so the output is byte-for-byte identical for every shard
-// count.
 func (c *Controller) FinishSubWindow(sw uint64) []WindowResult {
 	c.finishMu.Lock()
 	defer c.finishMu.Unlock()
 
-	c.mu.Lock()
-	done, last := c.hasFin, c.lastFin
-	c.mu.Unlock()
+	last, done := c.LastFinished()
 	if done && sw <= last {
 		return nil
 	}
 	var out []WindowResult
 	if done {
 		for fill := last + 1; fill < sw; fill++ {
-			c.mu.Lock()
-			_, announced := c.dedups[fill]
-			_, accounted := c.rel[fill]
-			if !announced && !accounted {
-				// Nothing was ever announced for this sub-window: its
-				// data died with the switch. Record the loss so the
-				// spanning window is marked Incomplete.
-				c.rel[fill] = metrics.Reliability{Missing: 1}
-			}
-			c.mu.Unlock()
-			out = append(out, c.finishOne(fill)...)
+			out = append(out, c.finishOne(fill, true)...)
 		}
 	}
-	return append(out, c.finishOne(sw)...)
+	return append(out, c.finishOne(sw, false)...)
 }
 
-// finishOne runs the four finish operations for a single sub-window.
-// Caller holds finishMu and has established that sw is the next
-// sub-window in finish order.
-func (c *Controller) finishOne(sw uint64) []WindowResult {
-	finStart := time.Now()
-	// O2 + O3 per shard: drain the routed records, fold them into the
-	// sub-window's column, merge the column. A sub-window no window covers
+// step is what the plan says finishing one sub-window involves, read once.
+type step struct {
+	sw uint64
+	// covered: some window reads sw. One that no window covers
 	// (subsampling plans) is accounted like any other but never reaches
-	// the table: nothing would read it, and the retire that should have
-	// covered it has already run.
-	covered := c.cfg.Plan.Covers(sw)
-	c.forEachShard(func(_ int, s *shard) {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		recs := s.pending[sw]
-		delete(s.pending, sw)
+	// the table: the retire that should have covered it has already run.
+	covered bool
+	ends    bool // the window [start, sw] completes here: O4 runs
+	start   uint64
+	retires bool // and sub-windows <= retire leave the table: O5 runs
+	retire  uint64
+}
 
-		start := time.Now()
-		if covered {
-			s.table.insert(sw, recs)
-		}
-		s.fin.insert = time.Since(start)
-
-		start = time.Now()
-		if covered {
-			s.table.merge(sw)
-		}
-		s.fin.merge = time.Since(start)
-
-		// The drained slice's job is done (the records were folded into
-		// the column): remember its cardinality to pre-size the next
-		// sub-window, then recycle it.
-		s.prevCard = len(recs)
-		pool.PutAFRs(recs)
-	})
-
-	c.mu.Lock()
-	t, ok := c.times[sw]
-	if !ok {
-		t = &OpTimes{}
-		c.times[sw] = t
-	}
-	var o2sum, o3sum time.Duration
-	for _, s := range c.shards {
-		t.Insert += s.fin.insert
-		t.Merge += s.fin.merge
-		o2sum += s.fin.insert
-		o3sum += s.fin.merge
-	}
-	// Snapshot the final delivery accounting before retiring the dedup
-	// state: window assembly needs to know whether recovery left gaps.
-	if d, live := c.dedups[sw]; live {
-		c.mu.Unlock()
-		rel := snapshotReliability(d)
-		c.mu.Lock()
-		// NoteLost may have pre-charged damage (quarantined WAL frames)
-		// against a still-open sub-window; fold it into the dedup's final
-		// snapshot instead of overwriting it.
-		if prior, ok := c.rel[sw]; ok {
-			rel.Missing += prior.Missing
-		}
-		c.rel[sw] = rel
-	}
-	delete(c.dedups, sw)
-	// Same for the software path: freeze the sub-window's spike count.
-	if st, live := c.spikes[sw]; live {
-		st.mu.Lock()
-		c.spikeDone[sw] = st.count
-		st.mu.Unlock()
-		delete(c.spikes, sw)
-	}
-	if !c.hasFin || sw > c.lastFin {
-		c.lastFin, c.hasFin = sw, true
-	}
-	c.mu.Unlock()
-	c.obs.OpInsert.Observe(o2sum)
-	c.obs.OpMerge.Observe(o3sum)
-
-	wStart, ok := c.cfg.Plan.Ends(sw)
-	if !ok {
-		c.obs.Finish.Observe(time.Since(finStart))
-		c.obs.Ring.Record(obs.StageFinished, sw, len(c.shards), int64(time.Since(finStart)))
-		return nil
-	}
-
-	// O4: evaluate the query over each shard's slice of the merged
-	// column, then fold.
-	c.forEachShard(func(_ int, s *shard) {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		start := time.Now()
-		if c.cfg.CaptureValues {
-			s.fin.values = make(map[packet.FlowKey]uint64, s.table.rows)
-		}
-		s.fin.detected = s.table.scan(&c.cfg, s.fin.detected[:0], s.fin.values)
-		s.fin.scan = time.Since(start)
-	})
+// finish is one shard's whole share of a finish, under a single hold of
+// its lock: drain the routed records, fold them into the sub-window's
+// column (O2), merge it (O3) and — when a window ends — evaluate the query
+// over this shard's slice (O4) and retire what no future window needs
+// (O5). Each step reads only what the one before wrote in this shard, so
+// none needs a barrier; the results wait in s.fin for the fold.
+func (s *shard) finish(cfg *Config, st step) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	recs := s.pending[st.sw]
+	delete(s.pending, st.sw)
 
 	start := time.Now()
-	res := WindowResult{Start: wStart, End: sw}
-	c.mu.Lock()
-	for s := wStart; s <= sw; s++ {
-		r := c.rel[s]
-		res.MissingAFRs += r.Missing
-		res.ShedAFRs += r.Shed
-		if r.Shed > 0 && r.Missing > 0 {
-			res.Degraded = true
-		}
-		res.SpikePackets += c.spikeDone[s]
+	if st.covered {
+		s.table.insert(st.sw, recs)
 	}
-	c.mu.Unlock()
-	res.Incomplete = res.MissingAFRs > 0
+	s.fin.ops = OpTimes{Insert: time.Since(start)}
+
+	start = time.Now()
+	if st.covered {
+		s.table.merge(st.sw)
+	}
+	s.fin.ops.Merge = time.Since(start)
+
+	// The drained slice's job is done (the records were folded into the
+	// column): remember its cardinality to pre-size the next sub-window,
+	// then recycle it.
+	s.prevCard = len(recs)
+	pool.PutAFRs(recs)
+	if !st.ends {
+		return
+	}
+
+	start = time.Now()
+	if cfg.CaptureValues {
+		s.fin.values = make(map[packet.FlowKey]uint64, s.table.rows)
+	}
+	s.fin.detected = s.table.scan(cfg, s.fin.detected[:0], s.fin.values)
+	s.fin.ops.Process = time.Since(start)
+	if !st.retires {
+		return
+	}
+
+	start = time.Now()
+	s.table.retire(st.retire)
+	for old, recs := range s.pending {
+		if old <= st.retire {
+			pool.PutAFRs(recs)
+			delete(s.pending, old)
+		}
+	}
+	s.fin.ops.Evict = time.Since(start)
+}
+
+// finishOne finishes one sub-window: a parallel pass over the shards, a
+// fold, a locked settle. Caller holds finishMu and has established that sw
+// is next in finish order; fill marks one finished only because a later
+// sub-window skipped past it. Per-shard durations are summed, so Exp#4's
+// breakdown reports CPU work, not wall-clock; the fold is deterministic
+// (one packetKeyCmp sort) and feeds nothing back, so the output is
+// byte-for-byte identical for every shard count.
+func (c *Controller) finishOne(sw uint64, fill bool) []WindowResult {
+	finStart := time.Now()
+	st := step{sw: sw, covered: c.cfg.Plan.Covers(sw)}
+	if st.start, st.ends = c.cfg.Plan.Ends(sw); st.ends {
+		st.retire, st.retires = c.cfg.Plan.Retire(sw)
+	}
+	c.forEachShard(func(s *shard) { s.finish(&c.cfg, st) })
+
+	var ops OpTimes
+	for _, s := range c.shards {
+		ops.add(s.fin.ops)
+	}
+	var out []WindowResult
+	if st.ends {
+		start := time.Now()
+		out = []WindowResult{c.fold(st)}
+		ops.Process += time.Since(start)
+	}
+	c.settle(st, fill, ops, out)
+
+	c.obs.OpInsert.Observe(ops.Insert)
+	c.obs.OpMerge.Observe(ops.Merge)
+	if st.ends {
+		c.obs.OpProcess.Observe(ops.Process)
+	}
+	if st.retires {
+		c.obs.OpEvict.Observe(ops.Evict)
+	}
+	c.obs.Finish.Observe(time.Since(finStart))
+	c.obs.Ring.Record(obs.StageFinished, sw, len(c.shards), int64(time.Since(finStart)))
+	if out == nil {
+		return nil
+	}
+	c.obs.Ring.Record(obs.StageWindowEmitted, sw, -1, int64(st.start))
+	c.obs.Windows.Inc()
+	if out[0].Incomplete {
+		c.obs.IncompleteWindows.Inc()
+	}
+	if out[0].Degraded {
+		c.obs.DegradedWindows.Inc()
+	}
+	return out
+}
+
+// fold gathers the shards' O4 results into the window that ends at st.sw.
+func (c *Controller) fold(st step) WindowResult {
+	res := WindowResult{Start: st.start, End: st.sw}
 	detected, total := 0, 0
 	for _, s := range c.shards {
 		detected += len(s.fin.detected)
@@ -911,73 +676,40 @@ func (c *Controller) finishOne(sw uint64) []WindowResult {
 		s.fin.values = nil
 	}
 	slices.SortFunc(res.Detected, packetKeyCmp)
-	fold := time.Since(start)
+	return res
+}
 
+// settle is the finish's one section under c.mu: book the O2–O5 times,
+// move the ledger record from open to finished, advance lastFin, fill the
+// ending window's (if any) delivery accounting from the records it spans
+// and, with O5, prune every record at or below the retired sub-window.
+func (c *Controller) settle(st step, fill bool, ops OpTimes, window []WindowResult) {
 	c.mu.Lock()
-	o4sum := fold
-	for _, s := range c.shards {
-		t.Process += s.fin.scan
-		o4sum += s.fin.scan
+	defer c.mu.Unlock()
+	c.timesFor(st.sw).add(ops)
+	if fill {
+		c.recordFor(st.sw).finish(true)
+	} else if r := c.ledger[st.sw]; r != nil {
+		r.finish(false)
 	}
-	t.Process += fold
-	c.mu.Unlock()
-	c.obs.OpProcess.Observe(o4sum)
-
-	// O5: retire sub-windows that no future window needs.
-	if retire, ok := c.cfg.Plan.Retire(sw); ok {
-		c.forEachShard(func(_ int, s *shard) {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			start := time.Now()
-			s.table.retire(retire)
-			for old, recs := range s.pending {
-				if old <= retire {
-					pool.PutAFRs(recs)
-					delete(s.pending, old)
-				}
-			}
-			s.fin.evict = time.Since(start)
-		})
-		c.mu.Lock()
-		var o5sum time.Duration
-		for _, s := range c.shards {
-			t.Evict += s.fin.evict
-			o5sum += s.fin.evict
-		}
-		c.obs.OpEvict.Observe(o5sum)
-		for old := range c.dedups {
-			if old <= retire {
-				delete(c.dedups, old)
-			}
-		}
-		for old := range c.rel {
-			if old <= retire {
-				delete(c.rel, old)
-			}
-		}
-		for old := range c.spikes {
-			if old <= retire {
-				delete(c.spikes, old)
-			}
-		}
-		for old := range c.spikeDone {
-			if old <= retire {
-				delete(c.spikeDone, old)
-			}
-		}
-		c.mu.Unlock()
+	c.lastFin, c.hasFin = st.sw, true
+	if window == nil {
+		return
 	}
-	c.obs.Finish.Observe(time.Since(finStart))
-	c.obs.Ring.Record(obs.StageFinished, sw, len(c.shards), int64(time.Since(finStart)))
-	c.obs.Ring.Record(obs.StageWindowEmitted, sw, -1, int64(wStart))
-	c.obs.Windows.Inc()
-	if res.Incomplete {
-		c.obs.IncompleteWindows.Inc()
+	res := &window[0]
+	for s := st.start; s <= st.sw; s++ {
+		if r := c.ledger[s]; r != nil {
+			r.addTo(res)
+		}
 	}
-	if res.Degraded {
-		c.obs.DegradedWindows.Inc()
+	res.Incomplete = res.MissingAFRs > 0
+	if st.retires {
+		for old := range c.ledger {
+			if old <= st.retire {
+				delete(c.ledger, old)
+			}
+		}
 	}
-	return []WindowResult{res}
 }
 
 // packetKeyCmp orders flow keys deterministically for stable output:

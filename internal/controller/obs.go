@@ -1,16 +1,11 @@
 package controller
 
-import (
-	"fmt"
-
-	"omniwindow/internal/obs"
-)
+import "omniwindow/internal/obs"
 
 // Obs bundles the controller's runtime instrumentation handles. The zero
 // value (all nil) is the disabled state: every use is a nil-check no-op,
 // so the merge hot path pays nothing when observability is off (see the
-// zero-allocation tests and the CI bench-regression gate). Build an
-// enabled set with Instrument.
+// zero-allocation tests). Build an enabled set with Instrument.
 type Obs struct {
 	// Ingested counts AFR records admitted on first arrival (packet and
 	// RDMA paths both).
@@ -51,12 +46,7 @@ type Obs struct {
 // (e.g. `switch="2"` or `app="ddos"`) embedded in every metric name so
 // several controllers share one registry; empty means unlabeled.
 func Instrument(reg *obs.Registry, labels string) Obs {
-	n := func(name string) string {
-		if labels == "" {
-			return name
-		}
-		return fmt.Sprintf("%s{%s}", name, labels)
-	}
+	n := func(name string) string { return labeled(name, labels) }
 	return Obs{
 		Ingested:          reg.Counter(n("omniwindow_controller_afrs_total"), "AFR records admitted into the key-value table (first arrivals)"),
 		Duplicates:        reg.Counter(n("omniwindow_controller_duplicates_total"), "AFR records suppressed by sequence dedup"),
@@ -73,6 +63,14 @@ func Instrument(reg *obs.Registry, labels string) Obs {
 		Finish:            reg.Histogram(n("omniwindow_controller_finish_seconds"), "FinishSubWindow wall time per sub-window", nil),
 		Ring:              reg.Ring(0),
 	}
+}
+
+// labeled embeds an optional label set in a metric name.
+func labeled(name, labels string) string {
+	if labels == "" {
+		return name
+	}
+	return name + "{" + labels + "}"
 }
 
 // SetObs installs (or, with the zero value, removes) the controller's

@@ -7,109 +7,11 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"omniwindow/internal/metrics"
 	"omniwindow/internal/obs"
 	"omniwindow/internal/packet"
 	"omniwindow/internal/pool"
 	"omniwindow/internal/wire"
 )
-
-// Async guards a Controller for shared use by a network collector and the
-// window-assembly driver. The controller itself is safe for concurrent use
-// (ingest fans out to hash-partitioned shards), so unlike the earlier
-// command-loop design, Receive/IngestAFRs calls from many collector
-// goroutines proceed in parallel rather than serializing behind a single
-// owner goroutine — the concurrent analogue of the paper's multi-core
-// DPDK RX path. Async only adds a closed gate so late packets after Close
-// are dropped instead of touching retired state.
-type Async struct {
-	mu     sync.RWMutex
-	closed bool
-	ctrl   *Controller
-}
-
-// NewAsync wraps ctrl. The caller must not use ctrl directly afterwards.
-func NewAsync(ctrl *Controller) *Async {
-	return &Async{ctrl: ctrl}
-}
-
-// Receive ingests a switch-to-controller packet (O1); concurrent-safe.
-func (a *Async) Receive(p *packet.Packet) {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	if a.closed {
-		return
-	}
-	a.ctrl.Receive(p)
-}
-
-// IngestAFRs ingests direct records (the RDMA path); concurrent-safe.
-func (a *Async) IngestAFRs(recs []packet.AFR) {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	if a.closed {
-		return
-	}
-	a.ctrl.IngestAFRs(recs)
-}
-
-// FinishSubWindow runs window assembly and returns the completed windows.
-func (a *Async) FinishSubWindow(sw uint64) []WindowResult {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	if a.closed {
-		return nil
-	}
-	return a.ctrl.FinishSubWindow(sw)
-}
-
-// MissingSeqs queries the reliability state.
-func (a *Async) MissingSeqs(sw uint64) []uint32 {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	if a.closed {
-		return nil
-	}
-	return a.ctrl.MissingSeqs(sw)
-}
-
-// Reliability queries a sub-window's delivery accounting.
-func (a *Async) Reliability(sw uint64) metrics.Reliability {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	if a.closed {
-		return metrics.Reliability{Expected: -1}
-	}
-	return a.ctrl.Reliability(sw)
-}
-
-// TableSize reports the key-value table size.
-func (a *Async) TableSize() int {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	if a.closed {
-		return 0
-	}
-	return a.ctrl.TableSize()
-}
-
-// NoteShed records admission-control drops against a sub-window's
-// reliability accounting (see Controller.NoteShed).
-func (a *Async) NoteShed(sw uint64, n int) {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	if a.closed {
-		return
-	}
-	a.ctrl.NoteShed(sw, n)
-}
-
-// Close rejects all further operations; in-flight calls drain first.
-func (a *Async) Close() {
-	a.mu.Lock()
-	a.closed = true
-	a.mu.Unlock()
-}
 
 // CollectorConfig tunes the UDP collector's worker pool and admission
 // control. The zero value reproduces the defaults.
@@ -141,7 +43,7 @@ type CollectorConfig struct {
 // A dedicated reader goroutine drains the socket as fast as it can copy
 // (minimizing kernel-buffer overflow drops, the analogue of DPDK's RX
 // ring), handing datagrams to a pool of ingest workers that decode and
-// feed the controller concurrently; the sink's sharded controller lets
+// feed the controller concurrently; its hash-sharded table lets
 // those workers proceed in parallel.
 //
 // The reader applies admission control instead of silently discarding on
@@ -152,9 +54,8 @@ type CollectorConfig struct {
 // the gap and the retransmit path recovers the shed records.
 type Collector struct {
 	conn      net.PacketConn
-	sink      *Async
-	readWG    sync.WaitGroup
-	workWG    sync.WaitGroup
+	ctrl      *Controller
+	wg        sync.WaitGroup // the reader and every ingest worker
 	queue     chan []byte
 	watermark int
 	onClose   func()
@@ -165,26 +66,13 @@ type Collector struct {
 	shedAFRs  atomic.Int64
 }
 
-// NewCollector starts serving datagrams from conn into sink with one
-// ingest worker per core. Close the conn (or call Close) to stop.
-func NewCollector(conn net.PacketConn, sink *Async) *Collector {
-	return NewCollectorConfig(conn, sink, CollectorConfig{})
-}
-
-// NewCollectorWorkers starts serving datagrams with the given number of
-// concurrent ingest workers (at least one).
-func NewCollectorWorkers(conn net.PacketConn, sink *Async, workers int) *Collector {
-	return NewCollectorConfig(conn, sink, CollectorConfig{Workers: workers})
-}
-
-// NewCollectorConfig starts serving datagrams with explicit worker-pool
-// and admission-control settings.
-func NewCollectorConfig(conn net.PacketConn, sink *Async, cfg CollectorConfig) *Collector {
+// NewCollector starts serving datagrams from conn into ctrl, which the
+// caller keeps using directly (window assembly runs beside ingest). The
+// zero cfg gives one ingest worker per core and the default admission
+// control. Close the conn (or call Close) to stop.
+func NewCollector(conn net.PacketConn, ctrl *Controller, cfg CollectorConfig) *Collector {
 	if cfg.Workers < 1 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
-		if cfg.Workers < 1 {
-			cfg.Workers = 1
-		}
 	}
 	if cfg.MaxQueueDepth <= 0 {
 		cfg.MaxQueueDepth = 4096
@@ -192,20 +80,16 @@ func NewCollectorConfig(conn net.PacketConn, sink *Async, cfg CollectorConfig) *
 	if cfg.ShedWatermark <= 0 {
 		cfg.ShedWatermark = 0.75
 	}
-	wm := int(cfg.ShedWatermark * float64(cfg.MaxQueueDepth))
-	if wm > cfg.MaxQueueDepth {
-		wm = cfg.MaxQueueDepth
-	}
+	wm := min(int(cfg.ShedWatermark*float64(cfg.MaxQueueDepth)), cfg.MaxQueueDepth)
 	c := &Collector{
 		conn:      conn,
-		sink:      sink,
+		ctrl:      ctrl,
 		queue:     make(chan []byte, cfg.MaxQueueDepth),
 		watermark: wm,
 		onClose:   cfg.OnClose,
 	}
-	c.readWG.Add(1)
+	c.wg.Add(1 + cfg.Workers)
 	go c.readLoop()
-	c.workWG.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go c.ingestLoop()
 	}
@@ -227,7 +111,7 @@ func (c *Collector) Addr() net.Addr { return c.conn.LocalAddr() }
 // released here. The triage itself uses the allocation-free PeekFlag; the
 // full (map-building) PeekDatagram runs only on the shed path.
 func (c *Collector) readLoop() {
-	defer c.readWG.Done()
+	defer c.wg.Done()
 	defer close(c.queue)
 	scratch := make([]byte, 64*1024)
 	var ctl packet.Packet // reused decode target for inline control frames
@@ -248,7 +132,7 @@ func (c *Collector) readLoop() {
 			// Receive copies what it keeps, so the reused packet and the
 			// pooled buffer are both free again afterwards.
 			if err := wire.DecodeInto(&ctl, d); err == nil {
-				c.sink.Receive(&ctl)
+				c.ctrl.Receive(&ctl)
 				c.recvd.Add(1)
 			} else {
 				c.drops.Add(1)
@@ -275,29 +159,21 @@ func (c *Collector) readLoop() {
 	}
 }
 
-// shedData attributes and releases one data frame the admission policy
-// dropped.
+// shedData records and releases one data frame the admission policy
+// dropped: the overrun counter always, and — when the header peeks cleanly
+// — each carried AFR charged to its sub-window's reliability accounting, so
+// the sub-window finalizes with Shed set and the NACK path knows to
+// re-query the gap. Peeking is advisory (no CRC): a corrupt header at
+// worst misattributes a drop, it cannot corrupt controller state.
 func (c *Collector) shedData(d []byte) {
-	pk, peeked := wire.PeekDatagram(d)
-	c.shed(pk, peeked)
-	pool.PutBuf(d)
-}
-
-// shed records one dropped data frame: the overrun counter always, and —
-// when the header peeked cleanly — each carried AFR charged to its
-// sub-window's reliability accounting, so the sub-window finalizes with
-// Shed set and the NACK path knows to re-query the gap. Peeking is
-// advisory (no CRC): a corrupt header at worst misattributes a drop, it
-// cannot corrupt controller state.
-func (c *Collector) shed(pk wire.Peek, peeked bool) {
 	c.overrun.Add(1)
-	if !peeked {
-		return
+	if pk, peeked := wire.PeekDatagram(d); peeked {
+		for sw, n := range pk.AFRSubWindows {
+			c.shedAFRs.Add(int64(n))
+			c.ctrl.NoteShed(sw, n)
+		}
 	}
-	for sw, n := range pk.AFRSubWindows {
-		c.shedAFRs.Add(int64(n))
-		c.sink.NoteShed(sw, n)
-	}
+	pool.PutBuf(d)
 }
 
 // ingestLoop decodes queued datagrams and feeds the controller.
@@ -306,7 +182,7 @@ func (c *Collector) shed(pk wire.Peek, peeked bool) {
 // recoveries into it would make "everything sent has arrived" true before
 // it is (the Drops-vs-Received accounting bug this split fixes).
 func (c *Collector) ingestLoop() {
-	defer c.workWG.Done()
+	defer c.wg.Done()
 	// One long-lived packet per worker: DecodeInto reuses its AFR slice
 	// capacity, and Receive copies everything it keeps, so the worker's
 	// steady state allocates nothing.
@@ -318,7 +194,7 @@ func (c *Collector) ingestLoop() {
 			c.drops.Add(1)
 			continue
 		}
-		c.sink.Receive(&p)
+		c.ctrl.Receive(&p)
 		if p.OW.Flag == packet.OWRetransmit {
 			c.recov.Add(1)
 		} else {
@@ -333,8 +209,7 @@ func (c *Collector) ingestLoop() {
 // socket are never abandoned mid-decode.
 func (c *Collector) Close() error {
 	err := c.conn.Close()
-	c.readWG.Wait()
-	c.workWG.Wait()
+	c.wg.Wait()
 	if c.onClose != nil {
 		c.onClose()
 	}
@@ -378,19 +253,14 @@ func (c *Collector) ShedAFRs() int { return int(c.shedAFRs.Load()) }
 // (e.g. `app="ddos"`); empty means unlabeled. Safe to call while the
 // collector is running.
 func (c *Collector) Instrument(reg *obs.Registry, labels string) {
-	n := func(name string) string {
-		if labels == "" {
-			return name
-		}
-		return name + "{" + labels + "}"
-	}
+	n := func(name string) string { return labeled(name, labels) }
 	reg.CounterFunc(n("omniwindow_collector_received_total"), "first-transmission datagrams decoded and ingested", c.recvd.Load)
 	reg.CounterFunc(n("omniwindow_collector_recovered_total"), "retransmitted datagrams ingested via the NACK path", c.recov.Load)
 	reg.CounterFunc(n("omniwindow_collector_decode_failures_total"), "datagrams that failed to decode", c.drops.Load)
 	reg.CounterFunc(n("omniwindow_collector_overruns_total"), "data datagrams shed by admission control", c.overrun.Load)
 	reg.CounterFunc(n("omniwindow_collector_shed_afrs_total"), "AFR records inside shed datagrams attributed by header peek", c.shedAFRs.Load)
 	reg.GaugeFunc(n("omniwindow_collector_queue_depth"), "raw datagrams waiting between the socket reader and ingest workers", func() int64 { return int64(len(c.queue)) })
-	reg.GaugeFunc(n("omniwindow_collector_table_size"), "flows resident in the controller key-value table", func() int64 { return int64(c.sink.TableSize()) })
+	reg.GaugeFunc(n("omniwindow_collector_table_size"), "flows resident in the controller key-value table", func() int64 { return int64(c.ctrl.TableSize()) })
 }
 
 // SendDatagram wire-encodes p into a pooled buffer and sends it to addr

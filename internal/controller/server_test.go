@@ -2,67 +2,88 @@ package controller
 
 import (
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"omniwindow/internal/afr"
+	"omniwindow/internal/obs"
 	"omniwindow/internal/packet"
 	"omniwindow/internal/window"
 )
 
-func TestAsyncSerializesOperations(t *testing.T) {
-	a := NewAsync(New(Config{Plan: window.Tumbling(1), Kind: afr.Frequency, Threshold: 5, CaptureValues: true}))
-	defer a.Close()
-
-	done := make(chan struct{})
-	for g := 0; g < 8; g++ {
-		g := g
-		go func() {
-			for i := 0; i < 50; i++ {
-				a.Receive(afrPkt(packet.AFR{
-					Key: fk(g*100 + i), SubWindow: 0, Attr: 10, Seq: uint32(g*50 + i),
-				}))
-			}
-			done <- struct{}{}
-		}()
-	}
-	for g := 0; g < 8; g++ {
-		<-done
-	}
-	res := a.FinishSubWindow(0)
-	if len(res) != 1 {
-		t.Fatalf("windows = %d", len(res))
-	}
-	if len(res[0].Values) != 400 {
-		t.Fatalf("flows = %d want 400", len(res[0].Values))
-	}
-	if a.TableSize() != 0 { // tumbling(1): everything retired
-		t.Fatalf("table size = %d", a.TableSize())
-	}
-}
-
-func TestAsyncAfterCloseIsSafe(t *testing.T) {
-	a := NewAsync(New(Config{Plan: window.Tumbling(1), Kind: afr.Frequency}))
-	a.Close()
-	a.Close() // idempotent
-	a.Receive(afrPkt(rec(1, 0, 1, 0)))
-	if got := a.FinishSubWindow(0); got != nil {
-		t.Fatalf("closed async returned %v", got)
-	}
-	if a.MissingSeqs(0) != nil || a.TableSize() != 0 {
-		t.Fatal("closed async returned state")
-	}
-}
-
-func TestCollectorOverUDP(t *testing.T) {
-	// Controller side: UDP listener feeding an Async controller.
+// TestCollectorCloseUnderLoad closes a collector while a switch is still
+// sending: Close joins the reader and every ingest worker, so once it
+// returns nothing more reaches the controller, and OnClose ran exactly
+// once, after the last record was ingested. That join is the whole
+// shutdown barrier — the controller needs no closed gate of its own.
+func TestCollectorCloseUnderLoad(t *testing.T) {
 	serverConn, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := NewAsync(New(Config{Plan: window.Tumbling(1), Kind: afr.Frequency, Threshold: 3, CaptureValues: true}))
-	col := NewCollector(serverConn, sink)
-	defer sink.Close()
+	ctrl := New(Config{Plan: window.Tumbling(1), Kind: afr.Frequency, Shards: 4})
+	ctrl.SetObs(Instrument(obs.NewRegistry(), ""))
+	reached := func() int64 { return ctrl.obs.Ingested.Value() + ctrl.obs.Duplicates.Value() }
+	var closes, atClose atomic.Int64
+	col := NewCollector(serverConn, ctrl, CollectorConfig{Workers: 4, OnClose: func() {
+		closes.Add(1)
+		atClose.Store(reached())
+	}})
+
+	switchConn, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer switchConn.Close()
+	stop := make(chan struct{})
+	sent := make(chan struct{})
+	go func() {
+		defer close(sent)
+		for seq := uint32(0); ; seq++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			// Sends to the closed collector fail or vanish; either is fine.
+			_ = SendDatagram(switchConn, col.Addr(), afrPkt(packet.AFR{Key: fk(int(seq)), SubWindow: 0, Attr: 1, Seq: seq}))
+		}
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for col.Received() < 200 {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d datagrams ingested under load", col.Received())
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	if err := col.Close(); err != nil {
+		t.Fatal(err)
+	}
+	after := reached()
+	close(stop)
+	<-sent
+	if closes.Load() != 1 {
+		t.Fatalf("OnClose ran %d times, want 1", closes.Load())
+	}
+	if got := reached(); got != after || atClose.Load() != after {
+		t.Fatalf("records reached the controller after Close: %d at OnClose, %d when Close returned, %d later",
+			atClose.Load(), after, got)
+	}
+	if int64(col.Received()) != after {
+		t.Fatalf("collector counted %d ingested datagrams, controller saw %d records", col.Received(), after)
+	}
+}
+
+func TestCollectorOverUDP(t *testing.T) {
+	// Controller side: UDP listener feeding the controller.
+	serverConn, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink := New(Config{Plan: window.Tumbling(1), Kind: afr.Frequency, Threshold: 3, CaptureValues: true})
+	col := NewCollector(serverConn, sink, CollectorConfig{})
 
 	// Switch side: send AFR datagrams plus the trigger.
 	switchConn, err := net.ListenPacket("udp", "127.0.0.1:0")

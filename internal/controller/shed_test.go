@@ -16,7 +16,7 @@ import (
 // the admission-control paths become fully deterministic.
 type shedHarness struct {
 	t    *testing.T
-	sink *Async
+	sink *Controller
 	col  *Collector
 	sw   net.PacketConn
 }
@@ -27,8 +27,8 @@ func newShedHarness(t *testing.T) *shedHarness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := NewAsync(New(Config{Plan: window.Tumbling(1), Kind: afr.Frequency, Threshold: 1, CaptureValues: true}))
-	col := NewCollectorConfig(serverConn, sink, CollectorConfig{
+	sink := New(Config{Plan: window.Tumbling(1), Kind: afr.Frequency, Threshold: 1, CaptureValues: true})
+	col := NewCollector(serverConn, sink, CollectorConfig{
 		Workers:       2,
 		MaxQueueDepth: 64,
 		ShedWatermark: 0.001, // floors to 0: shed every recoverable frame
@@ -40,7 +40,6 @@ func newShedHarness(t *testing.T) *shedHarness {
 	h := &shedHarness{t: t, sink: sink, col: col, sw: switchConn}
 	t.Cleanup(func() {
 		col.Close()
-		sink.Close()
 		switchConn.Close()
 	})
 	return h

@@ -13,57 +13,9 @@ import (
 	"slices"
 
 	"omniwindow/internal/metrics"
-	"omniwindow/internal/obs"
 	"omniwindow/internal/packet"
 	"omniwindow/internal/wire"
 )
-
-// NoteShed records that admission control dropped n AFRs destined for a
-// sub-window (attributed by header peek before the discard). Notes for a
-// still-open sub-window flow into its final accounting; notes for an
-// already-finished one amend the retained reliability snapshot but cannot
-// retroactively change windows that were already emitted.
-func (c *Controller) NoteShed(sw uint64, n int) {
-	if n <= 0 {
-		return
-	}
-	c.obs.Shed.Add(int64(n))
-	c.obs.Ring.Record(obs.StageShed, sw, -1, int64(n))
-	c.mu.Lock()
-	if d, live := c.dedups[sw]; live {
-		c.mu.Unlock()
-		d.mu.Lock()
-		d.shed += n
-		d.mu.Unlock()
-		return
-	}
-	if rel, done := c.rel[sw]; done {
-		rel.Shed += n
-		c.rel[sw] = rel
-	}
-	c.mu.Unlock()
-}
-
-// NoteLost records that n units of a sub-window's durable record are
-// unrecoverable (quarantined WAL segments, a degraded-durability gap the
-// standby cannot replay). Unlike shed — which is pressure the live path
-// already accounted — lost is damage: it always lands in the sub-window's
-// Missing tally, creating the reliability entry if the sub-window was
-// never announced, so every window spanning it assembles as Incomplete
-// instead of silently wrong.
-func (c *Controller) NoteLost(sw uint64, n int) {
-	if n <= 0 {
-		return
-	}
-	c.mu.Lock()
-	// Works for open and finished sub-windows alike: finishOne merges a
-	// pre-charged entry into the dedup's final snapshot, and the fill
-	// loop treats the entry as already-accounted.
-	rel := c.rel[sw]
-	rel.Missing += n
-	c.rel[sw] = rel
-	c.mu.Unlock()
-}
 
 // LastFinished reports the highest sub-window FinishSubWindow has
 // completed; ok is false before the first finish.
@@ -109,31 +61,31 @@ func (c *Controller) ExportState() *wire.Snapshot {
 
 	c.mu.Lock()
 	s.LastFinished, s.HasFinished = c.lastFin, c.hasFin
-	for sw, d := range c.dedups {
-		d.mu.Lock()
-		sd := wire.SnapDedup{
-			SW:        sw,
-			Expected:  int32(d.expected),
-			Recovered: uint32(d.recovered),
-			Shed:      uint32(d.shed),
+	for sw, r := range c.ledger {
+		r.mu.Lock()
+		if r.arrived && !r.finished {
+			sd := wire.SnapDedup{
+				SW:        sw,
+				Expected:  int32(r.expected),
+				Recovered: uint32(r.recovered),
+				Shed:      uint32(r.shed),
+			}
+			if n := r.seen.size(); n > 0 {
+				sd.Seen = r.seen.appendSorted(make([]uint32, 0, n))
+			}
+			s.Dedups = append(s.Dedups, sd)
 		}
-		if n := d.seen.size(); n > 0 {
-			// appendSorted iterates the bitset in ascending order, so the
-			// snapshot bytes stay identical to the sorted-map encoding.
-			sd.Seen = d.seen.appendSorted(make([]uint32, 0, n))
+		if r.charged {
+			s.Rels = append(s.Rels, wire.SnapRel{
+				SW:        sw,
+				Expected:  int32(r.rel.Expected),
+				Received:  uint32(r.rel.Received),
+				Recovered: uint32(r.rel.Recovered),
+				Missing:   uint32(r.rel.Missing),
+				Shed:      uint32(r.rel.Shed),
+			})
 		}
-		d.mu.Unlock()
-		s.Dedups = append(s.Dedups, sd)
-	}
-	for sw, r := range c.rel {
-		s.Rels = append(s.Rels, wire.SnapRel{
-			SW:        sw,
-			Expected:  int32(r.Expected),
-			Received:  uint32(r.Received),
-			Recovered: uint32(r.Recovered),
-			Missing:   uint32(r.Missing),
-			Shed:      uint32(r.Shed),
-		})
+		r.mu.Unlock()
 	}
 	c.mu.Unlock()
 	slices.SortFunc(s.Dedups, func(a, b wire.SnapDedup) int { return cmp.Compare(a.SW, b.SW) })
@@ -195,22 +147,23 @@ func (c *Controller) RestoreState(s *wire.Snapshot) {
 	}
 
 	c.mu.Lock()
-	c.dedups = make(map[uint64]*dedup)
-	c.rel = make(map[uint64]metrics.Reliability)
+	defer c.mu.Unlock()
 	c.lastFin, c.hasFin = s.LastFinished, s.HasFinished
+	c.ledger = make(map[uint64]*subWindow)
 	for _, sd := range s.Dedups {
-		d := &dedup{
-			expected:  int(sd.Expected),
-			recovered: int(sd.Recovered),
-			shed:      int(sd.Shed),
-		}
+		r := c.recordFor(sd.SW)
+		// A sub-window the snapshot never finished keeps collecting, even
+		// at or below LastFinished (the first finish may skip ahead).
+		r.arrived, r.finished = true, false
+		r.expected, r.recovered, r.shed = int(sd.Expected), int(sd.Recovered), int(sd.Shed)
 		for _, seq := range sd.Seen {
-			d.seen.add(seq)
+			r.seen.add(seq)
 		}
-		c.dedups[sd.SW] = d
 	}
 	for _, sr := range s.Rels {
-		c.rel[sr.SW] = metrics.Reliability{
+		r := c.recordFor(sr.SW)
+		r.charged = true
+		r.rel = metrics.Reliability{
 			Expected:  int(sr.Expected),
 			Received:  int(sr.Received),
 			Recovered: int(sr.Recovered),
@@ -218,5 +171,4 @@ func (c *Controller) RestoreState(s *wire.Snapshot) {
 			Shed:      int(sr.Shed),
 		}
 	}
-	c.mu.Unlock()
 }

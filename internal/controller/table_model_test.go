@@ -94,6 +94,9 @@ func (m *modelController) dedupFor(sw uint64) *modelDedup {
 }
 
 func (m *modelController) trigger(sw uint64, keyCount int) {
+	if m.hasFin && sw <= m.lastFin {
+		return // late: a finished sub-window is never reopened
+	}
 	if d := m.dedupFor(sw); keyCount > d.expected {
 		d.expected = keyCount
 	}
@@ -101,6 +104,9 @@ func (m *modelController) trigger(sw uint64, keyCount int) {
 
 func (m *modelController) ingest(recs []packet.AFR, retrans bool) {
 	for _, r := range recs {
+		if m.hasFin && r.SubWindow <= m.lastFin {
+			continue // late: a finished sub-window is never reopened
+		}
 		d := m.dedupFor(r.SubWindow)
 		if d.seen[r.Seq] {
 			continue

@@ -483,3 +483,71 @@ func TestWALAppendZeroAlloc(t *testing.T) {
 		t.Fatalf("WAL append allocates %.1f/op, want 0", allocs)
 	}
 }
+
+// ...and it stays so under rotation: with a 16 KiB segment cap a seal-and-
+// rotate lands every ~40 appends, and what it allocates (a file name, a
+// handle) must amortise to nothing per append — AllocsPerRun's integer
+// average, the same figure -benchmem prints for BenchmarkWALAppendRotating.
+func TestWALAppendRotatingZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	s, err := OpenStore(t.TempDir(), 1, Options{SegmentBytes: 16 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	afrs := make([]packet.AFR, 8)
+	for i := range afrs {
+		afrs[i] = packet.AFR{Key: key(i), Attr: uint64(i), Seq: uint32(i)}
+	}
+	for i := 0; i < 4; i++ {
+		if err := s.AppendBatch(0, 0, false, afrs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := s.Rotations()
+	allocs := testing.AllocsPerRun(2000, func() {
+		if err := s.AppendBatch(0, 1, false, afrs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if s.Rotations()-before < 10 {
+		t.Fatalf("only %d rotations in 2000 appends: the cap is not being exercised", s.Rotations()-before)
+	}
+	if allocs != 0 {
+		t.Fatalf("rotating WAL append allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// A deposed primary discovers its demotion for free: an append under a
+// stale term is rejected without allocating.
+func TestFencedAppendZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	s, err := OpenStore(t.TempDir(), 1, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if err := s.AppendFinish(0); err != nil {
+		t.Fatal(err)
+	}
+	// Advance the authoritative term without adopting it: this handle is
+	// now the zombie.
+	if _, err := s.CASTerm(s.Term(), 2); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := s.AppendFinish(1); !errors.Is(err, ErrFenced) {
+			t.Fatalf("stale-term append: %v, want ErrFenced", err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("fenced append allocates %.1f/op, want 0", allocs)
+	}
+	if s.FencedWrites() < 200 {
+		t.Fatalf("FencedWrites = %d, want >= 200", s.FencedWrites())
+	}
+}

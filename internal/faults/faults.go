@@ -7,18 +7,17 @@
 // (seed, event sequence) pair always yields the same fault schedule — a
 // chaos run is a reproducible test case, not a flake.
 //
-// One injector wraps the repo's three delivery choke points:
+// One injector wraps the repo's two packet-delivery choke points:
 //
 //   - netsim.Path link functions, via LinkFault (drop/duplicate/delay of
 //     simulated packets between switches);
 //   - the UDP socket feeding controller.Collector, via WrapPacketConn
-//     (drop/duplicate/reorder/truncate/corrupt of wire datagrams);
-//   - rdma.NIC verbs, via Verb (injected WRITE / Fetch-and-Add / Append
-//     completion errors).
+//     (drop/duplicate/reorder/truncate/corrupt of wire datagrams).
+//
+// RDMA verb completion errors are scheduled by RDMASchedule.VerbError.
 package faults
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 
@@ -59,9 +58,6 @@ type Config struct {
 	Truncate float64
 	// Corrupt is the probability one bit of a datagram flips in flight.
 	Corrupt float64
-
-	// VerbError is the probability an RDMA verb completes with an error.
-	VerbError float64
 }
 
 // Stats counts the injected faults so tests can assert a schedule actually
@@ -74,7 +70,6 @@ type Stats struct {
 	Delayed    int
 	Truncated  int
 	Corrupted  int
-	VerbErrors int
 }
 
 // PacketAction is the fate of one in-flight simulated packet (an object,
@@ -99,7 +94,6 @@ type decision struct {
 	corrupt    bool
 	corruptPos float64
 	corruptBit uint8
-	verbErr    bool
 }
 
 // Injector draws fault decisions from a seeded PRNG. Safe for concurrent
@@ -156,7 +150,7 @@ func (in *Injector) decide() decision {
 	d.corrupt = in.rng.Float64() < in.cfg.Corrupt
 	d.corruptPos = in.rng.Float64()
 	d.corruptBit = uint8(in.rng.Intn(8))
-	d.verbErr = in.rng.Float64() < in.cfg.VerbError
+	in.rng.Float64() // the retired per-verb draw: keep the stream aligned
 	return d
 }
 
@@ -274,18 +268,4 @@ func (in *Injector) LinkFault(link int) func(*packet.Packet, int) netsim.LinkAct
 		a := in.Packet()
 		return netsim.LinkAction{Drop: a.Drop, Duplicates: a.Duplicates, ExtraDelay: a.ExtraDelay}
 	}
-}
-
-// Verb decides whether an RDMA verb completes or fails with an injected
-// completion error — the signature matches rdma.NIC's fault hook.
-func (in *Injector) Verb(op string, addr int) error {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.stats.Events++
-	d := in.decide()
-	if d.verbErr {
-		in.stats.VerbErrors++
-		return fmt.Errorf("faults: injected %s completion error at address %d", op, addr)
-	}
-	return nil
 }

@@ -174,7 +174,7 @@ func TestScheduleAlignment(t *testing.T) {
 		return idx
 	}
 	base := droppedIdx(Config{Seed: 42, Drop: 0.3})
-	with := droppedIdx(Config{Seed: 42, Drop: 0.3, Corrupt: 1, Truncate: 0.0, VerbError: 0.0})
+	with := droppedIdx(Config{Seed: 42, Drop: 0.3, Corrupt: 1, Truncate: 0.0})
 	if len(base) != len(with) {
 		t.Fatalf("corruption shifted the drop schedule: %d vs %d drops", len(base), len(with))
 	}
@@ -212,22 +212,6 @@ func TestLinkFaultTargetsOneLink(t *testing.T) {
 	}
 	if a := f(nil, 1); !a.Drop {
 		t.Fatal("target hop not dropped")
-	}
-}
-
-func TestVerb(t *testing.T) {
-	in := New(Config{Seed: 4, VerbError: 1})
-	for i := 0; i < 5; i++ {
-		if err := in.Verb("write", i); err == nil {
-			t.Fatal("verb-error-all verb completed")
-		}
-	}
-	if s := in.Stats(); s.VerbErrors != 5 {
-		t.Fatalf("counted %d verb errors, want 5", s.VerbErrors)
-	}
-	in = New(Config{Seed: 4})
-	if err := in.Verb("fetch_add", 0); err != nil {
-		t.Fatalf("fault-free verb failed: %v", err)
 	}
 }
 

@@ -104,17 +104,10 @@ type NIC struct {
 	// psn is the RoCEv2 packet sequence number register the switch-side
 	// request constructor maintains (§8).
 	psn uint32
-	// faults, when non-nil, is consulted before each verb executes and
-	// may fail it with an injected completion error (the op names are
-	// "write", "fetch_add", "append"). The verb then has no effect on
-	// the memory region — the RoCE transport reports the failure to the
-	// requester, who falls back to the packet path.
-	faults func(op string, addr int) error
 
 	Writes     int
 	FetchAdds  int
 	Appends    int
-	Failures   int
 	Sequential bool
 }
 
@@ -126,28 +119,9 @@ func NewNIC(mr *MemoryRegion) *NIC {
 // PSN returns the current packet sequence number.
 func (n *NIC) PSN() uint32 { return n.psn }
 
-// SetFaults installs a verb-completion fault hook (e.g. a seeded
-// faults.Injector's Verb method). Pass nil to clear it.
-func (n *NIC) SetFaults(f func(op string, addr int) error) { n.faults = f }
-
-// injectFault consults the fault hook for one verb.
-func (n *NIC) injectFault(op string, addr int) error {
-	if n.faults == nil {
-		return nil
-	}
-	if err := n.faults(op, addr); err != nil {
-		n.Failures++
-		return err
-	}
-	return nil
-}
-
 // Write executes an RDMA WRITE of value into slot addr.
 func (n *NIC) Write(addr int, value uint64) error {
 	n.psn++
-	if err := n.injectFault("write", addr); err != nil {
-		return err
-	}
 	if addr < 0 || addr >= len(n.mr.slots) {
 		return fmt.Errorf("rdma: WRITE to invalid address %d", addr)
 	}
@@ -159,9 +133,6 @@ func (n *NIC) Write(addr int, value uint64) error {
 // FetchAdd executes an RDMA Fetch-and-Add, returning the previous value.
 func (n *NIC) FetchAdd(addr int, delta uint64) (uint64, error) {
 	n.psn++
-	if err := n.injectFault("fetch_add", addr); err != nil {
-		return 0, err
-	}
 	if addr < 0 || addr >= len(n.mr.slots) {
 		return 0, fmt.Errorf("rdma: FETCH_ADD to invalid address %d", addr)
 	}
@@ -176,9 +147,6 @@ func (n *NIC) FetchAdd(addr int, delta uint64) (uint64, error) {
 // sequentially; the simulation enforces only capacity.
 func (n *NIC) Append(rec packet.AFR) error {
 	n.psn++
-	if err := n.injectFault("append", -1); err != nil {
-		return err
-	}
 	buf := n.mr.buffer
 	if len(buf) >= n.mr.bufCap {
 		return ErrBufferFull
