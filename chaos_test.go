@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"omniwindow/internal/faults"
+	"omniwindow/internal/obs"
 	"omniwindow/internal/packet"
 	"omniwindow/internal/window"
 )
@@ -183,5 +184,60 @@ func TestChaosDeterministicSchedules(t *testing.T) {
 	}
 	if !reflect.DeepEqual(d1.Results(), d2.Results()) {
 		t.Fatal("same seed, different window results")
+	}
+}
+
+// TestChaosMultiAppRecoveryAccounting: co-deployed apps account a lossy
+// boundary exactly as a lone app does. Delivery used to reach several apps'
+// controllers by a second path that forgot the packet's flag and the O1
+// charge, so recoveries read 0 for every co-deployed app.
+func TestChaosMultiAppRecoveryAccounting(t *testing.T) {
+	run := func(apps []AppSpec, lossy bool) (*Deployment, *obs.Registry) {
+		reg := obs.NewRegistry()
+		cfg := multiAppConfig()
+		cfg.Apps = apps
+		cfg.Plan = window.SlidingPlan(3, 1)
+		cfg.RetryBackoff = time.Millisecond
+		cfg.RetryMaxBackoff = 2 * time.Millisecond
+		cfg.Obs = reg
+		d, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lossy {
+			d.testAFRLoss = func(i int) bool { return i%3 == 0 }
+		}
+		d.RunFor(chaosTrace(), 500*ms)
+		return d, reg
+	}
+	apps := multiAppConfig().Apps
+	lossFree, _ := run(apps, false)
+	single, singleReg := run(apps[:1], true)
+	multi, multiReg := run(apps, true)
+
+	wantRecovered := counter(singleReg, "omniwindow_controller_recovered_total")
+	if wantRecovered == 0 || single.Stats().Retransmitted == 0 {
+		t.Fatalf("the single-app run recovered nothing: %+v", single.Stats())
+	}
+	if got := multi.Stats().Retransmitted / len(apps); got != single.Stats().Retransmitted {
+		t.Errorf("retransmitted %d per app, single-app run %d", got, single.Stats().Retransmitted)
+	}
+	for i, app := range apps {
+		name := fmt.Sprintf("omniwindow_controller_recovered_total{app=%q}", app.Name)
+		if got := counter(multiReg, name); got != wantRecovered {
+			t.Errorf("app %s recovered %d records, the single-app run %d", app.Name, got, wantRecovered)
+		}
+		// Necessary, not sufficient: the trigger alone charges some O1 time.
+		for sw := uint64(0); sw < 5; sw++ {
+			if multi.ctrls[i].Times(sw).Collect <= 0 {
+				t.Errorf("app %s sub-window %d: no O1 receive time charged", app.Name, sw)
+			}
+		}
+		if !reflect.DeepEqual(lossFree.ResultsFor(i), multi.ResultsFor(i)) {
+			t.Errorf("app %s: windows under loss differ from the loss-free run's", app.Name)
+		}
+	}
+	if !reflect.DeepEqual(lossFree.ResultsFor(0), single.Results()) {
+		t.Error("single-app windows under loss differ from the loss-free run's")
 	}
 }

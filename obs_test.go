@@ -3,6 +3,7 @@ package omniwindow
 import (
 	"bufio"
 	"encoding/json"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -28,8 +29,14 @@ func scrapeMetrics(t *testing.T, url string) map[string]float64 {
 	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "text/plain") {
 		t.Fatalf("/metrics content type %q", ct)
 	}
+	return parseMetrics(t, resp.Body)
+}
+
+// parseMetrics parses a Prometheus text exposition into name→value.
+func parseMetrics(t *testing.T, r io.Reader) map[string]float64 {
+	t.Helper()
 	values := make(map[string]float64)
-	sc := bufio.NewScanner(resp.Body)
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()

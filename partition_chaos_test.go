@@ -1,7 +1,9 @@
 package omniwindow
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"reflect"
 	"testing"
 	"time"
@@ -9,6 +11,7 @@ import (
 	"omniwindow/internal/controller"
 	"omniwindow/internal/durable"
 	"omniwindow/internal/faults"
+	"omniwindow/internal/obs"
 	"omniwindow/internal/packet"
 	"omniwindow/internal/window"
 )
@@ -418,5 +421,65 @@ func TestPartitionZombieWALFenced(t *testing.T) {
 			t.Fatalf("frame %d carries term %d beyond the final holder's %d", i, r.Term, finalTerm)
 		}
 		last = r.Term
+	}
+}
+
+// TestPartitionScrapeDuringRun: scraping a live hot-standby pair is safe.
+// A goroutine renders the registry in a loop — what owtop polling the debug
+// endpoint does — while the run promotes, demotes and re-admits; under
+// -race nothing the scrape reads may be a plain field the run is writing.
+// Afterwards the failover families equal Stats().
+func TestPartitionScrapeDuringRun(t *testing.T) {
+	reg := obs.NewRegistry()
+	ps := &faults.PartitionSchedule{Windows: []faults.PartitionWindow{{Start: 3, Len: 3}}}
+	cfg := partitionConfig(t.TempDir(), ps)
+	cfg.Obs = reg
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop, scraped := make(chan struct{}), make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-stop:
+				scraped <- n
+				return
+			default:
+				reg.WritePrometheus(io.Discard)
+				n++
+			}
+		}
+	}()
+	d.RunFor(partitionTrace(10), 10*100*ms)
+	close(stop)
+	if n := <-scraped; n == 0 {
+		t.Fatal("the run finished before a single scrape")
+	}
+	if err := d.CloseDurability(); err != nil {
+		t.Fatal(err)
+	}
+
+	st := d.Stats()
+	if st.Failovers == 0 || st.Demotions == 0 || st.Readmissions == 0 || st.PartitionEvents == 0 {
+		t.Fatalf("the schedule did not promote, demote and re-admit: %+v", st)
+	}
+	var text bytes.Buffer
+	if err := reg.WritePrometheus(&text); err != nil {
+		t.Fatal(err)
+	}
+	got := parseMetrics(t, &text)
+	for name, want := range map[string]int{
+		"omniwindow_failover_term":                     int(d.Term()),
+		"omniwindow_failover_role":                     1, // promoted, the demoted node re-admitted
+		"omniwindow_failover_demotions_total":          st.Demotions,
+		"omniwindow_failover_readmissions_total":       st.Readmissions,
+		"omniwindow_failover_partition_events_total":   st.PartitionEvents,
+		"omniwindow_failover_suppressed_windows_total": st.SuppressedWindows,
+	} {
+		if v, ok := got[name]; !ok || int(v) != want {
+			t.Errorf("%s = %v (present %v), want %d", name, v, ok, want)
+		}
 	}
 }
