@@ -6,7 +6,7 @@ GO ?= go
 .PHONY: all build test race fuzz examples \
 	reproduce fmt vet clean ci fmt-check fuzz-smoke bench-smoke chaos \
 	failover fabric-chaos rdma-chaos disk-chaos partition-chaos \
-	staticcheck cover nightly microbench
+	staticcheck cover nightly microbench loc
 
 all: build vet test
 
@@ -40,6 +40,7 @@ race:
 #	cover                ↔ job "coverage"
 #	fuzz-smoke bench-smoke ↔ job "smoke"
 #	nightly              ↔ .github/workflows/nightly.yml (scheduled)
+#	loc                  ↔ none: informational, gates nothing
 ci: build vet fmt-check test race chaos failover fabric-chaos rdma-chaos \
 	disk-chaos partition-chaos staticcheck cover fuzz-smoke bench-smoke
 
@@ -94,6 +95,18 @@ disk-chaos:
 partition-chaos:
 	$(GO) test -race -run 'Partition|Term|Fenc' \
 		. ./internal/durable/ ./internal/faults/ ./internal/wire/
+
+# Line counts per package and repo-wide, non-test and test, comments and
+# blank lines included: the `cat $$(ls DIR/*.go | grep -v _test) | wc -l`
+# form CHANGES.md has reported since PR 22, so every simplicity PR states
+# the same numbers the same way. Run it on both commits.
+loc:
+	@$(GO) list -f '{{.Dir}}' ./... | while read d; do \
+		echo "$${d#$(CURDIR)}/ \
+			$$(ls $$d/*.go | grep -v _test | xargs -r cat | wc -l) \
+			$$(ls $$d/*.go | grep _test | xargs -r cat | wc -l)"; \
+	done | awk '{ printf "%-28s %6d non-test %6d test\n", "." $$1, $$2, $$3; n += $$2; t += $$3 } \
+		END { printf "%-28s %6d non-test %6d test\n", "repo-wide", n, t }'
 
 fmt-check:
 	@files="$$(gofmt -l .)"; if [ -n "$$files" ]; then \

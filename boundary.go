@@ -166,13 +166,7 @@ func (b *boundary) account() {
 // exactly the on-disk state a real mid-operation power cut would.
 func (b *boundary) finish() {
 	d := b.d
-	for i, ctrl := range d.ctrls {
-		w := ctrl.FinishSubWindow(b.sw)
-		d.appResults[i] = append(d.appResults[i], w...)
-		if i == 0 {
-			b.windows = w
-		}
-	}
+	b.windows = d.finishSubWindow(b.sw)
 	d.logFinish(b.sw)
 	if d.store != nil {
 		// Disk retry backoffs and injected slow-IO latency accrued since
@@ -185,6 +179,20 @@ func (b *boundary) finish() {
 	d.renewLease(b.sw)
 	d.maintainPartition(b.sw)
 	d.crashIfScheduled(b.sw)
+}
+
+// finishSubWindow assembles sw's windows in every app's controller and
+// appends them to the results, at a live boundary and when WAL replay
+// re-runs one. It returns the first app's.
+func (d *Deployment) finishSubWindow(sw uint64) (first []controller.WindowResult) {
+	for i, ctrl := range d.ctrls {
+		w := ctrl.FinishSubWindow(sw)
+		d.appResults[i] = append(d.appResults[i], w...)
+		if i == 0 {
+			first = w
+		}
+	}
+	return first
 }
 
 func (b *boundary) windowClosed() {
@@ -221,13 +229,6 @@ func (d *Deployment) deliverClones(out switchsim.Output) (afrs int) {
 // duplicates arrive back to back, which the controller's sequence dedup
 // must suppress.
 func (d *Deployment) deliverAFRs(c *packet.Packet) {
-	if d.testAFRLoss != nil {
-		i := d.afrPktCount
-		d.afrPktCount++
-		if d.testAFRLoss(i) {
-			return // injected loss: cloned packets have lowest priority
-		}
-	}
 	copies := 1
 	if d.cfg.AFRFaults != nil {
 		act := d.cfg.AFRFaults.Packet()

@@ -87,13 +87,12 @@ func TestCollectBatchFlushPoints(t *testing.T) {
 		)
 		reg := obs.NewRegistry()
 		d, err := New(batchConfig(func(c *Config) {
-			c.AFRFaults = faults.New(faults.Config{Seed: 1, Drop: 0.10, Duplicate: 0.20, MaxDuplicates: 2})
+			c.AFRFaults = &everyThird{next: faults.New(faults.Config{Seed: 1, Drop: 0.10, Duplicate: 0.20, MaxDuplicates: 2})}
 			c.Obs = reg
 		}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.testAFRLoss = func(i int) bool { return i%3 == 0 }
 		d.RunFor(batchTrace(), 500*ms)
 		if !reflect.DeepEqual(baseline.Results(), d.Results()) {
 			t.Fatal("faulted run's windows differ from the fault-free run's")
@@ -256,6 +255,13 @@ func TestStaleCollectDropsSpilledKeys(t *testing.T) {
 	}
 	if len(d.spilled) != 0 {
 		t.Fatalf("spilled keys of %d sub-window(s) left behind: a stale collection leaked them", len(d.spilled))
+	}
+	// Sub-window 0's records really are gone, and its window must say so:
+	// the in-band trigger announced its keys before the packet that ended it
+	// took the region over. (Announcing after would read "not the owner, 0
+	// keys" and emit the window short and unflagged.)
+	if w := d.Results(); len(w) != 1 || !w[0].Incomplete || w[0].MissingAFRs != 200 {
+		t.Fatalf("want one window, Incomplete with the 200 tracked keys Missing; got %d windows", len(w))
 	}
 }
 

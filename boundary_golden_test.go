@@ -77,6 +77,9 @@ func TestBoundaryGolden(t *testing.T) {
 					if tc.mutate != nil {
 						tc.mutate(c)
 					}
+					if tc.loss {
+						c.AFRFaults = &everyThird{next: c.AFRFaults}
+					}
 					if crash != nil {
 						c.Crash = crash
 					}
@@ -96,9 +99,6 @@ func TestBoundaryGolden(t *testing.T) {
 				pkts, reg = traceTail(pkts, tc.restartAt), obs.NewRegistry()
 			}
 			d := build(nil)
-			if tc.loss {
-				d.testAFRLoss = func(i int) bool { return i%3 == 0 }
-			}
 			d.RunFor(pkts, 500*ms)
 			if err := d.CloseDurability(); err != nil {
 				t.Fatal(err)

@@ -4,6 +4,9 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io/fs"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -15,6 +18,7 @@ import (
 // noteRDMAShed and Stats.RDMAReplayed are not those identifiers). The next
 // flush point or fault arc has to go into a phase, not back into collect.
 func TestBoundaryPathShape(t *testing.T) {
+	seamShape(t)
 	const maxLines = 60
 	fset := token.NewFileSet()
 	lines := func(n ast.Node) int { return fset.Position(n.End()).Line - fset.Position(n.Pos()).Line + 1 }
@@ -66,4 +70,74 @@ func TestBoundaryPathShape(t *testing.T) {
 		}
 	}
 	t.Error("deployment.go has no collect")
+}
+
+// seamShape holds the switch-to-controller seam to one path per message, so
+// none can quietly grow a second that then drifts from the first: one
+// function announces a termination (the only caller of logTrigger, and the
+// only reader of the tracker's key count besides enumeration), the per-app
+// controller list is walked only where a message fans out to every app, and
+// no scrape-time metric func in obs.go reads a deployment field the run
+// goroutine writes.
+func seamShape(t *testing.T) {
+	fset := token.NewFileSet()
+	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
+		return !strings.HasSuffix(fi.Name(), "_test.go")
+	}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	selected := func(e ast.Expr) string { // Sel of x.Sel, "" for anything else
+		if sel, ok := e.(*ast.SelectorExpr); ok {
+			return sel.Sel.Name
+		}
+		return ""
+	}
+	in := map[string][]string{} // what → the functions it occurs in
+	for _, f := range pkgs["omniwindow"].Files {
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Body == nil {
+				continue
+			}
+			ast.Inspect(fn.Body, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.RangeStmt:
+					if selected(n.X) == "ctrls" {
+						in["range ctrls"] = append(in["range ctrls"], fn.Name.Name)
+					}
+				case *ast.CallExpr:
+					switch callee := selected(n.Fun); callee {
+					case "logTrigger", "KeyCount":
+						in[callee] = append(in[callee], fn.Name.Name)
+					case "CounterFunc", "GaugeFunc":
+						ast.Inspect(n.Args[len(n.Args)-1], func(m ast.Node) bool {
+							sel, ok := m.(*ast.SelectorExpr)
+							if !ok {
+								return true
+							}
+							if id, ok := sel.X.(*ast.Ident); ok && id.Name == "d" &&
+								slices.Contains([]string{"stats", "term", "failedOver", "demotedCtrl"}, sel.Sel.Name) {
+								t.Errorf("%s: a scrape-time func reads d.%s beside the goroutine that writes it; set a handle at the write",
+									fset.Position(sel.Pos()), sel.Sel.Name)
+							}
+							return true
+						})
+					}
+				}
+				return true
+			})
+		}
+	}
+	for what, want := range map[string][]string{"logTrigger": {"announce"}, "KeyCount": {"announce", "enumerate"}} {
+		got := in[what]
+		if slices.Sort(got); !slices.Equal(got, want) {
+			t.Errorf("%s is called in %v, want exactly %v", what, got, want)
+		}
+	}
+	for _, fn := range in["range ctrls"] {
+		if !slices.Contains([]string{"announce", "handOff", "ingestSpike", "finishSubWindow", "setupObs"}, fn) {
+			t.Errorf("%s walks the per-app controllers: only announce, hand-off, spike, finish and obs setup fan out", fn)
+		}
+	}
 }

@@ -200,12 +200,12 @@ func TestChaosMultiAppRecoveryAccounting(t *testing.T) {
 		cfg.RetryBackoff = time.Millisecond
 		cfg.RetryMaxBackoff = 2 * time.Millisecond
 		cfg.Obs = reg
+		if lossy {
+			cfg.AFRFaults = &everyThird{}
+		}
 		d, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if lossy {
-			d.testAFRLoss = func(i int) bool { return i%3 == 0 }
 		}
 		d.RunFor(chaosTrace(), 500*ms)
 		return d, reg

@@ -107,12 +107,10 @@ func (d *Deployment) installProgram() {
 			d.obs.staleEpoch.Inc()
 			return
 		}
+		// The in-band trigger: announced here, before this packet's own
+		// update below may hand an ended sub-window's region to a newer one.
 		for _, ended := range res.Terminated {
-			trig := p.Clone()
-			trig.OW.Flag = packet.OWTrigger
-			trig.OW.SubWindow = ended
-			trig.OW.KeyCount = uint32(d.engine.Tracker().KeyCount(d.manager.Regions().Index(ended)))
-			pass.CloneToController(trig)
+			d.terminated(ended)
 		}
 		if res.Spike {
 			c := p.Clone()
@@ -186,28 +184,36 @@ func (d *Deployment) Tick(now int64) {
 		return
 	}
 	for _, ended := range d.manager.Tick(now) {
-		d.sendTrigger(ended)
-		d.onTerminated(ended)
+		d.terminated(ended)
 	}
 	d.runDueCollections()
 }
 
-// sendTrigger delivers the sub-window-terminated announcement the data
-// plane would clone to the controller (sub-window number + tracked key
-// count, for AFR-loss detection).
-func (d *Deployment) sendTrigger(ended uint64) {
-	region := d.manager.Regions().Index(ended)
-	kc := 0
-	if d.regionOwned[region] && d.regionOwner[region] == ended {
-		kc = d.engine.Tracker().KeyCount(region)
+// announce is the one path a sub-window's termination takes to the
+// controller half: the trigger the data plane clones to the controller,
+// carrying the sub-window's number and its tracked key count — the only
+// thing that tells the controller how many AFRs the sub-window owes (§4.2,
+// §8) — is logged, then received by every app's controller. The count is
+// read under the region-ownership rule: a region holds one sub-window's
+// keys, and any other sub-window that maps to it — the empty ones of an
+// idle gap, while an older one still waits there for its collection — owes
+// none of them.
+func (d *Deployment) announce(ended uint64) {
+	trig := packet.Packet{OW: packet.OWHeader{Flag: packet.OWTrigger, SubWindow: ended}}
+	if region := d.manager.Regions().Index(ended); d.regionOwned[region] && d.regionOwner[region] == ended {
+		trig.OW.KeyCount = uint32(d.engine.Tracker().KeyCount(region))
 	}
-	trig := &packet.Packet{OW: packet.OWHeader{
-		Flag: packet.OWTrigger, SubWindow: ended, KeyCount: uint32(kc),
-	}}
-	d.logTrigger(ended, uint32(kc))
+	d.logTrigger(ended, trig.OW.KeyCount)
 	for _, c := range d.ctrls {
-		c.Receive(trig)
+		c.Receive(&trig)
 	}
+}
+
+// terminated announces an ended sub-window and schedules its C&R after the
+// grace period.
+func (d *Deployment) terminated(ended uint64) {
+	d.announce(ended)
+	d.pending = append(d.pending, pendingCR{sw: ended, due: d.now + int64(d.cfg.Grace)})
 }
 
 // Run processes a whole trace and finalizes the trailing sub-window.
@@ -228,8 +234,7 @@ func (d *Deployment) RunFor(pkts []packet.Packet, duration int64) []controller.W
 		d.ProcessPacket(&pkts[i])
 	}
 	d.Tick(duration)
-	d.now += 1 << 40 // move past every grace deadline
-	d.runDueCollections()
+	d.flushCollections()
 	return d.Results()
 }
 
@@ -239,10 +244,14 @@ func (d *Deployment) Finalize() {
 	if d.crashed {
 		return
 	}
-	ended := d.manager.ForceTerminate()
-	d.sendTrigger(ended)
-	d.onTerminated(ended)
-	d.now += 1 << 40 // move past every grace deadline
+	d.terminated(d.manager.ForceTerminate())
+	d.flushCollections()
+}
+
+// flushCollections runs every pending collection to completion by moving
+// the clock past every grace deadline.
+func (d *Deployment) flushCollections() {
+	d.now += 1 << 40
 	d.runDueCollections()
 }
 
@@ -250,12 +259,6 @@ func (d *Deployment) Finalize() {
 func (d *Deployment) handleSwitchOutput(out switchsim.Output) {
 	for _, c := range out.ToController {
 		switch c.OW.Flag {
-		case packet.OWTrigger:
-			d.logTrigger(c.OW.SubWindow, c.OW.KeyCount)
-			for _, ctrl := range d.ctrls {
-				ctrl.Receive(c)
-			}
-			d.onTerminated(c.OW.SubWindow)
 		case packet.OWSpill:
 			d.stats.Spills++
 			d.obs.spills.Inc()
@@ -294,12 +297,6 @@ func (d *Deployment) ingestSpike(c *packet.Packet) {
 			d.stats.SpikesMerged++
 		}
 	}
-}
-
-// onTerminated schedules a terminated sub-window's C&R after the grace
-// period.
-func (d *Deployment) onTerminated(sw uint64) {
-	d.pending = append(d.pending, pendingCR{sw: sw, due: d.now + int64(d.cfg.Grace)})
 }
 
 // runDueCollections performs C&R for every pending sub-window whose grace

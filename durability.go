@@ -303,9 +303,7 @@ func (d *Deployment) replayWAL(recs []*wire.WALRecord) {
 			if lf, ok := d.ctrl.LastFinished(); ok && r.SubWindow <= lf {
 				continue // the checkpoint already reflects this assembly
 			}
-			w := d.ctrl.FinishSubWindow(r.SubWindow)
-			d.appResults[0] = append(d.appResults[0], w...)
-			d.stats.ReplayedWindows += len(w)
+			d.stats.ReplayedWindows += len(d.finishSubWindow(r.SubWindow))
 		case wire.WALShed:
 			d.ctrl.NoteShed(r.SubWindow, int(r.Count))
 		}

@@ -148,9 +148,6 @@ func (e *Engine) Tracker() *Tracker { return e.tracker }
 // App returns the region's first application state (single-app form).
 func (e *Engine) App(region int) StateApp { return e.apps[region][0] }
 
-// AppAt returns a specific co-deployed application's region state.
-func (e *Engine) AppAt(region, app int) StateApp { return e.apps[region][app] }
-
 // maxSlots returns the largest reset-slot count among a region's apps.
 func (e *Engine) maxSlots(region int) int {
 	m := 0

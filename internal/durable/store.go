@@ -194,14 +194,9 @@ type Store struct {
 	ckptBytes   *obs.Counter
 }
 
-// Open creates (or reopens) a store with the given shard count and
-// default options. Reopening an existing directory resumes the LSN
-// counter past every frame already on disk.
-func Open(dir string, shards int) (*Store, error) {
-	return OpenStore(dir, shards, Options{})
-}
-
-// OpenStore is Open with explicit Options.
+// OpenStore creates (or reopens) a store with the given shard count; the
+// zero Options are the defaults. Reopening an existing directory resumes
+// the LSN counter past every frame already on disk.
 func OpenStore(dir string, shards int, opt Options) (*Store, error) {
 	if shards <= 0 {
 		return nil, fmt.Errorf("durable: shard count must be positive, got %d", shards)
@@ -372,9 +367,6 @@ func (s *Store) Instrument(reg *obs.Registry, labels string) {
 	reg.CounterFunc(n("omniwindow_durable_fenced_writes_total"), "mutating operations rejected because the writer's fencing term was stale", s.fenced.Load)
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 // LSN returns the last issued log sequence number.
 func (s *Store) LSN() uint64 { return s.lsn.Load() }
 
@@ -384,9 +376,6 @@ func (s *Store) Quarantined() int64 { return s.quarantines.Load() }
 
 // WALErrors returns how many append attempts failed.
 func (s *Store) WALErrors() int64 { return s.walErrs.Load() }
-
-// ScrubErrors returns how many scrub passes hit unreadable chains.
-func (s *Store) ScrubErrors() int64 { return s.scrubErrs.Load() }
 
 // Rotations returns how many segments have been sealed.
 func (s *Store) Rotations() int64 { return s.rotations.Load() }

@@ -17,7 +17,7 @@ func key(i int) packet.FlowKey {
 
 func TestStoreAppendAndRecover(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, 2)
+	s, err := OpenStore(dir, 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestStoreAppendAndRecover(t *testing.T) {
 	s.Close()
 
 	// Reopen: the LSN counter must resume past everything on disk.
-	s2, err := Open(dir, 2)
+	s2, err := OpenStore(dir, 2, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestStoreAppendAndRecover(t *testing.T) {
 
 func TestStoreCheckpointTruncatesAndFilters(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, 1)
+	s, err := OpenStore(dir, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestStoreCheckpointTruncatesAndFilters(t *testing.T) {
 func TestStoreCrashPoints(t *testing.T) {
 	t.Run("wal-append", func(t *testing.T) {
 		dir := t.TempDir()
-		s, _ := Open(dir, 1)
+		s, _ := OpenStore(dir, 1, Options{})
 		if err := s.AppendTrigger(0, 2); err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func TestStoreCrashPoints(t *testing.T) {
 		if second := s.AppendFinish(0); !errors.Is(second, ErrCrash) || second.Error() != first.Error() {
 			t.Fatalf("post-crash append: %v, want stable %v", second, first)
 		}
-		s2, err := Open(dir, 1)
+		s2, err := OpenStore(dir, 1, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,13 +170,13 @@ func TestStoreCrashPoints(t *testing.T) {
 
 	t.Run("checkpoint-temp", func(t *testing.T) {
 		dir := t.TempDir()
-		s, _ := Open(dir, 1)
+		s, _ := OpenStore(dir, 1, Options{})
 		s.AppendTrigger(0, 2)
 		s.SetCrash(func(p string) bool { return p == "checkpoint-temp" })
 		if err := s.Checkpoint(&wire.Snapshot{}); !errors.Is(err, ErrCrash) {
 			t.Fatalf("err = %v, want ErrCrash", err)
 		}
-		s2, err := Open(dir, 1)
+		s2, err := OpenStore(dir, 1, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,13 +195,13 @@ func TestStoreCrashPoints(t *testing.T) {
 
 	t.Run("checkpoint-rename", func(t *testing.T) {
 		dir := t.TempDir()
-		s, _ := Open(dir, 1)
+		s, _ := OpenStore(dir, 1, Options{})
 		s.AppendTrigger(0, 2)
 		s.SetCrash(func(p string) bool { return p == "checkpoint-rename" })
 		if err := s.Checkpoint(&wire.Snapshot{}); !errors.Is(err, ErrCrash) {
 			t.Fatalf("err = %v, want ErrCrash", err)
 		}
-		s2, err := Open(dir, 1)
+		s2, err := OpenStore(dir, 1, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,13 +214,13 @@ func TestStoreCrashPoints(t *testing.T) {
 
 	t.Run("wal-truncate", func(t *testing.T) {
 		dir := t.TempDir()
-		s, _ := Open(dir, 1)
+		s, _ := OpenStore(dir, 1, Options{})
 		s.AppendTrigger(0, 2)
 		s.SetCrash(func(p string) bool { return p == "wal-truncate" })
 		if err := s.Checkpoint(&wire.Snapshot{}); !errors.Is(err, ErrCrash) {
 			t.Fatalf("err = %v, want ErrCrash", err)
 		}
-		s2, err := Open(dir, 1)
+		s2, err := OpenStore(dir, 1, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +241,7 @@ func TestStoreCrashPoints(t *testing.T) {
 }
 
 func TestStoreRejectsBadInput(t *testing.T) {
-	s, err := Open(t.TempDir(), 1)
+	s, err := OpenStore(t.TempDir(), 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestStoreRejectsBadInput(t *testing.T) {
 	if err := s.AppendBatch(1, 0, false, nil); err == nil {
 		t.Fatal("out-of-range shard accepted")
 	}
-	if _, err := Open(t.TempDir(), 0); err == nil {
+	if _, err := OpenStore(t.TempDir(), 0, Options{}); err == nil {
 		t.Fatal("zero shard count accepted")
 	}
 }
@@ -259,7 +259,7 @@ func TestStoreRejectsBadInput(t *testing.T) {
 // torn snapshot. The strict loader still refuses it for callers that ask.
 func TestStoreQuarantinesCorruptCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := Open(dir, 1)
+	s, _ := OpenStore(dir, 1, Options{})
 	if err := s.Checkpoint(&wire.Snapshot{HasFinished: true, LastFinished: 7}); err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestStoreQuarantinesCorruptCheckpoint(t *testing.T) {
 	}
 	s.Close()
 
-	s2, err := Open(dir, 1)
+	s2, err := OpenStore(dir, 1, Options{})
 	if err != nil {
 		t.Fatalf("corrupt checkpoint aborted recovery: %v", err)
 	}

@@ -16,7 +16,7 @@ import (
 // persisted term.
 func TestTermCASAndAdopt(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, 1)
+	s, err := OpenStore(dir, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestTermCASAndAdopt(t *testing.T) {
 
 	// Reopen: the term file carries the authority across incarnations,
 	// and the opener adopts it (explicit CAS is only for promotion).
-	s2, err := Open(dir, 1)
+	s2, err := OpenStore(dir, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestTermCASAndAdopt(t *testing.T) {
 // and scrubs (a fenced writer must not quarantine the new holder's
 // files).
 func TestTermFencesAllMutations(t *testing.T) {
-	s, err := Open(t.TempDir(), 1)
+	s, err := OpenStore(t.TempDir(), 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestTermFencesAllMutations(t *testing.T) {
 // fencing history is reconstructible from the log alone.
 func TestTermStampsFramesSegmentsAndCheckpoints(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, 1)
+	s, err := OpenStore(dir, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestTermStampsFramesSegmentsAndCheckpoints(t *testing.T) {
 // backward past what the log proves.
 func TestTermFileCorruptionRebuiltFromSegments(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir, 1)
+	s, err := OpenStore(dir, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestTermFileCorruptionRebuiltFromSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := Open(dir, 1)
+	s2, err := OpenStore(dir, 1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

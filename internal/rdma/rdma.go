@@ -241,16 +241,3 @@ func (c *Collector) Send(rec packet.AFR, kind afr.Kind) (hot bool, err error) {
 	}
 	return true, err
 }
-
-// SendGrouped transmits one AFR, always WRITE-ing into the key's
-// per-sub-window lane. Deployments that let the controller own merging
-// (so sliding windows can evict sub-windows) use this instead of the
-// Fetch-and-Add aggregation.
-func (c *Collector) SendGrouped(rec packet.AFR) (hot bool, err error) {
-	base, ok := c.mat.Lookup(rec.Key)
-	if !ok {
-		return false, c.nic.Append(rec)
-	}
-	lane := int(rec.SubWindow) % c.nic.mr.Lanes()
-	return true, c.nic.Write(base+lane, rec.Attr)
-}

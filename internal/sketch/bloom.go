@@ -40,11 +40,6 @@ func (b *Bloom) pos(h uint64) uint64 {
 	return h % b.m
 }
 
-// NewBloomBytes builds a Bloom filter within memoryBytes with k hashes.
-func NewBloomBytes(memoryBytes, k int, seed uint64) *Bloom {
-	return NewBloom(memoryBytes*8, k, seed)
-}
-
 // Contains reports whether k may have been added (no false negatives).
 func (b *Bloom) Contains(k packet.FlowKey) bool {
 	l := hashing.LanesOf(k)

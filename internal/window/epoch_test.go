@@ -191,19 +191,3 @@ func TestManagerStaleEpochNoStateChange(t *testing.T) {
 		t.Fatalf("stale stamp changed manager state: %+v cur=%d epoch=%d", r, m.Cur(), m.Epoch())
 	}
 }
-
-// TestNewManagerPreserveValidation: Preserve must leave the active region
-// out of the preserved set.
-func TestNewManagerPreserveValidation(t *testing.T) {
-	regions := NewRegions(2, 8)
-	if _, err := NewManagerPreserve(TimeoutSignal{Interval: 1}, regions, -1); err == nil {
-		t.Fatal("negative preserve accepted")
-	}
-	if _, err := NewManagerPreserve(TimeoutSignal{Interval: 1}, regions, 2); err == nil {
-		t.Fatal("preserve == regions accepted")
-	}
-	m, err := NewManagerPreserve(TimeoutSignal{Interval: 1}, regions, 0)
-	if err != nil || m == nil {
-		t.Fatalf("preserve=0 rejected: %v", err)
-	}
-}

@@ -1,10 +1,6 @@
 package window
 
-import (
-	"fmt"
-
-	"omniwindow/internal/packet"
-)
+import "omniwindow/internal/packet"
 
 // Manager runs the window mechanism at one switch: it consults the local
 // Signal, applies the consistency Stamper, routes packets to memory
@@ -24,37 +20,18 @@ type Manager struct {
 	unsynced bool
 }
 
-// NewManager builds a manager. Preserve of the stamper is derived from the
-// region count: with n regions, the active sub-window plus n-1 previous
-// ones remain monitorable.
+// NewManager builds a manager. A terminated sub-window stays monitorable
+// only while its memory region is not yet recycled, so the stamper's
+// Preserve is the region count minus the active region: with n regions the
+// active sub-window plus n-1 previous ones have live state to monitor
+// into. A deeper Preserve would promise out-of-order tolerance the data
+// plane cannot honor — the "preserved" region already holds newer state.
 func NewManager(signal Signal, regions Regions) *Manager {
-	m, err := NewManagerPreserve(signal, regions, regions.N()-1)
-	if err != nil {
-		panic(err) // unreachable: the derived Preserve is always in bounds
-	}
-	return m
-}
-
-// NewManagerPreserve builds a manager with an explicit Preserve depth. A
-// terminated sub-window stays monitorable only while its memory region is
-// not yet recycled, so Preserve is bounded by the region count minus the
-// active region: with n regions at most n-1 previous sub-windows can be
-// preserved. Larger values would promise out-of-order tolerance the data
-// plane cannot honor (the "preserved" region already holds newer state),
-// so they are rejected.
-func NewManagerPreserve(signal Signal, regions Regions, preserve int) (*Manager, error) {
-	if preserve < 0 {
-		return nil, fmt.Errorf("window: Preserve must be non-negative, got %d", preserve)
-	}
-	if preserve >= regions.N() {
-		return nil, fmt.Errorf("window: Preserve %d must be below the region count %d — with %d regions only the active sub-window plus %d previous ones have live state to monitor into",
-			preserve, regions.N(), regions.N(), regions.N()-1)
-	}
 	return &Manager{
 		signal:  signal,
-		stamper: Stamper{Preserve: uint64(preserve)},
+		stamper: Stamper{Preserve: uint64(regions.N() - 1)},
 		regions: regions,
-	}, nil
+	}
 }
 
 // Cur returns the switch's current sub-window.

@@ -32,6 +32,12 @@ type deployObs struct {
 	// the skip decisions it never receives).
 	durDegraded *obs.Gauge   // 1 while durable writes are suspended
 	durGaps     *obs.Counter // durable writes skipped while degraded
+	// Failover topology (hot-standby pairs), each set in standby.go where
+	// the state it mirrors changes: a scrape runs beside a live deployment
+	// and must never read the deployment's own fields.
+	term, role                  *obs.Gauge
+	demotions, readmissions     *obs.Counter
+	partitionEvents, suppressed *obs.Counter
 }
 
 // setupObs builds the registry (or adopts the caller-supplied one),
@@ -118,26 +124,13 @@ func (d *Deployment) setupObs() error {
 	// deployments — owtop hides its failover panel when these families
 	// are absent.
 	if cfg.Standby {
-		d.reg.GaugeFunc(n("omniwindow_failover_term"), "fencing term held by the serving controller",
-			func() int64 { return int64(d.term) })
-		d.reg.GaugeFunc(n("omniwindow_failover_role"), "serving controller's provenance (0=original primary, 1=promoted standby, 2=promoted with the demoted former primary still parked)",
-			func() int64 {
-				switch {
-				case d.demotedCtrl != nil:
-					return 2
-				case d.failedOver:
-					return 1
-				}
-				return 0
-			})
-		d.reg.CounterFunc(n("omniwindow_failover_demotions_total"), "zombie-primary self-demotions after fenced writes",
-			func() int64 { return int64(d.stats.Demotions) })
-		d.reg.CounterFunc(n("omniwindow_failover_readmissions_total"), "demoted former primaries re-admitted as the new standby",
-			func() int64 { return int64(d.stats.Readmissions) })
-		d.reg.CounterFunc(n("omniwindow_failover_partition_events_total"), "sub-window boundaries touched by an active partition fault",
-			func() int64 { return int64(d.stats.PartitionEvents) })
-		d.reg.CounterFunc(n("omniwindow_failover_suppressed_windows_total"), "duplicate window emissions discarded by the promoted standby",
-			func() int64 { return int64(d.stats.SuppressedWindows) })
+		d.obs.term = d.reg.Gauge(n("omniwindow_failover_term"), "fencing term held by the serving controller")
+		d.obs.term.Set(int64(d.term))
+		d.obs.role = d.reg.Gauge(n("omniwindow_failover_role"), "serving controller's provenance (0=original primary, 1=promoted standby, 2=promoted with the demoted former primary still parked)")
+		d.obs.demotions = d.reg.Counter(n("omniwindow_failover_demotions_total"), "zombie-primary self-demotions after fenced writes")
+		d.obs.readmissions = d.reg.Counter(n("omniwindow_failover_readmissions_total"), "demoted former primaries re-admitted as the new standby")
+		d.obs.partitionEvents = d.reg.Counter(n("omniwindow_failover_partition_events_total"), "sub-window boundaries touched by an active partition fault")
+		d.obs.suppressed = d.reg.Counter(n("omniwindow_failover_suppressed_windows_total"), "duplicate window emissions discarded by the promoted standby")
 	}
 
 	if cfg.DebugAddr != "" {

@@ -69,13 +69,6 @@ type Config struct {
 	// growing through rehashes on the hot path. 0 means no hint; the hint
 	// is advisory only and never changes results.
 	ExpectedFlows int
-	// Preserve is the consistency model's preservation depth (§5): how
-	// many terminated sub-windows stay monitorable so out-of-order packets
-	// can still land in their stamped sub-window. 0 uses the deepest
-	// supported depth — the region count minus the active region, i.e. 1
-	// with the two-region layout. Values at or above the region count are
-	// rejected: the "preserved" region would already hold newer state.
-	Preserve int
 	// SpikeAttr computes the software path's per-packet contribution for a
 	// latency-spike copy (§5): a spike packet's stamped sub-window is no
 	// longer preserved in any data-plane region, so the controller merges
@@ -129,8 +122,9 @@ type Config struct {
 	// fault schedule (drop/duplicate; the in-process path carries
 	// structs, not bytes, so truncation/corruption do not apply).
 	// Chaos-testing use: it turns the deployment's lossless internal wire
-	// into an adversarial one.
-	AFRFaults *faults.Injector
+	// into an adversarial one. A *faults.Injector is the schedule; the
+	// field asks only for its per-packet draw.
+	AFRFaults interface{ Packet() faults.PacketAction }
 
 	// CheckpointDir enables controller durability: at sub-window
 	// boundaries the complete controller state is checkpointed into this
@@ -218,11 +212,6 @@ type Config struct {
 	// 0 uses the default (64); negative disables scrubbing. Requires
 	// CheckpointDir.
 	ScrubDepth int
-
-	// MaxQueueDepth bounds the network collector's ingest queue when this
-	// config is served over UDP (see CollectorConfig); <= 0 uses the
-	// collector default. Negative values are rejected.
-	MaxQueueDepth int
 
 	// RDMA enables the §7 collection path: AFRs land in registered
 	// controller memory via simulated WRITE verbs, with hot keys cached
@@ -465,11 +454,6 @@ type Deployment struct {
 	// stale-epoch stamp is ever monitored and spikes are copied once.
 	decisionHook func(p *packet.Packet, r window.Result)
 
-	// testAFRLoss, when set, drops the i-th AFR packet before delivery —
-	// a fault-injection hook for exercising the reliability protocol.
-	testAFRLoss func(i int) bool
-	afrPktCount int
-
 	// Hot-path staging scratch, reused across deliveries so steady-state
 	// WAL grouping allocates nothing (see durability.go appendGroups; the
 	// delivery batch itself is the transport's). Deliveries are
@@ -508,9 +492,6 @@ func (cfg *Config) validate() error {
 	}
 	if cfg.RetryMaxBackoff < 0 {
 		return fmt.Errorf("omniwindow: RetryMaxBackoff must be non-negative, got %v", cfg.RetryMaxBackoff)
-	}
-	if cfg.MaxQueueDepth < 0 {
-		return fmt.Errorf("omniwindow: MaxQueueDepth must be non-negative, got %d (0 means the collector default)", cfg.MaxQueueDepth)
 	}
 	if cfg.CheckpointEvery < 0 {
 		return fmt.Errorf("omniwindow: CheckpointEvery must be non-negative, got %d (0 means every boundary)", cfg.CheckpointEvery)
@@ -610,9 +591,6 @@ func (cfg Config) withDefaults() Config {
 		cfg.Tracker = afr.DefaultTrackerConfig()
 	}
 	cfg.Tracker.Regions = 2
-	if cfg.Preserve == 0 {
-		cfg.Preserve = cfg.Tracker.Regions - 1 // the deepest depth: every region but the active one
-	}
 	if cfg.CollectionPackets <= 0 {
 		cfg.CollectionPackets = 3
 		if cfg.RDMA {
@@ -687,10 +665,8 @@ func New(cfg Config) (*Deployment, error) {
 	d.sw = switchsim.NewWithCapacity(0, switchsim.DefaultCapacity(), cfg.Costs)
 
 	regions := window.NewRegions(cfg.Tracker.Regions, cfg.Slots)
+	d.manager = window.NewManager(cfg.Signal, regions)
 	var err error
-	if d.manager, err = window.NewManagerPreserve(cfg.Signal, regions, cfg.Preserve); err != nil {
-		return nil, fmt.Errorf("omniwindow: %w", err)
-	}
 	if d.engine, err = newEngine(&d.cfg, d.apps, regions); err != nil {
 		return nil, err
 	}
@@ -723,13 +699,6 @@ func New(cfg Config) (*Deployment, error) {
 		}
 	}
 	return d, nil
-}
-
-// CollectorConfig translates the deployment's overload knobs into the UDP
-// collector's admission-control settings, for callers serving this config
-// over the network (see examples/udpcollector).
-func (c Config) CollectorConfig() controller.CollectorConfig {
-	return controller.CollectorConfig{MaxQueueDepth: c.MaxQueueDepth}
 }
 
 // Crashed reports whether (and at which sub-window boundary) the
@@ -843,12 +812,8 @@ func (d *Deployment) Reboot() {
 	}
 	d.obs.reboots.Inc()
 	d.engine.PowerCycle()
-	manager, err := window.NewManagerPreserve(d.cfg.Signal, d.manager.Regions(), d.cfg.Preserve)
-	if err != nil {
-		panic(err) // unreachable: the same arguments validated in New
-	}
-	manager.BootUnsynced()
-	d.manager = manager
+	d.manager = window.NewManager(d.cfg.Signal, d.manager.Regions())
+	d.manager.BootUnsynced()
 	d.regionOwned = [2]bool{}
 	d.regionOwner = [2]uint64{}
 	d.stats.Reboots++

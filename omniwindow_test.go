@@ -74,7 +74,6 @@ func TestConfigValidation(t *testing.T) {
 		{"slot mismatch", func(c *Config) { c.Slots = 100 }}, // app built 4096
 		{"negative retry backoff", func(c *Config) { c.RetryBackoff = -time.Millisecond }},
 		{"negative retry max backoff", func(c *Config) { c.RetryMaxBackoff = -time.Millisecond }},
-		{"negative queue depth", func(c *Config) { c.MaxQueueDepth = -1 }},
 		{"negative checkpoint cadence", func(c *Config) { c.CheckpointEvery = -1 }},
 		{"checkpoint cadence without directory", func(c *Config) { c.CheckpointEvery = 2 }},
 		{"checkpoint cadence misaligned with slide", func(c *Config) {
@@ -101,9 +100,6 @@ func TestConfigValidation(t *testing.T) {
 			c.RDMA = true
 			c.RDMAReplayDepth = -1
 		}},
-		{"negative preserve", func(c *Config) { c.Preserve = -1 }},
-		{"preserve equal to region count", func(c *Config) { c.Preserve = 2 }}, // 2 regions: only 1 previous sub-window has live state
-		{"preserve beyond region count", func(c *Config) { c.Preserve = 7 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -116,12 +112,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(base); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
-	}
-	// The largest valid Preserve with the default two regions.
-	max := base
-	max.Preserve = 1
-	if _, err := New(max); err != nil {
-		t.Fatalf("valid Preserve rejected: %v", err)
 	}
 }
 
@@ -306,17 +296,35 @@ func TestRDMAModeMatchesPacketMode(t *testing.T) {
 	}
 }
 
+// everyThird is an AFRFaults schedule by packet index: it drops AFR packets
+// 0, 3, 6, ... (cloned packets have lowest priority) and hands the rest to
+// the seeded schedule behind it, if any. A pattern drop consumes no draw of
+// that schedule.
+type everyThird struct {
+	n    int
+	next interface{ Packet() faults.PacketAction }
+}
+
+func (e *everyThird) Packet() faults.PacketAction {
+	e.n++
+	switch {
+	case e.n%3 == 1:
+		return faults.PacketAction{Drop: true}
+	case e.next != nil:
+		return e.next.Packet()
+	}
+	return faults.PacketAction{}
+}
+
 func TestReliabilityRetransmission(t *testing.T) {
 	// Drop some AFR packets between switch and controller; the sequence
 	// check must recover them.
 	cfg := freqConfig(window.Tumbling(1), 1, false)
+	cfg.AFRFaults = &everyThird{}
 	d, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Intercept: wrap deliverAFRs by dropping every 3rd AFR packet. We
-	// simulate loss by removing records before delivery.
-	d.testAFRLoss = func(i int) bool { return i%3 == 0 }
 	pkts := burstTrace(map[int64][]int{50 * ms: {1, 2, 3, 4, 5, 6}}, 5)
 	results := d.RunFor(pkts, 100*ms)
 	if d.Stats().Retransmitted == 0 {

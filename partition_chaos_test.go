@@ -397,7 +397,7 @@ func TestPartitionZombieWALFenced(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err := durable.Open(dir, 4)
+	s, err := durable.OpenStore(dir, 4, durable.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

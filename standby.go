@@ -124,17 +124,20 @@ func (d *Deployment) partitionFailover(sw uint64) time.Duration {
 	d.demotedCtrl = d.ctrl
 	d.cleanSince = 0
 	d.stats.Demotions++
+	d.obs.demotions.Inc()
 	d.obs.ring.Record(obs.StageFenced, sw, -1, fenced)
 
 	for s := d.untailed(); s < sw; s++ {
 		d.standby.NoteLost(s, 1)
 		w := d.standby.FinishSubWindow(s)
 		d.stats.SuppressedWindows += len(w)
+		d.obs.suppressed.Add(int64(len(w)))
 	}
 
 	// No lease wait is charged — the standby promotes only after it
 	// already observed the lease expired.
 	d.promote(sw, next)
+	d.obs.role.Set(2) // promoted, the demoted former primary still parked
 	return 0
 }
 
@@ -150,6 +153,7 @@ func (d *Deployment) partitionFailover(sw uint64) time.Duration {
 func (d *Deployment) promote(sw, won uint64) {
 	d.failedOver = true
 	d.stats.Failovers++
+	d.obs.role.Set(1)
 	d.obs.ring.Record(obs.StageFailover, sw, -1, int64(won))
 	d.lease.Release()
 	d.ctrls[0], d.ctrl, d.standby = d.standby, d.standby, nil
@@ -158,9 +162,10 @@ func (d *Deployment) promote(sw, won uint64) {
 	}
 	if won != 0 && d.store.AdoptTerm(won) == nil {
 		d.term = won
+		d.obs.term.Set(int64(won))
 	}
 	d.transport.reregister()
-	d.sendTrigger(sw)
+	d.announce(sw)
 }
 
 // readmitDemoted returns a demoted former primary to service as the new
@@ -175,6 +180,8 @@ func (d *Deployment) readmitDemoted(sw uint64) {
 	d.cleanSince = 0
 	d.standby.RestoreState(d.ctrl.ExportState())
 	d.stats.Readmissions++
+	d.obs.readmissions.Inc()
+	d.obs.role.Set(1)
 	d.obs.ring.Record(obs.StageReadmit, sw, -1, 0)
 	d.lease.Renew(d.now)
 }
@@ -190,6 +197,7 @@ func (d *Deployment) maintainPartition(sw uint64) {
 	}
 	if ps.Any(sw) {
 		d.stats.PartitionEvents++
+		d.obs.partitionEvents.Inc()
 		d.cleanSince = 0
 		return
 	}

@@ -75,8 +75,9 @@ type packetPath struct {
 	// batch is the delivery batch: its record buffer has fixed capacity
 	// afrBatchCap and is empty between boundaries.
 	batch packet.Packet
-	// appParts is ingestByApp's per-app staging, reused across batches.
-	appParts [][]packet.AFR
+	// appParts is handOff's staging when apps are co-deployed: one packet
+	// per app, its record buffer reused across batches.
+	appParts []packet.Packet
 }
 
 func (p *packetPath) begin(uint64)         {}
@@ -103,38 +104,41 @@ func (p *packetPath) deliver(flag packet.OWFlag, recs []packet.AFR) {
 }
 
 // flush delivers the batched records as one packet: one WAL append, then
-// one controller ingest.
+// one hand-off to the controllers.
 func (p *packetPath) flush() {
 	b := &p.batch.OW
 	if len(b.AFRs) == 0 {
 		return
 	}
 	p.d.logBatch(b.Flag == packet.OWRetransmit, b.AFRs)
-	if len(p.d.ctrls) == 1 {
-		p.d.ctrl.Receive(&p.batch)
-	} else {
-		p.ingestByApp(b.AFRs)
-	}
+	p.handOff()
 	b.AFRs = b.AFRs[:0]
 }
 
-// ingestByApp routes records to their app's controller, batched per app
-// so each controller sees one IngestAFRs call per delivered packet
-// instead of one per record.
-func (p *packetPath) ingestByApp(recs []packet.AFR) {
-	ctrls := p.d.ctrls
-	if p.appParts == nil {
-		p.appParts = make([][]packet.AFR, len(ctrls))
+// handOff is the one way a delivery batch reaches a controller: as the
+// packet it is, through Receive, so the flag that tells a recovery from a
+// first delivery and the O1 receive charge are the same for one app and
+// for several. A lone app's controller receives the batch itself;
+// co-deployed apps each receive their own records under the batch's flag.
+func (p *packetPath) handOff() {
+	ctrls, b := p.d.ctrls, &p.batch.OW
+	if len(ctrls) == 1 {
+		ctrls[0].Receive(&p.batch)
+		return
 	}
-	for _, r := range recs {
+	if p.appParts == nil {
+		p.appParts = make([]packet.Packet, len(ctrls))
+	}
+	for _, r := range b.AFRs {
 		if int(r.App) < len(ctrls) {
-			p.appParts[r.App] = append(p.appParts[r.App], r)
+			p.appParts[r.App].OW.AFRs = append(p.appParts[r.App].OW.AFRs, r)
 		}
 	}
-	for app, part := range p.appParts {
-		if len(part) > 0 {
-			ctrls[app].IngestAFRs(part)
-			p.appParts[app] = part[:0]
+	for app := range p.appParts {
+		if part := &p.appParts[app]; len(part.OW.AFRs) > 0 {
+			part.OW.Flag = b.Flag
+			ctrls[app].Receive(part)
+			part.OW.AFRs = part.OW.AFRs[:0]
 		}
 	}
 }
