@@ -103,8 +103,8 @@ partition-chaos:
 loc:
 	@$(GO) list -f '{{.Dir}}' ./... | while read d; do \
 		echo "$${d#$(CURDIR)}/ \
-			$$(ls $$d/*.go | grep -v _test | xargs -r cat | wc -l) \
-			$$(ls $$d/*.go | grep _test | xargs -r cat | wc -l)"; \
+			$$(ls $$d/*.go | grep -v '_test\.go$$' | xargs -r cat | wc -l) \
+			$$(ls $$d/*.go | grep '_test\.go$$' | xargs -r cat | wc -l)"; \
 	done | awk '{ printf "%-28s %6d non-test %6d test\n", "." $$1, $$2, $$3; n += $$2; t += $$3 } \
 		END { printf "%-28s %6d non-test %6d test\n", "repo-wide", n, t }'
 

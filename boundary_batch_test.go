@@ -257,8 +257,8 @@ func TestStaleCollectDropsSpilledKeys(t *testing.T) {
 		t.Fatalf("spilled keys of %d sub-window(s) left behind: a stale collection leaked them", len(d.spilled))
 	}
 	// Sub-window 0's records really are gone, and its window must say so:
-	// the in-band trigger announced its keys before the packet that ended it
-	// took the region over. (Announcing after would read "not the owner, 0
+	// the in-band trigger announces its keys before the packet that ended it
+	// takes the region over. (Announcing after would read "not the owner, 0
 	// keys" and emit the window short and unflagged.)
 	if w := d.Results(); len(w) != 1 || !w[0].Incomplete || w[0].MissingAFRs != 200 {
 		t.Fatalf("want one window, Incomplete with the 200 tracked keys Missing; got %d windows", len(w))

@@ -17,6 +17,7 @@ import (
 // not mention the identifiers rdma or RDMA (longer names such as
 // noteRDMAShed and Stats.RDMAReplayed are not those identifiers). The next
 // flush point or fault arc has to go into a phase, not back into collect.
+// seamShape holds the single call sites across the switch-controller seam.
 func TestBoundaryPathShape(t *testing.T) {
 	seamShape(t)
 	const maxLines = 60

@@ -188,27 +188,18 @@ func TestChaosDeterministicSchedules(t *testing.T) {
 }
 
 // TestChaosMultiAppRecoveryAccounting: co-deployed apps account a lossy
-// boundary exactly as a lone app does. Delivery used to reach several apps'
-// controllers by a second path that forgot the packet's flag and the O1
-// charge, so recoveries read 0 for every co-deployed app.
+// boundary exactly as a lone app does — a delivery batch reaches every
+// app's controller as the packet it is, retransmit flag and O1 charge
+// included.
 func TestChaosMultiAppRecoveryAccounting(t *testing.T) {
 	run := func(apps []AppSpec, lossy bool) (*Deployment, *obs.Registry) {
 		reg := obs.NewRegistry()
-		cfg := multiAppConfig()
-		cfg.Apps = apps
-		cfg.Plan = window.SlidingPlan(3, 1)
-		cfg.RetryBackoff = time.Millisecond
-		cfg.RetryMaxBackoff = 2 * time.Millisecond
-		cfg.Obs = reg
-		if lossy {
-			cfg.AFRFaults = &everyThird{}
-		}
-		d, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d.RunFor(chaosTrace(), 500*ms)
-		return d, reg
+		return runChaos(t, func(c *Config) {
+			c.AppFactory, c.Apps, c.Obs = nil, apps, reg
+			if lossy {
+				c.AFRFaults = &everyThird{}
+			}
+		}), reg
 	}
 	apps := multiAppConfig().Apps
 	lossFree, _ := run(apps, false)

@@ -22,11 +22,10 @@ func idleGapTrace() []packet.Packet {
 }
 
 // TestIdleGapAnnouncesEmptySubWindows: an empty sub-window announces zero
-// keys however its termination reaches the controller. The in-band trigger
-// used to read its region's key count without asking whose keys they were,
-// so the empty sub-windows of a packet-driven idle gap announced the keys of
-// the sub-window still parked in their region and a run with no fault at all
-// came out Incomplete.
+// keys however its termination reaches the controller — a region's key
+// count belongs to the one sub-window that owns the region — so a run with
+// no fault emits no Incomplete window, and the same trace gives the same
+// windows whether Ticks or packets end its sub-windows.
 func TestIdleGapAnnouncesEmptySubWindows(t *testing.T) {
 	for _, tc := range []struct {
 		name     string

@@ -131,7 +131,8 @@ func (p *packetPath) handOff() {
 	}
 	for _, r := range b.AFRs {
 		if int(r.App) < len(ctrls) {
-			p.appParts[r.App].OW.AFRs = append(p.appParts[r.App].OW.AFRs, r)
+			part := &p.appParts[r.App].OW
+			part.AFRs = append(part.AFRs, r)
 		}
 	}
 	for app := range p.appParts {
