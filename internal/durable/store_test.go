@@ -256,7 +256,8 @@ func TestStoreRejectsBadInput(t *testing.T) {
 
 // A corrupt checkpoint is quarantined (renamed aside) and recovery
 // proceeds from the WAL alone, never half-loading or silently merging the
-// torn snapshot. The strict loader still refuses it for callers that ask.
+// torn snapshot. The boundary scrub reports the same rot while the store
+// is live.
 func TestStoreQuarantinesCorruptCheckpoint(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := OpenStore(dir, 1, Options{})
@@ -272,10 +273,15 @@ func TestStoreQuarantinesCorruptCheckpoint(t *testing.T) {
 	if err := os.WriteFile(path, buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.LoadCheckpoint(); err == nil {
-		t.Fatal("strict loader accepted a corrupt checkpoint")
+	if corrupt, err := s.Scrub(); corrupt != 1 || err != nil {
+		t.Fatalf("scrub of a rotted checkpoint: corrupt=%d err=%v, want 1", corrupt, err)
 	}
 	s.Close()
+	// The scrub set the checkpoint aside; put the rotted copy back so the
+	// recovery-time loader meets it too.
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	s2, err := OpenStore(dir, 1, Options{})
 	if err != nil {
