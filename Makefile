@@ -81,9 +81,12 @@ rdma-chaos:
 # quarantine, scrubbing, degraded-durability mode and crash-restart
 # recovery — under the race detector. Fixed seeds (the schedule tables in
 # disk_chaos_test.go) make every fault sequence a reproducible test case.
+# Scrub selects the whole-segment and checkpoint-CRC scrub pins;
+# Verify|Corrupt|Segment select the wire integrity checks the scrubber and
+# the decoders share.
 disk-chaos:
-	$(GO) test -race -run 'Disk|Scrub|Quarantine|Segment|Heal|Degrad|CollectBatch' \
-		. ./internal/durable/ ./internal/faults/
+	$(GO) test -race -run 'Disk|Scrub|Quarantine|Segment|Heal|Degrad|CollectBatch|Verify|Corrupt' \
+		. ./internal/durable/ ./internal/faults/ ./internal/wire/
 
 # Partition chaos suite: the hot-standby pair under network partitions
 # that leave the primary alive — symmetric/asymmetric cuts, gray renewal

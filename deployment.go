@@ -276,9 +276,9 @@ func (d *Deployment) handleSwitchOutput(out switchsim.Output) {
 
 // ingestSpike merges one latency-spike copy through the controller's
 // software path (§5): the stamped sub-window is no longer preserved in any
-// data-plane region, so the controller folds the packet's contribution in
-// directly. The application's flowkey definition still applies — a packet
-// the query's filter would have skipped is skipped here too.
+// data-plane region, so the controller folds the packet in directly, one
+// count per copy. The application's flowkey definition still applies — a
+// packet the query's filter would have skipped is skipped here too.
 func (d *Deployment) ingestSpike(c *packet.Packet) {
 	if d.cfg.KeyOf != nil {
 		k, ok := d.cfg.KeyOf(c)
@@ -289,11 +289,7 @@ func (d *Deployment) ingestSpike(c *packet.Packet) {
 		c.Key = k
 	}
 	for i, ctrl := range d.ctrls {
-		attr := uint64(1)
-		if d.apps[i].SpikeAttr != nil {
-			attr = d.apps[i].SpikeAttr(c)
-		}
-		if ctrl.IngestSpike(c, attr) && i == 0 {
+		if ctrl.IngestSpike(c, 1) && i == 0 {
 			d.stats.SpikesMerged++
 		}
 	}

@@ -35,11 +35,8 @@ func (d *Deployment) openDurability() error {
 	cfg := &d.cfg
 	d.ckptShards = d.ctrl.Shards()
 	opts := durable.Options{
-		SegmentBytes:    cfg.WALSegmentBytes,
-		RetryLimit:      cfg.DurabilityRetryLimit,
-		RetryBackoff:    cfg.DurabilityRetryBackoff,
-		RetryMaxBackoff: cfg.DurabilityRetryMaxBackoff,
-		ScrubDepth:      cfg.ScrubDepth,
+		SegmentBytes: cfg.WALSegmentBytes,
+		RetryLimit:   cfg.DurabilityRetryLimit,
 	}
 	if cfg.DiskFaults != nil {
 		opts.FS = durable.NewFaultFS(durable.OSFS{}, cfg.DiskFaults)

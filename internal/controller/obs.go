@@ -46,7 +46,7 @@ type Obs struct {
 // (e.g. `switch="2"` or `app="ddos"`) embedded in every metric name so
 // several controllers share one registry; empty means unlabeled.
 func Instrument(reg *obs.Registry, labels string) Obs {
-	n := func(name string) string { return labeled(name, labels) }
+	n := func(name string) string { return obs.Labeled(name, labels) }
 	return Obs{
 		Ingested:          reg.Counter(n("omniwindow_controller_afrs_total"), "AFR records admitted into the key-value table (first arrivals)"),
 		Duplicates:        reg.Counter(n("omniwindow_controller_duplicates_total"), "AFR records suppressed by sequence dedup"),
@@ -63,14 +63,6 @@ func Instrument(reg *obs.Registry, labels string) Obs {
 		Finish:            reg.Histogram(n("omniwindow_controller_finish_seconds"), "FinishSubWindow wall time per sub-window", nil),
 		Ring:              reg.Ring(0),
 	}
-}
-
-// labeled embeds an optional label set in a metric name.
-func labeled(name, labels string) string {
-	if labels == "" {
-		return name
-	}
-	return name + "{" + labels + "}"
 }
 
 // SetObs installs (or, with the zero value, removes) the controller's

@@ -253,7 +253,7 @@ func (c *Collector) ShedAFRs() int { return int(c.shedAFRs.Load()) }
 // (e.g. `app="ddos"`); empty means unlabeled. Safe to call while the
 // collector is running.
 func (c *Collector) Instrument(reg *obs.Registry, labels string) {
-	n := func(name string) string { return labeled(name, labels) }
+	n := func(name string) string { return obs.Labeled(name, labels) }
 	reg.CounterFunc(n("omniwindow_collector_received_total"), "first-transmission datagrams decoded and ingested", c.recvd.Load)
 	reg.CounterFunc(n("omniwindow_collector_recovered_total"), "retransmitted datagrams ingested via the NACK path", c.recov.Load)
 	reg.CounterFunc(n("omniwindow_collector_decode_failures_total"), "datagrams that failed to decode", c.drops.Load)

@@ -106,27 +106,42 @@ func (f *FaultFS) ReadFile(name string) ([]byte, error) {
 }
 
 func (f *FaultFS) WriteFile(name string, data []byte, perm os.FileMode) error {
+	_, err := f.write(name, data, func(p []byte) (int, error) {
+		return len(p), f.base.WriteFile(name, p, perm)
+	})
+	return err
+}
+
+// write is the one write-fault ladder, shared by whole-file writes and
+// segment appends: it draws the next operation's fate and lands p (or
+// what the fault leaves of it) through land.
+func (f *FaultFS) write(name string, p []byte, land func([]byte) (int, error)) (int, error) {
 	op := f.next()
-	if f.sched.ENOSPCAt(op) {
-		return fmt.Errorf("write %s: %w", name, faults.ErrDiskENOSPC)
-	}
-	if f.sched.WriteEIOAt(op) {
-		return fmt.Errorf("write %s: %w", name, faults.ErrDiskEIO)
-	}
-	if f.sched.ShortWriteAt(op) && len(data) > 1 {
+	switch {
+	case f.sched.ENOSPCAt(op):
+		return 0, fmt.Errorf("write %s: %w", name, faults.ErrDiskENOSPC)
+	case f.sched.WriteEIOAt(op):
+		return 0, fmt.Errorf("write %s: %w", name, faults.ErrDiskEIO)
+	case f.sched.ShortWriteAt(op) && len(p) > 1:
 		// The torn prefix lands; the failure is reported.
-		if err := f.base.WriteFile(name, data[:len(data)/2], perm); err != nil {
-			return err
+		n, err := land(p[:len(p)/2])
+		if err != nil {
+			return n, err
 		}
-		return fmt.Errorf("write %s: torn: %w", name, faults.ErrDiskEIO)
-	}
-	if f.sched.BitRotAt(op) && len(data) > 0 {
-		idx, mask := f.sched.BitRotSpot(op, len(data))
-		rotted := append([]byte(nil), data...)
+		return n, fmt.Errorf("write %s: torn: %w", name, faults.ErrDiskEIO)
+	case f.sched.BitRotAt(op) && len(p) > 0:
+		// The write "succeeds" but the medium stores one flipped byte —
+		// only a CRC re-read can tell. Allocation happens only on the
+		// fault path; the clean path below stays zero-alloc.
+		idx, mask := f.sched.BitRotSpot(op, len(p))
+		rotted := append([]byte(nil), p...)
 		rotted[idx] ^= mask
-		return f.base.WriteFile(name, rotted, perm)
+		if _, err := land(rotted); err != nil {
+			return 0, err
+		}
+		return len(p), nil
 	}
-	return f.base.WriteFile(name, data, perm)
+	return land(p)
 }
 
 func (f *FaultFS) Rename(oldpath, newpath string) error {
@@ -150,35 +165,6 @@ type faultFile struct {
 	name string
 }
 
-func (w *faultFile) Write(p []byte) (int, error) {
-	op := w.fs.next()
-	sched := w.fs.sched
-	if sched.ENOSPCAt(op) {
-		return 0, fmt.Errorf("write %s: %w", w.name, faults.ErrDiskENOSPC)
-	}
-	if sched.WriteEIOAt(op) {
-		return 0, fmt.Errorf("write %s: %w", w.name, faults.ErrDiskEIO)
-	}
-	if sched.ShortWriteAt(op) && len(p) > 1 {
-		n, err := w.f.Write(p[:len(p)/2])
-		if err != nil {
-			return n, err
-		}
-		return n, fmt.Errorf("write %s: torn: %w", w.name, faults.ErrDiskEIO)
-	}
-	if sched.BitRotAt(op) && len(p) > 0 {
-		// The write "succeeds" but the medium stores one flipped byte —
-		// only a CRC re-read can tell. Allocation happens only on the
-		// fault path; the clean path below stays zero-alloc.
-		idx, mask := sched.BitRotSpot(op, len(p))
-		rotted := append([]byte(nil), p...)
-		rotted[idx] ^= mask
-		if _, err := w.f.Write(rotted); err != nil {
-			return 0, err
-		}
-		return len(p), nil
-	}
-	return w.f.Write(p)
-}
+func (w *faultFile) Write(p []byte) (int, error) { return w.fs.write(w.name, p, w.f.Write) }
 
 func (w *faultFile) Close() error { return w.f.Close() }

@@ -44,6 +44,7 @@ import (
 	"io"
 	iofs "io/fs"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -77,11 +78,14 @@ const (
 	// well as in bytes.
 	segBoundaryCadence = 8
 
-	defaultSegmentBytes    = 256 << 10
-	defaultRetryLimit      = 3
-	defaultRetryBackoff    = time.Millisecond
-	defaultRetryMaxBackoff = 50 * time.Millisecond
-	defaultScrubDepth      = 64
+	defaultSegmentBytes = 256 << 10
+	defaultRetryLimit   = 3
+
+	// retryBackoff is the first retry's backoff, doubling per attempt up
+	// to retryMaxBackoff. Backoff is charged to the store's virtual
+	// IO-wait accumulator (TakeIOWait), never slept.
+	retryBackoff    = time.Millisecond
+	retryMaxBackoff = 50 * time.Millisecond
 )
 
 // Options tunes OpenStore. The zero value gives the production defaults.
@@ -94,14 +98,6 @@ type Options struct {
 	// RetryLimit is how many times a transiently failed file operation is
 	// retried; 0 means the default (3), negative disables retries.
 	RetryLimit int
-	// RetryBackoff is the first retry's backoff, doubling per attempt up
-	// to RetryMaxBackoff. Backoff is charged to the store's virtual
-	// IO-wait accumulator (TakeIOWait), never slept.
-	RetryBackoff    time.Duration
-	RetryMaxBackoff time.Duration
-	// ScrubDepth is how many recent frames per chain Scrub re-reads and
-	// CRC-verifies; 0 means the default (64), negative disables scrubbing.
-	ScrubDepth int
 }
 
 // LostLSNRange is a gap in the recovered LSN sequence: frames the store
@@ -116,12 +112,6 @@ type LostLSNRange struct {
 	SWLow, SWHigh uint64 // inclusive sub-window bounds possibly damaged
 }
 
-// frameLoc locates one frame inside the active segment, for the scrubber.
-type frameLoc struct {
-	off int64
-	n   int32
-}
-
 // chain is one append stream (a shard's AFR log, or the control log) and
 // its active segment.
 type chain struct {
@@ -131,11 +121,10 @@ type chain struct {
 	gen    uint64 // highest generation ever seen or opened
 	f      File   // active segment handle; nil when none is open
 	path   string
-	size   int64
+	size   int64    // bytes in the active segment: header plus whole frames
 	frames int      // frames written to the active segment
 	opened uint64   // boundary counter value when the active segment opened
 	segs   []string // live (non-quarantined, non-deleted) segment paths
-	ring   []frameLoc
 }
 
 // Store manages one controller's checkpoint and write-ahead log segments.
@@ -144,11 +133,8 @@ type Store struct {
 	shards int
 	fsys   FS
 
-	segBytes        int64
-	retryLimit      int
-	retryBackoff    time.Duration
-	retryMaxBackoff time.Duration
-	scrubDepth      int
+	segBytes   int64
+	retryLimit int
 
 	lsn atomic.Uint64 // last issued LSN
 
@@ -201,19 +187,15 @@ func OpenStore(dir string, shards int, opt Options) (*Store, error) {
 	if shards <= 0 {
 		return nil, fmt.Errorf("durable: shard count must be positive, got %d", shards)
 	}
-	fsys := opt.FS
-	if fsys == nil {
-		fsys = OSFS{}
-	}
 	s := &Store{
-		dir:             dir,
-		shards:          shards,
-		fsys:            fsys,
-		segBytes:        int64(opt.SegmentBytes),
-		retryLimit:      opt.RetryLimit,
-		retryBackoff:    opt.RetryBackoff,
-		retryMaxBackoff: opt.RetryMaxBackoff,
-		scrubDepth:      opt.ScrubDepth,
+		dir:        dir,
+		shards:     shards,
+		fsys:       opt.FS,
+		segBytes:   int64(opt.SegmentBytes),
+		retryLimit: opt.RetryLimit,
+	}
+	if s.fsys == nil {
+		s.fsys = OSFS{}
 	}
 	if s.segBytes <= 0 {
 		s.segBytes = defaultSegmentBytes
@@ -224,29 +206,14 @@ func OpenStore(dir string, shards int, opt Options) (*Store, error) {
 	case s.retryLimit < 0:
 		s.retryLimit = 0
 	}
-	if s.retryBackoff <= 0 {
-		s.retryBackoff = defaultRetryBackoff
-	}
-	if s.retryMaxBackoff < s.retryBackoff {
-		s.retryMaxBackoff = defaultRetryMaxBackoff
-		if s.retryMaxBackoff < s.retryBackoff {
-			s.retryMaxBackoff = s.retryBackoff
-		}
-	}
-	switch {
-	case s.scrubDepth == 0:
-		s.scrubDepth = defaultScrubDepth
-	case s.scrubDepth < 0:
-		s.scrubDepth = 0
-	}
 
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
+	if err := s.fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("durable: %w", err)
 	}
 	for i := 0; i < shards; i++ {
-		s.chains = append(s.chains, s.newChain(uint32(i), fmt.Sprintf("%03d", i)))
+		s.chains = append(s.chains, &chain{id: uint32(i), name: fmt.Sprintf("%03d", i)})
 	}
-	s.chains = append(s.chains, s.newChain(wire.CtlChain, "ctl"))
+	s.chains = append(s.chains, &chain{id: wire.CtlChain, name: "ctl"})
 
 	if err := s.scanDir(); err != nil {
 		return nil, err
@@ -261,14 +228,6 @@ func OpenStore(dir string, shards int, opt Options) (*Store, error) {
 	s.loadTermLocked(s.segTermHigh)
 	s.mu.Unlock()
 	return s, nil
-}
-
-func (s *Store) newChain(id uint32, name string) *chain {
-	c := &chain{id: id, name: name}
-	if s.scrubDepth > 0 {
-		c.ring = make([]frameLoc, s.scrubDepth)
-	}
-	return c
 }
 
 func (s *Store) segPath(c *chain, gen uint64) string {
@@ -348,12 +307,7 @@ func (s *Store) SetCrash(fn func(point string) bool) { s.crash = fn }
 // counters. The handles are nil-safe, so an uninstrumented store (the
 // default) pays nothing. Call before the store carries traffic.
 func (s *Store) Instrument(reg *obs.Registry, labels string) {
-	n := func(name string) string {
-		if labels == "" {
-			return name
-		}
-		return name + "{" + labels + "}"
-	}
+	n := func(name string) string { return obs.Labeled(name, labels) }
 	s.walLat = reg.Histogram(n("omniwindow_durable_wal_append_seconds"), "write-ahead log append latency (frame encode + write)", nil)
 	s.ckptLat = reg.Histogram(n("omniwindow_durable_checkpoint_seconds"), "checkpoint latency (encode + temp write + rename + segment deletion)", nil)
 	s.appends = reg.Counter(n("omniwindow_durable_wal_appends_total"), "write-ahead log frames appended")
@@ -452,18 +406,47 @@ func (s *Store) die(f File, frame []byte, point string) error {
 	return s.deadErr
 }
 
-// isFull reports a full-disk error — the one fault class retries can't
+// isFull reports a full-disk error — the one write fault retries can't
 // help with.
 func isFull(err error) bool {
 	return errors.Is(err, faults.ErrDiskENOSPC) || errors.Is(err, syscall.ENOSPC)
 }
 
-func (s *Store) nextBackoff(backoff time.Duration) time.Duration {
-	backoff *= 2
-	if backoff > s.retryMaxBackoff {
-		backoff = s.retryMaxBackoff
+// isMissing reports a missing file — the one read failure retries can't
+// help with.
+func isMissing(err error) bool { return errors.Is(err, iofs.ErrNotExist) }
+
+// retry is the store's one retry loop: it runs op and retries a failure up
+// to the RetryLimit budget, charging each backoff to ioWait, unless stop
+// (nil: never) says the failure is persistent. op must not escape: the
+// append path passes a closure and stays allocation-free.
+func (s *Store) retry(stop func(error) bool, op func() error) error {
+	backoff := retryBackoff
+	err := op()
+	for attempt := 0; err != nil && attempt < s.retryLimit && (stop == nil || !stop(err)); attempt++ {
+		s.ioWait.Add(int64(backoff))
+		backoff = min(2*backoff, retryMaxBackoff)
+		err = op()
 	}
-	return backoff
+	return err
+}
+
+// writeFile writes a whole file. Each attempt rewrites from scratch, so a
+// torn attempt can't survive into the final content.
+func (s *Store) writeFile(path string, data []byte) error {
+	return s.retry(isFull, func() error { return s.fsys.WriteFile(path, data, 0o644) })
+}
+
+func (s *Store) rename(oldpath, newpath string) error {
+	return s.retry(nil, func() error { return s.fsys.Rename(oldpath, newpath) })
+}
+
+func (s *Store) readFile(path string) (buf []byte, err error) {
+	err = s.retry(isMissing, func() (rerr error) {
+		buf, rerr = s.fsys.ReadFile(path)
+		return rerr
+	})
+	return buf, err
 }
 
 // sealLocked closes the active segment; the next append opens a fresh
@@ -514,28 +497,15 @@ func (s *Store) openSegmentLocked(c *chain) error {
 // fresh file. ENOSPC is persistent by definition and short-circuits the
 // retries.
 func (s *Store) writeFrameLocked(c *chain, frame []byte) error {
-	var lastErr error
-	backoff := s.retryBackoff
-	for attempt := 0; attempt <= s.retryLimit; attempt++ {
-		if attempt > 0 {
-			s.ioWait.Add(int64(backoff))
-			backoff = s.nextBackoff(backoff)
-		}
+	err := s.retry(isFull, func() error {
 		if c.f == nil {
 			if err := s.openSegmentLocked(c); err != nil {
-				lastErr = err
 				s.walErrs.Add(1)
-				if isFull(err) {
-					break
-				}
-				continue
+				return err
 			}
 		}
 		n, err := c.f.Write(frame)
 		if err == nil && n == len(frame) {
-			if len(c.ring) > 0 {
-				c.ring[c.frames%len(c.ring)] = frameLoc{off: c.size, n: int32(n)}
-			}
 			c.size += int64(n)
 			c.frames++
 			return nil
@@ -543,14 +513,14 @@ func (s *Store) writeFrameLocked(c *chain, frame []byte) error {
 		if err == nil {
 			err = io.ErrShortWrite
 		}
-		lastErr = err
 		s.walErrs.Add(1)
 		s.sealLocked(c)
-		if isFull(err) {
-			break
-		}
+		return err
+	})
+	if err != nil {
+		return fmt.Errorf("durable: wal append: %w", err)
 	}
-	return fmt.Errorf("durable: wal append: %w", lastErr)
+	return nil
 }
 
 // append writes one framed record to the chain at index ci.
@@ -643,66 +613,6 @@ func (s *Store) AppendShed(sw uint64, n uint32) error {
 	})
 }
 
-// writeFileRetry writes a whole file with transient-fault retries. Each
-// attempt rewrites from scratch, so a torn attempt can't survive into the
-// final content.
-func (s *Store) writeFileRetry(path string, data []byte) error {
-	var lastErr error
-	backoff := s.retryBackoff
-	for attempt := 0; attempt <= s.retryLimit; attempt++ {
-		if attempt > 0 {
-			s.ioWait.Add(int64(backoff))
-			backoff = s.nextBackoff(backoff)
-		}
-		err := s.fsys.WriteFile(path, data, 0o644)
-		if err == nil {
-			return nil
-		}
-		lastErr = err
-		if isFull(err) {
-			break
-		}
-	}
-	return lastErr
-}
-
-func (s *Store) renameRetry(oldpath, newpath string) error {
-	var lastErr error
-	backoff := s.retryBackoff
-	for attempt := 0; attempt <= s.retryLimit; attempt++ {
-		if attempt > 0 {
-			s.ioWait.Add(int64(backoff))
-			backoff = s.nextBackoff(backoff)
-		}
-		err := s.fsys.Rename(oldpath, newpath)
-		if err == nil {
-			return nil
-		}
-		lastErr = err
-	}
-	return lastErr
-}
-
-func (s *Store) readFileRetry(path string) ([]byte, error) {
-	var lastErr error
-	backoff := s.retryBackoff
-	for attempt := 0; attempt <= s.retryLimit; attempt++ {
-		if attempt > 0 {
-			s.ioWait.Add(int64(backoff))
-			backoff = s.nextBackoff(backoff)
-		}
-		buf, err := s.fsys.ReadFile(path)
-		if err == nil {
-			return buf, nil
-		}
-		if errors.Is(err, iofs.ErrNotExist) {
-			return nil, err
-		}
-		lastErr = err
-	}
-	return nil, lastErr
-}
-
 // Checkpoint atomically replaces the checkpoint file with snap and
 // deletes the segments it supersedes. snap.ThroughLSN is stamped with the
 // current LSN high-water mark: every frame logged so far is folded into
@@ -733,13 +643,13 @@ func (s *Store) checkpointLocked(snap *wire.Snapshot) error {
 		f, _ := s.fsys.Create(tmp)
 		return s.die(f, buf, "checkpoint-temp")
 	}
-	if err := s.writeFileRetry(tmp, buf); err != nil {
+	if err := s.writeFile(tmp, buf); err != nil {
 		return fmt.Errorf("durable: checkpoint: %w", err)
 	}
 	if s.crash != nil && s.crash("checkpoint-rename") {
 		return s.die(nil, nil, "checkpoint-rename")
 	}
-	if err := s.renameRetry(tmp, filepath.Join(s.dir, checkpointName)); err != nil {
+	if err := s.rename(tmp, filepath.Join(s.dir, checkpointName)); err != nil {
 		return fmt.Errorf("durable: checkpoint: %w", err)
 	}
 	if s.crash != nil && s.crash("wal-truncate") {
@@ -781,49 +691,32 @@ func (s *Store) Heal(snap *wire.Snapshot) error {
 	return s.checkpointLocked(snap)
 }
 
-// LoadCheckpoint reads and verifies the checkpoint file. It returns
-// (nil, nil) when no checkpoint exists yet, and an error when the file is
-// unreadable or fails its CRC/version check — the strict form, for
-// callers that want to distinguish damage themselves. Recovery instead
-// uses the quarantining loader, which sets a damaged checkpoint aside and
-// proceeds from the WAL alone.
-func (s *Store) LoadCheckpoint() (*wire.Snapshot, error) {
-	buf, err := s.fsys.ReadFile(filepath.Join(s.dir, checkpointName))
-	if errors.Is(err, iofs.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("durable: %w", err)
-	}
-	snap, err := wire.DecodeSnapshot(buf)
-	if err != nil {
-		return nil, fmt.Errorf("durable: checkpoint: %w", err)
-	}
-	return snap, nil
-}
-
-// quarantineLocked sets a damaged file aside. If it is a chain's active
-// segment, the handle closes first. A failed rename leaves the file in
-// place — it will be re-detected (and re-quarantined) by the next pass.
+// quarantineLocked sets a damaged file aside and drops it from the chain's
+// live list. If it is the chain's active segment, the handle closes first.
+// A failed rename leaves the file in place — it will be re-detected (and
+// re-quarantined) by the next pass.
 func (s *Store) quarantineLocked(c *chain, path string) {
-	if c != nil && c.f != nil && path == c.path {
-		c.f.Close()
-		c.f = nil
-		c.frames = 0
+	if c != nil {
+		if c.f != nil && path == c.path {
+			c.f.Close()
+			c.f = nil
+			c.frames = 0
+		}
+		c.segs = slices.DeleteFunc(c.segs, func(p string) bool { return p == path })
 	}
 	s.quarantines.Add(1)
 	s.fsys.Rename(path, path+quarantineSuffix)
 }
 
-// loadCheckpointQuarantiningLocked is the recovery-time loader: a corrupt
-// checkpoint is quarantined (recovery proceeds from the WAL, with the
-// missing coverage surfacing as a leading LostLSNRange); an unreadable
+// loadCheckpointLocked is the one checkpoint loader, run by recovery: a
+// corrupt checkpoint is quarantined (recovery proceeds from the WAL, with
+// the missing coverage surfacing as a leading LostLSNRange); an unreadable
 // one is treated as absent but left in place, since its bytes may be
 // intact.
-func (s *Store) loadCheckpointQuarantiningLocked() *wire.Snapshot {
+func (s *Store) loadCheckpointLocked() *wire.Snapshot {
 	path := filepath.Join(s.dir, checkpointName)
-	buf, err := s.readFileRetry(path)
-	if errors.Is(err, iofs.ErrNotExist) {
+	buf, err := s.readFile(path)
+	if isMissing(err) {
 		return nil
 	}
 	if err != nil {
@@ -845,9 +738,9 @@ func (s *Store) loadCheckpointQuarantiningLocked() *wire.Snapshot {
 // replay at the last good frame and is not damage; an undecodable header,
 // a CRC-failed frame, or an unreadable file is.
 func (s *Store) replaySegmentLocked(c *chain, path string) (recs []*wire.WALRecord, keep bool) {
-	buf, err := s.readFileRetry(path)
+	buf, err := s.readFile(path)
 	if err != nil {
-		if errors.Is(err, iofs.ErrNotExist) {
+		if isMissing(err) {
 			return nil, false
 		}
 		s.quarantineLocked(c, path)
@@ -895,7 +788,7 @@ func (s *Store) replaySegmentLocked(c *chain, path string) (recs []*wire.WALReco
 // the LostLSNRange gaps. Returns the checkpoint (nil if none survives)
 // and the LSN-ordered frames it does not cover.
 func (s *Store) recoverLocked() (*wire.Snapshot, []*wire.WALRecord) {
-	snap := s.loadCheckpointQuarantiningLocked()
+	snap := s.loadCheckpointLocked()
 	var all []*wire.WALRecord
 	for _, c := range s.chains {
 		live := append([]string(nil), c.segs...)
@@ -965,17 +858,17 @@ func (s *Store) Recover() (*wire.Snapshot, []*wire.WALRecord, error) {
 	return snap, recs, nil
 }
 
-// Scrub re-reads each chain's active segment and CRC-verifies its most
-// recent scrubDepth frames, catching bit rot while the data is still
-// redundant in memory (the caller cuts a fresh checkpoint on damage). A
-// corrupt chain is quarantined and reported in the first return; chains
-// that could not be read at all are counted as scrub errors and reported
-// in the second without being quarantined, since their bytes may be
-// intact.
+// Scrub re-reads each chain's active segment and CRC-verifies every frame
+// in it, then checks the checkpoint's CRC, catching bit rot while the data
+// is still redundant in memory (the caller cuts a fresh checkpoint on
+// damage). A corrupt file is quarantined and reported in the first
+// return; files that could not be read at all are counted as scrub errors
+// and reported in the second without being quarantined, since their bytes
+// may be intact.
 func (s *Store) Scrub() (corrupt int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.dead || s.scrubDepth == 0 {
+	if s.dead {
 		return 0, nil
 	}
 	// A fenced writer must not quarantine files the new term-holder is
@@ -987,51 +880,45 @@ func (s *Store) Scrub() (corrupt int, err error) {
 		if c.f == nil || c.frames == 0 {
 			continue
 		}
-		buf, rerr := s.readFileRetry(c.path)
+		buf, rerr := s.readFile(c.path)
 		if rerr != nil {
 			s.scrubErrs.Add(1)
 			err = rerr
 			continue
 		}
-		depth := c.frames
-		if depth > len(c.ring) {
-			depth = len(c.ring)
-		}
-		bad := false
-		for i := c.frames - depth; i < c.frames && !bad; i++ {
-			loc := c.ring[i%len(c.ring)]
-			end := loc.off + int64(loc.n)
-			if end > int64(len(buf)) {
-				bad = true
-				break
-			}
-			if n, verr := wire.VerifyWALFrame(buf[loc.off:end]); verr != nil || n != int(loc.n) {
-				bad = true
-			}
-		}
-		if bad {
+		if !framesIntact(buf, c.size) {
 			corrupt++
-			kept := c.segs[:0]
-			for _, p := range c.segs {
-				if p != c.path {
-					kept = append(kept, p)
-				}
-			}
-			c.segs = kept
 			s.quarantineLocked(c, c.path)
 		}
 	}
 	// The checkpoint is scrubbed too: silent rot there is worse than in
-	// any segment, because it is the base everything replays on.
+	// any segment, because it is the base everything replays on. Its seal
+	// is the whole check — decoding it would allocate a row per flow.
 	path := filepath.Join(s.dir, checkpointName)
 	if buf, rerr := s.fsys.ReadFile(path); rerr == nil {
-		if _, derr := wire.DecodeSnapshot(buf); derr != nil {
+		if wire.VerifySnapshot(buf) != nil {
 			corrupt++
 			s.quarantineLocked(nil, path)
 		}
-	} else if !errors.Is(rerr, iofs.ErrNotExist) {
+	} else if !isMissing(rerr) {
 		s.scrubErrs.Add(1)
 		err = rerr
 	}
 	return corrupt, err
+}
+
+// framesIntact reports whether the first size bytes of an active segment
+// are its header followed by whole frames that each pass VerifyWALFrame.
+func framesIntact(buf []byte, size int64) bool {
+	if int64(len(buf)) < size {
+		return false
+	}
+	for off := int64(wire.SegmentHeaderSize); off < size; {
+		n, err := wire.VerifyWALFrame(buf[off:size])
+		if err != nil {
+			return false
+		}
+		off += int64(n)
+	}
+	return true
 }

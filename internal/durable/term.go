@@ -17,7 +17,6 @@ package durable
 import (
 	"errors"
 	"fmt"
-	iofs "io/fs"
 	"path/filepath"
 
 	"omniwindow/internal/wire"
@@ -45,9 +44,9 @@ const (
 func (s *Store) loadTermLocked(maxSegTerm uint64) {
 	cur := maxSegTerm
 	path := filepath.Join(s.dir, termName)
-	buf, err := s.readFileRetry(path)
+	buf, err := s.readFile(path)
 	switch {
-	case errors.Is(err, iofs.ErrNotExist):
+	case isMissing(err):
 		// No file yet: authority is whatever the segments prove.
 	case err != nil:
 		// Unreadable but possibly intact; leave it for the next open.
@@ -70,10 +69,10 @@ func (s *Store) loadTermLocked(maxSegTerm uint64) {
 func (s *Store) writeTermLocked(rec *wire.TermRecord) error {
 	s.hdr = wire.AppendTermRecord(s.hdr[:0], rec)
 	tmp := filepath.Join(s.dir, termTemp)
-	if err := s.writeFileRetry(tmp, s.hdr); err != nil {
+	if err := s.writeFile(tmp, s.hdr); err != nil {
 		return fmt.Errorf("durable: term: %w", err)
 	}
-	if err := s.renameRetry(tmp, filepath.Join(s.dir, termName)); err != nil {
+	if err := s.rename(tmp, filepath.Join(s.dir, termName)); err != nil {
 		return fmt.Errorf("durable: term: %w", err)
 	}
 	return nil

@@ -186,7 +186,7 @@ func TestTermStampsFramesSegmentsAndCheckpoints(t *testing.T) {
 	if err := s.Checkpoint(&wire.Snapshot{}); err != nil {
 		t.Fatal(err)
 	}
-	snap, err := s.LoadCheckpoint()
+	snap, _, err := s.Recover()
 	if err != nil {
 		t.Fatal(err)
 	}

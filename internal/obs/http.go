@@ -85,12 +85,8 @@ func writeHistogram(w io.Writer, fam, labels string, h *Histogram) {
 	}
 	cum += h.counts[len(h.bounds)].Load()
 	fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", fam, labelPrefix(labels), cum)
-	suffix := ""
-	if labels != "" {
-		suffix = "{" + labels + "}"
-	}
-	fmt.Fprintf(w, "%s_sum%s %s\n", fam, suffix, formatFloat(h.Sum().Seconds()))
-	fmt.Fprintf(w, "%s_count%s %d\n", fam, suffix, h.Count())
+	fmt.Fprintf(w, "%s %s\n", Labeled(fam+"_sum", labels), formatFloat(h.Sum().Seconds()))
+	fmt.Fprintf(w, "%s %d\n", Labeled(fam+"_count", labels), h.Count())
 }
 
 func labelPrefix(labels string) string {

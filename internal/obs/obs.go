@@ -221,6 +221,15 @@ func (r *Registry) Ring(capacity int) *Ring {
 	return r.ring
 }
 
+// Labeled embeds an optional Prometheus label set (e.g. `switch="2"`) in a
+// metric name; empty labels leave the name bare.
+func Labeled(name, labels string) string {
+	if labels == "" {
+		return name
+	}
+	return name + "{" + labels + "}"
+}
+
 // family splits a metric name into its family (HELP/TYPE grouping unit)
 // and the label set embedded in the name, if any.
 func family(name string) (fam, labels string) {

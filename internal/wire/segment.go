@@ -57,27 +57,21 @@ func DecodeSegmentHeader(data []byte) (SegmentHeader, error) {
 	if len(data) < SegmentHeaderSize {
 		return h, ErrTruncated
 	}
-	body := data[:SegmentHeaderSize-sumSize]
-	if binary.BigEndian.Uint32(body) != SegMagic {
-		return h, ErrBadMagic
+	if err := checkSeal(data[:SegmentHeaderSize], SegMagic, SegVersion); err != nil {
+		return h, err
 	}
-	if body[4] != SegVersion {
-		return h, ErrBadVersion
-	}
-	if binary.BigEndian.Uint32(data[len(body):]) != crc32.ChecksumIEEE(body) {
-		return h, ErrChecksum
-	}
-	h.Chain = binary.BigEndian.Uint32(body[5:])
-	h.Gen = binary.BigEndian.Uint64(body[9:])
-	h.Term = binary.BigEndian.Uint64(body[17:])
+	h.Chain = binary.BigEndian.Uint32(data[5:])
+	h.Gen = binary.BigEndian.Uint64(data[9:])
+	h.Term = binary.BigEndian.Uint64(data[17:])
 	return h, nil
 }
 
 // VerifyWALFrame checks the first WAL frame of data without materializing
 // the record (no allocation): it returns the frame's total length on
 // success, ErrTruncated for an incomplete frame, and ErrChecksum for a
-// complete frame whose CRC trailer does not match — the scrubber's
-// bit-rot detector.
+// complete frame whose CRC trailer does not match. It is the frame's one
+// integrity check: DecodeWALRecord frames through it, and the scrubber
+// walks it over the active segment.
 func VerifyWALFrame(data []byte) (int, error) {
 	if len(data) < walHeaderSize {
 		return 0, ErrTruncated

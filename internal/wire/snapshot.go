@@ -221,22 +221,40 @@ func (r *snapReader) count(minPer int) int {
 	return n
 }
 
-// DecodeSnapshot parses a snapshot produced by EncodeSnapshot, verifying
-// the version and the CRC-32 trailer first.
-func DecodeSnapshot(data []byte) (*Snapshot, error) {
+// VerifySnapshot checks a snapshot's magic, version and CRC-32 trailer
+// without decoding it (no allocation) — the checkpoint's one integrity
+// check, run by DecodeSnapshot and by the boundary scrubber alike.
+func VerifySnapshot(data []byte) error {
 	if len(data) < snapHeaderSize+sumSize {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
-	if binary.BigEndian.Uint32(data) != SnapMagic {
-		return nil, ErrBadMagic
+	return checkSeal(data, SnapMagic, SnapVersion)
+}
+
+// checkSeal is the preamble-and-trailer check every sealed durable record
+// shares (snapshot, segment header, term record): a 4-byte magic, a
+// version byte, and a CRC-32 trailer over everything before it. rec is the
+// whole record; the caller has already rejected a short one.
+func checkSeal(rec []byte, magic uint32, version uint8) error {
+	body := rec[:len(rec)-sumSize]
+	switch {
+	case binary.BigEndian.Uint32(body) != magic:
+		return ErrBadMagic
+	case body[4] != version:
+		return ErrBadVersion
+	case binary.BigEndian.Uint32(rec[len(body):]) != crc32.ChecksumIEEE(body):
+		return ErrChecksum
 	}
-	if data[4] != SnapVersion {
-		return nil, ErrBadVersion
+	return nil
+}
+
+// DecodeSnapshot parses a snapshot produced by EncodeSnapshot, verifying
+// it (VerifySnapshot) first.
+func DecodeSnapshot(data []byte) (*Snapshot, error) {
+	if err := VerifySnapshot(data); err != nil {
+		return nil, err
 	}
 	body := data[:len(data)-sumSize]
-	if binary.BigEndian.Uint32(data[len(body):]) != crc32.ChecksumIEEE(body) {
-		return nil, ErrChecksum
-	}
 	r := &snapReader{data: body, off: 5}
 	s := &Snapshot{
 		ThroughLSN:   r.u64(),
@@ -383,20 +401,13 @@ func AppendWALRecord(buf []byte, rec *WALRecord) []byte {
 // DecodeWALRecord parses the first frame of data, returning the record and
 // the bytes consumed. ErrTruncated means the frame is incomplete (a torn
 // tail — the caller stops replay there); ErrChecksum means the frame is
-// complete but corrupt.
+// complete but corrupt. Both come from VerifyWALFrame.
 func DecodeWALRecord(data []byte) (*WALRecord, int, error) {
-	if len(data) < walHeaderSize {
-		return nil, 0, ErrTruncated
+	total, err := VerifyWALFrame(data)
+	if err != nil {
+		return nil, 0, err
 	}
-	plen := int(binary.BigEndian.Uint32(data))
-	total := walHeaderSize + plen + sumSize
-	if plen < walFixedPayload || len(data) < total {
-		return nil, 0, ErrTruncated
-	}
-	payload := data[walHeaderSize : walHeaderSize+plen]
-	if binary.BigEndian.Uint32(data[walHeaderSize+plen:]) != crc32.ChecksumIEEE(payload) {
-		return nil, 0, ErrChecksum
-	}
+	payload := data[walHeaderSize : total-sumSize]
 	rec := &WALRecord{
 		Type:      payload[0],
 		LSN:       binary.BigEndian.Uint64(payload[1:]),

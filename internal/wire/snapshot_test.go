@@ -66,11 +66,19 @@ func TestSnapshotEmptyRoundTrip(t *testing.T) {
 
 func TestSnapshotDetectsCorruption(t *testing.T) {
 	buf := EncodeSnapshot(nil, sampleSnapshot())
+	if err := VerifySnapshot(buf); err != nil {
+		t.Fatalf("intact snapshot failed verification: %v", err)
+	}
+	// The scrubber's check (VerifySnapshot) must catch every flip the
+	// decoder does: it is the decoder's first step.
 	for _, pos := range []int{5, len(buf) / 2, len(buf) - 5} {
 		mangled := append([]byte(nil), buf...)
 		mangled[pos] ^= 0x40
 		if _, err := DecodeSnapshot(mangled); err == nil {
 			t.Fatalf("bit flip at %d not detected", pos)
+		}
+		if VerifySnapshot(mangled) == nil {
+			t.Fatalf("bit flip at %d passed verification", pos)
 		}
 	}
 	for _, cut := range []int{1, 10, len(buf) / 2} {

@@ -52,17 +52,10 @@ func DecodeTermRecord(data []byte) (TermRecord, error) {
 	if len(data) < TermRecordSize {
 		return r, ErrTruncated
 	}
-	body := data[:TermRecordSize-sumSize]
-	if binary.BigEndian.Uint32(body) != TermMagic {
-		return r, ErrBadMagic
+	if err := checkSeal(data[:TermRecordSize], TermMagic, TermVersion); err != nil {
+		return r, err
 	}
-	if body[4] != TermVersion {
-		return r, ErrBadVersion
-	}
-	if binary.BigEndian.Uint32(data[len(body):]) != crc32.ChecksumIEEE(body) {
-		return r, ErrChecksum
-	}
-	r.Term = binary.BigEndian.Uint64(body[5:])
-	r.Holder = binary.BigEndian.Uint32(body[13:])
+	r.Term = binary.BigEndian.Uint64(data[5:])
+	r.Holder = binary.BigEndian.Uint32(data[13:])
 	return r, nil
 }

@@ -54,12 +54,7 @@ func (d *Deployment) setupObs() error {
 	}
 	labels := cfg.ObsLabels
 
-	n := func(name string) string {
-		if labels == "" {
-			return name
-		}
-		return name + "{" + labels + "}"
-	}
+	n := func(name string) string { return obs.Labeled(name, labels) }
 	d.obs = deployObs{
 		packets:    d.reg.Counter(n("omniwindow_switch_packets_total"), "trace packets processed through the switch pipeline"),
 		afrs:       d.reg.Counter(n("omniwindow_cr_afrs_total"), "AFR records collected across C&R rounds"),

@@ -69,13 +69,6 @@ type Config struct {
 	// growing through rehashes on the hot path. 0 means no hint; the hint
 	// is advisory only and never changes results.
 	ExpectedFlows int
-	// SpikeAttr computes the software path's per-packet contribution for a
-	// latency-spike copy (§5): a spike packet's stamped sub-window is no
-	// longer preserved in any data-plane region, so the controller merges
-	// the packet directly, and this function supplies the attribute value
-	// one packet contributes under the app's merge pattern. Nil means 1
-	// (count semantics, matching the default frequency application).
-	SpikeAttr func(p *packet.Packet) uint64
 
 	// AppFactory builds one region's application state, sized for one
 	// sub-window's traffic. Called once per memory region.
@@ -197,21 +190,9 @@ type Config struct {
 	// after a transient disk fault (each retry rotates to a fresh
 	// segment, sealing any torn tail behind it). 0 uses the default (3);
 	// negative disables retries — the first fault degrades immediately.
-	// Requires CheckpointDir.
+	// The waits between retries (1 ms doubling to 50 ms) are virtual time
+	// charged to the C&R budget, never slept. Requires CheckpointDir.
 	DurabilityRetryLimit int
-	// DurabilityRetryBackoff is the initial wait between disk retries,
-	// doubling up to DurabilityRetryMaxBackoff; the waits are virtual
-	// time charged to the C&R budget, never slept. Zero values use the
-	// durable defaults (1 ms / 50 ms). Require CheckpointDir.
-	DurabilityRetryBackoff    time.Duration
-	DurabilityRetryMaxBackoff time.Duration
-	// ScrubDepth is how many recent WAL frames per chain the boundary
-	// scrubber re-reads and CRC-verifies, catching bit rot while the
-	// live state still covers the damaged records (a corrupt frame
-	// quarantines its segment and forces a checkpoint at zero loss).
-	// 0 uses the default (64); negative disables scrubbing. Requires
-	// CheckpointDir.
-	ScrubDepth int
 
 	// RDMA enables the §7 collection path: AFRs land in registered
 	// controller memory via simulated WRITE verbs, with hot keys cached
@@ -221,12 +202,6 @@ type Config struct {
 	HotThreshold int
 	// AddressMATSize bounds the switch-side address MAT.
 	AddressMATSize int
-	// RDMAVerbRetries bounds the RNR-style retries after a verb's first
-	// failed attempt before the completion error becomes persistent and
-	// the queue pair faults to Error (every send then falls back to the
-	// packet path until boundary recovery). 0 uses the default (3); a
-	// negative value disables retries.
-	RDMAVerbRetries int
 	// RDMAReplayDepth bounds the transport's PSN replay window: how many
 	// unacked verbs can be replayed after in-flight loss or a region
 	// invalidation. 0 uses the default (8192); any positive depth is
@@ -371,14 +346,12 @@ type AppSpec struct {
 	Factory func(region int) afr.StateApp
 	// Kind is the statistic's merge pattern.
 	Kind afr.Kind
-	// Threshold, Detector, DistinctCounter, CaptureValues and SpikeAttr
-	// parameterize the app's controller, as in the single-app Config
-	// fields.
+	// Threshold, Detector, DistinctCounter and CaptureValues parameterize
+	// the app's controller, as in the single-app Config fields.
 	Threshold       uint64
 	Detector        func(k packet.FlowKey, v uint64) bool
 	DistinctCounter afr.DistinctCounter
 	CaptureValues   bool
-	SpikeAttr       func(p *packet.Packet) uint64
 }
 
 // Deployment is a running OmniWindow instance.
@@ -505,19 +478,12 @@ func (cfg *Config) validate() error {
 		}
 	}
 	if cfg.CheckpointDir == "" {
-		if cfg.DiskFaults != nil || cfg.WALSegmentBytes != 0 || cfg.DurabilityRetryLimit != 0 ||
-			cfg.DurabilityRetryBackoff != 0 || cfg.DurabilityRetryMaxBackoff != 0 || cfg.ScrubDepth != 0 {
-			return fmt.Errorf("omniwindow: DiskFaults/WALSegmentBytes/DurabilityRetry*/ScrubDepth require CheckpointDir — there is no durable store to apply them to")
+		if cfg.DiskFaults != nil || cfg.WALSegmentBytes != 0 || cfg.DurabilityRetryLimit != 0 {
+			return fmt.Errorf("omniwindow: DiskFaults/WALSegmentBytes/DurabilityRetryLimit require CheckpointDir — there is no durable store to apply them to")
 		}
 	}
 	if cfg.WALSegmentBytes < 0 {
 		return fmt.Errorf("omniwindow: WALSegmentBytes must be non-negative, got %d (0 means the durable default)", cfg.WALSegmentBytes)
-	}
-	if cfg.DurabilityRetryBackoff < 0 {
-		return fmt.Errorf("omniwindow: DurabilityRetryBackoff must be non-negative, got %v (use DurabilityRetryLimit < 0 to disable retries)", cfg.DurabilityRetryBackoff)
-	}
-	if cfg.DurabilityRetryMaxBackoff < 0 {
-		return fmt.Errorf("omniwindow: DurabilityRetryMaxBackoff must be non-negative, got %v", cfg.DurabilityRetryMaxBackoff)
 	}
 	if cfg.Standby {
 		if cfg.CheckpointDir == "" {
@@ -548,8 +514,8 @@ func (cfg *Config) validate() error {
 	if cfg.RDMA && len(apps) > 1 {
 		return fmt.Errorf("omniwindow: the RDMA path supports single-app deployments only")
 	}
-	if !cfg.RDMA && (cfg.RDMAFaults != nil || cfg.RDMAVerbRetries != 0 || cfg.RDMAReplayDepth != 0) {
-		return fmt.Errorf("omniwindow: RDMAFaults/RDMAVerbRetries/RDMAReplayDepth require RDMA")
+	if !cfg.RDMA && (cfg.RDMAFaults != nil || cfg.RDMAReplayDepth != 0) {
+		return fmt.Errorf("omniwindow: RDMAFaults/RDMAReplayDepth require RDMA")
 	}
 	if cfg.RDMAReplayDepth < 0 {
 		return fmt.Errorf("omniwindow: RDMAReplayDepth must be non-negative, got %d", cfg.RDMAReplayDepth)
@@ -577,7 +543,6 @@ func (cfg *Config) appSpecs() []AppSpec {
 		Detector:        cfg.Detector,
 		DistinctCounter: cfg.DistinctCounter,
 		CaptureValues:   cfg.CaptureValues,
-		SpikeAttr:       cfg.SpikeAttr,
 	}}
 }
 

@@ -94,7 +94,6 @@ func TestConfigValidation(t *testing.T) {
 		{"RDMA fault schedule without RDMA", func(c *Config) {
 			c.RDMAFaults = &faults.RDMASchedule{VerbError: 0.1}
 		}},
-		{"RDMA verb retries without RDMA", func(c *Config) { c.RDMAVerbRetries = 2 }},
 		{"RDMA replay depth without RDMA", func(c *Config) { c.RDMAReplayDepth = 64 }},
 		{"negative RDMA replay depth", func(c *Config) {
 			c.RDMA = true

@@ -52,7 +52,6 @@ func newTransport(d *Deployment) collectTransport {
 			Rows:        cfg.AddressMATSize,
 			Lanes:       cfg.Plan.Size,
 			BufCap:      1 << 18,
-			VerbRetries: cfg.RDMAVerbRetries,
 			ReplayDepth: cfg.RDMAReplayDepth,
 			Faults:      cfg.RDMAFaults,
 			// noteRDMAShed reads d.ctrl at charge time, so shed notes
