@@ -158,16 +158,12 @@ func TestFinishSteadyStateAllocs(t *testing.T) {
 	// Measured: 10-11 at one shard, 19-20 at four (one goroutine and its
 	// closure per shard per finish: the single pass).
 	const perCall = 24
-	// The default Distinction estimator builds a multiresolution bitmap
-	// per value read — O4's cost, not the table's — so the table is pinned
-	// under a summary counter that allocates nothing.
-	popcount := diffKinds[len(diffKinds)-1].counter
 	for _, kind := range []afr.Kind{afr.Frequency, afr.Max, afr.Min, afr.Distinction} {
 		for _, shards := range []int{1, 4} {
 			for _, flows := range []int{2000, 8000} {
 				t.Run(fmt.Sprintf("%v/shards%d/flows%d", kind, shards, flows), func(t *testing.T) {
 					c := New(Config{
-						Plan: window.SlidingPlan(5, 1), Kind: kind, DistinctCounter: popcount,
+						Plan: window.SlidingPlan(5, 1), Kind: kind,
 						Threshold: math.MaxUint64, Shards: shards,
 					})
 					recs := make([]packet.AFR, flows)
