@@ -119,7 +119,7 @@ func DistinctValue(sum uint64, summary [4]uint64, counter DistinctCounter) uint6
 	if counter != nil {
 		est = counter(summary)
 	} else {
-		est = uint64(sketch.MRBFromComponents(summary[:]).Estimate() + 0.5)
+		est = uint64(sketch.MRBEstimate(summary[:]) + 0.5)
 	}
 	// The scalar sum over-counts elements that recur across sub-windows
 	// but is exact otherwise; the summary estimate is duplicate-free but

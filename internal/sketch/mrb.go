@@ -45,33 +45,35 @@ func (m *MRB) Insert(h uint64) {
 	m.comps[l] |= 1 << pos
 }
 
-// sampleProb returns component k's sampling probability.
-func (m *MRB) sampleProb(k int) float64 {
-	if k == m.c-1 {
-		return math.Pow(2, -float64(m.c-1))
-	}
-	return math.Pow(2, -float64(k+1))
-}
-
 // Estimate returns the estimated number of distinct inserted elements.
-// It picks the lowest component that is not saturated as the base and
-// combines linear-counting estimates of the base and finer components.
-func (m *MRB) Estimate() float64 {
-	base := m.c - 1
-	for k := 0; k < m.c; k++ {
-		if bits.OnesCount64(m.comps[k]) <= mrbBits*93/100 {
+func (m *MRB) Estimate() float64 { return MRBEstimate(m.comps) }
+
+// MRBEstimate estimates the distinct count of raw component bitmaps (the
+// wire form AFRs carry, see Components), reading them in place. It picks
+// the lowest component that is not saturated as the base and combines
+// linear-counting estimates of the base and finer components.
+func MRBEstimate(comps []uint64) float64 {
+	c := len(comps)
+	if c < 2 {
+		panic("sketch: MRB needs at least 2 components")
+	}
+	base := c - 1
+	for k := 0; k < c; k++ {
+		if bits.OnesCount64(comps[k]) <= mrbBits*93/100 {
 			base = k
 			break
 		}
 	}
 	var est, prob float64
-	for k := base; k < m.c; k++ {
-		z := float64(mrbBits - bits.OnesCount64(m.comps[k]))
+	for k := base; k < c; k++ {
+		z := float64(mrbBits - bits.OnesCount64(comps[k]))
 		if z == 0 {
 			z = 1
 		}
 		est += mrbBits * math.Log(mrbBits/z)
-		prob += m.sampleProb(k)
+		// Component k samples with probability 2^-(k+1); the last
+		// absorbs every remaining level, so it shares its predecessor's.
+		prob += math.Pow(2, -float64(min(k+1, c-1)))
 	}
 	if prob == 0 {
 		return 0
@@ -95,15 +97,6 @@ func (m *MRB) Merge(o *MRB) {
 // AFRs carry for distinction statistics.
 func (m *MRB) Components() []uint64 {
 	return append([]uint64(nil), m.comps...)
-}
-
-// MRBFromComponents reconstructs an MRB from raw component bitmaps (the
-// controller-side inverse of Components).
-func MRBFromComponents(comps []uint64) *MRB {
-	if len(comps) < 2 {
-		panic("sketch: MRB needs at least 2 components")
-	}
-	return &MRB{comps: append([]uint64(nil), comps...), c: len(comps)}
 }
 
 // Reset clears the bitmap.

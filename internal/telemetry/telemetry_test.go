@@ -79,7 +79,7 @@ func TestSpreadSketchAppQueriesAndSummaries(t *testing.T) {
 		t.Fatal("missing summary")
 	}
 	// The summary itself must estimate in the right ballpark.
-	est := sketch.MRBFromComponents(a.Distinct[:]).Estimate()
+	est := sketch.MRBEstimate(a.Distinct[:])
 	if est < 80 || est > 500 {
 		t.Fatalf("summary estimate out of range: %f", est)
 	}
@@ -102,8 +102,8 @@ func TestSpreadSummaryMergeAcrossSubWindows(t *testing.T) {
 	for i := range merged {
 		merged[i] = q1.Distinct[i] | q2.Distinct[i]
 	}
-	mergedEst := sketch.MRBFromComponents(merged[:]).Estimate()
-	singleEst := sketch.MRBFromComponents(q1.Distinct[:]).Estimate()
+	mergedEst := sketch.MRBEstimate(merged[:])
+	singleEst := sketch.MRBEstimate(q1.Distinct[:])
 	if mergedEst > singleEst*1.3 {
 		t.Fatalf("identical sub-windows double-counted: %f vs %f", mergedEst, singleEst)
 	}
