@@ -5,8 +5,8 @@ import "omniwindow/internal/packet"
 // HotTracker implements the controller side of the RDMA address MAT (§7):
 // it monitors how often each flow key recurs across sub-windows and
 // decides which keys deserve a cached memory address in the switch
-// (hot keys get RDMA Fetch-and-Add aggregation; cold keys go through the
-// append buffer).
+// (hot keys get a registered row that RDMA WRITEs land in; cold keys go
+// through the append buffer).
 type HotTracker struct {
 	capacity  int
 	threshold int

@@ -1,9 +1,12 @@
 // Package rdma simulates the RDMA-based collection optimization of §7:
-// switches encapsulate AFRs into RoCEv2 WRITE / Fetch-and-Add requests that
-// land directly in a registered controller memory region, bypassing the
-// controller CPU. Hot keys carry cached destination addresses from a
-// switch-side address MAT; cold keys append to a sequentially growing
-// buffer whose addresses the switch computes itself.
+// switches encapsulate AFRs into RoCEv2 requests that land directly in a
+// registered controller memory region, bypassing the controller CPU. Hot
+// keys carry cached row addresses from a switch-side address MAT and WRITE
+// each sub-window's attribute into its own lane of the row; cold keys
+// append to a sequentially growing buffer whose addresses the switch
+// computes itself. (The paper also offloads frequency sums to the RNIC
+// with Fetch-and-Add; the controller merges every kind itself here, so the
+// lanes keep one attribute per sub-window instead.)
 //
 // The simulation preserves the two properties the evaluation depends on:
 // verbs consume no controller CPU (only the cold-key drain does), and each
@@ -15,7 +18,6 @@ import (
 	"fmt"
 	"slices"
 
-	"omniwindow/internal/afr"
 	"omniwindow/internal/packet"
 )
 
@@ -69,16 +71,6 @@ func (mr *MemoryRegion) AllocRow() (base int, ok bool) {
 // Lanes returns the row width.
 func (mr *MemoryRegion) Lanes() int { return mr.lanes }
 
-// ReadRow returns a copy of a hot-key row.
-func (mr *MemoryRegion) ReadRow(base int) []uint64 {
-	return append([]uint64(nil), mr.slots[base:base+mr.lanes]...)
-}
-
-// ResetRow zeroes a hot-key row (after the controller consumed a window).
-func (mr *MemoryRegion) ResetRow(base int) {
-	clear(mr.slots[base : base+mr.lanes])
-}
-
 // ResetLane zeroes one slot of a hot-key row, freeing it for the next
 // sub-window that maps to the same lane.
 func (mr *MemoryRegion) ResetLane(base, lane int) {
@@ -101,27 +93,18 @@ func (mr *MemoryRegion) Invalidate() {
 // hot path needed no controller CPU.
 type NIC struct {
 	mr *MemoryRegion
-	// psn is the RoCEv2 packet sequence number register the switch-side
-	// request constructor maintains (§8).
-	psn uint32
 
-	Writes     int
-	FetchAdds  int
-	Appends    int
-	Sequential bool
+	Writes  int
+	Appends int
 }
 
 // NewNIC attaches an RNIC to a memory region.
 func NewNIC(mr *MemoryRegion) *NIC {
-	return &NIC{mr: mr, Sequential: true}
+	return &NIC{mr: mr}
 }
-
-// PSN returns the current packet sequence number.
-func (n *NIC) PSN() uint32 { return n.psn }
 
 // Write executes an RDMA WRITE of value into slot addr.
 func (n *NIC) Write(addr int, value uint64) error {
-	n.psn++
 	if addr < 0 || addr >= len(n.mr.slots) {
 		return fmt.Errorf("rdma: WRITE to invalid address %d", addr)
 	}
@@ -130,23 +113,10 @@ func (n *NIC) Write(addr int, value uint64) error {
 	return nil
 }
 
-// FetchAdd executes an RDMA Fetch-and-Add, returning the previous value.
-func (n *NIC) FetchAdd(addr int, delta uint64) (uint64, error) {
-	n.psn++
-	if addr < 0 || addr >= len(n.mr.slots) {
-		return 0, fmt.Errorf("rdma: FETCH_ADD to invalid address %d", addr)
-	}
-	old := n.mr.slots[addr]
-	n.mr.slots[addr] = old + delta
-	n.FetchAdds++
-	return old, nil
-}
-
 // Append writes a cold-key AFR to the sequential buffer. The switch
 // computes the target address itself because the buffer grows
 // sequentially; the simulation enforces only capacity.
 func (n *NIC) Append(rec packet.AFR) error {
-	n.psn++
 	buf := n.mr.buffer
 	if len(buf) >= n.mr.bufCap {
 		return ErrBufferFull
@@ -208,36 +178,3 @@ func (m *AddressMAT) Lookup(k packet.FlowKey) (base int, ok bool) {
 
 // Len returns the number of installed entries.
 func (m *AddressMAT) Len() int { return len(m.m) }
-
-// Collector is the switch-side RDMA request constructor: for each AFR it
-// either aggregates into the hot row (Fetch-and-Add for frequency-like
-// statistics, WRITE into the sub-window lane otherwise) or appends to the
-// cold buffer.
-type Collector struct {
-	mat *AddressMAT
-	nic *NIC
-}
-
-// NewCollector wires the address MAT to the RNIC.
-func NewCollector(mat *AddressMAT, nic *NIC) *Collector {
-	return &Collector{mat: mat, nic: nic}
-}
-
-// Send transmits one AFR. hot reports whether the fast path was used.
-func (c *Collector) Send(rec packet.AFR, kind afr.Kind) (hot bool, err error) {
-	base, ok := c.mat.Lookup(rec.Key)
-	if !ok {
-		return false, c.nic.Append(rec)
-	}
-	lane := int(rec.SubWindow) % c.nic.mr.Lanes()
-	switch kind {
-	case afr.Frequency:
-		// Offload the sum to the RNIC: one Fetch-and-Add into lane 0.
-		_, err = c.nic.FetchAdd(base, rec.Attr)
-	default:
-		// Group per-sub-window attributes by key for controller-side
-		// merging of non-summable statistics.
-		err = c.nic.Write(base+lane, rec.Attr)
-	}
-	return true, err
-}

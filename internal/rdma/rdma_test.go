@@ -3,7 +3,6 @@ package rdma
 import (
 	"testing"
 
-	"omniwindow/internal/afr"
 	"omniwindow/internal/packet"
 )
 
@@ -31,40 +30,31 @@ func TestMemoryRegionRowAllocation(t *testing.T) {
 	}
 }
 
-func TestNICWriteAndFetchAdd(t *testing.T) {
+func TestNICWrite(t *testing.T) {
 	mr := NewMemoryRegion(2, 4, 10)
 	nic := NewNIC(mr)
 	base, _ := mr.AllocRow()
 	if err := nic.Write(base+2, 42); err != nil {
 		t.Fatal(err)
 	}
-	old, err := nic.FetchAdd(base+2, 8)
-	if err != nil || old != 42 {
-		t.Fatalf("fetch-add old = %d, %v", old, err)
+	if got := mr.slots[base+2]; got != 42 {
+		t.Fatalf("slot = %d want 42", got)
 	}
-	row := mr.ReadRow(base)
-	if row[2] != 50 {
-		t.Fatalf("row = %v", row)
+	if nic.Writes != 1 {
+		t.Fatalf("writes = %d", nic.Writes)
 	}
-	if nic.Writes != 1 || nic.FetchAdds != 1 {
-		t.Fatalf("verb counts: %d writes %d fadds", nic.Writes, nic.FetchAdds)
-	}
-	if nic.PSN() != 2 {
-		t.Fatalf("psn = %d", nic.PSN())
-	}
-	mr.ResetRow(base)
-	if mr.ReadRow(base)[2] != 0 {
-		t.Fatal("reset row kept value")
+	mr.ResetLane(base, 2)
+	if mr.slots[base+2] != 0 {
+		t.Fatal("reset lane kept value")
 	}
 }
 
 func TestNICInvalidAddress(t *testing.T) {
 	nic := NewNIC(NewMemoryRegion(1, 2, 4))
-	if err := nic.Write(99, 1); err == nil {
-		t.Fatal("invalid WRITE accepted")
-	}
-	if _, err := nic.FetchAdd(-1, 1); err == nil {
-		t.Fatal("invalid FETCH_ADD accepted")
+	for _, addr := range []int{-1, 2, 99} {
+		if err := nic.Write(addr, 1); err == nil {
+			t.Fatalf("invalid WRITE to %d accepted", addr)
+		}
 	}
 }
 
@@ -113,64 +103,6 @@ func TestAddressMAT(t *testing.T) {
 	}
 	if m.Len() != 1 {
 		t.Fatalf("len = %d", m.Len())
-	}
-}
-
-func TestCollectorHotFrequencyAggregatesOnNIC(t *testing.T) {
-	mr := NewMemoryRegion(4, 5, 16)
-	nic := NewNIC(mr)
-	mat := NewAddressMAT(4)
-	base, _ := mr.AllocRow()
-	mat.Insert(fk(1), base)
-	c := NewCollector(mat, nic)
-
-	// Five sub-windows of a hot key: the RNIC must sum them with
-	// Fetch-and-Add, zero controller CPU.
-	for sw := 0; sw < 5; sw++ {
-		hot, err := c.Send(rec(1, sw, 10), afr.Frequency)
-		if err != nil || !hot {
-			t.Fatalf("sw %d: hot=%v err=%v", sw, hot, err)
-		}
-	}
-	if got := mr.ReadRow(base)[0]; got != 50 {
-		t.Fatalf("aggregated = %d want 50", got)
-	}
-	if nic.FetchAdds != 5 || nic.Appends != 0 {
-		t.Fatalf("verbs: %d fadds %d appends", nic.FetchAdds, nic.Appends)
-	}
-}
-
-func TestCollectorHotNonFrequencyGroupsByLane(t *testing.T) {
-	mr := NewMemoryRegion(4, 5, 16)
-	nic := NewNIC(mr)
-	mat := NewAddressMAT(4)
-	base, _ := mr.AllocRow()
-	mat.Insert(fk(1), base)
-	c := NewCollector(mat, nic)
-	for sw := 0; sw < 5; sw++ {
-		if _, err := c.Send(rec(1, sw, sw+1), afr.Max); err != nil {
-			t.Fatal(err)
-		}
-	}
-	row := mr.ReadRow(base)
-	for sw := 0; sw < 5; sw++ {
-		if row[sw] != uint64(sw+1) {
-			t.Fatalf("lane %d = %d", sw, row[sw])
-		}
-	}
-}
-
-func TestCollectorColdKeyAppends(t *testing.T) {
-	mr := NewMemoryRegion(1, 2, 16)
-	nic := NewNIC(mr)
-	c := NewCollector(NewAddressMAT(1), nic)
-	hot, err := c.Send(rec(7, 0, 3), afr.Frequency)
-	if err != nil || hot {
-		t.Fatalf("cold send: hot=%v err=%v", hot, err)
-	}
-	got := nic.Drain()
-	if len(got) != 1 || got[0].Key != fk(7) {
-		t.Fatalf("drained = %v", got)
 	}
 }
 

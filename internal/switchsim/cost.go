@@ -49,8 +49,6 @@ type CostModel struct {
 	// RDMAWrite is the RNIC-side latency of one RDMA WRITE carrying AFRs;
 	// it consumes no controller CPU.
 	RDMAWrite time.Duration
-	// RDMAFetchAdd is the latency of one RDMA Fetch-and-Add.
-	RDMAFetchAdd time.Duration
 	// RDMAInjectPerKey is the controller cost to inject one flow key
 	// when the RDMA path handles the responses: doorbell-batched sends
 	// with no per-response RX processing make it far cheaper than the
@@ -74,7 +72,6 @@ func DefaultCosts() CostModel {
 		DPDKRxPerPacket:     60 * time.Nanosecond,
 		AddressLookupPerKey: 110 * time.Nanosecond,
 		RDMAWrite:           900 * time.Nanosecond,
-		RDMAFetchAdd:        1100 * time.Nanosecond,
 		RDMAInjectPerKey:    40 * time.Nanosecond,
 		ControllerWait:      1 * time.Millisecond,
 	}
