@@ -213,7 +213,7 @@ func TestRunSlidingSketchOverestimates(t *testing.T) {
 	pkts := merge(mkTrace(3, 100, 0, 490*ms), mkTrace(3, 5, 510*ms, 480*ms))
 	duration := int64(1000 * ms)
 	s := sketch.NewSliding(sketch.NewCountMin(4, 1024, 1), sketch.NewCountMin(4, 1024, 1))
-	out := RunSlidingSketch(pkts, duration, SlidingSketchConfig{WindowNs: 500 * ms, SlideNs: 100 * ms}, s, nil, nil)
+	out := RunSlidingSketch(pkts, duration, SlidingSketchConfig{WindowNs: 500 * ms, SlideNs: 100 * ms}, s)
 	var lastVal uint64
 	for _, w := range out {
 		if w.Start == 500*ms {
@@ -234,7 +234,7 @@ func TestRunSlidingSketchRotationExpires(t *testing.T) {
 	pkts := mkTrace(4, 100, 0, 400*ms)
 	duration := int64(2000 * ms)
 	s := sketch.NewSliding(sketch.NewCountMin(4, 1024, 2), sketch.NewCountMin(4, 1024, 2))
-	out := RunSlidingSketch(pkts, duration, SlidingSketchConfig{WindowNs: 500 * ms, SlideNs: 500 * ms}, s, nil, nil)
+	out := RunSlidingSketch(pkts, duration, SlidingSketchConfig{WindowNs: 500 * ms, SlideNs: 500 * ms}, s)
 	if len(out) != 4 {
 		t.Fatalf("windows = %d", len(out))
 	}

@@ -15,12 +15,13 @@ type SlidingSketchConfig struct {
 }
 
 // RunSlidingSketch runs the Sliding Sketch baseline: the two-bucket
-// sketch rotates every WindowNs and is queried every SlideNs. Keys are
-// tracked exactly over the trailing window (candidate generation is not
-// what the baseline is measuring); values come from the sketch and —
+// sketch counts packets per 5-tuple, rotates every WindowNs and is
+// queried every SlideNs. Keys are tracked exactly over the trailing
+// window (candidate generation is not what the baseline is measuring);
+// values come from the sketch and —
 // deliberately, per the design — contain information of more than one
 // sliding window, the overestimation that costs Sliding Sketch precision.
-func RunSlidingSketch(pkts []packet.Packet, duration int64, cfg SlidingSketchConfig, s *sketch.Sliding, keyOf func(*packet.Packet) packet.FlowKey, volumeOf func(*packet.Packet) uint64) []WindowOutput {
+func RunSlidingSketch(pkts []packet.Packet, duration int64, cfg SlidingSketchConfig, s *sketch.Sliding) []WindowOutput {
 	spans := Spans(duration, cfg.WindowNs, cfg.SlideNs)
 	out := make([]WindowOutput, 0, len(spans))
 	next := 0 // next packet index
@@ -34,15 +35,7 @@ func RunSlidingSketch(pkts []packet.Packet, duration int64, cfg SlidingSketchCon
 				s.Advance()
 				rotations++
 			}
-			k := p.Key
-			if keyOf != nil {
-				k = keyOf(p)
-			}
-			v := uint64(1)
-			if volumeOf != nil {
-				v = volumeOf(p)
-			}
-			s.Update(k, v)
+			s.Update(p.Key, 1)
 			next++
 		}
 		for sp.End > rotations*cfg.WindowNs {
@@ -52,13 +45,8 @@ func RunSlidingSketch(pkts []packet.Packet, duration int64, cfg SlidingSketchCon
 		// Candidate keys: exactly those active in the queried window.
 		values := make(map[packet.FlowKey]uint64)
 		for _, p := range Slice(pkts, sp.Start, sp.End) {
-			k := p.Key
-			if keyOf != nil {
-				q := p
-				k = keyOf(&q)
-			}
-			if _, ok := values[k]; !ok {
-				values[k] = s.Query(k)
+			if _, ok := values[p.Key]; !ok {
+				values[p.Key] = s.Query(p.Key)
 			}
 		}
 		out = append(out, WindowOutput{Span: sp, Values: values})

@@ -4,13 +4,10 @@ import (
 	"fmt"
 	"time"
 
-	"omniwindow"
 	"omniwindow/internal/afr"
 	"omniwindow/internal/baseline"
 	"omniwindow/internal/packet"
 	"omniwindow/internal/sketch"
-	"omniwindow/internal/telemetry"
-	"omniwindow/internal/window"
 )
 
 // AblationMergeRow is one strategy of ablation A1.
@@ -61,14 +58,7 @@ func RunAblationMerge(sc Scale) AblationMergeResult {
 		keys[swi][pkts[i].Key] = true
 	}
 
-	countEval := func(win []packet.Packet) map[packet.FlowKey]uint64 {
-		m := make(map[packet.FlowKey]uint64)
-		for i := range win {
-			m[win[i].Key]++
-		}
-		return m
-	}
-	ideal := detectOutputs(baseline.RunIdeal(pkts, sc.Duration, sc.WindowNs(), sc.WindowNs(), countEval), heavyThreshold)
+	ideal := detectOutputs(newHarness(sc, pkts, exactPacketCounts).ideal(false), heavyThreshold)
 
 	spans := baseline.Spans(sc.Duration, sc.WindowNs(), sc.WindowNs())
 	var resultMerge, stateMerge, afrMerge []map[packet.FlowKey]bool
@@ -215,25 +205,12 @@ func (r AblationFlowkeyResult) Table() string {
 
 // RunAblationFlowkey sweeps the buffer size over a fixed workload.
 func RunAblationFlowkey(sc Scale, bufferSizes []int) AblationFlowkeyResult {
-	pkts := Exp2Trace(sc)
+	h := newHarness(sc, Exp2Trace(sc), nil)
 	var res AblationFlowkeyResult
 	for _, buf := range bufferSizes {
-		d, err := omniwindow.New(omniwindow.Config{
-			SubWindow: time.Duration(sc.SubWindowNs),
-			Plan:      window.Tumbling(sc.WindowSub),
-			Kind:      afr.Frequency,
-			Threshold: heavyThreshold,
-			AppFactory: func(region int) afr.StateApp {
-				s := sketch.NewCountMinBytes(4, sc.SubSketchMemory(), uint64(sc.Seed)+uint64(region))
-				return telemetry.NewFrequencyApp(s, s.Width())
-			},
-			Slots:   sketch.NewCountMinBytes(4, sc.SubSketchMemory(), 1).Width(),
-			Tracker: afr.TrackerConfig{BufferKeys: buf, BloomBits: maxi(buf*32, 1<<16), BloomHashes: 3},
-		})
-		if err != nil {
-			panic(fmt.Sprintf("ablation flowkey: %v", err))
-		}
-		d.RunFor(pkts, sc.Duration)
+		cfg := appConfig(sc, afr.Frequency, heavyThreshold, sc.SubSketchMemory(), countMin.app)
+		cfg.Tracker = afr.TrackerConfig{BufferKeys: buf, BloomBits: max(buf*32, 1<<16), BloomHashes: 3}
+		d, _ := h.omni(false, cfg)
 		st := d.Stats()
 		res.Rows = append(res.Rows, AblationFlowkeyRow{
 			BufferKeys:  buf,
@@ -270,37 +247,15 @@ func (r AblationSubWindowResult) Table() string {
 // RunAblationSubWindows evaluates heavy hitters with W = 2, 5, 10
 // sub-windows per window.
 func RunAblationSubWindows(sc Scale, counts []int) AblationSubWindowResult {
-	pkts := Exp2Trace(sc)
-	countEval := func(win []packet.Packet) map[packet.FlowKey]uint64 {
-		m := make(map[packet.FlowKey]uint64)
-		for i := range win {
-			m[win[i].Key]++
-		}
-		return m
-	}
-	ideal := detectOutputs(baseline.RunIdeal(pkts, sc.Duration, sc.WindowNs(), sc.WindowNs(), countEval), heavyThreshold)
+	h := newHarness(sc, Exp2Trace(sc), exactPacketCounts)
+	ideal := detectOutputs(h.ideal(false), heavyThreshold)
 
 	var res AblationSubWindowResult
 	for _, w := range counts {
-		subNs := sc.WindowNs() / int64(w)
+		h.subNs, h.windowSub = sc.WindowNs()/int64(w), w
 		mem := sc.SketchMemory * 5 / (4 * w) // window memory split with 25% headroom
-		d, err := omniwindow.New(omniwindow.Config{
-			SubWindow: time.Duration(subNs),
-			Plan:      window.Tumbling(w),
-			Kind:      afr.Frequency,
-			Threshold: heavyThreshold,
-			AppFactory: func(region int) afr.StateApp {
-				s := sketch.NewCountMinBytes(4, mem, uint64(sc.Seed)+uint64(region))
-				return telemetry.NewFrequencyApp(s, s.Width())
-			},
-			Slots:   sketch.NewCountMinBytes(4, mem, 1).Width(),
-			Tracker: trackerFor(sc),
-		})
-		if err != nil {
-			panic(fmt.Sprintf("ablation subwindows: %v", err))
-		}
-		got := detectedSets(d.RunFor(pkts, sc.Duration))
-		det := scoreWindows(got, ideal)
+		_, got := h.omni(false, appConfig(sc, afr.Frequency, heavyThreshold, mem, countMin.app))
+		det := scoreWindows(detectedSets(got), ideal)
 		res.Rows = append(res.Rows, AblationSubWindowRow{
 			SubWindows: w, Precision: det.Precision(), Recall: det.Recall(),
 		})

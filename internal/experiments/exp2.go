@@ -2,9 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
-	"omniwindow"
 	"omniwindow/internal/afr"
 	"omniwindow/internal/baseline"
 	"omniwindow/internal/metrics"
@@ -13,7 +11,6 @@ import (
 	"omniwindow/internal/sketch"
 	"omniwindow/internal/telemetry"
 	"omniwindow/internal/trace"
-	"omniwindow/internal/window"
 )
 
 // Exp#2 thresholds, scaled to the synthetic trace.
@@ -142,64 +139,31 @@ func exactSpreadEval(win []packet.Packet) map[packet.FlowKey]uint64 {
 
 // Exp2Spread runs Q8 with SpreadSketch and the Vector Bloom Filter.
 func Exp2Spread(sc Scale, pkts []packet.Packet) []Exp2Row {
-	type backend struct {
+	vbfWidth := func(mem int) int { return max(mem/(5*8), 1) }
+	backends := []struct {
 		name    string
 		app     func(mem int, seed uint64) afr.StateApp
 		counter afr.DistinctCounter
-	}
-	slots := func(mem int) int { return maxi(mem/(4*sketch.SPSBucketBytes(4)), 1) }
-	backends := []backend{
-		{
-			name: "SPS",
-			app: func(mem int, seed uint64) afr.StateApp {
-				return telemetry.NewSpreadSketchApp(sketch.NewSpreadSketchBytes(4, mem, seed), slots(mem))
-			},
-			counter: nil,
-		},
-		{
-			name: "VBF",
-			app: func(mem int, seed uint64) afr.StateApp {
-				return telemetry.NewVBFApp(sketch.NewVBF(5, maxi(mem/(5*8), 1), seed), maxi(mem/(5*8), 1))
-			},
-			counter: sketch.VBFDistinctCounter,
-		},
+	}{
+		{"SPS", func(mem int, seed uint64) afr.StateApp {
+			return telemetry.NewSpreadSketchApp(sketch.NewSpreadSketchBytes(4, mem, seed), max(mem/(4*sketch.SPSBucketBytes(4)), 1))
+		}, nil},
+		{"VBF", func(mem int, seed uint64) afr.StateApp {
+			return telemetry.NewVBFApp(sketch.NewVBF(5, vbfWidth(mem), seed), vbfWidth(mem))
+		}, sketch.VBFDistinctCounter},
 	}
 
-	itw := detectOutputs(baseline.RunIdeal(pkts, sc.Duration, sc.WindowNs(), sc.WindowNs(), exactSpreadEval), spreadThreshold)
-	isw := detectOutputs(baseline.RunIdeal(pkts, sc.Duration, sc.WindowNs(), sc.SlideNs(), exactSpreadEval), spreadThreshold)
+	h := newHarness(sc, pkts, exactSpreadEval)
+	itw := detectOutputs(h.ideal(false), spreadThreshold)
+	isw := detectOutputs(h.ideal(true), spreadThreshold)
 
 	var rows []Exp2Row
 	for _, be := range backends {
-		full := func(seed uint64) afr.StateApp { return be.app(sc.SketchMemory, seed) }
-		tw1 := detectOutputs(baseline.RunTumbling(pkts, sc.Duration, baseline.TumblingConfig{
-			WindowNs: sc.WindowNs(), Regions: 1, CRTimeNs: sc.TW1CRNs, Seed: uint64(sc.Seed),
-		}, full, srcHostTrack), spreadThreshold)
-		tw2 := detectOutputs(baseline.RunTumbling(pkts, sc.Duration, baseline.TumblingConfig{
-			WindowNs: sc.WindowNs(), Regions: 2, Seed: uint64(sc.Seed),
-		}, full, srcHostTrack), spreadThreshold)
-
-		owRun := func(plan window.Plan) []map[packet.FlowKey]bool {
-			subSlots := slotsOf(be.app(sc.SubSketchMemory(), 1))
-			d, err := omniwindow.New(omniwindow.Config{
-				SubWindow: time.Duration(sc.SubWindowNs),
-				Plan:      plan,
-				Kind:      afr.Distinction,
-				Threshold: spreadThreshold,
-				AppFactory: func(region int) afr.StateApp {
-					return be.app(sc.SubSketchMemory(), uint64(sc.Seed)+uint64(region))
-				},
-				KeyOf:           srcHostTrack,
-				Slots:           subSlots,
-				DistinctCounter: be.counter,
-				Tracker:         trackerFor(sc),
-			})
-			if err != nil {
-				panic(fmt.Sprintf("exp2 spread: %v", err))
-			}
-			return detectedSets(d.RunFor(pkts, sc.Duration))
-		}
-		otw := owRun(window.Tumbling(sc.WindowSub))
-		osw := owRun(window.SlidingPlan(sc.WindowSub, sc.SlideSub))
+		tw1, tw2 := h.tumbling(func(seed uint64) afr.StateApp { return be.app(sc.SketchMemory, seed) }, srcHostTrack)
+		cfg := appConfig(sc, afr.Distinction, spreadThreshold, sc.SubSketchMemory(), be.app)
+		cfg.KeyOf, cfg.DistinctCounter = srcHostTrack, be.counter
+		_, otw := h.omni(false, cfg)
+		_, osw := h.omni(true, cfg)
 
 		mk := func(mech string, d metrics.Detection) Exp2Row {
 			return Exp2Row{Task: "Q8-superspreader", Sketch: be.name, Mechanism: mech,
@@ -208,10 +172,10 @@ func Exp2Spread(sc Scale, pkts []packet.Packet) []Exp2Row {
 		rows = append(rows,
 			mk("ITW", metrics.Compare(unionDetections(itw), unionDetections(isw))),
 			mk("ISW", metrics.Compare(unionDetections(isw), unionDetections(isw))),
-			mk("TW1", scoreWindows(tw1, itw)),
-			mk("TW2", scoreWindows(tw2, itw)),
-			mk("OTW", scoreWindows(otw, itw)),
-			mk("OSW", scoreWindows(osw, isw)),
+			mk("TW1", scoreWindows(detectOutputs(tw1, spreadThreshold), itw)),
+			mk("TW2", scoreWindows(detectOutputs(tw2, spreadThreshold), itw)),
+			mk("OTW", scoreWindows(detectedSets(otw), itw)),
+			mk("OSW", scoreWindows(detectedSets(osw), isw)),
 		)
 	}
 	return rows
@@ -219,71 +183,20 @@ func Exp2Spread(sc Scale, pkts []packet.Packet) []Exp2Row {
 
 // Exp2Heavy runs Q9 with MV-Sketch and HashPipe.
 func Exp2Heavy(sc Scale, pkts []packet.Packet) []Exp2Row {
-	countEval := func(win []packet.Packet) map[packet.FlowKey]uint64 {
-		m := make(map[packet.FlowKey]uint64)
-		for i := range win {
-			m[win[i].Key]++
-		}
-		return m
-	}
-	itw := detectOutputs(baseline.RunIdeal(pkts, sc.Duration, sc.WindowNs(), sc.WindowNs(), countEval), heavyThreshold)
-	isw := detectOutputs(baseline.RunIdeal(pkts, sc.Duration, sc.WindowNs(), sc.SlideNs(), countEval), heavyThreshold)
-
-	backends := []struct {
-		name string
-		mk   func(mem int, seed uint64) (sketch.Sketch, int)
-	}{
-		{"MV", func(mem int, seed uint64) (sketch.Sketch, int) {
-			s := sketch.NewMVBytes(4, mem, seed)
-			return s, maxi(mem/(4*sketch.MVBucketBytes), 1)
-		}},
-		{"HP", func(mem int, seed uint64) (sketch.Sketch, int) {
-			s := sketch.NewHashPipeBytes(4, mem, seed)
-			return s, maxi(mem/(4*sketch.HPSlotBytes), 1)
-		}},
-	}
+	h := newHarness(sc, pkts, exactPacketCounts)
+	itw := detectOutputs(h.ideal(false), heavyThreshold)
+	isw := detectOutputs(h.ideal(true), heavyThreshold)
 
 	var rows []Exp2Row
-	for _, be := range backends {
-		full := func(seed uint64) afr.StateApp {
-			s, slots := be.mk(sc.SketchMemory, seed)
-			return telemetry.NewFrequencyApp(s, slots)
-		}
-		tw1 := detectOutputs(baseline.RunTumbling(pkts, sc.Duration, baseline.TumblingConfig{
-			WindowNs: sc.WindowNs(), Regions: 1, CRTimeNs: sc.TW1CRNs, Seed: uint64(sc.Seed),
-		}, full, nil), heavyThreshold)
-		tw2 := detectOutputs(baseline.RunTumbling(pkts, sc.Duration, baseline.TumblingConfig{
-			WindowNs: sc.WindowNs(), Regions: 2, Seed: uint64(sc.Seed),
-		}, full, nil), heavyThreshold)
-
-		owRun := func(plan window.Plan) []map[packet.FlowKey]bool {
-			_, subSlots := be.mk(sc.SubSketchMemory(), 1)
-			d, err := omniwindow.New(omniwindow.Config{
-				SubWindow: time.Duration(sc.SubWindowNs),
-				Plan:      plan,
-				Kind:      afr.Frequency,
-				Threshold: heavyThreshold,
-				AppFactory: func(region int) afr.StateApp {
-					s, slots := be.mk(sc.SubSketchMemory(), uint64(sc.Seed)+uint64(region))
-					return telemetry.NewFrequencyApp(s, slots)
-				},
-				Slots:   subSlots,
-				Tracker: trackerFor(sc),
-			})
-			if err != nil {
-				panic(fmt.Sprintf("exp2 heavy: %v", err))
-			}
-			return detectedSets(d.RunFor(pkts, sc.Duration))
-		}
-		otw := owRun(window.Tumbling(sc.WindowSub))
-		osw := owRun(window.SlidingPlan(sc.WindowSub, sc.SlideSub))
-
-		// Sliding Sketch baseline: same depth, half width, two buckets.
-		curSk, _ := be.mk(sc.SketchMemory/2, uint64(sc.Seed))
-		prevSk, _ := be.mk(sc.SketchMemory/2, uint64(sc.Seed))
-		ss := detectOutputs(baseline.RunSlidingSketch(pkts, sc.Duration, baseline.SlidingSketchConfig{
-			WindowNs: sc.WindowNs(), SlideNs: sc.SlideNs(),
-		}, sketch.NewSliding(curSk, prevSk), nil, nil), heavyThreshold)
+	for _, be := range []struct {
+		name string
+		mk   sizedSketch
+	}{{"MV", mvSketch}, {"HP", hashPipe}} {
+		tw1, tw2 := h.tumbling(func(seed uint64) afr.StateApp { return be.mk.app(sc.SketchMemory, seed) }, nil)
+		cfg := appConfig(sc, afr.Frequency, heavyThreshold, sc.SubSketchMemory(), be.mk.app)
+		_, otw := h.omni(false, cfg)
+		_, osw := h.omni(true, cfg)
+		ss := h.slidingSketch(be.mk, sc.SketchMemory)
 
 		mk := func(mech string, d metrics.Detection) Exp2Row {
 			return Exp2Row{Task: "Q9-heavyhitter", Sketch: be.name, Mechanism: mech,
@@ -292,11 +205,11 @@ func Exp2Heavy(sc Scale, pkts []packet.Packet) []Exp2Row {
 		rows = append(rows,
 			mk("ITW", metrics.Compare(unionDetections(itw), unionDetections(isw))),
 			mk("ISW", metrics.Compare(unionDetections(isw), unionDetections(isw))),
-			mk("TW1", scoreWindows(tw1, itw)),
-			mk("TW2", scoreWindows(tw2, itw)),
-			mk("OTW", scoreWindows(otw, itw)),
-			mk("OSW", scoreWindows(osw, isw)),
-			mk("SS", scoreWindows(ss, isw)),
+			mk("TW1", scoreWindows(detectOutputs(tw1, heavyThreshold), itw)),
+			mk("TW2", scoreWindows(detectOutputs(tw2, heavyThreshold), itw)),
+			mk("OTW", scoreWindows(detectedSets(otw), itw)),
+			mk("OSW", scoreWindows(detectedSets(osw), isw)),
+			mk("SS", scoreWindows(detectOutputs(ss, heavyThreshold), isw)),
 		)
 	}
 	return rows
@@ -305,106 +218,36 @@ func Exp2Heavy(sc Scale, pkts []packet.Packet) []Exp2Row {
 // Exp2Frequency runs Q10 (per-flow packet counts, ARE) with Count-Min and
 // SuMax, including the Sliding Sketch baseline.
 func Exp2Frequency(sc Scale, pkts []packet.Packet) []Exp2Row {
-	countEval := func(win []packet.Packet) map[packet.FlowKey]uint64 {
-		m := make(map[packet.FlowKey]uint64)
-		for i := range win {
-			m[win[i].Key]++
-		}
-		return m
-	}
-	itwVals := baseline.RunIdeal(pkts, sc.Duration, sc.WindowNs(), sc.WindowNs(), countEval)
-	iswVals := baseline.RunIdeal(pkts, sc.Duration, sc.WindowNs(), sc.SlideNs(), countEval)
-
-	backends := []struct {
-		name string
-		mk   func(mem int, seed uint64) (sketch.Sketch, int)
-	}{
-		{"CM", func(mem int, seed uint64) (sketch.Sketch, int) {
-			s := sketch.NewCountMinBytes(4, mem, seed)
-			return s, s.Width()
-		}},
-		{"SM", func(mem int, seed uint64) (sketch.Sketch, int) {
-			s := sketch.NewSuMaxBytes(4, mem, seed)
-			return s, maxi(mem/(4*8), 1)
-		}},
-	}
+	h := newHarness(sc, pkts, exactPacketCounts)
+	itw, isw := h.ideal(false), h.ideal(true)
 
 	var rows []Exp2Row
-	for _, be := range backends {
-		full := func(seed uint64) afr.StateApp {
-			s, slots := be.mk(sc.SketchMemory, seed)
-			return telemetry.NewFrequencyApp(s, slots)
-		}
-		tw1 := baseline.RunTumbling(pkts, sc.Duration, baseline.TumblingConfig{
-			WindowNs: sc.WindowNs(), Regions: 1, CRTimeNs: sc.TW1CRNs, Seed: uint64(sc.Seed),
-		}, full, nil)
-		tw2 := baseline.RunTumbling(pkts, sc.Duration, baseline.TumblingConfig{
-			WindowNs: sc.WindowNs(), Regions: 2, Seed: uint64(sc.Seed),
-		}, full, nil)
-
-		owVals := func(plan window.Plan) []map[packet.FlowKey]uint64 {
-			_, subSlots := be.mk(sc.SubSketchMemory(), 1)
-			d, err := omniwindow.New(omniwindow.Config{
-				SubWindow: time.Duration(sc.SubWindowNs),
-				Plan:      plan,
-				Kind:      afr.Frequency,
-				AppFactory: func(region int) afr.StateApp {
-					s, slots := be.mk(sc.SubSketchMemory(), uint64(sc.Seed)+uint64(region))
-					return telemetry.NewFrequencyApp(s, slots)
-				},
-				Slots:         subSlots,
-				Threshold:     ^uint64(0), // estimation task: no detection
-				CaptureValues: true,
-				Tracker:       trackerFor(sc),
-			})
-			if err != nil {
-				panic(fmt.Sprintf("exp2 freq: %v", err))
-			}
-			results := d.RunFor(pkts, sc.Duration)
+	for _, be := range []struct {
+		name string
+		mk   sizedSketch
+	}{{"CM", countMin}, {"SM", suMax}} {
+		tw1, tw2 := h.tumbling(func(seed uint64) afr.StateApp { return be.mk.app(sc.SketchMemory, seed) }, nil)
+		// An estimation task: no detection, every window's values kept.
+		cfg := appConfig(sc, afr.Frequency, ^uint64(0), sc.SubSketchMemory(), be.mk.app)
+		cfg.CaptureValues = true
+		owVals := func(sliding bool) []map[packet.FlowKey]uint64 {
+			_, results := h.omni(sliding, cfg)
 			vals := make([]map[packet.FlowKey]uint64, len(results))
 			for i, w := range results {
 				vals[i] = w.Values
 			}
 			return vals
 		}
-		otw := owVals(window.Tumbling(sc.WindowSub))
-		osw := owVals(window.SlidingPlan(sc.WindowSub, sc.SlideSub))
-
-		// Sliding Sketch: same depth, half width, two buckets.
-		curSk, _ := be.mk(sc.SketchMemory/2, uint64(sc.Seed))
-		prevSk, _ := be.mk(sc.SketchMemory/2, uint64(sc.Seed))
-		ss := baseline.RunSlidingSketch(pkts, sc.Duration, baseline.SlidingSketchConfig{
-			WindowNs: sc.WindowNs(), SlideNs: sc.SlideNs(),
-		}, sketch.NewSliding(curSk, prevSk), nil, nil)
-
-		areOf := func(got []map[packet.FlowKey]uint64, ideal []baseline.WindowOutput) float64 {
-			var ares []float64
-			n := len(got)
-			if len(ideal) < n {
-				n = len(ideal)
-			}
-			for i := 0; i < n; i++ {
-				ares = append(ares, metrics.ARE(got[i], ideal[i].Values))
-			}
-			return metrics.Mean(ares)
-		}
-		valuesOf := func(outs []baseline.WindowOutput) []map[packet.FlowKey]uint64 {
-			vs := make([]map[packet.FlowKey]uint64, len(outs))
-			for i := range outs {
-				vs[i] = outs[i].Values
-			}
-			return vs
-		}
 
 		mk := func(mech string, are float64) Exp2Row {
 			return Exp2Row{Task: "Q10-flowcount", Sketch: be.name, Mechanism: mech, Err: are, Metric: "are"}
 		}
 		rows = append(rows,
-			mk("TW1", areOf(valuesOf(tw1), itwVals)),
-			mk("TW2", areOf(valuesOf(tw2), itwVals)),
-			mk("OTW", areOf(otw, itwVals)),
-			mk("OSW", areOf(osw, iswVals)),
-			mk("SS", areOf(valuesOf(ss), iswVals)),
+			mk("TW1", meanARE(valuesOf(tw1), itw)),
+			mk("TW2", meanARE(valuesOf(tw2), itw)),
+			mk("OTW", meanARE(owVals(false), itw)),
+			mk("OSW", meanARE(owVals(true), isw)),
+			mk("SS", meanARE(valuesOf(h.slidingSketch(be.mk, sc.SketchMemory)), isw)),
 		)
 	}
 	return rows
@@ -536,37 +379,4 @@ func Exp2Cardinality(sc Scale, pkts []packet.Packet) []Exp2Row {
 		)
 	}
 	return rows
-}
-
-// Helpers shared by Exp#2 and Exp#10.
-
-func maxi(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// slotsOf extracts an app's slot count.
-func slotsOf(a afr.StateApp) int { return a.Slots() }
-
-// trackerFor sizes the flowkey tracker proportionally to the scale.
-func trackerFor(sc Scale) afr.TrackerConfig {
-	return afr.TrackerConfig{
-		BufferKeys:  sc.SubSlots(),
-		BloomBits:   sc.SubSlots() * 32,
-		BloomHashes: 3,
-	}
-}
-
-// detectedSets converts deployment results to per-window detection sets.
-func detectedSets(results []controllerWindow) []map[packet.FlowKey]bool {
-	out := make([]map[packet.FlowKey]bool, len(results))
-	for i, w := range results {
-		out[i] = make(map[packet.FlowKey]bool, len(w.Detected))
-		for _, k := range w.Detected {
-			out[i][k] = true
-		}
-	}
-	return out
 }

@@ -74,7 +74,7 @@ func RunExp3(cfg dml.Config) Exp3Result {
 	exact := dml.IterationTimes(pkts, cfg.Workers, cfg.Iterations)
 
 	const slots = 1024
-	d, err := omniwindow.New(omniwindow.Config{
+	d := deploy(omniwindow.Config{
 		Signal: window.UserSignal{},
 		Plan:   window.Tumbling(1), // one window per training iteration
 		Kind:   afr.Max,
@@ -89,9 +89,6 @@ func RunExp3(cfg dml.Config) Exp3Result {
 		// cleanly (C&R time << window, §6).
 		Grace: 50 * time.Microsecond,
 	})
-	if err != nil {
-		panic(fmt.Sprintf("exp3: %v", err))
-	}
 	results := d.Run(pkts)
 
 	res := Exp3Result{Workers: cfg.Workers}

@@ -4,12 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"omniwindow"
-	"omniwindow/internal/afr"
 	"omniwindow/internal/controller"
-	"omniwindow/internal/packet"
 	"omniwindow/internal/query"
-	"omniwindow/internal/window"
 )
 
 // Exp4Row is one sub-window's controller time breakdown (Figure 10): the
@@ -46,33 +42,11 @@ func (r Exp4Result) Table() string {
 // (the second one, sw indexes WindowSub..2*WindowSub-1).
 func RunExp4(sc Scale) Exp4Result {
 	th := query.DefaultThresholds()
-	pkts := Exp1Trace(sc, th)
-	q := query.NewConnQuery(th)
-	track := func(p *packet.Packet) (packet.FlowKey, bool) {
-		if !q.Observes(p) {
-			return packet.FlowKey{}, false
-		}
-		return q.Key(p), true
-	}
+	h := newHarness(sc, Exp1Trace(sc, th), nil)
+	cfg := queryConfig(sc, query.NewConnQuery(th))
 
-	run := func(name string, plan window.Plan) []Exp4Row {
-		d, err := omniwindow.New(omniwindow.Config{
-			SubWindow: time.Duration(sc.SubWindowNs),
-			Plan:      plan,
-			Kind:      q.Kind,
-			Threshold: q.Threshold,
-			AppFactory: func(region int) afr.StateApp {
-				return query.NewState(q, sc.SubSlots(), sc.SubSlots()*16, uint64(sc.Seed)+uint64(region))
-			},
-			KeyOf:   track,
-			Slots:   sc.SubSlots(),
-			Tracker: trackerFor(sc),
-		})
-		if err != nil {
-			panic(fmt.Sprintf("exp4: %v", err))
-		}
-		d.RunFor(pkts, sc.Duration)
-
+	run := func(name string, sliding bool) []Exp4Row {
+		d, _ := h.omni(sliding, cfg)
 		var rows []Exp4Row
 		var sum controller.OpTimes
 		for i := 0; i < sc.WindowSub; i++ {
@@ -94,7 +68,7 @@ func RunExp4(sc Scale) Exp4Result {
 	}
 
 	var res Exp4Result
-	res.Rows = append(res.Rows, run("OTW", window.Tumbling(sc.WindowSub))...)
-	res.Rows = append(res.Rows, run("OSW", window.SlidingPlan(sc.WindowSub, sc.SlideSub))...)
+	res.Rows = append(res.Rows, run("OTW", false)...)
+	res.Rows = append(res.Rows, run("OSW", true)...)
 	return res
 }

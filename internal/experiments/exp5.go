@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"omniwindow"
-	"omniwindow/internal/afr"
-	"omniwindow/internal/packet"
 	"omniwindow/internal/query"
 	"omniwindow/internal/switchsim"
 	"omniwindow/internal/window"
@@ -29,26 +26,12 @@ func (r Exp5Result) Table() string { return r.rendered }
 // RunExp5 reproduces Exp#5 (Table 2): deploy Q1 with every OmniWindow
 // feature (including the RDMA optimization) and report the ledger.
 func RunExp5(sc Scale) Exp5Result {
-	th := query.DefaultThresholds()
-	q := query.NewConnQuery(th)
-	d, err := omniwindow.New(omniwindow.Config{
-		SubWindow: time.Duration(sc.SubWindowNs),
-		Plan:      window.Tumbling(sc.WindowSub),
-		Kind:      q.Kind,
-		Threshold: q.Threshold,
-		AppFactory: func(region int) afr.StateApp {
-			return query.NewState(q, sc.SubSlots(), sc.SubSlots()*16, uint64(region))
-		},
-		KeyOf: func(p *packet.Packet) (packet.FlowKey, bool) {
-			return q.Key(p), q.Observes(p)
-		},
-		Slots:   sc.SubSlots(),
-		Tracker: trackerFor(sc),
-		RDMA:    true,
-	})
-	if err != nil {
-		panic(fmt.Sprintf("exp5: %v", err))
-	}
+	cfg := queryConfig(sc, query.NewConnQuery(query.DefaultThresholds()))
+	cfg.SubWindow = time.Duration(sc.SubWindowNs)
+	cfg.Plan = window.Tumbling(sc.WindowSub)
+	cfg.Tracker = trackerFor(sc)
+	cfg.RDMA = true
+	d := deploy(cfg)
 	ledger := d.Switch().Ledger()
 	res := Exp5Result{
 		Features:    make(map[string]switchsim.Resources),

@@ -4,13 +4,10 @@ import (
 	"fmt"
 	"time"
 
-	"omniwindow"
 	"omniwindow/internal/afr"
-	"omniwindow/internal/baseline"
 	"omniwindow/internal/packet"
 	"omniwindow/internal/sketch"
 	"omniwindow/internal/telemetry"
-	"omniwindow/internal/window"
 )
 
 // ZooRow is one sketch's result in the heavy-hitter zoo.
@@ -43,45 +40,38 @@ func (r ZooResult) Table() string {
 	return table([]string{"Sketch", "Precision", "Recall", "Update(ns/pkt)", "Memory(B)"}, rows)
 }
 
-// zooBackend builds a heavy-hitter StateApp within a memory budget.
-type zooBackend struct {
-	name string
-	mk   func(mem int, seed uint64) (afr.StateApp, int, int) // app, slots, memBytes
+// sizedSketch builds one of the library's frequency sketches within mem
+// bytes, returning it with the number of AFR slots its app enumerates.
+// The zoo runs all of them; Exp#2 and Exp#10 pick theirs by name.
+type sizedSketch func(mem int, seed uint64) (sketch.Sketch, int)
+
+// app wraps the sketch in the frequency app every experiment deploys.
+func (mk sizedSketch) app(mem int, seed uint64) afr.StateApp {
+	s, slots := mk(mem, seed)
+	return telemetry.NewFrequencyApp(s, slots)
 }
 
-func zooBackends() []zooBackend {
-	return []zooBackend{
-		{"CM", func(mem int, seed uint64) (afr.StateApp, int, int) {
-			s := sketch.NewCountMinBytes(4, mem, seed)
-			return telemetry.NewFrequencyApp(s, s.Width()), s.Width(), s.MemoryBytes()
-		}},
-		{"SuMax", func(mem int, seed uint64) (afr.StateApp, int, int) {
-			s := sketch.NewSuMaxBytes(4, mem, seed)
-			slots := maxi(mem/(4*8), 1)
-			return telemetry.NewFrequencyApp(s, slots), slots, s.MemoryBytes()
-		}},
-		{"MV", func(mem int, seed uint64) (afr.StateApp, int, int) {
-			s := sketch.NewMVBytes(4, mem, seed)
-			slots := maxi(mem/(4*sketch.MVBucketBytes), 1)
-			return telemetry.NewFrequencyApp(s, slots), slots, s.MemoryBytes()
-		}},
-		{"HashPipe", func(mem int, seed uint64) (afr.StateApp, int, int) {
-			s := sketch.NewHashPipeBytes(4, mem, seed)
-			slots := maxi(mem/(4*sketch.HPSlotBytes), 1)
-			return telemetry.NewFrequencyApp(s, slots), slots, s.MemoryBytes()
-		}},
-		{"Elastic", func(mem int, seed uint64) (afr.StateApp, int, int) {
-			s := sketch.NewElasticBytes(mem, seed)
-			slots := maxi(mem/4/sketch.ElasticBucketBytes, 1)
-			return telemetry.NewFrequencyApp(s, slots), slots, s.MemoryBytes()
-		}},
-		{"UnivMon", func(mem int, seed uint64) (afr.StateApp, int, int) {
-			s := sketch.NewUnivMonBytes(8, mem, seed)
-			slots := maxi(mem/(8*5*8), 8)
-			return telemetry.NewFrequencyApp(&univAdapter{s}, slots), slots, s.MemoryBytes()
-		}},
+var (
+	countMin sizedSketch = func(mem int, seed uint64) (sketch.Sketch, int) {
+		s := sketch.NewCountMinBytes(4, mem, seed)
+		return s, s.Width()
 	}
-}
+	suMax sizedSketch = func(mem int, seed uint64) (sketch.Sketch, int) {
+		return sketch.NewSuMaxBytes(4, mem, seed), max(mem/(4*8), 1)
+	}
+	mvSketch sizedSketch = func(mem int, seed uint64) (sketch.Sketch, int) {
+		return sketch.NewMVBytes(4, mem, seed), max(mem/(4*sketch.MVBucketBytes), 1)
+	}
+	hashPipe sizedSketch = func(mem int, seed uint64) (sketch.Sketch, int) {
+		return sketch.NewHashPipeBytes(4, mem, seed), max(mem/(4*sketch.HPSlotBytes), 1)
+	}
+	elastic sizedSketch = func(mem int, seed uint64) (sketch.Sketch, int) {
+		return sketch.NewElasticBytes(mem, seed), max(mem/4/sketch.ElasticBucketBytes, 1)
+	}
+	univMon sizedSketch = func(mem int, seed uint64) (sketch.Sketch, int) {
+		return &univAdapter{sketch.NewUnivMonBytes(8, mem, seed)}, max(mem/(8*5*8), 8)
+	}
+)
 
 // univAdapter bridges UnivMon's level-0 point query to the sketch.Sketch
 // interface the frequency app expects.
@@ -96,43 +86,26 @@ func (a *univAdapter) MemoryBytes() int                  { return a.u.MemoryByte
 // tumbling windows.
 func RunSketchZoo(sc Scale) ZooResult {
 	pkts := Exp2Trace(sc)
-	countEval := func(win []packet.Packet) map[packet.FlowKey]uint64 {
-		m := make(map[packet.FlowKey]uint64)
-		for i := range win {
-			m[win[i].Key]++
-		}
-		return m
-	}
-	ideal := detectOutputs(baseline.RunIdeal(pkts, sc.Duration, sc.WindowNs(), sc.WindowNs(), countEval), heavyThreshold)
+	h := newHarness(sc, pkts, exactPacketCounts)
+	ideal := detectOutputs(h.ideal(false), heavyThreshold)
 
 	var res ZooResult
-	for _, be := range zooBackends() {
-		_, subSlots, memBytes := be.mk(sc.SubSketchMemory(), 1)
-		d, err := omniwindow.New(omniwindow.Config{
-			SubWindow: time.Duration(sc.SubWindowNs),
-			Plan:      window.Tumbling(sc.WindowSub),
-			Kind:      afr.Frequency,
-			Threshold: heavyThreshold,
-			AppFactory: func(region int) afr.StateApp {
-				app, _, _ := be.mk(sc.SubSketchMemory(), uint64(sc.Seed)+uint64(region))
-				return app
-			},
-			Slots:   subSlots,
-			Tracker: trackerFor(sc),
-		})
-		if err != nil {
-			panic(fmt.Sprintf("zoo: %v", err))
-		}
+	for _, be := range []struct {
+		name string
+		mk   sizedSketch
+	}{{"CM", countMin}, {"SuMax", suMax}, {"MV", mvSketch}, {"HashPipe", hashPipe}, {"Elastic", elastic}, {"UnivMon", univMon}} {
+		s, _ := be.mk(sc.SubSketchMemory(), 1)
+		cfg := appConfig(sc, afr.Frequency, heavyThreshold, sc.SubSketchMemory(), be.mk.app)
 		start := time.Now()
-		got := detectedSets(d.RunFor(pkts, sc.Duration))
+		_, got := h.omni(false, cfg)
 		elapsed := time.Since(start)
-		det := scoreWindows(got, ideal)
+		det := scoreWindows(detectedSets(got), ideal)
 		res.Rows = append(res.Rows, ZooRow{
 			Sketch:         be.name,
 			Precision:      det.Precision(),
 			Recall:         det.Recall(),
 			UpdateNsPerPkt: float64(elapsed.Nanoseconds()) / float64(len(pkts)),
-			MemoryBytes:    memBytes,
+			MemoryBytes:    s.MemoryBytes(),
 		})
 	}
 	return res
