@@ -107,8 +107,8 @@ func TestChaosCrashRestartProperty(t *testing.T) {
 	crashes := 0
 	for trial := 0; trial < 12; trial++ {
 		cs := &faults.CrashSchedule{
-			Seed: meta.Uint64(),
-			Prob: 0.15 + meta.Float64()*0.5,
+			Seed:  meta.Uint64(),
+			Fault: faults.Fault{Prob: 0.15 + meta.Float64()*0.5},
 		}
 		every := 1 + meta.Intn(3) // any value aligns with slide 1
 		dir := t.TempDir()

@@ -133,7 +133,7 @@ func main() {
 	// it, and an epoch beacon resyncs the switch at the next boundary.
 	fmt.Println("\n--- rerun with leaf 1 rebooting at sub-window 3 ---")
 	scheds := make([]*faults.SwitchSchedule, leaves)
-	scheds[1] = &faults.SwitchSchedule{Reboot: faults.CrashSchedule{Fixed: []uint64{3}}}
+	scheds[1] = &faults.SwitchSchedule{Reboot: faults.Fault{Fixed: []uint64{3}}}
 	chaos := newFabric(scheds, "")
 	for _, w := range chaos.Run(clone(pkts)) {
 		status := "exact"

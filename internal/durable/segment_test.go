@@ -374,7 +374,7 @@ func TestAppendRetriesTransientFaults(t *testing.T) {
 // budget against a full disk.
 func TestENOSPCFailsFast(t *testing.T) {
 	dir := t.TempDir()
-	sched := &faults.DiskSchedule{Seed: 1, ENOSPCStart: 0, ENOSPCLen: 1 << 30}
+	sched := &faults.DiskSchedule{Seed: 1, ENOSPC: faults.Fault{Prob: 1}}
 	fs := NewFaultFS(OSFS{}, sched)
 	s, err := OpenStore(dir, 1, Options{FS: fs})
 	if err != nil {

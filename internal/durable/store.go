@@ -344,7 +344,7 @@ func (s *Store) Lost() []LostLSNRange {
 
 // FSOps reports how many fault-drawable filesystem operations the store
 // has issued, when the seam tracks them (FaultFS); 0 otherwise. Chaos
-// tests use it to place ENOSPC windows at run-relative positions.
+// tests use it to place ENOSPC stretches at run-relative positions.
 func (s *Store) FSOps() uint64 {
 	if f, ok := s.fsys.(interface{ Ops() uint64 }); ok {
 		return f.Ops()

@@ -33,7 +33,7 @@ func BenchmarkFabricChaosRun(b *testing.B) {
 		b.StopTimer()
 		scheds := []*faults.SwitchSchedule{
 			nil,
-			{Reboot: faults.CrashSchedule{Seed: 7, Prob: 0.1}},
+			{Seed: 7, Reboot: faults.Fault{Prob: 0.1}},
 			nil,
 		}
 		f := chain(b, 3, scheds, nil)

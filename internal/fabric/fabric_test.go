@@ -209,7 +209,7 @@ func TestFabricChaosRebootMiddle(t *testing.T) {
 	pkts := steadyTrace([]int{1, 2, 3, 4}, 120, 1000*ms)
 	scheds := []*faults.SwitchSchedule{
 		nil,
-		{Reboot: faults.CrashSchedule{Fixed: []uint64{3, 7}}},
+		{Reboot: faults.Fault{Fixed: []uint64{3, 7}}},
 		nil,
 	}
 	got, ref, f := runPair(t, 3, scheds, nil, pkts)
@@ -245,7 +245,7 @@ func TestFabricChaosRebootMiddle(t *testing.T) {
 func TestFabricChaosRebootOrigin(t *testing.T) {
 	pkts := steadyTrace([]int{1, 2, 3, 4}, 240, 2000*ms)
 	scheds := []*faults.SwitchSchedule{
-		{Reboot: faults.CrashSchedule{Fixed: []uint64{7}}},
+		{Reboot: faults.Fault{Fixed: []uint64{7}}},
 		nil,
 		nil,
 	}
@@ -283,9 +283,9 @@ func TestFabricChaosSeededReboots(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			scheds := []*faults.SwitchSchedule{
-				{Reboot: faults.CrashSchedule{Seed: seed, Prob: 0.12}},
-				{Reboot: faults.CrashSchedule{Seed: seed + 100, Prob: 0.12}},
-				{Reboot: faults.CrashSchedule{Seed: seed + 200, Prob: 0.12}},
+				{Seed: seed, Reboot: faults.Fault{Prob: 0.12}},
+				{Seed: seed + 100, Reboot: faults.Fault{Prob: 0.12}},
+				{Seed: seed + 200, Reboot: faults.Fault{Prob: 0.12}},
 			}
 			got, ref, f := runPair(t, 3, scheds, nil, pkts)
 			if len(got) != len(ref) {
@@ -319,7 +319,7 @@ func TestFabricChaosSeededReboots(t *testing.T) {
 func TestFabricBeaconsHealReboot(t *testing.T) {
 	pkts := steadyTrace([]int{1, 2, 3}, 240, 2000*ms)
 	scheds := []*faults.SwitchSchedule{
-		{Reboot: faults.CrashSchedule{Fixed: []uint64{7}}},
+		{Reboot: faults.Fault{Fixed: []uint64{7}}},
 		nil,
 		nil,
 	}
@@ -348,7 +348,7 @@ func TestFabricBeaconsHealReboot(t *testing.T) {
 func TestFabricQuarantine(t *testing.T) {
 	pkts := steadyTrace([]int{1, 2, 3}, 300, 3000*ms)
 	scheds := []*faults.SwitchSchedule{
-		{Reboot: faults.CrashSchedule{Fixed: []uint64{5}}},
+		{Reboot: faults.Fault{Fixed: []uint64{5}}},
 		nil,
 		nil,
 	}
@@ -386,7 +386,7 @@ func TestFabricStallStrikes(t *testing.T) {
 	pkts := steadyTrace([]int{1, 2}, 200, 2000*ms)
 	scheds := []*faults.SwitchSchedule{
 		nil,
-		{Stall: faults.CrashSchedule{Fixed: []uint64{2, 3, 4}}},
+		{Stall: faults.Fault{Fixed: []uint64{2, 3, 4}}},
 	}
 	f := chain(t, 2, scheds, func(c *Config) { c.StrikeLimit = 3 })
 	f.Run(pkts)
@@ -500,7 +500,7 @@ func TestFabricSpikeExactlyOnce(t *testing.T) {
 func TestFabricRaceFreeUnderRace(t *testing.T) {
 	pkts := steadyTrace([]int{1, 2}, 60, 500*ms)
 	scheds := []*faults.SwitchSchedule{
-		{Reboot: faults.CrashSchedule{Fixed: []uint64{2}}},
+		{Reboot: faults.Fault{Fixed: []uint64{2}}},
 		nil,
 	}
 	f := chain(t, 2, scheds, nil)

@@ -16,7 +16,7 @@ func TestFabricObservability(t *testing.T) {
 	reg := obs.NewRegistry()
 	pkts := steadyTrace([]int{1, 2, 3}, 300, 3000*ms)
 	scheds := []*faults.SwitchSchedule{
-		{Reboot: faults.CrashSchedule{Fixed: []uint64{5}}},
+		{Reboot: faults.Fault{Fixed: []uint64{5}}},
 		nil,
 		nil,
 	}

@@ -1,21 +1,6 @@
 package faults
 
-// CrashSchedule decides, deterministically, whether the controller process
-// dies at a given sub-window boundary. It is deliberately NOT drawn from
-// the Injector's PRNG stream: every Injector event draws a fixed number of
-// values so enabling one fault kind never shifts another's schedule, and
-// crash decisions happen at boundaries, not events — hashing (Seed,
-// boundary) keeps crashes reproducible per seed while leaving every
-// existing fault schedule untouched.
-type CrashSchedule struct {
-	// Seed parameterizes the per-boundary hash.
-	Seed uint64
-	// Prob is the crash probability per sub-window boundary.
-	Prob float64
-	// Fixed lists boundaries that always crash, regardless of Prob —
-	// the kill-and-restart suite uses it to hit every boundary in turn.
-	Fixed []uint64
-}
+import "slices"
 
 // splitmix64 is the SplitMix64 finalizer — a cheap, well-mixed stateless
 // hash (the same construction seeds xoshiro generators).
@@ -45,16 +30,38 @@ func hit(p float64, seed, salt, x uint64) bool {
 	return p > 0 && draw(seed, salt, x) < p
 }
 
-// At reports whether the schedule crashes the controller at boundary sw.
-func (c CrashSchedule) At(sw uint64) bool { return c.at(0, sw) }
-
-// at is At under a salt, so schedules that embed a CrashSchedule (switch,
-// RDMA) draw each of their boundary faults from its own stream.
-func (c CrashSchedule) at(salt, sw uint64) bool {
-	for _, f := range c.Fixed {
-		if f == sw {
-			return true
-		}
-	}
-	return hit(c.Prob, c.Seed, salt, sw)
+// Fault is one fault kind of a schedule, decided per input — a sub-window
+// boundary, a disk operation index. It fires at every input in Fixed, and
+// elsewhere with probability Prob. A kind has no seed of its own: it draws
+// under its schedule's Seed and its own salt, so enabling one kind never
+// shifts another's stream. The zero value never fires.
+type Fault struct {
+	// Prob is the per-input probability the fault fires.
+	Prob float64
+	// Fixed lists inputs at which the fault always fires, whatever Prob:
+	// the kill-and-restart suite hits every boundary in turn with it, and a
+	// sustained outage or full disk is a run of consecutive inputs.
+	Fixed []uint64
 }
+
+// at reports whether f fires at input x under (seed, salt): the package's
+// one "fixed list or draw" predicate.
+func (f Fault) at(seed, salt, x uint64) bool {
+	return slices.Contains(f.Fixed, x) || hit(f.Prob, seed, salt, x)
+}
+
+// CrashSchedule decides, deterministically, whether the controller process
+// dies at a given sub-window boundary. It is deliberately NOT drawn from
+// the Injector's PRNG stream: every Injector event draws a fixed number of
+// values so enabling one fault kind never shifts another's schedule, and
+// crash decisions happen at boundaries, not events — hashing (Seed,
+// boundary) keeps crashes reproducible per seed while leaving every
+// existing fault schedule untouched.
+type CrashSchedule struct {
+	// Seed parameterizes the per-boundary hash.
+	Seed uint64
+	Fault
+}
+
+// At reports whether the schedule crashes the controller at boundary sw.
+func (c CrashSchedule) At(sw uint64) bool { return c.at(c.Seed, 0, sw) }

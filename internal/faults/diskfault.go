@@ -12,7 +12,7 @@ var (
 	// analogue of a device-level EIO).
 	ErrDiskEIO = errors.New("faults: injected disk EIO")
 	// ErrDiskENOSPC is a full-disk failure; it persists for as long as
-	// the schedule's ENOSPC window does.
+	// the schedule's run of fixed ENOSPC operations does.
 	ErrDiskENOSPC = errors.New("faults: injected ENOSPC")
 )
 
@@ -48,15 +48,10 @@ type DiskSchedule struct {
 	// nanoseconds; 0 defaults to 1ms.
 	SlowIOLatency int64
 
-	// ENOSPC is the probability an individual write fails with a
-	// full-disk error (on top of the sustained window below).
-	ENOSPC float64
-	// ENOSPCStart/ENOSPCLen define a sustained full-disk window: every
-	// write with operation index in [ENOSPCStart, ENOSPCStart+ENOSPCLen)
-	// fails with ENOSPC, modelling a disk that fills up and is later
-	// cleaned. ENOSPCLen 0 means no window.
-	ENOSPCStart uint64
-	ENOSPCLen   uint64
+	// ENOSPC fails matching write operations with a full-disk error. A
+	// disk that fills up and is later cleaned lists the consecutive
+	// operation indices of its full stretch in Fixed.
+	ENOSPC Fault
 }
 
 // Distinct salts keep the per-kind hash streams independent.
@@ -117,14 +112,8 @@ func (s *DiskSchedule) SlowIOAt(op uint64) (bool, int64) {
 	return true, lat
 }
 
-// ENOSPCAt reports whether write operation op fails with a full disk —
-// inside the sustained window, or by the per-operation draw. Nil-safe.
+// ENOSPCAt reports whether write operation op fails with a full disk.
+// Nil-safe.
 func (s *DiskSchedule) ENOSPCAt(op uint64) bool {
-	if s == nil {
-		return false
-	}
-	if s.ENOSPCLen > 0 && op >= s.ENOSPCStart && op < s.ENOSPCStart+s.ENOSPCLen {
-		return true
-	}
-	return hit(s.ENOSPC, s.Seed, saltENOSPC, op)
+	return s != nil && s.ENOSPC.at(s.Seed, saltENOSPC, op)
 }

@@ -192,26 +192,12 @@ func TestPacketAction(t *testing.T) {
 			t.Fatal("drop-all packet survived")
 		}
 	}
-	in = New(Config{Seed: 9, Duplicate: 1, Delay: 1, ExtraDelay: 77})
+	in = New(Config{Seed: 9, Duplicate: 1, Delay: 1})
 	for i := 0; i < 10; i++ {
 		a := in.Packet()
-		if a.Drop || a.Duplicates < 1 || a.ExtraDelay != 77 {
+		if a.Drop || a.Duplicates < 1 {
 			t.Fatalf("unexpected action %+v", a)
 		}
-	}
-}
-
-func TestLinkFaultTargetsOneLink(t *testing.T) {
-	in := New(Config{Seed: 2, Drop: 1})
-	f := in.LinkFault(1)
-	if a := f(nil, 0); a.Drop || a.Duplicates != 0 || a.ExtraDelay != 0 {
-		t.Fatalf("wrong hop got action %+v", a)
-	}
-	if s := in.Stats(); s.Events != 0 {
-		t.Fatal("wrong hop consumed a PRNG draw")
-	}
-	if a := f(nil, 1); !a.Drop {
-		t.Fatal("target hop not dropped")
 	}
 }
 

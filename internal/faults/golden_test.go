@@ -19,28 +19,27 @@ func TestSchedulesGolden(t *testing.T) {
 	}
 	rdma := func(seed uint64) *RDMASchedule {
 		return &RDMASchedule{Seed: seed, VerbError: p, PSNDrop: p,
-			QPError:      CrashSchedule{Seed: seed, Prob: p, Fixed: fixed},
-			MRInvalidate: CrashSchedule{Seed: seed, Prob: p},
-			OutageStart:  7, OutageLen: 3}
+			QPError:      Fault{Prob: p, Fixed: fixed},
+			MRInvalidate: Fault{Prob: p},
+			Outage:       Fault{Fixed: []uint64{7, 8, 9}}}
 	}
 	disk := func(seed uint64) *DiskSchedule {
 		return &DiskSchedule{Seed: seed, WriteEIO: p, ReadEIO: p, ShortWrite: p, BitRot: p,
-			SlowIO: p, ENOSPC: p, ENOSPCStart: 20, ENOSPCLen: 4}
+			SlowIO: p, ENOSPC: Fault{Prob: p, Fixed: []uint64{20, 21, 22, 23}}}
 	}
 	part := func(seed uint64) *PartitionSchedule {
-		return &PartitionSchedule{Seed: seed, Symmetric: p / 3, RenewOnly: p, CkptOnly: p, Gray: p,
-			Windows: []PartitionWindow{{Start: 30, Len: 2}}}
+		return &PartitionSchedule{Seed: seed, Symmetric: Fault{Prob: p / 3, Fixed: []uint64{30, 31}},
+			RenewOnly: p, CkptOnly: p, Gray: p}
 	}
 	sw := func(seed uint64) *SwitchSchedule {
-		return &SwitchSchedule{Reboot: CrashSchedule{Seed: seed, Prob: p},
-			Stall: CrashSchedule{Seed: seed ^ 1, Prob: p, Fixed: fixed}}
+		return &SwitchSchedule{Seed: seed, Reboot: Fault{Prob: p}, Stall: Fault{Prob: p, Fixed: fixed}}
 	}
 	rows := []row{
-		{"Crash.At", func(s, x uint64) bool { return CrashSchedule{Seed: s, Prob: p, Fixed: fixed}.At(x) },
+		{"Crash.At", func(s, x uint64) bool { return CrashSchedule{Seed: s, Fault: Fault{Prob: p, Fixed: fixed}}.At(x) },
 			[2]uint64{0xb4214108c06089e1, 0x1122cb00c00e4138}},
 		{"Switch.RebootAt", func(s, x uint64) bool { return sw(s).RebootAt(x) },
 			[2]uint64{0xb4214008c06089c1, 0x1122ca00c00e4138}},
-		{"Switch.StallAt", func(s, x uint64) bool { ok, _ := sw(s).StallAt(x); return ok },
+		{"Switch.StallAt", func(s, x uint64) bool { return sw(s).StallAt(x) },
 			[2]uint64{0x820b21a02e490520, 0x40634938054b8ce0}},
 		{"RDMA.VerbErrorAt/0", func(s, x uint64) bool { return rdma(s).VerbErrorAt(x, 0) },
 			[2]uint64{0x170111462c601468, 0x1cc04a1001250822}},

@@ -1,12 +1,5 @@
 package faults
 
-// PartitionWindow is one sustained symmetric-partition interval: every
-// sub-window boundary in [Start, Start+Len) has both the lease-renewal
-// and the checkpoint-tailing channel cut.
-type PartitionWindow struct {
-	Start, Len uint64
-}
-
 // PartitionSchedule describes network failures between the hot-standby
 // pair's two halves (deployment.go): the primary→standby lease-renewal
 // channel and the primary→standby checkpoint-tailing channel. Like
@@ -18,11 +11,11 @@ type PartitionWindow struct {
 //
 // Fault classes, per boundary:
 //
-//   - Symmetric (probability, plus sustained Windows): both channels cut.
-//     Renewals are lost AND the standby stops receiving checkpoints, so a
-//     long enough partition expires the lease and promotes a standby
-//     whose state lags — the boundaries hidden by the outage are charged
-//     Missing by the new primary.
+//   - Symmetric: both channels cut. Renewals are lost AND the standby
+//     stops receiving checkpoints, so a long enough partition (its
+//     consecutive boundaries listed in Symmetric.Fixed) expires the lease
+//     and promotes a standby whose state lags — the boundaries hidden by
+//     the outage are charged Missing by the new primary.
 //   - RenewOnly (asymmetric): renewals lost, checkpoints flow. The
 //     classic zombie-primary case — the standby promotes against a fully
 //     fresh checkpoint, and fencing makes the spurious takeover safe.
@@ -40,10 +33,8 @@ type PartitionSchedule struct {
 	// Seed parameterizes every hash below.
 	Seed uint64
 
-	// Symmetric is the per-boundary probability of a full cut.
-	Symmetric float64
-	// Windows are sustained symmetric partitions at fixed boundaries.
-	Windows []PartitionWindow
+	// Symmetric cuts both channels at matching boundaries.
+	Symmetric Fault
 	// RenewOnly is the per-boundary probability the renewal channel alone
 	// is cut.
 	RenewOnly float64
@@ -69,28 +60,17 @@ const (
 	saltPartGray  = 0x504152544752_04 // "PARTGR"
 )
 
-// symmetricAt reports a full cut at boundary sw — a sustained window, or
-// the per-boundary draw.
-func (s *PartitionSchedule) symmetricAt(sw uint64) bool {
-	for _, w := range s.Windows {
-		if w.Len > 0 && sw >= w.Start && sw < w.Start+w.Len {
-			return true
-		}
-	}
-	return hit(s.Symmetric, s.Seed, saltPartSym, sw)
-}
-
 // RenewCut reports whether the primary's lease renewal at boundary sw is
 // lost (symmetric cut, or the asymmetric renewal-only cut). Nil-safe.
 func (s *PartitionSchedule) RenewCut(sw uint64) bool {
-	return s != nil && (s.symmetricAt(sw) || hit(s.RenewOnly, s.Seed, saltPartRenew, sw))
+	return s != nil && (s.Symmetric.at(s.Seed, saltPartSym, sw) || hit(s.RenewOnly, s.Seed, saltPartRenew, sw))
 }
 
 // CkptCut reports whether the standby's checkpoint tailing at boundary sw
 // is lost (symmetric cut, or the asymmetric checkpoint-only cut).
 // Nil-safe.
 func (s *PartitionSchedule) CkptCut(sw uint64) bool {
-	return s != nil && (s.symmetricAt(sw) || hit(s.CkptOnly, s.Seed, saltPartCkpt, sw))
+	return s != nil && (s.Symmetric.at(s.Seed, saltPartSym, sw) || hit(s.CkptOnly, s.Seed, saltPartCkpt, sw))
 }
 
 // GrayAt reports whether the renewal at boundary sw is delayed rather

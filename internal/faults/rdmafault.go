@@ -25,20 +25,19 @@ type RDMASchedule struct {
 	// QPError fires an asynchronous queue-pair error at matching
 	// sub-window boundaries: the QP transitions to Error and every send
 	// until the next successful recovery falls back to the packet path.
-	QPError CrashSchedule
+	QPError Fault
 
 	// MRInvalidate destroys the registered memory region at matching
 	// boundaries (before that boundary's drain): applied-but-undrained
 	// verbs are wiped and must be replayed from the transport's pending
 	// window; anything outside the window is permanently lost.
-	MRInvalidate CrashSchedule
+	MRInvalidate Fault
 
-	// OutageStart/OutageLen define a sustained outage: QP recovery fails
-	// for every boundary in [OutageStart, OutageStart+OutageLen), so the
+	// Outage makes QP recovery fail at matching boundaries, so the
 	// transport stays in Error and the deployment rides the packet path
-	// until the outage lifts. OutageLen 0 means no outage.
-	OutageStart uint64
-	OutageLen   uint64
+	// until the outage lifts. A sustained outage lists its consecutive
+	// boundaries in Fixed.
+	Outage Fault
 }
 
 // Distinct salts keep the per-kind hash streams independent.
@@ -47,6 +46,7 @@ const (
 	saltPSNDrop      = 0x52444D415053_02 // "RDMAPS"
 	saltQPError      = 0x52444D415150_03 // "RDMAQP"
 	saltMRInvalidate = 0x52444D414D52_04 // "RDMAMR"
+	saltOutage       = 0x52444D414F55_05 // "RDMAOU"
 )
 
 // verbKey folds (verb index, attempt) into one hash input. Attempts are
@@ -71,20 +71,17 @@ func (s *RDMASchedule) PSNDropAt(idx uint64, attempt int) bool {
 // QPErrorAt reports whether the QP faults to Error at boundary sw.
 // Nil-safe.
 func (s *RDMASchedule) QPErrorAt(sw uint64) bool {
-	return s != nil && s.QPError.at(saltQPError, sw)
+	return s != nil && s.QPError.at(s.Seed, saltQPError, sw)
 }
 
 // MRInvalidateAt reports whether the registered region is destroyed at
 // boundary sw. Nil-safe.
 func (s *RDMASchedule) MRInvalidateAt(sw uint64) bool {
-	return s != nil && s.MRInvalidate.at(saltMRInvalidate, sw)
+	return s != nil && s.MRInvalidate.at(s.Seed, saltMRInvalidate, sw)
 }
 
 // OutageAt reports whether QP recovery is impossible at boundary sw.
 // Nil-safe.
 func (s *RDMASchedule) OutageAt(sw uint64) bool {
-	if s == nil || s.OutageLen == 0 {
-		return false
-	}
-	return sw >= s.OutageStart && sw < s.OutageStart+s.OutageLen
+	return s != nil && s.Outage.at(s.Seed, saltOutage, sw)
 }

@@ -2,24 +2,23 @@ package faults
 
 // SwitchSchedule describes the failure behaviour of one simulated switch.
 // Like CrashSchedule it is boundary-driven and stateless: each fault kind
-// hashes (Seed, boundary) independently, so enabling reboots never shifts
-// the stall schedule and vice versa. The zero value is a healthy switch.
+// hashes (Seed, boundary) under its own salt, so enabling reboots never
+// shifts the stall schedule and vice versa. The zero value is a healthy
+// switch.
 type SwitchSchedule struct {
+	// Seed parameterizes both boundary kinds below.
+	Seed uint64
+
 	// Reboot fires a power-cycle at matching sub-window boundaries: the
 	// switch loses all register state (flowkey trackers, app slots, the
 	// sub-window counter and any in-progress collection) and comes back
 	// unsynchronized at epoch 0 until it resyncs.
-	Reboot CrashSchedule
+	Reboot Fault
 
-	// Stall makes the switch miss its collection deadline for matching
-	// sub-windows: AFRs for that sub-window arrive StallDelay boundaries
-	// late (default 1). The data is not lost — just tardy — which is the
-	// failure mode quarantine exists to catch.
-	Stall CrashSchedule
-
-	// StallDelay is how many boundaries a stalled collection slips.
-	// Zero means 1.
-	StallDelay int
+	// Stall makes the switch miss its collection deadline at matching
+	// boundaries. The data is not lost — just tardy — and each miss is a
+	// health strike: the failure mode quarantine exists to catch.
+	Stall Fault
 
 	// ClockDriftPerSub skews the switch's local clock by this many
 	// nanoseconds per elapsed sub-window, modelling a slow or fast
@@ -30,26 +29,23 @@ type SwitchSchedule struct {
 	ClockDriftPerSub int64
 }
 
+// Salts of the two boundary kinds: a reboot draws the bare hash a
+// CrashSchedule with the same seed draws.
+const (
+	saltReboot = 0
+	saltStall  = 1
+)
+
 // RebootAt reports whether the switch power-cycles at boundary sw.
 // Nil-safe: a nil schedule is a healthy switch.
 func (s *SwitchSchedule) RebootAt(sw uint64) bool {
-	if s == nil {
-		return false
-	}
-	return s.Reboot.At(sw)
+	return s != nil && s.Reboot.at(s.Seed, saltReboot, sw)
 }
 
-// StallAt reports whether the switch's collection for sub-window sw is
-// delayed, and by how many boundaries.
-func (s *SwitchSchedule) StallAt(sw uint64) (bool, int) {
-	if s == nil || !s.Stall.At(sw) {
-		return false, 0
-	}
-	d := s.StallDelay
-	if d <= 0 {
-		d = 1
-	}
-	return true, d
+// StallAt reports whether the switch misses its collection deadline at
+// boundary sw. Nil-safe.
+func (s *SwitchSchedule) StallAt(sw uint64) bool {
+	return s != nil && s.Stall.at(s.Seed, saltStall, sw)
 }
 
 // DriftAt returns the switch's accumulated clock skew after sw elapsed

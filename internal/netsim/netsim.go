@@ -33,18 +33,6 @@ func (h *Hop) localOffset() int64 {
 	return off
 }
 
-// LinkAction is what a fault layer decides for one packet crossing one
-// link: drop it, inject extra copies, and/or add latency. The zero value
-// is a clean traversal.
-type LinkAction struct {
-	Drop bool
-	// Duplicates is the number of extra copies injected after the
-	// original (each copy traverses the remaining hops independently).
-	Duplicates int
-	// ExtraDelay is additional link latency in virtual ns.
-	ExtraDelay int64
-}
-
 // Path is a linear sequence of hops joined by links.
 type Path struct {
 	Hops []Hop
@@ -54,52 +42,30 @@ type Path struct {
 	// Loss, when non-nil, decides whether the link after hop `hop` drops
 	// the packet.
 	Loss func(p *packet.Packet, hop int) bool
-	// Fault, when non-nil, is consulted after Loss for each link crossing
-	// and may drop, duplicate or delay the packet (see faults.Injector's
-	// LinkFault adapter for the seeded implementation).
-	Fault func(p *packet.Packet, hop int) LinkAction
 }
 
 // Run sends every trace packet along the path in order. The same packet
 // object traverses all hops, so header mutations (OmniWindow stamps)
 // propagate exactly as on the wire. It returns the number of packets
-// dropped by link loss or fault injection (duplicated copies that are
-// later dropped count too).
+// dropped by link loss.
 func (path Path) Run(pkts []packet.Packet) (dropped int) {
 	for i := range pkts {
 		p := pkts[i] // copy: hops mutate the header
-		dropped += path.runFrom(&p, 0, p.Time)
-	}
-	return dropped
-}
-
-// runFrom traverses the path from startHop onward, recursing for injected
-// duplicates so each copy experiences the remaining hops independently.
-func (path Path) runFrom(p *packet.Packet, startHop int, t int64) (dropped int) {
-	for h := startHop; h < len(path.Hops); h++ {
-		path.Hops[h].Process(p, t+path.Hops[h].localOffset())
-		if h == len(path.Hops)-1 {
-			break
+		t := p.Time
+		for h := range path.Hops {
+			hop := &path.Hops[h]
+			hop.Process(&p, t+hop.localOffset())
+			if h == len(path.Hops)-1 {
+				break
+			}
+			if path.Loss != nil && path.Loss(&p, h) {
+				dropped++
+				break
+			}
+			if path.LinkDelay != nil {
+				t += path.LinkDelay[h]
+			}
 		}
-		if path.Loss != nil && path.Loss(p, h) {
-			return dropped + 1
-		}
-		var act LinkAction
-		if path.Fault != nil {
-			act = path.Fault(p, h)
-		}
-		linkDelay := int64(0)
-		if path.LinkDelay != nil {
-			linkDelay = path.LinkDelay[h]
-		}
-		for d := 0; d < act.Duplicates; d++ {
-			dup := p.Clone()
-			dropped += path.runFrom(dup, h+1, t+linkDelay+act.ExtraDelay)
-		}
-		if act.Drop {
-			return dropped + 1
-		}
-		t += linkDelay + act.ExtraDelay
 	}
 	return dropped
 }

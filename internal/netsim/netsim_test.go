@@ -70,88 +70,6 @@ func TestLossStopsPropagation(t *testing.T) {
 	}
 }
 
-func TestFaultDropCounts(t *testing.T) {
-	var seen1 int
-	p := Path{
-		Hops: []Hop{
-			{Process: func(*packet.Packet, int64) {}},
-			{Process: func(*packet.Packet, int64) { seen1++ }},
-		},
-		Fault: func(pk *packet.Packet, hop int) LinkAction {
-			return LinkAction{Drop: pk.Seq%2 == 0}
-		},
-	}
-	if d := p.Run(mkPkts(10, 1)); d != 5 || seen1 != 5 {
-		t.Fatalf("dropped=%d delivered=%d", d, seen1)
-	}
-}
-
-func TestFaultDuplicatesTraverseRemainingHops(t *testing.T) {
-	var seen0, seen1 int
-	p := Path{
-		Hops: []Hop{
-			{Process: func(*packet.Packet, int64) { seen0++ }},
-			{Process: func(*packet.Packet, int64) { seen1++ }},
-		},
-		Fault: func(_ *packet.Packet, hop int) LinkAction {
-			return LinkAction{Duplicates: 2}
-		},
-	}
-	if d := p.Run(mkPkts(5, 1)); d != 0 {
-		t.Fatalf("dropped = %d", d)
-	}
-	// Duplication happens after hop 0, so hop 0 sees originals only and
-	// hop 1 sees the original plus two copies of each packet.
-	if seen0 != 5 || seen1 != 15 {
-		t.Fatalf("hops saw %d/%d, want 5/15", seen0, seen1)
-	}
-}
-
-func TestFaultExtraDelayShiftsLocalTime(t *testing.T) {
-	var times []int64
-	p := Path{
-		Hops: []Hop{
-			{Process: func(*packet.Packet, int64) {}},
-			{Process: func(_ *packet.Packet, lt int64) { times = append(times, lt) }},
-		},
-		LinkDelay: []int64{100},
-		Fault: func(_ *packet.Packet, hop int) LinkAction {
-			return LinkAction{Duplicates: 1, ExtraDelay: 1000}
-		},
-	}
-	p.Run(mkPkts(1, 0))
-	if len(times) != 2 {
-		t.Fatalf("hop 1 saw %d packets", len(times))
-	}
-	for i, lt := range times {
-		if lt != 1100 {
-			t.Fatalf("arrival %d at local time %d, want 1100", i, lt)
-		}
-	}
-}
-
-func TestFaultDroppedDuplicateCounts(t *testing.T) {
-	// A duplicate injected on link 0 and dropped on link 1 must count.
-	calls := 0
-	p := Path{
-		Hops: []Hop{
-			{Process: func(*packet.Packet, int64) {}},
-			{Process: func(*packet.Packet, int64) {}},
-			{Process: func(*packet.Packet, int64) {}},
-		},
-		Fault: func(_ *packet.Packet, hop int) LinkAction {
-			if hop == 0 {
-				return LinkAction{Duplicates: 1}
-			}
-			calls++
-			return LinkAction{Drop: calls == 1} // drop only the first crossing of link 1
-		},
-	}
-	if d := p.Run(mkPkts(1, 0)); d != 1 {
-		t.Fatalf("dropped = %d, want 1", d)
-	}
-}
-
 func TestBernoulliLossDeterministic(t *testing.T) {
 	a := BernoulliLoss(0, 0.5, 42)
 	b := BernoulliLoss(0, 0.5, 42)

@@ -421,8 +421,8 @@ func TestTransportRingMatchesSliceWindow(t *testing.T) {
 				VerbRetries: 1 + trial%3,
 				Faults: &faults.RDMASchedule{Seed: rng.Uint64(),
 					VerbError: rng.Float64() * 0.3, PSNDrop: rng.Float64() * 0.5,
-					QPError:      faults.CrashSchedule{Prob: 0.2},
-					MRInvalidate: faults.CrashSchedule{Prob: 0.1}}}
+					QPError:      faults.Fault{Prob: 0.2},
+					MRInvalidate: faults.Fault{Prob: 0.1}}}
 			if trial%2 == 0 {
 				cfg.BufCap = 1 << 12 // no cold-buffer overflows
 			}
@@ -465,8 +465,8 @@ func FuzzTransportRing(f *testing.F) {
 			ReplayDepth: 1 + int(data[0])%128,
 			Faults: &faults.RDMASchedule{Seed: uint64(data[0]),
 				VerbError: float64(data[1]) / 512, PSNDrop: float64(data[2]) / 512,
-				QPError:      faults.CrashSchedule{Prob: 0.2},
-				MRInvalidate: faults.CrashSchedule{Prob: 0.1}}}
+				QPError:      faults.Fault{Prob: 0.2},
+				MRInvalidate: faults.Fault{Prob: 0.1}}}
 		runRingOps(t, cfg, math.MaxUint32-uint32(data[3]), data[4:])
 	})
 }

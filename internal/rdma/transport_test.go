@@ -45,8 +45,8 @@ func TestTransportQPStateTable(t *testing.T) {
 	}
 	tr := NewTransport(TransportConfig{Rows: 4, Lanes: 3, BufCap: 16,
 		Faults: &faults.RDMASchedule{
-			QPError:     faults.CrashSchedule{Fixed: []uint64{1}},
-			OutageStart: 1, OutageLen: 2,
+			QPError: faults.Fault{Fixed: []uint64{1}},
+			Outage:  faults.Fault{Fixed: []uint64{1, 2}},
 		}})
 	for _, s := range steps {
 		s.do(tr)
@@ -64,7 +64,7 @@ func TestTransportQPStateTable(t *testing.T) {
 // every send reports not-delivered so the caller reroutes mid-sub-window.
 func TestTransportErrorFallsBackSeamlessly(t *testing.T) {
 	tr := NewTransport(TransportConfig{Rows: 4, Lanes: 3, BufCap: 16,
-		Faults: &faults.RDMASchedule{QPError: faults.CrashSchedule{Fixed: []uint64{0}}}})
+		Faults: &faults.RDMASchedule{QPError: faults.Fault{Fixed: []uint64{0}}}})
 	tr.BeginBoundary(0)
 	for i := 0; i < 5; i++ {
 		if _, delivered := tr.Send(seqRec(i, 0, uint32(i), 1)); delivered {
@@ -332,7 +332,7 @@ func TestTransportEvictionBeyondReplayDepth(t *testing.T) {
 // BeginCollect behaves exactly like a reregistration.
 func TestTransportMRInvalidateAtBoundary(t *testing.T) {
 	tr := NewTransport(TransportConfig{Rows: 4, Lanes: 3, BufCap: 1 << 10,
-		Faults: &faults.RDMASchedule{MRInvalidate: faults.CrashSchedule{Fixed: []uint64{0}}}})
+		Faults: &faults.RDMASchedule{MRInvalidate: faults.Fault{Fixed: []uint64{0}}}})
 	for i := 0; i < 8; i++ {
 		tr.Send(seqRec(i, 0, uint32(i), 1))
 	}
