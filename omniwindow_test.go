@@ -342,6 +342,42 @@ func TestReliabilityRetransmission(t *testing.T) {
 	}
 }
 
+// TestSpilledKeyLossIsRecovered: the AFRs of keys that overflowed the
+// flowkey array carry sequence numbers from the tracked key count on. One
+// lost in flight must be NACKed and recovered like any other; a window may
+// never come out short without saying so.
+func TestSpilledKeyLossIsRecovered(t *testing.T) {
+	flows := make([]int, 30)
+	for i := range flows {
+		flows[i] = i + 1
+	}
+	pkts := burstTrace(map[int64][]int{50 * ms: flows, 150 * ms: flows}, 3)
+	run := func(afrFaults interface{ Packet() faults.PacketAction }) *Deployment {
+		cfg := freqConfig(window.Tumbling(1), 1, false)
+		cfg.Tracker = afr.TrackerConfig{BufferKeys: 20, BloomBits: 1 << 16, BloomHashes: 3}
+		cfg.AFRFaults = afrFaults
+		d, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.RunFor(pkts, 200*ms)
+		return d
+	}
+	clean, lossy := run(nil), run(&everyThird{})
+	if st := lossy.Stats(); st.Spills == 0 || st.Retransmitted == 0 {
+		t.Fatalf("test premise: keys spill and AFRs are lost: %+v", st)
+	}
+	for i, w := range lossy.Results() {
+		if !w.Incomplete && !reflect.DeepEqual(w, clean.Results()[i]) {
+			t.Errorf("window [%d,%d] is short and unflagged: %d flows, fault-free %d",
+				w.Start, w.End, len(w.Values), len(clean.Results()[i].Values))
+		}
+	}
+	if !reflect.DeepEqual(clean.Results(), lossy.Results()) {
+		t.Error("the lossy run did not recover to the fault-free windows")
+	}
+}
+
 func TestStatsAndVirtualTimeBudget(t *testing.T) {
 	gen := trace.New(trace.Config{Seed: 3, Flows: 4000, Duration: 1000 * ms})
 	pkts := gen.Generate()
