@@ -62,7 +62,9 @@ func (b *boundary) begin() {
 // enumerate generates the sub-window's AFRs while the region still holds
 // its state: the collection packets recirculate, emitting one AFR per
 // pass, until the flowkey array is exhausted (Algorithm 2); then the
-// controller injects the keys that overflowed the array (§4.2).
+// controller injects the keys that overflowed the array (§4.2) and
+// re-announces the sub-window, so their sequence numbers are owed too:
+// recovery NACKs a lost one, and the finish counts one never recovered.
 func (b *boundary) enumerate() {
 	if !b.owned {
 		return
@@ -85,6 +87,9 @@ func (b *boundary) enumerate() {
 	// Flush point: the probes next may swap the controller, and recovery
 	// reads its delivery state.
 	d.transport.flush()
+	if len(b.spilled) > 0 {
+		d.announce(b.sw)
+	}
 }
 
 // probeStandby is the standby's boundary health check, run before recover

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"omniwindow/internal/afr"
 	"omniwindow/internal/faults"
 	"omniwindow/internal/obs"
 	"omniwindow/internal/packet"
@@ -38,6 +39,13 @@ func chaosTrace() []packet.Packet {
 	return pkts
 }
 
+// chaosSpill sizes the flowkey array under chaosTrace's 26-27 flows per
+// sub-window: a third of every sub-window's keys spill, and their AFRs
+// ride the injected-key path with sequence numbers past the tracked count.
+func chaosSpill(c *Config) {
+	c.Tracker = afr.TrackerConfig{BufferKeys: 18, BloomBits: 1 << 16, BloomHashes: 3}
+}
+
 // runChaos runs the standard chaos deployment over chaosTrace and returns
 // the deployment for results/stats inspection.
 func runChaos(t *testing.T, mutate func(*Config)) *Deployment {
@@ -67,28 +75,39 @@ func TestChaosRecoveryByteIdentical(t *testing.T) {
 	}
 
 	cases := []struct {
-		name string
-		cfg  faults.Config
+		name  string
+		cfg   faults.Config
+		spill bool // lose spilled keys' AFRs too
 	}{
-		{"drop5/seed1", faults.Config{Seed: 1, Drop: 0.05}},
-		{"drop5/seed2", faults.Config{Seed: 2, Drop: 0.05}},
-		{"drop5/seed3", faults.Config{Seed: 3, Drop: 0.05}},
-		{"drop20+dup/seed1", faults.Config{Seed: 1, Drop: 0.20, Duplicate: 0.20, MaxDuplicates: 2}},
-		{"dup-only/seed2", faults.Config{Seed: 2, Duplicate: 0.5, MaxDuplicates: 3}},
+		{"drop5/seed1", faults.Config{Seed: 1, Drop: 0.05}, false},
+		{"drop5/seed2", faults.Config{Seed: 2, Drop: 0.05}, false},
+		{"drop5/seed3", faults.Config{Seed: 3, Drop: 0.05}, false},
+		{"drop20+dup/seed1", faults.Config{Seed: 1, Drop: 0.20, Duplicate: 0.20, MaxDuplicates: 2}, false},
+		{"dup-only/seed2", faults.Config{Seed: 2, Duplicate: 0.5, MaxDuplicates: 3}, false},
+		{"drop20+dup+spill/seed1", faults.Config{Seed: 1, Drop: 0.20, Duplicate: 0.20, MaxDuplicates: 2}, true},
 	}
 	// Nightly sweep: OMNIWINDOW_EXTRA_SEEDS widens the fixed table with
 	// derived seeds on the mixed drop+duplicate schedule.
 	for _, s := range faults.ExtraSeeds(1) {
 		cases = append(cases, struct {
-			name string
-			cfg  faults.Config
+			name  string
+			cfg   faults.Config
+			spill bool
 		}{fmt.Sprintf("drop10+dup/seed%d", s),
-			faults.Config{Seed: int64(s), Drop: 0.10, Duplicate: 0.10, MaxDuplicates: 2}})
+			faults.Config{Seed: int64(s), Drop: 0.10, Duplicate: 0.10, MaxDuplicates: 2}, false})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			inj := faults.New(tc.cfg)
-			d := runChaos(t, func(c *Config) { c.AFRFaults = inj })
+			d := runChaos(t, func(c *Config) {
+				c.AFRFaults = inj
+				if tc.spill {
+					chaosSpill(c)
+				}
+			})
+			if tc.spill && d.Stats().Spills == 0 {
+				t.Fatal("no key spilled")
+			}
 
 			fs := inj.Stats()
 			if tc.cfg.Drop > 0 && fs.Dropped == 0 {

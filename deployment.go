@@ -189,19 +189,21 @@ func (d *Deployment) Tick(now int64) {
 	d.runDueCollections()
 }
 
-// announce is the one path a sub-window's termination takes to the
+// announce is the one path a sub-window's count of owed AFRs takes to the
 // controller half: the trigger the data plane clones to the controller,
-// carrying the sub-window's number and its tracked key count — the only
-// thing that tells the controller how many AFRs the sub-window owes (§4.2,
-// §8) — is logged, then received by every app's controller. The count is
-// read under the region-ownership rule: a region holds one sub-window's
-// keys, and any other sub-window that maps to it — the empty ones of an
-// idle gap, while an older one still waits there for its collection — owes
-// none of them.
+// carrying the sub-window's number and its key count — the only thing that
+// tells the controller how many AFRs the sub-window owes (§4.2, §8) — is
+// logged, then received by every app's controller. The count is the
+// tracked keys plus the spilled keys its collection has injected, so a
+// termination announces the first and the enumerate phase re-announces the
+// sum (the controller keeps the max). It is read under the
+// region-ownership rule: a region holds one sub-window's keys, and any
+// other sub-window that maps to it — the empty ones of an idle gap, while
+// an older one still waits there for its collection — owes none of them.
 func (d *Deployment) announce(ended uint64) {
 	trig := packet.Packet{OW: packet.OWHeader{Flag: packet.OWTrigger, SubWindow: ended}}
 	if region := d.manager.Regions().Index(ended); d.regionOwned[region] && d.regionOwner[region] == ended {
-		trig.OW.KeyCount = uint32(d.engine.Tracker().KeyCount(region))
+		trig.OW.KeyCount = uint32(d.engine.Tracker().KeyCount(region) + d.engine.InjectedKeys(ended))
 	}
 	d.logTrigger(ended, trig.OW.KeyCount)
 	for _, c := range d.ctrls {

@@ -399,6 +399,38 @@ func TestEngineRetransmit(t *testing.T) {
 	}
 }
 
+// TestEngineRetransmitInjectedKeys: sequence numbers past the tracked keys
+// belong to the keys injected in this collection, in injection order, and
+// a NACK for one is re-queried from the region like any other.
+func TestEngineRetransmitInjectedKeys(t *testing.T) {
+	e, _, _ := newEngineForTest(t, 2) // keys 2, 3 and 4 spill
+	for i := 0; i < 5; i++ {
+		e.Update(0, &packet.Packet{Key: fk(i)})
+	}
+	e.BeginCollection(0)
+	ss := switchsim.New(0)
+	ss.SetProgram(func(pass *switchsim.Pass) { e.HandleSpecial(pass) })
+	for i := 2; i < 4; i++ {
+		ss.Inject(&packet.Packet{OW: packet.OWHeader{Flag: packet.OWInjectKey, Key: fk(i), Index: uint32(i)}})
+	}
+	if e.InjectedKeys(0) != 2 || e.InjectedKeys(1) != 0 {
+		t.Fatalf("injected keys: sub-window 0 %d, 1 %d; want 2, 0", e.InjectedKeys(0), e.InjectedKeys(1))
+	}
+	recs := e.Retransmit([]uint32{1, 2, 3, 4})
+	if len(recs) != 3 {
+		t.Fatalf("retransmitted %d records, want seqs 1-3 (4 was never injected)", len(recs))
+	}
+	for i, r := range recs {
+		if r.Seq != uint32(i+1) || r.Key != fk(i+1) || r.Attr != 1 {
+			t.Fatalf("record %d = %+v, want seq %d for key %d", i, r, i+1, i+1)
+		}
+	}
+	e.BeginCollection(1)
+	if e.InjectedKeys(1) != 0 {
+		t.Fatal("a new collection inherited the last one's injected keys")
+	}
+}
+
 func TestMergedKinds(t *testing.T) {
 	cases := []struct {
 		kind  Kind

@@ -70,6 +70,10 @@ type Engine struct {
 	// parked counts collection packets whose enumeration finished and
 	// that wait to be reused as clear packets.
 	parked int
+	// injected lists the controller-injected keys this collection has
+	// queried, in injection order: key i answered sequence number
+	// KeyCount+i, and a NACK for it is re-queried from here.
+	injected []packet.FlowKey
 
 	// The chunks AFR clones and their records are carved from (see
 	// cloneAFRs): pktSlab is the packet chunk's unused tail, afrSlab the
@@ -131,6 +135,7 @@ func (e *Engine) PowerCycle() {
 	e.resetCounter = 0
 	e.trackerPending = false
 	e.parked = 0
+	e.injected = e.injected[:0]
 }
 
 // SetKeyFunc installs the application's flowkey definition (§4.1:
@@ -188,10 +193,22 @@ func (e *Engine) BeginCollection(sw uint64) {
 	e.resetCounter = 0
 	e.trackerPending = true
 	e.parked = 0
+	e.injected = e.injected[:0]
 }
 
 // Collecting reports whether a C&R round is in progress.
 func (e *Engine) Collecting() bool { return e.collecting }
+
+// InjectedKeys returns how many controller-injected keys (§4.2) the
+// collection of sub-window sw has queried so far — 0 when sw is not being
+// collected. Their AFRs carry the sequence numbers after the region's
+// tracked keys, so the count the controller expects is the sum.
+func (e *Engine) InjectedKeys(sw uint64) int {
+	if !e.collecting || e.collectSW != sw {
+		return 0
+	}
+	return len(e.injected)
+}
 
 // ParkedClearPackets returns how many finished collection packets wait to
 // be reused as clear packets. The controller releases them (by sending the
@@ -307,6 +324,7 @@ func (e *Engine) handleReset(pass *switchsim.Pass) {
 // §4.2: extract the key, query the terminated region, and send the AFR
 // back to the controller.
 func (e *Engine) handleInjectedKey(pass *switchsim.Pass) {
+	e.injected = append(e.injected, pass.Pkt.OW.Key)
 	e.cloneAFRs(pass, pass.Pkt.OW.Key, pass.Pkt.OW.Index)
 	pass.Drop()
 }
@@ -355,14 +373,18 @@ func (e *Engine) appendAFRs(dst []packet.AFR, k packet.FlowKey, seq uint32) []pa
 }
 
 // Retransmit re-queries specific sequence indexes of the collected region
-// after the controller detected AFR losses (§8, reliability of AFRs). It
-// must be called before the region is reset.
+// after the controller detected AFR losses (§8, reliability of AFRs): the
+// tracked keys, then the keys injected in this collection. It must be
+// called before the region is reset.
 func (e *Engine) Retransmit(seqs []uint32) []packet.AFR {
 	keys := e.tracker.Keys(e.collectRegion)
 	out := make([]packet.AFR, 0, len(seqs)*e.AppCount())
 	for _, s := range seqs {
-		if int(s) < len(keys) {
-			out = e.appendAFRs(out, keys[s], s)
+		switch i := int(s); {
+		case i < len(keys):
+			out = e.appendAFRs(out, keys[i], s)
+		case i-len(keys) < len(e.injected):
+			out = e.appendAFRs(out, e.injected[i-len(keys)], s)
 		}
 	}
 	return out
