@@ -183,8 +183,7 @@ func TestManagerBootUnsyncedAdoptsWithoutTerminating(t *testing.T) {
 // manager terminates nothing and leaves cur in place.
 func TestManagerStaleEpochNoStateChange(t *testing.T) {
 	m := NewManager(TimeoutSignal{Interval: 100}, NewRegions(2, 8))
-	m.SetEpoch(2)
-	m.FastForward(4)
+	m.Resync(2, 4)
 	p := &packet.Packet{OW: packet.OWHeader{SubWindow: 77, HasSubWindow: true, Epoch: 1}}
 	r := m.OnPacket(p, 450)
 	if !r.StaleEpoch || m.Cur() != 4 || m.Epoch() != 2 || len(r.Terminated) != 0 {

@@ -41,12 +41,6 @@ func (m *Manager) Cur() uint64 { return m.cur }
 // are unused or the switch is unsynced after a reboot).
 func (m *Manager) Epoch() uint64 { return m.stamper.Epoch }
 
-// SetEpoch sets the switch's synchronization epoch: stamps it writes from
-// now on carry it, stamps from older epochs are rejected, stamps from
-// newer ones resync it. Fabric controllers call this from epoch beacons;
-// a reboot calls it with 0 to model the wiped counter.
-func (m *Manager) SetEpoch(e uint64) { m.stamper.Epoch = e }
-
 // Regions returns the memory layout.
 func (m *Manager) Regions() Regions { return m.regions }
 

@@ -697,20 +697,16 @@ func (d *Deployment) Switch() *switchsim.Switch { return d.sw }
 // are unused, or after a reboot until the switch resyncs).
 func (d *Deployment) Epoch() uint64 { return d.manager.Epoch() }
 
-// SetEpoch joins the switch to a fabric synchronization epoch: stamps it
-// writes carry the epoch, stamps from older epochs are rejected as stale.
-func (d *Deployment) SetEpoch(e uint64) {
-	d.manager.SetEpoch(e)
-	d.obs.ring.Record(obs.StageEpochResync, d.manager.Cur(), -1, int64(e))
-}
-
 // CurrentSubWindow returns the switch's local sub-window counter.
 func (d *Deployment) CurrentSubWindow() uint64 { return d.manager.Cur() }
 
 // ResyncBeacon applies a controller-announced (epoch, sub-window) beacon:
 // the switch adopts the epoch and jumps forward to the fabric's sub-window
 // without terminating the skipped range (whose state belongs to the
-// pre-reboot incarnation). Beacons from older epochs are ignored.
+// pre-reboot incarnation). Beacons from older epochs are ignored. A fabric
+// joins a fresh switch to its epoch with a beacon at sub-window 0: stamps
+// it writes from then on carry the epoch, and stamps from older epochs are
+// rejected as stale.
 func (d *Deployment) ResyncBeacon(epoch, sw uint64) {
 	before := d.manager.Epoch()
 	d.manager.Resync(epoch, sw)
@@ -729,30 +725,6 @@ func (d *Deployment) SetDecisionHook(h func(p *packet.Packet, r window.Result)) 
 	d.decisionHook = h
 }
 
-// UncollectedSubWindows lists the sub-windows whose switch state has not
-// yet been collected — region owners and grace-pending C&R rounds. This is
-// exactly the data a power-cycle at this instant would destroy; the fabric
-// charges it to the rebooted switch as a coverage gap.
-func (d *Deployment) UncollectedSubWindows() []uint64 {
-	seen := make(map[uint64]bool, 4)
-	var out []uint64
-	add := func(sw uint64) {
-		if !seen[sw] {
-			seen[sw] = true
-			out = append(out, sw)
-		}
-	}
-	for r, owned := range d.regionOwned {
-		if owned {
-			add(d.regionOwner[r])
-		}
-	}
-	for _, cr := range d.pending {
-		add(cr.sw)
-	}
-	return out
-}
-
 // Reboot power-cycles the switch: every register — flowkey trackers,
 // application state, the sub-window counter, the synchronization epoch —
 // is wiped. The deployment comes back up immediately but unsynced (epoch
@@ -765,16 +737,30 @@ func (d *Deployment) UncollectedSubWindows() []uint64 {
 // wipe still reaches FinishSubWindow at its grace deadline, finds nothing
 // to collect, and finalizes its windows explicitly marked Incomplete with
 // the announced records missing. Nothing is silently undercounted.
-func (d *Deployment) Reboot() {
-	if d.obs.ring != nil {
-		oldest := int64(-1)
-		for _, sw := range d.UncollectedSubWindows() {
-			if oldest < 0 || int64(sw) < oldest {
-				oldest = int64(sw)
-			}
+//
+// Reboot returns the oldest sub-window whose switch state the wipe
+// destroyed before it was collected — a region owner or a grace-pending
+// C&R round — and false when nothing was uncollected: the fabric charges
+// the rebooted switch a coverage gap from there.
+func (d *Deployment) Reboot() (oldest uint64, destroyed bool) {
+	note := func(sw uint64) {
+		if !destroyed || sw < oldest {
+			oldest, destroyed = sw, true
 		}
-		d.obs.ring.Record(obs.StageReboot, d.manager.Cur(), -1, oldest)
 	}
+	for r, owned := range d.regionOwned {
+		if owned {
+			note(d.regionOwner[r])
+		}
+	}
+	for _, cr := range d.pending {
+		note(cr.sw)
+	}
+	ringOldest := int64(-1)
+	if destroyed {
+		ringOldest = int64(oldest)
+	}
+	d.obs.ring.Record(obs.StageReboot, d.manager.Cur(), -1, ringOldest)
 	d.obs.reboots.Inc()
 	d.engine.PowerCycle()
 	d.manager = window.NewManager(d.cfg.Signal, d.manager.Regions())
@@ -782,6 +768,7 @@ func (d *Deployment) Reboot() {
 	d.regionOwned = [2]bool{}
 	d.regionOwner = [2]uint64{}
 	d.stats.Reboots++
+	return oldest, destroyed
 }
 
 // Controller exposes the controller (per-sub-window timing breakdowns).
