@@ -19,7 +19,9 @@ test:
 # The race run includes the columnar table's differential against the old
 # map table (TestTableDifferential, internal/controller) at 1, 3 and 8
 # shards: every finish worker folds, merges, scans and retires its own
-# table while the model is driven beside it.
+# table while the model is driven beside it. It also runs every chaos
+# suite below in full; those targets are local focus commands that select
+# one suite by test-name pattern.
 race:
 	$(GO) test -race ./...
 
@@ -29,20 +31,14 @@ race:
 #
 #	build vet fmt-check  ↔ job "build"
 #	test                 ↔ job "test"
-#	race                 ↔ job "race"
-#	chaos                ↔ job "chaos"
-#	failover             ↔ job "failover"
-#	fabric-chaos         ↔ job "fabric-chaos"
-#	rdma-chaos           ↔ job "rdma-chaos"
-#	disk-chaos           ↔ job "disk-chaos"
-#	partition-chaos      ↔ job "partition-chaos"
+#	race                 ↔ job "race" (every chaos suite included)
 #	staticcheck          ↔ job "staticcheck" (CI installs the binary)
 #	cover                ↔ job "coverage"
 #	fuzz-smoke bench-smoke ↔ job "smoke"
 #	nightly              ↔ .github/workflows/nightly.yml (scheduled)
-#	loc                  ↔ none: informational, gates nothing
-ci: build vet fmt-check test race chaos failover fabric-chaos rdma-chaos \
-	disk-chaos partition-chaos staticcheck cover fuzz-smoke bench-smoke
+#	chaos failover fabric-chaos rdma-chaos disk-chaos partition-chaos,
+#	loc                  ↔ none: local focus commands and line counts
+ci: build vet fmt-check test race staticcheck cover fuzz-smoke bench-smoke
 
 # Chaos suite: the full pipeline under seeded drop/dup/reorder/corruption
 # schedules, run with the race detector. Fixed seeds (1, 2, 3 in the test
@@ -176,11 +172,11 @@ fuzz:
 # Nightly depth: long fuzz runs on every wire decoder, on the frozen key
 # hash (lane-built Key64 vs its byte-serialising reference), on the
 # RDMA replay ring (vs its slice-window reference) and on the controller's
-# columnar table (vs the map table it replaced), plus the
-# chaos, failover, fabric-chaos, rdma-chaos, disk-chaos and
-# partition-chaos suites widened with 10 extra derived seeds per table
-# (faults.ExtraSeeds). Mirrors .github/workflows/nightly.yml; run
-# locally to reproduce a nightly failure.
+# columnar table (vs the map table it replaced), plus the whole race run
+# with every chaos seed table widened by 10 extra derived seeds
+# (faults.ExtraSeeds) — the whole run, so a renamed chaos test cannot fall
+# out of the sweep. Mirrors .github/workflows/nightly.yml; run locally to
+# reproduce a nightly failure.
 nightly:
 	$(GO) test -fuzz 'FuzzDecode$$' -fuzztime 300s ./internal/wire/
 	$(GO) test -fuzz 'FuzzDecodePatched$$' -fuzztime 300s ./internal/wire/
@@ -190,7 +186,7 @@ nightly:
 	$(GO) test -fuzz 'FuzzKey64Identity$$' -fuzztime 300s ./internal/hashing/
 	$(GO) test -fuzz 'FuzzTransportRing$$' -fuzztime 300s ./internal/rdma/
 	$(GO) test -fuzz 'FuzzTableDifferential$$' -fuzztime 300s ./internal/controller/
-	OMNIWINDOW_EXTRA_SEEDS=10 $(MAKE) chaos failover fabric-chaos rdma-chaos disk-chaos partition-chaos
+	OMNIWINDOW_EXTRA_SEEDS=10 $(GO) test -race ./...
 
 examples:
 	$(GO) run ./examples/quickstart
