@@ -48,12 +48,14 @@ ci: build vet fmt-check test race staticcheck cover fuzz-smoke bench-smoke
 chaos:
 	$(GO) test -race -run 'Chaos|CollectBatch' . ./internal/controller/ ./internal/faults/
 
-# Durability suite: kill-and-restart at every sub-window boundary,
-# WAL-replay recovery, hot-standby failover and admission-control shedding,
-# all under the race detector. Crash schedules use fixed seeds (and the
-# Fixed boundary lists in failover_test.go), so every death is replayable.
+# Durability suite: kill-and-restart at every sub-window boundary and
+# every store crash point, WAL-replay recovery, checkpoint cuts (what a
+# boundary writes, what a restart reads back), hot-standby failover and
+# admission-control shedding, all under the race detector. Crash schedules
+# use fixed seeds (and the Fixed boundary lists in failover_test.go), so
+# every death is replayable.
 failover:
-	$(GO) test -race -run 'Crash|Failover|Shed|Store|Lease|CollectBatch' \
+	$(GO) test -race -run 'Crash|Failover|Shed|Store|Lease|CollectBatch|Checkpoint|Cut' \
 		. ./internal/controller/ ./internal/faults/ ./internal/durable/
 
 # Fabric chaos suite: switch reboots, stalls and clock drift on multi-hop
@@ -77,11 +79,12 @@ rdma-chaos:
 # quarantine, scrubbing, degraded-durability mode and crash-restart
 # recovery — under the race detector. Fixed seeds (the schedule tables in
 # disk_chaos_test.go) make every fault sequence a reproducible test case.
-# Scrub selects the whole-segment and checkpoint-CRC scrub pins;
-# Verify|Corrupt|Segment select the wire integrity checks the scrubber and
-# the decoders share.
+# Scrub selects the whole-segment, manifest and round-robin cut-file scrub
+# pins; Checkpoint|Cut|Carried the checkpoint cuts under rot, read errors
+# and crashes; Verify|Corrupt|Segment the wire integrity checks the
+# scrubber and the decoders share.
 disk-chaos:
-	$(GO) test -race -run 'Disk|Scrub|Quarantine|Segment|Heal|Degrad|CollectBatch|Verify|Corrupt' \
+	$(GO) test -race -run 'Disk|Scrub|Quarantine|Segment|Heal|Degrad|CollectBatch|Verify|Corrupt|Checkpoint|Cut|Carried' \
 		. ./internal/durable/ ./internal/faults/ ./internal/wire/
 
 # Partition chaos suite: the hot-standby pair under network partitions

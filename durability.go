@@ -136,9 +136,10 @@ func (d *Deployment) logTrigger(sw uint64, keyCount uint32) {
 // logFinish appends a FinishSubWindow marker, then checkpoints when the
 // boundary is a checkpoint boundary. The checkpoint is exported AFTER the
 // finish is logged, so ThroughLSN covers it and replay never re-runs an
-// assembly the snapshot already reflects. Boundaries also run the storage
-// hygiene that must not sit on the append hot path: cadence-based segment
-// sealing, the bit-rot scrubber and — while degraded — the heal probe.
+// assembly the checkpoint already reflects. Boundaries also run the
+// storage hygiene that must not sit on the append hot path: cadence-based
+// segment sealing, the bit-rot scrubber and — while degraded — the heal
+// probe.
 func (d *Deployment) logFinish(sw uint64) {
 	healing := d.degraded // a finish that degrades only now is probed next boundary
 	if !d.durableWrite(sw, func() error { return d.store.AppendFinish(sw) }) {
@@ -149,14 +150,25 @@ func (d *Deployment) logFinish(sw uint64) {
 	}
 	d.store.SealBoundary()
 	// Bit rot caught while the live state still covers the damaged records:
-	// the corrupt frame's segment is quarantined, and an off-cadence
-	// checkpoint now re-covers its records at zero loss.
-	corrupt, err := d.store.Scrub()
-	forceCkpt := err == nil && corrupt > 0
-	if (sw+1)%max(uint64(d.cfg.CheckpointEvery), 1) != 0 && !forceCkpt {
+	// the corrupt file is quarantined, and an off-cadence checkpoint now
+	// re-covers its records at zero loss — also when the same pass could
+	// not read some other file, which the scrub only counts.
+	corrupt, _ := d.store.Scrub()
+	if (sw+1)%max(uint64(d.cfg.CheckpointEvery), 1) != 0 && corrupt == 0 {
 		return
 	}
-	snap := d.ctrl.ExportState()
+	d.checkpoint(sw)
+}
+
+// checkpoint cuts the columns finished since the store's last checkpoint —
+// and since the standby's last cut, so one export feeds both — and
+// commits the cut, then hands it to the standby.
+func (d *Deployment) checkpoint(sw uint64) {
+	from := d.store.CutFrom()
+	if d.standby != nil {
+		from = min(from, d.untailed())
+	}
+	snap := d.ctrl.ExportCut(from)
 	ckptStart := time.Now()
 	if err := d.store.Checkpoint(snap); err != nil {
 		d.durabilityFault(sw, err)
@@ -200,7 +212,7 @@ func (d *Deployment) noteDurabilityGap() {
 }
 
 // healDurability probes the disk from a degraded boundary: durable.Heal
-// seals every segment and cuts a fresh checkpoint on new WAL generations.
+// seals every segment and checkpoints a full cut on new WAL generations.
 // Success re-enters durable mode with the on-disk state fully caught up —
 // the degraded stretch needs no replay, the new checkpoint covers it.
 func (d *Deployment) healDurability(sw uint64) {
@@ -226,14 +238,15 @@ func (d *Deployment) healDurability(sw uint64) {
 func (d *Deployment) DurabilityDegraded() bool { return d.degraded }
 
 // recover replays the durable state into a freshly built deployment: the
-// checkpoint restores the controller wholesale, then the WAL frames it
-// does not cover re-run (replayWAL). Finally the window manager
-// fast-forwards past every finished sub-window so replayed boundaries are
-// not terminated twice.
+// checkpoint (its manifest and the cut files it names) restores the
+// controller, then the WAL frames it does not cover re-run (replayWAL).
+// Finally the window manager fast-forwards past every finished sub-window
+// so replayed boundaries are not terminated twice.
 //
 // Damage is charged before replay: every sub-window a quarantined
-// segment's LSN gap may span is marked Missing (NoteLost), so the windows
-// it feeds assemble Incomplete instead of silently wrong.
+// segment's LSN gap may span, and every sub-window of a cut file that
+// could not be loaded, is marked Missing (NoteLost), so the windows it
+// feeds assemble Incomplete instead of silently wrong.
 func (d *Deployment) recover() error {
 	snap, recs, err := d.store.Recover()
 	if err != nil {
@@ -261,18 +274,23 @@ func (d *Deployment) recover() error {
 		d.manager.FastForward(lf + 1)
 		d.unattestedFrom = lf + 1
 	}
+	if !damaged && d.standby == nil {
+		return nil
+	}
+	full := d.ctrl.ExportState()
 	if damaged {
 		// Quarantined files are renamed aside, not replayed again — cut a
-		// checkpoint over the recovered (and damage-charged) state so the
-		// next incarnation starts from coverage, not from the same holes.
-		if err := d.store.Checkpoint(d.ctrl.ExportState()); err != nil {
+		// full checkpoint over the recovered (and damage-charged) state so
+		// the next incarnation starts from coverage, not from the same
+		// holes.
+		if err := d.store.Checkpoint(full); err != nil {
 			d.durabilityFault(0, err)
 		}
 	}
 	// Warm the standby to the recovered state, as if it had tailed a
 	// checkpoint taken right now.
 	if d.standby != nil {
-		d.standby.RestoreState(d.ctrl.ExportState())
+		d.standby.RestoreState(full)
 	}
 	return nil
 }

@@ -1,10 +1,12 @@
 // Controller state export and restore for the durability layer
-// (internal/durable). A snapshot taken at a sub-window boundary plus the
-// write-ahead log of everything ingested since is enough to rebuild the
-// controller to the exact pre-crash state: merged values are rebuilt by
-// re-folding the stored contributions into their columns (every merge
-// kind is order-insensitive, so the rebuild is exact), and sequence-number
-// dedup makes replaying batches the snapshot already covers harmless.
+// (internal/durable). The cuts taken at sub-window boundaries plus the
+// write-ahead log of everything ingested since are enough to rebuild the
+// controller to the exact pre-crash state: a finished sub-window's column
+// never changes again, so each boundary cuts only the columns finished
+// since the last one; merged values are rebuilt by re-folding the stored
+// contributions into their columns (every merge kind is
+// order-insensitive, so the rebuild is exact), and sequence-number dedup
+// makes replaying batches a cut already covers harmless.
 
 package controller
 
@@ -25,42 +27,60 @@ func (c *Controller) LastFinished() (sw uint64, ok bool) {
 	return c.lastFin, c.hasFin
 }
 
-// ExportState snapshots the controller's complete restorable state: the
-// key-value table, routed-but-unmerged records, open sub-window arrival
-// state and finished sub-window accounting. Output ordering is fully
+// ExportState is the full cut: ExportCut over every live column.
+func (c *Controller) ExportState() *wire.Snapshot { return c.ExportCut(0) }
+
+// ExportCut cuts the controller's restorable state at a boundary: the
+// columns of live sub-windows >= from (one entry per row present in any of
+// them), the list of every live sub-window, routed-but-unmerged records,
+// open sub-window arrival state and finished sub-window accounting. A cut
+// from just past the previous cut's LastFinished carries only the columns
+// finished since; from 0 carries the whole table. Output ordering is fully
 // deterministic (keys by packetKeyCmp, everything else by sub-window and
-// sequence), so encoding the snapshot is byte-stable regardless of shard
-// count or ingest interleaving. ThroughLSN is left zero; the durable layer
+// sequence), so encoding the cut is byte-stable regardless of shard count
+// or ingest interleaving. ThroughLSN is left zero; the durable layer
 // stamps it with its own log position.
-func (c *Controller) ExportState() *wire.Snapshot {
+func (c *Controller) ExportCut(from uint64) *wire.Snapshot {
 	c.finishMu.Lock()
 	defer c.finishMu.Unlock()
 
 	// The table only changes under finishMu, so the sizes counted here
 	// still hold when the shards are walked again below.
 	rows, cells := 0, 0
+	var buf [8]*column
+	cols := buf[:0]
 	for _, sh := range c.shards {
-		rows += sh.table.rows
-		cells += sh.table.cells()
+		cols = sh.table.liveFrom(from, cols[:0])
+		r, n := span(cols)
+		rows, cells = rows+r, cells+n
 	}
-	s := &wire.Snapshot{}
+	s := &wire.Snapshot{Live: make([]wire.SnapLive, 0, len(c.shards[0].table.cols))}
 	if rows > 0 {
 		s.Entries = make([]wire.SnapEntry, 0, rows)
 	}
 	slab := make([]wire.SnapContrib, 0, cells)
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		s.Entries, slab = sh.table.appendEntries(s.Entries, slab)
+		for _, col := range sh.table.liveFrom(0, cols[:0]) {
+			if !wire.IsLive(s.Live, col.sw) {
+				s.Live = append(s.Live, wire.SnapLive{SW: col.sw})
+			}
+		}
+		cols = sh.table.liveFrom(from, cols[:0])
+		s.Entries, slab = sh.table.appendEntries(s.Entries, slab, cols)
 		for _, recs := range sh.pending {
 			s.Pending = append(s.Pending, recs...)
 		}
 		sh.mu.Unlock()
 	}
+	slices.SortFunc(s.Live, func(a, b wire.SnapLive) int { return cmp.Compare(a.SW, b.SW) })
 	slices.SortFunc(s.Entries, func(a, b wire.SnapEntry) int { return packetKeyCmp(a.Key, b.Key) })
 	slices.SortFunc(s.Pending, comparePending)
 
 	c.mu.Lock()
 	s.LastFinished, s.HasFinished = c.lastFin, c.hasFin
+	s.Dedups = make([]wire.SnapDedup, 0, len(c.ledger))
+	s.Rels = make([]wire.SnapRel, 0, len(c.ledger))
 	for sw, r := range c.ledger {
 		r.mu.Lock()
 		if r.arrived && !r.finished {
@@ -113,30 +133,39 @@ func comparePending(a, b packet.AFR) int {
 	return slices.Compare(a.Distinct[:], b.Distinct[:])
 }
 
-// RestoreState replaces the controller's state with a snapshot's. Rows are
-// re-routed by hash, so a snapshot exported at one shard count restores
+// RestoreState applies a cut (ExportCut): every column of a sub-window the
+// cut does not list as live retires, the columns it carries replace the
+// controller's, and the ledger, pending records and last finish are
+// replaced wholesale. A full cut applied to an empty controller restores
+// the exporter's state; a standby tailing the primary applies each
+// boundary's delta, and recovery applies the columns of every cut file a
+// checkpoint names at once (a key in several entries folds into one row).
+// Rows are re-routed by hash, so a cut exported at one shard count applies
 // correctly at another. The configuration (plan, kind, detector) is NOT
-// carried by snapshots — the restored controller must be built with the
-// same Config the exporter used, or merged values will diverge.
+// carried by cuts — the restored controller must be built with the same
+// Config the exporter used, or merged values will diverge.
 func (c *Controller) RestoreState(s *wire.Snapshot) {
 	c.finishMu.Lock()
 	defer c.finishMu.Unlock()
 
+	carried := s.Carried()
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		sh.table = newTable(c.cfg, sh.table.hint)
+		sh.table.retireIf(func(sw uint64) bool { return !wire.IsLive(s.Live, sw) || slices.Contains(carried, sw) })
 		sh.pending = make(map[uint64][]packet.AFR)
 		sh.mu.Unlock()
 	}
 	for i := range s.Entries {
 		sh := c.shards[c.shardIndex(s.Entries[i].Key)]
 		sh.mu.Lock()
-		sh.table.load(&s.Entries[i])
+		sh.table.load(&s.Entries[i], s.Live)
 		sh.mu.Unlock()
 	}
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		sh.table.mergeAll()
+		for _, sw := range carried {
+			sh.table.merge(sw)
+		}
 		sh.mu.Unlock()
 	}
 	for _, r := range s.Pending {

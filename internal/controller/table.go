@@ -10,6 +10,7 @@
 package controller
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
 	"slices"
@@ -339,16 +340,6 @@ func (t *table) merge(sw uint64) {
 	}
 }
 
-// mergeAll merges every live column: how a restored table, whose columns
-// were loaded cell by cell, gets its merged values.
-func (t *table) mergeAll() {
-	for i := range t.cols {
-		if t.cols[i].live {
-			t.merge(t.cols[i].sw)
-		}
-	}
-}
-
 // eachPresent calls f for every row present in the column, ascending.
 func (c *column) eachPresent(f func(r uint32)) {
 	for w, word := range c.present {
@@ -406,9 +397,14 @@ func (t *table) scan(cfg *Config, detected []packet.FlowKey, values map[packet.F
 // are empty at every window end, and holding a window's worth of rows
 // there is retained memory nothing will read.
 func (t *table) retire(upTo uint64) {
+	t.retireIf(func(sw uint64) bool { return sw <= upTo })
+}
+
+// retireIf is retire for every live column whose sub-window gone reports.
+func (t *table) retireIf(gone func(sw uint64) bool) {
 	for i := range t.cols {
 		c := &t.cols[i]
-		if !c.live || c.sw > upTo {
+		if !c.live || !gone(c.sw) {
 			continue
 		}
 		c.live = false // before the walk: refold must not read it
@@ -471,61 +467,82 @@ func (t *table) refold(r uint32) {
 	}
 }
 
-// cells is how many (row, sub-window) contributions the table holds.
-func (t *table) cells() int {
-	n := 0
+// liveFrom appends the live columns of sub-windows >= from to cols,
+// ascending by sub-window.
+func (t *table) liveFrom(from uint64, cols []*column) []*column {
 	for i := range t.cols {
-		n += t.cols[i].count
+		if c := &t.cols[i]; c.live && c.sw >= from {
+			cols = append(cols, c)
+		}
 	}
-	return n
+	slices.SortFunc(cols, func(a, b *column) int { return cmp.Compare(a.sw, b.sw) })
+	return cols
 }
 
-// appendEntries appends one snapshot entry per live row, its contributions
-// in ascending sub-window order and carved out of slab (which the caller
-// sized from cells, so the carving never reallocates).
-func (t *table) appendEntries(entries []wire.SnapEntry, slab []wire.SnapContrib) ([]wire.SnapEntry, []wire.SnapContrib) {
-	var cols []*column
-	for i := range t.cols {
-		if t.cols[i].live {
-			cols = append(cols, &t.cols[i])
-		}
+// span counts the rows present in any of cols and the cells they hold.
+func span(cols []*column) (rows, cells int) {
+	for _, c := range cols {
+		cells += c.count
 	}
-	slices.SortFunc(cols, func(a, b *column) int {
-		if a.sw < b.sw {
-			return -1
-		}
-		return 1
-	})
-	for r := uint32(0); r < uint32(t.n); r++ {
-		if t.live[r] == 0 {
-			continue
-		}
-		start := len(slab)
+	if len(cols) <= 1 {
+		return cells, cells
+	}
+	for w := range len(cols[0].present) {
+		var word uint64
 		for _, c := range cols {
-			if !c.present.has(r) {
-				continue
-			}
-			sc := wire.SnapContrib{SW: c.sw, Attr: c.attr[r]}
-			if c.summ != nil && c.has.has(r) {
-				sc.HasDistinct = true
-				copy(sc.Distinct[:], c.summ[4*r:4*r+4])
-			}
-			slab = append(slab, sc)
+			word |= c.present[w]
 		}
-		entries = append(entries, wire.SnapEntry{Key: t.keys[r], Contribs: slab[start:len(slab):len(slab)]})
+		rows += bits.OnesCount64(word)
+	}
+	return rows, cells
+}
+
+// appendEntries appends one snapshot entry per row present in cols (the
+// output of liveFrom), its contributions in ascending sub-window order and
+// carved out of slab (which the caller sized from span, so the carving
+// never reallocates). It walks the columns' present bitsets, not the rows:
+// a one-column cut touches only that column's rows.
+func (t *table) appendEntries(entries []wire.SnapEntry, slab []wire.SnapContrib, cols []*column) ([]wire.SnapEntry, []wire.SnapContrib) {
+	if len(cols) == 0 {
+		return entries, slab
+	}
+	for w := range len(cols[0].present) {
+		var word uint64
+		for _, c := range cols {
+			word |= c.present[w]
+		}
+		for ; word != 0; word &= word - 1 {
+			r := uint32(w<<6 + bits.TrailingZeros64(word))
+			start := len(slab)
+			for _, c := range cols {
+				if !c.present.has(r) {
+					continue
+				}
+				sc := wire.SnapContrib{SW: c.sw, Attr: c.attr[r]}
+				if c.summ != nil && c.has.has(r) {
+					sc.HasDistinct = true
+					copy(sc.Distinct[:], c.summ[4*r:4*r+4])
+				}
+				slab = append(slab, sc)
+			}
+			entries = append(entries, wire.SnapEntry{Key: t.keys[r], Contribs: slab[start:len(slab):len(slab)]})
+		}
 	}
 	return entries, slab
 }
 
-// load folds one snapshot entry into the table; the caller runs mergeAll
-// once every entry is in. A contribution whose ring slot
-// another sub-window already holds is dropped: a snapshot exported under
-// this Plan never contains one.
-func (t *table) load(e *wire.SnapEntry) {
+// load folds one snapshot entry's contributions of the live sub-windows
+// into the table; the caller merges the columns it loaded once every entry
+// is in. A contribution whose ring slot another sub-window already holds is
+// dropped too: a snapshot exported under this Plan never contains one.
+func (t *table) load(e *wire.SnapEntry, live []wire.SnapLive) {
 	var r uint32
 	have := false
 	for i := range e.Contribs {
 		cb := &e.Contribs[i]
+		if !wire.IsLive(live, cb.SW) {
+			continue
+		}
 		c := t.column(cb.SW)
 		if c.sw != cb.SW {
 			continue

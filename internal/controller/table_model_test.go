@@ -352,8 +352,15 @@ func (m *modelController) coalesce(cbs []contrib) []wire.SnapContrib {
 func (m *modelController) export() *wire.Snapshot {
 	s := &wire.Snapshot{LastFinished: m.lastFin, HasFinished: m.hasFin}
 	for k, e := range m.table {
-		s.Entries = append(s.Entries, wire.SnapEntry{Key: k, Contribs: m.coalesce(e.contribs)})
+		se := wire.SnapEntry{Key: k, Contribs: m.coalesce(e.contribs)}
+		for _, cb := range se.Contribs {
+			if !wire.IsLive(s.Live, cb.SW) {
+				s.Live = append(s.Live, wire.SnapLive{SW: cb.SW})
+			}
+		}
+		s.Entries = append(s.Entries, se)
 	}
+	slices.SortFunc(s.Live, func(a, b wire.SnapLive) int { return cmp.Compare(a.SW, b.SW) })
 	slices.SortFunc(s.Entries, func(a, b wire.SnapEntry) int { return packetKeyCmp(a.Key, b.Key) })
 	for _, recs := range m.pending {
 		s.Pending = append(s.Pending, recs...)
@@ -461,6 +468,9 @@ func runTableOps(t *testing.T, cfg Config, data []byte) {
 	}
 	shardCounts := []int{cfg.Shards, 3, 8, 1}
 	real, model := New(cfg), newModelController(cfg)
+	// tail follows real the way a standby does: each check applies the
+	// delta cut of the columns finished since its last one.
+	tail := New(cfg)
 	key := func(i int) packet.FlowKey {
 		return packet.FlowKey{SrcIP: uint32(i%24) * 2654435761, DstIP: uint32(i % 3), SrcPort: uint16(i % 24), DstPort: 443, Proto: packet.ProtoTCP}
 	}
@@ -491,6 +501,16 @@ func runTableOps(t *testing.T, cfg Config, data []byte) {
 			gs, _ := wire.DecodeSnapshot(g)
 			ws, _ := wire.DecodeSnapshot(w)
 			t.Fatalf("%s (next sub-window %d): snapshot bytes differ\n real  %+v\n model %+v", what, cur, gs, ws)
+		}
+		from := uint64(0)
+		if lf, ok := tail.LastFinished(); ok {
+			from = lf + 1
+		}
+		tail.RestoreState(real.ExportCut(from))
+		if tb := wire.EncodeSnapshot(nil, tail.ExportState()); !bytes.Equal(g, tb) {
+			ts, _ := wire.DecodeSnapshot(tb)
+			gs, _ := wire.DecodeSnapshot(g)
+			t.Fatalf("%s (next sub-window %d): delta-tailed state differs\n real %+v\n tail %+v", what, cur, gs, ts)
 		}
 	}
 	restores := 0

@@ -561,9 +561,9 @@ func TestWALAppendRotatingZeroAlloc(t *testing.T) {
 	}
 }
 
-// The boundary scrub checks the checkpoint's seal, it does not decode the
-// snapshot: its allocations must not grow with the table the checkpoint
-// holds (a decode is one slice per row).
+// The boundary scrub checks the seals of the manifest and a cut file, it
+// does not decode them: its allocations must not grow with the table the
+// cut holds (a decode is one slice per row).
 func TestScrubAllocsFlatInCheckpointSize(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -574,7 +574,7 @@ func TestScrubAllocsFlatInCheckpointSize(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		snap := &wire.Snapshot{Entries: make([]wire.SnapEntry, entries)}
+		snap := &wire.Snapshot{Live: []wire.SnapLive{{SW: 0}}, Entries: make([]wire.SnapEntry, entries)}
 		for i := range snap.Entries {
 			snap.Entries[i] = wire.SnapEntry{Key: key(i), Contribs: []wire.SnapContrib{{SW: 0, Attr: 1}}}
 		}

@@ -18,6 +18,21 @@ func snapFuzzSeeds() [][]byte {
 		ThroughLSN: 1 << 40,
 		Dedups:     []SnapDedup{{SW: 9, Expected: -1, Seen: []uint32{0}}},
 	}))
+	// A manifest: the live list naming three cut files, no entries.
+	out = append(out, EncodeSnapshot(nil, &Snapshot{
+		ThroughLSN: 9, Term: 2, LastFinished: 6, HasFinished: true,
+		Live: []SnapLive{{SW: 3, Cut: 1}, {SW: 4, Cut: 2}, {SW: 5, Cut: 2}, {SW: 6, Cut: 3}},
+		Rels: []SnapRel{{SW: 6, Expected: 2, Received: 2}},
+	}))
+	// A cut file holding two sub-windows' columns.
+	out = append(out, EncodeSnapshot(nil, &Snapshot{
+		ThroughLSN: 9, Term: 2, LastFinished: 5, HasFinished: true,
+		Live: []SnapLive{{SW: 4, Cut: 2}, {SW: 5, Cut: 2}},
+		Entries: []SnapEntry{
+			{Key: snapKey(5), Contribs: []SnapContrib{{SW: 4, Attr: 1}, {SW: 5, Attr: 2, Distinct: [4]uint64{8, 0, 0, 1}, HasDistinct: true}}},
+			{Key: snapKey(6), Contribs: []SnapContrib{{SW: 5, Attr: 3}}},
+		},
+	}))
 	full := out[0]
 	out = append(out, full[:len(full)/2], full[:len(full)-3])
 	flipped := append([]byte(nil), full...)

@@ -9,16 +9,19 @@ package wire
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"slices"
 
 	"omniwindow/internal/packet"
 )
 
 // SnapMagic ("OWSN") and SnapVersion identify checkpoint snapshots.
 // Version 2 added the writer's fencing term after ThroughLSN, so a
-// checkpoint durably records which term-holder cut it.
+// checkpoint durably records which term-holder cut it. Version 3 added the
+// live list (a checkpoint is a manifest plus the cut files it names) and
+// writes a contribution's four summary words only when it has them.
 const (
 	SnapMagic   uint32 = 0x4F57534E
-	SnapVersion uint8  = 2
+	SnapVersion uint8  = 3
 )
 
 // WAL record types. Every controller-state mutation that replay must
@@ -74,11 +77,21 @@ type SnapRel struct {
 	Shed      uint32
 }
 
-// Snapshot is the complete restorable controller state at a sub-window
-// boundary. Entries, Pending, Dedups and Rels are flat (not per-shard) and
-// deterministically ordered by the exporter, so the encoding is
-// byte-stable and restore re-routes rows by hash — a snapshot taken at one
-// shard count loads correctly at another.
+// SnapLive is one live sub-window: one whose column the controller table
+// still holds. Cut names the cut file holding the column (internal/durable
+// stamps it); the controller leaves it zero.
+type SnapLive struct {
+	SW  uint64
+	Cut uint64
+}
+
+// Snapshot is one cut of the controller state at a sub-window boundary:
+// the columns of some live sub-windows (Entries) plus everything else the
+// controller holds. A full cut carries every live column; a delta cut only
+// those finished since the previous one. Entries, Pending, Dedups and Rels
+// are flat (not per-shard) and deterministically ordered by the exporter,
+// so the encoding is byte-stable and restore re-routes rows by hash — a
+// snapshot taken at one shard count loads correctly at another.
 type Snapshot struct {
 	// ThroughLSN is the WAL high-water mark the snapshot covers: replay
 	// must skip frames with LSN <= ThroughLSN (they are already folded
@@ -93,13 +106,46 @@ type Snapshot struct {
 	// frames at or below it are skipped.
 	LastFinished uint64
 	HasFinished  bool
-	Entries      []SnapEntry
-	Pending      []packet.AFR
-	Dedups       []SnapDedup
-	Rels         []SnapRel
+	// Live lists every live sub-window in ascending order, also those
+	// whose columns this cut does not carry: restore retires every column
+	// not listed.
+	Live    []SnapLive
+	Entries []SnapEntry
+	Pending []packet.AFR
+	Dedups  []SnapDedup
+	Rels    []SnapRel
 }
 
-const snapContribSize = 8 + 8 + 32 + 1
+// IsLive reports whether sub-window sw is in the live list.
+func IsLive(live []SnapLive, sw uint64) bool {
+	for _, l := range live {
+		if l.SW == sw {
+			return true
+		}
+	}
+	return false
+}
+
+// Carried lists, ascending, the live sub-windows the cut's entries hold
+// contributions of: the columns a restore replaces and a store writes.
+func (s *Snapshot) Carried() []uint64 {
+	var out []uint64
+	for i := range s.Entries {
+		for _, cb := range s.Entries[i].Contribs {
+			if !slices.Contains(out, cb.SW) && IsLive(s.Live, cb.SW) {
+				out = append(out, cb.SW)
+			}
+		}
+		if len(out) == len(s.Live) {
+			break // a full cut: every live column seen
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// snapContribSize is a contribution without summary words, the smallest.
+const snapContribSize = 8 + 8 + 1
 const snapHeaderSize = 4 + 1 + 8 + 8 + 8 + 1
 
 // EncodeSnapshot serializes s into buf (grown as needed) and returns the
@@ -113,6 +159,12 @@ func EncodeSnapshot(buf []byte, s *Snapshot) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, s.LastFinished)
 	buf = append(buf, b2u(s.HasFinished))
 
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s.Live)))
+	for _, l := range s.Live {
+		buf = binary.BigEndian.AppendUint64(buf, l.SW)
+		buf = binary.BigEndian.AppendUint64(buf, l.Cut)
+	}
+
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s.Entries)))
 	for i := range s.Entries {
 		e := &s.Entries[i]
@@ -123,10 +175,12 @@ func EncodeSnapshot(buf []byte, s *Snapshot) []byte {
 			cb := &e.Contribs[j]
 			buf = binary.BigEndian.AppendUint64(buf, cb.SW)
 			buf = binary.BigEndian.AppendUint64(buf, cb.Attr)
-			for _, w := range cb.Distinct {
-				buf = binary.BigEndian.AppendUint64(buf, w)
-			}
 			buf = append(buf, b2u(cb.HasDistinct))
+			if cb.HasDistinct {
+				for _, w := range cb.Distinct {
+					buf = binary.BigEndian.AppendUint64(buf, w)
+				}
+			}
 		}
 	}
 
@@ -263,6 +317,13 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 		HasFinished:  r.u8() != 0,
 	}
 
+	if n := r.count(16); n > 0 {
+		s.Live = make([]SnapLive, 0, n)
+		for i := 0; i < n && r.err == nil; i++ {
+			s.Live = append(s.Live, SnapLive{SW: r.u64(), Cut: r.u64()})
+		}
+	}
+
 	if n := r.count(packet.KeyBytes + 4); n > 0 {
 		s.Entries = make([]SnapEntry, 0, n)
 		for i := 0; i < n && r.err == nil; i++ {
@@ -279,10 +340,11 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 					var cb SnapContrib
 					cb.SW = r.u64()
 					cb.Attr = r.u64()
-					for w := range cb.Distinct {
-						cb.Distinct[w] = r.u64()
+					if cb.HasDistinct = r.u8() != 0; cb.HasDistinct {
+						for w := range cb.Distinct {
+							cb.Distinct[w] = r.u64()
+						}
 					}
-					cb.HasDistinct = r.u8() != 0
 					e.Contribs = append(e.Contribs, cb)
 				}
 			}

@@ -16,6 +16,7 @@ func sampleSnapshot() *Snapshot {
 		ThroughLSN:   42,
 		LastFinished: 3,
 		HasFinished:  true,
+		Live:         []SnapLive{{SW: 0, Cut: 1}, {SW: 1, Cut: 2}},
 		Entries: []SnapEntry{
 			{Key: snapKey(1), Contribs: []SnapContrib{
 				{SW: 0, Attr: 5},
@@ -50,6 +51,24 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	// Deterministic: same snapshot, same bytes.
 	if string(buf) != string(EncodeSnapshot(nil, sampleSnapshot())) {
 		t.Fatal("snapshot encoding is not byte-stable")
+	}
+}
+
+// Carried is the live sub-windows a cut's entries hold, ascending: a
+// contribution of a sub-window the live list does not name is not carried.
+func TestSnapshotCarried(t *testing.T) {
+	s := &Snapshot{
+		Live: []SnapLive{{SW: 2}, {SW: 4}, {SW: 7}},
+		Entries: []SnapEntry{
+			{Key: snapKey(1), Contribs: []SnapContrib{{SW: 1}, {SW: 7}}},
+			{Key: snapKey(2), Contribs: []SnapContrib{{SW: 4}}},
+		},
+	}
+	if got := s.Carried(); !reflect.DeepEqual(got, []uint64{4, 7}) {
+		t.Fatalf("Carried = %v, want [4 7]", got)
+	}
+	if got := (&Snapshot{Live: s.Live}).Carried(); got != nil {
+		t.Fatalf("a manifest carries %v, want nothing", got)
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 )
 
 // This file is the hot-standby protocol (Config.Standby): a second
-// controller tails every checkpoint, a liveness lease tells it when the
+// controller tails every checkpoint cut, a liveness lease tells it when the
 // primary is gone — dead (failover) or partitioned away (partitionProbe) —
 // and one promote puts it in service behind a fresh fencing term.
 
@@ -33,10 +33,11 @@ func (d *Deployment) openStandby() error {
 	return nil
 }
 
-// feedStandby is the standby tailing a checkpoint: each one overwrites its
-// whole state, keeping it at most one checkpoint interval behind the
-// primary — unless the partition schedule cut the checkpoint channel at
-// this boundary, in which case the standby silently goes stale.
+// feedStandby is the standby tailing a checkpoint: it applies the cut,
+// which carries every column finished since the standby's last one, so it
+// stays at most one checkpoint interval behind the primary — unless the
+// partition schedule cut the checkpoint channel at this boundary, in which
+// case the standby silently goes stale until the next cut reaches it.
 func (d *Deployment) feedStandby(sw uint64, snap *wire.Snapshot) {
 	if d.standby != nil && !d.cfg.PartitionFaults.CkptCut(sw) {
 		d.standby.RestoreState(snap)
@@ -119,7 +120,7 @@ func (d *Deployment) partitionFailover(sw uint64) time.Duration {
 	// rejected under its stale term.
 	fencedBefore := d.store.FencedWrites()
 	_ = d.store.AppendFinish(sw)
-	_ = d.store.Checkpoint(d.ctrl.ExportState())
+	d.checkpoint(sw)
 	fenced := d.store.FencedWrites() - fencedBefore
 	d.demotedCtrl = d.ctrl
 	d.cleanSince = 0
@@ -144,7 +145,8 @@ func (d *Deployment) partitionFailover(sw uint64) time.Duration {
 // promote puts the standby in service at boundary sw. won is the fencing
 // term the caller already CASed, or 0 to acquire the next one now; the
 // winner adopts it, so its WAL frames, segments and checkpoints carry it
-// and a deposed writer can never write under the old one again. The
+// and a deposed writer can never write under the old one again (its first
+// checkpoint cuts the full range: see durable.Store.CutFrom). The
 // standby holds the last checkpoint it tailed, so its only gap is the
 // in-flight sub-window, whose switch state is still intact (the reset has
 // not run): everything delivered for it so far went to the old primary
