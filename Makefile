@@ -152,6 +152,7 @@ fuzz-smoke:
 	$(GO) test -fuzz 'FuzzDecode$$' -fuzztime 10s ./internal/wire/
 	$(GO) test -fuzz 'FuzzDecodePatched$$' -fuzztime 10s ./internal/wire/
 	$(GO) test -fuzz 'FuzzDecodeSnapshot$$' -fuzztime 10s ./internal/wire/
+	$(GO) test -fuzz 'FuzzDecodeSnapshotPatched$$' -fuzztime 10s ./internal/wire/
 	$(GO) test -fuzz 'FuzzDecodeWALRecord$$' -fuzztime 10s ./internal/wire/
 	$(GO) test -fuzz 'FuzzDecodeTermRecord$$' -fuzztime 10s ./internal/wire/
 	$(GO) test -fuzz 'FuzzTableDifferential$$' -fuzztime 10s ./internal/controller/
@@ -167,6 +168,7 @@ fuzz:
 	$(GO) test -fuzz 'FuzzDecode$$' -fuzztime 30s ./internal/wire/
 	$(GO) test -fuzz 'FuzzDecodePatched$$' -fuzztime 30s ./internal/wire/
 	$(GO) test -fuzz 'FuzzDecodeSnapshot$$' -fuzztime 30s ./internal/wire/
+	$(GO) test -fuzz 'FuzzDecodeSnapshotPatched$$' -fuzztime 30s ./internal/wire/
 	$(GO) test -fuzz 'FuzzDecodeWALRecord$$' -fuzztime 30s ./internal/wire/
 	$(GO) test -fuzz 'FuzzDecodeTermRecord$$' -fuzztime 30s ./internal/wire/
 	$(GO) test -fuzz 'FuzzTransportRing$$' -fuzztime 30s ./internal/rdma/
@@ -184,6 +186,7 @@ nightly:
 	$(GO) test -fuzz 'FuzzDecode$$' -fuzztime 300s ./internal/wire/
 	$(GO) test -fuzz 'FuzzDecodePatched$$' -fuzztime 300s ./internal/wire/
 	$(GO) test -fuzz 'FuzzDecodeSnapshot$$' -fuzztime 300s ./internal/wire/
+	$(GO) test -fuzz 'FuzzDecodeSnapshotPatched$$' -fuzztime 300s ./internal/wire/
 	$(GO) test -fuzz 'FuzzDecodeWALRecord$$' -fuzztime 300s ./internal/wire/
 	$(GO) test -fuzz 'FuzzDecodeTermRecord$$' -fuzztime 300s ./internal/wire/
 	$(GO) test -fuzz 'FuzzKey64Identity$$' -fuzztime 300s ./internal/hashing/

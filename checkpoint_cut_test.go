@@ -28,7 +28,7 @@ import (
 // every read of a path containing readEIO and flips one byte of the first
 // frame or whole file written to a path containing rot. cuts holds the
 // bytes of the whole-file writes each checkpoint made, closed by its
-// rename.
+// rename, and lastCut the contents of the last cut file written.
 type spyFS struct {
 	durable.OSFS
 	readEIO, rot string
@@ -39,6 +39,7 @@ type spyFS struct {
 	readFails int
 	open      int64 // whole-file bytes since the last checkpoint rename
 	cuts      []int64
+	lastCut   []byte
 }
 
 func (f *spyFS) ReadFile(name string) ([]byte, error) {
@@ -57,6 +58,9 @@ func (f *spyFS) ReadFile(name string) ([]byte, error) {
 func (f *spyFS) WriteFile(name string, data []byte, perm os.FileMode) error {
 	f.mu.Lock()
 	f.open += int64(len(data))
+	if strings.HasPrefix(filepath.Base(name), "cut-") {
+		f.lastCut = append(f.lastCut[:0], data...)
+	}
 	data = f.rotLocked(filepath.Base(name), data)
 	f.mu.Unlock()
 	return f.OSFS.WriteFile(name, data, perm)
@@ -328,7 +332,8 @@ func churnTrace(subWindows, flows int) []packet.Packet {
 // table holds Size-Slide = 4 columns when the boundary cuts (the finish
 // has already retired the oldest), so one column of a churning trace is a
 // quarter of it: the bound is the table's bytes over its live columns,
-// plus the manifest, plus 10 %.
+// plus the manifest, plus 10 %. The cut file itself is bounded by its
+// column's cells.
 func TestCheckpointBytesPerBoundary(t *testing.T) {
 	const subWindows = 12
 	plan := window.SlidingPlan(5, 1)
@@ -345,7 +350,7 @@ func TestCheckpointBytesPerBoundary(t *testing.T) {
 
 	full := d.Controller().ExportState()
 	manifest := *full
-	manifest.Entries = nil
+	manifest.Columns = nil
 	fullBytes := len(wire.EncodeSnapshot(nil, full))
 	manifestBytes := len(wire.EncodeSnapshot(nil, &manifest))
 	live := plan.Size - plan.Slide
@@ -354,6 +359,20 @@ func TestCheckpointBytesPerBoundary(t *testing.T) {
 	if last > bound {
 		t.Fatalf("steady-state boundary wrote %d bytes, want <= %d (table %d bytes over %d columns, manifest %d)",
 			last, bound, fullBytes, live, manifestBytes)
+	}
+
+	// The cut file is its column: a fixed header (the preamble, the list
+	// counts, the column's sub-window and cell count and the trailer come
+	// to 66 bytes) plus, per cell, a key, an attribute and a summary flag —
+	// no per-cell sub-window and no per-flow count.
+	const cutHeader = 128
+	cut, err := wire.DecodeSnapshot(spy.lastCut)
+	if err != nil || len(cut.Columns) != 1 {
+		t.Fatalf("the last cut file does not decode to one column: err %v", err)
+	}
+	cells := len(cut.Columns[0].Cells)
+	if limit := cutHeader + cells*(packet.KeyBytes+8+1); len(spy.lastCut) > limit {
+		t.Fatalf("steady-state cut file is %d bytes for %d cells, want <= %d", len(spy.lastCut), cells, limit)
 	}
 	if err := d.CloseDurability(); err != nil {
 		t.Fatal(err)
@@ -497,7 +516,7 @@ func crashRestartCase(t *testing.T, config func(string) Config, pkts []packet.Pa
 }
 
 // assertCutsRestore restores a controller from the crashed deployment's
-// checkpoint (the manifest plus the concatenated entries of its cut files)
+// checkpoint (the manifest plus the columns of its cut files)
 // and one from the crashed controller's whole state, and compares what
 // they export byte for byte.
 func assertCutsRestore(t *testing.T, cfg Config, crashed *Deployment) {

@@ -3,8 +3,8 @@
 // write-ahead log of everything ingested since are enough to rebuild the
 // controller to the exact pre-crash state: a finished sub-window's column
 // never changes again, so each boundary cuts only the columns finished
-// since the last one; merged values are rebuilt by re-folding the stored
-// contributions into their columns (every merge kind is
+// since the last one; merged values are rebuilt by folding the stored
+// cells back into their columns and merging those (every merge kind is
 // order-insensitive, so the rebuild is exact), and sequence-number dedup
 // makes replaying batches a cut already covers harmless.
 
@@ -31,50 +31,41 @@ func (c *Controller) LastFinished() (sw uint64, ok bool) {
 func (c *Controller) ExportState() *wire.Snapshot { return c.ExportCut(0) }
 
 // ExportCut cuts the controller's restorable state at a boundary: the
-// columns of live sub-windows >= from (one entry per row present in any of
-// them), the list of every live sub-window, routed-but-unmerged records,
-// open sub-window arrival state and finished sub-window accounting. A cut
-// from just past the previous cut's LastFinished carries only the columns
-// finished since; from 0 carries the whole table. Output ordering is fully
-// deterministic (keys by packetKeyCmp, everything else by sub-window and
-// sequence), so encoding the cut is byte-stable regardless of shard count
-// or ingest interleaving. ThroughLSN is left zero; the durable layer
-// stamps it with its own log position.
+// columns of live sub-windows >= from (exportColumn), the list of every
+// live sub-window, routed-but-unmerged records, open sub-window arrival
+// state and finished sub-window accounting. A cut from just past the
+// previous cut's LastFinished carries only the columns finished since;
+// from 0 carries the whole table. Output ordering is fully deterministic
+// (columns by sub-window, cells by packetKeyCmp, everything else by
+// sub-window and sequence), so encoding the cut is byte-stable regardless
+// of shard count or ingest interleaving. ThroughLSN is left zero; the
+// durable layer stamps it with its own log position.
 func (c *Controller) ExportCut(from uint64) *wire.Snapshot {
 	c.finishMu.Lock()
 	defer c.finishMu.Unlock()
 
-	// The table only changes under finishMu, so the sizes counted here
-	// still hold when the shards are walked again below.
-	rows, cells := 0, 0
-	var buf [8]*column
-	cols := buf[:0]
+	// The table only changes under finishMu: reading it needs no shard lock.
+	s := &wire.Snapshot{}
 	for _, sh := range c.shards {
-		cols = sh.table.liveFrom(from, cols[:0])
-		r, n := span(cols)
-		rows, cells = rows+r, cells+n
-	}
-	s := &wire.Snapshot{Live: make([]wire.SnapLive, 0, len(c.shards[0].table.cols))}
-	if rows > 0 {
-		s.Entries = make([]wire.SnapEntry, 0, rows)
-	}
-	slab := make([]wire.SnapContrib, 0, cells)
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		for _, col := range sh.table.liveFrom(0, cols[:0]) {
-			if !wire.IsLive(s.Live, col.sw) {
+		for i := range sh.table.cols {
+			if col := &sh.table.cols[i]; col.live && !wire.IsLive(s.Live, col.sw) {
 				s.Live = append(s.Live, wire.SnapLive{SW: col.sw})
 			}
 		}
-		cols = sh.table.liveFrom(from, cols[:0])
-		s.Entries, slab = sh.table.appendEntries(s.Entries, slab, cols)
+	}
+	slices.SortFunc(s.Live, func(a, b wire.SnapLive) int { return cmp.Compare(a.SW, b.SW) })
+	for _, l := range s.Live {
+		if l.SW >= from {
+			s.Columns = append(s.Columns, c.exportColumn(l.SW))
+		}
+	}
+	for _, sh := range c.shards {
+		sh.mu.Lock()
 		for _, recs := range sh.pending {
 			s.Pending = append(s.Pending, recs...)
 		}
 		sh.mu.Unlock()
 	}
-	slices.SortFunc(s.Live, func(a, b wire.SnapLive) int { return cmp.Compare(a.SW, b.SW) })
-	slices.SortFunc(s.Entries, func(a, b wire.SnapEntry) int { return packetKeyCmp(a.Key, b.Key) })
 	slices.SortFunc(s.Pending, comparePending)
 
 	c.mu.Lock()
@@ -113,6 +104,23 @@ func (c *Controller) ExportCut(from uint64) *wire.Snapshot {
 	return s
 }
 
+// exportColumn gathers sub-window sw's column from every shard's present
+// bitset, its cells in key order. Caller holds finishMu.
+func (c *Controller) exportColumn(sw uint64) wire.SnapColumn {
+	n := 0
+	for _, sh := range c.shards {
+		if col := sh.table.held(sw); col != nil {
+			n += col.count
+		}
+	}
+	cells := make([]packet.AFR, 0, n)
+	for _, sh := range c.shards {
+		cells = sh.table.appendCells(cells, sw)
+	}
+	slices.SortFunc(cells, func(a, b packet.AFR) int { return packetKeyCmp(a.Key, b.Key) })
+	return wire.SnapColumn{SW: sw, Cells: cells}
+}
+
 // comparePending orders routed-but-unmerged records by sub-window and
 // sequence. Spike copies carry no sequence number of their own (they all
 // read 0), so ties fall through to the rest of the record: the order is
@@ -139,34 +147,46 @@ func comparePending(a, b packet.AFR) int {
 // replaced wholesale. A full cut applied to an empty controller restores
 // the exporter's state; a standby tailing the primary applies each
 // boundary's delta, and recovery applies the columns of every cut file a
-// checkpoint names at once (a key in several entries folds into one row).
-// Rows are re-routed by hash, so a cut exported at one shard count applies
-// correctly at another. The configuration (plan, kind, detector) is NOT
-// carried by cuts — the restored controller must be built with the same
-// Config the exporter used, or merged values will diverge.
+// checkpoint names at once. A carried column's cells are re-routed by hash
+// and go through O2 and O3 (table.insert, table.merge), the path a finish
+// folds records by, so a cut exported at one shard count applies correctly
+// at another; a column the live list does not name is skipped. The
+// configuration (plan, kind, detector) is NOT carried by cuts — the
+// restored controller must be built with the same Config the exporter
+// used, or merged values will diverge. Under another Plan two live columns
+// may map to one ring slot; O2 then retires the column holding it, and
+// every older one, rather than merge into it.
 func (c *Controller) RestoreState(s *wire.Snapshot) {
 	c.finishMu.Lock()
 	defer c.finishMu.Unlock()
 
-	carried := s.Carried()
+	carried := func(sw uint64) bool {
+		return slices.ContainsFunc(s.Columns, func(col wire.SnapColumn) bool { return col.SW == sw })
+	}
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		sh.table.retireIf(func(sw uint64) bool { return !wire.IsLive(s.Live, sw) || slices.Contains(carried, sw) })
+		sh.table.retireIf(func(sw uint64) bool { return !wire.IsLive(s.Live, sw) || carried(sw) })
 		sh.pending = make(map[uint64][]packet.AFR)
 		sh.mu.Unlock()
 	}
-	for i := range s.Entries {
-		sh := c.shards[c.shardIndex(s.Entries[i].Key)]
-		sh.mu.Lock()
-		sh.table.load(&s.Entries[i], s.Live)
-		sh.mu.Unlock()
-	}
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		for _, sw := range carried {
-			sh.table.merge(sw)
+	parts := make([][]packet.AFR, len(c.shards))
+	for _, col := range s.Columns {
+		if !wire.IsLive(s.Live, col.SW) {
+			continue
 		}
-		sh.mu.Unlock()
+		for i := range parts {
+			parts[i] = parts[i][:0]
+		}
+		for _, cell := range col.Cells {
+			i := c.shardIndex(cell.Key)
+			parts[i] = append(parts[i], cell)
+		}
+		for i, sh := range c.shards {
+			sh.mu.Lock()
+			sh.table.insert(col.SW, parts[i])
+			sh.table.merge(col.SW)
+			sh.mu.Unlock()
+		}
 	}
 	for _, r := range s.Pending {
 		sh := c.shards[c.shardIndex(r.Key)]

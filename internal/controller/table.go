@@ -10,16 +10,13 @@
 package controller
 
 import (
-	"cmp"
 	"math"
 	"math/bits"
-	"slices"
 
 	"omniwindow/internal/afr"
 	"omniwindow/internal/hashing"
 	"omniwindow/internal/packet"
 	"omniwindow/internal/simd"
-	"omniwindow/internal/wire"
 )
 
 const (
@@ -319,8 +316,8 @@ func (t *table) insert(sw uint64, recs []packet.AFR) {
 // present rows instead; Existence needs no value at all (a row is live
 // exactly when something contributed).
 func (t *table) merge(sw uint64) {
-	c := &t.cols[sw%uint64(len(t.cols))]
-	if !c.live || c.sw != sw {
+	c := t.held(sw)
+	if c == nil {
 		return
 	}
 	switch t.kind {
@@ -467,89 +464,29 @@ func (t *table) refold(r uint32) {
 	}
 }
 
-// liveFrom appends the live columns of sub-windows >= from to cols,
-// ascending by sub-window.
-func (t *table) liveFrom(from uint64, cols []*column) []*column {
-	for i := range t.cols {
-		if c := &t.cols[i]; c.live && c.sw >= from {
-			cols = append(cols, c)
-		}
+// held returns sub-window sw's column, or nil when the table holds none.
+func (t *table) held(sw uint64) *column {
+	if c := &t.cols[sw%uint64(len(t.cols))]; c.live && c.sw == sw {
+		return c
 	}
-	slices.SortFunc(cols, func(a, b *column) int { return cmp.Compare(a.sw, b.sw) })
-	return cols
+	return nil
 }
 
-// span counts the rows present in any of cols and the cells they hold.
-func span(cols []*column) (rows, cells int) {
-	for _, c := range cols {
-		cells += c.count
+// appendCells appends one record per row present in sub-window sw's
+// column: the row's key, its cell and its summary words — the record O2
+// folded the cell from, or the fold of several. It walks the column's
+// present bitset, not the rows.
+func (t *table) appendCells(cells []packet.AFR, sw uint64) []packet.AFR {
+	c := t.held(sw)
+	if c == nil {
+		return cells
 	}
-	if len(cols) <= 1 {
-		return cells, cells
-	}
-	for w := range len(cols[0].present) {
-		var word uint64
-		for _, c := range cols {
-			word |= c.present[w]
+	c.eachPresent(func(r uint32) {
+		rec := packet.AFR{Key: t.keys[r], Attr: c.attr[r], SubWindow: sw}
+		if c.summ != nil && c.has.has(r) {
+			rec.HasDistinct, rec.Distinct = true, [4]uint64(c.summ[4*r:4*r+4])
 		}
-		rows += bits.OnesCount64(word)
-	}
-	return rows, cells
-}
-
-// appendEntries appends one snapshot entry per row present in cols (the
-// output of liveFrom), its contributions in ascending sub-window order and
-// carved out of slab (which the caller sized from span, so the carving
-// never reallocates). It walks the columns' present bitsets, not the rows:
-// a one-column cut touches only that column's rows.
-func (t *table) appendEntries(entries []wire.SnapEntry, slab []wire.SnapContrib, cols []*column) ([]wire.SnapEntry, []wire.SnapContrib) {
-	if len(cols) == 0 {
-		return entries, slab
-	}
-	for w := range len(cols[0].present) {
-		var word uint64
-		for _, c := range cols {
-			word |= c.present[w]
-		}
-		for ; word != 0; word &= word - 1 {
-			r := uint32(w<<6 + bits.TrailingZeros64(word))
-			start := len(slab)
-			for _, c := range cols {
-				if !c.present.has(r) {
-					continue
-				}
-				sc := wire.SnapContrib{SW: c.sw, Attr: c.attr[r]}
-				if c.summ != nil && c.has.has(r) {
-					sc.HasDistinct = true
-					copy(sc.Distinct[:], c.summ[4*r:4*r+4])
-				}
-				slab = append(slab, sc)
-			}
-			entries = append(entries, wire.SnapEntry{Key: t.keys[r], Contribs: slab[start:len(slab):len(slab)]})
-		}
-	}
-	return entries, slab
-}
-
-// load folds one snapshot entry's contributions of the live sub-windows
-// into the table; the caller merges the columns it loaded once every entry
-// is in. A contribution whose ring slot another sub-window already holds is
-// dropped too: a snapshot exported under this Plan never contains one.
-func (t *table) load(e *wire.SnapEntry, live []wire.SnapLive) {
-	var r uint32
-	have := false
-	for i := range e.Contribs {
-		cb := &e.Contribs[i]
-		if !wire.IsLive(live, cb.SW) {
-			continue
-		}
-		c := t.column(cb.SW)
-		if c.sw != cb.SW {
-			continue
-		}
-		if !have {
-			r, have = t.row(e.Key, keyTag(e.Key)), true
-		}
-		t.fold(c, r, cb.Attr, &cb.Distinct, cb.HasDistinct)
-	}
+		cells = append(cells, rec)
+	})
+	return cells
 }

@@ -315,12 +315,12 @@ func (m *modelController) evictShard(retire uint64) {
 	}
 }
 
-// coalesce folds a flow's contributions of one sub-window into one, the way
-// a column cell holds them. Contributions arrive in sub-window order.
-func (m *modelController) coalesce(cbs []contrib) []wire.SnapContrib {
-	var out []wire.SnapContrib
+// coalesce folds flow k's contributions of one sub-window into one cell,
+// the way a column holds them. Contributions arrive in sub-window order.
+func (m *modelController) coalesce(k packet.FlowKey, cbs []contrib) []packet.AFR {
+	var out []packet.AFR
 	for _, cb := range cbs {
-		if n := len(out); n > 0 && out[n-1].SW == cb.sw {
+		if n := len(out); n > 0 && out[n-1].SubWindow == cb.sw {
 			o := &out[n-1]
 			switch m.cfg.Kind {
 			case afr.Frequency, afr.Distinction:
@@ -340,28 +340,32 @@ func (m *modelController) coalesce(cbs []contrib) []wire.SnapContrib {
 			}
 			continue
 		}
-		sc := wire.SnapContrib{SW: cb.sw, Attr: cb.attr}
+		c := packet.AFR{Key: k, Attr: cb.attr, SubWindow: cb.sw}
 		if cb.hasDistinct && m.cfg.Kind == afr.Distinction {
-			sc.HasDistinct, sc.Distinct = true, cb.distinct
+			c.HasDistinct, c.Distinct = true, cb.distinct
 		}
-		out = append(out, sc)
+		out = append(out, c)
 	}
 	return out
 }
 
+// export cuts the whole model: one column per sub-window some flow has a
+// contribution of, its cells in key order.
 func (m *modelController) export() *wire.Snapshot {
 	s := &wire.Snapshot{LastFinished: m.lastFin, HasFinished: m.hasFin}
+	cols := map[uint64][]packet.AFR{}
 	for k, e := range m.table {
-		se := wire.SnapEntry{Key: k, Contribs: m.coalesce(e.contribs)}
-		for _, cb := range se.Contribs {
-			if !wire.IsLive(s.Live, cb.SW) {
-				s.Live = append(s.Live, wire.SnapLive{SW: cb.SW})
-			}
+		for _, c := range m.coalesce(k, e.contribs) {
+			cols[c.SubWindow] = append(cols[c.SubWindow], c)
 		}
-		s.Entries = append(s.Entries, se)
+	}
+	for sw, cells := range cols {
+		slices.SortFunc(cells, func(a, b packet.AFR) int { return packetKeyCmp(a.Key, b.Key) })
+		s.Live = append(s.Live, wire.SnapLive{SW: sw})
+		s.Columns = append(s.Columns, wire.SnapColumn{SW: sw, Cells: cells})
 	}
 	slices.SortFunc(s.Live, func(a, b wire.SnapLive) int { return cmp.Compare(a.SW, b.SW) })
-	slices.SortFunc(s.Entries, func(a, b wire.SnapEntry) int { return packetKeyCmp(a.Key, b.Key) })
+	slices.SortFunc(s.Columns, func(a, b wire.SnapColumn) int { return cmp.Compare(a.SW, b.SW) })
 	for _, recs := range m.pending {
 		s.Pending = append(s.Pending, recs...)
 	}
@@ -385,21 +389,22 @@ func (m *modelController) export() *wire.Snapshot {
 	return s
 }
 
-// restore is the old RestoreState. Like the real one it leaves spike
-// bookkeeping alone, which snapshots do not carry.
+// restore is the old RestoreState over a whole cut, each cell one
+// contribution of its flow (columns arrive in sub-window order). Like the
+// real one it leaves spike bookkeeping alone, which snapshots do not carry.
 func (m *modelController) restore(s *wire.Snapshot) {
 	m.table = make(map[packet.FlowKey]*entry)
 	m.pending = make(map[uint64][]packet.AFR)
-	for _, se := range s.Entries {
-		e := &entry{
-			contribs: make([]contrib, len(se.Contribs)),
-			merged:   afr.NewMergedWithCounter(m.cfg.Kind, m.cfg.DistinctCounter),
+	for _, col := range s.Columns {
+		for _, c := range col.Cells {
+			e, ok := m.table[c.Key]
+			if !ok {
+				e = &entry{merged: afr.NewMergedWithCounter(m.cfg.Kind, m.cfg.DistinctCounter)}
+				m.table[c.Key] = e
+			}
+			e.contribs = append(e.contribs, contrib{sw: col.SW, attr: c.Attr, distinct: c.Distinct, hasDistinct: c.HasDistinct})
+			e.merged.Absorb(c.Attr, c.Distinct, c.HasDistinct)
 		}
-		for i, cb := range se.Contribs {
-			e.contribs[i] = contrib{sw: cb.SW, attr: cb.Attr, distinct: cb.Distinct, hasDistinct: cb.HasDistinct}
-			e.merged.Absorb(cb.Attr, cb.Distinct, cb.HasDistinct)
-		}
-		m.table[se.Key] = e
 	}
 	for _, r := range s.Pending {
 		m.pending[r.SubWindow] = append(m.pending[r.SubWindow], r)

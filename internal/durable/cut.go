@@ -1,12 +1,13 @@
 // Checkpoints as cuts. A finished sub-window's column never changes again,
 // so a checkpoint writes only the columns finished since the previous one:
-// one cut file holding them (a wire.Snapshot with Entries), then the
+// one cut file holding them (a wire.Snapshot with Columns), then the
 // manifest, checkpoint.snap — the commit point. The manifest holds
 // everything else the controller keeps (ledger, pending records, last
 // finish) and the live list: every live sub-window and the generation of
-// the cut file holding its column. Recovery loads the manifest and the
-// entries of every cut file it names; a cut file no manifest names any
-// more is deleted, and one left behind by a crash is removed at open.
+// the cut file holding its column. Recovery loads the manifest and, from
+// each cut file it names, the columns it assigns to that file; a cut file
+// no manifest names any more is deleted, and one left behind by a crash is
+// removed at open.
 //
 // The write order, and what a crash at each point leaves behind:
 //
@@ -93,13 +94,12 @@ func (s *Store) checkpointLocked(snap *wire.Snapshot) error {
 	}
 	snap.ThroughLSN = s.lsn.Load()
 	snap.Term = s.writerTerm
-	carried := snap.Carried()
 	gen := s.cutGen + 1
-	if err := s.nameCutsLocked(snap.Live, carried, gen); err != nil {
+	if err := s.nameCutsLocked(snap, gen); err != nil {
 		return err
 	}
 	written := 0
-	if len(carried) > 0 {
+	if len(snap.Columns) > 0 {
 		s.cutGen = gen // never reuse the name, even on failure
 		s.cuts = append(s.cuts, gen)
 		n, err := s.writeCutLocked(snap, gen)
@@ -132,14 +132,14 @@ func (s *Store) checkpointLocked(snap *wire.Snapshot) error {
 	return nil
 }
 
-// nameCutsLocked stamps each live sub-window with the cut file holding its
-// column: the new cut (gen) for the ones this checkpoint carries, the
+// nameCutsLocked stamps each of snap's live sub-windows with the cut file
+// holding its column: the new cut (gen) for the ones snap carries, the
 // committed manifest's for the rest. A live column neither holds is an
 // error — the manifest would name data no file has.
-func (s *Store) nameCutsLocked(live []wire.SnapLive, carried []uint64, gen uint64) error {
-	for i := range live {
-		l := &live[i]
-		if slices.Contains(carried, l.SW) {
+func (s *Store) nameCutsLocked(snap *wire.Snapshot, gen uint64) error {
+	for i := range snap.Live {
+		l := &snap.Live[i]
+		if slices.ContainsFunc(snap.Columns, func(c wire.SnapColumn) bool { return c.SW == l.SW }) {
 			l.Cut = gen
 			continue
 		}
@@ -152,19 +152,14 @@ func (s *Store) nameCutsLocked(live []wire.SnapLive, carried []uint64, gen uint6
 	return nil
 }
 
-// writeCutLocked writes the cut file of generation gen: snap's entries and
-// the live sub-windows they hold. It is written in place — no manifest
-// names it yet, so a torn one is debris, never damage.
+// writeCutLocked writes the cut file of generation gen: snap's columns. It
+// is written in place — no manifest names it yet, so a torn one is debris,
+// never damage.
 func (s *Store) writeCutLocked(snap *wire.Snapshot, gen uint64) (int, error) {
 	cut := wire.Snapshot{
 		ThroughLSN: snap.ThroughLSN, Term: snap.Term,
 		LastFinished: snap.LastFinished, HasFinished: snap.HasFinished,
-		Entries: snap.Entries,
-	}
-	for _, l := range snap.Live {
-		if l.Cut == gen {
-			cut.Live = append(cut.Live, l)
-		}
+		Columns: snap.Columns,
 	}
 	s.enc = wire.EncodeSnapshot(s.enc[:0], &cut)
 	path := s.cutPath(gen)
@@ -179,10 +174,10 @@ func (s *Store) writeCutLocked(snap *wire.Snapshot, gen uint64) (int, error) {
 }
 
 // writeManifestLocked atomically replaces the manifest: snap without its
-// entries, through a temp file and a rename.
+// columns, through a temp file and a rename.
 func (s *Store) writeManifestLocked(snap *wire.Snapshot) (int, error) {
 	m := *snap
-	m.Entries = nil
+	m.Columns = nil
 	s.enc = wire.EncodeSnapshot(s.enc[:0], &m)
 	tmp := filepath.Join(s.dir, checkpointTemp)
 	if s.crash != nil && s.crash("checkpoint-temp") {
@@ -248,11 +243,11 @@ func (s *Store) loadSnapLocked(path string) (snap *wire.Snapshot, readable bool)
 }
 
 // loadCheckpointLocked is recovery's checkpoint loader: the manifest,
-// carrying the entries of every cut file it names (nil when no manifest
+// carrying the columns of the cut files it names (nil when no manifest
 // survives). A corrupt manifest is quarantined and recovery proceeds from
 // the WAL, the missing coverage surfacing as a leading LostLSNRange. Each
-// cut file contributes only the columns the manifest assigns to it: a
-// column re-cut into a newer file (a standby's catch-up, the re-cut of a
+// cut file contributes only the columns the manifest assigns to it, whole:
+// a column re-cut into a newer file (a standby's catch-up, the re-cut of a
 // rotted file) is still in the older one, which the manifest may still
 // name for its other columns. A cut file that cannot be loaded loses
 // exactly its own sub-windows: each becomes a LostLSNRange of its own (no
@@ -273,7 +268,11 @@ func (s *Store) loadCheckpointLocked() *wire.Snapshot {
 		}
 		for _, gen := range gens {
 			if cut, _ := s.loadSnapLocked(s.cutPath(gen)); cut != nil {
-				m.Entries = appendHeld(m.Entries, cut.Entries, m.Live, gen)
+				for _, col := range cut.Columns {
+					if slices.Contains(m.Live, wire.SnapLive{SW: col.SW, Cut: gen}) {
+						m.Columns = append(m.Columns, col)
+					}
+				}
 				continue
 			}
 			m.Live = slices.DeleteFunc(m.Live, func(l wire.SnapLive) bool {
@@ -292,20 +291,6 @@ func (s *Store) loadCheckpointLocked() *wire.Snapshot {
 		s.dropCutsLocked()
 	}
 	return m
-}
-
-// appendHeld appends entries to dst, each keeping only its contributions
-// to the sub-windows live assigns to cut file gen.
-func appendHeld(dst, entries []wire.SnapEntry, live []wire.SnapLive, gen uint64) []wire.SnapEntry {
-	for _, e := range entries {
-		e.Contribs = slices.DeleteFunc(e.Contribs, func(cb wire.SnapContrib) bool {
-			return !slices.Contains(live, wire.SnapLive{SW: cb.SW, Cut: gen})
-		})
-		if len(e.Contribs) > 0 {
-			dst = append(dst, e)
-		}
-	}
-	return dst
 }
 
 // scrubCheckpointLocked verifies the manifest and one cut file it names,

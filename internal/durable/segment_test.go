@@ -562,21 +562,22 @@ func TestWALAppendRotatingZeroAlloc(t *testing.T) {
 }
 
 // The boundary scrub checks the seals of the manifest and a cut file, it
-// does not decode them: its allocations must not grow with the table the
-// cut holds (a decode is one slice per row).
+// does not decode them: its allocations must not grow with the cut it
+// checks (a decode allocates a cell slice per column).
 func TestScrubAllocsFlatInCheckpointSize(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	scrubAllocs := func(entries int) float64 {
+	scrubAllocs := func(columns int) float64 {
 		s, err := OpenStore(t.TempDir(), 1, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		snap := &wire.Snapshot{Live: []wire.SnapLive{{SW: 0}}, Entries: make([]wire.SnapEntry, entries)}
-		for i := range snap.Entries {
-			snap.Entries[i] = wire.SnapEntry{Key: key(i), Contribs: []wire.SnapContrib{{SW: 0, Attr: 1}}}
+		snap := &wire.Snapshot{}
+		for sw := uint64(0); sw < uint64(columns); sw++ {
+			snap.Live = append(snap.Live, wire.SnapLive{SW: sw})
+			snap.Columns = append(snap.Columns, wire.SnapColumn{SW: sw, Cells: []packet.AFR{{Key: key(int(sw)), Attr: 1, SubWindow: sw}}})
 		}
 		if err := s.Checkpoint(snap); err != nil {
 			t.Fatal(err)
@@ -587,9 +588,9 @@ func TestScrubAllocsFlatInCheckpointSize(t *testing.T) {
 			}
 		})
 	}
-	small, large := scrubAllocs(10), scrubAllocs(10000)
+	small, large := scrubAllocs(10), scrubAllocs(1000)
 	if large-small > 2 {
-		t.Fatalf("Scrub allocates %.0f/op over a 10-entry checkpoint and %.0f/op over a 10000-entry one: it grows with the table", small, large)
+		t.Fatalf("Scrub allocates %.0f/op over a 10-column checkpoint and %.0f/op over a 1000-column one: it grows with the cut", small, large)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"omniwindow/internal/packet"
 	"omniwindow/internal/wire"
 )
 
@@ -122,7 +123,7 @@ func TestCutFencing(t *testing.T) {
 	defer s.Close()
 	cut := func(sw uint64, live ...uint64) error {
 		snap := &wire.Snapshot{LastFinished: sw, HasFinished: true,
-			Entries: []wire.SnapEntry{{Key: key(int(sw)), Contribs: []wire.SnapContrib{{SW: sw, Attr: 1}}}}}
+			Columns: []wire.SnapColumn{{SW: sw, Cells: []packet.AFR{{Key: key(int(sw)), Attr: 1, SubWindow: sw}}}}}
 		for _, l := range live {
 			snap.Live = append(snap.Live, wire.SnapLive{SW: l})
 		}

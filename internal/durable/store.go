@@ -351,7 +351,7 @@ func (s *Store) Instrument(reg *obs.Registry, labels string) {
 func (s *Store) LSN() uint64 { return s.lsn.Load() }
 
 // Quarantined returns how many damaged files this store instance has set
-// aside (segments and checkpoints).
+// aside: WAL segments, cut files and manifests.
 func (s *Store) Quarantined() int64 { return s.quarantines.Load() }
 
 // WALErrors returns how many append attempts failed.
@@ -796,8 +796,8 @@ func (s *Store) recoverLocked() (*wire.Snapshot, []*wire.WALRecord) {
 	return snap, recs
 }
 
-// Recover loads the latest checkpoint (nil when none survives), its cut
-// files' entries concatenated, plus the WAL frames it does not cover,
+// Recover loads the latest checkpoint (nil when none survives) with the
+// columns of its cut files, plus the WAL frames it does not cover,
 // merged into one LSN-ordered replay sequence. Damaged files are
 // quarantined rather than failing the recovery; the LSNs and cut files
 // they took with them are reported by Lost.

@@ -98,7 +98,7 @@ func TestStoreCheckpointTruncatesAndFilters(t *testing.T) {
 	want := &wire.Snapshot{
 		LastFinished: 0, HasFinished: true,
 		Live:    []wire.SnapLive{{SW: 0}},
-		Entries: []wire.SnapEntry{{Key: key(1), Contribs: []wire.SnapContrib{{SW: 0, Attr: 1}}}},
+		Columns: []wire.SnapColumn{{SW: 0, Cells: []packet.AFR{{Key: key(1), Attr: 1}}}},
 	}
 	if err := s.Checkpoint(want); err != nil {
 		t.Fatal(err)
@@ -351,7 +351,7 @@ func TestScrubVisitsEveryCut(t *testing.T) {
 	for sw := uint64(0); sw < 4; sw++ {
 		live = append(live, wire.SnapLive{SW: sw})
 		snap := &wire.Snapshot{LastFinished: sw, HasFinished: true, Live: slices.Clone(live),
-			Entries: []wire.SnapEntry{{Key: key(int(sw)), Contribs: []wire.SnapContrib{{SW: sw, Attr: 1}}}}}
+			Columns: []wire.SnapColumn{{SW: sw, Cells: []packet.AFR{{Key: key(int(sw)), Attr: 1, SubWindow: sw}}}}}
 		if err := s.Checkpoint(snap); err != nil {
 			t.Fatal(err)
 		}
@@ -394,19 +394,19 @@ func TestRecoverFoldsReCutColumnOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	contribs := func(sws ...uint64) []wire.SnapContrib {
-		var out []wire.SnapContrib
+	columns := func(sws ...uint64) []wire.SnapColumn {
+		var out []wire.SnapColumn
 		for _, sw := range sws {
-			out = append(out, wire.SnapContrib{SW: sw, Attr: 10 + sw})
+			out = append(out, wire.SnapColumn{SW: sw, Cells: []packet.AFR{{Key: key(0), Attr: 10 + sw, SubWindow: sw}}})
 		}
 		return out
 	}
 	first := &wire.Snapshot{LastFinished: 3, HasFinished: true,
 		Live:    []wire.SnapLive{{SW: 1}, {SW: 2}, {SW: 3}},
-		Entries: []wire.SnapEntry{{Key: key(0), Contribs: contribs(1, 2, 3)}}}
+		Columns: columns(1, 2, 3)}
 	second := &wire.Snapshot{LastFinished: 4, HasFinished: true,
 		Live:    []wire.SnapLive{{SW: 1}, {SW: 2}, {SW: 3}, {SW: 4}},
-		Entries: []wire.SnapEntry{{Key: key(0), Contribs: contribs(3, 4)}}}
+		Columns: columns(3, 4)}
 	for _, snap := range []*wire.Snapshot{first, second} {
 		if err := s.Checkpoint(snap); err != nil {
 			t.Fatal(err)
@@ -426,12 +426,9 @@ func TestRecoverFoldsReCutColumnOnce(t *testing.T) {
 	if lost := s2.Lost(); len(lost) != 0 {
 		t.Fatalf("Lost = %+v, want none", lost)
 	}
-	var got []wire.SnapContrib
-	for _, e := range snap.Entries {
-		got = append(got, e.Contribs...)
-	}
-	slices.SortFunc(got, func(a, b wire.SnapContrib) int { return int(a.SW) - int(b.SW) })
-	if want := contribs(1, 2, 3, 4); !slices.Equal(got, want) {
-		t.Fatalf("recovered contributions %+v, want each live column once: %+v", got, want)
+	got := slices.Clone(snap.Columns)
+	slices.SortFunc(got, func(a, b wire.SnapColumn) int { return int(a.SW) - int(b.SW) })
+	if want := columns(1, 2, 3, 4); !reflect.DeepEqual(got, want) {
+		t.Fatalf("recovered columns %+v, want each live column once: %+v", got, want)
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"hash/crc32"
 	"reflect"
 	"testing"
+
+	"omniwindow/internal/packet"
 )
 
 // snapFuzzSeeds are well-formed snapshots plus truncated and bit-flipped
@@ -18,19 +20,27 @@ func snapFuzzSeeds() [][]byte {
 		ThroughLSN: 1 << 40,
 		Dedups:     []SnapDedup{{SW: 9, Expected: -1, Seen: []uint32{0}}},
 	}))
-	// A manifest: the live list naming three cut files, no entries.
+	// A manifest: the live list naming three cut files, no columns.
 	out = append(out, EncodeSnapshot(nil, &Snapshot{
 		ThroughLSN: 9, Term: 2, LastFinished: 6, HasFinished: true,
 		Live: []SnapLive{{SW: 3, Cut: 1}, {SW: 4, Cut: 2}, {SW: 5, Cut: 2}, {SW: 6, Cut: 3}},
 		Rels: []SnapRel{{SW: 6, Expected: 2, Received: 2}},
 	}))
+	// A Distinction column: cells with and without summary words.
+	out = append(out, EncodeSnapshot(nil, &Snapshot{
+		ThroughLSN: 4, LastFinished: 2, HasFinished: true,
+		Columns: []SnapColumn{{SW: 2, Cells: []packet.AFR{
+			{Key: snapKey(3), Attr: 4, SubWindow: 2, Distinct: [4]uint64{8, 0, 0, 1}, HasDistinct: true},
+			{Key: snapKey(4), Attr: 1, SubWindow: 2},
+			{Key: snapKey(5), Attr: 2, SubWindow: 2, Distinct: [4]uint64{0, 1 << 63, 2, 0}, HasDistinct: true},
+		}}},
+	}))
 	// A cut file holding two sub-windows' columns.
 	out = append(out, EncodeSnapshot(nil, &Snapshot{
 		ThroughLSN: 9, Term: 2, LastFinished: 5, HasFinished: true,
-		Live: []SnapLive{{SW: 4, Cut: 2}, {SW: 5, Cut: 2}},
-		Entries: []SnapEntry{
-			{Key: snapKey(5), Contribs: []SnapContrib{{SW: 4, Attr: 1}, {SW: 5, Attr: 2, Distinct: [4]uint64{8, 0, 0, 1}, HasDistinct: true}}},
-			{Key: snapKey(6), Contribs: []SnapContrib{{SW: 5, Attr: 3}}},
+		Columns: []SnapColumn{
+			{SW: 4, Cells: []packet.AFR{{Key: snapKey(5), Attr: 1, SubWindow: 4}}},
+			{SW: 5, Cells: []packet.AFR{{Key: snapKey(5), Attr: 2, SubWindow: 5}, {Key: snapKey(6), Attr: 3, SubWindow: 5}}},
 		},
 	}))
 	full := out[0]

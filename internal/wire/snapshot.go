@@ -9,7 +9,6 @@ package wire
 import (
 	"encoding/binary"
 	"hash/crc32"
-	"slices"
 
 	"omniwindow/internal/packet"
 )
@@ -17,11 +16,12 @@ import (
 // SnapMagic ("OWSN") and SnapVersion identify checkpoint snapshots.
 // Version 2 added the writer's fencing term after ThroughLSN, so a
 // checkpoint durably records which term-holder cut it. Version 3 added the
-// live list (a checkpoint is a manifest plus the cut files it names) and
-// writes a contribution's four summary words only when it has them.
+// live list (a checkpoint is a manifest plus the cut files it names).
+// Version 4 carries the table as columns, the layout the controller holds
+// it in, instead of per-flow rows of per-sub-window contributions.
 const (
 	SnapMagic   uint32 = 0x4F57534E
-	SnapVersion uint8  = 3
+	SnapVersion uint8  = 4
 )
 
 // WAL record types. Every controller-state mutation that replay must
@@ -41,21 +41,13 @@ const (
 	WALShed byte = 4
 )
 
-// SnapContrib is one sub-window's contribution to a flow, as stored in the
-// key-value table (the controller rebuilds merged values by re-absorbing
-// contributions in order; every merge kind is order-insensitive, so the
-// rebuild is exact).
-type SnapContrib struct {
-	SW          uint64
-	Attr        uint64
-	Distinct    [4]uint64
-	HasDistinct bool
-}
-
-// SnapEntry is one flow's row.
-type SnapEntry struct {
-	Key      packet.FlowKey
-	Contribs []SnapContrib
+// SnapColumn is one sub-window's column of the controller table: a cell
+// per flow present in it, in key order. A cell is the record O2 folds into
+// the column (Key, Attr, and the summary words when HasDistinct); the
+// decoder sets each cell's SubWindow to SW and leaves Seq and App zero.
+type SnapColumn struct {
+	SW    uint64
+	Cells []packet.AFR
 }
 
 // SnapDedup is one open sub-window's arrival state.
@@ -86,11 +78,11 @@ type SnapLive struct {
 }
 
 // Snapshot is one cut of the controller state at a sub-window boundary:
-// the columns of some live sub-windows (Entries) plus everything else the
-// controller holds. A full cut carries every live column; a delta cut only
-// those finished since the previous one. Entries, Pending, Dedups and Rels
-// are flat (not per-shard) and deterministically ordered by the exporter,
-// so the encoding is byte-stable and restore re-routes rows by hash — a
+// the columns of some live sub-windows plus everything else the controller
+// holds. A full cut carries every live column; a delta cut only those
+// finished since the previous one. Columns, Pending, Dedups and Rels are
+// flat (not per-shard) and deterministically ordered by the exporter, so
+// the encoding is byte-stable and restore re-routes cells by hash — a
 // snapshot taken at one shard count loads correctly at another.
 type Snapshot struct {
 	// ThroughLSN is the WAL high-water mark the snapshot covers: replay
@@ -109,8 +101,9 @@ type Snapshot struct {
 	// Live lists every live sub-window in ascending order, also those
 	// whose columns this cut does not carry: restore retires every column
 	// not listed.
-	Live    []SnapLive
-	Entries []SnapEntry
+	Live []SnapLive
+	// Columns holds one column per sub-window the cut carries.
+	Columns []SnapColumn
 	Pending []packet.AFR
 	Dedups  []SnapDedup
 	Rels    []SnapRel
@@ -126,26 +119,8 @@ func IsLive(live []SnapLive, sw uint64) bool {
 	return false
 }
 
-// Carried lists, ascending, the live sub-windows the cut's entries hold
-// contributions of: the columns a restore replaces and a store writes.
-func (s *Snapshot) Carried() []uint64 {
-	var out []uint64
-	for i := range s.Entries {
-		for _, cb := range s.Entries[i].Contribs {
-			if !slices.Contains(out, cb.SW) && IsLive(s.Live, cb.SW) {
-				out = append(out, cb.SW)
-			}
-		}
-		if len(out) == len(s.Live) {
-			break // a full cut: every live column seen
-		}
-	}
-	slices.Sort(out)
-	return out
-}
-
-// snapContribSize is a contribution without summary words, the smallest.
-const snapContribSize = 8 + 8 + 1
+// snapCellSize is a cell without summary words, the smallest.
+const snapCellSize = packet.KeyBytes + 8 + 1
 const snapHeaderSize = 4 + 1 + 8 + 8 + 8 + 1
 
 // EncodeSnapshot serializes s into buf (grown as needed) and returns the
@@ -165,19 +140,19 @@ func EncodeSnapshot(buf []byte, s *Snapshot) []byte {
 		buf = binary.BigEndian.AppendUint64(buf, l.Cut)
 	}
 
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s.Entries)))
-	for i := range s.Entries {
-		e := &s.Entries[i]
-		kb := e.Key.Bytes()
-		buf = append(buf, kb[:]...)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(e.Contribs)))
-		for j := range e.Contribs {
-			cb := &e.Contribs[j]
-			buf = binary.BigEndian.AppendUint64(buf, cb.SW)
-			buf = binary.BigEndian.AppendUint64(buf, cb.Attr)
-			buf = append(buf, b2u(cb.HasDistinct))
-			if cb.HasDistinct {
-				for _, w := range cb.Distinct {
+	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s.Columns)))
+	for i := range s.Columns {
+		col := &s.Columns[i]
+		buf = binary.BigEndian.AppendUint64(buf, col.SW)
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(col.Cells)))
+		for j := range col.Cells {
+			c := &col.Cells[j]
+			kb := c.Key.Bytes()
+			buf = append(buf, kb[:]...)
+			buf = binary.BigEndian.AppendUint64(buf, c.Attr)
+			buf = append(buf, b2u(c.HasDistinct))
+			if c.HasDistinct {
+				for _, w := range c.Distinct {
 					buf = binary.BigEndian.AppendUint64(buf, w)
 				}
 			}
@@ -324,31 +299,30 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 		}
 	}
 
-	if n := r.count(packet.KeyBytes + 4); n > 0 {
-		s.Entries = make([]SnapEntry, 0, n)
+	if n := r.count(8 + 4); n > 0 {
+		s.Columns = make([]SnapColumn, 0, n)
 		for i := 0; i < n && r.err == nil; i++ {
-			var e SnapEntry
-			var kb [packet.KeyBytes]byte
-			if r.need(packet.KeyBytes) {
-				copy(kb[:], r.data[r.off:])
-				r.off += packet.KeyBytes
-			}
-			e.Key = packet.KeyFromBytes(kb)
-			if nc := r.count(snapContribSize); nc > 0 {
-				e.Contribs = make([]SnapContrib, 0, nc)
+			col := SnapColumn{SW: r.u64()}
+			if nc := r.count(snapCellSize); nc > 0 {
+				col.Cells = make([]packet.AFR, 0, nc)
 				for j := 0; j < nc && r.err == nil; j++ {
-					var cb SnapContrib
-					cb.SW = r.u64()
-					cb.Attr = r.u64()
-					if cb.HasDistinct = r.u8() != 0; cb.HasDistinct {
-						for w := range cb.Distinct {
-							cb.Distinct[w] = r.u64()
+					c := packet.AFR{SubWindow: col.SW}
+					var kb [packet.KeyBytes]byte
+					if r.need(packet.KeyBytes) {
+						copy(kb[:], r.data[r.off:])
+						r.off += packet.KeyBytes
+					}
+					c.Key = packet.KeyFromBytes(kb)
+					c.Attr = r.u64()
+					if c.HasDistinct = r.u8() != 0; c.HasDistinct {
+						for w := range c.Distinct {
+							c.Distinct[w] = r.u64()
 						}
 					}
-					e.Contribs = append(e.Contribs, cb)
+					col.Cells = append(col.Cells, c)
 				}
 			}
-			s.Entries = append(s.Entries, e)
+			s.Columns = append(s.Columns, col)
 		}
 	}
 

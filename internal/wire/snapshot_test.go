@@ -17,12 +17,12 @@ func sampleSnapshot() *Snapshot {
 		LastFinished: 3,
 		HasFinished:  true,
 		Live:         []SnapLive{{SW: 0, Cut: 1}, {SW: 1, Cut: 2}},
-		Entries: []SnapEntry{
-			{Key: snapKey(1), Contribs: []SnapContrib{
-				{SW: 0, Attr: 5},
-				{SW: 1, Attr: 7, Distinct: [4]uint64{1, 2, 3, 4}, HasDistinct: true},
+		Columns: []SnapColumn{
+			{SW: 0, Cells: []packet.AFR{{Key: snapKey(1), Attr: 5, SubWindow: 0}}},
+			{SW: 1, Cells: []packet.AFR{
+				{Key: snapKey(1), Attr: 7, SubWindow: 1, Distinct: [4]uint64{1, 2, 3, 4}, HasDistinct: true},
+				{Key: snapKey(2), Attr: 9, SubWindow: 1},
 			}},
-			{Key: snapKey(2), Contribs: []SnapContrib{{SW: 1, Attr: 9}}},
 		},
 		Pending: []packet.AFR{
 			{Key: snapKey(3), Attr: 11, SubWindow: 4, Seq: 0},
@@ -54,21 +54,28 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// Carried is the live sub-windows a cut's entries hold, ascending: a
-// contribution of a sub-window the live list does not name is not carried.
-func TestSnapshotCarried(t *testing.T) {
-	s := &Snapshot{
-		Live: []SnapLive{{SW: 2}, {SW: 4}, {SW: 7}},
-		Entries: []SnapEntry{
-			{Key: snapKey(1), Contribs: []SnapContrib{{SW: 1}, {SW: 7}}},
-			{Key: snapKey(2), Contribs: []SnapContrib{{SW: 4}}},
-		},
+// A cell costs its key, its attribute and a flag, plus the four summary
+// words only when it has them: no per-cell sub-window, no per-flow count.
+// Decoded cells are the records O2 folds, each stamped with its column.
+func TestSnapshotCellLayout(t *testing.T) {
+	col := func(cells ...packet.AFR) int {
+		return len(EncodeSnapshot(nil, &Snapshot{Columns: []SnapColumn{{SW: 6, Cells: cells}}}))
 	}
-	if got := s.Carried(); !reflect.DeepEqual(got, []uint64{4, 7}) {
-		t.Fatalf("Carried = %v, want [4 7]", got)
+	empty := col()
+	if got := col(packet.AFR{Key: snapKey(1), Attr: 2}) - empty; got != snapCellSize {
+		t.Fatalf("a plain cell costs %d bytes, want %d", got, snapCellSize)
 	}
-	if got := (&Snapshot{Live: s.Live}).Carried(); got != nil {
-		t.Fatalf("a manifest carries %v, want nothing", got)
+	if got := col(packet.AFR{Key: snapKey(1), HasDistinct: true}) - empty; got != snapCellSize+32 {
+		t.Fatalf("a summary cell costs %d bytes, want %d", got, snapCellSize+32)
+	}
+	s, err := DecodeSnapshot(EncodeSnapshot(nil, &Snapshot{Columns: []SnapColumn{
+		{SW: 6, Cells: []packet.AFR{{Key: snapKey(1), Attr: 2, SubWindow: 99, Seq: 4}}},
+	}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (packet.AFR{Key: snapKey(1), Attr: 2, SubWindow: 6}); s.Columns[0].Cells[0] != want {
+		t.Fatalf("decoded cell %+v, want %+v", s.Columns[0].Cells[0], want)
 	}
 }
 

@@ -332,9 +332,10 @@ type Stats struct {
 	// DurabilityHeals counts successful degraded→durable re-entries (a
 	// boundary heal probe cut a fresh checkpoint on new WAL generations).
 	DurabilityHeals int
-	// QuarantinedSegments counts WAL segment files (and checkpoints)
-	// renamed aside as damaged — by recovery or the boundary scrubber —
-	// instead of aborting. Their unreplayable records surface as Missing.
+	// QuarantinedSegments counts the damaged files renamed aside — by
+	// recovery or the boundary scrubber — instead of aborting: WAL
+	// segments, checkpoint cut files and manifests alike, despite the name.
+	// Their unreplayable records surface as Missing.
 	QuarantinedSegments int
 }
 
