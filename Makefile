@@ -80,11 +80,11 @@ rdma-chaos:
 # recovery — under the race detector. Fixed seeds (the schedule tables in
 # disk_chaos_test.go) make every fault sequence a reproducible test case.
 # Scrub selects the whole-segment, manifest and round-robin cut-file scrub
-# pins; Checkpoint|Cut|Carried the checkpoint cuts under rot, read errors
-# and crashes; Verify|Corrupt|Segment the wire integrity checks the
-# scrubber and the decoders share.
+# pins; Checkpoint|Cut the checkpoint cuts under rot, read errors and
+# crashes; Verify|Corrupt|Segment the wire integrity checks the scrubber
+# and the decoders share.
 disk-chaos:
-	$(GO) test -race -run 'Disk|Scrub|Quarantine|Segment|Heal|Degrad|CollectBatch|Verify|Corrupt|Checkpoint|Cut|Carried' \
+	$(GO) test -race -run 'Disk|Scrub|Quarantine|Segment|Heal|Degrad|CollectBatch|Verify|Corrupt|Checkpoint|Cut' \
 		. ./internal/durable/ ./internal/faults/ ./internal/wire/
 
 # Partition chaos suite: the hot-standby pair under network partitions

@@ -167,18 +167,20 @@ func TestCollectBatchFlushPoints(t *testing.T) {
 		})
 	}
 
-	// (c) WAL group commit: a boundary writes one frame per (shard,
-	// sub-window) group of one batch, and those frames replay exactly —
-	// here with a third of the records arriving by the spilled-key path.
+	// (c) WAL group commit: a boundary writes one frame per delivery
+	// batch, and those frames replay exactly — here with a third of the
+	// records arriving by the spilled-key path.
 	t.Run("wal", func(t *testing.T) {
 		const (
 			ckptEvery = 2 // checkpoints at boundaries 1 and 3: the crash at 2 leaves real WAL to replay
 			crashAt   = 2
-			// Per data chain, beside its frames: the scrub's read-back and a
-			// cadence seal. The control chain pays the same plus the finish
-			// frame and its next segment's header; a checkpoint is a temp
-			// write and a rename.
-			perChainOps, controlOps = 2, 6
+			// The store keeps one log, so beside the batch frames a boundary
+			// pays each of these once, not once per controller shard: the
+			// trigger and finish frames, the header of the segment the log
+			// reopens after a checkpoint, and the scrub's read-back of that
+			// segment; then the scrub's reads of the manifest and one cut
+			// file, and a checkpoint's cut write, temp write and rename.
+			boundaryOps = 2 + 1 + 1 + 2 + 3
 		)
 		dir := t.TempDir()
 		durable := func(crash *faults.CrashSchedule) *Deployment {
@@ -210,7 +212,7 @@ func TestCollectBatchFlushPoints(t *testing.T) {
 			d1.Tick(edge + int64(d1.cfg.Grace))
 			ops = d1.store.FSOps() - ops
 			batches := (batchFlows + afrBatchCap - 1) / afrBatchCap
-			if limit := uint64(d1.ckptShards*(batches+perChainOps) + controlOps); ops == 0 || ops > limit {
+			if limit := uint64(batches + boundaryOps); ops == 0 || ops > limit {
 				t.Fatalf("boundary %d issued %d filesystem operations, want 1..%d (one per AFR would be %d)",
 					k-1, ops, limit, batchFlows)
 			}

@@ -56,7 +56,7 @@ func TestBoundaryGolden(t *testing.T) {
 			c.PartitionFaults = &faults.PartitionSchedule{Seed: 3, Gray: 0.2,
 				Symmetric: faults.Fault{Fixed: []uint64{1, 2}}}
 		}},
-		{name: "disk-faults", want: "f913ce96eb792555", durable: true, mutate: func(c *Config) {
+		{name: "disk-faults", want: "52a618fb56bfd4d1", durable: true, mutate: func(c *Config) {
 			c.DiskFaults = &faults.DiskSchedule{Seed: 7, WriteEIO: 0.10, ShortWrite: 0.05,
 				BitRot: 0.02, SlowIO: 0.10, ENOSPC: faults.Fault{Fixed: []uint64{25, 26}}}
 			c.DurabilityRetryLimit = 1

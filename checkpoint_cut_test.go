@@ -124,7 +124,7 @@ func (w *spyFile) Write(p []byte) (int, error) {
 func swapStore(t *testing.T, d *Deployment, fsys durable.FS) {
 	t.Helper()
 	d.store.Close()
-	s, err := durable.OpenStore(d.cfg.CheckpointDir, d.ckptShards, durable.Options{
+	s, err := durable.OpenStore(d.cfg.CheckpointDir, 0, durable.Options{
 		FS: fsys, SegmentBytes: d.cfg.WALSegmentBytes, RetryLimit: d.cfg.DurabilityRetryLimit,
 	})
 	if err != nil {
@@ -164,8 +164,8 @@ func stitch(pre []controller.WindowResult, through uint64, ok bool, post []contr
 	return append(out, post...)
 }
 
-// TestScrubReadErrorStillReCovers: one Scrub pass both quarantines a rotted
-// segment on one chain and fails to read another chain. The quarantined
+// TestScrubReadErrorStillReCovers: one Scrub pass both quarantines the
+// rotted active segment and fails to read the manifest. The quarantined
 // records live only in memory now, so the boundary must cut a checkpoint
 // off its cadence; a crash before the cadence then restarts byte-identical.
 func TestScrubReadErrorStillReCovers(t *testing.T) {
@@ -174,7 +174,7 @@ func TestScrubReadErrorStillReCovers(t *testing.T) {
 	dir := t.TempDir()
 	cfg := diskConfig(dir, every, crashes(crashAt), nil)
 	d1 := newDisk(t, cfg)
-	spy := &spyFS{readEIO: "wal-000-", rot: "wal-001-"}
+	spy := &spyFS{readEIO: "checkpoint.snap", rot: "wal-"}
 	swapStore(t, d1, spy)
 	d1.RunFor(chaosTrace(), 500*ms)
 	if sw, ok := d1.Crashed(); !ok || sw != crashAt {
@@ -521,7 +521,7 @@ func crashRestartCase(t *testing.T, config func(string) Config, pkts []packet.Pa
 // they export byte for byte.
 func assertCutsRestore(t *testing.T, cfg Config, crashed *Deployment) {
 	t.Helper()
-	s, err := durable.OpenStore(cfg.CheckpointDir, crashed.ckptShards, durable.Options{})
+	s, err := durable.OpenStore(cfg.CheckpointDir, 0, durable.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

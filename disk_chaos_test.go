@@ -335,7 +335,7 @@ func TestDiskChaosQuarantineLSNReconciliation(t *testing.T) {
 	dir := t.TempDir()
 	const crashAt, every = 3, 5 // no checkpoint before the crash: all state is WAL
 	cfg := diskConfig(dir, every, crashes(crashAt), &faults.DiskSchedule{})
-	cfg.WALSegmentBytes = 2048 // force rotation: several segments per chain
+	cfg.WALSegmentBytes = 2048 // force rotation: several segments
 	d1 := runDisk(t, cfg)
 	if sw, ok := d1.Crashed(); !ok || sw != crashAt {
 		t.Fatalf("crash did not fire at %d: ok=%v sw=%d", crashAt, ok, sw)
@@ -345,19 +345,19 @@ func TestDiskChaosQuarantineLSNReconciliation(t *testing.T) {
 		t.Fatal("pre-crash run issued no WAL frames")
 	}
 
-	// Enumerate every frame on disk, then corrupt one mid-chain segment.
+	// Enumerate every frame on disk, then corrupt one mid-log segment.
 	lsnsByFile := walLSNsByFile(t, dir)
 	victim := ""
 	for path, lsns := range lsnsByFile {
-		if strings.Contains(filepath.Base(path), "-ctl-") || len(lsns) < 2 {
+		if len(lsns) < 2 {
 			continue
 		}
 		if victim == "" || path < victim {
-			victim = path // deterministic pick: lowest-sorted data segment
+			victim = path // deterministic pick: oldest multi-frame segment
 		}
 	}
 	if victim == "" {
-		t.Fatalf("no multi-frame data segment to corrupt; files: %v", lsnsByFile)
+		t.Fatalf("no multi-frame segment to corrupt; files: %v", lsnsByFile)
 	}
 	data, err := os.ReadFile(victim)
 	if err != nil {

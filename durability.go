@@ -3,11 +3,9 @@ package omniwindow
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 
 	"omniwindow/internal/durable"
-	"omniwindow/internal/hashing"
 	"omniwindow/internal/obs"
 	"omniwindow/internal/packet"
 	"omniwindow/internal/wire"
@@ -33,7 +31,6 @@ import (
 // hot-standby pair.
 func (d *Deployment) openDurability() error {
 	cfg := &d.cfg
-	d.ckptShards = d.ctrl.Shards()
 	opts := durable.Options{
 		SegmentBytes: cfg.WALSegmentBytes,
 		RetryLimit:   cfg.DurabilityRetryLimit,
@@ -41,7 +38,7 @@ func (d *Deployment) openDurability() error {
 	if cfg.DiskFaults != nil {
 		opts.FS = durable.NewFaultFS(durable.OSFS{}, cfg.DiskFaults)
 	}
-	store, err := durable.OpenStore(cfg.CheckpointDir, d.ckptShards, opts)
+	store, err := durable.OpenStore(cfg.CheckpointDir, 0, opts)
 	if err != nil {
 		return fmt.Errorf("omniwindow: %w", err)
 	}
@@ -76,55 +73,18 @@ func (d *Deployment) durableWrite(sw uint64, write func() error) bool {
 	return true
 }
 
-// logBatch appends one delivery batch's records to the write-ahead log;
-// retrans marks records that answer a NACK. A batch skipped whole while
-// degraded is one gap.
+// logBatch appends one delivery batch to the write-ahead log: one frame
+// per run of equal sub-windows, each over its sub-slice of the batch, so a
+// boundary writes about one frame per batch, not one per AFR. retrans marks
+// records that answer a NACK. Each frame is one durable write: a failed
+// one is charged to its own sub-window, and one skipped while degraded is
+// one gap.
 func (d *Deployment) logBatch(retrans bool, recs []packet.AFR) {
-	if len(recs) > 0 {
-		d.durableWrite(recs[0].SubWindow, func() error {
-			d.appendGroups(retrans, recs) // charges each failed frame to its own sub-window
-			return nil
-		})
-	}
-}
-
-// appendGroups writes one batch's WAL frames, grouped per controller shard
-// (matching the table partitioning) and per sub-window: a boundary writes
-// about shards × batches frames, not one per AFR. Grouping runs over
-// deployment-held scratch (walKeys/walParts) reused across batches: the
-// group count is tiny (shards × live sub-windows), so a linear key scan
-// beats a per-batch map allocation.
-func (d *Deployment) appendGroups(retrans bool, recs []packet.AFR) {
-	keys, parts := d.walKeys[:0], d.walParts
-	for _, r := range recs {
-		k := walKey{hashing.Shard(r.Key, d.ckptShards), r.SubWindow}
-		gi := slices.Index(keys, k)
-		if gi < 0 {
-			gi = len(keys)
-			keys = append(keys, k)
-			if gi == len(parts) {
-				parts = append(parts, nil)
-			}
+	for i, j := 0, 0; i < len(recs); i = j {
+		sw := recs[i].SubWindow
+		for j = i + 1; j < len(recs) && recs[j].SubWindow == sw; j++ {
 		}
-		parts[gi] = append(parts[gi], r)
-	}
-	d.walKeys, d.walParts = keys, parts
-	for i, k := range keys {
-		var err error
-		if d.degraded {
-			// A mid-batch fault degrades the rest of the batch's
-			// groups too — each skipped frame is one more gap.
-			d.noteDurabilityGap()
-		} else {
-			err = d.store.AppendBatch(k.shard, k.sw, retrans, parts[i])
-		}
-		parts[i] = parts[i][:0]
-		if err != nil {
-			d.durabilityFault(k.sw, err)
-			if d.storeDead {
-				return
-			}
-		}
+		d.durableWrite(sw, func() error { return d.store.AppendBatch(0, sw, retrans, recs[i:j]) })
 	}
 }
 

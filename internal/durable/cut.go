@@ -31,8 +31,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"slices"
-	"strconv"
-	"strings"
 	"time"
 
 	"omniwindow/internal/wire"
@@ -43,19 +41,7 @@ const (
 	cutSuffix = ".snap"
 )
 
-func (s *Store) cutPath(gen uint64) string {
-	return filepath.Join(s.dir, fmt.Sprintf("%s%06d%s", cutPrefix, gen, cutSuffix))
-}
-
-// parseCutName maps a cut file's name (without any quarantine suffix) to
-// its generation.
-func parseCutName(name string) (uint64, bool) {
-	if !strings.HasPrefix(name, cutPrefix) || !strings.HasSuffix(name, cutSuffix) {
-		return 0, false
-	}
-	gen, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, cutPrefix), cutSuffix), 10, 64)
-	return gen, err == nil && gen > 0
-}
+func (s *Store) cutPath(gen uint64) string { return s.genPath(cutPrefix, gen, cutSuffix) }
 
 // CutFrom is the oldest sub-window whose column the next checkpoint must
 // carry: just past the last checkpoint's LastFinished, lower once the
@@ -205,19 +191,17 @@ func (s *Store) dropCutsLocked() {
 	})
 }
 
-// Heal re-enters durable mode after a degraded spell: every chain rotates
-// to a fresh generation and snap (a full cut) is checkpointed, so the
-// post-heal log starts from a clean, fully covered state. On failure the
-// store is unchanged (still usable, still best tried again later).
+// Heal re-enters durable mode after a degraded spell: the log rotates to a
+// fresh generation and snap (a full cut) is checkpointed, so the post-heal
+// log starts from a clean, fully covered state. On failure the store is
+// still usable, and the heal is best tried again later.
 func (s *Store) Heal(snap *wire.Snapshot) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.dead {
 		return s.deadErr
 	}
-	for _, c := range s.chains {
-		s.sealLocked(c)
-	}
+	s.sealLocked()
 	return s.checkpointLocked(snap)
 }
 
@@ -236,7 +220,7 @@ func (s *Store) loadSnapLocked(path string) (snap *wire.Snapshot, readable bool)
 	}
 	snap, err = wire.DecodeSnapshot(buf)
 	if err != nil {
-		s.quarantineLocked(nil, path)
+		s.quarantineLocked(path)
 		return nil, true
 	}
 	return snap, true
@@ -350,7 +334,7 @@ func (s *Store) verifyLocked(path string) (bad bool, err error) {
 		return false, err
 	}
 	if wire.VerifySnapshot(buf) != nil {
-		s.quarantineLocked(nil, path)
+		s.quarantineLocked(path)
 		return true, nil
 	}
 	return false, nil

@@ -51,7 +51,7 @@ func quarantinedFiles(t *testing.T, dir string) []string {
 
 func TestSegmentRotationBySize(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenStore(dir, 1, Options{SegmentBytes: 64})
+	s, err := OpenStore(dir, 0, Options{SegmentBytes: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestSegmentRotationBySize(t *testing.T) {
 	s.Close()
 
 	// Reopen resumes past every segment.
-	s2, err := OpenStore(dir, 1, Options{SegmentBytes: 64})
+	s2, err := OpenStore(dir, 0, Options{SegmentBytes: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestSegmentRotationBySize(t *testing.T) {
 
 func TestSegmentCadenceRotation(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenStore(dir, 1, Options{SegmentBytes: 1 << 20})
+	s, err := OpenStore(dir, 0, Options{SegmentBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestSegmentCadenceRotation(t *testing.T) {
 // continues through the later segments instead of aborting.
 func TestSegmentQuarantineAndLostRange(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenStore(dir, 1, Options{SegmentBytes: 64})
+	s, err := OpenStore(dir, 0, Options{SegmentBytes: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestSegmentQuarantineAndLostRange(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := OpenStore(dir, 1, Options{SegmentBytes: 64})
+	s2, err := OpenStore(dir, 0, Options{SegmentBytes: 64})
 	if err != nil {
 		t.Fatalf("corrupt segment aborted recovery: %v", err)
 	}
@@ -230,11 +230,11 @@ func TestSegmentQuarantineAndLostRange(t *testing.T) {
 }
 
 // The scrubber catches bit rot in the active segment while the data is
-// still redundant in memory: the chain is quarantined and appends move to
+// still redundant in memory: the segment is quarantined and appends move to
 // a fresh generation.
 func TestScrubDetectsBitRot(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenStore(dir, 1, Options{SegmentBytes: 1 << 20})
+	s, err := OpenStore(dir, 0, Options{SegmentBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestScrubDetectsBitRot(t *testing.T) {
 // frames is still caught while the live state covers it.
 func TestScrubVerifiesWholeActiveSegment(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenStore(dir, 1, Options{SegmentBytes: 1 << 20})
+	s, err := OpenStore(dir, 0, Options{SegmentBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,7 +336,7 @@ func TestAppendRetriesTransientFaults(t *testing.T) {
 	dir := t.TempDir()
 	sched := &faults.DiskSchedule{Seed: 21, WriteEIO: 0.2, ShortWrite: 0.1}
 	fs := NewFaultFS(OSFS{}, sched)
-	s, err := OpenStore(dir, 1, Options{FS: fs, SegmentBytes: 256, RetryLimit: 8})
+	s, err := OpenStore(dir, 0, Options{FS: fs, SegmentBytes: 256, RetryLimit: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +376,7 @@ func TestENOSPCFailsFast(t *testing.T) {
 	dir := t.TempDir()
 	sched := &faults.DiskSchedule{Seed: 1, ENOSPC: faults.Fault{Prob: 1}}
 	fs := NewFaultFS(OSFS{}, sched)
-	s, err := OpenStore(dir, 1, Options{FS: fs})
+	s, err := OpenStore(dir, 0, Options{FS: fs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +398,7 @@ func TestENOSPCFailsFast(t *testing.T) {
 
 func TestStoreHealRotatesAndCheckpoints(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenStore(dir, 1, Options{SegmentBytes: 64})
+	s, err := OpenStore(dir, 0, Options{SegmentBytes: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +439,7 @@ func TestStoreHealRotatesAndCheckpoints(t *testing.T) {
 // and closers (run with -race).
 func TestStoreDieRaceHammer(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenStore(dir, 2, Options{SegmentBytes: 1 << 20})
+	s, err := OpenStore(dir, 0, Options{SegmentBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,7 +457,7 @@ func TestStoreDieRaceHammer(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 30; i++ {
-				errs[g][i] = s.AppendBatch(g%2, uint64(i), false, []packet.AFR{{Key: key(i), Attr: 1}})
+				errs[g][i] = s.AppendBatch(0, uint64(i), false, []packet.AFR{{Key: key(i), Attr: 1}})
 			}
 		}()
 	}
@@ -500,7 +500,7 @@ func TestWALAppendZeroAlloc(t *testing.T) {
 		t.Skip("race instrumentation allocates")
 	}
 	dir := t.TempDir()
-	s, err := OpenStore(dir, 1, Options{SegmentBytes: 1 << 30})
+	s, err := OpenStore(dir, 0, Options{SegmentBytes: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -533,7 +533,7 @@ func TestWALAppendRotatingZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	s, err := OpenStore(t.TempDir(), 1, Options{SegmentBytes: 16 << 10})
+	s, err := OpenStore(t.TempDir(), 0, Options{SegmentBytes: 16 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -569,7 +569,7 @@ func TestScrubAllocsFlatInCheckpointSize(t *testing.T) {
 		t.Skip("race instrumentation allocates")
 	}
 	scrubAllocs := func(columns int) float64 {
-		s, err := OpenStore(t.TempDir(), 1, Options{})
+		s, err := OpenStore(t.TempDir(), 0, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -600,7 +600,7 @@ func TestFencedAppendZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
-	s, err := OpenStore(t.TempDir(), 1, Options{})
+	s, err := OpenStore(t.TempDir(), 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -116,7 +116,7 @@ func TestStoreShape(t *testing.T) {
 // by checkpointing, not by scrubbing and not by recovering.
 func TestCutFencing(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenStore(dir, 1, Options{})
+	s, err := OpenStore(dir, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func cutFiles(t *testing.T, dir string) []string {
 	}
 	var out []string
 	for _, e := range entries {
-		if _, ok := parseCutName(e.Name()); ok {
+		if _, ok := parseGen(e.Name(), cutPrefix, cutSuffix); ok {
 			out = append(out, e.Name())
 		}
 	}

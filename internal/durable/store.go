@@ -1,8 +1,8 @@
 // Package durable is the controller's persistence layer: a checkpoint
 // holding the complete restorable controller state at a sub-window
-// boundary, plus per-shard write-ahead logs of everything ingested since,
-// so a crashed controller (or a promoted standby) replays back to the
-// exact pre-crash state. A checkpoint is a manifest plus the cut files it
+// boundary, plus a write-ahead log of everything ingested since, so a
+// crashed controller (or a promoted standby) replays back to the exact
+// pre-crash state. A checkpoint is a manifest plus the cut files it
 // names, each cut holding the columns finished since the checkpoint
 // before it (cut.go).
 //
@@ -10,26 +10,27 @@
 //
 //	checkpoint.snap       manifest: the commit point (wire.EncodeSnapshot; temp+rename)
 //	cut-GGGGGG.snap       cut files: table columns (generation G)
-//	wal-NNN-GGGGGG.log    per-shard AFR-batch segments (chain NNN, generation G)
-//	wal-ctl-GGGGGG.log    control-chain segments: triggers, finishes, sheds
+//	wal-GGGGGG.log        log segments (generation G): AFR batches, triggers, finishes, sheds
 //	*.quarantined         segments, cut files or a manifest set aside as damaged
 //
 // Nothing is fsynced: "durable" means the state survives the process
-// dying, not the machine losing power.
+// dying, not the machine losing power. Nothing in the layout depends on
+// the controller's shard count, so a restart may change it.
 //
-// Each chain's log is a sequence of generation-numbered segments, every
-// segment opening with a wire.SegmentHeader naming its chain and
-// generation. Segments rotate on a size cap and on a sub-window cadence,
-// which bounds the blast radius of any single damaged file. A checkpoint
-// supersedes and deletes every live segment; post-checkpoint appends open
-// fresh generations.
+// The log is one append stream: a sequence of generation-numbered
+// segments, each opening with a wire.SegmentHeader naming its generation
+// and the term of the writer that opened it. Segments rotate on a size cap
+// and on a sub-window cadence, which bounds the blast radius of any single
+// damaged file. A checkpoint supersedes and deletes every live segment;
+// post-checkpoint appends open a fresh generation.
 //
-// Every appended frame carries a global log sequence number (LSN) from one
-// atomic counter, so replay merges the per-chain segments back into one
-// total order. A checkpoint records the LSN high-water mark it covers
-// (ThroughLSN); replay skips frames at or below it, which makes a crash
-// between the checkpoint rename and the segment deletion harmless — the
-// stale frames are recognized and ignored, never double-applied.
+// Every appended frame carries a log sequence number (LSN), issued under
+// the store's lock in append order, so the segments read in generation
+// order are the log in LSN order. A checkpoint records the LSN high-water
+// mark it covers (ThroughLSN); replay skips frames at or below it, which
+// makes a crash between the checkpoint rename and the segment deletion
+// harmless — the stale frames are recognized and ignored, never
+// double-applied.
 //
 // The storage failure doctrine: a torn tail (the partial frame a crash or
 // a survived short write leaves at the end of a segment) ends that
@@ -51,7 +52,6 @@ import (
 	iofs "io/fs"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -77,10 +77,12 @@ const (
 	checkpointName   = "checkpoint.snap"
 	checkpointTemp   = "checkpoint.snap.tmp"
 	quarantineSuffix = ".quarantined"
+	segPrefix        = "wal-"
+	segSuffix        = ".log"
 
 	// segBoundaryCadence seals a non-empty active segment after this many
 	// sub-window boundaries even if the size cap hasn't been reached, so
-	// slow shards still rotate and a damaged file stays small in time as
+	// a quiet log still rotates and a damaged file stays small in time as
 	// well as in bytes.
 	segBoundaryCadence = 8
 
@@ -119,26 +121,10 @@ type LostLSNRange struct {
 	SWLow, SWHigh uint64 // inclusive sub-window bounds possibly damaged
 }
 
-// chain is one append stream (a shard's AFR log, or the control log) and
-// its active segment.
-type chain struct {
-	id   uint32 // wire chain id: shard index, or wire.CtlChain
-	name string // filename component: "000", "001", ..., or "ctl"
-
-	gen    uint64 // highest generation ever seen or opened
-	f      File   // active segment handle; nil when none is open
-	path   string
-	size   int64    // bytes in the active segment: header plus whole frames
-	frames int      // frames written to the active segment
-	opened uint64   // boundary counter value when the active segment opened
-	segs   []string // live (non-quarantined, non-deleted) segment paths
-}
-
 // Store manages one controller's checkpoint and write-ahead log segments.
 type Store struct {
-	dir    string
-	shards int
-	fsys   FS
+	dir  string
+	fsys FS
 
 	segBytes   int64
 	retryLimit int
@@ -146,13 +132,22 @@ type Store struct {
 	lsn atomic.Uint64 // last issued LSN
 
 	mu       sync.Mutex
-	chains   []*chain // shards AFR chains, then the control chain
-	boundary uint64   // SealBoundary call counter
+	boundary uint64 // SealBoundary call counter
 	dead     bool
 	deadErr  error
 	enc      []byte // frame/snapshot encode scratch, reused under mu
 	hdr      []byte // segment-header encode scratch (enc may hold a frame)
 	lost     []LostLSNRange
+
+	// The log: segs lists the live (non-quarantined, non-deleted) segment
+	// paths in generation order; while f is open, path is the active one.
+	gen    uint64 // highest segment generation ever seen or opened
+	f      File   // active segment handle; nil when none is open
+	path   string
+	size   int64  // bytes in the active segment: header plus whole frames
+	frames int    // frames written to the active segment
+	opened uint64 // boundary counter value when the active segment opened
+	segs   []string
 
 	// Checkpoint cuts (cut.go): live is the committed manifest's live
 	// list, cuts the generation of every cut file on disk, cutGen the
@@ -197,16 +192,14 @@ type Store struct {
 	ckptBytes   *obs.Counter
 }
 
-// OpenStore creates (or reopens) a store with the given shard count; the
-// zero Options are the defaults. Reopening an existing directory resumes
-// the LSN counter past every frame already on disk.
-func OpenStore(dir string, shards int, opt Options) (*Store, error) {
-	if shards <= 0 {
-		return nil, fmt.Errorf("durable: shard count must be positive, got %d", shards)
-	}
+// OpenStore creates (or reopens) the store in dir; the zero Options are the
+// defaults. The second argument is ignored: it once gave the controller's
+// shard count, which the on-disk layout no longer depends on. Reopening an
+// existing directory resumes the LSN counter past every frame already on
+// disk.
+func OpenStore(dir string, _ int, opt Options) (*Store, error) {
 	s := &Store{
 		dir:        dir,
-		shards:     shards,
 		fsys:       opt.FS,
 		segBytes:   int64(opt.SegmentBytes),
 		retryLimit: opt.RetryLimit,
@@ -227,11 +220,6 @@ func OpenStore(dir string, shards int, opt Options) (*Store, error) {
 	if err := s.fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("durable: %w", err)
 	}
-	for i := 0; i < shards; i++ {
-		s.chains = append(s.chains, &chain{id: uint32(i), name: fmt.Sprintf("%03d", i)})
-	}
-	s.chains = append(s.chains, &chain{id: wire.CtlChain, name: "ctl"})
-
 	if err := s.scanDir(); err != nil {
 		return nil, err
 	}
@@ -247,80 +235,52 @@ func OpenStore(dir string, shards int, opt Options) (*Store, error) {
 	return s, nil
 }
 
-func (s *Store) segPath(c *chain, gen uint64) string {
-	return filepath.Join(s.dir, fmt.Sprintf("wal-%s-%06d.log", c.name, gen))
+// genPath names the file of generation gen: prefix, the generation in six
+// or more digits, suffix.
+func (s *Store) genPath(prefix string, gen uint64, suffix string) string {
+	return filepath.Join(s.dir, fmt.Sprintf("%s%06d%s", prefix, gen, suffix))
 }
 
-// parseSegName maps a segment filename (without any quarantine suffix) to
-// its chain index and generation. The legacy single-file names
-// ("wal-000.log", "wal.ctl") don't parse and are simply ignored.
-func (s *Store) parseSegName(name string) (ci int, gen uint64, ok bool) {
-	if !strings.HasPrefix(name, "wal-") || !strings.HasSuffix(name, ".log") {
-		return 0, 0, false
+// parseGen maps a file name (without any quarantine suffix) to the
+// generation genPath put in it. Names of any other shape, such as the
+// per-shard segments older releases wrote ("wal-000-000001.log"), don't
+// parse and are ignored.
+func parseGen(name, prefix, suffix string) (uint64, bool) {
+	if !strings.HasPrefix(name, prefix) || !strings.HasSuffix(name, suffix) {
+		return 0, false
 	}
-	mid := strings.TrimSuffix(strings.TrimPrefix(name, "wal-"), ".log")
-	i := strings.LastIndexByte(mid, '-')
-	if i < 0 {
-		return 0, 0, false
-	}
-	gen, err := strconv.ParseUint(mid[i+1:], 10, 64)
-	if err != nil {
-		return 0, 0, false
-	}
-	if mid[:i] == "ctl" {
-		return s.shards, gen, true
-	}
-	n, err := strconv.Atoi(mid[:i])
-	if err != nil || n < 0 || n >= s.shards {
-		return 0, 0, false
-	}
-	return n, gen, true
+	gen, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, prefix), suffix), 10, 64)
+	return gen, err == nil && gen > 0
 }
 
-// scanDir enumerates existing segments into each chain (sorted by
-// generation) and the cut files, and advances the generation counters past
-// every file seen, quarantined ones included, so new files never collide
-// with old names.
+// scanDir lists the live segments and cut files in generation order and
+// advances both generation counters past every file seen, quarantined ones
+// included, so new files never collide with old names.
 func (s *Store) scanDir() error {
 	entries, err := s.fsys.ReadDir(s.dir)
 	if err != nil {
 		return fmt.Errorf("durable: %w", err)
 	}
-	type seg struct {
-		gen  uint64
-		path string
-	}
-	found := make([][]seg, len(s.chains))
+	var segs []uint64
 	for _, e := range entries {
-		name := e.Name()
-		if gen, ok := parseCutName(strings.TrimSuffix(name, quarantineSuffix)); ok {
+		name := strings.TrimSuffix(e.Name(), quarantineSuffix)
+		live := name == e.Name()
+		if gen, ok := parseGen(name, cutPrefix, cutSuffix); ok {
 			s.cutGen = max(s.cutGen, gen)
-			if !strings.HasSuffix(name, quarantineSuffix) {
+			if live {
 				s.cuts = append(s.cuts, gen)
 			}
-			continue
-		}
-		if strings.HasSuffix(name, quarantineSuffix) {
-			if ci, gen, ok := s.parseSegName(strings.TrimSuffix(name, quarantineSuffix)); ok && gen > s.chains[ci].gen {
-				s.chains[ci].gen = gen
+		} else if gen, ok := parseGen(name, segPrefix, segSuffix); ok {
+			s.gen = max(s.gen, gen)
+			if live {
+				segs = append(segs, gen)
 			}
-			continue
-		}
-		ci, gen, ok := s.parseSegName(name)
-		if !ok {
-			continue
-		}
-		found[ci] = append(found[ci], seg{gen, filepath.Join(s.dir, name)})
-		if gen > s.chains[ci].gen {
-			s.chains[ci].gen = gen
 		}
 	}
 	slices.Sort(s.cuts)
-	for ci, segs := range found {
-		sort.Slice(segs, func(i, j int) bool { return segs[i].gen < segs[j].gen })
-		for _, sg := range segs {
-			s.chains[ci].segs = append(s.chains[ci].segs, sg.path)
-		}
+	slices.Sort(segs)
+	for _, gen := range segs {
+		s.segs = append(s.segs, s.genPath(segPrefix, gen, segSuffix))
 	}
 	return nil
 }
@@ -343,7 +303,7 @@ func (s *Store) Instrument(reg *obs.Registry, labels string) {
 	reg.CounterFunc(n("omniwindow_durable_wal_errors_total"), "write-ahead log append attempts that failed (before any retry succeeded)", s.walErrs.Load)
 	reg.CounterFunc(n("omniwindow_durable_rotations_total"), "WAL segments sealed (size cap, cadence, retry rotation, or checkpoint)", s.rotations.Load)
 	reg.CounterFunc(n("omniwindow_durable_quarantined_segments_total"), "damaged segments, cut files or manifests set aside during recovery or scrubbing", s.quarantines.Load)
-	reg.CounterFunc(n("omniwindow_durable_scrub_errors_total"), "scrub passes that could not verify a chain (read failures)", s.scrubErrs.Load)
+	reg.CounterFunc(n("omniwindow_durable_scrub_errors_total"), "scrub passes that could not verify a file (read failures)", s.scrubErrs.Load)
 	reg.CounterFunc(n("omniwindow_durable_fenced_writes_total"), "mutating operations rejected because the writer's fencing term was stale", s.fenced.Load)
 }
 
@@ -393,7 +353,7 @@ func (s *Store) TakeIOWait() int64 {
 }
 
 // markDeadLocked transitions the store to its terminal state exactly
-// once: the first cause wins, every open handle is closed, and all later
+// once: the first cause wins, the active segment is closed, and all later
 // operations return the same stable wrapped error.
 func (s *Store) markDeadLocked(err error) {
 	if s.dead {
@@ -401,15 +361,13 @@ func (s *Store) markDeadLocked(err error) {
 	}
 	s.dead = true
 	s.deadErr = err
-	for _, c := range s.chains {
-		if c.f != nil {
-			c.f.Close()
-			c.f = nil
-		}
+	if s.f != nil {
+		s.f.Close()
+		s.f = nil
 	}
 }
 
-// Close flushes and closes every open segment. Idempotent; operations
+// Close flushes and closes the active segment. Idempotent; operations
 // after Close return an error wrapping ErrClosed.
 func (s *Store) Close() error {
 	s.mu.Lock()
@@ -488,69 +446,68 @@ func (s *Store) remove(path string) error {
 // sealLocked closes the active segment; the next append opens a fresh
 // generation. The sealed file is final: replay reads it until its last
 // good frame.
-func (s *Store) sealLocked(c *chain) {
-	if c.f == nil {
+func (s *Store) sealLocked() {
+	if s.f == nil {
 		return
 	}
-	c.f.Close()
-	c.f = nil
-	c.frames = 0
+	s.f.Close()
+	s.f = nil
+	s.frames = 0
 	s.rotations.Add(1)
 }
 
-// openSegmentLocked opens the chain's next-generation segment and writes
-// its header. On failure the chain stays closed (c.f nil) and the caller
-// decides whether to retry.
-func (s *Store) openSegmentLocked(c *chain) error {
-	gen := c.gen + 1
-	path := s.segPath(c, gen)
+// openSegmentLocked opens the log's next-generation segment and writes its
+// header. On failure the log stays closed (s.f nil) and the caller decides
+// whether to retry.
+func (s *Store) openSegmentLocked() error {
+	gen := s.gen + 1
+	path := s.genPath(segPrefix, gen, segSuffix)
 	f, err := s.fsys.Create(path)
 	if err != nil {
 		return err
 	}
-	s.hdr = wire.AppendSegmentHeader(s.hdr[:0], &wire.SegmentHeader{Chain: c.id, Gen: gen, Term: s.writerTerm})
+	s.hdr = wire.AppendSegmentHeader(s.hdr[:0], &wire.SegmentHeader{Gen: gen, Term: s.writerTerm})
 	if n, werr := f.Write(s.hdr); werr != nil || n != len(s.hdr) {
 		f.Close()
 		s.remove(path)
-		c.gen = gen // never reuse the name, even on failure
+		s.gen = gen // never reuse the name, even on failure
 		if werr == nil {
 			werr = io.ErrShortWrite
 		}
 		return werr
 	}
-	c.gen, c.f, c.path = gen, f, path
-	c.size = int64(len(s.hdr))
-	c.frames = 0
-	c.opened = s.boundary
-	c.segs = append(c.segs, path)
+	s.gen, s.f, s.path = gen, f, path
+	s.size = int64(len(s.hdr))
+	s.frames = 0
+	s.opened = s.boundary
+	s.segs = append(s.segs, path)
 	return nil
 }
 
-// writeFrameLocked lands one frame on the chain's active segment, opening
-// one lazily and retrying transient faults with backoff. Every failed
-// attempt seals the segment first, so the torn bytes a short write may
-// have left become a benign torn tail and the retried frame starts a
-// fresh file. ENOSPC is persistent by definition and short-circuits the
-// retries.
-func (s *Store) writeFrameLocked(c *chain, frame []byte) error {
+// writeFrameLocked lands one frame on the active segment, opening one
+// lazily and retrying transient faults with backoff. Every failed attempt
+// seals the segment first, so the torn bytes a short write may have left
+// become a benign torn tail and the retried frame starts a fresh file.
+// ENOSPC is persistent by definition and short-circuits the retries.
+func (s *Store) writeFrameLocked(frame []byte) error {
 	err := s.retry(isFull, func() error {
-		if c.f == nil {
-			if err := s.openSegmentLocked(c); err != nil {
+		if s.f == nil {
+			if err := s.openSegmentLocked(); err != nil {
 				s.walErrs.Add(1)
 				return err
 			}
 		}
-		n, err := c.f.Write(frame)
+		n, err := s.f.Write(frame)
 		if err == nil && n == len(frame) {
-			c.size += int64(n)
-			c.frames++
+			s.size += int64(n)
+			s.frames++
 			return nil
 		}
 		if err == nil {
 			err = io.ErrShortWrite
 		}
 		s.walErrs.Add(1)
-		s.sealLocked(c)
+		s.sealLocked()
 		return err
 	})
 	if err != nil {
@@ -559,8 +516,9 @@ func (s *Store) writeFrameLocked(c *chain, frame []byte) error {
 	return nil
 }
 
-// append writes one framed record to the chain at index ci.
-func (s *Store) append(ci int, rec *wire.WALRecord) error {
+// append issues rec the next LSN and writes it as one frame. The LSN is
+// issued under mu, so frames land in LSN order.
+func (s *Store) append(rec *wire.WALRecord) error {
 	start := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -571,24 +529,23 @@ func (s *Store) append(ci int, rec *wire.WALRecord) error {
 		s.fenced.Add(1)
 		return ErrFenced
 	}
-	rec.Term = s.writerTerm
-	c := s.chains[ci]
+	rec.LSN, rec.Term = s.lsn.Add(1), s.writerTerm
 	// Encode into the store's scratch buffer: one steady-state allocation
 	// for the life of the store instead of one per append. Safe because
 	// the frame is fully written (or abandoned) before mu is released.
 	s.enc = wire.AppendWALRecord(s.enc[:0], rec)
 	frame := s.enc
 	if s.crash != nil && s.crash("wal-append") {
-		if c.f == nil {
-			s.openSegmentLocked(c) // best effort, so the tear lands somewhere
+		if s.f == nil {
+			s.openSegmentLocked() // best effort, so the tear lands somewhere
 		}
-		return s.die(c.f, frame, "wal-append")
+		return s.die(s.f, frame, "wal-append")
 	}
-	if err := s.writeFrameLocked(c, frame); err != nil {
+	if err := s.writeFrameLocked(frame); err != nil {
 		return err
 	}
-	if c.size >= s.segBytes {
-		s.sealLocked(c)
+	if s.size >= s.segBytes {
+		s.sealLocked()
 	}
 	s.appends.Inc()
 	s.walBytes.Add(int64(len(frame)))
@@ -596,9 +553,9 @@ func (s *Store) append(ci int, rec *wire.WALRecord) error {
 	return nil
 }
 
-// SealBoundary notes a sub-window boundary: active segments that have
-// carried frames for segBoundaryCadence boundaries are sealed, so
-// rotation happens on a time cadence even when the size cap is far away.
+// SealBoundary notes a sub-window boundary: an active segment that has
+// carried frames for segBoundaryCadence boundaries is sealed, so rotation
+// happens on a time cadence even when the size cap is far away.
 func (s *Store) SealBoundary() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -606,47 +563,35 @@ func (s *Store) SealBoundary() {
 		return
 	}
 	s.boundary++
-	for _, c := range s.chains {
-		if c.f != nil && c.frames > 0 && s.boundary-c.opened >= segBoundaryCadence {
-			s.sealLocked(c)
-		}
+	if s.f != nil && s.frames > 0 && s.boundary-s.opened >= segBoundaryCadence {
+		s.sealLocked()
 	}
 }
 
-// AppendBatch logs one ingested AFR batch to a shard's chain. retrans
-// marks batches that arrived via the NACK/retransmit path, so replayed
-// delivery accounting matches the original run's.
-func (s *Store) AppendBatch(shard int, sw uint64, retrans bool, afrs []packet.AFR) error {
-	if shard < 0 || shard >= s.shards {
-		return fmt.Errorf("durable: shard %d out of range [0,%d)", shard, s.shards)
-	}
-	return s.append(shard, &wire.WALRecord{
-		Type: wire.WALAFRBatch, LSN: s.lsn.Add(1), SubWindow: sw, Retrans: retrans, AFRs: afrs,
-	})
+// AppendBatch logs one ingested AFR batch of sub-window sw. The first
+// argument is ignored: it once named the controller shard whose log the
+// batch went to. retrans marks batches that arrived via the NACK/retransmit
+// path, so replayed delivery accounting matches the original run's.
+func (s *Store) AppendBatch(_ int, sw uint64, retrans bool, afrs []packet.AFR) error {
+	return s.append(&wire.WALRecord{Type: wire.WALAFRBatch, SubWindow: sw, Retrans: retrans, AFRs: afrs})
 }
 
 // AppendTrigger logs a sub-window's trigger announcement.
 func (s *Store) AppendTrigger(sw uint64, keyCount uint32) error {
-	return s.append(s.shards, &wire.WALRecord{
-		Type: wire.WALTrigger, LSN: s.lsn.Add(1), SubWindow: sw, KeyCount: keyCount,
-	})
+	return s.append(&wire.WALRecord{Type: wire.WALTrigger, SubWindow: sw, KeyCount: keyCount})
 }
 
 // AppendFinish logs a FinishSubWindow call, so replay re-runs the window
 // assembly (and its evictions) at exactly the same point in the ingest
 // order.
 func (s *Store) AppendFinish(sw uint64) error {
-	return s.append(s.shards, &wire.WALRecord{
-		Type: wire.WALFinish, LSN: s.lsn.Add(1), SubWindow: sw,
-	})
+	return s.append(&wire.WALRecord{Type: wire.WALFinish, SubWindow: sw})
 }
 
 // AppendShed logs records dropped by admission control, so restored
 // ShedAFRs/Degraded accounting matches the pre-crash state.
 func (s *Store) AppendShed(sw uint64, n uint32) error {
-	return s.append(s.shards, &wire.WALRecord{
-		Type: wire.WALShed, LSN: s.lsn.Add(1), SubWindow: sw, Count: n,
-	})
+	return s.append(&wire.WALRecord{Type: wire.WALShed, SubWindow: sw, Count: n})
 }
 
 // truncateLocked deletes the segments a committed checkpoint covers. A
@@ -654,48 +599,38 @@ func (s *Store) AppendShed(sw uint64, n uint32) error {
 // behind, which replay recognizes by LSN and skips — so deletion failures
 // are tolerable, not fatal.
 func (s *Store) truncateLocked() {
-	for _, c := range s.chains {
-		s.sealLocked(c)
-		kept := c.segs[:0]
-		for _, path := range c.segs {
-			if err := s.remove(path); err != nil {
-				kept = append(kept, path)
-			}
-		}
-		c.segs = kept
-	}
+	s.sealLocked()
+	s.segs = slices.DeleteFunc(s.segs, func(path string) bool { return s.remove(path) == nil })
 }
 
-// quarantineLocked sets a damaged file aside and drops it from the chain's
-// live list. If it is the chain's active segment, the handle closes first.
-// A failed rename leaves the file in place — it will be re-detected (and
+// quarantineLocked sets a damaged file aside and drops it from the live
+// segment list. If it is the active segment, the handle closes first. A
+// failed rename leaves the file in place — it will be re-detected (and
 // re-quarantined) by the next pass.
-func (s *Store) quarantineLocked(c *chain, path string) {
-	if c != nil {
-		if c.f != nil && path == c.path {
-			c.f.Close()
-			c.f = nil
-			c.frames = 0
-		}
-		c.segs = slices.DeleteFunc(c.segs, func(p string) bool { return p == path })
+func (s *Store) quarantineLocked(path string) {
+	if s.f != nil && path == s.path {
+		s.f.Close()
+		s.f = nil
+		s.frames = 0
 	}
+	s.segs = slices.DeleteFunc(s.segs, func(p string) bool { return p == path })
 	s.quarantines.Add(1)
 	s.rename(path, path+quarantineSuffix)
 }
 
 // replaySegmentLocked decodes every trustworthy frame of one segment.
 // keep=false means the file was discarded (quarantined, or an empty
-// creation artifact) and must leave the chain's live list. A torn tail —
-// in any segment, since retry rotation seals tears mid-chain — ends the
-// replay at the last good frame and is not damage; an undecodable header,
-// a CRC-failed frame, or an unreadable file is.
-func (s *Store) replaySegmentLocked(c *chain, path string) (recs []*wire.WALRecord, keep bool) {
+// creation artifact) and must leave the live list. A torn tail — in any
+// segment, since retry rotation seals tears mid-log — ends the replay at
+// the last good frame and is not damage; an undecodable header, a
+// CRC-failed frame, or an unreadable file is.
+func (s *Store) replaySegmentLocked(path string) (recs []*wire.WALRecord, keep bool) {
 	buf, err := s.readFile(path)
 	if err != nil {
 		if isMissing(err) {
 			return nil, false
 		}
-		s.quarantineLocked(c, path)
+		s.quarantineLocked(path)
 		return nil, false
 	}
 	hdr, err := wire.DecodeSegmentHeader(buf)
@@ -706,11 +641,7 @@ func (s *Store) replaySegmentLocked(c *chain, path string) (recs []*wire.WALReco
 			s.remove(path)
 			return nil, false
 		}
-		s.quarantineLocked(c, path)
-		return nil, false
-	}
-	if hdr.Chain != c.id {
-		s.quarantineLocked(c, path)
+		s.quarantineLocked(path)
 		return nil, false
 	}
 	if hdr.Term > s.segTermHigh {
@@ -724,7 +655,7 @@ func (s *Store) replaySegmentLocked(c *chain, path string) (recs []*wire.WALReco
 				// trusted (the rot may not be where the CRC caught it),
 				// so its frames are dropped wholesale; the LSNs that
 				// vanish with it surface as LostLSNRange gaps.
-				s.quarantineLocked(c, path)
+				s.quarantineLocked(path)
 				return nil, false
 			}
 			break // torn tail: keep the prefix
@@ -735,43 +666,35 @@ func (s *Store) replaySegmentLocked(c *chain, path string) (recs []*wire.WALReco
 	return recs, true
 }
 
-// recoverLocked replays every live segment, quarantining damage, and
-// rebuilds the store's view: LSN high-water mark, live segment lists, and
-// the LostLSNRange gaps. Returns the checkpoint (nil if none survives)
-// and the LSN-ordered frames it does not cover.
+// recoverLocked replays every live segment in generation order, which is
+// LSN order, quarantining damage, and rebuilds the store's view: LSN
+// high-water mark, live segment list, and the LostLSNRange gaps. Returns
+// the checkpoint (nil if none survives) and the frames it does not cover.
 func (s *Store) recoverLocked() (*wire.Snapshot, []*wire.WALRecord) {
 	s.lost = s.lost[:0]
 	snap := s.loadCheckpointLocked()
-	var all []*wire.WALRecord
-	for _, c := range s.chains {
-		live := append([]string(nil), c.segs...)
-		c.segs = c.segs[:0]
-		for _, path := range live {
-			recs, keep := s.replaySegmentLocked(c, path)
-			if keep {
-				c.segs = append(c.segs, path)
-			}
-			all = append(all, recs...)
-		}
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].LSN < all[j].LSN })
-
 	through := uint64(0)
 	if snap != nil {
 		through = snap.ThroughLSN
 	}
-	max := through
-	recs := all[:0]
-	for _, r := range all {
-		if r.LSN > max {
-			max = r.LSN
+	high := through
+	var recs []*wire.WALRecord
+	live := slices.Clone(s.segs)
+	s.segs = s.segs[:0]
+	for _, path := range live {
+		seg, keep := s.replaySegmentLocked(path)
+		if keep {
+			s.segs = append(s.segs, path)
 		}
-		if r.LSN > through {
-			recs = append(recs, r)
+		for _, r := range seg {
+			high = max(high, r.LSN)
+			if r.LSN > through {
+				recs = append(recs, r)
+			}
 		}
 	}
-	if max > s.lsn.Load() {
-		s.lsn.Store(max)
+	if high > s.lsn.Load() {
+		s.lsn.Store(high)
 	}
 
 	// LSN holes in the surviving sequence are the quarantined frames; the
@@ -797,10 +720,9 @@ func (s *Store) recoverLocked() (*wire.Snapshot, []*wire.WALRecord) {
 }
 
 // Recover loads the latest checkpoint (nil when none survives) with the
-// columns of its cut files, plus the WAL frames it does not cover,
-// merged into one LSN-ordered replay sequence. Damaged files are
-// quarantined rather than failing the recovery; the LSNs and cut files
-// they took with them are reported by Lost.
+// columns of its cut files, plus the WAL frames it does not cover, in LSN
+// order. Damaged files are quarantined rather than failing the recovery;
+// the LSNs and cut files they took with them are reported by Lost.
 func (s *Store) Recover() (*wire.Snapshot, []*wire.WALRecord, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -811,8 +733,8 @@ func (s *Store) Recover() (*wire.Snapshot, []*wire.WALRecord, error) {
 	return snap, recs, nil
 }
 
-// Scrub re-reads each chain's active segment and CRC-verifies every frame
-// in it, then checks the seals of the manifest and of one cut file
+// Scrub re-reads the active segment and CRC-verifies every frame in it,
+// then checks the seals of the manifest and of one cut file
 // (scrubCheckpointLocked), catching bit rot while the data is still
 // redundant in memory (the caller cuts a fresh checkpoint on damage). A
 // corrupt file is quarantined and reported in the first return; files
@@ -826,23 +748,19 @@ func (s *Store) Scrub() (corrupt int, err error) {
 		return 0, nil
 	}
 	// A fenced writer must not quarantine files the new term-holder is
-	// writing: its view of the chains is stale.
+	// writing: its view of the log is stale.
 	if s.writerTerm != s.curTerm {
 		return 0, ErrFenced
 	}
-	for _, c := range s.chains {
-		if c.f == nil || c.frames == 0 {
-			continue
-		}
-		buf, rerr := s.readFile(c.path)
-		if rerr != nil {
+	if s.f != nil && s.frames > 0 {
+		buf, rerr := s.readFile(s.path)
+		switch {
+		case rerr != nil:
 			s.scrubErrs.Add(1)
 			err = rerr
-			continue
-		}
-		if !framesIntact(buf, c.size) {
+		case !framesIntact(buf, s.size):
 			corrupt++
-			s.quarantineLocked(c, c.path)
+			s.quarantineLocked(s.path)
 		}
 	}
 	n, cerr := s.scrubCheckpointLocked()

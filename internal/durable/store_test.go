@@ -18,7 +18,7 @@ func key(i int) packet.FlowKey {
 
 func TestStoreAppendAndRecover(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenStore(dir, 2, Options{})
+	s, err := OpenStore(dir, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestStoreAppendAndRecover(t *testing.T) {
 	if err := s.AppendBatch(0, 0, false, []packet.AFR{{Key: key(1), Attr: 5, Seq: 0}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AppendBatch(1, 0, true, []packet.AFR{{Key: key(2), Attr: 7, Seq: 1}}); err != nil {
+	if err := s.AppendBatch(0, 0, true, []packet.AFR{{Key: key(2), Attr: 7, Seq: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.AppendFinish(0); err != nil {
@@ -48,8 +48,8 @@ func TestStoreAppendAndRecover(t *testing.T) {
 	if len(recs) != 5 {
 		t.Fatalf("got %d records, want 5", len(recs))
 	}
-	// Per-shard logs plus the control log must merge back into issue
-	// order: LSNs strictly ascending from 1.
+	// Batches, triggers, finishes and sheds share one log and replay in
+	// issue order: LSNs strictly ascending from 1.
 	wantTypes := []byte{wire.WALTrigger, wire.WALAFRBatch, wire.WALAFRBatch, wire.WALFinish, wire.WALShed}
 	for i, r := range recs {
 		if r.LSN != uint64(i+1) {
@@ -65,7 +65,7 @@ func TestStoreAppendAndRecover(t *testing.T) {
 	s.Close()
 
 	// Reopen: the LSN counter must resume past everything on disk.
-	s2, err := OpenStore(dir, 2, Options{})
+	s2, err := OpenStore(dir, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestStoreAppendAndRecover(t *testing.T) {
 
 func TestStoreCheckpointTruncatesAndFilters(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenStore(dir, 1, Options{})
+	s, err := OpenStore(dir, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestStoreCheckpointTruncatesAndFilters(t *testing.T) {
 func TestStoreCrashPoints(t *testing.T) {
 	t.Run("wal-append", func(t *testing.T) {
 		dir := t.TempDir()
-		s, _ := OpenStore(dir, 1, Options{})
+		s, _ := OpenStore(dir, 0, Options{})
 		if err := s.AppendTrigger(0, 2); err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func TestStoreCrashPoints(t *testing.T) {
 		if second := s.AppendFinish(0); !errors.Is(second, ErrCrash) || second.Error() != first.Error() {
 			t.Fatalf("post-crash append: %v, want stable %v", second, first)
 		}
-		s2, err := OpenStore(dir, 1, Options{})
+		s2, err := OpenStore(dir, 0, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -172,13 +172,13 @@ func TestStoreCrashPoints(t *testing.T) {
 
 	t.Run("checkpoint-temp", func(t *testing.T) {
 		dir := t.TempDir()
-		s, _ := OpenStore(dir, 1, Options{})
+		s, _ := OpenStore(dir, 0, Options{})
 		s.AppendTrigger(0, 2)
 		s.SetCrash(func(p string) bool { return p == "checkpoint-temp" })
 		if err := s.Checkpoint(&wire.Snapshot{}); !errors.Is(err, ErrCrash) {
 			t.Fatalf("err = %v, want ErrCrash", err)
 		}
-		s2, err := OpenStore(dir, 1, Options{})
+		s2, err := OpenStore(dir, 0, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,13 +197,13 @@ func TestStoreCrashPoints(t *testing.T) {
 
 	t.Run("checkpoint-rename", func(t *testing.T) {
 		dir := t.TempDir()
-		s, _ := OpenStore(dir, 1, Options{})
+		s, _ := OpenStore(dir, 0, Options{})
 		s.AppendTrigger(0, 2)
 		s.SetCrash(func(p string) bool { return p == "checkpoint-rename" })
 		if err := s.Checkpoint(&wire.Snapshot{}); !errors.Is(err, ErrCrash) {
 			t.Fatalf("err = %v, want ErrCrash", err)
 		}
-		s2, err := OpenStore(dir, 1, Options{})
+		s2, err := OpenStore(dir, 0, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,13 +216,13 @@ func TestStoreCrashPoints(t *testing.T) {
 
 	t.Run("wal-truncate", func(t *testing.T) {
 		dir := t.TempDir()
-		s, _ := OpenStore(dir, 1, Options{})
+		s, _ := OpenStore(dir, 0, Options{})
 		s.AppendTrigger(0, 2)
 		s.SetCrash(func(p string) bool { return p == "wal-truncate" })
 		if err := s.Checkpoint(&wire.Snapshot{}); !errors.Is(err, ErrCrash) {
 			t.Fatalf("err = %v, want ErrCrash", err)
 		}
-		s2, err := OpenStore(dir, 1, Options{})
+		s2, err := OpenStore(dir, 0, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,17 +242,35 @@ func TestStoreCrashPoints(t *testing.T) {
 	})
 }
 
+// TestStoreRejectsBadInput: a directory path that names a file is refused.
+// The shard argument is not input: any value opens and appends to the same
+// log.
 func TestStoreRejectsBadInput(t *testing.T) {
-	s, err := OpenStore(t.TempDir(), 1, Options{})
+	dir := t.TempDir()
+	file := filepath.Join(dir, "not-a-dir")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := OpenStore(file, 0, Options{}); err == nil {
+		t.Fatal("a file opened as a store directory")
+	}
+	s, err := OpenStore(dir, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	if err := s.AppendBatch(1, 0, false, nil); err == nil {
-		t.Fatal("out-of-range shard accepted")
+	for shard := -1; shard <= 7; shard += 4 {
+		if err := s.AppendBatch(shard, 0, false, []packet.AFR{{Key: key(shard + 1), Attr: 1}}); err != nil {
+			t.Fatalf("shard argument %d: %v", shard, err)
+		}
 	}
-	if _, err := OpenStore(t.TempDir(), 0, Options{}); err == nil {
-		t.Fatal("zero shard count accepted")
+	s.Close()
+	s2, err := OpenStore(dir, 5, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if _, recs, err := s2.Recover(); err != nil || len(recs) != 3 {
+		t.Fatalf("reopened under another shard argument: %d frames, %v; want 3", len(recs), err)
 	}
 }
 
@@ -262,7 +280,7 @@ func TestStoreRejectsBadInput(t *testing.T) {
 // is live.
 func TestStoreQuarantinesCorruptCheckpoint(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := OpenStore(dir, 1, Options{})
+	s, _ := OpenStore(dir, 0, Options{})
 	if err := s.Checkpoint(&wire.Snapshot{HasFinished: true, LastFinished: 7}); err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +303,7 @@ func TestStoreQuarantinesCorruptCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := OpenStore(dir, 1, Options{})
+	s2, err := OpenStore(dir, 0, Options{})
 	if err != nil {
 		t.Fatalf("corrupt checkpoint aborted recovery: %v", err)
 	}
@@ -342,7 +360,7 @@ func TestLease(t *testing.T) {
 // must carry the rotted file's columns again.
 func TestScrubVisitsEveryCut(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenStore(dir, 1, Options{})
+	s, err := OpenStore(dir, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,7 +408,7 @@ func TestScrubVisitsEveryCut(t *testing.T) {
 // manifest assigns it to, once.
 func TestRecoverFoldsReCutColumnOnce(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenStore(dir, 1, Options{})
+	s, err := OpenStore(dir, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,7 +432,7 @@ func TestRecoverFoldsReCutColumnOnce(t *testing.T) {
 	}
 	s.Close()
 
-	s2, err := OpenStore(dir, 1, Options{})
+	s2, err := OpenStore(dir, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

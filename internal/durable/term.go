@@ -54,7 +54,7 @@ func (s *Store) loadTermLocked(maxSegTerm uint64) {
 	default:
 		rec, derr := wire.DecodeTermRecord(buf)
 		if derr != nil {
-			s.quarantineLocked(nil, path)
+			s.quarantineLocked(path)
 		} else if rec.Term > cur {
 			cur = rec.Term
 			s.holder = rec.Holder
@@ -125,11 +125,11 @@ func (s *Store) CASTerm(expect uint64, holder uint32) (uint64, error) {
 }
 
 // AdoptTerm makes this handle write under term t, which must be the
-// current authoritative term (the caller just won it via CASTerm). Every
-// chain seals, so the new term's first append opens a fresh segment whose
-// header carries it — segment rotation records the handover durably — and
-// the next checkpoint cuts the whole table, since the new writer's columns
-// need not be the ones the old writer's cut files hold.
+// current authoritative term (the caller just won it via CASTerm). The
+// active segment seals, so the new term's first append opens a fresh one
+// whose header carries it — segment rotation records the handover durably
+// — and the next checkpoint cuts the whole table, since the new writer's
+// columns need not be the ones the old writer's cut files hold.
 func (s *Store) AdoptTerm(t uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -142,9 +142,7 @@ func (s *Store) AdoptTerm(t uint64) error {
 	if s.writerTerm != t {
 		s.writerTerm = t
 		s.cutFrom = 0 // the new writer's first checkpoint is a full cut
-		for _, c := range s.chains {
-			s.sealLocked(c)
-		}
+		s.sealLocked()
 	}
 	return nil
 }

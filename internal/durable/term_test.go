@@ -16,7 +16,7 @@ import (
 // persisted term.
 func TestTermCASAndAdopt(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenStore(dir, 1, Options{})
+	s, err := OpenStore(dir, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestTermCASAndAdopt(t *testing.T) {
 
 	// Reopen: the term file carries the authority across incarnations,
 	// and the opener adopts it (explicit CAS is only for promotion).
-	s2, err := OpenStore(dir, 1, Options{})
+	s2, err := OpenStore(dir, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestTermCASAndAdopt(t *testing.T) {
 // and scrubs (a fenced writer must not quarantine the new holder's
 // files).
 func TestTermFencesAllMutations(t *testing.T) {
-	s, err := OpenStore(t.TempDir(), 1, Options{})
+	s, err := OpenStore(t.TempDir(), 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestTermFencesAllMutations(t *testing.T) {
 // fencing history is reconstructible from the log alone.
 func TestTermStampsFramesSegmentsAndCheckpoints(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenStore(dir, 1, Options{})
+	s, err := OpenStore(dir, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestTermStampsFramesSegmentsAndCheckpoints(t *testing.T) {
 	if err := s.AppendFinish(0); err != nil {
 		t.Fatal(err)
 	}
-	cas(1) // term 2: adoption seals chains, next frame opens a term-2 segment
+	cas(1) // term 2: adoption seals the log, next frame opens a term-2 segment
 	if err := s.AppendFinish(1); err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestTermStampsFramesSegmentsAndCheckpoints(t *testing.T) {
 	}
 	segTerms := map[uint64]int{}
 	for _, e := range entries {
-		if _, _, ok := s.parseSegName(e.Name()); !ok {
+		if _, ok := parseGen(e.Name(), segPrefix, segSuffix); !ok {
 			continue
 		}
 		buf, err := os.ReadFile(filepath.Join(dir, e.Name()))
@@ -202,7 +202,7 @@ func TestTermStampsFramesSegmentsAndCheckpoints(t *testing.T) {
 // backward past what the log proves.
 func TestTermFileCorruptionRebuiltFromSegments(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenStore(dir, 1, Options{})
+	s, err := OpenStore(dir, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestTermFileCorruptionRebuiltFromSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := OpenStore(dir, 1, Options{})
+	s2, err := OpenStore(dir, 0, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

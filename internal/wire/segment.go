@@ -1,9 +1,9 @@
 // WAL segment header codec. Every on-disk WAL segment (internal/durable)
-// opens with one fixed-size header naming the chain it belongs to (a shard
-// index, or the control chain) and its generation number. Recovery uses
-// the header to reject files that are mislabeled, truncated before the
-// first frame, or bit-rotted in the preamble — any of which quarantines
-// the segment rather than feeding garbage into replay.
+// opens with one fixed-size header naming its generation number and the
+// fencing term of the writer that opened it. Recovery uses the header to
+// reject files that are foreign, truncated before the first frame, or
+// bit-rotted in the preamble — any of which quarantines the segment
+// rather than feeding garbage into replay.
 package wire
 
 import (
@@ -13,20 +13,16 @@ import (
 
 // SegMagic ("OWSG") and SegVersion identify WAL segment headers. Version
 // 2 added the writer's fencing term to the preamble, so every segment
-// rotation durably records which term-holder opened it.
+// rotation durably records which term-holder opened it; version 3 dropped
+// the chain id, since the store keeps one log.
 const (
 	SegMagic   uint32 = 0x4F575347
-	SegVersion uint8  = 2
+	SegVersion uint8  = 3
 )
-
-// CtlChain is the SegmentHeader.Chain value for the control-log chain
-// (triggers/finishes/sheds); shard chains use their shard index.
-const CtlChain uint32 = ^uint32(0)
 
 // SegmentHeader is the first SegmentHeaderSize bytes of every segment.
 type SegmentHeader struct {
-	Chain uint32
-	Gen   uint64
+	Gen uint64
 	// Term is the fencing term of the writer that opened the segment
 	// (internal/durable); recovery uses the newest segment term to
 	// rebuild fencing authority when the term file itself is damaged.
@@ -34,15 +30,14 @@ type SegmentHeader struct {
 }
 
 // SegmentHeaderSize is the fixed on-disk header length:
-// magic(4) + version(1) + chain(4) + gen(8) + term(8) + crc(4).
-const SegmentHeaderSize = 4 + 1 + 4 + 8 + 8 + 4
+// magic(4) + version(1) + gen(8) + term(8) + crc(4).
+const SegmentHeaderSize = 4 + 1 + 8 + 8 + 4
 
 // AppendSegmentHeader appends the encoded header to buf and returns it.
 func AppendSegmentHeader(buf []byte, h *SegmentHeader) []byte {
 	start := len(buf)
 	buf = binary.BigEndian.AppendUint32(buf, SegMagic)
 	buf = append(buf, SegVersion)
-	buf = binary.BigEndian.AppendUint32(buf, h.Chain)
 	buf = binary.BigEndian.AppendUint64(buf, h.Gen)
 	buf = binary.BigEndian.AppendUint64(buf, h.Term)
 	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[start:]))
@@ -60,9 +55,8 @@ func DecodeSegmentHeader(data []byte) (SegmentHeader, error) {
 	if err := checkSeal(data[:SegmentHeaderSize], SegMagic, SegVersion); err != nil {
 		return h, err
 	}
-	h.Chain = binary.BigEndian.Uint32(data[5:])
-	h.Gen = binary.BigEndian.Uint64(data[9:])
-	h.Term = binary.BigEndian.Uint64(data[17:])
+	h.Gen = binary.BigEndian.Uint64(data[5:])
+	h.Term = binary.BigEndian.Uint64(data[13:])
 	return h, nil
 }
 

@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"testing"
 
 	"omniwindow/internal/packet"
@@ -8,11 +10,12 @@ import (
 
 func TestSegmentHeaderRoundTrip(t *testing.T) {
 	for _, h := range []SegmentHeader{
-		{Chain: 0, Gen: 1},
-		{Chain: 7, Gen: 123456},
-		{Chain: CtlChain, Gen: 42},
-		{Chain: 2, Gen: 5, Term: 3},
-		{Chain: CtlChain, Gen: 1, Term: 1<<64 - 1},
+		{Gen: 1},
+		{Gen: 123456},
+		{Gen: 42},
+		{Gen: 5, Term: 3},
+		{Gen: 1, Term: 1<<64 - 1},
+		{Gen: 1<<64 - 1, Term: 7},
 	} {
 		buf := AppendSegmentHeader(nil, &h)
 		if len(buf) != SegmentHeaderSize {
@@ -29,7 +32,7 @@ func TestSegmentHeaderRoundTrip(t *testing.T) {
 }
 
 func TestSegmentHeaderRejectsDamage(t *testing.T) {
-	buf := AppendSegmentHeader(nil, &SegmentHeader{Chain: 3, Gen: 9})
+	buf := AppendSegmentHeader(nil, &SegmentHeader{Gen: 9, Term: 3})
 
 	if _, err := DecodeSegmentHeader(buf[:SegmentHeaderSize-1]); err != ErrTruncated {
 		t.Fatalf("truncated header: %v, want ErrTruncated", err)
@@ -48,9 +51,24 @@ func TestSegmentHeaderRejectsDamage(t *testing.T) {
 	}
 
 	bad = append([]byte(nil), buf...)
-	bad[6] ^= 0x01 // flip a chain byte without touching magic/version
+	bad[6] ^= 0x01 // flip a generation byte without touching magic/version
 	if _, err := DecodeSegmentHeader(bad); err != ErrChecksum {
 		t.Fatalf("bit rot: %v, want ErrChecksum", err)
+	}
+}
+
+// A version-2 header — the per-shard layout's, which named its chain — is
+// rejected, not read as a version-3 one: a directory older releases wrote
+// is not replayed.
+func TestSegmentHeaderRejectsVersion2(t *testing.T) {
+	v2 := binary.BigEndian.AppendUint32(nil, SegMagic)
+	v2 = append(v2, 2)
+	v2 = binary.BigEndian.AppendUint32(v2, 0) // chain
+	v2 = binary.BigEndian.AppendUint64(v2, 1) // generation
+	v2 = binary.BigEndian.AppendUint64(v2, 0) // term
+	v2 = binary.BigEndian.AppendUint32(v2, crc32.ChecksumIEEE(v2))
+	if _, err := DecodeSegmentHeader(v2); err != ErrBadVersion {
+		t.Fatalf("version-2 header: %v, want ErrBadVersion", err)
 	}
 }
 

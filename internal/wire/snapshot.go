@@ -384,8 +384,8 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 // mid-append leaves behind and stops cleanly there.
 type WALRecord struct {
 	Type byte
-	// LSN is the global log sequence number; the durable layer merges
-	// per-shard logs by LSN to recover a total replay order.
+	// LSN is the log sequence number, issued in append order; replay skips
+	// the frames a checkpoint covers by LSN, and an LSN hole is lost data.
 	LSN uint64
 	// Term is the fencing term the frame was written under (internal/
 	// durable); a legitimate log is non-decreasing in Term along LSN

@@ -122,12 +122,12 @@ type Config struct {
 	// CheckpointDir enables controller durability: at sub-window
 	// boundaries the complete controller state is checkpointed into this
 	// directory (atomic temp-file + rename), and between checkpoints
-	// every ingested AFR batch, trigger and finish is appended to a
-	// per-shard write-ahead log — a deployment restarted on the same
-	// directory replays back to the exact pre-crash state. In RDMA mode
-	// the WAL covers records at controller-ingest time (drain and
-	// fallback), and a failover re-registers the memory region. Requires
-	// a single-app deployment. Empty disables durability.
+	// every ingested AFR batch, trigger and finish is appended to one
+	// write-ahead log — a deployment restarted on the same directory,
+	// under any Shards count, replays back to the exact pre-crash state.
+	// In RDMA mode the WAL covers records at controller-ingest time (drain
+	// and fallback), and a failover re-registers the memory region.
+	// Requires a single-app deployment. Empty disables durability.
 	CheckpointDir string
 	// CheckpointEvery is the number of sub-window boundaries between
 	// checkpoints (<= 0 means 1, a checkpoint at every boundary); the WAL
@@ -141,10 +141,8 @@ type Config struct {
 	// detects primary death, and the standby takes over mid-window —
 	// the in-flight sub-window is its only gap, recovered through the
 	// ordinary NACK/retransmit loop before the region resets. Requires
-	// CheckpointDir, an explicit Shards count (primary and standby must
-	// agree across restarts), and CheckpointEvery 1 (older sub-windows'
-	// switch state is already reset, so only the current one is
-	// re-queryable).
+	// CheckpointDir and CheckpointEvery 1 (older sub-windows' switch state
+	// is already reset, so only the current one is re-queryable).
 	Standby bool
 	// LeaseTTL is the primary-liveness lease duration in virtual time.
 	// The standby promotes only once the lease lapses, so a takeover
@@ -388,7 +386,6 @@ type Deployment struct {
 	store      *durable.Store
 	standby    *controller.Controller
 	lease      *durable.Lease
-	ckptShards int
 	failedOver bool
 	// term is this incarnation's fencing term — the writer identity every
 	// durable mutation carries. A partition promotion CASes the store to
@@ -428,22 +425,10 @@ type Deployment struct {
 	// stale-epoch stamp is ever monitored and spikes are copied once.
 	decisionHook func(p *packet.Packet, r window.Result)
 
-	// Hot-path staging scratch, reused across deliveries so steady-state
-	// WAL grouping allocates nothing (see durability.go appendGroups; the
-	// delivery batch itself is the transport's). Deliveries are
-	// single-threaded per deployment, so plain fields suffice. scratch is
-	// the pipeline's packet in flight: ProcessPacket's copy of a traffic
-	// packet, or a collection's control packet (injectSpecial).
-	scratch  packet.Packet
-	walKeys  []walKey
-	walParts [][]packet.AFR
-}
-
-// walKey identifies one WAL frame's grouping: (controller shard,
-// sub-window).
-type walKey struct {
-	shard int
-	sw    uint64
+	// scratch is the pipeline's packet in flight: ProcessPacket's copy of a
+	// traffic packet, or a collection's control packet (injectSpecial).
+	// Deliveries are single-threaded per deployment, so one suffices.
+	scratch packet.Packet
 }
 
 // pendingCR is a terminated sub-window awaiting its grace period.
@@ -489,9 +474,6 @@ func (cfg *Config) validate() error {
 	if cfg.Standby {
 		if cfg.CheckpointDir == "" {
 			return fmt.Errorf("omniwindow: Standby requires CheckpointDir — the standby promotes from tailed checkpoints")
-		}
-		if cfg.Shards <= 0 {
-			return fmt.Errorf("omniwindow: Standby requires an explicit Shards count, got %d — primary and standby must agree on the WAL's shard layout across restarts", cfg.Shards)
 		}
 		if cfg.CheckpointEvery > 1 {
 			return fmt.Errorf("omniwindow: Standby requires CheckpointEvery 1, got %d — only the in-flight sub-window's switch state is still queryable at takeover", cfg.CheckpointEvery)

@@ -81,14 +81,9 @@ func TestConfigValidation(t *testing.T) {
 			c.CheckpointEvery = 3 // Tumbling(5): slide 5 — 3 is neither multiple nor divisor
 		}},
 		{"standby without checkpoint directory", func(c *Config) { c.Standby = true }},
-		{"standby without explicit shards", func(c *Config) {
-			c.CheckpointDir = "x"
-			c.Standby = true
-		}},
 		{"standby with sparse checkpoints", func(c *Config) {
 			c.CheckpointDir = "x"
 			c.Standby = true
-			c.Shards = 4
 			c.CheckpointEvery = 5
 		}},
 		{"RDMA fault schedule without RDMA", func(c *Config) {

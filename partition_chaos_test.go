@@ -410,7 +410,7 @@ func TestPartitionZombieWALFenced(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err := durable.OpenStore(dir, 4, durable.Options{})
+	s, err := durable.OpenStore(dir, 0, durable.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
