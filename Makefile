@@ -156,6 +156,7 @@ fuzz-smoke:
 	$(GO) test -fuzz 'FuzzDecodeWALRecord$$' -fuzztime 10s ./internal/wire/
 	$(GO) test -fuzz 'FuzzDecodeTermRecord$$' -fuzztime 10s ./internal/wire/
 	$(GO) test -fuzz 'FuzzTableDifferential$$' -fuzztime 10s ./internal/controller/
+	$(GO) test -fuzz 'FuzzSortCells$$' -fuzztime 10s ./internal/controller/
 
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x . ./internal/fabric/
@@ -173,11 +174,13 @@ fuzz:
 	$(GO) test -fuzz 'FuzzDecodeTermRecord$$' -fuzztime 30s ./internal/wire/
 	$(GO) test -fuzz 'FuzzTransportRing$$' -fuzztime 30s ./internal/rdma/
 	$(GO) test -fuzz 'FuzzTableDifferential$$' -fuzztime 30s ./internal/controller/
+	$(GO) test -fuzz 'FuzzSortCells$$' -fuzztime 30s ./internal/controller/
 
 # Nightly depth: long fuzz runs on every wire decoder, on the frozen key
 # hash (lane-built Key64 vs its byte-serialising reference), on the
 # RDMA replay ring (vs its slice-window reference) and on the controller's
-# columnar table (vs the map table it replaced), plus the whole race run
+# columnar table (vs the map table it replaced) and on its cut sort (the
+# radix vs the comparison order it replaced), plus the whole race run
 # with every chaos seed table widened by 10 extra derived seeds
 # (faults.ExtraSeeds) — the whole run, so a renamed chaos test cannot fall
 # out of the sweep. Mirrors .github/workflows/nightly.yml; run locally to
@@ -192,6 +195,7 @@ nightly:
 	$(GO) test -fuzz 'FuzzKey64Identity$$' -fuzztime 300s ./internal/hashing/
 	$(GO) test -fuzz 'FuzzTransportRing$$' -fuzztime 300s ./internal/rdma/
 	$(GO) test -fuzz 'FuzzTableDifferential$$' -fuzztime 300s ./internal/controller/
+	$(GO) test -fuzz 'FuzzSortCells$$' -fuzztime 300s ./internal/controller/
 	OMNIWINDOW_EXTRA_SEEDS=10 $(GO) test -race ./...
 
 examples:

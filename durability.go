@@ -122,14 +122,15 @@ func (d *Deployment) logFinish(sw uint64) {
 
 // checkpoint cuts the columns finished since the store's last checkpoint —
 // and since the standby's last cut, so one export feeds both — and
-// commits the cut, then hands it to the standby.
+// commits the cut, then hands it to the standby. The ring's checkpoint
+// value times the export and the commit together.
 func (d *Deployment) checkpoint(sw uint64) {
+	ckptStart := time.Now()
 	from := d.store.CutFrom()
 	if d.standby != nil {
 		from = min(from, d.untailed())
 	}
 	snap := d.ctrl.ExportCut(from)
-	ckptStart := time.Now()
 	if err := d.store.Checkpoint(snap); err != nil {
 		d.durabilityFault(sw, err)
 		return

@@ -105,7 +105,7 @@ func (c *Controller) ExportCut(from uint64) *wire.Snapshot {
 }
 
 // exportColumn gathers sub-window sw's column from every shard's present
-// bitset, its cells in key order. Caller holds finishMu.
+// bitset, its cells in key order (sortCells). Caller holds finishMu.
 func (c *Controller) exportColumn(sw uint64) wire.SnapColumn {
 	n := 0
 	for _, sh := range c.shards {
@@ -117,8 +117,79 @@ func (c *Controller) exportColumn(sw uint64) wire.SnapColumn {
 	for _, sh := range c.shards {
 		cells = sh.table.appendCells(cells, sw)
 	}
-	slices.SortFunc(cells, func(a, b packet.AFR) int { return packetKeyCmp(a.Key, b.Key) })
+	sortCells(cells, 0)
 	return wire.SnapColumn{SW: sw, Cells: cells}
+}
+
+// sortCutoff is the bucket size under which sortCells insertion-sorts.
+const sortCutoff = 24
+
+// sortCells puts cells, which agree on their keys' first d bytes, in
+// packetKeyCmp order: an in-place most-significant-digit radix sort
+// (American flag sort) over the 13 bytes of FlowKey.Bytes, whose byte
+// order is packetKeyCmp's. A column's keys are distinct, so any correct
+// order is the one order and the cut bytes do not depend on the sort. Per
+// byte one count pass; a byte every cell shares (the pool's 10.x prefix) is
+// skipped, otherwise each misplaced cell is cycle-swapped into its bucket
+// and every bucket sorts on the next byte. Counts live on the stack, so the
+// sort allocates nothing, and a cell (an 80-byte packet.AFR) moves at most
+// once per byte that splits: a comparison sort's O(n log n) swaps of such
+// cells cost several times the WAL append of the same boundary.
+func sortCells(cells []packet.AFR, d int) {
+	for ; len(cells) > sortCutoff && d < packet.KeyBytes; d++ {
+		var count [256]int
+		for i := range cells {
+			count[keyByte(&cells[i].Key, d)]++
+		}
+		if count[keyByte(&cells[0].Key, d)] == len(cells) {
+			continue
+		}
+		var next, end [256]int
+		at := 0
+		for b, n := range count {
+			next[b], at = at, at+n
+			end[b] = at
+		}
+		for b := range next {
+			for ; next[b] < end[b]; next[b]++ {
+				if int(keyByte(&cells[next[b]].Key, d)) == b {
+					continue
+				}
+				x := cells[next[b]]
+				for v := keyByte(&x.Key, d); int(v) != b; v = keyByte(&x.Key, d) {
+					x, cells[next[v]] = cells[next[v]], x
+					next[v]++
+				}
+				cells[next[b]] = x
+			}
+		}
+		for b, n := range count {
+			if n > 1 {
+				sortCells(cells[end[b]-n:end[b]], d+1)
+			}
+		}
+		return
+	}
+	for i := 1; i < len(cells); i++ {
+		for j := i; j > 0 && packetKeyCmp(cells[j].Key, cells[j-1].Key) < 0; j-- {
+			cells[j], cells[j-1] = cells[j-1], cells[j]
+		}
+	}
+}
+
+// keyByte is byte d of k.Bytes().
+func keyByte(k *packet.FlowKey, d int) byte {
+	switch {
+	case d < 4:
+		return byte(k.SrcIP >> (24 - 8*d))
+	case d < 8:
+		return byte(k.DstIP >> (56 - 8*d))
+	case d < 10:
+		return byte(k.SrcPort >> (72 - 8*d))
+	case d < 12:
+		return byte(k.DstPort >> (88 - 8*d))
+	}
+	return k.Proto
 }
 
 // comparePending orders routed-but-unmerged records by sub-window and

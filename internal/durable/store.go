@@ -295,7 +295,7 @@ func (s *Store) SetCrash(fn func(point string) bool) { s.crash = fn }
 func (s *Store) Instrument(reg *obs.Registry, labels string) {
 	n := func(name string) string { return obs.Labeled(name, labels) }
 	s.walLat = reg.Histogram(n("omniwindow_durable_wal_append_seconds"), "write-ahead log append latency (frame encode + write)", nil)
-	s.ckptLat = reg.Histogram(n("omniwindow_durable_checkpoint_seconds"), "checkpoint latency (encode + temp write + rename + segment deletion)", nil)
+	s.ckptLat = reg.Histogram(n("omniwindow_durable_checkpoint_seconds"), "checkpoint commit latency (commit: cut encode, writes, rename, deletion; the controller's export is not included)", nil)
 	s.appends = reg.Counter(n("omniwindow_durable_wal_appends_total"), "write-ahead log frames appended")
 	s.checkpoints = reg.Counter(n("omniwindow_durable_checkpoints_total"), "checkpoints completed")
 	s.walBytes = reg.Counter(n("omniwindow_durable_wal_bytes_total"), "bytes appended to the write-ahead logs")

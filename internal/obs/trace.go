@@ -32,7 +32,8 @@ const (
 	// Value = the window's first sub-window (Start).
 	StageWindowEmitted
 	// StageCheckpoint: controller state was checkpointed at this
-	// boundary. Value = checkpoint duration in nanoseconds.
+	// boundary. Value = checkpoint duration in nanoseconds, export +
+	// commit: the controller's cut and the store's write of it.
 	StageCheckpoint
 	// StageFailover: the hot standby promoted mid-collection.
 	StageFailover
