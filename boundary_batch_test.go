@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"omniwindow/internal/afr"
-	"omniwindow/internal/controller"
 	"omniwindow/internal/faults"
 	"omniwindow/internal/obs"
 	"omniwindow/internal/packet"
@@ -169,11 +168,11 @@ func TestCollectBatchFlushPoints(t *testing.T) {
 
 	// (c) WAL group commit: a boundary writes one frame per delivery
 	// batch, and those frames replay exactly — here with a third of the
-	// records arriving by the spilled-key path.
+	// records arriving by the spilled-key path. The store dies inside the
+	// checkpoint of boundary 2, so the restart replays that boundary's
+	// batch frames.
 	t.Run("wal", func(t *testing.T) {
 		const (
-			ckptEvery = 2 // checkpoints at boundaries 1 and 3: the crash at 2 leaves real WAL to replay
-			crashAt   = 2
 			// The store keeps one log, so beside the batch frames a boundary
 			// pays each of these once, not once per controller shard: the
 			// trigger and finish frames, the header of the segment the log
@@ -182,71 +181,41 @@ func TestCollectBatchFlushPoints(t *testing.T) {
 			// file, and a checkpoint's cut write, temp write and rename.
 			boundaryOps = 2 + 1 + 1 + 2 + 3
 		)
-		dir := t.TempDir()
-		durable := func(crash *faults.CrashSchedule) *Deployment {
-			d, err := New(batchConfig(func(c *Config) {
-				spillTracker(c)
-				c.CheckpointDir = dir
-				c.CheckpointEvery = ckptEvery
-				c.DiskFaults = &faults.DiskSchedule{}
-				c.Crash = crash
-			}))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return d
-		}
-		d1 := durable(crashes(crashAt))
 		pkts := batchTrace()
-		next := 0
-		for k := 1; k <= 5; k++ {
-			edge := int64(k) * 100 * ms
-			for ; next < len(pkts) && pkts[next].Time < edge; next++ {
-				d1.ProcessPacket(&pkts[next])
-			}
-			if _, crashed := d1.Crashed(); crashed {
-				break
-			}
-			d1.Tick(edge)
-			ops := d1.store.FSOps()
-			d1.Tick(edge + int64(d1.cfg.Grace))
-			ops = d1.store.FSOps() - ops
-			batches := (batchFlows + afrBatchCap - 1) / afrBatchCap
-			if limit := uint64(batches + boundaryOps); ops == 0 || ops > limit {
-				t.Fatalf("boundary %d issued %d filesystem operations, want 1..%d (one per AFR would be %d)",
-					k-1, ops, limit, batchFlows)
-			}
-		}
-		if sw, ok := d1.Crashed(); !ok || sw != crashAt {
-			t.Fatalf("crash at %d did not fire: %v %d", crashAt, ok, sw)
-		}
-		if err := d1.DurabilityErr(); err != nil {
-			t.Fatal(err)
-		}
-		if d1.Stats().Spills == 0 {
-			t.Fatal("no key spilled")
-		}
-
-		d2 := durable(nil)
-		d2.RunFor(traceTail(pkts, crashAt), 500*ms)
-		if err := d2.CloseDurability(); err != nil {
-			t.Fatal(err)
-		}
-		if d2.Stats().ReplayedWindows == 0 {
-			t.Fatal("restart replayed no window from the batched frames")
-		}
-		var combined []controller.WindowResult
-		if ckpt, ok := lastCheckpointBefore(crashAt, ckptEvery); ok {
-			for _, w := range d1.Results() {
-				if w.End <= ckpt {
-					combined = append(combined, w)
+		r := crashCase{
+			config: func(dir string) Config {
+				return batchConfig(func(c *Config) {
+					spillTracker(c)
+					c.CheckpointDir = dir
+					c.DiskFaults = &faults.DiskSchedule{}
+				})
+			},
+			pkts: pkts, b: 2, point: uncommitted,
+			drive: func(d1 *Deployment) {
+				next := 0
+				for k := 1; k <= 5 && !d1.storeDead; k++ {
+					edge := int64(k) * 100 * ms
+					for ; next < len(pkts) && pkts[next].Time < edge; next++ {
+						d1.ProcessPacket(&pkts[next])
+					}
+					d1.Tick(edge)
+					ops := d1.store.FSOps()
+					d1.Tick(edge + int64(d1.cfg.Grace))
+					ops = d1.store.FSOps() - ops
+					batches := (batchFlows + afrBatchCap - 1) / afrBatchCap
+					if limit := uint64(batches + boundaryOps); ops == 0 || ops > limit {
+						t.Fatalf("boundary %d issued %d filesystem operations, want 1..%d (one per AFR would be %d)",
+							k-1, ops, limit, batchFlows)
+					}
 				}
-			}
-		}
-		combined = append(combined, d2.Results()...)
-		if !reflect.DeepEqual(baseline.Results(), combined) {
+				if d1.Stats().Spills == 0 {
+					t.Fatal("no key spilled")
+				}
+			},
+		}.run(t)
+		if !reflect.DeepEqual(baseline.Results(), r.stitched) {
 			t.Fatalf("crash-restart from batched WAL frames not exact:\nuncrashed: %+v\nstitched:  %+v",
-				baseline.Results(), combined)
+				baseline.Results(), r.stitched)
 		}
 	})
 }

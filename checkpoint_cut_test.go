@@ -28,7 +28,8 @@ import (
 // every read of a path containing readEIO and flips one byte of the first
 // frame or whole file written to a path containing rot. cuts holds the
 // bytes of the whole-file writes each checkpoint made, closed by its
-// rename, and lastCut the contents of the last cut file written.
+// rename, lastCut the contents of the last cut file written, and wal the
+// bytes of each WAL segment as the store deleted it.
 type spyFS struct {
 	durable.OSFS
 	readEIO, rot string
@@ -40,6 +41,7 @@ type spyFS struct {
 	open      int64 // whole-file bytes since the last checkpoint rename
 	cuts      []int64
 	lastCut   []byte
+	wal       map[string][]byte
 }
 
 func (f *spyFS) ReadFile(name string) ([]byte, error) {
@@ -90,6 +92,20 @@ func (f *spyFS) Rename(oldpath, newpath string) error {
 	return err
 }
 
+func (f *spyFS) Remove(name string) error {
+	if base := filepath.Base(name); strings.HasPrefix(base, "wal-") {
+		if b, err := f.OSFS.ReadFile(name); err == nil {
+			f.mu.Lock()
+			if f.wal == nil {
+				f.wal = make(map[string][]byte)
+			}
+			f.wal[base] = b
+			f.mu.Unlock()
+		}
+	}
+	return f.OSFS.Remove(name)
+}
+
 func (f *spyFS) Create(name string) (durable.File, error) {
 	h, err := f.OSFS.Create(name)
 	if err != nil {
@@ -133,13 +149,13 @@ func swapStore(t *testing.T, d *Deployment, fsys durable.FS) {
 	d.store = s
 }
 
-// checkpointedThrough reads the newest sub-window the checkpoint in dir
-// covers: the windows a restart re-emits start after it.
-func checkpointedThrough(t *testing.T, dir string) (uint64, bool) {
+// readManifest decodes the checkpoint manifest in dir, nil when there is
+// none.
+func readManifest(t *testing.T, dir string) *wire.Snapshot {
 	t.Helper()
 	buf, err := os.ReadFile(filepath.Join(dir, "checkpoint.snap"))
 	if errors.Is(err, os.ErrNotExist) {
-		return 0, false
+		return nil
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -148,16 +164,26 @@ func checkpointedThrough(t *testing.T, dir string) (uint64, bool) {
 	if err != nil {
 		t.Fatalf("checkpoint does not decode: %v", err)
 	}
-	return snap.LastFinished, snap.HasFinished
+	return snap
+}
+
+// checkpointedThrough reads the newest sub-window the checkpoint in dir
+// covers: the windows a restart re-emits start after it.
+func checkpointedThrough(t *testing.T, dir string) (uint64, bool) {
+	t.Helper()
+	if m := readManifest(t, dir); m != nil {
+		return m.LastFinished, m.HasFinished
+	}
+	return 0, false
 }
 
 // stitch is the window sequence a crash-restart delivers: the first
-// incarnation's windows the checkpoint covers, then everything the second
-// emitted (its WAL replay first).
-func stitch(pre []controller.WindowResult, through uint64, ok bool, post []controller.WindowResult) []controller.WindowResult {
+// incarnation's windows the checkpoint manifest covers, then everything the
+// second emitted (its WAL replay first).
+func stitch(pre []controller.WindowResult, manifest *wire.Snapshot, post []controller.WindowResult) []controller.WindowResult {
 	var out []controller.WindowResult
 	for _, w := range pre {
-		if ok && w.End <= through {
+		if manifest != nil && manifest.HasFinished && w.End <= manifest.LastFinished {
 			out = append(out, w)
 		}
 	}
@@ -166,35 +192,26 @@ func stitch(pre []controller.WindowResult, through uint64, ok bool, post []contr
 
 // TestScrubReadErrorStillReCovers: one Scrub pass both quarantines the
 // rotted active segment and fails to read the manifest. The quarantined
-// records live only in memory now, so the boundary must cut a checkpoint
-// off its cadence; a crash before the cadence then restarts byte-identical.
+// records live only in memory now; the boundary's checkpoint must still
+// re-cover them, so a crash right after it restarts byte-identical.
 func TestScrubReadErrorStillReCovers(t *testing.T) {
 	baseline := runChaos(t, nil)
-	const crashAt, every = 2, 2 // checkpoints on cadence at 1 and 3
-	dir := t.TempDir()
-	cfg := diskConfig(dir, every, crashes(crashAt), nil)
-	d1 := newDisk(t, cfg)
 	spy := &spyFS{readEIO: "checkpoint.snap", rot: "wal-"}
-	swapStore(t, d1, spy)
-	d1.RunFor(chaosTrace(), 500*ms)
-	if sw, ok := d1.Crashed(); !ok || sw != crashAt {
-		t.Fatalf("crash did not fire at %d: ok=%v sw=%d", crashAt, ok, sw)
-	}
-	if !spy.rotted || spy.readFails == 0 || d1.store.Quarantined() == 0 {
+	r := crashCase{
+		config: func(dir string) Config { return diskConfig(dir, nil, nil) },
+		b:      1, // the spy arms at boundary 0's checkpoint and rots boundary 1's first frame
+		drive: func(d1 *Deployment) {
+			swapStore(t, d1, spy)
+			d1.RunFor(chaosTrace(), 500*ms)
+		},
+	}.run(t)
+	if !spy.rotted || spy.readFails == 0 || r.d1.store.Quarantined() == 0 {
 		t.Fatalf("faults did not land in one scrub: rotted=%v readFails=%d quarantined=%d",
-			spy.rotted, spy.readFails, d1.store.Quarantined())
+			spy.rotted, spy.readFails, r.d1.store.Quarantined())
 	}
-
-	through, ok := checkpointedThrough(t, dir)
-	cfg.Crash = nil
-	d2 := newDisk(t, cfg)
-	d2.RunFor(traceTail(chaosTrace(), crashAt), 500*ms)
-	if err := d2.CloseDurability(); err != nil {
-		t.Fatal(err)
-	}
-	if got := stitch(d1.Results(), through, ok, d2.Results()); !reflect.DeepEqual(baseline.Results(), got) {
+	if !reflect.DeepEqual(baseline.Results(), r.stitched) {
 		t.Fatalf("restart after a scrub with corruption and a read error is not exact:\nuncrashed: %+v\nstitched:  %+v",
-			baseline.Results(), got)
+			baseline.Results(), r.stitched)
 	}
 }
 
@@ -203,7 +220,7 @@ func TestScrubReadErrorStillReCovers(t *testing.T) {
 // columns again from the live state — no degraded stretch, no heal, and a
 // later crash restarts byte-identical.
 func TestRottedCutIsReCut(t *testing.T) {
-	const subWindows, crashAt = 8, 6
+	const subWindows = 8
 	pkts := cutTrace(subWindows)
 	dur := int64(subWindows) * 100 * ms
 	config := func(dir string) Config {
@@ -214,28 +231,21 @@ func TestRottedCutIsReCut(t *testing.T) {
 	baseline := newDisk(t, config(t.TempDir()))
 	baseline.RunFor(pkts, dur)
 
-	dir := t.TempDir()
-	cfg := config(dir)
-	cfg.Crash = crashes(crashAt)
-	d1 := newDisk(t, cfg)
 	spy := &spyFS{rot: "cut-"}
-	swapStore(t, d1, spy)
-	d1.RunFor(pkts, dur)
-	st := d1.Stats()
-	if !spy.rotted || d1.store.Quarantined() != 1 || st.DurabilityGaps != 0 || st.DurabilityHeals != 0 {
+	r := crashCase{
+		config: config, pkts: pkts, dur: dur, b: 6,
+		drive: func(d1 *Deployment) {
+			swapStore(t, d1, spy)
+			d1.RunFor(pkts, dur)
+		},
+	}.run(t)
+	st := r.d1.Stats()
+	if !spy.rotted || r.d1.store.Quarantined() != 1 || st.DurabilityGaps != 0 || st.DurabilityHeals != 0 {
 		t.Fatalf("rotted cut: rotted=%v quarantined=%d gaps=%d heals=%d, want one quarantine and no degraded stretch",
-			spy.rotted, d1.store.Quarantined(), st.DurabilityGaps, st.DurabilityHeals)
+			spy.rotted, r.d1.store.Quarantined(), st.DurabilityGaps, st.DurabilityHeals)
 	}
-
-	through, ok := checkpointedThrough(t, dir)
-	cfg.Crash = nil
-	d2 := newDisk(t, cfg)
-	d2.RunFor(traceTail(pkts, crashAt), dur)
-	if err := d2.CloseDurability(); err != nil {
-		t.Fatal(err)
-	}
-	if got := stitch(d1.Results(), through, ok, d2.Results()); !reflect.DeepEqual(baseline.Results(), got) {
-		t.Fatalf("restart after a re-cut is not exact:\nuncrashed: %+v\nstitched:  %+v", baseline.Results(), got)
+	if !reflect.DeepEqual(baseline.Results(), r.stitched) {
+		t.Fatalf("restart after a re-cut is not exact:\nuncrashed: %+v\nstitched:  %+v", baseline.Results(), r.stitched)
 	}
 }
 
@@ -276,7 +286,7 @@ func TestStandbyMissedReCutRestartsExact(t *testing.T) {
 					d1.storeDead, spy.rotted, d1.store.Quarantined())
 			}
 
-			through, ok := checkpointedThrough(t, dir)
+			manifest := readManifest(t, dir)
 			d2 := newDisk(t, cfg)
 			tail := pkts
 			if lf, ok := d2.ctrl.LastFinished(); ok {
@@ -286,7 +296,7 @@ func TestStandbyMissedReCutRestartsExact(t *testing.T) {
 			if err := d2.CloseDurability(); err != nil {
 				t.Fatal(err)
 			}
-			if got := stitch(d1.Results(), through, ok, d2.Results()); !reflect.DeepEqual(baseline.Results(), got) {
+			if got := stitch(d1.Results(), manifest, d2.Results()); !reflect.DeepEqual(baseline.Results(), got) {
 				t.Fatalf("restart after the standby missed boundary %d is not exact:\nuncrashed: %+v\nstitched:  %+v",
 					missed, baseline.Results(), got)
 			}
@@ -414,11 +424,11 @@ var storeCrashPoints = []string{
 
 // TestCheckpointCrashRestartDifferential kills the controller at every
 // boundary and the store at every crash point of every boundary, under
-// sliding, hopping and tumbling plans at checkpoint cadences 1 and 2, and
-// holds each restart to the fault-free run: the stitched windows are
-// byte-identical. Where the checkpoint on disk covers the crash boundary,
-// the state restored from its manifest and cut files must also encode to
-// the same bytes as the live state restored in one piece.
+// sliding, hopping and tumbling plans, and holds each restart to the
+// fault-free run: the stitched windows are byte-identical. Where the
+// checkpoint on disk covers the crash boundary, the state restored from
+// its manifest and cut files must also encode to the same bytes as the
+// live state restored in one piece.
 func TestCheckpointCrashRestartDifferential(t *testing.T) {
 	const subWindows = 8
 	pkts := cutTrace(subWindows)
@@ -432,95 +442,52 @@ func TestCheckpointCrashRestartDifferential(t *testing.T) {
 		{"tumbling5", window.Tumbling(5)},
 	}
 	for _, p := range plans {
-		for _, every := range []int{1, 2} {
-			config := func(dir string) Config {
-				cfg := freqConfig(p.plan, 25, false)
-				cfg.Shards = 2
-				cfg.CheckpointDir, cfg.CheckpointEvery = dir, every
-				return cfg
-			}
-			t.Run(fmt.Sprintf("%s/every%d", p.name, every), func(t *testing.T) {
-				if _, err := New(config(t.TempDir())); err != nil {
-					if p.plan.Slide%every != 0 && every%p.plan.Slide != 0 {
-						t.Skipf("rejected as it should be: %v", err)
-					}
-					t.Fatal(err)
-				}
-				baseline := newDisk(t, config(t.TempDir()))
-				baseline.RunFor(pkts, dur)
-				if len(baseline.Results()) == 0 {
-					t.Fatal("baseline produced no windows")
-				}
-				fired := map[string]int{}
-				for b := uint64(0); b < subWindows; b++ {
-					for _, point := range append([]string{""}, storeCrashPoints...) {
-						if crashRestartCase(t, config, pkts, dur, b, point, baseline.Results()) {
-							fired[point]++
-						}
-					}
-				}
-				for _, point := range append([]string{""}, storeCrashPoints...) {
-					if fired[point] == 0 {
-						t.Errorf("no crash fired at point %q", point)
-					}
-				}
-			})
+		config := func(dir string) Config {
+			cfg := freqConfig(p.plan, 25, false)
+			cfg.Shards, cfg.CheckpointDir = 2, dir
+			return cfg
 		}
-	}
-}
-
-// crashRestartCase runs one crash of TestCheckpointCrashRestartDifferential:
-// the controller at boundary b (point ""), or the store at point while
-// boundary b is the last finished one. It reports whether the crash fired:
-// a point the run never reaches with b finished (a checkpoint off the
-// cadence, a boundary that finished no column) is skipped.
-func crashRestartCase(t *testing.T, config func(string) Config, pkts []packet.Packet, dur int64, b uint64, point string, want []controller.WindowResult) bool {
-	t.Helper()
-	dir := t.TempDir()
-	cfg := config(dir)
-	if point == "" {
-		cfg.Crash = crashes(b)
-	}
-	d1 := newDisk(t, cfg)
-	if point != "" {
-		d1.store.SetCrash(func(p string) bool {
-			lf, ok := d1.ctrl.LastFinished()
-			return p == point && ok && lf == b
+		t.Run(p.name, func(t *testing.T) {
+			baseline := newDisk(t, config(t.TempDir()))
+			baseline.RunFor(pkts, dur)
+			if len(baseline.Results()) == 0 {
+				t.Fatal("baseline produced no windows")
+			}
+			points := append([]string{""}, storeCrashPoints...)
+			fired := map[string]int{}
+			for b := uint64(0); b < subWindows; b++ {
+				for _, point := range points {
+					c := crashCase{config: config, pkts: pkts, dur: dur, b: b, point: point, optional: true}
+					if point == "" {
+						c.between = func(d1 *Deployment) { assertCutsRestore(t, d1) }
+					}
+					r := c.run(t)
+					if !r.fired {
+						continue
+					}
+					fired[point]++
+					if !reflect.DeepEqual(baseline.Results(), r.stitched) {
+						t.Fatalf("crash at boundary %d (store point %q) not exactly recovered:\nuncrashed: %+v\nstitched:  %+v",
+							b, point, baseline.Results(), r.stitched)
+					}
+				}
+			}
+			for _, point := range points {
+				if fired[point] == 0 {
+					t.Errorf("no crash fired at point %q", point)
+				}
+			}
 		})
 	}
-	d1.RunFor(pkts, dur)
-	if _, crashed := d1.Crashed(); !crashed && !d1.storeDead {
-		return false
-	}
-	through, ok := checkpointedThrough(t, dir)
-	if point == "" && ok && through == b {
-		assertCutsRestore(t, cfg, d1)
-	}
-	// The restart resumes the traffic after the newest finish the durable
-	// state holds: a death on boundary b's own finish marker loses b.
-	cfg.Crash = nil
-	d2 := newDisk(t, cfg)
-	tail := pkts
-	if lf, ok := d2.ctrl.LastFinished(); ok {
-		tail = traceTail(pkts, lf)
-	}
-	d2.RunFor(tail, dur)
-	if err := d2.CloseDurability(); err != nil {
-		t.Fatal(err)
-	}
-	if got := stitch(d1.Results(), through, ok, d2.Results()); !reflect.DeepEqual(want, got) {
-		t.Fatalf("crash at boundary %d (store point %q) not exactly recovered:\nuncrashed: %+v\nstitched:  %+v",
-			b, point, want, got)
-	}
-	return true
 }
 
 // assertCutsRestore restores a controller from the crashed deployment's
-// checkpoint (the manifest plus the columns of its cut files)
-// and one from the crashed controller's whole state, and compares what
-// they export byte for byte.
-func assertCutsRestore(t *testing.T, cfg Config, crashed *Deployment) {
+// checkpoint (the manifest plus the columns of its cut files), which
+// covers the crash boundary, and one from the crashed controller's whole
+// state, and compares what they export byte for byte.
+func assertCutsRestore(t *testing.T, crashed *Deployment) {
 	t.Helper()
+	cfg := crashed.cfg
 	s, err := durable.OpenStore(cfg.CheckpointDir, 0, durable.Options{})
 	if err != nil {
 		t.Fatal(err)

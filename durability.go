@@ -93,13 +93,13 @@ func (d *Deployment) logTrigger(sw uint64, keyCount uint32) {
 	d.durableWrite(sw, func() error { return d.store.AppendTrigger(sw, keyCount) })
 }
 
-// logFinish appends a FinishSubWindow marker, then checkpoints when the
-// boundary is a checkpoint boundary. The checkpoint is exported AFTER the
-// finish is logged, so ThroughLSN covers it and replay never re-runs an
-// assembly the checkpoint already reflects. Boundaries also run the
-// storage hygiene that must not sit on the append hot path: cadence-based
-// segment sealing, the bit-rot scrubber and — while degraded — the heal
-// probe.
+// logFinish appends a FinishSubWindow marker, then checkpoints: every
+// boundary whose finish lands is a checkpoint boundary, so the log never
+// holds more than the one boundary in flight. The checkpoint is exported
+// AFTER the finish is logged, so ThroughLSN covers it and replay never
+// re-runs an assembly the checkpoint already reflects. Boundaries also run
+// the storage hygiene that must not sit on the append hot path: the
+// bit-rot scrubber and — while degraded — the heal probe.
 func (d *Deployment) logFinish(sw uint64) {
 	healing := d.degraded // a finish that degrades only now is probed next boundary
 	if !d.durableWrite(sw, func() error { return d.store.AppendFinish(sw) }) {
@@ -108,15 +108,10 @@ func (d *Deployment) logFinish(sw uint64) {
 		}
 		return
 	}
-	d.store.SealBoundary()
 	// Bit rot caught while the live state still covers the damaged records:
-	// the corrupt file is quarantined, and an off-cadence checkpoint now
-	// re-covers its records at zero loss — also when the same pass could
-	// not read some other file, which the scrub only counts.
-	corrupt, _ := d.store.Scrub()
-	if (sw+1)%max(uint64(d.cfg.CheckpointEvery), 1) != 0 && corrupt == 0 {
-		return
-	}
+	// the corrupt file is quarantined, and the checkpoint below re-covers
+	// its records at zero loss.
+	d.store.Scrub()
 	d.checkpoint(sw)
 }
 

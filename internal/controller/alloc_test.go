@@ -44,7 +44,7 @@ func allocPrime(c *Controller, n int) {
 func newAllocController() *Controller {
 	return New(Config{
 		Plan: window.Tumbling(8), Kind: afr.Frequency, Threshold: 1 << 62,
-		Shards: 4, ExpectedFlows: 1 << 16,
+		Shards: 4,
 	})
 }
 

@@ -24,7 +24,8 @@ const (
 	// uses CRC-32C, so the two placements are independent.
 	indexSeed = 0x6f77746162
 
-	// minRows is the first row allocation of a table with no size hint.
+	// minRows is a table's first row allocation, before any release has
+	// set its hint.
 	minRows = 64
 )
 
@@ -81,9 +82,9 @@ type table struct {
 	rows   int      // live rows
 	free   []uint32 // recycled row ids
 
-	// hint is the row capacity of the next allocation from empty: the
-	// ExpectedFlows share at first, then the row high-water at the last
-	// release, so a tumbling plan's every window allocates each column
+	// hint is the row capacity of the next allocation from empty: the row
+	// high-water at the last release (0, so minRows, before the first), so
+	// a tumbling plan's every window after the first allocates each column
 	// once instead of regrowing by doubling.
 	hint int
 
@@ -93,8 +94,8 @@ type table struct {
 	cols []column
 }
 
-func newTable(cfg Config, hint int) table {
-	return table{kind: cfg.Kind, counter: cfg.DistinctCounter, hint: hint, cols: make([]column, cfg.Plan.Size)}
+func newTable(cfg Config) table {
+	return table{kind: cfg.Kind, counter: cfg.DistinctCounter, cols: make([]column, cfg.Plan.Size)}
 }
 
 func grown[T any](s []T, n int) []T {

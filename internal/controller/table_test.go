@@ -13,7 +13,7 @@ import (
 
 // tableFor builds a bare table for a plan of `size` sub-windows.
 func tableFor(kind afr.Kind, counter afr.DistinctCounter, size int) *table {
-	t := newTable(Config{Kind: kind, DistinctCounter: counter, Plan: window.Tumbling(size)}, 0)
+	t := newTable(Config{Kind: kind, DistinctCounter: counter, Plan: window.Tumbling(size)})
 	return &t
 }
 

@@ -64,11 +64,6 @@ type Config struct {
 	// <= 0 defaults to runtime.GOMAXPROCS(0); 1 forces the sequential
 	// controller. Results are identical for every shard count.
 	Shards int
-	// ExpectedFlows hints the number of distinct flows per sub-window, so
-	// controller shard tables and ingest staging are pre-sized instead of
-	// growing through rehashes on the hot path. 0 means no hint; the hint
-	// is advisory only and never changes results.
-	ExpectedFlows int
 
 	// AppFactory builds one region's application state, sized for one
 	// sub-window's traffic. Called once per memory region.
@@ -119,8 +114,8 @@ type Config struct {
 	// field asks only for its per-packet draw.
 	AFRFaults interface{ Packet() faults.PacketAction }
 
-	// CheckpointDir enables controller durability: at sub-window
-	// boundaries the complete controller state is checkpointed into this
+	// CheckpointDir enables controller durability: at every sub-window
+	// boundary the complete controller state is checkpointed into this
 	// directory (atomic temp-file + rename), and between checkpoints
 	// every ingested AFR batch, trigger and finish is appended to one
 	// write-ahead log — a deployment restarted on the same directory,
@@ -129,20 +124,12 @@ type Config struct {
 	// and fallback), and a failover re-registers the memory region.
 	// Requires a single-app deployment. Empty disables durability.
 	CheckpointDir string
-	// CheckpointEvery is the number of sub-window boundaries between
-	// checkpoints (<= 0 means 1, a checkpoint at every boundary); the WAL
-	// covers the boundaries in between. It must align with the merge
-	// plan's slide — a multiple or a divisor of Plan.Slide — so
-	// checkpoints land at window-emission cadence and replay never
-	// re-assembles a half-covered window from mixed state.
-	CheckpointEvery int
 	// Standby enables the hot-standby controller pair: a second
 	// controller tails every checkpoint, a lease-based health probe
 	// detects primary death, and the standby takes over mid-window —
 	// the in-flight sub-window is its only gap, recovered through the
 	// ordinary NACK/retransmit loop before the region resets. Requires
-	// CheckpointDir and CheckpointEvery 1 (older sub-windows' switch state
-	// is already reset, so only the current one is re-queryable).
+	// CheckpointDir.
 	Standby bool
 	// LeaseTTL is the primary-liveness lease duration in virtual time.
 	// The standby promotes only once the lease lapses, so a takeover
@@ -452,17 +439,6 @@ func (cfg *Config) validate() error {
 	if cfg.RetryMaxBackoff < 0 {
 		return fmt.Errorf("omniwindow: RetryMaxBackoff must be non-negative, got %v", cfg.RetryMaxBackoff)
 	}
-	if cfg.CheckpointEvery < 0 {
-		return fmt.Errorf("omniwindow: CheckpointEvery must be non-negative, got %d (0 means every boundary)", cfg.CheckpointEvery)
-	}
-	if cfg.CheckpointEvery > 1 {
-		if cfg.CheckpointDir == "" {
-			return fmt.Errorf("omniwindow: CheckpointEvery %d is set but CheckpointDir is empty — nothing would be checkpointed", cfg.CheckpointEvery)
-		}
-		if cfg.CheckpointEvery%cfg.Plan.Slide != 0 && cfg.Plan.Slide%cfg.CheckpointEvery != 0 {
-			return fmt.Errorf("omniwindow: CheckpointEvery %d does not align with the plan's slide %d (it must be a multiple or a divisor, so checkpoints land at window-emission cadence)", cfg.CheckpointEvery, cfg.Plan.Slide)
-		}
-	}
 	if cfg.CheckpointDir == "" {
 		if cfg.DiskFaults != nil || cfg.WALSegmentBytes != 0 || cfg.DurabilityRetryLimit != 0 {
 			return fmt.Errorf("omniwindow: DiskFaults/WALSegmentBytes/DurabilityRetryLimit require CheckpointDir — there is no durable store to apply them to")
@@ -471,13 +447,8 @@ func (cfg *Config) validate() error {
 	if cfg.WALSegmentBytes < 0 {
 		return fmt.Errorf("omniwindow: WALSegmentBytes must be non-negative, got %d (0 means the durable default)", cfg.WALSegmentBytes)
 	}
-	if cfg.Standby {
-		if cfg.CheckpointDir == "" {
-			return fmt.Errorf("omniwindow: Standby requires CheckpointDir — the standby promotes from tailed checkpoints")
-		}
-		if cfg.CheckpointEvery > 1 {
-			return fmt.Errorf("omniwindow: Standby requires CheckpointEvery 1, got %d — only the in-flight sub-window's switch state is still queryable at takeover", cfg.CheckpointEvery)
-		}
+	if cfg.Standby && cfg.CheckpointDir == "" {
+		return fmt.Errorf("omniwindow: Standby requires CheckpointDir — the standby promotes from tailed checkpoints")
 	}
 	if cfg.PartitionFaults != nil && !cfg.Standby {
 		return fmt.Errorf("omniwindow: PartitionFaults requires Standby — a partition needs two halves to separate")
@@ -571,7 +542,6 @@ func newController(cfg *Config, spec AppSpec) (*controller.Controller, error) {
 		DistinctCounter: spec.DistinctCounter,
 		CaptureValues:   spec.CaptureValues,
 		Shards:          cfg.Shards,
-		ExpectedFlows:   cfg.ExpectedFlows,
 	})
 }
 

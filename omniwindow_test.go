@@ -74,18 +74,7 @@ func TestConfigValidation(t *testing.T) {
 		{"slot mismatch", func(c *Config) { c.Slots = 100 }}, // app built 4096
 		{"negative retry backoff", func(c *Config) { c.RetryBackoff = -time.Millisecond }},
 		{"negative retry max backoff", func(c *Config) { c.RetryMaxBackoff = -time.Millisecond }},
-		{"negative checkpoint cadence", func(c *Config) { c.CheckpointEvery = -1 }},
-		{"checkpoint cadence without directory", func(c *Config) { c.CheckpointEvery = 2 }},
-		{"checkpoint cadence misaligned with slide", func(c *Config) {
-			c.CheckpointDir = "x"
-			c.CheckpointEvery = 3 // Tumbling(5): slide 5 — 3 is neither multiple nor divisor
-		}},
 		{"standby without checkpoint directory", func(c *Config) { c.Standby = true }},
-		{"standby with sparse checkpoints", func(c *Config) {
-			c.CheckpointDir = "x"
-			c.Standby = true
-			c.CheckpointEvery = 5
-		}},
 		{"RDMA fault schedule without RDMA", func(c *Config) {
 			c.RDMAFaults = &faults.RDMASchedule{VerbError: 0.1}
 		}},

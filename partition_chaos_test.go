@@ -43,7 +43,7 @@ import (
 // lapses it on a healthy network, short enough that a single lost
 // renewal is detected at the following boundary.
 func partitionConfig(dir string, ps *faults.PartitionSchedule) Config {
-	cfg := durableConfig(dir, 1, nil)
+	cfg := durableConfig(dir, nil)
 	cfg.Standby = true
 	cfg.Shards = 4
 	cfg.LeaseTTL = 170 * time.Millisecond
@@ -118,12 +118,12 @@ func assertSingleFinalizer(t *testing.T, got []controller.WindowResult) {
 }
 
 func TestPartitionConfigValidation(t *testing.T) {
-	cfg := durableConfig(t.TempDir(), 1, nil)
+	cfg := durableConfig(t.TempDir(), nil)
 	cfg.PartitionFaults = &faults.PartitionSchedule{}
 	if _, err := New(cfg); err == nil {
 		t.Fatal("PartitionFaults without Standby must be rejected")
 	}
-	cfg = durableConfig(t.TempDir(), 1, nil)
+	cfg = durableConfig(t.TempDir(), nil)
 	cfg.ReadmitAfter = 2
 	if _, err := New(cfg); err == nil {
 		t.Fatal("ReadmitAfter without PartitionFaults must be rejected")

@@ -9,8 +9,8 @@ import (
 	"omniwindow/internal/pool"
 )
 
-// Differential property tests for the pooled hot path: buffer pooling,
-// batched ingest and pre-sizing hints are performance mechanisms only —
+// Differential property tests for the pooled hot path: buffer pooling and
+// batched ingest are performance mechanisms only —
 // with identical seeds they must produce byte-identical WindowResults and
 // identical (virtual-time) stats under every chaos schedule, with pooling
 // on or off. A divergence here means a pooled buffer was read after
@@ -24,8 +24,8 @@ func withPooling(enabled bool, f func()) {
 	f()
 }
 
-// TestChaosPoolingDifferential: pooling on vs off, and the ExpectedFlows
-// pre-sizing hint, across the seeded drop/duplicate chaos schedules.
+// TestChaosPoolingDifferential: pooling on vs off across the seeded
+// drop/duplicate chaos schedules.
 func TestChaosPoolingDifferential(t *testing.T) {
 	schedules := []struct {
 		name string
@@ -36,45 +36,31 @@ func TestChaosPoolingDifferential(t *testing.T) {
 		{"drop20+dup/seed1", &faults.Config{Seed: 1, Drop: 0.20, Duplicate: 0.20, MaxDuplicates: 2}},
 		{"dup-only/seed2", &faults.Config{Seed: 2, Duplicate: 0.5, MaxDuplicates: 3}},
 	}
-	variants := []struct {
-		name   string
-		pooled bool
-		mutate func(*Config)
-	}{
-		{"unpooled", false, nil},
-		{"pooled+hint", true, func(c *Config) { c.ExpectedFlows = 64 }},
-		{"pooled+bighint", true, func(c *Config) { c.ExpectedFlows = 1 << 14 }},
-	}
 	for _, sched := range schedules {
 		t.Run(sched.name, func(t *testing.T) {
-			run := func(pooled bool, mutate func(*Config)) *Deployment {
+			run := func(pooled bool) *Deployment {
 				var d *Deployment
 				withPooling(pooled, func() {
 					d = runChaos(t, func(c *Config) {
 						if sched.cfg != nil {
 							c.AFRFaults = faults.New(*sched.cfg)
 						}
-						if mutate != nil {
-							mutate(c)
-						}
 					})
 				})
 				return d
 			}
-			base := run(true, nil)
+			base := run(true)
 			if len(base.Results()) == 0 {
 				t.Fatal("pooled baseline produced no windows")
 			}
-			for _, v := range variants {
-				d := run(v.pooled, v.mutate)
-				if !reflect.DeepEqual(base.Results(), d.Results()) {
-					t.Fatalf("%s results diverged from pooled baseline:\npooled: %+v\n%s: %+v",
-						v.name, base.Results(), v.name, d.Results())
-				}
-				if base.Stats() != d.Stats() {
-					t.Fatalf("%s stats diverged from pooled baseline:\npooled: %+v\n%s: %+v",
-						v.name, base.Stats(), v.name, d.Stats())
-				}
+			d := run(false)
+			if !reflect.DeepEqual(base.Results(), d.Results()) {
+				t.Fatalf("unpooled results diverged from pooled baseline:\npooled:   %+v\nunpooled: %+v",
+					base.Results(), d.Results())
+			}
+			if base.Stats() != d.Stats() {
+				t.Fatalf("unpooled stats diverged from pooled baseline:\npooled:   %+v\nunpooled: %+v",
+					base.Stats(), d.Stats())
 			}
 		})
 	}
@@ -82,9 +68,10 @@ func TestChaosPoolingDifferential(t *testing.T) {
 
 // TestChaosPoolingDifferentialCrashRestart: the durability path (WAL
 // encode scratch, checkpoint scratch, replay through the batched ingest)
-// must also be pooling-invariant — crash at a boundary, restart, and the
-// stitched window sequence matches the pooled uncrashed baseline whether
-// the restarted run pools or not.
+// must also be pooling-invariant — the store dies inside a boundary's
+// checkpoint, the restart replays that boundary's WAL, and the stitched
+// window sequence matches the pooled uncrashed baseline whether the runs
+// pool or not.
 func TestChaosPoolingDifferentialCrashRestart(t *testing.T) {
 	baseline := runChaos(t, nil)
 	if len(baseline.Results()) == 0 {
@@ -95,7 +82,7 @@ func TestChaosPoolingDifferentialCrashRestart(t *testing.T) {
 			t.Run(fmt.Sprintf("pooled=%v/boundary%d", pooled, at), func(t *testing.T) {
 				var combined []WindowResult
 				withPooling(pooled, func() {
-					combined, _ = crashAndRestart(t, t.TempDir(), 2, at)
+					combined = crashCase{b: at, point: uncommitted}.run(t).stitched
 				})
 				if !reflect.DeepEqual(baseline.Results(), combined) {
 					t.Fatalf("pooled=%v crash at %d not exactly recovered:\nuncrashed: %+v\nstitched:  %+v",

@@ -285,7 +285,6 @@ func TestRDMAChaosFailoverReregisters(t *testing.T) {
 	baseline := runRDMAChaos(t, nil)
 	d := runRDMAChaos(t, func(c *Config) {
 		c.CheckpointDir = t.TempDir()
-		c.CheckpointEvery = 1
 		c.Shards = 4
 		c.Standby = true
 		c.Crash = crashes(2)
@@ -333,30 +332,36 @@ func TestRDMAChaosDeterministic(t *testing.T) {
 // the order the boundary drain hands them over, so this pins the hot
 // readback to a run-independent order (first write, not map iteration)
 // — with dozens of hot keys per boundary, any other order differs between
-// two runs with near certainty.
+// two runs with near certainty. Each boundary's checkpoint deletes the
+// segments it covers, so the spy file system keeps their bytes.
 func TestRDMADurableRunsByteIdentical(t *testing.T) {
 	run := func() (map[string][]byte, Stats) {
-		dir := t.TempDir()
-		d := runRDMAChaos(t, func(c *Config) {
-			c.CheckpointDir = dir
-			c.CheckpointEvery = 100 // keep every WAL segment on disk
-			c.Shards = 1            // one WAL group per boundary: order fully visible
-			c.HotThreshold = 2
-		})
+		cfg := freqConfig(window.SlidingPlan(3, 1), 25, true)
+		cfg.RetryBackoff = time.Millisecond
+		cfg.RetryMaxBackoff = 2 * time.Millisecond
+		cfg.CheckpointDir = t.TempDir()
+		cfg.Shards = 1 // one WAL group per boundary: order fully visible
+		cfg.HotThreshold = 2
+		d := newDisk(t, cfg)
+		spy := &spyFS{wal: make(map[string][]byte)}
+		swapStore(t, d, spy)
+		d.RunFor(chaosTrace(), 500*ms)
 		d.CloseDurability()
-		files, err := filepath.Glob(filepath.Join(dir, "wal-*.log"))
-		if err != nil || len(files) == 0 {
-			t.Fatalf("no WAL segments in %s (err %v)", dir, err)
+		files, err := filepath.Glob(filepath.Join(cfg.CheckpointDir, "wal-*.log"))
+		if err != nil {
+			t.Fatal(err)
 		}
-		wal := make(map[string][]byte)
-		for _, f := range files {
+		for _, f := range files { // what the last checkpoint left on disk
 			b, err := os.ReadFile(f)
 			if err != nil {
 				t.Fatal(err)
 			}
-			wal[filepath.Base(f)] = b
+			spy.wal[filepath.Base(f)] = b
 		}
-		return wal, d.Stats()
+		if len(spy.wal) == 0 {
+			t.Fatalf("no WAL segments written in %s", cfg.CheckpointDir)
+		}
+		return spy.wal, d.Stats()
 	}
 	wal1, st1 := run()
 	wal2, st2 := run()
