@@ -34,11 +34,11 @@ race:
 #	race                 ↔ job "race" (every chaos suite included)
 #	staticcheck          ↔ job "staticcheck" (CI installs the binary)
 #	cover                ↔ job "coverage"
-#	fuzz-smoke bench-smoke ↔ job "smoke"
+#	fuzz-smoke bench-smoke examples ↔ job "smoke"
 #	nightly              ↔ .github/workflows/nightly.yml (scheduled)
 #	chaos failover fabric-chaos rdma-chaos disk-chaos partition-chaos,
 #	loc                  ↔ none: local focus commands and line counts
-ci: build vet fmt-check test race staticcheck cover fuzz-smoke bench-smoke
+ci: build vet fmt-check test race staticcheck cover fuzz-smoke bench-smoke examples
 
 # Chaos suite: the full pipeline under seeded drop/dup/reorder/corruption
 # schedules, run with the race detector. Fixed seeds (1, 2, 3 in the test
@@ -198,6 +198,9 @@ nightly:
 	$(GO) test -fuzz 'FuzzSortCells$$' -fuzztime 300s ./internal/controller/
 	OMNIWINDOW_EXTRA_SEEDS=10 $(GO) test -race ./...
 
+# Every example, end to end (≈ 23 s). udpcollector is the one program that
+# sends the wire datagram format over real sockets and networkwide the one
+# that runs internal/fabric, so CI's smoke job runs this target.
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/ddosdetect

@@ -69,7 +69,7 @@ func (b *boundary) enumerate() {
 	if !b.owned {
 		return
 	}
-	d, costs := b.d, &b.d.cfg.Costs
+	d, costs := b.d, &b.d.sw.Costs
 	d.engine.BeginCollection(b.sw)
 	keyCount := d.engine.Tracker().KeyCount(b.region)
 	for i := 0; i < d.cfg.CollectionPackets; i++ {
@@ -142,7 +142,7 @@ func (b *boundary) reset() {
 		b.passes += d.injectSpecial(packet.OWHeader{Flag: packet.OWReset}).Passes
 	}
 	d.stats.RecircPasses += b.passes
-	b.virtual += d.cfg.Costs.RecircTime(d.cfg.CollectionPackets, d.cfg.Slots)
+	b.virtual += d.sw.Costs.RecircTime(d.cfg.CollectionPackets, d.cfg.Slots)
 	d.regionOwned[b.region] = false
 }
 

@@ -37,9 +37,10 @@ import (
 )
 
 const (
-	subWindow = 100 * trace.Millisecond
-	windowSub = 5
-	slots     = 4096
+	subWindow  = 100 * trace.Millisecond
+	windowSub  = 5
+	slots      = 4096
+	bufferKeys = 8192
 )
 
 func main() {
@@ -143,11 +144,15 @@ func main() {
 		telemetry.NewFrequencyApp(sketch.NewCountMin(4, slots, 2), slots),
 	}
 	engine := afr.NewEngine(afr.NewTracker(afr.TrackerConfig{
-		BufferKeys: 8192, BloomBits: 1 << 18, BloomHashes: 3,
+		BufferKeys: bufferKeys, BloomBits: 1 << 18, BloomHashes: 3,
 	}), apps, mgr.Regions())
 
 	sw := switchsim.New(0)
 	var pendingCollect []uint64
+	// spills counts flow keys that did not fit the flowkey array. This
+	// program has no spill path to the controller, so their flows would
+	// get no AFR and silently vanish from the windows.
+	spills := 0
 	sw.SetProgram(func(pass *switchsim.Pass) {
 		p := pass.Pkt
 		if engine.HandleSpecial(pass) {
@@ -163,7 +168,9 @@ func main() {
 			pendingCollect = append(pendingCollect, ended)
 		}
 		if !res.Spike {
-			engine.Update(res.Region, p)
+			if _, spill := engine.Update(res.Region, p); spill {
+				spills++
+			}
 		}
 	})
 
@@ -228,6 +235,9 @@ func main() {
 		KeyCount: uint32(engine.Tracker().KeyCount(mgr.Regions().Index(last)))}}
 	send(trig)
 	collect(last)
+	if spills > 0 {
+		log.Fatalf("udpcollector: %d flow keys spilled past the %d-key flowkey array and would be missing from the windows; raise BufferKeys", spills, bufferKeys)
+	}
 
 	// ---- Controller machine: assemble the windows. ----
 	// Graceful shutdown BEFORE assembly: Close stops the reader, drains

@@ -17,18 +17,6 @@ type Attr struct {
 	HasDistinct bool
 }
 
-// StateMigrator is an optional StateApp extension for telemetry whose
-// flow statistics cannot be derived by data-plane queries (FlowRadar
-// decoding, NZE's compressive recovery). OmniWindow migrates the ENTIRE
-// state to the controller instead of generating AFRs: recirculated
-// OWMigrate packets enumerate the registers slot by slot, cloning the raw
-// words to the controller, which reconstructs and merges the structure
-// (§8, merging intermediate data without AFRs).
-type StateMigrator interface {
-	// RawSlot returns every register's word(s) at slot i.
-	RawSlot(i int) []uint64
-}
-
 // StateApp is one memory region's application state — the stateful part of
 // a telemetry program for a single sub-window. OmniWindow instantiates one
 // StateApp per region and drives measurement, AFR queries and slot-wise
@@ -230,45 +218,9 @@ func (e *Engine) HandleSpecial(pass *switchsim.Pass) bool {
 	case packet.OWInjectKey:
 		e.handleInjectedKey(pass)
 		return true
-	case packet.OWMigrate:
-		e.handleMigrate(pass)
-		return true
 	default:
 		return false
 	}
-}
-
-// handleMigrate enumerates the collected region's raw register state, one
-// slot per pass, cloning the words to the controller. When the app does
-// not support migration the packet converts to a clear packet so a
-// misconfigured controller cannot stall the reset.
-func (e *Engine) handleMigrate(pass *switchsim.Pass) {
-	p := pass.Pkt
-	if int(p.OW.App) >= e.AppCount() {
-		pass.Drop()
-		return
-	}
-	app := e.apps[e.collectRegion][p.OW.App]
-	mig, ok := app.(StateMigrator)
-	if !ok {
-		p.OW.Flag = packet.OWReset
-		pass.Recirculate()
-		return
-	}
-	idx := e.counter
-	e.counter++
-	if idx >= app.Slots() {
-		e.parked++
-		pass.Drop()
-		return
-	}
-	c := p.Clone()
-	c.OW.Flag = packet.OWMigrate
-	c.OW.Index = uint32(idx)
-	c.OW.SubWindow = e.collectSW
-	c.OW.RawWords = mig.RawSlot(idx)
-	pass.CloneToController(c)
-	pass.Recirculate()
 }
 
 // handleCollection implements Algorithm 2: enumerate fk_buffer, one key
@@ -345,7 +297,6 @@ func (e *Engine) cloneAFRs(pass *switchsim.Pass, k packet.FlowKey, seq uint32) {
 	e.pktSlab = e.pktSlab[1:]
 	*c = *pass.Pkt
 	c.OW.Flag = packet.OWAFR
-	c.OW.RawWords, c.OW.Seqs = nil, nil // a clone aliases no header data
 	start := len(e.afrSlab)
 	e.afrSlab = e.appendAFRs(e.afrSlab, k, seq)
 	// Capacity-clipped: a holder appending to its records cannot reach

@@ -36,16 +36,11 @@ type Config struct {
 	Plan window.Plan
 	// Kind is the statistic's merge pattern.
 	Kind afr.Kind
-	// Threshold is the default detection threshold applied to merged
-	// values when Detector is nil.
+	// Threshold is the detection threshold applied to merged values.
 	Threshold uint64
-	// Detector optionally overrides threshold detection. It may be
-	// called concurrently from shard workers and must be safe for
-	// concurrent use (pure predicates are).
-	Detector func(k packet.FlowKey, merged uint64) bool
 	// DistinctCounter optionally overrides how OR-merged distinct
-	// summaries are counted (see afr.DistinctCounter). Like Detector it
-	// may be called concurrently and must be a pure function.
+	// summaries are counted (see afr.DistinctCounter). It may be called
+	// concurrently from shard workers and must be a pure function.
 	DistinctCounter afr.DistinctCounter
 	// CaptureValues copies every flow's merged value into each
 	// WindowResult (needed by ARE metrics; costs a table scan).

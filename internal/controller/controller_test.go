@@ -195,21 +195,6 @@ func TestIngestAFRsDirect(t *testing.T) {
 	}
 }
 
-func TestCustomDetector(t *testing.T) {
-	c := New(Config{
-		Plan: window.Tumbling(1),
-		Kind: afr.Frequency,
-		Detector: func(k packet.FlowKey, v uint64) bool {
-			return k.SrcIP == 2 // detect by identity, not value
-		},
-	})
-	c.Receive(afrPkt(rec(1, 0, 1000, 0), rec(2, 0, 1, 1)))
-	res := c.FinishSubWindow(0)
-	if len(res[0].Detected) != 1 || res[0].Detected[0] != fk(2) {
-		t.Fatalf("detector ignored: %v", res[0].Detected)
-	}
-}
-
 func TestDetectedDeterministicOrder(t *testing.T) {
 	c := New(Config{Plan: window.Tumbling(1), Kind: afr.Frequency, Threshold: 1})
 	c.Receive(afrPkt(rec(3, 0, 5, 0), rec(1, 0, 5, 1), rec(2, 0, 5, 2)))

@@ -1,11 +1,6 @@
 package controller
 
-import (
-	"time"
-
-	"omniwindow/internal/packet"
-	"omniwindow/internal/wire"
-)
+import "time"
 
 // RetryPolicy bounds the NACK/retransmit recovery loop of §8. The
 // controller re-checks a sub-window's sequence gaps after each round,
@@ -46,9 +41,10 @@ type Recovery struct {
 
 // RecoverSubWindow drives the bounded NACK/retransmit protocol for one
 // sub-window. The caller supplies the three environment hooks, which is
-// what lets the same state machine run in-process (deployment: nack calls
-// Engine.Retransmit directly, sleep advances virtual time) and over the
-// wire (udp: nack sends OWNack datagrams, sleep really sleeps):
+// what lets the same state machine run in the deployment (nack calls
+// Engine.Retransmit directly, sleep advances virtual time) and beside a UDP
+// collector (examples/udpcollector: nack re-queries the engine in-process
+// and sends the OWRetransmit datagrams over the wire, sleep really sleeps):
 //
 //   - missing samples the gap state (Controller.MissingSeqs);
 //   - nack requests retransmission of the given sequences;
@@ -86,22 +82,6 @@ func RecoverSubWindow(pol RetryPolicy, missing func() []uint32, nack func([]uint
 			out.Complete = true
 			return out
 		}
-	}
-	return out
-}
-
-// NackPackets builds the OWNack requests for a sub-window's missing
-// sequences, chunked to the wire bound so each fits one datagram.
-func NackPackets(sw uint64, seqs []uint32) []*packet.Packet {
-	var out []*packet.Packet
-	for start := 0; start < len(seqs); start += wire.MaxSeqsPerDatagram {
-		end := min(start+wire.MaxSeqsPerDatagram, len(seqs))
-		out = append(out, &packet.Packet{OW: packet.OWHeader{
-			Flag:         packet.OWNack,
-			SubWindow:    sw,
-			HasSubWindow: true,
-			Seqs:         append([]uint32(nil), seqs[start:end]...),
-		}})
 	}
 	return out
 }

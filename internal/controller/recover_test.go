@@ -4,9 +4,6 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"omniwindow/internal/packet"
-	"omniwindow/internal/wire"
 )
 
 // recoveryEnv is a scripted switch: each NACK restores some of the
@@ -96,35 +93,5 @@ func TestRecoverAbortsOnNackError(t *testing.T) {
 		func(time.Duration) {})
 	if rec.Complete || calls != 1 || rec.Rounds != 0 {
 		t.Fatalf("nack error did not abort: %+v after %d calls", rec, calls)
-	}
-}
-
-func TestNackPacketsChunking(t *testing.T) {
-	seqs := make([]uint32, wire.MaxSeqsPerDatagram+5)
-	for i := range seqs {
-		seqs[i] = uint32(i)
-	}
-	pkts := NackPackets(99, seqs)
-	if len(pkts) != 2 {
-		t.Fatalf("%d packets, want 2", len(pkts))
-	}
-	total := 0
-	for _, p := range pkts {
-		if p.OW.Flag != packet.OWNack || p.OW.SubWindow != 99 || !p.OW.HasSubWindow {
-			t.Fatalf("bad NACK header %+v", p.OW)
-		}
-		if len(p.OW.Seqs) > wire.MaxSeqsPerDatagram {
-			t.Fatalf("chunk of %d exceeds wire bound", len(p.OW.Seqs))
-		}
-		if _, err := wire.Encode(nil, p); err != nil {
-			t.Fatalf("NACK chunk does not encode: %v", err)
-		}
-		total += len(p.OW.Seqs)
-	}
-	if total != len(seqs) {
-		t.Fatalf("chunks carry %d seqs, want %d", total, len(seqs))
-	}
-	if got := NackPackets(1, nil); len(got) != 0 {
-		t.Fatalf("empty gap list produced %d packets", len(got))
 	}
 }

@@ -361,8 +361,8 @@ func (t *table) value(r uint32) uint64 {
 	return t.merged[r]
 }
 
-// scan is O4: evaluate the query predicate over every live row's merged
-// value, appending the keys that satisfy it to detected and, when values is
+// scan is O4: compare every live row's merged value against the threshold,
+// appending the keys that reach it to detected and, when values is
 // non-nil, recording every row's value. The key column is read only for
 // rows that need their key.
 func (t *table) scan(cfg *Config, detected []packet.FlowKey, values map[packet.FlowKey]uint64) []packet.FlowKey {
@@ -374,11 +374,7 @@ func (t *table) scan(cfg *Config, detected []packet.FlowKey, values map[packet.F
 		if values != nil {
 			values[t.keys[r]] = v
 		}
-		if cfg.Detector != nil {
-			if cfg.Detector(t.keys[r], v) {
-				detected = append(detected, t.keys[r])
-			}
-		} else if v >= cfg.Threshold {
+		if v >= cfg.Threshold {
 			detected = append(detected, t.keys[r])
 		}
 	}

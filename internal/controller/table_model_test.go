@@ -231,7 +231,7 @@ func (m *modelController) finishOne(sw uint64) []WindowResult {
 	}
 	for k, e := range m.table {
 		v := e.merged.Value()
-		if m.detect(k, v) {
+		if v >= m.cfg.Threshold {
 			res.Detected = append(res.Detected, k)
 		}
 		if res.Values != nil {
@@ -274,13 +274,6 @@ func (m *modelController) finishOne(sw uint64) []WindowResult {
 		}
 	}
 	return []WindowResult{res}
-}
-
-func (m *modelController) detect(k packet.FlowKey, v uint64) bool {
-	if m.cfg.Detector != nil {
-		return m.cfg.Detector(k, v)
-	}
-	return v >= m.cfg.Threshold
 }
 
 // evictShard is the old O5, verbatim: drop contributions of sub-windows
@@ -456,11 +449,11 @@ var diffPlans = []window.Plan{
 var diffAttrs = []uint64{0, 0, 1, 1, 2, 3, 7, 40, 1 << 33, math.MaxUint64, math.MaxUint64 - 3, math.MaxUint64 / 2}
 
 // runTableOps drives a real controller and the model through the op
-// stream in data, comparing them after every finish and restore. detector
-// selects a custom Detector instead of the threshold. The stream draws
-// keys from a universe of 24, so a key routinely has several records in
-// one sub-window under different sequence numbers, leaves the table when
-// its last sub-window retires and comes back to a recycled row later.
+// stream in data, comparing them after every finish and restore. The
+// stream draws keys from a universe of 24, so a key routinely has several
+// records in one sub-window under different sequence numbers, leaves the
+// table when its last sub-window retires and comes back to a recycled row
+// later.
 func runTableOps(t *testing.T, cfg Config, data []byte) {
 	t.Helper()
 	next := func() int {
@@ -608,7 +601,7 @@ func runTableOps(t *testing.T, cfg Config, data []byte) {
 	}
 }
 
-func diffConfig(kind, plan, shards int, detector bool) Config {
+func diffConfig(kind, plan, shards int) Config {
 	k := diffKinds[kind%len(diffKinds)]
 	cfg := Config{
 		Plan: diffPlans[plan%len(diffPlans)], Kind: k.kind, DistinctCounter: k.counter,
@@ -617,14 +610,11 @@ func diffConfig(kind, plan, shards int, detector bool) Config {
 	if k.kind == afr.Existence {
 		cfg.Threshold = 1
 	}
-	if detector {
-		cfg.Detector = func(k packet.FlowKey, v uint64) bool { return v%3 == 0 || k.SrcPort%5 == 0 }
-	}
 	return cfg
 }
 
-// TestTableDifferential: every kind x plan x shard count, threshold and
-// custom detector, over seeded op streams.
+// TestTableDifferential: every kind x plan x shard count over seeded op
+// streams.
 func TestTableDifferential(t *testing.T) {
 	for ki, k := range diffKinds {
 		for pi, p := range diffPlans {
@@ -634,7 +624,7 @@ func TestTableDifferential(t *testing.T) {
 						rng := rand.New(rand.NewSource(seed*1000 + int64(ki*100+pi*10+shards)))
 						data := make([]byte, 3000)
 						rng.Read(data)
-						runTableOps(t, diffConfig(ki, pi, shards, seed == 2), data)
+						runTableOps(t, diffConfig(ki, pi, shards), data)
 					}
 				})
 			}
@@ -642,7 +632,7 @@ func TestTableDifferential(t *testing.T) {
 	}
 }
 
-// FuzzTableDifferential shares the driver: the first four bytes pick the
+// FuzzTableDifferential shares the driver: the first three bytes pick the
 // configuration, the rest is the op stream.
 func FuzzTableDifferential(f *testing.F) {
 	for seed := int64(0); seed < 6; seed++ {
@@ -652,10 +642,10 @@ func FuzzTableDifferential(f *testing.F) {
 		f.Add(data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) < 4 {
+		if len(data) < 3 {
 			return
 		}
-		cfg := diffConfig(int(data[0]), int(data[1]), []int{1, 3, 8}[int(data[2])%3], data[3]%2 == 1)
-		runTableOps(t, cfg, data[4:])
+		cfg := diffConfig(int(data[0]), int(data[1]), []int{1, 3, 8}[int(data[2])%3])
+		runTableOps(t, cfg, data[3:])
 	})
 }

@@ -218,9 +218,9 @@ func TestTableChurnAgainstMap(t *testing.T) {
 		if tab.rows != len(ref) {
 			t.Fatalf("sw %d: %d live rows, reference has %d keys", sw, tab.rows, len(ref))
 		}
-		seen := 0
-		tab.scan(&Config{Detector: func(k packet.FlowKey, v uint64) bool {
-			seen++
+		values := map[packet.FlowKey]uint64{}
+		tab.scan(&Config{Threshold: math.MaxUint64}, nil, values)
+		for k, v := range values {
 			var want uint64
 			for _, a := range ref[k] {
 				want += a
@@ -228,10 +228,9 @@ func TestTableChurnAgainstMap(t *testing.T) {
 			if _, ok := ref[k]; !ok || v != want {
 				t.Fatalf("sw %d: key %v reads %d, want %d (known %v)", sw, k, v, want, ok)
 			}
-			return false
-		}}, nil, nil)
-		if seen != len(ref) {
-			t.Fatalf("sw %d: scan visited %d rows, want %d", sw, seen, len(ref))
+		}
+		if len(values) != len(ref) {
+			t.Fatalf("sw %d: scan visited %d rows, want %d", sw, len(values), len(ref))
 		}
 		// Every live key must still be reachable through the index.
 		for k := range ref {

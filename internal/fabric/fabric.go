@@ -691,17 +691,10 @@ func (f *Fabric) mergeWindow(start, end uint64, get func(i int) (controller.Wind
 		}
 	}
 
-	// Detection re-runs the first switch's query over the merged values.
-	det := f.cfg.Switches[0].Config.Detector
+	// Detection re-runs the first switch's threshold over the merged values.
 	thr := f.cfg.Switches[0].Config.Threshold
 	for k, v := range w.Values {
-		hit := false
-		if det != nil {
-			hit = det(k, v)
-		} else {
-			hit = v >= thr
-		}
-		if hit {
+		if v >= thr {
 			w.Detected = append(w.Detected, k)
 		}
 	}

@@ -45,15 +45,6 @@ const (
 	// is older than every preserved sub-window; forwarded to the
 	// controller for software processing (§5, out-of-order packets).
 	OWLatencySpike
-	// OWMigrate marks a collection packet that enumerates RAW register
-	// state instead of generating AFRs, for telemetry whose statistics
-	// can only be computed in the controller, e.g. FlowRadar decoding
-	// (§8, merging intermediate data without AFRs).
-	OWMigrate
-	// OWNack marks a controller-to-switch request naming the AFR sequence
-	// numbers of a sub-window that never arrived; the switch re-queries
-	// them while the region still holds state (§8, reliability of AFRs).
-	OWNack
 	// OWRetransmit marks a switch-to-controller packet carrying AFRs
 	// re-queried in answer to a NACK. It is ingested exactly like OWAFR
 	// (dedup by sequence) but counted separately, so delivery accounting
@@ -80,10 +71,6 @@ func (f OWFlag) String() string {
 		return "spill"
 	case OWLatencySpike:
 		return "latency-spike"
-	case OWMigrate:
-		return "migrate"
-	case OWNack:
-		return "nack"
 	case OWRetransmit:
 		return "retransmit"
 	default:
@@ -148,13 +135,6 @@ type OWHeader struct {
 	// the switch tracked in the terminated sub-window, so the controller
 	// can detect AFR losses (§8, reliability of AFRs).
 	KeyCount uint32
-	// RawWords carries migrated register words (OWMigrate responses).
-	RawWords []uint64
-	// Seqs carries the missing AFR sequence numbers of an OWNack request.
-	Seqs []uint32
-	// App selects the co-deployed application a control packet targets
-	// (state migration enumerates one app's registers at a time).
-	App uint8
 }
 
 // Packet is a simulated packet. Timestamps are virtual nanoseconds from the
@@ -175,19 +155,13 @@ func (p *Packet) IsSpecial() bool { return p.OW.Flag != OWNone }
 // HasFlags reports whether all the given TCP flag bits are set.
 func (p *Packet) HasFlags(mask uint8) bool { return p.TCPFlags&mask == mask }
 
-// Clone returns a copy of the packet with independent header slices,
+// Clone returns a copy of the packet with an independent AFR slice,
 // which models the switch clone engine (clones must not alias the
 // original's header data).
 func (p *Packet) Clone() *Packet {
 	q := *p
 	if len(p.OW.AFRs) > 0 {
 		q.OW.AFRs = append([]AFR(nil), p.OW.AFRs...)
-	}
-	if len(p.OW.RawWords) > 0 {
-		q.OW.RawWords = append([]uint64(nil), p.OW.RawWords...)
-	}
-	if len(p.OW.Seqs) > 0 {
-		q.OW.Seqs = append([]uint32(nil), p.OW.Seqs...)
 	}
 	return &q
 }

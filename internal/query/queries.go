@@ -173,20 +173,6 @@ func SlowlorisQuery(t Thresholds) *Query {
 	}
 }
 
-// DNSAmpQuery detects hosts receiving DNS-amplification floods: total
-// bytes of large UDP responses from port 53 per victim host. Built with
-// the dataflow DSL as the canonical example of a byte-volume query.
-func DNSAmpQuery(thresholdBytes uint64) *Query {
-	return MustCompile("Q-dns-amplification",
-		Filter(func(p *packet.Packet) bool {
-			return p.Key.Proto == packet.ProtoUDP && p.Key.SrcPort == 53 && p.Size > 512
-		}),
-		MapKey(func(p *packet.Packet) packet.FlowKey { return p.Key.DstHostKey() }),
-		Reduce{Volume: func(p *packet.Packet) uint64 { return uint64(p.Size) }},
-		Threshold(thresholdBytes),
-	)
-}
-
 // All returns Q1..Q7 with the given thresholds.
 func All(t Thresholds) []*Query {
 	return []*Query{

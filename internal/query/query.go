@@ -1,6 +1,6 @@
 // Package query implements a Sonata-style query-driven telemetry engine
-// (Gupta et al., SIGCOMM'18): queries are dataflows of filter / map /
-// distinct / reduce operators compiled onto data-plane stateful state.
+// (Gupta et al., SIGCOMM'18): each query is a filter / map / distinct /
+// reduce pipeline written directly as a Query value over data-plane state.
 // Like Sonata's switch operators, the data-plane state is a hash-indexed
 // array with no collision handling — colliding keys share a counter, which
 // is exactly the residual error the paper observes between OmniWindow and

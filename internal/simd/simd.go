@@ -1,6 +1,6 @@
 // Package simd provides the controller's batch AFR-aggregation kernels.
 // The paper merges AFRs with AVX-512 instructions, performing one
-// operation (sum, max, min, compare) on many records at once. Go has no
+// operation (sum, max) on many records at once. Go has no
 // AVX-512 intrinsics, so this package substitutes the same *mechanism*
 // with columnar struct-of-arrays kernels: attributes live in contiguous
 // uint64 vectors and the kernels process eight lanes per unrolled
@@ -74,25 +74,6 @@ func Max(dst, src []uint64) {
 	}
 }
 
-// Min folds src into dst taking element-wise minima.
-func Min(dst, src []uint64) {
-	n := len(dst) &^ (lanes - 1)
-	for i := 0; i < n; i += lanes {
-		d := dst[i : i+lanes : i+lanes]
-		s := src[i : i+lanes : i+lanes]
-		for j := 0; j < lanes; j++ {
-			if s[j] < d[j] {
-				d[j] = s[j]
-			}
-		}
-	}
-	for i := n; i < len(dst); i++ {
-		if src[i] < dst[i] {
-			dst[i] = src[i]
-		}
-	}
-}
-
 // Or folds src into dst bitwise (distinction-summary merging).
 func Or(dst, src []uint64) {
 	n := len(dst) &^ (lanes - 1)
@@ -113,58 +94,6 @@ func Or(dst, src []uint64) {
 	}
 }
 
-// CountGE returns how many values reach the threshold — the vectorized
-// compare the controller uses to pre-filter detection candidates.
-func CountGE(vals []uint64, threshold uint64) int {
-	n := len(vals) &^ (lanes - 1)
-	var c0, c1, c2, c3, c4, c5, c6, c7 int
-	for i := 0; i < n; i += lanes {
-		v := vals[i : i+lanes : i+lanes]
-		if v[0] >= threshold {
-			c0++
-		}
-		if v[1] >= threshold {
-			c1++
-		}
-		if v[2] >= threshold {
-			c2++
-		}
-		if v[3] >= threshold {
-			c3++
-		}
-		if v[4] >= threshold {
-			c4++
-		}
-		if v[5] >= threshold {
-			c5++
-		}
-		if v[6] >= threshold {
-			c6++
-		}
-		if v[7] >= threshold {
-			c7++
-		}
-	}
-	count := c0 + c1 + c2 + c3 + c4 + c5 + c6 + c7
-	for i := n; i < len(vals); i++ {
-		if vals[i] >= threshold {
-			count++
-		}
-	}
-	return count
-}
-
-// SelectGE appends the indexes of values reaching the threshold to idx and
-// returns it.
-func SelectGE(vals []uint64, threshold uint64, idx []int) []int {
-	for i, v := range vals {
-		if v >= threshold {
-			idx = append(idx, i)
-		}
-	}
-	return idx
-}
-
 // Op names a merge operation for the scalar reference path.
 type Op int
 
@@ -172,7 +101,6 @@ type Op int
 const (
 	OpSum Op = iota
 	OpMax
-	OpMin
 )
 
 // mergeFn is one record's merge operation.
@@ -184,13 +112,6 @@ func scalarOp(op Op) mergeFn {
 	case OpMax:
 		return func(a, v uint64) uint64 {
 			if v > a {
-				return v
-			}
-			return a
-		}
-	case OpMin:
-		return func(a, v uint64) uint64 {
-			if v < a {
 				return v
 			}
 			return a
@@ -210,17 +131,5 @@ func MergeScalar(dst, src []uint64, op Op) {
 	f := scalarOp(op)
 	for i := range dst {
 		dst[i] = f(dst[i], src[i])
-	}
-}
-
-// Merge runs the columnar kernel for op.
-func Merge(dst, src []uint64, op Op) {
-	switch op {
-	case OpSum:
-		Sum(dst, src)
-	case OpMax:
-		Max(dst, src)
-	case OpMin:
-		Min(dst, src)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func randVec(rng *rand.Rand, n int) []uint64 {
@@ -25,10 +24,6 @@ func refMerge(dst, src []uint64, op Op) {
 			if src[i] > dst[i] {
 				dst[i] = src[i]
 			}
-		case OpMin:
-			if src[i] < dst[i] {
-				dst[i] = src[i]
-			}
 		}
 	}
 }
@@ -37,15 +32,18 @@ func TestKernelsMatchScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	// Cover remainder handling: lengths around the unroll width.
 	for _, n := range []int{0, 1, 7, 8, 9, 15, 16, 100, 1027} {
-		for _, op := range []Op{OpSum, OpMax, OpMin} {
+		for _, k := range []struct {
+			op     Op
+			kernel func(dst, src []uint64)
+		}{{OpSum, Sum}, {OpMax, Max}} {
 			dst := randVec(rng, n)
 			src := randVec(rng, n)
 			want := append([]uint64(nil), dst...)
-			refMerge(want, src, op)
-			Merge(dst, src, op)
+			refMerge(want, src, k.op)
+			k.kernel(dst, src)
 			for i := range dst {
 				if dst[i] != want[i] {
-					t.Fatalf("op %d n %d idx %d: got %d want %d", op, n, i, dst[i], want[i])
+					t.Fatalf("op %d n %d idx %d: got %d want %d", k.op, n, i, dst[i], want[i])
 				}
 			}
 		}
@@ -115,32 +113,6 @@ func TestOr(t *testing.T) {
 		if dst[i] != want[i] {
 			t.Fatalf("idx %d: %b", i, dst[i])
 		}
-	}
-}
-
-func TestCountGE(t *testing.T) {
-	vals := []uint64{1, 5, 10, 10, 3, 100, 0, 10, 9, 11}
-	if got := CountGE(vals, 10); got != 5 {
-		t.Fatalf("CountGE = %d want 5", got)
-	}
-	if CountGE(nil, 1) != 0 {
-		t.Fatal("empty CountGE")
-	}
-}
-
-func TestCountGEMatchesSelectProperty(t *testing.T) {
-	f := func(vals []uint64, thr uint64) bool {
-		return CountGE(vals, thr) == len(SelectGE(vals, thr, nil))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSelectGEAppends(t *testing.T) {
-	idx := SelectGE([]uint64{5, 1, 7}, 5, []int{99})
-	if len(idx) != 3 || idx[0] != 99 || idx[1] != 0 || idx[2] != 2 {
-		t.Fatalf("idx = %v", idx)
 	}
 }
 

@@ -35,15 +35,6 @@ func BenchmarkUnivMonUpdate(b *testing.B) {
 	}
 }
 
-func BenchmarkFlowRadarUpdate(b *testing.B) {
-	fr := NewFlowRadar(1<<16, 3, 1<<20, 1)
-	keys := benchKeys(1024)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		fr.Update(keys[i&1023], 1)
-	}
-}
-
 func BenchmarkSpreadSketchUpdate(b *testing.B) {
 	s := NewSpreadSketch(4, 4096, 4, 1)
 	srcs := benchKeys(256)
@@ -85,18 +76,4 @@ func BenchmarkCountMinQuery(b *testing.B) {
 		sink += cm.Query(keys[i&1023])
 	}
 	_ = sink
-}
-
-func BenchmarkFlowRadarDecode(b *testing.B) {
-	fr := NewFlowRadar(1<<14, 3, 1<<18, 1)
-	for i := 0; i < 2000; i++ {
-		fr.Update(fk(i+1), uint64(i%9+1))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := fr.Decode(); !ok {
-			b.Fatal("decode stalled")
-		}
-	}
 }

@@ -103,95 +103,3 @@ func TestElasticResetAndMemory(t *testing.T) {
 	}()
 	NewElastic(0, 10, 1)
 }
-
-func TestFlowRadarDecodeExact(t *testing.T) {
-	fr := NewFlowRadar(4096, 3, 1<<16, 1)
-	truth := map[packet.FlowKey]uint64{}
-	rng := rand.New(rand.NewSource(7))
-	for f := 0; f < 800; f++ {
-		k := fk(f + 1)
-		n := uint64(rng.Intn(20) + 1)
-		truth[k] = n
-		for i := uint64(0); i < n; i++ {
-			fr.Update(k, 1)
-		}
-	}
-	counts, ok := fr.Decode()
-	if !ok {
-		t.Fatal("decode stalled")
-	}
-	if len(counts) != len(truth) {
-		t.Fatalf("decoded %d flows want %d", len(counts), len(truth))
-	}
-	for k, n := range truth {
-		if counts[k] != n {
-			t.Fatalf("flow %v decoded %d want %d", k, counts[k], n)
-		}
-	}
-}
-
-func TestFlowRadarDecodeIsNonDestructive(t *testing.T) {
-	fr := NewFlowRadar(256, 3, 1<<12, 2)
-	fr.Update(fk(1), 3)
-	a, _ := fr.Decode()
-	b, _ := fr.Decode()
-	if a[fk(1)] != 3 || b[fk(1)] != 3 {
-		t.Fatalf("repeat decode differs: %v vs %v", a, b)
-	}
-}
-
-func TestFlowRadarOverload(t *testing.T) {
-	fr := NewFlowRadar(16, 3, 1<<12, 3)
-	for f := 0; f < 500; f++ {
-		fr.Update(fk(f+1), 1)
-	}
-	if _, ok := fr.Decode(); ok {
-		t.Fatal("overloaded decode claimed success")
-	}
-}
-
-func TestFlowRadarRawRoundTrip(t *testing.T) {
-	fr := NewFlowRadar(512, 3, 1<<13, 4)
-	truth := map[packet.FlowKey]uint64{}
-	for f := 0; f < 100; f++ {
-		k := fk(f + 1)
-		truth[k] = uint64(f%7 + 1)
-		for i := uint64(0); i < truth[k]; i++ {
-			fr.Update(k, 1)
-		}
-	}
-	// Migrate raw words and reconstruct at the "controller".
-	rebuilt := FlowRadarFromRaw(fr.RawState(), 3, 4)
-	counts, ok := rebuilt.Decode()
-	if !ok {
-		t.Fatal("reconstructed decode stalled")
-	}
-	for k, n := range truth {
-		if counts[k] != n {
-			t.Fatalf("flow %v: %d want %d", k, counts[k], n)
-		}
-	}
-	// Per-cell and bulk accessors agree.
-	raw := fr.RawState()
-	for i := 0; i < fr.Cells(); i++ {
-		c := fr.RawCell(i)
-		for j := 0; j < 4; j++ {
-			if raw[i*4+j] != c[j] {
-				t.Fatalf("cell %d word %d mismatch", i, j)
-			}
-		}
-	}
-}
-
-func TestFlowRadarResetAndMemory(t *testing.T) {
-	fr := NewFlowRadarBytes(1<<16, 5)
-	fr.Update(fk(1), 1)
-	fr.Reset()
-	counts, ok := fr.Decode()
-	if !ok || len(counts) != 0 {
-		t.Fatal("reset left state")
-	}
-	if fr.MemoryBytes() > 1<<16+FRCellBytes {
-		t.Fatalf("memory %d over budget", fr.MemoryBytes())
-	}
-}

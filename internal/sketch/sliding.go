@@ -46,36 +46,3 @@ func (s *Sliding) Reset() {
 
 // MemoryBytes implements Sketch.
 func (s *Sliding) MemoryBytes() int { return s.cur.MemoryBytes() + s.prev.MemoryBytes() }
-
-// SlidingInvertible is Sliding over an invertible sketch (e.g. MV-Sketch
-// in Exp#10): candidates are decoded from both buckets and re-qualified
-// against the combined estimate.
-type SlidingInvertible struct {
-	Sliding
-	curInv, prevInv Invertible
-}
-
-// NewSlidingInvertible wraps two invertible instances.
-func NewSlidingInvertible(cur, prev Invertible) *SlidingInvertible {
-	return &SlidingInvertible{Sliding: Sliding{cur: cur, prev: prev}, curInv: cur, prevInv: prev}
-}
-
-// Advance rotates buckets, keeping the invertible views aligned.
-func (s *SlidingInvertible) Advance() {
-	s.Sliding.Advance()
-	s.curInv, s.prevInv = s.prevInv, s.curInv
-}
-
-// HeavyKeys implements Invertible over the combined estimate.
-func (s *SlidingInvertible) HeavyKeys(threshold uint64) []packet.FlowKey {
-	// Decode candidates from both buckets with a permissive threshold,
-	// then qualify against the combined (cur+prev) estimate.
-	cand := append(s.curInv.HeavyKeys(1), s.prevInv.HeavyKeys(1)...)
-	var out []packet.FlowKey
-	for _, k := range dedupeKeys(cand) {
-		if s.Query(k) >= threshold {
-			out = append(out, k)
-		}
-	}
-	return out
-}

@@ -30,8 +30,6 @@ type RegisterRef interface {
 	Name() string
 	Stage() int
 	Entries() int
-	// zero clears entry i (used by clear packets and the switch OS).
-	zero(i int)
 }
 
 // Register is an on-chip stateful memory block served by one SALU. The
@@ -40,12 +38,6 @@ type RegisterRef interface {
 type Register[T any] struct {
 	regHeader
 	data []T
-}
-
-// zero implements RegisterRef.
-func (r *Register[T]) zero(i int) {
-	var z T
-	r.data[i] = z
 }
 
 // AllocRegister allocates a register of `entries` entries of `widthBytes`

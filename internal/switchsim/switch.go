@@ -218,24 +218,3 @@ func (sw *Switch) Inject(pkt *packet.Packet) Output {
 		Latency:      time.Duration(passes) * sw.Costs.PipelinePass,
 	}
 }
-
-// OSReadRegister models the switch-OS path reading a whole register via
-// PCIe: it returns a snapshot and the modeled time. This is the slow path
-// OmniWindow exists to avoid (C1); the TW1/TW2 baselines use it.
-func OSReadRegister[T any](sw *Switch, r *Register[T]) ([]T, time.Duration) {
-	snap := append([]T(nil), r.data...)
-	return snap, sw.Costs.OSReadTime(1, len(r.data))
-}
-
-// OSResetRegisters models the switch OS zeroing whole registers
-// sequentially and returns the modeled time (Exp#8 baseline).
-func (sw *Switch) OSResetRegisters(regs ...RegisterRef) time.Duration {
-	total := 0
-	for _, r := range regs {
-		for i := 0; i < r.Entries(); i++ {
-			r.zero(i)
-		}
-		total += r.Entries()
-	}
-	return sw.Costs.OSResetTime(1, total)
-}

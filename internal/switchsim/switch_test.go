@@ -251,39 +251,14 @@ func TestUtilizationFractions(t *testing.T) {
 	}
 }
 
-func TestOSReadAndResetCosts(t *testing.T) {
-	sw := newTestSwitch(t)
-	reg := mustReg(t, sw, "r", 0, 1024, 2)
-	reg.Poke(7, 99)
-	snap, d := OSReadRegister(sw, reg)
-	if snap[7] != 99 {
-		t.Fatal("snapshot missing value")
-	}
-	if d <= sw.Costs.OSBase {
-		t.Fatalf("OS read cost %v too small", d)
-	}
-	// Snapshot must be independent of live register.
-	reg.Poke(7, 1)
-	if snap[7] != 99 {
-		t.Fatal("snapshot aliases register")
-	}
-
-	dReset := sw.OSResetRegisters(reg)
-	if reg.Peek(7) != 0 {
-		t.Fatal("reset did not zero register")
-	}
-	if dReset <= sw.Costs.OSBase {
-		t.Fatalf("OS reset cost %v too small", dReset)
-	}
-}
-
 func TestOSResetLinearInRegisters(t *testing.T) {
-	sw := newTestSwitch(t)
-	r1 := mustReg(t, sw, "r1", 0, 4096, 2)
-	r2 := mustReg(t, sw, "r2", 1, 4096, 2)
-	d1 := sw.OSResetRegisters(r1)
-	d2 := sw.OSResetRegisters(r1, r2)
-	if d2-sw.Costs.OSBase != 2*(d1-sw.Costs.OSBase) {
+	c := DefaultCosts()
+	d1 := c.OSResetTime(1, 4096)
+	d2 := c.OSResetTime(2, 4096)
+	if d1 <= c.OSBase {
+		t.Fatalf("OS reset cost %v too small", d1)
+	}
+	if d2-c.OSBase != 2*(d1-c.OSBase) {
 		t.Fatalf("OS reset not linear: %v vs %v", d1, d2)
 	}
 }

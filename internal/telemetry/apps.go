@@ -189,41 +189,3 @@ func (a *SpanApp) ResetSlot(i int) { a.slots[i] = spanSlot{} }
 
 // Slots implements afr.StateApp.
 func (a *SpanApp) Slots() int { return len(a.slots) }
-
-// FlowRadarApp deploys FlowRadar under OmniWindow. FlowRadar cannot
-// answer per-flow queries in the data plane (flows must be decoded from
-// the whole structure), so the app implements afr.StateMigrator: the C&R
-// machinery migrates its raw registers to the controller, which calls
-// sketch.FlowRadarFromRaw + Decode (§8).
-type FlowRadarApp struct {
-	fr *sketch.FlowRadar
-}
-
-// NewFlowRadarApp wraps a FlowRadar instance.
-func NewFlowRadarApp(fr *sketch.FlowRadar) *FlowRadarApp { return &FlowRadarApp{fr: fr} }
-
-// FlowRadar exposes the wrapped structure.
-func (a *FlowRadarApp) FlowRadar() *sketch.FlowRadar { return a.fr }
-
-// Update implements afr.StateApp.
-func (a *FlowRadarApp) Update(p *packet.Packet) { a.fr.Update(p.Key, 1) }
-
-// Query implements afr.StateApp. The data plane cannot answer per-flow
-// queries for FlowRadar; the zero attribute signals "decode offline".
-func (a *FlowRadarApp) Query(packet.FlowKey) afr.Attr { return afr.Attr{} }
-
-// ResetSlot implements afr.StateApp.
-func (a *FlowRadarApp) ResetSlot(i int) {
-	if i == a.fr.Cells()-1 {
-		a.fr.Reset()
-	}
-}
-
-// Slots implements afr.StateApp.
-func (a *FlowRadarApp) Slots() int { return a.fr.Cells() }
-
-// RawSlot implements afr.StateMigrator: the four words of cell i.
-func (a *FlowRadarApp) RawSlot(i int) []uint64 {
-	c := a.fr.RawCell(i)
-	return c[:]
-}

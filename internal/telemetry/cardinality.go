@@ -7,7 +7,7 @@ import (
 
 // Cardinality is a window-mergeable cardinality estimator (Q11): the
 // per-sub-window instances merge losslessly into window estimates, the
-// state-migration path of §8 (these estimators have no per-flow AFRs).
+// whole-state merge of §8 (these estimators have no per-flow AFRs).
 type Cardinality interface {
 	// Insert adds one element.
 	Insert(k packet.FlowKey)

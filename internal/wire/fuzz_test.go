@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"maps"
 	"testing"
 
 	"omniwindow/internal/faults"
@@ -24,8 +25,8 @@ func fuzzSeeds() [][]byte {
 	add(samplePacket())
 	add(&packet.Packet{})
 	add(&packet.Packet{OW: packet.OWHeader{
-		Flag: packet.OWNack, SubWindow: 5, HasSubWindow: true,
-		Seqs: []uint32{1, 2, 3, 500},
+		Flag: packet.OWTrigger, SubWindow: 5, HasSubWindow: true,
+		KeyCount: 500,
 	}})
 	add(&packet.Packet{OW: packet.OWHeader{
 		Flag: packet.OWRetransmit, SubWindow: 5, HasSubWindow: true,
@@ -101,14 +102,16 @@ func FuzzDecodePatched(f *testing.F) {
 }
 
 // checkRoundTrip asserts decode → encode → decode yields an identical
-// header at the identical canonical size.
+// header at the identical canonical size, and that the peeks agree with
+// the decode of data.
 func checkRoundTrip(t *testing.T, data []byte, p *packet.Packet) {
 	t.Helper()
+	checkPeek(t, data, p)
 	out, err := Encode(nil, p)
 	if err != nil {
-		// Decoded packets can exceed the encode bounds only if the
-		// parser accepted more AFRs or NACK seqs than Encode allows.
-		if len(p.OW.AFRs) <= MaxAFRsPerDatagram && len(p.OW.Seqs) <= MaxSeqsPerDatagram {
+		// Decoded packets can exceed the encode bound only if the
+		// parser accepted more AFRs than Encode allows.
+		if len(p.OW.AFRs) <= MaxAFRsPerDatagram {
 			t.Fatalf("re-encode failed: %v", err)
 		}
 		return
@@ -122,5 +125,33 @@ func checkRoundTrip(t *testing.T, data []byte, p *packet.Packet) {
 	}
 	if !headerEqual(&p.OW, &q.OW) {
 		t.Fatalf("semantic round trip mismatch:\n%+v\n%+v", p.OW, q.OW)
+	}
+}
+
+// checkPeek asserts that PeekFlag and PeekDatagram accept data, which
+// Decode accepted as p, and read the same routing fields from it.
+func checkPeek(t *testing.T, data []byte, p *packet.Packet) {
+	t.Helper()
+	flag, ok := PeekFlag(data)
+	if !ok || flag != p.OW.Flag {
+		t.Fatalf("PeekFlag = %v, %v; Decode read flag %v", flag, ok, p.OW.Flag)
+	}
+	pk, ok := PeekDatagram(data)
+	if !ok {
+		t.Fatal("PeekDatagram rejected a frame Decode accepted")
+	}
+	if pk.Flag != p.OW.Flag || pk.SubWindow != p.OW.SubWindow || pk.KeyCount != p.OW.KeyCount {
+		t.Fatalf("peek %+v disagrees with decode: flag %v sub-window %d key count %d",
+			pk, p.OW.Flag, p.OW.SubWindow, p.OW.KeyCount)
+	}
+	var want map[uint64]int
+	if len(p.OW.AFRs) > 0 {
+		want = make(map[uint64]int)
+		for _, r := range p.OW.AFRs {
+			want[r.SubWindow]++
+		}
+	}
+	if !maps.Equal(pk.AFRSubWindows, want) || (pk.AFRSubWindows == nil) != (want == nil) {
+		t.Fatalf("peeked AFR sub-windows %v, decoded %v", pk.AFRSubWindows, want)
 	}
 }

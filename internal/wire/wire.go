@@ -21,10 +21,12 @@ import (
 // Magic ("OW" in ASCII) and Version identify OmniWindow datagrams.
 // Version 2 added the NACK sequence list and the CRC-32 trailer; version 3
 // added the synchronization epoch carried by every stamp (switch-failure
-// tolerance: stale-epoch stamps from rebooted switches are rejected).
+// tolerance: stale-epoch stamps from rebooted switches are rejected);
+// version 4 dropped the app byte and the raw-word and NACK-sequence
+// sections, which no switch or controller sent.
 const (
 	Magic   uint16 = 0x4F57
-	Version uint8  = 3
+	Version uint8  = 4
 )
 
 // Errors returned by Decode.
@@ -39,10 +41,25 @@ var (
 // subwindow(8) + seq(4) + app(1) + flags(1) + distinct(32).
 const afrSize = packet.KeyBytes + 8 + 8 + 4 + 1 + 1 + 32
 
-// headerSize is the fixed prefix: magic(2) + version(1) + flag(1) +
-// subwindow(8) + hasSub(1) + epoch(8) + index(4) + keycount(4) + app(1) +
-// key(13) + userSignal(8) + hasUser(1) + nAFRs(2) + nRaw(2) + nSeqs(2).
-const headerSize = 2 + 1 + 1 + 8 + 1 + 8 + 4 + 4 + 1 + packet.KeyBytes + 8 + 1 + 2 + 2 + 2
+// The fixed header prefix, one offset per field: magic(2) + version(1) +
+// flag(1) + subwindow(8) + hasSub(1) + epoch(8) + index(4) + keycount(4) +
+// key(13) + userSignal(8) + hasUser(1) + nAFRs(2). Encode appends the
+// fields in this order; DecodeInto and the peeks read them at these
+// offsets.
+const (
+	offVersion    = 2
+	offFlag       = offVersion + 1
+	offSubWindow  = offFlag + 1
+	offHasSub     = offSubWindow + 8
+	offEpoch      = offHasSub + 1
+	offIndex      = offEpoch + 8
+	offKeyCount   = offIndex + 4
+	offKey        = offKeyCount + 4
+	offUserSignal = offKey + packet.KeyBytes
+	offHasUser    = offUserSignal + 8
+	offNAFRs      = offHasUser + 1
+	headerSize    = offNAFRs + 2
+)
 
 // sumSize is the CRC-32 (IEEE) trailer covering everything before it.
 // In-flight truncation changes the frame length (caught by the count
@@ -55,13 +72,9 @@ const sumSize = 4
 // by a real MTU; the bound keeps encodings sane).
 const MaxAFRsPerDatagram = 128
 
-// MaxSeqsPerDatagram bounds the missing-sequence list of one NACK; larger
-// gap lists are chunked across datagrams (controller.NackPackets).
-const MaxSeqsPerDatagram = 1024
-
 // EncodedSize returns the byte size Encode will produce for p.
 func EncodedSize(p *packet.Packet) int {
-	return headerSize + len(p.OW.AFRs)*afrSize + len(p.OW.RawWords)*8 + len(p.OW.Seqs)*4 + sumSize
+	return headerSize + len(p.OW.AFRs)*afrSize + sumSize
 }
 
 // Encode serializes p's OmniWindow header into buf, growing it as needed,
@@ -69,9 +82,6 @@ func EncodedSize(p *packet.Packet) int {
 func Encode(buf []byte, p *packet.Packet) ([]byte, error) {
 	if len(p.OW.AFRs) > MaxAFRsPerDatagram {
 		return nil, fmt.Errorf("wire: %d AFRs exceed the %d per-datagram bound", len(p.OW.AFRs), MaxAFRsPerDatagram)
-	}
-	if len(p.OW.Seqs) > MaxSeqsPerDatagram {
-		return nil, fmt.Errorf("wire: %d NACK seqs exceed the %d per-datagram bound", len(p.OW.Seqs), MaxSeqsPerDatagram)
 	}
 	need := EncodedSize(p)
 	if cap(buf) < need {
@@ -86,23 +96,14 @@ func Encode(buf []byte, p *packet.Packet) ([]byte, error) {
 	buf = binary.BigEndian.AppendUint64(buf, p.OW.Epoch)
 	buf = binary.BigEndian.AppendUint32(buf, p.OW.Index)
 	buf = binary.BigEndian.AppendUint32(buf, p.OW.KeyCount)
-	buf = append(buf, p.OW.App)
 	kb := p.OW.Key.Bytes()
 	buf = append(buf, kb[:]...)
 	buf = binary.BigEndian.AppendUint64(buf, p.OW.UserSignal)
 	buf = append(buf, b2u(p.OW.HasUserSignal))
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(p.OW.AFRs)))
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(p.OW.RawWords)))
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(p.OW.Seqs)))
 
 	for i := range p.OW.AFRs {
 		buf = appendAFR(buf, &p.OW.AFRs[i])
-	}
-	for _, w := range p.OW.RawWords {
-		buf = binary.BigEndian.AppendUint64(buf, w)
-	}
-	for _, s := range p.OW.Seqs {
-		buf = binary.BigEndian.AppendUint32(buf, s)
 	}
 	buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 	return buf, nil
@@ -135,73 +136,44 @@ func DecodeInto(p *packet.Packet, data []byte) error {
 	if binary.BigEndian.Uint16(data) != magicValue {
 		return ErrBadMagic
 	}
-	if data[2] != Version {
+	if data[offVersion] != Version {
 		return ErrBadVersion
 	}
-	// Hold on to the slice capacity across the reset: every other field
-	// zeroes like a fresh packet, matching Decode exactly.
-	afrs := p.OW.AFRs[:0]
-	raws := p.OW.RawWords[:0]
-	seqs := p.OW.Seqs[:0]
-	*p = packet.Packet{}
-	p.OW.Flag = packet.OWFlag(data[3])
-	p.OW.SubWindow = binary.BigEndian.Uint64(data[4:])
-	p.OW.HasSubWindow = data[12] != 0
-	p.OW.Epoch = binary.BigEndian.Uint64(data[13:])
-	p.OW.Index = binary.BigEndian.Uint32(data[21:])
-	p.OW.KeyCount = binary.BigEndian.Uint32(data[25:])
-	p.OW.App = data[29]
-	var kb [packet.KeyBytes]byte
-	copy(kb[:], data[30:])
-	p.OW.Key = packet.KeyFromBytes(kb)
-	off := 30 + packet.KeyBytes
-	p.OW.UserSignal = binary.BigEndian.Uint64(data[off:])
-	p.OW.HasUserSignal = data[off+8] != 0
-	nAFR := int(binary.BigEndian.Uint16(data[off+9:]))
-	nRaw := int(binary.BigEndian.Uint16(data[off+11:]))
-	nSeq := int(binary.BigEndian.Uint16(data[off+13:]))
-	off += 15
-
-	if len(data) != headerSize+nAFR*afrSize+nRaw*8+nSeq*4+sumSize {
+	nAFR := int(binary.BigEndian.Uint16(data[offNAFRs:]))
+	if len(data) != headerSize+nAFR*afrSize+sumSize {
 		return ErrTruncated
 	}
 	body := data[:len(data)-sumSize]
 	if binary.BigEndian.Uint32(data[len(body):]) != crc32.ChecksumIEEE(body) {
 		return ErrChecksum
 	}
+	// Hold on to the AFR capacity across the reset: every other field
+	// zeroes like a fresh packet, matching Decode exactly.
+	afrs := p.OW.AFRs[:0]
+	*p = packet.Packet{}
+	p.OW.Flag = packet.OWFlag(data[offFlag])
+	p.OW.SubWindow = binary.BigEndian.Uint64(data[offSubWindow:])
+	p.OW.HasSubWindow = data[offHasSub] != 0
+	p.OW.Epoch = binary.BigEndian.Uint64(data[offEpoch:])
+	p.OW.Index = binary.BigEndian.Uint32(data[offIndex:])
+	p.OW.KeyCount = binary.BigEndian.Uint32(data[offKeyCount:])
+	var kb [packet.KeyBytes]byte
+	copy(kb[:], data[offKey:])
+	p.OW.Key = packet.KeyFromBytes(kb)
+	p.OW.UserSignal = binary.BigEndian.Uint64(data[offUserSignal:])
+	p.OW.HasUserSignal = data[offHasUser] != 0
 	if nAFR > 0 {
 		if cap(afrs) < nAFR {
 			pool.PutAFRs(afrs)
 			afrs = pool.GetAFRs(nAFR)
 		}
 		afrs = afrs[:nAFR]
-		for i := 0; i < nAFR; i++ {
+		off := headerSize
+		for i := range afrs {
 			decodeAFR(data[off:], &afrs[i])
 			off += afrSize
 		}
 		p.OW.AFRs = afrs
-	}
-	if nRaw > 0 {
-		if cap(raws) < nRaw {
-			raws = make([]uint64, nRaw)
-		}
-		raws = raws[:nRaw]
-		for i := range raws {
-			raws[i] = binary.BigEndian.Uint64(data[off:])
-			off += 8
-		}
-		p.OW.RawWords = raws
-	}
-	if nSeq > 0 {
-		if cap(seqs) < nSeq {
-			seqs = make([]uint32, nSeq)
-		}
-		seqs = seqs[:nSeq]
-		for i := range seqs {
-			seqs[i] = binary.BigEndian.Uint32(data[off:])
-			off += 4
-		}
-		p.OW.Seqs = seqs
 	}
 	return nil
 }
@@ -266,26 +238,25 @@ type Peek struct {
 // pay PeekDatagram's per-sub-window map for frames it is going to keep.
 // ok is false when the frame is too short or not an OmniWindow datagram.
 func PeekFlag(data []byte) (packet.OWFlag, bool) {
-	if len(data) < headerSize || binary.BigEndian.Uint16(data) != magicValue || data[2] != Version {
+	if !peekable(data) {
 		return 0, false
 	}
-	return packet.OWFlag(data[3]), true
+	return packet.OWFlag(data[offFlag]), true
 }
 
 // PeekDatagram inspects data; ok is false when the frame is too short or
-// not an OmniWindow v2 datagram (such frames cannot be attributed).
+// not a datagram of this Version (such frames cannot be attributed).
 func PeekDatagram(data []byte) (Peek, bool) {
-	if len(data) < headerSize || binary.BigEndian.Uint16(data) != magicValue || data[2] != Version {
+	if !peekable(data) {
 		return Peek{}, false
 	}
 	pk := Peek{
-		Flag:      packet.OWFlag(data[3]),
-		SubWindow: binary.BigEndian.Uint64(data[4:]),
-		KeyCount:  binary.BigEndian.Uint32(data[25:]),
+		Flag:      packet.OWFlag(data[offFlag]),
+		SubWindow: binary.BigEndian.Uint64(data[offSubWindow:]),
+		KeyCount:  binary.BigEndian.Uint32(data[offKeyCount:]),
 	}
-	off := 30 + packet.KeyBytes
-	nAFR := int(binary.BigEndian.Uint16(data[off+9:]))
-	off = headerSize
+	nAFR := int(binary.BigEndian.Uint16(data[offNAFRs:]))
+	off := headerSize
 	if nAFR > 0 && len(data) >= headerSize+nAFR*afrSize {
 		pk.AFRSubWindows = make(map[uint64]int, 1)
 		for i := 0; i < nAFR; i++ {
@@ -295,6 +266,11 @@ func PeekDatagram(data []byte) (Peek, bool) {
 		}
 	}
 	return pk, true
+}
+
+// peekable reports whether data holds a whole header of this Version.
+func peekable(data []byte) bool {
+	return len(data) >= headerSize && binary.BigEndian.Uint16(data) == magicValue && data[offVersion] == Version
 }
 
 func b2u(b bool) byte {

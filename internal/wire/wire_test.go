@@ -15,7 +15,6 @@ func samplePacket() *packet.Packet {
 		Epoch:         5,
 		Index:         7,
 		KeyCount:      3,
-		App:           1,
 		Key:           packet.FlowKey{SrcIP: 0x0A000001, DstIP: 0xC0A80001, SrcPort: 1234, DstPort: 443, Proto: 6},
 		UserSignal:    99,
 		HasUserSignal: true,
@@ -24,32 +23,19 @@ func samplePacket() *packet.Packet {
 				Distinct: [4]uint64{0xFF, 1, 2, 3}, HasDistinct: true},
 			{Key: packet.FlowKey{SrcIP: 2, Proto: 6}, Attr: 2000, SubWindow: 42, Seq: 1, App: 1},
 		},
-		RawWords: []uint64{10, 20, 30},
-		Seqs:     []uint32{3, 9, 27},
 	}}
 }
 
 func headerEqual(a, b *packet.OWHeader) bool {
 	if a.Flag != b.Flag || a.SubWindow != b.SubWindow || a.HasSubWindow != b.HasSubWindow ||
 		a.Epoch != b.Epoch ||
-		a.Index != b.Index || a.KeyCount != b.KeyCount || a.App != b.App || a.Key != b.Key ||
+		a.Index != b.Index || a.KeyCount != b.KeyCount || a.Key != b.Key ||
 		a.UserSignal != b.UserSignal || a.HasUserSignal != b.HasUserSignal ||
-		len(a.AFRs) != len(b.AFRs) || len(a.RawWords) != len(b.RawWords) ||
-		len(a.Seqs) != len(b.Seqs) {
+		len(a.AFRs) != len(b.AFRs) {
 		return false
 	}
 	for i := range a.AFRs {
 		if a.AFRs[i] != b.AFRs[i] {
-			return false
-		}
-	}
-	for i := range a.RawWords {
-		if a.RawWords[i] != b.RawWords[i] {
-			return false
-		}
-	}
-	for i := range a.Seqs {
-		if a.Seqs[i] != b.Seqs[i] {
 			return false
 		}
 	}
@@ -92,8 +78,8 @@ func TestRoundTripEmptyHeader(t *testing.T) {
 func TestRoundTripProperty(t *testing.T) {
 	f := func(flag uint8, sw uint64, idx, kc uint32, app uint8, attr uint64, seq uint32, d0, d1 uint64) bool {
 		p := &packet.Packet{OW: packet.OWHeader{
-			Flag: packet.OWFlag(flag % 11), SubWindow: sw, HasSubWindow: sw%2 == 0,
-			Index: idx, KeyCount: kc, App: app,
+			Flag: packet.OWFlag(flag % 9), SubWindow: sw, HasSubWindow: sw%2 == 0,
+			Index: idx, KeyCount: kc,
 			AFRs: []packet.AFR{{Attr: attr, SubWindow: sw, Seq: seq, App: app,
 				Distinct: [4]uint64{d0, d1}, HasDistinct: d0%2 == 0}},
 		}}
@@ -153,31 +139,21 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
-func TestRoundTripNack(t *testing.T) {
-	p := &packet.Packet{OW: packet.OWHeader{
-		Flag:         packet.OWNack,
-		SubWindow:    7,
-		HasSubWindow: true,
-		Seqs:         []uint32{0, 5, 1 << 20},
-	}}
-	buf, err := Encode(nil, p)
-	if err != nil {
-		t.Fatal(err)
+// TestPeekAgreesWithDecode holds the two peeks to the full decode on
+// every fuzz seed: a frame Decode accepts must peek to the same flag,
+// sub-window, key count and per-sub-window AFR counts.
+func TestPeekAgreesWithDecode(t *testing.T) {
+	accepted := 0
+	for _, data := range fuzzSeeds() {
+		p, err := Decode(data)
+		if err != nil {
+			continue
+		}
+		accepted++
+		checkPeek(t, data, p)
 	}
-	q, err := Decode(buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !headerEqual(&p.OW, &q.OW) {
-		t.Fatalf("NACK round trip mismatch:\n%+v\n%+v", p.OW, q.OW)
-	}
-}
-
-func TestEncodeSeqBound(t *testing.T) {
-	p := &packet.Packet{}
-	p.OW.Seqs = make([]uint32, MaxSeqsPerDatagram+1)
-	if _, err := Encode(nil, p); err == nil {
-		t.Fatal("oversized NACK seq list accepted")
+	if accepted == 0 {
+		t.Fatal("no fuzz seed decoded")
 	}
 }
 

@@ -53,8 +53,6 @@ type Config struct {
 	Kind afr.Kind
 	// Threshold is the detection threshold over merged window values.
 	Threshold uint64
-	// Detector optionally replaces threshold detection.
-	Detector func(k packet.FlowKey, v uint64) bool
 	// DistinctCounter optionally overrides distinct-summary counting.
 	DistinctCounter afr.DistinctCounter
 	// CaptureValues copies merged per-flow values into window results.
@@ -71,7 +69,7 @@ type Config struct {
 	// Apps optionally co-deploys several telemetry applications on the
 	// same switch: they share the window mechanism and flowkey tracking
 	// (one C&R round serves all), each with its own state and its own
-	// controller table. When set, AppFactory/Kind/Threshold/Detector/
+	// controller table. When set, AppFactory/Kind/Threshold/
 	// DistinctCounter/CaptureValues are ignored in favour of the specs.
 	// The RDMA path currently supports single-app deployments only.
 	Apps []AppSpec
@@ -198,9 +196,6 @@ type Config struct {
 	// completion errors, in-flight PSN drops, async QP errors, region
 	// invalidations, sustained outages) — see faults.RDMASchedule.
 	RDMAFaults *faults.RDMASchedule
-
-	// Costs is the virtual-time cost model; zero value uses defaults.
-	Costs switchsim.CostModel
 
 	// DebugAddr, when non-empty, serves the runtime observability endpoint
 	// on this address ("127.0.0.1:0" picks a free port; read it back with
@@ -332,10 +327,9 @@ type AppSpec struct {
 	Factory func(region int) afr.StateApp
 	// Kind is the statistic's merge pattern.
 	Kind afr.Kind
-	// Threshold, Detector, DistinctCounter and CaptureValues parameterize
-	// the app's controller, as in the single-app Config fields.
+	// Threshold, DistinctCounter and CaptureValues parameterize the
+	// app's controller, as in the single-app Config fields.
 	Threshold       uint64
-	Detector        func(k packet.FlowKey, v uint64) bool
 	DistinctCounter afr.DistinctCounter
 	CaptureValues   bool
 }
@@ -494,7 +488,6 @@ func (cfg *Config) appSpecs() []AppSpec {
 		Factory:         cfg.AppFactory,
 		Kind:            cfg.Kind,
 		Threshold:       cfg.Threshold,
-		Detector:        cfg.Detector,
 		DistinctCounter: cfg.DistinctCounter,
 		CaptureValues:   cfg.CaptureValues,
 	}}
@@ -516,11 +509,8 @@ func (cfg Config) withDefaults() Config {
 			cfg.CollectionPackets = 16
 		}
 	}
-	if cfg.Costs == (switchsim.CostModel{}) {
-		cfg.Costs = switchsim.DefaultCosts()
-	}
 	if cfg.Grace <= 0 {
-		cfg.Grace = cfg.Costs.ControllerWait
+		cfg.Grace = switchsim.DefaultCosts().ControllerWait
 	}
 	if cfg.HotThreshold <= 0 {
 		cfg.HotThreshold = 3
@@ -538,7 +528,6 @@ func newController(cfg *Config, spec AppSpec) (*controller.Controller, error) {
 		Plan:            cfg.Plan,
 		Kind:            spec.Kind,
 		Threshold:       spec.Threshold,
-		Detector:        spec.Detector,
 		DistinctCounter: spec.DistinctCounter,
 		CaptureValues:   spec.CaptureValues,
 		Shards:          cfg.Shards,
@@ -580,7 +569,7 @@ func New(cfg Config) (*Deployment, error) {
 		apps:    cfg.appSpecs(),
 		spilled: make(map[uint64][]packet.FlowKey),
 	}
-	d.sw = switchsim.NewWithCapacity(0, switchsim.DefaultCapacity(), cfg.Costs)
+	d.sw = switchsim.New(0)
 
 	regions := window.NewRegions(cfg.Tracker.Regions, cfg.Slots)
 	d.manager = window.NewManager(cfg.Signal, regions)

@@ -166,7 +166,7 @@ func (p *packetPath) replay(seqs []uint32) {
 }
 
 func (p *packetPath) drain(_ uint64, afrs int) time.Duration {
-	p.d.stats.ControllerCPUVirtual += time.Duration(afrs) * p.d.cfg.Costs.DPDKRxPerPacket
+	p.d.stats.ControllerCPUVirtual += time.Duration(afrs) * p.d.sw.Costs.DPDKRxPerPacket
 	return 0
 }
 
@@ -254,7 +254,7 @@ func (r *rdmaPath) replay(psns []uint32) { r.d.stats.RDMAReplayed += r.tr.Replay
 // zeroing each consumed lane for its next same-lane sub-window. Hot-row
 // records cost the controller CPU nothing.
 func (r *rdmaPath) drain(sw uint64, _ int) time.Duration {
-	d, rx := r.d, r.d.cfg.Costs.DPDKRxPerPacket
+	d, rx := r.d, r.d.sw.Costs.DPDKRxPerPacket
 	if fb := r.tr.TakeUnapplied(); len(fb) > 0 {
 		d.stats.FallbackAFRs += len(fb)
 		d.obs.ring.Record(obs.StageRDMAFallback, sw, -1, int64(len(fb)))
