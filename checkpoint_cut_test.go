@@ -1,12 +1,12 @@
 package omniwindow
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -19,17 +19,16 @@ import (
 	"omniwindow/internal/wire"
 )
 
-// Checkpoint cuts end to end: what a boundary writes, and what a restart
+// Checkpoints end to end: what a boundary writes, and what a restart
 // reads back, through the deployment's own boundary path.
 
-// spyFS is the real filesystem with per-file-class faults and a byte tally,
-// for faults a per-operation DiskSchedule cannot aim at one file. Once the
-// first checkpoint has landed (the rename onto checkpoint.snap) it fails
-// every read of a path containing readEIO and flips one byte of the first
-// frame or whole file written to a path containing rot. cuts holds the
-// bytes of the whole-file writes each checkpoint made, closed by its
-// rename, lastCut the contents of the last cut file written, and wal the
-// bytes of each WAL segment as the store deleted it.
+// spyFS is the real filesystem with per-file-class faults and a write
+// tally, for faults a per-operation DiskSchedule cannot aim at one file.
+// Once the first checkpoint has landed (the rename onto checkpoint.snap)
+// it fails every read of a path containing readEIO and flips one byte of
+// the first frame or whole file written to a path containing rot. ckpts
+// holds what each boundary wrote, closed by its checkpoint's rename, and
+// wal the bytes of each WAL segment as the store deleted it.
 type spyFS struct {
 	durable.OSFS
 	readEIO, rot string
@@ -38,10 +37,17 @@ type spyFS struct {
 	armed     bool
 	rotted    bool
 	readFails int
-	open      int64 // whole-file bytes since the last checkpoint rename
-	cuts      []int64
-	lastCut   []byte
+	open      boundaryWrites // since the last checkpoint rename
+	ckpts     []boundaryWrites
 	wal       map[string][]byte
+}
+
+// boundaryWrites is what one boundary wrote: whole-file bytes (the
+// manifest), log frame bytes, and the AFRs and column records in those
+// frames.
+type boundaryWrites struct {
+	whole, frames int64
+	afrs, columns int
 }
 
 func (f *spyFS) ReadFile(name string) ([]byte, error) {
@@ -59,10 +65,7 @@ func (f *spyFS) ReadFile(name string) ([]byte, error) {
 
 func (f *spyFS) WriteFile(name string, data []byte, perm os.FileMode) error {
 	f.mu.Lock()
-	f.open += int64(len(data))
-	if strings.HasPrefix(filepath.Base(name), "cut-") {
-		f.lastCut = append(f.lastCut[:0], data...)
-	}
+	f.open.whole += int64(len(data))
 	data = f.rotLocked(filepath.Base(name), data)
 	f.mu.Unlock()
 	return f.OSFS.WriteFile(name, data, perm)
@@ -85,8 +88,8 @@ func (f *spyFS) Rename(oldpath, newpath string) error {
 	if err == nil && filepath.Base(newpath) == "checkpoint.snap" {
 		f.mu.Lock()
 		f.armed = true
-		f.cuts = append(f.cuts, f.open)
-		f.open = 0
+		f.ckpts = append(f.ckpts, f.open)
+		f.open = boundaryWrites{}
 		f.mu.Unlock()
 	}
 	return err
@@ -121,11 +124,20 @@ type spyFile struct {
 	off  int64
 }
 
-// Write rots the first frame (never the segment header: the scrub checks
-// frames) once the file system is armed.
+// Write tallies each frame and rots the first one (never the segment
+// header) once the file system is armed.
 func (w *spyFile) Write(p []byte) (int, error) {
 	if w.off > 0 {
 		w.fs.mu.Lock()
+		if rec, _, err := wire.DecodeWALRecord(p); err == nil {
+			w.fs.open.frames += int64(len(p))
+			if rec.Type == wire.WALAFRBatch {
+				w.fs.open.afrs += len(rec.AFRs)
+			}
+			if rec.Type == wire.WALColumn {
+				w.fs.open.columns++
+			}
+		}
 		p = w.fs.rotLocked(w.name, p)
 		w.fs.mu.Unlock()
 	}
@@ -215,23 +227,29 @@ func TestScrubReadErrorStillReCovers(t *testing.T) {
 	}
 }
 
-// TestRottedCutIsReCut: bit rot in a cut file is caught by the scrub within
-// a few boundaries, and the next checkpoint carries the rotted file's
-// columns again from the live state — no degraded stretch, no heal, and a
-// later crash restarts byte-identical.
-func TestRottedCutIsReCut(t *testing.T) {
+// cutConfig is the Sliding(5,1) deployment the checkpoint tests share, its
+// log cut into 1 KiB segments: a boundary's frames span several, so most
+// are sealed before the boundary's scrub reads the active one.
+func cutConfig(dir string) Config {
+	cfg := freqConfig(window.SlidingPlan(5, 1), 25, false)
+	cfg.Shards, cfg.CheckpointDir, cfg.WALSegmentBytes = 2, dir, 1024
+	return cfg
+}
+
+// TestRottedSegmentIsReCut: bit rot in a sealed WAL segment a live column
+// still needs is caught by the scrub within a few boundaries, and the next
+// checkpoint re-logs the rotted segment's columns from the live state as
+// column records — no degraded stretch, no heal, and a later crash
+// restarts byte-identical.
+func TestRottedSegmentIsReCut(t *testing.T) {
 	const subWindows = 8
 	pkts := cutTrace(subWindows)
 	dur := int64(subWindows) * 100 * ms
-	config := func(dir string) Config {
-		cfg := freqConfig(window.SlidingPlan(5, 1), 25, false)
-		cfg.Shards, cfg.CheckpointDir = 2, dir
-		return cfg
-	}
+	config := cutConfig
 	baseline := newDisk(t, config(t.TempDir()))
 	baseline.RunFor(pkts, dur)
 
-	spy := &spyFS{rot: "cut-"}
+	spy := &spyFS{rot: "wal-"}
 	r := crashCase{
 		config: config, pkts: pkts, dur: dur, b: 6,
 		drive: func(d1 *Deployment) {
@@ -241,8 +259,11 @@ func TestRottedCutIsReCut(t *testing.T) {
 	}.run(t)
 	st := r.d1.Stats()
 	if !spy.rotted || r.d1.store.Quarantined() != 1 || st.DurabilityGaps != 0 || st.DurabilityHeals != 0 {
-		t.Fatalf("rotted cut: rotted=%v quarantined=%d gaps=%d heals=%d, want one quarantine and no degraded stretch",
+		t.Fatalf("rotted segment: rotted=%v quarantined=%d gaps=%d heals=%d, want one quarantine and no degraded stretch",
 			spy.rotted, r.d1.store.Quarantined(), st.DurabilityGaps, st.DurabilityHeals)
+	}
+	if relogged := slices.ContainsFunc(spy.ckpts, func(w boundaryWrites) bool { return w.columns > 0 }); !relogged {
+		t.Fatal("no checkpoint re-logged a column after the rot")
 	}
 	if !reflect.DeepEqual(baseline.Results(), r.stitched) {
 		t.Fatalf("restart after a re-cut is not exact:\nuncrashed: %+v\nstitched:  %+v", baseline.Results(), r.stitched)
@@ -250,20 +271,17 @@ func TestRottedCutIsReCut(t *testing.T) {
 }
 
 // TestStandbyMissedReCutRestartsExact: the standby misses one boundary's
-// checkpoint. When that checkpoint is the re-cut of a rotted cut file, it
-// holds columns the standby already had, so the next cut carries one of
-// them again while the manifest still names the re-cut file for the
-// older ones. A restart must fold that column once. Each subtest has the
-// standby miss a different boundary, so one of them misses the re-cut.
+// checkpoint. When that checkpoint is the re-cut of a rotted segment, its
+// column records restate columns the standby already had, and the next
+// cut carries one of them again for the standby, while the log holds the
+// column's frames and its column record. A restart must fold that column
+// once. Each subtest has the standby miss a different boundary, so one of
+// them misses the re-cut.
 func TestStandbyMissedReCutRestartsExact(t *testing.T) {
-	const subWindows, crashAt = 8, 4 // the re-cut file still names live columns at 4
+	const subWindows, crashAt = 8, 4 // the re-logged columns are still live at 4
 	pkts := cutTrace(subWindows)
 	dur := int64(subWindows) * 100 * ms
-	config := func(dir string) Config {
-		cfg := freqConfig(window.SlidingPlan(5, 1), 25, false)
-		cfg.Shards, cfg.CheckpointDir = 2, dir
-		return cfg
-	}
+	config := cutConfig
 	baseline := newDisk(t, config(t.TempDir()))
 	baseline.RunFor(pkts, dur)
 
@@ -274,7 +292,7 @@ func TestStandbyMissedReCutRestartsExact(t *testing.T) {
 			cfg.Standby = true
 			cfg.PartitionFaults = ckptCutOnlyAt(missed, subWindows)
 			d1 := newDisk(t, cfg)
-			spy := &spyFS{rot: "cut-"}
+			spy := &spyFS{rot: "wal-"}
 			swapStore(t, d1, spy)
 			d1.store.SetCrash(func(p string) bool {
 				lf, ok := d1.ctrl.LastFinished()
@@ -337,52 +355,39 @@ func churnTrace(subWindows, flows int) []packet.Packet {
 	return pkts
 }
 
-// TestCheckpointBytesPerBoundary: on Sliding(5,1) a steady-state boundary
-// writes the one column it finished plus the manifest, not the table. The
-// table holds Size-Slide = 4 columns when the boundary cuts (the finish
-// has already retired the oldest), so one column of a churning trace is a
-// quarter of it: the bound is the table's bytes over its live columns,
-// plus the manifest, plus 10 %. The cut file itself is bounded by its
-// column's cells.
+// TestCheckpointBytesPerBoundary: each AFR reaches disk once. A
+// steady-state boundary writes its own frames — one AFR record per AFR it
+// delivered, no column re-encoded — and the manifest, which holds no
+// column either.
 func TestCheckpointBytesPerBoundary(t *testing.T) {
 	const subWindows = 12
-	plan := window.SlidingPlan(5, 1)
-	cfg := freqConfig(plan, 25, false)
+	cfg := freqConfig(window.SlidingPlan(5, 1), 25, false)
 	cfg.CheckpointDir = t.TempDir()
 	cfg.Shards = 2
 	d := newDisk(t, cfg)
 	spy := &spyFS{}
 	swapStore(t, d, spy)
 	d.RunFor(churnTrace(subWindows, 60), subWindows*100*ms)
-	if len(spy.cuts) != subWindows {
-		t.Fatalf("%d checkpoints, want one per boundary (%d)", len(spy.cuts), subWindows)
+	if len(spy.ckpts) != subWindows {
+		t.Fatalf("%d checkpoints, want one per boundary (%d)", len(spy.ckpts), subWindows)
 	}
-
-	full := d.Controller().ExportState()
-	manifest := *full
-	manifest.Columns = nil
-	fullBytes := len(wire.EncodeSnapshot(nil, full))
-	manifestBytes := len(wire.EncodeSnapshot(nil, &manifest))
-	live := plan.Size - plan.Slide
-	bound := int64(float64(fullBytes/live+manifestBytes) * 1.1)
-	last := spy.cuts[len(spy.cuts)-1]
-	if last > bound {
-		t.Fatalf("steady-state boundary wrote %d bytes, want <= %d (table %d bytes over %d columns, manifest %d)",
-			last, bound, fullBytes, live, manifestBytes)
+	afrs := 0
+	for i, w := range spy.ckpts {
+		if w.columns != 0 {
+			t.Fatalf("boundary %d re-logged %d columns: a steady-state boundary writes its frames only", i, w.columns)
+		}
+		afrs += w.afrs
 	}
-
-	// The cut file is its column: a fixed header (the preamble, the list
-	// counts, the column's sub-window and cell count and the trailer come
-	// to 66 bytes) plus, per cell, a key, an attribute and a summary flag —
-	// no per-cell sub-window and no per-flow count.
-	const cutHeader = 128
-	cut, err := wire.DecodeSnapshot(spy.lastCut)
-	if err != nil || len(cut.Columns) != 1 {
-		t.Fatalf("the last cut file does not decode to one column: err %v", err)
+	if st := d.Stats(); afrs != st.AFRs {
+		t.Fatalf("the log holds %d AFR records for %d AFRs delivered: each must reach disk once", afrs, st.AFRs)
 	}
-	cells := len(cut.Columns[0].Cells)
-	if limit := cutHeader + cells*(packet.KeyBytes+8+1); len(spy.lastCut) > limit {
-		t.Fatalf("steady-state cut file is %d bytes for %d cells, want <= %d", len(spy.lastCut), cells, limit)
+	last := spy.ckpts[len(spy.ckpts)-1]
+	manifest := len(wire.EncodeSnapshot(nil, d.Controller().ExportState()))
+	if last.whole != int64(manifest) {
+		t.Fatalf("the last boundary wrote %d whole-file bytes, want its %d-byte manifest alone", last.whole, manifest)
+	}
+	if last.afrs == 0 || last.frames == 0 {
+		t.Fatalf("the last boundary logged %d AFRs in %d bytes: the trace does not reach it", last.afrs, last.frames)
 	}
 	if err := d.CloseDurability(); err != nil {
 		t.Fatal(err)
@@ -418,16 +423,14 @@ func cutTrace(subWindows int) []packet.Packet {
 
 // storeCrashPoints are every point at which the store can die: a WAL
 // append and each step of a checkpoint's write order.
-var storeCrashPoints = []string{
-	"wal-append", "cut-write", "checkpoint-temp", "checkpoint-rename", "cut-delete", "wal-truncate",
-}
+var storeCrashPoints = []string{"wal-append", "checkpoint-temp", "checkpoint-rename", "wal-truncate"}
 
 // TestCheckpointCrashRestartDifferential kills the controller at every
 // boundary and the store at every crash point of every boundary, under
 // sliding, hopping and tumbling plans, and holds each restart to the
 // fault-free run: the stitched windows are byte-identical. Where the
 // checkpoint on disk covers the crash boundary, the state restored from
-// its manifest and cut files must also encode to the same bytes as the
+// its manifest and the columns folded from the log must also equal the
 // live state restored in one piece.
 func TestCheckpointCrashRestartDifferential(t *testing.T) {
 	const subWindows = 8
@@ -459,7 +462,7 @@ func TestCheckpointCrashRestartDifferential(t *testing.T) {
 				for _, point := range points {
 					c := crashCase{config: config, pkts: pkts, dur: dur, b: b, point: point, optional: true}
 					if point == "" {
-						c.between = func(d1 *Deployment) { assertCutsRestore(t, d1) }
+						c.between = func(d1 *Deployment) { assertCheckpointRestores(t, d1) }
 					}
 					r := c.run(t)
 					if !r.fired {
@@ -481,11 +484,11 @@ func TestCheckpointCrashRestartDifferential(t *testing.T) {
 	}
 }
 
-// assertCutsRestore restores a controller from the crashed deployment's
-// checkpoint (the manifest plus the columns of its cut files), which
-// covers the crash boundary, and one from the crashed controller's whole
-// state, and compares what they export byte for byte.
-func assertCutsRestore(t *testing.T, crashed *Deployment) {
+// assertCheckpointRestores restores a controller from the crashed
+// deployment's checkpoint (the manifest plus the columns folded from the
+// log), which covers the crash boundary, and one from the crashed
+// controller's whole state, and compares what they export.
+func assertCheckpointRestores(t *testing.T, crashed *Deployment) {
 	t.Helper()
 	cfg := crashed.cfg
 	s, err := durable.OpenStore(cfg.CheckpointDir, 0, durable.Options{})
@@ -498,15 +501,15 @@ func assertCutsRestore(t *testing.T, crashed *Deployment) {
 		t.Fatalf("checkpoint at the crash boundary: snap=%v, %d frames past it, lost %v, err %v",
 			snap != nil, len(recs), s.Lost(), err)
 	}
-	restore := func(snap *wire.Snapshot) []byte {
+	restore := func(snap *wire.Snapshot) *wire.Snapshot {
 		c, err := newController(&cfg, crashed.apps[0])
 		if err != nil {
 			t.Fatal(err)
 		}
 		c.RestoreState(snap)
-		return wire.EncodeSnapshot(nil, c.ExportState())
+		return c.ExportState()
 	}
-	if got, want := restore(snap), restore(crashed.ctrl.ExportState()); !bytes.Equal(got, want) {
-		t.Fatalf("state restored from the cut files (%d bytes) differs from the live state (%d bytes)", len(got), len(want))
+	if got, want := restore(snap), restore(crashed.ctrl.ExportState()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("state restored from the checkpoint differs from the live state:\n got: %+v\nwant: %+v", got, want)
 	}
 }

@@ -280,7 +280,8 @@ func (d *Deployment) handleSwitchOutput(out switchsim.Output) {
 // software path (§5): the stamped sub-window is no longer preserved in any
 // data-plane region, so the controller folds the packet in directly, one
 // count per copy. The application's flowkey definition still applies — a
-// packet the query's filter would have skipped is skipped here too.
+// packet the query's filter would have skipped is skipped here too; the
+// WAL logs each copy the first app's controller merged.
 func (d *Deployment) ingestSpike(c *packet.Packet) {
 	if d.cfg.KeyOf != nil {
 		k, ok := d.cfg.KeyOf(c)
@@ -293,6 +294,7 @@ func (d *Deployment) ingestSpike(c *packet.Packet) {
 	for i, ctrl := range d.ctrls {
 		if ctrl.IngestSpike(c, 1) && i == 0 {
 			d.stats.SpikesMerged++
+			d.durableWrite(c.OW.SubWindow, func() error { return d.store.AppendSpike(c.OW.SubWindow, c.Key, c.Seq, 1) })
 		}
 	}
 }

@@ -12,9 +12,9 @@ import (
 )
 
 // This file wires the deployment into internal/durable: WAL appends on
-// every controller-bound delivery, checkpoints at sub-window boundaries,
-// and crash-restart recovery (the hot-standby pair that tails those
-// checkpoints is standby.go).
+// every controller-bound delivery and merged spike, a checkpoint manifest
+// at every sub-window boundary, and crash-restart recovery (the hot-standby
+// pair that tails those checkpoints is standby.go).
 //
 // Disk faults never stop telemetry. When the store's own retry budget
 // cannot land a write (persistent EIO, a full disk), the deployment flips
@@ -115,9 +115,9 @@ func (d *Deployment) logFinish(sw uint64) {
 	d.checkpoint(sw)
 }
 
-// checkpoint cuts the columns finished since the store's last checkpoint —
-// and since the standby's last cut, so one export feeds both — and
-// commits the cut, then hands it to the standby. The ring's checkpoint
+// checkpoint commits a cut carrying the columns the store must re-log
+// (CutFrom; usually none) and those the standby has not seen, so one
+// export feeds both, then hands it to the standby. The ring's checkpoint
 // value times the export and the commit together.
 func (d *Deployment) checkpoint(sw uint64) {
 	ckptStart := time.Now()
@@ -168,7 +168,7 @@ func (d *Deployment) noteDurabilityGap() {
 }
 
 // healDurability probes the disk from a degraded boundary: durable.Heal
-// seals every segment and checkpoints a full cut on new WAL generations.
+// checkpoints a full cut, every live column re-logged on a new generation.
 // Success re-enters durable mode with the on-disk state fully caught up —
 // the degraded stretch needs no replay, the new checkpoint covers it.
 func (d *Deployment) healDurability(sw uint64) {
@@ -194,14 +194,14 @@ func (d *Deployment) healDurability(sw uint64) {
 func (d *Deployment) DurabilityDegraded() bool { return d.degraded }
 
 // recover replays the durable state into a freshly built deployment: the
-// checkpoint (its manifest and the cut files it names) restores the
-// controller, then the WAL frames it does not cover re-run (replayWAL).
+// checkpoint (its manifest, each live column folded from the log) restores
+// the controller, then the WAL frames it does not cover re-run (replayWAL).
 // Finally the window manager fast-forwards past every finished sub-window
 // so replayed boundaries are not terminated twice.
 //
 // Damage is charged before replay: every sub-window a quarantined
-// segment's LSN gap may span, and every sub-window of a cut file that
-// could not be loaded, is marked Missing (NoteLost), so the windows it
+// segment's LSN gap may span, and every live column a quarantined segment
+// may have held part of, is marked Missing (NoteLost), so the windows it
 // feeds assemble Incomplete instead of silently wrong.
 func (d *Deployment) recover() error {
 	snap, recs, err := d.store.Recover()
@@ -252,9 +252,9 @@ func (d *Deployment) recover() error {
 }
 
 // replayWAL re-runs the WAL frames the checkpoint does not cover, in
-// their original (LSN) order: re-ingested batches, re-announced triggers,
-// re-assembled windows (appended to Results exactly where the pre-crash
-// run emitted them) and re-applied shed notes.
+// their original (LSN) order: re-ingested batches and spikes, re-announced
+// triggers, re-assembled windows (appended to Results exactly where the
+// pre-crash run emitted them) and re-applied shed notes.
 func (d *Deployment) replayWAL(recs []*wire.WALRecord) {
 	for _, r := range recs {
 		switch r.Type {
@@ -277,6 +277,10 @@ func (d *Deployment) replayWAL(recs []*wire.WALRecord) {
 			d.stats.ReplayedWindows += len(d.finishSubWindow(r.SubWindow))
 		case wire.WALShed:
 			d.ctrl.NoteShed(r.SubWindow, int(r.Count))
+		case wire.WALSpike:
+			for _, sp := range r.AFRs {
+				d.ctrl.IngestSpike(&packet.Packet{Key: sp.Key, Seq: sp.Seq, OW: packet.OWHeader{SubWindow: sp.SubWindow, HasSubWindow: true}}, sp.Attr)
+			}
 		}
 	}
 }

@@ -1,11 +1,11 @@
 package omniwindow
 
 import (
-	"errors"
+	"cmp"
 	"fmt"
-	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -13,6 +13,7 @@ import (
 	"omniwindow/internal/faults"
 	"omniwindow/internal/packet"
 	"omniwindow/internal/window"
+	"omniwindow/internal/wire"
 )
 
 // durableConfig is the chaos deployment with durability enabled.
@@ -66,7 +67,7 @@ type crashCase struct {
 	b      uint64
 	point  string
 	// optional says the run may never reach the crash (a boundary that
-	// cuts no column never writes a cut file): the case then reports it
+	// finishes nothing never checkpoints): the case then reports it
 	// unfired instead of failing.
 	optional bool
 	drive    func(d1 *Deployment) // drives the first incarnation; nil: RunFor(pkts, dur)
@@ -134,7 +135,7 @@ func (c crashCase) run(t *testing.T) crashResult {
 			replayed = replayed || manifest == nil || l > manifest.ThroughLSN
 		}
 	}
-	replays := c.point != "" && c.point != "cut-delete" && c.point != "wal-truncate"
+	replays := c.point != "" && c.point != "wal-truncate"
 	if replayed != replays {
 		t.Fatalf("crash at boundary %d (store point %q) left WAL past the checkpoint: %v, want %v", c.b, c.point, replayed, replays)
 	}
@@ -206,15 +207,15 @@ func TestCrashRestartReplaysWAL(t *testing.T) {
 
 // TestCrashRestartAcrossShardCounts: the controller's shard count is not
 // part of the on-disk format. A deployment restarted under a different
-// Shards value replays the WAL exactly, and its first checkpoint supersedes
-// every WAL segment the crashed incarnation wrote.
+// Shards value replays the WAL exactly, and its checkpoints keep a segment
+// the crashed incarnation wrote only while it holds a live sub-window's
+// records.
 func TestCrashRestartAcrossShardCounts(t *testing.T) {
 	baseline := runChaos(t, nil)
 	for _, counts := range [][2]int{{4, 2}, {2, 4}} {
 		for _, at := range []uint64{2, 4} {
 			t.Run(fmt.Sprintf("shards%d-%d/boundary%d", counts[0], counts[1], at), func(t *testing.T) {
 				shards := counts[0]
-				var before []string
 				r := crashCase{
 					config: func(dir string) Config {
 						cfg := durableConfig(dir, nil)
@@ -222,9 +223,7 @@ func TestCrashRestartAcrossShardCounts(t *testing.T) {
 						return cfg
 					},
 					b: at, point: uncommitted,
-					between: func(d1 *Deployment) {
-						before, shards = walFiles(t, d1.cfg.CheckpointDir), counts[1]
-					},
+					between: func(*Deployment) { shards = counts[1] },
 				}.run(t)
 				if !reflect.DeepEqual(baseline.Results(), r.stitched) {
 					t.Fatalf("restart under %d shards after a crash under %d not exact:\nuncrashed: %+v\nstitched:  %+v",
@@ -236,21 +235,34 @@ func TestCrashRestartAcrossShardCounts(t *testing.T) {
 				if through, ok := checkpointedThrough(t, r.d2.cfg.CheckpointDir); !ok || through <= at {
 					t.Fatalf("no checkpoint after the restart: through %d (%v)", through, ok)
 				}
-				for _, name := range before {
-					if _, err := os.Stat(name); !errors.Is(err, os.ErrNotExist) {
-						t.Errorf("%s, written before the crash, outlived the restarted run's checkpoint (%v)", filepath.Base(name), err)
-					}
-				}
+				assertWALRetained(t, r.d2.cfg.CheckpointDir)
 			})
 		}
 	}
 }
 
-// TestCheckpointLeavesNoWAL pins what makes a checkpoint at every boundary
-// the whole durability story: once a fault-free boundary's grace has run,
-// its checkpoint covers every frame logged so far and the log holds no
-// segment, so a restart replays at most the one boundary in flight.
-func TestCheckpointLeavesNoWAL(t *testing.T) {
+// assertWALRetained fails if a WAL segment in dir holds no record of a
+// sub-window the checkpoint there still needs: one live in it, or not
+// finished yet.
+func assertWALRetained(t *testing.T, dir string) {
+	t.Helper()
+	m := readManifest(t, dir)
+	for path, recs := range walRecordsByFile(t, dir) {
+		if !slices.ContainsFunc(recs, func(r *wire.WALRecord) bool {
+			return slices.Contains(m.Live, r.SubWindow) || !m.HasFinished || r.SubWindow > m.LastFinished
+		}) {
+			t.Errorf("%s holds records of retired sub-windows only, past checkpoint %d", filepath.Base(path), m.LastFinished)
+		}
+	}
+}
+
+// TestCheckpointRetainsOnlyLiveWAL pins what the log holds between
+// boundaries: once a fault-free boundary's grace has run, its checkpoint
+// covers every frame logged so far, and the log holds the frames of live
+// sub-windows and nothing else — each segment goes once the last
+// sub-window with a record in it retires. So a restart folds every live
+// column from the log and replays at most the one boundary in flight.
+func TestCheckpointRetainsOnlyLiveWAL(t *testing.T) {
 	dir := t.TempDir()
 	d := newDisk(t, durableConfig(dir, nil))
 	defer d.CloseDurability()
@@ -263,11 +275,23 @@ func TestCheckpointLeavesNoWAL(t *testing.T) {
 		}
 		d.Tick(edge)
 		d.Tick(edge + int64(d.cfg.Grace))
-		if names := walFiles(t, dir); len(names) != 0 {
-			t.Fatalf("boundary %d left %d WAL segments behind its checkpoint", sw, len(names))
+		m := readManifest(t, dir)
+		if m == nil || !m.HasFinished || m.LastFinished != sw {
+			t.Fatalf("after boundary %d the checkpoint is %+v", sw, m)
 		}
-		if through, ok := checkpointedThrough(t, dir); !ok || through != sw {
-			t.Fatalf("after boundary %d the checkpoint covers through %d (%v)", sw, through, ok)
+		held := map[uint64]bool{}
+		for path, recs := range walRecordsByFile(t, dir) {
+			for _, r := range recs {
+				if !slices.Contains(m.Live, r.SubWindow) {
+					t.Fatalf("after boundary %d %s holds a frame of sub-window %d, not live in %v", sw, filepath.Base(path), r.SubWindow, m.Live)
+				}
+				held[r.SubWindow] = true
+			}
+		}
+		for _, l := range m.Live {
+			if !held[l] {
+				t.Fatalf("after boundary %d live sub-window %d has no frame on disk", sw, l)
+			}
 		}
 	}
 }
@@ -395,5 +419,79 @@ func TestFailoverLeaseWaitAtBoundaryTime(t *testing.T) {
 			t.Fatalf("crash at %d: lease wait %v, want in (0, %v] (worst round %v, fault-free %v)",
 				crashAt, wait, ttl, st.MaxCollectVirtual, quiet)
 		}
+	}
+}
+
+// spikeConfig is durableConfig with a 60 ms grace and a flowkey filter
+// that skips key 99: a packet of it moves the switch's sub-window but
+// leaves no key in the region.
+func spikeConfig(dir string) Config {
+	cfg := durableConfig(dir, nil)
+	cfg.Grace = 60 * time.Millisecond
+	cfg.KeyOf = func(p *packet.Packet) (packet.FlowKey, bool) { return p.Key, p.Key != fk(99) }
+	return cfg
+}
+
+// spikeTrace is chaosTrace with sub-window 1 holding one filtered packet,
+// at 101 ms: it ends sub-window 0, which is collected and checkpointed at
+// 161 ms, and gives sub-window 1 no switch state. Sub-window 1 ends with
+// sub-window 2's first packet at 250 ms and is collected at 310 ms. Before
+// that, an early packet of sub-window 3 at 301 ms takes over its region,
+// and three late packets stamped 1 follow: the switch no longer preserves
+// sub-window 1, so it hands them to the controller as latency spikes (§5),
+// merged in software into a sub-window no checkpoint has seen yet. The
+// takeover loses nothing, so every run is exact.
+func spikeTrace() []packet.Packet {
+	pkts := slices.DeleteFunc(chaosTrace(), func(p packet.Packet) bool { return p.Time/(100*ms) == 1 })
+	pkts = append(pkts, packet.Packet{Key: fk(99), Size: 100, Time: 101 * ms}, packet.Packet{Key: fk(41), Size: 100, Time: 301 * ms})
+	for i := 0; i < 3; i++ {
+		pkts = append(pkts, packet.Packet{
+			Key: fk(1 + i), Size: 100, Seq: uint32(100 + i), Time: int64(302+i) * ms,
+			OW: packet.OWHeader{SubWindow: 1, HasSubWindow: true},
+		})
+	}
+	slices.SortStableFunc(pkts, func(a, b packet.Packet) int { return cmp.Compare(a.Time, b.Time) })
+	return pkts
+}
+
+// TestSpikesSurviveCrash: a latency spike merged in software is part of
+// the durable state, so a crash-restart re-emits the uncrashed run's
+// windows with it. (a) The store dies writing the manifest of the spiked
+// sub-window's own boundary: no checkpoint holds the spike and the
+// restart re-finishes the sub-window from the WAL, which must carry it —
+// the trace tail cannot, because the restart resumes past the replayed
+// finish. (b) The spiked sub-window finished and was checkpointed; a
+// crash at a later boundary restarts from a checkpoint whose column for
+// it must include the spike.
+func TestSpikesSurviveCrash(t *testing.T) {
+	pkts := spikeTrace()
+	baseline := newDisk(t, spikeConfig(t.TempDir()))
+	baseline.RunFor(pkts, 500*ms)
+	if got := baseline.Stats().SpikesMerged; got != 3 {
+		t.Fatalf("baseline merged %d spikes, want 3", got)
+	}
+	for _, w := range baseline.Results() {
+		if w.Incomplete {
+			t.Fatalf("baseline window [%d, %d] is Incomplete", w.Start, w.End)
+		}
+	}
+	cases := map[string][]crashCase{
+		"unfinished": {
+			{b: 1, point: uncommitted},
+		},
+		"checkpointed": {
+			{b: 2}, {b: 3}, {b: 2, point: uncommitted}, {b: 3, point: uncommitted},
+		},
+	}
+	for name, cs := range cases {
+		t.Run(name, func(t *testing.T) {
+			for _, c := range cs {
+				c.config, c.pkts = spikeConfig, pkts
+				if got := c.run(t).stitched; !reflect.DeepEqual(baseline.Results(), got) {
+					t.Fatalf("crash at boundary %d (store point %q) lost a spike:\nuncrashed: %+v\nstitched:  %+v",
+						c.b, c.point, baseline.Results(), got)
+				}
+			}
+		})
 	}
 }

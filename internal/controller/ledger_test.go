@@ -32,7 +32,7 @@ func TestLateArrivalDoesNotReopenFinishedSubWindow(t *testing.T) {
 
 	wantRel := metrics.Reliability{Expected: 2, Received: 2}
 	wantSize := c.TableSize()
-	wantSnap := wire.EncodeSnapshot(nil, c.ExportState())
+	wantSnap := snapBytes(c.ExportState())
 	check := func(after string) {
 		t.Helper()
 		if got := c.Reliability(0); got != wantRel {
@@ -44,7 +44,7 @@ func TestLateArrivalDoesNotReopenFinishedSubWindow(t *testing.T) {
 		if got := c.TableSize(); got != wantSize {
 			t.Fatalf("after %s: TableSize %d, want %d", after, got, wantSize)
 		}
-		if got := wire.EncodeSnapshot(nil, c.ExportState()); !bytes.Equal(got, wantSnap) {
+		if got := snapBytes(c.ExportState()); !bytes.Equal(got, wantSnap) {
 			snap, _ := wire.DecodeSnapshot(got)
 			t.Fatalf("after %s: snapshot changed: %d pending, %d dedups, %d rels",
 				after, len(snap.Pending), len(snap.Dedups), len(snap.Rels))

@@ -1,12 +1,12 @@
 // Controller state export and restore for the durability layer
-// (internal/durable). The cuts taken at sub-window boundaries plus the
-// write-ahead log of everything ingested since are enough to rebuild the
-// controller to the exact pre-crash state: a finished sub-window's column
-// never changes again, so each boundary cuts only the columns finished
-// since the last one; merged values are rebuilt by folding the stored
-// cells back into their columns and merging those (every merge kind is
-// order-insensitive, so the rebuild is exact), and sequence-number dedup
-// makes replaying batches a cut already covers harmless.
+// (internal/durable) and the hot standby. A cut, its live columns (each
+// rebuilt from the records logged for it, or shipped to a standby) and the
+// write-ahead log of everything ingested since rebuild the controller to
+// the exact pre-crash state: a finished sub-window's column never changes
+// again; merged values are rebuilt by folding the records back into their
+// columns and merging those (every merge kind is order-insensitive, so the
+// rebuild is exact), and sequence-number dedup makes replaying batches a
+// cut already covers harmless.
 
 package controller
 
@@ -34,8 +34,8 @@ func (c *Controller) ExportState() *wire.Snapshot { return c.ExportCut(0) }
 // columns of live sub-windows >= from (exportColumn), the list of every
 // live sub-window, routed-but-unmerged records, open sub-window arrival
 // state and finished sub-window accounting. A cut from just past the
-// previous cut's LastFinished carries only the columns finished since;
-// from 0 carries the whole table. Output ordering is fully deterministic
+// previous cut's LastFinished carries only the columns finished since,
+// from 0 all, from math.MaxUint64 none. Output ordering is deterministic
 // (columns by sub-window, cells by packetKeyCmp, everything else by
 // sub-window and sequence), so encoding the cut is byte-stable regardless
 // of shard count or ingest interleaving. ThroughLSN is left zero; the
@@ -48,15 +48,15 @@ func (c *Controller) ExportCut(from uint64) *wire.Snapshot {
 	s := &wire.Snapshot{}
 	for _, sh := range c.shards {
 		for i := range sh.table.cols {
-			if col := &sh.table.cols[i]; col.live && !wire.IsLive(s.Live, col.sw) {
-				s.Live = append(s.Live, wire.SnapLive{SW: col.sw})
+			if col := &sh.table.cols[i]; col.live && !slices.Contains(s.Live, col.sw) {
+				s.Live = append(s.Live, col.sw)
 			}
 		}
 	}
-	slices.SortFunc(s.Live, func(a, b wire.SnapLive) int { return cmp.Compare(a.SW, b.SW) })
-	for _, l := range s.Live {
-		if l.SW >= from {
-			s.Columns = append(s.Columns, c.exportColumn(l.SW))
+	slices.Sort(s.Live)
+	for _, sw := range s.Live {
+		if sw >= from {
+			s.Columns = append(s.Columns, c.exportColumn(sw))
 		}
 	}
 	for _, sh := range c.shards {
@@ -80,6 +80,7 @@ func (c *Controller) ExportCut(from uint64) *wire.Snapshot {
 				Expected:  int32(r.expected),
 				Recovered: uint32(r.recovered),
 				Shed:      uint32(r.shed),
+				Spikes:    uint32(r.spikes),
 			}
 			if n := r.seen.size(); n > 0 {
 				sd.Seen = r.seen.appendSorted(make([]uint32, 0, n))
@@ -94,6 +95,7 @@ func (c *Controller) ExportCut(from uint64) *wire.Snapshot {
 				Recovered: uint32(r.rel.Recovered),
 				Missing:   uint32(r.rel.Missing),
 				Shed:      uint32(r.rel.Shed),
+				Spikes:    uint32(r.spikes),
 			})
 		}
 		r.mu.Unlock()
@@ -217,16 +219,17 @@ func comparePending(a, b packet.AFR) int {
 // controller's, and the ledger, pending records and last finish are
 // replaced wholesale. A full cut applied to an empty controller restores
 // the exporter's state; a standby tailing the primary applies each
-// boundary's delta, and recovery applies the columns of every cut file a
-// checkpoint names at once. A carried column's cells are re-routed by hash
-// and go through O2 and O3 (table.insert, table.merge), the path a finish
-// folds records by, so a cut exported at one shard count applies correctly
-// at another; a column the live list does not name is skipped. The
-// configuration (plan, kind, detector) is NOT carried by cuts — the
-// restored controller must be built with the same Config the exporter
-// used, or merged values will diverge. Under another Plan two live columns
-// may map to one ring slot; O2 then retires the column holding it, and
-// every older one, rather than merge into it.
+// boundary's delta, and recovery applies every live column at once. A
+// carried column's records (a cell per flow, or the AFRs and spikes a
+// finish folded) are re-routed by hash and go through O2 and O3
+// (table.insert, table.merge), the path a finish folds records by, so a
+// cut exported at one shard count applies correctly at another; a column
+// the live list does not name is skipped. The configuration (plan, kind,
+// detector) is NOT carried by cuts — the restored controller must be built
+// with the same Config the exporter used, or merged values will diverge.
+// Under another Plan two live columns may map to one ring slot; O2 then
+// retires the column holding it, and every older one, rather than merge
+// into it.
 func (c *Controller) RestoreState(s *wire.Snapshot) {
 	c.finishMu.Lock()
 	defer c.finishMu.Unlock()
@@ -236,13 +239,13 @@ func (c *Controller) RestoreState(s *wire.Snapshot) {
 	}
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		sh.table.retireIf(func(sw uint64) bool { return !wire.IsLive(s.Live, sw) || carried(sw) })
+		sh.table.retireIf(func(sw uint64) bool { return !slices.Contains(s.Live, sw) || carried(sw) })
 		sh.pending = make(map[uint64][]packet.AFR)
 		sh.mu.Unlock()
 	}
 	parts := make([][]packet.AFR, len(c.shards))
 	for _, col := range s.Columns {
-		if !wire.IsLive(s.Live, col.SW) {
+		if !slices.Contains(s.Live, col.SW) {
 			continue
 		}
 		for i := range parts {
@@ -275,14 +278,14 @@ func (c *Controller) RestoreState(s *wire.Snapshot) {
 		// A sub-window the snapshot never finished keeps collecting, even
 		// at or below LastFinished (the first finish may skip ahead).
 		r.arrived, r.finished = true, false
-		r.expected, r.recovered, r.shed = int(sd.Expected), int(sd.Recovered), int(sd.Shed)
+		r.expected, r.recovered, r.shed, r.spikes = int(sd.Expected), int(sd.Recovered), int(sd.Shed), int(sd.Spikes)
 		for _, seq := range sd.Seen {
 			r.seen.add(seq)
 		}
 	}
 	for _, sr := range s.Rels {
 		r := c.recordFor(sr.SW)
-		r.charged = true
+		r.charged, r.spikes = true, int(sr.Spikes)
 		r.rel = metrics.Reliability{
 			Expected:  int(sr.Expected),
 			Received:  int(sr.Received),

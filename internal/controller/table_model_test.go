@@ -354,10 +354,10 @@ func (m *modelController) export() *wire.Snapshot {
 	}
 	for sw, cells := range cols {
 		slices.SortFunc(cells, func(a, b packet.AFR) int { return packetKeyCmp(a.Key, b.Key) })
-		s.Live = append(s.Live, wire.SnapLive{SW: sw})
+		s.Live = append(s.Live, sw)
 		s.Columns = append(s.Columns, wire.SnapColumn{SW: sw, Cells: cells})
 	}
-	slices.SortFunc(s.Live, func(a, b wire.SnapLive) int { return cmp.Compare(a.SW, b.SW) })
+	slices.Sort(s.Live)
 	slices.SortFunc(s.Columns, func(a, b wire.SnapColumn) int { return cmp.Compare(a.SW, b.SW) })
 	for _, recs := range m.pending {
 		s.Pending = append(s.Pending, recs...)
@@ -365,6 +365,7 @@ func (m *modelController) export() *wire.Snapshot {
 	slices.SortFunc(s.Pending, comparePending)
 	for sw, d := range m.dedups {
 		sd := wire.SnapDedup{SW: sw, Expected: int32(d.expected), Recovered: uint32(d.recovered), Shed: uint32(d.shed)}
+		sd.Spikes = uint32(m.spikeCount(sw))
 		for seq := range d.seen {
 			sd.Seen = append(sd.Seen, seq)
 		}
@@ -376,15 +377,26 @@ func (m *modelController) export() *wire.Snapshot {
 		s.Rels = append(s.Rels, wire.SnapRel{
 			SW: sw, Expected: int32(r.Expected), Received: uint32(r.Received),
 			Recovered: uint32(r.Recovered), Missing: uint32(r.Missing), Shed: uint32(r.Shed),
+			Spikes: uint32(m.spikeCount(sw)),
 		})
 	}
 	slices.SortFunc(s.Rels, func(a, b wire.SnapRel) int { return cmp.Compare(a.SW, b.SW) })
 	return s
 }
 
+// spikeCount is sub-window sw's spike copies merged so far: counted while
+// it is open, final once it finished.
+func (m *modelController) spikeCount(sw uint64) int {
+	if st := m.spikes[sw]; st != nil {
+		return st.count
+	}
+	return m.spikeDone[sw]
+}
+
 // restore is the old RestoreState over a whole cut, each cell one
 // contribution of its flow (columns arrive in sub-window order). Like the
-// real one it leaves spike bookkeeping alone, which snapshots do not carry.
+// real one it restores spike counts, which the ledger entries carry, and
+// starts the spike dedup sets empty, which they do not.
 func (m *modelController) restore(s *wire.Snapshot) {
 	m.table = make(map[packet.FlowKey]*entry)
 	m.pending = make(map[uint64][]packet.AFR)
@@ -404,15 +416,27 @@ func (m *modelController) restore(s *wire.Snapshot) {
 	}
 	m.dedups = make(map[uint64]*modelDedup)
 	m.rel = make(map[uint64]metrics.Reliability)
+	m.spikes, m.spikeDone = make(map[uint64]*modelSpikes), make(map[uint64]int)
 	m.lastFin, m.hasFin = s.LastFinished, s.HasFinished
+	// A sub-window with arrival state is open; one with accounting alone
+	// is open only past the last finish (restore's recordFor).
+	setSpikes := func(sw uint64, n uint32) {
+		if _, open := m.dedups[sw]; !open && m.hasFin && sw <= m.lastFin {
+			m.spikeDone[sw] = int(n)
+		} else {
+			m.spikes[sw] = &modelSpikes{seen: make(map[modelSpikeID]bool), count: int(n)}
+		}
+	}
 	for _, sd := range s.Dedups {
 		d := &modelDedup{seen: make(map[uint32]bool), expected: int(sd.Expected), recovered: int(sd.Recovered), shed: int(sd.Shed)}
 		for _, seq := range sd.Seen {
 			d.seen[seq] = true
 		}
 		m.dedups[sd.SW] = d
+		setSpikes(sd.SW, sd.Spikes)
 	}
 	for _, sr := range s.Rels {
+		setSpikes(sr.SW, sr.Spikes)
 		m.rel[sr.SW] = metrics.Reliability{
 			Expected: int(sr.Expected), Received: int(sr.Received),
 			Recovered: int(sr.Recovered), Missing: int(sr.Missing), Shed: int(sr.Shed),
@@ -494,7 +518,7 @@ func runTableOps(t *testing.T, cfg Config, data []byte) {
 		if g, w := real.TableSize(), model.tableSize(); g != w {
 			t.Fatalf("%s (next sub-window %d): TableSize %d, model %d", what, cur, g, w)
 		}
-		g, w := wire.EncodeSnapshot(nil, real.ExportState()), wire.EncodeSnapshot(nil, model.export())
+		g, w := snapBytes(real.ExportState()), snapBytes(model.export())
 		if !bytes.Equal(g, w) {
 			gs, _ := wire.DecodeSnapshot(g)
 			ws, _ := wire.DecodeSnapshot(w)
@@ -505,7 +529,7 @@ func runTableOps(t *testing.T, cfg Config, data []byte) {
 			from = lf + 1
 		}
 		tail.RestoreState(real.ExportCut(from))
-		if tb := wire.EncodeSnapshot(nil, tail.ExportState()); !bytes.Equal(g, tb) {
+		if tb := snapBytes(tail.ExportState()); !bytes.Equal(g, tb) {
 			ts, _ := wire.DecodeSnapshot(tb)
 			gs, _ := wire.DecodeSnapshot(g)
 			t.Fatalf("%s (next sub-window %d): delta-tailed state differs\n real %+v\n tail %+v", what, cur, gs, ts)
@@ -575,23 +599,12 @@ func runTableOps(t *testing.T, cfg Config, data []byte) {
 				cur = sw + 1
 			}
 		default: // export, encode, restore into another shard count, go on
-			enc := wire.EncodeSnapshot(nil, real.ExportState())
-			snap, err := wire.DecodeSnapshot(enc)
-			if err != nil {
-				t.Fatalf("decode own snapshot: %v", err)
-			}
+			snap := roundTrip(t, real.ExportState())
 			cfg.Shards = shardCounts[restores%len(shardCounts)]
 			restores++
 			real = New(cfg)
 			real.RestoreState(snap)
-			msnap, err := wire.DecodeSnapshot(wire.EncodeSnapshot(nil, model.export()))
-			if err != nil {
-				t.Fatalf("decode model snapshot: %v", err)
-			}
-			// Spike bookkeeping is not in snapshots: a restored controller
-			// starts it empty, so the model does too.
-			model.spikes, model.spikeDone = map[uint64]*modelSpikes{}, map[uint64]int{}
-			model.restore(msnap)
+			model.restore(roundTrip(t, model.export()))
 			check(fmt.Sprintf("restore at %d shards", cfg.Shards), nil, nil)
 		}
 	}
@@ -630,6 +643,36 @@ func TestTableDifferential(t *testing.T) {
 			}
 		}
 	}
+}
+
+// snapBytes encodes a cut whole: its manifest, then each column as the
+// column record the durable log would hold of it.
+func snapBytes(s *wire.Snapshot) []byte {
+	buf := wire.EncodeSnapshot(nil, s)
+	for _, c := range s.Columns {
+		buf = wire.AppendWALRecord(buf, &wire.WALRecord{Type: wire.WALColumn, SubWindow: c.SW, AFRs: c.Cells})
+	}
+	return buf
+}
+
+// roundTrip passes a cut through the durable codecs: the manifest through
+// the snapshot codec, each column through a column record.
+func roundTrip(t *testing.T, s *wire.Snapshot) *wire.Snapshot {
+	t.Helper()
+	buf := snapBytes(s)
+	out, err := wire.DecodeSnapshot(buf[:len(wire.EncodeSnapshot(nil, s))])
+	if err != nil {
+		t.Fatalf("decode snapshot: %v", err)
+	}
+	for rest := buf[len(wire.EncodeSnapshot(nil, s)):]; len(rest) > 0; {
+		rec, n, err := wire.DecodeWALRecord(rest)
+		if err != nil {
+			t.Fatalf("decode column record: %v", err)
+		}
+		out.Columns = append(out.Columns, wire.SnapColumn{SW: rec.SubWindow, Cells: rec.AFRs})
+		rest = rest[n:]
+	}
+	return out
 }
 
 // FuzzTableDifferential shares the driver: the first three bytes pick the

@@ -20,10 +20,10 @@ import (
 // instead of promising it: no non-test function grows past 60 lines; retry
 // backoff is charged in exactly one function, the retry loop; every read,
 // write, rename and remove of a file goes through that loop; each write
-// fault is drawn at one call site in fs.go (one fault ladder); each kind
-// of file has one wire integrity check in the store, the one its decoder
-// runs, shared by the manifest and the cut files; and one loader decodes
-// them both.
+// fault is drawn at one call site in fs.go (one fault ladder); and each
+// kind of file has one wire integrity check in the store, the one its
+// decoder runs: the scrub's for the manifest, framesIntact's for the
+// segments, the active one and the sealed ones alike.
 func TestStoreShape(t *testing.T) {
 	const maxLines = 60
 	type site struct{ file, fn string } // file is "durable/x.go" or "wire/x.go"
@@ -88,8 +88,8 @@ func TestStoreShape(t *testing.T) {
 	for _, draw := range []string{"ShortWriteAt", "BitRotAt", "ENOSPCAt"} {
 		one(draw, sites(draw), site{"durable/fs.go", "write"})
 	}
-	one("DecodeSnapshot", in("durable", sites("DecodeSnapshot")), site{"durable/cut.go", "loadSnapLocked"})
-	one("VerifySnapshot", in("durable", sites("VerifySnapshot")), site{"durable/cut.go", "verifyLocked"})
+	one("DecodeSnapshot", in("durable", sites("DecodeSnapshot")), site{"durable/checkpoint.go", "loadCheckpointLocked"})
+	one("VerifySnapshot", in("durable", sites("VerifySnapshot")), site{"durable/checkpoint.go", "Scrub"})
 	one("VerifyWALFrame", in("durable", sites("VerifyWALFrame")), site{"durable/store.go", "framesIntact"})
 	calledIn := func(name string, want site) {
 		if !slices.Contains(sites(name), want) {
@@ -111,9 +111,10 @@ func TestStoreShape(t *testing.T) {
 	}
 }
 
-// TestCutFencing: every cut file carries the term of the writer that cut
-// it, and a fenced writer neither writes a cut file nor deletes one — not
-// by checkpointing, not by scrubbing and not by recovering.
+// TestCutFencing: every column record carries the term of the writer that
+// cut it, and a fenced writer neither logs a column record nor deletes a
+// segment or sets one aside — not by checkpointing, not by scrubbing and
+// not by recovering.
 func TestCutFencing(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenStore(dir, 0, Options{})
@@ -121,16 +122,12 @@ func TestCutFencing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	cut := func(sw uint64, live ...uint64) error {
-		snap := &wire.Snapshot{LastFinished: sw, HasFinished: true,
-			Columns: []wire.SnapColumn{{SW: sw, Cells: []packet.AFR{{Key: key(int(sw)), Attr: 1, SubWindow: sw}}}}}
-		for _, l := range live {
-			snap.Live = append(snap.Live, wire.SnapLive{SW: l})
+	cut := func(sw uint64, carry bool) error {
+		snap := &wire.Snapshot{LastFinished: sw, HasFinished: true, Live: []uint64{sw}}
+		if carry {
+			snap.Columns = []wire.SnapColumn{{SW: sw, Cells: []packet.AFR{{Key: key(int(sw)), Attr: 1, SubWindow: sw}}}}
 		}
 		return s.Checkpoint(snap)
-	}
-	if err := cut(1, 0, 1); err == nil {
-		t.Fatal("a checkpoint listing a live sub-window no cut file holds was accepted")
 	}
 	for term := uint64(1); term <= 2; term++ {
 		next, err := s.CASTerm(term-1, 1)
@@ -140,63 +137,77 @@ func TestCutFencing(t *testing.T) {
 		if err := s.AdoptTerm(next); err != nil {
 			t.Fatal(err)
 		}
-		if err := cut(term, 1, term); err != nil {
+		// A new writer re-logs every live column: a cut without it is refused.
+		if err := cut(term, false); err == nil {
+			t.Fatal("a new term's checkpoint that does not carry its live column was accepted")
+		}
+		if err := cut(term, true); err != nil {
 			t.Fatal(err)
 		}
-	}
-	files := cutFiles(t, dir)
-	if len(files) != 2 {
-		t.Fatalf("cut files %v, want one per term", files)
-	}
-	for i, name := range files {
-		buf, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			t.Fatal(err)
+		var terms []uint64
+		for _, name := range segFiles(t, dir) {
+			for _, r := range frames(t, filepath.Join(dir, name)) {
+				if r.Type == wire.WALColumn {
+					terms = append(terms, r.Term)
+				}
+			}
 		}
-		snap, err := wire.DecodeSnapshot(buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if snap.Term != uint64(i+1) {
-			t.Fatalf("%s carries term %d, want %d", name, snap.Term, i+1)
+		if !slices.Equal(terms, []uint64{term}) {
+			t.Fatalf("column records on disk carry terms %v, want the one term %d cut", terms, term)
 		}
 	}
 
-	// Fence the writer, and leave debris beside the named cut files.
+	// Fence the writer, and leave damage the scrub or a recovery would
+	// set aside.
 	if _, err := s.CASTerm(2, 2); err != nil {
 		t.Fatal(err)
 	}
-	debris := filepath.Join(dir, "cut-000099.snap")
-	if err := os.WriteFile(debris, []byte("torn"), 0o644); err != nil {
+	before := segFiles(t, dir)
+	rotted := filepath.Join(dir, before[len(before)-1])
+	orig, err := os.ReadFile(rotted)
+	if err != nil {
 		t.Fatal(err)
 	}
-	before := cutFiles(t, dir)
-	if err := cut(3, 1, 2, 3); !errors.Is(err, ErrFenced) {
+	buf := slices.Clone(orig)
+	buf[len(buf)-1] ^= 0x40
+	if err := os.WriteFile(rotted, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := cut(3, true); !errors.Is(err, ErrFenced) {
 		t.Fatalf("fenced checkpoint: %v, want ErrFenced", err)
 	}
 	if _, err := s.Scrub(); !errors.Is(err, ErrFenced) {
 		t.Fatalf("fenced scrub: %v, want ErrFenced", err)
 	}
+	if after := segFiles(t, dir); !slices.Equal(before, after) {
+		t.Fatalf("a fenced writer changed the segments: %v -> %v", before, after)
+	}
+	if err := os.WriteFile(rotted, orig, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	if _, _, err := s.Recover(); err != nil {
 		t.Fatal(err)
 	}
-	if after := cutFiles(t, dir); !slices.Equal(before, after) {
-		t.Fatalf("a fenced writer changed the cut files: %v -> %v", before, after)
+	if after := segFiles(t, dir); !slices.Equal(before, after) {
+		t.Fatalf("a fenced recovery changed the segments: %v -> %v", before, after)
 	}
 }
 
-// cutFiles lists the cut files in dir, sorted.
-func cutFiles(t *testing.T, dir string) []string {
+// frames decodes the segment at path up to a torn tail.
+func frames(t *testing.T, path string) []*wire.WALRecord {
 	t.Helper()
-	entries, err := os.ReadDir(dir)
+	buf, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []string
-	for _, e := range entries {
-		if _, ok := parseGen(e.Name(), cutPrefix, cutSuffix); ok {
-			out = append(out, e.Name())
+	var out []*wire.WALRecord
+	for off := wire.SegmentHeaderSize; off < len(buf); {
+		rec, n, err := wire.DecodeWALRecord(buf[off:])
+		if err != nil {
+			break
 		}
+		out = append(out, rec)
+		off += n
 	}
 	return out
 }

@@ -26,11 +26,8 @@ type Query struct {
 	Key func(*packet.Packet) packet.FlowKey
 	// Distinct, when non-nil, maps a packet to the element whose distinct
 	// count is aggregated per key (Sonata's distinct-then-reduce shape).
-	// When nil, the query sums Volume per key.
+	// When nil, the query counts packets per key.
 	Distinct func(*packet.Packet) uint64
-	// Volume is the per-packet contribution for frequency queries; nil
-	// counts packets.
-	Volume func(*packet.Packet) uint64
 	// Kind is the merge pattern of the aggregated statistic.
 	Kind afr.Kind
 	// Threshold is the detection threshold over the merged window value.
@@ -40,15 +37,4 @@ type Query struct {
 // Observes reports whether the query's filter selects the packet.
 func (q *Query) Observes(p *packet.Packet) bool {
 	return q.Filter == nil || q.Filter(p)
-}
-
-// observes is the internal alias.
-func (q *Query) observes(p *packet.Packet) bool { return q.Observes(p) }
-
-// volume returns the packet's contribution for frequency queries.
-func (q *Query) volume(p *packet.Packet) uint64 {
-	if q.Volume == nil {
-		return 1
-	}
-	return q.Volume(p)
 }

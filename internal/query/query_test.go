@@ -157,7 +157,7 @@ func TestQueriesObserveExpectedPackets(t *testing.T) {
 
 	// Q2 only watches port 22.
 	q2 := SSHBruteQuery(th)
-	if q2.observes(syn(1, 2, 3, 22)) != true || q2.observes(syn(1, 2, 3, 80)) {
+	if q2.Observes(syn(1, 2, 3, 22)) != true || q2.Observes(syn(1, 2, 3, 80)) {
 		t.Fatal("Q2 filter wrong")
 	}
 
@@ -165,7 +165,7 @@ func TestQueriesObserveExpectedPackets(t *testing.T) {
 	q5 := SynFloodQuery(th)
 	synack := syn(1, 2, 3, 443)
 	synack.TCPFlags = packet.FlagSYN | packet.FlagACK
-	if q5.observes(synack) {
+	if q5.Observes(synack) {
 		t.Fatal("Q5 must ignore SYN-ACK")
 	}
 
@@ -173,7 +173,7 @@ func TestQueriesObserveExpectedPackets(t *testing.T) {
 	q6 := CompletedFlowsQuery(th)
 	fin := syn(1, 2, 3, 80)
 	fin.TCPFlags = packet.FlagFIN | packet.FlagACK
-	if !q6.observes(fin) || q6.observes(syn(1, 2, 3, 80)) {
+	if !q6.Observes(fin) || q6.Observes(syn(1, 2, 3, 80)) {
 		t.Fatal("Q6 filter wrong")
 	}
 
@@ -184,7 +184,7 @@ func TestQueriesObserveExpectedPackets(t *testing.T) {
 	small.Size = 70
 	big := syn(1, 2, 3, 80)
 	big.Size = 1400
-	if !q7.observes(small) || q7.observes(big) {
+	if !q7.Observes(small) || q7.Observes(big) {
 		t.Fatal("Q7 filter wrong")
 	}
 }

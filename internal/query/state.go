@@ -48,13 +48,13 @@ func (s *State) slot(k packet.FlowKey) int {
 
 // Update implements afr.StateApp.
 func (s *State) Update(p *packet.Packet) {
-	if !s.q.observes(p) {
+	if !s.q.Observes(p) {
 		return
 	}
 	k := s.q.Key(p)
 	idx := s.slot(k)
 	if s.q.Distinct == nil {
-		s.counters[idx] += s.q.volume(p)
+		s.counters[idx]++
 		return
 	}
 	elem := s.q.Distinct(p)
@@ -152,12 +152,12 @@ func NewExact(q *Query) *Exact {
 
 // Update processes one packet.
 func (e *Exact) Update(p *packet.Packet) {
-	if !e.q.observes(p) {
+	if !e.q.Observes(p) {
 		return
 	}
 	k := e.q.Key(p)
 	if e.q.Distinct == nil {
-		e.counts[k] += e.q.volume(p)
+		e.counts[k]++
 		return
 	}
 	elem := e.q.Distinct(p)

@@ -14,10 +14,12 @@ import (
 // SegMagic ("OWSG") and SegVersion identify WAL segment headers. Version
 // 2 added the writer's fencing term to the preamble, so every segment
 // rotation durably records which term-holder opened it; version 3 dropped
-// the chain id, since the store keeps one log.
+// the chain id, since the store keeps one log; version 4 segments may hold
+// spike and column frames (WALSpike, WALColumn), the log being the
+// store's only data file.
 const (
 	SegMagic   uint32 = 0x4F575347
-	SegVersion uint8  = 3
+	SegVersion uint8  = 4
 )
 
 // SegmentHeader is the first SegmentHeaderSize bytes of every segment.

@@ -20,28 +20,28 @@ func snapFuzzSeeds() [][]byte {
 		ThroughLSN: 1 << 40,
 		Dedups:     []SnapDedup{{SW: 9, Expected: -1, Seen: []uint32{0}}},
 	}))
-	// A manifest: the live list naming three cut files, no columns.
+	// A steady-state manifest: the live list, a finished sub-window's
+	// accounting and no pending records.
 	out = append(out, EncodeSnapshot(nil, &Snapshot{
 		ThroughLSN: 9, Term: 2, LastFinished: 6, HasFinished: true,
-		Live: []SnapLive{{SW: 3, Cut: 1}, {SW: 4, Cut: 2}, {SW: 5, Cut: 2}, {SW: 6, Cut: 3}},
-		Rels: []SnapRel{{SW: 6, Expected: 2, Received: 2}},
+		Live: []uint64{3, 4, 5, 6},
+		Rels: []SnapRel{{SW: 6, Expected: 2, Received: 2, Spikes: 1}},
 	}))
-	// A Distinction column: cells with and without summary words.
+	// Spike copies pending in an open sub-window: records with summary
+	// words and without, and the spikes counted in its arrival state.
 	out = append(out, EncodeSnapshot(nil, &Snapshot{
 		ThroughLSN: 4, LastFinished: 2, HasFinished: true,
-		Columns: []SnapColumn{{SW: 2, Cells: []packet.AFR{
-			{Key: snapKey(3), Attr: 4, SubWindow: 2, Distinct: [4]uint64{8, 0, 0, 1}, HasDistinct: true},
-			{Key: snapKey(4), Attr: 1, SubWindow: 2},
-			{Key: snapKey(5), Attr: 2, SubWindow: 2, Distinct: [4]uint64{0, 1 << 63, 2, 0}, HasDistinct: true},
-		}}},
-	}))
-	// A cut file holding two sub-windows' columns.
-	out = append(out, EncodeSnapshot(nil, &Snapshot{
-		ThroughLSN: 9, Term: 2, LastFinished: 5, HasFinished: true,
-		Columns: []SnapColumn{
-			{SW: 4, Cells: []packet.AFR{{Key: snapKey(5), Attr: 1, SubWindow: 4}}},
-			{SW: 5, Cells: []packet.AFR{{Key: snapKey(5), Attr: 2, SubWindow: 5}, {Key: snapKey(6), Attr: 3, SubWindow: 5}}},
+		Live: []uint64{2},
+		Pending: []packet.AFR{
+			{Key: snapKey(3), Attr: 4, SubWindow: 3, Distinct: [4]uint64{8, 0, 0, 1}, HasDistinct: true},
+			{Key: snapKey(4), Attr: 1, SubWindow: 3},
 		},
+		Dedups: []SnapDedup{{SW: 3, Expected: 2, Spikes: 2}},
+	}))
+	// A manifest cut under a newer term, with no finish yet.
+	out = append(out, EncodeSnapshot(nil, &Snapshot{
+		ThroughLSN: 9, Term: 3,
+		Dedups: []SnapDedup{{SW: 0, Expected: -1}, {SW: 1, Expected: 4, Recovered: 1, Seen: []uint32{3}}},
 	}))
 	full := out[0]
 	out = append(out, full[:len(full)/2], full[:len(full)-3])
@@ -120,6 +120,12 @@ func FuzzDecodeWALRecord(f *testing.F) {
 	fenced := AppendWALRecord(nil, &WALRecord{Type: WALTrigger, LSN: 11, Term: 1<<64 - 1, SubWindow: 4, KeyCount: 1})
 	f.Add(fenced)
 	f.Add(fenced[:walHeaderSize+walFixedPayload-1])
+	f.Add(AppendWALRecord(nil, &WALRecord{Type: WALSpike, LSN: 12, SubWindow: 2,
+		AFRs: []packet.AFR{{Key: snapKey(7), Attr: 1, Seq: 300}}}))
+	f.Add(AppendWALRecord(nil, &WALRecord{Type: WALColumn, LSN: 13, Term: 1, SubWindow: 2, AFRs: []packet.AFR{
+		{Key: snapKey(3), Attr: 4, Distinct: [4]uint64{8, 0, 0, 1}, HasDistinct: true},
+		{Key: snapKey(4), Attr: 1},
+	}}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, n, err := DecodeWALRecord(data)

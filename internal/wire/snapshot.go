@@ -1,9 +1,8 @@
 // Snapshot and write-ahead-log codecs for controller durability
-// (internal/durable). Both follow the wire v2 conventions: fixed-layout
-// big-endian encoding, a version byte so future layouts can coexist, and
-// a CRC-32 (IEEE) trailer so torn writes and bit rot are detected instead
-// of silently merged — a checkpoint that fails its checksum is refused,
-// never half-loaded.
+// (internal/durable): fixed-layout big-endian fields, a version byte so
+// future layouts can coexist, and a CRC-32 (IEEE) trailer so torn writes
+// and bit rot are detected instead of silently merged — a manifest that
+// fails its checksum is refused, never half-loaded.
 package wire
 
 import (
@@ -16,12 +15,13 @@ import (
 // SnapMagic ("OWSN") and SnapVersion identify checkpoint snapshots.
 // Version 2 added the writer's fencing term after ThroughLSN, so a
 // checkpoint durably records which term-holder cut it. Version 3 added the
-// live list (a checkpoint is a manifest plus the cut files it names).
-// Version 4 carries the table as columns, the layout the controller holds
-// it in, instead of per-flow rows of per-sub-window contributions.
+// live list (a checkpoint was a manifest plus the cut files it named).
+// Version 4 carried the table as columns. Version 5 is the manifest alone:
+// the live list lost its cut-file names and the columns moved into the log
+// (WALColumn), and the ledger entries carry their spike counts.
 const (
 	SnapMagic   uint32 = 0x4F57534E
-	SnapVersion uint8  = 4
+	SnapVersion uint8  = 5
 )
 
 // WAL record types. Every controller-state mutation that replay must
@@ -39,12 +39,19 @@ const (
 	// WALShed records AFRs dropped by admission control so restored
 	// Degraded/ShedAFRs accounting matches the pre-crash state.
 	WALShed byte = 4
+	// WALSpike carries a latency-spike copy the controller merged in
+	// software (§5), laid out as a batch of one: its key, packet sequence
+	// number and attr.
+	WALSpike byte = 5
+	// WALColumn carries one finished sub-window's whole column in AFRs, a
+	// cell per flow: it supersedes every earlier frame of that sub-window.
+	WALColumn byte = 6
 )
 
-// SnapColumn is one sub-window's column of the controller table: a cell
-// per flow present in it, in key order. A cell is the record O2 folds into
-// the column (Key, Attr, and the summary words when HasDistinct); the
-// decoder sets each cell's SubWindow to SW and leaves Seq and App zero.
+// SnapColumn is one sub-window's column of the controller table: records
+// O2 folds into it, as exported a cell per flow in key order (Key, Attr,
+// the summary words when HasDistinct; WALColumn's decoder sets SubWindow),
+// as recovery folds it from the log the AFRs and spikes, several per flow.
 type SnapColumn struct {
 	SW    uint64
 	Cells []packet.AFR
@@ -56,6 +63,7 @@ type SnapDedup struct {
 	Expected  int32
 	Recovered uint32
 	Shed      uint32
+	Spikes    uint32
 	Seen      []uint32
 }
 
@@ -67,14 +75,7 @@ type SnapRel struct {
 	Recovered uint32
 	Missing   uint32
 	Shed      uint32
-}
-
-// SnapLive is one live sub-window: one whose column the controller table
-// still holds. Cut names the cut file holding the column (internal/durable
-// stamps it); the controller leaves it zero.
-type SnapLive struct {
-	SW  uint64
-	Cut uint64
+	Spikes    uint32
 }
 
 // Snapshot is one cut of the controller state at a sub-window boundary:
@@ -98,33 +99,24 @@ type Snapshot struct {
 	// frames at or below it are skipped.
 	LastFinished uint64
 	HasFinished  bool
-	// Live lists every live sub-window in ascending order, also those
-	// whose columns this cut does not carry: restore retires every column
-	// not listed.
-	Live []SnapLive
-	// Columns holds one column per sub-window the cut carries.
+	// Live lists every live sub-window (one whose column the controller
+	// table holds) in ascending order, also those whose columns this cut
+	// does not carry: restore retires every column not listed.
+	Live []uint64
+	// Columns holds one column per sub-window the cut carries; they are
+	// not encoded (internal/durable keeps each column in the log).
 	Columns []SnapColumn
 	Pending []packet.AFR
 	Dedups  []SnapDedup
 	Rels    []SnapRel
 }
 
-// IsLive reports whether sub-window sw is in the live list.
-func IsLive(live []SnapLive, sw uint64) bool {
-	for _, l := range live {
-		if l.SW == sw {
-			return true
-		}
-	}
-	return false
-}
-
-// snapCellSize is a cell without summary words, the smallest.
-const snapCellSize = packet.KeyBytes + 8 + 1
+// cellSize is a column cell without summary words, the smallest.
+const cellSize = packet.KeyBytes + 8 + 1
 const snapHeaderSize = 4 + 1 + 8 + 8 + 8 + 1
 
-// EncodeSnapshot serializes s into buf (grown as needed) and returns the
-// resulting slice, ending in the CRC-32 trailer.
+// EncodeSnapshot serializes s but its columns (the manifest) into buf,
+// grown as needed, and returns the result, ending in the CRC-32 trailer.
 func EncodeSnapshot(buf []byte, s *Snapshot) []byte {
 	buf = buf[:0]
 	buf = binary.BigEndian.AppendUint32(buf, SnapMagic)
@@ -135,28 +127,8 @@ func EncodeSnapshot(buf []byte, s *Snapshot) []byte {
 	buf = append(buf, b2u(s.HasFinished))
 
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s.Live)))
-	for _, l := range s.Live {
-		buf = binary.BigEndian.AppendUint64(buf, l.SW)
-		buf = binary.BigEndian.AppendUint64(buf, l.Cut)
-	}
-
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s.Columns)))
-	for i := range s.Columns {
-		col := &s.Columns[i]
-		buf = binary.BigEndian.AppendUint64(buf, col.SW)
-		buf = binary.BigEndian.AppendUint32(buf, uint32(len(col.Cells)))
-		for j := range col.Cells {
-			c := &col.Cells[j]
-			kb := c.Key.Bytes()
-			buf = append(buf, kb[:]...)
-			buf = binary.BigEndian.AppendUint64(buf, c.Attr)
-			buf = append(buf, b2u(c.HasDistinct))
-			if c.HasDistinct {
-				for _, w := range c.Distinct {
-					buf = binary.BigEndian.AppendUint64(buf, w)
-				}
-			}
-		}
+	for _, sw := range s.Live {
+		buf = binary.BigEndian.AppendUint64(buf, sw)
 	}
 
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s.Pending)))
@@ -171,6 +143,7 @@ func EncodeSnapshot(buf []byte, s *Snapshot) []byte {
 		buf = binary.BigEndian.AppendUint32(buf, uint32(d.Expected))
 		buf = binary.BigEndian.AppendUint32(buf, d.Recovered)
 		buf = binary.BigEndian.AppendUint32(buf, d.Shed)
+		buf = binary.BigEndian.AppendUint32(buf, d.Spikes)
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(d.Seen)))
 		for _, s := range d.Seen {
 			buf = binary.BigEndian.AppendUint32(buf, s)
@@ -186,9 +159,26 @@ func EncodeSnapshot(buf []byte, s *Snapshot) []byte {
 		buf = binary.BigEndian.AppendUint32(buf, r.Recovered)
 		buf = binary.BigEndian.AppendUint32(buf, r.Missing)
 		buf = binary.BigEndian.AppendUint32(buf, r.Shed)
+		buf = binary.BigEndian.AppendUint32(buf, r.Spikes)
 	}
 
 	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
+}
+
+// appendCell serializes one column cell: the key, the attribute and the
+// summary flag, then the summary words if it has them. A cell needs no
+// sub-window (its column names it) and no sequence number.
+func appendCell(buf []byte, c *packet.AFR) []byte {
+	kb := c.Key.Bytes()
+	buf = append(buf, kb[:]...)
+	buf = binary.BigEndian.AppendUint64(buf, c.Attr)
+	buf = append(buf, b2u(c.HasDistinct))
+	if c.HasDistinct {
+		for _, w := range c.Distinct {
+			buf = binary.BigEndian.AppendUint64(buf, w)
+		}
+	}
+	return buf
 }
 
 // snapReader cursors over a checksum-verified snapshot body. Every read
@@ -237,6 +227,22 @@ func (r *snapReader) u64() uint64 {
 	v := binary.BigEndian.Uint64(r.data[r.off:])
 	r.off += 8
 	return v
+}
+
+// cell reads one appendCell cell of sub-window sw.
+func (r *snapReader) cell(sw uint64) packet.AFR {
+	var kb [packet.KeyBytes]byte
+	if r.need(packet.KeyBytes) {
+		copy(kb[:], r.data[r.off:])
+		r.off += packet.KeyBytes
+	}
+	c := packet.AFR{SubWindow: sw, Key: packet.KeyFromBytes(kb), Attr: r.u64()}
+	if c.HasDistinct = r.u8() != 0; c.HasDistinct {
+		for w := range c.Distinct {
+			c.Distinct[w] = r.u64()
+		}
+	}
+	return c
 }
 
 // count reads a length prefix and rejects values whose minimal encoding
@@ -292,37 +298,10 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 		HasFinished:  r.u8() != 0,
 	}
 
-	if n := r.count(16); n > 0 {
-		s.Live = make([]SnapLive, 0, n)
+	if n := r.count(8); n > 0 {
+		s.Live = make([]uint64, 0, n)
 		for i := 0; i < n && r.err == nil; i++ {
-			s.Live = append(s.Live, SnapLive{SW: r.u64(), Cut: r.u64()})
-		}
-	}
-
-	if n := r.count(8 + 4); n > 0 {
-		s.Columns = make([]SnapColumn, 0, n)
-		for i := 0; i < n && r.err == nil; i++ {
-			col := SnapColumn{SW: r.u64()}
-			if nc := r.count(snapCellSize); nc > 0 {
-				col.Cells = make([]packet.AFR, 0, nc)
-				for j := 0; j < nc && r.err == nil; j++ {
-					c := packet.AFR{SubWindow: col.SW}
-					var kb [packet.KeyBytes]byte
-					if r.need(packet.KeyBytes) {
-						copy(kb[:], r.data[r.off:])
-						r.off += packet.KeyBytes
-					}
-					c.Key = packet.KeyFromBytes(kb)
-					c.Attr = r.u64()
-					if c.HasDistinct = r.u8() != 0; c.HasDistinct {
-						for w := range c.Distinct {
-							c.Distinct[w] = r.u64()
-						}
-					}
-					col.Cells = append(col.Cells, c)
-				}
-			}
-			s.Columns = append(s.Columns, col)
+			s.Live = append(s.Live, r.u64())
 		}
 	}
 
@@ -338,7 +317,7 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 		}
 	}
 
-	if n := r.count(8 + 4 + 4 + 4 + 4); n > 0 {
+	if n := r.count(8 + 4 + 4 + 4 + 4 + 4); n > 0 {
 		s.Dedups = make([]SnapDedup, 0, n)
 		for i := 0; i < n && r.err == nil; i++ {
 			var d SnapDedup
@@ -346,6 +325,7 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 			d.Expected = int32(r.u32())
 			d.Recovered = r.u32()
 			d.Shed = r.u32()
+			d.Spikes = r.u32()
 			if ns := r.count(4); ns > 0 {
 				d.Seen = make([]uint32, 0, ns)
 				for j := 0; j < ns && r.err == nil; j++ {
@@ -356,7 +336,7 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 		}
 	}
 
-	if n := r.count(8 + 5*4); n > 0 {
+	if n := r.count(8 + 6*4); n > 0 {
 		s.Rels = make([]SnapRel, 0, n)
 		for i := 0; i < n && r.err == nil; i++ {
 			var rel SnapRel
@@ -366,6 +346,7 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 			rel.Recovered = r.u32()
 			rel.Missing = r.u32()
 			rel.Shed = r.u32()
+			rel.Spikes = r.u32()
 			s.Rels = append(s.Rels, rel)
 		}
 	}
@@ -399,7 +380,9 @@ type WALRecord struct {
 	// Retrans marks a batch that arrived via the NACK/retransmit path,
 	// so replayed delivery accounting matches the original.
 	Retrans bool
-	AFRs    []packet.AFR
+	// AFRs is the batch (WALAFRBatch), the spike copy (WALSpike) or the
+	// column's cells (WALColumn).
+	AFRs []packet.AFR
 }
 
 // walHeaderSize is the fixed frame prefix: payload length (4).
@@ -419,7 +402,7 @@ func AppendWALRecord(buf []byte, rec *WALRecord) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, rec.Term)
 	buf = binary.BigEndian.AppendUint64(buf, rec.SubWindow)
 	switch rec.Type {
-	case WALAFRBatch:
+	case WALAFRBatch, WALSpike:
 		buf = append(buf, b2u(rec.Retrans))
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(rec.AFRs)))
 		for i := range rec.AFRs {
@@ -429,6 +412,11 @@ func AppendWALRecord(buf []byte, rec *WALRecord) []byte {
 		buf = binary.BigEndian.AppendUint32(buf, rec.KeyCount)
 	case WALShed:
 		buf = binary.BigEndian.AppendUint32(buf, rec.Count)
+	case WALColumn:
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(rec.AFRs)))
+		for i := range rec.AFRs {
+			buf = appendCell(buf, &rec.AFRs[i])
+		}
 	}
 	binary.BigEndian.PutUint32(buf[start:], uint32(len(buf)-payload))
 	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf[payload:]))
@@ -452,7 +440,7 @@ func DecodeWALRecord(data []byte) (*WALRecord, int, error) {
 	}
 	rest := payload[walFixedPayload:]
 	switch rec.Type {
-	case WALAFRBatch:
+	case WALAFRBatch, WALSpike:
 		if len(rest) < 5 {
 			return nil, 0, ErrTruncated
 		}
@@ -482,6 +470,15 @@ func DecodeWALRecord(data []byte) (*WALRecord, int, error) {
 			return nil, 0, ErrTruncated
 		}
 		rec.Count = binary.BigEndian.Uint32(rest)
+	case WALColumn:
+		r := &snapReader{data: rest}
+		rec.AFRs = make([]packet.AFR, 0, r.count(cellSize))
+		for i := cap(rec.AFRs); i > 0 && r.err == nil; i-- {
+			rec.AFRs = append(rec.AFRs, r.cell(rec.SubWindow))
+		}
+		if r.err != nil || r.off != len(rest) {
+			return nil, 0, ErrTruncated
+		}
 	default:
 		return nil, 0, ErrBadVersion
 	}

@@ -16,24 +16,17 @@ func sampleSnapshot() *Snapshot {
 		ThroughLSN:   42,
 		LastFinished: 3,
 		HasFinished:  true,
-		Live:         []SnapLive{{SW: 0, Cut: 1}, {SW: 1, Cut: 2}},
-		Columns: []SnapColumn{
-			{SW: 0, Cells: []packet.AFR{{Key: snapKey(1), Attr: 5, SubWindow: 0}}},
-			{SW: 1, Cells: []packet.AFR{
-				{Key: snapKey(1), Attr: 7, SubWindow: 1, Distinct: [4]uint64{1, 2, 3, 4}, HasDistinct: true},
-				{Key: snapKey(2), Attr: 9, SubWindow: 1},
-			}},
-		},
+		Live:         []uint64{0, 1},
 		Pending: []packet.AFR{
 			{Key: snapKey(3), Attr: 11, SubWindow: 4, Seq: 0},
 			{Key: snapKey(4), Attr: 13, SubWindow: 4, Seq: 1, HasDistinct: true, Distinct: [4]uint64{9, 0, 0, 1}},
 		},
 		Dedups: []SnapDedup{
-			{SW: 4, Expected: 5, Recovered: 1, Shed: 2, Seen: []uint32{0, 1, 3}},
+			{SW: 4, Expected: 5, Recovered: 1, Shed: 2, Spikes: 3, Seen: []uint32{0, 1, 3}},
 			{SW: 5, Expected: -1},
 		},
 		Rels: []SnapRel{
-			{SW: 3, Expected: 10, Received: 10, Recovered: 2, Missing: 0, Shed: 1},
+			{SW: 3, Expected: 10, Received: 10, Recovered: 2, Missing: 0, Shed: 1, Spikes: 4},
 		},
 	}
 }
@@ -52,30 +45,36 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if string(buf) != string(EncodeSnapshot(nil, sampleSnapshot())) {
 		t.Fatal("snapshot encoding is not byte-stable")
 	}
+	// The columns a cut carries are not the manifest's: they are left out.
+	withCols := sampleSnapshot()
+	withCols.Columns = []SnapColumn{{SW: 1, Cells: []packet.AFR{{Key: snapKey(1), Attr: 7, SubWindow: 1}}}}
+	if string(buf) != string(EncodeSnapshot(nil, withCols)) {
+		t.Fatal("a snapshot's columns reached its encoding")
+	}
 }
 
-// A cell costs its key, its attribute and a flag, plus the four summary
+// A snapshot's column is logged as one column record (WALColumn), whose
+// cell costs its key, its attribute and a flag, plus the four summary
 // words only when it has them: no per-cell sub-window, no per-flow count.
 // Decoded cells are the records O2 folds, each stamped with its column.
 func TestSnapshotCellLayout(t *testing.T) {
 	col := func(cells ...packet.AFR) int {
-		return len(EncodeSnapshot(nil, &Snapshot{Columns: []SnapColumn{{SW: 6, Cells: cells}}}))
+		return len(AppendWALRecord(nil, &WALRecord{Type: WALColumn, SubWindow: 6, AFRs: cells}))
 	}
 	empty := col()
-	if got := col(packet.AFR{Key: snapKey(1), Attr: 2}) - empty; got != snapCellSize {
-		t.Fatalf("a plain cell costs %d bytes, want %d", got, snapCellSize)
+	if got := col(packet.AFR{Key: snapKey(1), Attr: 2}) - empty; got != cellSize {
+		t.Fatalf("a plain cell costs %d bytes, want %d", got, cellSize)
 	}
-	if got := col(packet.AFR{Key: snapKey(1), HasDistinct: true}) - empty; got != snapCellSize+32 {
-		t.Fatalf("a summary cell costs %d bytes, want %d", got, snapCellSize+32)
+	if got := col(packet.AFR{Key: snapKey(1), HasDistinct: true}) - empty; got != cellSize+32 {
+		t.Fatalf("a summary cell costs %d bytes, want %d", got, cellSize+32)
 	}
-	s, err := DecodeSnapshot(EncodeSnapshot(nil, &Snapshot{Columns: []SnapColumn{
-		{SW: 6, Cells: []packet.AFR{{Key: snapKey(1), Attr: 2, SubWindow: 99, Seq: 4}}},
-	}}))
+	rec, _, err := DecodeWALRecord(AppendWALRecord(nil, &WALRecord{Type: WALColumn, SubWindow: 6,
+		AFRs: []packet.AFR{{Key: snapKey(1), Attr: 2, SubWindow: 99, Seq: 4}}}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := (packet.AFR{Key: snapKey(1), Attr: 2, SubWindow: 6}); s.Columns[0].Cells[0] != want {
-		t.Fatalf("decoded cell %+v, want %+v", s.Columns[0].Cells[0], want)
+	if want := (packet.AFR{Key: snapKey(1), Attr: 2, SubWindow: 6}); rec.AFRs[0] != want {
+		t.Fatalf("decoded cell %+v, want %+v", rec.AFRs[0], want)
 	}
 }
 
@@ -131,6 +130,11 @@ func TestWALRecordRoundTrip(t *testing.T) {
 		{Type: WALTrigger, LSN: 3, SubWindow: 2, KeyCount: 77},
 		{Type: WALFinish, LSN: 4, SubWindow: 2},
 		{Type: WALShed, LSN: 5, SubWindow: 2, Count: 13},
+		{Type: WALSpike, LSN: 6, SubWindow: 1, AFRs: []packet.AFR{{Key: snapKey(2), Attr: 1, SubWindow: 1, Seq: 40}}},
+		{Type: WALColumn, LSN: 7, Term: 3, SubWindow: 1, AFRs: []packet.AFR{
+			{Key: snapKey(1), Attr: 7, SubWindow: 1, Distinct: [4]uint64{1, 2, 3, 4}, HasDistinct: true},
+			{Key: snapKey(2), Attr: 9, SubWindow: 1},
+		}},
 	}
 	var buf []byte
 	for _, r := range recs {

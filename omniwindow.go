@@ -314,7 +314,7 @@ type Stats struct {
 	DurabilityHeals int
 	// QuarantinedSegments counts the damaged files renamed aside — by
 	// recovery or the boundary scrubber — instead of aborting: WAL
-	// segments, checkpoint cut files and manifests alike, despite the name.
+	// segments and checkpoint manifests alike, despite the name.
 	// Their unreplayable records surface as Missing.
 	QuarantinedSegments int
 }
