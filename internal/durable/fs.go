@@ -64,6 +64,7 @@ type FaultFS struct {
 	sched *faults.DiskSchedule
 	op    atomic.Uint64
 	slow  atomic.Int64
+	fail  atomic.Uint64
 }
 
 // NewFaultFS wraps base with sched. A nil sched injects nothing.
@@ -80,6 +81,9 @@ func (f *FaultFS) TakeSlowWait() int64 { return f.slow.Swap(0) }
 
 // Ops returns how many fault-drawable operations have run (test hook).
 func (f *FaultFS) Ops() uint64 { return f.op.Load() }
+
+// Failed returns how many writes and renames it failed (test hook).
+func (f *FaultFS) Failed() uint64 { return f.fail.Load() }
 
 func (f *FaultFS) next() uint64 {
 	op := f.op.Add(1) - 1
@@ -121,9 +125,11 @@ func (f *FaultFS) write(name string, p []byte, land func([]byte) (int, error)) (
 	case f.sched.ENOSPCAt(op):
 		return 0, fmt.Errorf("write %s: %w", name, faults.ErrDiskENOSPC)
 	case f.sched.WriteEIOAt(op):
+		f.fail.Add(1)
 		return 0, fmt.Errorf("write %s: %w", name, faults.ErrDiskEIO)
 	case f.sched.ShortWriteAt(op) && len(p) > 1:
 		// The torn prefix lands; the failure is reported.
+		f.fail.Add(1)
 		n, err := land(p[:len(p)/2])
 		if err != nil {
 			return n, err
@@ -147,6 +153,7 @@ func (f *FaultFS) write(name string, p []byte, land func([]byte) (int, error)) (
 func (f *FaultFS) Rename(oldpath, newpath string) error {
 	op := f.next()
 	if f.sched.WriteEIOAt(op) {
+		f.fail.Add(1)
 		return fmt.Errorf("rename %s: %w", oldpath, faults.ErrDiskEIO)
 	}
 	return f.base.Rename(oldpath, newpath)

@@ -25,9 +25,6 @@ type Lease struct {
 // NewLease builds a lease with the given time-to-live in virtual ns.
 func NewLease(ttl int64) *Lease { return &Lease{ttl: ttl} }
 
-// TTL returns the configured time-to-live.
-func (l *Lease) TTL() int64 { return l.ttl }
-
 // Renew extends the lease to now+TTL.
 func (l *Lease) Renew(now int64) {
 	l.expires = now + l.ttl

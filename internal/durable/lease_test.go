@@ -68,8 +68,8 @@ func TestLeaseRemainingNeverNegative(t *testing.T) {
 	if got := l.Remaining(500); got != 0 {
 		t.Fatalf("Remaining long after expiry = %d, want 0", got)
 	}
-	if got := l.TTL(); got != 100 {
-		t.Fatalf("TTL = %d, want 100", got)
+	if l.ttl != 100 {
+		t.Fatalf("TTL = %d, want 100", l.ttl)
 	}
 }
 
