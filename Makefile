@@ -155,9 +155,11 @@ cover:
 	echo "coverage $$total% meets the $(COVER_THRESHOLD)% gate"
 
 # Short fuzz and bench runs that surface parser and table regressions in
-# PRs and keep the Benchmark* functions (profiling tools) running. Perf is
-# gated by the repository benchmark (bench/, BENCHMARK.json) on paired
-# runs; the exact 0-allocs/op pins are tests (the *ZeroAlloc* tests,
+# PRs and keep the Benchmark* functions (profiling tools) running, among
+# them internal/durable's BenchmarkRecover (restart time and directory
+# size of a flow_churn_durable-shaped log). Perf is gated by the
+# repository benchmark (bench/, BENCHMARK.json) on paired runs; the exact
+# 0-allocs/op pins are tests (the *ZeroAlloc* tests,
 # TestBoundaryAllocsPerAFR, the Send pins in internal/rdma).
 fuzz-smoke:
 	$(GO) test -fuzz 'FuzzDecode$$' -fuzztime 10s ./internal/wire/
@@ -170,7 +172,7 @@ fuzz-smoke:
 	$(GO) test -fuzz 'FuzzSortCells$$' -fuzztime 10s ./internal/controller/
 
 bench-smoke:
-	$(GO) test -run xxx -bench . -benchtime 1x . ./internal/fabric/
+	$(GO) test -run xxx -bench . -benchtime 1x . ./internal/fabric/ ./internal/durable/
 
 # Micro-benchmarks across all packages.
 microbench:

@@ -329,7 +329,10 @@ func TestDiskChaosCrashRestartProperty(t *testing.T) {
 // TestDiskChaosQuarantineLSNReconciliation corrupts one WAL segment on
 // disk between crash and restart, then audits the recovery books: the
 // store dies before the crash boundary's checkpoint commits, so that
-// boundary's frames are on disk, spread over several small segments. The
+// boundary's frames are on disk, spread over several small segments, the
+// corrupted one before the one holding the boundary's finish (checked, not
+// assumed: the segment cap and the frame size set that geometry), so the
+// restart still re-emits the window. The
 // quarantined file's frames all land inside reported Lost ranges, no
 // replayed frame does, and with the frames the last checkpoint covers they
 // account for every LSN the pre-crash run issued — covered + recovered +
@@ -342,7 +345,7 @@ func TestDiskChaosQuarantineLSNReconciliation(t *testing.T) {
 	r := crashCase{
 		config: func(dir string) Config {
 			cfg := diskConfig(dir, nil, &faults.DiskSchedule{})
-			cfg.WALSegmentBytes = 1024 // force rotation: one boundary's frames span several segments
+			cfg.WALSegmentBytes = 512 // force rotation: one boundary's frames span several segments
 			return cfg
 		},
 		b: 3, point: uncommitted,
@@ -351,17 +354,28 @@ func TestDiskChaosQuarantineLSNReconciliation(t *testing.T) {
 			issued = d1.store.LSN()
 			covered = readManifest(t, dir).ThroughLSN
 			// Enumerate every frame on disk, then corrupt one segment.
-			lsnsByFile := walLSNsByFile(t, dir)
-			if len(lsnsByFile) < 2 {
-				t.Fatalf("the crash boundary's frames fill %d segment(s), want several", len(lsnsByFile))
-			}
-			for path, lsns := range lsnsByFile {
-				if len(lsns) >= 2 && lsns[0] > covered && (victim == "" || path < victim) {
+			recsByFile := walRecordsByFile(t, dir)
+			boundary, finish := 0, ""
+			for path, recs := range recsByFile {
+				if recs[len(recs)-1].LSN > covered {
+					boundary++
+				}
+				for _, r := range recs {
+					if r.LSN > covered && r.Type == wire.WALFinish {
+						finish = path
+					}
+				}
+				if len(recs) >= 2 && recs[0].LSN > covered && (victim == "" || path < victim) {
 					victim = path // deterministic pick: oldest multi-frame segment past the checkpoint
 				}
 			}
-			if victim == "" {
-				t.Fatalf("no multi-frame segment to corrupt; files: %v", lsnsByFile)
+			if boundary < 2 || finish == "" {
+				t.Fatalf("the crash boundary's frames fill %d segment(s) (finish in %q), want several and its finish", boundary, finish)
+			}
+			// Names sort in generation order, which is LSN order. A victim
+			// holding the finish would leave no window to re-emit.
+			if victim == "" || victim >= finish {
+				t.Fatalf("no multi-frame segment before the finish's %s to corrupt; victim %q", finish, victim)
 			}
 			data, err := os.ReadFile(victim)
 			if err != nil {
@@ -372,8 +386,8 @@ func TestDiskChaosQuarantineLSNReconciliation(t *testing.T) {
 				t.Fatal(err)
 			}
 			victimLSNs = make(map[uint64]bool)
-			for _, l := range lsnsByFile[victim] {
-				victimLSNs[l] = true
+			for _, r := range recsByFile[victim] {
+				victimLSNs[r.LSN] = true
 			}
 		},
 	}.run(t)

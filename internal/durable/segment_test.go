@@ -1,9 +1,12 @@
 package durable
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -224,6 +227,94 @@ func TestSegmentQuarantineAndLostRange(t *testing.T) {
 		if !covered {
 			t.Fatalf("sub-window %d damaged but not covered by %+v", sw, lost)
 		}
+	}
+}
+
+// A segment an older release wrote (SegVersion 4, whose batch frames laid
+// out each AFR in the 67 B datagram layout) is set aside at open, not read
+// with this release's record layout, and its LSNs surface as lost.
+func TestOpenQuarantinesOlderSegVersion(t *testing.T) {
+	dir := t.TempDir()
+	s, err := OpenStore(dir, 0, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	afrs := []packet.AFR{{Key: key(1), Attr: 5, Seq: 0}, {Key: key(2), Attr: 7, Seq: 1}}
+	for sw := uint64(0); sw < 2; sw++ {
+		if err := s.AppendTrigger(sw, 2); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AppendBatch(0, sw, false, afrs); err != nil {
+			t.Fatal(err)
+		}
+		if sw == 0 {
+			if err := s.AppendFinish(sw); err != nil {
+				t.Fatal(err)
+			}
+			s.SealBoundary()
+		}
+	}
+	s.Close()
+
+	// Rewrite the first segment as version 4 wrote it: its header names
+	// version 4 under a valid CRC, and its batch frame holds 67 B records.
+	files := segFiles(t, dir)
+	if len(files) != 2 {
+		t.Fatalf("want 2 segments, got %v", files)
+	}
+	old := frames(t, filepath.Join(dir, files[0]))
+	buf := wire.AppendSegmentHeader(nil, &wire.SegmentHeader{Gen: 1})
+	buf[4] = 4
+	body := buf[:wire.SegmentHeaderSize-4]
+	binary.BigEndian.PutUint32(buf[len(body):], crc32.ChecksumIEEE(body))
+	for _, r := range old {
+		if r.Type != wire.WALAFRBatch {
+			buf = wire.AppendWALRecord(buf, r)
+			continue
+		}
+		payload := []byte{r.Type}
+		payload = binary.BigEndian.AppendUint64(payload, r.LSN)
+		payload = binary.BigEndian.AppendUint64(payload, r.Term)
+		payload = binary.BigEndian.AppendUint64(payload, r.SubWindow)
+		payload = binary.BigEndian.AppendUint32(append(payload, 0), uint32(len(r.AFRs)))
+		for _, a := range r.AFRs {
+			kb := a.Key.Bytes()
+			payload = binary.BigEndian.AppendUint64(append(payload, kb[:]...), a.Attr)
+			payload = binary.BigEndian.AppendUint64(payload, a.SubWindow)
+			payload = append(binary.BigEndian.AppendUint32(payload, a.Seq), a.App, 0)
+			payload = append(payload, make([]byte, 32)...)
+		}
+		buf = binary.BigEndian.AppendUint32(buf, uint32(len(payload)))
+		buf = binary.BigEndian.AppendUint32(append(buf, payload...), crc32.ChecksumIEEE(payload))
+	}
+	if _, err := wire.DecodeSegmentHeader(buf); !errors.Is(err, wire.ErrBadVersion) {
+		t.Fatalf("rewritten header: %v, want ErrBadVersion", err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, files[0]), buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := OpenStore(dir, 0, Options{})
+	if err != nil {
+		t.Fatalf("an older segment aborted recovery: %v", err)
+	}
+	defer s2.Close()
+	if got := quarantinedFiles(t, dir); len(got) != 1 || got[0] != files[0]+quarantineSuffix {
+		t.Fatalf("quarantine files: %v", got)
+	}
+	if want := []LostLSNRange{{From: 1, To: 3, SWLow: 0, SWHigh: 1}}; !reflect.DeepEqual(s2.Lost(), want) {
+		t.Fatalf("Lost = %+v, want %+v", s2.Lost(), want)
+	}
+	_, recs, err := s2.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 || recs[0].LSN != 4 || recs[1].LSN != 5 {
+		t.Fatalf("replayed %d frames, want LSNs 4 and 5 of the current segment", len(recs))
+	}
+	want := []packet.AFR{{Key: key(1), Attr: 5, SubWindow: 1}, {Key: key(2), Attr: 7, SubWindow: 1, Seq: 1}}
+	if !reflect.DeepEqual(recs[1].AFRs, want) {
+		t.Fatalf("current batch decoded %+v, want %+v", recs[1].AFRs, want)
 	}
 }
 

@@ -584,7 +584,10 @@ func (s *Store) SealBoundary() {
 // AppendBatch logs one ingested AFR batch of sub-window sw. The first
 // argument is ignored: it once named the controller shard whose log the
 // batch went to. retrans marks batches that arrived via the NACK/retransmit
-// path, so replayed delivery accounting matches the original run's.
+// path, so replayed delivery accounting matches the original run's. Each
+// record is logged as its sequence number, key, attr and summary words
+// (wire.WALAFRBatch): replay gives every record sw, whatever SubWindow it
+// held, and app 0, since a durable deployment runs one app.
 func (s *Store) AppendBatch(_ int, sw uint64, retrans bool, afrs []packet.AFR) error {
 	return s.append(&wire.WALRecord{Type: wire.WALAFRBatch, SubWindow: sw, Retrans: retrans, AFRs: afrs})
 }
@@ -608,7 +611,8 @@ func (s *Store) AppendShed(sw uint64, n uint32) error {
 }
 
 // AppendSpike logs a latency-spike copy the controller merged into
-// sub-window sw in software: its key, packet sequence and contribution.
+// sub-window sw in software: its key, packet sequence and contribution,
+// a batch of one (wire.WALSpike) that replay gives sub-window sw and app 0.
 func (s *Store) AppendSpike(sw uint64, key packet.FlowKey, seq uint32, attr uint64) error {
 	spike := [1]packet.AFR{{Key: key, Seq: seq, Attr: attr, SubWindow: sw}}
 	return s.append(&wire.WALRecord{Type: wire.WALSpike, SubWindow: sw, AFRs: spike[:]})

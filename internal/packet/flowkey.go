@@ -9,6 +9,7 @@
 package packet
 
 import (
+	"encoding/binary"
 	"fmt"
 	"net/netip"
 )
@@ -53,6 +54,19 @@ func (k FlowKey) Bytes() [KeyBytes]byte {
 	b[11] = byte(k.DstPort)
 	b[12] = k.Proto
 	return b
+}
+
+// PutBytes writes the key's Bytes form to b[:KeyBytes] in place. An
+// encoder that writes many keys into one buffer, as the write-ahead log's
+// does, uses it: the array Bytes returns costs more to build and copy than
+// the rest of the record.
+func (k *FlowKey) PutBytes(b []byte) {
+	_ = b[KeyBytes-1]
+	binary.BigEndian.PutUint32(b, k.SrcIP)
+	binary.BigEndian.PutUint32(b[4:], k.DstIP)
+	binary.BigEndian.PutUint16(b[8:], k.SrcPort)
+	binary.BigEndian.PutUint16(b[10:], k.DstPort)
+	b[12] = k.Proto
 }
 
 // KeyFromBytes parses a key previously produced by Bytes.

@@ -16,7 +16,10 @@ func TestKeyBytesRoundTrip(t *testing.T) {
 func TestKeyBytesRoundTripProperty(t *testing.T) {
 	f := func(src, dst uint32, sp, dp uint16, proto uint8) bool {
 		k := FlowKey{SrcIP: src, DstIP: dst, SrcPort: sp, DstPort: dp, Proto: proto}
-		return KeyFromBytes(k.Bytes()) == k
+		var put [KeyBytes + 1]byte
+		put[KeyBytes] = 0xAA
+		k.PutBytes(put[:])
+		return KeyFromBytes(k.Bytes()) == k && [KeyBytes]byte(put[:KeyBytes]) == k.Bytes() && put[KeyBytes] == 0xAA
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

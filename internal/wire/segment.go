@@ -16,10 +16,12 @@ import (
 // rotation durably records which term-holder opened it; version 3 dropped
 // the chain id, since the store keeps one log; version 4 segments may hold
 // spike and column frames (WALSpike, WALColumn), the log being the
-// store's only data file.
+// store's only data file; version 5 logs batch and spike records in the
+// cell layout, sequence number first (26 B an AFR, was 67 B), their
+// sub-window named once by the frame.
 const (
 	SegMagic   uint32 = 0x4F575347
-	SegVersion uint8  = 4
+	SegVersion uint8  = 5
 )
 
 // SegmentHeader is the first SegmentHeaderSize bytes of every segment.

@@ -122,6 +122,14 @@ func FuzzDecodeWALRecord(f *testing.F) {
 	f.Add(fenced[:walHeaderSize+walFixedPayload-1])
 	f.Add(AppendWALRecord(nil, &WALRecord{Type: WALSpike, LSN: 12, SubWindow: 2,
 		AFRs: []packet.AFR{{Key: snapKey(7), Attr: 1, Seq: 300}}}))
+	f.Add(AppendWALRecord(nil, &WALRecord{Type: WALAFRBatch, LSN: 14, Retrans: true, SubWindow: 5, AFRs: []packet.AFR{
+		{Key: snapKey(5), Attr: 9, SubWindow: 5, Seq: 2, Distinct: [4]uint64{1 << 40, 3, 0, 7}, HasDistinct: true},
+		{Key: snapKey(6), Attr: 1, SubWindow: 5, Seq: 3},
+	}}))
+	// Input records naming another sub-window: the frame's wins.
+	f.Add(AppendWALRecord(nil, &WALRecord{Type: WALAFRBatch, LSN: 15, SubWindow: 8, AFRs: []packet.AFR{
+		{Key: snapKey(8), Attr: 2, SubWindow: 3, Seq: 5, App: 2},
+	}}))
 	f.Add(AppendWALRecord(nil, &WALRecord{Type: WALColumn, LSN: 13, Term: 1, SubWindow: 2, AFRs: []packet.AFR{
 		{Key: snapKey(3), Attr: 4, Distinct: [4]uint64{8, 0, 0, 1}, HasDistinct: true},
 		{Key: snapKey(4), Attr: 1},

@@ -8,6 +8,7 @@ package wire
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"slices"
 
 	"omniwindow/internal/packet"
 )
@@ -28,8 +29,9 @@ const (
 // reproduce has a frame type; anything absent from this list is derivable
 // or cosmetic (operation timings, for example, are not restored).
 const (
-	// WALAFRBatch carries ingested AFR records (first transmissions or
-	// retransmissions, per the Retrans flag).
+	// WALAFRBatch carries ingested AFR records of the frame's sub-window
+	// (first transmissions or retransmissions, per the Retrans flag), each
+	// as its sequence number and a cell: 26 B, 58 B with summary words.
 	WALAFRBatch byte = 1
 	// WALTrigger carries a sub-window's announced key count.
 	WALTrigger byte = 2
@@ -40,8 +42,8 @@ const (
 	// Degraded/ShedAFRs accounting matches the pre-crash state.
 	WALShed byte = 4
 	// WALSpike carries a latency-spike copy the controller merged in
-	// software (§5), laid out as a batch of one: its key, packet sequence
-	// number and attr.
+	// software (§5), laid out as a batch of one: its packet sequence
+	// number, key and attr.
 	WALSpike byte = 5
 	// WALColumn carries one finished sub-window's whole column in AFRs, a
 	// cell per flow: it supersedes every earlier frame of that sub-window.
@@ -111,8 +113,12 @@ type Snapshot struct {
 	Rels    []SnapRel
 }
 
-// cellSize is a column cell without summary words, the smallest.
-const cellSize = packet.KeyBytes + 8 + 1
+// cellSize is a column cell without summary words, the smallest;
+// walAFRSize is a logged AFR without them: its sequence number and a cell.
+const (
+	cellSize   = packet.KeyBytes + 8 + 1
+	walAFRSize = 4 + cellSize
+)
 const snapHeaderSize = 4 + 1 + 8 + 8 + 8 + 1
 
 // EncodeSnapshot serializes s but its columns (the manifest) into buf,
@@ -169,16 +175,21 @@ func EncodeSnapshot(buf []byte, s *Snapshot) []byte {
 // summary flag, then the summary words if it has them. A cell needs no
 // sub-window (its column names it) and no sequence number.
 func appendCell(buf []byte, c *packet.AFR) []byte {
-	kb := c.Key.Bytes()
-	buf = append(buf, kb[:]...)
-	buf = binary.BigEndian.AppendUint64(buf, c.Attr)
-	buf = append(buf, b2u(c.HasDistinct))
+	n := cellSize
 	if c.HasDistinct {
-		for _, w := range c.Distinct {
-			buf = binary.BigEndian.AppendUint64(buf, w)
+		n += 32
+	}
+	buf = slices.Grow(buf, n)
+	b := buf[len(buf) : len(buf)+n]
+	c.Key.PutBytes(b)
+	binary.BigEndian.PutUint64(b[packet.KeyBytes:], c.Attr)
+	b[cellSize-1] = b2u(c.HasDistinct)
+	if c.HasDistinct {
+		for w, v := range c.Distinct {
+			binary.BigEndian.PutUint64(b[cellSize+8*w:], v)
 		}
 	}
-	return buf
+	return buf[:len(buf)+n]
 }
 
 // snapReader cursors over a checksum-verified snapshot body. Every read
@@ -381,7 +392,9 @@ type WALRecord struct {
 	// so replayed delivery accounting matches the original.
 	Retrans bool
 	// AFRs is the batch (WALAFRBatch), the spike copy (WALSpike) or the
-	// column's cells (WALColumn).
+	// column's cells (WALColumn). Records are logged without their
+	// sub-window and app: decoded ones carry SubWindow and app 0 (a
+	// durable deployment runs one app).
 	AFRs []packet.AFR
 }
 
@@ -406,7 +419,8 @@ func AppendWALRecord(buf []byte, rec *WALRecord) []byte {
 		buf = append(buf, b2u(rec.Retrans))
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(rec.AFRs)))
 		for i := range rec.AFRs {
-			buf = appendAFR(buf, &rec.AFRs[i])
+			buf = binary.BigEndian.AppendUint32(buf, rec.AFRs[i].Seq)
+			buf = appendCell(buf, &rec.AFRs[i])
 		}
 	case WALTrigger:
 		buf = binary.BigEndian.AppendUint32(buf, rec.KeyCount)
@@ -441,20 +455,18 @@ func DecodeWALRecord(data []byte) (*WALRecord, int, error) {
 	rest := payload[walFixedPayload:]
 	switch rec.Type {
 	case WALAFRBatch, WALSpike:
-		if len(rest) < 5 {
-			return nil, 0, ErrTruncated
-		}
-		rec.Retrans = rest[0] != 0
-		n := int(binary.BigEndian.Uint32(rest[1:]))
-		rest = rest[5:]
-		if len(rest) != n*afrSize {
-			return nil, 0, ErrTruncated
-		}
-		if n > 0 {
+		r := &snapReader{data: rest}
+		rec.Retrans = r.u8() != 0
+		if n := r.count(walAFRSize); n > 0 {
 			rec.AFRs = make([]packet.AFR, n)
-			for i := 0; i < n; i++ {
-				decodeAFR(rest[i*afrSize:], &rec.AFRs[i])
+			for i := range rec.AFRs {
+				seq := r.u32()
+				rec.AFRs[i] = r.cell(rec.SubWindow)
+				rec.AFRs[i].Seq = seq
 			}
+		}
+		if r.err != nil || r.off != len(rest) {
+			return nil, 0, ErrTruncated
 		}
 	case WALTrigger:
 		if len(rest) != 4 {

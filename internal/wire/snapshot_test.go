@@ -78,6 +78,41 @@ func TestSnapshotCellLayout(t *testing.T) {
 	}
 }
 
+// A batch or spike frame logs each AFR as its sequence number and a cell:
+// 26 B, plus the four summary words only when it has them. The frame names
+// the sub-window once, so decoded records carry the frame's, not their own.
+func TestWALBatchFrameBytes(t *testing.T) {
+	for _, typ := range []byte{WALAFRBatch, WALSpike} {
+		frame := func(afrs ...packet.AFR) []byte {
+			return AppendWALRecord(nil, &WALRecord{Type: typ, LSN: 3, SubWindow: 6, AFRs: afrs})
+		}
+		empty := len(frame())
+		if want := walHeaderSize + walFixedPayload + 1 + 4 + sumSize; empty != want {
+			t.Fatalf("type %d: an empty frame costs %d bytes, want %d", typ, empty, want)
+		}
+		plain := packet.AFR{Key: snapKey(1), Attr: 2, SubWindow: 99, Seq: 4, App: 1}
+		summary := packet.AFR{Key: snapKey(2), Attr: 5, SubWindow: 6, Seq: 1 << 31,
+			Distinct: [4]uint64{1, 2, 3, 1 << 63}, HasDistinct: true}
+		if got := len(frame(plain)) - empty; got != 26 {
+			t.Fatalf("type %d: a plain AFR costs %d bytes, want 26", typ, got)
+		}
+		if got := len(frame(summary)) - empty; got != 26+32 {
+			t.Fatalf("type %d: a summary AFR costs %d bytes, want 58", typ, got)
+		}
+		rec, _, err := DecodeWALRecord(frame(plain, summary))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []packet.AFR{
+			{Key: snapKey(1), Attr: 2, SubWindow: 6, Seq: 4},
+			{Key: snapKey(2), Attr: 5, SubWindow: 6, Seq: 1 << 31, Distinct: [4]uint64{1, 2, 3, 1 << 63}, HasDistinct: true},
+		}
+		if !reflect.DeepEqual(rec.AFRs, want) {
+			t.Fatalf("type %d: decoded %+v, want %+v", typ, rec.AFRs, want)
+		}
+	}
+}
+
 func TestSnapshotEmptyRoundTrip(t *testing.T) {
 	buf := EncodeSnapshot(nil, &Snapshot{})
 	got, err := DecodeSnapshot(buf)

@@ -182,7 +182,8 @@ func DecodeInto(p *packet.Packet, data []byte) error {
 const magicValue = Magic
 
 // appendAFR serializes one AFR in the fixed afrSize layout shared by
-// datagrams, WAL records and snapshots.
+// datagrams and the manifest's pending records. The log writes the
+// smaller cell layout (appendCell), with the sub-window in the frame.
 func appendAFR(buf []byte, r *packet.AFR) []byte {
 	rk := r.Key.Bytes()
 	buf = append(buf, rk[:]...)
