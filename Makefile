@@ -112,7 +112,9 @@ partition-chaos:
 # Line counts per package and repo-wide, non-test and test, comments and
 # blank lines included: the `cat $$(ls DIR/*.go | grep -v _test) | wc -l`
 # form CHANGES.md has reported since PR 22, so every simplicity PR states
-# the same numbers the same way. Run it on both commits.
+# the same numbers the same way. The last line is the root package's public
+# surface: the lines `go doc -all .` prints and the number of exported
+# Config fields. Run it on both commits.
 loc:
 	@$(GO) list -f '{{.Dir}}' ./... | while read d; do \
 		echo "$${d#$(CURDIR)}/ \
@@ -120,6 +122,10 @@ loc:
 			$$(ls $$d/*.go | grep '_test\.go$$' | xargs -r cat | wc -l)"; \
 	done | awk '{ printf "%-28s %6d non-test %6d test\n", "." $$1, $$2, $$3; n += $$2; t += $$3 } \
 		END { printf "%-28s %6d non-test %6d test\n", "repo-wide", n, t }'
+	@echo "public surface: $$($(GO) doc -all . | wc -l) go-doc lines," \
+		"$$($(GO) doc -all . | awk '/^type Config struct/ { f = 1 } f && /^}/ { f = 0 } \
+			f && match($$0, /^\t[A-Z][A-Za-z0-9_]*(, [A-Za-z0-9_]+)*/) { s = substr($$0, 1, RLENGTH); n += gsub(/,/, "", s) + 1 } \
+			END { print n + 0 }') exported Config fields"
 
 fmt-check:
 	@files="$$(gofmt -l .)"; if [ -n "$$files" ]; then \

@@ -101,7 +101,7 @@ func (b *boundary) enumerate() {
 // trigger announces an empty key count).
 func (b *boundary) probeStandby() {
 	d := b.d
-	if b.owned && d.standby != nil && !d.failedOver && d.cfg.Crash != nil && d.cfg.Crash.At(b.sw) {
+	if b.owned && d.standby != nil && !d.failedOver && d.cfg.plan.crash != nil && d.cfg.plan.crash.At(b.sw) {
 		b.virtual += d.failover(b.sw, b.at)
 	}
 	b.virtual += d.partitionProbe(b.sw, b.at)
@@ -235,8 +235,8 @@ func (d *Deployment) deliverClones(out switchsim.Output) (afrs int) {
 // must suppress.
 func (d *Deployment) deliverAFRs(c *packet.Packet) {
 	copies := 1
-	if d.cfg.AFRFaults != nil {
-		act := d.cfg.AFRFaults.Packet()
+	if d.cfg.plan.afrFaults != nil {
+		act := d.cfg.plan.afrFaults.Packet()
 		if act.Drop {
 			return
 		}
@@ -247,18 +247,11 @@ func (d *Deployment) deliverAFRs(c *packet.Packet) {
 	}
 }
 
-// retryPolicy resolves the configured reliability knobs against the
-// controller defaults. A negative RetryLimit disables recovery.
+// retryPolicy is the test plan's recovery policy, or the controller's
+// default.
 func (d *Deployment) retryPolicy() controller.RetryPolicy {
-	pol := controller.DefaultRetryPolicy()
-	if d.cfg.RetryLimit != 0 {
-		pol.MaxRetries = max(d.cfg.RetryLimit, 0)
+	if p := d.cfg.plan.retry; p != nil {
+		return *p
 	}
-	if d.cfg.RetryBackoff > 0 {
-		pol.Backoff = d.cfg.RetryBackoff
-	}
-	if d.cfg.RetryMaxBackoff > 0 {
-		pol.MaxBackoff = d.cfg.RetryMaxBackoff
-	}
-	return pol
+	return controller.DefaultRetryPolicy()
 }

@@ -3,9 +3,9 @@ package omniwindow
 import (
 	"reflect"
 	"testing"
-	"time"
 
 	"omniwindow/internal/afr"
+	"omniwindow/internal/durable"
 	"omniwindow/internal/faults"
 	"omniwindow/internal/obs"
 	"omniwindow/internal/packet"
@@ -43,8 +43,7 @@ func batchTrace() []packet.Packet {
 
 func batchConfig(mutate func(*Config)) Config {
 	cfg := freqConfig(window.SlidingPlan(3, 1), 6, false)
-	cfg.RetryBackoff = time.Millisecond
-	cfg.RetryMaxBackoff = 2 * time.Millisecond
+	cfg.plan.retry = fastRetry(4)
 	cfg.Shards = 2
 	if mutate != nil {
 		mutate(&cfg)
@@ -98,7 +97,7 @@ func TestCollectBatchFlushPoints(t *testing.T) {
 			)
 			reg := obs.NewRegistry()
 			d, err := New(batchConfig(func(c *Config) {
-				c.AFRFaults = &everyThird{next: faults.New(faults.Config{Seed: 1, Drop: 0.10, Duplicate: 0.20, MaxDuplicates: 2})}
+				c.plan.afrFaults = &everyThird{next: faults.New(faults.Config{Seed: 1, Drop: 0.10, Duplicate: 0.20, MaxDuplicates: 2})}
 				c.Obs = reg
 				if spill {
 					spillTracker(c)
@@ -131,7 +130,7 @@ func TestCollectBatchFlushPoints(t *testing.T) {
 			reg := obs.NewRegistry()
 			d, err := New(batchConfig(func(c *Config) {
 				c.CheckpointDir = t.TempDir()
-				c.Crash = crashes(2)
+				c.plan.crash = crashes(2)
 				c.Standby = true
 				c.Obs = reg
 				if spill {
@@ -187,7 +186,7 @@ func TestCollectBatchFlushPoints(t *testing.T) {
 				return batchConfig(func(c *Config) {
 					spillTracker(c)
 					c.CheckpointDir = dir
-					c.DiskFaults = &faults.DiskSchedule{}
+					c.plan.durable.FS = durable.NewFaultFS(nil, &faults.DiskSchedule{})
 				})
 			},
 			pkts: pkts, b: 2, point: uncommitted,

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"omniwindow/internal/durable"
 	"omniwindow/internal/faults"
 	"omniwindow/internal/obs"
 )
@@ -33,14 +34,14 @@ func TestBoundaryGolden(t *testing.T) {
 	}{
 		{name: "packet", want: "66f0996c221ad7b6"},
 		{name: "packet+loss", want: "316450ba0314343b", loss: true, mutate: func(c *Config) {
-			c.AFRFaults = faults.New(faults.Config{Seed: 1, Drop: 0.10, Duplicate: 0.20, MaxDuplicates: 2})
+			c.plan.afrFaults = faults.New(faults.Config{Seed: 1, Drop: 0.10, Duplicate: 0.20, MaxDuplicates: 2})
 		}},
 		{name: "rdma", want: "f543d4e41d8128f8", mutate: func(c *Config) { c.RDMA = true }},
 		{name: "rdma+faults", want: "d3e86370f8c12dd4", mutate: func(c *Config) {
 			c.RDMA = true
-			c.RDMAReplayDepth = 256
-			c.RetryLimit = 2
-			c.RDMAFaults = &faults.RDMASchedule{Seed: 1, VerbError: 0.15, PSNDrop: 0.15,
+			c.plan.rdmaReplayDepth = 256
+			c.plan.retry = fastRetry(2)
+			c.plan.rdmaFaults = &faults.RDMASchedule{Seed: 1, VerbError: 0.15, PSNDrop: 0.15,
 				QPError:      faults.Fault{Prob: 0.3},
 				MRInvalidate: faults.Fault{Prob: 0.3}}
 		}},
@@ -48,18 +49,18 @@ func TestBoundaryGolden(t *testing.T) {
 		{name: "rdma+durable", want: "2ad9e72f5df3fc83", durable: true, mutate: func(c *Config) { c.RDMA = true }},
 		{name: "standby+crash", want: "b979889d4bb3cb29", durable: true, mutate: func(c *Config) {
 			c.Standby = true
-			c.Crash = crashes(2)
+			c.plan.crash = crashes(2)
 		}},
 		{name: "standby+partition", want: "16d84d62b572454c", durable: true, mutate: func(c *Config) {
 			c.Standby = true
-			c.LeaseTTL = 170 * time.Millisecond
-			c.PartitionFaults = &faults.PartitionSchedule{Seed: 3, Gray: 0.2,
+			c.plan.leaseTTL = 170 * time.Millisecond
+			c.plan.partition = &faults.PartitionSchedule{Seed: 3, Gray: 0.2,
 				Symmetric: faults.Fault{Fixed: []uint64{1, 2}}}
 		}},
 		{name: "disk-faults", want: "c95edde568e4a73a", durable: true, mutate: func(c *Config) {
-			c.DiskFaults = &faults.DiskSchedule{Seed: 7, WriteEIO: 0.10, ShortWrite: 0.05,
-				BitRot: 0.02, SlowIO: 0.10, ENOSPC: faults.Fault{Fixed: []uint64{25, 26}}}
-			c.DurabilityRetryLimit = 1
+			c.plan.durable.FS = durable.NewFaultFS(nil, &faults.DiskSchedule{Seed: 7, WriteEIO: 0.10, ShortWrite: 0.05,
+				BitRot: 0.02, SlowIO: 0.10, ENOSPC: faults.Fault{Fixed: []uint64{25, 26}}})
+			c.plan.durable.RetryLimit = 1
 		}},
 		{name: "crash-restart", want: "840427f98dea38e2", durable: true, restartAt: 2},
 	}
@@ -77,7 +78,7 @@ func TestBoundaryGolden(t *testing.T) {
 						tc.mutate(c)
 					}
 					if tc.loss {
-						c.AFRFaults = &everyThird{next: c.AFRFaults}
+						c.plan.afrFaults = &everyThird{next: c.plan.afrFaults}
 					}
 				})
 			}

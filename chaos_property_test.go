@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-	"time"
 
 	"omniwindow/internal/faults"
 	"omniwindow/internal/window"
@@ -31,10 +30,10 @@ func TestChaosNeverDoubleCountsProperty(t *testing.T) {
 		}
 		inj := faults.New(fc)
 		d := runChaos(t, func(c *Config) {
-			c.AFRFaults = inj
+			c.plan.afrFaults = inj
 			// Enough rounds that a <=50% per-packet loss rate converges
 			// with overwhelming probability.
-			c.RetryLimit = 30
+			c.plan.retry = fastRetry(30)
 		})
 		if d.Stats().IncompleteSubWindows != 0 {
 			t.Fatalf("trial %d (cfg %+v): %d incomplete sub-windows",
@@ -67,7 +66,7 @@ func TestChaosNeverDoubleCountsProperty(t *testing.T) {
 func TestChaosRDMAVerbErrors(t *testing.T) {
 	run := func(sched *faults.RDMASchedule) *Deployment {
 		cfg := freqConfig(window.SlidingPlan(3, 1), 25, true)
-		cfg.RDMAFaults = sched
+		cfg.plan.rdmaFaults = sched
 		d, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -128,7 +127,7 @@ func TestChaosCrashRestartProperty(t *testing.T) {
 				t.Fatal(err)
 			}
 			d.RunFor(chaosTrace(), 500*ms)
-			if _, crashed := d.Crashed(); crashed {
+			if d.crashed {
 				t.Fatalf("trial %d: schedule %+v crashed despite predicting no crash", trial, cs)
 			}
 			if !reflect.DeepEqual(baseline.Results(), d.Results()) {
@@ -158,10 +157,8 @@ func TestChaosCrashRestartProperty(t *testing.T) {
 func TestChaosRetryKnobsBoundVirtualTime(t *testing.T) {
 	inj := faults.New(faults.Config{Seed: 1, Drop: 1})
 	d := runChaos(t, func(c *Config) {
-		c.AFRFaults = inj
-		c.RetryLimit = 3
-		c.RetryBackoff = time.Millisecond
-		c.RetryMaxBackoff = 2 * time.Millisecond
+		c.plan.afrFaults = inj
+		c.plan.retry = fastRetry(3)
 	})
 	// Per sub-window: 1ms + 2ms + 2ms of backoff on top of the lossless
 	// C&R time; the budget must stay within the 100 ms sub-window.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"omniwindow/internal/afr"
+	"omniwindow/internal/controller"
 	"omniwindow/internal/faults"
 	"omniwindow/internal/obs"
 	"omniwindow/internal/packet"
@@ -46,13 +47,18 @@ func chaosSpill(c *Config) {
 	c.Tracker = afr.TrackerConfig{BufferKeys: 18, BloomBits: 1 << 16, BloomHashes: 3}
 }
 
+// fastRetry is the chaos suites' recovery policy: rounds NACK rounds,
+// backoff 1 ms doubling to 2 ms.
+func fastRetry(rounds int) *controller.RetryPolicy {
+	return &controller.RetryPolicy{MaxRetries: rounds, Backoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond}
+}
+
 // runChaos runs the standard chaos deployment over chaosTrace and returns
 // the deployment for results/stats inspection.
 func runChaos(t *testing.T, mutate func(*Config)) *Deployment {
 	t.Helper()
 	cfg := freqConfig(window.SlidingPlan(3, 1), 25, false)
-	cfg.RetryBackoff = time.Millisecond
-	cfg.RetryMaxBackoff = 2 * time.Millisecond
+	cfg.plan.retry = fastRetry(4)
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -100,7 +106,7 @@ func TestChaosRecoveryByteIdentical(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			inj := faults.New(tc.cfg)
 			d := runChaos(t, func(c *Config) {
-				c.AFRFaults = inj
+				c.plan.afrFaults = inj
 				if tc.spill {
 					chaosSpill(c)
 				}
@@ -136,8 +142,8 @@ func TestChaosRecoveryByteIdentical(t *testing.T) {
 func TestChaosRetriesDisabledMarksIncomplete(t *testing.T) {
 	inj := faults.New(faults.Config{Seed: 1, Drop: 0.20})
 	d := runChaos(t, func(c *Config) {
-		c.AFRFaults = inj
-		c.RetryLimit = -1
+		c.plan.afrFaults = inj
+		c.plan.retry = fastRetry(0)
 	})
 	if inj.Stats().Dropped == 0 {
 		t.Fatal("schedule injected no drops")
@@ -168,8 +174,8 @@ func TestChaosRetriesDisabledMarksIncomplete(t *testing.T) {
 func TestChaosRecoveryExhaustion(t *testing.T) {
 	inj := faults.New(faults.Config{Seed: 7, Drop: 1})
 	d := runChaos(t, func(c *Config) {
-		c.AFRFaults = inj
-		c.RetryLimit = 2
+		c.plan.afrFaults = inj
+		c.plan.retry = fastRetry(2)
 	})
 	st := d.Stats()
 	if st.RecoveryRounds == 0 || st.Retransmitted == 0 {
@@ -190,7 +196,7 @@ func TestChaosRecoveryExhaustion(t *testing.T) {
 func TestChaosDeterministicSchedules(t *testing.T) {
 	run := func() (*Deployment, faults.Stats) {
 		inj := faults.New(faults.Config{Seed: 5, Drop: 0.10, Duplicate: 0.10})
-		d := runChaos(t, func(c *Config) { c.AFRFaults = inj })
+		d := runChaos(t, func(c *Config) { c.plan.afrFaults = inj })
 		return d, inj.Stats()
 	}
 	d1, s1 := run()
@@ -216,7 +222,7 @@ func TestChaosMultiAppRecoveryAccounting(t *testing.T) {
 		return runChaos(t, func(c *Config) {
 			c.AppFactory, c.Apps, c.Obs = nil, apps, reg
 			if lossy {
-				c.AFRFaults = &everyThird{}
+				c.plan.afrFaults = &everyThird{}
 			}
 		}), reg
 	}

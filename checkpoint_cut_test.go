@@ -146,21 +146,6 @@ func (w *spyFile) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// swapStore reopens a freshly built deployment's (empty) store through
-// fsys, so a test can aim faults at files the DiskSchedule seam draws per
-// operation.
-func swapStore(t *testing.T, d *Deployment, fsys durable.FS) {
-	t.Helper()
-	d.store.Close()
-	s, err := durable.OpenStore(d.cfg.CheckpointDir, 0, durable.Options{
-		FS: fsys, SegmentBytes: d.cfg.WALSegmentBytes, RetryLimit: d.cfg.DurabilityRetryLimit,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.store = s
-}
-
 // readManifest decodes the checkpoint manifest in dir, nil when there is
 // none.
 func readManifest(t *testing.T, dir string) *wire.Snapshot {
@@ -210,12 +195,13 @@ func TestScrubReadErrorStillReCovers(t *testing.T) {
 	baseline := runChaos(t, nil)
 	spy := &spyFS{readEIO: "checkpoint.snap", rot: "wal-"}
 	r := crashCase{
-		config: func(dir string) Config { return diskConfig(dir, nil, nil) },
-		b:      1, // the spy arms at boundary 0's checkpoint and rots boundary 1's first frame
-		drive: func(d1 *Deployment) {
-			swapStore(t, d1, spy)
-			d1.RunFor(chaosTrace(), 500*ms)
+		config: func(dir string) Config {
+			cfg := diskConfig(dir, nil, nil)
+			cfg.plan.durable.FS = spy
+			return cfg
 		},
+		b:       1,                                      // the spy arms at boundary 0's checkpoint and rots boundary 1's first frame
+		between: func(*Deployment) { spy.readEIO = "" }, // the restart reads a healthy disk
 	}.run(t)
 	if !spy.rotted || spy.readFails == 0 || r.d1.store.Quarantined() == 0 {
 		t.Fatalf("faults did not land in one scrub: rotted=%v readFails=%d quarantined=%d",
@@ -232,7 +218,7 @@ func TestScrubReadErrorStillReCovers(t *testing.T) {
 // are sealed before the boundary's scrub reads the active one.
 func cutConfig(dir string) Config {
 	cfg := freqConfig(window.SlidingPlan(5, 1), 25, false)
-	cfg.Shards, cfg.CheckpointDir, cfg.WALSegmentBytes = 2, dir, 1024
+	cfg.Shards, cfg.CheckpointDir, cfg.plan.durable.SegmentBytes = 2, dir, 1024
 	return cfg
 }
 
@@ -250,19 +236,22 @@ func TestRottedSegmentIsReCut(t *testing.T) {
 	baseline.RunFor(pkts, dur)
 
 	spy := &spyFS{rot: "wal-"}
+	var ckpts []boundaryWrites // the first incarnation's; the restart writes through the spy too
 	r := crashCase{
-		config: config, pkts: pkts, dur: dur, b: 6,
-		drive: func(d1 *Deployment) {
-			swapStore(t, d1, spy)
-			d1.RunFor(pkts, dur)
+		config: func(dir string) Config {
+			cfg := config(dir)
+			cfg.plan.durable.FS = spy
+			return cfg
 		},
+		pkts: pkts, dur: dur, b: 6,
+		between: func(*Deployment) { ckpts = spy.ckpts },
 	}.run(t)
 	st := r.d1.Stats()
 	if !spy.rotted || r.d1.store.Quarantined() != 1 || st.DurabilityGaps != 0 || st.DurabilityHeals != 0 {
 		t.Fatalf("rotted segment: rotted=%v quarantined=%d gaps=%d heals=%d, want one quarantine and no degraded stretch",
 			spy.rotted, r.d1.store.Quarantined(), st.DurabilityGaps, st.DurabilityHeals)
 	}
-	if relogged := slices.ContainsFunc(spy.ckpts, func(w boundaryWrites) bool { return w.columns > 0 }); !relogged {
+	if relogged := slices.ContainsFunc(ckpts, func(w boundaryWrites) bool { return w.columns > 0 }); !relogged {
 		t.Fatal("no checkpoint re-logged a column after the rot")
 	}
 	if !reflect.DeepEqual(baseline.Results(), r.stitched) {
@@ -290,10 +279,10 @@ func TestStandbyMissedReCutRestartsExact(t *testing.T) {
 			dir := t.TempDir()
 			cfg := config(dir)
 			cfg.Standby = true
-			cfg.PartitionFaults = ckptCutOnlyAt(missed, subWindows)
-			d1 := newDisk(t, cfg)
+			cfg.plan.partition = ckptCutOnlyAt(missed, subWindows)
 			spy := &spyFS{rot: "wal-"}
-			swapStore(t, d1, spy)
+			cfg.plan.durable.FS = spy
+			d1 := newDisk(t, cfg)
 			d1.store.SetCrash(func(p string) bool {
 				lf, ok := d1.ctrl.LastFinished()
 				return p == "wal-append" && ok && lf == crashAt
@@ -364,9 +353,9 @@ func TestCheckpointBytesPerBoundary(t *testing.T) {
 	cfg := freqConfig(window.SlidingPlan(5, 1), 25, false)
 	cfg.CheckpointDir = t.TempDir()
 	cfg.Shards = 2
-	d := newDisk(t, cfg)
 	spy := &spyFS{}
-	swapStore(t, d, spy)
+	cfg.plan.durable.FS = spy
+	d := newDisk(t, cfg)
 	d.RunFor(churnTrace(subWindows, 60), subWindows*100*ms)
 	if len(spy.ckpts) != subWindows {
 		t.Fatalf("%d checkpoints, want one per boundary (%d)", len(spy.ckpts), subWindows)

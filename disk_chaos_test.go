@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"omniwindow/internal/controller"
+	"omniwindow/internal/durable"
 	"omniwindow/internal/faults"
 	"omniwindow/internal/wire"
 )
@@ -28,12 +29,15 @@ import (
 //     frame written before the crash is either replayed or inside a
 //     reported Lost range, never both, never neither.
 
-// diskConfig is durableConfig plus a disk fault schedule and a pinned
-// shard count (op indexes must not depend on GOMAXPROCS).
+// diskConfig is durableConfig plus a disk fault schedule, drawn per
+// operation from a fresh FaultFS, and a pinned shard count (op indexes
+// must not depend on GOMAXPROCS).
 func diskConfig(dir string, crash *faults.CrashSchedule, sched *faults.DiskSchedule) Config {
 	cfg := durableConfig(dir, crash)
 	cfg.Shards = 2
-	cfg.DiskFaults = sched
+	if sched != nil {
+		cfg.plan.durable.FS = durable.NewFaultFS(nil, sched)
+	}
 	return cfg
 }
 
@@ -141,7 +145,7 @@ func TestDiskChaosTransientFaultsByteIdentical(t *testing.T) {
 			cfg := diskConfig(t.TempDir(), nil, &faults.DiskSchedule{
 				Seed: seed, WriteEIO: 0.10, ShortWrite: 0.05, SlowIO: 0.10,
 			})
-			cfg.DurabilityRetryLimit = 10
+			cfg.plan.durable.RetryLimit = 10
 			d := runDisk(t, cfg)
 			if !reflect.DeepEqual(baseline.Results(), d.Results()) {
 				t.Fatal("transient disk faults changed the live window stream")
@@ -212,8 +216,8 @@ func TestDiskChaosCrashAfterHealByteIdentical(t *testing.T) {
 		ENOSPC: faults.Fault{Fixed: opsFrom(total/5, 2)},
 	}
 	d1 := runDisk(t, diskConfig(dir, crashes(crashAt), sched))
-	if sw, ok := d1.Crashed(); !ok || sw != crashAt {
-		t.Fatalf("crash did not fire at %d: ok=%v sw=%d", crashAt, ok, sw)
+	if !d1.crashed || d1.crashedAt != crashAt {
+		t.Fatalf("crash did not fire at %d: crashed=%v at %d", crashAt, d1.crashed, d1.crashedAt)
 	}
 	st := d1.Stats()
 	if st.DurabilityGaps == 0 || st.DurabilityHeals == 0 {
@@ -256,8 +260,8 @@ func TestDiskChaosCrashWhileDegraded(t *testing.T) {
 		ENOSPC: faults.Fault{Fixed: opsFrom(total/4, total)},
 	}
 	d1 := runDisk(t, diskConfig(dir, crashes(crashAt), sched))
-	if sw, ok := d1.Crashed(); !ok || sw != crashAt {
-		t.Fatalf("crash did not fire at %d: ok=%v sw=%d", crashAt, ok, sw)
+	if !d1.crashed || d1.crashedAt != crashAt {
+		t.Fatalf("crash did not fire at %d: crashed=%v at %d", crashAt, d1.crashed, d1.crashedAt)
 	}
 	if !d1.DurabilityDegraded() {
 		t.Fatal("scenario needs the crash to land inside the degraded stretch")
@@ -300,22 +304,24 @@ func TestDiskChaosCrashRestartProperty(t *testing.T) {
 				Seed: seed, WriteEIO: 0.05, ShortWrite: 0.03, BitRot: 0.03, SlowIO: 0.05,
 			}
 			cfg := diskConfig(dir, crashes(crashAt), sched)
-			cfg.DurabilityRetryLimit = 6
-			cfg.WALSegmentBytes = 2048
+			cfg.plan.durable.RetryLimit = 6
+			cfg.plan.durable.SegmentBytes = 2048
 			if spill {
 				chaosSpill(&cfg)
 			}
 			d1 := runDisk(t, cfg)
-			if sw, ok := d1.Crashed(); !ok || sw != crashAt {
-				t.Fatalf("crash did not fire at %d: ok=%v sw=%d", crashAt, ok, sw)
+			if !d1.crashed || d1.crashedAt != crashAt {
+				t.Fatalf("crash did not fire at %d: crashed=%v at %d", crashAt, d1.crashed, d1.crashedAt)
 			}
 			if pre := d1.Results(); !reflect.DeepEqual(pre, baseline.Results()[:len(pre)]) {
 				t.Fatal("faulty-disk pre-crash windows diverged from the fault-free run")
 			}
 
-			// Restart on the same faulty disk: recovery itself must cope
+			// Restart on the same faulty disk, its operations numbered
+			// from 0 again by a fresh FaultFS: recovery itself must cope
 			// with injected read errors and whatever the crash tore.
-			cfg.Crash = nil
+			cfg.plan.crash = nil
+			cfg.plan.durable.FS = durable.NewFaultFS(nil, sched)
 			d2 := newDisk(t, cfg)
 			d2.RunFor(traceTail(chaosTrace(), crashAt), 500*ms)
 			assertIdenticalOrIncomplete(t, baseline.Results(), d2.Results())
@@ -345,7 +351,7 @@ func TestDiskChaosQuarantineLSNReconciliation(t *testing.T) {
 	r := crashCase{
 		config: func(dir string) Config {
 			cfg := diskConfig(dir, nil, &faults.DiskSchedule{})
-			cfg.WALSegmentBytes = 512 // force rotation: one boundary's frames span several segments
+			cfg.plan.durable.SegmentBytes = 512 // force rotation: one boundary's frames span several segments
 			return cfg
 		},
 		b: 3, point: uncommitted,
@@ -442,7 +448,7 @@ func TestDiskChaosDeterministic(t *testing.T) {
 			cfg := diskConfig(t.TempDir(), nil, &faults.DiskSchedule{
 				Seed: 99, WriteEIO: 0.15, ShortWrite: 0.05, SlowIO: 0.2,
 			})
-			cfg.DurabilityRetryLimit = 8
+			cfg.plan.durable.RetryLimit = 8
 			return cfg
 		}())
 		return d, d.Stats()

@@ -31,14 +31,7 @@ import (
 // hot-standby pair.
 func (d *Deployment) openDurability() error {
 	cfg := &d.cfg
-	opts := durable.Options{
-		SegmentBytes: cfg.WALSegmentBytes,
-		RetryLimit:   cfg.DurabilityRetryLimit,
-	}
-	if cfg.DiskFaults != nil {
-		opts.FS = durable.NewFaultFS(durable.OSFS{}, cfg.DiskFaults)
-	}
-	store, err := durable.OpenStore(cfg.CheckpointDir, 0, opts)
+	store, err := durable.OpenStore(cfg.CheckpointDir, 0, cfg.plan.durable)
 	if err != nil {
 		return fmt.Errorf("omniwindow: %w", err)
 	}
@@ -300,7 +293,7 @@ func (d *Deployment) noteRDMAShed(sw uint64, n int) {
 // handles, and the torn state left on disk is exactly what recovery must
 // cope with.
 func (d *Deployment) crashIfScheduled(sw uint64) {
-	if d.cfg.Crash == nil || d.crashed || d.standby != nil || d.failedOver || !d.cfg.Crash.At(sw) {
+	if d.cfg.plan.crash == nil || d.crashed || d.standby != nil || d.failedOver || !d.cfg.plan.crash.At(sw) {
 		return
 	}
 	d.crashed = true

@@ -19,10 +19,9 @@ import (
 // durableConfig is the chaos deployment with durability enabled.
 func durableConfig(dir string, crash *faults.CrashSchedule) Config {
 	cfg := freqConfig(window.SlidingPlan(3, 1), 25, false)
-	cfg.RetryBackoff = time.Millisecond
-	cfg.RetryMaxBackoff = 2 * time.Millisecond
+	cfg.plan.retry = fastRetry(4)
 	cfg.CheckpointDir = dir
-	cfg.Crash = crash
+	cfg.plan.crash = crash
 	return cfg
 }
 
@@ -107,7 +106,7 @@ func (c crashCase) run(t *testing.T) crashResult {
 	dir := t.TempDir()
 	cfg := c.config(dir)
 	if c.point == "" {
-		cfg.Crash = crashes(c.b)
+		cfg.plan.crash = crashes(c.b)
 	}
 	d1 := newDisk(t, cfg)
 	if c.point != "" {
@@ -121,7 +120,7 @@ func (c crashCase) run(t *testing.T) crashResult {
 	} else {
 		d1.RunFor(c.pkts, c.dur)
 	}
-	if sw, crashed := d1.Crashed(); c.point == "" && (!crashed || sw != c.b) || c.point != "" && !d1.storeDead {
+	if c.point == "" && (!d1.crashed || d1.crashedAt != c.b) || c.point != "" && !d1.storeDead {
 		if !c.optional {
 			t.Fatalf("crash at boundary %d (store point %q) did not fire", c.b, c.point)
 		}
@@ -332,7 +331,7 @@ func standbyPromotes(t *testing.T, baseline *Deployment, cfg Config) {
 		t.Fatal(err)
 	}
 
-	if _, crashed := d.Crashed(); crashed {
+	if d.crashed {
 		t.Fatal("deployment halted despite the hot standby")
 	}
 	st := d.Stats()
@@ -372,10 +371,10 @@ func standbyPromotes(t *testing.T, baseline *Deployment, cfg Config) {
 // ignored, and the windows emitted before the crash remain available.
 func TestCrashWithoutDurabilityHalts(t *testing.T) {
 	d := runChaos(t, func(c *Config) {
-		c.Crash = crashes(2)
+		c.plan.crash = crashes(2)
 	})
-	if sw, ok := d.Crashed(); !ok || sw != 2 {
-		t.Fatalf("crash did not halt the deployment: %v %v", sw, ok)
+	if !d.crashed || d.crashedAt != 2 {
+		t.Fatalf("crash did not halt the deployment: crashed=%v at %d", d.crashed, d.crashedAt)
 	}
 	for _, w := range d.Results() {
 		if w.End > 2 {
@@ -397,7 +396,7 @@ func TestFailoverLeaseWaitAtBoundaryTime(t *testing.T) {
 		d, err := New(batchConfig(func(c *Config) {
 			c.CheckpointDir = t.TempDir()
 			c.Standby = true
-			c.Crash = crashes(crashAt)
+			c.plan.crash = crashes(crashAt)
 		}))
 		if err != nil {
 			t.Fatal(err)
@@ -414,7 +413,7 @@ func TestFailoverLeaseWaitAtBoundaryTime(t *testing.T) {
 		// Everything the takeover adds to the worst round beyond the lease
 		// wait is one NACK round of backoff.
 		ttl := 2 * d.cfg.SubWindow
-		wait := st.MaxCollectVirtual - quiet - d.cfg.RetryBackoff
+		wait := st.MaxCollectVirtual - quiet - d.cfg.plan.retry.Backoff
 		if wait <= 0 || wait > ttl {
 			t.Fatalf("crash at %d: lease wait %v, want in (0, %v] (worst round %v, fault-free %v)",
 				crashAt, wait, ttl, st.MaxCollectVirtual, quiet)

@@ -10,7 +10,7 @@
 // An injector sits on one of two delivery paths:
 //
 //   - the AFR clones a deployment sends its controller, via Packet
-//     (drop/duplicate of simulated packets; Config.AFRFaults at the root);
+//     (drop/duplicate of simulated packets; the root test plan's afrFaults);
 //   - the UDP socket feeding controller.Collector, via WrapPacketConn
 //     (drop/duplicate/reorder/delay/truncate/corrupt of wire datagrams).
 //

@@ -92,26 +92,6 @@ type Config struct {
 	// packets (§4.2). Defaults to the cost model's ControllerWait.
 	Grace time.Duration
 
-	// RetryLimit bounds the NACK/retransmit recovery rounds for AFRs
-	// lost on the switch→controller path (§8). 0 uses the default (4);
-	// a negative value disables recovery entirely, so windows with
-	// losses finalize marked Incomplete instead of being repaired.
-	RetryLimit int
-	// RetryBackoff is the initial wait between recovery rounds, doubling
-	// each round up to RetryMaxBackoff. In the in-process deployment the
-	// waits are virtual time charged to the C&R budget. Zero values use
-	// controller.DefaultRetryPolicy.
-	RetryBackoff    time.Duration
-	RetryMaxBackoff time.Duration
-	// AFRFaults optionally pushes every controller-bound AFR packet —
-	// first transmissions and retransmissions alike — through a seeded
-	// fault schedule (drop/duplicate; the in-process path carries
-	// structs, not bytes, so truncation/corruption do not apply).
-	// Chaos-testing use: it turns the deployment's lossless internal wire
-	// into an adversarial one. A *faults.Injector is the schedule; the
-	// field asks only for its per-packet draw.
-	AFRFaults interface{ Packet() faults.PacketAction }
-
 	// CheckpointDir enables controller durability: at every sub-window
 	// boundary the complete controller state is checkpointed into this
 	// directory (atomic temp-file + rename), and between checkpoints
@@ -127,55 +107,10 @@ type Config struct {
 	// detects primary death, and the standby takes over mid-window —
 	// the in-flight sub-window is its only gap, recovered through the
 	// ordinary NACK/retransmit loop before the region resets. Requires
-	// CheckpointDir.
+	// CheckpointDir. What promotes the standby — a crash of the primary,
+	// a partition between the two — comes only from the in-package chaos
+	// suites' test plan; no program can schedule one.
 	Standby bool
-	// LeaseTTL is the primary-liveness lease duration in virtual time.
-	// The standby promotes only once the lease lapses, so a takeover
-	// never races a live primary; the wait is charged to the C&R budget.
-	// <= 0 defaults to 2×SubWindow (falling back to 2×Grace when no
-	// fixed sub-window length exists).
-	LeaseTTL time.Duration
-	// Crash schedules simulated controller deaths at sub-window
-	// boundaries (seeded, deterministic — see faults.CrashSchedule).
-	// Without Standby the deployment halts at the crash (restart it on
-	// the same CheckpointDir to recover); with Standby it fails over.
-	Crash *faults.CrashSchedule
-	// PartitionFaults schedules network failures between the hot-standby
-	// pair's halves (seeded, deterministic — see
-	// faults.PartitionSchedule): symmetric cuts, asymmetric renewal-only
-	// or checkpoint-only cuts, gray renewal slowness, and constant
-	// standby clock drift. A partition that expires the lease promotes
-	// the standby behind a fencing term — the isolated old primary's
-	// durable writes are rejected (ErrFenced) and it self-demotes.
-	// Requires Standby.
-	PartitionFaults *faults.PartitionSchedule
-	// ReadmitAfter is how many consecutive partition-free sub-window
-	// boundaries must pass before a demoted former primary is re-admitted
-	// as the new standby (its state wiped and re-seeded from the current
-	// primary's). 0 defaults to 1; negative disables re-admission — a
-	// demoted node stays parked forever. Requires PartitionFaults.
-	ReadmitAfter int
-	// DiskFaults pushes every checkpoint/WAL disk operation through a
-	// seeded per-operation fault schedule (EIO, ENOSPC, short writes,
-	// bit rot, slow IO — see faults.DiskSchedule). Writes that survive
-	// the store's retry budget land normally; persistent faults flip the
-	// deployment to degraded durability instead of stopping telemetry.
-	// Requires CheckpointDir.
-	DiskFaults *faults.DiskSchedule
-	// WALSegmentBytes caps one WAL segment file's size: an append that
-	// would exceed it seals the segment and rotates to a fresh
-	// generation, so checkpoint truncation is whole-file deletion and a
-	// corrupt frame quarantines one bounded file. 0 uses the durable
-	// default (256 KiB); negative values are rejected. Requires
-	// CheckpointDir.
-	WALSegmentBytes int
-	// DurabilityRetryLimit bounds the store's per-operation retries
-	// after a transient disk fault (each retry rotates to a fresh
-	// segment, sealing any torn tail behind it). 0 uses the default (3);
-	// negative disables retries — the first fault degrades immediately.
-	// The waits between retries (1 ms doubling to 50 ms) are virtual time
-	// charged to the C&R budget, never slept. Requires CheckpointDir.
-	DurabilityRetryLimit int
 
 	// RDMA enables the §7 collection path: AFRs land in registered
 	// controller memory via simulated WRITE verbs, with hot keys cached
@@ -185,17 +120,6 @@ type Config struct {
 	HotThreshold int
 	// AddressMATSize bounds the switch-side address MAT.
 	AddressMATSize int
-	// RDMAReplayDepth bounds the transport's PSN replay window: how many
-	// unacked verbs can be replayed after in-flight loss or a region
-	// invalidation. 0 uses the default (8192); any positive depth is
-	// honoured exactly, and the window's memory (about 100 bytes a verb)
-	// is reserved when the deployment is built. Records evicted from the
-	// window are charged to shed accounting if they are lost.
-	RDMAReplayDepth int
-	// RDMAFaults schedules deterministic RDMA transport failures (verb
-	// completion errors, in-flight PSN drops, async QP errors, region
-	// invalidations, sustained outages) — see faults.RDMASchedule.
-	RDMAFaults *faults.RDMASchedule
 
 	// DebugAddr, when non-empty, serves the runtime observability endpoint
 	// on this address ("127.0.0.1:0" picks a free port; read it back with
@@ -216,6 +140,50 @@ type Config struct {
 	// deployments sharing one registry stay distinguishable. Ignored when
 	// instrumentation is off.
 	ObsLabels string
+
+	// plan is what the in-package chaos suites inject; the zero value is
+	// a healthy deployment with every default.
+	plan testPlan
+}
+
+// testPlan holds the fault schedules and the recovery knobs the chaos
+// suites vary, each as the type its layer already takes.
+type testPlan struct {
+	// afrFaults draws the fate of every controller-bound AFR packet, first
+	// transmissions and retransmissions alike: drop or duplicate (the
+	// in-process path carries structs, not bytes). A *faults.Injector is
+	// one; the field asks only for its per-packet draw.
+	afrFaults interface{ Packet() faults.PacketAction }
+	// retry bounds the NACK/retransmit recovery of lost AFRs (§8); its
+	// backoff waits are virtual time charged to the C&R budget. Nil is
+	// controller.DefaultRetryPolicy; MaxRetries 0 disables recovery, so
+	// windows with losses finalize Incomplete.
+	retry *controller.RetryPolicy
+	// crash kills the controller at sub-window boundaries. Without
+	// Standby the deployment halts (restart it on the same CheckpointDir);
+	// with Standby it fails over.
+	crash *faults.CrashSchedule
+	// partition cuts the hot-standby pair apart: symmetric, renewal-only
+	// or checkpoint-only cuts, gray renewals and standby clock drift. A
+	// cut that expires the lease promotes the standby behind a fencing
+	// term; the old primary's writes are fenced and it self-demotes.
+	partition *faults.PartitionSchedule
+	// leaseTTL is the primary-liveness lease in virtual time; the wait for
+	// it to lapse is charged to the C&R budget. <= 0 is 2×SubWindow
+	// (2×Grace without a fixed sub-window length).
+	leaseTTL time.Duration
+	// readmitAfter is how many consecutive partition-free boundaries
+	// re-admit a demoted former primary as the new standby. 0 is 1;
+	// negative never re-admits.
+	readmitAfter int
+	// durable opens the checkpoint/WAL store: a durable.FaultFS in FS
+	// injects disk faults, SegmentBytes caps a WAL segment and RetryLimit
+	// bounds the store's retries after a transient fault.
+	durable durable.Options
+	// rdmaFaults schedules RDMA transport failures; rdmaReplayDepth bounds
+	// the PSN replay window (0 is the transport's 8192).
+	rdmaFaults      *faults.RDMASchedule
+	rdmaReplayDepth int
 }
 
 // Stats aggregates a deployment run's behaviour for the micro-benchmarks.
@@ -274,9 +242,8 @@ type Stats struct {
 	RecircPasses int
 	// Failovers counts hot-standby promotions — crash failovers and
 	// partition-triggered takeovers. Crash failover happens at most once,
-	// but with re-admission (Config.ReadmitAfter) a healed node becomes
-	// the new standby and can promote again, so repeated partitions can
-	// push this past 1.
+	// but a re-admitted node becomes the new standby and can promote
+	// again, so repeated partitions can push this past 1.
 	Failovers int
 	// Demotions counts zombie-primary self-demotions: the partitioned old
 	// primary observed its own fencing (a durable write returned
@@ -284,7 +251,7 @@ type Stats struct {
 	// emitting.
 	Demotions int
 	// Readmissions counts demoted former primaries re-admitted as the new
-	// standby after ReadmitAfter consecutive partition-free boundaries.
+	// standby after consecutive partition-free boundaries.
 	Readmissions int
 	// FencedWrites counts durable mutations rejected because the writer's
 	// fencing term was stale — the zombie primary's post-promotion write
@@ -427,28 +394,8 @@ func (cfg *Config) validate() error {
 	if err := cfg.Plan.Validate(); err != nil {
 		return err
 	}
-	if cfg.RetryBackoff < 0 {
-		return fmt.Errorf("omniwindow: RetryBackoff must be non-negative, got %v (use RetryLimit < 0 to disable recovery)", cfg.RetryBackoff)
-	}
-	if cfg.RetryMaxBackoff < 0 {
-		return fmt.Errorf("omniwindow: RetryMaxBackoff must be non-negative, got %v", cfg.RetryMaxBackoff)
-	}
-	if cfg.CheckpointDir == "" {
-		if cfg.DiskFaults != nil || cfg.WALSegmentBytes != 0 || cfg.DurabilityRetryLimit != 0 {
-			return fmt.Errorf("omniwindow: DiskFaults/WALSegmentBytes/DurabilityRetryLimit require CheckpointDir — there is no durable store to apply them to")
-		}
-	}
-	if cfg.WALSegmentBytes < 0 {
-		return fmt.Errorf("omniwindow: WALSegmentBytes must be non-negative, got %d (0 means the durable default)", cfg.WALSegmentBytes)
-	}
 	if cfg.Standby && cfg.CheckpointDir == "" {
 		return fmt.Errorf("omniwindow: Standby requires CheckpointDir — the standby promotes from tailed checkpoints")
-	}
-	if cfg.PartitionFaults != nil && !cfg.Standby {
-		return fmt.Errorf("omniwindow: PartitionFaults requires Standby — a partition needs two halves to separate")
-	}
-	if cfg.ReadmitAfter != 0 && cfg.PartitionFaults == nil {
-		return fmt.Errorf("omniwindow: ReadmitAfter requires PartitionFaults — only a partition demotion leaves a node to re-admit")
 	}
 	apps := cfg.appSpecs()
 	if len(apps) == 0 {
@@ -461,12 +408,6 @@ func (cfg *Config) validate() error {
 	}
 	if cfg.RDMA && len(apps) > 1 {
 		return fmt.Errorf("omniwindow: the RDMA path supports single-app deployments only")
-	}
-	if !cfg.RDMA && (cfg.RDMAFaults != nil || cfg.RDMAReplayDepth != 0) {
-		return fmt.Errorf("omniwindow: RDMAFaults/RDMAReplayDepth require RDMA")
-	}
-	if cfg.RDMAReplayDepth < 0 {
-		return fmt.Errorf("omniwindow: RDMAReplayDepth must be non-negative, got %d", cfg.RDMAReplayDepth)
 	}
 	if cfg.Slots <= 0 {
 		return fmt.Errorf("omniwindow: Slots must be positive")
@@ -608,12 +549,6 @@ func New(cfg Config) (*Deployment, error) {
 	return d, nil
 }
 
-// Crashed reports whether (and at which sub-window boundary) the
-// scheduled controller crash halted this deployment. A halted deployment
-// ignores further traffic; build a new one on the same CheckpointDir to
-// recover.
-func (d *Deployment) Crashed() (sw uint64, ok bool) { return d.crashedAt, d.crashed }
-
 // DurabilityErr reports the first checkpoint/WAL write failure, if any.
 // A fault that survived the store's retry budget flips the deployment to
 // degraded durability (writes skipped and counted as DurabilityGaps, a
@@ -715,12 +650,6 @@ func (d *Deployment) Reboot() (oldest uint64, destroyed bool) {
 
 // Controller exposes the controller (per-sub-window timing breakdowns).
 func (d *Deployment) Controller() *controller.Controller { return d.ctrl }
-
-// Term returns the fencing term this deployment's serving controller
-// currently writes under (0 without durability). Every promotion —
-// crash or partition — advances it; a demoted former primary's stale
-// term is what the store rejects its writes by.
-func (d *Deployment) Term() uint64 { return d.term }
 
 // Stats returns run statistics. Store-side tallies (quarantined
 // segments, fenced writes) are folded in at read time.

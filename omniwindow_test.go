@@ -72,17 +72,7 @@ func TestConfigValidation(t *testing.T) {
 		{"nil app factory", func(c *Config) { c.AppFactory = nil }},
 		{"zero slots", func(c *Config) { c.Slots = 0 }},
 		{"slot mismatch", func(c *Config) { c.Slots = 100 }}, // app built 4096
-		{"negative retry backoff", func(c *Config) { c.RetryBackoff = -time.Millisecond }},
-		{"negative retry max backoff", func(c *Config) { c.RetryMaxBackoff = -time.Millisecond }},
 		{"standby without checkpoint directory", func(c *Config) { c.Standby = true }},
-		{"RDMA fault schedule without RDMA", func(c *Config) {
-			c.RDMAFaults = &faults.RDMASchedule{VerbError: 0.1}
-		}},
-		{"RDMA replay depth without RDMA", func(c *Config) { c.RDMAReplayDepth = 64 }},
-		{"negative RDMA replay depth", func(c *Config) {
-			c.RDMA = true
-			c.RDMAReplayDepth = -1
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -95,6 +85,36 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(base); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
+	}
+}
+
+// TestConfigHasNoFaultSchedules: faults are injected through the
+// in-package test plan, never through the public configuration. No
+// exported Config field carries a type from internal/faults — directly,
+// behind pointers, or as what an interface field's methods return.
+func TestConfigHasNoFaultSchedules(t *testing.T) {
+	fromFaults := func(ty reflect.Type) bool {
+		for ty.Kind() == reflect.Pointer {
+			ty = ty.Elem()
+		}
+		return ty.PkgPath() == "omniwindow/internal/faults"
+	}
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(Config{})) {
+		if !f.IsExported() {
+			continue
+		}
+		bad := fromFaults(f.Type)
+		if f.Type.Kind() == reflect.Interface {
+			for i := 0; i < f.Type.NumMethod(); i++ {
+				m := f.Type.Method(i).Type
+				for o := 0; o < m.NumOut(); o++ {
+					bad = bad || fromFaults(m.Out(o))
+				}
+			}
+		}
+		if bad {
+			t.Errorf("Config.%s (%v) is a fault schedule: inject it through the test plan", f.Name, f.Type)
+		}
 	}
 }
 
@@ -279,7 +299,7 @@ func TestRDMAModeMatchesPacketMode(t *testing.T) {
 	}
 }
 
-// everyThird is an AFRFaults schedule by packet index: it drops AFR packets
+// everyThird is an AFR fault schedule by packet index: it drops AFR packets
 // 0, 3, 6, ... (cloned packets have lowest priority) and hands the rest to
 // the seeded schedule behind it, if any. A pattern drop consumes no draw of
 // that schedule.
@@ -303,7 +323,7 @@ func TestReliabilityRetransmission(t *testing.T) {
 	// Drop some AFR packets between switch and controller; the sequence
 	// check must recover them.
 	cfg := freqConfig(window.Tumbling(1), 1, false)
-	cfg.AFRFaults = &everyThird{}
+	cfg.plan.afrFaults = &everyThird{}
 	d, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -339,7 +359,7 @@ func TestSpilledKeyLossIsRecovered(t *testing.T) {
 	run := func(afrFaults interface{ Packet() faults.PacketAction }) *Deployment {
 		cfg := freqConfig(window.Tumbling(1), 1, false)
 		cfg.Tracker = afr.TrackerConfig{BufferKeys: 20, BloomBits: 1 << 16, BloomHashes: 3}
-		cfg.AFRFaults = afrFaults
+		cfg.plan.afrFaults = afrFaults
 		d, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)

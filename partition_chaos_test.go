@@ -46,8 +46,8 @@ func partitionConfig(dir string, ps *faults.PartitionSchedule) Config {
 	cfg := durableConfig(dir, nil)
 	cfg.Standby = true
 	cfg.Shards = 4
-	cfg.LeaseTTL = 170 * time.Millisecond
-	cfg.PartitionFaults = ps
+	cfg.plan.leaseTTL = 170 * time.Millisecond
+	cfg.plan.partition = ps
 	return cfg
 }
 
@@ -92,8 +92,7 @@ func runPartition(t *testing.T, cfg Config, n int64) *Deployment {
 func partitionBaseline(t *testing.T, n int64) *Deployment {
 	t.Helper()
 	cfg := freqConfig(window.SlidingPlan(3, 1), 25, false)
-	cfg.RetryBackoff = time.Millisecond
-	cfg.RetryMaxBackoff = 2 * time.Millisecond
+	cfg.plan.retry = fastRetry(4)
 	d, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -114,19 +113,6 @@ func assertSingleFinalizer(t *testing.T, got []controller.WindowResult) {
 			t.Fatalf("window [%d,%d] was finalized twice — two term holders emitted it", w.Start, w.End)
 		}
 		seen[k] = true
-	}
-}
-
-func TestPartitionConfigValidation(t *testing.T) {
-	cfg := durableConfig(t.TempDir(), nil)
-	cfg.PartitionFaults = &faults.PartitionSchedule{}
-	if _, err := New(cfg); err == nil {
-		t.Fatal("PartitionFaults without Standby must be rejected")
-	}
-	cfg = durableConfig(t.TempDir(), nil)
-	cfg.ReadmitAfter = 2
-	if _, err := New(cfg); err == nil {
-		t.Fatal("ReadmitAfter without PartitionFaults must be rejected")
 	}
 }
 
@@ -182,8 +168,8 @@ func symmetricOutage(t *testing.T, baseline, d *Deployment) {
 	if st.Readmissions != 1 {
 		t.Fatalf("readmissions = %d, want 1 (partition healed at boundary 3)", st.Readmissions)
 	}
-	if d.Term() != 1 {
-		t.Fatalf("term = %d, want 1 after one promotion", d.Term())
+	if d.term != 1 {
+		t.Fatalf("term = %d, want 1 after one promotion", d.term)
 	}
 	assertSingleFinalizer(t, d.Results())
 	incomplete := assertIdenticalOrIncomplete(t, baseline.Results(), d.Results())
@@ -300,7 +286,7 @@ func TestPartitionChaosClockDrift(t *testing.T) {
 	cfg := partitionConfig(t.TempDir(), ps)
 	// A constantly fast clock would re-steal leadership after every
 	// re-admission; disable re-admission to isolate the one takeover.
-	cfg.ReadmitAfter = -1
+	cfg.plan.readmitAfter = -1
 	d := runPartition(t, cfg, 5)
 	st := d.Stats()
 	if st.Failovers != 1 || st.Demotions != 1 {
@@ -372,8 +358,8 @@ func TestPartitionRefailoverAfterReadmission(t *testing.T) {
 	if st.Readmissions < 2 {
 		t.Fatalf("readmissions = %d, want 2 (one after each healed outage)", st.Readmissions)
 	}
-	if d.Term() != 2 {
-		t.Fatalf("term = %d, want 2 after two promotions", d.Term())
+	if d.term != 2 {
+		t.Fatalf("term = %d, want 2 after two promotions", d.term)
 	}
 	if st.SuppressedWindows == 0 {
 		t.Fatal("second takeover must suppress the deposed holder's already-emitted windows")
@@ -399,7 +385,7 @@ func TestPartitionZombieWALFenced(t *testing.T) {
 	dir := t.TempDir()
 	ps := &faults.PartitionSchedule{Symmetric: faults.Fault{Fixed: []uint64{1, 2}}}
 	d := runPartition(t, partitionConfig(dir, ps), 5)
-	finalTerm := d.Term()
+	finalTerm := d.term
 	if finalTerm != 1 {
 		t.Fatalf("term = %d, want 1", finalTerm)
 	}
@@ -484,7 +470,7 @@ func TestPartitionScrapeDuringRun(t *testing.T) {
 	}
 	got := parseMetrics(t, &text)
 	for name, want := range map[string]int{
-		"omniwindow_failover_term":                     int(d.Term()),
+		"omniwindow_failover_term":                     int(d.term),
 		"omniwindow_failover_role":                     1, // promoted, the demoted node re-admitted
 		"omniwindow_failover_demotions_total":          st.Demotions,
 		"omniwindow_failover_readmissions_total":       st.Readmissions,

@@ -43,7 +43,7 @@ func TestChaosPoolingDifferential(t *testing.T) {
 				withPooling(pooled, func() {
 					d = runChaos(t, func(c *Config) {
 						if sched.cfg != nil {
-							c.AFRFaults = faults.New(*sched.cfg)
+							c.plan.afrFaults = faults.New(*sched.cfg)
 						}
 					})
 				})
@@ -101,7 +101,7 @@ func TestChaosPoolingDebugLeakFree(t *testing.T) {
 	pool.SetDebug(true)
 	defer pool.SetDebug(false)
 	d := runChaos(t, func(c *Config) {
-		c.AFRFaults = faults.New(faults.Config{Seed: 3, Drop: 0.10, Duplicate: 0.10, MaxDuplicates: 2})
+		c.plan.afrFaults = faults.New(faults.Config{Seed: 3, Drop: 0.10, Duplicate: 0.10, MaxDuplicates: 2})
 	})
 	if len(d.Results()) == 0 {
 		t.Fatal("run produced no windows")

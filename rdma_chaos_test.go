@@ -8,9 +8,9 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 
 	"omniwindow/internal/faults"
+	"omniwindow/internal/packet"
 	"omniwindow/internal/rdma"
 	"omniwindow/internal/window"
 )
@@ -29,8 +29,7 @@ import (
 func runRDMAChaos(t *testing.T, mutate func(*Config)) *Deployment {
 	t.Helper()
 	cfg := freqConfig(window.SlidingPlan(3, 1), 25, true)
-	cfg.RetryBackoff = time.Millisecond
-	cfg.RetryMaxBackoff = 2 * time.Millisecond
+	cfg.plan.retry = fastRetry(4)
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -152,7 +151,7 @@ func TestRDMAChaosByteIdentical(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			d := runRDMAChaos(t, func(c *Config) {
-				c.RDMAFaults = tc.sched
+				c.plan.rdmaFaults = tc.sched
 				if tc.spill {
 					chaosSpill(c)
 				}
@@ -188,9 +187,9 @@ func TestRDMAChaosByteIdentical(t *testing.T) {
 func TestRDMAChaosBeyondBudgetDegrades(t *testing.T) {
 	d := runRDMAChaos(t, func(c *Config) {
 		c.Plan = window.Tumbling(1) // one sub-window per window: exact reconciliation
-		c.RDMAFaults = &faults.RDMASchedule{Seed: 1, PSNDrop: 1.0}
-		c.RDMAReplayDepth = 8
-		c.RetryLimit = 2
+		c.plan.rdmaFaults = &faults.RDMASchedule{Seed: 1, PSNDrop: 1.0}
+		c.plan.rdmaReplayDepth = 8
+		c.plan.retry = fastRetry(2)
 	})
 	st := rdmaOf(d).Stats()
 	if st.Lost == 0 {
@@ -246,9 +245,9 @@ func TestRDMAChaosFallbackNeverDoubleCounts(t *testing.T) {
 			depth = 4 + meta.Intn(12) // shallow: forces evictions
 		}
 		d := runRDMAChaos(t, func(c *Config) {
-			c.RDMAFaults = sched
-			c.RDMAReplayDepth = depth
-			c.RetryLimit = 2
+			c.plan.rdmaFaults = sched
+			c.plan.rdmaReplayDepth = depth
+			c.plan.retry = fastRetry(2)
 		})
 		st := rdmaOf(d).Stats()
 		if st.Lost == 0 {
@@ -287,7 +286,7 @@ func TestRDMAChaosFailoverReregisters(t *testing.T) {
 		c.CheckpointDir = t.TempDir()
 		c.Shards = 4
 		c.Standby = true
-		c.Crash = crashes(2)
+		c.plan.crash = crashes(2)
 	})
 	if d.Stats().Failovers != 1 {
 		t.Fatalf("failovers = %d, want 1", d.Stats().Failovers)
@@ -310,7 +309,7 @@ func TestRDMAChaosFailoverReregisters(t *testing.T) {
 func TestRDMAChaosDeterministic(t *testing.T) {
 	run := func() *Deployment {
 		return runRDMAChaos(t, func(c *Config) {
-			c.RDMAFaults = &faults.RDMASchedule{Seed: 5,
+			c.plan.rdmaFaults = &faults.RDMASchedule{Seed: 5,
 				VerbError: 0.2, PSNDrop: 0.2,
 				QPError: faults.Fault{Prob: 0.3}}
 		})
@@ -337,14 +336,13 @@ func TestRDMAChaosDeterministic(t *testing.T) {
 func TestRDMADurableRunsByteIdentical(t *testing.T) {
 	run := func() (map[string][]byte, Stats) {
 		cfg := freqConfig(window.SlidingPlan(3, 1), 25, true)
-		cfg.RetryBackoff = time.Millisecond
-		cfg.RetryMaxBackoff = 2 * time.Millisecond
+		cfg.plan.retry = fastRetry(4)
 		cfg.CheckpointDir = t.TempDir()
 		cfg.Shards = 1 // one WAL group per boundary: order fully visible
 		cfg.HotThreshold = 2
-		d := newDisk(t, cfg)
 		spy := &spyFS{wal: make(map[string][]byte)}
-		swapStore(t, d, spy)
+		cfg.plan.durable.FS = spy
+		d := newDisk(t, cfg)
 		d.RunFor(chaosTrace(), 500*ms)
 		d.CloseDurability()
 		files, err := filepath.Glob(filepath.Join(cfg.CheckpointDir, "wal-*.log"))
@@ -379,4 +377,57 @@ func TestRDMADurableRunsByteIdentical(t *testing.T) {
 			t.Fatalf("WAL segment %s differs between two identical runs", name)
 		}
 	}
+}
+
+// benchRDMATrace builds a deterministic 5-sub-window, 40-flow trace for
+// the RDMA collection benchmarks (sub-windows are 100 ms).
+func benchRDMATrace() []packet.Packet {
+	var pkts []packet.Packet
+	for swi := int64(0); swi < 5; swi++ {
+		at := swi*100*ms + 50*ms
+		for f := 1; f <= 40; f++ {
+			n := 3 + (f+int(swi)*5)%7
+			for i := 0; i < n; i++ {
+				pkts = append(pkts, packet.Packet{
+					Key:  packet.FlowKey{SrcIP: uint32(f), DstIP: 9, SrcPort: uint16(f), DstPort: 443, Proto: packet.ProtoTCP},
+					Size: 100, Seq: uint32(i), Time: at + int64(i)*ms,
+				})
+			}
+		}
+	}
+	return pkts
+}
+
+// benchRDMACollect runs the full RDMA deployment over the fixed trace
+// once per iteration under the given transport fault schedule.
+func benchRDMACollect(b *testing.B, sched *faults.RDMASchedule) {
+	pkts := benchRDMATrace()
+	cfg := freqConfig(window.SlidingPlan(3, 1), 25, true)
+	cfg.plan.rdmaFaults = sched
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d, err := New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res := d.RunFor(pkts, 500*ms); len(res) == 0 {
+			b.Fatal("no windows produced")
+		}
+	}
+}
+
+// BenchmarkRDMACollect measures the RDMA collection path end to end —
+// fault-free against a transport that is actively recovering (PSN drops
+// feeding the replay loop plus boundary QP errors forcing fallback):
+// recovery machinery must not tax the healthy path.
+func BenchmarkRDMACollect(b *testing.B) {
+	b.Run("fault-free", func(b *testing.B) {
+		benchRDMACollect(b, nil)
+	})
+	b.Run("recovering", func(b *testing.B) {
+		benchRDMACollect(b, &faults.RDMASchedule{Seed: 1,
+			VerbError: 0.15, PSNDrop: 0.20,
+			QPError: faults.Fault{Prob: 0.3}})
+	})
 }

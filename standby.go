@@ -21,7 +21,7 @@ func (d *Deployment) openStandby() error {
 		return fmt.Errorf("omniwindow: standby controller: %w", err)
 	}
 	d.standby = standby
-	ttl := d.cfg.LeaseTTL
+	ttl := d.cfg.plan.leaseTTL
 	if ttl <= 0 {
 		ttl = 2 * d.cfg.SubWindow
 	}
@@ -39,7 +39,7 @@ func (d *Deployment) openStandby() error {
 // partition schedule cut the checkpoint channel at this boundary, in which
 // case the standby silently goes stale until the next cut reaches it.
 func (d *Deployment) feedStandby(sw uint64, snap *wire.Snapshot) {
-	if d.standby != nil && !d.cfg.PartitionFaults.CkptCut(sw) {
+	if d.standby != nil && !d.cfg.plan.partition.CkptCut(sw) {
 		d.standby.RestoreState(snap)
 	}
 }
@@ -85,7 +85,7 @@ func (d *Deployment) failover(sw uint64, at int64) time.Duration {
 // fencing-safe takeover) and a slow one see it late (delayed promotion).
 // Returns the virtual time charged to the C&R budget.
 func (d *Deployment) partitionProbe(sw uint64, at int64) time.Duration {
-	ps := d.cfg.PartitionFaults
+	ps := d.cfg.plan.partition
 	if ps == nil || d.standby == nil || d.lease == nil || !d.lease.Expired(at+ps.Drift()) {
 		return 0
 	}
@@ -191,9 +191,9 @@ func (d *Deployment) readmitDemoted(sw uint64) {
 // maintainPartition runs the per-boundary partition bookkeeping: counts
 // boundaries touched by an active fault, and — once a demoted node has
 // seen enough consecutive clean boundaries — re-admits it as the new
-// standby (Config.ReadmitAfter; negative disables re-admission).
+// standby (the test plan's readmitAfter; negative disables re-admission).
 func (d *Deployment) maintainPartition(sw uint64) {
-	ps := d.cfg.PartitionFaults
+	ps := d.cfg.plan.partition
 	if ps == nil {
 		return
 	}
@@ -203,11 +203,11 @@ func (d *Deployment) maintainPartition(sw uint64) {
 		d.cleanSince = 0
 		return
 	}
-	if d.demotedCtrl == nil || d.cfg.ReadmitAfter < 0 {
+	if d.demotedCtrl == nil || d.cfg.plan.readmitAfter < 0 {
 		return
 	}
 	d.cleanSince++
-	if d.cleanSince >= max(d.cfg.ReadmitAfter, 1) {
+	if d.cleanSince >= max(d.cfg.plan.readmitAfter, 1) {
 		d.readmitDemoted(sw)
 	}
 }
@@ -222,7 +222,7 @@ func (d *Deployment) renewLease(sw uint64) {
 	if d.lease == nil || d.standby == nil {
 		return
 	}
-	ps := d.cfg.PartitionFaults
+	ps := d.cfg.plan.partition
 	if ps.RenewCut(sw) {
 		return // the renewal never arrives
 	}

@@ -52,8 +52,8 @@ func newTransport(d *Deployment) collectTransport {
 			Rows:        cfg.AddressMATSize,
 			Lanes:       cfg.Plan.Size,
 			BufCap:      1 << 18,
-			ReplayDepth: cfg.RDMAReplayDepth,
-			Faults:      cfg.RDMAFaults,
+			ReplayDepth: cfg.plan.rdmaReplayDepth,
+			Faults:      cfg.plan.rdmaFaults,
 			// noteRDMAShed reads d.ctrl at charge time, so shed notes
 			// follow a failover to the promoted standby.
 			OnShed: d.noteRDMAShed,
