@@ -76,9 +76,13 @@ fabric-chaos:
 # RDMASchedule fault runs, with the race detector. Fixed seeds make every
 # schedule a reproducible test case. The pattern also selects the replay
 # ring's differential test against the slice-window reference
-# (TestTransportRingMatchesSliceWindow) and FuzzTransportRing's seed corpus.
+# (TestTransportRingMatchesSliceWindow) and FuzzTransportRing's seed corpus,
+# the hot tracker's differential test against the map model it replaced
+# (TestHotTrackerMatchesMapModel), the batch-against-one-at-a-time send
+# test (TestSendBatchMatchesSends) and the zero-alloc pins of the batched
+# send and observe paths (they skip their alloc counts under -race).
 rdma-chaos:
-	$(GO) test -race -run 'RDMA|Transport' . ./internal/rdma/ ./internal/faults/
+	$(GO) test -race -run 'RDMA|Transport|HotTracker|SendBatch' . ./internal/rdma/ ./internal/faults/ ./internal/controller/
 
 # Disk chaos suite: seeded I/O fault schedules (EIO, ENOSPC, short/torn
 # writes, bit rot, slow IO) against the durable store — segment rotation,

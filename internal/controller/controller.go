@@ -331,8 +331,9 @@ func (c *Controller) Receive(p *packet.Packet) {
 }
 
 // IngestAFRs adds records directly (the RDMA path delivers memory writes,
-// not packets). Dedup by sequence still applies. Safe for concurrent
-// callers.
+// not packets). Dedup by sequence still applies. recs is not retained, so
+// a caller may pass a buffer it reuses once IngestAFRs returns. Safe for
+// concurrent callers.
 func (c *Controller) IngestAFRs(recs []packet.AFR) {
 	c.ingestBatch(recs, false, false)
 }

@@ -299,6 +299,39 @@ func TestHotTrackerObserveZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestHotTrackerObserveAFRsZeroAllocs: a batch of keys the tracker holds
+// observes without allocating, and so does a steady-state Decay that
+// demotes: its result is the tracker's reused buffer.
+func TestHotTrackerObserveAFRsZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc accounting is perturbed by the race detector")
+	}
+	const batch = 128
+	h := NewHotTracker(batch, 3)
+	recs := make([]packet.AFR, batch)
+	for i := range recs {
+		recs[i].Key = fk(i)
+	}
+	promote := make([]bool, batch)
+	// Three observations a window promote every key; the decay halves
+	// each count under the threshold and demotes every key again.
+	window := func() {
+		for i := 0; i < 3; i++ {
+			h.ObserveAFRs(recs, promote)
+		}
+		if got := len(h.Decay()); got != batch {
+			t.Fatalf("decay demoted %d keys, want %d", got, batch)
+		}
+	}
+	window()
+	if got := testing.AllocsPerRun(64, window); got != 0 {
+		t.Fatalf("steady-state window of observes and a demoting decay allocates %.1f allocs/op, want 0", got)
+	}
+	if got := testing.AllocsPerRun(64, func() { h.ObserveAFRs(recs, promote) }); got != 0 {
+		t.Fatalf("ObserveAFRs on seen keys allocates %.1f allocs/op, want 0", got)
+	}
+}
+
 // TestEvictionEqualsRecomputeProperty: for random contribution streams and
 // random sliding plans, the incrementally evicted merged value always
 // equals a from-scratch recomputation over the surviving sub-windows.

@@ -11,6 +11,13 @@
 // The simulation preserves the two properties the evaluation depends on:
 // verbs consume no controller CPU (only the cold-key drain does), and each
 // verb has a fixed RNIC latency from the switchsim cost model.
+//
+// Transport (transport.go) is the fault-tolerant path the deployment
+// sends through. It has one send path, Transport.SendBatch: one hold of
+// its lock for a delivery batch, records passed by pointer, each record's
+// promotion applied just before that record's send, and per record the
+// same verb index, fault draws, replay-ring entry, fallback and shed as a
+// lone send. Send is SendBatch of one record.
 package rdma
 
 import (
@@ -116,7 +123,7 @@ func (n *NIC) Write(addr int, value uint64) error {
 // Append writes a cold-key AFR to the sequential buffer. The switch
 // computes the target address itself because the buffer grows
 // sequentially; the simulation enforces only capacity.
-func (n *NIC) Append(rec packet.AFR) error {
+func (n *NIC) Append(rec *packet.AFR) error {
 	buf := n.mr.buffer
 	if len(buf) >= n.mr.bufCap {
 		return ErrBufferFull
@@ -127,7 +134,7 @@ func (n *NIC) Append(rec packet.AFR) error {
 		// what the registration allows.
 		buf = slices.Grow(buf, min(max(len(buf), 1024), n.mr.bufCap-len(buf)))
 	}
-	n.mr.buffer = append(buf, rec)
+	n.mr.buffer = append(buf, *rec)
 	n.Appends++
 	return nil
 }

@@ -62,11 +62,13 @@ func TestColdBufferAppendAndDrain(t *testing.T) {
 	mr := NewMemoryRegion(1, 2, 3)
 	nic := NewNIC(mr)
 	for i := 0; i < 3; i++ {
-		if err := nic.Append(rec(i, 0, i)); err != nil {
+		r := rec(i, 0, i)
+		if err := nic.Append(&r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := nic.Append(rec(9, 0, 9)); err != ErrBufferFull {
+	late := rec(9, 0, 9)
+	if err := nic.Append(&late); err != ErrBufferFull {
 		t.Fatalf("overflow error = %v", err)
 	}
 	got := nic.Drain()
@@ -74,7 +76,7 @@ func TestColdBufferAppendAndDrain(t *testing.T) {
 		t.Fatalf("drained %d", len(got))
 	}
 	// Drained buffer accepts appends again.
-	if err := nic.Append(rec(9, 0, 9)); err != nil {
+	if err := nic.Append(&late); err != nil {
 		t.Fatal(err)
 	}
 	// Drain result must not alias the live buffer.

@@ -139,7 +139,7 @@ func (m *modelTransport) send(rec packet.AFR) (hot, delivered bool) {
 				continue
 			}
 			m.noteHotWrite(base, rec)
-		} else if m.nic.Append(rec) != nil {
+		} else if m.nic.Append(&rec) != nil {
 			m.stats.Overflows++
 			m.stats.Fallbacks++
 			m.shed[rec.SubWindow]++
@@ -229,7 +229,7 @@ func (m *modelTransport) replay(psns []uint32) int {
 					break
 				}
 				m.noteHotWrite(base, e.rec)
-			} else if m.nic.Append(e.rec) != nil {
+			} else if m.nic.Append(&e.rec) != nil {
 				break
 			}
 			e.applied = true

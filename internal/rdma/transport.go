@@ -14,8 +14,8 @@ import (
 // transient verb errors, a PSN-sequenced replay window for in-flight loss
 // (the controller detects gaps at drain time and NACKs them back), and
 // memory-region re-registration with AddressMAT rebuild after QP resets or
-// controller failover. When the QP is down or retries exhaust, Send
-// reports not-delivered and the deployment reroutes the record through the
+// controller failover. When the QP is down or retries exhaust, SendBatch
+// routes the record to Fallback and the deployment reroutes it through the
 // ordinary packet C&R path mid-sub-window — the controller's per-seq dedup
 // makes the handoff exact.
 //
@@ -177,8 +177,9 @@ type Transport struct {
 	nextPSN     uint32
 	live        int
 	unapplied   int
-	unprotected []shedRun // applied verbs evicted from the window since the last drain
-	psnScratch  []uint32  // MissingPSNs' result, reused across calls
+	unprotected []shedRun    // applied verbs evicted from the window since the last drain
+	psnScratch  []uint32     // MissingPSNs' result, reused across calls
+	takeScratch []packet.AFR // TakeUnapplied's result, reused across calls
 
 	verbIdx     uint64
 	verbRetries int
@@ -279,6 +280,10 @@ func (t *Transport) shed(sw uint64, n int) {
 func (t *Transport) Promote(k packet.FlowKey) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	return t.promoteLocked(k)
+}
+
+func (t *Transport) promoteLocked(k packet.FlowKey) bool {
 	if _, ok := t.rows[k]; ok {
 		return true
 	}
@@ -342,7 +347,7 @@ func (t *Transport) skipTaken() {
 
 // track enrolls one sent verb in the PSN replay window, evicting the
 // oldest entry when the window holds ReplayDepth verbs. Caller holds t.mu.
-func (t *Transport) track(rec packet.AFR, hot bool, idx uint64, attempt int, state verbState) {
+func (t *Transport) track(rec *packet.AFR, hot bool, idx uint64, attempt int, state verbState) {
 	if t.live >= t.replayDepth {
 		e := t.slot(t.head)
 		if e.state == verbUnapplied {
@@ -377,7 +382,7 @@ func (t *Transport) track(rec packet.AFR, hot bool, idx uint64, attempt int, sta
 		t.ring = wider
 	}
 	e := t.slot(t.nextPSN)
-	e.rec, e.idx, e.attempts, e.hot, e.state = rec, idx, attempt, hot, state
+	e.rec, e.idx, e.attempts, e.hot, e.state = *rec, idx, attempt, hot, state
 	t.nextPSN++
 	t.live++
 	if state == verbUnapplied {
@@ -397,19 +402,59 @@ func (t *Transport) noteHotWrite(base int, seq uint32) {
 	r.seq = seq
 }
 
+// Route is how SendBatch carried one record.
+type Route uint8
+
+const (
+	// Fallback: the transport could not take the record (QP down, retries
+	// exhausted, or cold-buffer overflow); the caller must reroute it
+	// through the packet C&R path.
+	Fallback Route = iota
+	// Cold: appended to the cold buffer.
+	Cold
+	// Hot: written into the key's hot row.
+	Hot
+)
+
 // Send transmits one AFR over the RDMA path. hot reports whether the
 // hot-row fast path carried it; delivered=false means the transport could
-// not take the record (QP down, retries exhausted, or cold-buffer
-// overflow) and the caller must reroute it through the packet C&R path.
-// The steady-state success path performs no allocation.
+// not take the record and the caller must reroute it through the packet
+// C&R path. It is SendBatch for one record, promoting nothing.
 func (t *Transport) Send(rec packet.AFR) (hot, delivered bool) {
+	var route [1]Route
+	t.SendBatch([]packet.AFR{rec}, []bool{false}, route[:])
+	return route[0] == Hot, route[0] != Fallback
+}
+
+// SendBatch transmits recs over the RDMA path in order, under one hold of
+// the lock, and sets routes[i] to how recs[i] went. promote and routes
+// are at least as long as recs: when promote[i] is set, recs[i]'s key is
+// installed as Promote would, just before recs[i] is sent. Each record
+// draws its own verb index and faults and takes its own replay-ring
+// entry, exactly as sent one at a time. The steady-state success path
+// performs no allocation.
+func (t *Transport) SendBatch(recs []packet.AFR, promote []bool, routes []Route) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	for i := range recs {
+		if promote[i] {
+			t.promoteLocked(recs[i].Key)
+		}
+		routes[i] = t.sendLocked(&recs[i])
+	}
+}
+
+// sendLocked sends one record. Caller holds t.mu.
+func (t *Transport) sendLocked(rec *packet.AFR) Route {
 	if t.state != QPRts {
 		t.stats.Fallbacks++
-		return false, false
+		return Fallback
 	}
 	base, isHot := t.rows[rec.Key]
+	route := Cold
+	if isHot {
+		route = Hot
+	}
 	idx := t.verbIdx
 	t.verbIdx++
 	backoff := t.rnrBackoff
@@ -433,7 +478,7 @@ func (t *Transport) Send(rec packet.AFR) (hot, delivered bool) {
 		if t.faults.PSNDropAt(idx, a) {
 			t.stats.PSNDrops++
 			t.track(rec, isHot, idx, a, verbUnapplied)
-			return isHot, true
+			return route
 		}
 		if isHot {
 			if t.nic.Write(base+int(rec.SubWindow)%t.mr.Lanes(), rec.Attr) != nil {
@@ -450,14 +495,14 @@ func (t *Transport) Send(rec packet.AFR) (hot, delivered bool) {
 					t.stats.Overflows++
 					t.stats.Fallbacks++
 					t.shed(rec.SubWindow, 1)
-					return false, false
+					return Fallback
 				}
 				t.stats.VerbErrors++
 				continue
 			}
 		}
 		t.track(rec, isHot, idx, a, verbApplied)
-		return isHot, true
+		return route
 	}
 	// Retries exhausted: the CQ reports a persistent completion error,
 	// the QP faults to Error, and this record — plus every subsequent
@@ -465,7 +510,7 @@ func (t *Transport) Send(rec packet.AFR) (hot, delivered bool) {
 	t.state = QPError
 	t.stats.QPErrors++
 	t.stats.Fallbacks++
-	return false, false
+	return Fallback
 }
 
 // BeginBoundary applies boundary-driven faults that strike before a
@@ -610,7 +655,7 @@ func (t *Transport) Replay(psns []uint32) int {
 				continue
 			}
 			t.noteHotWrite(base, e.rec.Seq)
-		} else if t.nic.Append(e.rec) != nil {
+		} else if t.nic.Append(&e.rec) != nil {
 			continue // buffer full again: stays unapplied for fallback
 		}
 		e.state = verbApplied
@@ -626,18 +671,20 @@ func (t *Transport) Replay(psns []uint32) int {
 // deployment hands them to the packet C&R path, mid-sub-window, with
 // their original sequence numbers so the controller's dedup keeps the
 // transport switch exact. Their slots become tombstones; a window without
-// gaps returns nil without scanning.
+// gaps returns nil without scanning. The result is transport-owned and
+// valid until the next TakeUnapplied call.
 func (t *Transport) TakeUnapplied() []packet.AFR {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.unapplied == 0 {
 		return nil
 	}
-	out := make([]packet.AFR, 0, t.unapplied)
+	out := t.takeScratch[:0]
 	t.eachUnapplied(func(_ uint32, e *pendingVerb) {
 		e.state = verbTaken
 		out = append(out, e.rec)
 	})
+	t.takeScratch = out
 	t.stats.Fallbacks += len(out)
 	t.live -= len(out)
 	t.unapplied = 0

@@ -2,6 +2,7 @@ package rdma
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"omniwindow/internal/faults"
@@ -506,6 +507,97 @@ func TestTransportSendZeroAllocs(t *testing.T) {
 	}
 	if got := testing.AllocsPerRun(64, boundary); got != 0 {
 		t.Fatalf("steady-state boundary allocates %.1f allocs/op, want 0", got)
+	}
+}
+
+// TestSendBatchZeroAlloc pins a steady-state delivery batch — 128 records,
+// hot and cold, some flagged for promotion, into a full replay window on
+// cold-buffer halves grown by earlier boundaries — at zero allocations.
+func TestSendBatchZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("alloc accounting is perturbed by the race detector")
+	}
+	const depth, batch = 8192, 128
+	tr := healthyTransport(4, 3, 1<<16)
+	recs := make([]packet.AFR, batch)
+	promote := make([]bool, batch)
+	for i := range recs {
+		recs[i] = seqRec(i%8, 0, uint32(i), 1)
+		promote[i] = i%8 == 0
+	}
+	routes := make([]Route, batch)
+	send := func() { tr.SendBatch(recs, promote, routes) }
+	for round := 0; round < 2; round++ {
+		for i := 0; i < 2*depth/batch; i++ {
+			send()
+		}
+		tr.Drain(0)
+	}
+	for i := 0; i < depth/batch; i++ {
+		send()
+	}
+	if got := testing.AllocsPerRun(64, send); got != 0 {
+		t.Fatalf("steady-state SendBatch allocates %.1f allocs/op, want 0", got)
+	}
+	if got := tr.PendingLen(); got != depth {
+		t.Fatalf("window holds %d verbs, want a full %d", got, depth)
+	}
+	if routes[0] != Hot || routes[1] != Cold {
+		t.Fatalf("routes = %v..., want the promoted key hot and the others cold", routes[:2])
+	}
+}
+
+// TestSendBatchMatchesSends: a batch under a verb-fault schedule leaves
+// the transport exactly where Promote-then-Send per record leaves a twin:
+// the same routes, counters, gaps, fallbacks and drained records. Each
+// promotion lands just before its own record, so a key promoted mid-batch
+// goes hot from that record on.
+func TestSendBatchMatchesSends(t *testing.T) {
+	sched := &faults.RDMASchedule{Seed: 5, VerbError: 0.2, PSNDrop: 0.1}
+	newTr := func() *Transport {
+		return NewTransport(TransportConfig{Rows: 6, Lanes: 3, BufCap: 40, ReplayDepth: 30, Faults: sched})
+	}
+	one, batched := newTr(), newTr()
+	rng := rand.New(rand.NewSource(3))
+	for sw := 0; sw < 6; sw++ {
+		n := 1 + rng.Intn(60)
+		recs, promote := make([]packet.AFR, n), make([]bool, n)
+		for i := range recs {
+			recs[i] = seqRec(rng.Intn(12), sw, uint32(i), uint64(rng.Intn(100)))
+			promote[i] = rng.Intn(6) == 0
+		}
+		want := make([]Route, n)
+		for i, rec := range recs {
+			if promote[i] {
+				one.Promote(rec.Key)
+			}
+			hot, delivered := one.Send(rec)
+			switch {
+			case !delivered:
+				want[i] = Fallback
+			case hot:
+				want[i] = Hot
+			default:
+				want[i] = Cold
+			}
+		}
+		got := make([]Route, n)
+		batched.SendBatch(recs, promote, got)
+		if !slices.Equal(got, want) {
+			t.Fatalf("sub-window %d: routes %v, one at a time %v", sw, got, want)
+		}
+		if !slices.Equal(batched.MissingPSNs(), one.MissingPSNs()) ||
+			!slices.Equal(batched.TakeUnapplied(), one.TakeUnapplied()) {
+			t.Fatalf("sub-window %d: gaps or fallbacks differ", sw)
+		}
+		gc, gh := batched.Drain(uint64(sw))
+		wc, wh := one.Drain(uint64(sw))
+		if !slices.Equal(gc, wc) || !slices.Equal(gh, wh) {
+			t.Fatalf("sub-window %d: drained cold %v hot %v, one at a time cold %v hot %v", sw, gc, gh, wc, wh)
+		}
+		if batched.Stats() != one.Stats() || batched.HotRows() != one.HotRows() {
+			t.Fatalf("sub-window %d: stats %+v, one at a time %+v", sw, batched.Stats(), one.Stats())
+		}
 	}
 }
 

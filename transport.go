@@ -58,8 +58,23 @@ func newTransport(d *Deployment) collectTransport {
 			// follow a failover to the promoted standby.
 			OnShed: d.noteRDMAShed,
 		}),
-		hot:    controller.NewHotTracker(cfg.AddressMATSize, cfg.HotThreshold),
-		parked: make([]packet.AFR, 0, afrBatchCap),
+		hot:     controller.NewHotTracker(cfg.AddressMATSize, cfg.HotThreshold),
+		batch:   make([]packet.AFR, 0, afrBatchCap),
+		promote: make([]bool, afrBatchCap),
+		routes:  make([]rdma.Route, afrBatchCap),
+		parked:  make([]packet.AFR, 0, afrBatchCap),
+	}
+}
+
+// stageAFRs copies recs into the fixed-capacity delivery batch *b, calling
+// full each time the batch fills; full empties it.
+func stageAFRs(b *[]packet.AFR, recs []packet.AFR, full func()) {
+	for len(recs) > 0 {
+		n := copy((*b)[len(*b):cap(*b)], recs)
+		*b, recs = (*b)[:len(*b)+n], recs[n:]
+		if len(*b) == cap(*b) {
+			full()
+		}
 	}
 }
 
@@ -93,13 +108,7 @@ func (p *packetPath) deliver(flag packet.OWFlag, recs []packet.AFR) {
 		p.flush()
 		b.Flag = flag
 	}
-	for len(recs) > 0 {
-		n := copy(b.AFRs[len(b.AFRs):cap(b.AFRs)], recs)
-		b.AFRs, recs = b.AFRs[:len(b.AFRs)+n], recs[n:]
-		if len(b.AFRs) == cap(b.AFRs) {
-			p.flush()
-		}
-	}
+	stageAFRs(&b.AFRs, recs, p.flush)
 }
 
 // flush delivers the batched records as one packet: one WAL append, then
@@ -182,6 +191,12 @@ type rdmaPath struct {
 	d   *Deployment
 	tr  *rdma.Transport
 	hot *controller.HotTracker
+	// batch stages delivered records, up to afrBatchCap, for one tracker
+	// call and one transport call; promote and routes are those calls'
+	// per-record results. batch is empty between boundaries.
+	batch   []packet.AFR
+	promote []bool
+	routes  []rdma.Route
 	// parked holds records the transport handed back mid-sub-window, up
 	// to one delivery batch.
 	parked []packet.AFR
@@ -191,29 +206,40 @@ type rdmaPath struct {
 func (r *rdmaPath) begin(sw uint64) { r.tr.BeginBoundary(sw) }
 
 func (r *rdmaPath) deliver(_ packet.OWFlag, recs []packet.AFR) {
-	st := &r.d.stats
-	for _, rec := range recs {
-		if r.hot.Observe(rec.Key) {
-			r.tr.Promote(rec.Key)
-		}
-		hot, delivered := r.tr.Send(rec)
-		switch {
-		case !delivered:
+	stageAFRs(&r.batch, recs, r.send)
+}
+
+// send observes the staged records' keys and sends them, each promotion
+// applied just before its own record's send, then empties the batch.
+func (r *rdmaPath) send() {
+	recs, st := r.batch, &r.d.stats
+	promote, routes := r.promote[:len(recs)], r.routes[:len(recs)]
+	r.hot.ObserveAFRs(recs, promote)
+	r.tr.SendBatch(recs, promote, routes)
+	for i, route := range routes {
+		switch route {
+		case rdma.Fallback:
 			// The transport could not take the record: QP down, retries
 			// exhausted, or the cold buffer overflowed.
 			st.FallbackAFRs++
-			if r.parked = append(r.parked, rec); len(r.parked) == cap(r.parked) {
-				r.flush()
+			if r.parked = append(r.parked, recs[i]); len(r.parked) == cap(r.parked) {
+				r.ingestParked()
 			}
-		case hot:
+		case rdma.Hot:
 			st.HotAFRs++
 		default:
 			st.ColdAFRs++
 		}
 	}
+	r.batch = r.batch[:0]
 }
 
 func (r *rdmaPath) flush() {
+	r.send()
+	r.ingestParked()
+}
+
+func (r *rdmaPath) ingestParked() {
 	r.ingest(r.parked)
 	r.parked = r.parked[:0]
 }
