@@ -182,7 +182,7 @@ fuzz-smoke:
 	$(GO) test -fuzz 'FuzzSortCells$$' -fuzztime 10s ./internal/controller/
 
 bench-smoke:
-	$(GO) test -run xxx -bench . -benchtime 1x . ./internal/fabric/ ./internal/durable/
+	$(GO) test -run xxx -bench . -benchtime 1x . ./internal/fabric/ ./internal/durable/ ./internal/hashing/ ./internal/controller/
 
 # Micro-benchmarks across all packages.
 microbench:

@@ -27,8 +27,8 @@ type HotTracker struct {
 	// index is open-addressed with linear probing and at most half full.
 	// With mask = len(index)-1, a slot is tag | row+1 (0 = empty): row+1
 	// takes the bits under mask and the tag is the high half of the key's
-	// hash above them, so a probe rejects strangers without reading their
-	// row. A key's home slot is the low half of its hash, masked.
+	// hashing.Place64 above them, so a probe rejects strangers without
+	// reading their row. A key's home slot is the low half, masked.
 	index []uint32
 	// pages hold rows [0, n) in row order, hotPageRows to a page.
 	pages [][]hotRow
@@ -68,8 +68,6 @@ func NewHotTracker(capacity, threshold int) *HotTracker {
 	}
 }
 
-func hotHash(k packet.FlowKey) uint64 { return hashing.Key64(k, indexSeed) }
-
 func (h *HotTracker) at(r int) *hotRow { return &h.pages[r/hotPageRows][r%hotPageRows] }
 
 // Observe records one appearance of k (one AFR in one sub-window) and
@@ -92,7 +90,7 @@ func (h *HotTracker) ObserveAFRs(recs []packet.AFR, promote []bool) {
 	for len(recs) > 0 {
 		blk := recs[:min(len(recs), tagBlock)]
 		for i := range blk {
-			hashes[i] = hotHash(blk[i].Key)
+			hashes[i] = hashing.Place64(blk[i].Key)
 		}
 		for i := range blk {
 			r := h.row(blk[i].Key, hashes[i])
@@ -156,7 +154,7 @@ func (h *HotTracker) reindex(size int) {
 	}
 	mask := uint32(size - 1)
 	for r := 0; r < h.n; r++ {
-		hash := hotHash(h.at(r).key)
+		hash := hashing.Place64(h.at(r).key)
 		i := uint32(hash) & mask
 		for h.index[i] != 0 {
 			i = (i + 1) & mask
@@ -167,7 +165,7 @@ func (h *HotTracker) reindex(size int) {
 
 // IsHot reports whether k currently holds an address MAT entry.
 func (h *HotTracker) IsHot(k packet.FlowKey) bool {
-	r, _ := h.lookup(k, hotHash(k))
+	r, _ := h.lookup(k, hashing.Place64(k))
 	return r != nil && r.state&hotBit != 0
 }
 

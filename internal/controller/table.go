@@ -19,15 +19,9 @@ import (
 	"omniwindow/internal/simd"
 )
 
-const (
-	// indexSeed keys the index hash. Any constant works; shard routing
-	// uses CRC-32C, so the two placements are independent.
-	indexSeed = 0x6f77746162
-
-	// minRows is a table's first row allocation, before any release has
-	// set its hint.
-	minRows = 64
-)
+// minRows is a table's first row allocation, before any release has set
+// its hint.
+const minRows = 64
 
 // bitset is one bit per row.
 type bitset []uint64
@@ -61,12 +55,12 @@ type table struct {
 	counter afr.DistinctCounter
 
 	// index is open-addressed with linear probing. A slot is
-	// tag<<32 | row+1 (0 = empty), where tag is the low half of the key's
-	// hash and tag&mask its home slot: a probe rejects strangers without
-	// touching the key column, and growth and backward-shift deletion
-	// re-place slots from the tag alone. It holds 2x the row capacity
-	// rounded up to a power of two, so it is never more than half full and
-	// only ever grows together with the rows.
+	// tag<<32 | row+1 (0 = empty), where tag is keyTag(key) and tag&mask
+	// its home slot: a probe rejects strangers without touching the key
+	// column, and growth and backward-shift deletion re-place slots from
+	// the tag alone. It holds 2x the row capacity rounded up to a power of
+	// two, so it is never more than half full and only ever grows together
+	// with the rows.
 	index []uint64
 
 	// Row-indexed storage; every slice has the row capacity as its length
@@ -190,13 +184,15 @@ func (t *table) row(k packet.FlowKey, tag uint32) uint32 {
 }
 
 // tagBlock is how many keys row lookups and removals hash ahead of the
-// probes that use the hashes. Hashing is a long dependent chain and a
-// probe is one cache-missing load; with the hashes done, the probes of
-// neighbouring iterations overlap instead of queueing behind each other's
-// arithmetic (measured: O2 3.3 -> 1.9 ms per 31 K new keys).
+// probes that use the hashes. Hashing is a dependent chain and a probe is
+// one cache-missing load; with the hashes done, the probes of neighbouring
+// iterations overlap instead of queueing behind each other's arithmetic
+// (measured: O2 3.3 -> 1.9 ms per 31 K new keys).
 const tagBlock = 16
 
-func keyTag(k packet.FlowKey) uint32 { return uint32(hashing.Key64(k, indexSeed)) }
+// keyTag is k's index tag: the low half of hashing.Place64, whose high half
+// picked k's shard, so a shard's keys spread over all of its slots.
+func keyTag(k packet.FlowKey) uint32 { return uint32(hashing.Place64(k)) }
 
 // freeRows returns rows whose last live column just retired to the free
 // list. Their cells are already zero, so clearing the merged state leaves

@@ -472,13 +472,22 @@ var diffPlans = []window.Plan{
 // wrap-around when two large values meet) and a mid-range value.
 var diffAttrs = []uint64{0, 0, 1, 1, 2, 3, 7, 40, 1 << 33, math.MaxUint64, math.MaxUint64 - 3, math.MaxUint64 / 2}
 
+// diffKeys is the differential's key universe: 24 keys, so a key
+// routinely has several records in one sub-window under different sequence
+// numbers, leaves the table when its last sub-window retires and comes
+// back to a recycled row later.
+var diffKeys = func() []packet.FlowKey {
+	keys := make([]packet.FlowKey, 24)
+	for i := range keys {
+		keys[i] = packet.FlowKey{SrcIP: uint32(i) * 2654435761, DstIP: uint32(i % 3), SrcPort: uint16(i), DstPort: 443, Proto: packet.ProtoTCP}
+	}
+	return keys
+}()
+
 // runTableOps drives a real controller and the model through the op
 // stream in data, comparing them after every finish and restore. The
-// stream draws keys from a universe of 24, so a key routinely has several
-// records in one sub-window under different sequence numbers, leaves the
-// table when its last sub-window retires and comes back to a recycled row
-// later.
-func runTableOps(t *testing.T, cfg Config, data []byte) {
+// stream draws its keys from keys.
+func runTableOps(t *testing.T, cfg Config, keys []packet.FlowKey, data []byte) {
 	t.Helper()
 	next := func() int {
 		if len(data) == 0 {
@@ -493,9 +502,7 @@ func runTableOps(t *testing.T, cfg Config, data []byte) {
 	// tail follows real the way a standby does: each check applies the
 	// delta cut of the columns finished since its last one.
 	tail := New(cfg)
-	key := func(i int) packet.FlowKey {
-		return packet.FlowKey{SrcIP: uint32(i%24) * 2654435761, DstIP: uint32(i % 3), SrcPort: uint16(i % 24), DstPort: 443, Proto: packet.ProtoTCP}
-	}
+	key := func(i int) packet.FlowKey { return keys[i%len(keys)] }
 	cur := uint64(0) // the next sub-window to finish
 	seqs := map[uint64]uint32{}
 	pickSW := func() uint64 {
@@ -637,7 +644,7 @@ func TestTableDifferential(t *testing.T) {
 						rng := rand.New(rand.NewSource(seed*1000 + int64(ki*100+pi*10+shards)))
 						data := make([]byte, 3000)
 						rng.Read(data)
-						runTableOps(t, diffConfig(ki, pi, shards), data)
+						runTableOps(t, diffConfig(ki, pi, shards), diffKeys, data)
 					}
 				})
 			}
@@ -689,6 +696,6 @@ func FuzzTableDifferential(f *testing.F) {
 			return
 		}
 		cfg := diffConfig(int(data[0]), int(data[1]), []int{1, 3, 8}[int(data[2])%3])
-		runTableOps(t, cfg, data[3:])
+		runTableOps(t, cfg, diffKeys, data[3:])
 	})
 }

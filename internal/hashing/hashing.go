@@ -1,14 +1,14 @@
-// Package hashing provides the seeded hash family used by every sketch and
-// hash table in the repository. Programmable-switch telemetry relies on
-// cheap per-row independent hashes (Tofino exposes CRC units with
-// configurable polynomials); this package reproduces that with a
-// xxHash-style 64-bit mixer specialized to the 13-byte flow key, plus
-// CRC-32C for controller-side tables.
+// Package hashing provides the seeded hash family used by every sketch,
+// Bloom filter and digest in the repository. Programmable-switch telemetry
+// relies on cheap per-row independent hashes (Tofino exposes CRC units
+// with configurable polynomials); this package reproduces that with a
+// xxHash-style 64-bit mixer specialized to the 13-byte flow key. It also
+// holds Place64, the one unseeded hash the controller places keys with
+// (shard routing, the table index and the hot-key index).
 package hashing
 
 import (
 	"encoding/binary"
-	"hash/crc32"
 	"math/bits"
 
 	"omniwindow/internal/packet"
@@ -117,32 +117,29 @@ func Pair64(k packet.FlowKey, v uint64, seed uint64) uint64 {
 	return Mix64(h)
 }
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// CRC32C computes the Castagnoli CRC of the flow key — the same
-// polynomial the paper's DPDK controller feeds to SSE4.2 crc instructions
-// for its rte_hash table. The table-driven loop is inlined here rather
-// than calling crc32.Checksum: the stdlib's arch dispatch goes through a
-// function pointer that defeats escape analysis, heap-allocating the
-// 13-byte key on every call, and per-record shard routing sits on the
-// zero-allocation ingest path. The result is bit-identical to
-// crc32.Checksum(b, castagnoli) (asserted by the package tests).
-func CRC32C(k packet.FlowKey) uint32 {
-	b := k.Bytes()
-	crc := ^uint32(0)
-	for _, c := range b {
-		crc = castagnoli[byte(crc)^c] ^ crc>>8
-	}
-	return ^crc
+// Place64 is the controller's placement hash: which shard owns a key, and
+// where the key sits in its shard's table index and in the hot-key
+// index. The paper's DPDK controller places keys with the one-cycle SSE4.2
+// crc32 instruction; Place64 stands in for it at a comparable cost, one
+// fold and one Mix64. The fold XORs the two IP addresses, as one word,
+// with the ports and protocol packed into 40 bits and multiplied by an odd
+// constant. Each term is one-to-one in its fields, and Mix64 is a
+// bijection, so keys that differ in one field never share a value.
+// Placement is not an output: every probe compares the full key, so a
+// collision costs a probe, never a wrong row. Place64 is unseeded and
+// independent of the sketch family's Key64, whose outputs stay frozen.
+func Place64(k packet.FlowKey) uint64 {
+	ips := uint64(k.SrcIP)<<32 | uint64(k.DstIP)
+	ports := uint64(k.SrcPort)<<24 | uint64(k.DstPort)<<8 | uint64(k.Proto)
+	return Mix64(ips ^ ports*prime1)
 }
 
-// Shard maps a flow key into [0, n) shards via CRC-32C with multiply-shift
-// range reduction — the controller's table partitioner. It uses the same
-// hardware-accelerated CRC as the key-value table itself (rte_hash in the
-// paper's DPDK controller), and is independent of the sketch family's
-// seeded mixers so sharding cannot correlate with sketch bucketing.
+// Shard maps a flow key into [0, n) shards with a multiply-shift range
+// reduction of Place64's high half. A table index takes its slots from
+// the low half, so the slots a shard's keys use do not depend on the
+// shard.
 func Shard(k packet.FlowKey, n int) int {
-	return int(uint64(CRC32C(k)) * uint64(n) >> 32)
+	return int((Place64(k) >> 32) * uint64(n) >> 32)
 }
 
 // Family is a set of n independent hash functions sharing a base seed,

@@ -2,7 +2,6 @@ package hashing
 
 import (
 	"encoding/binary"
-	"hash/crc32"
 	"math"
 	"math/rand"
 	"testing"
@@ -258,28 +257,92 @@ func TestPair64DistinguishesValues(t *testing.T) {
 	}
 }
 
-func TestCRC32CMatchesKnownProperties(t *testing.T) {
-	k := packet.FlowKey{SrcIP: 1, DstIP: 2, SrcPort: 3, DstPort: 4, Proto: 6}
-	if CRC32C(k) != CRC32C(k) {
-		t.Fatal("CRC not deterministic")
-	}
-	if CRC32C(k) == CRC32C(k.Reverse()) {
-		t.Fatal("CRC should differ for reversed key")
+// placeShapes are the key populations placement must spread, 64 K keys
+// each: random keys, one client network counting up SrcIP against one
+// server, and one src/dst pair sweeping every DstPort (a port scan).
+var placeShapes = []struct {
+	name string
+	key  func(rng *rand.Rand, i int) packet.FlowKey
+}{
+	{"random", func(rng *rand.Rand, _ int) packet.FlowKey { return randKey(rng) }},
+	{"sequential-src", func(_ *rand.Rand, i int) packet.FlowKey {
+		return packet.FlowKey{SrcIP: 0x0A000000 + uint32(i), DstIP: 0xC0A80001, SrcPort: 40000, DstPort: 443, Proto: packet.ProtoTCP}
+	}},
+	{"port-scan", func(_ *rand.Rand, i int) packet.FlowKey {
+		return packet.FlowKey{SrcIP: 0x0A000001, DstIP: 0xC0A80001, SrcPort: 40000, DstPort: uint16(i), Proto: packet.ProtoTCP}
+	}},
+}
+
+// TestPlace64Spread: for every shape and 2-8 shards, each shard gets
+// within 10 % of its fair share, and within each shard the low half (the
+// table index's tag) spreads evenly both in its lowest bits, which pick a
+// small index's home slot, and in its top bits, which a large index's
+// home slot reaches. The second check fails if the shard and the tag
+// were drawn from the same bits.
+func TestPlace64Spread(t *testing.T) {
+	const keys, slots = 1 << 16, 16
+	for _, shape := range placeShapes {
+		for n := 2; n <= 8; n++ {
+			rng := rand.New(rand.NewSource(int64(n)))
+			perShard := make([]int, n)
+			low := make([][slots]int, n)
+			high := make([][slots]int, n)
+			for i := 0; i < keys; i++ {
+				k := shape.key(rng, i)
+				s, tag := Shard(k, n), uint32(Place64(k))
+				perShard[s]++
+				low[s][tag%slots]++
+				high[s][tag>>28]++
+			}
+			fair := float64(keys) / float64(n)
+			for s, c := range perShard {
+				if math.Abs(float64(c)-fair) > 0.10*fair {
+					t.Fatalf("%s, %d shards: shard %d holds %d keys, fair share %.0f", shape.name, n, s, c, fair)
+				}
+				mean := float64(c) / slots
+				for b := 0; b < slots; b++ {
+					if math.Abs(float64(low[s][b])-mean) > 0.25*mean || math.Abs(float64(high[s][b])-mean) > 0.25*mean {
+						t.Fatalf("%s, %d shards: shard %d home slots uneven: low bits %v, top bits %v (mean %.0f)",
+							shape.name, n, s, low[s], high[s], mean)
+					}
+				}
+			}
+		}
 	}
 }
 
-// TestCRC32CMatchesStdlib: the hand-rolled table loop must stay
-// bit-identical to hash/crc32's Castagnoli checksum — shard routing by
-// this value is baked into snapshots and WAL grouping, so a divergence
-// would silently corrupt recovery.
-func TestCRC32CMatchesStdlib(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < 10_000; i++ {
-		k := randKey(rng)
-		b := k.Bytes()
-		want := crc32.Checksum(b[:], castagnoli)
-		if got := CRC32C(k); got != want {
-			t.Fatalf("CRC32C(%+v) = %#x, stdlib %#x", k, got, want)
+// TestPlace64SingleFieldChangesHash: keys that differ in exactly one field
+// never share a placement hash. Each term of the fold is a bijection of
+// its fields and Mix64 is one too, so this holds for every key; the test
+// sweeps every value of the ports and protocol on random bases and random
+// values of the addresses.
+func TestPlace64SingleFieldChangesHash(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	set := []func(k *packet.FlowKey, v uint32){
+		func(k *packet.FlowKey, v uint32) { k.SrcIP = v },
+		func(k *packet.FlowKey, v uint32) { k.DstIP = v },
+		func(k *packet.FlowKey, v uint32) { k.SrcPort = uint16(v) },
+		func(k *packet.FlowKey, v uint32) { k.DstPort = uint16(v) },
+		func(k *packet.FlowKey, v uint32) { k.Proto = uint8(v) },
+	}
+	values := []uint32{1 << 16, 1 << 16, 1 << 16, 1 << 16, 1 << 8}
+	seen := make(map[uint64]packet.FlowKey, 1<<16)
+	for base := 0; base < 4; base++ {
+		b := randKey(rng)
+		for f, setField := range set {
+			clear(seen)
+			for i := uint32(0); i < values[f]; i++ {
+				k, v := b, i
+				if f < 2 {
+					v = rng.Uint32() // the addresses: a sample, not a sweep
+				}
+				setField(&k, v)
+				h := Place64(k)
+				if prev, ok := seen[h]; ok && prev != k {
+					t.Fatalf("field %d: %+v and %+v share Place64 %#x", f, prev, k, h)
+				}
+				seen[h] = k
+			}
 		}
 	}
 }
@@ -316,6 +379,20 @@ func TestShardRangeAndBalance(t *testing.T) {
 			}
 		}
 	}
+}
+
+// placeSink keeps BenchmarkPlace64's loop alive: Place64 inlines, and a
+// result nothing reads is dead code.
+var placeSink uint64
+
+func BenchmarkPlace64(b *testing.B) {
+	k := packet.FlowKey{SrcIP: 0x0A0B0C0D, DstIP: 0x01020304, SrcPort: 5555, DstPort: 443, Proto: 6}
+	var sink uint64
+	for i := 0; i < b.N; i++ {
+		k.SrcIP = uint32(i)
+		sink += Place64(k)
+	}
+	placeSink = sink
 }
 
 func BenchmarkKey64(b *testing.B) {
