@@ -56,8 +56,10 @@ chaos:
 # sealed segment that finds the rot, TestScrubVisitsEverySegment; a restart
 # before a re-logged column's finish,
 # TestCrashAfterHealOrScrubReLogsPendingColumns), spikes across a
-# crash (TestSpikesSurviveCrash), hot-standby failover and admission-control
-# shedding, all under the race detector. Crash schedules use fixed seeds
+# crash (TestSpikesSurviveCrash), hot-standby failover by recovery from
+# the log (inside a degraded stretch too:
+# TestFailoverWhileDegradedFinalizesOnce) and admission-control shedding,
+# all under the race detector. Crash schedules use fixed seeds
 # (and the Fixed boundary lists in failover_test.go), so every death is
 # replayable.
 failover:
@@ -103,12 +105,14 @@ disk-chaos:
 		. ./internal/durable/ ./internal/faults/ ./internal/wire/
 
 # Partition chaos suite: the hot-standby pair under network partitions
-# that leave the primary alive — symmetric/asymmetric cuts, gray renewal
-# slowness and standby clock drift — proving the fencing-term protocol:
-# one finalizer per window, zero post-fence WAL frames accepted, merged
-# stream byte-identical or explicitly Incomplete. Fixed seeds (the
-# schedule tables in partition_chaos_test.go) make every partition
-# sequence a reproducible test case.
+# that leave the primary alive — cut and gray lease renewals and standby
+# clock drift — proving the fencing-term protocol and promotion by
+# recovery from the shared log: one finalizer per window, zero post-fence
+# WAL frames accepted, merged stream byte-identical or explicitly
+# Incomplete, the old primary's logged spikes kept
+# (TestPartitionFailoverKeepsSpikes). Fixed seeds (the schedule tables in
+# partition_chaos_test.go) make every partition sequence a reproducible
+# test case.
 partition-chaos:
 	$(GO) test -race -run 'Partition|Term|Fenc' \
 		. ./internal/durable/ ./internal/faults/ ./internal/wire/
@@ -179,7 +183,6 @@ fuzz-smoke:
 	$(GO) test -fuzz 'FuzzDecodeWALRecord$$' -fuzztime 10s ./internal/wire/
 	$(GO) test -fuzz 'FuzzDecodeTermRecord$$' -fuzztime 10s ./internal/wire/
 	$(GO) test -fuzz 'FuzzTableDifferential$$' -fuzztime 10s ./internal/controller/
-	$(GO) test -fuzz 'FuzzSortCells$$' -fuzztime 10s ./internal/controller/
 
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x . ./internal/fabric/ ./internal/durable/ ./internal/hashing/ ./internal/controller/
@@ -197,13 +200,11 @@ fuzz:
 	$(GO) test -fuzz 'FuzzDecodeTermRecord$$' -fuzztime 30s ./internal/wire/
 	$(GO) test -fuzz 'FuzzTransportRing$$' -fuzztime 30s ./internal/rdma/
 	$(GO) test -fuzz 'FuzzTableDifferential$$' -fuzztime 30s ./internal/controller/
-	$(GO) test -fuzz 'FuzzSortCells$$' -fuzztime 30s ./internal/controller/
 
 # Nightly depth: long fuzz runs on every wire decoder, on the frozen key
 # hash (lane-built Key64 vs its byte-serialising reference), on the
 # RDMA replay ring (vs its slice-window reference) and on the controller's
-# columnar table (vs the map table it replaced) and on its cut sort (the
-# radix vs the comparison order it replaced), plus the whole race run
+# columnar table (vs the map table it replaced), plus the whole race run
 # with every chaos seed table widened by 10 extra derived seeds
 # (faults.ExtraSeeds) — the whole run, so a renamed chaos test cannot fall
 # out of the sweep. Mirrors .github/workflows/nightly.yml; run locally to
@@ -218,7 +219,6 @@ nightly:
 	$(GO) test -fuzz 'FuzzKey64Identity$$' -fuzztime 300s ./internal/hashing/
 	$(GO) test -fuzz 'FuzzTransportRing$$' -fuzztime 300s ./internal/rdma/
 	$(GO) test -fuzz 'FuzzTableDifferential$$' -fuzztime 300s ./internal/controller/
-	$(GO) test -fuzz 'FuzzSortCells$$' -fuzztime 300s ./internal/controller/
 	OMNIWINDOW_EXTRA_SEEDS=10 $(GO) test -race ./...
 
 # Every example, end to end (≈ 23 s). udpcollector is the one program that

@@ -101,7 +101,7 @@ func (b *boundary) enumerate() {
 // trigger announces an empty key count).
 func (b *boundary) probeStandby() {
 	d := b.d
-	if b.owned && d.standby != nil && !d.failedOver && d.cfg.plan.crash != nil && d.cfg.plan.crash.At(b.sw) {
+	if b.owned && d.standby && !d.failedOver && d.cfg.plan.crash != nil && d.cfg.plan.crash.At(b.sw) {
 		b.virtual += d.failover(b.sw, b.at)
 	}
 	b.virtual += d.partitionProbe(b.sw, b.at)

@@ -123,8 +123,9 @@ func TestCollectBatchFlushPoints(t *testing.T) {
 	}
 
 	// (b) The flush before the failover probe: everything Phases 1 and 2
-	// delivered — the partial batch included — went to the dead primary,
-	// and the promoted standby NACKs back exactly that sub-window.
+	// delivered — the partial batch included — went to the dead primary
+	// and into the log, so the controller the promotion rebuilds from the
+	// log holds the whole sub-window and NACKs back nothing.
 	for _, spill := range []bool{false, true} {
 		t.Run(named("failover", spill), func(t *testing.T) {
 			reg := obs.NewRegistry()
@@ -152,12 +153,12 @@ func TestCollectBatchFlushPoints(t *testing.T) {
 			if got := primary.Reliability(2).Received; got != batchFlows {
 				t.Fatalf("dead primary had received %d of sub-window 2's %d records before the probe", got, batchFlows)
 			}
-			if st.Retransmitted != batchFlows || st.IncompleteSubWindows != 0 {
-				t.Fatalf("retransmitted %d want the takeover sub-window's %d; incomplete %d",
+			if st.Retransmitted != 0 || st.IncompleteSubWindows != 0 {
+				t.Fatalf("retransmitted %d want 0: the log held the takeover sub-window's %d records; incomplete %d",
 					st.Retransmitted, batchFlows, st.IncompleteSubWindows)
 			}
 			if dups := counter(reg, "omniwindow_controller_duplicates_total"); dups != 0 {
-				t.Fatalf("%d records reached the standby twice: a batch straddled the promotion", dups)
+				t.Fatalf("%d records reached the promoted controller twice: a batch straddled the promotion", dups)
 			}
 			if !reflect.DeepEqual(baseline.Results(), d.Results()) {
 				t.Fatal("failover changed the windows")

@@ -47,11 +47,11 @@ func TestBoundaryGolden(t *testing.T) {
 		}},
 		{name: "durable", want: "ed123cf432a4a8f9", durable: true},
 		{name: "rdma+durable", want: "2ad9e72f5df3fc83", durable: true, mutate: func(c *Config) { c.RDMA = true }},
-		{name: "standby+crash", want: "b979889d4bb3cb29", durable: true, mutate: func(c *Config) {
+		{name: "standby+crash", want: "937b901b23fe57ec", durable: true, mutate: func(c *Config) {
 			c.Standby = true
 			c.plan.crash = crashes(2)
 		}},
-		{name: "standby+partition", want: "16d84d62b572454c", durable: true, mutate: func(c *Config) {
+		{name: "standby+partition", want: "c1b1d1c2b88b20af", durable: true, mutate: func(c *Config) {
 			c.Standby = true
 			c.plan.leaseTTL = 170 * time.Millisecond
 			c.plan.partition = &faults.PartitionSchedule{Seed: 3, Gray: 0.2,

@@ -118,7 +118,7 @@ func seamShape(t *testing.T) {
 								return true
 							}
 							if id, ok := sel.X.(*ast.Ident); ok && id.Name == "d" &&
-								slices.Contains([]string{"stats", "term", "failedOver", "demotedCtrl"}, sel.Sel.Name) {
+								slices.Contains([]string{"stats", "term", "failedOver", "demoted"}, sel.Sel.Name) {
 								t.Errorf("%s: a scrape-time func reads d.%s beside the goroutine that writes it; set a handle at the write",
 									fset.Position(sel.Pos()), sel.Sel.Name)
 							}

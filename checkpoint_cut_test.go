@@ -259,74 +259,6 @@ func TestRottedSegmentIsReCut(t *testing.T) {
 	}
 }
 
-// TestStandbyMissedReCutRestartsExact: the standby misses one boundary's
-// checkpoint. When that checkpoint is the re-cut of a rotted segment, its
-// column records restate columns the standby already had, and the next
-// cut carries one of them again for the standby, while the log holds the
-// column's frames and its column record. A restart must fold that column
-// once. Each subtest has the standby miss a different boundary, so one of
-// them misses the re-cut.
-func TestStandbyMissedReCutRestartsExact(t *testing.T) {
-	const subWindows, crashAt = 8, 4 // the re-logged columns are still live at 4
-	pkts := cutTrace(subWindows)
-	dur := int64(subWindows) * 100 * ms
-	config := cutConfig
-	baseline := newDisk(t, config(t.TempDir()))
-	baseline.RunFor(pkts, dur)
-
-	for missed := uint64(1); missed < crashAt; missed++ {
-		t.Run(fmt.Sprintf("missed%d", missed), func(t *testing.T) {
-			dir := t.TempDir()
-			cfg := config(dir)
-			cfg.Standby = true
-			cfg.plan.partition = ckptCutOnlyAt(missed, subWindows)
-			spy := &spyFS{rot: "wal-"}
-			cfg.plan.durable.FS = spy
-			d1 := newDisk(t, cfg)
-			d1.store.SetCrash(func(p string) bool {
-				lf, ok := d1.ctrl.LastFinished()
-				return p == "wal-append" && ok && lf == crashAt
-			})
-			d1.RunFor(pkts, dur)
-			if !d1.storeDead || !spy.rotted || d1.store.Quarantined() != 1 {
-				t.Fatalf("store dead=%v, rotted=%v, quarantined=%d: want a crash after one re-cut",
-					d1.storeDead, spy.rotted, d1.store.Quarantined())
-			}
-
-			manifest := readManifest(t, dir)
-			d2 := newDisk(t, cfg)
-			tail := pkts
-			if lf, ok := d2.ctrl.LastFinished(); ok {
-				tail = traceTail(pkts, lf)
-			}
-			d2.RunFor(tail, dur)
-			if err := d2.CloseDurability(); err != nil {
-				t.Fatal(err)
-			}
-			if got := stitch(d1.Results(), manifest, d2.Results()); !reflect.DeepEqual(baseline.Results(), got) {
-				t.Fatalf("restart after the standby missed boundary %d is not exact:\nuncrashed: %+v\nstitched:  %+v",
-					missed, baseline.Results(), got)
-			}
-		})
-	}
-}
-
-// ckptCutOnlyAt is a partition schedule that cuts the checkpoint channel
-// at boundary sw alone among the first n: the first seed whose CkptOnly
-// draws fire there and nowhere else.
-func ckptCutOnlyAt(sw, n uint64) *faults.PartitionSchedule {
-	for seed := uint64(1); ; seed++ {
-		ps := &faults.PartitionSchedule{Seed: seed, CkptOnly: 0.3}
-		only := true
-		for b := uint64(0); b < n && only; b++ {
-			only = ps.CkptCut(b) == (b == sw)
-		}
-		if only {
-			return ps
-		}
-	}
-}
-
 // churnTrace gives every sub-window its own flows, as flow_churn's trace
 // does: each finished sub-window adds a column no other one shares.
 func churnTrace(subWindows, flows int) []packet.Packet {
@@ -491,10 +423,7 @@ func assertCheckpointRestores(t *testing.T, crashed *Deployment) {
 			snap != nil, len(recs), s.Lost(), err)
 	}
 	restore := func(snap *wire.Snapshot) *wire.Snapshot {
-		c, err := newController(&cfg, crashed.apps[0])
-		if err != nil {
-			t.Fatal(err)
-		}
+		c := newController(&cfg, crashed.apps[0])
 		c.RestoreState(snap)
 		return c.ExportState()
 	}

@@ -13,8 +13,9 @@ import (
 
 // This file wires the deployment into internal/durable: WAL appends on
 // every controller-bound delivery and merged spike, a checkpoint manifest
-// at every sub-window boundary, and crash-restart recovery (the hot-standby
-// pair that tails those checkpoints is standby.go).
+// at every sub-window boundary, and recovery from the log: at a crash
+// restart, and at a hot-standby promotion (standby.go), which rebuilds its
+// controller the same way.
 //
 // Disk faults never stop telemetry. When the store's own retry budget
 // cannot land a write (persistent EIO, a full disk), the deployment flips
@@ -27,8 +28,8 @@ import (
 // sub-windows are then charged as Missing (NoteLost), so their windows
 // assemble Incomplete — explicitly, never silently wrong.
 
-// openDurability opens the checkpoint/WAL store and, when configured, the
-// hot-standby pair.
+// openDurability opens the checkpoint/WAL store and, when configured, arms
+// the hot standby.
 func (d *Deployment) openDurability() error {
 	cfg := &d.cfg
 	store, err := durable.OpenStore(cfg.CheckpointDir, 0, cfg.plan.durable)
@@ -42,7 +43,7 @@ func (d *Deployment) openDurability() error {
 	// term sequence reads as the exact failover history.
 	d.term = store.Term()
 	if cfg.Standby {
-		return d.openStandby()
+		d.openStandby()
 	}
 	return nil
 }
@@ -109,22 +110,15 @@ func (d *Deployment) logFinish(sw uint64) {
 }
 
 // checkpoint commits a cut carrying the columns the store must re-log
-// (CutFrom; usually none) and those the standby has not seen, so one
-// export feeds both, then hands it to the standby. The ring's checkpoint
-// value times the export and the commit together.
+// (CutFrom; usually none). The ring's checkpoint value times the export
+// and the commit together.
 func (d *Deployment) checkpoint(sw uint64) {
 	ckptStart := time.Now()
-	from := d.store.CutFrom()
-	if d.standby != nil {
-		from = min(from, d.untailed())
-	}
-	snap := d.ctrl.ExportCut(from)
-	if err := d.store.Checkpoint(snap); err != nil {
+	if err := d.store.Checkpoint(d.ctrl.ExportCut(d.store.CutFrom())); err != nil {
 		d.durabilityFault(sw, err)
 		return
 	}
 	d.obs.ring.Record(obs.StageCheckpoint, sw, -1, int64(time.Since(ckptStart)))
-	d.feedStandby(sw, snap)
 }
 
 // durabilityFault classifies a store write failure. A dead store (crash
@@ -165,8 +159,7 @@ func (d *Deployment) noteDurabilityGap() {
 // Success re-enters durable mode with the on-disk state fully caught up —
 // the degraded stretch needs no replay, the new checkpoint covers it.
 func (d *Deployment) healDurability(sw uint64) {
-	snap := d.ctrl.ExportState()
-	if err := d.store.Heal(snap); err != nil {
+	if err := d.store.Heal(d.ctrl.ExportState()); err != nil {
 		if errors.Is(err, durable.ErrCrash) || errors.Is(err, durable.ErrClosed) {
 			d.storeDead = true
 		}
@@ -176,9 +169,6 @@ func (d *Deployment) healDurability(sw uint64) {
 	d.stats.DurabilityHeals++
 	d.obs.durDegraded.Set(0)
 	d.obs.ring.Record(obs.StageDurabilityDegraded, sw, -1, 0)
-	// Re-sync the standby: it missed every checkpoint the degraded
-	// stretch skipped.
-	d.feedStandby(sw, snap)
 }
 
 // DurabilityDegraded reports whether the deployment is currently running
@@ -186,35 +176,20 @@ func (d *Deployment) healDurability(sw uint64) {
 // budget; the heal probe re-enters durable mode at a later boundary).
 func (d *Deployment) DurabilityDegraded() bool { return d.degraded }
 
-// recover replays the durable state into a freshly built deployment: the
-// checkpoint (its manifest, each live column folded from the log) restores
-// the controller, then the WAL frames it does not cover re-run (replayWAL).
-// Finally the window manager fast-forwards past every finished sub-window
-// so replayed boundaries are not terminated twice.
-//
-// Damage is charged before replay: every sub-window a quarantined
-// segment's LSN gap may span, and every live column a quarantined segment
-// may have held part of, is marked Missing (NoteLost), so the windows it
-// feeds assemble Incomplete instead of silently wrong.
+// recover replays the durable state into a freshly built deployment
+// (replayLog), its replayed finishes re-emitting their windows. Finally
+// the window manager fast-forwards past every finished sub-window so
+// replayed boundaries are not terminated twice.
 func (d *Deployment) recover() error {
 	snap, recs, err := d.store.Recover()
 	if err != nil {
 		return fmt.Errorf("omniwindow: %w", err)
 	}
-	lost := d.store.Lost()
-	damaged := len(lost) > 0 || d.store.Quarantined() > 0
+	damaged := len(d.store.Lost()) > 0 || d.store.Quarantined() > 0
 	if snap == nil && len(recs) == 0 && !damaged {
 		return nil
 	}
-	if snap != nil {
-		d.ctrl.RestoreState(snap)
-	}
-	for _, lr := range lost {
-		for sw := lr.SWLow; sw <= lr.SWHigh; sw++ {
-			d.ctrl.NoteLost(sw, 1)
-		}
-	}
-	d.replayWAL(recs)
+	d.replayLog(snap, recs, func(sw uint64) { d.stats.ReplayedWindows += len(d.finishSubWindow(sw)) })
 	// The durable record attests sub-windows only up to the last replayed
 	// finish: what lies between it and this incarnation's first live
 	// traffic is charged Missing at termination (see Deployment.unattested).
@@ -223,32 +198,37 @@ func (d *Deployment) recover() error {
 		d.manager.FastForward(lf + 1)
 		d.unattestedFrom = lf + 1
 	}
-	if !damaged && d.standby == nil {
-		return nil
-	}
-	full := d.ctrl.ExportState()
 	if damaged {
 		// Quarantined files are renamed aside, not replayed again — cut a
 		// full checkpoint over the recovered (and damage-charged) state so
 		// the next incarnation starts from coverage, not from the same
 		// holes.
-		if err := d.store.Checkpoint(full); err != nil {
+		if err := d.store.Checkpoint(d.ctrl.ExportState()); err != nil {
 			d.durabilityFault(0, err)
 		}
-	}
-	// Warm the standby to the recovered state, as if it had tailed a
-	// checkpoint taken right now.
-	if d.standby != nil {
-		d.standby.RestoreState(full)
 	}
 	return nil
 }
 
-// replayWAL re-runs the WAL frames the checkpoint does not cover, in
-// their original (LSN) order: re-ingested batches and spikes, re-announced
-// triggers, re-assembled windows (appended to Results exactly where the
-// pre-crash run emitted them) and re-applied shed notes.
-func (d *Deployment) replayWAL(recs []*wire.WALRecord) {
+// replayLog rebuilds the serving controller, freshly built, from what
+// Store.Recover read: the checkpoint (its manifest, each live column
+// folded from the log) restores it; then damage is charged — every
+// sub-window a quarantined segment's LSN gap may span, and every live
+// column a quarantined segment may have held part of, is marked Missing
+// (NoteLost), so the windows it feeds assemble Incomplete instead of
+// silently wrong; then the WAL frames the checkpoint does not cover re-run
+// in their original (LSN) order: re-ingested batches and spikes,
+// re-announced triggers and re-applied shed notes. Each finish not yet
+// reflected goes to finish, which re-assembles the sub-window's windows.
+func (d *Deployment) replayLog(snap *wire.Snapshot, recs []*wire.WALRecord, finish func(sw uint64)) {
+	if snap != nil {
+		d.ctrl.RestoreState(snap)
+	}
+	for _, lr := range d.store.Lost() {
+		for sw := lr.SWLow; sw <= lr.SWHigh; sw++ {
+			d.ctrl.NoteLost(sw, 1)
+		}
+	}
 	for _, r := range recs {
 		switch r.Type {
 		case wire.WALAFRBatch:
@@ -267,7 +247,7 @@ func (d *Deployment) replayWAL(recs []*wire.WALRecord) {
 			if lf, ok := d.ctrl.LastFinished(); ok && r.SubWindow <= lf {
 				continue // the checkpoint already reflects this assembly
 			}
-			d.stats.ReplayedWindows += len(d.finishSubWindow(r.SubWindow))
+			finish(r.SubWindow)
 		case wire.WALShed:
 			d.ctrl.NoteShed(r.SubWindow, int(r.Count))
 		case wire.WALSpike:
@@ -293,7 +273,7 @@ func (d *Deployment) noteRDMAShed(sw uint64, n int) {
 // handles, and the torn state left on disk is exactly what recovery must
 // cope with.
 func (d *Deployment) crashIfScheduled(sw uint64) {
-	if d.cfg.plan.crash == nil || d.crashed || d.standby != nil || d.failedOver || !d.cfg.plan.crash.At(sw) {
+	if d.cfg.plan.crash == nil || d.crashed || d.standby || d.failedOver || !d.cfg.plan.crash.At(sw) {
 		return
 	}
 	d.crashed = true

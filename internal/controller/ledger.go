@@ -302,8 +302,8 @@ func (c *Controller) NoteShed(sw uint64, n int) {
 }
 
 // NoteLost records that n units of a sub-window's durable record are
-// unrecoverable (quarantined WAL segments, a degraded-durability gap the
-// standby cannot replay). Unlike shed — which is pressure the live path
+// unrecoverable (quarantined WAL segments, a degraded-durability gap a
+// promotion cannot replay). Unlike shed — which is pressure the live path
 // already accounted — lost is damage: it always lands in the sub-window's
 // Missing tally, creating the record if the sub-window was never
 // announced, so every window spanning it assembles as Incomplete instead

@@ -17,10 +17,7 @@ import (
 // belongs in shard.finish (per shard) or settle (under Controller.mu), not
 // in a second pass over the shards. And a cell is folded in one place,
 // O2's insert: restore goes through it too, so there is no second fold
-// path to drift from the finish's. A cut's column is ordered by
-// sortCells' in-place radix: neither it nor exportColumn calls a library
-// comparison sort, whose swaps of 80-byte cells were most of a durable
-// boundary's CPU.
+// path to drift from the finish's.
 func TestControllerShape(t *testing.T) {
 	const maxLines, maxFinishOne = 80, 60
 	files, err := filepath.Glob("*.go")
@@ -62,10 +59,6 @@ func TestControllerShape(t *testing.T) {
 							passes++
 						case sel.Sel.Name == "fold" && (x == "t" || strings.HasSuffix(x, ".table")):
 							folds = append(folds, fn.Name.Name)
-						case (x == "slices" || x == "sort") && strings.HasPrefix(sel.Sel.Name, "Sort") &&
-							(fn.Name.Name == "exportColumn" || fn.Name.Name == "sortCells"):
-							t.Errorf("%s: %s calls %s.%s; a column's cells are ordered by sortCells' radix, not a comparison sort",
-								name, fn.Name.Name, x, sel.Sel.Name)
 						}
 					}
 				}

@@ -1,8 +1,7 @@
 // Controller state export and restore for the durability layer
-// (internal/durable) and the hot standby. A cut, its live columns (each
-// rebuilt from the records logged for it, or shipped to a standby) and the
-// write-ahead log of everything ingested since rebuild the controller to
-// the exact pre-crash state: a finished sub-window's column never changes
+// (internal/durable). A cut, its live columns (each rebuilt from the
+// records logged for it) and the write-ahead log of everything ingested
+// since rebuild the controller to the exact pre-crash state: a finished sub-window's column never changes
 // again; merged values are rebuilt by folding the records back into their
 // columns and merging those (every merge kind is order-insensitive, so the
 // rebuild is exact), and sequence-number dedup makes replaying batches a
@@ -107,7 +106,9 @@ func (c *Controller) ExportCut(from uint64) *wire.Snapshot {
 }
 
 // exportColumn gathers sub-window sw's column from every shard's present
-// bitset, its cells in key order (sortCells). Caller holds finishMu.
+// bitset, its cells in key order. A column's keys are distinct, so any
+// correct order is the one order and the cut bytes do not depend on the
+// sort. Caller holds finishMu.
 func (c *Controller) exportColumn(sw uint64) wire.SnapColumn {
 	n := 0
 	for _, sh := range c.shards {
@@ -119,79 +120,8 @@ func (c *Controller) exportColumn(sw uint64) wire.SnapColumn {
 	for _, sh := range c.shards {
 		cells = sh.table.appendCells(cells, sw)
 	}
-	sortCells(cells, 0)
+	slices.SortFunc(cells, func(a, b packet.AFR) int { return packetKeyCmp(a.Key, b.Key) })
 	return wire.SnapColumn{SW: sw, Cells: cells}
-}
-
-// sortCutoff is the bucket size under which sortCells insertion-sorts.
-const sortCutoff = 24
-
-// sortCells puts cells, which agree on their keys' first d bytes, in
-// packetKeyCmp order: an in-place most-significant-digit radix sort
-// (American flag sort) over the 13 bytes of FlowKey.Bytes, whose byte
-// order is packetKeyCmp's. A column's keys are distinct, so any correct
-// order is the one order and the cut bytes do not depend on the sort. Per
-// byte one count pass; a byte every cell shares (the pool's 10.x prefix) is
-// skipped, otherwise each misplaced cell is cycle-swapped into its bucket
-// and every bucket sorts on the next byte. Counts live on the stack, so the
-// sort allocates nothing, and a cell (an 80-byte packet.AFR) moves at most
-// once per byte that splits: a comparison sort's O(n log n) swaps of such
-// cells cost several times the WAL append of the same boundary.
-func sortCells(cells []packet.AFR, d int) {
-	for ; len(cells) > sortCutoff && d < packet.KeyBytes; d++ {
-		var count [256]int
-		for i := range cells {
-			count[keyByte(&cells[i].Key, d)]++
-		}
-		if count[keyByte(&cells[0].Key, d)] == len(cells) {
-			continue
-		}
-		var next, end [256]int
-		at := 0
-		for b, n := range count {
-			next[b], at = at, at+n
-			end[b] = at
-		}
-		for b := range next {
-			for ; next[b] < end[b]; next[b]++ {
-				if int(keyByte(&cells[next[b]].Key, d)) == b {
-					continue
-				}
-				x := cells[next[b]]
-				for v := keyByte(&x.Key, d); int(v) != b; v = keyByte(&x.Key, d) {
-					x, cells[next[v]] = cells[next[v]], x
-					next[v]++
-				}
-				cells[next[b]] = x
-			}
-		}
-		for b, n := range count {
-			if n > 1 {
-				sortCells(cells[end[b]-n:end[b]], d+1)
-			}
-		}
-		return
-	}
-	for i := 1; i < len(cells); i++ {
-		for j := i; j > 0 && packetKeyCmp(cells[j].Key, cells[j-1].Key) < 0; j-- {
-			cells[j], cells[j-1] = cells[j-1], cells[j]
-		}
-	}
-}
-
-// keyByte is byte d of k.Bytes().
-func keyByte(k *packet.FlowKey, d int) byte {
-	switch {
-	case d < 4:
-		return byte(k.SrcIP >> (24 - 8*d))
-	case d < 8:
-		return byte(k.DstIP >> (56 - 8*d))
-	case d < 10:
-		return byte(k.SrcPort >> (72 - 8*d))
-	case d < 12:
-		return byte(k.DstPort >> (88 - 8*d))
-	}
-	return k.Proto
 }
 
 // comparePending orders routed-but-unmerged records by sub-window and
@@ -214,14 +144,12 @@ func comparePending(a, b packet.AFR) int {
 	return slices.Compare(a.Distinct[:], b.Distinct[:])
 }
 
-// RestoreState applies a cut (ExportCut): every column of a sub-window the
-// cut does not list as live retires, the columns it carries replace the
-// controller's, and the ledger, pending records and last finish are
-// replaced wholesale. A full cut applied to an empty controller restores
-// the exporter's state; a standby tailing the primary applies each
-// boundary's delta, and recovery applies every live column at once. A
-// carried column's records (a cell per flow, or the AFRs and spikes a
-// finish folded) are re-routed by hash and go through O2 and O3
+// RestoreState applies a cut (ExportCut) to a freshly built controller:
+// the columns it carries and lists as live, its ledger, pending records
+// and last finish. A full cut restores the exporter's state; recovery
+// applies a manifest whose live columns the durable layer folded from
+// the log. A carried column's records (a cell per flow, or the AFRs and
+// spikes a finish folded) are re-routed by hash and go through O2 and O3
 // (table.insert, table.merge), the path a finish folds records by, so a
 // cut exported at one shard count applies correctly at another; a column
 // the live list does not name is skipped. The configuration (plan, kind,
@@ -234,15 +162,6 @@ func (c *Controller) RestoreState(s *wire.Snapshot) {
 	c.finishMu.Lock()
 	defer c.finishMu.Unlock()
 
-	carried := func(sw uint64) bool {
-		return slices.ContainsFunc(s.Columns, func(col wire.SnapColumn) bool { return col.SW == sw })
-	}
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		sh.table.retireIf(func(sw uint64) bool { return !slices.Contains(s.Live, sw) || carried(sw) })
-		sh.pending = make(map[uint64][]packet.AFR)
-		sh.mu.Unlock()
-	}
 	parts := make([][]packet.AFR, len(c.shards))
 	for _, col := range s.Columns {
 		if !slices.Contains(s.Live, col.SW) {
@@ -272,7 +191,6 @@ func (c *Controller) RestoreState(s *wire.Snapshot) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.lastFin, c.hasFin = s.LastFinished, s.HasFinished
-	c.ledger = make(map[uint64]*subWindow)
 	for _, sd := range s.Dedups {
 		r := c.recordFor(sd.SW)
 		// A sub-window the snapshot never finished keeps collecting, even

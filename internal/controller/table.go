@@ -387,14 +387,9 @@ func (t *table) scan(cfg *Config, detected []packet.FlowKey, values map[packet.F
 // are empty at every window end, and holding a window's worth of rows
 // there is retained memory nothing will read.
 func (t *table) retire(upTo uint64) {
-	t.retireIf(func(sw uint64) bool { return sw <= upTo })
-}
-
-// retireIf is retire for every live column whose sub-window gone reports.
-func (t *table) retireIf(gone func(sw uint64) bool) {
 	for i := range t.cols {
 		c := &t.cols[i]
-		if !c.live || !gone(c.sw) {
+		if !c.live || c.sw > upTo {
 			continue
 		}
 		c.live = false // before the walk: refold must not read it

@@ -499,9 +499,6 @@ func runTableOps(t *testing.T, cfg Config, keys []packet.FlowKey, data []byte) {
 	}
 	shardCounts := []int{cfg.Shards, 3, 8, 1}
 	real, model := New(cfg), newModelController(cfg)
-	// tail follows real the way a standby does: each check applies the
-	// delta cut of the columns finished since its last one.
-	tail := New(cfg)
 	key := func(i int) packet.FlowKey { return keys[i%len(keys)] }
 	cur := uint64(0) // the next sub-window to finish
 	seqs := map[uint64]uint32{}
@@ -530,16 +527,6 @@ func runTableOps(t *testing.T, cfg Config, keys []packet.FlowKey, data []byte) {
 			gs, _ := wire.DecodeSnapshot(g)
 			ws, _ := wire.DecodeSnapshot(w)
 			t.Fatalf("%s (next sub-window %d): snapshot bytes differ\n real  %+v\n model %+v", what, cur, gs, ws)
-		}
-		from := uint64(0)
-		if lf, ok := tail.LastFinished(); ok {
-			from = lf + 1
-		}
-		tail.RestoreState(real.ExportCut(from))
-		if tb := snapBytes(tail.ExportState()); !bytes.Equal(g, tb) {
-			ts, _ := wire.DecodeSnapshot(tb)
-			gs, _ := wire.DecodeSnapshot(g)
-			t.Fatalf("%s (next sub-window %d): delta-tailed state differs\n real %+v\n tail %+v", what, cur, gs, ts)
 		}
 	}
 	restores := 0

@@ -57,10 +57,10 @@ func (s *Store) damageLocked(from uint64) {
 
 // Checkpoint commits snap, a cut of the controller state
 // (controller.ExportCut): its columns at or past CutFrom are logged as
-// column records (any others, a standby's feed, are not written), the rest
-// goes to the manifest, stamped with the LSN high-water mark as ThroughLSN
-// — the caller exports after logging everything it ingested — and the
-// segments the manifest no longer needs are deleted.
+// column records (any others are not written), the rest goes to the
+// manifest, stamped with the LSN high-water mark as ThroughLSN — the
+// caller exports after logging everything it ingested — and the segments
+// the manifest no longer needs are deleted.
 func (s *Store) Checkpoint(snap *wire.Snapshot) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

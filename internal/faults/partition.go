@@ -1,26 +1,24 @@
 package faults
 
 // PartitionSchedule describes network failures between the hot-standby
-// pair's two halves (deployment.go): the primary→standby lease-renewal
-// channel and the primary→standby checkpoint-tailing channel. Like
-// Crash/Switch/Disk/RDMA schedules it is stateless and deterministic —
-// every fault hashes (Seed, sub-window boundary) under its own salt, so
-// enabling one fault kind never shifts another's schedule, and never
-// shifts any other schedule family either. The zero value (and a nil
-// schedule) is a healthy network.
+// pair's two halves (standby.go): the primary→standby lease-renewal
+// channel. The standby reads no state over the network — a promotion
+// rebuilds from the shared log — so the renewals are all a partition can
+// cut. Like Crash/Switch/Disk/RDMA schedules it is stateless and
+// deterministic — every fault hashes (Seed, sub-window boundary) under its
+// own salt, so enabling one fault kind never shifts another's schedule,
+// and never shifts any other schedule family either. The zero value (and
+// a nil schedule) is a healthy network.
 //
 // Fault classes, per boundary:
 //
-//   - Symmetric: both channels cut. Renewals are lost AND the standby
-//     stops receiving checkpoints, so a long enough partition (its
-//     consecutive boundaries listed in Symmetric.Fixed) expires the lease
-//     and promotes a standby whose state lags — the boundaries hidden by
-//     the outage are charged Missing by the new primary.
-//   - RenewOnly (asymmetric): renewals lost, checkpoints flow. The
-//     classic zombie-primary case — the standby promotes against a fully
-//     fresh checkpoint, and fencing makes the spurious takeover safe.
-//   - CkptOnly (asymmetric): checkpoints lost, renewals flow. No
-//     promotion; the standby just goes stale until the channel heals.
+//   - Symmetric: the pair cut apart, renewals lost. A long enough
+//     partition (its consecutive boundaries listed in Symmetric.Fixed)
+//     expires the lease and promotes the standby; fencing deposes the
+//     primary.
+//   - RenewOnly (asymmetric): renewals lost while the primary is
+//     otherwise healthy. The classic zombie-primary case — fencing makes
+//     the spurious takeover safe.
 //   - Gray (slowness, not loss): the renewal is issued but arrives
 //     DelayNs late. A delay beyond the lease TTL is indistinguishable
 //     from loss to the standby — the gray-failure trigger.
@@ -33,14 +31,10 @@ type PartitionSchedule struct {
 	// Seed parameterizes every hash below.
 	Seed uint64
 
-	// Symmetric cuts both channels at matching boundaries.
+	// Symmetric cuts the pair apart at matching boundaries.
 	Symmetric Fault
-	// RenewOnly is the per-boundary probability the renewal channel alone
-	// is cut.
+	// RenewOnly is the per-boundary probability a renewal alone is lost.
 	RenewOnly float64
-	// CkptOnly is the per-boundary probability the checkpoint channel
-	// alone is cut.
-	CkptOnly float64
 	// Gray is the per-boundary probability the renewal is delayed by
 	// DelayNs instead of lost.
 	Gray float64
@@ -56,7 +50,6 @@ type PartitionSchedule struct {
 const (
 	saltPartSym   = 0x504152545359_01 // "PARTSY"
 	saltPartRenew = 0x50415254524E_02 // "PARTRN"
-	saltPartCkpt  = 0x50415254434B_03 // "PARTCK"
 	saltPartGray  = 0x504152544752_04 // "PARTGR"
 )
 
@@ -64,13 +57,6 @@ const (
 // lost (symmetric cut, or the asymmetric renewal-only cut). Nil-safe.
 func (s *PartitionSchedule) RenewCut(sw uint64) bool {
 	return s != nil && (s.Symmetric.at(s.Seed, saltPartSym, sw) || hit(s.RenewOnly, s.Seed, saltPartRenew, sw))
-}
-
-// CkptCut reports whether the standby's checkpoint tailing at boundary sw
-// is lost (symmetric cut, or the asymmetric checkpoint-only cut).
-// Nil-safe.
-func (s *PartitionSchedule) CkptCut(sw uint64) bool {
-	return s != nil && (s.Symmetric.at(s.Seed, saltPartSym, sw) || hit(s.CkptOnly, s.Seed, saltPartCkpt, sw))
 }
 
 // GrayAt reports whether the renewal at boundary sw is delayed rather
@@ -94,7 +80,7 @@ func (s *PartitionSchedule) Any(sw uint64) bool {
 	if s == nil {
 		return false
 	}
-	if s.RenewCut(sw) || s.CkptCut(sw) {
+	if s.RenewCut(sw) {
 		return true
 	}
 	gray, _ := s.GrayAt(sw)

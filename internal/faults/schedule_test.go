@@ -103,14 +103,12 @@ var kinds = []kind{
 		func(s *schedules, x uint64) bool { return s.disk.ENOSPCAt(x) }, true, nil},
 	{"Partition.RenewCut", func(s *schedules, f Fault) { s.part.Symmetric, s.part.RenewOnly = f, f.Prob },
 		func(s *schedules, x uint64) bool { return s.part.RenewCut(x) }, true, union(2)},
-	{"Partition.CkptCut", func(s *schedules, f Fault) { s.part.Symmetric, s.part.CkptOnly = f, f.Prob },
-		func(s *schedules, x uint64) bool { return s.part.CkptCut(x) }, true, union(2)},
 	{"Partition.GrayAt", func(s *schedules, f Fault) { s.part.Symmetric, s.part.RenewOnly, s.part.Gray = f, f.Prob, f.Prob },
 		func(s *schedules, x uint64) bool { ok, _ := s.part.GrayAt(x); return ok }, false,
 		func(p float64) float64 { return (1 - p) * (1 - p) * p }},
 	{"Partition.Any", func(s *schedules, f Fault) {
-		s.part.Symmetric, s.part.RenewOnly, s.part.CkptOnly, s.part.Gray = f, f.Prob, f.Prob, f.Prob
-	}, func(s *schedules, x uint64) bool { return s.part.Any(x) }, true, union(4)},
+		s.part.Symmetric, s.part.RenewOnly, s.part.Gray = f, f.Prob, f.Prob
+	}, func(s *schedules, x uint64) bool { return s.part.Any(x) }, true, union(3)},
 }
 
 // with builds seeded(seed) with k's kinds on at f.

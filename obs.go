@@ -108,12 +108,6 @@ func (d *Deployment) setupObs() error {
 		d.obs.durDegraded = d.reg.Gauge(n("omniwindow_durable_degraded"), "1 while durable writes are suspended after persistent disk faults (0 = durable)")
 		d.obs.durGaps = d.reg.Counter(n("omniwindow_durable_gaps_total"), "durable writes skipped or failed while in degraded-durability mode")
 	}
-	// The hot standby shares the primary's handles: it only processes
-	// traffic after promotion, so the combined counts read as one
-	// controller's — which, to the deployment, they are.
-	if d.standby != nil {
-		d.standby.SetObs(controller.Instrument(d.reg, labels))
-	}
 	// Failover topology: who holds the fencing term and what the serving
 	// controller's provenance is. Registered only for hot-standby
 	// deployments — owtop hides its failover panel when these families

@@ -92,21 +92,21 @@ type Config struct {
 	// packets (§4.2). Defaults to the cost model's ControllerWait.
 	Grace time.Duration
 
-	// CheckpointDir enables controller durability: at every sub-window
-	// boundary the complete controller state is checkpointed into this
-	// directory (atomic temp-file + rename), and between checkpoints
-	// every ingested AFR batch, trigger and finish is appended to one
-	// write-ahead log — a deployment restarted on the same directory,
-	// under any Shards count, replays back to the exact pre-crash state.
+	// CheckpointDir enables controller durability: every ingested AFR
+	// batch, trigger, spike and finish is appended to one write-ahead log
+	// here, and each sub-window boundary commits a checkpoint manifest
+	// (temp-file + rename; the columns stay in the log) — a deployment
+	// restarted on the same directory, under any Shards count, replays
+	// back to the exact pre-crash state.
 	// In RDMA mode the WAL covers records at controller-ingest time (drain
 	// and fallback), and a failover re-registers the memory region.
 	// Requires a single-app deployment. Empty disables durability.
 	CheckpointDir string
-	// Standby enables the hot-standby controller pair: a second
-	// controller tails every checkpoint, a lease-based health probe
-	// detects primary death, and the standby takes over mid-window —
-	// the in-flight sub-window is its only gap, recovered through the
-	// ordinary NACK/retransmit loop before the region resets. Requires
+	// Standby enables the hot standby: a lease-based health probe
+	// detects primary death, and the standby takes over mid-window with a
+	// controller rebuilt from CheckpointDir's log, as a restart would —
+	// what the log lacks of the in-flight sub-window is recovered through
+	// the ordinary NACK/retransmit loop before the region resets. Requires
 	// CheckpointDir. What promotes the standby — a crash of the primary,
 	// a partition between the two — comes only from the in-package chaos
 	// suites' test plan; no program can schedule one.
@@ -163,10 +163,10 @@ type testPlan struct {
 	// Standby the deployment halts (restart it on the same CheckpointDir);
 	// with Standby it fails over.
 	crash *faults.CrashSchedule
-	// partition cuts the hot-standby pair apart: symmetric, renewal-only
-	// or checkpoint-only cuts, gray renewals and standby clock drift. A
-	// cut that expires the lease promotes the standby behind a fencing
-	// term; the old primary's writes are fenced and it self-demotes.
+	// partition cuts the hot-standby pair apart: lost or gray lease
+	// renewals and standby clock drift. A cut that expires the lease
+	// promotes the standby behind a fencing term; the old primary's
+	// writes are fenced and it self-demotes.
 	partition *faults.PartitionSchedule
 	// leaseTTL is the primary-liveness lease in virtual time; the wait for
 	// it to lapse is charged to the C&R budget. <= 0 is 2×SubWindow
@@ -258,13 +258,12 @@ type Stats struct {
 	// attempts. Mirrors the store's counter for the run.
 	FencedWrites int
 	// PartitionEvents counts sub-window boundaries at which an active
-	// partition fault touched this deployment (lost or delayed renewals,
-	// cut checkpoint tailing).
+	// partition fault touched this deployment (lost or delayed renewals).
 	PartitionEvents int
-	// SuppressedWindows counts window emissions the promoted standby
-	// discarded because the fenced old primary had already legitimately
-	// emitted them before losing its term — the duplicate-finalizer
-	// guard: every (Start, End) window has exactly one emitter.
+	// SuppressedWindows counts windows a promotion re-finished but did not
+	// emit, the old primary having emitted them: finishes the log replays,
+	// and sub-windows past its end (a degraded stretch), charged Missing.
+	// The duplicate-finalizer guard: every window has one emitter.
 	SuppressedWindows int
 	// ReplayedWindows counts windows re-emitted by WAL replay during
 	// recovery, included in Results in their original positions.
@@ -332,16 +331,16 @@ type Deployment struct {
 
 	// Durability and failover (nil/zero unless CheckpointDir is set).
 	store      *durable.Store
-	standby    *controller.Controller
+	standby    bool // a standby watches the lease
 	lease      *durable.Lease
 	failedOver bool
 	// term is this incarnation's fencing term — the writer identity every
 	// durable mutation carries. A partition promotion CASes the store to
 	// term+1 for the standby; the old primary's writes then fence.
 	term uint64
-	// demotedCtrl parks a self-demoted former primary's controller until
-	// re-admission (or forever, when re-admission is disabled).
-	demotedCtrl *controller.Controller
+	// demoted: a self-demoted former primary is parked until re-admission
+	// (or forever, when re-admission is disabled).
+	demoted bool
 	// cleanSince counts consecutive partition-free boundaries observed
 	// while a demoted node waits for re-admission.
 	cleanSince int
@@ -395,7 +394,7 @@ func (cfg *Config) validate() error {
 		return err
 	}
 	if cfg.Standby && cfg.CheckpointDir == "" {
-		return fmt.Errorf("omniwindow: Standby requires CheckpointDir — the standby promotes from tailed checkpoints")
+		return fmt.Errorf("omniwindow: Standby requires CheckpointDir — the standby promotes from its log")
 	}
 	apps := cfg.appSpecs()
 	if len(apps) == 0 {
@@ -462,10 +461,11 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
-// newController builds one app's controller — a primary, or the standby
-// that must agree with it on everything.
-func newController(cfg *Config, spec AppSpec) (*controller.Controller, error) {
-	return controller.NewWithError(controller.Config{
+// newController builds one app's controller — a primary, or a promoted
+// standby's, which must agree with it on everything. Config.validate
+// already checked the plan, the one thing the controller rejects.
+func newController(cfg *Config, spec AppSpec) *controller.Controller {
+	return controller.New(controller.Config{
 		Plan:            cfg.Plan,
 		Kind:            spec.Kind,
 		Threshold:       spec.Threshold,
@@ -519,12 +519,8 @@ func New(cfg Config) (*Deployment, error) {
 		return nil, err
 	}
 	d.appResults = make([][]controller.WindowResult, len(d.apps))
-	for i, spec := range d.apps {
-		ctrl, err := newController(&d.cfg, spec)
-		if err != nil {
-			return nil, fmt.Errorf("omniwindow: app %d controller: %w", i, err)
-		}
-		d.ctrls = append(d.ctrls, ctrl)
+	for _, spec := range d.apps {
+		d.ctrls = append(d.ctrls, newController(&d.cfg, spec))
 	}
 	d.ctrl = d.ctrls[0]
 	d.transport = newTransport(d)
