@@ -121,8 +121,9 @@ partition-chaos:
 # blank lines included: the `cat $$(ls DIR/*.go | grep -v _test) | wc -l`
 # form CHANGES.md has reported since PR 22, so every simplicity PR states
 # the same numbers the same way. The last line is the root package's public
-# surface: the lines `go doc -all .` prints and the number of exported
-# Config fields. Run it on both commits.
+# surface: the lines `go doc -all .` prints, the number of exported
+# Config fields and the number of exported Deployment methods. Run it on
+# both commits.
 loc:
 	@$(GO) list -f '{{.Dir}}' ./... | while read d; do \
 		echo "$${d#$(CURDIR)}/ \
@@ -133,7 +134,8 @@ loc:
 	@echo "public surface: $$($(GO) doc -all . | wc -l) go-doc lines," \
 		"$$($(GO) doc -all . | awk '/^type Config struct/ { f = 1 } f && /^}/ { f = 0 } \
 			f && match($$0, /^\t[A-Z][A-Za-z0-9_]*(, [A-Za-z0-9_]+)*/) { s = substr($$0, 1, RLENGTH); n += gsub(/,/, "", s) + 1 } \
-			END { print n + 0 }') exported Config fields"
+			END { print n + 0 }') exported Config fields," \
+		"$$($(GO) doc -all . | grep -c '^func ([a-z]* \*Deployment) [A-Z]') exported Deployment methods"
 
 fmt-check:
 	@files="$$(gofmt -l .)"; if [ -n "$$files" ]; then \

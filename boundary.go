@@ -30,7 +30,7 @@ type boundary struct {
 	passes  int
 	// virtual is the round's modeled C&R time so far.
 	virtual time.Duration
-	// windows are the first app's windows this boundary completed.
+	// windows are the windows this boundary completed.
 	windows []controller.WindowResult
 }
 
@@ -186,18 +186,13 @@ func (b *boundary) finish() {
 	d.crashIfScheduled(b.sw)
 }
 
-// finishSubWindow assembles sw's windows in every app's controller and
-// appends them to the results, at a live boundary and when WAL replay
-// re-runs one. It returns the first app's.
-func (d *Deployment) finishSubWindow(sw uint64) (first []controller.WindowResult) {
-	for i, ctrl := range d.ctrls {
-		w := ctrl.FinishSubWindow(sw)
-		d.appResults[i] = append(d.appResults[i], w...)
-		if i == 0 {
-			first = w
-		}
-	}
-	return first
+// finishSubWindow assembles sw's windows in the controller and appends
+// them to the results, at a live boundary and when WAL replay re-runs one.
+// It returns them.
+func (d *Deployment) finishSubWindow(sw uint64) []controller.WindowResult {
+	w := d.ctrl.FinishSubWindow(sw)
+	d.results = append(d.results, w...)
+	return w
 }
 
 func (b *boundary) windowClosed() {

@@ -76,9 +76,9 @@ func TestBoundaryPathShape(t *testing.T) {
 // seamShape holds the switch-to-controller seam to one path per message, so
 // none can quietly grow a second that then drifts from the first: one
 // function announces a termination (the only caller of logTrigger, and the
-// only reader of the tracker's key count besides enumeration), the per-app
-// controller list is walked only where a message fans out to every app, and
-// no scrape-time metric func in obs.go reads a deployment field the run
+// only reader of the tracker's key count besides enumeration), the serving
+// controller changes only where one is built — New and promote — and no
+// scrape-time metric func in obs.go reads a deployment field the run
 // goroutine writes.
 func seamShape(t *testing.T) {
 	fset := token.NewFileSet()
@@ -103,9 +103,11 @@ func seamShape(t *testing.T) {
 			}
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
 				switch n := n.(type) {
-				case *ast.RangeStmt:
-					if selected(n.X) == "ctrls" {
-						in["range ctrls"] = append(in["range ctrls"], fn.Name.Name)
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if selected(lhs) == "ctrl" {
+							in["ctrl ="] = append(in["ctrl ="], fn.Name.Name)
+						}
 					}
 				case *ast.CallExpr:
 					switch callee := selected(n.Fun); callee {
@@ -130,15 +132,14 @@ func seamShape(t *testing.T) {
 			})
 		}
 	}
-	for what, want := range map[string][]string{"logTrigger": {"announce"}, "KeyCount": {"announce", "enumerate"}} {
+	for what, want := range map[string][]string{
+		"logTrigger": {"announce"},
+		"KeyCount":   {"announce", "enumerate"},
+		"ctrl =":     {"New", "promote"},
+	} {
 		got := in[what]
 		if slices.Sort(got); !slices.Equal(got, want) {
-			t.Errorf("%s is called in %v, want exactly %v", what, got, want)
-		}
-	}
-	for _, fn := range in["range ctrls"] {
-		if !slices.Contains([]string{"announce", "handOff", "ingestSpike", "finishSubWindow", "setupObs"}, fn) {
-			t.Errorf("%s walks the per-app controllers: only announce, hand-off, spike, finish and obs setup fan out", fn)
+			t.Errorf("%s occurs in %v, want exactly %v", what, got, want)
 		}
 	}
 }

@@ -212,48 +212,33 @@ func TestChaosDeterministicSchedules(t *testing.T) {
 	}
 }
 
-// TestChaosMultiAppRecoveryAccounting: co-deployed apps account a lossy
-// boundary exactly as a lone app does — a delivery batch reaches every
-// app's controller as the packet it is, retransmit flag and O1 charge
-// included.
-func TestChaosMultiAppRecoveryAccounting(t *testing.T) {
-	run := func(apps []AppSpec, lossy bool) (*Deployment, *obs.Registry) {
+// TestChaosRecoveryAccounting: a lossy boundary's delivery batches reach
+// the controller as the packets they are, retransmit flag and O1 charge
+// included — the recovered records are counted, every sub-window is
+// charged its receive time, and the windows equal the loss-free run's.
+func TestChaosRecoveryAccounting(t *testing.T) {
+	run := func(lossy bool) (*Deployment, *obs.Registry) {
 		reg := obs.NewRegistry()
 		return runChaos(t, func(c *Config) {
-			c.AppFactory, c.Apps, c.Obs = nil, apps, reg
+			c.Obs = reg
 			if lossy {
 				c.plan.afrFaults = &everyThird{}
 			}
 		}), reg
 	}
-	apps := multiAppConfig().Apps
-	lossFree, _ := run(apps, false)
-	single, singleReg := run(apps[:1], true)
-	multi, multiReg := run(apps, true)
+	lossFree, _ := run(false)
+	d, reg := run(true)
 
-	wantRecovered := counter(singleReg, "omniwindow_controller_recovered_total")
-	if wantRecovered == 0 || single.Stats().Retransmitted == 0 {
-		t.Fatalf("the single-app run recovered nothing: %+v", single.Stats())
+	if counter(reg, "omniwindow_controller_recovered_total") == 0 || d.Stats().Retransmitted == 0 {
+		t.Fatalf("the lossy run recovered nothing: %+v", d.Stats())
 	}
-	if got := multi.Stats().Retransmitted / len(apps); got != single.Stats().Retransmitted {
-		t.Errorf("retransmitted %d per app, single-app run %d", got, single.Stats().Retransmitted)
-	}
-	for i, app := range apps {
-		name := fmt.Sprintf("omniwindow_controller_recovered_total{app=%q}", app.Name)
-		if got := counter(multiReg, name); got != wantRecovered {
-			t.Errorf("app %s recovered %d records, the single-app run %d", app.Name, got, wantRecovered)
-		}
-		// Necessary, not sufficient: the trigger alone charges some O1 time.
-		for sw := uint64(0); sw < 5; sw++ {
-			if multi.ctrls[i].Times(sw).Collect <= 0 {
-				t.Errorf("app %s sub-window %d: no O1 receive time charged", app.Name, sw)
-			}
-		}
-		if !reflect.DeepEqual(lossFree.ResultsFor(i), multi.ResultsFor(i)) {
-			t.Errorf("app %s: windows under loss differ from the loss-free run's", app.Name)
+	// Necessary, not sufficient: the trigger alone charges some O1 time.
+	for sw := uint64(0); sw < 5; sw++ {
+		if d.ctrl.Times(sw).Collect <= 0 {
+			t.Errorf("sub-window %d: no O1 receive time charged", sw)
 		}
 	}
-	if !reflect.DeepEqual(lossFree.ResultsFor(0), single.Results()) {
-		t.Error("single-app windows under loss differ from the loss-free run's")
+	if !reflect.DeepEqual(lossFree.Results(), d.Results()) {
+		t.Error("windows under loss differ from the loss-free run's")
 	}
 }

@@ -423,7 +423,7 @@ func assertCheckpointRestores(t *testing.T, crashed *Deployment) {
 			snap != nil, len(recs), s.Lost(), err)
 	}
 	restore := func(snap *wire.Snapshot) *wire.Snapshot {
-		c := newController(&cfg, crashed.apps[0])
+		c := newController(&cfg)
 		c.RestoreState(snap)
 		return c.ExportState()
 	}

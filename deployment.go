@@ -193,7 +193,7 @@ func (d *Deployment) Tick(now int64) {
 // controller half: the trigger the data plane clones to the controller,
 // carrying the sub-window's number and its key count — the only thing that
 // tells the controller how many AFRs the sub-window owes (§4.2, §8) — is
-// logged, then received by every app's controller. The count is the
+// logged, then received by the controller. The count is the
 // tracked keys plus the spilled keys its collection has injected, so a
 // termination announces the first and the enumerate phase re-announces the
 // sum (the controller keeps the max). It is read under the
@@ -206,9 +206,7 @@ func (d *Deployment) announce(ended uint64) {
 		trig.OW.KeyCount = uint32(d.engine.Tracker().KeyCount(region) + d.engine.InjectedKeys(ended))
 	}
 	d.logTrigger(ended, trig.OW.KeyCount)
-	for _, c := range d.ctrls {
-		c.Receive(&trig)
-	}
+	d.ctrl.Receive(&trig)
 }
 
 // terminated announces an ended sub-window and schedules its C&R after the
@@ -281,7 +279,7 @@ func (d *Deployment) handleSwitchOutput(out switchsim.Output) {
 // data-plane region, so the controller folds the packet in directly, one
 // count per copy. The application's flowkey definition still applies — a
 // packet the query's filter would have skipped is skipped here too; the
-// WAL logs each copy the first app's controller merged.
+// WAL logs each copy the controller merged.
 func (d *Deployment) ingestSpike(c *packet.Packet) {
 	if d.cfg.KeyOf != nil {
 		k, ok := d.cfg.KeyOf(c)
@@ -291,11 +289,9 @@ func (d *Deployment) ingestSpike(c *packet.Packet) {
 		c = c.Clone()
 		c.Key = k
 	}
-	for i, ctrl := range d.ctrls {
-		if ctrl.IngestSpike(c, 1) && i == 0 {
-			d.stats.SpikesMerged++
-			d.durableWrite(c.OW.SubWindow, func() error { return d.store.AppendSpike(c.OW.SubWindow, c.Key, c.Seq, 1) })
-		}
+	if d.ctrl.IngestSpike(c, 1) {
+		d.stats.SpikesMerged++
+		d.durableWrite(c.OW.SubWindow, func() error { return d.store.AppendSpike(c.OW.SubWindow, c.Key, c.Seq, 1) })
 	}
 }
 
@@ -333,8 +329,8 @@ func (d *Deployment) collect(sw uint64, at int64) {
 
 // assertConsistent double-checks internal invariants; exposed for tests.
 func (d *Deployment) assertConsistent() error {
-	if worst := d.stats.MaxCollectVirtual; d.cfg.SubWindow > 0 && worst > d.cfg.SubWindow {
-		return fmt.Errorf("omniwindow: C&R time %v exceeds sub-window %v — two memory regions are insufficient at this rate (§6)",
+	if worst := d.stats.MaxCollectVirtual; d.cfg.SubWindow > 0 && worst >= d.cfg.SubWindow {
+		return fmt.Errorf("omniwindow: C&R time %v does not fit strictly inside sub-window %v — two memory regions are insufficient at this rate (§6)",
 			worst, d.cfg.SubWindow)
 	}
 	return nil

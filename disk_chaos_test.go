@@ -122,9 +122,9 @@ func TestDiskChaosFaultFreeScheduleUnchanged(t *testing.T) {
 	if !reflect.DeepEqual(baseline.Results(), d.Results()) {
 		t.Fatal("fault-free DiskSchedule changed window results")
 	}
-	if d.store.WALErrors() != 0 || d.Stats().DurabilityGaps != 0 || d.DurabilityDegraded() {
+	if d.store.WALErrors() != 0 || d.Stats().DurabilityGaps != 0 || d.degraded {
 		t.Fatalf("fault-free schedule recorded faults: walErrs=%d gaps=%d degraded=%v",
-			d.store.WALErrors(), d.Stats().DurabilityGaps, d.DurabilityDegraded())
+			d.store.WALErrors(), d.Stats().DurabilityGaps, d.degraded)
 	}
 	if err := d.CloseDurability(); err != nil {
 		t.Fatal(err)
@@ -150,7 +150,7 @@ func TestDiskChaosTransientFaultsByteIdentical(t *testing.T) {
 			if !reflect.DeepEqual(baseline.Results(), d.Results()) {
 				t.Fatal("transient disk faults changed the live window stream")
 			}
-			if d.DurabilityDegraded() {
+			if d.degraded {
 				t.Fatalf("retry budget 10 should absorb 10%% transient faults (gaps=%d)", d.Stats().DurabilityGaps)
 			}
 			if d.store.FSFaults() == 0 {
@@ -191,7 +191,7 @@ func TestDiskChaosENOSPCDegradesAndHeals(t *testing.T) {
 	if st.DurabilityHeals == 0 {
 		t.Fatal("boundary probe never healed after the ENOSPC stretch ended")
 	}
-	if d.DurabilityDegraded() {
+	if d.degraded {
 		t.Fatal("deployment still degraded after space returned")
 	}
 	if err := d.DurabilityErr(); err == nil {
@@ -223,7 +223,7 @@ func TestDiskChaosCrashAfterHealByteIdentical(t *testing.T) {
 	if st.DurabilityGaps == 0 || st.DurabilityHeals == 0 {
 		t.Fatalf("scenario needs degrade+heal before the crash: gaps=%d heals=%d", st.DurabilityGaps, st.DurabilityHeals)
 	}
-	if d1.DurabilityDegraded() {
+	if d1.degraded {
 		t.Fatal("scenario needs the heal to land before the crash")
 	}
 
@@ -263,7 +263,7 @@ func TestDiskChaosCrashWhileDegraded(t *testing.T) {
 	if !d1.crashed || d1.crashedAt != crashAt {
 		t.Fatalf("crash did not fire at %d: crashed=%v at %d", crashAt, d1.crashed, d1.crashedAt)
 	}
-	if !d1.DurabilityDegraded() {
+	if !d1.degraded {
 		t.Fatal("scenario needs the crash to land inside the degraded stretch")
 	}
 	// The live stream stayed byte-identical right up to the crash.

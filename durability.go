@@ -171,11 +171,6 @@ func (d *Deployment) healDurability(sw uint64) {
 	d.obs.ring.Record(obs.StageDurabilityDegraded, sw, -1, 0)
 }
 
-// DurabilityDegraded reports whether the deployment is currently running
-// with durable writes suspended (disk faults exhausted the store's retry
-// budget; the heal probe re-enters durable mode at a later boundary).
-func (d *Deployment) DurabilityDegraded() bool { return d.degraded }
-
 // recover replays the durable state into a freshly built deployment
 // (replayLog), its replayed finishes re-emitting their windows. Finally
 // the window manager fast-forwards past every finished sub-window so

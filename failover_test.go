@@ -369,9 +369,9 @@ func TestFailoverWhileDegradedFinalizesOnce(t *testing.T) {
 			cfg.Standby = true
 			d := runDisk(t, cfg)
 			st := d.Stats()
-			if st.Failovers != 1 || !d.DurabilityDegraded() {
+			if st.Failovers != 1 || !d.degraded {
 				t.Fatalf("failovers = %d, degraded = %v: want one failover inside the degraded stretch",
-					st.Failovers, d.DurabilityDegraded())
+					st.Failovers, d.degraded)
 			}
 			assertSingleFinalizer(t, d.Results())
 			if assertIdenticalOrIncomplete(t, baseline.Results(), d.Results()) == 0 {

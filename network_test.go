@@ -171,6 +171,10 @@ func TestExistenceKind(t *testing.T) {
 
 var _ = trace.Millisecond // keep the trace import if helpers change
 
+// TestFeasibilityReport is the §6 deployment check: with two shared
+// memory regions every sub-window's collect-and-reset must finish strictly
+// inside one sub-window. A light run fits with room to spare; a worst C&R
+// time equal to the sub-window does not.
 func TestFeasibilityReport(t *testing.T) {
 	d, err := New(freqConfig(window.Tumbling(5), 1, false))
 	if err != nil {
@@ -178,11 +182,18 @@ func TestFeasibilityReport(t *testing.T) {
 	}
 	pkts := burstTrace(map[int64][]int{50 * ms: {1, 2, 3}}, 50)
 	d.RunFor(pkts, 500*ms)
-	f := d.Feasibility()
-	if !f.TwoRegionsSufficient {
-		t.Fatalf("two regions should suffice: %+v", f)
+	if err := d.assertConsistent(); err != nil {
+		t.Fatalf("two regions should suffice: %v", err)
 	}
-	if f.WorstCR <= 0 || f.Headroom < 2 {
-		t.Fatalf("implausible feasibility: %+v", f)
+	if worst := d.Stats().MaxCollectVirtual; worst <= 0 || 2*worst > d.cfg.SubWindow {
+		t.Fatalf("implausible worst C&R time %v for sub-window %v", worst, d.cfg.SubWindow)
+	}
+	d.stats.MaxCollectVirtual = d.cfg.SubWindow - 1
+	if err := d.assertConsistent(); err != nil {
+		t.Fatalf("C&R one tick inside the sub-window rejected: %v", err)
+	}
+	d.stats.MaxCollectVirtual = d.cfg.SubWindow
+	if d.assertConsistent() == nil {
+		t.Fatal("C&R time equal to the sub-window accepted: §6 needs it strictly inside")
 	}
 }

@@ -88,21 +88,7 @@ func (d *Deployment) setupObs() error {
 			func() int64 { return int64(tr.Stats().QPRecoveries) })
 	}
 
-	// Per-app controllers: single-app deployments register unlabeled (or
-	// with the caller's labels); co-deployed apps add an app label so the
-	// families stay distinguishable.
-	for i, ctrl := range d.ctrls {
-		l := labels
-		if len(d.ctrls) > 1 {
-			app := fmt.Sprintf("app=%q", d.apps[i].Name)
-			if l == "" {
-				l = app
-			} else {
-				l = l + "," + app
-			}
-		}
-		ctrl.SetObs(controller.Instrument(d.reg, l))
-	}
+	d.ctrl.SetObs(controller.Instrument(d.reg, labels))
 	if d.store != nil {
 		d.store.Instrument(d.reg, labels)
 		d.obs.durDegraded = d.reg.Gauge(n("omniwindow_durable_degraded"), "1 while durable writes are suspended after persistent disk faults (0 = durable)")

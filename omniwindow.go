@@ -66,13 +66,6 @@ type Config struct {
 	// AppFactory builds one region's application state, sized for one
 	// sub-window's traffic. Called once per memory region.
 	AppFactory func(region int) afr.StateApp
-	// Apps optionally co-deploys several telemetry applications on the
-	// same switch: they share the window mechanism and flowkey tracking
-	// (one C&R round serves all), each with its own state and its own
-	// controller table. When set, AppFactory/Kind/Threshold/
-	// DistinctCounter/CaptureValues are ignored in favour of the specs.
-	// The RDMA path currently supports single-app deployments only.
-	Apps []AppSpec
 	// KeyOf is the application's flowkey definition for tracking (§4.1):
 	// it maps a packet to the key the AFR machinery enumerates; ok=false
 	// skips tracking (e.g. the packet fails the query's filter). Nil
@@ -100,7 +93,7 @@ type Config struct {
 	// back to the exact pre-crash state.
 	// In RDMA mode the WAL covers records at controller-ingest time (drain
 	// and fallback), and a failover re-registers the memory region.
-	// Requires a single-app deployment. Empty disables durability.
+	// Empty disables durability.
 	CheckpointDir string
 	// Standby enables the hot standby: a lease-based health probe
 	// detects primary death, and the standby takes over mid-window with a
@@ -232,7 +225,7 @@ type Stats struct {
 	// (enumeration + reset recirculation + injection).
 	CollectVirtual time.Duration
 	// MaxCollectVirtual is the worst single sub-window's C&R time; it
-	// must stay below the sub-window duration for two regions to
+	// must stay strictly below the sub-window duration for two regions to
 	// suffice (§6).
 	MaxCollectVirtual time.Duration
 	// ControllerCPUVirtual is the modeled controller-CPU time spent
@@ -285,32 +278,15 @@ type Stats struct {
 	QuarantinedSegments int
 }
 
-// AppSpec describes one co-deployed telemetry application.
-type AppSpec struct {
-	// Name labels the app in results.
-	Name string
-	// Factory builds the app's per-region state.
-	Factory func(region int) afr.StateApp
-	// Kind is the statistic's merge pattern.
-	Kind afr.Kind
-	// Threshold, DistinctCounter and CaptureValues parameterize the
-	// app's controller, as in the single-app Config fields.
-	Threshold       uint64
-	DistinctCounter afr.DistinctCounter
-	CaptureValues   bool
-}
-
 // Deployment is a running OmniWindow instance.
 type Deployment struct {
 	cfg     Config
-	apps    []AppSpec
 	sw      *switchsim.Switch
 	manager *window.Manager
 	engine  *afr.Engine
-	// ctrls holds one controller per co-deployed app; ctrl aliases
-	// ctrls[0] for the single-app fast paths.
-	ctrls []*controller.Controller
-	ctrl  *controller.Controller
+	// ctrl is the serving controller: New builds it, and a promotion
+	// replaces it (standby.go).
+	ctrl *controller.Controller
 
 	// transport carries each boundary's AFRs to the controller: packets,
 	// or the §7 verbs (transport.go).
@@ -318,10 +294,10 @@ type Deployment struct {
 
 	spilled map[uint64][]packet.FlowKey
 	pending []pendingCR
-	// appResults holds each app's completed windows.
-	appResults [][]controller.WindowResult
-	stats      Stats
-	now        int64
+	// results holds the completed windows.
+	results []controller.WindowResult
+	stats   Stats
+	now     int64
 
 	// regionOwner tracks which sub-window's state each memory region
 	// currently holds, so stale terminations cannot reset a region a
@@ -396,41 +372,13 @@ func (cfg *Config) validate() error {
 	if cfg.Standby && cfg.CheckpointDir == "" {
 		return fmt.Errorf("omniwindow: Standby requires CheckpointDir — the standby promotes from its log")
 	}
-	apps := cfg.appSpecs()
-	if len(apps) == 0 {
-		return fmt.Errorf("omniwindow: AppFactory (or Apps) is required")
-	}
-	for i, a := range apps {
-		if a.Factory == nil {
-			return fmt.Errorf("omniwindow: app %d has no factory", i)
-		}
-	}
-	if cfg.RDMA && len(apps) > 1 {
-		return fmt.Errorf("omniwindow: the RDMA path supports single-app deployments only")
+	if cfg.AppFactory == nil {
+		return fmt.Errorf("omniwindow: AppFactory is required")
 	}
 	if cfg.Slots <= 0 {
 		return fmt.Errorf("omniwindow: Slots must be positive")
 	}
-	if cfg.CheckpointDir != "" && len(apps) > 1 {
-		return fmt.Errorf("omniwindow: durability supports single-app deployments only, got %d apps", len(apps))
-	}
 	return nil
-}
-
-// appSpecs lists the co-deployed apps: Apps, or the one app the
-// single-app fields describe (none without an AppFactory).
-func (cfg *Config) appSpecs() []AppSpec {
-	if len(cfg.Apps) > 0 || cfg.AppFactory == nil {
-		return cfg.Apps
-	}
-	return []AppSpec{{
-		Name:            "app",
-		Factory:         cfg.AppFactory,
-		Kind:            cfg.Kind,
-		Threshold:       cfg.Threshold,
-		DistinctCounter: cfg.DistinctCounter,
-		CaptureValues:   cfg.CaptureValues,
-	}}
 }
 
 // withDefaults resolves every zero-means-default field of a validated
@@ -461,38 +409,32 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
-// newController builds one app's controller — a primary, or a promoted
+// newController builds the app's controller — a primary, or a promoted
 // standby's, which must agree with it on everything. Config.validate
 // already checked the plan, the one thing the controller rejects.
-func newController(cfg *Config, spec AppSpec) *controller.Controller {
+func newController(cfg *Config) *controller.Controller {
 	return controller.New(controller.Config{
 		Plan:            cfg.Plan,
-		Kind:            spec.Kind,
-		Threshold:       spec.Threshold,
-		DistinctCounter: spec.DistinctCounter,
-		CaptureValues:   spec.CaptureValues,
+		Kind:            cfg.Kind,
+		Threshold:       cfg.Threshold,
+		DistinctCounter: cfg.DistinctCounter,
+		CaptureValues:   cfg.CaptureValues,
 		Shards:          cfg.Shards,
 	})
 }
 
 // newEngine builds the AFR engine over each region's application state.
-func newEngine(cfg *Config, apps []AppSpec, regions window.Regions) (*afr.Engine, error) {
-	perRegion := make([][]afr.StateApp, 2)
-	for r := range perRegion {
-		for ai, spec := range apps {
-			a := spec.Factory(r)
-			switch {
-			case a == nil:
-				return nil, fmt.Errorf("omniwindow: app %d factory returned nil for region %d", ai, r)
-			case len(apps) == 1 && a.Slots() != cfg.Slots:
-				return nil, fmt.Errorf("omniwindow: region %d app has %d slots, config says %d", r, a.Slots(), cfg.Slots)
-			case a.Slots() > cfg.Slots:
-				return nil, fmt.Errorf("omniwindow: app %d has %d slots exceeding the configured %d", ai, a.Slots(), cfg.Slots)
-			}
-			perRegion[r] = append(perRegion[r], a)
+func newEngine(cfg *Config, regions window.Regions) (*afr.Engine, error) {
+	apps := []afr.StateApp{cfg.AppFactory(0), cfg.AppFactory(1)}
+	for r, a := range apps {
+		switch {
+		case a == nil:
+			return nil, fmt.Errorf("omniwindow: app factory returned nil for region %d", r)
+		case a.Slots() != cfg.Slots:
+			return nil, fmt.Errorf("omniwindow: region %d app has %d slots, config says %d", r, a.Slots(), cfg.Slots)
 		}
 	}
-	engine := afr.NewMultiEngine(afr.NewTracker(cfg.Tracker), perRegion, regions)
+	engine := afr.NewEngine(afr.NewTracker(cfg.Tracker), apps, regions)
 	if cfg.KeyOf != nil {
 		engine.SetKeyFunc(cfg.KeyOf)
 	}
@@ -507,7 +449,6 @@ func New(cfg Config) (*Deployment, error) {
 	cfg = cfg.withDefaults()
 	d := &Deployment{
 		cfg:     cfg,
-		apps:    cfg.appSpecs(),
 		spilled: make(map[uint64][]packet.FlowKey),
 	}
 	d.sw = switchsim.New(0)
@@ -515,14 +456,10 @@ func New(cfg Config) (*Deployment, error) {
 	regions := window.NewRegions(cfg.Tracker.Regions, cfg.Slots)
 	d.manager = window.NewManager(cfg.Signal, regions)
 	var err error
-	if d.engine, err = newEngine(&d.cfg, d.apps, regions); err != nil {
+	if d.engine, err = newEngine(&d.cfg, regions); err != nil {
 		return nil, err
 	}
-	d.appResults = make([][]controller.WindowResult, len(d.apps))
-	for _, spec := range d.apps {
-		d.ctrls = append(d.ctrls, newController(&d.cfg, spec))
-	}
-	d.ctrl = d.ctrls[0]
+	d.ctrl = newController(&d.cfg)
 	d.transport = newTransport(d)
 
 	if cfg.CheckpointDir != "" {
@@ -549,8 +486,8 @@ func New(cfg Config) (*Deployment, error) {
 // A fault that survived the store's retry budget flips the deployment to
 // degraded durability (writes skipped and counted as DurabilityGaps, a
 // boundary heal probe re-enters durable mode); the recorded error is the
-// first one ever seen and persists across heals as an audit trail. See
-// DurabilityDegraded for the live mode.
+// first one ever seen and persists across heals as an audit trail. The
+// omniwindow_durable_degraded gauge shows the live mode.
 func (d *Deployment) DurabilityErr() error { return d.storeErr }
 
 // CloseDurability flushes and closes the checkpoint/WAL store (a no-op
@@ -658,48 +595,5 @@ func (d *Deployment) Stats() Stats {
 	return s
 }
 
-// Feasibility is the §6 deployment check: with two shared memory regions,
-// every sub-window's collect-and-reset must finish strictly inside one
-// sub-window, or the region being collected would be needed for new
-// traffic before it is ready.
-type Feasibility struct {
-	// SubWindow is the configured sub-window length (zero for
-	// signal-driven windows with no fixed length).
-	SubWindow time.Duration
-	// WorstCR is the largest observed C&R virtual time.
-	WorstCR time.Duration
-	// Headroom is SubWindow/WorstCR (0 when unknown).
-	Headroom float64
-	// TwoRegionsSufficient reports whether the §6 invariant held for
-	// every collected sub-window so far.
-	TwoRegionsSufficient bool
-}
-
-// Feasibility reports whether the run so far satisfied the two-region
-// invariant. Call after (or during) a run.
-func (d *Deployment) Feasibility() Feasibility {
-	f := Feasibility{SubWindow: d.cfg.SubWindow, WorstCR: d.stats.MaxCollectVirtual}
-	if f.SubWindow > 0 && f.WorstCR > 0 {
-		f.Headroom = float64(f.SubWindow) / float64(f.WorstCR)
-	}
-	f.TwoRegionsSufficient = f.SubWindow == 0 || f.WorstCR < f.SubWindow
-	return f
-}
-
-// Results returns the windows completed so far (the first app's, which is
-// the only one in single-app deployments).
-func (d *Deployment) Results() []controller.WindowResult { return d.appResults[0] }
-
-// ResultsFor returns a co-deployed app's completed windows by index.
-func (d *Deployment) ResultsFor(app int) []controller.WindowResult {
-	return d.appResults[app]
-}
-
-// AppNames lists the co-deployed apps in result order.
-func (d *Deployment) AppNames() []string {
-	names := make([]string, len(d.apps))
-	for i, a := range d.apps {
-		names[i] = a.Name
-	}
-	return names
-}
+// Results returns the windows completed so far.
+func (d *Deployment) Results() []controller.WindowResult { return d.results }

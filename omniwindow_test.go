@@ -70,6 +70,7 @@ func TestConfigValidation(t *testing.T) {
 		{"zero sub-window", func(c *Config) { c.SubWindow = 0 }},
 		{"empty plan", func(c *Config) { c.Plan = window.Plan{} }},
 		{"nil app factory", func(c *Config) { c.AppFactory = nil }},
+		{"app factory returns nil", func(c *Config) { c.AppFactory = func(int) afr.StateApp { return nil } }},
 		{"zero slots", func(c *Config) { c.Slots = 0 }},
 		{"slot mismatch", func(c *Config) { c.Slots = 100 }}, // app built 4096
 		{"standby without checkpoint directory", func(c *Config) { c.Standby = true }},

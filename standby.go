@@ -117,8 +117,7 @@ func (d *Deployment) promote(sw, won uint64) {
 		won, _ = d.store.CASTerm(d.store.Term(), 2) // stays 0 when the CAS cannot land
 	}
 
-	d.ctrl = newController(&d.cfg, d.apps[0])
-	d.ctrls[0] = d.ctrl
+	d.ctrl = newController(&d.cfg)
 	if snap, recs, err := d.store.Recover(); err == nil { // a dead store has no log to read
 		d.replayLog(snap, recs, d.suppress)
 	}

@@ -89,9 +89,6 @@ type packetPath struct {
 	// batch is the delivery batch: its record buffer has fixed capacity
 	// afrBatchCap and is empty between boundaries.
 	batch packet.Packet
-	// appParts is handOff's staging when apps are co-deployed: one packet
-	// per app, its record buffer reused across batches.
-	appParts []packet.Packet
 }
 
 func (p *packetPath) begin(uint64)         {}
@@ -112,7 +109,7 @@ func (p *packetPath) deliver(flag packet.OWFlag, recs []packet.AFR) {
 }
 
 // flush delivers the batched records as one packet: one WAL append, then
-// one hand-off to the controllers.
+// one hand-off to the controller.
 func (p *packetPath) flush() {
 	b := &p.batch.OW
 	if len(b.AFRs) == 0 {
@@ -123,34 +120,10 @@ func (p *packetPath) flush() {
 	b.AFRs = b.AFRs[:0]
 }
 
-// handOff is the one way a delivery batch reaches a controller: as the
-// packet it is, through Receive, so the flag that tells a recovery from a
-// first delivery and the O1 receive charge are the same for one app and
-// for several. A lone app's controller receives the batch itself;
-// co-deployed apps each receive their own records under the batch's flag.
-func (p *packetPath) handOff() {
-	ctrls, b := p.d.ctrls, &p.batch.OW
-	if len(ctrls) == 1 {
-		ctrls[0].Receive(&p.batch)
-		return
-	}
-	if p.appParts == nil {
-		p.appParts = make([]packet.Packet, len(ctrls))
-	}
-	for _, r := range b.AFRs {
-		if int(r.App) < len(ctrls) {
-			part := &p.appParts[r.App].OW
-			part.AFRs = append(part.AFRs, r)
-		}
-	}
-	for app := range p.appParts {
-		if part := &p.appParts[app]; len(part.OW.AFRs) > 0 {
-			part.OW.Flag = b.Flag
-			ctrls[app].Receive(part)
-			part.OW.AFRs = part.OW.AFRs[:0]
-		}
-	}
-}
+// handOff is the one way a delivery batch reaches the controller: as the
+// packet it is, through Receive, which tells a recovery from a first
+// delivery by the batch's flag and charges the O1 receive.
+func (p *packetPath) handOff() { p.d.ctrl.Receive(&p.batch) }
 
 // missing is the controller's sequence gaps — none on an unowned boundary:
 // a region a newer sub-window took over has nothing left to re-query.
