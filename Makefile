@@ -45,8 +45,11 @@ ci: build vet fmt-check test race staticcheck cover fuzz-smoke bench-smoke examp
 # tables) make every schedule a reproducible test case. CollectBatch is
 # TestCollectBatchFlushPoints: its faults, failover and wal subtests hold
 # the boundary's delivery batch under this suite, failover and disk-chaos.
+# AFRPort is TestAFRPortRecordsLiveOnlyForTheCall: records the engine hands
+# its AFR port are overwritten after each call, under a drop/duplicate
+# schedule, and every arm's windows and Stats must not move.
 chaos:
-	$(GO) test -race -run 'Chaos|CollectBatch' . ./internal/controller/ ./internal/faults/
+	$(GO) test -race -run 'Chaos|CollectBatch|AFRPort' . ./internal/controller/ ./internal/faults/
 
 # Durability suite: kill-and-restart at every sub-window boundary and
 # every store crash point, WAL-replay recovery, checkpoints (what a

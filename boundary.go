@@ -72,17 +72,18 @@ func (b *boundary) enumerate() {
 	d, costs := b.d, &b.d.sw.Costs
 	d.engine.BeginCollection(b.sw)
 	keyCount := d.engine.Tracker().KeyCount(b.region)
+	// Each pass hands its key's records to the transport through the
+	// engine's AFR port (deliverRecords) before the Inject returns.
 	for i := 0; i < d.cfg.CollectionPackets; i++ {
-		out := d.injectSpecial(packet.OWHeader{Flag: packet.OWCollection})
-		b.passes += out.Passes
-		b.afrs += d.deliverClones(out)
+		b.passes += d.injectSpecial(packet.OWHeader{Flag: packet.OWCollection}).Passes
 	}
 	b.virtual += costs.RecircTime(d.cfg.CollectionPackets, keyCount)
 	for i, k := range b.spilled {
-		b.afrs += d.deliverClones(d.injectSpecial(packet.OWHeader{
+		d.injectSpecial(packet.OWHeader{
 			Flag: packet.OWInjectKey, Key: k, Index: uint32(keyCount + i), SubWindow: b.sw,
-		}))
+		})
 	}
+	b.afrs = (keyCount + len(b.spilled)) * d.engine.AppCount()
 	b.virtual += time.Duration(len(b.spilled)) * costs.DPDKInjectPerKey
 	// Flush point: the probes next may swap the controller, and recovery
 	// reads its delivery state.
@@ -202,33 +203,22 @@ func (b *boundary) windowClosed() {
 }
 
 // injectSpecial runs one control packet through the switch, reusing the
-// scratch packet: collections run between traffic packets, the engine
-// copies what it clones to the controller, and a control packet never
-// leaves on egress.
+// scratch packet: collections run between traffic packets, AFRs leave
+// through the engine's port rather than as clones of it, and a control
+// packet never leaves on egress.
 func (d *Deployment) injectSpecial(h packet.OWHeader) switchsim.Output {
 	d.scratch = packet.Packet{OW: h}
 	return d.sw.Inject(&d.scratch)
 }
 
-// deliverClones delivers the AFR clones one collection Inject emitted and
-// returns their record count.
-func (d *Deployment) deliverClones(out switchsim.Output) (afrs int) {
-	for _, c := range out.ToController {
-		if c.OW.Flag == packet.OWAFR {
-			afrs += len(c.OW.AFRs)
-			d.deliverAFRs(c)
-		}
-	}
-	return afrs
-}
-
-// deliverAFRs routes AFR-bearing packets (first transmissions and
-// retransmissions) toward the controller, first pushing them through the
-// configured fault schedule, drawn once per packet: a drop loses the
-// packet — the reliability protocol must notice and repair — and
-// duplicates arrive back to back, which the controller's sequence dedup
-// must suppress.
-func (d *Deployment) deliverAFRs(c *packet.Packet) {
+// deliverRecords routes one emission's AFRs — a key's records from the
+// engine's port, or a retransmit packet's — toward the controller, first
+// pushing them through the configured fault schedule, drawn once per
+// call: a drop loses them — the reliability protocol must notice and
+// repair — and duplicates arrive back to back, which the controller's
+// sequence dedup must suppress. recs is valid only during the call: the
+// transport copies what it keeps.
+func (d *Deployment) deliverRecords(flag packet.OWFlag, recs []packet.AFR) {
 	copies := 1
 	if d.cfg.plan.afrFaults != nil {
 		act := d.cfg.plan.afrFaults.Packet()
@@ -238,7 +228,7 @@ func (d *Deployment) deliverAFRs(c *packet.Packet) {
 		copies += act.Duplicates
 	}
 	for ; copies > 0; copies-- {
-		d.transport.deliver(c.OW.Flag, c.OW.AFRs)
+		d.transport.deliver(flag, recs)
 	}
 }
 

@@ -267,9 +267,6 @@ func (d *Deployment) handleSwitchOutput(out switchsim.Output) {
 			d.stats.Spikes++
 			d.obs.spikes.Inc()
 			d.ingestSpike(c)
-		case packet.OWAFR:
-			d.deliverAFRs(c)
-			d.transport.flush() // nothing later in this call delivers: leave no record parked
 		}
 	}
 }

@@ -146,6 +146,14 @@ func main() {
 	engine := afr.NewEngine(afr.NewTracker(afr.TrackerConfig{
 		BufferKeys: bufferKeys, BloomBits: 1 << 18, BloomHashes: 3,
 	}), apps, mgr.Regions())
+	// Each key's records leave the switch through the engine's AFR port as
+	// one OWAFR datagram, sent before the enumeration moves on; the records
+	// are valid only during the call, which is all send needs.
+	var afrPkt packet.Packet
+	engine.SetAFRPort(func(recs []packet.AFR) {
+		afrPkt = packet.Packet{OW: packet.OWHeader{Flag: packet.OWAFR, Index: recs[0].Seq, AFRs: recs}}
+		send(&afrPkt)
+	})
 
 	sw := switchsim.New(0)
 	var pendingCollect []uint64
@@ -187,10 +195,7 @@ func main() {
 	collect := func(sw64 uint64) {
 		engine.BeginCollection(sw64)
 		for i := 0; i < 3; i++ {
-			out := sw.Inject(&packet.Packet{OW: packet.OWHeader{Flag: packet.OWCollection}})
-			for _, c := range out.ToController {
-				send(c)
-			}
+			sw.Inject(&packet.Packet{OW: packet.OWHeader{Flag: packet.OWCollection}})
 		}
 		// Reliability (§8): NACK the sequence gaps and retransmit before
 		// the reset below destroys the state the re-queries need.

@@ -3,7 +3,6 @@ package afr
 import (
 	"runtime"
 	"testing"
-	"unsafe"
 
 	"omniwindow/internal/packet"
 	"omniwindow/internal/switchsim"
@@ -169,12 +168,104 @@ func runCollection(t *testing.T, e *Engine, sw uint64, packets int) []packet.AFR
 	return got
 }
 
-// TestCollectionRoundPinsNoAFRPackets: the switch reuses its emission
-// buffers across Injects, and one collection packet emits an AFR clone per
-// tracked key, carved from the engine's slab chunks. Once the round's clear
-// packets have run and the receiver has let go, nothing on the switch side
-// (engine, pass, buffers) may still reference those clones beyond the
-// engine's one partly used chunk — a pinned round would show as retained
+// arrayApp counts packets per source address in a fixed array, bias added
+// to every answer: a StateApp whose Update, Query and ResetSlot allocate
+// nothing.
+type arrayApp struct {
+	counts []uint64
+	bias   uint64
+}
+
+func (a *arrayApp) Update(p *packet.Packet) { a.counts[int(p.Key.SrcIP)%len(a.counts)]++ }
+func (a *arrayApp) Query(k packet.FlowKey) Attr {
+	return Attr{Value: a.counts[int(k.SrcIP)%len(a.counts)] + a.bias}
+}
+func (a *arrayApp) ResetSlot(i int) { a.counts[i] = 0 }
+func (a *arrayApp) Slots() int      { return len(a.counts) }
+
+// TestAFRPortRoundAllocatesNothing: with a record port set, a whole
+// collection round — 3 000 tracked keys enumerated, 100 spilled keys
+// injected, the region reset — allocates nothing: the records of every key
+// are built in one engine-owned scratch slice. The port sees each key once,
+// in sequence order, with one record per co-deployed app.
+func TestAFRPortRoundAllocatesNothing(t *testing.T) {
+	const tracked, injected, slots = 3000, 100, 4096
+	for _, apps := range []int{1, 2} {
+		per := make([][]StateApp, 2)
+		for r := range per {
+			for a := 0; a < apps; a++ {
+				per[r] = append(per[r], &arrayApp{counts: make([]uint64, slots), bias: uint64(100 * a)})
+			}
+		}
+		tr := NewTracker(TrackerConfig{BufferKeys: tracked, BloomBits: 1 << 20, BloomHashes: 3, Regions: 2})
+		e := NewMultiEngine(tr, per, window.NewRegions(2, slots))
+		next, bad, calls := 0, 0, 0
+		e.SetAFRPort(func(recs []packet.AFR) {
+			calls++
+			if len(recs) != apps {
+				bad++
+			}
+			for a, r := range recs {
+				want := packet.AFR{Key: fk(next), Attr: uint64(1 + 100*a), Seq: uint32(next), App: uint8(a)}
+				if r != want {
+					bad++
+				}
+			}
+			next++
+		})
+		ss := switchsim.New(0)
+		ss.SetProgram(func(pass *switchsim.Pass) { e.HandleSpecial(pass) })
+		pkts := make([]packet.Packet, tracked+injected)
+		for i := range pkts {
+			pkts[i] = packet.Packet{Key: fk(i)}
+		}
+		var ctl packet.Packet
+		inject := func(h packet.OWHeader) {
+			ctl = packet.Packet{OW: h}
+			if out := ss.Inject(&ctl); len(out.ToController) != 0 {
+				bad++
+			}
+		}
+		rounds := 0
+		round := func() {
+			rounds++
+			spills := 0
+			for i := range pkts {
+				if _, spill := e.Update(0, &pkts[i]); spill {
+					spills++
+				}
+			}
+			if spills != injected {
+				bad++
+			}
+			next = 0
+			e.BeginCollection(0)
+			for i := 0; i < 3; i++ {
+				inject(packet.OWHeader{Flag: packet.OWCollection})
+			}
+			for i := tracked; i < tracked+injected; i++ {
+				inject(packet.OWHeader{Flag: packet.OWInjectKey, Key: fk(i), Index: uint32(i)})
+			}
+			for i := 0; i < 3; i++ {
+				inject(packet.OWHeader{Flag: packet.OWReset})
+			}
+		}
+		if allocs := testing.AllocsPerRun(5, round); allocs != 0 {
+			t.Errorf("apps=%d: a collection round allocates %.1f times, want 0", apps, allocs)
+		}
+		if bad != 0 || calls != rounds*(tracked+injected) || e.Collecting() {
+			t.Fatalf("apps=%d: %d port calls over %d rounds of %d keys, %d wrong (records out of order, miscounted, or cloned), round finished %v",
+				apps, calls, rounds, tracked+injected, bad, !e.Collecting())
+		}
+	}
+}
+
+// TestCollectionRoundPinsNoAFRPackets: without a record port, one
+// collection packet emits an AFR clone per tracked key, each a plain
+// allocation that owns its records, and the switch reuses its emission
+// buffers across Injects. Once the round's clear packets have run and the
+// receiver has let go, nothing on the switch side (engine, pass, buffers)
+// may still reference those clones — a pinned round would show as retained
 // heap that grows with the flow count.
 func TestCollectionRoundPinsNoAFRPackets(t *testing.T) {
 	liveHeap := func() int64 {
@@ -184,9 +275,9 @@ func TestCollectionRoundPinsNoAFRPackets(t *testing.T) {
 		runtime.ReadMemStats(&m)
 		return int64(m.HeapAlloc)
 	}
-	// Two chunks of clones and records, plus slack for runtime noise. A
-	// pinned round holds ~300 B per key: 0.9 MB at 3 000 keys.
-	const bound = 2*slabClones*(int64(unsafe.Sizeof(packet.Packet{}))+int64(unsafe.Sizeof(packet.AFR{}))) + 32<<10
+	// Slack for runtime noise. A pinned round holds ~300 B per key:
+	// 0.9 MB at 3 000 keys.
+	const bound = 32 << 10
 	for _, flows := range []int{3000, 30000} {
 		tr := NewTracker(TrackerConfig{BufferKeys: 1 << 15, BloomBits: 1 << 20, BloomHashes: 3, Regions: 2})
 		e := NewEngine(tr, []StateApp{newCountApp(8), newCountApp(8)}, window.NewRegions(2, 8))
@@ -209,7 +300,7 @@ func TestCollectionRoundPinsNoAFRPackets(t *testing.T) {
 		held = nil
 		after := liveHeap()
 		if after-before > bound {
-			t.Fatalf("%d flows: %d B still live after the round, want <= %d (a chunk or two)", flows, after-before, bound)
+			t.Fatalf("%d flows: %d B still live after the round, want <= %d", flows, after-before, bound)
 		}
 		if holding-after < n*200 {
 			t.Fatalf("%d flows: letting go of %d clones freed only %d B — the measurement is blind", flows, n, holding-after)
@@ -219,12 +310,13 @@ func TestCollectionRoundPinsNoAFRPackets(t *testing.T) {
 	}
 }
 
-// TestAFRClonesSurviveLaterInjects: a receiver may hold every clone of a
-// round across all later Injects of that round (bench/ladder.go does) —
-// slab chunks are never reused, so each clone still reads its own
-// key/seq/attr afterwards, one contiguous record per co-deployed app.
+// TestAFRClonesSurviveLaterInjects: without a record port, a receiver may
+// hold every clone of a round across all later Injects of that round (the
+// benchmark ladder's afr.enumerate rung does) — each clone owns its
+// records, so it still reads its own key/seq/attr afterwards, one record
+// per co-deployed app.
 func TestAFRClonesSurviveLaterInjects(t *testing.T) {
-	const inBuffer, spilled = 3*slabClones + 7, slabClones + 5
+	const inBuffer, spilled = 199, 69
 	for _, apps := range []int{1, 2} {
 		per := make([][]StateApp, 2)
 		for r := range per {

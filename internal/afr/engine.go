@@ -63,15 +63,12 @@ type Engine struct {
 	// KeyCount+i, and a NACK for it is re-queried from here.
 	injected []packet.FlowKey
 
-	// The chunks AFR clones and their records are carved from (see
-	// cloneAFRs): pktSlab is the packet chunk's unused tail, afrSlab the
-	// record chunk, its length the part already handed out.
-	pktSlab []packet.Packet
-	afrSlab []packet.AFR
+	// port, when set, takes each collected or injected key's records
+	// (SetAFRPort); recs is the scratch slice they are built in, reused
+	// for every key.
+	port func(recs []packet.AFR)
+	recs []packet.AFR
 }
-
-// slabClones is the number of AFR clones carved from one slab chunk.
-const slabClones = 64
 
 // NewEngine wires a tracker and one StateApp per region (the single-app
 // form; see NewMultiEngine for co-deployed applications).
@@ -133,6 +130,16 @@ func (e *Engine) PowerCycle() {
 // filter). The default tracks every packet's 5-tuple.
 func (e *Engine) SetKeyFunc(f func(*packet.Packet) (packet.FlowKey, bool)) {
 	e.keyOf = f
+}
+
+// SetAFRPort installs the record port AFRs leave the switch through: each
+// collected or injected key's AppCount() records are built in one
+// engine-owned scratch slice and handed to port synchronously, inside the
+// pipeline pass that queried them. The records are valid only during the
+// call — the slice is reused for the next key — so a port that keeps them
+// copies them. With a port set nothing is cloned to Output.ToController.
+func (e *Engine) SetAFRPort(port func(recs []packet.AFR)) {
+	e.port = port
 }
 
 // Tracker returns the flowkey tracker.
@@ -224,7 +231,7 @@ func (e *Engine) HandleSpecial(pass *switchsim.Pass) bool {
 }
 
 // handleCollection implements Algorithm 2: enumerate fk_buffer, one key
-// per pass, appending AFRs and cloning them to the controller. When the
+// per pass, emitting each key's AFRs to the controller (emitAFRs). When the
 // counter passes the end of the array the packet parks: it is reused as a
 // clear packet only after the controller has received every AFR (and any
 // controller-injected keys have been queried), because a reset destroys
@@ -240,9 +247,9 @@ func (e *Engine) handleCollection(pass *switchsim.Pass) {
 		return
 	}
 	p.OW.Index = uint32(idx)
-	e.cloneAFRs(pass, keys[idx], uint32(idx))
+	e.emitAFRs(pass, keys[idx], uint32(idx))
 	// The original keeps recirculating to move the enumeration forward;
-	// the records ride the clone only, so its header never grows.
+	// the records leave on their own, so its header never grows.
 	pass.Recirculate()
 }
 
@@ -277,31 +284,25 @@ func (e *Engine) handleReset(pass *switchsim.Pass) {
 // back to the controller.
 func (e *Engine) handleInjectedKey(pass *switchsim.Pass) {
 	e.injected = append(e.injected, pass.Pkt.OW.Key)
-	e.cloneAFRs(pass, pass.Pkt.OW.Key, pass.Pkt.OW.Index)
+	e.emitAFRs(pass, pass.Pkt.OW.Key, pass.Pkt.OW.Index)
 	pass.Drop()
 }
 
-// cloneAFRs clones the pass's packet to the controller as an OWAFR packet
-// carrying key k's records. Clone and records are carved from engine-owned
-// slab chunks: two allocations per slabClones clones. A chunk is never
-// reused — the engine only moves forward through it and forgets it when
-// exhausted — so a clone stays intact for as long as its holder keeps the
-// pointer (the switchsim.Output lifetime rule), and a chunk is freed once
-// every clone carved from it is let go.
-func (e *Engine) cloneAFRs(pass *switchsim.Pass, k packet.FlowKey, seq uint32) {
-	if len(e.pktSlab) == 0 {
-		e.pktSlab = make([]packet.Packet, slabClones)
-		e.afrSlab = make([]packet.AFR, 0, slabClones*e.AppCount())
+// emitAFRs sends key k's records toward the controller: through the
+// record port when one is set, else as an OWAFR clone of the pass's packet
+// that owns its records, which stays intact for as long as its holder
+// keeps the pointer (the switchsim.Output lifetime rule). The clone form's
+// only caller left is the benchmark ladder's afr.enumerate rung, which
+// holds a round's clones.
+func (e *Engine) emitAFRs(pass *switchsim.Pass, k packet.FlowKey, seq uint32) {
+	if e.port != nil {
+		e.recs = e.appendAFRs(e.recs[:0], k, seq)
+		e.port(e.recs)
+		return
 	}
-	c := &e.pktSlab[0]
-	e.pktSlab = e.pktSlab[1:]
-	*c = *pass.Pkt
+	c := pass.Pkt.Clone()
 	c.OW.Flag = packet.OWAFR
-	start := len(e.afrSlab)
-	e.afrSlab = e.appendAFRs(e.afrSlab, k, seq)
-	// Capacity-clipped: a holder appending to its records cannot reach
-	// the next clone's.
-	c.OW.AFRs = e.afrSlab[start:len(e.afrSlab):len(e.afrSlab)]
+	c.OW.AFRs = e.appendAFRs(make([]packet.AFR, 0, e.AppCount()), k, seq)
 	pass.CloneToController(c)
 }
 

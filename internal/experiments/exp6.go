@@ -145,6 +145,7 @@ func ValidateExp6Passes(keys, packets int) (passes int, afrs int) {
 		telemetry.NewFrequencyApp(sketch.NewCountMin(4, keys, 2), keys),
 	}
 	engine := afr.NewEngine(tracker, apps, regions)
+	engine.SetAFRPort(func(recs []packet.AFR) { afrs += len(recs) })
 	for i := 0; i < keys; i++ {
 		k := packet.FlowKey{SrcIP: uint32(i + 1), DstPort: 80, Proto: packet.ProtoTCP}
 		engine.Update(0, &packet.Packet{Key: k, Size: 100})
@@ -153,13 +154,7 @@ func ValidateExp6Passes(keys, packets int) (passes int, afrs int) {
 	sw.SetProgram(func(p *switchsim.Pass) { engine.HandleSpecial(p) })
 	engine.BeginCollection(0)
 	for i := 0; i < packets; i++ {
-		out := sw.Inject(&packet.Packet{OW: packet.OWHeader{Flag: packet.OWCollection}})
-		passes += out.Passes
-		for _, cp := range out.ToController {
-			if cp.OW.Flag == packet.OWAFR {
-				afrs += len(cp.OW.AFRs)
-			}
-		}
+		passes += sw.Inject(&packet.Packet{OW: packet.OWHeader{Flag: packet.OWCollection}}).Passes
 	}
 	return passes, afrs
 }

@@ -9,7 +9,8 @@
 //
 // An injector sits on one of two delivery paths:
 //
-//   - the AFR clones a deployment sends its controller, via Packet
+//   - the AFR emissions a deployment sends its controller — one key's
+//     records from the switch, or one retransmit packet — via Packet
 //     (drop/duplicate of simulated packets; the root test plan's afrFaults);
 //   - the UDP socket feeding controller.Collector, via WrapPacketConn
 //     (drop/duplicate/reorder/delay/truncate/corrupt of wire datagrams).

@@ -461,6 +461,7 @@ func New(cfg Config) (*Deployment, error) {
 	}
 	d.ctrl = newController(&d.cfg)
 	d.transport = newTransport(d)
+	d.engine.SetAFRPort(func(recs []packet.AFR) { d.deliverRecords(packet.OWAFR, recs) })
 
 	if cfg.CheckpointDir != "" {
 		if err := d.openDurability(); err != nil {

@@ -300,10 +300,10 @@ func TestRDMAModeMatchesPacketMode(t *testing.T) {
 	}
 }
 
-// everyThird is an AFR fault schedule by packet index: it drops AFR packets
-// 0, 3, 6, ... (cloned packets have lowest priority) and hands the rest to
-// the seeded schedule behind it, if any. A pattern drop consumes no draw of
-// that schedule.
+// everyThird is an AFR fault schedule by emission index: it drops AFR
+// emissions 0, 3, 6, ... (one key's records, or one retransmit packet) and
+// hands the rest to the seeded schedule behind it, if any. A pattern drop
+// consumes no draw of that schedule.
 type everyThird struct {
 	n    int
 	next interface{ Packet() faults.PacketAction }

@@ -18,9 +18,10 @@ import (
 type collectTransport interface {
 	// begin: faults scheduled before sw's collection traffic strike.
 	begin(sw uint64)
-	// deliver sends one surviving AFR packet's records toward the
-	// controller. They may park short of it until the next flush: every
-	// reader of controller or store state sits behind one.
+	// deliver sends one surviving emission's records toward the
+	// controller, copying them: recs is valid only during the call. They
+	// may park short of it until the next flush: every reader of
+	// controller or store state sits behind one.
 	deliver(flag packet.OWFlag, recs []packet.AFR)
 	flush()
 	// beginRecovery: faults scheduled between the collection traffic and
@@ -142,7 +143,7 @@ func (p *packetPath) replay(seqs []uint32) {
 	for _, rp := range d.engine.RetransmitPackets(seqs) {
 		d.stats.Retransmitted += len(rp.OW.AFRs)
 		d.obs.retrans.Add(int64(len(rp.OW.AFRs)))
-		d.deliverAFRs(rp)
+		d.deliverRecords(packet.OWRetransmit, rp.OW.AFRs)
 	}
 	p.flush() // MissingSeqs is re-read next
 }
