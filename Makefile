@@ -83,11 +83,15 @@ fabric-chaos:
 # ring's differential test against the slice-window reference
 # (TestTransportRingMatchesSliceWindow) and FuzzTransportRing's seed corpus,
 # the hot tracker's differential test against the map model it replaced
-# (TestHotTrackerMatchesMapModel), the batch-against-one-at-a-time send
-# test (TestSendBatchMatchesSends) and the zero-alloc pins of the batched
-# send and observe paths (they skip their alloc counts under -race).
+# (TestHotTrackerMatchesMapModel), the append verb's contract
+# (TestSendBatchAppendVerb), the one cold ring's (TestColdBufferAppendAndDrain,
+# TestTransportDrainedRingLiveUntilNextSend), the Incomplete verdict in RDMA
+# mode (TestRDMAIncompleteSubWindowsMatchesWindows), the zero-alloc pins of
+# the batched send and observe paths (they skip their alloc counts under
+# -race) and the boundary's allocation gate over both transports
+# (TestBoundaryAllocsPerAFR).
 rdma-chaos:
-	$(GO) test -race -run 'RDMA|Transport|HotTracker|SendBatch' . ./internal/rdma/ ./internal/faults/ ./internal/controller/
+	$(GO) test -race -run 'RDMA|Transport|HotTracker|SendBatch|ColdBuffer|BoundaryAllocs' . ./internal/rdma/ ./internal/faults/ ./internal/controller/
 
 # Disk chaos suite: seeded I/O fault schedules (EIO, ENOSPC, short/torn
 # writes, bit rot, slow IO) against the durable store — segment rotation,

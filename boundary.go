@@ -113,7 +113,7 @@ func (b *boundary) probeStandby() {
 // gaps, the transport replays them, and bounded retries with exponential
 // backoff (charged to the C&R budget) keep an unrecoverable loss from
 // stalling the reset forever — the sub-window then finalizes with its
-// gaps recorded and its windows Incomplete.
+// gaps recorded and its windows Incomplete (account counts it).
 func (b *boundary) recover() {
 	d, t := b.d, b.d.transport
 	t.beginRecovery(b.sw)
@@ -125,9 +125,6 @@ func (b *boundary) recover() {
 	d.stats.RecoveryRounds += rec.Rounds
 	if rec.Rounds > 0 {
 		d.obs.ring.Record(obs.StageRecovered, b.sw, -1, int64(rec.Rounds))
-	}
-	if !rec.Complete && len(rec.Missing) > 0 {
-		d.stats.IncompleteSubWindows++
 	}
 }
 
@@ -152,8 +149,15 @@ func (b *boundary) drain() {
 	b.virtual += b.d.transport.drain(b.sw, b.afrs)
 }
 
+// account charges the round. Its Incomplete verdict is the controller's,
+// read once the drain has handed everything over, for both transports: a
+// sequence number still missing then is missing for good, whether recover
+// could NACK it or not.
 func (b *boundary) account() {
 	d := b.d
+	if b.owned && len(d.ctrl.MissingSeqs(b.sw)) > 0 {
+		d.stats.IncompleteSubWindows++
+	}
 	d.stats.AFRs += b.afrs
 	d.stats.SubWindows++
 	d.stats.CollectVirtual += b.virtual

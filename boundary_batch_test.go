@@ -315,13 +315,17 @@ func TestStaleCollectDropsSpilledKeys(t *testing.T) {
 
 // TestBoundaryAllocsPerAFR gates the whole boundary — enumeration,
 // delivery and the controller's finish — at 0.04 allocations and 16 bytes
-// per AFR. The allocations are counted over whole steady-state boundaries,
-// packet phase included (its only allocations are the spill clones and the
-// spilled-key lists), and read ≈ 0.028; the bytes are counted from the
-// first Tick to the second, the boundary alone, and read ≈ 0.6. Readings
-// near 0.061 allocations and 259 B mean each AFR is a packet clone with its
-// own record again (136 + 80 B, slab-carved), 3 that the clones are single
-// heap objects.
+// per AFR, over both transports. The allocations are counted over whole
+// steady-state boundaries, packet phase included (its only allocations are
+// the spill clones and the spilled-key lists), and read ≈ 0.028; the bytes
+// are counted from the first Tick to the second, the boundary alone, and
+// read ≈ 0.6. Readings near 0.061 allocations and 259 B mean each AFR is a
+// packet clone with its own record again (136 + 80 B, slab-carved), 3 that
+// the clones are single heap objects. The RDMA program does not fit the
+// pipeline beside a 4 Mbit Bloom filter, so its arm tracks keys with a
+// 2 Mbit one (1 Mbit lets a false positive through); it reads what the
+// packet arm reads, the cold ring, replay ring and arena being reused from
+// boundary to boundary.
 func TestBoundaryAllocsPerAFR(t *testing.T) {
 	const (
 		flows  = 8400
@@ -329,58 +333,69 @@ func TestBoundaryAllocsPerAFR(t *testing.T) {
 		warm   = 6
 		runs   = 4
 	)
-	cfg := freqConfig(window.SlidingPlan(5, 1), 1<<40, false)
-	cfg.Tracker = afr.TrackerConfig{BufferKeys: buffer, BloomBits: 1 << 22, BloomHashes: 3}
-	cfg.CaptureValues = false
-	cfg.Shards = 1
-	d, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key := func(sw, i int) packet.FlowKey {
-		n := uint32(sw*flows + i + 1)
-		return packet.FlowKey{SrcIP: n, DstIP: 9, SrcPort: uint16(n), DstPort: 443, Proto: packet.ProtoTCP}
-	}
-	var (
-		p           packet.Packet
-		before, now runtime.MemStats
-		tickBytes   uint64
-		measured    int
-	)
-	sw := 0
-	boundary := func() {
-		for i := 0; i < flows; i++ {
-			p = packet.Packet{Key: key(sw, i), Size: 100, Time: int64(sw)*100*ms + int64(i)}
-			d.ProcessPacket(&p)
-		}
-		sw++
-		runtime.ReadMemStats(&before)
-		d.Tick(int64(sw) * 100 * ms)
-		d.Tick(int64(sw)*100*ms + int64(d.cfg.Grace))
-		runtime.ReadMemStats(&now)
-		tickBytes += now.TotalAlloc - before.TotalAlloc
-		measured++
-	}
-	for i := 0; i < warm; i++ {
-		boundary()
-	}
-	tickBytes, measured = 0, 0
-	total := testing.AllocsPerRun(runs, boundary)
+	for _, arm := range []struct {
+		name      string
+		rdma      bool
+		bloomBits int
+	}{{"packet", false, 1 << 22}, {"rdma", true, 1 << 21}} {
+		t.Run(arm.name, func(t *testing.T) {
+			cfg := freqConfig(window.SlidingPlan(5, 1), 1<<40, arm.rdma)
+			cfg.Tracker = afr.TrackerConfig{BufferKeys: buffer, BloomBits: arm.bloomBits, BloomHashes: 3}
+			cfg.CaptureValues = false
+			cfg.Shards = 1
+			d, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := func(sw, i int) packet.FlowKey {
+				n := uint32(sw*flows + i + 1)
+				return packet.FlowKey{SrcIP: n, DstIP: 9, SrcPort: uint16(n), DstPort: 443, Proto: packet.ProtoTCP}
+			}
+			var (
+				p           packet.Packet
+				before, now runtime.MemStats
+				tickBytes   uint64
+				measured    int
+			)
+			sw := 0
+			boundary := func() {
+				for i := 0; i < flows; i++ {
+					p = packet.Packet{Key: key(sw, i), Size: 100, Time: int64(sw)*100*ms + int64(i)}
+					d.ProcessPacket(&p)
+				}
+				sw++
+				runtime.ReadMemStats(&before)
+				d.Tick(int64(sw) * 100 * ms)
+				d.Tick(int64(sw)*100*ms + int64(d.cfg.Grace))
+				runtime.ReadMemStats(&now)
+				tickBytes += now.TotalAlloc - before.TotalAlloc
+				measured++
+			}
+			for i := 0; i < warm; i++ {
+				boundary()
+			}
+			tickBytes, measured = 0, 0
+			total := testing.AllocsPerRun(runs, boundary)
 
-	st := d.Stats()
-	if st.AFRs != sw*flows || st.Spills != sw*(flows-buffer) || st.Retransmitted != 0 {
-		t.Fatalf("not %d-AFR boundaries with %d spills each: %+v", flows, flows-buffer, st)
-	}
-	if got, want := len(d.Results()), sw-4; got != want {
-		t.Fatalf("%d windows assembled over %d sub-windows, want %d", got, sw, want)
-	}
-	perAFR := total / flows
-	bytesPerAFR := float64(tickBytes) / float64(measured*flows)
-	t.Logf("boundary %.0f allocs: enumeration + delivery + finish %.3f allocs/AFR, %.1f B/AFR", total, perAFR, bytesPerAFR)
-	if perAFR > 0.04 {
-		t.Fatalf("the boundary allocates %.3f per AFR, want <= 0.04", perAFR)
-	}
-	if bytesPerAFR > 16 {
-		t.Fatalf("the boundary allocates %.1f B per AFR, want <= 16", bytesPerAFR)
+			st := d.Stats()
+			if st.AFRs != sw*flows || st.Spills != sw*(flows-buffer) || st.Retransmitted != 0 {
+				t.Fatalf("not %d-AFR boundaries with %d spills each: %+v", flows, flows-buffer, st)
+			}
+			if arm.rdma && (st.ColdAFRs == 0 || st.FallbackAFRs != 0) {
+				t.Fatalf("the RDMA transport did not carry the boundaries: %+v", st)
+			}
+			if got, want := len(d.Results()), sw-4; got != want {
+				t.Fatalf("%d windows assembled over %d sub-windows, want %d", got, sw, want)
+			}
+			perAFR := total / flows
+			bytesPerAFR := float64(tickBytes) / float64(measured*flows)
+			t.Logf("boundary %.0f allocs: enumeration + delivery + finish %.3f allocs/AFR, %.1f B/AFR", total, perAFR, bytesPerAFR)
+			if perAFR > 0.04 {
+				t.Fatalf("the boundary allocates %.3f per AFR, want <= 0.04", perAFR)
+			}
+			if bytesPerAFR > 16 {
+				t.Fatalf("the boundary allocates %.1f B per AFR, want <= 16", bytesPerAFR)
+			}
+		})
 	}
 }

@@ -37,7 +37,7 @@ func TestBoundaryGolden(t *testing.T) {
 			c.plan.afrFaults = faults.New(faults.Config{Seed: 1, Drop: 0.10, Duplicate: 0.20, MaxDuplicates: 2})
 		}},
 		{name: "rdma", want: "f543d4e41d8128f8", mutate: func(c *Config) { c.RDMA = true }},
-		{name: "rdma+faults", want: "d3e86370f8c12dd4", mutate: func(c *Config) {
+		{name: "rdma+faults", want: "3f1222aeb0109cbd", mutate: func(c *Config) {
 			c.RDMA = true
 			c.plan.rdmaReplayDepth = 256
 			c.plan.retry = fastRetry(2)

@@ -3,10 +3,11 @@
 // registered controller memory region, bypassing the controller CPU. Hot
 // keys carry cached row addresses from a switch-side address MAT and WRITE
 // each sub-window's attribute into its own lane of the row; cold keys
-// append to a sequentially growing buffer whose addresses the switch
-// computes itself. (The paper also offloads frequency sums to the RNIC
-// with Fetch-and-Add; the controller merges every kind itself here, so the
-// lanes keep one attribute per sub-window instead.)
+// append to a sequentially growing ring whose addresses the switch
+// computes itself, many records per append verb (the Key-Write / Append
+// split of Direct Telemetry Access). (The paper also offloads frequency
+// sums to the RNIC with Fetch-and-Add; the controller merges every kind
+// itself here, so the lanes keep one attribute per sub-window instead.)
 //
 // The simulation preserves the two properties the evaluation depends on:
 // verbs consume no controller CPU (only the cold-key drain does), and each
@@ -15,25 +16,22 @@
 // Transport (transport.go) is the fault-tolerant path the deployment
 // sends through. It has one send path, Transport.SendBatch: one hold of
 // its lock for a delivery batch, records passed by pointer, each record's
-// promotion applied just before that record's send, and per record the
-// same verb index, fault draws, replay-ring entry, fallback and shed as a
-// lone send. Send is SendBatch of one record.
+// promotion applied just before that record is classified. Each hot
+// record is one WRITE verb; the batch's cold records are one append verb.
+// A verb has one verb index, one series of fault draws, one PSN and one
+// replay-ring entry; fallback and shed are charged per record. Send is
+// SendBatch of one record.
 package rdma
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 
 	"omniwindow/internal/packet"
 )
 
-// ErrBufferFull reports that the cold-key append buffer overflowed before
-// the controller drained it.
-var ErrBufferFull = errors.New("rdma: cold-key buffer full")
-
 // MemoryRegion is the RDMA-registered controller memory: a hot-key table
-// of fixed-size rows plus a double-buffered cold-key append buffer.
+// of fixed-size rows plus one cold-key append ring.
 type MemoryRegion struct {
 	// lanes is the number of slots per hot-key row: one per sub-window
 	// position within a window, so per-sub-window attributes group by key
@@ -43,15 +41,14 @@ type MemoryRegion struct {
 	rows  int
 	used  int
 
-	// buffer is the half of the cold buffer the RNIC appends into; spare
-	// is the half the last Drain handed to the controller. Both grow on
-	// demand, to at most bufCap records.
-	buffer, spare []packet.AFR
-	bufCap        int
+	// buffer is the cold ring the RNIC appends into, from offset 0 after
+	// each Drain. It grows on demand, to at most bufCap records.
+	buffer []packet.AFR
+	bufCap int
 }
 
 // NewMemoryRegion registers memory for `rows` hot keys of `lanes` slots
-// each and a cold buffer bounded at bufCap records.
+// each and a cold ring bounded at bufCap records.
 func NewMemoryRegion(rows, lanes, bufCap int) *MemoryRegion {
 	if rows <= 0 || lanes <= 0 || bufCap <= 0 {
 		panic("rdma: memory region dimensions must be positive")
@@ -85,7 +82,7 @@ func (mr *MemoryRegion) ResetLane(base, lane int) {
 }
 
 // Invalidate models the registration being torn down: every hot-key slot
-// is zeroed, buffered cold records are destroyed, and the row allocator
+// is zeroed, the cold ring's records are destroyed, and the row allocator
 // rewinds so a re-registration starts from a clean region. Verbs applied
 // but not yet drained die with the registration — the transport's replay
 // window is what brings them back.
@@ -120,32 +117,41 @@ func (n *NIC) Write(addr int, value uint64) error {
 	return nil
 }
 
-// Append writes a cold-key AFR to the sequential buffer. The switch
-// computes the target address itself because the buffer grows
-// sequentially; the simulation enforces only capacity.
-func (n *NIC) Append(rec *packet.AFR) error {
+// AppendRun executes one append verb: run lands in the cold ring with one
+// copy, at offset off. The switch computes the target address itself
+// because the ring grows sequentially; the simulation enforces only
+// capacity. When the ring has room for part of the run only, that prefix
+// lands and landed reports its length; the caller decides what becomes of
+// the rest.
+func (n *NIC) AppendRun(run []packet.AFR) (off, landed int) {
 	buf := n.mr.buffer
-	if len(buf) >= n.mr.bufCap {
-		return ErrBufferFull
+	off = len(buf)
+	landed = min(len(run), n.mr.bufCap-off)
+	if landed <= 0 {
+		return off, 0
 	}
-	if len(buf) == cap(buf) {
+	if off+landed > cap(buf) {
 		// Double (append's own 1.25x steps would allocate several times
 		// the final size on the way to a large boundary), bounded by
 		// what the registration allows.
-		buf = slices.Grow(buf, min(max(len(buf), 1024), n.mr.bufCap-len(buf)))
+		buf = slices.Grow(buf, max(landed, min(max(off, 1024), n.mr.bufCap-off)))
 	}
-	n.mr.buffer = append(buf, *rec)
+	n.mr.buffer = append(buf, run[:landed]...)
 	n.Appends++
-	return nil
+	return off, landed
 }
 
-// Drain hands the buffered cold-key AFRs to the controller CPU — the only
-// RDMA-path step that costs controller cycles — by swapping the cold
-// buffer's halves instead of copying: appends continue into the other
-// half, and the returned slice is valid only until the next Drain.
+// Room reports how many more records the cold ring can take before the
+// next Drain.
+func (n *NIC) Room() int { return n.mr.bufCap - len(n.mr.buffer) }
+
+// Drain hands the cold ring's records to the controller CPU — the only
+// RDMA-path step that costs controller cycles — without a copy, and
+// rewinds the ring: the returned slice is valid until the next append
+// overwrites it.
 func (n *NIC) Drain() []packet.AFR {
 	out := n.mr.buffer
-	n.mr.buffer, n.mr.spare = n.mr.spare[:0], out
+	n.mr.buffer = out[:0]
 	return out
 }
 

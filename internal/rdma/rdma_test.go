@@ -58,30 +58,43 @@ func TestNICInvalidAddress(t *testing.T) {
 	}
 }
 
+// TestColdBufferAppendAndDrain: an append verb lands its run with one
+// copy, as much of it as the ring has room for; Drain hands the ring over
+// without a copy and rewinds it, so the drained slice is the ring itself,
+// intact until the next append writes over it.
 func TestColdBufferAppendAndDrain(t *testing.T) {
-	mr := NewMemoryRegion(1, 2, 3)
+	mr := NewMemoryRegion(1, 2, 5)
 	nic := NewNIC(mr)
-	for i := 0; i < 3; i++ {
-		r := rec(i, 0, i)
-		if err := nic.Append(&r); err != nil {
-			t.Fatal(err)
-		}
+	if off, n := nic.AppendRun([]packet.AFR{rec(0, 0, 0), rec(1, 0, 1), rec(2, 0, 2)}); off != 0 || n != 3 {
+		t.Fatalf("first run landed %d at %d, want 3 at 0", n, off)
 	}
-	late := rec(9, 0, 9)
-	if err := nic.Append(&late); err != ErrBufferFull {
-		t.Fatalf("overflow error = %v", err)
+	if off, n := nic.AppendRun([]packet.AFR{rec(3, 0, 3), rec(4, 0, 4), rec(5, 0, 5)}); off != 3 || n != 2 {
+		t.Fatalf("second run landed %d at %d, want the 2-record prefix that fits at 3", n, off)
+	}
+	if nic.Room() != 0 {
+		t.Fatalf("room = %d in a full ring", nic.Room())
+	}
+	late := []packet.AFR{rec(9, 0, 9)}
+	if _, n := nic.AppendRun(late); n != 0 {
+		t.Fatal("a full ring took a record")
+	}
+	if nic.Appends != 2 {
+		t.Fatalf("appends = %d, want one per verb that landed", nic.Appends)
 	}
 	got := nic.Drain()
-	if len(got) != 3 {
-		t.Fatalf("drained %d", len(got))
+	if len(got) != 5 || got[4].Key != fk(4) {
+		t.Fatalf("drained %v", got)
 	}
-	// Drained buffer accepts appends again.
-	if err := nic.Append(&late); err != nil {
-		t.Fatal(err)
+	if nic.Room() != 5 {
+		t.Fatalf("room = %d after the drain, want the whole ring", nic.Room())
 	}
-	// Drain result must not alias the live buffer.
-	if got[0].Key != fk(0) {
-		t.Fatalf("drain order wrong: %v", got[0].Key)
+	// The drained slice is the ring: the next append lands over its head
+	// and nowhere else.
+	if off, n := nic.AppendRun(late); off != 0 || n != 1 {
+		t.Fatalf("append after the drain landed %d at %d", n, off)
+	}
+	if got[0].Key != fk(9) || got[1].Key != fk(1) {
+		t.Fatalf("ring after the next append = %v, want record 9 over record 0 only", got[:2])
 	}
 }
 

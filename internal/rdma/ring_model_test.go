@@ -14,13 +14,15 @@ import (
 // This file holds the naive reference the PSN replay ring is tested
 // against: the slice-based replay window the transport used before the
 // ring (append to enroll, shift the whole slice to evict, linear scan to
-// find a PSN, compact to hand off), hot writes tracked in a map, and the
-// same region, fault draws and accounting rules. A seeded differential
-// test and FuzzTransportRing drive a real Transport and the model through
-// one op stream and require identical results after every step.
+// find a PSN, compact to hand off), each verb owning a copy of the records
+// it carries where the ring names them in the cold ring or the arena, hot
+// writes tracked in a map, and the same region, fault draws and accounting
+// rules. A seeded differential test and FuzzTransportRing drive a real
+// Transport and the model through one op stream and require identical
+// results after every step.
 
 type modelVerb struct {
-	rec      packet.AFR
+	recs     []packet.AFR
 	psn      uint32
 	idx      uint64
 	attempts int
@@ -69,9 +71,11 @@ func newModelTransport(cfg TransportConfig) *modelTransport {
 	}
 }
 
-func (m *modelTransport) lose(sw uint64, n int) {
-	m.shed[sw] += n
-	m.stats.Lost += n
+func (m *modelTransport) lose(recs []packet.AFR) {
+	for _, r := range recs {
+		m.shed[r.SubWindow]++
+		m.stats.Lost++
+	}
 }
 
 func (m *modelTransport) promote(k packet.FlowKey) bool {
@@ -87,19 +91,21 @@ func (m *modelTransport) promote(k packet.FlowKey) bool {
 
 func (m *modelTransport) demote(k packet.FlowKey) { delete(m.rows, k) }
 
-func (m *modelTransport) track(rec packet.AFR, hot bool, idx uint64, attempt int, applied bool) {
+func (m *modelTransport) track(recs []packet.AFR, hot bool, idx uint64, attempt int, applied bool) {
 	if len(m.pending) >= m.replayDepth {
 		e := m.pending[0]
 		n := copy(m.pending, m.pending[1:])
 		m.pending = m.pending[:n]
 		if !e.applied {
-			m.lose(e.rec.SubWindow, 1)
+			m.lose(e.recs)
 		} else {
-			m.unprotected[e.rec.SubWindow]++
+			for _, r := range e.recs {
+				m.unprotected[r.SubWindow]++
+			}
 		}
 	}
 	m.pending = append(m.pending, modelVerb{
-		rec: rec, psn: m.nextPSN, idx: idx, attempts: attempt, hot: hot, applied: applied,
+		recs: slices.Clone(recs), psn: m.nextPSN, idx: idx, attempts: attempt, hot: hot, applied: applied,
 	})
 	m.nextPSN++
 }
@@ -111,47 +117,101 @@ func (m *modelTransport) noteHotWrite(base int, rec packet.AFR) {
 	m.hotSeq[base] = modelHotWrite{rec.Key, rec.Seq}
 }
 
-func (m *modelTransport) send(rec packet.AFR) (hot, delivered bool) {
-	if m.state != QPRts {
-		m.stats.Fallbacks++
-		return false, false
-	}
-	base, isHot := m.rows[rec.Key]
-	addr := base + int(rec.SubWindow)%m.mr.Lanes()
-	idx := m.verbIdx
+// post draws a verb's attempts up to the one that leaves the requester,
+// -1 when retries run out.
+func (m *modelTransport) post() (idx uint64, attempt int) {
+	idx = m.verbIdx
 	m.verbIdx++
 	for a := 0; a <= m.verbRetries; a++ {
 		if a > 0 {
 			m.stats.VerbRetries++
 		}
-		if m.faults.VerbErrorAt(idx, a) {
-			m.stats.VerbErrors++
-			continue
+		if !m.faults.VerbErrorAt(idx, a) {
+			return idx, a
 		}
-		if m.faults.PSNDropAt(idx, a) {
-			m.stats.PSNDrops++
-			m.track(rec, isHot, idx, a, false)
-			return isHot, true
-		}
-		if isHot {
-			if m.nic.Write(addr, rec.Attr) != nil {
-				m.stats.VerbErrors++
-				continue
-			}
-			m.noteHotWrite(base, rec)
-		} else if m.nic.Append(&rec) != nil {
-			m.stats.Overflows++
-			m.stats.Fallbacks++
-			m.shed[rec.SubWindow]++
-			return false, false
-		}
-		m.track(rec, isHot, idx, a, true)
-		return isHot, true
+		m.stats.VerbErrors++
 	}
 	m.state = QPError
 	m.stats.QPErrors++
-	m.stats.Fallbacks++
-	return false, false
+	return idx, -1
+}
+
+// sendBatch classifies each record after its promotion: a hot one is its
+// own WRITE verb at once, the cold ones one append verb after them all.
+func (m *modelTransport) sendBatch(recs []packet.AFR, promote []bool) []Route {
+	routes := make([]Route, len(recs))
+	var run []packet.AFR
+	var at []int
+	for i, rec := range recs {
+		if promote[i] {
+			m.promote(rec.Key)
+		}
+		base, hot := m.rows[rec.Key]
+		switch {
+		case m.state != QPRts:
+			m.stats.Fallbacks++
+			routes[i] = Fallback
+		case hot:
+			routes[i] = m.write(base, rec)
+		default:
+			routes[i] = Cold
+			run, at = append(run, rec), append(at, i)
+		}
+	}
+	if len(run) > 0 {
+		for _, i := range at[len(at)-m.appendRun(run):] {
+			routes[i] = Fallback
+		}
+	}
+	return routes
+}
+
+func (m *modelTransport) write(base int, rec packet.AFR) Route {
+	idx, a := m.post()
+	if a < 0 {
+		m.stats.Fallbacks++
+		return Fallback
+	}
+	applied := !m.faults.PSNDropAt(idx, a)
+	if applied {
+		if m.nic.Write(base+int(rec.SubWindow)%m.mr.Lanes(), rec.Attr) != nil {
+			panic("model: hot write out of range")
+		}
+		m.noteHotWrite(base, rec)
+	} else {
+		m.stats.PSNDrops++
+	}
+	m.track([]packet.AFR{rec}, true, idx, a, applied)
+	return Hot
+}
+
+// appendRun posts run as one append verb and returns how many records,
+// from its end, fell back.
+func (m *modelTransport) appendRun(run []packet.AFR) int {
+	if m.state != QPRts {
+		m.stats.Fallbacks += len(run)
+		return len(run)
+	}
+	idx, a := m.post()
+	if a < 0 {
+		m.stats.Fallbacks += len(run)
+		return len(run)
+	}
+	if m.faults.PSNDropAt(idx, a) {
+		m.stats.PSNDrops++
+		m.track(run, false, idx, a, false)
+		return 0
+	}
+	_, landed := m.nic.AppendRun(run)
+	if landed > 0 {
+		m.track(run[:landed], false, idx, a, true)
+	}
+	for _, r := range run[landed:] {
+		m.stats.Overflows++
+		m.stats.Fallbacks++
+		m.shed[r.SubWindow]++
+	}
+	return len(run) - landed
 }
 
 func (m *modelTransport) beginBoundary(sw uint64) {
@@ -186,7 +246,8 @@ func (m *modelTransport) reregister() {
 	clear(m.hotSeq)
 	m.hotOrder = m.hotOrder[:0]
 	for sw, n := range m.unprotected {
-		m.lose(sw, n)
+		m.shed[sw] += n
+		m.stats.Lost += n
 	}
 	clear(m.unprotected)
 }
@@ -213,7 +274,7 @@ func (m *modelTransport) replay(psns []uint32) int {
 				continue
 			}
 			e.attempts++
-			base, hot := m.rows[e.rec.Key]
+			base, hot := m.rows[e.recs[0].Key]
 			hot = hot && e.hot // a demoted key's verb replays as a cold append
 			if m.faults.VerbErrorAt(e.idx, e.attempts) {
 				m.stats.VerbErrors++
@@ -224,20 +285,19 @@ func (m *modelTransport) replay(psns []uint32) int {
 				break
 			}
 			if hot {
-				if m.nic.Write(base+int(e.rec.SubWindow)%m.mr.Lanes(), e.rec.Attr) != nil {
-					m.stats.VerbErrors++
-					break
-				}
-				m.noteHotWrite(base, e.rec)
-			} else if m.nic.Append(&e.rec) != nil {
-				break
+				m.nic.Write(base+int(e.recs[0].SubWindow)%m.mr.Lanes(), e.recs[0].Attr)
+				m.noteHotWrite(base, e.recs[0])
+			} else if m.mr.bufCap-len(m.mr.buffer) < len(e.recs) {
+				break // a run lands whole or not at all
+			} else {
+				m.nic.AppendRun(e.recs)
 			}
 			e.applied = true
-			applied++
-			m.stats.Replayed++
+			applied += len(e.recs)
 			break
 		}
 	}
+	m.stats.Replayed += applied
 	return applied
 }
 
@@ -248,8 +308,8 @@ func (m *modelTransport) takeUnapplied() []packet.AFR {
 		if e.applied {
 			kept = append(kept, e)
 		} else {
-			out = append(out, e.rec)
-			m.stats.Fallbacks++
+			out = append(out, e.recs...)
+			m.stats.Fallbacks += len(e.recs)
 		}
 	}
 	m.pending = kept
@@ -262,7 +322,7 @@ func (m *modelTransport) drain(sw uint64) (cold, hot []packet.AFR) {
 	for _, base := range m.hotOrder {
 		w := m.hotSeq[base]
 		if cur, ok := m.rows[w.key]; !ok || cur != base {
-			m.lose(sw, 1) // written, then demoted before the drain
+			m.lose([]packet.AFR{{SubWindow: sw}}) // written, then demoted before the drain
 			continue
 		}
 		hot = append(hot, packet.AFR{Key: w.key, Attr: m.mr.slots[base+lane], SubWindow: sw, Seq: w.seq})
@@ -270,7 +330,7 @@ func (m *modelTransport) drain(sw uint64) (cold, hot []packet.AFR) {
 	}
 	for _, e := range m.pending {
 		if !e.applied {
-			m.lose(e.rec.SubWindow, 1)
+			m.lose(e.recs)
 		}
 	}
 	m.pending = m.pending[:0]
@@ -284,7 +344,9 @@ func (m *modelTransport) drain(sw uint64) (cold, hot []packet.AFR) {
 }
 
 // Op kinds of the differential driver. An op is two bytes, kind then
-// argument; kinds outside this list (and most of the byte range) send.
+// argument; kinds outside this list (and most of the byte range) send:
+// odd ones from opKinds up a batch of one to eight records, the others a
+// single record.
 const (
 	opReplayMissing = iota + 1
 	opReplayStray
@@ -360,11 +422,23 @@ func runRingOps(t testing.TB, cfg TransportConfig, firstPSN uint32, ops []byte) 
 			tr.BeginCollect(sw)
 			m.beginCollect(sw)
 		default:
-			rec := packet.AFR{Key: key, SubWindow: sw + uint64(arg)%2, Seq: seq, Attr: uint64(arg) + 1}
-			seq++
-			hot, delivered := tr.Send(rec)
-			if wantHot, wantDelivered := m.send(rec); hot != wantHot || delivered != wantDelivered {
-				t.Fatalf("op %d: Send = (%v, %v), model (%v, %v)", i/2, hot, delivered, wantHot, wantDelivered)
+			// A batch mixes keys, sub-windows and promotions by the
+			// argument's bits; a single send is a batch of one.
+			n, bits := 1, int(arg)
+			if kind >= opKinds && kind%2 == 1 {
+				n = 1 + int(arg)%8
+			}
+			recs, promote := make([]packet.AFR, n), make([]bool, n)
+			for j := range recs {
+				recs[j] = packet.AFR{Key: fk((int(arg) + 5*j) % ringKeys), SubWindow: sw + uint64(bits>>j)%2,
+					Seq: seq, Attr: uint64(arg) + uint64(j) + 1}
+				promote[j] = n > 1 && (bits>>j)&3 == 3
+				seq++
+			}
+			routes := make([]Route, n)
+			tr.SendBatch(recs, promote, routes)
+			if want := m.sendBatch(recs, promote); !slices.Equal(routes, want) {
+				t.Fatalf("op %d: SendBatch(%v) routes = %v, model %v", i/2, recs, routes, want)
 			}
 		}
 		if got, want := tr.PendingLen(), len(m.pending); got != want {
@@ -389,11 +463,12 @@ func runRingOps(t testing.TB, cfg TransportConfig, firstPSN uint32, ops []byte) 
 	return tr
 }
 
-// genRingOps draws n ops: a send, or with probability rare one of kinds.
+// genRingOps draws n ops: a single or a batch send, or with probability
+// rare one of kinds.
 func genRingOps(rng *rand.Rand, n int, rare float64, kinds []byte) []byte {
 	ops := make([]byte, 0, 2*n)
 	for i := 0; i < n; i++ {
-		kind := byte(0)
+		kind := byte(opKinds + rng.Intn(2))
 		if rng.Float64() < rare {
 			kind = kinds[rng.Intn(len(kinds))]
 		}
@@ -403,8 +478,9 @@ func genRingOps(rng *rand.Rand, n int, rare float64, kinds []byte) []byte {
 }
 
 // TestTransportRingMatchesSliceWindow is the differential test of the
-// replay ring: over seeded random op streams — sends under verb errors
-// and PSN drops, replays of real and stray PSNs, hand-offs, drains,
+// replay ring: over seeded random op streams — single and batch sends,
+// whose cold runs are one verb each, under verb errors, PSN drops and
+// cold-ring overflow, replays of real and stray PSNs, hand-offs, drains,
 // re-registrations, promotions and demotions, QP errors and recoveries —
 // at depths that are and are not powers of two, with the PSN counter
 // crossing the uint32 wrap, the ring returns the records, gaps, counters

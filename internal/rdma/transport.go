@@ -1,6 +1,7 @@
 package rdma
 
 import (
+	"slices"
 	"sync"
 	"time"
 
@@ -15,9 +16,13 @@ import (
 // (the controller detects gaps at drain time and NACKs them back), and
 // memory-region re-registration with AddressMAT rebuild after QP resets or
 // controller failover. When the QP is down or retries exhaust, SendBatch
-// routes the record to Fallback and the deployment reroutes it through the
-// ordinary packet C&R path mid-sub-window — the controller's per-seq dedup
-// makes the handoff exact.
+// routes the verb's records to Fallback and the deployment reroutes them
+// through the ordinary packet C&R path mid-sub-window — the controller's
+// per-seq dedup makes the handoff exact.
+//
+// A verb is either a hot record's WRITE or a batch's cold records as one
+// append: the fault schedule, the PSN and the replay ring work per verb,
+// while fallback, shed and loss are charged per record.
 //
 // Loss accounting follows the repo-wide contract: every record the
 // transport irrecoverably drops (cold-buffer overflow, replay-window
@@ -58,7 +63,7 @@ func (s QPState) String() string {
 // TransportConfig sizes and parameterizes a Transport.
 type TransportConfig struct {
 	// Rows, Lanes, BufCap size the registered memory region (hot-key
-	// rows × per-sub-window lanes, plus the cold append buffer).
+	// rows × per-sub-window lanes, plus the cold append ring, in records).
 	Rows, Lanes, BufCap int
 	// VerbRetries is how many RNR-style retries follow a verb's first
 	// failed attempt before the CQ error becomes persistent and the QP
@@ -72,8 +77,8 @@ type TransportConfig struct {
 	RNRBackoff time.Duration
 	// ReplayDepth bounds the PSN replay window: how many unacked verbs
 	// the transport can replay after in-flight loss or region
-	// invalidation. Older verbs are evicted; an evicted unapplied verb
-	// is permanently lost (charged to OnShed). 0 means the default
+	// invalidation. Older verbs are evicted; an evicted unapplied verb's
+	// records are permanently lost (charged to OnShed). 0 means the default
 	// (8192); any positive depth is honoured exactly, power of two or
 	// not.
 	ReplayDepth int
@@ -85,17 +90,19 @@ type TransportConfig struct {
 	OnShed func(sw uint64, n int)
 }
 
-// TransportStats counts the transport's fault and recovery events.
+// TransportStats counts the transport's fault and recovery events. The
+// verb counters count verbs, the record counters records: a batch's cold
+// records are one append verb.
 type TransportStats struct {
 	// VerbErrors / VerbRetries count injected completion errors and the
-	// RNR retries they triggered.
+	// RNR retries they triggered, per verb attempt.
 	VerbErrors, VerbRetries int
-	// PSNDrops counts verbs lost in flight; Replayed counts verbs
-	// re-applied by the NACK/replay loop.
+	// PSNDrops counts verbs lost in flight; Replayed counts the records
+	// of verbs re-applied by the NACK/replay loop.
 	PSNDrops, Replayed int
 	// Fallbacks counts records handed back to the packet C&R path.
 	Fallbacks int
-	// Overflows counts cold-buffer overflow rejections.
+	// Overflows counts records the cold ring had no room for.
 	Overflows int
 	// Lost counts records the transport dropped irrecoverably (they are
 	// also charged to OnShed and surface as missing seqs).
@@ -118,23 +125,29 @@ const (
 	verbApplied verbState = iota
 	// verbUnapplied: lost in flight (a PSN gap) or wiped by invalidation.
 	verbUnapplied
-	// verbTaken: a tombstone — TakeUnapplied handed the record to the
+	// verbTaken: a tombstone — TakeUnapplied handed the records to the
 	// packet path; the slot no longer counts toward the window.
 	verbTaken
 )
 
 // pendingVerb is one unacked verb in the PSN replay ring. Its PSN is not
-// stored: the slot it occupies is its PSN (see Transport.ring).
+// stored: the slot it occupies is its PSN (see Transport.ring). It copies
+// none of its records but names them: n records from off, in the cold
+// ring for a run that landed there, in the transport's arena once
+// stashed. An offset, not a slice, so a grown ring or arena does not keep
+// its old array alive through the replay ring.
 type pendingVerb struct {
-	rec      packet.AFR
+	off, n   uint32
+	attempts int32  // highest attempt number drawn so far
 	idx      uint64 // verb index parameterizing the fault schedule
-	attempts int    // highest attempt number drawn so far
 	hot      bool
+	stashed  bool
 	state    verbState
 }
 
-// shedRun counts consecutive evictions of applied verbs that belong to one
-// sub-window: what a region invalidation before the next drain would lose.
+// shedRun counts the records of one sub-window in consecutive evictions of
+// applied verbs: what a region invalidation before the next drain would
+// lose.
 type shedRun struct {
 	sw uint64
 	n  int
@@ -165,6 +178,7 @@ type Transport struct {
 	hotRows []hotRow               // indexed by row (base / lanes)
 	written []int                  // rows written this drain interval, in first-write order
 	hotOut  []packet.AFR           // Drain's hot readback, reused across drains
+	run     []packet.AFR           // SendBatch's cold records, gathered for their append verb
 
 	// The PSN replay ring: the verb with PSN p occupies ring[p&(len-1)]
 	// while p is inside the span [head, nextPSN) — tested wrap-safe as
@@ -177,9 +191,17 @@ type Transport struct {
 	nextPSN     uint32
 	live        int
 	unapplied   int
-	unprotected []shedRun    // applied verbs evicted from the window since the last drain
+	unprotected []shedRun    // applied verbs' records evicted from the window since the last drain
 	psnScratch  []uint32     // MissingPSNs' result, reused across calls
 	takeScratch []packet.AFR // TakeUnapplied's result, reused across calls
+
+	// arena holds the records of stashed verbs — what did not land in the
+	// cold ring — at positions arenaBase+i. Verbs are stashed in PSN order,
+	// so positions below arenaLow belong to verbs that left the window; a
+	// stash that finds the arena full drops them first once they are at
+	// least half of it. The drain empties it.
+	arena               []packet.AFR
+	arenaBase, arenaLow int
 
 	verbIdx     uint64
 	verbRetries int
@@ -251,7 +273,7 @@ func (t *Transport) MATLen() int {
 	return t.mat.Len()
 }
 
-// PendingLen reports the replay window's occupancy.
+// PendingLen reports the replay window's occupancy, in verbs.
 func (t *Transport) PendingLen() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -272,6 +294,23 @@ func (t *Transport) shed(sw uint64, n int) {
 	if t.onShed != nil && n > 0 {
 		t.onShed(sw, n)
 	}
+}
+
+// eachSubWindow visits recs as runs of equal sub-windows, in order.
+func eachSubWindow(recs []packet.AFR, visit func(sw uint64, n int)) {
+	for i, j := 0, 0; i < len(recs); i = j {
+		sw := recs[i].SubWindow
+		for j = i + 1; j < len(recs) && recs[j].SubWindow == sw; j++ {
+		}
+		visit(sw, j-i)
+	}
+}
+
+// lose charges recs as irrecoverably dropped: Lost, and shed per
+// sub-window.
+func (t *Transport) lose(recs []packet.AFR) {
+	t.stats.Lost += len(recs)
+	eachSubWindow(recs, t.shed)
 }
 
 // Promote installs a hot key: a row is allocated and its base address
@@ -327,6 +366,43 @@ func (t *Transport) inWindow(p uint32) bool {
 	return p-t.head < t.nextPSN-t.head
 }
 
+// records returns the records verb e carries, where they are stored now.
+func (t *Transport) records(e *pendingVerb) []packet.AFR {
+	if e.stashed {
+		i := int(e.off) - t.arenaBase
+		return t.arena[i : i+int(e.n)]
+	}
+	return t.mr.buffer[e.off : e.off+e.n]
+}
+
+// stash copies recs into the arena and returns their position. Caller
+// holds t.mu; recs must not alias the arena.
+func (t *Transport) stash(recs []packet.AFR) uint32 {
+	if dead := t.arenaLow - t.arenaBase; len(t.arena)+len(recs) > cap(t.arena) && dead > 0 && 2*dead >= len(t.arena) {
+		t.arena = t.arena[:copy(t.arena, t.arena[dead:])]
+		t.arenaBase = t.arenaLow
+	}
+	if len(t.arena)+len(recs) > cap(t.arena) {
+		// Room for a delivery batch's worth at least: hot WRITEs stash one
+		// record at a time.
+		t.arena = slices.Grow(t.arena, max(len(recs), 128))
+	}
+	pos := t.arenaBase + len(t.arena)
+	t.arena = append(t.arena, recs...)
+	return uint32(pos)
+}
+
+// leave retires the verb at head from the window: its stashed records
+// become dead arena space.
+func (t *Transport) leave(e *pendingVerb) {
+	if e.stashed {
+		// A tombstone stashed before a re-registration restashed the
+		// window ends below arenaLow already.
+		t.arenaLow = max(t.arenaLow, int(e.off+e.n))
+	}
+	t.head++
+}
+
 // eachUnapplied visits the window's PSN gaps, oldest first, stopping at
 // the last one.
 func (t *Transport) eachUnapplied(visit func(p uint32, e *pendingVerb)) {
@@ -340,33 +416,33 @@ func (t *Transport) eachUnapplied(visit func(p uint32, e *pendingVerb)) {
 
 // skipTaken advances head past tombstones to the oldest windowed verb.
 func (t *Transport) skipTaken() {
-	for t.head != t.nextPSN && t.slot(t.head).state == verbTaken {
-		t.head++
+	for t.head != t.nextPSN {
+		e := t.slot(t.head)
+		if e.state != verbTaken {
+			return
+		}
+		t.leave(e)
 	}
 }
 
-// track enrolls one sent verb in the PSN replay window, evicting the
-// oldest entry when the window holds ReplayDepth verbs. Caller holds t.mu.
-func (t *Transport) track(rec *packet.AFR, hot bool, idx uint64, attempt int, state verbState) {
+// track enrolls one sent verb carrying n records at off in the PSN replay
+// window, evicting the oldest verb when the window holds ReplayDepth.
+// Caller holds t.mu.
+func (t *Transport) track(off uint32, n int, hot, stashed bool, idx uint64, attempt int, state verbState) {
 	if t.live >= t.replayDepth {
 		e := t.slot(t.head)
 		if e.state == verbUnapplied {
 			// Evicted before ever reaching the region: permanently
-			// lost — charged to shed, surfaces as a missing seq.
-			t.shed(e.rec.SubWindow, 1)
-			t.stats.Lost++
+			// lost — charged to shed, surfaces as missing seqs.
+			t.lose(t.records(e))
 			t.unapplied--
 		} else {
 			// Applied but no longer replayable: lost only if the
 			// region is invalidated before the next drain.
-			if n := len(t.unprotected); n > 0 && t.unprotected[n-1].sw == e.rec.SubWindow {
-				t.unprotected[n-1].n++
-			} else {
-				t.unprotected = append(t.unprotected, shedRun{e.rec.SubWindow, 1})
-			}
+			eachSubWindow(t.records(e), t.unprotect)
 		}
 		t.live--
-		t.head++
+		t.leave(e)
 		t.skipTaken()
 	}
 	if int(t.nextPSN-t.head) == len(t.ring) {
@@ -381,13 +457,57 @@ func (t *Transport) track(rec *packet.AFR, hot bool, idx uint64, attempt int, st
 		}
 		t.ring = wider
 	}
-	e := t.slot(t.nextPSN)
-	e.rec, e.idx, e.attempts, e.hot, e.state = *rec, idx, attempt, hot, state
+	*t.slot(t.nextPSN) = pendingVerb{off: off, n: uint32(n), attempts: int32(attempt), idx: idx,
+		hot: hot, stashed: stashed, state: state}
 	t.nextPSN++
 	t.live++
 	if state == verbUnapplied {
 		t.unapplied++
 	}
+}
+
+// unprotect counts n evicted applied records of sub-window sw.
+func (t *Transport) unprotect(sw uint64, n int) {
+	if k := len(t.unprotected); k > 0 && t.unprotected[k-1].sw == sw {
+		t.unprotected[k-1].n += n
+	} else {
+		t.unprotected = append(t.unprotected, shedRun{sw, n})
+	}
+}
+
+// post allots the next verb index and runs the verb's attempts up to the
+// one whose request leaves the requester: each completion error drawn
+// before it is an RNR-style retry, backing off in virtual time (charged
+// to the C&R budget). It returns the verb index and that attempt, or
+// attempt -1 once retries are exhausted: the CQ reports a persistent
+// completion error and the QP faults to Error. Caller holds t.mu.
+func (t *Transport) post() (idx uint64, attempt int) {
+	idx = t.verbIdx
+	t.verbIdx++
+	backoff := t.rnrBackoff
+	for a := 0; a <= t.verbRetries; a++ {
+		if a > 0 {
+			t.stats.VerbRetries++
+			t.retryWait += backoff
+			backoff = min(2*backoff, 32*t.rnrBackoff)
+		}
+		if !t.faults.VerbErrorAt(idx, a) {
+			return idx, a
+		}
+		t.stats.VerbErrors++
+	}
+	t.state = QPError
+	t.stats.QPErrors++
+	return idx, -1
+}
+
+// writeLane applies a hot WRITE of rec into the row at base and records
+// it for the drain's readback.
+func (t *Transport) writeLane(base int, rec *packet.AFR) {
+	if err := t.nic.Write(base+int(rec.SubWindow)%t.mr.Lanes(), rec.Attr); err != nil {
+		panic(err) // rows and lanes are the region's own: the address is in range
+	}
+	t.noteHotWrite(base, rec.Seq)
 }
 
 // noteHotWrite records that a WRITE into the row at base applied, so the
@@ -407,10 +527,10 @@ type Route uint8
 
 const (
 	// Fallback: the transport could not take the record (QP down, retries
-	// exhausted, or cold-buffer overflow); the caller must reroute it
+	// exhausted, or cold-ring overflow); the caller must reroute it
 	// through the packet C&R path.
 	Fallback Route = iota
-	// Cold: appended to the cold buffer.
+	// Cold: carried by the batch's append verb into the cold ring.
 	Cold
 	// Hot: written into the key's hot row.
 	Hot
@@ -426,91 +546,101 @@ func (t *Transport) Send(rec packet.AFR) (hot, delivered bool) {
 	return route[0] == Hot, route[0] != Fallback
 }
 
-// SendBatch transmits recs over the RDMA path in order, under one hold of
-// the lock, and sets routes[i] to how recs[i] went. promote and routes
-// are at least as long as recs: when promote[i] is set, recs[i]'s key is
-// installed as Promote would, just before recs[i] is sent. Each record
-// draws its own verb index and faults and takes its own replay-ring
-// entry, exactly as sent one at a time. The steady-state success path
-// performs no allocation.
+// SendBatch transmits recs over the RDMA path under one hold of the lock
+// and sets routes[i] to how recs[i] went. promote and routes are at least
+// as long as recs: when promote[i] is set, recs[i]'s key is installed as
+// Promote would, just before recs[i] is classified. A record whose key
+// holds a row is a WRITE verb of its own, posted in record order; the
+// batch's other records are one append verb, posted after them. The
+// steady-state success path performs no allocation.
 func (t *Transport) SendBatch(recs []packet.AFR, promote []bool, routes []Route) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if cap(t.run) < len(recs) {
+		t.run = make([]packet.AFR, 0, len(recs))
+	}
+	run := t.run[:0]
 	for i := range recs {
+		rec := &recs[i]
 		if promote[i] {
-			t.promoteLocked(recs[i].Key)
+			t.promoteLocked(rec.Key)
 		}
-		routes[i] = t.sendLocked(&recs[i])
+		switch base, hot := t.rows[rec.Key]; {
+		case t.state != QPRts:
+			t.stats.Fallbacks++
+			routes[i] = Fallback
+		case hot:
+			routes[i] = t.writeLocked(base, recs[i:i+1])
+		default:
+			routes[i] = Cold
+			run = append(run, *rec)
+		}
+	}
+	t.run = run
+	if len(run) == 0 {
+		return
+	}
+	// The run's records that fell back are its tail: walk the routes back.
+	for i, left := len(recs)-1, t.appendLocked(run); left > 0; i-- {
+		if routes[i] == Cold {
+			routes[i] = Fallback
+			left--
+		}
 	}
 }
 
-// sendLocked sends one record. Caller holds t.mu.
-func (t *Transport) sendLocked(rec *packet.AFR) Route {
-	if t.state != QPRts {
+// writeLocked posts one hot record's WRITE verb; rec holds the record.
+// The record is stashed: a lane holds one attribute, not the record a
+// replay needs.
+func (t *Transport) writeLocked(base int, rec []packet.AFR) Route {
+	idx, a := t.post()
+	if a < 0 {
 		t.stats.Fallbacks++
 		return Fallback
 	}
-	base, isHot := t.rows[rec.Key]
-	route := Cold
-	if isHot {
-		route = Hot
+	// The request left the requester; in-flight loss surfaces as a PSN
+	// gap at the next drain, not as a CQ error.
+	state := verbUnapplied
+	if t.faults.PSNDropAt(idx, a) {
+		t.stats.PSNDrops++
+	} else {
+		t.writeLane(base, &rec[0])
+		state = verbApplied
 	}
-	idx := t.verbIdx
-	t.verbIdx++
-	backoff := t.rnrBackoff
-	maxBackoff := t.rnrBackoff * 32
-	for a := 0; a <= t.verbRetries; a++ {
-		if a > 0 {
-			// RNR-style retry: back off (virtual time, charged to the
-			// C&R budget) and redraw the verb's fate.
-			t.stats.VerbRetries++
-			t.retryWait += backoff
-			if backoff *= 2; backoff > maxBackoff {
-				backoff = maxBackoff
-			}
-		}
-		if t.faults.VerbErrorAt(idx, a) {
-			t.stats.VerbErrors++
-			continue
-		}
-		// The request left the requester successfully; in-flight loss
-		// surfaces as a PSN gap at the next drain, not as a CQ error.
-		if t.faults.PSNDropAt(idx, a) {
-			t.stats.PSNDrops++
-			t.track(rec, isHot, idx, a, verbUnapplied)
-			return route
-		}
-		if isHot {
-			if t.nic.Write(base+int(rec.SubWindow)%t.mr.Lanes(), rec.Attr) != nil {
-				t.stats.VerbErrors++
-				continue
-			}
-			t.noteHotWrite(base, rec.Seq)
-		} else {
-			if err := t.nic.Append(rec); err != nil {
-				if err == ErrBufferFull {
-					// Cold-buffer overflow: the record never lands in
-					// the region. Charge shed accounting and hand it
-					// back for the packet path.
-					t.stats.Overflows++
-					t.stats.Fallbacks++
-					t.shed(rec.SubWindow, 1)
-					return Fallback
-				}
-				t.stats.VerbErrors++
-				continue
-			}
-		}
-		t.track(rec, isHot, idx, a, verbApplied)
-		return route
+	t.track(t.stash(rec), 1, true, true, idx, a, state)
+	return Hot
+}
+
+// appendLocked posts run as one append verb and returns how many of its
+// records, counted from its end, fell back. A run lost in flight is
+// stashed whole; one that lands is named by its cold-ring offset.
+func (t *Transport) appendLocked(run []packet.AFR) (fellBack int) {
+	if t.state != QPRts {
+		t.stats.Fallbacks += len(run)
+		return len(run)
 	}
-	// Retries exhausted: the CQ reports a persistent completion error,
-	// the QP faults to Error, and this record — plus every subsequent
-	// send until boundary recovery — falls back to the packet path.
-	t.state = QPError
-	t.stats.QPErrors++
-	t.stats.Fallbacks++
-	return Fallback
+	idx, a := t.post()
+	switch {
+	case a < 0:
+		t.stats.Fallbacks += len(run)
+		return len(run)
+	case t.faults.PSNDropAt(idx, a):
+		t.stats.PSNDrops++
+		t.track(t.stash(run), len(run), false, true, idx, a, verbUnapplied)
+		return 0
+	}
+	off, landed := t.nic.AppendRun(run)
+	if landed > 0 {
+		t.track(uint32(off), landed, false, false, idx, a, verbApplied)
+	}
+	// Cold-ring overflow: the tail never lands in the region. Charge shed
+	// per record and hand it back for the packet path.
+	for i := landed; i < len(run); i++ {
+		t.stats.Overflows++
+		t.stats.Fallbacks++
+		t.shed(run[i].SubWindow, 1)
+	}
+	return len(run) - landed
 }
 
 // BeginBoundary applies boundary-driven faults that strike before a
@@ -560,6 +690,18 @@ func (t *Transport) Reregister() {
 
 func (t *Transport) reregisterLocked() {
 	t.stats.Reregistrations++
+	// Landed runs die with the cold ring: first stash every windowed
+	// verb's records, in PSN order, so the arena keeps that order and what
+	// was stashed before is dead.
+	low := t.arenaBase + len(t.arena)
+	for p := t.head; p != t.nextPSN; p++ {
+		if e := t.slot(p); e.state != verbTaken {
+			recs := t.records(e)
+			e.off, e.stashed = uint32(t.arenaBase+len(t.arena)), true
+			t.arena = append(t.arena, recs...)
+		}
+	}
+	t.arenaLow = low
 	t.mr.Invalidate()
 	// Live rows move down into the fresh region in row order; at most as
 	// many rows as were allocated before, so AllocRow cannot run out.
@@ -576,7 +718,7 @@ func (t *Transport) reregisterLocked() {
 	t.rebuildMATLocked()
 	// Applied verbs died with the old registration: replay them into the
 	// fresh region. Applied verbs already evicted from the replay window
-	// cannot come back — they are lost for good.
+	// cannot come back — their records are lost for good.
 	for p := t.head; p != t.nextPSN; p++ {
 		if e := t.slot(p); e.state == verbApplied {
 			e.state = verbUnapplied
@@ -618,9 +760,11 @@ func (t *Transport) MissingPSNs() []uint32 {
 }
 
 // Replay re-executes the NACKed PSNs' verbs against the region, redrawing
-// each attempt's fate from the fault schedule. It returns how many verbs
-// applied. A QP in Error cannot replay (the deployment falls back
-// instead); Recovering can — replay is part of recovery.
+// each attempt's fate from the fault schedule. A run lands whole or not
+// at all: with too little room in the cold ring it stays unapplied for
+// the fallback. It returns how many records the applied verbs carried. A
+// QP in Error cannot replay (the deployment falls back instead);
+// Recovering can — replay is part of recovery.
 func (t *Transport) Replay(psns []uint32) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -637,42 +781,41 @@ func (t *Transport) Replay(psns []uint32) int {
 			continue
 		}
 		e.attempts++
-		// A hot verb whose key was demoted since it was sent has no row
-		// to write: it replays as a cold append.
-		base, hot := t.rows[e.rec.Key]
-		hot = hot && e.hot
-		if t.faults.VerbErrorAt(e.idx, e.attempts) {
+		if t.faults.VerbErrorAt(e.idx, int(e.attempts)) {
 			t.stats.VerbErrors++
 			continue
 		}
-		if t.faults.PSNDropAt(e.idx, e.attempts) {
+		if t.faults.PSNDropAt(e.idx, int(e.attempts)) {
 			t.stats.PSNDrops++
 			continue
 		}
-		if hot {
-			if t.nic.Write(base+int(e.rec.SubWindow)%t.mr.Lanes(), e.rec.Attr) != nil {
-				t.stats.VerbErrors++
-				continue
-			}
-			t.noteHotWrite(base, e.rec.Seq)
-		} else if t.nic.Append(&e.rec) != nil {
-			continue // buffer full again: stays unapplied for fallback
+		// Unapplied verbs are stashed: their records outlive the ring.
+		recs := t.records(e)
+		// A hot verb whose key was demoted since it was sent has no row
+		// to write: it replays as a cold append.
+		if base, hot := t.rows[recs[0].Key]; hot && e.hot {
+			t.writeLane(base, &recs[0])
+		} else if len(recs) <= t.nic.Room() {
+			t.nic.AppendRun(recs)
+		} else {
+			continue
 		}
 		e.state = verbApplied
 		t.unapplied--
-		applied++
-		t.stats.Replayed++
+		applied += len(recs)
 	}
+	t.stats.Replayed += applied
 	return applied
 }
 
 // TakeUnapplied removes and returns the records whose verbs never
-// applied — the replay budget is exhausted (or the QP is down) and the
-// deployment hands them to the packet C&R path, mid-sub-window, with
-// their original sequence numbers so the controller's dedup keeps the
-// transport switch exact. Their slots become tombstones; a window without
-// gaps returns nil without scanning. The result is transport-owned and
-// valid until the next TakeUnapplied call.
+// applied, in PSN order and in order within a verb — the replay budget is
+// exhausted (or the QP is down) and the deployment hands them to the
+// packet C&R path, mid-sub-window, with their original sequence numbers
+// so the controller's dedup keeps the transport switch exact. Their slots
+// become tombstones; a window without gaps returns nil without scanning.
+// The result is transport-owned and valid until the next TakeUnapplied
+// call.
 func (t *Transport) TakeUnapplied() []packet.AFR {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -682,29 +825,29 @@ func (t *Transport) TakeUnapplied() []packet.AFR {
 	out := t.takeScratch[:0]
 	t.eachUnapplied(func(_ uint32, e *pendingVerb) {
 		e.state = verbTaken
-		out = append(out, e.rec)
+		out = append(out, t.records(e)...)
+		t.live--
 	})
 	t.takeScratch = out
 	t.stats.Fallbacks += len(out)
-	t.live -= len(out)
 	t.unapplied = 0
 	t.skipTaken()
 	return out
 }
 
-// Drain consumes boundary sw's delivered records: the cold buffer is
-// handed off wholesale and each hot row written this interval is read
-// back, in first-write order, from its per-sub-window lane with its true
+// Drain consumes boundary sw's delivered records: the cold ring is handed
+// off without a copy and each hot row written this interval is read back,
+// in first-write order, from its per-sub-window lane with its true
 // enumeration sequence number (then the lane resets for the next
 // same-lane sub-window). The replay window acks — any verb still
 // unapplied here (the caller already took the fallback set) is
-// permanently lost and charged to shed, as is a hot write whose key was
-// demoted before this drain — and a Recovering QP commits back to RTS.
+// permanently lost and its records charged to shed, as is a hot write
+// whose key was demoted before this drain — and a Recovering QP commits
+// back to RTS.
 //
-// Both returned slices are transport-owned buffers (the filled half of
-// the double-buffered cold buffer and the reused hot readback): they are
-// valid until the next Drain, so consume or copy them before draining
-// again.
+// Both returned slices are transport-owned: cold is the ring itself,
+// valid until the next send appends over it; hot is the reused readback,
+// valid until the next Drain. Consume or copy cold before sending again.
 func (t *Transport) Drain(sw uint64) (cold, hot []packet.AFR) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -726,12 +869,10 @@ func (t *Transport) Drain(sw uint64) (cold, hot []packet.AFR) {
 	}
 	t.written = t.written[:0]
 	t.hotOut = hot
-	t.eachUnapplied(func(_ uint32, e *pendingVerb) {
-		t.shed(e.rec.SubWindow, 1)
-		t.stats.Lost++
-	})
+	t.eachUnapplied(func(_ uint32, e *pendingVerb) { t.lose(t.records(e)) })
 	t.head, t.live, t.unapplied = t.nextPSN, 0, 0
 	t.unprotected = t.unprotected[:0]
+	t.arena, t.arenaBase, t.arenaLow = t.arena[:0], 0, 0
 	if t.state == QPRecovering {
 		t.state = QPRts
 	}

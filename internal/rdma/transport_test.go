@@ -463,7 +463,7 @@ func TestTransportHandoffPropertyRandomSchedules(t *testing.T) {
 // TestTransportSendZeroAllocs pins the steady-state paths at zero
 // allocations: the hot-row write and the cold append into a replay window
 // that is full (so every send also evicts), and a boundary's drain once
-// both halves of the cold buffer have grown to the boundary's size.
+// the cold ring has grown to the boundary's size.
 func TestTransportSendZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc accounting is perturbed by the race detector")
@@ -492,7 +492,7 @@ func TestTransportSendZeroAllocs(t *testing.T) {
 		t.Fatalf("window holds %d verbs after the measured sends, want %d", got, depth)
 	}
 	// One boundary: the collect-time calls of a healthy window, then the
-	// drain. The first two boundaries grow the cold buffer's two halves.
+	// drain. The first boundary grows the cold ring.
 	boundary := func() {
 		for i := 0; i < 64; i++ {
 			tr.Send(seqRec(i%2, 0, uint32(i), 1))
@@ -511,14 +511,15 @@ func TestTransportSendZeroAllocs(t *testing.T) {
 }
 
 // TestSendBatchZeroAlloc pins a steady-state delivery batch — 128 records,
-// hot and cold, some flagged for promotion, into a full replay window on
-// cold-buffer halves grown by earlier boundaries — at zero allocations.
+// hot and cold, some flagged for promotion, into a full replay window, on
+// a cold ring and an arena grown by an earlier boundary of the same shape —
+// at zero allocations.
 func TestSendBatchZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("alloc accounting is perturbed by the race detector")
 	}
-	const depth, batch = 8192, 128
-	tr := healthyTransport(4, 3, 1<<16)
+	const depth, batch, measured = 8192, 128, 64
+	tr := healthyTransport(4, 3, 1<<17)
 	recs := make([]packet.AFR, batch)
 	promote := make([]bool, batch)
 	for i := range recs {
@@ -527,107 +528,243 @@ func TestSendBatchZeroAlloc(t *testing.T) {
 	}
 	routes := make([]Route, batch)
 	send := func() { tr.SendBatch(recs, promote, routes) }
-	for round := 0; round < 2; round++ {
-		for i := 0; i < 2*depth/batch; i++ {
+	// A batch is 16 hot WRITEs and one append verb: fill the window, then
+	// run it full — once untimed, then measured after the drain.
+	fill := func() {
+		for tr.PendingLen() < depth {
 			send()
 		}
-		tr.Drain(0)
 	}
-	for i := 0; i < depth/batch; i++ {
+	fill()
+	for i := 0; i <= measured; i++ {
 		send()
 	}
-	if got := testing.AllocsPerRun(64, send); got != 0 {
+	tr.Drain(0)
+	fill()
+	if got := testing.AllocsPerRun(measured, send); got != 0 {
 		t.Fatalf("steady-state SendBatch allocates %.1f allocs/op, want 0", got)
 	}
 	if got := tr.PendingLen(); got != depth {
 		t.Fatalf("window holds %d verbs, want a full %d", got, depth)
 	}
-	if routes[0] != Hot || routes[1] != Cold {
-		t.Fatalf("routes = %v..., want the promoted key hot and the others cold", routes[:2])
+	if routes[0] != Hot || routes[1] != Cold || tr.Stats().Fallbacks != 0 {
+		t.Fatalf("routes = %v..., fallbacks %d: want the promoted key hot, the others cold, nothing back",
+			routes[:2], tr.Stats().Fallbacks)
 	}
 }
 
-// TestSendBatchMatchesSends: a batch under a verb-fault schedule leaves
-// the transport exactly where Promote-then-Send per record leaves a twin:
-// the same routes, counters, gaps, fallbacks and drained records. Each
-// promotion lands just before its own record, so a key promoted mid-batch
-// goes hot from that record on.
-func TestSendBatchMatchesSends(t *testing.T) {
-	sched := &faults.RDMASchedule{Seed: 5, VerbError: 0.2, PSNDrop: 0.1}
-	newTr := func() *Transport {
-		return NewTransport(TransportConfig{Rows: 6, Lanes: 3, BufCap: 40, ReplayDepth: 30, Faults: sched})
+// dropSchedule finds the seed under which PSNDropAt answers want for each
+// (verb index, attempt) in order — a fixed fault script for one test.
+func dropSchedule(t *testing.T, want ...[3]int) *faults.RDMASchedule {
+	t.Helper()
+	for seed := uint64(0); seed < 1<<16; seed++ {
+		s := &faults.RDMASchedule{Seed: seed, PSNDrop: 0.5}
+		ok := true
+		for _, w := range want {
+			ok = ok && s.PSNDropAt(uint64(w[0]), w[1]) == (w[2] == 1)
+		}
+		if ok {
+			return s
+		}
 	}
-	one, batched := newTr(), newTr()
-	rng := rand.New(rand.NewSource(3))
-	for sw := 0; sw < 6; sw++ {
-		n := 1 + rng.Intn(60)
-		recs, promote := make([]packet.AFR, n), make([]bool, n)
+	t.Fatalf("no seed scripts %v", want)
+	return nil
+}
+
+// TestSendBatchAppendVerb pins the batch send's contract: each hot record
+// is a WRITE verb, the batch's cold records are one append verb, and the
+// replay ring, the hand-off and the shed work per verb while routes,
+// fallbacks and charges stay per record.
+func TestSendBatchAppendVerb(t *testing.T) {
+	coldRun := func(first, n, sw int) []packet.AFR {
+		recs := make([]packet.AFR, n)
 		for i := range recs {
-			recs[i] = seqRec(rng.Intn(12), sw, uint32(i), uint64(rng.Intn(100)))
-			promote[i] = rng.Intn(6) == 0
+			recs[i] = seqRec(first+i, sw, uint32(first+i), uint64(100+first+i))
 		}
-		want := make([]Route, n)
-		for i, rec := range recs {
-			if promote[i] {
-				one.Promote(rec.Key)
-			}
-			hot, delivered := one.Send(rec)
-			switch {
-			case !delivered:
-				want[i] = Fallback
-			case hot:
-				want[i] = Hot
-			default:
-				want[i] = Cold
-			}
-		}
-		got := make([]Route, n)
-		batched.SendBatch(recs, promote, got)
-		if !slices.Equal(got, want) {
-			t.Fatalf("sub-window %d: routes %v, one at a time %v", sw, got, want)
-		}
-		if !slices.Equal(batched.MissingPSNs(), one.MissingPSNs()) ||
-			!slices.Equal(batched.TakeUnapplied(), one.TakeUnapplied()) {
-			t.Fatalf("sub-window %d: gaps or fallbacks differ", sw)
-		}
-		gc, gh := batched.Drain(uint64(sw))
-		wc, wh := one.Drain(uint64(sw))
-		if !slices.Equal(gc, wc) || !slices.Equal(gh, wh) {
-			t.Fatalf("sub-window %d: drained cold %v hot %v, one at a time cold %v hot %v", sw, gc, gh, wc, wh)
-		}
-		if batched.Stats() != one.Stats() || batched.HotRows() != one.HotRows() {
-			t.Fatalf("sub-window %d: stats %+v, one at a time %+v", sw, batched.Stats(), one.Stats())
-		}
+		return recs
 	}
+	send := func(tr *Transport, recs []packet.AFR, promote ...int) []Route {
+		flags, routes := make([]bool, len(recs)), make([]Route, len(recs))
+		for _, i := range promote {
+			flags[i] = true
+		}
+		tr.SendBatch(recs, flags, routes)
+		return routes
+	}
+
+	t.Run("one verb per cold run", func(t *testing.T) {
+		tr := healthyTransport(4, 3, 64)
+		tr.Promote(fk(0))
+		recs := coldRun(0, 10, 0)
+		// Key 5 is promoted by its own record's flag: hot from that record.
+		routes := send(tr, recs, 5)
+		want := []Route{Hot, Cold, Cold, Cold, Cold, Hot, Cold, Cold, Cold, Cold}
+		if !slices.Equal(routes, want) {
+			t.Fatalf("routes = %v, want %v", routes, want)
+		}
+		if tr.PendingLen() != 3 || tr.NIC().Writes != 2 || tr.NIC().Appends != 1 {
+			t.Fatalf("%d verbs, %d writes, %d appends: want two WRITEs and one append",
+				tr.PendingLen(), tr.NIC().Writes, tr.NIC().Appends)
+		}
+		cold, hot := tr.Drain(0)
+		wantCold := append(slices.Clone(recs[1:5]), recs[6:]...)
+		if !slices.Equal(cold, wantCold) || len(hot) != 2 {
+			t.Fatalf("drained cold %v hot %v, want the cold records in order and two hot", cold, hot)
+		}
+	})
+
+	t.Run("a QP fault falls back per record", func(t *testing.T) {
+		tr := NewTransport(TransportConfig{Rows: 4, Lanes: 3, BufCap: 64, VerbRetries: 1,
+			Faults: &faults.RDMASchedule{VerbError: 1}})
+		tr.Promote(fk(1))
+		// The WRITE of record 1 exhausts its retries before the append is
+		// posted: the QP is down for the run and for record 2.
+		routes := send(tr, coldRun(0, 4, 0))
+		if want := []Route{Fallback, Fallback, Fallback, Fallback}; !slices.Equal(routes, want) {
+			t.Fatalf("routes = %v, want %v", routes, want)
+		}
+		if st := tr.Stats(); st.Fallbacks != 4 || st.QPErrors != 1 || st.VerbErrors != 2 || tr.PendingLen() != 0 {
+			t.Fatalf("stats = %+v, pending %d", st, tr.PendingLen())
+		}
+	})
+
+	t.Run("a dropped run replays whole", func(t *testing.T) {
+		sched := dropSchedule(t, [3]int{0, 0, 1}, [3]int{0, 1, 0})
+		tr := NewTransport(TransportConfig{Rows: 4, Lanes: 3, BufCap: 64, Faults: sched})
+		recs := coldRun(0, 6, 0)
+		if routes := send(tr, recs); slices.Contains(routes, Fallback) || slices.Contains(routes, Hot) {
+			t.Fatalf("routes = %v, want every record cold", routes)
+		}
+		gaps := tr.MissingPSNs()
+		if len(gaps) != 1 || tr.Stats().PSNDrops != 1 {
+			t.Fatalf("gaps %v, PSN drops %d: want one verb lost", gaps, tr.Stats().PSNDrops)
+		}
+		if n := tr.Replay(gaps); n != 6 || tr.Stats().Replayed != 6 {
+			t.Fatalf("replay applied %d records (Replayed %d), want the run's 6", n, tr.Stats().Replayed)
+		}
+		if cold, _ := tr.Drain(0); !slices.Equal(cold, recs) {
+			t.Fatalf("drained %v, want %v", cold, recs)
+		}
+	})
+
+	t.Run("TakeUnapplied returns the runs in order", func(t *testing.T) {
+		tr := NewTransport(TransportConfig{Rows: 4, Lanes: 3, BufCap: 64,
+			Faults: &faults.RDMASchedule{Seed: 2, PSNDrop: 1}})
+		first, second := coldRun(0, 3, 0), coldRun(3, 4, 1)
+		send(tr, first)
+		send(tr, second)
+		if gaps := tr.MissingPSNs(); len(gaps) != 2 {
+			t.Fatalf("gaps = %v, want one per run", gaps)
+		}
+		tr.Replay(tr.MissingPSNs()) // every replay drops again
+		want := append(slices.Clone(first), second...)
+		if got := tr.TakeUnapplied(); !slices.Equal(got, want) {
+			t.Fatalf("hand-off = %v, want %v", got, want)
+		}
+		if st := tr.Stats(); st.Fallbacks != 7 || st.Lost != 0 || tr.PendingLen() != 0 {
+			t.Fatalf("stats = %+v, pending %d", st, tr.PendingLen())
+		}
+	})
+
+	t.Run("an overflow splits the run", func(t *testing.T) {
+		shed := map[uint64]int{}
+		tr := NewTransport(TransportConfig{Rows: 4, Lanes: 3, BufCap: 5,
+			OnShed: func(sw uint64, n int) { shed[sw] += n }})
+		send(tr, coldRun(0, 3, 0))
+		recs := coldRun(3, 4, 1)
+		if routes, want := send(tr, recs), []Route{Cold, Cold, Fallback, Fallback}; !slices.Equal(routes, want) {
+			t.Fatalf("routes = %v, want the prefix that fits cold and the tail back", routes)
+		}
+		if st := tr.Stats(); st.Overflows != 2 || st.Fallbacks != 2 || shed[1] != 2 || tr.PendingLen() != 2 {
+			t.Fatalf("stats = %+v, shed %v, pending %d", st, shed, tr.PendingLen())
+		}
+		if cold, _ := tr.Drain(1); len(cold) != 5 || cold[4] != recs[1] {
+			t.Fatalf("drained %v", cold)
+		}
+	})
+
+	t.Run("eviction charges the run per record", func(t *testing.T) {
+		shed := map[uint64]int{}
+		tr := NewTransport(TransportConfig{Rows: 4, Lanes: 3, BufCap: 64, ReplayDepth: 1,
+			Faults: &faults.RDMASchedule{Seed: 2, PSNDrop: 1},
+			OnShed: func(sw uint64, n int) { shed[sw] += n }})
+		run := append(coldRun(0, 2, 0), coldRun(2, 3, 1)...)
+		send(tr, run)
+		send(tr, coldRun(5, 4, 2)) // evicts the first run, unapplied
+		if st := tr.Stats(); st.Lost != 5 || shed[0] != 2 || shed[1] != 3 || shed[2] != 0 {
+			t.Fatalf("lost %d, shed %v: want the evicted run's 5 records by sub-window", st.Lost, shed)
+		}
+		if got := tr.TakeUnapplied(); len(got) != 4 || got[0].Seq != 5 {
+			t.Fatalf("hand-off = %v, want the second run", got)
+		}
+	})
+
+	t.Run("re-registration replays the runs it destroyed", func(t *testing.T) {
+		// Verb 0 (the first run) is lost in flight and verb 1 (the second)
+		// lands in the ring at 0; both replay. The first run now lands
+		// where the second did: the second must come back from a copy
+		// taken before the ring was wiped.
+		sched := dropSchedule(t, [3]int{0, 0, 1}, [3]int{1, 0, 0}, [3]int{2, 0, 0},
+			[3]int{0, 1, 0}, [3]int{1, 1, 0}, [3]int{2, 1, 0})
+		tr := NewTransport(TransportConfig{Rows: 4, Lanes: 3, BufCap: 64, Faults: sched})
+		first, second := coldRun(1, 3, 0), coldRun(4, 2, 0)
+		send(tr, first)
+		send(tr, second)
+		tr.Promote(fk(0))
+		send(tr, []packet.AFR{seqRec(0, 0, 0, 7)}) // verb 2: a WRITE
+		tr.Reregister()
+		if gaps := tr.MissingPSNs(); len(gaps) != 3 {
+			t.Fatalf("gaps = %v, want all three verbs", gaps)
+		}
+		if n := tr.Replay(tr.MissingPSNs()); n != 6 {
+			t.Fatalf("replay applied %d records, want 6", n)
+		}
+		cold, hot := tr.Drain(0)
+		if want := append(slices.Clone(first), second...); !slices.Equal(cold, want) {
+			t.Fatalf("drained cold %v, want %v", cold, want)
+		}
+		if len(hot) != 1 || hot[0] != seqRec(0, 0, 0, 7) || tr.Stats().Lost != 0 {
+			t.Fatalf("hot %v, lost %d", hot, tr.Stats().Lost)
+		}
+	})
 }
 
-// TestTransportDrainBuffersLiveUntilNextDrain: the slices Drain returns
-// are the transport's own buffers — untouched by the sends that follow,
-// reused by the drain after.
-func TestTransportDrainBuffersLiveUntilNextDrain(t *testing.T) {
+// TestTransportDrainedRingLiveUntilNextSend: Drain hands over the cold
+// ring itself, intact until the next send appends over it, and the hot
+// readback, a reused buffer intact until the next Drain.
+func TestTransportDrainedRingLiveUntilNextSend(t *testing.T) {
 	tr := healthyTransport(4, 3, 1<<10)
 	tr.Promote(fk(0))
 	for i := 0; i < 6; i++ {
 		tr.Send(seqRec(i%3, 0, uint32(i), uint64(10+i)))
 	}
 	cold, hot := tr.Drain(0)
-	wantCold, wantHot := append([]packet.AFR(nil), cold...), append([]packet.AFR(nil), hot...)
+	wantCold, wantHot := slices.Clone(cold), slices.Clone(hot)
 	if len(cold) != 4 || len(hot) != 1 {
 		t.Fatalf("drained cold=%d hot=%d, want 4/1", len(cold), len(hot))
 	}
-	for i := 0; i < 6; i++ {
-		tr.Send(seqRec(i%3, 1, uint32(100+i), uint64(50+i)))
+	// Anything but a send leaves the ring alone.
+	tr.BeginBoundary(1)
+	tr.BeginCollect(1)
+	tr.Replay(tr.MissingPSNs())
+	tr.TakeUnapplied()
+	tr.Reregister()
+	if !slices.Equal(cold, wantCold) || !slices.Equal(hot, wantHot) {
+		t.Fatalf("drained records changed before the next send: %v / %v, were %v / %v", cold, hot, wantCold, wantHot)
 	}
-	for i := range wantCold {
-		if cold[i] != wantCold[i] {
-			t.Fatalf("cold[%d] changed before the next drain: %v, was %v", i, cold[i], wantCold[i])
-		}
+	// The next send lands over the ring's head; the hot readback lives on.
+	tr.Send(seqRec(1, 1, 100, 50))
+	if cold[0] != seqRec(1, 1, 100, 50) || cold[1] != wantCold[1] {
+		t.Fatalf("ring after the next send = %v, want the new record over the first only", cold[:2])
 	}
 	if hot[0] != wantHot[0] {
 		t.Fatalf("hot readback changed before the next drain: %v, was %v", hot[0], wantHot[0])
 	}
+	for i := 1; i < 6; i++ {
+		tr.Send(seqRec(i%3, 1, uint32(100+i), uint64(50+i)))
+	}
 	cold2, hot2 := tr.Drain(1)
-	if len(cold2) != 4 || len(hot2) != 1 || cold2[0].Seq != 101 || hot2[0].Seq != 103 {
+	if len(cold2) != 5 || len(hot2) != 1 || cold2[1].Seq != 101 || hot2[0].Seq != 103 {
 		t.Fatalf("second drain = %v / %v", cold2, hot2)
 	}
 }

@@ -202,14 +202,15 @@ type Stats struct {
 	Reboots int
 	// AFRs counts collected flow records.
 	AFRs int
-	// HotAFRs and ColdAFRs split the RDMA path's records.
+	// HotAFRs and ColdAFRs split the RDMA path's records (records, not
+	// verbs: a batch's cold records travel as one append verb).
 	HotAFRs, ColdAFRs int
 	// FallbackAFRs counts records rerouted mid-sub-window from the RDMA
 	// transport to the packet C&R path (QP down, retries exhausted, cold
-	// buffer full, or replay budget spent).
+	// ring full, or replay budget spent).
 	FallbackAFRs int
-	// RDMAReplayed counts verbs re-applied by the PSN-gap NACK/replay
-	// loop.
+	// RDMAReplayed counts the records of verbs re-applied by the PSN-gap
+	// NACK/replay loop.
 	RDMAReplayed int
 	// Retransmitted counts AFRs re-queried and re-sent by the
 	// reliability protocol (attempts; the fault layer may still drop
@@ -217,9 +218,9 @@ type Stats struct {
 	Retransmitted int
 	// RecoveryRounds counts NACK rounds across all sub-windows.
 	RecoveryRounds int
-	// IncompleteSubWindows counts sub-windows whose announced AFRs could
-	// not all be recovered within the retry budget; the windows they
-	// belong to are marked Incomplete.
+	// IncompleteSubWindows counts sub-windows whose announced AFRs had not
+	// all reached the controller once recovery and the drain were done;
+	// the windows they belong to are marked Incomplete.
 	IncompleteSubWindows int
 	// CollectVirtual is the total modeled C&R time across sub-windows
 	// (enumeration + reset recirculation + injection).

@@ -179,7 +179,9 @@ func TestRDMAChaosByteIdentical(t *testing.T) {
 // TestRDMAChaosBeyondBudgetDegrades drives the transport past its replay
 // budget: every verb's request is lost in flight and the replay window is
 // far smaller than a sub-window's traffic, so evicted verbs are gone for
-// good. The windows must come out explicitly Degraded, and the
+// good. A sub-window's cold records are one append verb, so the traffic
+// that overruns the window is hot: every key is promoted at its first
+// appearance and each of its records is a WRITE verb of its own. The windows must come out explicitly Degraded, and the
 // MissingAFRs/ShedAFRs accounting must reconcile exactly against the
 // transport's own loss count — while the records still inside the window
 // are repaired through mid-window fallback, proving loss and handoff
@@ -188,6 +190,7 @@ func TestRDMAChaosBeyondBudgetDegrades(t *testing.T) {
 	d := runRDMAChaos(t, func(c *Config) {
 		c.Plan = window.Tumbling(1) // one sub-window per window: exact reconciliation
 		c.plan.rdmaFaults = &faults.RDMASchedule{Seed: 1, PSNDrop: 1.0}
+		c.HotThreshold = 1
 		c.plan.rdmaReplayDepth = 8
 		c.plan.retry = fastRetry(2)
 	})
@@ -222,6 +225,48 @@ func TestRDMAChaosBeyondBudgetDegrades(t *testing.T) {
 	if totalMissing != st.Lost {
 		t.Fatalf("windows report %d missing AFRs, transport lost %d — accounting does not reconcile",
 			totalMissing, st.Lost)
+	}
+}
+
+// TestRDMAIncompleteSubWindowsMatchesWindows holds Stats.IncompleteSubWindows
+// to the windows' own verdict in RDMA mode, with one sub-window per window
+// so the two count the same thing. Records the AFR fault schedule drops
+// before any verb carries them have no PSN, so recovery never NACKs them,
+// yet their sub-windows are Incomplete; PSN gaps that replay cannot close
+// but the drain's hand-off delivers leave nothing missing.
+func TestRDMAIncompleteSubWindowsMatchesWindows(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		lossy bool
+		fault func(*Config)
+	}{
+		{"lost before any verb", true, func(c *Config) {
+			spillTracker(c)
+			c.plan.afrFaults = &everyThird{}
+		}},
+		{"gaps the hand-off delivers", false, func(c *Config) {
+			c.plan.rdmaFaults = &faults.RDMASchedule{Seed: 1, PSNDrop: 1.0}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := runBatch(t, func(c *Config) {
+				c.RDMA = true
+				c.Plan = window.Tumbling(1)
+				tc.fault(c)
+			})
+			lossy := 0
+			for _, w := range d.Results() {
+				if w.MissingAFRs > 0 {
+					lossy++
+				}
+			}
+			if (lossy > 0) != tc.lossy || len(d.Results()) != 5 {
+				t.Fatalf("%d of %d windows carry MissingAFRs, want lossy=%v over 5", lossy, len(d.Results()), tc.lossy)
+			}
+			if got := d.Stats().IncompleteSubWindows; got != lossy {
+				t.Fatalf("IncompleteSubWindows = %d, want the %d windows that carry MissingAFRs", got, lossy)
+			}
+		})
 	}
 }
 

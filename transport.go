@@ -218,14 +218,17 @@ func (r *rdmaPath) ingestParked() {
 	r.parked = r.parked[:0]
 }
 
-// ingest hands RDMA-delivered (or fallen-back) records to the controller,
-// logging them to the WAL first — they become durable at controller-ingest
+// ingest hands RDMA-delivered (or fallen-back) records to the controller
+// in delivery batches of at most afrBatchCap, the packet path's shape,
+// logging each to the WAL first — they become durable at controller-ingest
 // time, exactly when the controller's state starts reflecting them. They
 // are memory writes, not packets: no O1 receive is charged.
 func (r *rdmaPath) ingest(recs []packet.AFR) {
-	if len(recs) > 0 {
-		r.d.logBatch(false, recs)
-		r.d.ctrl.IngestAFRs(recs)
+	for len(recs) > 0 {
+		batch := recs[:min(len(recs), afrBatchCap)]
+		r.d.logBatch(false, batch)
+		r.d.ctrl.IngestAFRs(batch)
+		recs = recs[len(batch):]
 	}
 }
 
@@ -239,7 +242,9 @@ func (r *rdmaPath) beginRecovery(sw uint64) {
 }
 
 // missing is the controller-side PSN-gap scan. A QP still in Error cannot
-// replay: its gaps go straight to drain's hand-off.
+// replay: its gaps go straight to drain's hand-off. A record lost before
+// any verb carried it has no PSN, so it is never NACKed; account still
+// counts its sub-window Incomplete.
 func (r *rdmaPath) missing(uint64, bool) []uint32 {
 	if r.tr.State() == rdma.QPError {
 		return nil
@@ -250,9 +255,10 @@ func (r *rdmaPath) missing(uint64, bool) []uint32 {
 func (r *rdmaPath) replay(psns []uint32) { r.d.stats.RDMAReplayed += r.tr.Replay(psns) }
 
 // drain first takes the per-key hand-off — what the replay budget could
-// not land on the region — then the cold buffer plus the hot-row readback,
-// zeroing each consumed lane for its next same-lane sub-window. Hot-row
-// records cost the controller CPU nothing.
+// not land on the region — then the cold ring plus the hot-row readback,
+// zeroing each consumed lane for its next same-lane sub-window. The cold
+// ring is ingested here, before anything sends again and overwrites it.
+// Hot-row records cost the controller CPU nothing.
 func (r *rdmaPath) drain(sw uint64, _ int) time.Duration {
 	d, rx := r.d, r.d.sw.Costs.DPDKRxPerPacket
 	if fb := r.tr.TakeUnapplied(); len(fb) > 0 {
