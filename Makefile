@@ -5,7 +5,7 @@ GO ?= go
 
 .PHONY: all build test race fuzz examples \
 	reproduce fmt vet clean ci fmt-check fuzz-smoke bench-smoke chaos \
-	failover fabric-chaos rdma-chaos disk-chaos partition-chaos \
+	failover rdma-chaos disk-chaos partition-chaos \
 	staticcheck cover nightly microbench loc
 
 all: build vet test
@@ -36,7 +36,7 @@ race:
 #	cover                ↔ job "coverage"
 #	fuzz-smoke bench-smoke examples ↔ job "smoke"
 #	nightly              ↔ .github/workflows/nightly.yml (scheduled)
-#	chaos failover fabric-chaos rdma-chaos disk-chaos partition-chaos,
+#	chaos failover rdma-chaos disk-chaos partition-chaos,
 #	loc                  ↔ none: local focus commands and line counts
 ci: build vet fmt-check test race staticcheck cover fuzz-smoke bench-smoke examples
 
@@ -68,13 +68,6 @@ chaos:
 failover:
 	$(GO) test -race -run 'Crash|Failover|Shed|Store|Lease|CollectBatch|Checkpoint|Cut|Scrub' \
 		. ./internal/controller/ ./internal/faults/ ./internal/durable/
-
-# Fabric chaos suite: switch reboots, stalls and clock drift on multi-hop
-# topologies, under the race detector. Every schedule uses fixed seeds
-# (the Fixed boundary lists and seeds 1..5 in fabric_test.go), so each
-# failure sequence is a reproducible test case.
-fabric-chaos:
-	$(GO) test -race ./internal/fabric/ ./internal/faults/
 
 # RDMA chaos suite: the fault-tolerant transport (QP state machine, PSN
 # replay, mid-window fallback, failover re-registration) under seeded
@@ -194,7 +187,7 @@ fuzz-smoke:
 	$(GO) test -fuzz 'FuzzTableDifferential$$' -fuzztime 10s ./internal/controller/
 
 bench-smoke:
-	$(GO) test -run xxx -bench . -benchtime 1x . ./internal/fabric/ ./internal/durable/ ./internal/hashing/ ./internal/controller/
+	$(GO) test -run xxx -bench . -benchtime 1x . ./internal/durable/ ./internal/hashing/ ./internal/controller/
 
 # Micro-benchmarks across all packages.
 microbench:
@@ -232,7 +225,8 @@ nightly:
 
 # Every example, end to end (≈ 23 s). udpcollector is the one program that
 # sends the wire datagram format over real sockets and networkwide the one
-# that runs internal/fabric, so CI's smoke job runs this target.
+# that chains deployments through ProcessAndForward, so CI's smoke job
+# runs this target.
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/ddosdetect

@@ -32,12 +32,12 @@ func TestBoundaryGolden(t *testing.T) {
 		loss      bool   // drop every third AFR packet before delivery
 		restartAt uint64 // the store dies in this boundary's checkpoint; digest the restart, which replays it from the WAL
 	}{
-		{name: "packet", want: "66f0996c221ad7b6"},
-		{name: "packet+loss", want: "316450ba0314343b", loss: true, mutate: func(c *Config) {
+		{name: "packet", want: "1a831c2811b2981e"},
+		{name: "packet+loss", want: "65b321d3f40711d3", loss: true, mutate: func(c *Config) {
 			c.plan.afrFaults = faults.New(faults.Config{Seed: 1, Drop: 0.10, Duplicate: 0.20, MaxDuplicates: 2})
 		}},
-		{name: "rdma", want: "f543d4e41d8128f8", mutate: func(c *Config) { c.RDMA = true }},
-		{name: "rdma+faults", want: "3f1222aeb0109cbd", mutate: func(c *Config) {
+		{name: "rdma", want: "eeea3710a6f71bc0", mutate: func(c *Config) { c.RDMA = true }},
+		{name: "rdma+faults", want: "06427babfef04905", mutate: func(c *Config) {
 			c.RDMA = true
 			c.plan.rdmaReplayDepth = 256
 			c.plan.retry = fastRetry(2)
@@ -45,24 +45,24 @@ func TestBoundaryGolden(t *testing.T) {
 				QPError:      faults.Fault{Prob: 0.3},
 				MRInvalidate: faults.Fault{Prob: 0.3}}
 		}},
-		{name: "durable", want: "ed123cf432a4a8f9", durable: true},
-		{name: "rdma+durable", want: "2ad9e72f5df3fc83", durable: true, mutate: func(c *Config) { c.RDMA = true }},
-		{name: "standby+crash", want: "937b901b23fe57ec", durable: true, mutate: func(c *Config) {
+		{name: "durable", want: "b9f1abffeb82f031", durable: true},
+		{name: "rdma+durable", want: "012f2150f5dd773b", durable: true, mutate: func(c *Config) { c.RDMA = true }},
+		{name: "standby+crash", want: "22b2db4e53053484", durable: true, mutate: func(c *Config) {
 			c.Standby = true
 			c.plan.crash = crashes(2)
 		}},
-		{name: "standby+partition", want: "c1b1d1c2b88b20af", durable: true, mutate: func(c *Config) {
+		{name: "standby+partition", want: "18486560fc239f27", durable: true, mutate: func(c *Config) {
 			c.Standby = true
 			c.plan.leaseTTL = 170 * time.Millisecond
 			c.plan.partition = &faults.PartitionSchedule{Seed: 3, Gray: 0.2,
 				Symmetric: faults.Fault{Fixed: []uint64{1, 2}}}
 		}},
-		{name: "disk-faults", want: "c95edde568e4a73a", durable: true, mutate: func(c *Config) {
+		{name: "disk-faults", want: "5179beb7e4867562", durable: true, mutate: func(c *Config) {
 			c.plan.durable.FS = durable.NewFaultFS(nil, &faults.DiskSchedule{Seed: 7, WriteEIO: 0.10, ShortWrite: 0.05,
 				BitRot: 0.02, SlowIO: 0.10, ENOSPC: faults.Fault{Fixed: []uint64{25, 26}}})
 			c.plan.durable.RetryLimit = 1
 		}},
-		{name: "crash-restart", want: "840427f98dea38e2", durable: true, restartAt: 2},
+		{name: "crash-restart", want: "502dbdbe1a3b67f6", durable: true, restartAt: 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,9 +1,9 @@
 // owtop is a terminal dashboard over an OmniWindow observability endpoint
-// (Config.DebugAddr / fabric.Config.DebugAddr / obs.Serve). It polls
-// /metrics, derives per-second rates from successive scrapes, re-estimates
-// latency quantiles from the exposed histogram buckets with the same
-// interpolation the live histograms use, and tails /debug/windows for the
-// most recent lifecycle events.
+// (Config.DebugAddr / obs.Serve). It polls /metrics, derives per-second
+// rates from successive scrapes, re-estimates latency quantiles from the
+// exposed histogram buckets with the same interpolation the live
+// histograms use, and tails /debug/windows for the most recent lifecycle
+// events.
 //
 // Run with:
 //

@@ -96,17 +96,6 @@ func (d *Deployment) installProgram() {
 			return
 		}
 		res := d.manager.OnPacket(p, p.Time)
-		if d.decisionHook != nil {
-			d.decisionHook(p, res)
-		}
-		if res.StaleEpoch {
-			// Stamped by a rebooted, not-yet-resynced switch: the embedded
-			// sub-window is garbage. The packet still forwards (it is user
-			// traffic) but is never monitored here.
-			d.stats.StaleEpochStamps++
-			d.obs.staleEpoch.Inc()
-			return
-		}
 		// The in-band trigger: announced here, before this packet's own
 		// update below may hand an ended sub-window's region to a newer one.
 		for _, ended := range res.Terminated {

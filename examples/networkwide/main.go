@@ -1,15 +1,16 @@
-// networkwide runs OmniWindow across a small leaf fabric using the
-// fabric package: three ingress leaf switches each deploy the same
-// heavy-hitter app, every packet is measured once at its ingress leaf
-// (the first-hop stamp decides its sub-window network-wide), and the
-// fabric merges the three switches' windows into one network-wide view —
-// which matches an omniscient single-switch ideal exactly.
+// networkwide runs OmniWindow's §5 consistency model across a small
+// leaf-spine topology: three ingress leaf switches each take the flows a
+// hash of the flow key assigns them, stamp every packet's sub-window at
+// that first hop, and forward it over a link delay to one spine switch
+// that adopts the stamp instead of consulting its own clock. Every switch
+// runs the same heavy-hitter query.
 //
-// The second half of the demo reruns the same trace with leaf 1 on a
-// reboot schedule: the fabric resyncs the wiped switch with epoch
-// beacons, and every window whose coverage the failure touched comes
-// back explicitly marked Degraded with the failed switch named and its
-// coverage gap recorded — instead of silently undercounting.
+// For each window the demo prints the leaves' merged view beside the
+// spine's view and an omniscient per-flow count. Each count-min sketch
+// over-counts, so the views are not equal; but the spine's sketch sees a
+// superset of every leaf's traffic under the same hashes, in the same
+// sub-windows, so per flow it must read spine >= leaves >= exact. A
+// packet counted into the wrong window at either hop would break that.
 //
 // Run with:
 //
@@ -17,15 +18,12 @@
 package main
 
 import (
-	"flag"
 	"fmt"
 	"log"
 	"sort"
 	"time"
 
 	"omniwindow"
-	"omniwindow/internal/fabric"
-	"omniwindow/internal/faults"
 	"omniwindow/internal/hashing"
 	"omniwindow/internal/packet"
 	"omniwindow/internal/sketch"
@@ -37,133 +35,113 @@ const (
 	leaves    = 3
 	slots     = 4096
 	threshold = 400
+	subWindow = 100 * trace.Millisecond
+	duration  = 1000 * trace.Millisecond
+	linkDelay = 40 * trace.Millisecond // most of a sub-window
 )
 
-func leafConfig(id int) omniwindow.Config {
+// switchConfig is every switch's deployment. The sketch seeds depend on
+// the memory region only, so all four switches hash a key alike.
+func switchConfig() omniwindow.Config {
 	return omniwindow.Config{
-		SubWindow: 100 * time.Millisecond,
+		SubWindow: time.Duration(subWindow),
 		Plan:      omniwindow.Tumbling(5),
 		Kind:      omniwindow.Frequency,
 		Threshold: threshold,
 		AppFactory: func(region int) omniwindow.StateApp {
-			return telemetry.NewFrequencyApp(sketch.NewCountMin(4, slots, uint64(id*10+region+1)), slots)
+			return telemetry.NewFrequencyApp(sketch.NewCountMin(4, slots, uint64(region+1)), slots)
 		},
 		Slots:         slots,
 		CaptureValues: true,
 	}
 }
 
-func newFabric(scheds []*faults.SwitchSchedule, debugAddr string) *fabric.Fabric {
-	cfg := fabric.Config{
-		Switches: make([]fabric.SwitchConfig, leaves),
-		// ECMP-style ingress assignment: each flow enters the fabric at
-		// one leaf, chosen by a hash of its key, and is metered only
-		// there.
-		Route: func(p *packet.Packet) []int {
-			return []int{hashing.Index(p.Key, 0xECA9, leaves)}
-		},
-		Beacons: true,
-		// One aggregated observability endpoint for the whole fabric:
-		// every leaf's metrics carry a switch label, and the lifecycle
-		// trace interleaves all three. Empty disables.
-		DebugAddr: debugAddr,
-	}
-	for i := range cfg.Switches {
-		cfg.Switches[i].Config = leafConfig(i)
-		if scheds != nil {
-			cfg.Switches[i].Faults = scheds[i]
-		}
-	}
-	f, err := fabric.New(cfg)
+func newSwitch() *omniwindow.Deployment {
+	d, err := omniwindow.New(switchConfig())
 	if err != nil {
 		log.Fatal(err)
 	}
-	return f
+	return d
 }
 
-func main() {
-	debugAddr := flag.String("debug", "", "serve the fabric-wide observability endpoint on this address; empty disables")
-	flag.Parse()
+// ingress is the ECMP-style leaf assignment: each flow enters at one leaf.
+func ingress(k packet.FlowKey) int { return hashing.Index(k, 0xECA9, leaves) }
 
+func main() {
 	cfg := trace.DefaultConfig(21)
 	cfg.Flows = 6000
-	cfg.Duration = 1000 * trace.Millisecond
+	cfg.Duration = duration
 	cfg.Anomalies = []trace.Anomaly{
 		trace.HeavyBurst{Key: trace.BurstKey(0), Packets: 600, At: 250 * trace.Millisecond, Spread: 150 * trace.Millisecond},
 		trace.HeavyBurst{Key: trace.BurstKey(1), Packets: 600, At: 700 * trace.Millisecond, Spread: 150 * trace.Millisecond},
 	}
 	pkts := trace.New(cfg).Generate()
 
+	leaf := make([]*omniwindow.Deployment, leaves)
+	for i := range leaf {
+		leaf[i] = newSwitch()
+	}
+	spine := newSwitch()
+
 	perLeaf := make([]int, leaves)
 	for i := range pkts {
-		perLeaf[hashing.Index(pkts[i].Key, 0xECA9, leaves)]++
+		in := ingress(pkts[i].Key)
+		perLeaf[in]++
+		for _, fwd := range leaf[in].ProcessAndForward(&pkts[i]) {
+			fwd.Time += linkDelay
+			spine.ProcessPacket(fwd)
+		}
 	}
-	fmt.Printf("ingress distribution across %d leaves: %v\n\n", leaves, perLeaf)
+	fmt.Printf("ingress distribution across %d leaves: %v; link delay %v\n\n",
+		leaves, perLeaf, time.Duration(linkDelay))
 
-	// Fault-free run: the fabric-wide merge matches an omniscient exact
-	// reference.
-	healthy := newFabric(nil, *debugAddr)
-	if *debugAddr != "" {
-		fmt.Printf("observability endpoint: %s/metrics\n", healthy.DebugURL())
-		defer healthy.CloseDebug()
+	leafWindows := make([][]omniwindow.WindowResult, leaves)
+	for i, d := range leaf {
+		leafWindows[i] = d.RunFor(nil, duration)
 	}
-	windows := healthy.Run(clone(pkts))
-	for _, w := range windows {
-		exact := exactCounts(pkts, w.Start, w.End)
-		mismatches := 0
-		for k, v := range w.Values {
-			if exact[k] != 0 && v < exact[k] {
-				mismatches++
+	spineWindows := spine.RunFor(nil, duration+linkDelay)
+
+	violations := 0
+	for w, sw := range spineWindows {
+		merged := map[packet.FlowKey]uint64{}
+		for i := range leafWindows {
+			if w >= len(leafWindows[i]) || leafWindows[i][w].Start != sw.Start {
+				log.Fatalf("leaf %d has no window [sub %d..%d]", i, sw.Start, sw.End)
+			}
+			for k, v := range leafWindows[i][w].Values {
+				merged[k] += v
 			}
 		}
-		fmt.Printf("fabric window [sub %d..%d]: %d flows merged, undercounts vs omniscient: %d\n",
-			w.Start, w.End, len(w.Values), mismatches)
-		detected := append([]packet.FlowKey(nil), w.Detected...)
-		sort.Slice(detected, func(i, j int) bool {
-			return w.Values[detected[i]] > w.Values[detected[j]]
-		})
+		exact := exactCounts(pkts, sw.Start, sw.End)
+		bad := 0
+		var sumLeaves, sumSpine, sumExact uint64
+		for k, n := range exact {
+			if merged[k] < n || sw.Values[k] < merged[k] {
+				bad++
+			}
+			sumLeaves, sumSpine, sumExact = sumLeaves+merged[k], sumSpine+sw.Values[k], sumExact+n
+		}
+		violations += bad
+		fmt.Printf("window [sub %d..%d]: %d flows, packets leaves=%d spine=%d exact=%d, lower-bound violations: %d\n",
+			sw.Start, sw.End, len(exact), sumLeaves, sumSpine, sumExact, bad)
+		detected := append([]packet.FlowKey(nil), sw.Detected...)
+		sort.Slice(detected, func(i, j int) bool { return exact[detected[i]] > exact[detected[j]] })
 		for _, k := range detected {
-			fmt.Printf("  heavy: %-45s fabric=%d exact=%d\n", k, w.Values[k], exact[k])
+			fmt.Printf("  heavy: %-45s leaves=%d spine=%d exact=%d\n", k, merged[k], sw.Values[k], exact[k])
 		}
 	}
-
-	// Chaos run: leaf 1 reboots at sub-window boundary 3, wiping its
-	// counter, registers and epoch. Its in-flight data is lost, but the
-	// fabric charges the loss to the affected windows instead of hiding
-	// it, and an epoch beacon resyncs the switch at the next boundary.
-	fmt.Println("\n--- rerun with leaf 1 rebooting at sub-window 3 ---")
-	scheds := make([]*faults.SwitchSchedule, leaves)
-	scheds[1] = &faults.SwitchSchedule{Reboot: faults.Fault{Fixed: []uint64{3}}}
-	chaos := newFabric(scheds, "")
-	for _, w := range chaos.Run(clone(pkts)) {
-		status := "exact"
-		if w.Degraded {
-			status = fmt.Sprintf("DEGRADED (switches %v, gaps %v)", w.DegradedSwitches, w.Gaps)
-		}
-		fmt.Printf("fabric window [sub %d..%d]: %d flows, %s\n",
-			w.Start, w.End, len(w.Values), status)
+	if len(spineWindows) == 0 || violations > 0 {
+		log.Fatalf("%d windows, %d flows break spine >= leaves >= exact", len(spineWindows), violations)
 	}
-	fmt.Printf("leaf 1 reboots: %d, epoch after resync: %d, coverage gaps: %v\n",
-		chaos.Node(1).Stats().Reboots, chaos.Node(1).Epoch(), chaos.Gaps(1))
-	if v := chaos.Violations(); len(v) > 0 {
-		fmt.Printf("consistency violations: %v\n", v)
-	} else {
-		fmt.Println("consistency violations: none (no stale-epoch stamp was ever monitored)")
-	}
-}
-
-func clone(pkts []packet.Packet) []packet.Packet {
-	out := make([]packet.Packet, len(pkts))
-	copy(out, pkts)
-	return out
+	fmt.Println("every flow: spine >= leaves >= exact")
 }
 
 // exactCounts is the omniscient reference: per-flow packet counts over a
-// window's time span.
+// window's time span. The leaves' clocks are true time, so a packet's
+// stamp is the sub-window its timestamp falls in.
 func exactCounts(pkts []packet.Packet, start, end uint64) map[packet.FlowKey]uint64 {
 	exact := map[packet.FlowKey]uint64{}
-	lo := int64(start) * 100 * trace.Millisecond
-	hi := int64(end+1) * 100 * trace.Millisecond
+	lo, hi := int64(start)*subWindow, int64(end+1)*subWindow
 	for i := range pkts {
 		if pkts[i].Time >= lo && pkts[i].Time < hi {
 			exact[pkts[i].Key]++

@@ -95,8 +95,8 @@ func main() {
 	// on one endpoint. Point owtop (cmd/owtop) at it while this runs.
 	if *debugAddr != "" {
 		reg := obs.NewRegistry()
-		ctrl.SetObs(controller.Instrument(reg, ""))
-		col.Instrument(reg, "")
+		ctrl.SetObs(controller.Instrument(reg))
+		col.Instrument(reg)
 		srv, err := obs.Serve(*debugAddr, reg)
 		if err != nil {
 			log.Fatal(err)

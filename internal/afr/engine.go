@@ -101,28 +101,6 @@ func NewMultiEngine(tracker *Tracker, apps [][]StateApp, regions window.Regions)
 // AppCount returns the number of co-deployed applications.
 func (e *Engine) AppCount() int { return len(e.apps[0]) }
 
-// PowerCycle models a switch losing power: every region's flowkey
-// tracking structures and application state are wiped and any in-progress
-// collection is abandoned (parked clear packets live in pipeline state and
-// die with it). The engine itself stays usable — it is the data that is
-// gone, which is exactly what the fabric's reboot fault injects.
-func (e *Engine) PowerCycle() {
-	for r := range e.apps {
-		e.tracker.ResetRegion(r)
-		for _, a := range e.apps[r] {
-			for i := 0; i < a.Slots(); i++ {
-				a.ResetSlot(i)
-			}
-		}
-	}
-	e.collecting = false
-	e.counter = 0
-	e.resetCounter = 0
-	e.trackerPending = false
-	e.parked = 0
-	e.injected = e.injected[:0]
-}
-
 // SetKeyFunc installs the application's flowkey definition (§4.1:
 // "OmniWindow requires telemetry applications to explicitly specify the
 // flowkey definition"). The function maps a packet to the key to track; ok

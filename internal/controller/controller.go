@@ -486,8 +486,8 @@ func (c *Controller) forEachShard(f func(s *shard)) {
 //
 // Sub-windows finish strictly in order: finishing one that is already
 // finished is a no-op, and finishing one beyond lastFin+1 first finishes
-// the skipped range. The skips happen when a rebooted switch resyncs past
-// sub-windows its new incarnation never observed — without the fill, the
+// the skipped range. A caller skips when its switch's counter jumped past
+// sub-windows the switch never announced — without the fill, the
 // window boundaries inside the gap would never assemble and, worse, never
 // run O5 eviction, so contributions from before the gap would leak into
 // the value of every window emitted after it. A filled sub-window that was

@@ -25,7 +25,7 @@ func triggerPkt(sw uint64, keys uint32) *packet.Packet {
 // ghost (a pending record and a dedup entry) into the checkpoint.
 func TestLateArrivalDoesNotReopenFinishedSubWindow(t *testing.T) {
 	c := New(Config{Plan: window.SlidingPlan(3, 1), Kind: afr.Frequency, Shards: 2})
-	c.SetObs(Instrument(obs.NewRegistry(), ""))
+	c.SetObs(Instrument(obs.NewRegistry()))
 	c.Receive(triggerPkt(0, 2))
 	c.Receive(afrPkt(rec(1, 0, 5, 0), rec(2, 0, 5, 1)))
 	c.FinishSubWindow(0)

@@ -42,25 +42,22 @@ type Obs struct {
 }
 
 // Instrument registers the controller metric family on reg and returns
-// the enabled handle set. labels is an optional Prometheus label set
-// (e.g. `switch="2"` or `app="ddos"`) embedded in every metric name so
-// several controllers share one registry; empty means unlabeled.
-func Instrument(reg *obs.Registry, labels string) Obs {
-	n := func(name string) string { return obs.Labeled(name, labels) }
+// the enabled handle set.
+func Instrument(reg *obs.Registry) Obs {
 	return Obs{
-		Ingested:          reg.Counter(n("omniwindow_controller_afrs_total"), "AFR records admitted into the key-value table (first arrivals)"),
-		Duplicates:        reg.Counter(n("omniwindow_controller_duplicates_total"), "AFR records suppressed by sequence dedup"),
-		Recovered:         reg.Counter(n("omniwindow_controller_recovered_total"), "AFR records whose first arrival was a retransmission"),
-		Spikes:            reg.Counter(n("omniwindow_controller_spikes_total"), "latency-spike copies merged through the software path"),
-		Shed:              reg.Counter(n("omniwindow_controller_shed_total"), "AFR records dropped by admission control, charged via NoteShed"),
-		Windows:           reg.Counter(n("omniwindow_controller_windows_total"), "complete windows emitted"),
-		IncompleteWindows: reg.Counter(n("omniwindow_controller_windows_incomplete_total"), "windows emitted with unrecovered AFR gaps"),
-		DegradedWindows:   reg.Counter(n("omniwindow_controller_windows_degraded_total"), "windows emitted damaged by load shedding or switch faults"),
-		OpInsert:          reg.Histogram(n("omniwindow_controller_op_insert_seconds"), "O2 key-value insert time per sub-window (CPU, summed across shards)", nil),
-		OpMerge:           reg.Histogram(n("omniwindow_controller_op_merge_seconds"), "O3 statistics merge time per sub-window", nil),
-		OpProcess:         reg.Histogram(n("omniwindow_controller_op_process_seconds"), "O4 query evaluation time per completed window", nil),
-		OpEvict:           reg.Histogram(n("omniwindow_controller_op_evict_seconds"), "O5 eviction time per retirement", nil),
-		Finish:            reg.Histogram(n("omniwindow_controller_finish_seconds"), "FinishSubWindow wall time per sub-window", nil),
+		Ingested:          reg.Counter("omniwindow_controller_afrs_total", "AFR records admitted into the key-value table (first arrivals)"),
+		Duplicates:        reg.Counter("omniwindow_controller_duplicates_total", "AFR records suppressed by sequence dedup"),
+		Recovered:         reg.Counter("omniwindow_controller_recovered_total", "AFR records whose first arrival was a retransmission"),
+		Spikes:            reg.Counter("omniwindow_controller_spikes_total", "latency-spike copies merged through the software path"),
+		Shed:              reg.Counter("omniwindow_controller_shed_total", "AFR records dropped by admission control, charged via NoteShed"),
+		Windows:           reg.Counter("omniwindow_controller_windows_total", "complete windows emitted"),
+		IncompleteWindows: reg.Counter("omniwindow_controller_windows_incomplete_total", "windows emitted with unrecovered AFR gaps"),
+		DegradedWindows:   reg.Counter("omniwindow_controller_windows_degraded_total", "windows emitted damaged by load shedding"),
+		OpInsert:          reg.Histogram("omniwindow_controller_op_insert_seconds", "O2 key-value insert time per sub-window (CPU, summed across shards)", nil),
+		OpMerge:           reg.Histogram("omniwindow_controller_op_merge_seconds", "O3 statistics merge time per sub-window", nil),
+		OpProcess:         reg.Histogram("omniwindow_controller_op_process_seconds", "O4 query evaluation time per completed window", nil),
+		OpEvict:           reg.Histogram("omniwindow_controller_op_evict_seconds", "O5 eviction time per retirement", nil),
+		Finish:            reg.Histogram("omniwindow_controller_finish_seconds", "FinishSubWindow wall time per sub-window", nil),
 		Ring:              reg.Ring(0),
 	}
 }

@@ -249,18 +249,16 @@ func (c *Collector) ShedAFRs() int { return int(c.shedAFRs.Load()) }
 // Instrument exports the collector's live counters on reg as scrape-time
 // func metrics — the collector already keeps its accounting in atomics,
 // so exporting reads the same variables instead of double-counting
-// through parallel obs counters. labels is an optional embedded label set
-// (e.g. `app="ddos"`); empty means unlabeled. Safe to call while the
-// collector is running.
-func (c *Collector) Instrument(reg *obs.Registry, labels string) {
-	n := func(name string) string { return obs.Labeled(name, labels) }
-	reg.CounterFunc(n("omniwindow_collector_received_total"), "first-transmission datagrams decoded and ingested", c.recvd.Load)
-	reg.CounterFunc(n("omniwindow_collector_recovered_total"), "retransmitted datagrams ingested via the NACK path", c.recov.Load)
-	reg.CounterFunc(n("omniwindow_collector_decode_failures_total"), "datagrams that failed to decode", c.drops.Load)
-	reg.CounterFunc(n("omniwindow_collector_overruns_total"), "data datagrams shed by admission control", c.overrun.Load)
-	reg.CounterFunc(n("omniwindow_collector_shed_afrs_total"), "AFR records inside shed datagrams attributed by header peek", c.shedAFRs.Load)
-	reg.GaugeFunc(n("omniwindow_collector_queue_depth"), "raw datagrams waiting between the socket reader and ingest workers", func() int64 { return int64(len(c.queue)) })
-	reg.GaugeFunc(n("omniwindow_collector_table_size"), "flows resident in the controller key-value table", func() int64 { return int64(c.ctrl.TableSize()) })
+// through parallel obs counters. Safe to call while the collector is
+// running.
+func (c *Collector) Instrument(reg *obs.Registry) {
+	reg.CounterFunc("omniwindow_collector_received_total", "first-transmission datagrams decoded and ingested", c.recvd.Load)
+	reg.CounterFunc("omniwindow_collector_recovered_total", "retransmitted datagrams ingested via the NACK path", c.recov.Load)
+	reg.CounterFunc("omniwindow_collector_decode_failures_total", "datagrams that failed to decode", c.drops.Load)
+	reg.CounterFunc("omniwindow_collector_overruns_total", "data datagrams shed by admission control", c.overrun.Load)
+	reg.CounterFunc("omniwindow_collector_shed_afrs_total", "AFR records inside shed datagrams attributed by header peek", c.shedAFRs.Load)
+	reg.GaugeFunc("omniwindow_collector_queue_depth", "raw datagrams waiting between the socket reader and ingest workers", func() int64 { return int64(len(c.queue)) })
+	reg.GaugeFunc("omniwindow_collector_table_size", "flows resident in the controller key-value table", func() int64 { return int64(c.ctrl.TableSize()) })
 }
 
 // SendDatagram wire-encodes p into a pooled buffer and sends it to addr

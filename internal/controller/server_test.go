@@ -23,7 +23,7 @@ func TestCollectorCloseUnderLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctrl := New(Config{Plan: window.Tumbling(1), Kind: afr.Frequency, Shards: 4})
-	ctrl.SetObs(Instrument(obs.NewRegistry(), ""))
+	ctrl.SetObs(Instrument(obs.NewRegistry()))
 	reached := func() int64 { return ctrl.obs.Ingested.Value() + ctrl.obs.Duplicates.Value() }
 	var closes, atClose atomic.Int64
 	col := NewCollector(serverConn, ctrl, CollectorConfig{Workers: 4, OnClose: func() {

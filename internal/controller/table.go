@@ -248,10 +248,10 @@ func (t *table) column(sw uint64) *column {
 	return c
 }
 
-// fold adds one record to row r's cell of column c. Fold, not store:
-// spike copies and fabrics sharing a controller deliver several records
-// for one (key, sub-window), and the cell holds their merge — the same
-// value afr.Merged would reach absorbing them one by one.
+// fold adds one record to row r's cell of column c. Fold, not store: a
+// latency-spike copy lands in a (key, sub-window) cell that collection
+// also fills, and the cell holds their merge — the same value afr.Merged
+// would reach absorbing them one by one.
 func (t *table) fold(c *column, r uint32, attr uint64, summ *[4]uint64, hasSumm bool) {
 	switch {
 	case !c.present.has(r):

@@ -299,19 +299,18 @@ func (s *Store) SetCrash(fn func(point string) bool) { s.crash = fn }
 // and checkpoint latency distributions plus operation/byte/fault
 // counters. The handles are nil-safe, so an uninstrumented store (the
 // default) pays nothing. Call before the store carries traffic.
-func (s *Store) Instrument(reg *obs.Registry, labels string) {
-	n := func(name string) string { return obs.Labeled(name, labels) }
-	s.walLat = reg.Histogram(n("omniwindow_durable_wal_append_seconds"), "write-ahead log append latency (frame encode + write)", nil)
-	s.ckptLat = reg.Histogram(n("omniwindow_durable_checkpoint_seconds"), "checkpoint commit latency (column records, manifest write and rename, segment deletion; the controller's export is not included)", nil)
-	s.appends = reg.Counter(n("omniwindow_durable_wal_appends_total"), "write-ahead log frames appended")
-	s.checkpoints = reg.Counter(n("omniwindow_durable_checkpoints_total"), "checkpoints completed")
-	s.walBytes = reg.Counter(n("omniwindow_durable_wal_bytes_total"), "bytes appended to the write-ahead logs")
-	s.ckptBytes = reg.Counter(n("omniwindow_durable_checkpoint_bytes_total"), "bytes written per completed checkpoint (column records plus manifest)")
-	reg.CounterFunc(n("omniwindow_durable_wal_errors_total"), "write-ahead log append attempts that failed (before any retry succeeded)", s.walErrs.Load)
-	reg.CounterFunc(n("omniwindow_durable_rotations_total"), "WAL segments sealed (size cap, cadence, retry rotation, or checkpoint)", s.rotations.Load)
-	reg.CounterFunc(n("omniwindow_durable_quarantined_segments_total"), "damaged segments or manifests set aside during recovery or scrubbing", s.quarantines.Load)
-	reg.CounterFunc(n("omniwindow_durable_scrub_errors_total"), "scrub passes that could not verify a file (read failures)", s.scrubErrs.Load)
-	reg.CounterFunc(n("omniwindow_durable_fenced_writes_total"), "mutating operations rejected because the writer's fencing term was stale", s.fenced.Load)
+func (s *Store) Instrument(reg *obs.Registry) {
+	s.walLat = reg.Histogram("omniwindow_durable_wal_append_seconds", "write-ahead log append latency (frame encode + write)", nil)
+	s.ckptLat = reg.Histogram("omniwindow_durable_checkpoint_seconds", "checkpoint commit latency (column records, manifest write and rename, segment deletion; the controller's export is not included)", nil)
+	s.appends = reg.Counter("omniwindow_durable_wal_appends_total", "write-ahead log frames appended")
+	s.checkpoints = reg.Counter("omniwindow_durable_checkpoints_total", "checkpoints completed")
+	s.walBytes = reg.Counter("omniwindow_durable_wal_bytes_total", "bytes appended to the write-ahead logs")
+	s.ckptBytes = reg.Counter("omniwindow_durable_checkpoint_bytes_total", "bytes written per completed checkpoint (column records plus manifest)")
+	reg.CounterFunc("omniwindow_durable_wal_errors_total", "write-ahead log append attempts that failed (before any retry succeeded)", s.walErrs.Load)
+	reg.CounterFunc("omniwindow_durable_rotations_total", "WAL segments sealed (size cap, cadence, retry rotation, or checkpoint)", s.rotations.Load)
+	reg.CounterFunc("omniwindow_durable_quarantined_segments_total", "damaged segments or manifests set aside during recovery or scrubbing", s.quarantines.Load)
+	reg.CounterFunc("omniwindow_durable_scrub_errors_total", "scrub passes that could not verify a file (read failures)", s.scrubErrs.Load)
+	reg.CounterFunc("omniwindow_durable_fenced_writes_total", "mutating operations rejected because the writer's fencing term was stale", s.fenced.Load)
 }
 
 // LSN returns the last issued log sequence number.

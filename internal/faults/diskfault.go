@@ -20,7 +20,7 @@ var (
 // storage path (internal/durable). Like CrashSchedule and RDMASchedule it
 // is stateless and deterministic: every fault hashes (Seed, operation
 // index) under its own salt, so enabling one fault kind never shifts
-// another's schedule — and never shifts the crash/RDMA/switch schedules
+// another's schedule — and never shifts the crash or RDMA schedules
 // either. Operation indices are issued by the durable FaultFS wrapper,
 // one per file-data operation, so a retried write redraws its fate at a
 // fresh index. The zero value (and a nil schedule) is a healthy disk.

@@ -16,8 +16,8 @@
 //     (drop/duplicate/reorder/delay/truncate/corrupt of wire datagrams).
 //
 // Faults decided at boundaries or per operation rather than per event —
-// controller crashes, switch reboots, RDMA verb and QP errors, disk and
-// partition faults — are the stateless schedules in this package. Each
+// controller crashes, RDMA verb and QP errors, disk and partition faults —
+// are the stateless schedules in this package. Each
 // schedule has one Seed, and every kind that can fire at chosen inputs is
 // a Fault drawn under it.
 package faults

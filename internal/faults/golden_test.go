@@ -31,16 +31,9 @@ func TestSchedulesGolden(t *testing.T) {
 		return &PartitionSchedule{Seed: seed, Symmetric: Fault{Prob: p / 3, Fixed: []uint64{30, 31}},
 			RenewOnly: p, Gray: p}
 	}
-	sw := func(seed uint64) *SwitchSchedule {
-		return &SwitchSchedule{Seed: seed, Reboot: Fault{Prob: p}, Stall: Fault{Prob: p, Fixed: fixed}}
-	}
 	rows := []row{
 		{"Crash.At", func(s, x uint64) bool { return CrashSchedule{Seed: s, Fault: Fault{Prob: p, Fixed: fixed}}.At(x) },
 			[2]uint64{0xb4214108c06089e1, 0x1122cb00c00e4138}},
-		{"Switch.RebootAt", func(s, x uint64) bool { return sw(s).RebootAt(x) },
-			[2]uint64{0xb4214008c06089c1, 0x1122ca00c00e4138}},
-		{"Switch.StallAt", func(s, x uint64) bool { return sw(s).StallAt(x) },
-			[2]uint64{0x820b21a02e490520, 0x40634938054b8ce0}},
 		{"RDMA.VerbErrorAt/0", func(s, x uint64) bool { return rdma(s).VerbErrorAt(x, 0) },
 			[2]uint64{0x170111462c601468, 0x1cc04a1001250822}},
 		{"RDMA.VerbErrorAt/2", func(s, x uint64) bool { return rdma(s).VerbErrorAt(x, 2) },

@@ -4,7 +4,7 @@ package faults
 // pair's two halves (standby.go): the primary→standby lease-renewal
 // channel. The standby reads no state over the network — a promotion
 // rebuilds from the shared log — so the renewals are all a partition can
-// cut. Like Crash/Switch/Disk/RDMA schedules it is stateless and
+// cut. Like the Crash, Disk and RDMA schedules it is stateless and
 // deterministic — every fault hashes (Seed, sub-window boundary) under its
 // own salt, so enabling one fault kind never shifts another's schedule,
 // and never shifts any other schedule family either. The zero value (and

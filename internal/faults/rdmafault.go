@@ -1,11 +1,11 @@
 package faults
 
 // RDMASchedule describes the failure behaviour of the RDMA collection
-// transport (internal/rdma). Like CrashSchedule and SwitchSchedule it is
-// stateless and deterministic: per-verb faults hash (Seed, verb index,
-// attempt) and boundary faults hash (Seed, boundary), each fault kind
-// under its own salt, so enabling one kind never shifts another's
-// schedule and a retried verb redraws its fate independently per attempt.
+// transport (internal/rdma). Like CrashSchedule it is stateless and
+// deterministic: per-verb faults hash (Seed, verb index, attempt) and
+// boundary faults hash (Seed, boundary), each fault kind under its own
+// salt, so enabling one kind never shifts another's schedule and a retried
+// verb redraws its fate independently per attempt.
 // The zero value (and a nil schedule) is a healthy transport.
 type RDMASchedule struct {
 	// Seed parameterizes every hash below.

@@ -46,14 +46,13 @@ func TestRDMAScheduleSeedGovernsBoundaryKinds(t *testing.T) {
 // schedules holds one schedule of every family, all under one seed.
 type schedules struct {
 	crash *CrashSchedule
-	sw    *SwitchSchedule
 	rdma  *RDMASchedule
 	disk  *DiskSchedule
 	part  *PartitionSchedule
 }
 
 func seeded(seed uint64) *schedules {
-	return &schedules{&CrashSchedule{Seed: seed}, &SwitchSchedule{Seed: seed}, &RDMASchedule{Seed: seed},
+	return &schedules{&CrashSchedule{Seed: seed}, &RDMASchedule{Seed: seed},
 		&DiskSchedule{Seed: seed}, &PartitionSchedule{Seed: seed}}
 }
 
@@ -75,10 +74,6 @@ func union(n float64) func(float64) float64 {
 var kinds = []kind{
 	{"Crash.At", func(s *schedules, f Fault) { s.crash.Fault = f },
 		func(s *schedules, x uint64) bool { return s.crash.At(x) }, true, nil},
-	{"Switch.RebootAt", func(s *schedules, f Fault) { s.sw.Reboot = f },
-		func(s *schedules, x uint64) bool { return s.sw.RebootAt(x) }, true, nil},
-	{"Switch.StallAt", func(s *schedules, f Fault) { s.sw.Stall = f },
-		func(s *schedules, x uint64) bool { return s.sw.StallAt(x) }, true, nil},
 	{"RDMA.VerbErrorAt", func(s *schedules, f Fault) { s.rdma.VerbError = f.Prob },
 		func(s *schedules, x uint64) bool { return s.rdma.VerbErrorAt(x, 0) }, false, nil},
 	{"RDMA.PSNDropAt", func(s *schedules, f Fault) { s.rdma.PSNDrop = f.Prob },
@@ -166,10 +161,7 @@ var properties = []struct {
 			t.Error("switching on the other kinds shifted this one's stream")
 		}
 		for _, o := range kinds {
-			// A reboot draws the bare hash a crash does (salt 0, which the
-			// golden masks pin): the two are different boxes' schedules.
-			twins := o.name+k.name == "Crash.AtSwitch.RebootAt" || k.name+o.name == "Crash.AtSwitch.RebootAt"
-			if o.name != k.name && !twins && o.mask(all) == k.mask(all) {
+			if o.name != k.name && o.mask(all) == k.mask(all) {
 				t.Errorf("draws the same stream as %s: salts collide", o.name)
 			}
 		}
@@ -224,22 +216,18 @@ func TestCrashScheduleSeedsDiffer(t *testing.T)   { checkKinds(t, "Crash.", "see
 func TestCrashScheduleFixedAndZeroProb(t *testing.T) {
 	checkKinds(t, "Crash.", "fixed", "zero-healthy")
 }
-func TestSwitchScheduleNilSafe(t *testing.T)          { checkKinds(t, "Switch.", "nil-safe") }
-func TestSwitchScheduleZeroHealthy(t *testing.T)      { checkKinds(t, "Switch.", "zero-healthy") }
-func TestSwitchScheduleFixedReboot(t *testing.T)      { checkKinds(t, "Switch.", "fixed") }
-func TestSwitchScheduleIndependentDraws(t *testing.T) { checkKinds(t, "Switch.", "independent") }
-func TestRDMAScheduleNilSafe(t *testing.T)            { checkKinds(t, "RDMA.", "nil-safe") }
-func TestRDMAScheduleDeterministic(t *testing.T)      { checkKinds(t, "RDMA.", "deterministic") }
-func TestRDMAScheduleKindsIndependent(t *testing.T)   { checkKinds(t, "RDMA.", "independent") }
-func TestRDMAScheduleFixedBoundaries(t *testing.T)    { checkKinds(t, "RDMA.", "fixed") }
-func TestRDMAScheduleOutageWindow(t *testing.T)       { checkKinds(t, "RDMA.OutageAt", "fixed") }
-func TestDiskScheduleNilSafe(t *testing.T)            { checkKinds(t, "Disk.", "nil-safe") }
-func TestDiskScheduleZeroValueHealthy(t *testing.T)   { checkKinds(t, "Disk.", "zero-healthy") }
-func TestDiskScheduleDeterministic(t *testing.T)      { checkKinds(t, "Disk.", "deterministic") }
-func TestDiskScheduleKindsIndependent(t *testing.T)   { checkKinds(t, "Disk.", "independent") }
-func TestDiskScheduleRatesRoughlyMatch(t *testing.T)  { checkKinds(t, "Disk.", "rates") }
-func TestDiskScheduleENOSPCWindow(t *testing.T)       { checkKinds(t, "Disk.ENOSPCAt", "fixed") }
-func TestPartitionScheduleNilSafe(t *testing.T)       { checkKinds(t, "Partition.", "nil-safe") }
+func TestRDMAScheduleNilSafe(t *testing.T)           { checkKinds(t, "RDMA.", "nil-safe") }
+func TestRDMAScheduleDeterministic(t *testing.T)     { checkKinds(t, "RDMA.", "deterministic") }
+func TestRDMAScheduleKindsIndependent(t *testing.T)  { checkKinds(t, "RDMA.", "independent") }
+func TestRDMAScheduleFixedBoundaries(t *testing.T)   { checkKinds(t, "RDMA.", "fixed") }
+func TestRDMAScheduleOutageWindow(t *testing.T)      { checkKinds(t, "RDMA.OutageAt", "fixed") }
+func TestDiskScheduleNilSafe(t *testing.T)           { checkKinds(t, "Disk.", "nil-safe") }
+func TestDiskScheduleZeroValueHealthy(t *testing.T)  { checkKinds(t, "Disk.", "zero-healthy") }
+func TestDiskScheduleDeterministic(t *testing.T)     { checkKinds(t, "Disk.", "deterministic") }
+func TestDiskScheduleKindsIndependent(t *testing.T)  { checkKinds(t, "Disk.", "independent") }
+func TestDiskScheduleRatesRoughlyMatch(t *testing.T) { checkKinds(t, "Disk.", "rates") }
+func TestDiskScheduleENOSPCWindow(t *testing.T)      { checkKinds(t, "Disk.ENOSPCAt", "fixed") }
+func TestPartitionScheduleNilSafe(t *testing.T)      { checkKinds(t, "Partition.", "nil-safe") }
 func TestPartitionScheduleZeroValueHealthy(t *testing.T) {
 	checkKinds(t, "Partition.", "zero-healthy")
 }
@@ -270,19 +258,6 @@ func TestCrashScheduleLeavesInjectorUntouched(t *testing.T) {
 	}
 	if a, b := drops(false), drops(true); a != b {
 		t.Fatalf("crash checks perturbed the drop schedule: %d vs %d", a, b)
-	}
-}
-
-func TestSwitchScheduleDrift(t *testing.T) {
-	s := &SwitchSchedule{ClockDriftPerSub: -250}
-	if got := s.DriftAt(4); got != -1000 {
-		t.Fatalf("DriftAt(4) = %d, want -1000", got)
-	}
-	if got := s.DriftAt(0); got != 0 {
-		t.Fatalf("DriftAt(0) = %d, want 0", got)
-	}
-	if (*SwitchSchedule)(nil).DriftAt(10) != 0 {
-		t.Fatal("nil schedule drifted")
 	}
 }
 

@@ -17,8 +17,8 @@ type Hop struct {
 	// (what PTP leaves uncorrected).
 	Offset int64
 	// OffsetFunc, when non-nil, is evaluated per traversal and added on
-	// top of Offset. A slow-oscillator switch whose skew grows over time
-	// (faults.SwitchSchedule.ClockDriftPerSub) plugs in here.
+	// top of Offset: a slow-oscillator switch whose skew grows over time
+	// plugs in here.
 	OffsetFunc func() int64
 	// Process handles the packet at this hop with the hop's local time.
 	Process func(p *packet.Packet, localTime int64)

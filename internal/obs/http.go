@@ -18,8 +18,8 @@ import (
 // exposition format (version 0.0.4): counters, gauges, scrape-time func
 // metrics, and histograms with cumulative le-buckets. Families (the name
 // before any embedded label set) are emitted alphabetically, each under
-// one HELP/TYPE header, so per-switch instances of a fabric metric read
-// as one family with a switch label.
+// one HELP/TYPE header, so instances of one metric that differ only in
+// their labels read as one family.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
@@ -85,8 +85,12 @@ func writeHistogram(w io.Writer, fam, labels string, h *Histogram) {
 	}
 	cum += h.counts[len(h.bounds)].Load()
 	fmt.Fprintf(w, "%s_bucket{%sle=\"+Inf\"} %d\n", fam, labelPrefix(labels), cum)
-	fmt.Fprintf(w, "%s %s\n", Labeled(fam+"_sum", labels), formatFloat(h.Sum().Seconds()))
-	fmt.Fprintf(w, "%s %d\n", Labeled(fam+"_count", labels), h.Count())
+	set := ""
+	if labels != "" {
+		set = "{" + labels + "}"
+	}
+	fmt.Fprintf(w, "%s_sum%s %s\n", fam, set, formatFloat(h.Sum().Seconds()))
+	fmt.Fprintf(w, "%s_count%s %d\n", fam, set, h.Count())
 }
 
 func labelPrefix(labels string) string {

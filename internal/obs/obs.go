@@ -119,7 +119,7 @@ func NewRegistry() *Registry {
 
 // Counter registers (or fetches, when the exact name is already
 // registered) a counter. The name may carry a Prometheus label set, e.g.
-// `omniwindow_fabric_reboots_total{switch="2"}`; metrics sharing the
+// `omniwindow_collector_received_total{port="2"}`; metrics sharing the
 // family (the part before '{') are grouped under one HELP/TYPE header.
 func (r *Registry) Counter(name, help string) *Counter {
 	if r == nil {
@@ -219,15 +219,6 @@ func (r *Registry) Ring(capacity int) *Ring {
 		r.ring = NewRing(capacity)
 	}
 	return r.ring
-}
-
-// Labeled embeds an optional Prometheus label set (e.g. `switch="2"`) in a
-// metric name; empty labels leave the name bare.
-func Labeled(name, labels string) string {
-	if labels == "" {
-		return name
-	}
-	return name + "{" + labels + "}"
 }
 
 // family splits a metric name into its family (HELP/TYPE grouping unit)

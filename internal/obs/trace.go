@@ -8,7 +8,7 @@ import (
 // Stage is one step of a sub-window's life, or a deployment-level event
 // that reshapes window coverage. The happy path of one sub-window reads
 // announced → collected → finished → window emitted; the unhappy paths
-// interleave recovered/shed/failover/reboot events.
+// interleave recovered/shed/failover events.
 type Stage uint8
 
 const (
@@ -37,17 +37,8 @@ const (
 	StageCheckpoint
 	// StageFailover: the hot standby promoted mid-collection.
 	StageFailover
-	// StageReboot: the switch power-cycled, wiping its registers.
-	// Value = oldest uncollected sub-window destroyed by the wipe.
-	StageReboot
-	// StageEpochResync: the switch adopted a fabric epoch (beacon or
-	// traffic-borne). Value = the adopted epoch.
-	StageEpochResync
-	// StageQuarantine: the fabric quarantined the switch. Value = the
-	// sub-window at which quarantine lifts.
-	StageQuarantine
-	// StageReadmit: quarantine lifted; the switch was resynced and
-	// readmitted.
+	// StageReadmit: a demoted former primary was re-admitted as the new
+	// hot standby.
 	StageReadmit
 	// StageRDMAFallback: RDMA-path records rerouted to the packet C&R
 	// path mid-sub-window (QP down or replay budget exhausted).
@@ -76,9 +67,6 @@ var stageNames = [...]string{
 	StageWindowEmitted:      "window_emitted",
 	StageCheckpoint:         "checkpoint",
 	StageFailover:           "failover",
-	StageReboot:             "reboot",
-	StageEpochResync:        "epoch_resync",
-	StageQuarantine:         "quarantine",
 	StageReadmit:            "readmit",
 	StageRDMAFallback:       "rdma_fallback",
 	StageQPRecovered:        "qp_recovered",
@@ -114,9 +102,8 @@ type Event struct {
 	Stage Stage `json:"stage"`
 	// SubWindow is the sub-window the event concerns.
 	SubWindow uint64 `json:"sub_window"`
-	// Shard attributes the event to a controller shard count, memory
-	// region, or fabric switch index, depending on the stage; -1 when
-	// not applicable.
+	// Shard attributes the event to a controller shard count or memory
+	// region, depending on the stage; -1 when not applicable.
 	Shard int `json:"shard"`
 	// Value is the stage-specific magnitude (see the Stage constants).
 	Value int64 `json:"value"`

@@ -108,14 +108,6 @@ type OWHeader struct {
 	Flag         OWFlag
 	SubWindow    uint64
 	HasSubWindow bool
-	// Epoch is the fabric synchronization generation the stamp was written
-	// under. A switch that reboots loses its sub-window counter and falls
-	// back to epoch 0 ("unsynced"); every stamp it writes before resyncing
-	// carries that stale epoch, so downstream switches reject it instead of
-	// monitoring a garbage sub-window. Epoch 0 doubles as "epochs disabled"
-	// for single-switch deployments: a switch whose own epoch is 0 accepts
-	// epoch-0 stamps unchanged.
-	Epoch uint64
 	// Index is the enumeration index a collection packet carries between
 	// recirculation passes (md.index of Algorithm 2).
 	Index uint32

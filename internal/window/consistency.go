@@ -9,36 +9,20 @@ import "omniwindow/internal/packet"
 // is newer. This guarantees (i) a packet is monitored in the same
 // sub-window network-wide even under delays, and (ii) window-moving
 // signals propagate with the traffic itself, with no extra messages.
-//
-// Epochs extend the model to switch failures: every stamp also carries the
-// stamping switch's synchronization epoch. A switch that reboots loses its
-// sub-window counter and restarts at epoch 0, so the stamps it writes
-// before resyncing are identifiably stale — a synced switch rejects them
-// (Decision.StaleEpoch) rather than letting a garbage sub-window move its
-// window or poison a memory region. Conversely a stamp from a NEWER epoch
-// resyncs the receiving switch: it adopts both the epoch and the embedded
-// sub-window (how a rebooted switch catches up from through-traffic alone,
-// without controller messages). Epoch 0 everywhere degenerates to the
-// epoch-less single-switch behaviour.
 type Stamper struct {
 	// Preserve is how many terminated sub-windows stay monitorable so
 	// out-of-order packets can still land in their stamped sub-window.
 	// It is bounded by the number of memory regions minus the active one.
 	Preserve uint64
-	// Epoch is this switch's current synchronization epoch, written into
-	// every first-hop stamp. 0 means unsynced (or epochs unused).
-	Epoch uint64
 }
 
 // Decision is the outcome of applying the consistency model to a packet.
 type Decision struct {
 	// Monitor is the sub-window to record the packet into. Ignore it
-	// when Spike or StaleEpoch is true.
+	// when Spike is true.
 	Monitor uint64
 	// Cur is the switch's (possibly advanced) local sub-window.
 	Cur uint64
-	// Epoch is the switch's (possibly advanced) local epoch.
-	Epoch uint64
 	// Stamped reports whether this switch acted as the first hop and
 	// wrote the packet's stamp.
 	Stamped bool
@@ -46,17 +30,6 @@ type Decision struct {
 	// than every preserved one, so a copy must go to the controller for
 	// software handling instead of being monitored in the data plane.
 	Spike bool
-	// StaleEpoch reports that the embedded stamp was written under an
-	// older epoch than this switch's — by a switch that had rebooted and
-	// not yet resynced. The stamp (sub-window AND epoch) is untrustworthy:
-	// the packet must not be monitored, must not move the window, and
-	// unlike a Spike must not be merged in software either. Cur and Epoch
-	// are unchanged.
-	StaleEpoch bool
-	// Resynced reports that the embedded stamp carried a newer epoch and
-	// this switch adopted it (the reboot-recovery path: the first in-epoch
-	// stamp a rebooted switch sees snaps it back into the fabric).
-	Resynced bool
 }
 
 // Apply processes one packet at a switch whose local sub-window is cur.
@@ -70,35 +43,17 @@ func (s Stamper) Apply(cur uint64, p *packet.Packet, target uint64) Decision {
 		}
 		p.OW.SubWindow = target
 		p.OW.HasSubWindow = true
-		p.OW.Epoch = s.Epoch
-		return Decision{Monitor: target, Cur: target, Epoch: s.Epoch, Stamped: true}
-	}
-	if p.OW.Epoch < s.Epoch {
-		// Stamped by an out-of-sync switch (rebooted, counter wiped): the
-		// embedded sub-window is garbage. Reject it without touching local
-		// state — "no stale-epoch stamp is ever monitored".
-		return Decision{Cur: cur, Epoch: s.Epoch, StaleEpoch: true}
-	}
-	epoch := s.Epoch
-	resynced := false
-	if p.OW.Epoch > s.Epoch {
-		// This switch is the out-of-sync one: adopt the newer epoch and
-		// resynchronize the sub-window counter from the stamp.
-		epoch = p.OW.Epoch
-		resynced = true
+		return Decision{Monitor: target, Cur: target, Stamped: true}
 	}
 	emb := p.OW.SubWindow
 	newCur := cur
 	if emb > newCur {
 		// Window-moving signal carried by the packet (Figure 4, packet D).
-		// This same forward-only rule is the resync path: a rebooted
-		// switch's wiped counter restarted near 0, so the first in-epoch
-		// stamp it sees snaps it forward to the fabric's sub-window.
 		newCur = emb
 	}
 	// The embedded sub-window must still be preserved at this switch.
 	if emb+s.Preserve < newCur {
-		return Decision{Cur: newCur, Epoch: epoch, Spike: true, Resynced: resynced}
+		return Decision{Cur: newCur, Spike: true}
 	}
-	return Decision{Monitor: emb, Cur: newCur, Epoch: epoch, Resynced: resynced}
+	return Decision{Monitor: emb, Cur: newCur}
 }

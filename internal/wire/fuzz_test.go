@@ -32,14 +32,14 @@ func fuzzSeeds() [][]byte {
 		Flag: packet.OWRetransmit, SubWindow: 5, HasSubWindow: true,
 		AFRs: []packet.AFR{{Attr: 9, SubWindow: 5, Seq: 2}},
 	}})
-	// Epoch-carrying stamps (wire v3): a synced first-hop stamp and a
-	// latency-spike copy bound for the controller's software path.
+	// A first-hop stamp and a latency-spike copy bound for the
+	// controller's software path.
 	add(&packet.Packet{OW: packet.OWHeader{
-		SubWindow: 7, HasSubWindow: true, Epoch: 3,
+		SubWindow: 7, HasSubWindow: true,
 		Key: packet.FlowKey{SrcIP: 9, Proto: 6},
 	}})
 	add(&packet.Packet{OW: packet.OWHeader{
-		Flag: packet.OWLatencySpike, SubWindow: 2, HasSubWindow: true, Epoch: 4,
+		Flag: packet.OWLatencySpike, SubWindow: 2, HasSubWindow: true,
 		Key: packet.FlowKey{SrcIP: 12, DstIP: 8, Proto: 17},
 	}})
 

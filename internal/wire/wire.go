@@ -23,10 +23,11 @@ import (
 // added the synchronization epoch carried by every stamp (switch-failure
 // tolerance: stale-epoch stamps from rebooted switches are rejected);
 // version 4 dropped the app byte and the raw-word and NACK-sequence
-// sections, which no switch or controller sent.
+// sections, which no switch or controller sent; version 5 dropped the
+// epoch again with the switch-failure layer that read it.
 const (
 	Magic   uint16 = 0x4F57
-	Version uint8  = 4
+	Version uint8  = 5
 )
 
 // Errors returned by Decode.
@@ -42,17 +43,15 @@ var (
 const afrSize = packet.KeyBytes + 8 + 8 + 4 + 1 + 1 + 32
 
 // The fixed header prefix, one offset per field: magic(2) + version(1) +
-// flag(1) + subwindow(8) + hasSub(1) + epoch(8) + index(4) + keycount(4) +
-// key(13) + userSignal(8) + hasUser(1) + nAFRs(2). Encode appends the
-// fields in this order; DecodeInto and the peeks read them at these
-// offsets.
+// flag(1) + subwindow(8) + hasSub(1) + index(4) + keycount(4) + key(13) +
+// userSignal(8) + hasUser(1) + nAFRs(2). Encode appends the fields in
+// this order; DecodeInto and the peeks read them at these offsets.
 const (
 	offVersion    = 2
 	offFlag       = offVersion + 1
 	offSubWindow  = offFlag + 1
 	offHasSub     = offSubWindow + 8
-	offEpoch      = offHasSub + 1
-	offIndex      = offEpoch + 8
+	offIndex      = offHasSub + 1
 	offKeyCount   = offIndex + 4
 	offKey        = offKeyCount + 4
 	offUserSignal = offKey + packet.KeyBytes
@@ -93,7 +92,6 @@ func Encode(buf []byte, p *packet.Packet) ([]byte, error) {
 	buf = append(buf, Version, byte(p.OW.Flag))
 	buf = binary.BigEndian.AppendUint64(buf, p.OW.SubWindow)
 	buf = append(buf, b2u(p.OW.HasSubWindow))
-	buf = binary.BigEndian.AppendUint64(buf, p.OW.Epoch)
 	buf = binary.BigEndian.AppendUint32(buf, p.OW.Index)
 	buf = binary.BigEndian.AppendUint32(buf, p.OW.KeyCount)
 	kb := p.OW.Key.Bytes()
@@ -154,7 +152,6 @@ func DecodeInto(p *packet.Packet, data []byte) error {
 	p.OW.Flag = packet.OWFlag(data[offFlag])
 	p.OW.SubWindow = binary.BigEndian.Uint64(data[offSubWindow:])
 	p.OW.HasSubWindow = data[offHasSub] != 0
-	p.OW.Epoch = binary.BigEndian.Uint64(data[offEpoch:])
 	p.OW.Index = binary.BigEndian.Uint32(data[offIndex:])
 	p.OW.KeyCount = binary.BigEndian.Uint32(data[offKeyCount:])
 	var kb [packet.KeyBytes]byte

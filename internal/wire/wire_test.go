@@ -12,7 +12,6 @@ func samplePacket() *packet.Packet {
 		Flag:          packet.OWAFR,
 		SubWindow:     42,
 		HasSubWindow:  true,
-		Epoch:         5,
 		Index:         7,
 		KeyCount:      3,
 		Key:           packet.FlowKey{SrcIP: 0x0A000001, DstIP: 0xC0A80001, SrcPort: 1234, DstPort: 443, Proto: 6},
@@ -28,7 +27,6 @@ func samplePacket() *packet.Packet {
 
 func headerEqual(a, b *packet.OWHeader) bool {
 	if a.Flag != b.Flag || a.SubWindow != b.SubWindow || a.HasSubWindow != b.HasSubWindow ||
-		a.Epoch != b.Epoch ||
 		a.Index != b.Index || a.KeyCount != b.KeyCount || a.Key != b.Key ||
 		a.UserSignal != b.UserSignal || a.HasUserSignal != b.HasUserSignal ||
 		len(a.AFRs) != len(b.AFRs) {

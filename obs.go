@@ -16,18 +16,16 @@ import (
 
 // deployObs holds the deployment-level instrumentation handles. These
 // cover what the controller and durable store cannot see themselves: the
-// switch-side pipeline (packets, spills, spikes, stale stamps, reboots)
+// switch-side pipeline (packets, spills, spikes)
 // and the C&R driver (virtual collect time, retransmissions).
 type deployObs struct {
-	packets    *obs.Counter
-	afrs       *obs.Counter
-	spills     *obs.Counter
-	spikes     *obs.Counter
-	staleEpoch *obs.Counter
-	reboots    *obs.Counter
-	retrans    *obs.Counter
-	collect    *obs.Histogram // modeled C&R virtual time per sub-window
-	ring       *obs.Ring
+	packets *obs.Counter
+	afrs    *obs.Counter
+	spills  *obs.Counter
+	spikes  *obs.Counter
+	retrans *obs.Counter
+	collect *obs.Histogram // modeled C&R virtual time per sub-window
+	ring    *obs.Ring
 	// Degraded-durability mode (deployment-level: the store cannot see
 	// the skip decisions it never receives).
 	durDegraded *obs.Gauge   // 1 while durable writes are suspended
@@ -52,19 +50,14 @@ func (d *Deployment) setupObs() error {
 	if d.reg == nil {
 		d.reg = obs.NewRegistry()
 	}
-	labels := cfg.ObsLabels
-
-	n := func(name string) string { return obs.Labeled(name, labels) }
 	d.obs = deployObs{
-		packets:    d.reg.Counter(n("omniwindow_switch_packets_total"), "trace packets processed through the switch pipeline"),
-		afrs:       d.reg.Counter(n("omniwindow_cr_afrs_total"), "AFR records collected across C&R rounds"),
-		spills:     d.reg.Counter(n("omniwindow_switch_spills_total"), "flow keys spilled to the controller (flowkey array full)"),
-		spikes:     d.reg.Counter(n("omniwindow_switch_spikes_total"), "latency-spike packets forwarded to the controller"),
-		staleEpoch: d.reg.Counter(n("omniwindow_switch_stale_epoch_total"), "packets rejected for carrying a stale-epoch stamp"),
-		reboots:    d.reg.Counter(n("omniwindow_switch_reboots_total"), "power-cycles injected into this switch"),
-		retrans:    d.reg.Counter(n("omniwindow_cr_retransmitted_total"), "AFR records re-sent by the NACK/retransmit protocol"),
-		collect:    d.reg.Histogram(n("omniwindow_cr_collect_seconds"), "modeled C&R virtual time per sub-window (enumeration + recovery + reset)", nil),
-		ring:       d.reg.Ring(0),
+		packets: d.reg.Counter("omniwindow_switch_packets_total", "trace packets processed through the switch pipeline"),
+		afrs:    d.reg.Counter("omniwindow_cr_afrs_total", "AFR records collected across C&R rounds"),
+		spills:  d.reg.Counter("omniwindow_switch_spills_total", "flow keys spilled to the controller (flowkey array full)"),
+		spikes:  d.reg.Counter("omniwindow_switch_spikes_total", "latency-spike packets forwarded to the controller"),
+		retrans: d.reg.Counter("omniwindow_cr_retransmitted_total", "AFR records re-sent by the NACK/retransmit protocol"),
+		collect: d.reg.Histogram("omniwindow_cr_collect_seconds", "modeled C&R virtual time per sub-window (enumeration + recovery + reset)", nil),
+		ring:    d.reg.Ring(0),
 	}
 
 	// RDMA transport: the QP state gauge and the fault/recovery counters
@@ -72,40 +65,40 @@ func (d *Deployment) setupObs() error {
 	// stats, so the hot send path carries no extra instrumentation.
 	if rp, ok := d.transport.(*rdmaPath); ok {
 		tr := rp.tr
-		d.reg.GaugeFunc(n("omniwindow_rdma_qp_state"), "RDMA queue pair state (0=RTS, 1=Error, 2=Recovering)",
+		d.reg.GaugeFunc("omniwindow_rdma_qp_state", "RDMA queue pair state (0=RTS, 1=Error, 2=Recovering)",
 			func() int64 { return int64(tr.State()) })
-		d.reg.CounterFunc(n("omniwindow_rdma_verb_errors_total"), "RDMA verb completion errors (injected CQ errors)",
+		d.reg.CounterFunc("omniwindow_rdma_verb_errors_total", "RDMA verb completion errors (injected CQ errors)",
 			func() int64 { return int64(tr.Stats().VerbErrors) })
-		d.reg.CounterFunc(n("omniwindow_rdma_verb_retries_total"), "RNR-style verb retries after transient completion errors",
+		d.reg.CounterFunc("omniwindow_rdma_verb_retries_total", "RNR-style verb retries after transient completion errors",
 			func() int64 { return int64(tr.Stats().VerbRetries) })
-		d.reg.CounterFunc(n("omniwindow_rdma_fallback_afrs_total"), "records rerouted from the RDMA transport to the packet C&R path",
+		d.reg.CounterFunc("omniwindow_rdma_fallback_afrs_total", "records rerouted from the RDMA transport to the packet C&R path",
 			func() int64 { return int64(tr.Stats().Fallbacks) })
-		d.reg.CounterFunc(n("omniwindow_rdma_replayed_total"), "verbs re-applied by the PSN-gap NACK/replay loop",
+		d.reg.CounterFunc("omniwindow_rdma_replayed_total", "verbs re-applied by the PSN-gap NACK/replay loop",
 			func() int64 { return int64(tr.Stats().Replayed) })
-		d.reg.CounterFunc(n("omniwindow_rdma_lost_afrs_total"), "records the RDMA transport dropped irrecoverably (charged to shed)",
+		d.reg.CounterFunc("omniwindow_rdma_lost_afrs_total", "records the RDMA transport dropped irrecoverably (charged to shed)",
 			func() int64 { return int64(tr.Stats().Lost) })
-		d.reg.CounterFunc(n("omniwindow_rdma_qp_recoveries_total"), "successful QP Error→Recovering boundary recoveries",
+		d.reg.CounterFunc("omniwindow_rdma_qp_recoveries_total", "successful QP Error→Recovering boundary recoveries",
 			func() int64 { return int64(tr.Stats().QPRecoveries) })
 	}
 
-	d.ctrl.SetObs(controller.Instrument(d.reg, labels))
+	d.ctrl.SetObs(controller.Instrument(d.reg))
 	if d.store != nil {
-		d.store.Instrument(d.reg, labels)
-		d.obs.durDegraded = d.reg.Gauge(n("omniwindow_durable_degraded"), "1 while durable writes are suspended after persistent disk faults (0 = durable)")
-		d.obs.durGaps = d.reg.Counter(n("omniwindow_durable_gaps_total"), "durable writes skipped or failed while in degraded-durability mode")
+		d.store.Instrument(d.reg)
+		d.obs.durDegraded = d.reg.Gauge("omniwindow_durable_degraded", "1 while durable writes are suspended after persistent disk faults (0 = durable)")
+		d.obs.durGaps = d.reg.Counter("omniwindow_durable_gaps_total", "durable writes skipped or failed while in degraded-durability mode")
 	}
 	// Failover topology: who holds the fencing term and what the serving
 	// controller's provenance is. Registered only for hot-standby
 	// deployments — owtop hides its failover panel when these families
 	// are absent.
 	if cfg.Standby {
-		d.obs.term = d.reg.Gauge(n("omniwindow_failover_term"), "fencing term held by the serving controller")
+		d.obs.term = d.reg.Gauge("omniwindow_failover_term", "fencing term held by the serving controller")
 		d.obs.term.Set(int64(d.term))
-		d.obs.role = d.reg.Gauge(n("omniwindow_failover_role"), "serving controller's provenance (0=original primary, 1=promoted standby, 2=promoted with the demoted former primary still parked)")
-		d.obs.demotions = d.reg.Counter(n("omniwindow_failover_demotions_total"), "zombie-primary self-demotions after fenced writes")
-		d.obs.readmissions = d.reg.Counter(n("omniwindow_failover_readmissions_total"), "demoted former primaries re-admitted as the new standby")
-		d.obs.partitionEvents = d.reg.Counter(n("omniwindow_failover_partition_events_total"), "sub-window boundaries touched by an active partition fault")
-		d.obs.suppressed = d.reg.Counter(n("omniwindow_failover_suppressed_windows_total"), "duplicate window emissions discarded by the promoted standby")
+		d.obs.role = d.reg.Gauge("omniwindow_failover_role", "serving controller's provenance (0=original primary, 1=promoted standby, 2=promoted with the demoted former primary still parked)")
+		d.obs.demotions = d.reg.Counter("omniwindow_failover_demotions_total", "zombie-primary self-demotions after fenced writes")
+		d.obs.readmissions = d.reg.Counter("omniwindow_failover_readmissions_total", "demoted former primaries re-admitted as the new standby")
+		d.obs.partitionEvents = d.reg.Counter("omniwindow_failover_partition_events_total", "sub-window boundaries touched by an active partition fault")
+		d.obs.suppressed = d.reg.Counter("omniwindow_failover_suppressed_windows_total", "duplicate window emissions discarded by the promoted standby")
 	}
 
 	if cfg.DebugAddr != "" {
@@ -117,11 +110,6 @@ func (d *Deployment) setupObs() error {
 	}
 	return nil
 }
-
-// Obs exposes the deployment's observability registry (nil when
-// instrumentation is off). Callers can register their own metrics on it
-// or render it with WritePrometheus.
-func (d *Deployment) Obs() *obs.Registry { return d.reg }
 
 // DebugURL returns the running debug endpoint's base URL ("" when
 // DebugAddr was not configured).

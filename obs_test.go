@@ -147,12 +147,11 @@ func TestDebugEndpointReflectsRun(t *testing.T) {
 }
 
 // TestObsRegistryWithoutEndpoint: Config.Obs alone instruments the
-// deployment into a caller-owned registry with embedded labels, no HTTP.
+// deployment into a caller-owned registry, no HTTP.
 func TestObsRegistryWithoutEndpoint(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := freqConfig(window.Tumbling(2), 5, false)
 	cfg.Obs = reg
-	cfg.ObsLabels = `switch="7"`
 	d, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -167,11 +166,8 @@ func TestObsRegistryWithoutEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := sb.String()
-	if !strings.Contains(text, `omniwindow_switch_packets_total{switch="7"} 20`) {
-		t.Fatalf("labeled packet counter missing from exposition:\n%s", text)
-	}
-	if d.Obs() != reg {
-		t.Fatal("deployment did not adopt the supplied registry")
+	if !strings.Contains(text, "omniwindow_switch_packets_total 20") {
+		t.Fatalf("packet counter missing from the supplied registry:\n%s", text)
 	}
 }
 
@@ -182,7 +178,7 @@ func TestUninstrumentedDeploymentHasNoObs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Obs() != nil || d.DebugURL() != "" {
+	if d.reg != nil || d.DebugURL() != "" {
 		t.Fatal("uninstrumented deployment exposes observability state")
 	}
 	d.RunFor(burstTrace(map[int64][]int{100 * ms: {1}}, 5), 300*ms)

@@ -124,15 +124,10 @@ type Config struct {
 	// endpoint with CloseDebug.
 	DebugAddr string
 	// Obs optionally supplies an existing observability registry to
-	// instrument into, instead of (or in addition to) DebugAddr — the
-	// fabric uses this to aggregate every switch's deployment into one
-	// endpoint. Setting either Obs or DebugAddr enables instrumentation.
+	// instrument into, instead of (or in addition to) DebugAddr, so the
+	// caller keeps a handle on it. Setting either Obs or DebugAddr enables
+	// instrumentation.
 	Obs *obs.Registry
-	// ObsLabels is an optional Prometheus label set (e.g. `switch="2"`)
-	// embedded in every metric name this deployment registers, so several
-	// deployments sharing one registry stay distinguishable. Ignored when
-	// instrumentation is off.
-	ObsLabels string
 
 	// plan is what the in-package chaos suites inject; the zero value is
 	// a healthy deployment with every default.
@@ -194,12 +189,6 @@ type Stats struct {
 	// actually merged (each distinct packet exactly once; duplicates and
 	// too-late copies are not merged).
 	SpikesMerged int
-	// StaleEpochStamps counts packets rejected because their stamp was
-	// written under an older synchronization epoch (by a rebooted,
-	// not-yet-resynced switch). They are never monitored.
-	StaleEpochStamps int
-	// Reboots counts power-cycles injected into this switch.
-	Reboots int
 	// AFRs counts collected flow records.
 	AFRs int
 	// HotAFRs and ColdAFRs split the RDMA path's records (records, not
@@ -343,11 +332,6 @@ type Deployment struct {
 	reg      *obs.Registry
 	obs      deployObs
 	debugSrv *obs.Server
-
-	// decisionHook, when set, observes every traffic packet's window
-	// decision — the fabric's invariant checker uses it to prove no
-	// stale-epoch stamp is ever monitored and spikes are copied once.
-	decisionHook func(p *packet.Packet, r window.Result)
 
 	// scratch is the pipeline's packet in flight: ProcessPacket's copy of a
 	// traffic packet, or a collection's control packet (injectSpecial).
@@ -504,84 +488,6 @@ func (d *Deployment) CloseDurability() error {
 
 // Switch exposes the simulated switch (resource ledger, cost model).
 func (d *Deployment) Switch() *switchsim.Switch { return d.sw }
-
-// Epoch returns the switch's current synchronization epoch (0 when epochs
-// are unused, or after a reboot until the switch resyncs).
-func (d *Deployment) Epoch() uint64 { return d.manager.Epoch() }
-
-// CurrentSubWindow returns the switch's local sub-window counter.
-func (d *Deployment) CurrentSubWindow() uint64 { return d.manager.Cur() }
-
-// ResyncBeacon applies a controller-announced (epoch, sub-window) beacon:
-// the switch adopts the epoch and jumps forward to the fabric's sub-window
-// without terminating the skipped range (whose state belongs to the
-// pre-reboot incarnation). Beacons from older epochs are ignored. A fabric
-// joins a fresh switch to its epoch with a beacon at sub-window 0: stamps
-// it writes from then on carry the epoch, and stamps from older epochs are
-// rejected as stale.
-func (d *Deployment) ResyncBeacon(epoch, sw uint64) {
-	before := d.manager.Epoch()
-	d.manager.Resync(epoch, sw)
-	if d.manager.Epoch() != before {
-		d.obs.ring.Record(obs.StageEpochResync, sw, -1, int64(epoch))
-	}
-}
-
-// SetDecisionHook registers an observer over every traffic packet's window
-// decision (stamp written/adopted, spike escape, stale-epoch rejection).
-// The fabric's invariant checker uses it; nil unregisters. The packet is
-// the pipeline's copy (switchsim.Pass.Pkt), overwritten by the next
-// ProcessPacket: the hook reads what it needs during the call and does not
-// keep the pointer.
-func (d *Deployment) SetDecisionHook(h func(p *packet.Packet, r window.Result)) {
-	d.decisionHook = h
-}
-
-// Reboot power-cycles the switch: every register — flowkey trackers,
-// application state, the sub-window counter, the synchronization epoch —
-// is wiped. The deployment comes back up immediately but unsynced (epoch
-// 0, sub-window 0): stamps it writes are rejected as stale by synced
-// switches until it resyncs from the first in-epoch stamp it forwards or
-// from a controller beacon (ResyncBeacon), and its first local sub-window
-// advance adopts the clock's value without re-terminating the skipped
-// range. The controller is NOT restarted — it is a separate box — so its
-// announced-sub-window ledger survives: a sub-window announced before the
-// wipe still reaches FinishSubWindow at its grace deadline, finds nothing
-// to collect, and finalizes its windows explicitly marked Incomplete with
-// the announced records missing. Nothing is silently undercounted.
-//
-// Reboot returns the oldest sub-window whose switch state the wipe
-// destroyed before it was collected — a region owner or a grace-pending
-// C&R round — and false when nothing was uncollected: the fabric charges
-// the rebooted switch a coverage gap from there.
-func (d *Deployment) Reboot() (oldest uint64, destroyed bool) {
-	note := func(sw uint64) {
-		if !destroyed || sw < oldest {
-			oldest, destroyed = sw, true
-		}
-	}
-	for r, owned := range d.regionOwned {
-		if owned {
-			note(d.regionOwner[r])
-		}
-	}
-	for _, cr := range d.pending {
-		note(cr.sw)
-	}
-	ringOldest := int64(-1)
-	if destroyed {
-		ringOldest = int64(oldest)
-	}
-	d.obs.ring.Record(obs.StageReboot, d.manager.Cur(), -1, ringOldest)
-	d.obs.reboots.Inc()
-	d.engine.PowerCycle()
-	d.manager = window.NewManager(d.cfg.Signal, d.manager.Regions())
-	d.manager.BootUnsynced()
-	d.regionOwned = [2]bool{}
-	d.regionOwner = [2]uint64{}
-	d.stats.Reboots++
-	return oldest, destroyed
-}
 
 // Controller exposes the controller (per-sub-window timing breakdowns).
 func (d *Deployment) Controller() *controller.Controller { return d.ctrl }

@@ -130,7 +130,7 @@ func (d *Deployment) promote(sw, won uint64) {
 		d.suppress(s)
 	}
 	// Instrumented only now, so the counters read as one controller's.
-	d.ctrl.SetObs(controller.Instrument(d.reg, d.cfg.ObsLabels))
+	d.ctrl.SetObs(controller.Instrument(d.reg))
 
 	if won != 0 && d.store.AdoptTerm(won) == nil {
 		d.term = won
