@@ -61,7 +61,8 @@ chaos:
 # TestCrashAfterHealOrScrubReLogsPendingColumns), spikes across a
 # crash (TestSpikesSurviveCrash), hot-standby failover by recovery from
 # the log (inside a degraded stretch too:
-# TestFailoverWhileDegradedFinalizesOnce) and admission-control shedding,
+# TestFailoverWhileDegradedFinalizesOnce; a promotion re-logs no column:
+# TestFailoverReLogsNoColumn) and admission-control shedding,
 # all under the race detector. Crash schedules use fixed seeds
 # (and the Fixed boundary lists in failover_test.go), so every death is
 # replayable.
@@ -105,14 +106,16 @@ disk-chaos:
 		. ./internal/durable/ ./internal/faults/ ./internal/wire/
 
 # Partition chaos suite: the hot-standby pair under network partitions
-# that leave the primary alive — cut and gray lease renewals and standby
-# clock drift — proving the fencing-term protocol and promotion by
-# recovery from the shared log: one finalizer per window, zero post-fence
-# WAL frames accepted, merged stream byte-identical or explicitly
-# Incomplete, the old primary's logged spikes kept
-# (TestPartitionFailoverKeepsSpikes). Fixed seeds (the schedule tables in
-# partition_chaos_test.go) make every partition sequence a reproducible
-# test case.
+# that leave the primary alive — lost lease renewals, all a partition can
+# cut from a standby that reads only the shared log — proving the
+# fencing-term protocol and promotion by recovery from the log: one
+# finalizer per window, zero post-fence WAL frames accepted, merged
+# stream byte-identical or explicitly Incomplete, the old primary's
+# logged spikes kept (TestPartitionFailoverKeepsSpikes). Term and Fenc
+# select the store's term and fencing unit tests (TestTerm*,
+# TestCutFencing, TestFencedAppendZeroAlloc) and the term codec's.
+# Fixed seeds (the schedule tables in partition_chaos_test.go) make every
+# partition sequence a reproducible test case.
 partition-chaos:
 	$(GO) test -race -run 'Partition|Term|Fenc' \
 		. ./internal/durable/ ./internal/faults/ ./internal/wire/

@@ -54,8 +54,7 @@ func TestBoundaryGolden(t *testing.T) {
 		{name: "standby+partition", want: "18486560fc239f27", durable: true, mutate: func(c *Config) {
 			c.Standby = true
 			c.plan.leaseTTL = 170 * time.Millisecond
-			c.plan.partition = &faults.PartitionSchedule{Seed: 3, Gray: 0.2,
-				Symmetric: faults.Fault{Fixed: []uint64{1, 2}}}
+			c.plan.partition = &faults.PartitionSchedule{Seed: 3, Cut: faults.Fault{Fixed: []uint64{1, 2}}}
 		}},
 		{name: "disk-faults", want: "5179beb7e4867562", durable: true, mutate: func(c *Config) {
 			c.plan.durable.FS = durable.NewFaultFS(nil, &faults.DiskSchedule{Seed: 7, WriteEIO: 0.10, ShortWrite: 0.05,

@@ -315,6 +315,49 @@ func TestCheckpointBytesPerBoundary(t *testing.T) {
 	}
 }
 
+// TestFailoverReLogsNoColumn: a promotion over a healthy disk rebuilds
+// its controller from the log, so the log already holds every column the
+// new term holder has. Its first checkpoint, like every other one, writes
+// no column record — after a crash failover and after a partition
+// takeover alike — and the stream stays the fault-free run's.
+func TestFailoverReLogsNoColumn(t *testing.T) {
+	baseline := partitionBaseline(t, 5)
+	for _, tc := range []struct {
+		name string
+		plan func(*testPlan)
+	}{
+		{"crash", func(p *testPlan) { p.crash = crashes(2) }},
+		{"partition", func(p *testPlan) {
+			p.partition = &faults.PartitionSchedule{Cut: faults.Fault{Fixed: []uint64{1, 2}}}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spy := &spyFS{}
+			cfg := partitionConfig(t.TempDir(), nil)
+			cfg.plan.durable.FS = spy
+			tc.plan(&cfg.plan)
+			d := runPartition(t, cfg, 5)
+			if err := d.CloseDurability(); err != nil {
+				t.Fatal(err)
+			}
+			if st := d.Stats(); st.Failovers != 1 || st.SubWindows != 5 {
+				t.Fatalf("failovers=%d sub-windows=%d, want one promotion in a five-sub-window run", st.Failovers, st.SubWindows)
+			}
+			if len(spy.ckpts) < 4 {
+				t.Fatalf("%d checkpoints landed, want the promoted controller's among them", len(spy.ckpts))
+			}
+			for i, w := range spy.ckpts {
+				if w.columns != 0 {
+					t.Fatalf("checkpoint %d re-logged %d columns: the promoted controller is the log's fold", i, w.columns)
+				}
+			}
+			if !reflect.DeepEqual(baseline.Results(), d.Results()) {
+				t.Fatal("the promotion changed the window stream")
+			}
+		})
+	}
+}
+
 // cutTrace is chaosTrace's shape over more sub-windows, with churn: 20
 // flows that skip every third sub-window plus 8 fresh ones per
 // sub-window, so columns both share rows and add their own.

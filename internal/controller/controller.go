@@ -485,15 +485,9 @@ func (c *Controller) forEachShard(f func(s *shard)) {
 // per call.
 //
 // Sub-windows finish strictly in order: finishing one that is already
-// finished is a no-op, and finishing one beyond lastFin+1 first finishes
-// the skipped range. A caller skips when its switch's counter jumped past
-// sub-windows the switch never announced — without the fill, the
-// window boundaries inside the gap would never assemble and, worse, never
-// run O5 eviction, so contributions from before the gap would leak into
-// the value of every window emitted after it. A filled sub-window that was
-// never announced by a trigger is charged one missing AFR, so the window
-// spanning it reports Incomplete instead of passing off the data loss as
-// an exact result.
+// finished is a no-op, and finishing one beyond LastFinished+1 panics —
+// the caller skipped a sub-window it never finished, a bug in the caller.
+// A controller's first finish may be any sub-window.
 func (c *Controller) FinishSubWindow(sw uint64) []WindowResult {
 	c.finishMu.Lock()
 	defer c.finishMu.Unlock()
@@ -502,13 +496,10 @@ func (c *Controller) FinishSubWindow(sw uint64) []WindowResult {
 	if done && sw <= last {
 		return nil
 	}
-	var out []WindowResult
-	if done {
-		for fill := last + 1; fill < sw; fill++ {
-			out = append(out, c.finishOne(fill, true)...)
-		}
+	if done && sw > last+1 {
+		panic(fmt.Sprintf("controller: FinishSubWindow(%d) skips sub-window %d: sub-windows finish in order", sw, last+1))
 	}
-	return append(out, c.finishOne(sw, false)...)
+	return c.finishOne(sw)
 }
 
 // step is what the plan says finishing one sub-window involves, read once.
@@ -580,12 +571,11 @@ func (s *shard) finish(cfg *Config, st step) {
 
 // finishOne finishes one sub-window: a parallel pass over the shards, a
 // fold, a locked settle. Caller holds finishMu and has established that sw
-// is next in finish order; fill marks one finished only because a later
-// sub-window skipped past it. Per-shard durations are summed, so Exp#4's
+// is next in finish order. Per-shard durations are summed, so Exp#4's
 // breakdown reports CPU work, not wall-clock; the fold is deterministic
 // (one packetKeyCmp sort) and feeds nothing back, so the output is
 // byte-for-byte identical for every shard count.
-func (c *Controller) finishOne(sw uint64, fill bool) []WindowResult {
+func (c *Controller) finishOne(sw uint64) []WindowResult {
 	finStart := time.Now()
 	st := step{sw: sw, covered: c.cfg.Plan.Covers(sw)}
 	if st.start, st.ends = c.cfg.Plan.Ends(sw); st.ends {
@@ -603,7 +593,7 @@ func (c *Controller) finishOne(sw uint64, fill bool) []WindowResult {
 		out = []WindowResult{c.fold(st)}
 		ops.Process += time.Since(start)
 	}
-	c.settle(st, fill, ops, out)
+	c.settle(st, ops, out)
 
 	c.obs.OpInsert.Observe(ops.Insert)
 	c.obs.OpMerge.Observe(ops.Merge)
@@ -658,14 +648,12 @@ func (c *Controller) fold(st step) WindowResult {
 // move the ledger record from open to finished, advance lastFin, fill the
 // ending window's (if any) delivery accounting from the records it spans
 // and, with O5, prune every record at or below the retired sub-window.
-func (c *Controller) settle(st step, fill bool, ops OpTimes, window []WindowResult) {
+func (c *Controller) settle(st step, ops OpTimes, window []WindowResult) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.timesFor(st.sw).add(ops)
-	if fill {
-		c.recordFor(st.sw).finish(true)
-	} else if r := c.ledger[st.sw]; r != nil {
-		r.finish(false)
+	if r := c.ledger[st.sw]; r != nil {
+		r.finish()
 	}
 	c.lastFin, c.hasFin = st.sw, true
 	if window == nil {

@@ -2,6 +2,7 @@ package controller
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"omniwindow/internal/afr"
@@ -235,6 +236,28 @@ func TestInvalidPlanPanics(t *testing.T) {
 		}
 	}()
 	New(Config{Plan: window.Plan{Size: 0, Slide: 1}})
+}
+
+// TestFinishSkipPanics: sub-windows finish in order. Finishing one past
+// LastFinished+1 is a caller bug, and the panic names both sub-windows;
+// a re-finish stays a no-op and the first finish may be any sub-window.
+func TestFinishSkipPanics(t *testing.T) {
+	c := New(Config{Plan: window.SlidingPlan(3, 1), Kind: afr.Frequency, Shards: 2})
+	c.FinishSubWindow(4)
+	c.FinishSubWindow(5)
+	if out := c.FinishSubWindow(4); out != nil {
+		t.Fatalf("re-finishing sub-window 4 emitted %+v", out)
+	}
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "FinishSubWindow(8)") || !strings.Contains(msg, "sub-window 6") {
+			t.Fatalf("panic %q, want one naming sub-windows 8 and 6", msg)
+		}
+		if last, _ := c.LastFinished(); last != 5 {
+			t.Fatalf("LastFinished = %d after the refused skip, want 5", last)
+		}
+	}()
+	c.FinishSubWindow(8)
 }
 
 func TestHotTrackerPromotion(t *testing.T) {

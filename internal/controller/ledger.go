@@ -157,18 +157,14 @@ func (r *subWindow) reliability() metrics.Reliability {
 }
 
 // finish is the open → finished transition: the live accounting is frozen
-// on top of any pre-charge and the dedup sets are released; a gap-filled
-// sub-window nothing announced or charged gets its one missing AFR.
-func (r *subWindow) finish(unannounced bool) {
+// on top of any pre-charge and the dedup sets are released.
+func (r *subWindow) finish() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	switch {
-	case r.arrived && !r.finished:
+	if r.arrived && !r.finished {
 		rel := r.reliability()
 		rel.Missing += r.rel.Missing
 		r.rel, r.charged = rel, true
-	case unannounced && !r.arrived && !r.charged:
-		r.rel, r.charged = metrics.Reliability{Missing: 1}, true
 	}
 	r.finished = true
 	r.seen, r.spikeSeen = seqSet{}, nil
@@ -308,7 +304,7 @@ func (c *Controller) NoteShed(sw uint64, n int) {
 // Missing tally, creating the record if the sub-window was never
 // announced, so every window spanning it assembles as Incomplete instead
 // of silently wrong — open or finished alike: the finish folds a
-// pre-charge in, and a gap fill treats it as already accounted.
+// pre-charge in.
 func (c *Controller) NoteLost(sw uint64, n int) {
 	if n <= 0 {
 		return

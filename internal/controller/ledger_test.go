@@ -72,10 +72,11 @@ func TestLateArrivalDoesNotReopenFinishedSubWindow(t *testing.T) {
 
 // TestLedgerIsBounded drives every way a ledger record comes to exist —
 // records, triggers, spikes, NoteLost and NoteShed before the first
-// record, between finish and retire and after retire, and gap fill — over
-// a long run and checks, after every retire, that the ledger holds nothing
-// at or below the retired sub-window and no more than the plan keeps live
-// plus what the test has opened ahead. Controller.times is not part of the
+// record, between finish and retire and after retire, and sub-windows
+// nothing announced finishing in a row — over a long run and checks, after
+// every retire, that the ledger holds nothing at or below the retired
+// sub-window and no more than the plan keeps live plus what the test has
+// opened ahead. Controller.times is not part of the
 // ledger and is not bounded here: it still grows by one entry per
 // sub-window (ROADMAP items 8/10).
 func TestLedgerIsBounded(t *testing.T) {
@@ -111,7 +112,9 @@ func TestLedgerIsBounded(t *testing.T) {
 		c.Receive(afrPkt(rec(round, int(sw), 1, 0), rec(round+1, int(sw), 1, 1)))
 		c.IngestSpike(&packet.Packet{Key: fk(round), Seq: 9, OW: packet.OWHeader{HasSubWindow: true, SubWindow: sw + 1}}, 1)
 		if round%7 == 6 {
-			finish(sw + 3) // gap fill: three sub-windows finish in one call
+			for end := sw + 3; sw <= end; {
+				finish(sw) // three of them announced nothing
+			}
 		} else {
 			finish(sw)
 		}

@@ -194,7 +194,8 @@ func (c *Controller) RestoreState(s *wire.Snapshot) {
 	for _, sd := range s.Dedups {
 		r := c.recordFor(sd.SW)
 		// A sub-window the snapshot never finished keeps collecting, even
-		// at or below LastFinished (the first finish may skip ahead).
+		// at or below LastFinished (a controller's first finish need not
+		// be its oldest sub-window's).
 		r.arrived, r.finished = true, false
 		r.expected, r.recovered, r.shed, r.spikes = int(sd.Expected), int(sd.Recovered), int(sd.Shed), int(sd.Spikes)
 		for _, seq := range sd.Seen {

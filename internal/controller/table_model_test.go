@@ -163,18 +163,7 @@ func (m *modelController) finish(sw uint64) []WindowResult {
 	if m.hasFin && sw <= m.lastFin {
 		return nil
 	}
-	var out []WindowResult
-	if m.hasFin {
-		for fill := m.lastFin + 1; fill < sw; fill++ {
-			_, announced := m.dedups[fill]
-			_, accounted := m.rel[fill]
-			if !announced && !accounted {
-				m.rel[fill] = metrics.Reliability{Missing: 1}
-			}
-			out = append(out, m.finishOne(fill)...)
-		}
-	}
-	return append(out, m.finishOne(sw)...)
+	return m.finishOne(sw)
 }
 
 func (m *modelController) finishOne(sw uint64) []WindowResult {
@@ -580,12 +569,9 @@ func runTableOps(t *testing.T, cfg Config, keys []packet.FlowKey, data []byte) {
 				real.NoteShed(sw, n)
 				model.noteShed(sw, n)
 			}
-		case op < 15: // finish: in order, re-finish, or skipping ahead (gap fill)
+		case op < 15: // finish: in order, or re-finish
 			sw := cur
-			switch v := next() % 16; {
-			case v == 0:
-				sw = cur + 3
-			case v == 1 && cur > 0:
+			if next()%16 == 0 && cur > 0 {
 				sw = cur - 1
 			}
 			check(fmt.Sprintf("FinishSubWindow(%d)", sw), real.FinishSubWindow(sw), model.finish(sw))

@@ -4,9 +4,9 @@
 // state but its columns (ledger, pending records, last finish) and the
 // live list. Recovery rebuilds each live column from the log (fold). A
 // column the log no longer holds whole — a segment set aside as rotted, a
-// degraded stretch, a new writer whose state is not the old one's log — is
-// re-logged from the live state as one column record (wire.WALColumn),
-// which supersedes every earlier record of its sub-window.
+// degraded stretch — is re-logged from the live state as one column record
+// (wire.WALColumn), which supersedes every earlier record of its
+// sub-window.
 //
 // The write order, and what a crash at each point leaves behind:
 //
@@ -40,8 +40,7 @@ const noCut = math.MaxUint64
 
 // CutFrom is the oldest sub-window whose column the next checkpoint must
 // re-log: none (math.MaxUint64) while the log holds every live column
-// whole; lower once it lost records or a new term is adopted, whose
-// writer's columns are its own, not the ones the log holds.
+// whole; lower once it lost records.
 func (s *Store) CutFrom() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -225,7 +224,7 @@ type fold map[uint64]*foldCol
 
 type foldCol struct {
 	cells    []packet.AFR
-	seen     map[uint32]bool
+	seen     map[uint32]bool // nil: gather no cells, only from, to and closed
 	closed   bool
 	from, to uint64
 }
@@ -244,7 +243,7 @@ func (f fold) add(gen uint64, r *wire.WALRecord) {
 		*c = foldCol{cells: r.AFRs, closed: true, from: gen, to: gen}
 	case r.Type == wire.WALTrigger && c.from == 0 && !c.closed:
 		c.from = gen
-	case c.closed:
+	case c.closed, c.seen == nil:
 	case r.Type == wire.WALSpike:
 		c.cells = append(c.cells, r.AFRs...)
 	case r.Type == wire.WALAFRBatch:

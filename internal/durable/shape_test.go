@@ -112,9 +112,9 @@ func TestStoreShape(t *testing.T) {
 }
 
 // TestCutFencing: every column record carries the term of the writer that
-// cut it, and a fenced writer neither logs a column record nor deletes a
-// segment or sets one aside — not by checkpointing, not by scrubbing and
-// not by recovering.
+// cut it, adopting a term re-logs nothing, and a fenced writer neither logs
+// a column record nor deletes a segment or sets one aside — not by
+// checkpointing, not by scrubbing and not by recovering.
 func TestCutFencing(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenStore(dir, 0, Options{})
@@ -122,12 +122,12 @@ func TestCutFencing(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	cut := func(sw uint64, carry bool) error {
+	cut := func(sw uint64, carry bool) *wire.Snapshot {
 		snap := &wire.Snapshot{LastFinished: sw, HasFinished: true, Live: []uint64{sw}}
 		if carry {
 			snap.Columns = []wire.SnapColumn{{SW: sw, Cells: []packet.AFR{{Key: key(int(sw)), Attr: 1, SubWindow: sw}}}}
 		}
-		return s.Checkpoint(snap)
+		return snap
 	}
 	for term := uint64(1); term <= 2; term++ {
 		next, err := s.CASTerm(term-1, 1)
@@ -137,11 +137,14 @@ func TestCutFencing(t *testing.T) {
 		if err := s.AdoptTerm(next); err != nil {
 			t.Fatal(err)
 		}
-		// A new writer re-logs every live column: a cut without it is refused.
-		if err := cut(term, false); err == nil {
-			t.Fatal("a new term's checkpoint that does not carry its live column was accepted")
+		if got := s.CutFrom(); got != noCut {
+			t.Fatalf("CutFrom = %d after adopting term %d, want none: the new writer's state is the log's fold", got, term)
 		}
-		if err := cut(term, true); err != nil {
+		// A heal re-logs every live column: a cut without it is refused.
+		if err := s.Heal(cut(term, false)); err == nil {
+			t.Fatal("a heal whose cut does not carry its live column was accepted")
+		}
+		if err := s.Heal(cut(term, true)); err != nil {
 			t.Fatal(err)
 		}
 		var terms []uint64
@@ -173,7 +176,7 @@ func TestCutFencing(t *testing.T) {
 	if err := os.WriteFile(rotted, buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := cut(3, true); !errors.Is(err, ErrFenced) {
+	if err := s.Checkpoint(cut(3, true)); !errors.Is(err, ErrFenced) {
 		t.Fatalf("fenced checkpoint: %v, want ErrFenced", err)
 	}
 	if _, err := s.Scrub(); !errors.Is(err, ErrFenced) {

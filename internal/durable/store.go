@@ -222,7 +222,7 @@ func OpenStore(dir string, _ int, opt Options) (*Store, error) {
 	// also surfaces the newest segment-header term, which backs the term
 	// file up if it is damaged or missing.
 	s.mu.Lock()
-	s.recoverLocked()
+	s.recoverLocked(false)
 	s.loadTermLocked(s.segTermHigh)
 	s.mu.Unlock()
 	return s, nil
@@ -694,7 +694,10 @@ func (s *Store) replaySegmentLocked(g *segment) (recs []*wire.WALRecord, keep bo
 // the frames it covers, and the frames it does not cover but column
 // records, debris of a checkpoint that did not commit, which the next one
 // re-logs. Any damage makes the next checkpoint re-log every live column.
-func (s *Store) recoverLocked() (*wire.Snapshot, []*wire.WALRecord) {
+// Without cells, the columns' bounds are tracked but their cells are not
+// gathered: the open's scan has the same effect on the store and
+// allocates no column.
+func (s *Store) recoverLocked(cells bool) (*wire.Snapshot, []*wire.WALRecord) {
 	s.lost = s.lost[:0]
 	quarantined := s.quarantines.Load()
 	snap := s.loadCheckpointLocked()
@@ -703,7 +706,10 @@ func (s *Store) recoverLocked() (*wire.Snapshot, []*wire.WALRecord) {
 	if snap != nil {
 		through = snap.ThroughLSN
 		for _, sw := range snap.Live {
-			f[sw] = &foldCol{seen: map[uint32]bool{}}
+			f[sw] = &foldCol{}
+			if cells {
+				f[sw].seen = map[uint32]bool{}
+			}
 		}
 	}
 	high := through
@@ -776,7 +782,7 @@ func (s *Store) Recover() (*wire.Snapshot, []*wire.WALRecord, error) {
 	if s.dead {
 		return nil, nil, s.deadErr
 	}
-	snap, recs := s.recoverLocked()
+	snap, recs := s.recoverLocked(true)
 	return snap, recs, nil
 }
 

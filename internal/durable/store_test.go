@@ -512,9 +512,9 @@ func TestCrashAfterHealOrScrubReLogsPendingColumns(t *testing.T) {
 	}
 }
 
-// A column re-logged as a column record (a new term, the re-cut of a
-// rotted segment) can sit in the log beside the frames it supersedes.
-// Recovery must fold it from its newest record, once.
+// A column re-logged as a column record (a heal, the re-cut of a rotted
+// segment) can sit in the log beside the frames it supersedes. Recovery
+// must fold it from its newest record, once.
 func TestRecoverFoldsReCutColumnOnce(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenStore(dir, 0, Options{})
@@ -539,8 +539,8 @@ func TestRecoverFoldsReCutColumnOnce(t *testing.T) {
 	if err := s.Checkpoint(&wire.Snapshot{LastFinished: 3, HasFinished: true, Live: []uint64{1, 2, 3}}); err != nil {
 		t.Fatal(err)
 	}
-	// A new writer re-logs every live column; it dies before deleting the
-	// segments its column records supersede.
+	// A new writer heals, re-logging every live column; it dies before
+	// deleting the segments its column records supersede.
 	term, err := s.CASTerm(0, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -553,8 +553,8 @@ func TestRecoverFoldsReCutColumnOnce(t *testing.T) {
 	}
 	s.SetCrash(func(p string) bool { return p == "wal-truncate" })
 	second := &wire.Snapshot{LastFinished: 4, HasFinished: true, Live: []uint64{1, 2, 3, 4}, Columns: columns(1, 2, 3, 4)}
-	if err := s.Checkpoint(second); !errors.Is(err, ErrCrash) {
-		t.Fatalf("checkpoint: %v, want the crash", err)
+	if err := s.Heal(second); !errors.Is(err, ErrCrash) {
+		t.Fatalf("heal: %v, want the crash", err)
 	}
 
 	s2, err := OpenStore(dir, 0, Options{})

@@ -118,9 +118,9 @@ func (s *Store) CASTerm(expect uint64, holder uint32) (uint64, error) {
 // AdoptTerm makes this handle write under term t, which must be the
 // current authoritative term (the caller just won it via CASTerm). The
 // active segment seals, so the new term's first append opens a fresh one
-// whose header carries it — segment rotation records the handover durably
-// — and the next checkpoint re-logs every live column, since the new
-// writer's columns need not be the ones the old writer's frames hold.
+// whose header carries it: segment rotation records the handover durably.
+// Nothing is re-logged: the new writer's controller is the fold of the
+// log it adopts, so the log already holds its columns.
 func (s *Store) AdoptTerm(t uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -132,7 +132,6 @@ func (s *Store) AdoptTerm(t uint64) error {
 	}
 	if s.writerTerm != t {
 		s.writerTerm = t
-		s.damageLocked(0)
 		s.sealLocked()
 	}
 	return nil

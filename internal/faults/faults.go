@@ -16,10 +16,10 @@
 //     (drop/duplicate/reorder/delay/truncate/corrupt of wire datagrams).
 //
 // Faults decided at boundaries or per operation rather than per event —
-// controller crashes, RDMA verb and QP errors, disk and partition faults —
-// are the stateless schedules in this package. Each
-// schedule has one Seed, and every kind that can fire at chosen inputs is
-// a Fault drawn under it.
+// controller crashes, RDMA verb and QP errors, disk faults, and the lease
+// renewals a partition loses — are the stateless schedules in this
+// package. Each schedule has one Seed, and every kind that can fire at
+// chosen inputs is a Fault drawn under it.
 package faults
 
 import (

@@ -7,8 +7,9 @@ import "testing"
 // input i. The other tests in this package check determinism and stream
 // independence, never values — and every chaos suite's pinned counts
 // depend on the values. The masks were read off the commit before the
-// schedules were moved onto one shared draw; a refactor of the hashing
-// must leave them untouched.
+// schedules were moved onto one shared draw, the Partition row when the
+// partition kinds merged into Cut; a refactor of the hashing must leave
+// them untouched.
 func TestSchedulesGolden(t *testing.T) {
 	const p = 0.3
 	fixed := []uint64{5, 40}
@@ -28,8 +29,7 @@ func TestSchedulesGolden(t *testing.T) {
 			SlowIO: p, ENOSPC: Fault{Prob: p, Fixed: []uint64{20, 21, 22, 23}}}
 	}
 	part := func(seed uint64) *PartitionSchedule {
-		return &PartitionSchedule{Seed: seed, Symmetric: Fault{Prob: p / 3, Fixed: []uint64{30, 31}},
-			RenewOnly: p, Gray: p}
+		return &PartitionSchedule{Seed: seed, Cut: Fault{Prob: p, Fixed: []uint64{30, 31}}}
 	}
 	rows := []row{
 		{"Crash.At", func(s, x uint64) bool { return CrashSchedule{Seed: s, Fault: Fault{Prob: p, Fixed: fixed}}.At(x) },
@@ -65,11 +65,7 @@ func TestSchedulesGolden(t *testing.T) {
 		{"Disk.ENOSPCAt", func(s, x uint64) bool { return disk(s).ENOSPCAt(x) },
 			[2]uint64{0x9288648423f50184, 0x0964049606f00c03}},
 		{"Partition.RenewCut", func(s, x uint64) bool { return part(s).RenewCut(x) },
-			[2]uint64{0x00538030c4e36d33, 0x7b236c21e3350964}},
-		{"Partition.GrayAt", func(s, x uint64) bool { ok, _ := part(s).GrayAt(x); return ok },
-			[2]uint64{0x0208008e10140200, 0x00d0020a14020008}},
-		{"Partition.Any", func(s, x uint64) bool { return part(s).Any(x) },
-			[2]uint64{0x025b80bed4f76f33, 0x7bf36e2bf737096c}},
+			[2]uint64{0x10ab0415c0412423, 0x89210f2cd4200b40}},
 	}
 	for _, r := range rows {
 		for i, seed := range []uint64{1, 0xC0FFEE} {

@@ -56,54 +56,42 @@ func seeded(seed uint64) *schedules {
 		&DiskSchedule{Seed: seed}, &PartitionSchedule{Seed: seed}}
 }
 
-// kind is one schedule predicate. on switches on every fault kind the
-// predicate reads — a Fault kind takes f whole, a per-event draw its Prob —
-// and rate is the predicate's fire rate when they are on at p (nil: p).
+// kind is one schedule predicate. on switches on the fault kind the
+// predicate reads: a Fault kind takes f whole, a per-event draw its Prob.
 type kind struct {
 	name  string
 	on    func(s *schedules, f Fault)
 	at    func(s *schedules, x uint64) bool
 	fixed bool // the predicate fires at a Fault's Fixed inputs
-	rate  func(p float64) float64
-}
-
-func union(n float64) func(float64) float64 {
-	return func(p float64) float64 { return 1 - math.Pow(1-p, n) }
 }
 
 var kinds = []kind{
 	{"Crash.At", func(s *schedules, f Fault) { s.crash.Fault = f },
-		func(s *schedules, x uint64) bool { return s.crash.At(x) }, true, nil},
+		func(s *schedules, x uint64) bool { return s.crash.At(x) }, true},
 	{"RDMA.VerbErrorAt", func(s *schedules, f Fault) { s.rdma.VerbError = f.Prob },
-		func(s *schedules, x uint64) bool { return s.rdma.VerbErrorAt(x, 0) }, false, nil},
+		func(s *schedules, x uint64) bool { return s.rdma.VerbErrorAt(x, 0) }, false},
 	{"RDMA.PSNDropAt", func(s *schedules, f Fault) { s.rdma.PSNDrop = f.Prob },
-		func(s *schedules, x uint64) bool { return s.rdma.PSNDropAt(x, 0) }, false, nil},
+		func(s *schedules, x uint64) bool { return s.rdma.PSNDropAt(x, 0) }, false},
 	{"RDMA.QPErrorAt", func(s *schedules, f Fault) { s.rdma.QPError = f },
-		func(s *schedules, x uint64) bool { return s.rdma.QPErrorAt(x) }, true, nil},
+		func(s *schedules, x uint64) bool { return s.rdma.QPErrorAt(x) }, true},
 	{"RDMA.MRInvalidateAt", func(s *schedules, f Fault) { s.rdma.MRInvalidate = f },
-		func(s *schedules, x uint64) bool { return s.rdma.MRInvalidateAt(x) }, true, nil},
+		func(s *schedules, x uint64) bool { return s.rdma.MRInvalidateAt(x) }, true},
 	{"RDMA.OutageAt", func(s *schedules, f Fault) { s.rdma.Outage = f },
-		func(s *schedules, x uint64) bool { return s.rdma.OutageAt(x) }, true, nil},
+		func(s *schedules, x uint64) bool { return s.rdma.OutageAt(x) }, true},
 	{"Disk.WriteEIOAt", func(s *schedules, f Fault) { s.disk.WriteEIO = f.Prob },
-		func(s *schedules, x uint64) bool { return s.disk.WriteEIOAt(x) }, false, nil},
+		func(s *schedules, x uint64) bool { return s.disk.WriteEIOAt(x) }, false},
 	{"Disk.ReadEIOAt", func(s *schedules, f Fault) { s.disk.ReadEIO = f.Prob },
-		func(s *schedules, x uint64) bool { return s.disk.ReadEIOAt(x) }, false, nil},
+		func(s *schedules, x uint64) bool { return s.disk.ReadEIOAt(x) }, false},
 	{"Disk.ShortWriteAt", func(s *schedules, f Fault) { s.disk.ShortWrite = f.Prob },
-		func(s *schedules, x uint64) bool { return s.disk.ShortWriteAt(x) }, false, nil},
+		func(s *schedules, x uint64) bool { return s.disk.ShortWriteAt(x) }, false},
 	{"Disk.BitRotAt", func(s *schedules, f Fault) { s.disk.BitRot = f.Prob },
-		func(s *schedules, x uint64) bool { return s.disk.BitRotAt(x) }, false, nil},
+		func(s *schedules, x uint64) bool { return s.disk.BitRotAt(x) }, false},
 	{"Disk.SlowIOAt", func(s *schedules, f Fault) { s.disk.SlowIO = f.Prob },
-		func(s *schedules, x uint64) bool { ok, _ := s.disk.SlowIOAt(x); return ok }, false, nil},
+		func(s *schedules, x uint64) bool { ok, _ := s.disk.SlowIOAt(x); return ok }, false},
 	{"Disk.ENOSPCAt", func(s *schedules, f Fault) { s.disk.ENOSPC = f },
-		func(s *schedules, x uint64) bool { return s.disk.ENOSPCAt(x) }, true, nil},
-	{"Partition.RenewCut", func(s *schedules, f Fault) { s.part.Symmetric, s.part.RenewOnly = f, f.Prob },
-		func(s *schedules, x uint64) bool { return s.part.RenewCut(x) }, true, union(2)},
-	{"Partition.GrayAt", func(s *schedules, f Fault) { s.part.Symmetric, s.part.RenewOnly, s.part.Gray = f, f.Prob, f.Prob },
-		func(s *schedules, x uint64) bool { ok, _ := s.part.GrayAt(x); return ok }, false,
-		func(p float64) float64 { return (1 - p) * (1 - p) * p }},
-	{"Partition.Any", func(s *schedules, f Fault) {
-		s.part.Symmetric, s.part.RenewOnly, s.part.Gray = f, f.Prob, f.Prob
-	}, func(s *schedules, x uint64) bool { return s.part.Any(x) }, true, union(3)},
+		func(s *schedules, x uint64) bool { return s.disk.ENOSPCAt(x) }, true},
+	{"Partition.RenewCut", func(s *schedules, f Fault) { s.part.Cut = f },
+		func(s *schedules, x uint64) bool { return s.part.RenewCut(x) }, true},
 }
 
 // with builds seeded(seed) with k's kinds on at f.
@@ -168,18 +156,14 @@ var properties = []struct {
 	}},
 	{"rates", func(t *testing.T, k kind) {
 		const p, n = 0.2, 20000
-		want := p
-		if k.rate != nil {
-			want = k.rate(p)
-		}
 		hits, s := 0, k.with(3, Fault{Prob: p})
 		for x := uint64(0); x < n; x++ {
 			if k.at(s, x) {
 				hits++
 			}
 		}
-		if got := float64(hits) / n; math.Abs(got-want) > 0.03 {
-			t.Errorf("fire rate %.3f at Prob %.1f, want ~%.3f", got, p, want)
+		if got := float64(hits) / n; math.Abs(got-p) > 0.03 {
+			t.Errorf("fire rate %.3f at Prob %.1f", got, p)
 		}
 	}},
 	{"seed", func(t *testing.T, k kind) {
@@ -303,34 +287,5 @@ func TestDiskScheduleSlowIODefaultLatency(t *testing.T) {
 	}
 	if slow, lat := (*DiskSchedule)(nil).SlowIOAt(0); slow || lat != 0 {
 		t.Fatal("nil schedule injected slow IO")
-	}
-}
-
-// Loss dominates slowness: a boundary whose renewal is cut cannot also be
-// gray, so the deployment never double-charges one renewal.
-func TestPartitionScheduleLossDominatesGray(t *testing.T) {
-	s := &PartitionSchedule{Seed: 5, Symmetric: Fault{Prob: 1}, Gray: 1, DelayNs: 7}
-	for sw := uint64(0); sw < 100; sw++ {
-		if gray, _ := s.GrayAt(sw); gray {
-			t.Fatalf("boundary %d is both cut and gray", sw)
-		}
-		if !s.RenewCut(sw) {
-			t.Fatalf("boundary %d should be cut", sw)
-		}
-	}
-}
-
-func TestPartitionScheduleGrayDefaultsDelay(t *testing.T) {
-	s := &PartitionSchedule{Seed: 5, Gray: 1}
-	if gray, d := s.GrayAt(0); !gray || d != 1_000_000 {
-		t.Fatalf("GrayAt = %v, %d; want true, 1ms default", gray, d)
-	}
-	s.DelayNs = 42
-	if _, d := s.GrayAt(0); d != 42 {
-		t.Fatalf("explicit delay = %d, want 42", d)
-	}
-	var none *PartitionSchedule
-	if gray, d := none.GrayAt(1); gray || d != 0 || none.Drift() != 0 {
-		t.Fatal("nil schedule injected gray slowness or drift")
 	}
 }

@@ -16,21 +16,8 @@ type Hop struct {
 	// Offset is the hop's clock deviation from true time in virtual ns
 	// (what PTP leaves uncorrected).
 	Offset int64
-	// OffsetFunc, when non-nil, is evaluated per traversal and added on
-	// top of Offset: a slow-oscillator switch whose skew grows over time
-	// plugs in here.
-	OffsetFunc func() int64
 	// Process handles the packet at this hop with the hop's local time.
 	Process func(p *packet.Packet, localTime int64)
-}
-
-// localOffset is the hop's effective clock deviation for one traversal.
-func (h *Hop) localOffset() int64 {
-	off := h.Offset
-	if h.OffsetFunc != nil {
-		off += h.OffsetFunc()
-	}
-	return off
 }
 
 // Path is a linear sequence of hops joined by links.
@@ -54,7 +41,7 @@ func (path Path) Run(pkts []packet.Packet) (dropped int) {
 		t := p.Time
 		for h := range path.Hops {
 			hop := &path.Hops[h]
-			hop.Process(&p, t+hop.localOffset())
+			hop.Process(&p, t+hop.Offset)
 			if h == len(path.Hops)-1 {
 				break
 			}

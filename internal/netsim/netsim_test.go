@@ -149,24 +149,3 @@ func TestStampPropagationAcrossHops(t *testing.T) {
 		t.Fatal("local clocks with 64 us deviation should disagree on some packets")
 	}
 }
-
-// A hop's OffsetFunc is evaluated per traversal on top of the static
-// Offset, so a drifting clock skews later packets more than earlier ones.
-func TestHopOffsetFunc(t *testing.T) {
-	var drift int64
-	var seen []int64
-	p := Path{Hops: []Hop{{
-		Offset:     100,
-		OffsetFunc: func() int64 { return drift },
-		Process:    func(_ *packet.Packet, lt int64) { seen = append(seen, lt) },
-	}}}
-
-	pkts := []packet.Packet{{Time: 1000}, {Time: 1000}}
-	p.Run(pkts[:1])
-	drift = -400
-	p.Run(pkts[1:])
-
-	if len(seen) != 2 || seen[0] != 1100 || seen[1] != 700 {
-		t.Fatalf("local times = %v, want [1100 700]", seen)
-	}
-}

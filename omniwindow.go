@@ -151,19 +151,16 @@ type testPlan struct {
 	// Standby the deployment halts (restart it on the same CheckpointDir);
 	// with Standby it fails over.
 	crash *faults.CrashSchedule
-	// partition cuts the hot-standby pair apart: lost or gray lease
-	// renewals and standby clock drift. A cut that expires the lease
-	// promotes the standby behind a fencing term; the old primary's
-	// writes are fenced and it self-demotes.
+	// partition cuts the primary's lease renewals at chosen boundaries:
+	// all a partition can take from a standby that reads only the log. A
+	// cut that expires the lease promotes the standby behind a fencing
+	// term; the old primary's writes are fenced and it self-demotes, to be
+	// re-admitted as the new standby at the first uncut boundary.
 	partition *faults.PartitionSchedule
 	// leaseTTL is the primary-liveness lease in virtual time; the wait for
 	// it to lapse is charged to the C&R budget. <= 0 is 2×SubWindow
 	// (2×Grace without a fixed sub-window length).
 	leaseTTL time.Duration
-	// readmitAfter is how many consecutive partition-free boundaries
-	// re-admit a demoted former primary as the new standby. 0 is 1;
-	// negative never re-admits.
-	readmitAfter int
 	// durable opens the checkpoint/WAL store: a durable.FaultFS in FS
 	// injects disk faults, SegmentBytes caps a WAL segment and RetryLimit
 	// bounds the store's retries after a transient fault.
@@ -234,14 +231,14 @@ type Stats struct {
 	// emitting.
 	Demotions int
 	// Readmissions counts demoted former primaries re-admitted as the new
-	// standby after consecutive partition-free boundaries.
+	// standby, each at the first boundary whose renewal is not cut.
 	Readmissions int
 	// FencedWrites counts durable mutations rejected because the writer's
 	// fencing term was stale — the zombie primary's post-promotion write
 	// attempts. Mirrors the store's counter for the run.
 	FencedWrites int
-	// PartitionEvents counts sub-window boundaries at which an active
-	// partition fault touched this deployment (lost or delayed renewals).
+	// PartitionEvents counts sub-window boundaries whose lease renewal a
+	// partition cut.
 	PartitionEvents int
 	// SuppressedWindows counts windows a promotion re-finished but did not
 	// emit, the old primary having emitted them: finishes the log replays,
@@ -304,15 +301,11 @@ type Deployment struct {
 	// durable mutation carries. A partition promotion CASes the store to
 	// term+1 for the standby; the old primary's writes then fence.
 	term uint64
-	// demoted: a self-demoted former primary is parked until re-admission
-	// (or forever, when re-admission is disabled).
-	demoted bool
-	// cleanSince counts consecutive partition-free boundaries observed
-	// while a demoted node waits for re-admission.
-	cleanSince int
-	crashed    bool
-	crashedAt  uint64
-	storeErr   error
+	// demoted: a self-demoted former primary is parked until re-admission.
+	demoted   bool
+	crashed   bool
+	crashedAt uint64
+	storeErr  error
 	// storeDead: the store itself died (crash hook or closed) — durable
 	// logging is over for this incarnation. degraded: disk faults
 	// exhausted the store's retry budget — writes are skipped and counted

@@ -17,8 +17,10 @@ import (
 )
 
 // Partition chaos: the hot-standby pair under network failures that do
-// NOT kill the primary — cut or gray lease renewals, and standby clock
-// drift. The properties proven here are the partition failure doctrine:
+// NOT kill the primary. The standby reads only the shared log, so all a
+// partition can cut is the primary's lease renewals
+// (faults.PartitionSchedule.Cut). The properties proven here are the
+// partition failure doctrine:
 //
 //   - At most one term holder ever finalizes a window: a promotion
 //     advances the fencing term by CAS before the standby reads the log,
@@ -32,8 +34,8 @@ import (
 //   - The merged window stream is byte-identical to the fault-free run,
 //     or explicitly Incomplete. A promotion rebuilds its controller from
 //     the shared log, which the partition does not cut, so a takeover
-//     over a healthy disk — spurious (gray, drift, a lost renewal) or
-//     after a long outage — costs nothing; only records the log lacks
+//     over a healthy disk — spurious (one lost renewal) or after a long
+//     outage — costs nothing; only records the log lacks
 //     (TestFailoverWhileDegradedFinalizesOnce) surface as Missing-charged
 //     spans, never as silently different values.
 
@@ -147,7 +149,7 @@ func TestPartitionChaosSymmetricOutage(t *testing.T) {
 	baseline := partitionBaseline(t, 5)
 	for _, spill := range []bool{false, true} {
 		t.Run(fmt.Sprintf("spill=%v", spill), func(t *testing.T) {
-			ps := &faults.PartitionSchedule{Symmetric: faults.Fault{Fixed: []uint64{1, 2}}}
+			ps := &faults.PartitionSchedule{Cut: faults.Fault{Fixed: []uint64{1, 2}}}
 			cfg := partitionConfig(t.TempDir(), ps)
 			if spill {
 				chaosSpill(&cfg)
@@ -184,14 +186,15 @@ func symmetricOutage(t *testing.T, baseline, d *Deployment) {
 	}
 }
 
-// TestPartitionChaosAsymmetric: losing only renewals is the classic
-// zombie-primary case — the standby promotes from the log a live primary
-// keeps writing until the fence, so the spurious takeover is free.
+// TestPartitionChaosAsymmetric: losing every renewal of a live primary is
+// the classic zombie-primary case — the standby promotes from the log a
+// live primary keeps writing until the fence, so the spurious takeover is
+// free. The cut never heals, so the demoted node is never re-admitted.
 func TestPartitionChaosAsymmetric(t *testing.T) {
 	baseline := partitionBaseline(t, 5)
 
 	t.Run("renew-only", func(t *testing.T) {
-		ps := &faults.PartitionSchedule{RenewOnly: 1}
+		ps := &faults.PartitionSchedule{Cut: faults.Fault{Prob: 1}}
 		d := runPartition(t, partitionConfig(t.TempDir(), ps), 5)
 		st := d.Stats()
 		if st.Failovers != 1 || st.Demotions != 1 {
@@ -210,8 +213,8 @@ func TestPartitionChaosAsymmetric(t *testing.T) {
 	})
 }
 
-// TestPartitionFailoverKeepsSpikes: a renewal-only cut at boundary 0
-// promotes the standby at boundary 1, whose latency spikes (spikeTrace)
+// TestPartitionFailoverKeepsSpikes: a renewal cut at boundary 0 promotes
+// the standby at boundary 1, whose latency spikes (spikeTrace)
 // the old primary merged in software and logged. The promoted controller
 // must carry them: every window equals the standby-free durable run's,
 // none marked Incomplete.
@@ -225,8 +228,7 @@ func TestPartitionFailoverKeepsSpikes(t *testing.T) {
 	cfg := spikeConfig(t.TempDir())
 	cfg.Standby = true
 	cfg.plan.leaseTTL = 170 * time.Millisecond
-	cfg.plan.readmitAfter = -1
-	cfg.plan.partition = &faults.PartitionSchedule{Seed: 17, RenewOnly: 0.5}
+	cfg.plan.partition = &faults.PartitionSchedule{Cut: faults.Fault{Fixed: []uint64{0}}}
 	d := newDisk(t, cfg)
 	d.RunFor(pkts, 500*ms)
 	if err := d.CloseDurability(); err != nil {
@@ -240,77 +242,7 @@ func TestPartitionFailoverKeepsSpikes(t *testing.T) {
 	}
 }
 
-// TestPartitionChaosGray: renewals are issued but crawl. A delay beyond
-// the lease TTL is indistinguishable from loss — the standby promotes,
-// spuriously but safely. A sub-TTL delay lands each renewal before the
-// next probe and never promotes.
-func TestPartitionChaosGray(t *testing.T) {
-	baseline := partitionBaseline(t, 5)
-
-	t.Run("beyond-ttl", func(t *testing.T) {
-		ps := &faults.PartitionSchedule{Gray: 1, DelayNs: int64(250 * time.Millisecond)}
-		d := runPartition(t, partitionConfig(t.TempDir(), ps), 5)
-		st := d.Stats()
-		if st.Failovers != 1 || st.Demotions != 1 {
-			t.Fatalf("gray beyond TTL must promote: failovers=%d demotions=%d", st.Failovers, st.Demotions)
-		}
-		assertSingleFinalizer(t, d.Results())
-		if !reflect.DeepEqual(baseline.Results(), d.Results()) {
-			t.Fatal("gray-failure promotion changed the window stream")
-		}
-		if err := d.CloseDurability(); err != nil {
-			t.Fatal(err)
-		}
-	})
-
-	t.Run("within-ttl", func(t *testing.T) {
-		ps := &faults.PartitionSchedule{Gray: 1, DelayNs: int64(50 * time.Millisecond)}
-		d := runPartition(t, partitionConfig(t.TempDir(), ps), 5)
-		st := d.Stats()
-		if st.Failovers != 0 {
-			t.Fatalf("sub-TTL gray slowness must not promote, got %d failovers", st.Failovers)
-		}
-		if st.PartitionEvents == 0 {
-			t.Fatal("gray boundaries were not counted as partition events")
-		}
-		if !reflect.DeepEqual(baseline.Results(), d.Results()) {
-			t.Fatal("sub-TTL gray slowness changed the window stream")
-		}
-		if err := d.CloseDurability(); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
-// TestPartitionChaosClockDrift: a standby clock running far ahead reads
-// the lease as lapsed at the very first boundary and takes over from a
-// perfectly healthy primary. Fencing makes the mistake free: the
-// takeover is exact, the stream byte-identical.
-func TestPartitionChaosClockDrift(t *testing.T) {
-	baseline := partitionBaseline(t, 5)
-	ps := &faults.PartitionSchedule{DriftNs: int64(300 * time.Millisecond)}
-	cfg := partitionConfig(t.TempDir(), ps)
-	// A constantly fast clock would re-steal leadership after every
-	// re-admission; disable re-admission to isolate the one takeover.
-	cfg.plan.readmitAfter = -1
-	d := runPartition(t, cfg, 5)
-	st := d.Stats()
-	if st.Failovers != 1 || st.Demotions != 1 {
-		t.Fatalf("fast standby clock must promote spuriously: failovers=%d demotions=%d", st.Failovers, st.Demotions)
-	}
-	if st.PartitionEvents != 0 {
-		t.Fatal("constant drift alone is not a partition event")
-	}
-	assertSingleFinalizer(t, d.Results())
-	if !reflect.DeepEqual(baseline.Results(), d.Results()) {
-		t.Fatal("drift-triggered promotion changed the window stream")
-	}
-	if err := d.CloseDurability(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestPartitionChaosFlapping: random symmetric cuts with no structure.
+// TestPartitionChaosFlapping: random cuts with no structure.
 // Whatever the schedule does — promotions, re-admissions, repeated
 // outages — three invariants survive every seed: each span is finalized
 // exactly once, every window is byte-identical or Incomplete, and the
@@ -323,7 +255,7 @@ func TestPartitionChaosFlapping(t *testing.T) {
 	for _, seed := range seeds {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			ps := &faults.PartitionSchedule{Seed: seed, Symmetric: faults.Fault{Prob: 0.6}}
+			ps := &faults.PartitionSchedule{Seed: seed, Cut: faults.Fault{Prob: 0.6}}
 			d := runPartition(t, partitionConfig(t.TempDir(), ps), 5)
 			assertSingleFinalizer(t, d.Results())
 			assertIdenticalOrIncomplete(t, baseline.Results(), d.Results())
@@ -354,7 +286,7 @@ func TestPartitionChaosFlapping(t *testing.T) {
 func TestPartitionRefailoverAfterReadmission(t *testing.T) {
 	const n = 9
 	baseline := partitionBaseline(t, n)
-	ps := &faults.PartitionSchedule{Symmetric: faults.Fault{Fixed: []uint64{1, 2, 5, 6}}}
+	ps := &faults.PartitionSchedule{Cut: faults.Fault{Fixed: []uint64{1, 2, 5, 6}}}
 	d := runPartition(t, partitionConfig(t.TempDir(), ps), n)
 	st := d.Stats()
 	if st.Failovers != 2 || st.Demotions != 2 {
@@ -388,7 +320,7 @@ func TestPartitionRefailoverAfterReadmission(t *testing.T) {
 // after the fence.
 func TestPartitionZombieWALFenced(t *testing.T) {
 	dir := t.TempDir()
-	ps := &faults.PartitionSchedule{Symmetric: faults.Fault{Fixed: []uint64{1, 2}}}
+	ps := &faults.PartitionSchedule{Cut: faults.Fault{Fixed: []uint64{1, 2}}}
 	d := runPartition(t, partitionConfig(dir, ps), 5)
 	finalTerm := d.term
 	if finalTerm != 1 {
@@ -435,7 +367,7 @@ func TestPartitionZombieWALFenced(t *testing.T) {
 // Afterwards the failover families equal Stats().
 func TestPartitionScrapeDuringRun(t *testing.T) {
 	reg := obs.NewRegistry()
-	ps := &faults.PartitionSchedule{Symmetric: faults.Fault{Fixed: []uint64{3, 4, 5}}}
+	ps := &faults.PartitionSchedule{Cut: faults.Fault{Fixed: []uint64{3, 4, 5}}}
 	cfg := partitionConfig(t.TempDir(), ps)
 	cfg.Obs = reg
 	d, err := New(cfg)

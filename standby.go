@@ -44,13 +44,10 @@ func (d *Deployment) failover(sw uint64, at int64) time.Duration {
 }
 
 // partitionProbe is the standby's lease check under a partition schedule.
-// It reads the lease AT the boundary (at) through its own clock: constant
-// drift makes a fast standby see expiry early (a spurious but
-// fencing-safe takeover) and a slow one see it late (delayed promotion).
-// Returns the virtual time charged to the C&R budget.
+// It reads the lease AT the boundary (at). Returns the virtual time
+// charged to the C&R budget.
 func (d *Deployment) partitionProbe(sw uint64, at int64) time.Duration {
-	ps := d.cfg.plan.partition
-	if ps == nil || !d.standby || !d.lease.Expired(at+ps.Drift()) {
+	if d.cfg.plan.partition == nil || !d.standby || !d.lease.Expired(at) {
 		return 0
 	}
 	return d.partitionFailover(sw)
@@ -78,7 +75,6 @@ func (d *Deployment) partitionFailover(sw uint64) time.Duration {
 	d.checkpoint(sw)
 	fenced := d.store.FencedWrites() - fencedBefore
 	d.demoted = true
-	d.cleanSince = 0
 	d.stats.Demotions++
 	d.obs.demotions.Inc()
 	d.obs.ring.Record(obs.StageFenced, sw, -1, fenced)
@@ -103,9 +99,9 @@ func (d *Deployment) partitionFailover(sw uint64) time.Duration {
 // is charged Missing and re-finished the same way, so the windows spanning
 // it assemble Incomplete and none is emitted twice
 // (Stats.SuppressedWindows). The winner then adopts the term: its WAL
-// frames, segments and checkpoints carry it, a deposed writer can never
-// write under the old one again, and its first checkpoint re-logs every
-// live column (see durable.Store.CutFrom).
+// frames, segments and checkpoints carry it, and a deposed writer can
+// never write under the old one again. Its first checkpoint re-logs
+// nothing: the new controller is the log's fold.
 func (d *Deployment) promote(sw, won uint64) {
 	d.failedOver = true
 	d.standby = false
@@ -155,7 +151,6 @@ func (d *Deployment) suppress(sw uint64) {
 // re-promote over a lease nobody was renewing while no standby watched.
 func (d *Deployment) readmitDemoted(sw uint64) {
 	d.standby, d.demoted = true, false
-	d.cleanSince = 0
 	d.stats.Readmissions++
 	d.obs.readmissions.Inc()
 	d.obs.role.Set(1)
@@ -164,46 +159,25 @@ func (d *Deployment) readmitDemoted(sw uint64) {
 }
 
 // maintainPartition runs the per-boundary partition bookkeeping: counts
-// boundaries touched by an active fault, and — once a demoted node has
-// seen enough consecutive clean boundaries — re-admits it as the new
-// standby (the test plan's readmitAfter; negative disables re-admission).
+// the boundaries whose renewal is cut, and re-admits a demoted node as the
+// new standby at the first uncut one.
 func (d *Deployment) maintainPartition(sw uint64) {
-	ps := d.cfg.plan.partition
-	if ps == nil {
-		return
-	}
-	if ps.Any(sw) {
+	switch {
+	case d.cfg.plan.partition.RenewCut(sw):
 		d.stats.PartitionEvents++
 		d.obs.partitionEvents.Inc()
-		d.cleanSince = 0
-		return
-	}
-	if !d.demoted || d.cfg.plan.readmitAfter < 0 {
-		return
-	}
-	d.cleanSince++
-	if d.cleanSince >= max(d.cfg.plan.readmitAfter, 1) {
+	case d.demoted:
 		d.readmitDemoted(sw)
 	}
 }
 
 // renewLease extends the primary's liveness lease after a successful
-// collection round — unless the partition schedule says this boundary's
-// renewal is lost (the standby sees nothing) or gray (it lands late,
-// possibly after the lease already lapsed). A no-op once no standby
-// watches: after promotion the new primary has no peer until a demoted
-// node is re-admitted.
+// collection round — unless the partition schedule cuts this boundary's
+// renewal, so the standby sees nothing. A no-op once no standby watches:
+// after promotion the new primary has no peer until a demoted node is
+// re-admitted.
 func (d *Deployment) renewLease(sw uint64) {
-	if !d.standby {
-		return
+	if d.standby && !d.cfg.plan.partition.RenewCut(sw) {
+		d.lease.Renew(d.now)
 	}
-	ps := d.cfg.plan.partition
-	if ps.RenewCut(sw) {
-		return // the renewal never arrives
-	}
-	if gray, delay := ps.GrayAt(sw); gray {
-		d.lease.RenewDelayed(d.now, delay)
-		return
-	}
-	d.lease.Renew(d.now)
 }
