@@ -41,7 +41,9 @@ race:
 ci: build vet fmt-check test race staticcheck cover fuzz-smoke bench-smoke examples
 
 # Chaos suite: the full pipeline under seeded drop/dup/reorder/corruption
-# schedules, run with the race detector. Fixed seeds (1, 2, 3 in the test
+# schedules, run with the race detector — in process (the root package) and
+# over loopback UDP through the example's collector (TestChaosUDP*,
+# examples/udpcollector). Fixed seeds (1, 2, 3 in the test
 # tables) make every schedule a reproducible test case. CollectBatch is
 # TestCollectBatchFlushPoints: its faults, failover and wal subtests hold
 # the boundary's delivery batch under this suite, failover and disk-chaos.
@@ -49,7 +51,7 @@ ci: build vet fmt-check test race staticcheck cover fuzz-smoke bench-smoke examp
 # its AFR port are overwritten after each call, under a drop/duplicate
 # schedule, and every arm's windows and Stats must not move.
 chaos:
-	$(GO) test -race -run 'Chaos|CollectBatch|AFRPort' . ./internal/controller/ ./internal/faults/
+	$(GO) test -race -run 'Chaos|CollectBatch|AFRPort' . ./examples/udpcollector/
 
 # Durability suite: kill-and-restart at every sub-window boundary and
 # every store crash point, WAL-replay recovery, checkpoints (what a
@@ -62,13 +64,13 @@ chaos:
 # crash (TestSpikesSurviveCrash), hot-standby failover by recovery from
 # the log (inside a degraded stretch too:
 # TestFailoverWhileDegradedFinalizesOnce; a promotion re-logs no column:
-# TestFailoverReLogsNoColumn) and admission-control shedding,
-# all under the race detector. Crash schedules use fixed seeds
-# (and the Fixed boundary lists in failover_test.go), so every death is
-# replayable.
+# TestFailoverReLogsNoColumn) and the UDP collector's admission-control
+# shedding (TestShed*, examples/udpcollector), all under the race
+# detector. Crash schedules use fixed seeds (and the Fixed boundary lists
+# in failover_test.go), so every death is replayable.
 failover:
 	$(GO) test -race -run 'Crash|Failover|Shed|Store|Lease|CollectBatch|Checkpoint|Cut|Scrub' \
-		. ./internal/controller/ ./internal/faults/ ./internal/durable/
+		. ./internal/controller/ ./internal/faults/ ./internal/durable/ ./examples/udpcollector/
 
 # RDMA chaos suite: the fault-tolerant transport (QP state machine, PSN
 # replay, mid-window fallback, failover re-registration) under seeded

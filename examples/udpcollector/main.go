@@ -76,17 +76,7 @@ func main() {
 	// control frames — and every shed record is charged to its
 	// sub-window, so windows that overload actually damaged print as
 	// DEGRADED instead of silently under-counting.
-	col := controller.NewCollector(serverConn, ctrl, controller.CollectorConfig{
-		Workers:       runtime.GOMAXPROCS(0),
-		MaxQueueDepth: 4096,
-		ShedWatermark: 0.75,
-		OnClose: func() {
-			// Runs after the reader exits and every ingest worker has
-			// drained: the point to flush a WAL segment or, here, to
-			// certify that no record was abandoned mid-decode.
-			fmt.Println("collector drained: all in-flight datagrams ingested")
-		},
-	})
+	col := serve(serverConn, ctrl, shedWatermark)
 
 	// Manual instrumentation — this example assembles the collector from
 	// parts rather than going through omniwindow.Config, so it wires the
@@ -96,7 +86,7 @@ func main() {
 	if *debugAddr != "" {
 		reg := obs.NewRegistry()
 		ctrl.SetObs(controller.Instrument(reg))
-		col.Instrument(reg)
+		col.instrument(reg)
 		srv, err := obs.Serve(*debugAddr, reg)
 		if err != nil {
 			log.Fatal(err)
@@ -111,15 +101,12 @@ func main() {
 		log.Fatal(err)
 	}
 	defer uplink.Close()
-	// The fault layer touches only AFR/retransmit frames (trigger frames
-	// stay lossless so the controller always learns the key count).
-	lossy := faults.WrapPacketConn(uplink, faults.New(faults.Config{
+	// The fault layer touches only AFR/retransmit frames (afrFrames).
+	lossy := &lossyConn{PacketConn: uplink, filter: afrFrames, in: faults.New(faults.Config{
 		Seed: 42, Drop: 0.03, Duplicate: 0.01, Reorder: 0.02, Truncate: 0.005, Corrupt: 0.005,
-	}), func(b []byte) bool {
-		return len(b) > 3 && (b[3] == byte(packet.OWAFR) || b[3] == byte(packet.OWRetransmit))
-	})
+	})}
 	send := func(p *packet.Packet) {
-		if err := controller.SendDatagram(lossy, col.Addr(), p); err != nil {
+		if err := sendDatagram(lossy, serverConn.LocalAddr(), p); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -128,11 +115,11 @@ func main() {
 	// the decoder, or shed on overrun. The reliability protocol handles
 	// the rest: dropped datagrams never arrive by design.
 	barrier := func() {
-		if err := lossy.Flush(); err != nil {
+		if err := lossy.flush(); err != nil {
 			log.Fatal(err)
 		}
 		deadline := time.Now().Add(3 * time.Second)
-		for col.Received()+col.Recovered()+col.Drops()+col.Overruns() < lossy.Delivered() &&
+		for col.received.Load()+col.recovered.Load()+col.drops.Load()+col.overruns.Load() < lossy.delivered.Load() &&
 			time.Now().Before(deadline) {
 			time.Sleep(2 * time.Millisecond)
 		}
@@ -210,7 +197,7 @@ func main() {
 				for _, rp := range engine.RetransmitPackets(seqs) {
 					send(rp)
 				}
-				return lossy.Flush()
+				return lossy.flush()
 			},
 			time.Sleep)
 		if !rec.Complete && len(rec.Missing) > 0 {
@@ -245,14 +232,15 @@ func main() {
 	}
 
 	// ---- Controller machine: assemble the windows. ----
-	// Graceful shutdown BEFORE assembly: Close stops the reader, drains
-	// the queue through every in-flight ingest worker and runs the
-	// OnClose hook, so window assembly below races no late ingest — and
-	// the reader goroutine is gone, not leaked.
+	// Graceful shutdown BEFORE assembly: Close stops the reader and
+	// drains the queue through every in-flight ingest worker, so window
+	// assembly below races no late ingest — and the reader goroutine is
+	// gone, not leaked.
 	barrier()
 	if err := col.Close(); err != nil {
 		log.Fatal(err)
 	}
+	fmt.Println("collector drained: all in-flight datagrams ingested")
 	for sub := uint64(0); sub <= last; sub++ {
 		if missing := ctrl.MissingSeqs(sub); missing != nil {
 			fmt.Printf("sub %d: %d AFRs still missing after recovery\n", sub, len(missing))
@@ -275,5 +263,14 @@ func main() {
 		}
 	}
 	fmt.Printf("uplink: %d datagrams on the wire, %d first deliveries, %d recovered, %d NACKed, %d decode failures, %d datagrams shed (%d AFRs)\n",
-		lossy.Delivered(), col.Received(), col.Recovered(), recovered, col.Drops(), col.Overruns(), col.ShedAFRs())
+		lossy.delivered.Load(), col.received.Load(), col.recovered.Load(), recovered, col.drops.Load(), col.overruns.Load(), col.shedAFRs.Load())
+}
+
+// afrFrames selects the AFR and retransmit datagrams, by the wire flag
+// octet, as the ones the uplink's faults touch: trigger frames stay
+// lossless so the controller always learns the key count (a lost trigger
+// makes gap detection blind — the documented limitation of §8's counting
+// scheme).
+func afrFrames(b []byte) bool {
+	return len(b) > 3 && (b[3] == byte(packet.OWAFR) || b[3] == byte(packet.OWRetransmit))
 }

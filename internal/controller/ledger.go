@@ -273,11 +273,12 @@ func (c *Controller) Reliability(sw uint64) metrics.Reliability {
 	return r.reliability()
 }
 
-// NoteShed records that admission control dropped n AFRs destined for a
-// sub-window (attributed by header peek before the discard). Notes for a
-// collecting sub-window flow into its final accounting, notes for a
-// finished one amend the retained snapshot (emitted windows do not
-// change), and one for a sub-window nothing has arrived for only counts.
+// NoteShed charges n AFRs bound for sub-window sw that were dropped
+// unread: in a Deployment only by the RDMA transport and WAL replay, in
+// examples/udpcollector by admission control. Notes for a collecting
+// sub-window flow into its final accounting, notes for a finished one
+// amend the retained snapshot (emitted windows do not change), and one
+// for a sub-window nothing has arrived for only counts.
 func (c *Controller) NoteShed(sw uint64, n int) {
 	if n <= 0 {
 		return

@@ -18,8 +18,8 @@ type Obs struct {
 	Recovered *obs.Counter
 	// Spikes counts latency-spike copies merged by the software path.
 	Spikes *obs.Counter
-	// Shed counts AFR records dropped by admission control and charged
-	// to their sub-windows via NoteShed.
+	// Shed counts AFR records dropped unread and charged to their
+	// sub-windows via NoteShed.
 	Shed *obs.Counter
 	// Windows counts complete windows emitted; IncompleteWindows and
 	// DegradedWindows split out the damaged ones.

@@ -76,3 +76,32 @@ func TestControllerShape(t *testing.T) {
 		t.Errorf("table.fold is called from %v, want exactly once, from insert", folds)
 	}
 }
+
+// TestLibraryOpensNoSocket holds where the UDP front end lives: the
+// collector and its lossy socket wrapper belong to examples/udpcollector,
+// their one caller. So the non-test files of this package and of
+// internal/faults import no net, and internal/wire, which no longer pools
+// datagram buffers, does not import internal/pool.
+func TestLibraryOpensNoSocket(t *testing.T) {
+	banned := map[string]string{".": "net", "../faults": "net", "../wire": "omniwindow/internal/pool"}
+	for dir, path := range banned {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("no Go files in %s: %v", dir, err)
+		}
+		for _, name := range files {
+			if strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(token.NewFileSet(), name, nil, parser.ImportsOnly)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, imp := range f.Imports {
+				if strings.Trim(imp.Path.Value, `"`) == path {
+					t.Errorf("%s imports %s", name, path)
+				}
+			}
+		}
+	}
+}

@@ -12,8 +12,8 @@
 //   - the AFR emissions a deployment sends its controller — one key's
 //     records from the switch, or one retransmit packet — via Packet
 //     (drop/duplicate of simulated packets; the root test plan's afrFaults);
-//   - the UDP socket feeding controller.Collector, via WrapPacketConn
-//     (drop/duplicate/reorder/delay/truncate/corrupt of wire datagrams).
+//   - wire datagrams, via Datagrams and Flush (drop/duplicate/reorder/
+//     delay/truncate/corrupt; examples/udpcollector wraps its uplink so).
 //
 // Faults decided at boundaries or per operation rather than per event —
 // controller crashes, RDMA verb and QP errors, disk faults, and the lease

@@ -3,9 +3,7 @@ package faults
 import (
 	"bytes"
 	"fmt"
-	"net"
 	"testing"
-	"time"
 )
 
 func payload(i int) []byte {
@@ -198,75 +196,5 @@ func TestPacketAction(t *testing.T) {
 		if a.Drop || a.Duplicates < 1 {
 			t.Fatalf("unexpected action %+v", a)
 		}
-	}
-}
-
-// fakeConn records writes; it implements just enough of net.PacketConn.
-type fakeConn struct {
-	writes [][]byte
-}
-
-type fakeAddr string
-
-func (a fakeAddr) Network() string { return "fake" }
-func (a fakeAddr) String() string  { return string(a) }
-
-func (c *fakeConn) WriteTo(b []byte, _ net.Addr) (int, error) {
-	c.writes = append(c.writes, append([]byte(nil), b...))
-	return len(b), nil
-}
-func (c *fakeConn) ReadFrom([]byte) (int, net.Addr, error) { return 0, nil, nil }
-func (c *fakeConn) Close() error                           { return nil }
-func (c *fakeConn) LocalAddr() net.Addr                    { return fakeAddr("local") }
-func (c *fakeConn) SetDeadline(time.Time) error            { return nil }
-func (c *fakeConn) SetReadDeadline(time.Time) error        { return nil }
-func (c *fakeConn) SetWriteDeadline(time.Time) error       { return nil }
-
-func TestPacketConnDropHidesLoss(t *testing.T) {
-	fc := &fakeConn{}
-	pc := WrapPacketConn(fc, New(Config{Seed: 1, Drop: 1}), nil)
-	n, err := pc.WriteTo(payload(0), fakeAddr("ctrl"))
-	if err != nil || n != len(payload(0)) {
-		t.Fatalf("sender learned of the drop: n=%d err=%v", n, err)
-	}
-	if len(fc.writes) != 0 || pc.Delivered() != 0 {
-		t.Fatal("dropped datagram reached the wire")
-	}
-}
-
-func TestPacketConnFilterPassthrough(t *testing.T) {
-	fc := &fakeConn{}
-	// Fault only datagrams starting with 'F'; drop them all.
-	pc := WrapPacketConn(fc, New(Config{Seed: 1, Drop: 1}), func(b []byte) bool {
-		return len(b) > 0 && b[0] == 'F'
-	})
-	if _, err := pc.WriteTo([]byte("Fault-me"), fakeAddr("ctrl")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := pc.WriteTo([]byte("keep-me"), fakeAddr("ctrl")); err != nil {
-		t.Fatal(err)
-	}
-	if len(fc.writes) != 1 || string(fc.writes[0]) != "keep-me" {
-		t.Fatalf("filter misrouted: %q", fc.writes)
-	}
-	if pc.Delivered() != 1 {
-		t.Fatalf("Delivered() = %d, want 1", pc.Delivered())
-	}
-}
-
-func TestPacketConnFlushReleasesParked(t *testing.T) {
-	fc := &fakeConn{}
-	pc := WrapPacketConn(fc, New(Config{Seed: 6, Reorder: 1, ReorderDepth: 100}), nil)
-	const sent = 10
-	for i := 0; i < sent; i++ {
-		if _, err := pc.WriteTo(payload(i), fakeAddr("ctrl")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := pc.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if len(fc.writes) != sent || pc.Delivered() != sent {
-		t.Fatalf("flush delivered %d of %d (Delivered=%d)", len(fc.writes), sent, pc.Delivered())
 	}
 }

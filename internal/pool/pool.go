@@ -1,10 +1,8 @@
-// Package pool provides size-classed free lists for the hot-path buffers
-// the telemetry pipeline would otherwise allocate per frame: raw datagram
-// bytes between the collector's socket reader and its ingest workers, and
-// the per-sub-window AFR slices the controller shards accumulate routed
-// records in. Both churn at line rate, so per-record garbage — not the
-// window algorithms — would be the first throughput wall (DESIGN.md,
-// "Hot-path memory model").
+// Package pool provides size-classed free lists for the per-sub-window
+// AFR slices the controller shards accumulate routed records in. They
+// churn at line rate, so per-record garbage — not the window algorithms —
+// would be the first throughput wall (DESIGN.md, "Hot-path memory
+// model").
 //
 // The free lists are explicit mutex-guarded stacks rather than sync.Pool:
 // a GC cycle must not empty them, because the allocs/op regression gates
@@ -14,14 +12,14 @@
 //
 // Ownership rules (enforced by the debug checks):
 //
-//   - A Get transfers ownership to the caller; the buffer is theirs until
+//   - A Get transfers ownership to the caller; the slice is theirs until
 //     they Put it back or drop it (dropping leaks nothing — the GC takes
 //     over — but defeats reuse).
 //   - Put transfers ownership to the pool. The caller must not retain any
 //     reference: the next Get may hand the same memory to another
-//     goroutine. Putting the same buffer twice is therefore corruption;
+//     goroutine. Putting the same slice twice is therefore corruption;
 //     debug mode panics on it.
-//   - Putting a buffer that did not come from a Get is allowed (restored
+//   - Putting a slice that did not come from a Get is allowed (restored
 //     snapshots feed their slices in), as long as the caller owned it.
 //
 // SetEnabled(false) turns the package into a pass-through (Get allocates
@@ -41,8 +39,8 @@ const (
 	// minClassBits..maxClassBits bound the pooled size classes (powers of
 	// two). Requests above the largest class fall through to plain make:
 	// they are not hot-path sized.
-	minClassBits = 6  // 64 bytes / 64 records
-	maxClassBits = 17 // 128 KiB — covers the collector's 64 KiB reads
+	minClassBits = 6  // 64 records
+	maxClassBits = 17 // 128 Ki records
 	numClasses   = maxClassBits - minClassBits + 1
 
 	// maxPerClass bounds each class's free list so a burst cannot pin
@@ -114,13 +112,13 @@ func classOf(c int) int {
 
 // freelist is one size class's stack. A plain mutex-guarded stack, not a
 // sync.Pool: GC must not drain it (see the package comment).
-type freelist[T any] struct {
+type freelist struct {
 	mu   sync.Mutex
-	free [][]T
+	free [][]packet.AFR
 }
 
 // get pops a buffer with cap >= 1<<(minClassBits+class), or nil.
-func (fl *freelist[T]) get() []T {
+func (fl *freelist) get() []packet.AFR {
 	fl.mu.Lock()
 	n := len(fl.free)
 	if n == 0 {
@@ -135,7 +133,7 @@ func (fl *freelist[T]) get() []T {
 }
 
 // put pushes a buffer; reports whether it was retained.
-func (fl *freelist[T]) put(b []T) bool {
+func (fl *freelist) put(b []packet.AFR) bool {
 	fl.mu.Lock()
 	if len(fl.free) >= maxPerClass {
 		fl.mu.Unlock()
@@ -146,47 +144,7 @@ func (fl *freelist[T]) put(b []T) bool {
 	return true
 }
 
-var (
-	bufClasses [numClasses]freelist[byte]
-	afrClasses [numClasses]freelist[packet.AFR]
-)
-
-// GetBuf returns a byte buffer of length n (capacity possibly larger).
-// Contents are unspecified: the caller overwrites before reading.
-func GetBuf(n int) []byte {
-	counters.gets.Add(1)
-	if c := classFor(n); enabled.Load() && c >= 0 {
-		if b := bufClasses[c].get(); b != nil {
-			debugGet(bufID(b))
-			return b[:n]
-		}
-		counters.news.Add(1)
-		b := make([]byte, n, 1<<(minClassBits+c))
-		debugNew(bufID(b))
-		return b
-	}
-	counters.news.Add(1)
-	return make([]byte, n)
-}
-
-// PutBuf returns a buffer to its size class. The caller must not retain
-// any reference to b afterwards.
-func PutBuf(b []byte) {
-	counters.puts.Add(1)
-	if cap(b) == 0 {
-		return
-	}
-	c := classOf(cap(b))
-	if !enabled.Load() || c < 0 {
-		counters.drops.Add(1)
-		return
-	}
-	retained := bufClasses[c].put(b[:cap(b)])
-	if !retained {
-		counters.drops.Add(1)
-	}
-	debugPut(bufID(b), retained)
-}
+var afrClasses [numClasses]freelist
 
 // GetAFRs returns an empty AFR slice with capacity at least n, ready to
 // append into.
@@ -225,9 +183,8 @@ func PutAFRs(s []packet.AFR) {
 	debugPut(afrID(s), retained)
 }
 
-// bufID and afrID identify a buffer by its backing array, stable across
-// reslicing — what the debug double-put check keys on.
-func bufID(b []byte) unsafe.Pointer { return unsafe.Pointer(unsafe.SliceData(b[:cap(b)])) }
+// afrID identifies a slice by its backing array, stable across reslicing —
+// what the debug double-put check keys on.
 func afrID(s []packet.AFR) unsafe.Pointer {
 	return unsafe.Pointer(unsafe.SliceData(s[:cap(s)]))
 }

@@ -60,6 +60,11 @@ func (s QPState) String() string {
 	return "unknown"
 }
 
+// rnrBackoff is the virtual wait before a verb's first retry, doubling per
+// attempt (capped at 32× the base). The accumulated wait is charged to the
+// C&R budget via TakeRetryWait.
+const rnrBackoff = 2 * time.Microsecond
+
 // TransportConfig sizes and parameterizes a Transport.
 type TransportConfig struct {
 	// Rows, Lanes, BufCap size the registered memory region (hot-key
@@ -70,11 +75,6 @@ type TransportConfig struct {
 	// faults to Error. 0 means the default (3); negative disables
 	// retries entirely.
 	VerbRetries int
-	// RNRBackoff is the virtual wait before each retry, doubling per
-	// attempt (capped at 32× the base). 0 means the default (2µs).
-	// The accumulated wait is charged to the C&R budget via
-	// TakeRetryWait.
-	RNRBackoff time.Duration
 	// ReplayDepth bounds the PSN replay window: how many unacked verbs
 	// the transport can replay after in-flight loss or region
 	// invalidation. Older verbs are evicted; an evicted unapplied verb's
@@ -205,7 +205,6 @@ type Transport struct {
 
 	verbIdx     uint64
 	verbRetries int
-	rnrBackoff  time.Duration
 	replayDepth int
 	retryWait   time.Duration
 
@@ -234,9 +233,6 @@ func NewTransport(cfg TransportConfig) *Transport {
 		t.verbRetries = 3
 	default:
 		t.verbRetries = cfg.VerbRetries
-	}
-	if t.rnrBackoff = cfg.RNRBackoff; t.rnrBackoff <= 0 {
-		t.rnrBackoff = 2 * time.Microsecond
 	}
 	if t.replayDepth = cfg.ReplayDepth; t.replayDepth <= 0 {
 		t.replayDepth = 8192
@@ -484,12 +480,12 @@ func (t *Transport) unprotect(sw uint64, n int) {
 func (t *Transport) post() (idx uint64, attempt int) {
 	idx = t.verbIdx
 	t.verbIdx++
-	backoff := t.rnrBackoff
+	backoff := rnrBackoff
 	for a := 0; a <= t.verbRetries; a++ {
 		if a > 0 {
 			t.stats.VerbRetries++
 			t.retryWait += backoff
-			backoff = min(2*backoff, 32*t.rnrBackoff)
+			backoff = min(2*backoff, 32*rnrBackoff)
 		}
 		if !t.faults.VerbErrorAt(idx, a) {
 			return idx, a

@@ -2,7 +2,7 @@
 // between switches and the controller. On hardware the header sits
 // between the Ethernet and IP headers (paper §8); here it becomes the
 // payload of UDP datagrams so a controller can run as an ordinary network
-// service (see the collector server in internal/controller).
+// service (see the collector in examples/udpcollector).
 //
 // Encoding is fixed-layout big-endian via encoding/binary — no reflection
 // on the hot path, no allocations beyond the output buffer.
@@ -15,7 +15,6 @@ import (
 	"hash/crc32"
 
 	"omniwindow/internal/packet"
-	"omniwindow/internal/pool"
 )
 
 // Magic ("OW" in ASCII) and Version identify OmniWindow datagrams.
@@ -118,12 +117,12 @@ func Decode(data []byte) (*packet.Packet, error) {
 }
 
 // DecodeInto parses a datagram produced by Encode into p, reusing p's
-// slice capacity instead of allocating per frame — the collector's ingest
+// slice capacity instead of allocating per frame — a collector's ingest
 // workers decode every datagram into one long-lived packet, so the steady
-// state allocates nothing. AFR capacity grows through internal/pool (the
-// outgrown slice is returned there), so p's AFR backing may be pool-owned:
-// callers must treat p and its slices as reusable scratch, never retain
-// them past the next DecodeInto, and never PutAFRs them directly.
+// state allocates nothing. An AFR slice too small for the frame is
+// replaced by a larger one, which p keeps: callers must treat p and its
+// slices as reusable scratch and never retain them past the next
+// DecodeInto.
 //
 // On error p's contents are unspecified; it remains valid scratch for the
 // next call. data is not retained.
@@ -161,8 +160,7 @@ func DecodeInto(p *packet.Packet, data []byte) error {
 	p.OW.HasUserSignal = data[offHasUser] != 0
 	if nAFR > 0 {
 		if cap(afrs) < nAFR {
-			pool.PutAFRs(afrs)
-			afrs = pool.GetAFRs(nAFR)
+			afrs = make([]packet.AFR, nAFR)
 		}
 		afrs = afrs[:nAFR]
 		off := headerSize
