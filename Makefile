@@ -66,7 +66,9 @@ chaos:
 # TestFailoverWhileDegradedFinalizesOnce; a promotion re-logs no column:
 # TestFailoverReLogsNoColumn) and the UDP collector's admission-control
 # shedding (TestShed*, examples/udpcollector), all under the race
-# detector. Crash schedules use fixed seeds (and the Fixed boundary lists
+# detector. Crash also selects TestDistinctionSummariesSurviveRDMAAndCrash:
+# a distinction app's summaries must survive a crash-restart that replays
+# the log. Crash schedules use fixed seeds (and the Fixed boundary lists
 # in failover_test.go), so every death is replayable.
 failover:
 	$(GO) test -race -run 'Crash|Failover|Shed|Store|Lease|CollectBatch|Checkpoint|Cut|Scrub' \
@@ -84,8 +86,10 @@ failover:
 # TestTransportDrainedRingLiveUntilNextSend), the Incomplete verdict in RDMA
 # mode (TestRDMAIncompleteSubWindowsMatchesWindows), the zero-alloc pins of
 # the batched send and observe paths (they skip their alloc counts under
-# -race) and the boundary's allocation gate over both transports
-# (TestBoundaryAllocsPerAFR).
+# -race), the boundary's allocation gate over both transports
+# (TestBoundaryAllocsPerAFR) and a distinction app whose keys turn hot:
+# its summaries never enter the transport, so its windows stay the exact
+# OR-counts (TestDistinctionSummariesSurviveRDMAAndCrash).
 rdma-chaos:
 	$(GO) test -race -run 'RDMA|Transport|HotTracker|SendBatch|ColdBuffer|BoundaryAllocs' . ./internal/rdma/ ./internal/faults/ ./internal/controller/
 

@@ -216,13 +216,14 @@ func (d *Deployment) injectSpecial(h packet.OWHeader) switchsim.Output {
 }
 
 // deliverRecords routes one emission's AFRs — a key's records from the
-// engine's port, or a retransmit packet's — toward the controller, first
+// engine's port, or a retransmit packet's — and their summaries (parallel,
+// or empty) toward the controller, first
 // pushing them through the configured fault schedule, drawn once per
 // call: a drop loses them — the reliability protocol must notice and
 // repair — and duplicates arrive back to back, which the controller's
-// sequence dedup must suppress. recs is valid only during the call: the
-// transport copies what it keeps.
-func (d *Deployment) deliverRecords(flag packet.OWFlag, recs []packet.AFR) {
+// sequence dedup must suppress. recs and summ are valid only during the
+// call: the transport copies what it keeps.
+func (d *Deployment) deliverRecords(flag packet.OWFlag, recs []packet.AFR, summ []packet.Summary) {
 	copies := 1
 	if d.cfg.plan.afrFaults != nil {
 		act := d.cfg.plan.afrFaults.Packet()
@@ -232,7 +233,7 @@ func (d *Deployment) deliverRecords(flag packet.OWFlag, recs []packet.AFR) {
 		copies += act.Duplicates
 	}
 	for ; copies > 0; copies-- {
-		d.transport.deliver(flag, recs)
+		d.transport.deliver(flag, recs, summ)
 	}
 }
 

@@ -249,8 +249,8 @@ func TestAFRPortRecordsLiveOnlyForTheCall(t *testing.T) {
 					t.Fatal(err)
 				}
 				if clobber {
-					d.engine.SetAFRPort(func(recs []packet.AFR) {
-						d.deliverRecords(packet.OWAFR, recs)
+					d.engine.SetAFRPort(func(recs []packet.AFR, summ []packet.Summary) {
+						d.deliverRecords(packet.OWAFR, recs, summ)
 						for i := range recs {
 							recs[i] = packet.AFR{Key: fk(1 << 20), Attr: 1 << 40, SubWindow: recs[i].SubWindow, Seq: ^recs[i].Seq}
 						}

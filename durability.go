@@ -67,18 +67,20 @@ func (d *Deployment) durableWrite(sw uint64, write func() error) bool {
 	return true
 }
 
-// logBatch appends one delivery batch to the write-ahead log: one frame
-// per run of equal sub-windows, each over its sub-slice of the batch, so a
-// boundary writes about one frame per batch, not one per AFR. retrans marks
-// records that answer a NACK. Each frame is one durable write: a failed
-// one is charged to its own sub-window, and one skipped while degraded is
-// one gap.
-func (d *Deployment) logBatch(retrans bool, recs []packet.AFR) {
+// logBatch appends one delivery batch and its summaries (parallel, or
+// empty) to the write-ahead log: one frame per run of equal sub-windows,
+// each over its sub-slice of the batch, so a boundary writes about one
+// frame per batch, not one per AFR. retrans marks records that answer a
+// NACK. Each frame is one durable write: a failed one is charged to its
+// own sub-window, and one skipped while degraded is one gap.
+func (d *Deployment) logBatch(retrans bool, recs []packet.AFR, summ []packet.Summary) {
 	for i, j := 0, 0; i < len(recs); i = j {
 		sw := recs[i].SubWindow
 		for j = i + 1; j < len(recs) && recs[j].SubWindow == sw; j++ {
 		}
-		d.durableWrite(sw, func() error { return d.store.AppendBatch(0, sw, retrans, recs[i:j]) })
+		d.durableWrite(sw, func() error {
+			return d.store.AppendRecords(sw, retrans, recs[i:j], packet.SummarySlice(summ, i, j))
+		})
 	}
 }
 
@@ -232,7 +234,7 @@ func (d *Deployment) replayLog(snap *wire.Snapshot, recs []*wire.WALRecord, fini
 				flag = packet.OWRetransmit
 			}
 			d.ctrl.Receive(&packet.Packet{OW: packet.OWHeader{
-				Flag: flag, SubWindow: r.SubWindow, AFRs: r.AFRs,
+				Flag: flag, SubWindow: r.SubWindow, AFRs: r.AFRs, Summaries: r.Summaries,
 			}})
 		case wire.WALTrigger:
 			d.ctrl.Receive(&packet.Packet{OW: packet.OWHeader{

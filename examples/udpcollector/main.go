@@ -137,8 +137,8 @@ func main() {
 	// one OWAFR datagram, sent before the enumeration moves on; the records
 	// are valid only during the call, which is all send needs.
 	var afrPkt packet.Packet
-	engine.SetAFRPort(func(recs []packet.AFR) {
-		afrPkt = packet.Packet{OW: packet.OWHeader{Flag: packet.OWAFR, Index: recs[0].Seq, AFRs: recs}}
+	engine.SetAFRPort(func(recs []packet.AFR, summ []packet.Summary) {
+		afrPkt = packet.Packet{OW: packet.OWHeader{Flag: packet.OWAFR, Index: recs[0].Seq, AFRs: recs, Summaries: summ}}
 		send(&afrPkt)
 	})
 

@@ -1,6 +1,7 @@
 package afr
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -200,7 +201,10 @@ func TestAFRPortRoundAllocatesNothing(t *testing.T) {
 		tr := NewTracker(TrackerConfig{BufferKeys: tracked, BloomBits: 1 << 20, BloomHashes: 3, Regions: 2})
 		e := NewMultiEngine(tr, per, window.NewRegions(2, slots))
 		next, bad, calls := 0, 0, 0
-		e.SetAFRPort(func(recs []packet.AFR) {
+		e.SetAFRPort(func(recs []packet.AFR, summ []packet.Summary) {
+			if len(summ) != 0 {
+				bad++
+			}
 			calls++
 			if len(recs) != apps {
 				bad++
@@ -275,12 +279,18 @@ func TestCollectionRoundPinsNoAFRPackets(t *testing.T) {
 		runtime.ReadMemStats(&m)
 		return int64(m.HeapAlloc)
 	}
-	// Slack for runtime noise. A pinned round holds ~300 B per key:
-	// 0.9 MB at 3 000 keys.
+	// Slack for runtime noise. A pinned round holds ~300 B per key (a
+	// 144 B packet and four apps' 40 B records): 0.9 MB at 3 000 keys.
 	const bound = 32 << 10
 	for _, flows := range []int{3000, 30000} {
 		tr := NewTracker(TrackerConfig{BufferKeys: 1 << 15, BloomBits: 1 << 20, BloomHashes: 3, Regions: 2})
-		e := NewEngine(tr, []StateApp{newCountApp(8), newCountApp(8)}, window.NewRegions(2, 8))
+		apps := [][]StateApp{make([]StateApp, 4), make([]StateApp, 4)}
+		for r := range apps {
+			for a := range apps[r] {
+				apps[r][a] = newCountApp(8)
+			}
+		}
+		e := NewMultiEngine(tr, apps, window.NewRegions(2, 8))
 		for i := 0; i < flows; i++ {
 			e.Update(0, &packet.Packet{Key: fk(i)})
 		}
@@ -482,8 +492,8 @@ func TestEngineRetransmit(t *testing.T) {
 		e.Update(0, &packet.Packet{Key: fk(i)})
 	}
 	e.BeginCollection(0)
-	recs := e.Retransmit([]uint32{1, 3, 99})
-	if len(recs) != 2 {
+	recs, summ := e.Retransmit([]uint32{1, 3, 99})
+	if len(recs) != 2 || len(summ) != 0 {
 		t.Fatalf("retransmitted %d records", len(recs))
 	}
 	if recs[0].Seq != 1 || recs[1].Seq != 3 {
@@ -508,7 +518,7 @@ func TestEngineRetransmitInjectedKeys(t *testing.T) {
 	if e.InjectedKeys(0) != 2 || e.InjectedKeys(1) != 0 {
 		t.Fatalf("injected keys: sub-window 0 %d, 1 %d; want 2, 0", e.InjectedKeys(0), e.InjectedKeys(1))
 	}
-	recs := e.Retransmit([]uint32{1, 2, 3, 4})
+	recs, _ := e.Retransmit([]uint32{1, 2, 3, 4})
 	if len(recs) != 3 {
 		t.Fatalf("retransmitted %d records, want seqs 1-3 (4 was never injected)", len(recs))
 	}
@@ -520,6 +530,59 @@ func TestEngineRetransmitInjectedKeys(t *testing.T) {
 	e.BeginCollection(1)
 	if e.InjectedKeys(1) != 0 {
 		t.Fatal("a new collection inherited the last one's injected keys")
+	}
+}
+
+// summaryApp is a countApp whose summary is the key's count in its first
+// word: keys it never saw carry none.
+type summaryApp struct{ *countApp }
+
+func (a summaryApp) Query(k packet.FlowKey) Attr {
+	return Attr{Value: a.counts[k], Summary: packet.Summary{a.counts[k]}}
+}
+
+// TestEngineSummariesBesideRecords: a frequency app's record and a
+// Distinction app's share each key's emission, and the summaries travel in
+// a slice parallel to the records — through the port, Retransmit and
+// RetransmitPackets — zero for the frequency app's record, and empty for a
+// key whose summary is zero.
+func TestEngineSummariesBesideRecords(t *testing.T) {
+	per := [][]StateApp{
+		{newCountApp(8), summaryApp{newCountApp(8)}},
+		{newCountApp(8), summaryApp{newCountApp(8)}},
+	}
+	e := NewMultiEngine(smallTracker(16), per, window.NewRegions(2, 8))
+	for i := 0; i < 3; i++ {
+		for j := 0; j <= i; j++ {
+			e.Update(0, &packet.Packet{Key: fk(i)})
+		}
+	}
+	// The summary app counts key 1 once more than the frequency app, and
+	// forgets key 2, whose emission then carries no summary at all.
+	per[0][1].(summaryApp).counts[fk(1)]++
+	delete(per[0][1].(summaryApp).counts, fk(2))
+	want := [][]packet.Summary{{{}, {1}}, {{}, {3}}, nil}
+	var got [][]packet.Summary
+	e.SetAFRPort(func(recs []packet.AFR, summ []packet.Summary) {
+		got = append(got, append([]packet.Summary(nil), summ...))
+	})
+	e.BeginCollection(0)
+	ss := switchsim.New(0)
+	ss.SetProgram(func(pass *switchsim.Pass) { e.HandleSpecial(pass) })
+	ss.Inject(&packet.Packet{OW: packet.OWHeader{Flag: packet.OWCollection}})
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("port summaries %v, want %v", got, want)
+	}
+	recs, summ := e.Retransmit([]uint32{2, 0})
+	if len(recs) != 4 || !reflect.DeepEqual(summ, []packet.Summary{{}, {}, {}, {1}}) {
+		t.Fatalf("Retransmit: %d records, summaries %v", len(recs), summ)
+	}
+	rps := e.RetransmitPackets([]uint32{2, 0})
+	if len(rps) != 1 || !reflect.DeepEqual(rps[0].OW.Summaries, summ) {
+		t.Fatalf("RetransmitPackets carried summaries %v, want %v", rps[0].OW.Summaries, summ)
+	}
+	if recs, summ := e.Retransmit([]uint32{2}); len(recs) != 2 || summ != nil {
+		t.Fatalf("a key without summaries retransmitted summaries %v", summ)
 	}
 }
 
@@ -537,7 +600,7 @@ func TestMergedKinds(t *testing.T) {
 	for _, c := range cases {
 		m := NewMerged(c.kind)
 		for _, a := range c.attrs {
-			m.Absorb(a, [4]uint64{}, false)
+			m.Absorb(a, packet.Summary{})
 		}
 		if got := m.Value(); got != c.want {
 			t.Fatalf("%v merged to %d want %d", c.kind, got, c.want)
@@ -551,10 +614,10 @@ func TestMergedKinds(t *testing.T) {
 func TestMergedDistinctionMergesBeforeCounting(t *testing.T) {
 	// Two sub-windows with identical distinct sets must not double count.
 	m := NewMerged(Distinction)
-	summary := [4]uint64{0b1011, 0b1, 0, 0}
-	m.Absorb(0, summary, true)
+	summary := packet.Summary{0b1011, 0b1, 0, 0}
+	m.Absorb(0, summary)
 	single := m.Value()
-	m.Absorb(0, summary, true)
+	m.Absorb(0, summary)
 	if m.Value() != single {
 		t.Fatalf("identical summaries double-counted: %d vs %d", single, m.Value())
 	}
@@ -562,8 +625,8 @@ func TestMergedDistinctionMergesBeforeCounting(t *testing.T) {
 
 func TestMergedDistinctionScalarFallback(t *testing.T) {
 	m := NewMerged(Distinction)
-	m.Absorb(10, [4]uint64{}, false)
-	m.Absorb(5, [4]uint64{}, false)
+	m.Absorb(10, packet.Summary{})
+	m.Absorb(5, packet.Summary{})
 	if m.Value() != 15 {
 		t.Fatalf("fallback sum = %d", m.Value())
 	}

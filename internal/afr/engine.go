@@ -10,11 +10,11 @@ import (
 )
 
 // Attr is the application-derived attribute of one flow in one sub-window:
-// the scalar value plus an optional distinct-count summary.
+// the scalar value plus, for Distinction apps, a distinct-count summary
+// (zero: none; see packet.Summary).
 type Attr struct {
-	Value       uint64
-	Distinct    [4]uint64
-	HasDistinct bool
+	Value   uint64
+	Summary packet.Summary
 }
 
 // StateApp is one memory region's application state — the stateful part of
@@ -64,10 +64,11 @@ type Engine struct {
 	injected []packet.FlowKey
 
 	// port, when set, takes each collected or injected key's records
-	// (SetAFRPort); recs is the scratch slice they are built in, reused
-	// for every key.
-	port func(recs []packet.AFR)
+	// (SetAFRPort); recs and summ are the scratch slices they and their
+	// summaries are built in, reused for every key.
+	port func(recs []packet.AFR, summ []packet.Summary)
 	recs []packet.AFR
+	summ []packet.Summary
 }
 
 // NewEngine wires a tracker and one StateApp per region (the single-app
@@ -113,10 +114,12 @@ func (e *Engine) SetKeyFunc(f func(*packet.Packet) (packet.FlowKey, bool)) {
 // SetAFRPort installs the record port AFRs leave the switch through: each
 // collected or injected key's AppCount() records are built in one
 // engine-owned scratch slice and handed to port synchronously, inside the
-// pipeline pass that queried them. The records are valid only during the
-// call — the slice is reused for the next key — so a port that keeps them
-// copies them. With a port set nothing is cloned to Output.ToController.
-func (e *Engine) SetAFRPort(port func(recs []packet.AFR)) {
+// pipeline pass that queried them, with their summaries in a parallel
+// slice that is empty when no app filled one (packet.Summary). Both are
+// valid only during the call — they are reused for the next key — so a
+// port that keeps them copies them. With a port set nothing is cloned to
+// Output.ToController.
+func (e *Engine) SetAFRPort(port func(recs []packet.AFR, summ []packet.Summary)) {
 	e.port = port
 }
 
@@ -274,60 +277,56 @@ func (e *Engine) handleInjectedKey(pass *switchsim.Pass) {
 // holds a round's clones.
 func (e *Engine) emitAFRs(pass *switchsim.Pass, k packet.FlowKey, seq uint32) {
 	if e.port != nil {
-		e.recs = e.appendAFRs(e.recs[:0], k, seq)
-		e.port(e.recs)
+		e.recs, e.summ = e.appendAFRs(e.recs[:0], e.summ[:0], k, seq)
+		e.port(e.recs, e.summ)
 		return
 	}
 	c := pass.Pkt.Clone()
 	c.OW.Flag = packet.OWAFR
-	c.OW.AFRs = e.appendAFRs(make([]packet.AFR, 0, e.AppCount()), k, seq)
+	c.OW.AFRs, c.OW.Summaries = e.appendAFRs(make([]packet.AFR, 0, e.AppCount()), nil, k, seq)
 	pass.CloneToController(c)
 }
 
 // appendAFRs appends one AFR per co-deployed app, queried from the
-// collected region's state, to dst.
-func (e *Engine) appendAFRs(dst []packet.AFR, k packet.FlowKey, seq uint32) []packet.AFR {
+// collected region's state, to dst, and their summaries to summ, the
+// slice parallel to dst (packet.AppendSummaries).
+func (e *Engine) appendAFRs(dst []packet.AFR, summ []packet.Summary, k packet.FlowKey, seq uint32) ([]packet.AFR, []packet.Summary) {
 	for i, app := range e.apps[e.collectRegion] {
 		a := app.Query(k)
-		dst = append(dst, packet.AFR{
-			Key:         k,
-			Attr:        a.Value,
-			SubWindow:   e.collectSW,
-			Seq:         seq,
-			App:         uint8(i),
-			Distinct:    a.Distinct,
-			HasDistinct: a.HasDistinct,
-		})
+		summ = packet.AppendSummary(summ, len(dst), a.Summary)
+		dst = append(dst, packet.AFR{Key: k, Attr: a.Value, SubWindow: e.collectSW, Seq: seq, App: uint8(i)})
 	}
-	return dst
+	return dst, summ
 }
 
 // Retransmit re-queries specific sequence indexes of the collected region
 // after the controller detected AFR losses (§8, reliability of AFRs): the
-// tracked keys, then the keys injected in this collection. It must be
-// called before the region is reset.
-func (e *Engine) Retransmit(seqs []uint32) []packet.AFR {
+// tracked keys, then the keys injected in this collection. It returns the
+// records and their parallel summaries (empty when none carries one). It
+// must be called before the region is reset.
+func (e *Engine) Retransmit(seqs []uint32) ([]packet.AFR, []packet.Summary) {
 	keys := e.tracker.Keys(e.collectRegion)
 	out := make([]packet.AFR, 0, len(seqs)*e.AppCount())
+	var summ []packet.Summary
 	for _, s := range seqs {
 		switch i := int(s); {
 		case i < len(keys):
-			out = e.appendAFRs(out, keys[i], s)
+			out, summ = e.appendAFRs(out, summ, keys[i], s)
 		case i-len(keys) < len(e.injected):
-			out = e.appendAFRs(out, e.injected[i-len(keys)], s)
+			out, summ = e.appendAFRs(out, summ, e.injected[i-len(keys)], s)
 		}
 	}
-	return out
+	return out, summ
 }
 
 // RetransmitPackets answers a NACK: it re-queries the requested sequence
 // indexes and wraps the records into OWRetransmit packets, chunked to the
 // wire AFR bound, ready to send to the controller. The distinct flag lets
 // the controller's delivery accounting tell recoveries from first
-// deliveries. The packets' records are capacity-clipped windows onto the
-// one slice Retransmit returned.
+// deliveries. The packets' records and summaries are capacity-clipped
+// windows onto the slices Retransmit returned.
 func (e *Engine) RetransmitPackets(seqs []uint32) []*packet.Packet {
-	recs := e.Retransmit(seqs)
+	recs, summ := e.Retransmit(seqs)
 	out := make([]*packet.Packet, 0, (len(recs)+wire.MaxAFRsPerDatagram-1)/wire.MaxAFRsPerDatagram)
 	for start := 0; start < len(recs); start += wire.MaxAFRsPerDatagram {
 		end := min(start+wire.MaxAFRsPerDatagram, len(recs))
@@ -336,6 +335,7 @@ func (e *Engine) RetransmitPackets(seqs []uint32) []*packet.Packet {
 			SubWindow:    e.collectSW,
 			HasSubWindow: true,
 			AFRs:         recs[start:end:end],
+			Summaries:    packet.SummarySlice(summ, start, end),
 		}})
 	}
 	return out

@@ -1,6 +1,9 @@
 package afr
 
-import "omniwindow/internal/sketch"
+import (
+	"omniwindow/internal/packet"
+	"omniwindow/internal/sketch"
+)
 
 // Kind classifies a flow statistic by its merge pattern. Recent work
 // (FlyMon, cited in §4.2) observes that flow statistics follow four
@@ -55,10 +58,10 @@ type Merged struct {
 	// value holds the running scalar for Frequency/Max/Min; for
 	// Existence it is 1 when present.
 	value uint64
-	// distinct accumulates the OR-merged summary for Distinction.
-	distinct   [4]uint64
-	hasSummary bool
-	seeded     bool
+	// distinct accumulates the OR-merged summary for Distinction; zero
+	// until a sub-window contributed one.
+	distinct packet.Summary
+	seeded   bool
 }
 
 // NewMerged starts an accumulator of the given kind.
@@ -70,8 +73,9 @@ func NewMergedWithCounter(kind Kind, counter DistinctCounter) Merged {
 	return Merged{kind: kind, counter: counter}
 }
 
-// Absorb folds one sub-window's attribute into the accumulator.
-func (m *Merged) Absorb(attr uint64, distinct [4]uint64, hasDistinct bool) {
+// Absorb folds one sub-window's attribute and summary (zero: none) into
+// the accumulator.
+func (m *Merged) Absorb(attr uint64, summary packet.Summary) {
 	switch m.kind {
 	case Frequency:
 		m.value += attr
@@ -91,11 +95,8 @@ func (m *Merged) Absorb(attr uint64, distinct [4]uint64, hasDistinct bool) {
 		// OR-merged summary (duplicate-free but noisy); Value combines
 		// them.
 		m.value += attr
-		if hasDistinct {
-			m.hasSummary = true
-			for i := range m.distinct {
-				m.distinct[i] |= distinct[i]
-			}
+		for i := range m.distinct {
+			m.distinct[i] |= summary[i]
 		}
 	}
 	m.seeded = true
@@ -104,7 +105,7 @@ func (m *Merged) Absorb(attr uint64, distinct [4]uint64, hasDistinct bool) {
 // Value returns the merged statistic. For Distinction it counts the merged
 // summary via the multiresolution-bitmap estimator.
 func (m *Merged) Value() uint64 {
-	if m.kind == Distinction && m.hasSummary {
+	if m.kind == Distinction && m.distinct != (packet.Summary{}) {
 		return DistinctValue(m.value, m.distinct, m.counter)
 	}
 	return m.value

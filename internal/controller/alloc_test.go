@@ -167,6 +167,10 @@ func TestFinishSteadyStateAllocs(t *testing.T) {
 						Threshold: math.MaxUint64, Shards: shards,
 					})
 					recs := make([]packet.AFR, flows)
+					var summ []packet.Summary
+					if kind == afr.Distinction {
+						summ = make([]packet.Summary, flows)
+					}
 					sw := uint64(0)
 					windows := 0
 					step := func() {
@@ -177,12 +181,12 @@ func TestFinishSteadyStateAllocs(t *testing.T) {
 							if i%5 != 0 {
 								id = int(sw)*flows + i
 							}
-							recs[i] = packet.AFR{
-								Key: fk(id), SubWindow: sw, Attr: uint64(i%7 + 1), Seq: uint32(i),
-								HasDistinct: kind == afr.Distinction, Distinct: [4]uint64{1 << (sw % 64), uint64(i)},
+							recs[i] = packet.AFR{Key: fk(id), SubWindow: sw, Attr: uint64(i%7 + 1), Seq: uint32(i)}
+							if summ != nil {
+								summ[i] = packet.Summary{1 << (sw % 64), uint64(i)}
 							}
 						}
-						c.IngestAFRs(recs)
+						c.IngestRecords(recs, summ)
 						windows += len(c.FinishSubWindow(sw))
 						sw++
 					}

@@ -61,12 +61,16 @@ type Config struct {
 type shard struct {
 	mu      sync.Mutex
 	table   table
-	pending map[uint64][]packet.AFR
+	pending map[uint64]pendingRecs
 	// prevCard is the record count the last finished sub-window drained
 	// from this shard. A new sub-window's pending slice is pre-sized from
 	// it (steady traffic repeats its cardinality), so appends stay within
 	// one pool-classed allocation instead of regrowing per batch.
 	prevCard int
+	// spareSumm is the last finished sub-window's summary storage, emptied
+	// and handed to the next new sub-window's pending records: summaries,
+	// like records, do not regrow every sub-window.
+	spareSumm []packet.Summary
 	// fin is this shard's share of the finish in progress: its worker
 	// fills it, finishOne folds it once the workers are done (finishMu
 	// keeps two finishes apart). ops holds this shard's O2–O5 durations;
@@ -78,15 +82,27 @@ type shard struct {
 	}
 }
 
-// pendingFor returns sub-window sw's pending slice, creating it from the
-// pool pre-sized to max(hint, prevCard) on first use. Caller holds s.mu
-// and must store the appended-to result back into s.pending[sw].
-func (s *shard) pendingFor(sw uint64, hint int) []packet.AFR {
+// pendingRecs is records and their summaries, parallel to recs or empty
+// (packet.Summary): one sub-window's routed-but-unmerged records in a
+// shard's pending storage, or one shard's share of an ingest batch.
+type pendingRecs struct {
+	recs []packet.AFR
+	summ []packet.Summary
+}
+
+// appendPending appends recs, and their summaries summ (parallel, or
+// empty), to sub-window sw's pending records. A new sub-window's record
+// slice comes from the pool pre-sized to max(len(recs), prevCard). Caller
+// holds s.mu.
+func (s *shard) appendPending(sw uint64, recs []packet.AFR, summ []packet.Summary) {
 	p, ok := s.pending[sw]
 	if !ok {
-		p = pool.GetAFRs(max(hint, s.prevCard))
+		p.recs = pool.GetAFRs(max(len(recs), s.prevCard))
+		p.summ, s.spareSumm = s.spareSumm, nil
 	}
-	return p
+	p.summ = packet.AppendSummaries(p.summ, len(p.recs), summ, len(recs))
+	p.recs = append(p.recs, recs...)
+	s.pending[sw] = p
 }
 
 // OpTimes is the per-sub-window controller time breakdown of Exp#4.
@@ -206,7 +222,7 @@ func NewWithError(cfg Config) (*Controller, error) {
 		times:  make(map[uint64]*OpTimes),
 	}
 	for i := range c.shards {
-		c.shards[i] = &shard{table: newTable(cfg), pending: make(map[uint64][]packet.AFR)}
+		c.shards[i] = &shard{table: newTable(cfg), pending: make(map[uint64]pendingRecs)}
 	}
 	return c, nil
 }
@@ -244,11 +260,12 @@ func (c *Controller) shardIndex(k packet.FlowKey) int {
 }
 
 // ingestScratch is ingestBatch's reusable workspace: the per-record shard
-// routing and the per-shard survivor partitions. Slices keep their
-// capacity across batches; parts are truncated, never freed.
+// routing and the per-shard survivor partitions with their summaries.
+// Slices keep their capacity across batches; parts are truncated, never
+// freed.
 type ingestScratch struct {
 	sis   []int
-	parts [][]packet.AFR
+	parts []pendingRecs
 }
 
 func (c *Controller) getScratch() *ingestScratch {
@@ -256,7 +273,7 @@ func (c *Controller) getScratch() *ingestScratch {
 	n := len(c.scratchFree)
 	if n == 0 {
 		c.scratchMu.Unlock()
-		return &ingestScratch{parts: make([][]packet.AFR, len(c.shards))}
+		return &ingestScratch{parts: make([]pendingRecs, len(c.shards))}
 	}
 	sc := c.scratchFree[n-1]
 	c.scratchFree = c.scratchFree[:n-1]
@@ -307,7 +324,7 @@ func (c *Controller) Receive(p *packet.Packet) {
 	start := time.Now()
 	switch p.OW.Flag {
 	case packet.OWAFR, packet.OWRetransmit:
-		c.ingestBatch(p.OW.AFRs, p.OW.Flag == packet.OWRetransmit, true)
+		c.ingestBatch(p.OW.AFRs, p.OW.Summaries, p.OW.Flag == packet.OWRetransmit, true)
 	case packet.OWTrigger:
 		r := c.open(p.OW.SubWindow)
 		if r == nil {
@@ -335,20 +352,27 @@ func (c *Controller) Receive(p *packet.Packet) {
 // a caller may pass a buffer it reuses once IngestAFRs returns. Safe for
 // concurrent callers.
 func (c *Controller) IngestAFRs(recs []packet.AFR) {
-	c.ingestBatch(recs, false, false)
+	c.ingestBatch(recs, nil, false, false)
 }
 
-// ingestBatch is the shared batched ingest under Receive and IngestAFRs:
-// route lock-free, dedup with one hold of the ledger record per run of
+// IngestRecords is IngestAFRs for records that carry summaries: summ is
+// parallel to recs, or empty (packet.Summary). Neither is retained.
+func (c *Controller) IngestRecords(recs []packet.AFR, summ []packet.Summary) {
+	c.ingestBatch(recs, summ, false, false)
+}
+
+// ingestBatch is the shared batched ingest under Receive, IngestAFRs and
+// IngestRecords, summ being recs' summaries (parallel, or empty): route
+// lock-free, dedup with one hold of the ledger record per run of
 // equal sub-windows, then append each shard's survivors under one shard
 // lock acquisition per (shard, batch). retrans marks records arriving via
 // the NACK/retransmit path: recovery accounting counts only sequences
 // whose FIRST arrival was a retransmission (a retransmit of a record that
 // also arrived normally is a plain duplicate). charge attributes the
 // elapsed time to O1 Collect (the packet path; direct RDMA ingest is not
-// an O1 receive). recs is not retained: survivors are copied into the
-// shard's pending storage.
-func (c *Controller) ingestBatch(recs []packet.AFR, retrans, charge bool) {
+// an O1 receive). recs and summ are not retained: survivors are copied
+// into the shard's pending storage.
+func (c *Controller) ingestBatch(recs []packet.AFR, summ []packet.Summary, retrans, charge bool) {
 	if len(recs) == 0 {
 		return
 	}
@@ -376,7 +400,11 @@ func (c *Controller) ingestBatch(recs []packet.AFR, retrans, charge bool) {
 		for k := i; k < j; k++ {
 			if r.seen.add(recs[k].Seq) {
 				n++
-				parts[sis[k]] = append(parts[sis[k]], recs[k])
+				p := &parts[sis[k]]
+				if len(summ) > 0 {
+					p.summ = packet.AppendSummary(p.summ, len(p.recs), summ[k])
+				}
+				p.recs = append(p.recs, recs[k])
 			}
 		}
 		if retrans {
@@ -394,23 +422,24 @@ func (c *Controller) ingestBatch(recs []packet.AFR, retrans, charge bool) {
 	if retrans && admitted > 0 {
 		c.obs.Recovered.Add(int64(admitted))
 	}
-	for si, part := range parts {
-		if len(part) == 0 {
+	for si := range parts {
+		part := &parts[si]
+		if len(part.recs) == 0 {
 			continue
 		}
 		s := c.shards[si]
 		s.mu.Lock()
 		// Append runs of equal sub-windows so each run costs one map
-		// lookup; pendingFor pre-sizes a new sub-window's slice from the
-		// previous one's cardinality.
-		for j, k := 0, 0; j < len(part); j = k {
-			sw := part[j].SubWindow
-			for k = j + 1; k < len(part) && part[k].SubWindow == sw; k++ {
+		// lookup; appendPending pre-sizes a new sub-window's slice from
+		// the previous one's cardinality.
+		for j, k := 0, 0; j < len(part.recs); j = k {
+			sw := part.recs[j].SubWindow
+			for k = j + 1; k < len(part.recs) && part.recs[k].SubWindow == sw; k++ {
 			}
-			s.pending[sw] = append(s.pendingFor(sw, k-j), part[j:k]...)
+			s.appendPending(sw, part.recs[j:k], packet.SummarySlice(part.summ, j, k))
 		}
 		s.mu.Unlock()
-		parts[si] = part[:0]
+		part.recs, part.summ = part.recs[:0], part.summ[:0]
 	}
 	c.putScratch(sc)
 }
@@ -453,8 +482,9 @@ func (c *Controller) IngestSpike(p *packet.Packet, attr uint64) bool {
 	// announced per-sub-window sequence space, so they must not consume
 	// (or collide with) AFR sequence numbers in loss accounting.
 	s := c.shards[c.shardIndex(p.Key)]
+	spike := [1]packet.AFR{{Key: p.Key, Attr: attr, SubWindow: sw}}
 	s.mu.Lock()
-	s.pending[sw] = append(s.pendingFor(sw, 1), packet.AFR{Key: p.Key, Attr: attr, SubWindow: sw})
+	s.appendPending(sw, spike[:], nil)
 	s.mu.Unlock()
 	c.obs.Spikes.Inc()
 	return true
@@ -524,12 +554,12 @@ type step struct {
 func (s *shard) finish(cfg *Config, st step) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	recs := s.pending[st.sw]
+	p := s.pending[st.sw]
 	delete(s.pending, st.sw)
 
 	start := time.Now()
 	if st.covered {
-		s.table.insert(st.sw, recs)
+		s.table.insert(st.sw, p.recs, p.summ)
 	}
 	s.fin.ops = OpTimes{Insert: time.Since(start)}
 
@@ -542,8 +572,11 @@ func (s *shard) finish(cfg *Config, st step) {
 	// The drained slice's job is done (the records were folded into the
 	// column): remember its cardinality to pre-size the next sub-window,
 	// then recycle it.
-	s.prevCard = len(recs)
-	pool.PutAFRs(recs)
+	s.prevCard = len(p.recs)
+	pool.PutAFRs(p.recs)
+	if cap(p.summ) > cap(s.spareSumm) {
+		s.spareSumm = p.summ[:0]
+	}
 	if !st.ends {
 		return
 	}
@@ -560,9 +593,9 @@ func (s *shard) finish(cfg *Config, st step) {
 
 	start = time.Now()
 	s.table.retire(st.retire)
-	for old, recs := range s.pending {
+	for old, p := range s.pending {
 		if old <= st.retire {
-			pool.PutAFRs(recs)
+			pool.PutAFRs(p.recs)
 			delete(s.pending, old)
 		}
 	}

@@ -140,18 +140,17 @@ func TestMinMergeEvictionRecomputes(t *testing.T) {
 
 func TestDistinctionMergeThenCount(t *testing.T) {
 	c := New(Config{Plan: window.Tumbling(2), Kind: afr.Distinction, Threshold: 0, CaptureValues: true})
-	a := rec(1, 0, 0, 0)
-	a.Distinct = [4]uint64{0xFF, 0, 0, 0}
-	a.HasDistinct = true
-	b := rec(1, 1, 0, 0)
-	b.Distinct = [4]uint64{0xFF, 0, 0, 0} // identical set
-	b.HasDistinct = true
-	c.Receive(afrPkt(a))
+	set := []packet.Summary{{0xFF, 0, 0, 0}}
+	a := afrPkt(rec(1, 0, 0, 0))
+	a.OW.Summaries = set
+	b := afrPkt(rec(1, 1, 0, 0))
+	b.OW.Summaries = set // identical set
+	c.Receive(a)
 	c.FinishSubWindow(0)
-	c.Receive(afrPkt(b))
+	c.Receive(b)
 	res := c.FinishSubWindow(1)
 	one := New(Config{Plan: window.Tumbling(1), Kind: afr.Distinction, Threshold: 0, CaptureValues: true})
-	one.Receive(afrPkt(a))
+	one.Receive(a)
 	ref := one.FinishSubWindow(0)
 	if res[0].Values[fk(1)] != ref[0].Values[fk(1)] {
 		t.Fatalf("identical distinct sets double-counted: %d vs %d",
@@ -386,7 +385,7 @@ func TestEvictionEqualsRecomputeProperty(t *testing.T) {
 					m := afr.NewMerged(kind)
 					for _, cb := range contribs[fk(f)] {
 						if cb[0] >= w.Start && cb[0] <= w.End {
-							m.Absorb(cb[1], [4]uint64{}, false)
+							m.Absorb(cb[1], packet.Summary{})
 						}
 					}
 					want := uint64(0)

@@ -3,6 +3,7 @@ package controller
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -78,5 +79,39 @@ func TestExportCutAllocatesCellsOnce(t *testing.T) {
 	t.Logf("%d cells: %d B/op, %d allocs/op", cells, r.AllocedBytesPerOp(), r.AllocsPerOp())
 	if got := r.AllocedBytesPerOp(); got > limit {
 		t.Fatalf("ExportCut of %d cells allocated %d B/op, want <= %d", cells, got, limit)
+	}
+}
+
+// TestExportCutOrdersPendingBySummary: routed-but-unmerged records equal
+// in sub-window, sequence, key and attribute are told apart by their
+// summaries, so the cut's pending records, and the summaries beside them,
+// come out in one order whatever shard count or map order held them. A
+// column's cells keep their summaries through the key sort.
+func TestExportCutOrdersPendingBySummary(t *testing.T) {
+	rec := packet.AFR{Key: fk(1), SubWindow: 4, Attr: 2}
+	if comparePending(summarized{rec, packet.Summary{0, 1}}, summarized{rec, packet.Summary{0, 2}}) >= 0 {
+		t.Fatal("comparePending does not order equal records by summary")
+	}
+	in := &wire.Snapshot{
+		Live:             []uint64{3},
+		Columns:          []wire.SnapColumn{{SW: 3, Cells: []packet.AFR{{Key: fk(9), Attr: 1}, {Key: fk(2), Attr: 1}, {Key: fk(5), Attr: 1}}, Summaries: []packet.Summary{{9}, {}, {5}}}},
+		Pending:          []packet.AFR{rec, rec, rec, {Key: fk(2), SubWindow: 4, Attr: 2}},
+		PendingSummaries: []packet.Summary{{3}, {1}, {2}, {}},
+		Dedups:           []wire.SnapDedup{{SW: 4, Expected: -1}},
+	}
+	for _, shards := range []int{1, 3} {
+		c := New(Config{Plan: window.SlidingPlan(3, 1), Kind: afr.Distinction, Shards: shards})
+		c.RestoreState(in)
+		out := c.ExportState()
+		wantPending := []packet.AFR{rec, rec, rec, {Key: fk(2), SubWindow: 4, Attr: 2}}
+		wantSumm := []packet.Summary{{1}, {2}, {3}, {}}
+		if !slices.Equal(out.Pending, wantPending) || !slices.Equal(out.PendingSummaries, wantSumm) {
+			t.Fatalf("%d shards: pending %v %v, want %v %v", shards, out.Pending, out.PendingSummaries, wantPending, wantSumm)
+		}
+		col := out.Columns[0]
+		wantCells := []packet.AFR{{Key: fk(2), Attr: 1, SubWindow: 3}, {Key: fk(5), Attr: 1, SubWindow: 3}, {Key: fk(9), Attr: 1, SubWindow: 3}}
+		if !slices.Equal(col.Cells, wantCells) || !slices.Equal(col.Summaries, []packet.Summary{{}, {5}, {9}}) {
+			t.Fatalf("%d shards: column %v %v, want each summary beside its cell", shards, col.Cells, col.Summaries)
+		}
 	}
 }

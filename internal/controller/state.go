@@ -58,14 +58,21 @@ func (c *Controller) ExportCut(from uint64) *wire.Snapshot {
 			s.Columns = append(s.Columns, c.exportColumn(sw))
 		}
 	}
+	var pend []summarized
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		for _, recs := range sh.pending {
-			s.Pending = append(s.Pending, recs...)
+		for _, p := range sh.pending {
+			for i := range p.recs {
+				pend = append(pend, summarized{p.recs[i], packet.SummaryAt(p.summ, i)})
+			}
 		}
 		sh.mu.Unlock()
 	}
-	slices.SortFunc(s.Pending, comparePending)
+	slices.SortFunc(pend, comparePending)
+	for _, p := range pend {
+		s.PendingSummaries = packet.AppendSummary(s.PendingSummaries, len(s.Pending), p.summ)
+		s.Pending = append(s.Pending, p.rec)
+	}
 
 	c.mu.Lock()
 	s.LastFinished, s.HasFinished = c.lastFin, c.hasFin
@@ -117,31 +124,52 @@ func (c *Controller) exportColumn(sw uint64) wire.SnapColumn {
 		}
 	}
 	cells := make([]packet.AFR, 0, n)
+	var summ []packet.Summary
 	for _, sh := range c.shards {
-		cells = sh.table.appendCells(cells, sw)
+		cells, summ = sh.table.appendCells(cells, summ, sw)
 	}
-	slices.SortFunc(cells, func(a, b packet.AFR) int { return packetKeyCmp(a.Key, b.Key) })
-	return wire.SnapColumn{SW: sw, Cells: cells}
+	if len(summ) == 0 {
+		slices.SortFunc(cells, func(a, b packet.AFR) int { return packetKeyCmp(a.Key, b.Key) })
+		return wire.SnapColumn{SW: sw, Cells: cells}
+	}
+	// Each summary must move with its cell: sort them as pairs.
+	pairs := make([]summarized, len(cells))
+	for i := range cells {
+		pairs[i] = summarized{cells[i], summ[i]}
+	}
+	slices.SortFunc(pairs, func(a, b summarized) int { return packetKeyCmp(a.rec.Key, b.rec.Key) })
+	for i, p := range pairs {
+		cells[i], summ[i] = p.rec, p.summ
+	}
+	return wire.SnapColumn{SW: sw, Cells: cells, Summaries: summ}
+}
+
+// summarized is a record with its summary, for sorts that must move the
+// two together.
+type summarized struct {
+	rec  packet.AFR
+	summ packet.Summary
 }
 
 // comparePending orders routed-but-unmerged records by sub-window and
 // sequence. Spike copies carry no sequence number of their own (they all
-// read 0), so ties fall through to the rest of the record: the order is
-// total, and the snapshot bytes do not depend on shard count or map order.
-func comparePending(a, b packet.AFR) int {
-	if c := cmp.Compare(a.SubWindow, b.SubWindow); c != 0 {
+// read 0), so ties fall through to the rest of the record and then its
+// summary: the order is total, and the snapshot bytes do not depend on
+// shard count or map order.
+func comparePending(a, b summarized) int {
+	if c := cmp.Compare(a.rec.SubWindow, b.rec.SubWindow); c != 0 {
 		return c
 	}
-	if c := cmp.Compare(a.Seq, b.Seq); c != 0 {
+	if c := cmp.Compare(a.rec.Seq, b.rec.Seq); c != 0 {
 		return c
 	}
-	if c := packetKeyCmp(a.Key, b.Key); c != 0 {
+	if c := packetKeyCmp(a.rec.Key, b.rec.Key); c != 0 {
 		return c
 	}
-	if c := cmp.Compare(a.Attr, b.Attr); c != 0 {
+	if c := cmp.Compare(a.rec.Attr, b.rec.Attr); c != 0 {
 		return c
 	}
-	return slices.Compare(a.Distinct[:], b.Distinct[:])
+	return slices.Compare(a.summ[:], b.summ[:])
 }
 
 // RestoreState applies a cut (ExportCut) to a freshly built controller:
@@ -163,28 +191,30 @@ func (c *Controller) RestoreState(s *wire.Snapshot) {
 	defer c.finishMu.Unlock()
 
 	parts := make([][]packet.AFR, len(c.shards))
+	sparts := make([][]packet.Summary, len(c.shards))
 	for _, col := range s.Columns {
 		if !slices.Contains(s.Live, col.SW) {
 			continue
 		}
 		for i := range parts {
-			parts[i] = parts[i][:0]
+			parts[i], sparts[i] = parts[i][:0], sparts[i][:0]
 		}
-		for _, cell := range col.Cells {
+		for j, cell := range col.Cells {
 			i := c.shardIndex(cell.Key)
+			sparts[i] = packet.AppendSummary(sparts[i], len(parts[i]), packet.SummaryAt(col.Summaries, j))
 			parts[i] = append(parts[i], cell)
 		}
 		for i, sh := range c.shards {
 			sh.mu.Lock()
-			sh.table.insert(col.SW, parts[i])
+			sh.table.insert(col.SW, parts[i], sparts[i])
 			sh.table.merge(col.SW)
 			sh.mu.Unlock()
 		}
 	}
-	for _, r := range s.Pending {
+	for j, r := range s.Pending {
 		sh := c.shards[c.shardIndex(r.Key)]
 		sh.mu.Lock()
-		sh.pending[r.SubWindow] = append(sh.pending[r.SubWindow], r)
+		sh.appendPending(r.SubWindow, s.Pending[j:j+1], packet.SummarySlice(s.PendingSummaries, j, j+1))
 		sh.mu.Unlock()
 	}
 

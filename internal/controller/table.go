@@ -42,10 +42,10 @@ type column struct {
 	count   int // set bits in present
 	attr    []uint64
 	present bitset
-	// summ and has are the Distinction summaries: four words per row and
-	// which rows carry one. Allocated on the first summary the column sees.
+	// summ holds the Distinction summaries, four words per row, all zero
+	// for a row that carries none (packet.Summary). Allocated on the first
+	// summary the column sees.
 	summ []uint64
-	has  bitset
 }
 
 // table is one shard's partition of the key-value table. Only the shard's
@@ -71,7 +71,6 @@ type table struct {
 	merged []uint64
 	live   []uint32
 	msumm  []uint64 // Distinction: OR of the live columns' summaries
-	mhas   bitset   // rows with at least one live summary
 	n      int
 	rows   int      // live rows
 	free   []uint32 // recycled row ids
@@ -111,21 +110,19 @@ func (t *table) grow() {
 	t.live = grown(t.live, rows)
 	if t.msumm != nil {
 		t.msumm = grown(t.msumm, 4*rows)
-		t.mhas = grown(t.mhas, words)
 	}
 	for i := range t.cols {
 		c := &t.cols[i]
 		if !c.live {
 			// All zeros: cheaper to drop than to copy. column() allocates
 			// it again at the capacity of the day.
-			c.attr, c.present, c.summ, c.has = nil, nil, nil, nil
+			c.attr, c.present, c.summ = nil, nil, nil
 			continue
 		}
 		c.attr = grown(c.attr, rows)
 		c.present = grown(c.present, words)
 		if c.summ != nil {
 			c.summ = grown(c.summ, 4*rows)
-			c.has = grown(c.has, words)
 		}
 	}
 	old := t.index
@@ -212,7 +209,6 @@ func (t *table) freeRows(rows []uint32) {
 			t.merged[r] = 0
 			if t.msumm != nil {
 				clear(t.msumm[4*r : 4*r+4])
-				t.mhas.unset(r)
 			}
 			i := tags[b] & mask
 			for uint32(t.index[i]) != r+1 {
@@ -242,17 +238,17 @@ func (t *table) column(sw uint64) *column {
 		c.sw, c.live = sw, true
 		if len(c.attr) != len(t.keys) {
 			c.attr, c.present = make([]uint64, len(t.keys)), bitsetFor(len(t.keys))
-			c.summ, c.has = nil, nil
+			c.summ = nil
 		}
 	}
 	return c
 }
 
-// fold adds one record to row r's cell of column c. Fold, not store: a
-// latency-spike copy lands in a (key, sub-window) cell that collection
-// also fills, and the cell holds their merge — the same value afr.Merged
-// would reach absorbing them one by one.
-func (t *table) fold(c *column, r uint32, attr uint64, summ *[4]uint64, hasSumm bool) {
+// fold adds one record, and its summary when s is not nil, to row r's cell
+// of column c. Fold, not store: a latency-spike copy lands in a (key,
+// sub-window) cell that collection also fills, and the cell holds their
+// merge — the same value afr.Merged would reach absorbing them one by one.
+func (t *table) fold(c *column, r uint32, attr uint64, s *packet.Summary) {
 	switch {
 	case !c.present.has(r):
 		c.present.set(r)
@@ -268,22 +264,22 @@ func (t *table) fold(c *column, r uint32, attr uint64, summ *[4]uint64, hasSumm 
 	case t.kind == afr.Min:
 		c.attr[r] = min(c.attr[r], attr)
 	}
-	if hasSumm && t.kind == afr.Distinction {
+	if s != nil && *s != (packet.Summary{}) && t.kind == afr.Distinction {
 		if c.summ == nil {
-			c.summ, c.has = make([]uint64, 4*len(t.keys)), bitsetFor(len(t.keys))
+			c.summ = make([]uint64, 4*len(t.keys))
 		}
-		c.has.set(r)
 		cell := c.summ[4*r : 4*r+4 : 4*r+4]
-		cell[0] |= summ[0]
-		cell[1] |= summ[1]
-		cell[2] |= summ[2]
-		cell[3] |= summ[3]
+		cell[0] |= s[0]
+		cell[1] |= s[1]
+		cell[2] |= s[2]
+		cell[3] |= s[3]
 	}
 }
 
-// insert is O2: probe (or add) each record's row and fold the record into
-// sub-window sw's column.
-func (t *table) insert(sw uint64, recs []packet.AFR) {
+// insert is O2: probe (or add) each record's row and fold the record, and
+// its summary from summ (parallel to recs, or empty), into sub-window sw's
+// column.
+func (t *table) insert(sw uint64, recs []packet.AFR, summ []packet.Summary) {
 	if len(recs) == 0 {
 		return
 	}
@@ -295,15 +291,17 @@ func (t *table) insert(sw uint64, recs []packet.AFR) {
 		c = t.column(sw)
 	}
 	var tags [tagBlock]uint32
-	for len(recs) > 0 {
-		blk := recs[:min(len(recs), tagBlock)]
-		recs = recs[len(blk):]
+	for off := 0; off < len(recs); off += tagBlock {
+		blk := recs[off:min(len(recs), off+tagBlock)]
 		for i := range blk {
 			tags[i] = keyTag(blk[i].Key)
 		}
 		for i := range blk {
-			rec := &blk[i]
-			t.fold(c, t.row(rec.Key, tags[i]), rec.Attr, &rec.Distinct, rec.HasDistinct)
+			var s *packet.Summary
+			if len(summ) > 0 {
+				s = &summ[off+i]
+			}
+			t.fold(c, t.row(blk[i].Key, tags[i]), blk[i].Attr, s)
 		}
 	}
 }
@@ -327,10 +325,9 @@ func (t *table) merge(sw uint64) {
 	}
 	if c.summ != nil {
 		if t.msumm == nil {
-			t.msumm, t.mhas = make([]uint64, 4*len(t.keys)), bitsetFor(len(t.keys))
+			t.msumm = make([]uint64, 4*len(t.keys))
 		}
 		simd.Or(t.msumm[:4*t.n], c.summ[:4*t.n])
-		simd.Or(t.mhas, c.has)
 	}
 }
 
@@ -349,10 +346,12 @@ func (t *table) value(r uint32) uint64 {
 	case afr.Existence:
 		return 1
 	case afr.Distinction:
-		if t.msumm == nil || !t.mhas.has(r) {
+		if t.msumm == nil {
 			return t.merged[r]
 		}
-		return afr.DistinctValue(t.merged[r], [4]uint64(t.msumm[4*r:4*r+4]), t.counter)
+		if s := [4]uint64(t.msumm[4*r : 4*r+4]); s != [4]uint64{} {
+			return afr.DistinctValue(t.merged[r], s, t.counter)
+		}
 	}
 	return t.merged[r]
 }
@@ -399,7 +398,7 @@ func (t *table) retire(upTo uint64) {
 		freed := len(t.free)
 		c.eachPresent(func(r uint32) {
 			c.attr[r] = 0
-			hadSumm := c.summ != nil && c.has.has(r)
+			hadSumm := c.summ != nil && [4]uint64(c.summ[4*r:4*r+4]) != [4]uint64{}
 			if hadSumm {
 				clear(c.summ[4*r : 4*r+4])
 			}
@@ -412,7 +411,6 @@ func (t *table) retire(upTo uint64) {
 		t.freeRows(t.free[freed:])
 		t.rows -= len(t.free) - freed
 		clear(c.present)
-		clear(c.has)
 		c.count = 0
 	}
 	if t.rows == 0 && t.n > 0 {
@@ -431,7 +429,6 @@ func (t *table) refold(r uint32) {
 		t.merged[r] = math.MaxUint64
 	case afr.Distinction:
 		clear(t.msumm[4*r : 4*r+4])
-		t.mhas.unset(r)
 	}
 	for i := range t.cols {
 		c := &t.cols[i]
@@ -444,8 +441,7 @@ func (t *table) refold(r uint32) {
 		case afr.Min:
 			t.merged[r] = min(t.merged[r], c.attr[r])
 		case afr.Distinction:
-			if c.summ != nil && c.has.has(r) {
-				t.mhas.set(r)
+			if c.summ != nil {
 				simd.Or(t.msumm[4*r:4*r+4], c.summ[4*r:4*r+4])
 			}
 		}
@@ -461,20 +457,22 @@ func (t *table) held(sw uint64) *column {
 }
 
 // appendCells appends one record per row present in sub-window sw's
-// column: the row's key, its cell and its summary words — the record O2
-// folded the cell from, or the fold of several. It walks the column's
-// present bitset, not the rows.
-func (t *table) appendCells(cells []packet.AFR, sw uint64) []packet.AFR {
+// column — the row's key and its cell: the record O2 folded the cell
+// from, or the fold of several — to cells, and the cells' summaries to
+// summ, the slice parallel to cells. It walks the column's present
+// bitset, not the rows.
+func (t *table) appendCells(cells []packet.AFR, summ []packet.Summary, sw uint64) ([]packet.AFR, []packet.Summary) {
 	c := t.held(sw)
 	if c == nil {
-		return cells
+		return cells, summ
 	}
 	c.eachPresent(func(r uint32) {
-		rec := packet.AFR{Key: t.keys[r], Attr: c.attr[r], SubWindow: sw}
-		if c.summ != nil && c.has.has(r) {
-			rec.HasDistinct, rec.Distinct = true, [4]uint64(c.summ[4*r:4*r+4])
+		var s packet.Summary
+		if c.summ != nil {
+			s = packet.Summary(c.summ[4*r : 4*r+4])
 		}
-		cells = append(cells, rec)
+		summ = packet.AppendSummary(summ, len(cells), s)
+		cells = append(cells, packet.AFR{Key: t.keys[r], Attr: c.attr[r], SubWindow: sw})
 	})
-	return cells
+	return cells, summ
 }

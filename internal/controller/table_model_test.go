@@ -33,10 +33,9 @@ import (
 
 // contrib is one sub-window's contribution to a flow.
 type contrib struct {
-	sw          uint64
-	attr        uint64
-	distinct    [4]uint64
-	hasDistinct bool
+	sw       uint64
+	attr     uint64
+	distinct packet.Summary
 }
 
 // entry is one flow's row in the key-value table.
@@ -63,7 +62,7 @@ type modelSpikes struct {
 type modelController struct {
 	cfg       Config
 	table     map[packet.FlowKey]*entry
-	pending   map[uint64][]packet.AFR
+	pending   map[uint64][]summarized
 	dedups    map[uint64]*modelDedup
 	spikes    map[uint64]*modelSpikes
 	spikeDone map[uint64]int
@@ -76,7 +75,7 @@ func newModelController(cfg Config) *modelController {
 	return &modelController{
 		cfg:       cfg,
 		table:     make(map[packet.FlowKey]*entry),
-		pending:   make(map[uint64][]packet.AFR),
+		pending:   make(map[uint64][]summarized),
 		dedups:    make(map[uint64]*modelDedup),
 		spikes:    make(map[uint64]*modelSpikes),
 		spikeDone: make(map[uint64]int),
@@ -102,8 +101,8 @@ func (m *modelController) trigger(sw uint64, keyCount int) {
 	}
 }
 
-func (m *modelController) ingest(recs []packet.AFR, retrans bool) {
-	for _, r := range recs {
+func (m *modelController) ingest(recs []packet.AFR, summ []packet.Summary, retrans bool) {
+	for i, r := range recs {
 		if m.hasFin && r.SubWindow <= m.lastFin {
 			continue // late: a finished sub-window is never reopened
 		}
@@ -115,7 +114,7 @@ func (m *modelController) ingest(recs []packet.AFR, retrans bool) {
 		if retrans {
 			d.recovered++
 		}
-		m.pending[r.SubWindow] = append(m.pending[r.SubWindow], r)
+		m.pending[r.SubWindow] = append(m.pending[r.SubWindow], summarized{r, packet.SummaryAt(summ, i)})
 	}
 }
 
@@ -138,7 +137,7 @@ func (m *modelController) spike(p *packet.Packet, attr uint64) bool {
 	}
 	st.seen[id] = true
 	st.count++
-	m.pending[sw] = append(m.pending[sw], packet.AFR{Key: p.Key, Attr: attr, SubWindow: sw})
+	m.pending[sw] = append(m.pending[sw], summarized{rec: packet.AFR{Key: p.Key, Attr: attr, SubWindow: sw}})
 	return true
 }
 
@@ -173,19 +172,17 @@ func (m *modelController) finishOne(sw uint64) []WindowResult {
 		// The old O2 insert and O3 merge, verbatim.
 		touched := make([]*entry, 0, len(recs))
 		for _, r := range recs {
-			e, ok := m.table[r.Key]
+			e, ok := m.table[r.rec.Key]
 			if !ok {
 				e = &entry{merged: afr.NewMergedWithCounter(m.cfg.Kind, m.cfg.DistinctCounter)}
-				m.table[r.Key] = e
+				m.table[r.rec.Key] = e
 			}
-			e.contribs = append(e.contribs, contrib{
-				sw: r.SubWindow, attr: r.Attr, distinct: r.Distinct, hasDistinct: r.HasDistinct,
-			})
+			e.contribs = append(e.contribs, contrib{sw: r.rec.SubWindow, attr: r.rec.Attr, distinct: r.summ})
 			touched = append(touched, e)
 		}
 		for j, e := range touched {
 			r := recs[j]
-			e.merged.Absorb(r.Attr, r.Distinct, r.HasDistinct)
+			e.merged.Absorb(r.rec.Attr, r.summ)
 		}
 	}
 
@@ -284,7 +281,7 @@ func (m *modelController) evictShard(retire uint64) {
 			e.contribs = kept
 			e.merged = afr.NewMergedWithCounter(m.cfg.Kind, m.cfg.DistinctCounter)
 			for _, cb := range kept {
-				e.merged.Absorb(cb.attr, cb.distinct, cb.hasDistinct)
+				e.merged.Absorb(cb.attr, cb.distinct)
 			}
 		} else {
 			e.contribs = kept
@@ -297,34 +294,34 @@ func (m *modelController) evictShard(retire uint64) {
 	}
 }
 
-// coalesce folds flow k's contributions of one sub-window into one cell,
-// the way a column holds them. Contributions arrive in sub-window order.
-func (m *modelController) coalesce(k packet.FlowKey, cbs []contrib) []packet.AFR {
-	var out []packet.AFR
+// coalesce folds flow k's contributions of one sub-window into one cell
+// and its summary, the way a column holds them. Contributions arrive in
+// sub-window order.
+func (m *modelController) coalesce(k packet.FlowKey, cbs []contrib) []summarized {
+	var out []summarized
 	for _, cb := range cbs {
-		if n := len(out); n > 0 && out[n-1].SubWindow == cb.sw {
+		if n := len(out); n > 0 && out[n-1].rec.SubWindow == cb.sw {
 			o := &out[n-1]
 			switch m.cfg.Kind {
 			case afr.Frequency, afr.Distinction:
-				o.Attr += cb.attr
+				o.rec.Attr += cb.attr
 			case afr.Existence:
-				o.Attr |= cb.attr
+				o.rec.Attr |= cb.attr
 			case afr.Max:
-				o.Attr = max(o.Attr, cb.attr)
+				o.rec.Attr = max(o.rec.Attr, cb.attr)
 			case afr.Min:
-				o.Attr = min(o.Attr, cb.attr)
+				o.rec.Attr = min(o.rec.Attr, cb.attr)
 			}
-			if cb.hasDistinct && m.cfg.Kind == afr.Distinction {
-				o.HasDistinct = true
-				for i := range o.Distinct {
-					o.Distinct[i] |= cb.distinct[i]
+			if m.cfg.Kind == afr.Distinction {
+				for i := range o.summ {
+					o.summ[i] |= cb.distinct[i]
 				}
 			}
 			continue
 		}
-		c := packet.AFR{Key: k, Attr: cb.attr, SubWindow: cb.sw}
-		if cb.hasDistinct && m.cfg.Kind == afr.Distinction {
-			c.HasDistinct, c.Distinct = true, cb.distinct
+		c := summarized{rec: packet.AFR{Key: k, Attr: cb.attr, SubWindow: cb.sw}}
+		if m.cfg.Kind == afr.Distinction {
+			c.summ = cb.distinct
 		}
 		out = append(out, c)
 	}
@@ -335,23 +332,33 @@ func (m *modelController) coalesce(k packet.FlowKey, cbs []contrib) []packet.AFR
 // contribution of, its cells in key order.
 func (m *modelController) export() *wire.Snapshot {
 	s := &wire.Snapshot{LastFinished: m.lastFin, HasFinished: m.hasFin}
-	cols := map[uint64][]packet.AFR{}
+	cols := map[uint64][]summarized{}
 	for k, e := range m.table {
 		for _, c := range m.coalesce(k, e.contribs) {
-			cols[c.SubWindow] = append(cols[c.SubWindow], c)
+			cols[c.rec.SubWindow] = append(cols[c.rec.SubWindow], c)
 		}
 	}
 	for sw, cells := range cols {
-		slices.SortFunc(cells, func(a, b packet.AFR) int { return packetKeyCmp(a.Key, b.Key) })
+		slices.SortFunc(cells, func(a, b summarized) int { return packetKeyCmp(a.rec.Key, b.rec.Key) })
 		s.Live = append(s.Live, sw)
-		s.Columns = append(s.Columns, wire.SnapColumn{SW: sw, Cells: cells})
+		col := wire.SnapColumn{SW: sw}
+		for _, c := range cells {
+			col.Summaries = packet.AppendSummary(col.Summaries, len(col.Cells), c.summ)
+			col.Cells = append(col.Cells, c.rec)
+		}
+		s.Columns = append(s.Columns, col)
 	}
 	slices.Sort(s.Live)
 	slices.SortFunc(s.Columns, func(a, b wire.SnapColumn) int { return cmp.Compare(a.SW, b.SW) })
+	var pend []summarized
 	for _, recs := range m.pending {
-		s.Pending = append(s.Pending, recs...)
+		pend = append(pend, recs...)
 	}
-	slices.SortFunc(s.Pending, comparePending)
+	slices.SortFunc(pend, comparePending)
+	for _, p := range pend {
+		s.PendingSummaries = packet.AppendSummary(s.PendingSummaries, len(s.Pending), p.summ)
+		s.Pending = append(s.Pending, p.rec)
+	}
 	for sw, d := range m.dedups {
 		sd := wire.SnapDedup{SW: sw, Expected: int32(d.expected), Recovered: uint32(d.recovered), Shed: uint32(d.shed)}
 		sd.Spikes = uint32(m.spikeCount(sw))
@@ -388,20 +395,21 @@ func (m *modelController) spikeCount(sw uint64) int {
 // starts the spike dedup sets empty, which they do not.
 func (m *modelController) restore(s *wire.Snapshot) {
 	m.table = make(map[packet.FlowKey]*entry)
-	m.pending = make(map[uint64][]packet.AFR)
+	m.pending = make(map[uint64][]summarized)
 	for _, col := range s.Columns {
-		for _, c := range col.Cells {
+		for i, c := range col.Cells {
 			e, ok := m.table[c.Key]
 			if !ok {
 				e = &entry{merged: afr.NewMergedWithCounter(m.cfg.Kind, m.cfg.DistinctCounter)}
 				m.table[c.Key] = e
 			}
-			e.contribs = append(e.contribs, contrib{sw: col.SW, attr: c.Attr, distinct: c.Distinct, hasDistinct: c.HasDistinct})
-			e.merged.Absorb(c.Attr, c.Distinct, c.HasDistinct)
+			summ := packet.SummaryAt(col.Summaries, i)
+			e.contribs = append(e.contribs, contrib{sw: col.SW, attr: c.Attr, distinct: summ})
+			e.merged.Absorb(c.Attr, summ)
 		}
 	}
-	for _, r := range s.Pending {
-		m.pending[r.SubWindow] = append(m.pending[r.SubWindow], r)
+	for i, r := range s.Pending {
+		m.pending[r.SubWindow] = append(m.pending[r.SubWindow], summarized{r, packet.SummaryAt(s.PendingSummaries, i)})
 	}
 	m.dedups = make(map[uint64]*modelDedup)
 	m.rel = make(map[uint64]metrics.Reliability)
@@ -524,6 +532,7 @@ func runTableOps(t *testing.T, cfg Config, keys []packet.FlowKey, data []byte) {
 		case op < 8: // a batch of AFRs
 			sw := pickSW()
 			recs := make([]packet.AFR, 1+next()%12)
+			var summ []packet.Summary
 			for i := range recs {
 				r := packet.AFR{Key: key(next()), SubWindow: sw, Attr: diffAttrs[next()%len(diffAttrs)], Seq: seqs[sw]}
 				if v := next(); v%8 == 0 && seqs[sw] > 0 {
@@ -532,23 +541,28 @@ func runTableOps(t *testing.T, cfg Config, keys []packet.FlowKey, data []byte) {
 					seqs[sw]++
 				}
 				if cfg.Kind == afr.Distinction && next()%4 != 0 {
-					r.HasDistinct = true
-					for w := range r.Distinct {
-						r.Distinct[w] = 1<<(next()%64) | 1<<(next()%64)
+					var s packet.Summary
+					for w := range s {
+						s[w] = 1<<(next()%64) | 1<<(next()%64)
 					}
+					summ = packet.AppendSummary(summ, i, s)
+				} else if len(summ) > 0 {
+					summ = append(summ, packet.Summary{})
 				}
 				recs[i] = r
 			}
 			switch next() % 3 {
 			case 0:
-				real.IngestAFRs(recs)
-				model.ingest(recs, false)
+				real.IngestRecords(recs, summ)
+				model.ingest(recs, summ, false)
 			case 1:
-				real.Receive(afrPkt(recs...))
-				model.ingest(recs, false)
+				p := afrPkt(recs...)
+				p.OW.Summaries = summ
+				real.Receive(p)
+				model.ingest(recs, summ, false)
 			default:
-				real.Receive(&packet.Packet{OW: packet.OWHeader{Flag: packet.OWRetransmit, AFRs: recs}})
-				model.ingest(recs, true)
+				real.Receive(&packet.Packet{OW: packet.OWHeader{Flag: packet.OWRetransmit, AFRs: recs, Summaries: summ}})
+				model.ingest(recs, summ, true)
 			}
 		case op < 9: // trigger announcement
 			sw, n := pickSW(), next()%20
@@ -630,7 +644,7 @@ func TestTableDifferential(t *testing.T) {
 func snapBytes(s *wire.Snapshot) []byte {
 	buf := wire.EncodeSnapshot(nil, s)
 	for _, c := range s.Columns {
-		buf = wire.AppendWALRecord(buf, &wire.WALRecord{Type: wire.WALColumn, SubWindow: c.SW, AFRs: c.Cells})
+		buf = wire.AppendWALRecord(buf, &wire.WALRecord{Type: wire.WALColumn, SubWindow: c.SW, AFRs: c.Cells, Summaries: c.Summaries})
 	}
 	return buf
 }
@@ -649,7 +663,7 @@ func roundTrip(t *testing.T, s *wire.Snapshot) *wire.Snapshot {
 		if err != nil {
 			t.Fatalf("decode column record: %v", err)
 		}
-		out.Columns = append(out.Columns, wire.SnapColumn{SW: rec.SubWindow, Cells: rec.AFRs})
+		out.Columns = append(out.Columns, wire.SnapColumn{SW: rec.SubWindow, Cells: rec.AFRs, Summaries: rec.Summaries})
 		rest = rest[n:]
 	}
 	return out

@@ -37,8 +37,7 @@ func TestTableCellOpsMatchMerged(t *testing.T) {
 	type contribution struct {
 		sw   uint64
 		attr uint64
-		summ [4]uint64
-		has  bool
+		summ packet.Summary
 	}
 	for _, k := range diffKinds {
 		t.Run(k.name, func(t *testing.T) {
@@ -51,7 +50,6 @@ func TestTableCellOpsMatchMerged(t *testing.T) {
 				for i, n := 0, rng.Intn(9); i < n; i++ {
 					c := contribution{sw: base + uint64(rng.Intn(size)), attr: attrs[rng.Intn(len(attrs))]}
 					if k.kind == afr.Distinction && rng.Intn(3) > 0 {
-						c.has = true
 						for w := range c.summ {
 							c.summ[w] = 1 << rng.Intn(64)
 						}
@@ -64,15 +62,18 @@ func TestTableCellOpsMatchMerged(t *testing.T) {
 				key, other := fk(1), fk(2)
 				for sw := base; sw < base+size; sw++ {
 					var recs []packet.AFR
+					var summ []packet.Summary
 					for _, c := range all {
 						if c.sw == sw {
-							recs = append(recs, packet.AFR{Key: key, SubWindow: sw, Attr: c.attr, Distinct: c.summ, HasDistinct: c.has})
+							summ = packet.AppendSummary(summ, len(recs), c.summ)
+							recs = append(recs, packet.AFR{Key: key, SubWindow: sw, Attr: c.attr})
 						}
 					}
 					// A bystander keeps the table from emptying, so the retire
 					// below exercises subtraction and re-fold, not release.
+					summ = packet.AppendSummary(summ, len(recs), packet.Summary{})
 					recs = append(recs, packet.AFR{Key: other, SubWindow: sw, Attr: 5})
-					tab.insert(sw, recs)
+					tab.insert(sw, recs, summ)
 					tab.merge(sw)
 				}
 				if gone > 0 {
@@ -82,7 +83,7 @@ func TestTableCellOpsMatchMerged(t *testing.T) {
 				want := afr.NewMergedWithCounter(k.kind, k.counter)
 				for _, c := range all {
 					if c.sw >= base+gone {
-						want.Absorb(c.attr, c.summ, c.has)
+						want.Absorb(c.attr, c.summ)
 					}
 				}
 				got, ok := tab.valueOf(key)
@@ -103,17 +104,18 @@ func TestTableRecycledRowReadsZero(t *testing.T) {
 	for _, k := range diffKinds {
 		t.Run(k.name, func(t *testing.T) {
 			tab := tableFor(k.kind, k.counter, 3)
-			loud := packet.AFR{Key: fk(1), Attr: math.MaxUint64 - 7, HasDistinct: true, Distinct: [4]uint64{^uint64(0), 1, 2, 3}}
+			loud := packet.AFR{Key: fk(1), Attr: math.MaxUint64 - 7}
+			loudSumm := []packet.Summary{{^uint64(0), 1, 2, 3}, {}}
 			keep := packet.AFR{Key: fk(2), Attr: 1}
 			for sw := uint64(0); sw < 3; sw++ {
 				loud.SubWindow, keep.SubWindow = sw, sw
-				tab.insert(sw, []packet.AFR{loud, keep})
+				tab.insert(sw, []packet.AFR{loud, keep}, loudSumm)
 				tab.merge(sw)
 			}
 			// fk(2) lives on in sub-window 3, so retiring 0..2 frees only
 			// fk(1)'s row and the table keeps its storage.
 			keep.SubWindow = 3
-			tab.insert(3, []packet.AFR{keep})
+			tab.insert(3, []packet.AFR{keep}, nil)
 			tab.merge(3)
 			tab.retire(2)
 			if tab.rows != 1 || len(tab.free) != 1 {
@@ -121,13 +123,13 @@ func TestTableRecycledRowReadsZero(t *testing.T) {
 			}
 			rows := tab.n
 			quiet := packet.AFR{Key: fk(3), SubWindow: 4, Attr: 2}
-			tab.insert(4, []packet.AFR{quiet})
+			tab.insert(4, []packet.AFR{quiet}, nil)
 			tab.merge(4)
 			if tab.n != rows || len(tab.free) != 0 {
 				t.Fatalf("fk(3) did not take the freed row: n %d -> %d, free %v", rows, tab.n, tab.free)
 			}
 			want := afr.NewMergedWithCounter(k.kind, k.counter)
-			want.Absorb(2, [4]uint64{}, false)
+			want.Absorb(2, packet.Summary{})
 			if got, ok := tab.valueOf(fk(3)); !ok || got != want.Value() {
 				t.Fatalf("recycled row reads %d (live %v), want %d", got, ok, want.Value())
 			}
@@ -150,7 +152,7 @@ func TestTableReleasesWhenEmpty(t *testing.T) {
 			for i := range recs {
 				recs[i] = packet.AFR{Key: fk(i), SubWindow: sw, Attr: 1}
 			}
-			tab.insert(sw, recs)
+			tab.insert(sw, recs, nil)
 			tab.merge(sw)
 		}
 	}
@@ -204,7 +206,7 @@ func TestTableChurnAgainstMap(t *testing.T) {
 			}
 			ref[k][sw] += a
 		}
-		tab.insert(sw, recs)
+		tab.insert(sw, recs, nil)
 		tab.merge(sw)
 		if sw >= size-1 {
 			retire := sw - (size - 1)

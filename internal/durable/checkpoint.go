@@ -83,7 +83,8 @@ func (s *Store) checkpointLocked(snap *wire.Snapshot) error {
 		case i < 0:
 			return fmt.Errorf("durable: checkpoint: sub-window %d must be re-logged but the cut does not carry it", sw)
 		default:
-			if err := s.appendLocked(&wire.WALRecord{Type: wire.WALColumn, SubWindow: sw, AFRs: snap.Columns[i].Cells}); err != nil {
+			col := &snap.Columns[i]
+			if err := s.appendLocked(&wire.WALRecord{Type: wire.WALColumn, SubWindow: sw, AFRs: col.Cells, Summaries: col.Summaries}); err != nil {
 				return err
 			}
 			written += len(s.enc)
@@ -224,7 +225,8 @@ type fold map[uint64]*foldCol
 
 type foldCol struct {
 	cells    []packet.AFR
-	seen     map[uint32]bool // nil: gather no cells, only from, to and closed
+	summ     []packet.Summary // parallel to cells, or empty
+	seen     map[uint32]bool  // nil: gather no cells, only from, to and closed
 	closed   bool
 	from, to uint64
 }
@@ -240,16 +242,18 @@ func (f fold) add(gen uint64, r *wire.WALRecord) {
 		}
 	case c == nil:
 	case r.Type == wire.WALColumn:
-		*c = foldCol{cells: r.AFRs, closed: true, from: gen, to: gen}
+		*c = foldCol{cells: r.AFRs, summ: r.Summaries, closed: true, from: gen, to: gen}
 	case r.Type == wire.WALTrigger && c.from == 0 && !c.closed:
 		c.from = gen
 	case c.closed, c.seen == nil:
 	case r.Type == wire.WALSpike:
+		c.summ = packet.AppendSummaries(c.summ, len(c.cells), r.Summaries, len(r.AFRs))
 		c.cells = append(c.cells, r.AFRs...)
 	case r.Type == wire.WALAFRBatch:
-		for _, a := range r.AFRs {
+		for i, a := range r.AFRs {
 			if !c.seen[a.Seq] {
 				c.seen[a.Seq] = true
+				c.summ = packet.AppendSummary(c.summ, len(c.cells), packet.SummaryAt(r.Summaries, i))
 				c.cells = append(c.cells, a)
 			}
 		}
@@ -266,7 +270,7 @@ func (f fold) apply(s *Store, m *wire.Snapshot) {
 			s.lost = append(s.lost, LostLSNRange{SWLow: sw, SWHigh: sw})
 			return true
 		}
-		m.Columns = append(m.Columns, wire.SnapColumn{SW: sw, Cells: c.cells})
+		m.Columns = append(m.Columns, wire.SnapColumn{SW: sw, Cells: c.cells, Summaries: c.summ})
 		return false
 	})
 }

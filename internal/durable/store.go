@@ -584,11 +584,18 @@ func (s *Store) SealBoundary() {
 // argument is ignored: it once named the controller shard whose log the
 // batch went to. retrans marks batches that arrived via the NACK/retransmit
 // path, so replayed delivery accounting matches the original run's. Each
-// record is logged as its sequence number, key, attr and summary words
-// (wire.WALAFRBatch): replay gives every record sw, whatever SubWindow it
-// held, and app 0, since a durable deployment runs one app.
+// record is logged as its sequence number, key and attr (wire.WALAFRBatch):
+// replay gives every record sw, whatever SubWindow it held, and app 0,
+// since a durable deployment runs one app.
 func (s *Store) AppendBatch(_ int, sw uint64, retrans bool, afrs []packet.AFR) error {
-	return s.append(&wire.WALRecord{Type: wire.WALAFRBatch, SubWindow: sw, Retrans: retrans, AFRs: afrs})
+	return s.AppendRecords(sw, retrans, afrs, nil)
+}
+
+// AppendRecords is AppendBatch for records that carry summaries: summ is
+// parallel to afrs, or empty (packet.Summary), and a record's summary is
+// logged after its attr.
+func (s *Store) AppendRecords(sw uint64, retrans bool, afrs []packet.AFR, summ []packet.Summary) error {
+	return s.append(&wire.WALRecord{Type: wire.WALAFRBatch, SubWindow: sw, Retrans: retrans, AFRs: afrs, Summaries: summ})
 }
 
 // AppendTrigger logs a sub-window's trigger announcement.

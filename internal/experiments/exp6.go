@@ -145,7 +145,7 @@ func ValidateExp6Passes(keys, packets int) (passes int, afrs int) {
 		telemetry.NewFrequencyApp(sketch.NewCountMin(4, keys, 2), keys),
 	}
 	engine := afr.NewEngine(tracker, apps, regions)
-	engine.SetAFRPort(func(recs []packet.AFR) { afrs += len(recs) })
+	engine.SetAFRPort(func(recs []packet.AFR, _ []packet.Summary) { afrs += len(recs) })
 	for i := 0; i < keys; i++ {
 		k := packet.FlowKey{SrcIP: uint32(i + 1), DstPort: 80, Proto: packet.ProtoTCP}
 		engine.Update(0, &packet.Packet{Key: k, Size: 100})

@@ -83,6 +83,11 @@ func (f OWFlag) String() string {
 // application-defined attribute (packet count, byte count, distinct count,
 // max, ...). SubWindow records which sub-window the value summarizes and Seq
 // is the per-sub-window sequence ID used for loss recovery (§8, reliability).
+//
+// The record is 40 bytes (App fits in the padding after Seq) and every
+// stage of the collection path copies it by value. A Distinction app's
+// summary does not ride in it: it travels in a Summary slice parallel to
+// the records (OWHeader.Summaries), empty for every app that fills none.
 type AFR struct {
 	Key       FlowKey
 	Attr      uint64
@@ -93,12 +98,63 @@ type AFR struct {
 	// tracking and the window mechanism; each app has its own state and
 	// its own controller table).
 	App uint8
-	// Distinct optionally carries a 4-component multiresolution-bitmap
-	// summary for distinction statistics: the controller merges the raw
-	// bitmaps across sub-windows (a lossless OR) and *then* counts, as
-	// §4.2 prescribes, instead of summing per-sub-window counts.
-	Distinct    [4]uint64
-	HasDistinct bool
+}
+
+// Summary is the distinct-count summary a Distinction app attaches to an
+// AFR: four words the controller merges across sub-windows with a
+// lossless OR and counts only after (§4.2), instead of summing
+// per-sub-window counts. The zero Summary means "no summary": zero is the
+// OR's identity, and a key the app updated has a non-empty one.
+//
+// Summaries travel in a slice parallel to their records. The slice is
+// empty while no record carries a summary (the frequency case); otherwise
+// it holds one Summary per record, zero for a record without one.
+type Summary [4]uint64
+
+// AppendSummaries extends dst, the summary slice parallel to a record
+// slice that held have records, by the n records being appended with
+// summaries src (empty: none), keeping the parallel form: dst stays empty
+// while nothing carries a summary, and is padded with zeros to have the
+// first time something does.
+func AppendSummaries(dst []Summary, have int, src []Summary, n int) []Summary {
+	switch {
+	case len(src) == 0 && len(dst) == 0:
+		return dst
+	case len(src) == 0:
+		return append(dst, make([]Summary, n)...)
+	case len(dst) < have:
+		dst = append(dst, make([]Summary, have-len(dst))...)
+	}
+	return append(dst, src...)
+}
+
+// AppendSummary is AppendSummaries for one record, whose summary is s.
+func AppendSummary(dst []Summary, have int, s Summary) []Summary {
+	if s == (Summary{}) && len(dst) == 0 {
+		return dst
+	}
+	if len(dst) < have {
+		dst = append(dst, make([]Summary, have-len(dst))...)
+	}
+	return append(dst, s)
+}
+
+// SummarySlice is summ[i:j:j], the summaries of records i to j clipped to
+// their own capacity, or nil when summ is empty (no record carries one).
+func SummarySlice(summ []Summary, i, j int) []Summary {
+	if len(summ) == 0 {
+		return nil
+	}
+	return summ[i:j:j]
+}
+
+// SummaryAt is record i's summary in summ, the slice parallel to its
+// records: zero when summ is empty.
+func SummaryAt(summ []Summary, i int) Summary {
+	if len(summ) == 0 {
+		return Summary{}
+	}
+	return summ[i]
 }
 
 // OWHeader is the OmniWindow custom header placed between the Ethernet and
@@ -118,6 +174,9 @@ type OWHeader struct {
 	// appends them to the header bytes; the simulation carries them
 	// in-struct.
 	AFRs []AFR
+	// Summaries are the AFRs' distinct-count summaries, parallel to AFRs,
+	// or empty when none carries one (see Summary).
+	Summaries []Summary
 	// UserSignal is the application-embedded window boundary, e.g. the
 	// DML training-iteration number of Exp#3 (monotonically increasing).
 	UserSignal uint64
@@ -147,13 +206,16 @@ func (p *Packet) IsSpecial() bool { return p.OW.Flag != OWNone }
 // HasFlags reports whether all the given TCP flag bits are set.
 func (p *Packet) HasFlags(mask uint8) bool { return p.TCPFlags&mask == mask }
 
-// Clone returns a copy of the packet with an independent AFR slice,
-// which models the switch clone engine (clones must not alias the
+// Clone returns a copy of the packet with independent AFR and summary
+// slices, which models the switch clone engine (clones must not alias the
 // original's header data).
 func (p *Packet) Clone() *Packet {
 	q := *p
 	if len(p.OW.AFRs) > 0 {
 		q.OW.AFRs = append([]AFR(nil), p.OW.AFRs...)
+	}
+	if len(p.OW.Summaries) > 0 {
+		q.OW.Summaries = append([]Summary(nil), p.OW.Summaries...)
 	}
 	return &q
 }

@@ -1,8 +1,10 @@
 package packet
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestKeyBytesRoundTrip(t *testing.T) {
@@ -100,6 +102,40 @@ func TestCloneIndependence(t *testing.T) {
 	q.OW.AFRs = append(q.OW.AFRs, AFR{Attr: 1})
 	if p.OW.AFRs[0].Attr != 7 || len(p.OW.AFRs) != 1 {
 		t.Fatalf("clone aliased original: %+v", p.OW.AFRs)
+	}
+}
+
+func TestCloneCopiesSummaries(t *testing.T) {
+	p := &Packet{OW: OWHeader{Flag: OWAFR, AFRs: []AFR{{Attr: 7}}, Summaries: []Summary{{1, 2, 3, 4}}}}
+	q := p.Clone()
+	q.OW.Summaries[0][0] = 99
+	if p.OW.Summaries[0] != (Summary{1, 2, 3, 4}) {
+		t.Fatalf("clone aliased the original's summaries: %v", p.OW.Summaries)
+	}
+}
+
+// TestAFRIs40Bytes pins the record every stage of the collection path
+// copies by value: a summary travels beside it, not in it.
+func TestAFRIs40Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(AFR{}); n != 40 {
+		t.Fatalf("unsafe.Sizeof(AFR{}) = %d, want 40", n)
+	}
+}
+
+func TestAppendSummariesKeepsTheParallelForm(t *testing.T) {
+	var s []Summary
+	if s = AppendSummaries(s, 0, nil, 3); len(s) != 0 {
+		t.Fatalf("records without summaries grew the slice to %d", len(s))
+	}
+	// The first summary pads the three records before it with zeros.
+	s = AppendSummaries(s, 3, []Summary{{5}, {6}}, 2)
+	if want := []Summary{{}, {}, {}, {5}, {6}}; !slices.Equal(s, want) {
+		t.Fatalf("got %v, want %v", s, want)
+	}
+	// From there on, records without summaries append zeros.
+	s = AppendSummaries(s, 5, nil, 2)
+	if want := []Summary{{}, {}, {}, {5}, {6}, {}, {}}; !slices.Equal(s, want) {
+		t.Fatalf("got %v, want %v", s, want)
 	}
 }
 

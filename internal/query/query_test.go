@@ -51,11 +51,8 @@ func TestStateDistinctDedup(t *testing.T) {
 	if got.Value != 50 {
 		t.Fatalf("distinct sources = %d want 50", got.Value)
 	}
-	if !got.HasDistinct {
+	if got.Summary == (packet.Summary{}) {
 		t.Fatal("distinct query must carry a summary")
-	}
-	if got.Distinct == ([4]uint64{}) {
-		t.Fatal("summary empty")
 	}
 }
 
@@ -80,7 +77,7 @@ func TestStateResetSlots(t *testing.T) {
 		s.ResetSlot(i)
 	}
 	victim := packet.FlowKey{DstIP: 7, Proto: packet.ProtoTCP}
-	if got := s.Query(victim); got.Value != 0 || got.Distinct != ([4]uint64{}) {
+	if got := s.Query(victim); got.Value != 0 || got.Summary != (packet.Summary{}) {
 		t.Fatalf("reset left state: %+v", got)
 	}
 	// Dedup filter must also be clear: the same source counts again.

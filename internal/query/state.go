@@ -98,8 +98,7 @@ func (s *State) Query(k packet.FlowKey) afr.Attr {
 	idx := s.slot(k)
 	a := afr.Attr{Value: s.counters[idx]}
 	if s.summaries != nil {
-		a.Distinct = s.summaries[idx]
-		a.HasDistinct = true
+		a.Summary = s.summaries[idx]
 	}
 	return a
 }

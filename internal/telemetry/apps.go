@@ -106,11 +106,7 @@ func (a *SpreadApp) Update(p *packet.Packet) {
 
 // Query implements afr.StateApp.
 func (a *SpreadApp) Query(k packet.FlowKey) afr.Attr {
-	return afr.Attr{
-		Value:       a.sp.QuerySpread(k),
-		Distinct:    a.summary(k),
-		HasDistinct: true,
-	}
+	return afr.Attr{Value: a.sp.QuerySpread(k), Summary: a.summary(k)}
 }
 
 // ResetSlot implements afr.StateApp.

@@ -23,7 +23,7 @@ func TestFrequencyAppCountsPackets(t *testing.T) {
 	if got := app.Query(pkt(1, 2, 0).Key).Value; got != 10 {
 		t.Fatalf("count = %d", got)
 	}
-	if app.Query(pkt(9, 9, 0).Key).HasDistinct {
+	if app.Query(pkt(9, 9, 0).Key).Summary != (packet.Summary{}) {
 		t.Fatal("frequency app must not carry summaries")
 	}
 }
@@ -75,11 +75,11 @@ func TestSpreadSketchAppQueriesAndSummaries(t *testing.T) {
 	if a.Value < 80 {
 		t.Fatalf("spread too low: %d", a.Value)
 	}
-	if !a.HasDistinct || a.Distinct == ([4]uint64{}) {
+	if a.Summary == (packet.Summary{}) {
 		t.Fatal("missing summary")
 	}
 	// The summary itself must estimate in the right ballpark.
-	est := sketch.MRBEstimate(a.Distinct[:])
+	est := sketch.MRBEstimate(a.Summary[:])
 	if est < 80 || est > 500 {
 		t.Fatalf("summary estimate out of range: %f", est)
 	}
@@ -100,10 +100,10 @@ func TestSpreadSummaryMergeAcrossSubWindows(t *testing.T) {
 	q1, q2 := a1.Query(src), a2.Query(src)
 	var merged [4]uint64
 	for i := range merged {
-		merged[i] = q1.Distinct[i] | q2.Distinct[i]
+		merged[i] = q1.Summary[i] | q2.Summary[i]
 	}
 	mergedEst := sketch.MRBEstimate(merged[:])
-	singleEst := sketch.MRBEstimate(q1.Distinct[:])
+	singleEst := sketch.MRBEstimate(q1.Summary[:])
 	if mergedEst > singleEst*1.3 {
 		t.Fatalf("identical sub-windows double-counted: %f vs %f", mergedEst, singleEst)
 	}
@@ -121,10 +121,10 @@ func TestVBFAppSummaryCounter(t *testing.T) {
 	}
 	src := packet.FlowKey{SrcIP: 42, Proto: packet.ProtoTCP}
 	a := app.Query(src)
-	if !a.HasDistinct {
+	if a.Summary == (packet.Summary{}) {
 		t.Fatal("VBF app must carry summary")
 	}
-	got := sketch.VBFDistinctCounter(a.Distinct)
+	got := sketch.VBFDistinctCounter(a.Summary)
 	if got < 15 || got > 60 {
 		t.Fatalf("VBF summary count = %d want ~30", got)
 	}

@@ -17,8 +17,10 @@
 package trace
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"omniwindow/internal/packet"
@@ -156,24 +158,67 @@ func (g *Generator) Generate() []packet.Packet {
 	rng := rand.New(rand.NewSource(g.cfg.Seed))
 	zipf := rand.NewZipf(rng, g.cfg.ZipfS, g.cfg.ZipfV, uint64(g.cfg.MaxFlowPackets-1))
 
-	est := g.cfg.Flows * 4 // rough mean flow size for preallocation
-	pkts := make([]packet.Packet, 0, est)
-
+	// Sized for the expected flow sizes, so the background flows do not
+	// regrow the array by doubling.
+	flows := make([]packet.Packet, 0, int(float64(g.cfg.Flows)*g.meanFlowSize()*1.05))
 	for i := 0; i < g.cfg.Flows; i++ {
 		key := randKey(rng, g.cfg.Hosts)
 		n := int(zipf.Uint64()) + 1
 		start := g.flowStart(rng)
 		life := g.flowLife(rng, n)
 		burst := rng.Float64() < g.cfg.BurstFraction
-		pkts = appendFlow(pkts, rng, key, n, start, life, burst, g.cfg.Duration)
+		flows = appendFlow(flows, rng, key, n, start, life, burst, g.cfg.Duration)
 	}
 
+	var anomalies []packet.Packet
 	for _, a := range g.cfg.Anomalies {
-		pkts = append(pkts, a.Emit(rng, g.cfg.Duration)...)
+		anomalies = append(anomalies, a.Emit(rng, g.cfg.Duration)...)
 	}
+	return sortByTime(flows, anomalies)
+}
 
-	sort.Slice(pkts, func(i, j int) bool { return pkts[i].Time < pkts[j].Time })
-	return pkts
+// sortByTime returns the packets of a followed by b, ordered by timestamp
+// exactly as sort.Slice(pkts, func(i, j int) bool { return pkts[i].Time <
+// pkts[j].Time }) orders their concatenation pkts, ties included: pdqsort
+// over (time, index) pairs makes the same comparisons and swaps, so it
+// picks the same permutation, which then gathers the packets into a new
+// slice. The pairs are 16 bytes and compared without reflection, where
+// sort.Slice swaps whole packets through a reflective swapper; and a and b
+// are never concatenated, so neither is copied but into place.
+func sortByTime(a, b []packet.Packet) []packet.Packet {
+	type timed struct {
+		t   int64
+		src int // index into a, then b
+	}
+	order := make([]timed, 0, len(a)+len(b))
+	for i := range a {
+		order = append(order, timed{a[i].Time, i})
+	}
+	for i := range b {
+		order = append(order, timed{b[i].Time, len(a) + i})
+	}
+	slices.SortFunc(order, func(x, y timed) int { return cmp.Compare(x.t, y.t) })
+	out := make([]packet.Packet, len(order))
+	for i, o := range order {
+		if o.src < len(a) {
+			out[i] = a[o.src]
+		} else {
+			out[i] = b[o.src-len(a)]
+		}
+	}
+	return out
+}
+
+// meanFlowSize is the expected packet count of a background flow: the mean
+// of 1 + the Zipf draw over [0, MaxFlowPackets-1].
+func (g *Generator) meanFlowSize() float64 {
+	var sum, norm float64
+	for k := 0; k < g.cfg.MaxFlowPackets; k++ {
+		w := math.Pow(g.cfg.ZipfV+float64(k), -g.cfg.ZipfS)
+		sum += float64(k+1) * w
+		norm += w
+	}
+	return sum / norm
 }
 
 // flowStart draws a start time with the two-phase rate modulation.

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -20,6 +21,56 @@ func TestGenerateDeterministic(t *testing.T) {
 		if a[i].Key != b[i].Key || a[i].Time != b[i].Time || a[i].Size != b[i].Size ||
 			a[i].TCPFlags != b[i].TCPFlags || a[i].Seq != b[i].Seq {
 			t.Fatalf("packet %d differs", i)
+		}
+	}
+}
+
+// TestSortByTimeMatchesSortSlice: Generate's sort must order packets
+// exactly as sort.Slice by Time did, ties included, or every trace (and
+// every figure computed from one) would move. Inputs are generated traces
+// of several seeds with their timestamps coarsened to milliseconds, so
+// ties are everywhere, then shuffled, and each packet's Seq names it; plus
+// the shapes pdqsort treats specially: short, sorted, reversed, all equal.
+// Each is handed over in two parts, as Generate hands over its background
+// flows and its anomalies.
+func TestSortByTimeMatchesSortSlice(t *testing.T) {
+	check := func(name string, in []packet.Packet) {
+		t.Helper()
+		for i := range in {
+			in[i].Seq = uint32(i)
+		}
+		want := append([]packet.Packet(nil), in...)
+		sort.Slice(want, func(i, j int) bool { return want[i].Time < want[j].Time })
+		got := sortByTime(in[:len(in)*3/4], in[len(in)*3/4:])
+		for i := range want {
+			if got[i].Seq != want[i].Seq {
+				t.Fatalf("%s: position %d holds packet %d, sort.Slice put packet %d there", name, i, got[i].Seq, want[i].Seq)
+			}
+		}
+	}
+	for _, seed := range []int64{1, 2, 7, 42} {
+		cfg := DefaultConfig(seed)
+		cfg.Flows = 3000
+		pkts := New(cfg).Generate()
+		rng := rand.New(rand.NewSource(seed))
+		rng.Shuffle(len(pkts), func(i, j int) { pkts[i], pkts[j] = pkts[j], pkts[i] })
+		for i := range pkts {
+			pkts[i].Time /= Millisecond
+		}
+		check(fmt.Sprintf("seed %d", seed), pkts)
+	}
+	shapes := map[string]func(i, n int) int64{
+		"sorted":   func(i, n int) int64 { return int64(i / 3) },
+		"reversed": func(i, n int) int64 { return int64((n - i) / 3) },
+		"equal":    func(i, n int) int64 { return 5 },
+	}
+	for name, at := range shapes {
+		for _, n := range []int{0, 1, 11, 13, 200, 5000} {
+			pkts := make([]packet.Packet, n)
+			for i := range pkts {
+				pkts[i].Time = at(i, n)
+			}
+			check(fmt.Sprintf("%s/%d", name, n), pkts)
 		}
 	}
 }

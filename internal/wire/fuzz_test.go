@@ -32,6 +32,12 @@ func fuzzSeeds() [][]byte {
 		Flag: packet.OWRetransmit, SubWindow: 5, HasSubWindow: true,
 		AFRs: []packet.AFR{{Attr: 9, SubWindow: 5, Seq: 2}},
 	}})
+	// A retransmit whose second record alone carries a summary.
+	add(&packet.Packet{OW: packet.OWHeader{
+		Flag: packet.OWRetransmit, SubWindow: 6, HasSubWindow: true,
+		AFRs:      []packet.AFR{{Attr: 1, SubWindow: 6, Seq: 0}, {Attr: 4, SubWindow: 6, Seq: 1}},
+		Summaries: []packet.Summary{{}, {1 << 63, 0, 5, 1}},
+	}})
 	// A first-hop stamp and a latency-spike copy bound for the
 	// controller's software path.
 	add(&packet.Packet{OW: packet.OWHeader{

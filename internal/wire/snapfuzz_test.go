@@ -33,10 +33,11 @@ func snapFuzzSeeds() [][]byte {
 		ThroughLSN: 4, LastFinished: 2, HasFinished: true,
 		Live: []uint64{2},
 		Pending: []packet.AFR{
-			{Key: snapKey(3), Attr: 4, SubWindow: 3, Distinct: [4]uint64{8, 0, 0, 1}, HasDistinct: true},
+			{Key: snapKey(3), Attr: 4, SubWindow: 3},
 			{Key: snapKey(4), Attr: 1, SubWindow: 3},
 		},
-		Dedups: []SnapDedup{{SW: 3, Expected: 2, Spikes: 2}},
+		PendingSummaries: []packet.Summary{{8, 0, 0, 1}, {}},
+		Dedups:           []SnapDedup{{SW: 3, Expected: 2, Spikes: 2}},
 	}))
 	// A manifest cut under a newer term, with no finish yet.
 	out = append(out, EncodeSnapshot(nil, &Snapshot{
@@ -110,7 +111,7 @@ func FuzzDecodeSnapshotPatched(f *testing.F) {
 func FuzzDecodeWALRecord(f *testing.F) {
 	f.Add(AppendWALRecord(nil, &WALRecord{Type: WALTrigger, LSN: 7, SubWindow: 3, KeyCount: 11}))
 	f.Add(AppendWALRecord(nil, &WALRecord{Type: WALFinish, LSN: 8, SubWindow: 3}))
-	batch := AppendWALRecord(nil, &WALRecord{Type: WALAFRBatch, LSN: 9, SubWindow: 3, AFRs: samplePacket().OW.AFRs})
+	batch := AppendWALRecord(nil, &WALRecord{Type: WALAFRBatch, LSN: 9, SubWindow: 3, AFRs: samplePacket().OW.AFRs, Summaries: samplePacket().OW.Summaries})
 	f.Add(batch)
 	f.Add(batch[:len(batch)-2])
 	f.Add([]byte{})
@@ -123,17 +124,17 @@ func FuzzDecodeWALRecord(f *testing.F) {
 	f.Add(AppendWALRecord(nil, &WALRecord{Type: WALSpike, LSN: 12, SubWindow: 2,
 		AFRs: []packet.AFR{{Key: snapKey(7), Attr: 1, Seq: 300}}}))
 	f.Add(AppendWALRecord(nil, &WALRecord{Type: WALAFRBatch, LSN: 14, Retrans: true, SubWindow: 5, AFRs: []packet.AFR{
-		{Key: snapKey(5), Attr: 9, SubWindow: 5, Seq: 2, Distinct: [4]uint64{1 << 40, 3, 0, 7}, HasDistinct: true},
+		{Key: snapKey(5), Attr: 9, SubWindow: 5, Seq: 2},
 		{Key: snapKey(6), Attr: 1, SubWindow: 5, Seq: 3},
-	}}))
+	}, Summaries: []packet.Summary{{1 << 40, 3, 0, 7}, {}}}))
 	// Input records naming another sub-window: the frame's wins.
 	f.Add(AppendWALRecord(nil, &WALRecord{Type: WALAFRBatch, LSN: 15, SubWindow: 8, AFRs: []packet.AFR{
 		{Key: snapKey(8), Attr: 2, SubWindow: 3, Seq: 5, App: 2},
 	}}))
 	f.Add(AppendWALRecord(nil, &WALRecord{Type: WALColumn, LSN: 13, Term: 1, SubWindow: 2, AFRs: []packet.AFR{
-		{Key: snapKey(3), Attr: 4, Distinct: [4]uint64{8, 0, 0, 1}, HasDistinct: true},
+		{Key: snapKey(3), Attr: 4},
 		{Key: snapKey(4), Attr: 1},
-	}}))
+	}, Summaries: []packet.Summary{{8, 0, 0, 1}, {}}}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rec, n, err := DecodeWALRecord(data)

@@ -31,7 +31,7 @@ const (
 const (
 	// WALAFRBatch carries ingested AFR records of the frame's sub-window
 	// (first transmissions or retransmissions, per the Retrans flag), each
-	// as its sequence number and a cell: 26 B, 58 B with summary words.
+	// as its sequence number and a cell: 26 B, 58 B with a summary.
 	WALAFRBatch byte = 1
 	// WALTrigger carries a sub-window's announced key count.
 	WALTrigger byte = 2
@@ -51,12 +51,14 @@ const (
 )
 
 // SnapColumn is one sub-window's column of the controller table: records
-// O2 folds into it, as exported a cell per flow in key order (Key, Attr,
-// the summary words when HasDistinct; WALColumn's decoder sets SubWindow),
-// as recovery folds it from the log the AFRs and spikes, several per flow.
+// O2 folds into it, as exported a cell per flow in key order (Key and
+// Attr; WALColumn's decoder sets SubWindow), as recovery folds it from the
+// log the AFRs and spikes, several per flow. Summaries are the cells'
+// summaries, parallel to Cells or empty (packet.Summary).
 type SnapColumn struct {
-	SW    uint64
-	Cells []packet.AFR
+	SW        uint64
+	Cells     []packet.AFR
+	Summaries []packet.Summary
 }
 
 // SnapDedup is one open sub-window's arrival state.
@@ -108,9 +110,12 @@ type Snapshot struct {
 	// Columns holds one column per sub-window the cut carries; they are
 	// not encoded (internal/durable keeps each column in the log).
 	Columns []SnapColumn
-	Pending []packet.AFR
-	Dedups  []SnapDedup
-	Rels    []SnapRel
+	// Pending are the routed-but-unmerged records, and PendingSummaries
+	// their summaries, parallel to Pending or empty.
+	Pending          []packet.AFR
+	PendingSummaries []packet.Summary
+	Dedups           []SnapDedup
+	Rels             []SnapRel
 }
 
 // cellSize is a column cell without summary words, the smallest;
@@ -139,7 +144,7 @@ func EncodeSnapshot(buf []byte, s *Snapshot) []byte {
 
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s.Pending)))
 	for i := range s.Pending {
-		buf = appendAFR(buf, &s.Pending[i])
+		buf = appendAFR(buf, &s.Pending[i], packet.SummaryAt(s.PendingSummaries, i))
 	}
 
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(s.Dedups)))
@@ -172,20 +177,22 @@ func EncodeSnapshot(buf []byte, s *Snapshot) []byte {
 }
 
 // appendCell serializes one column cell: the key, the attribute and the
-// summary flag, then the summary words if it has them. A cell needs no
-// sub-window (its column names it) and no sequence number.
-func appendCell(buf []byte, c *packet.AFR) []byte {
+// summary flag, then the words of its summary s if it has one (s is not
+// zero). A cell needs no sub-window (its column names it) and no sequence
+// number.
+func appendCell(buf []byte, c *packet.AFR, s packet.Summary) []byte {
+	has := s != packet.Summary{}
 	n := cellSize
-	if c.HasDistinct {
+	if has {
 		n += 32
 	}
 	buf = slices.Grow(buf, n)
 	b := buf[len(buf) : len(buf)+n]
 	c.Key.PutBytes(b)
 	binary.BigEndian.PutUint64(b[packet.KeyBytes:], c.Attr)
-	b[cellSize-1] = b2u(c.HasDistinct)
-	if c.HasDistinct {
-		for w, v := range c.Distinct {
+	b[cellSize-1] = b2u(has)
+	if has {
+		for w, v := range s {
 			binary.BigEndian.PutUint64(b[cellSize+8*w:], v)
 		}
 	}
@@ -240,20 +247,21 @@ func (r *snapReader) u64() uint64 {
 	return v
 }
 
-// cell reads one appendCell cell of sub-window sw.
-func (r *snapReader) cell(sw uint64) packet.AFR {
+// cell reads one appendCell cell of sub-window sw and its summary (zero:
+// none).
+func (r *snapReader) cell(sw uint64) (c packet.AFR, s packet.Summary) {
 	var kb [packet.KeyBytes]byte
 	if r.need(packet.KeyBytes) {
 		copy(kb[:], r.data[r.off:])
 		r.off += packet.KeyBytes
 	}
-	c := packet.AFR{SubWindow: sw, Key: packet.KeyFromBytes(kb), Attr: r.u64()}
-	if c.HasDistinct = r.u8() != 0; c.HasDistinct {
-		for w := range c.Distinct {
-			c.Distinct[w] = r.u64()
+	c = packet.AFR{SubWindow: sw, Key: packet.KeyFromBytes(kb), Attr: r.u64()}
+	if r.u8() != 0 {
+		for w := range s {
+			s[w] = r.u64()
 		}
 	}
-	return c
+	return c, s
 }
 
 // count reads a length prefix and rejects values whose minimal encoding
@@ -321,7 +329,7 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 		for i := 0; i < n && r.err == nil; i++ {
 			var rec packet.AFR
 			if r.need(afrSize) {
-				decodeAFR(r.data[r.off:], &rec)
+				s.PendingSummaries = packet.AppendSummary(s.PendingSummaries, i, decodeAFR(r.data[r.off:], &rec))
 				r.off += afrSize
 			}
 			s.Pending = append(s.Pending, rec)
@@ -396,6 +404,9 @@ type WALRecord struct {
 	// sub-window and app: decoded ones carry SubWindow and app 0 (a
 	// durable deployment runs one app).
 	AFRs []packet.AFR
+	// Summaries are the AFRs' summaries, parallel to AFRs or empty
+	// (packet.Summary).
+	Summaries []packet.Summary
 }
 
 // walHeaderSize is the fixed frame prefix: payload length (4).
@@ -420,7 +431,7 @@ func AppendWALRecord(buf []byte, rec *WALRecord) []byte {
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(rec.AFRs)))
 		for i := range rec.AFRs {
 			buf = binary.BigEndian.AppendUint32(buf, rec.AFRs[i].Seq)
-			buf = appendCell(buf, &rec.AFRs[i])
+			buf = appendCell(buf, &rec.AFRs[i], packet.SummaryAt(rec.Summaries, i))
 		}
 	case WALTrigger:
 		buf = binary.BigEndian.AppendUint32(buf, rec.KeyCount)
@@ -429,7 +440,7 @@ func AppendWALRecord(buf []byte, rec *WALRecord) []byte {
 	case WALColumn:
 		buf = binary.BigEndian.AppendUint32(buf, uint32(len(rec.AFRs)))
 		for i := range rec.AFRs {
-			buf = appendCell(buf, &rec.AFRs[i])
+			buf = appendCell(buf, &rec.AFRs[i], packet.SummaryAt(rec.Summaries, i))
 		}
 	}
 	binary.BigEndian.PutUint32(buf[start:], uint32(len(buf)-payload))
@@ -461,8 +472,10 @@ func DecodeWALRecord(data []byte) (*WALRecord, int, error) {
 			rec.AFRs = make([]packet.AFR, n)
 			for i := range rec.AFRs {
 				seq := r.u32()
-				rec.AFRs[i] = r.cell(rec.SubWindow)
-				rec.AFRs[i].Seq = seq
+				c, s := r.cell(rec.SubWindow)
+				c.Seq = seq
+				rec.AFRs[i] = c
+				rec.Summaries = packet.AppendSummary(rec.Summaries, i, s)
 			}
 		}
 		if r.err != nil || r.off != len(rest) {
@@ -486,7 +499,9 @@ func DecodeWALRecord(data []byte) (*WALRecord, int, error) {
 		r := &snapReader{data: rest}
 		rec.AFRs = make([]packet.AFR, 0, r.count(cellSize))
 		for i := cap(rec.AFRs); i > 0 && r.err == nil; i-- {
-			rec.AFRs = append(rec.AFRs, r.cell(rec.SubWindow))
+			c, s := r.cell(rec.SubWindow)
+			rec.Summaries = packet.AppendSummary(rec.Summaries, len(rec.AFRs), s)
+			rec.AFRs = append(rec.AFRs, c)
 		}
 		if r.err != nil || r.off != len(rest) {
 			return nil, 0, ErrTruncated

@@ -19,8 +19,9 @@ func sampleSnapshot() *Snapshot {
 		Live:         []uint64{0, 1},
 		Pending: []packet.AFR{
 			{Key: snapKey(3), Attr: 11, SubWindow: 4, Seq: 0},
-			{Key: snapKey(4), Attr: 13, SubWindow: 4, Seq: 1, HasDistinct: true, Distinct: [4]uint64{9, 0, 0, 1}},
+			{Key: snapKey(4), Attr: 13, SubWindow: 4, Seq: 1},
 		},
+		PendingSummaries: []packet.Summary{{}, {9, 0, 0, 1}},
 		Dedups: []SnapDedup{
 			{SW: 4, Expected: 5, Recovered: 1, Shed: 2, Spikes: 3, Seen: []uint32{0, 1, 3}},
 			{SW: 5, Expected: -1},
@@ -58,23 +59,28 @@ func TestSnapshotRoundTrip(t *testing.T) {
 // words only when it has them: no per-cell sub-window, no per-flow count.
 // Decoded cells are the records O2 folds, each stamped with its column.
 func TestSnapshotCellLayout(t *testing.T) {
-	col := func(cells ...packet.AFR) int {
-		return len(AppendWALRecord(nil, &WALRecord{Type: WALColumn, SubWindow: 6, AFRs: cells}))
+	col := func(cell packet.AFR, summ ...packet.Summary) int {
+		return len(AppendWALRecord(nil, &WALRecord{Type: WALColumn, SubWindow: 6, AFRs: []packet.AFR{cell}, Summaries: summ}))
 	}
-	empty := col()
+	empty := len(AppendWALRecord(nil, &WALRecord{Type: WALColumn, SubWindow: 6}))
 	if got := col(packet.AFR{Key: snapKey(1), Attr: 2}) - empty; got != cellSize {
 		t.Fatalf("a plain cell costs %d bytes, want %d", got, cellSize)
 	}
-	if got := col(packet.AFR{Key: snapKey(1), HasDistinct: true}) - empty; got != cellSize+32 {
+	if got := col(packet.AFR{Key: snapKey(1)}, packet.Summary{}) - empty; got != cellSize {
+		t.Fatalf("a cell with a zero summary costs %d bytes, want %d: zero means none", got, cellSize)
+	}
+	if got := col(packet.AFR{Key: snapKey(1)}, packet.Summary{0, 0, 1}) - empty; got != cellSize+32 {
 		t.Fatalf("a summary cell costs %d bytes, want %d", got, cellSize+32)
 	}
 	rec, _, err := DecodeWALRecord(AppendWALRecord(nil, &WALRecord{Type: WALColumn, SubWindow: 6,
-		AFRs: []packet.AFR{{Key: snapKey(1), Attr: 2, SubWindow: 99, Seq: 4}}}))
+		AFRs:      []packet.AFR{{Key: snapKey(1), Attr: 2, SubWindow: 99, Seq: 4}, {Key: snapKey(2), Attr: 3}},
+		Summaries: []packet.Summary{{}, {7, 0, 0, 9}}}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := (packet.AFR{Key: snapKey(1), Attr: 2, SubWindow: 6}); rec.AFRs[0] != want {
-		t.Fatalf("decoded cell %+v, want %+v", rec.AFRs[0], want)
+	want := []packet.AFR{{Key: snapKey(1), Attr: 2, SubWindow: 6}, {Key: snapKey(2), Attr: 3, SubWindow: 6}}
+	if !reflect.DeepEqual(rec.AFRs, want) || !reflect.DeepEqual(rec.Summaries, []packet.Summary{{}, {7, 0, 0, 9}}) {
+		t.Fatalf("decoded cells %+v %v, want %+v and the second cell's summary", rec.AFRs, rec.Summaries, want)
 	}
 }
 
@@ -83,32 +89,32 @@ func TestSnapshotCellLayout(t *testing.T) {
 // the sub-window once, so decoded records carry the frame's, not their own.
 func TestWALBatchFrameBytes(t *testing.T) {
 	for _, typ := range []byte{WALAFRBatch, WALSpike} {
-		frame := func(afrs ...packet.AFR) []byte {
-			return AppendWALRecord(nil, &WALRecord{Type: typ, LSN: 3, SubWindow: 6, AFRs: afrs})
+		frame := func(afrs []packet.AFR, summ ...packet.Summary) []byte {
+			return AppendWALRecord(nil, &WALRecord{Type: typ, LSN: 3, SubWindow: 6, AFRs: afrs, Summaries: summ})
 		}
-		empty := len(frame())
+		empty := len(frame(nil))
 		if want := walHeaderSize + walFixedPayload + 1 + 4 + sumSize; empty != want {
 			t.Fatalf("type %d: an empty frame costs %d bytes, want %d", typ, empty, want)
 		}
 		plain := packet.AFR{Key: snapKey(1), Attr: 2, SubWindow: 99, Seq: 4, App: 1}
-		summary := packet.AFR{Key: snapKey(2), Attr: 5, SubWindow: 6, Seq: 1 << 31,
-			Distinct: [4]uint64{1, 2, 3, 1 << 63}, HasDistinct: true}
-		if got := len(frame(plain)) - empty; got != 26 {
+		summarized := packet.AFR{Key: snapKey(2), Attr: 5, SubWindow: 6, Seq: 1 << 31}
+		summary := packet.Summary{1, 2, 3, 1 << 63}
+		if got := len(frame([]packet.AFR{plain})) - empty; got != 26 {
 			t.Fatalf("type %d: a plain AFR costs %d bytes, want 26", typ, got)
 		}
-		if got := len(frame(summary)) - empty; got != 26+32 {
+		if got := len(frame([]packet.AFR{summarized}, summary)) - empty; got != 26+32 {
 			t.Fatalf("type %d: a summary AFR costs %d bytes, want 58", typ, got)
 		}
-		rec, _, err := DecodeWALRecord(frame(plain, summary))
+		rec, _, err := DecodeWALRecord(frame([]packet.AFR{plain, summarized}, packet.Summary{}, summary))
 		if err != nil {
 			t.Fatal(err)
 		}
 		want := []packet.AFR{
 			{Key: snapKey(1), Attr: 2, SubWindow: 6, Seq: 4},
-			{Key: snapKey(2), Attr: 5, SubWindow: 6, Seq: 1 << 31, Distinct: [4]uint64{1, 2, 3, 1 << 63}, HasDistinct: true},
+			{Key: snapKey(2), Attr: 5, SubWindow: 6, Seq: 1 << 31},
 		}
-		if !reflect.DeepEqual(rec.AFRs, want) {
-			t.Fatalf("type %d: decoded %+v, want %+v", typ, rec.AFRs, want)
+		if !reflect.DeepEqual(rec.AFRs, want) || !reflect.DeepEqual(rec.Summaries, []packet.Summary{{}, summary}) {
+			t.Fatalf("type %d: decoded %+v %v, want %+v with the second record's summary", typ, rec.AFRs, rec.Summaries, want)
 		}
 	}
 }
@@ -167,9 +173,13 @@ func TestWALRecordRoundTrip(t *testing.T) {
 		{Type: WALShed, LSN: 5, SubWindow: 2, Count: 13},
 		{Type: WALSpike, LSN: 6, SubWindow: 1, AFRs: []packet.AFR{{Key: snapKey(2), Attr: 1, SubWindow: 1, Seq: 40}}},
 		{Type: WALColumn, LSN: 7, Term: 3, SubWindow: 1, AFRs: []packet.AFR{
-			{Key: snapKey(1), Attr: 7, SubWindow: 1, Distinct: [4]uint64{1, 2, 3, 4}, HasDistinct: true},
+			{Key: snapKey(1), Attr: 7, SubWindow: 1},
 			{Key: snapKey(2), Attr: 9, SubWindow: 1},
-		}},
+		}, Summaries: []packet.Summary{{1, 2, 3, 4}, {}}},
+		{Type: WALAFRBatch, LSN: 8, SubWindow: 3, AFRs: []packet.AFR{
+			{Key: snapKey(1), Attr: 2, SubWindow: 3, Seq: 0},
+			{Key: snapKey(2), Attr: 5, SubWindow: 3, Seq: 1},
+		}, Summaries: []packet.Summary{{}, {0, 0, 0, 6}}},
 	}
 	var buf []byte
 	for _, r := range recs {

@@ -38,7 +38,9 @@ var (
 )
 
 // afrSize is the encoded size of one AFR: key(13) + attr(8) +
-// subwindow(8) + seq(4) + app(1) + flags(1) + distinct(32).
+// subwindow(8) + seq(4) + app(1) + flags(1) + summary(32). The flag byte
+// is 1 when the record carries a summary (packet.Summary), whose words
+// follow either way.
 const afrSize = packet.KeyBytes + 8 + 8 + 4 + 1 + 1 + 32
 
 // The fixed header prefix, one offset per field: magic(2) + version(1) +
@@ -81,6 +83,9 @@ func Encode(buf []byte, p *packet.Packet) ([]byte, error) {
 	if len(p.OW.AFRs) > MaxAFRsPerDatagram {
 		return nil, fmt.Errorf("wire: %d AFRs exceed the %d per-datagram bound", len(p.OW.AFRs), MaxAFRsPerDatagram)
 	}
+	if n := len(p.OW.Summaries); n != 0 && n != len(p.OW.AFRs) {
+		return nil, fmt.Errorf("wire: %d summaries for %d AFRs", n, len(p.OW.AFRs))
+	}
 	need := EncodedSize(p)
 	if cap(buf) < need {
 		buf = make([]byte, 0, need)
@@ -100,7 +105,7 @@ func Encode(buf []byte, p *packet.Packet) ([]byte, error) {
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(p.OW.AFRs)))
 
 	for i := range p.OW.AFRs {
-		buf = appendAFR(buf, &p.OW.AFRs[i])
+		buf = appendAFR(buf, &p.OW.AFRs[i], packet.SummaryAt(p.OW.Summaries, i))
 	}
 	buf = binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
 	return buf, nil
@@ -119,10 +124,10 @@ func Decode(data []byte) (*packet.Packet, error) {
 // DecodeInto parses a datagram produced by Encode into p, reusing p's
 // slice capacity instead of allocating per frame — a collector's ingest
 // workers decode every datagram into one long-lived packet, so the steady
-// state allocates nothing. An AFR slice too small for the frame is
-// replaced by a larger one, which p keeps: callers must treat p and its
+// state allocates nothing. An AFR or summary slice too small for the frame
+// is replaced by a larger one, which p keeps: callers must treat p and its
 // slices as reusable scratch and never retain them past the next
-// DecodeInto.
+// DecodeInto. Summaries come back empty when no record carries one.
 //
 // On error p's contents are unspecified; it remains valid scratch for the
 // next call. data is not retained.
@@ -144,9 +149,9 @@ func DecodeInto(p *packet.Packet, data []byte) error {
 	if binary.BigEndian.Uint32(data[len(body):]) != crc32.ChecksumIEEE(body) {
 		return ErrChecksum
 	}
-	// Hold on to the AFR capacity across the reset: every other field
-	// zeroes like a fresh packet, matching Decode exactly.
-	afrs := p.OW.AFRs[:0]
+	// Hold on to the AFR and summary capacity across the reset: every
+	// other field zeroes like a fresh packet, matching Decode exactly.
+	afrs, summ := p.OW.AFRs[:0], p.OW.Summaries[:0]
 	*p = packet.Packet{}
 	p.OW.Flag = packet.OWFlag(data[offFlag])
 	p.OW.SubWindow = binary.BigEndian.Uint64(data[offSubWindow:])
@@ -165,10 +170,13 @@ func DecodeInto(p *packet.Packet, data []byte) error {
 		afrs = afrs[:nAFR]
 		off := headerSize
 		for i := range afrs {
-			decodeAFR(data[off:], &afrs[i])
+			summ = packet.AppendSummary(summ, i, decodeAFR(data[off:], &afrs[i]))
 			off += afrSize
 		}
 		p.OW.AFRs = afrs
+		if len(summ) > 0 {
+			p.OW.Summaries = summ
+		}
 	}
 	return nil
 }
@@ -176,25 +184,27 @@ func DecodeInto(p *packet.Packet, data []byte) error {
 // magicValue aliases Magic internally.
 const magicValue = Magic
 
-// appendAFR serializes one AFR in the fixed afrSize layout shared by
-// datagrams and the manifest's pending records. The log writes the
-// smaller cell layout (appendCell), with the sub-window in the frame.
-func appendAFR(buf []byte, r *packet.AFR) []byte {
+// appendAFR serializes one AFR and its summary s (zero: none) in the
+// fixed afrSize layout shared by datagrams and the manifest's pending
+// records. The log writes the smaller cell layout (appendCell), with the
+// sub-window in the frame.
+func appendAFR(buf []byte, r *packet.AFR, s packet.Summary) []byte {
 	rk := r.Key.Bytes()
 	buf = append(buf, rk[:]...)
 	buf = binary.BigEndian.AppendUint64(buf, r.Attr)
 	buf = binary.BigEndian.AppendUint64(buf, r.SubWindow)
 	buf = binary.BigEndian.AppendUint32(buf, r.Seq)
-	buf = append(buf, r.App, b2u(r.HasDistinct))
-	for _, w := range r.Distinct {
+	buf = append(buf, r.App, b2u(s != packet.Summary{}))
+	for _, w := range s {
 		buf = binary.BigEndian.AppendUint64(buf, w)
 	}
 	return buf
 }
 
-// decodeAFR parses one afrSize-byte record. The caller guarantees
+// decodeAFR parses one afrSize-byte record into r and returns its summary,
+// zero when the flag byte says it carries none. The caller guarantees
 // len(data) >= afrSize.
-func decodeAFR(data []byte, r *packet.AFR) {
+func decodeAFR(data []byte, r *packet.AFR) (s packet.Summary) {
 	var kb [packet.KeyBytes]byte
 	copy(kb[:], data)
 	r.Key = packet.KeyFromBytes(kb)
@@ -203,12 +213,14 @@ func decodeAFR(data []byte, r *packet.AFR) {
 	r.SubWindow = binary.BigEndian.Uint64(data[off+8:])
 	r.Seq = binary.BigEndian.Uint32(data[off+16:])
 	r.App = data[off+20]
-	r.HasDistinct = data[off+21] != 0
-	off += 22
-	for w := range r.Distinct {
-		r.Distinct[w] = binary.BigEndian.Uint64(data[off:])
-		off += 8
+	if data[off+21] != 0 {
+		off += 22
+		for w := range s {
+			s[w] = binary.BigEndian.Uint64(data[off:])
+			off += 8
+		}
 	}
+	return s
 }
 
 // Peek reads a datagram's routing fields — flag, header sub-window, key

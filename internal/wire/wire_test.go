@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -18,10 +19,10 @@ func samplePacket() *packet.Packet {
 		UserSignal:    99,
 		HasUserSignal: true,
 		AFRs: []packet.AFR{
-			{Key: packet.FlowKey{SrcIP: 1, Proto: 17}, Attr: 1000, SubWindow: 42, Seq: 0, App: 0,
-				Distinct: [4]uint64{0xFF, 1, 2, 3}, HasDistinct: true},
+			{Key: packet.FlowKey{SrcIP: 1, Proto: 17}, Attr: 1000, SubWindow: 42, Seq: 0, App: 0},
 			{Key: packet.FlowKey{SrcIP: 2, Proto: 6}, Attr: 2000, SubWindow: 42, Seq: 1, App: 1},
 		},
+		Summaries: []packet.Summary{{0xFF, 1, 2, 3}, {}},
 	}}
 }
 
@@ -29,7 +30,7 @@ func headerEqual(a, b *packet.OWHeader) bool {
 	if a.Flag != b.Flag || a.SubWindow != b.SubWindow || a.HasSubWindow != b.HasSubWindow ||
 		a.Index != b.Index || a.KeyCount != b.KeyCount || a.Key != b.Key ||
 		a.UserSignal != b.UserSignal || a.HasUserSignal != b.HasUserSignal ||
-		len(a.AFRs) != len(b.AFRs) {
+		len(a.AFRs) != len(b.AFRs) || !slices.Equal(a.Summaries, b.Summaries) {
 		return false
 	}
 	for i := range a.AFRs {
@@ -78,9 +79,11 @@ func TestRoundTripProperty(t *testing.T) {
 		p := &packet.Packet{OW: packet.OWHeader{
 			Flag: packet.OWFlag(flag % 9), SubWindow: sw, HasSubWindow: sw%2 == 0,
 			Index: idx, KeyCount: kc,
-			AFRs: []packet.AFR{{Attr: attr, SubWindow: sw, Seq: seq, App: app,
-				Distinct: [4]uint64{d0, d1}, HasDistinct: d0%2 == 0}},
+			AFRs: []packet.AFR{{Attr: attr, SubWindow: sw, Seq: seq, App: app}},
 		}}
+		if d0%2 == 0 {
+			p.OW.Summaries = []packet.Summary{{d0, d1}}
+		}
 		buf, err := Encode(nil, p)
 		if err != nil {
 			return false
@@ -90,6 +93,35 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDecodeIntoSummaries reuses one packet across frames with and
+// without summaries: a frame whose records carry none leaves Summaries
+// empty, whatever the previous frame held, and a frame that carries some
+// fills them parallel to its records, zero for a record without one.
+func TestDecodeIntoSummaries(t *testing.T) {
+	with := samplePacket()
+	plain := samplePacket()
+	plain.OW.Summaries = nil
+	var p packet.Packet
+	for i, src := range []*packet.Packet{with, plain, with} {
+		buf, err := Encode(nil, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := DecodeInto(&p, buf); err != nil {
+			t.Fatal(err)
+		}
+		if !headerEqual(&src.OW, &p.OW) {
+			t.Fatalf("frame %d: decoded %+v, want %+v", i, p.OW, src.OW)
+		}
+	}
+	// Summaries must be parallel to the records, or absent.
+	bad := samplePacket()
+	bad.OW.Summaries = bad.OW.Summaries[:1]
+	if _, err := Encode(nil, bad); err == nil {
+		t.Fatal("Encode accepted 1 summary for 2 AFRs")
 	}
 }
 

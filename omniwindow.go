@@ -193,7 +193,8 @@ type Stats struct {
 	HotAFRs, ColdAFRs int
 	// FallbackAFRs counts records rerouted mid-sub-window from the RDMA
 	// transport to the packet C&R path (QP down, retries exhausted, cold
-	// ring full, or replay budget spent).
+	// ring full, or replay budget spent), and records that carry a
+	// distinct-count summary, which the transport never takes.
 	FallbackAFRs int
 	// RDMAReplayed counts the records of verbs re-applied by the PSN-gap
 	// NACK/replay loop.
@@ -439,7 +440,7 @@ func New(cfg Config) (*Deployment, error) {
 	}
 	d.ctrl = newController(&d.cfg)
 	d.transport = newTransport(d)
-	d.engine.SetAFRPort(func(recs []packet.AFR) { d.deliverRecords(packet.OWAFR, recs) })
+	d.engine.SetAFRPort(func(recs []packet.AFR, summ []packet.Summary) { d.deliverRecords(packet.OWAFR, recs, summ) })
 
 	if cfg.CheckpointDir != "" {
 		if err := d.openDurability(); err != nil {

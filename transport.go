@@ -18,11 +18,11 @@ import (
 type collectTransport interface {
 	// begin: faults scheduled before sw's collection traffic strike.
 	begin(sw uint64)
-	// deliver sends one surviving emission's records toward the
-	// controller, copying them: recs is valid only during the call. They
-	// may park short of it until the next flush: every reader of
-	// controller or store state sits behind one.
-	deliver(flag packet.OWFlag, recs []packet.AFR)
+	// deliver sends one surviving emission's records and their summaries
+	// (parallel, or empty) toward the controller, copying them: both are
+	// valid only during the call. They may park short of it until the next
+	// flush: every reader of controller or store state sits behind one.
+	deliver(flag packet.OWFlag, recs []packet.AFR, summ []packet.Summary)
 	flush()
 	// beginRecovery: faults scheduled between the collection traffic and
 	// recovery strike. missing then lists what to NACK for sw (valid until
@@ -67,12 +67,17 @@ func newTransport(d *Deployment) collectTransport {
 	}
 }
 
-// stageAFRs copies recs into the fixed-capacity delivery batch *b, calling
-// full each time the batch fills; full empties it.
-func stageAFRs(b *[]packet.AFR, recs []packet.AFR, full func()) {
-	for len(recs) > 0 {
-		n := copy((*b)[len(*b):cap(*b)], recs)
-		*b, recs = (*b)[:len(*b)+n], recs[n:]
+// stageAFRs copies recs into the fixed-capacity delivery batch *b, and
+// their summaries summ (parallel, or empty) into *bs, the batch's
+// summaries, calling full each time the batch fills; full empties both. A
+// batch that takes no summaries passes bs nil.
+func stageAFRs(b *[]packet.AFR, bs *[]packet.Summary, recs []packet.AFR, summ []packet.Summary, full func()) {
+	for off := 0; off < len(recs); {
+		n := copy((*b)[len(*b):cap(*b)], recs[off:])
+		if bs != nil {
+			*bs = packet.AppendSummaries(*bs, len(*b), packet.SummarySlice(summ, off, off+n), n)
+		}
+		*b, off = (*b)[:len(*b)+n], off+n
 		if len(*b) == cap(*b) {
 			full()
 		}
@@ -100,13 +105,13 @@ func (p *packetPath) reregister()          {}
 // deliver copies records into the delivery batch, flushing whenever it
 // fills and before the flag changes between OWAFR and OWRetransmit (the
 // controller's recovery accounting is per delivered packet).
-func (p *packetPath) deliver(flag packet.OWFlag, recs []packet.AFR) {
+func (p *packetPath) deliver(flag packet.OWFlag, recs []packet.AFR, summ []packet.Summary) {
 	b := &p.batch.OW
 	if b.Flag != flag {
 		p.flush()
 		b.Flag = flag
 	}
-	stageAFRs(&b.AFRs, recs, p.flush)
+	stageAFRs(&b.AFRs, &b.Summaries, recs, summ, p.flush)
 }
 
 // flush delivers the batched records as one packet: one WAL append, then
@@ -116,9 +121,9 @@ func (p *packetPath) flush() {
 	if len(b.AFRs) == 0 {
 		return
 	}
-	p.d.logBatch(b.Flag == packet.OWRetransmit, b.AFRs)
+	p.d.logBatch(b.Flag == packet.OWRetransmit, b.AFRs, b.Summaries)
 	p.handOff()
-	b.AFRs = b.AFRs[:0]
+	b.AFRs, b.Summaries = b.AFRs[:0], b.Summaries[:0]
 }
 
 // handOff is the one way a delivery batch reaches the controller: as the
@@ -143,7 +148,7 @@ func (p *packetPath) replay(seqs []uint32) {
 	for _, rp := range d.engine.RetransmitPackets(seqs) {
 		d.stats.Retransmitted += len(rp.OW.AFRs)
 		d.obs.retrans.Add(int64(len(rp.OW.AFRs)))
-		d.deliverRecords(packet.OWRetransmit, rp.OW.AFRs)
+		d.deliverRecords(packet.OWRetransmit, rp.OW.AFRs, rp.OW.Summaries)
 	}
 	p.flush() // MissingSeqs is re-read next
 }
@@ -161,6 +166,9 @@ func (p *packetPath) drain(_ uint64, afrs int) time.Duration {
 // re-queried from the switch. What the transport cannot carry rides on as
 // packet-path records, original sequence numbers intact — the controller's
 // dedup makes the hand-off exact (nothing double-counted, nothing lost).
+// That includes every record carrying a distinct-count summary: a hot
+// key's WRITE lands its attribute alone, so such records never enter the
+// transport (nor the hot tracker) and are handed off as delivered.
 type rdmaPath struct {
 	d   *Deployment
 	tr  *rdma.Transport
@@ -171,16 +179,23 @@ type rdmaPath struct {
 	batch   []packet.AFR
 	promote []bool
 	routes  []rdma.Route
-	// parked holds records the transport handed back mid-sub-window, up
-	// to one delivery batch.
-	parked []packet.AFR
+	// parked holds records the transport handed back or never took, up
+	// to one delivery batch, and parkedSumm their summaries (parallel, or
+	// empty).
+	parked     []packet.AFR
+	parkedSumm []packet.Summary
 }
 
 // begin: an async QP error here makes every send of the round fall back.
 func (r *rdmaPath) begin(sw uint64) { r.tr.BeginBoundary(sw) }
 
-func (r *rdmaPath) deliver(_ packet.OWFlag, recs []packet.AFR) {
-	stageAFRs(&r.batch, recs, r.send)
+func (r *rdmaPath) deliver(_ packet.OWFlag, recs []packet.AFR, summ []packet.Summary) {
+	if len(summ) > 0 {
+		r.d.stats.FallbackAFRs += len(recs)
+		stageAFRs(&r.parked, &r.parkedSumm, recs, summ, r.ingestParked)
+		return
+	}
+	stageAFRs(&r.batch, nil, recs, nil, r.send)
 }
 
 // send observes the staged records' keys and sends them, each promotion
@@ -196,9 +211,7 @@ func (r *rdmaPath) send() {
 			// The transport could not take the record: QP down, retries
 			// exhausted, or the cold buffer overflowed.
 			st.FallbackAFRs++
-			if r.parked = append(r.parked, recs[i]); len(r.parked) == cap(r.parked) {
-				r.ingestParked()
-			}
+			stageAFRs(&r.parked, &r.parkedSumm, recs[i:i+1], nil, r.ingestParked)
 		case rdma.Hot:
 			st.HotAFRs++
 		default:
@@ -214,21 +227,22 @@ func (r *rdmaPath) flush() {
 }
 
 func (r *rdmaPath) ingestParked() {
-	r.ingest(r.parked)
-	r.parked = r.parked[:0]
+	r.ingest(r.parked, r.parkedSumm)
+	r.parked, r.parkedSumm = r.parked[:0], r.parkedSumm[:0]
 }
 
-// ingest hands RDMA-delivered (or fallen-back) records to the controller
-// in delivery batches of at most afrBatchCap, the packet path's shape,
-// logging each to the WAL first — they become durable at controller-ingest
-// time, exactly when the controller's state starts reflecting them. They
-// are memory writes, not packets: no O1 receive is charged.
-func (r *rdmaPath) ingest(recs []packet.AFR) {
-	for len(recs) > 0 {
-		batch := recs[:min(len(recs), afrBatchCap)]
-		r.d.logBatch(false, batch)
-		r.d.ctrl.IngestAFRs(batch)
-		recs = recs[len(batch):]
+// ingest hands RDMA-delivered (or fallen-back) records and their summaries
+// (parallel, or empty) to the controller in delivery batches of at most
+// afrBatchCap, the packet path's shape, logging each to the WAL first —
+// they become durable at controller-ingest time, exactly when the
+// controller's state starts reflecting them. They are memory writes, not
+// packets: no O1 receive is charged.
+func (r *rdmaPath) ingest(recs []packet.AFR, summ []packet.Summary) {
+	for off := 0; off < len(recs); off += afrBatchCap {
+		end := min(len(recs), off+afrBatchCap)
+		s := packet.SummarySlice(summ, off, end)
+		r.d.logBatch(false, recs[off:end], s)
+		r.d.ctrl.IngestRecords(recs[off:end], s)
 	}
 }
 
@@ -264,12 +278,12 @@ func (r *rdmaPath) drain(sw uint64, _ int) time.Duration {
 	if fb := r.tr.TakeUnapplied(); len(fb) > 0 {
 		d.stats.FallbackAFRs += len(fb)
 		d.obs.ring.Record(obs.StageRDMAFallback, sw, -1, int64(len(fb)))
-		r.ingest(fb)
+		r.ingest(fb, nil)
 		d.stats.ControllerCPUVirtual += time.Duration(len(fb)) * rx
 	}
 	cold, hot := r.tr.Drain(sw)
-	r.ingest(cold)
-	r.ingest(hot)
+	r.ingest(cold, nil)
+	r.ingest(hot, nil)
 	d.stats.ControllerCPUVirtual += time.Duration(len(cold)) * rx
 	return r.tr.TakeRetryWait()
 }
