@@ -69,9 +69,13 @@ chaos:
 # detector. Crash also selects TestDistinctionSummariesSurviveRDMAAndCrash:
 # a distinction app's summaries must survive a crash-restart that replays
 # the log. Crash schedules use fixed seeds (and the Fixed boundary lists
-# in failover_test.go), so every death is replayable.
+# in failover_test.go), so every death is replayable. WALGroup selects the
+# grouped log writes' pins (TestWALGroup*): segments byte-identical to
+# per-frame writes, a torn group write retried without landing an LSN
+# twice, a crash losing the unwritten group, the group written before a
+# control frame and before the boundary's reset, writes per boundary.
 failover:
-	$(GO) test -race -run 'Crash|Failover|Shed|Store|Lease|CollectBatch|Checkpoint|Cut|Scrub' \
+	$(GO) test -race -run 'Crash|Failover|Shed|Store|Lease|CollectBatch|Checkpoint|Cut|Scrub|WALGroup' \
 		. ./internal/controller/ ./internal/faults/ ./internal/durable/ ./examples/udpcollector/
 
 # RDMA chaos suite: the fault-tolerant transport (QP state machine, PSN
@@ -106,9 +110,11 @@ rdma-chaos:
 # (TestRottedSegmentIsReCut, TestCheckpointRetainsOnlyLiveWAL);
 # Verify|Corrupt|Segment the wire integrity checks the scrubber and the
 # decoders share, and the columns a quarantined segment takes with it
-# (TestRecoverChargesColumnsOfQuarantinedSegment).
+# (TestRecoverChargesColumnsOfQuarantinedSegment); WALGroup the grouped
+# log writes under short writes and crashes (TestWALGroup*), and Scrub the
+# scrub's one reused read buffer (TestScrubWarmAllocatesNoReadBuffer).
 disk-chaos:
-	$(GO) test -race -run 'Disk|Scrub|Quarantine|Segment|Heal|Degrad|CollectBatch|Verify|Corrupt|Checkpoint|Cut' \
+	$(GO) test -race -run 'Disk|Scrub|Quarantine|Segment|Heal|Degrad|CollectBatch|Verify|Corrupt|Checkpoint|Cut|WALGroup' \
 		. ./internal/durable/ ./internal/faults/ ./internal/wire/
 
 # Partition chaos suite: the hot-standby pair under network partitions

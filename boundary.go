@@ -130,12 +130,14 @@ func (b *boundary) recover() {
 
 // reset zeroes the region in the switch: the parked collection packets are
 // reused as clear packets (§4.3), each zeroing one slot of every register
-// per pass.
+// per pass. The log's write group lands first: from here on the switch
+// cannot re-query what it holds.
 func (b *boundary) reset() {
+	d := b.d
+	d.flushLog(b.sw)
 	if !b.owned {
 		return
 	}
-	d := b.d
 	for i := 0; i < d.cfg.CollectionPackets; i++ {
 		b.passes += d.injectSpecial(packet.OWHeader{Flag: packet.OWReset}).Passes
 	}
@@ -144,9 +146,11 @@ func (b *boundary) reset() {
 	d.regionOwned[b.region] = false
 }
 
-// drain ends the switch half.
+// drain ends the switch half; what it hands over is logged, and the
+// write group lands.
 func (b *boundary) drain() {
 	b.virtual += b.d.transport.drain(b.sw, b.afrs)
+	b.d.flushLog(b.sw)
 }
 
 // account charges the round. Its Incomplete verdict is the controller's,

@@ -56,7 +56,7 @@ func TestBoundaryGolden(t *testing.T) {
 			c.plan.leaseTTL = 170 * time.Millisecond
 			c.plan.partition = &faults.PartitionSchedule{Seed: 3, Cut: faults.Fault{Fixed: []uint64{1, 2}}}
 		}},
-		{name: "disk-faults", want: "5179beb7e4867562", durable: true, mutate: func(c *Config) {
+		{name: "disk-faults", want: "751af31d40b67772", durable: true, mutate: func(c *Config) {
 			c.plan.durable.FS = durable.NewFaultFS(nil, &faults.DiskSchedule{Seed: 7, WriteEIO: 0.10, ShortWrite: 0.05,
 				BitRot: 0.02, SlowIO: 0.10, ENOSPC: faults.Fault{Fixed: []uint64{25, 26}}})
 			c.plan.durable.RetryLimit = 1

@@ -50,7 +50,7 @@ type boundaryWrites struct {
 	afrs, columns int
 }
 
-func (f *spyFS) ReadFile(name string) ([]byte, error) {
+func (f *spyFS) ReadFile(name string, buf []byte) ([]byte, error) {
 	f.mu.Lock()
 	fail := f.armed && f.readEIO != "" && strings.Contains(filepath.Base(name), f.readEIO)
 	if fail {
@@ -58,9 +58,9 @@ func (f *spyFS) ReadFile(name string) ([]byte, error) {
 	}
 	f.mu.Unlock()
 	if fail {
-		return nil, fmt.Errorf("read %s: %w", name, faults.ErrDiskEIO)
+		return buf[:0], fmt.Errorf("read %s: %w", name, faults.ErrDiskEIO)
 	}
-	return f.OSFS.ReadFile(name)
+	return f.OSFS.ReadFile(name, buf)
 }
 
 func (f *spyFS) WriteFile(name string, data []byte, perm os.FileMode) error {
@@ -97,7 +97,7 @@ func (f *spyFS) Rename(oldpath, newpath string) error {
 
 func (f *spyFS) Remove(name string) error {
 	if base := filepath.Base(name); strings.HasPrefix(base, "wal-") {
-		if b, err := f.OSFS.ReadFile(name); err == nil {
+		if b, err := f.OSFS.ReadFile(name, nil); err == nil {
 			f.mu.Lock()
 			if f.wal == nil {
 				f.wal = make(map[string][]byte)
@@ -124,19 +124,25 @@ type spyFile struct {
 	off  int64
 }
 
-// Write tallies each frame and rots the first one (never the segment
-// header) once the file system is armed.
+// Write tallies each frame of a write (one frame, or a write group of
+// them) and rots the first write (never the segment header) once the file
+// system is armed.
 func (w *spyFile) Write(p []byte) (int, error) {
 	if w.off > 0 {
 		w.fs.mu.Lock()
-		if rec, _, err := wire.DecodeWALRecord(p); err == nil {
-			w.fs.open.frames += int64(len(p))
+		for rest := p; len(rest) > 0; {
+			rec, n, err := wire.DecodeWALRecord(rest)
+			if err != nil {
+				break
+			}
+			w.fs.open.frames += int64(n)
 			if rec.Type == wire.WALAFRBatch {
 				w.fs.open.afrs += len(rec.AFRs)
 			}
 			if rec.Type == wire.WALColumn {
 				w.fs.open.columns++
 			}
+			rest = rest[n:]
 		}
 		p = w.fs.rotLocked(w.name, p)
 		w.fs.mu.Unlock()
@@ -309,6 +315,41 @@ func TestCheckpointBytesPerBoundary(t *testing.T) {
 	}
 	if last.afrs == 0 || last.frames == 0 {
 		t.Fatalf("the last boundary logged %d AFRs in %d bytes: the trace does not reach it", last.afrs, last.frames)
+	}
+	if err := d.CloseDurability(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWALGroupLandsBeforeTheReset: the frames of the AFRs a boundary
+// collects wait in the log's write group, and the boundary writes the
+// group before its reset zeroes the region. From the reset on the switch
+// cannot re-query those records, so they must not be held only in the
+// process's memory.
+func TestWALGroupLandsBeforeTheReset(t *testing.T) {
+	cfg := freqConfig(window.SlidingPlan(5, 1), 25, false)
+	cfg.CheckpointDir = t.TempDir()
+	cfg.plan.durable.FS = durable.NewFaultFS(nil, nil) // counts operations
+	d := newDisk(t, cfg)
+	pkts := churnTrace(2, 60)
+	for i := 0; len(d.pending) == 0; i++ {
+		d.ProcessPacket(&pkts[i])
+	}
+	cr := d.pending[0]
+	d.pending = d.pending[1:]
+	b := boundary{d: d, sw: cr.sw, at: cr.due}
+	b.begin()
+	b.enumerate()
+	b.probeStandby()
+	b.recover()
+	ops := d.store.FSOps()
+	b.reset()
+	if d.store.FSOps() == ops {
+		t.Fatalf("the reset zeroed the region with the frames of %d AFRs in the write group, unwritten", b.afrs)
+	}
+	ops = d.store.FSOps()
+	if err := d.store.Flush(); err != nil || d.store.FSOps() != ops {
+		t.Fatalf("the group still held frames after the reset (flush: %v)", err)
 	}
 	if err := d.CloseDurability(); err != nil {
 		t.Fatal(err)

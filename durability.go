@@ -69,10 +69,12 @@ func (d *Deployment) durableWrite(sw uint64, write func() error) bool {
 
 // logBatch appends one delivery batch and its summaries (parallel, or
 // empty) to the write-ahead log: one frame per run of equal sub-windows,
-// each over its sub-slice of the batch, so a boundary writes about one
+// each over its sub-slice of the batch, so a boundary logs about one
 // frame per batch, not one per AFR. retrans marks records that answer a
-// NACK. Each frame is one durable write: a failed one is charged to its
-// own sub-window, and one skipped while degraded is one gap.
+// NACK. The frames collect in the store's write group, which lands in one
+// write per 64 KiB (flushLog): a failed append, or a failed group write
+// it set off, is charged to the frame's sub-window, and a frame skipped
+// while degraded is one gap.
 func (d *Deployment) logBatch(retrans bool, recs []packet.AFR, summ []packet.Summary) {
 	for i, j := 0, 0; i < len(recs); i = j {
 		sw := recs[i].SubWindow
@@ -81,6 +83,16 @@ func (d *Deployment) logBatch(retrans bool, recs []packet.AFR, summ []packet.Sum
 		d.durableWrite(sw, func() error {
 			return d.store.AppendRecords(sw, retrans, recs[i:j], packet.SummarySlice(summ, i, j))
 		})
+	}
+}
+
+// flushLog writes the store's write group at a boundary: before the reset
+// destroys the region the group's records could still be re-queried from,
+// and after the drain. While degraded the group is empty, and no gap is
+// counted for it.
+func (d *Deployment) flushLog(sw uint64) {
+	if !d.degraded {
+		d.durableWrite(sw, func() error { return d.store.Flush() })
 	}
 }
 

@@ -75,6 +75,10 @@ func (s *Store) checkpointLocked(snap *wire.Snapshot) error {
 		s.fenced.Add(1)
 		return ErrFenced
 	}
+	// ThroughLSN covers every frame issued: the group must be on disk.
+	if err := s.flushLocked(); err != nil {
+		return err
+	}
 	written := 0
 	for _, sw := range snap.Live {
 		i := slices.IndexFunc(snap.Columns, func(c wire.SnapColumn) bool { return c.SW == sw })
@@ -84,10 +88,11 @@ func (s *Store) checkpointLocked(snap *wire.Snapshot) error {
 			return fmt.Errorf("durable: checkpoint: sub-window %d must be re-logged but the cut does not carry it", sw)
 		default:
 			col := &snap.Columns[i]
-			if err := s.appendLocked(&wire.WALRecord{Type: wire.WALColumn, SubWindow: sw, AFRs: col.Cells, Summaries: col.Summaries}); err != nil {
+			n, err := s.appendLocked(&wire.WALRecord{Type: wire.WALColumn, SubWindow: sw, AFRs: col.Cells, Summaries: col.Summaries})
+			if err != nil {
 				return err
 			}
-			written += len(s.enc)
+			written += n
 		}
 	}
 	snap.ThroughLSN = s.lsn.Load()
@@ -183,6 +188,9 @@ func (s *Store) Heal(snap *wire.Snapshot) error {
 	if s.dead {
 		return s.deadErr
 	}
+	if err := s.flushLocked(); err != nil {
+		return err
+	}
 	s.sealLocked()
 	s.damageLocked(0)
 	return s.checkpointLocked(snap)
@@ -195,7 +203,7 @@ func (s *Store) Heal(snap *wire.Snapshot) error {
 func (s *Store) loadCheckpointLocked() *wire.Snapshot {
 	s.live, s.lastFin, s.hasFin = s.live[:0], 0, false
 	path := filepath.Join(s.dir, checkpointName)
-	buf, err := s.readFile(path)
+	buf, err := s.readFile(path, nil)
 	if err != nil {
 		if !isMissing(err) {
 			s.scrubErrs.Add(1)
@@ -278,11 +286,13 @@ func (f fold) apply(s *Store, m *wire.Snapshot) {
 // Scrub verifies the manifest's seal and every frame of the active segment
 // and of each segment sealed since the last scrub, catching bit rot while
 // the data is still redundant in memory: each segment is read back once
-// after it seals, no boundary reads back the whole log. A rotted file is
-// set aside, and the next checkpoint re-logs a rotted segment's columns. A
+// after it seals, no boundary reads back the whole log. Every file is read
+// into the store's one read buffer (scrubRead). A rotted file is set
+// aside, and the next checkpoint re-logs a rotted segment's columns. A
 // corrupt file is reported in the first return; one that could not be read
 // is counted as a scrub error and reported in the second, not set aside,
-// since its bytes may be intact.
+// since its bytes may be intact. The group is written first, and a failed
+// write is reported in the second return too.
 func (s *Store) Scrub() (corrupt int, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -294,8 +304,9 @@ func (s *Store) Scrub() (corrupt int, err error) {
 	if s.writerTerm != s.curTerm {
 		return 0, ErrFenced
 	}
+	err = s.flushLocked()
 	path := filepath.Join(s.dir, checkpointName)
-	buf, rerr := s.readFile(path)
+	buf, rerr := s.scrubRead(path)
 	switch {
 	case isMissing(rerr):
 	case rerr != nil:
@@ -315,7 +326,7 @@ func (s *Store) Scrub() (corrupt int, err error) {
 		if g.size <= wire.SegmentHeaderSize {
 			continue
 		}
-		buf, rerr := s.readFile(g.path)
+		buf, rerr := s.scrubRead(g.path)
 		switch {
 		case isMissing(rerr):
 		case rerr != nil:
@@ -330,4 +341,16 @@ func (s *Store) Scrub() (corrupt int, err error) {
 		}
 	}
 	return corrupt, err
+}
+
+// scrubRead reads path into the scrub's read buffer, which is kept for the
+// next read unless the file outgrew a segment and a write group (a column
+// record re-logged after damage can): the buffer the store retains is
+// bounded by the segment cap, not by a boundary's records.
+func (s *Store) scrubRead(path string) ([]byte, error) {
+	buf, err := s.readFile(path, s.rbuf)
+	if int64(cap(buf)) <= s.segBytes+groupBytes {
+		s.rbuf = buf
+	}
+	return buf, err
 }

@@ -9,8 +9,10 @@ package durable
 
 import (
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
+	"slices"
 	"sync/atomic"
 
 	"omniwindow/internal/faults"
@@ -26,7 +28,9 @@ type File interface {
 type FS interface {
 	// Create opens name for writing, truncating any existing content.
 	Create(name string) (File, error)
-	ReadFile(name string) ([]byte, error)
+	// ReadFile reads the whole file into buf's backing array, growing it
+	// only when the file does not fit, and returns the bytes read.
+	ReadFile(name string, buf []byte) ([]byte, error)
 	WriteFile(name string, data []byte, perm os.FileMode) error
 	Rename(oldpath, newpath string) error
 	Remove(name string) error
@@ -40,7 +44,35 @@ type OSFS struct{}
 func (OSFS) Create(name string) (File, error) {
 	return os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 }
-func (OSFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
+
+// ReadFile is os.ReadFile into the caller's buffer: it sizes the read from
+// Stat, with one spare byte so that the read that meets EOF needs no
+// growth.
+func (OSFS) ReadFile(name string, buf []byte) ([]byte, error) {
+	f, err := os.Open(name)
+	if err != nil {
+		return buf[:0], err
+	}
+	defer f.Close()
+	size := 0
+	if fi, err := f.Stat(); err == nil {
+		size = int(fi.Size())
+	}
+	buf = slices.Grow(buf[:0], size+1)
+	for {
+		n, err := f.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, 512) // the file grew since Stat
+		}
+	}
+}
 func (OSFS) WriteFile(name string, data []byte, perm os.FileMode) error {
 	return os.WriteFile(name, data, perm)
 }
@@ -101,12 +133,12 @@ func (f *FaultFS) Create(name string) (File, error) {
 	return &faultFile{f: base, fs: f, name: name}, nil
 }
 
-func (f *FaultFS) ReadFile(name string) ([]byte, error) {
+func (f *FaultFS) ReadFile(name string, buf []byte) ([]byte, error) {
 	op := f.next()
 	if f.sched.ReadEIOAt(op) {
-		return nil, fmt.Errorf("read %s: %w", name, faults.ErrDiskEIO)
+		return buf[:0], fmt.Errorf("read %s: %w", name, faults.ErrDiskEIO)
 	}
-	return f.base.ReadFile(name)
+	return f.base.ReadFile(name, buf)
 }
 
 func (f *FaultFS) WriteFile(name string, data []byte, perm os.FileMode) error {

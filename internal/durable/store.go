@@ -24,6 +24,19 @@
 // which bounds the blast radius of any single damaged file, and at every
 // checkpoint, which deletes the segments no live sub-window needs any more.
 //
+// The log is written in groups. An append encodes its frame into the
+// store's write group, and the group lands in one write once it holds
+// 64 KiB or fills the active segment to its cap, before every control
+// frame (trigger, finish, shed, spike, column record, each written on its
+// own), and before every operation that reads, renames, seals or changes
+// term (checkpoint, heal, scrub, recovery, a boundary seal, term CAS and
+// adoption, Close). Flush writes it on demand: the deployment does so at
+// each boundary before the region reset, after which the switch can no
+// longer re-query what the group holds, and after the drain. Rotation is
+// decided per frame, so the bytes on disk do not depend on how frames are
+// grouped into writes. Frames still in the group when the process dies
+// are lost with its memory.
+//
 // Every appended frame carries a log sequence number (LSN), issued under
 // the store's lock in append order, so the segments read in generation
 // order are the log in LSN order. A checkpoint records the LSN high-water
@@ -40,9 +53,11 @@
 // recovery, and the LSNs that disappear with it surface as LostLSNRange
 // gaps the caller must account as missing data. Transient write faults
 // are retried with backoff behind a rotation (so the tear a failed
-// attempt leaves behind is always a benign torn tail); persistent faults
-// (ENOSPC, exhausted retries) surface to the caller, which drops to
-// degraded durability rather than halting the window pipeline.
+// attempt leaves behind is always a benign torn tail), a torn group
+// resuming at its first frame not landed whole; persistent faults
+// (ENOSPC, exhausted retries) lose the group's unwritten frames and
+// surface to the caller, which drops to degraded durability rather than
+// halting the window pipeline.
 package durable
 
 import (
@@ -83,6 +98,10 @@ const (
 
 	defaultSegmentBytes = 256 << 10
 	defaultRetryLimit   = 3
+
+	// groupBytes bounds the write group (see appendLocked): a group lands
+	// once it holds this many bytes, a quarter of a default segment.
+	groupBytes = 64 << 10
 
 	// retryBackoff is the first retry's backoff, doubling per attempt up
 	// to retryMaxBackoff. Backoff is charged to the store's virtual
@@ -129,9 +148,15 @@ type Store struct {
 	mu      sync.Mutex
 	dead    bool
 	deadErr error
-	enc     []byte // frame/snapshot encode scratch, reused under mu
-	hdr     []byte // segment-header encode scratch (enc may hold a frame)
+	enc     []byte // snapshot encode scratch, reused under mu
+	hdr     []byte // segment-header and term encode scratch
+	rbuf    []byte // the scrub's read buffer, reused under mu
 	lost    []LostLSNRange
+
+	// The write group: frames encoded in LSN order but not yet written,
+	// and where each ends and what segment.note needs of it.
+	group   []byte
+	gframes []groupFrame
 
 	// The log: segs lists the live (non-quarantined, non-deleted)
 	// segments in generation order; while f is open, the last one is the
@@ -282,14 +307,23 @@ type segment struct {
 // active is the active segment; f must be open.
 func (s *Store) active() *segment { return &s.segs[len(s.segs)-1] }
 
-// note records that r landed in the segment.
-func (g *segment) note(r *wire.WALRecord) {
-	if !slices.Contains(g.sws, r.SubWindow) {
-		g.sws = append(g.sws, r.SubWindow)
+// note records that a frame of sub-window sw, a column record if col,
+// landed in the segment.
+func (g *segment) note(sw uint64, col bool) {
+	if !slices.Contains(g.sws, sw) {
+		g.sws = append(g.sws, sw)
 	}
-	if r.Type == wire.WALColumn {
-		g.cols = append(g.cols, r.SubWindow)
+	if col {
+		g.cols = append(g.cols, sw)
 	}
+}
+
+// groupFrame is one frame of the write group: the group offset it ends
+// at, and its sub-window and whether it is a column record.
+type groupFrame struct {
+	end int
+	sw  uint64
+	col bool
 }
 
 // SetCrash installs the simulated-crash hook (tests only; see Store.crash).
@@ -367,27 +401,31 @@ func (s *Store) TakeIOWait() int64 {
 }
 
 // markDeadLocked transitions the store to its terminal state exactly
-// once: the first cause wins, the active segment is closed, and all later
-// operations return the same stable wrapped error.
+// once: the first cause wins, the write group is lost as a dead process's
+// memory is, the active segment is closed, and all later operations return
+// the same stable wrapped error.
 func (s *Store) markDeadLocked(err error) {
 	if s.dead {
 		return
 	}
 	s.dead = true
 	s.deadErr = err
+	s.group, s.gframes = s.group[:0], s.gframes[:0]
 	if s.f != nil {
 		s.f.Close()
 		s.f = nil
 	}
 }
 
-// Close flushes and closes the active segment. Idempotent; operations
-// after Close return an error wrapping ErrClosed.
+// Close writes the group and closes the active segment, returning what
+// the write returned. Idempotent; operations after Close return an error
+// wrapping ErrClosed.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	err := s.flushLocked() // nothing to write once dead
 	s.markDeadLocked(fmt.Errorf("durable: %w", ErrClosed))
-	return nil
+	return err
 }
 
 // die marks the store dead at a crash point, simulating the partial write
@@ -440,9 +478,11 @@ func (s *Store) rename(oldpath, newpath string) error {
 	return s.retry(nil, func() error { return s.fsys.Rename(oldpath, newpath) })
 }
 
-func (s *Store) readFile(path string) (buf []byte, err error) {
-	err = s.retry(isMissing, func() (rerr error) {
-		buf, rerr = s.fsys.ReadFile(path)
+// readFile reads a whole file into buf's backing array (nil: a fresh
+// one) and returns the bytes read.
+func (s *Store) readFile(path string, buf []byte) ([]byte, error) {
+	err := s.retry(isMissing, func() (rerr error) {
+		buf, rerr = s.fsys.ReadFile(path, buf)
 		return rerr
 	})
 	return buf, err
@@ -494,12 +534,20 @@ func (s *Store) openSegmentLocked() error {
 	return nil
 }
 
-// writeFrameLocked lands one frame on the active segment, opening one
-// lazily and retrying transient faults with backoff. Every failed attempt
-// seals the segment first, so the torn bytes a short write may have left
-// become a benign torn tail and the retried frame starts a fresh file.
-// ENOSPC is persistent by definition and short-circuits the retries.
-func (s *Store) writeFrameLocked(frame []byte) error {
+// flushLocked writes the group to the active segment, opening one
+// lazily: one write, unless the disk faults. A failed attempt is retried
+// with backoff behind a seal, so the torn bytes a short write may have
+// left become a benign torn tail, and the retry resumes in a fresh
+// segment at the first frame the failed attempt did not land whole: no
+// LSN reaches disk twice. ENOSPC is persistent by definition and
+// short-circuits the retries. The group is empty afterwards: a write that
+// fails for good loses the frames it did not land and returns the error.
+// A segment the group filled to the cap seals.
+func (s *Store) flushLocked() error {
+	if len(s.group) == 0 {
+		return nil
+	}
+	off, i := 0, 0 // the group bytes and frames landed whole so far
 	err := s.retry(isFull, func() error {
 		if s.f == nil {
 			if err := s.openSegmentLocked(); err != nil {
@@ -507,9 +555,16 @@ func (s *Store) writeFrameLocked(frame []byte) error {
 				return err
 			}
 		}
-		n, err := s.f.Write(frame)
-		if err == nil && n == len(frame) {
-			s.active().size += int64(n)
+		n, err := s.f.Write(s.group[off:])
+		g, from := s.active(), off
+		for ; i < len(s.gframes) && s.gframes[i].end <= from+n; i++ {
+			g.note(s.gframes[i].sw, s.gframes[i].col)
+			off = s.gframes[i].end
+			s.appends.Inc()
+		}
+		g.size += int64(off - from)
+		s.walBytes.Add(int64(off - from))
+		if err == nil && off == len(s.group) {
 			return nil
 		}
 		if err == nil {
@@ -519,13 +574,26 @@ func (s *Store) writeFrameLocked(frame []byte) error {
 		s.sealLocked()
 		return err
 	})
+	s.group, s.gframes = s.group[:0], s.gframes[:0]
 	if err != nil {
 		return fmt.Errorf("durable: wal append: %w", err)
+	}
+	if s.active().size >= s.segBytes {
+		s.sealLocked()
 	}
 	return nil
 }
 
-// append issues rec the next LSN and writes it as one frame.
+// groupEnd is the size the active segment will have once the group lands:
+// a segment opened for it starts with a header.
+func (s *Store) groupEnd() int64 {
+	if s.f == nil {
+		return int64(wire.SegmentHeaderSize + len(s.group))
+	}
+	return s.active().size + int64(len(s.group))
+}
+
+// append issues rec the next LSN and logs it.
 func (s *Store) append(rec *wire.WALRecord) error {
 	start := time.Now()
 	s.mu.Lock()
@@ -537,7 +605,7 @@ func (s *Store) append(rec *wire.WALRecord) error {
 		s.fenced.Add(1)
 		return ErrFenced
 	}
-	if err := s.appendLocked(rec); err != nil {
+	if _, err := s.appendLocked(rec); err != nil {
 		return err
 	}
 	s.walLat.Observe(time.Since(start))
@@ -545,38 +613,59 @@ func (s *Store) append(rec *wire.WALRecord) error {
 }
 
 // appendLocked is append under mu, which the checkpoint's column records
-// share. The LSN is issued under mu, so frames land in LSN order.
-func (s *Store) appendLocked(rec *wire.WALRecord) error {
+// share; it returns the frame's size. The LSN is issued under mu, so
+// frames land in LSN order. Record batches collect in the write group
+// (flushLocked), which lands once it reaches groupBytes or fills the
+// segment to its cap: the segment seals after the frame that took it
+// there, however the frames before it were grouped. Every other frame
+// (trigger, finish, shed, spike, column) is written on its own, the group
+// before it: a control frame reaches disk in the order it was logged.
+// The "wal-append" crash point tears the frame being appended and loses
+// the group, whose frames a dead process never wrote.
+func (s *Store) appendLocked(rec *wire.WALRecord) (int, error) {
+	control := rec.Type != wire.WALAFRBatch
+	if control {
+		if err := s.flushLocked(); err != nil {
+			return 0, err
+		}
+	}
 	rec.LSN, rec.Term = s.lsn.Add(1), s.writerTerm
-	// Encode into the store's scratch buffer: one steady-state allocation
-	// for the life of the store instead of one per append. Safe because
-	// the frame is fully written (or abandoned) before mu is released.
-	s.enc = wire.AppendWALRecord(s.enc[:0], rec)
-	frame := s.enc
+	from := len(s.group)
+	s.group = wire.AppendWALRecord(s.group, rec)
+	n := len(s.group) - from
 	if s.crash != nil && s.crash("wal-append") {
+		frame := s.group[from:]
 		if s.f == nil {
 			s.openSegmentLocked() // best effort, so the tear lands somewhere
 		}
-		return s.die(s.f, frame, "wal-append")
+		return 0, s.die(s.f, frame, "wal-append")
 	}
-	if err := s.writeFrameLocked(frame); err != nil {
-		return err
+	s.gframes = append(s.gframes, groupFrame{end: len(s.group), sw: rec.SubWindow, col: rec.Type == wire.WALColumn})
+	if control || len(s.group) >= groupBytes || s.groupEnd() >= s.segBytes {
+		return n, s.flushLocked()
 	}
-	g := s.active()
-	g.note(rec)
-	if g.size >= s.segBytes {
-		s.sealLocked()
-	}
-	s.appends.Inc()
-	s.walBytes.Add(int64(len(frame)))
-	return nil
+	return n, nil
 }
 
-// SealBoundary seals the active segment at a sub-window boundary, as
-// every checkpoint does: the next append opens a fresh generation.
+// Flush writes the write group: the batches logged since the last write
+// reach the operating system. The deployment flushes before the switch
+// forgets what the group holds (its region reset) and after the drain.
+func (s *Store) Flush() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.dead {
+		return s.deadErr
+	}
+	return s.flushLocked()
+}
+
+// SealBoundary writes the group and seals the active segment at a
+// sub-window boundary, as every checkpoint does: the next append opens a
+// fresh generation. A failed write counts in WALErrors.
 func (s *Store) SealBoundary() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.flushLocked()
 	s.sealLocked()
 }
 
@@ -649,7 +738,7 @@ func (s *Store) quarantineLocked(path string) {
 // damage; an undecodable header, a CRC-failed frame, or an unreadable file
 // is.
 func (s *Store) replaySegmentLocked(g *segment) (recs []*wire.WALRecord, keep bool) {
-	buf, err := s.readFile(g.path)
+	buf, err := s.readFile(g.path, nil)
 	if err != nil {
 		if isMissing(err) {
 			return nil, false
@@ -687,7 +776,7 @@ func (s *Store) replaySegmentLocked(g *segment) (recs []*wire.WALRecord, keep bo
 			break // torn tail: keep the prefix
 		}
 		recs = append(recs, rec)
-		g.note(rec)
+		g.note(rec.SubWindow, rec.Type == wire.WALColumn)
 		off += n
 	}
 	g.size = int64(off)
@@ -781,14 +870,17 @@ func (s *Store) noteGapsLocked(snap *wire.Snapshot, recs []*wire.WALRecord) {
 
 // Recover loads the latest checkpoint (nil when none survives) with its
 // live columns rebuilt from the log, plus the WAL frames it does not cover,
-// in LSN order. Damaged files are quarantined rather than failing the
-// recovery; the LSNs and columns they took with them are reported by Lost.
+// in LSN order. It writes the group first, and reads what the disk holds
+// even if that write fails. Damaged files are quarantined rather than
+// failing the recovery; the LSNs and columns they took with them are
+// reported by Lost.
 func (s *Store) Recover() (*wire.Snapshot, []*wire.WALRecord, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.dead {
 		return nil, nil, s.deadErr
 	}
+	s.flushLocked()
 	snap, recs := s.recoverLocked(true)
 	return snap, recs, nil
 }

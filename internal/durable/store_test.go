@@ -422,8 +422,11 @@ func TestCrashAfterHealOrScrubReLogsPendingColumns(t *testing.T) {
 	lose := map[string]func(t *testing.T, s *Store, full *faults.DiskSchedule, snap *wire.Snapshot){
 		"heal": func(t *testing.T, s *Store, full *faults.DiskSchedule, snap *wire.Snapshot) {
 			full.ENOSPC.Fixed = []uint64{s.FSOps()}
-			if err := s.AppendBatch(0, 1, false, []packet.AFR{b}); !errors.Is(err, faults.ErrDiskENOSPC) {
-				t.Fatalf("append on a full disk: %v", err)
+			if err := s.AppendBatch(0, 1, false, []packet.AFR{b}); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Flush(); !errors.Is(err, faults.ErrDiskENOSPC) {
+				t.Fatalf("group write on a full disk: %v", err)
 			}
 			if err := s.Heal(snap); err != nil {
 				t.Fatal(err)

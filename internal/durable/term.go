@@ -44,7 +44,7 @@ const (
 func (s *Store) loadTermLocked(maxSegTerm uint64) {
 	cur := maxSegTerm
 	path := filepath.Join(s.dir, termName)
-	buf, err := s.readFile(path)
+	buf, err := s.readFile(path, nil)
 	switch {
 	case isMissing(err):
 		// No file yet: authority is whatever the segments prove.
@@ -106,6 +106,11 @@ func (s *Store) CASTerm(expect uint64, holder uint32) (uint64, error) {
 	if expect != s.curTerm {
 		return 0, fmt.Errorf("durable: term %d, expected %d: %w", s.curTerm, expect, ErrTermConflict)
 	}
+	// The group's frames were logged under the old term: they land
+	// before the fence goes up.
+	if err := s.flushLocked(); err != nil {
+		return 0, err
+	}
 	next := expect + 1
 	if err := s.writeTermLocked(&wire.TermRecord{Term: next, Holder: holder}); err != nil {
 		return 0, err
@@ -129,6 +134,9 @@ func (s *Store) AdoptTerm(t uint64) error {
 	}
 	if t != s.curTerm {
 		return fmt.Errorf("durable: cannot adopt term %d, current is %d: %w", t, s.curTerm, ErrTermConflict)
+	}
+	if err := s.flushLocked(); err != nil {
+		return err
 	}
 	if s.writerTerm != t {
 		s.writerTerm = t

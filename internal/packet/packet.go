@@ -161,15 +161,12 @@ func SummaryAt(summ []Summary, i int) Summary {
 // IP headers (paper §8). HasSubWindow distinguishes "no stamp yet" from
 // sub-window 0 so first-hop stamping is well defined.
 type OWHeader struct {
-	Flag         OWFlag
-	SubWindow    uint64
-	HasSubWindow bool
-	// Index is the enumeration index a collection packet carries between
-	// recirculation passes (md.index of Algorithm 2).
-	Index uint32
-	// Key is the injected flow key of OWInjectKey packets and the queried
-	// key echoed in OWAFR packets.
-	Key FlowKey
+	// The fields are ordered by alignment, widest first, so the header
+	// packs into 96 bytes and a Packet into 136.
+	SubWindow uint64
+	// UserSignal is the application-embedded window boundary, e.g. the
+	// DML training-iteration number of Exp#3 (monotonically increasing).
+	UserSignal uint64
 	// AFRs are the records appended by AFR generation. A real switch
 	// appends them to the header bytes; the simulation carries them
 	// in-struct.
@@ -177,15 +174,20 @@ type OWHeader struct {
 	// Summaries are the AFRs' distinct-count summaries, parallel to AFRs,
 	// or empty when none carries one (see Summary).
 	Summaries []Summary
-	// UserSignal is the application-embedded window boundary, e.g. the
-	// DML training-iteration number of Exp#3 (monotonically increasing).
-	UserSignal uint64
-	// HasUserSignal reports whether UserSignal is meaningful.
-	HasUserSignal bool
+	// Key is the injected flow key of OWInjectKey packets and the queried
+	// key echoed in OWAFR packets.
+	Key FlowKey
+	// Index is the enumeration index a collection packet carries between
+	// recirculation passes (md.index of Algorithm 2).
+	Index uint32
 	// KeyCount is carried by OWTrigger packets: the number of flow keys
 	// the switch tracked in the terminated sub-window, so the controller
 	// can detect AFR losses (§8, reliability of AFRs).
-	KeyCount uint32
+	KeyCount     uint32
+	Flag         OWFlag
+	HasSubWindow bool
+	// HasUserSignal reports whether UserSignal is meaningful.
+	HasUserSignal bool
 }
 
 // Packet is a simulated packet. Timestamps are virtual nanoseconds from the

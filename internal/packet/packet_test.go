@@ -122,6 +122,17 @@ func TestAFRIs40Bytes(t *testing.T) {
 	}
 }
 
+// TestPacketIs136Bytes pins the simulated packet every trace holds by the
+// million: its header's fields are ordered so that none pads.
+func TestPacketIs136Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(OWHeader{}); n != 96 {
+		t.Fatalf("unsafe.Sizeof(OWHeader{}) = %d, want 96", n)
+	}
+	if n := unsafe.Sizeof(Packet{}); n != 136 {
+		t.Fatalf("unsafe.Sizeof(Packet{}) = %d, want 136", n)
+	}
+}
+
 func TestAppendSummariesKeepsTheParallelForm(t *testing.T) {
 	var s []Summary
 	if s = AppendSummaries(s, 0, nil, 3); len(s) != 0 {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"math/rand"
+	"slices"
 
 	"omniwindow/internal/packet"
 )
@@ -25,8 +26,7 @@ type TCPFanout struct {
 }
 
 // Emit implements Anomaly.
-func (a TCPFanout) Emit(rng *rand.Rand, duration int64) []packet.Packet {
-	var out []packet.Packet
+func (a TCPFanout) Emit(rng *rand.Rand, duration int64, out []packet.Packet) []packet.Packet {
 	for c := 0; c < a.Conns; c++ {
 		key := packet.FlowKey{
 			SrcIP:   actorIP(a.Host),
@@ -58,8 +58,7 @@ type SSHBruteForce struct {
 }
 
 // Emit implements Anomaly.
-func (a SSHBruteForce) Emit(rng *rand.Rand, duration int64) []packet.Packet {
-	var out []packet.Packet
+func (a SSHBruteForce) Emit(rng *rand.Rand, duration int64, out []packet.Packet) []packet.Packet {
 	for s := 0; s < a.Sources; s++ {
 		src := actorIP(1000 + a.Victim*64 + s)
 		for i := 0; i < a.Attempts; i++ {
@@ -92,8 +91,7 @@ type PortScan struct {
 }
 
 // Emit implements Anomaly.
-func (a PortScan) Emit(rng *rand.Rand, duration int64) []packet.Packet {
-	var out []packet.Packet
+func (a PortScan) Emit(rng *rand.Rand, duration int64, out []packet.Packet) []packet.Packet {
 	for p := 0; p < a.Ports; p++ {
 		key := packet.FlowKey{
 			SrcIP:   actorIP(2000 + a.Scanner),
@@ -118,8 +116,7 @@ type DDoS struct {
 }
 
 // Emit implements Anomaly.
-func (a DDoS) Emit(rng *rand.Rand, duration int64) []packet.Packet {
-	var out []packet.Packet
+func (a DDoS) Emit(rng *rand.Rand, duration int64, out []packet.Packet) []packet.Packet {
 	for s := 0; s < a.Sources; s++ {
 		key := packet.FlowKey{
 			SrcIP:   hostIP(1<<22 | s), // spoofed pool outside normal hosts
@@ -146,8 +143,7 @@ type SYNFlood struct {
 }
 
 // Emit implements Anomaly.
-func (a SYNFlood) Emit(rng *rand.Rand, duration int64) []packet.Packet {
-	var out []packet.Packet
+func (a SYNFlood) Emit(rng *rand.Rand, duration int64, out []packet.Packet) []packet.Packet {
 	for i := 0; i < a.Syns; i++ {
 		key := packet.FlowKey{
 			SrcIP:   hostIP(rng.Intn(1 << 23)),
@@ -172,8 +168,7 @@ type CompletedFlows struct {
 }
 
 // Emit implements Anomaly.
-func (a CompletedFlows) Emit(rng *rand.Rand, duration int64) []packet.Packet {
-	var out []packet.Packet
+func (a CompletedFlows) Emit(rng *rand.Rand, duration int64, out []packet.Packet) []packet.Packet {
 	for i := 0; i < a.Flows; i++ {
 		key := packet.FlowKey{
 			SrcIP:   hostIP(rng.Intn(1 << 22)),
@@ -204,8 +199,7 @@ type Slowloris struct {
 }
 
 // Emit implements Anomaly.
-func (a Slowloris) Emit(rng *rand.Rand, duration int64) []packet.Packet {
-	var out []packet.Packet
+func (a Slowloris) Emit(rng *rand.Rand, duration int64, out []packet.Packet) []packet.Packet {
 	life := a.Life
 	if life == 0 {
 		life = a.Spread
@@ -239,8 +233,7 @@ type SuperSpreader struct {
 }
 
 // Emit implements Anomaly.
-func (a SuperSpreader) Emit(rng *rand.Rand, duration int64) []packet.Packet {
-	var out []packet.Packet
+func (a SuperSpreader) Emit(rng *rand.Rand, duration int64, out []packet.Packet) []packet.Packet {
 	for d := 0; d < a.Dsts; d++ {
 		key := packet.FlowKey{
 			SrcIP:   actorIP(4000 + a.Host),
@@ -267,8 +260,8 @@ type HeavyBurst struct {
 }
 
 // Emit implements Anomaly.
-func (a HeavyBurst) Emit(rng *rand.Rand, duration int64) []packet.Packet {
-	out := make([]packet.Packet, 0, a.Packets)
+func (a HeavyBurst) Emit(rng *rand.Rand, duration int64, out []packet.Packet) []packet.Packet {
+	out = slices.Grow(out, a.Packets)
 	for i := 0; i < a.Packets; i++ {
 		var off int64
 		if a.Packets > 1 {

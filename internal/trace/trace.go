@@ -18,7 +18,6 @@ package trace
 
 import (
 	"cmp"
-	"math"
 	"math/rand"
 	"slices"
 	"time"
@@ -75,10 +74,12 @@ func DefaultConfig(seed int64) Config {
 }
 
 // Anomaly is a traffic pattern injected into the trace. Emit appends its
-// packets and returns them; the generator merges and sorts everything.
+// packets to out and returns the result; the generator merges and sorts
+// everything.
 type Anomaly interface {
-	// Emit generates the anomaly's packets using the given RNG.
-	Emit(rng *rand.Rand, duration int64) []packet.Packet
+	// Emit generates the anomaly's packets using the given RNG and
+	// appends them to out.
+	Emit(rng *rand.Rand, duration int64, out []packet.Packet) []packet.Packet
 }
 
 // Generator produces packets for a Config.
@@ -153,72 +154,78 @@ func wellKnownPort(rng *rand.Rand) uint16 {
 	return uint16(1024 + rng.Intn(64000))
 }
 
+// chunkPackets is the size of the chunks Generate collects packets in
+// before sortByTime gathers them into the trace. No chunk is copied to
+// grow, so a trace costs about twice its size: the chunks, then the sorted
+// copy (plus 16 bytes a packet for the sort).
+const chunkPackets = 1 << 16
+
 // Generate builds the full trace, sorted by timestamp.
 func (g *Generator) Generate() []packet.Packet {
 	rng := rand.New(rand.NewSource(g.cfg.Seed))
 	zipf := rand.NewZipf(rng, g.cfg.ZipfS, g.cfg.ZipfV, uint64(g.cfg.MaxFlowPackets-1))
 
-	// Sized for the expected flow sizes, so the background flows do not
-	// regrow the array by doubling.
-	flows := make([]packet.Packet, 0, int(float64(g.cfg.Flows)*g.meanFlowSize()*1.05))
+	var parts [][]packet.Packet
+	var cur []packet.Packet
+	room := func(n int) { // cur takes n more packets without growing
+		if cap(cur)-len(cur) < n {
+			if len(cur) > 0 {
+				parts = append(parts, cur)
+			}
+			cur = make([]packet.Packet, 0, max(chunkPackets, n))
+		}
+	}
 	for i := 0; i < g.cfg.Flows; i++ {
 		key := randKey(rng, g.cfg.Hosts)
 		n := int(zipf.Uint64()) + 1
 		start := g.flowStart(rng)
 		life := g.flowLife(rng, n)
 		burst := rng.Float64() < g.cfg.BurstFraction
-		flows = appendFlow(flows, rng, key, n, start, life, burst, g.cfg.Duration)
+		room(n)
+		cur = appendFlow(cur, rng, key, n, start, life, burst, g.cfg.Duration)
 	}
-
-	var anomalies []packet.Packet
+	// An anomaly's size is known only once it is emitted: each is given
+	// room for as many packets as the one before.
+	last := 0
 	for _, a := range g.cfg.Anomalies {
-		anomalies = append(anomalies, a.Emit(rng, g.cfg.Duration)...)
+		room(last)
+		n := len(cur)
+		cur = a.Emit(rng, g.cfg.Duration, cur)
+		last = len(cur) - n
 	}
-	return sortByTime(flows, anomalies)
+	return sortByTime(append(parts, cur)...)
 }
 
-// sortByTime returns the packets of a followed by b, ordered by timestamp
-// exactly as sort.Slice(pkts, func(i, j int) bool { return pkts[i].Time <
-// pkts[j].Time }) orders their concatenation pkts, ties included: pdqsort
-// over (time, index) pairs makes the same comparisons and swaps, so it
-// picks the same permutation, which then gathers the packets into a new
-// slice. The pairs are 16 bytes and compared without reflection, where
-// sort.Slice swaps whole packets through a reflective swapper; and a and b
-// are never concatenated, so neither is copied but into place.
-func sortByTime(a, b []packet.Packet) []packet.Packet {
+// sortByTime returns the packets of parts, concatenated, ordered by
+// timestamp exactly as sort.Slice(pkts, func(i, j int) bool { return
+// pkts[i].Time < pkts[j].Time }) orders their concatenation pkts, ties
+// included: pdqsort over (time, index) pairs makes the same comparisons
+// and swaps, so it picks the same permutation, which then gathers the
+// packets into a new slice. The pairs are 16 bytes and compared without
+// reflection, where sort.Slice swaps whole packets through a reflective
+// swapper; and the parts are never concatenated, so no packet is copied
+// but into place.
+func sortByTime(parts ...[]packet.Packet) []packet.Packet {
 	type timed struct {
-		t   int64
-		src int // index into a, then b
+		t       int64
+		part, i int32
 	}
-	order := make([]timed, 0, len(a)+len(b))
-	for i := range a {
-		order = append(order, timed{a[i].Time, i})
+	n := 0
+	for _, p := range parts {
+		n += len(p)
 	}
-	for i := range b {
-		order = append(order, timed{b[i].Time, len(a) + i})
+	order := make([]timed, 0, n)
+	for k, p := range parts {
+		for i := range p {
+			order = append(order, timed{p[i].Time, int32(k), int32(i)})
+		}
 	}
 	slices.SortFunc(order, func(x, y timed) int { return cmp.Compare(x.t, y.t) })
 	out := make([]packet.Packet, len(order))
 	for i, o := range order {
-		if o.src < len(a) {
-			out[i] = a[o.src]
-		} else {
-			out[i] = b[o.src-len(a)]
-		}
+		out[i] = parts[o.part][o.i]
 	}
 	return out
-}
-
-// meanFlowSize is the expected packet count of a background flow: the mean
-// of 1 + the Zipf draw over [0, MaxFlowPackets-1].
-func (g *Generator) meanFlowSize() float64 {
-	var sum, norm float64
-	for k := 0; k < g.cfg.MaxFlowPackets; k++ {
-		w := math.Pow(g.cfg.ZipfV+float64(k), -g.cfg.ZipfS)
-		sum += float64(k+1) * w
-		norm += w
-	}
-	return sum / norm
 }
 
 // flowStart draws a start time with the two-phase rate modulation.

@@ -3,8 +3,10 @@ package trace
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
+	"unsafe"
 
 	"omniwindow/internal/packet"
 )
@@ -168,7 +170,7 @@ func TestTCPFlagsWellFormed(t *testing.T) {
 func TestHeavyBurstStraddlesBoundary(t *testing.T) {
 	boundary := 500 * Millisecond
 	a := HeavyBurst{Key: BurstKey(0), Packets: 200, At: boundary, Spread: 100 * Millisecond}
-	pkts := a.Emit(rand.New(rand.NewSource(1)), 2500*Millisecond)
+	pkts := a.Emit(rand.New(rand.NewSource(1)), 2500*Millisecond, nil)
 	if len(pkts) != 200 {
 		t.Fatalf("packets = %d", len(pkts))
 	}
@@ -191,7 +193,7 @@ func TestHeavyBurstStraddlesBoundary(t *testing.T) {
 
 func TestPortScanDistinctPorts(t *testing.T) {
 	a := PortScan{Scanner: 1, Victim: 2, Ports: 150, At: 100 * Millisecond, Spread: 50 * Millisecond}
-	pkts := a.Emit(rand.New(rand.NewSource(2)), 2500*Millisecond)
+	pkts := a.Emit(rand.New(rand.NewSource(2)), 2500*Millisecond, nil)
 	ports := map[uint16]bool{}
 	for i := range pkts {
 		ports[pkts[i].Key.DstPort] = true
@@ -206,7 +208,7 @@ func TestPortScanDistinctPorts(t *testing.T) {
 
 func TestSuperSpreaderDistinctDsts(t *testing.T) {
 	a := SuperSpreader{Host: 3, Dsts: 300, At: 100 * Millisecond, Spread: 80 * Millisecond}
-	pkts := a.Emit(rand.New(rand.NewSource(3)), 2500*Millisecond)
+	pkts := a.Emit(rand.New(rand.NewSource(3)), 2500*Millisecond, nil)
 	dsts := map[uint32]bool{}
 	for i := range pkts {
 		dsts[pkts[i].Key.DstIP] = true
@@ -218,7 +220,7 @@ func TestSuperSpreaderDistinctDsts(t *testing.T) {
 
 func TestDDoSManySources(t *testing.T) {
 	a := DDoS{Victim: 4, Sources: 120, PktsPerSource: 3, At: 100 * Millisecond, Spread: 80 * Millisecond}
-	pkts := a.Emit(rand.New(rand.NewSource(4)), 2500*Millisecond)
+	pkts := a.Emit(rand.New(rand.NewSource(4)), 2500*Millisecond, nil)
 	srcs := map[uint32]bool{}
 	for i := range pkts {
 		srcs[pkts[i].Key.SrcIP] = true
@@ -236,7 +238,7 @@ func TestDDoSManySources(t *testing.T) {
 
 func TestSYNFloodOnlySyns(t *testing.T) {
 	a := SYNFlood{Victim: 5, Syns: 80, At: 100 * Millisecond, Spread: 30 * Millisecond}
-	for _, p := range a.Emit(rand.New(rand.NewSource(5)), 2500*Millisecond) {
+	for _, p := range a.Emit(rand.New(rand.NewSource(5)), 2500*Millisecond, nil) {
 		if !p.HasFlags(packet.FlagSYN) || p.HasFlags(packet.FlagACK) {
 			t.Fatalf("non-bare-SYN packet in flood: flags=%b", p.TCPFlags)
 		}
@@ -245,7 +247,7 @@ func TestSYNFloodOnlySyns(t *testing.T) {
 
 func TestSlowlorisLowVolumeLongLife(t *testing.T) {
 	a := Slowloris{Victim: 6, Conns: 50, At: 200 * Millisecond, Spread: 50 * Millisecond, Life: 400 * Millisecond}
-	pkts := a.Emit(rand.New(rand.NewSource(6)), 2500*Millisecond)
+	pkts := a.Emit(rand.New(rand.NewSource(6)), 2500*Millisecond, nil)
 	bytesPerConn := map[packet.FlowKey]uint64{}
 	lastSeen := map[packet.FlowKey]int64{}
 	firstSeen := map[packet.FlowKey]int64{}
@@ -274,7 +276,7 @@ func TestSlowlorisLowVolumeLongLife(t *testing.T) {
 
 func TestCompletedFlowsHaveFIN(t *testing.T) {
 	a := CompletedFlows{Victim: 7, Flows: 40, At: 100 * Millisecond, Spread: 40 * Millisecond}
-	pkts := a.Emit(rand.New(rand.NewSource(7)), 2500*Millisecond)
+	pkts := a.Emit(rand.New(rand.NewSource(7)), 2500*Millisecond, nil)
 	fins := 0
 	for i := range pkts {
 		if pkts[i].HasFlags(packet.FlagFIN) {
@@ -288,7 +290,7 @@ func TestCompletedFlowsHaveFIN(t *testing.T) {
 
 func TestSSHBruteForceTargetsPort22(t *testing.T) {
 	a := SSHBruteForce{Victim: 8, Sources: 4, Attempts: 25, At: 100 * Millisecond, Spread: 60 * Millisecond}
-	pkts := a.Emit(rand.New(rand.NewSource(8)), 2500*Millisecond)
+	pkts := a.Emit(rand.New(rand.NewSource(8)), 2500*Millisecond, nil)
 	flows := map[packet.FlowKey]bool{}
 	for i := range pkts {
 		if pkts[i].Key.DstPort != 22 {
@@ -303,7 +305,7 @@ func TestSSHBruteForceTargetsPort22(t *testing.T) {
 
 func TestTCPFanoutDistinctConnections(t *testing.T) {
 	a := TCPFanout{Host: 9, Conns: 60, At: 100 * Millisecond, Spread: 40 * Millisecond}
-	pkts := a.Emit(rand.New(rand.NewSource(9)), 2500*Millisecond)
+	pkts := a.Emit(rand.New(rand.NewSource(9)), 2500*Millisecond, nil)
 	conns := map[packet.FlowKey]bool{}
 	for i := range pkts {
 		conns[pkts[i].Key] = true
@@ -339,5 +341,29 @@ func TestClampTime(t *testing.T) {
 	}
 	if clampTime(50, 100) != 50 {
 		t.Fatal("in-range value altered")
+	}
+}
+
+// TestGenerateAllocatesLittleBeyondItsOutput: a trace shaped like the
+// repository benchmark's pkt_heavy workload (few flows of up to 400
+// packets, a few hundred 1200-packet heavy bursts), at a tenth of its
+// scale, allocates well under the 3.6 times its output's size it took
+// while every anomaly returned a fresh slice for Generate to copy.
+func TestGenerateAllocatesLittleBeyondItsOutput(t *testing.T) {
+	const duration = 1500 * Millisecond
+	cfg := Config{Seed: 1, Duration: duration, Flows: 2400, MaxFlowPackets: 400}
+	for i := 0; i < 26; i++ {
+		cfg.Anomalies = append(cfg.Anomalies, HeavyBurst{Key: BurstKey(i), Packets: 1200, At: duration / 2, Spread: duration})
+	}
+	g := New(cfg)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pkts := g.Generate()
+	runtime.ReadMemStats(&after)
+	out := float64(len(pkts)) * float64(unsafe.Sizeof(packet.Packet{}))
+	ratio := float64(after.TotalAlloc-before.TotalAlloc) / out
+	t.Logf("%d packets, %.1f MB: allocated %.2fx", len(pkts), out/1e6, ratio)
+	if ratio > 2.5 {
+		t.Fatalf("Generate allocated %.2f times its %.1f MB output, want at most 2.5", ratio, out/1e6)
 	}
 }
