@@ -19,9 +19,12 @@ test:
 # The race run includes the columnar table's differential against the old
 # map table (TestTableDifferential, internal/controller) at 1, 3 and 8
 # shards: every finish worker folds, merges, scans and retires its own
-# table while the model is driven beside it. It also runs every chaos
-# suite below in full; those targets are local focus commands that select
-# one suite by test-name pattern.
+# table while the model is driven beside it, and its bulk op ingests the
+# sub-window that finishes next in 128-record batches, so folds ahead
+# insert into the tables while ingest appends and the cut is read between
+# batches (the fold-ahead differential; TestFoldAhead* hold its guards).
+# It also runs every chaos suite below in full; those targets are local
+# focus commands that select one suite by test-name pattern.
 race:
 	$(GO) test -race ./...
 

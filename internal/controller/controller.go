@@ -9,9 +9,13 @@
 // slices so the O2 insert, O3 merge, O4 query evaluation and O5 eviction
 // of FinishSubWindow run across cores, while ingest (Receive/IngestAFRs)
 // is safe for concurrent callers and fans records out to their owning
-// shard. Shards=1 degenerates to the fully sequential controller; results
-// are deterministic and identical for every shard count (see DESIGN.md,
-// "Controller concurrency model").
+// shard. O2 does not wait for the finish: once a shard holds foldChunk
+// unfolded records of the sub-window that finishes next, ingest starts a
+// fold that inserts them while the rest are still arriving, and the
+// finish folds only the tail. Shards=1 degenerates to the fully
+// sequential controller, with no fold ahead; results are deterministic and
+// identical for every shard count (see DESIGN.md, "Controller concurrency
+// model").
 package controller
 
 import (
@@ -53,15 +57,43 @@ type Config struct {
 	Shards int
 }
 
-// shard owns one partition of the key-value table plus the routed-but-not-
-// yet-inserted records for each open sub-window. Its mutex serializes
-// concurrent ingest appends against the FinishSubWindow worker that drains
-// and merges them; the table is only ever touched by the worker that owns
-// the shard, so no per-row locking is needed.
+// foldChunk is how many unfolded records of the sub-window that finishes
+// next a shard holds before ingest starts a fold ahead: enough that one
+// goroutine start is spread over thousands of inserts, few enough that a
+// flow_churn sub-window (≈ 15 K records a shard at two shards) starts
+// several and the finish is left a short tail.
+const foldChunk = 2048
+
+// shard owns one partition of the key-value table plus the routed records
+// of each open sub-window. mu serializes concurrent ingest appends against
+// the readers of the pending records; foldMu, the fold lock, guards the
+// table. Two goroutines write the table, each under foldMu: the shard's
+// finish worker and its fold ahead, which inserts the sub-window finishing
+// next while it is still arriving. No per-row locking is needed. Lock
+// order: Controller.finishMu, foldMu, mu.
 type shard struct {
 	mu      sync.Mutex
+	foldMu  sync.Mutex
 	table   table
 	pending map[uint64]pendingRecs
+	// rows is table.rows as of the last finish or restore: the rows the
+	// merged columns hold. A fold ahead adds rows only its open column
+	// holds, and TableSize does not count them.
+	rows int
+	// folding: a fold ahead of sub-window ahead has been started and not
+	// yet exited (guarded by mu). foldFn starts one; it is built once, in
+	// New, so that starting a fold allocates nothing.
+	folding bool
+	ahead   uint64
+	foldFn  func()
+	// aheadInsert is the O2 time folds ahead spent since the last finish,
+	// which books it (guarded by foldMu).
+	aheadInsert time.Duration
+	// last is the sub-window this shard's finish last drained (valid when
+	// hasLast): a fold ahead of one at or below it is stale (guarded by
+	// foldMu).
+	last    uint64
+	hasLast bool
 	// prevCard is the record count the last finished sub-window drained
 	// from this shard. A new sub-window's pending slice is pre-sized from
 	// it (steady traffic repeats its cardinality), so appends stay within
@@ -84,10 +116,13 @@ type shard struct {
 
 // pendingRecs is records and their summaries, parallel to recs or empty
 // (packet.Summary): one sub-window's routed-but-unmerged records in a
-// shard's pending storage, or one shard's share of an ingest batch.
+// shard's pending storage, or one shard's share of an ingest batch. The
+// pending records stay whole until the finish; folded is the prefix of
+// them a fold ahead has already inserted into the table (O2).
 type pendingRecs struct {
-	recs []packet.AFR
-	summ []packet.Summary
+	recs   []packet.AFR
+	summ   []packet.Summary
+	folded int
 }
 
 // appendPending appends recs, and their summaries summ (parallel, or
@@ -222,7 +257,9 @@ func NewWithError(cfg Config) (*Controller, error) {
 		times:  make(map[uint64]*OpTimes),
 	}
 	for i := range c.shards {
-		c.shards[i] = &shard{table: newTable(cfg), pending: make(map[uint64]pendingRecs)}
+		s := &shard{table: newTable(cfg), pending: make(map[uint64]pendingRecs)}
+		s.foldFn = s.foldAhead
+		c.shards[i] = s
 	}
 	return c, nil
 }
@@ -240,12 +277,14 @@ func New(cfg Config) *Controller {
 // Shards reports the number of key-value table partitions in use.
 func (c *Controller) Shards() int { return len(c.shards) }
 
-// TableSize returns the number of flows currently in the key-value table.
+// TableSize returns the number of flows in the key-value table as of the
+// last finish (or restore): a flow that only the sub-window finishing next
+// holds, folded ahead, is not counted until that finish merges it.
 func (c *Controller) TableSize() int {
 	n := 0
 	for _, s := range c.shards {
 		s.mu.Lock()
-		n += s.table.rows
+		n += s.rows
 		s.mu.Unlock()
 	}
 	return n
@@ -326,7 +365,7 @@ func (c *Controller) Receive(p *packet.Packet) {
 	case packet.OWAFR, packet.OWRetransmit:
 		c.ingestBatch(p.OW.AFRs, p.OW.Summaries, p.OW.Flag == packet.OWRetransmit, true)
 	case packet.OWTrigger:
-		r := c.open(p.OW.SubWindow)
+		r, _ := c.open(p.OW.SubWindow)
 		if r == nil {
 			c.obs.Duplicates.Inc()
 			return
@@ -371,7 +410,8 @@ func (c *Controller) IngestRecords(recs []packet.AFR, summ []packet.Summary) {
 // also arrived normally is a plain duplicate). charge attributes the
 // elapsed time to O1 Collect (the packet path; direct RDMA ingest is not
 // an O1 receive). recs and summ are not retained: survivors are copied
-// into the shard's pending storage.
+// into the shard's pending storage. The one sub-window the next finish
+// takes, when the plan covers it, is folded ahead (shard.appendPart).
 func (c *Controller) ingestBatch(recs []packet.AFR, summ []packet.Summary, retrans, charge bool) {
 	if len(recs) == 0 {
 		return
@@ -387,13 +427,18 @@ func (c *Controller) ingestBatch(recs []packet.AFR, summ []packet.Summary, retra
 	}
 	parts := sc.parts
 	admitted := 0
+	var ahead uint64
+	aheadOK := false
 	for i, j := 0, 0; i < len(recs); i = j {
 		sw := recs[i].SubWindow
 		for j = i + 1; j < len(recs) && recs[j].SubWindow == sw; j++ {
 		}
-		r := c.open(sw)
+		r, next := c.open(sw)
 		if r == nil {
 			continue // late: the whole run is duplicate delivery
+		}
+		if next && len(c.shards) > 1 && c.cfg.Plan.Covers(sw) {
+			ahead, aheadOK = sw, true
 		}
 		r.arrived = true
 		n := 0
@@ -423,25 +468,68 @@ func (c *Controller) ingestBatch(recs []packet.AFR, summ []packet.Summary, retra
 		c.obs.Recovered.Add(int64(admitted))
 	}
 	for si := range parts {
-		part := &parts[si]
-		if len(part.recs) == 0 {
-			continue
+		if part := &parts[si]; len(part.recs) > 0 {
+			c.shards[si].appendPart(part, ahead, aheadOK)
+			part.recs, part.summ = part.recs[:0], part.summ[:0]
 		}
-		s := c.shards[si]
-		s.mu.Lock()
-		// Append runs of equal sub-windows so each run costs one map
-		// lookup; appendPending pre-sizes a new sub-window's slice from
-		// the previous one's cardinality.
-		for j, k := 0, 0; j < len(part.recs); j = k {
-			sw := part.recs[j].SubWindow
-			for k = j + 1; k < len(part.recs) && part.recs[k].SubWindow == sw; k++ {
-			}
-			s.appendPending(sw, part.recs[j:k], packet.SummarySlice(part.summ, j, k))
-		}
-		s.mu.Unlock()
-		part.recs, part.summ = part.recs[:0], part.summ[:0]
 	}
 	c.putScratch(sc)
+}
+
+// appendPart appends one shard's share of an ingest batch to its pending
+// records under one hold of s.mu, a run of equal sub-windows at a time so
+// each run costs one map lookup (appendPending pre-sizes a new
+// sub-window's slice from the previous one's cardinality). When aheadOK,
+// sub-window ahead is the one the next finish takes, and a fold of it
+// starts once foldChunk of its records wait unfolded and none is running.
+func (s *shard) appendPart(part *pendingRecs, ahead uint64, aheadOK bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for j, k := 0, 0; j < len(part.recs); j = k {
+		sw := part.recs[j].SubWindow
+		for k = j + 1; k < len(part.recs) && part.recs[k].SubWindow == sw; k++ {
+		}
+		s.appendPending(sw, part.recs[j:k], packet.SummarySlice(part.summ, j, k))
+	}
+	if aheadOK && !s.folding {
+		if p := s.pending[ahead]; len(p.recs)-p.folded >= foldChunk {
+			s.folding, s.ahead = true, ahead
+			go s.foldFn()
+		}
+	}
+}
+
+// foldAhead is O2 on arrival: it inserts sub-window s.ahead's unfolded
+// pending records into its column in arrival order, the whole unfolded
+// tail at a time, until it has caught up, and then exits. It holds the
+// fold lock throughout, so a finish, export or restore that takes the lock
+// joins it. It folds nothing when the shard has already finished the
+// sub-window (an ingest that read LastFinished before that finish
+// settled), or when the sub-window's ring slot holds another one (only a
+// RestoreState under another Plan leaves one there; the finish's insert
+// retires it).
+func (s *shard) foldAhead() {
+	s.foldMu.Lock()
+	defer s.foldMu.Unlock()
+	s.mu.Lock()
+	sw := s.ahead
+	skip := s.hasLast && sw <= s.last || s.table.slotTaken(sw)
+	for !skip {
+		p := s.pending[sw]
+		if p.folded == len(p.recs) {
+			break
+		}
+		recs, summ := p.recs[p.folded:], packet.SummarySlice(p.summ, p.folded, len(p.recs))
+		p.folded = len(p.recs)
+		s.pending[sw] = p
+		s.mu.Unlock()
+		start := time.Now()
+		s.table.insert(sw, recs, summ)
+		s.aheadInsert += time.Since(start)
+		s.mu.Lock()
+	}
+	s.folding = false
+	s.mu.Unlock()
 }
 
 // IngestSpike merges one latency-spike packet copy through the software
@@ -460,7 +548,7 @@ func (c *Controller) IngestSpike(p *packet.Packet, attr uint64) bool {
 		return false
 	}
 	sw := p.OW.SubWindow
-	r := c.open(sw)
+	r, _ := c.open(sw)
 	if r == nil {
 		return false
 	}
@@ -546,28 +634,35 @@ type step struct {
 }
 
 // finish is one shard's whole share of a finish, under a single hold of
-// its lock: drain the routed records, fold them into the sub-window's
-// column (O2), merge it (O3) and — when a window ends — evaluate the query
-// over this shard's slice (O4) and retire what no future window needs
-// (O5). Each step reads only what the one before wrote in this shard, so
-// none needs a barrier; the results wait in s.fin for the fold.
+// its fold lock and its lock: join the fold ahead, drain the routed
+// records, fold the ones it left into the sub-window's column (O2), merge
+// it (O3) and — when a window ends — evaluate the query over this shard's
+// slice (O4) and retire what no future window needs (O5). Each step reads
+// only what the one before wrote in this shard, so none needs a barrier;
+// the results wait in s.fin for the fold. O2's time includes what the
+// folds ahead spent.
 func (s *shard) finish(cfg *Config, st step) {
+	s.foldMu.Lock()
+	defer s.foldMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	p := s.pending[st.sw]
 	delete(s.pending, st.sw)
+	s.last, s.hasLast = st.sw, true
 
 	start := time.Now()
 	if st.covered {
-		s.table.insert(st.sw, p.recs, p.summ)
+		s.table.insert(st.sw, p.recs[p.folded:], packet.SummarySlice(p.summ, p.folded, len(p.recs)))
 	}
-	s.fin.ops = OpTimes{Insert: time.Since(start)}
+	s.fin.ops = OpTimes{Insert: time.Since(start) + s.aheadInsert}
+	s.aheadInsert = 0
 
 	start = time.Now()
 	if st.covered {
 		s.table.merge(st.sw)
 	}
 	s.fin.ops.Merge = time.Since(start)
+	s.rows = s.table.rows
 
 	// The drained slice's job is done (the records were folded into the
 	// column): remember its cardinality to pre-size the next sub-window,
@@ -593,6 +688,7 @@ func (s *shard) finish(cfg *Config, st step) {
 
 	start = time.Now()
 	s.table.retire(st.retire)
+	s.rows = s.table.rows
 	for old, p := range s.pending {
 		if old <= st.retire {
 			pool.PutAFRs(p.recs)

@@ -72,6 +72,58 @@ func (s *seqSet) has(seq uint32) bool {
 	return w < len(s.words) && s.words[w]&(1<<(seq&63)) != 0
 }
 
+// appendMissing appends to dst, ascending, every sequence in
+// [0, expected) the set lacks. The dense range is scanned a word at a
+// time, a full word skipped whole; past it, each sequence is one overflow
+// lookup.
+func (s *seqSet) appendMissing(dst []uint32, expected int) []uint32 {
+	dense := min(expected, maxDenseSeq)
+	for w := 0; w<<6 < dense; w++ {
+		miss := ^uint64(0)
+		if w < len(s.words) {
+			miss = ^s.words[w]
+		}
+		if rest := dense - w<<6; rest < 64 {
+			miss &= 1<<rest - 1
+		}
+		for ; miss != 0; miss &= miss - 1 {
+			dst = append(dst, uint32(w<<6+bits.TrailingZeros64(miss)))
+		}
+	}
+	for seq := maxDenseSeq; seq < expected; seq++ {
+		if _, ok := s.overflow[uint32(seq)]; !ok {
+			dst = append(dst, uint32(seq))
+		}
+	}
+	return dst
+}
+
+// countMissing is len(appendMissing(nil, expected)): a population count
+// per word of the dense range, one pass over the overflow sequences past
+// it.
+func (s *seqSet) countMissing(expected int) int {
+	if expected <= 0 {
+		return 0
+	}
+	dense := min(expected, maxDenseSeq)
+	n := dense
+	for w, word := range s.words[:min(len(s.words), (dense+63)>>6)] {
+		if rest := dense - w<<6; rest < 64 {
+			word &= 1<<rest - 1
+		}
+		n -= bits.OnesCount64(word)
+	}
+	if expected > maxDenseSeq {
+		n += expected - maxDenseSeq
+		for seq := range s.overflow {
+			if int(seq) < expected {
+				n--
+			}
+		}
+	}
+	return n
+}
+
 // size is the number of distinct sequences added.
 func (s *seqSet) size() int { return s.n }
 
@@ -147,13 +199,10 @@ func (r *subWindow) reliability() metrics.Reliability {
 		}
 		return metrics.Reliability{Expected: -1}
 	}
-	rel := metrics.Reliability{Expected: r.expected, Received: r.seen.size(), Recovered: r.recovered, Shed: r.shed}
-	for s := 0; s < r.expected; s++ {
-		if !r.seen.has(uint32(s)) {
-			rel.Missing++
-		}
+	return metrics.Reliability{
+		Expected: r.expected, Received: r.seen.size(), Recovered: r.recovered,
+		Missing: r.seen.countMissing(r.expected), Shed: r.shed,
 	}
-	return rel
 }
 
 // finish is the open → finished transition: the live accounting is frozen
@@ -200,20 +249,23 @@ func (c *Controller) recordFor(sw uint64) *subWindow {
 // duplicate datagram or retransmitted trigger must not resurrect arrival
 // state beside the retained accounting (it would advertise gaps a driver
 // then NACKs, and leak into checkpoints). The caller unlocks the record.
-func (c *Controller) open(sw uint64) *subWindow {
+// next reports that sw is LastFinished()+1, the sub-window the next finish
+// takes; before the first finish no sub-window is next, since that finish
+// may take any.
+func (c *Controller) open(sw uint64) (r *subWindow, next bool) {
 	c.mu.Lock()
 	if c.hasFin && sw <= c.lastFin {
 		c.mu.Unlock()
-		return nil
+		return nil, false
 	}
-	r := c.recordFor(sw)
+	r, next = c.recordFor(sw), c.hasFin && sw == c.lastFin+1
 	c.mu.Unlock()
 	r.mu.Lock()
 	if r.finished { // the finish settled between the two locks
 		r.mu.Unlock()
-		return nil
+		return nil, false
 	}
-	return r
+	return r, next
 }
 
 // record returns sub-window sw's record, or nil if the ledger has none.
@@ -250,13 +302,7 @@ func (c *Controller) MissingSeqs(sw uint64) []uint32 {
 	if r.finished {
 		return nil
 	}
-	var missing []uint32
-	for s := 0; s < r.expected; s++ {
-		if !r.seen.has(uint32(s)) {
-			missing = append(missing, uint32(s))
-		}
-	}
-	return missing
+	return r.seen.appendMissing(nil, r.expected)
 }
 
 // Reliability reports a sub-window's AFR delivery accounting: live state

@@ -2,6 +2,9 @@ package controller
 
 import (
 	"bytes"
+	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"omniwindow/internal/afr"
@@ -126,5 +129,64 @@ func TestLedgerIsBounded(t *testing.T) {
 			c.NoteLost(sw-10, 1)
 			c.Receive(afrPkt(rec(round, int(sw-10), 1, 0)))
 		}
+	}
+}
+
+// TestSeqSetMissingMatchesBitLoop holds the word scans behind MissingSeqs
+// and Reliability to the loop they replaced, one has() per sequence over
+// [0, expected): random sets of every density, expected values off a word
+// boundary, word arrays shorter than expected (sequences never seen near
+// the end), and sequences in the overflow map, past the dense bound.
+func TestSeqSetMissingMatchesBitLoop(t *testing.T) {
+	bitLoop := func(s *seqSet, expected int) []uint32 {
+		var out []uint32
+		for seq := 0; seq < expected; seq++ {
+			if !s.has(uint32(seq)) {
+				out = append(out, uint32(seq))
+			}
+		}
+		return out
+	}
+	check := func(name string, s *seqSet, expected int) {
+		t.Helper()
+		want := bitLoop(s, expected)
+		if got := s.appendMissing(nil, expected); !slices.Equal(got, want) {
+			t.Fatalf("%s: appendMissing(%d) = %d sequences, bit loop %d (first %v vs %v)",
+				name, expected, len(got), len(want), got[:min(len(got), 8)], want[:min(len(want), 8)])
+		}
+		if got := s.countMissing(expected); got != len(want) {
+			t.Fatalf("%s: countMissing(%d) = %d, bit loop %d", name, expected, got, len(want))
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200; i++ {
+		var s seqSet
+		span := 1 + rng.Intn(700)
+		density := rng.Float64()
+		for seq := 0; seq < span; seq++ {
+			if rng.Float64() < density {
+				s.add(uint32(seq))
+			}
+		}
+		// expected below, at and past the words the set holds, on and
+		// off a multiple of 64.
+		for _, expected := range []int{-1, 0, 1, 63, 64, 65, span - 1, span, span + 1, 64 * len(s.words), 64*len(s.words) + 130} {
+			check(fmt.Sprintf("set %d (span %d, density %.2f)", i, span, density), &s, expected)
+		}
+	}
+
+	// Past the dense bound: every dense sequence but a few, and overflow
+	// sequences inside and beyond expected.
+	var s seqSet
+	for seq := 0; seq < maxDenseSeq; seq++ {
+		if seq%100_003 != 7 {
+			s.add(uint32(seq))
+		}
+	}
+	for _, seq := range []uint32{maxDenseSeq, maxDenseSeq + 2, maxDenseSeq + 63, maxDenseSeq + 64, maxDenseSeq + 500, 1 << 30} {
+		s.add(seq)
+	}
+	for _, expected := range []int{maxDenseSeq - 1, maxDenseSeq, maxDenseSeq + 1, maxDenseSeq + 3, maxDenseSeq + 100} {
+		check("overflow", &s, expected)
 	}
 }

@@ -46,7 +46,7 @@ func TestFullHashCollisionsStayExact(t *testing.T) {
 					rng := rand.New(rand.NewSource(int64(ki*100 + pi*10 + shards)))
 					data := make([]byte, 3000)
 					rng.Read(data)
-					runTableOps(t, diffConfig(ki, pi, shards), keys, data)
+					runTableOps(t, diffConfig(ki, pi, shards), keys, data, false)
 				})
 			}
 		}

@@ -82,13 +82,32 @@ func TestShardedDeterminism(t *testing.T) {
 
 // TestConcurrentIngest hammers IngestAFRs and Receive from many goroutines
 // (run under -race by the CI race job); the merged window must account for
-// every unique sequence exactly once.
+// every unique sequence exactly once. The records are of the sub-window
+// that finishes next, about 3 K a shard, so folds ahead run beside the
+// ingest, and a reader takes cuts and TableSize all the while: neither
+// may show the folded-ahead column.
 func TestConcurrentIngest(t *testing.T) {
 	const (
 		goroutines = 8
-		perG       = 500
+		perG       = 1500
 	)
 	c := New(Config{Plan: window.Tumbling(1), Kind: afr.Frequency, Threshold: 1, CaptureValues: true, Shards: 4})
+	c.FinishSubWindow(0)
+	stop, read := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(read)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if n, live := c.TableSize(), c.ExportState().Live; n != 0 || len(live) != 0 {
+				t.Errorf("during ingest: TableSize %d, live %v; want an empty table", n, live)
+				return
+			}
+		}
+	}()
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -98,7 +117,7 @@ func TestConcurrentIngest(t *testing.T) {
 			for i := 0; i < perG; i++ {
 				r := packet.AFR{
 					Key:       packet.FlowKey{SrcIP: uint32(g*perG + i), DstPort: 443, Proto: packet.ProtoTCP},
-					SubWindow: 0,
+					SubWindow: 1,
 					Attr:      7,
 					Seq:       uint32(g*perG + i),
 				}
@@ -111,7 +130,9 @@ func TestConcurrentIngest(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	res := c.FinishSubWindow(0)
+	close(stop)
+	<-read
+	res := c.FinishSubWindow(1)
 	if len(res) != 1 {
 		t.Fatalf("windows = %d", len(res))
 	}
@@ -127,10 +148,11 @@ func TestConcurrentIngest(t *testing.T) {
 
 // TestIngestDuringFinish overlaps ingest for the next sub-window with
 // assembly of the current one; no record may be lost or attributed to the
-// wrong sub-window.
+// wrong sub-window. Sub-window 1 becomes the one that finishes next while
+// it arrives, about 3 K records a shard, so its folds ahead start mid-way.
 func TestIngestDuringFinish(t *testing.T) {
 	c := New(Config{Plan: window.Tumbling(1), Kind: afr.Frequency, Threshold: 1, CaptureValues: true, Shards: 4})
-	const flows = 2000
+	const flows = 12_000
 	for i := 0; i < flows; i++ {
 		c.IngestAFRs([]packet.AFR{{
 			Key: packet.FlowKey{SrcIP: uint32(i), Proto: packet.ProtoTCP}, SubWindow: 0, Attr: 1, Seq: uint32(i),

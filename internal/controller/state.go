@@ -43,11 +43,15 @@ func (c *Controller) ExportCut(from uint64) *wire.Snapshot {
 	c.finishMu.Lock()
 	defer c.finishMu.Unlock()
 
-	// The table only changes under finishMu: reading it needs no shard lock.
+	// The tables change under finishMu or in a fold ahead: holding every
+	// fold lock joins the folds and holds new ones off while the tables are
+	// read. A folded-ahead column is open (not merged yet), so it is not
+	// Live: its records are all still Pending, as if no fold had run.
 	s := &wire.Snapshot{}
 	for _, sh := range c.shards {
+		sh.foldMu.Lock()
 		for i := range sh.table.cols {
-			if col := &sh.table.cols[i]; col.live && !slices.Contains(s.Live, col.sw) {
+			if col := &sh.table.cols[i]; col.live && !col.open && !slices.Contains(s.Live, col.sw) {
 				s.Live = append(s.Live, col.sw)
 			}
 		}
@@ -57,6 +61,9 @@ func (c *Controller) ExportCut(from uint64) *wire.Snapshot {
 		if sw >= from {
 			s.Columns = append(s.Columns, c.exportColumn(sw))
 		}
+	}
+	for _, sh := range c.shards {
+		sh.foldMu.Unlock()
 	}
 	var pend []summarized
 	for _, sh := range c.shards {
@@ -115,7 +122,7 @@ func (c *Controller) ExportCut(from uint64) *wire.Snapshot {
 // exportColumn gathers sub-window sw's column from every shard's present
 // bitset, its cells in key order. A column's keys are distinct, so any
 // correct order is the one order and the cut bytes do not depend on the
-// sort. Caller holds finishMu.
+// sort. Caller holds finishMu and every shard's fold lock.
 func (c *Controller) exportColumn(sw uint64) wire.SnapColumn {
 	n := 0
 	for _, sh := range c.shards {
@@ -205,10 +212,13 @@ func (c *Controller) RestoreState(s *wire.Snapshot) {
 			parts[i] = append(parts[i], cell)
 		}
 		for i, sh := range c.shards {
+			sh.foldMu.Lock()
 			sh.mu.Lock()
 			sh.table.insert(col.SW, parts[i], sparts[i])
 			sh.table.merge(col.SW)
+			sh.rows = sh.table.rows
 			sh.mu.Unlock()
+			sh.foldMu.Unlock()
 		}
 	}
 	for j, r := range s.Pending {

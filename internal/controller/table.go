@@ -37,8 +37,12 @@ func (b bitset) unset(r uint32)    { b[r>>6] &^= 1 << (r & 63) }
 // only zeros (retire clears exactly the cells it set), so a ring slot's
 // storage is reused as is by the next sub-window that maps to it.
 type column struct {
-	sw      uint64
-	live    bool
+	sw   uint64
+	live bool
+	// open: O2 has folded records into the column and O3 has not merged
+	// it yet. Only a fold ahead leaves a column open past its finish's
+	// insert; merged, scans and cuts do not hold its contributions.
+	open    bool
 	count   int // set bits in present
 	attr    []uint64
 	present bitset
@@ -49,7 +53,7 @@ type column struct {
 }
 
 // table is one shard's partition of the key-value table. Only the shard's
-// finish worker touches it (under shard.mu).
+// finish worker and its fold ahead touch it, each under shard.foldMu.
 type table struct {
 	kind    afr.Kind
 	counter afr.DistinctCounter
@@ -235,7 +239,7 @@ func (t *table) freeRows(rows []uint32) {
 func (t *table) column(sw uint64) *column {
 	c := &t.cols[sw%uint64(len(t.cols))]
 	if !c.live {
-		c.sw, c.live = sw, true
+		c.sw, c.live, c.open = sw, true, true
 		if len(c.attr) != len(t.keys) {
 			c.attr, c.present = make([]uint64, len(t.keys)), bitsetFor(len(t.keys))
 			c.summ = nil
@@ -283,13 +287,12 @@ func (t *table) insert(sw uint64, recs []packet.AFR, summ []packet.Summary) {
 	if len(recs) == 0 {
 		return
 	}
-	c := t.column(sw)
-	if c.sw != sw {
+	if t.slotTaken(sw) {
 		// Only a state restored under a different Plan can leave another
 		// sub-window in the slot; drop it rather than merge into it.
-		t.retire(c.sw)
-		c = t.column(sw)
+		t.retire(t.cols[sw%uint64(len(t.cols))].sw)
 	}
+	c := t.column(sw)
 	var tags [tagBlock]uint32
 	for off := 0; off < len(recs); off += tagBlock {
 		blk := recs[off:min(len(recs), off+tagBlock)]
@@ -315,6 +318,7 @@ func (t *table) merge(sw uint64) {
 	if c == nil {
 		return
 	}
+	c.open = false
 	switch t.kind {
 	case afr.Frequency, afr.Distinction:
 		simd.Sum(t.merged[:t.n], c.attr[:t.n])
@@ -446,6 +450,13 @@ func (t *table) refold(r uint32) {
 			}
 		}
 	}
+}
+
+// slotTaken reports that sub-window sw's ring slot holds another live
+// sub-window.
+func (t *table) slotTaken(sw uint64) bool {
+	c := &t.cols[sw%uint64(len(t.cols))]
+	return c.live && c.sw != sw
 }
 
 // held returns sub-window sw's column, or nil when the table holds none.

@@ -483,8 +483,10 @@ var diffKeys = func() []packet.FlowKey {
 
 // runTableOps drives a real controller and the model through the op
 // stream in data, comparing them after every finish and restore. The
-// stream draws its keys from keys.
-func runTableOps(t *testing.T, cfg Config, keys []packet.FlowKey, data []byte) {
+// stream draws its keys from keys. When bulks, its bulk op ingests enough
+// records of the sub-window that finishes next for folds ahead to run at
+// any shard count, and compares between batches, while the folds run.
+func runTableOps(t *testing.T, cfg Config, keys []packet.FlowKey, data []byte, bulks bool) {
 	t.Helper()
 	next := func() int {
 		if len(data) == 0 {
@@ -524,6 +526,42 @@ func runTableOps(t *testing.T, cfg Config, keys []packet.FlowKey, data []byte) {
 			gs, _ := wire.DecodeSnapshot(g)
 			ws, _ := wire.DecodeSnapshot(w)
 			t.Fatalf("%s (next sub-window %d): snapshot bytes differ\n real  %+v\n model %+v", what, cur, gs, ws)
+		}
+	}
+	// bulk: at least 2×foldChunk records of cur in 128-record batches,
+	// through one or two keys, so that a key's shard holds foldChunk of
+	// them whatever the shard count. TableSize is compared after every
+	// batch; a whole check exports thousands of pending records, so it
+	// runs every sixteenth batch and after the last, and a run that bulks
+	// and starts at more than one shard does it once, while the real
+	// controller has shards to fold ahead in.
+	bulkLeft := bulks && cfg.Shards > 1
+	bulk := func() {
+		bulkLeft = false
+		sw, base, spread := cur, next(), 1+next()%2
+		n := 2*foldChunk + next()
+		for b, off := 0, 0; off < n; b, off = b+1, off+128 {
+			recs := make([]packet.AFR, min(128, n-off))
+			var summ []packet.Summary
+			for i := range recs {
+				j := off + i
+				recs[i] = packet.AFR{Key: key(base + j%spread), SubWindow: sw, Attr: diffAttrs[j%len(diffAttrs)], Seq: seqs[sw]}
+				seqs[sw]++
+				if cfg.Kind == afr.Distinction && j%3 != 0 {
+					summ = packet.AppendSummary(summ, i, packet.Summary{1 << (j % 64), uint64(j)})
+				} else if len(summ) > 0 {
+					summ = append(summ, packet.Summary{})
+				}
+			}
+			real.IngestRecords(recs, summ)
+			model.ingest(recs, summ, false)
+			if b%16 != 15 && off+len(recs) < n {
+				if g, w := real.TableSize(), model.tableSize(); g != w {
+					t.Fatalf("bulk ingest of sub-window %d through %d: TableSize %d, model %d", sw, off+len(recs), g, w)
+				}
+				continue
+			}
+			check(fmt.Sprintf("bulk ingest of sub-window %d through %d", sw, off+len(recs)), nil, nil)
 		}
 	}
 	restores := 0
@@ -592,7 +630,11 @@ func runTableOps(t *testing.T, cfg Config, keys []packet.FlowKey, data []byte) {
 			if sw >= cur {
 				cur = sw + 1
 			}
-		default: // export, encode, restore into another shard count, go on
+		default: // bulk, or export, encode, restore into another shard count, go on
+			if next()%4 == 0 && bulkLeft && real.Shards() > 1 {
+				bulk()
+				continue
+			}
 			snap := roundTrip(t, real.ExportState())
 			cfg.Shards = shardCounts[restores%len(shardCounts)]
 			restores++
@@ -631,7 +673,7 @@ func TestTableDifferential(t *testing.T) {
 						rng := rand.New(rand.NewSource(seed*1000 + int64(ki*100+pi*10+shards)))
 						data := make([]byte, 3000)
 						rng.Read(data)
-						runTableOps(t, diffConfig(ki, pi, shards), diffKeys, data)
+						runTableOps(t, diffConfig(ki, pi, shards), diffKeys, data, seed == 1)
 					}
 				})
 			}
@@ -678,11 +720,16 @@ func FuzzTableDifferential(f *testing.F) {
 		data[0] = byte(seed)
 		f.Add(data)
 	}
+	// A finish, then a bulk of the sub-window after it through two keys:
+	// folds ahead run at 3 and at 8 shards.
+	for _, shards := range []byte{1, 2} {
+		f.Add([]byte{0, 2, shards, 12, 1, 15, 0, 5, 1, 0})
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
 		}
 		cfg := diffConfig(int(data[0]), int(data[1]), []int{1, 3, 8}[int(data[2])%3])
-		runTableOps(t, cfg, diffKeys, data[3:])
+		runTableOps(t, cfg, diffKeys, data[3:], true)
 	})
 }
