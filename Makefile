@@ -52,9 +52,14 @@ ci: build vet fmt-check test race staticcheck cover fuzz-smoke bench-smoke examp
 # the boundary's delivery batch under this suite, failover and disk-chaos.
 # AFRPort is TestAFRPortRecordsLiveOnlyForTheCall: records the engine hands
 # its AFR port are overwritten after each call, under a drop/duplicate
-# schedule, and every arm's windows and Stats must not move.
+# schedule, and every arm's windows and Stats must not move. Spill|Spike
+# select the tests that hold the other records the pipeline pass hands
+# the controller directly — spilled keys (TestSpilledKey*,
+# TestStaleCollectDropsSpilledKeys) and latency spikes
+# (TestSpikesSurviveCrash, TestPartitionFailoverKeepsSpikes,
+# TestNetworkWideSpikeHandling).
 chaos:
-	$(GO) test -race -run 'Chaos|CollectBatch|AFRPort' . ./examples/udpcollector/
+	$(GO) test -race -run 'Chaos|CollectBatch|AFRPort|Spill|Spike' . ./examples/udpcollector/
 
 # Durability suite: kill-and-restart at every sub-window boundary and
 # every store crash point, WAL-replay recovery, checkpoints (what a

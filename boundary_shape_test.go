@@ -77,9 +77,12 @@ func TestBoundaryPathShape(t *testing.T) {
 // none can quietly grow a second that then drifts from the first: one
 // function announces a termination (the only caller of logTrigger, and the
 // only reader of the tracker's key count besides enumeration), the serving
-// controller changes only where one is built — New and promote — and no
+// controller changes only where one is built — New and promote — no
 // scrape-time metric func in obs.go reads a deployment field the run
-// goroutine writes.
+// goroutine writes, and nothing reaches the controller as a packet clone:
+// AFRs, spilled keys and spikes leave the pipeline pass as records, so no
+// function calls switchsim's CloneToController or reads
+// Output.ToController.
 func seamShape(t *testing.T) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
@@ -103,6 +106,10 @@ func seamShape(t *testing.T) {
 			}
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
 				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					if n.Sel.Name == "CloneToController" || n.Sel.Name == "ToController" {
+						in["clone to controller"] = append(in["clone to controller"], fn.Name.Name)
+					}
 				case *ast.AssignStmt:
 					for _, lhs := range n.Lhs {
 						if selected(lhs) == "ctrl" {
@@ -133,9 +140,10 @@ func seamShape(t *testing.T) {
 		}
 	}
 	for what, want := range map[string][]string{
-		"logTrigger": {"announce"},
-		"KeyCount":   {"announce", "enumerate"},
-		"ctrl =":     {"New", "promote"},
+		"logTrigger":          {"announce"},
+		"KeyCount":            {"announce", "enumerate"},
+		"ctrl =":              {"New", "promote"},
+		"clone to controller": nil,
 	} {
 		got := in[what]
 		if slices.Sort(got); !slices.Equal(got, want) {

@@ -101,10 +101,12 @@ func (d *Deployment) installProgram() {
 		for _, ended := range res.Terminated {
 			d.terminated(ended)
 		}
+		// What the controller is owed leaves the pass as records, as AFRs
+		// leave through the engine's port: a spike's merge, a spilled key.
 		if res.Spike {
-			c := p.Clone()
-			c.OW.Flag = packet.OWLatencySpike
-			pass.CloneToController(c)
+			d.stats.Spikes++
+			d.obs.spikes.Inc()
+			d.ingestSpike(p)
 			return
 		}
 		if !d.regionOwned[res.Region] || d.regionOwner[res.Region] < res.Monitor {
@@ -112,10 +114,9 @@ func (d *Deployment) installProgram() {
 			d.regionOwned[res.Region] = true
 		}
 		if spillKey, spill := d.engine.Update(res.Region, p); spill {
-			c := p.Clone()
-			c.OW.Flag = packet.OWSpill
-			c.OW.Key = spillKey
-			pass.CloneToController(c)
+			d.stats.Spills++
+			d.obs.spills.Inc()
+			d.spilled[p.OW.SubWindow] = append(d.spilled[p.OW.SubWindow], spillKey)
 		}
 	})
 }
@@ -126,7 +127,7 @@ func (d *Deployment) installProgram() {
 // deployment writes must not leak into the caller's trace (which may be
 // replayed through other deployments). The copy is a deployment-owned
 // scratch packet, overwritten by the next call — nothing downstream keeps
-// the pointer (clones go to the controller, see switchsim.Output).
+// the pointer (the controller is handed records, never the packet).
 func (d *Deployment) ProcessPacket(p *packet.Packet) {
 	d.process(p, &d.scratch)
 }
@@ -143,7 +144,7 @@ func (d *Deployment) ProcessAndForward(p *packet.Packet) []*packet.Packet {
 }
 
 // process runs due collections up to p's time, then injects q — the
-// pipeline's private copy of p — and routes what the switch emitted.
+// pipeline's private copy of p — and returns what left on egress.
 func (d *Deployment) process(p, q *packet.Packet) []*packet.Packet {
 	if d.crashed {
 		return nil
@@ -157,7 +158,6 @@ func (d *Deployment) process(p, q *packet.Packet) []*packet.Packet {
 	out := d.sw.Inject(q)
 	d.stats.Packets++
 	d.obs.packets.Inc()
-	d.handleSwitchOutput(out)
 	return out.Forward
 }
 
@@ -244,40 +244,24 @@ func (d *Deployment) flushCollections() {
 	d.runDueCollections()
 }
 
-// handleSwitchOutput routes switch-to-controller packets.
-func (d *Deployment) handleSwitchOutput(out switchsim.Output) {
-	for _, c := range out.ToController {
-		switch c.OW.Flag {
-		case packet.OWSpill:
-			d.stats.Spills++
-			d.obs.spills.Inc()
-			d.spilled[c.OW.SubWindow] = append(d.spilled[c.OW.SubWindow], c.OW.Key)
-		case packet.OWLatencySpike:
-			d.stats.Spikes++
-			d.obs.spikes.Inc()
-			d.ingestSpike(c)
-		}
-	}
-}
-
-// ingestSpike merges one latency-spike copy through the controller's
+// ingestSpike merges one latency-spike packet through the controller's
 // software path (§5): the stamped sub-window is no longer preserved in any
 // data-plane region, so the controller folds the packet in directly, one
-// count per copy. The application's flowkey definition still applies — a
-// packet the query's filter would have skipped is skipped here too; the
-// WAL logs each copy the controller merged.
-func (d *Deployment) ingestSpike(c *packet.Packet) {
+// count per copy, as a record. The application's flowkey definition still
+// applies — a packet the query's filter would have skipped is skipped here
+// too; the WAL logs each copy the controller merged.
+func (d *Deployment) ingestSpike(p *packet.Packet) {
+	rec := packet.AFR{Key: p.Key, SubWindow: p.OW.SubWindow, Seq: p.Seq, Attr: 1}
 	if d.cfg.KeyOf != nil {
-		k, ok := d.cfg.KeyOf(c)
+		k, ok := d.cfg.KeyOf(p)
 		if !ok {
 			return
 		}
-		c = c.Clone()
-		c.Key = k
+		rec.Key = k
 	}
-	if d.ctrl.IngestSpike(c, 1) {
+	if d.ctrl.IngestSpike(rec) {
 		d.stats.SpikesMerged++
-		d.durableWrite(c.OW.SubWindow, func() error { return d.store.AppendSpike(c.OW.SubWindow, c.Key, c.Seq, 1) })
+		d.durableWrite(rec.SubWindow, func() error { return d.store.AppendSpike(rec.SubWindow, rec.Key, rec.Seq, 1) })
 	}
 }
 

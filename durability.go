@@ -261,7 +261,7 @@ func (d *Deployment) replayLog(snap *wire.Snapshot, recs []*wire.WALRecord, fini
 			d.ctrl.NoteShed(r.SubWindow, int(r.Count))
 		case wire.WALSpike:
 			for _, sp := range r.AFRs {
-				d.ctrl.IngestSpike(&packet.Packet{Key: sp.Key, Seq: sp.Seq, OW: packet.OWHeader{SubWindow: sp.SubWindow, HasSubWindow: true}}, sp.Attr)
+				d.ctrl.IngestSpike(sp)
 			}
 		}
 	}

@@ -117,8 +117,10 @@ func (e *Engine) SetKeyFunc(f func(*packet.Packet) (packet.FlowKey, bool)) {
 // pipeline pass that queried them, with their summaries in a parallel
 // slice that is empty when no app filled one (packet.Summary). Both are
 // valid only during the call — they are reused for the next key — so a
-// port that keeps them copies them. With a port set nothing is cloned to
-// Output.ToController.
+// port that keeps them copies them. With a port set the engine clones
+// nothing to Output.ToController, and a program that hands its other
+// controller-bound items over as records too (the omniwindow deployment:
+// spilled keys, latency spikes) leaves ToController empty.
 func (e *Engine) SetAFRPort(port func(recs []packet.AFR, summ []packet.Summary)) {
 	e.port = port
 }

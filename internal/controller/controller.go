@@ -532,27 +532,25 @@ func (s *shard) foldAhead() {
 	s.mu.Unlock()
 }
 
-// IngestSpike merges one latency-spike packet copy through the software
-// path (§5): the packet's stamped sub-window is no longer preserved in any
-// data-plane region, so its contribution — attr, computed by the caller
-// from the application's merge pattern — is added to the key-value table
+// IngestSpike merges one latency-spike packet through the software path
+// (§5), handed over as a record: the flow key, the stamped sub-window —
+// no longer preserved in any data-plane region — the packet's sequence
+// number and its contribution Attr, computed by the caller from the
+// application's merge pattern. Attr is added to the key-value table
 // directly, attributed to the stamped sub-window. Copies are deduplicated
 // by (flow key, packet sequence) per sub-window, so duplicated or
 // multiply-cloned spikes merge exactly once. It returns false without
-// merging when the packet carries no stamp, when a copy of it was already
-// merged, or when the stamped sub-window has already been finished (its
-// window is emitted; merging now would silently corrupt later windows
-// sharing the table). Safe for concurrent callers.
-func (c *Controller) IngestSpike(p *packet.Packet, attr uint64) bool {
-	if !p.OW.HasSubWindow {
-		return false
-	}
-	sw := p.OW.SubWindow
+// merging when a copy of it was already merged, or when the stamped
+// sub-window has already been finished (its window is emitted; merging
+// now would silently corrupt later windows sharing the table). Safe for
+// concurrent callers.
+func (c *Controller) IngestSpike(rec packet.AFR) bool {
+	sw := rec.SubWindow
 	r, _ := c.open(sw)
 	if r == nil {
 		return false
 	}
-	id := spikeID{key: p.Key, seq: p.Seq}
+	id := spikeID{key: rec.Key, seq: rec.Seq}
 	if r.spikeSeen[id] {
 		r.mu.Unlock()
 		return false
@@ -569,8 +567,8 @@ func (c *Controller) IngestSpike(p *packet.Packet, attr uint64) bool {
 	// the AFR sequence dedup: spike packets are not part of the switch's
 	// announced per-sub-window sequence space, so they must not consume
 	// (or collide with) AFR sequence numbers in loss accounting.
-	s := c.shards[c.shardIndex(p.Key)]
-	spike := [1]packet.AFR{{Key: p.Key, Attr: attr, SubWindow: sw}}
+	s := c.shards[c.shardIndex(rec.Key)]
+	spike := [1]packet.AFR{{Key: rec.Key, Attr: rec.Attr, SubWindow: sw}}
 	s.mu.Lock()
 	s.appendPending(sw, spike[:], nil)
 	s.mu.Unlock()

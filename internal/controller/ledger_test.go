@@ -113,7 +113,7 @@ func TestLedgerIsBounded(t *testing.T) {
 		c.NoteShed(sw+1, 3)
 		c.Receive(triggerPkt(sw, 2))
 		c.Receive(afrPkt(rec(round, int(sw), 1, 0), rec(round+1, int(sw), 1, 1)))
-		c.IngestSpike(&packet.Packet{Key: fk(round), Seq: 9, OW: packet.OWHeader{HasSubWindow: true, SubWindow: sw + 1}}, 1)
+		c.IngestSpike(packet.AFR{Key: fk(round), Seq: 9, SubWindow: sw + 1, Attr: 1})
 		if round%7 == 6 {
 			for end := sw + 3; sw <= end; {
 				finish(sw) // three of them announced nothing

@@ -118,11 +118,8 @@ func (m *modelController) ingest(recs []packet.AFR, summ []packet.Summary, retra
 	}
 }
 
-func (m *modelController) spike(p *packet.Packet, attr uint64) bool {
-	if !p.OW.HasSubWindow {
-		return false
-	}
-	sw := p.OW.SubWindow
+func (m *modelController) spike(rec packet.AFR) bool {
+	sw := rec.SubWindow
 	if m.hasFin && sw <= m.lastFin {
 		return false
 	}
@@ -131,13 +128,13 @@ func (m *modelController) spike(p *packet.Packet, attr uint64) bool {
 		st = &modelSpikes{seen: make(map[modelSpikeID]bool)}
 		m.spikes[sw] = st
 	}
-	id := modelSpikeID{p.Key, p.Seq}
+	id := modelSpikeID{rec.Key, rec.Seq}
 	if st.seen[id] {
 		return false
 	}
 	st.seen[id] = true
 	st.count++
-	m.pending[sw] = append(m.pending[sw], summarized{rec: packet.AFR{Key: p.Key, Attr: attr, SubWindow: sw}})
+	m.pending[sw] = append(m.pending[sw], summarized{rec: packet.AFR{Key: rec.Key, Attr: rec.Attr, SubWindow: sw}})
 	return true
 }
 
@@ -607,10 +604,10 @@ func runTableOps(t *testing.T, cfg Config, keys []packet.FlowKey, data []byte, b
 			real.Receive(&packet.Packet{OW: packet.OWHeader{Flag: packet.OWTrigger, SubWindow: sw, KeyCount: uint32(n)}})
 			model.trigger(sw, n)
 		case op < 11: // latency-spike copy through the software path
-			p := &packet.Packet{Key: key(next()), Seq: uint32(next() % 4), OW: packet.OWHeader{HasSubWindow: true, SubWindow: pickSW()}}
-			attr := diffAttrs[next()%len(diffAttrs)]
-			if g, w := real.IngestSpike(p, attr), model.spike(p, attr); g != w {
-				t.Fatalf("IngestSpike(sw %d) = %v, model %v", p.OW.SubWindow, g, w)
+			rec := packet.AFR{Key: key(next()), Seq: uint32(next() % 4), SubWindow: pickSW()}
+			rec.Attr = diffAttrs[next()%len(diffAttrs)]
+			if g, w := real.IngestSpike(rec), model.spike(rec); g != w {
+				t.Fatalf("IngestSpike(sw %d) = %v, model %v", rec.SubWindow, g, w)
 			}
 		case op < 12:
 			sw, n := pickSW(), 1+next()%3

@@ -93,8 +93,11 @@ func (sw *Switch) Registers() []RegisterRef {
 type Output struct {
 	// Forward are the packets leaving on egress ports (normal traffic).
 	Forward []*packet.Packet
-	// ToController are the packets cloned or redirected to the
-	// controller (triggers, AFRs, spilled keys).
+	// ToController are the packets a program cloned to the controller
+	// port (CloneToController): the UDP collector example's triggers,
+	// and the AFR engine's AFRs when it has no record port.
+	// The omniwindow deployment clones nothing; its program hands the
+	// controller records instead.
 	ToController []*packet.Packet
 	// Passes is the number of pipeline traversals, 1 + recirculations.
 	Passes int

@@ -153,7 +153,7 @@ func testTwoHopDuplicateSpike(t *testing.T) {
 		}
 	}
 	// A third copy pushed straight at a controller is refused too.
-	if hops[0].Controller().IngestSpike(spike.Clone(), 1) {
+	if hops[0].Controller().IngestSpike(packet.AFR{Key: spike.Key, SubWindow: spike.OW.SubWindow, Seq: spike.Seq, Attr: 1}) {
 		t.Fatal("controller merged the same spike copy twice")
 	}
 	for i, h := range hops {

@@ -141,14 +141,17 @@ func (p *packetPath) missing(sw uint64, owned bool) []uint32 {
 }
 
 // replay has the switch re-query the NACKed sequence numbers from the
-// still-unreset region and retransmit them — through the fault draw, like
-// any AFR packet.
+// still-unreset region and retransmit the records, one wire datagram's
+// worth at a time — each chunk through the fault draw, like any AFR
+// packet.
 func (p *packetPath) replay(seqs []uint32) {
 	d := p.d
-	for _, rp := range d.engine.RetransmitPackets(seqs) {
-		d.stats.Retransmitted += len(rp.OW.AFRs)
-		d.obs.retrans.Add(int64(len(rp.OW.AFRs)))
-		d.deliverRecords(packet.OWRetransmit, rp.OW.AFRs, rp.OW.Summaries)
+	recs, summ := d.engine.Retransmit(seqs)
+	d.stats.Retransmitted += len(recs)
+	d.obs.retrans.Add(int64(len(recs)))
+	for off := 0; off < len(recs); off += afrBatchCap {
+		end := min(len(recs), off+afrBatchCap)
+		d.deliverRecords(packet.OWRetransmit, recs[off:end], packet.SummarySlice(summ, off, end))
 	}
 	p.flush() // MissingSeqs is re-read next
 }
