@@ -57,9 +57,13 @@ ci: build vet fmt-check test race staticcheck cover fuzz-smoke bench-smoke examp
 # the controller directly — spilled keys (TestSpilledKey*,
 # TestStaleCollectDropsSpilledKeys) and latency spikes
 # (TestSpikesSurviveCrash, TestPartitionFailoverKeepsSpikes,
-# TestNetworkWideSpikeHandling).
+# TestNetworkWideSpikeHandling). ScrapeMatchesStats is
+# TestScrapeMatchesStats: after a packet run (AFR drop/dup, a durable
+# store, a partitioned standby pair) and an RDMA run (verb faults, a
+# distinct-count query), every scraped counter that mirrors a Stats field
+# reads that field — each event has one counter, which both read.
 chaos:
-	$(GO) test -race -run 'Chaos|CollectBatch|AFRPort|Spill|Spike' . ./examples/udpcollector/
+	$(GO) test -race -run 'Chaos|CollectBatch|AFRPort|Spill|Spike|ScrapeMatchesStats' . ./examples/udpcollector/
 
 # Durability suite: kill-and-restart at every sub-window boundary and
 # every store crash point, WAL-replay recovery, checkpoints (what a

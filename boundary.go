@@ -162,11 +162,10 @@ func (b *boundary) account() {
 	if b.owned && len(d.ctrl.MissingSeqs(b.sw)) > 0 {
 		d.stats.IncompleteSubWindows++
 	}
-	d.stats.AFRs += b.afrs
+	d.ctr.afrs.Add(int64(b.afrs))
 	d.stats.SubWindows++
 	d.stats.CollectVirtual += b.virtual
 	d.stats.MaxCollectVirtual = max(d.stats.MaxCollectVirtual, b.virtual)
-	d.obs.afrs.Add(int64(b.afrs))
 	d.obs.collect.Observe(b.virtual)
 	if b.owned {
 		d.obs.ring.Record(obs.StageCollected, b.sw, b.region, int64(b.afrs))

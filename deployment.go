@@ -104,8 +104,7 @@ func (d *Deployment) installProgram() {
 		// What the controller is owed leaves the pass as records, as AFRs
 		// leave through the engine's port: a spike's merge, a spilled key.
 		if res.Spike {
-			d.stats.Spikes++
-			d.obs.spikes.Inc()
+			d.spikes++
 			d.ingestSpike(p)
 			return
 		}
@@ -114,8 +113,7 @@ func (d *Deployment) installProgram() {
 			d.regionOwned[res.Region] = true
 		}
 		if spillKey, spill := d.engine.Update(res.Region, p); spill {
-			d.stats.Spills++
-			d.obs.spills.Inc()
+			d.spills++
 			d.spilled[p.OW.SubWindow] = append(d.spilled[p.OW.SubWindow], spillKey)
 		}
 	})
@@ -156,8 +154,7 @@ func (d *Deployment) process(p, q *packet.Packet) []*packet.Packet {
 	}
 	*q = *p
 	out := d.sw.Inject(q)
-	d.stats.Packets++
-	d.obs.packets.Inc()
+	d.packets++
 	return out.Forward
 }
 
@@ -285,6 +282,7 @@ func (d *Deployment) runDueCollections() {
 // The rest is the controller half, which reads only what drain handed
 // over and its own state.
 func (d *Deployment) collect(sw uint64, at int64) {
+	d.publish()
 	b := boundary{d: d, sw: sw, at: at}
 	b.begin()
 	b.enumerate()

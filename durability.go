@@ -163,10 +163,7 @@ func (d *Deployment) durabilityFault(sw uint64, err error) {
 }
 
 // noteDurabilityGap counts one durable write skipped or failed while degraded.
-func (d *Deployment) noteDurabilityGap() {
-	d.stats.DurabilityGaps++
-	d.obs.durGaps.Inc()
-}
+func (d *Deployment) noteDurabilityGap() { d.ctr.durabilityGaps.Add(1) }
 
 // healDurability probes the disk from a degraded boundary: durable.Heal
 // checkpoints a full cut, every live column re-logged on a new generation.

@@ -356,9 +356,12 @@ func (c *Controller) Times(sw uint64) OpTimes {
 	return OpTimes{}
 }
 
-// Receive ingests one switch-to-controller packet: AFR payloads, trigger
-// announcements and spilled flow keys are all accepted (O1). Safe for
-// concurrent callers: records fan out to their owning shard.
+// Receive ingests one switch-to-controller packet (O1): a delivery batch
+// of AFRs, first sent or retransmitted, or a trigger announcing a
+// sub-window's key count. A spilled flow key never arrives here as a key:
+// it is injected back into the switch, and its AFRs come in a delivery
+// batch like any other; a spike copy arrives as a record (IngestSpike).
+// Safe for concurrent callers: records fan out to their owning shard.
 func (c *Controller) Receive(p *packet.Packet) {
 	start := time.Now()
 	switch p.OW.Flag {

@@ -19,7 +19,7 @@
 // promotion applied just before that record is classified. Each hot
 // record is one WRITE verb; the batch's cold records are one append verb.
 // A verb has one verb index, one series of fault draws, one PSN and one
-// replay-ring entry; fallback and shed are charged per record. Send is
+// replay-ring entry; fallback is routed and shed charged per record. Send is
 // SendBatch of one record.
 package rdma
 

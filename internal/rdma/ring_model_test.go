@@ -149,7 +149,6 @@ func (m *modelTransport) sendBatch(recs []packet.AFR, promote []bool) []Route {
 		base, hot := m.rows[rec.Key]
 		switch {
 		case m.state != QPRts:
-			m.stats.Fallbacks++
 			routes[i] = Fallback
 		case hot:
 			routes[i] = m.write(base, rec)
@@ -169,7 +168,6 @@ func (m *modelTransport) sendBatch(recs []packet.AFR, promote []bool) []Route {
 func (m *modelTransport) write(base int, rec packet.AFR) Route {
 	idx, a := m.post()
 	if a < 0 {
-		m.stats.Fallbacks++
 		return Fallback
 	}
 	applied := !m.faults.PSNDropAt(idx, a)
@@ -189,12 +187,10 @@ func (m *modelTransport) write(base int, rec packet.AFR) Route {
 // from its end, fell back.
 func (m *modelTransport) appendRun(run []packet.AFR) int {
 	if m.state != QPRts {
-		m.stats.Fallbacks += len(run)
 		return len(run)
 	}
 	idx, a := m.post()
 	if a < 0 {
-		m.stats.Fallbacks += len(run)
 		return len(run)
 	}
 	if m.faults.PSNDropAt(idx, a) {
@@ -208,7 +204,6 @@ func (m *modelTransport) appendRun(run []packet.AFR) int {
 	}
 	for _, r := range run[landed:] {
 		m.stats.Overflows++
-		m.stats.Fallbacks++
 		m.shed[r.SubWindow]++
 	}
 	return len(run) - landed
@@ -309,7 +304,6 @@ func (m *modelTransport) takeUnapplied() []packet.AFR {
 			kept = append(kept, e)
 		} else {
 			out = append(out, e.recs...)
-			m.stats.Fallbacks += len(e.recs)
 		}
 	}
 	m.pending = kept

@@ -22,7 +22,7 @@ import (
 //
 // A verb is either a hot record's WRITE or a batch's cold records as one
 // append: the fault schedule, the PSN and the replay ring work per verb,
-// while fallback, shed and loss are charged per record.
+// while fallback is routed and shed and loss are charged per record.
 //
 // Loss accounting follows the repo-wide contract: every record the
 // transport irrecoverably drops (cold-buffer overflow, replay-window
@@ -100,8 +100,6 @@ type TransportStats struct {
 	// PSNDrops counts verbs lost in flight; Replayed counts the records
 	// of verbs re-applied by the NACK/replay loop.
 	PSNDrops, Replayed int
-	// Fallbacks counts records handed back to the packet C&R path.
-	Fallbacks int
 	// Overflows counts records the cold ring had no room for.
 	Overflows int
 	// Lost counts records the transport dropped irrecoverably (they are
@@ -563,7 +561,6 @@ func (t *Transport) SendBatch(recs []packet.AFR, promote []bool, routes []Route)
 		}
 		switch base, hot := t.rows[rec.Key]; {
 		case t.state != QPRts:
-			t.stats.Fallbacks++
 			routes[i] = Fallback
 		case hot:
 			routes[i] = t.writeLocked(base, recs[i:i+1])
@@ -591,7 +588,6 @@ func (t *Transport) SendBatch(recs []packet.AFR, promote []bool, routes []Route)
 func (t *Transport) writeLocked(base int, rec []packet.AFR) Route {
 	idx, a := t.post()
 	if a < 0 {
-		t.stats.Fallbacks++
 		return Fallback
 	}
 	// The request left the requester; in-flight loss surfaces as a PSN
@@ -612,13 +608,11 @@ func (t *Transport) writeLocked(base int, rec []packet.AFR) Route {
 // stashed whole; one that lands is named by its cold-ring offset.
 func (t *Transport) appendLocked(run []packet.AFR) (fellBack int) {
 	if t.state != QPRts {
-		t.stats.Fallbacks += len(run)
 		return len(run)
 	}
 	idx, a := t.post()
 	switch {
 	case a < 0:
-		t.stats.Fallbacks += len(run)
 		return len(run)
 	case t.faults.PSNDropAt(idx, a):
 		t.stats.PSNDrops++
@@ -633,7 +627,6 @@ func (t *Transport) appendLocked(run []packet.AFR) (fellBack int) {
 	// per record and hand it back for the packet path.
 	for i := landed; i < len(run); i++ {
 		t.stats.Overflows++
-		t.stats.Fallbacks++
 		t.shed(run[i].SubWindow, 1)
 	}
 	return len(run) - landed
@@ -825,7 +818,6 @@ func (t *Transport) TakeUnapplied() []packet.AFR {
 		t.live--
 	})
 	t.takeScratch = out
-	t.stats.Fallbacks += len(out)
 	t.unapplied = 0
 	t.skipTaken()
 	return out

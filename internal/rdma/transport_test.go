@@ -72,9 +72,6 @@ func TestTransportErrorFallsBackSeamlessly(t *testing.T) {
 			t.Fatal("Error-state QP accepted a verb")
 		}
 	}
-	if st := tr.Stats(); st.Fallbacks != 5 {
-		t.Fatalf("fallbacks = %d, want 5", st.Fallbacks)
-	}
 	cold, hot := tr.Drain(0)
 	if len(cold) != 0 || len(hot) != 0 {
 		t.Fatal("Error-state QP delivered records")
@@ -94,7 +91,7 @@ func TestTransportRetriesExhaustFaultQP(t *testing.T) {
 		t.Fatalf("state = %v, want Error", got)
 	}
 	st := tr.Stats()
-	if st.VerbErrors != 3 || st.VerbRetries != 2 || st.QPErrors != 1 || st.Fallbacks != 1 {
+	if st.VerbErrors != 3 || st.VerbRetries != 2 || st.QPErrors != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 	if tr.TakeRetryWait() <= 0 {
@@ -204,7 +201,7 @@ func TestTransportReplayBudgetExhaustedFallsBack(t *testing.T) {
 	if len(cold)+len(hot) != 0 {
 		t.Fatal("dropped verbs also drained")
 	}
-	if st := tr.Stats(); st.Lost != 0 || st.Fallbacks != n {
+	if st := tr.Stats(); st.Lost != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -242,8 +239,8 @@ func TestTransportColdOverflowShedsAndFallsBack(t *testing.T) {
 		t.Fatalf("delivered %d, want buffer capacity 2", delivered)
 	}
 	st := tr.Stats()
-	if st.Overflows != 3 || st.Fallbacks != 3 || shed != 3 {
-		t.Fatalf("overflows = %d fallbacks = %d shed = %d", st.Overflows, st.Fallbacks, shed)
+	if st.Overflows != 3 || shed != 3 {
+		t.Fatalf("overflows = %d shed = %d", st.Overflows, shed)
 	}
 	if tr.State() != QPRts {
 		t.Fatal("overflow must not fault the QP")
@@ -547,9 +544,9 @@ func TestSendBatchZeroAlloc(t *testing.T) {
 	if got := tr.PendingLen(); got != depth {
 		t.Fatalf("window holds %d verbs, want a full %d", got, depth)
 	}
-	if routes[0] != Hot || routes[1] != Cold || tr.Stats().Fallbacks != 0 {
-		t.Fatalf("routes = %v..., fallbacks %d: want the promoted key hot, the others cold, nothing back",
-			routes[:2], tr.Stats().Fallbacks)
+	if st := tr.Stats(); routes[0] != Hot || routes[1] != Cold || st != (TransportStats{}) {
+		t.Fatalf("routes = %v..., stats %+v: want the promoted key hot, the others cold, no fault or overflow",
+			routes[:2], st)
 	}
 }
 
@@ -623,7 +620,7 @@ func TestSendBatchAppendVerb(t *testing.T) {
 		if want := []Route{Fallback, Fallback, Fallback, Fallback}; !slices.Equal(routes, want) {
 			t.Fatalf("routes = %v, want %v", routes, want)
 		}
-		if st := tr.Stats(); st.Fallbacks != 4 || st.QPErrors != 1 || st.VerbErrors != 2 || tr.PendingLen() != 0 {
+		if st := tr.Stats(); st.QPErrors != 1 || st.VerbErrors != 2 || tr.PendingLen() != 0 {
 			t.Fatalf("stats = %+v, pending %d", st, tr.PendingLen())
 		}
 	})
@@ -661,7 +658,7 @@ func TestSendBatchAppendVerb(t *testing.T) {
 		if got := tr.TakeUnapplied(); !slices.Equal(got, want) {
 			t.Fatalf("hand-off = %v, want %v", got, want)
 		}
-		if st := tr.Stats(); st.Fallbacks != 7 || st.Lost != 0 || tr.PendingLen() != 0 {
+		if st := tr.Stats(); st.Lost != 0 || tr.PendingLen() != 0 {
 			t.Fatalf("stats = %+v, pending %d", st, tr.PendingLen())
 		}
 	})
@@ -675,7 +672,7 @@ func TestSendBatchAppendVerb(t *testing.T) {
 		if routes, want := send(tr, recs), []Route{Cold, Cold, Fallback, Fallback}; !slices.Equal(routes, want) {
 			t.Fatalf("routes = %v, want the prefix that fits cold and the tail back", routes)
 		}
-		if st := tr.Stats(); st.Overflows != 2 || st.Fallbacks != 2 || shed[1] != 2 || tr.PendingLen() != 2 {
+		if st := tr.Stats(); st.Overflows != 2 || shed[1] != 2 || tr.PendingLen() != 2 {
 			t.Fatalf("stats = %+v, shed %v, pending %d", st, shed, tr.PendingLen())
 		}
 		if cold, _ := tr.Drain(1); len(cold) != 5 || cold[4] != recs[1] {

@@ -2,40 +2,42 @@ package omniwindow
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"omniwindow/internal/controller"
 	"omniwindow/internal/obs"
 )
 
-// This file wires the deployment into internal/obs: counters and latency
-// histograms over the C&R pipeline, window-lifecycle trace events, and
-// the optional HTTP debug endpoint (Config.DebugAddr). Instrumentation is
-// strictly opt-in — without Config.Obs or Config.DebugAddr every handle
-// below stays nil and each call site is an allocation-free no-op, which
-// is what keeps the hot paths within the benchmark-regression budget.
+// This file wires the deployment into internal/obs: its event counters,
+// the C&R latency histogram, window-lifecycle trace events and the
+// optional HTTP debug endpoint (Config.DebugAddr). Stats() reads the
+// counters too; without Config.Obs or Config.DebugAddr the deployObs
+// handles stay nil and each call site is an allocation-free no-op.
 
-// deployObs holds the deployment-level instrumentation handles. These
-// cover what the controller and durable store cannot see themselves: the
-// switch-side pipeline (packets, spills, spikes)
-// and the C&R driver (virtual collect time, retransmissions).
+// counters holds one atomic per deployment-level event, written where the
+// event happens and read by Stats() and the registry alike. The per-packet
+// three are plain ints on the packet goroutine until publish.
+type counters struct {
+	packets, spills, spikes, afrs, retransmitted, fallbacks              atomic.Int64
+	durabilityGaps, demotions, readmissions, partitionEvents, suppressed atomic.Int64
+}
+
+// publish copies the per-packet counts into their atomics, at each
+// boundary and in Stats(): no atomic add lands on the per-packet path.
+func (d *Deployment) publish() {
+	d.ctr.packets.Store(int64(d.packets))
+	d.ctr.spills.Store(int64(d.spills))
+	d.ctr.spikes.Store(int64(d.spikes))
+}
+
+// deployObs holds the registry handles that are not counters. Each gauge
+// is set where the state it mirrors changes: a scrape runs beside a live
+// deployment and must never read the deployment's own fields.
 type deployObs struct {
-	packets *obs.Counter
-	afrs    *obs.Counter
-	spills  *obs.Counter
-	spikes  *obs.Counter
-	retrans *obs.Counter
-	collect *obs.Histogram // modeled C&R virtual time per sub-window
-	ring    *obs.Ring
-	// Degraded-durability mode (deployment-level: the store cannot see
-	// the skip decisions it never receives).
-	durDegraded *obs.Gauge   // 1 while durable writes are suspended
-	durGaps     *obs.Counter // durable writes skipped while degraded
-	// Failover topology (hot-standby pairs), each set in standby.go where
-	// the state it mirrors changes: a scrape runs beside a live deployment
-	// and must never read the deployment's own fields.
-	term, role                  *obs.Gauge
-	demotions, readmissions     *obs.Counter
-	partitionEvents, suppressed *obs.Counter
+	collect     *obs.Histogram // modeled C&R virtual time per sub-window
+	ring        *obs.Ring
+	durDegraded *obs.Gauge // 1 while durable writes are skipped (the store never sees them)
+	term, role  *obs.Gauge // failover topology (hot-standby pairs), set in standby.go
 }
 
 // setupObs builds the registry (or adopts the caller-supplied one),
@@ -50,19 +52,21 @@ func (d *Deployment) setupObs() error {
 	if d.reg == nil {
 		d.reg = obs.NewRegistry()
 	}
+	c := &d.ctr
+	d.reg.CounterFunc("omniwindow_switch_packets_total", "trace packets processed through the switch pipeline", c.packets.Load)
+	d.reg.CounterFunc("omniwindow_cr_afrs_total", "AFR records collected across C&R rounds", c.afrs.Load)
+	d.reg.CounterFunc("omniwindow_switch_spills_total", "flow keys spilled to the controller (flowkey array full)", c.spills.Load)
+	d.reg.CounterFunc("omniwindow_switch_spikes_total", "latency-spike packets forwarded to the controller", c.spikes.Load)
+	d.reg.CounterFunc("omniwindow_cr_retransmitted_total", "AFR records re-sent by the NACK/retransmit protocol", c.retransmitted.Load)
 	d.obs = deployObs{
-		packets: d.reg.Counter("omniwindow_switch_packets_total", "trace packets processed through the switch pipeline"),
-		afrs:    d.reg.Counter("omniwindow_cr_afrs_total", "AFR records collected across C&R rounds"),
-		spills:  d.reg.Counter("omniwindow_switch_spills_total", "flow keys spilled to the controller (flowkey array full)"),
-		spikes:  d.reg.Counter("omniwindow_switch_spikes_total", "latency-spike packets forwarded to the controller"),
-		retrans: d.reg.Counter("omniwindow_cr_retransmitted_total", "AFR records re-sent by the NACK/retransmit protocol"),
-		collect: d.reg.Histogram("omniwindow_cr_collect_seconds", "modeled C&R virtual time per sub-window (enumeration + recovery + reset)", nil),
+		collect: d.reg.Histogram("omniwindow_cr_collect_seconds", "modeled C&R virtual time per sub-window (enumeration + recovery + reset; the store's IO wait excluded)", nil),
 		ring:    d.reg.Ring(0),
 	}
 
 	// RDMA transport: the QP state gauge and the fault/recovery counters
 	// are scrape-time functions over the transport's own (mutex-guarded)
-	// stats, so the hot send path carries no extra instrumentation.
+	// stats, so the hot send path carries no extra instrumentation; the
+	// fallbacks are the deployment's (summary records bypass the transport).
 	if rp, ok := d.transport.(*rdmaPath); ok {
 		tr := rp.tr
 		d.reg.GaugeFunc("omniwindow_rdma_qp_state", "RDMA queue pair state (0=RTS, 1=Error, 2=Recovering)",
@@ -71,9 +75,9 @@ func (d *Deployment) setupObs() error {
 			func() int64 { return int64(tr.Stats().VerbErrors) })
 		d.reg.CounterFunc("omniwindow_rdma_verb_retries_total", "RNR-style verb retries after transient completion errors",
 			func() int64 { return int64(tr.Stats().VerbRetries) })
-		d.reg.CounterFunc("omniwindow_rdma_fallback_afrs_total", "records rerouted from the RDMA transport to the packet C&R path",
-			func() int64 { return int64(tr.Stats().Fallbacks) })
-		d.reg.CounterFunc("omniwindow_rdma_replayed_total", "verbs re-applied by the PSN-gap NACK/replay loop",
+		d.reg.CounterFunc("omniwindow_rdma_fallback_afrs_total", "records the packet C&R path carried instead of the RDMA transport (rerouted, or carrying a distinct-count summary)",
+			c.fallbacks.Load)
+		d.reg.CounterFunc("omniwindow_rdma_replayed_total", "records of verbs re-applied by the PSN-gap NACK/replay loop",
 			func() int64 { return int64(tr.Stats().Replayed) })
 		d.reg.CounterFunc("omniwindow_rdma_lost_afrs_total", "records the RDMA transport dropped irrecoverably (charged to shed)",
 			func() int64 { return int64(tr.Stats().Lost) })
@@ -85,7 +89,7 @@ func (d *Deployment) setupObs() error {
 	if d.store != nil {
 		d.store.Instrument(d.reg)
 		d.obs.durDegraded = d.reg.Gauge("omniwindow_durable_degraded", "1 while durable writes are suspended after persistent disk faults (0 = durable)")
-		d.obs.durGaps = d.reg.Counter("omniwindow_durable_gaps_total", "durable writes skipped or failed while in degraded-durability mode")
+		d.reg.CounterFunc("omniwindow_durable_gaps_total", "durable writes skipped or failed while in degraded-durability mode", c.durabilityGaps.Load)
 	}
 	// Failover topology: who holds the fencing term and what the serving
 	// controller's provenance is. Registered only for hot-standby
@@ -95,10 +99,10 @@ func (d *Deployment) setupObs() error {
 		d.obs.term = d.reg.Gauge("omniwindow_failover_term", "fencing term held by the serving controller")
 		d.obs.term.Set(int64(d.term))
 		d.obs.role = d.reg.Gauge("omniwindow_failover_role", "serving controller's provenance (0=original primary, 1=promoted standby, 2=promoted with the demoted former primary still parked)")
-		d.obs.demotions = d.reg.Counter("omniwindow_failover_demotions_total", "zombie-primary self-demotions after fenced writes")
-		d.obs.readmissions = d.reg.Counter("omniwindow_failover_readmissions_total", "demoted former primaries re-admitted as the new standby")
-		d.obs.partitionEvents = d.reg.Counter("omniwindow_failover_partition_events_total", "sub-window boundaries touched by an active partition fault")
-		d.obs.suppressed = d.reg.Counter("omniwindow_failover_suppressed_windows_total", "duplicate window emissions discarded by the promoted standby")
+		d.reg.CounterFunc("omniwindow_failover_demotions_total", "zombie-primary self-demotions after fenced writes", c.demotions.Load)
+		d.reg.CounterFunc("omniwindow_failover_readmissions_total", "demoted former primaries re-admitted as the new standby", c.readmissions.Load)
+		d.reg.CounterFunc("omniwindow_failover_partition_events_total", "sub-window boundaries touched by an active partition fault", c.partitionEvents.Load)
+		d.reg.CounterFunc("omniwindow_failover_suppressed_windows_total", "duplicate window emissions discarded by the promoted standby", c.suppressed.Load)
 	}
 
 	if cfg.DebugAddr != "" {

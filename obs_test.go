@@ -2,14 +2,19 @@ package omniwindow
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
+	"omniwindow/internal/afr"
+	"omniwindow/internal/faults"
 	"omniwindow/internal/obs"
+	"omniwindow/internal/packet"
 	"omniwindow/internal/window"
 )
 
@@ -172,7 +177,8 @@ func TestObsRegistryWithoutEndpoint(t *testing.T) {
 }
 
 // TestUninstrumentedDeploymentHasNoObs: without Obs/DebugAddr the
-// deployment carries nil handles end to end and the accessors are safe.
+// deployment has no registry and no endpoint — its counters still feed
+// Stats, its registry handles stay nil — and the accessors are safe.
 func TestUninstrumentedDeploymentHasNoObs(t *testing.T) {
 	d, err := New(freqConfig(window.Tumbling(2), 5, false))
 	if err != nil {
@@ -184,5 +190,112 @@ func TestUninstrumentedDeploymentHasNoObs(t *testing.T) {
 	d.RunFor(burstTrace(map[int64][]int{100 * ms: {1}}, 5), 300*ms)
 	if err := d.CloseDebug(); err != nil {
 		t.Fatalf("CloseDebug on uninstrumented deployment: %v", err)
+	}
+}
+
+// oddSummaryApp is elementApp withholding the odd flows' summaries: their
+// records enter the RDMA transport, the even flows' fall back to the
+// packet path without entering it.
+type oddSummaryApp struct{ *elementApp }
+
+func (a oddSummaryApp) Query(k packet.FlowKey) afr.Attr {
+	attr := a.elementApp.Query(k)
+	if k.SrcIP%2 == 1 {
+		attr.Summary = packet.Summary{}
+	}
+	return attr
+}
+
+// TestScrapeMatchesStats: each deployment-level event has one counter, so
+// after a run under composed faults every scraped family that mirrors a
+// Stats field reads that field, and the C&R histogram holds one sample per
+// collected sub-window. The packet arm drops and duplicates AFRs, spills
+// keys and logs to a durable store while a partition demotes and
+// re-admits the primary; the RDMA arm injects verb faults under a
+// distinct-count query, whose summary-carrying records fall back without
+// entering the transport.
+func TestScrapeMatchesStats(t *testing.T) {
+	mirrors := map[string]func(Stats) int{
+		"omniwindow_switch_packets_total":               func(s Stats) int { return s.Packets },
+		"omniwindow_switch_spills_total":                func(s Stats) int { return s.Spills },
+		"omniwindow_switch_spikes_total":                func(s Stats) int { return s.Spikes },
+		"omniwindow_cr_afrs_total":                      func(s Stats) int { return s.AFRs },
+		"omniwindow_cr_retransmitted_total":             func(s Stats) int { return s.Retransmitted },
+		"omniwindow_cr_collect_seconds_count":           func(s Stats) int { return s.SubWindows },
+		"omniwindow_durable_gaps_total":                 func(s Stats) int { return s.DurabilityGaps },
+		"omniwindow_durable_quarantined_segments_total": func(s Stats) int { return s.QuarantinedSegments },
+		"omniwindow_durable_fenced_writes_total":        func(s Stats) int { return s.FencedWrites },
+		"omniwindow_failover_demotions_total":           func(s Stats) int { return s.Demotions },
+		"omniwindow_failover_readmissions_total":        func(s Stats) int { return s.Readmissions },
+		"omniwindow_failover_partition_events_total":    func(s Stats) int { return s.PartitionEvents },
+		"omniwindow_failover_suppressed_windows_total":  func(s Stats) int { return s.SuppressedWindows },
+		"omniwindow_rdma_fallback_afrs_total":           func(s Stats) int { return s.FallbackAFRs },
+		"omniwindow_rdma_replayed_total":                func(s Stats) int { return s.RDMAReplayed },
+	}
+	pipeline := []string{"omniwindow_switch_packets_total", "omniwindow_switch_spills_total",
+		"omniwindow_switch_spikes_total", "omniwindow_cr_afrs_total", "omniwindow_cr_retransmitted_total",
+		"omniwindow_cr_collect_seconds_count"}
+	for _, tc := range []struct {
+		name      string
+		config    func(t *testing.T) Config
+		pkts      []packet.Packet
+		families  []string // the mirrors the arm registers beyond pipeline
+		exercised func(Stats) bool
+	}{
+		{"packet", func(t *testing.T) Config {
+			cfg := partitionConfig(t.TempDir(), &faults.PartitionSchedule{Cut: faults.Fault{Fixed: []uint64{3, 4, 5}}})
+			chaosSpill(&cfg)
+			cfg.plan.afrFaults = &everyThird{next: faults.New(faults.Config{Seed: 1, Drop: 0.10, Duplicate: 0.20, MaxDuplicates: 2})}
+			return cfg
+		}, partitionTrace(10), []string{"omniwindow_durable_gaps_total", "omniwindow_durable_quarantined_segments_total",
+			"omniwindow_durable_fenced_writes_total", "omniwindow_failover_demotions_total",
+			"omniwindow_failover_readmissions_total", "omniwindow_failover_partition_events_total",
+			"omniwindow_failover_suppressed_windows_total"},
+			func(s Stats) bool {
+				return s.Spills > 0 && s.Retransmitted > 0 && s.Demotions > 0 && s.Readmissions > 0 &&
+					s.PartitionEvents > 0 && s.FencedWrites > 0
+			}},
+		{"rdma", func(*testing.T) Config {
+			cfg := distinctionConfig(true)
+			cfg.AppFactory = func(r int) afr.StateApp { return oddSummaryApp{newElementApp(r).(*elementApp)} }
+			cfg.plan.rdmaFaults = &faults.RDMASchedule{Seed: 1, VerbError: 0.15, PSNDrop: 0.15,
+				QPError: faults.Fault{Fixed: []uint64{4}}}
+			return cfg
+		}, distinctionTrace(), []string{"omniwindow_rdma_fallback_afrs_total", "omniwindow_rdma_replayed_total"},
+			func(s Stats) bool {
+				return s.FallbackAFRs > 0 && s.RDMAReplayed > 0 && s.HotAFRs > 0 && s.ColdAFRs > 0
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			cfg := tc.config(t)
+			cfg.Obs = reg
+			d, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d.RunFor(tc.pkts, 10*100*ms)
+			if err := d.CloseDurability(); err != nil {
+				t.Fatal(err)
+			}
+			// Scraped before Stats() publishes: the boundary's publish must
+			// already have carried the per-packet counts.
+			var text bytes.Buffer
+			if err := reg.WritePrometheus(&text); err != nil {
+				t.Fatal(err)
+			}
+			got := parseMetrics(t, &text)
+			st := d.Stats()
+			if !tc.exercised(st) {
+				t.Fatalf("the faults did not reach every counter: %+v", st)
+			}
+			for name, field := range mirrors {
+				registered := slices.Contains(pipeline, name) || slices.Contains(tc.families, name)
+				v, ok := got[name]
+				if ok != registered || int(v) != field(st) {
+					t.Errorf("%s = %v (present %v, registered %v), Stats says %d", name, v, ok, registered, field(st))
+				}
+			}
+		})
 	}
 }

@@ -118,15 +118,16 @@ type Config struct {
 	// on this address ("127.0.0.1:0" picks a free port; read it back with
 	// DebugURL): Prometheus text on /metrics, the window-lifecycle trace
 	// ring as JSON on /debug/windows, and the standard net/http/pprof
-	// profiles on /debug/pprof/. Empty leaves the deployment completely
-	// uninstrumented — the hot paths then carry nil handles whose calls
-	// are no-ops and allocation-free (see internal/obs). Close the
-	// endpoint with CloseDebug.
+	// profiles on /debug/pprof/. Empty, with Obs nil, registers nothing:
+	// the hot paths carry nil handles whose calls are allocation-free
+	// no-ops (see internal/obs), and only Stats reads the event counters.
+	// Close the endpoint with CloseDebug.
 	DebugAddr string
 	// Obs optionally supplies an existing observability registry to
 	// instrument into, instead of (or in addition to) DebugAddr, so the
 	// caller keeps a handle on it. Setting either Obs or DebugAddr enables
-	// instrumentation.
+	// instrumentation. A registry serves one deployment: the deployment's
+	// and its store's counter families read the first one registered.
 	Obs *obs.Registry
 
 	// plan is what the in-package chaos suites inject; the zero value is
@@ -210,7 +211,10 @@ type Stats struct {
 	// the windows they belong to are marked Incomplete.
 	IncompleteSubWindows int
 	// CollectVirtual is the total modeled C&R time across sub-windows
-	// (enumeration + reset recirculation + injection).
+	// (enumeration + reset recirculation + injection), plus the durable
+	// store's IO wait (retry backoffs, injected slow IO) taken at each
+	// boundary's finish. omniwindow_cr_collect_seconds and
+	// MaxCollectVirtual exclude the IO wait.
 	CollectVirtual time.Duration
 	// MaxCollectVirtual is the worst single sub-window's C&R time; it
 	// must stay strictly below the sub-window duration for two regions to
@@ -283,9 +287,11 @@ type Deployment struct {
 	spilled map[uint64][]packet.FlowKey
 	pending []pendingCR
 	// results holds the completed windows.
-	results []controller.WindowResult
-	stats   Stats
-	now     int64
+	results                 []controller.WindowResult
+	stats                   Stats // what Stats() reports beside ctr's event counters
+	now                     int64
+	packets, spills, spikes int // on the packet goroutine; publish copies them into ctr
+	ctr                     counters
 
 	// regionOwner tracks which sub-window's state each memory region
 	// currently holds, so stale terminations cannot reset a region a
@@ -486,10 +492,19 @@ func (d *Deployment) Switch() *switchsim.Switch { return d.sw }
 // Controller exposes the controller (per-sub-window timing breakdowns).
 func (d *Deployment) Controller() *controller.Controller { return d.ctrl }
 
-// Stats returns run statistics. Store-side tallies (quarantined
-// segments, fenced writes) are folded in at read time.
+// Stats returns run statistics, reading each event's one counter: the ones
+// the registry scrapes (d.ctr), the RDMA transport's and the store's.
 func (d *Deployment) Stats() Stats {
-	s := d.stats
+	d.publish()
+	s, c := d.stats, &d.ctr
+	s.Packets, s.Spills, s.Spikes = int(c.packets.Load()), int(c.spills.Load()), int(c.spikes.Load())
+	s.AFRs, s.Retransmitted = int(c.afrs.Load()), int(c.retransmitted.Load())
+	s.FallbackAFRs, s.DurabilityGaps = int(c.fallbacks.Load()), int(c.durabilityGaps.Load())
+	s.Demotions, s.Readmissions = int(c.demotions.Load()), int(c.readmissions.Load())
+	s.PartitionEvents, s.SuppressedWindows = int(c.partitionEvents.Load()), int(c.suppressed.Load())
+	if rp, ok := d.transport.(*rdmaPath); ok {
+		s.RDMAReplayed = rp.tr.Stats().Replayed
+	}
 	if d.store != nil {
 		s.QuarantinedSegments = int(d.store.Quarantined())
 		s.FencedWrites = int(d.store.FencedWrites())

@@ -58,32 +58,32 @@ func TestRDMAChaosByteIdentical(t *testing.T) {
 		sched *faults.RDMASchedule
 		// exercised asserts the schedule actually hit the fault path it
 		// is named for.
-		exercised func(st rdma.TransportStats) string
+		exercised func(st rdma.TransportStats, fallbacks int) string
 		spill     bool // a third of the records ride the injected-key path
 	}{
 		{"psn-drop/seed1", &faults.RDMASchedule{Seed: 1, PSNDrop: 0.25},
-			func(st rdma.TransportStats) string {
+			func(st rdma.TransportStats, fallbacks int) string {
 				if st.PSNDrops == 0 || st.Replayed == 0 {
 					return "no PSN drops replayed"
 				}
 				return ""
 			}, false},
 		{"psn-drop/seed2", &faults.RDMASchedule{Seed: 2, PSNDrop: 0.25},
-			func(st rdma.TransportStats) string {
+			func(st rdma.TransportStats, fallbacks int) string {
 				if st.PSNDrops == 0 {
 					return "no PSN drops"
 				}
 				return ""
 			}, false},
 		{"psn-drop/seed3", &faults.RDMASchedule{Seed: 3, PSNDrop: 0.25},
-			func(st rdma.TransportStats) string {
+			func(st rdma.TransportStats, fallbacks int) string {
 				if st.PSNDrops == 0 {
 					return "no PSN drops"
 				}
 				return ""
 			}, false},
 		{"verb-errors/seed1", &faults.RDMASchedule{Seed: 1, VerbError: 0.30},
-			func(st rdma.TransportStats) string {
+			func(st rdma.TransportStats, fallbacks int) string {
 				if st.VerbErrors == 0 || st.VerbRetries == 0 {
 					return "no verb errors retried"
 				}
@@ -91,11 +91,11 @@ func TestRDMAChaosByteIdentical(t *testing.T) {
 			}, false},
 		{"qp-error-boundaries", &faults.RDMASchedule{
 			QPError: faults.Fault{Fixed: []uint64{1, 3}}},
-			func(st rdma.TransportStats) string {
+			func(st rdma.TransportStats, fallbacks int) string {
 				if st.QPErrors != 2 || st.QPRecoveries != 2 {
 					return fmt.Sprintf("QP errors/recoveries = %d/%d, want 2/2", st.QPErrors, st.QPRecoveries)
 				}
-				if st.Fallbacks == 0 {
+				if fallbacks == 0 {
 					return "Error-state sends never fell back"
 				}
 				return ""
@@ -103,7 +103,7 @@ func TestRDMAChaosByteIdentical(t *testing.T) {
 		{"sustained-outage", &faults.RDMASchedule{
 			QPError: faults.Fault{Fixed: []uint64{1}},
 			Outage:  faults.Fault{Fixed: []uint64{1, 2}}},
-			func(st rdma.TransportStats) string {
+			func(st rdma.TransportStats, fallbacks int) string {
 				if st.QPErrors != 1 || st.QPRecoveries != 1 {
 					return fmt.Sprintf("QP errors/recoveries = %d/%d, want recovery only after the outage", st.QPErrors, st.QPRecoveries)
 				}
@@ -111,7 +111,7 @@ func TestRDMAChaosByteIdentical(t *testing.T) {
 			}, false},
 		{"mr-invalidate", &faults.RDMASchedule{
 			MRInvalidate: faults.Fault{Fixed: []uint64{2}}},
-			func(st rdma.TransportStats) string {
+			func(st rdma.TransportStats, fallbacks int) string {
 				if st.MRInvalidations != 1 || st.Reregistrations != 1 {
 					return "region never invalidated"
 				}
@@ -124,12 +124,12 @@ func TestRDMAChaosByteIdentical(t *testing.T) {
 			VerbError: 0.15, PSNDrop: 0.15,
 			QPError:      faults.Fault{Prob: 0.3},
 			MRInvalidate: faults.Fault{Prob: 0.3}},
-			func(st rdma.TransportStats) string { return "" }, false},
+			func(st rdma.TransportStats, fallbacks int) string { return "" }, false},
 		{"combined+spill/seed1", &faults.RDMASchedule{Seed: 1,
 			VerbError: 0.15, PSNDrop: 0.15,
 			QPError:      faults.Fault{Prob: 0.3},
 			MRInvalidate: faults.Fault{Prob: 0.3}},
-			func(st rdma.TransportStats) string { return "" }, true},
+			func(st rdma.TransportStats, fallbacks int) string { return "" }, true},
 	}
 	// Nightly sweep: OMNIWINDOW_EXTRA_SEEDS widens the fixed table with
 	// derived seeds on the combined schedule (table base 4; packet chaos
@@ -139,14 +139,14 @@ func TestRDMAChaosByteIdentical(t *testing.T) {
 		cases = append(cases, struct {
 			name      string
 			sched     *faults.RDMASchedule
-			exercised func(st rdma.TransportStats) string
+			exercised func(st rdma.TransportStats, fallbacks int) string
 			spill     bool
 		}{fmt.Sprintf("combined/seed%d", s),
 			&faults.RDMASchedule{Seed: s,
 				VerbError: 0.15, PSNDrop: 0.15,
 				QPError:      faults.Fault{Prob: 0.3},
 				MRInvalidate: faults.Fault{Prob: 0.3}},
-			func(st rdma.TransportStats) string { return "" }, false})
+			func(st rdma.TransportStats, fallbacks int) string { return "" }, false})
 	}
 
 	for _, tc := range cases {
@@ -158,7 +158,7 @@ func TestRDMAChaosByteIdentical(t *testing.T) {
 				}
 			})
 			st := rdmaOf(d).Stats()
-			if msg := tc.exercised(st); msg != "" {
+			if msg := tc.exercised(st, d.Stats().FallbackAFRs); msg != "" {
 				t.Fatalf("%s: %+v", msg, st)
 			}
 			if st.Lost != 0 {

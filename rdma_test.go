@@ -53,9 +53,9 @@ func TestRDMAColdBufferOverflowFallsBack(t *testing.T) {
 	if d.stats.ColdAFRs >= 40 {
 		t.Fatalf("cold buffer never overflowed (cold=%d)", d.stats.ColdAFRs)
 	}
-	if st := rdmaOf(d).Stats(); st.Overflows == 0 || d.stats.FallbackAFRs != st.Overflows {
+	if st := rdmaOf(d).Stats(); st.Overflows == 0 || d.Stats().FallbackAFRs != st.Overflows {
 		t.Fatalf("overflow fallback not accounted: transport %+v, deployment fallbacks %d",
-			st, d.stats.FallbackAFRs)
+			st, d.Stats().FallbackAFRs)
 	}
 	// Overflow charges shed accounting (pressure), but the fallback
 	// repaired every record, so the windows are exact — Shed > 0 with

@@ -75,8 +75,7 @@ func (d *Deployment) partitionFailover(sw uint64) time.Duration {
 	d.checkpoint(sw)
 	fenced := d.store.FencedWrites() - fencedBefore
 	d.demoted = true
-	d.stats.Demotions++
-	d.obs.demotions.Inc()
+	d.ctr.demotions.Add(1)
 	d.obs.ring.Record(obs.StageFenced, sw, -1, fenced)
 
 	// No lease wait is charged — the standby promotes only after it
@@ -139,9 +138,7 @@ func (d *Deployment) promote(sw, won uint64) {
 // suppress finishes sw on the promoted controller and discards the windows
 // it completes: the old primary already emitted them.
 func (d *Deployment) suppress(sw uint64) {
-	n := len(d.ctrl.FinishSubWindow(sw))
-	d.stats.SuppressedWindows += n
-	d.obs.suppressed.Add(int64(n))
+	d.ctr.suppressed.Add(int64(len(d.ctrl.FinishSubWindow(sw))))
 }
 
 // readmitDemoted returns a demoted former primary to service as the new
@@ -151,8 +148,7 @@ func (d *Deployment) suppress(sw uint64) {
 // re-promote over a lease nobody was renewing while no standby watched.
 func (d *Deployment) readmitDemoted(sw uint64) {
 	d.standby, d.demoted = true, false
-	d.stats.Readmissions++
-	d.obs.readmissions.Inc()
+	d.ctr.readmissions.Add(1)
 	d.obs.role.Set(1)
 	d.obs.ring.Record(obs.StageReadmit, sw, -1, 0)
 	d.lease.Renew(d.now)
@@ -164,8 +160,7 @@ func (d *Deployment) readmitDemoted(sw uint64) {
 func (d *Deployment) maintainPartition(sw uint64) {
 	switch {
 	case d.cfg.plan.partition.RenewCut(sw):
-		d.stats.PartitionEvents++
-		d.obs.partitionEvents.Inc()
+		d.ctr.partitionEvents.Add(1)
 	case d.demoted:
 		d.readmitDemoted(sw)
 	}

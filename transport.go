@@ -147,8 +147,7 @@ func (p *packetPath) missing(sw uint64, owned bool) []uint32 {
 func (p *packetPath) replay(seqs []uint32) {
 	d := p.d
 	recs, summ := d.engine.Retransmit(seqs)
-	d.stats.Retransmitted += len(recs)
-	d.obs.retrans.Add(int64(len(recs)))
+	d.ctr.retransmitted.Add(int64(len(recs)))
 	for off := 0; off < len(recs); off += afrBatchCap {
 		end := min(len(recs), off+afrBatchCap)
 		d.deliverRecords(packet.OWRetransmit, recs[off:end], packet.SummarySlice(summ, off, end))
@@ -194,7 +193,7 @@ func (r *rdmaPath) begin(sw uint64) { r.tr.BeginBoundary(sw) }
 
 func (r *rdmaPath) deliver(_ packet.OWFlag, recs []packet.AFR, summ []packet.Summary) {
 	if len(summ) > 0 {
-		r.d.stats.FallbackAFRs += len(recs)
+		r.d.ctr.fallbacks.Add(int64(len(recs)))
 		stageAFRs(&r.parked, &r.parkedSumm, recs, summ, r.ingestParked)
 		return
 	}
@@ -213,7 +212,7 @@ func (r *rdmaPath) send() {
 		case rdma.Fallback:
 			// The transport could not take the record: QP down, retries
 			// exhausted, or the cold buffer overflowed.
-			st.FallbackAFRs++
+			r.d.ctr.fallbacks.Add(1)
 			stageAFRs(&r.parked, &r.parkedSumm, recs[i:i+1], nil, r.ingestParked)
 		case rdma.Hot:
 			st.HotAFRs++
@@ -269,7 +268,7 @@ func (r *rdmaPath) missing(uint64, bool) []uint32 {
 	return r.tr.MissingPSNs()
 }
 
-func (r *rdmaPath) replay(psns []uint32) { r.d.stats.RDMAReplayed += r.tr.Replay(psns) }
+func (r *rdmaPath) replay(psns []uint32) { r.tr.Replay(psns) }
 
 // drain first takes the per-key hand-off — what the replay budget could
 // not land on the region — then the cold ring plus the hot-row readback,
@@ -279,7 +278,7 @@ func (r *rdmaPath) replay(psns []uint32) { r.d.stats.RDMAReplayed += r.tr.Replay
 func (r *rdmaPath) drain(sw uint64, _ int) time.Duration {
 	d, rx := r.d, r.d.sw.Costs.DPDKRxPerPacket
 	if fb := r.tr.TakeUnapplied(); len(fb) > 0 {
-		d.stats.FallbackAFRs += len(fb)
+		d.ctr.fallbacks.Add(int64(len(fb)))
 		d.obs.ring.Record(obs.StageRDMAFallback, sw, -1, int64(len(fb)))
 		r.ingest(fb, nil)
 		d.stats.ControllerCPUVirtual += time.Duration(len(fb)) * rx
