@@ -86,8 +86,13 @@ chaos:
 # per-frame writes, a torn group write retried without landing an LSN
 # twice, a crash losing the unwritten group, the group written before a
 # control frame and before the boundary's reset, writes per boundary.
+# Apply selects the live-vs-replay equivalence: the deployment applies
+# every record it logs through Controller.Apply and replay applies the
+# logged records through the same call, and TestApplyMatchesReceive holds
+# the packet adapter (Receive) to Apply on one delivery stream, so
+# recovery rebuilds what the live run built.
 failover:
-	$(GO) test -race -run 'Crash|Failover|Shed|Store|Lease|CollectBatch|Checkpoint|Cut|Scrub|WALGroup' \
+	$(GO) test -race -run 'Crash|Failover|Shed|Store|Lease|CollectBatch|Checkpoint|Cut|Scrub|WALGroup|Apply' \
 		. ./internal/controller/ ./internal/faults/ ./internal/durable/ ./examples/udpcollector/
 
 # RDMA chaos suite: the fault-tolerant transport (QP state machine, PSN

@@ -465,7 +465,7 @@ func BenchmarkRDMASendBatch(b *testing.B) {
 // BenchmarkWALAppendRotating measures the durable WAL append hot path
 // under realistic segment rotation: 8-AFR batches against a 16 KiB
 // segment cap, so seal-and-rotate cost amortizes into the steady state
-// the deployment's logBatch actually pays. Run with -benchmem: the
+// the deployment's recordBatch actually pays. Run with -benchmem: the
 // fault-free append must sit at 0 allocs/op (rotation itself may
 // allocate; it is off the per-append path) — pinned by
 // TestWALAppendRotatingZeroAlloc in internal/durable.

@@ -74,15 +74,19 @@ func TestBoundaryPathShape(t *testing.T) {
 }
 
 // seamShape holds the switch-to-controller seam to one path per message, so
-// none can quietly grow a second that then drifts from the first: one
-// function announces a termination (the only caller of logTrigger, and the
-// only reader of the tracker's key count besides enumeration), the serving
-// controller changes only where one is built — New and promote — no
-// scrape-time metric func in obs.go reads a deployment field the run
-// goroutine writes, and nothing reaches the controller as a packet clone:
-// AFRs, spilled keys and spikes leave the pipeline pass as records, so no
-// function calls switchsim's CloneToController or reads
-// Output.ToController.
+// none can quietly grow a second that then drifts from the first: the
+// controller is applied records in exactly two places — record, the live
+// path that logs each record and then applies it, and replayLog, which
+// applies the logged ones — so a replay folds what the live run folded;
+// nothing hands the controller a packet (no function calls Receive); one
+// function announces a termination (the only one that builds a WALTrigger
+// record, and the only reader of the tracker's key count besides
+// enumeration); the serving controller changes only where one is built —
+// New and promote; no scrape-time metric func in obs.go reads a
+// deployment field the run goroutine writes; and nothing reaches the
+// controller as a packet clone: AFRs, spilled keys and spikes leave the
+// pipeline pass as records, so no function calls switchsim's
+// CloneToController or reads Output.ToController.
 func seamShape(t *testing.T) {
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, ".", func(fi fs.FileInfo) bool {
@@ -107,8 +111,11 @@ func seamShape(t *testing.T) {
 			ast.Inspect(fn.Body, func(n ast.Node) bool {
 				switch n := n.(type) {
 				case *ast.SelectorExpr:
-					if n.Sel.Name == "CloneToController" || n.Sel.Name == "ToController" {
+					switch n.Sel.Name {
+					case "CloneToController", "ToController":
 						in["clone to controller"] = append(in["clone to controller"], fn.Name.Name)
+					case "WALTrigger":
+						in[n.Sel.Name] = append(in[n.Sel.Name], fn.Name.Name)
 					}
 				case *ast.AssignStmt:
 					for _, lhs := range n.Lhs {
@@ -118,7 +125,7 @@ func seamShape(t *testing.T) {
 					}
 				case *ast.CallExpr:
 					switch callee := selected(n.Fun); callee {
-					case "logTrigger", "KeyCount":
+					case "Apply", "Receive", "KeyCount":
 						in[callee] = append(in[callee], fn.Name.Name)
 					case "CounterFunc", "GaugeFunc":
 						ast.Inspect(n.Args[len(n.Args)-1], func(m ast.Node) bool {
@@ -140,7 +147,9 @@ func seamShape(t *testing.T) {
 		}
 	}
 	for what, want := range map[string][]string{
-		"logTrigger":          {"announce"},
+		"Apply":               {"record", "replayLog"},
+		"Receive":             nil,
+		"WALTrigger":          {"announce"},
 		"KeyCount":            {"announce", "enumerate"},
 		"ctrl =":              {"New", "promote"},
 		"clone to controller": nil,

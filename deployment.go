@@ -6,6 +6,7 @@ import (
 	"omniwindow/internal/controller"
 	"omniwindow/internal/packet"
 	"omniwindow/internal/switchsim"
+	"omniwindow/internal/wire"
 )
 
 // deployResources compiles the OmniWindow data-plane program onto the
@@ -179,7 +180,7 @@ func (d *Deployment) Tick(now int64) {
 // controller half: the trigger the data plane clones to the controller,
 // carrying the sub-window's number and its key count — the only thing that
 // tells the controller how many AFRs the sub-window owes (§4.2, §8) — is
-// logged, then received by the controller. The count is the
+// recorded as a WALTrigger (logged, then applied). The count is the
 // tracked keys plus the spilled keys its collection has injected, so a
 // termination announces the first and the enumerate phase re-announces the
 // sum (the controller keeps the max). It is read under the
@@ -187,12 +188,11 @@ func (d *Deployment) Tick(now int64) {
 // other sub-window that maps to it — the empty ones of an idle gap, while
 // an older one still waits there for its collection — owes none of them.
 func (d *Deployment) announce(ended uint64) {
-	trig := packet.Packet{OW: packet.OWHeader{Flag: packet.OWTrigger, SubWindow: ended}}
+	trig := wire.WALRecord{Type: wire.WALTrigger, SubWindow: ended}
 	if region := d.manager.Regions().Index(ended); d.regionOwned[region] && d.regionOwner[region] == ended {
-		trig.OW.KeyCount = uint32(d.engine.Tracker().KeyCount(region) + d.engine.InjectedKeys(ended))
+		trig.KeyCount = uint32(d.engine.Tracker().KeyCount(region) + d.engine.InjectedKeys(ended))
 	}
-	d.logTrigger(ended, trig.OW.KeyCount)
-	d.ctrl.Receive(&trig)
+	d.record(&trig)
 }
 
 // terminated announces an ended sub-window and schedules its C&R after the
@@ -246,7 +246,8 @@ func (d *Deployment) flushCollections() {
 // data-plane region, so the controller folds the packet in directly, one
 // count per copy, as a record. The application's flowkey definition still
 // applies — a packet the query's filter would have skipped is skipped here
-// too; the WAL logs each copy the controller merged.
+// too. Only a copy the controller merged is logged, so the merge comes
+// first (IngestSpike) and the log second; replay applies the logged copy.
 func (d *Deployment) ingestSpike(p *packet.Packet) {
 	rec := packet.AFR{Key: p.Key, SubWindow: p.OW.SubWindow, Seq: p.Seq, Attr: 1}
 	if d.cfg.KeyOf != nil {
@@ -258,7 +259,10 @@ func (d *Deployment) ingestSpike(p *packet.Packet) {
 	}
 	if d.ctrl.IngestSpike(rec) {
 		d.stats.SpikesMerged++
-		d.durableWrite(rec.SubWindow, func() error { return d.store.AppendSpike(rec.SubWindow, rec.Key, rec.Seq, 1) })
+		spike := [1]packet.AFR{rec}
+		d.durableWrite(rec.SubWindow, func() error {
+			return d.store.Append(&wire.WALRecord{Type: wire.WALSpike, SubWindow: rec.SubWindow, AFRs: spike[:]})
+		})
 	}
 }
 

@@ -67,22 +67,32 @@ func (d *Deployment) durableWrite(sw uint64, write func() error) bool {
 	return true
 }
 
-// logBatch appends one delivery batch and its summaries (parallel, or
-// empty) to the write-ahead log: one frame per run of equal sub-windows,
-// each over its sub-slice of the batch, so a boundary logs about one
-// frame per batch, not one per AFR. retrans marks records that answer a
-// NACK. The frames collect in the store's write group, which lands in one
-// write per 64 KiB (flushLog): a failed append, or a failed group write
-// it set off, is charged to the frame's sub-window, and a frame skipped
-// while degraded is one gap.
-func (d *Deployment) logBatch(retrans bool, recs []packet.AFR, summ []packet.Summary) {
+// record is the deployment's one live path into the controller: rec is
+// logged, then applied. Replay (replayLog) applies the logged records
+// through the same Controller.Apply, so a restart folds exactly what the
+// live run did. A record the log could not take (no store, degraded, a
+// failed write) is applied all the same: disk faults never stop
+// telemetry.
+func (d *Deployment) record(rec *wire.WALRecord) {
+	d.durableWrite(rec.SubWindow, func() error { return d.store.Append(rec) })
+	d.ctrl.Apply(rec)
+}
+
+// recordBatch records one delivery batch and its summaries (parallel, or
+// empty): one record per run of equal sub-windows, each over its
+// sub-slice of the batch, so a boundary logs about one frame per batch,
+// not one per AFR. retrans marks records that answer a NACK. The frames
+// collect in the store's write group, which lands in one write per 64 KiB
+// (flushLog): a failed append, or a failed group write it set off, is
+// charged to the frame's sub-window, and a frame skipped while degraded
+// is one gap.
+func (d *Deployment) recordBatch(retrans bool, recs []packet.AFR, summ []packet.Summary) {
 	for i, j := 0, 0; i < len(recs); i = j {
 		sw := recs[i].SubWindow
 		for j = i + 1; j < len(recs) && recs[j].SubWindow == sw; j++ {
 		}
-		d.durableWrite(sw, func() error {
-			return d.store.AppendRecords(sw, retrans, recs[i:j], packet.SummarySlice(summ, i, j))
-		})
+		d.record(&wire.WALRecord{Type: wire.WALAFRBatch, SubWindow: sw, Retrans: retrans,
+			AFRs: recs[i:j], Summaries: packet.SummarySlice(summ, i, j)})
 	}
 }
 
@@ -94,11 +104,6 @@ func (d *Deployment) flushLog(sw uint64) {
 	if !d.degraded {
 		d.durableWrite(sw, func() error { return d.store.Flush() })
 	}
-}
-
-// logTrigger appends a sub-window's trigger announcement to the control log.
-func (d *Deployment) logTrigger(sw uint64, keyCount uint32) {
-	d.durableWrite(sw, func() error { return d.store.AppendTrigger(sw, keyCount) })
 }
 
 // logFinish appends a FinishSubWindow marker, then checkpoints: every
@@ -222,10 +227,10 @@ func (d *Deployment) recover() error {
 // sub-window a quarantined segment's LSN gap may span, and every live
 // column a quarantined segment may have held part of, is marked Missing
 // (NoteLost), so the windows it feeds assemble Incomplete instead of
-// silently wrong; then the WAL frames the checkpoint does not cover re-run
-// in their original (LSN) order: re-ingested batches and spikes,
-// re-announced triggers and re-applied shed notes. Each finish not yet
-// reflected goes to finish, which re-assembles the sub-window's windows.
+// silently wrong; then the WAL frames the checkpoint does not cover are
+// applied in their original (LSN) order, as the live run applied them
+// (record). Each finish not yet reflected goes to finish, which
+// re-assembles the sub-window's windows.
 func (d *Deployment) replayLog(snap *wire.Snapshot, recs []*wire.WALRecord, finish func(sw uint64)) {
 	if snap != nil {
 		d.ctrl.RestoreState(snap)
@@ -236,41 +241,20 @@ func (d *Deployment) replayLog(snap *wire.Snapshot, recs []*wire.WALRecord, fini
 		}
 	}
 	for _, r := range recs {
-		switch r.Type {
-		case wire.WALAFRBatch:
-			flag := packet.OWAFR
-			if r.Retrans {
-				flag = packet.OWRetransmit
-			}
-			d.ctrl.Receive(&packet.Packet{OW: packet.OWHeader{
-				Flag: flag, SubWindow: r.SubWindow, AFRs: r.AFRs, Summaries: r.Summaries,
-			}})
-		case wire.WALTrigger:
-			d.ctrl.Receive(&packet.Packet{OW: packet.OWHeader{
-				Flag: packet.OWTrigger, SubWindow: r.SubWindow, KeyCount: r.KeyCount,
-			}})
-		case wire.WALFinish:
-			if lf, ok := d.ctrl.LastFinished(); ok && r.SubWindow <= lf {
-				continue // the checkpoint already reflects this assembly
-			}
-			finish(r.SubWindow)
-		case wire.WALShed:
-			d.ctrl.NoteShed(r.SubWindow, int(r.Count))
-		case wire.WALSpike:
-			for _, sp := range r.AFRs {
-				d.ctrl.IngestSpike(sp)
-			}
+		if r.Type != wire.WALFinish {
+			d.ctrl.Apply(r)
+		} else if lf, ok := d.ctrl.LastFinished(); !ok || r.SubWindow > lf {
+			finish(r.SubWindow) // else the checkpoint already reflects this assembly
 		}
 	}
 }
 
-// noteRDMAShed charges records the RDMA transport dropped irrecoverably
-// (cold-buffer overflow, replay-window eviction, invalidation losses) to
-// the live controller's shed accounting and, when durability is on, the
-// WAL — so restored state reconciles the same degraded windows.
+// noteRDMAShed records the records the RDMA transport dropped
+// irrecoverably (cold-buffer overflow, replay-window eviction,
+// invalidation losses): logged, then charged to the live controller's
+// shed accounting, so restored state reconciles the same degraded windows.
 func (d *Deployment) noteRDMAShed(sw uint64, n int) {
-	d.ctrl.NoteShed(sw, n)
-	d.durableWrite(sw, func() error { return d.store.AppendShed(sw, uint32(n)) })
+	d.record(&wire.WALRecord{Type: wire.WALShed, SubWindow: sw, Count: uint32(n)})
 }
 
 // crashIfScheduled halts the deployment at a scheduled crash boundary

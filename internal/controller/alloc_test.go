@@ -194,7 +194,7 @@ func TestFinishSteadyStateAllocs(t *testing.T) {
 								summ[i] = packet.Summary{1 << (sw % 64), uint64(i)}
 							}
 						}
-						c.IngestRecords(recs, summ)
+						c.Apply(&wire.WALRecord{Type: wire.WALAFRBatch, AFRs: recs, Summaries: summ})
 						windows += len(c.FinishSubWindow(sw))
 						sw++
 					}

@@ -7,12 +7,12 @@
 //
 // The key-value table is partitioned into Config.Shards hash-sharded
 // slices so the O2 insert, O3 merge, O4 query evaluation and O5 eviction
-// of FinishSubWindow run across cores, while ingest (Receive/IngestAFRs)
-// is safe for concurrent callers and fans records out to their owning
-// shard. O2 does not wait for the finish: once a shard holds foldChunk
-// unfolded records of the sub-window that finishes next, ingest starts a
-// fold that inserts them while the rest are still arriving, and the
-// finish folds only the tail. Shards=1 degenerates to the fully
+// of FinishSubWindow run across cores, while ingest (Apply) is safe for
+// concurrent callers and fans records out to their owning shard. O2 does
+// not wait for the finish: once a shard holds foldChunk unfolded records
+// of the sub-window that finishes next, ingest starts a fold that inserts
+// them while the rest are still arriving, and the finish folds only the
+// tail. Shards=1 degenerates to the fully
 // sequential controller, with no fold ahead; results are deterministic and
 // identical for every shard count (see DESIGN.md, "Controller concurrency
 // model").
@@ -32,6 +32,7 @@ import (
 	"omniwindow/internal/packet"
 	"omniwindow/internal/pool"
 	"omniwindow/internal/window"
+	"omniwindow/internal/wire"
 )
 
 // Config parameterizes a controller instance.
@@ -142,7 +143,8 @@ func (s *shard) appendPending(sw uint64, recs []packet.AFR, summ []packet.Summar
 
 // OpTimes is the per-sub-window controller time breakdown of Exp#4.
 type OpTimes struct {
-	// Collect (O1) is the time to receive and parse AFR packets.
+	// Collect (O1) is the time Apply spent on the sub-window's AFR batches
+	// and trigger, on either transport (RDMA batches were once uncharged).
 	Collect time.Duration
 	// Insert (O2) is the time to insert AFRs into the key-value table.
 	Insert time.Duration
@@ -205,9 +207,11 @@ type WindowResult struct {
 	SpikePackets int
 }
 
-// Controller assembles windows from AFR batches. Ingest (Receive,
-// IngestAFRs) is safe for concurrent callers; FinishSubWindow serializes
-// against itself but may run concurrently with ingest.
+// Controller assembles windows from AFR batches. Its state is the fold of
+// the records given to Apply, its one input (Receive and IngestAFRs adapt
+// packets and bare record slices to it). Ingest is safe for concurrent
+// callers; FinishSubWindow serializes against itself but may run
+// concurrently with ingest.
 type Controller struct {
 	cfg    Config
 	shards []*shard
@@ -356,21 +360,21 @@ func (c *Controller) Times(sw uint64) OpTimes {
 	return OpTimes{}
 }
 
-// Receive ingests one switch-to-controller packet (O1): a delivery batch
-// of AFRs, first sent or retransmitted, or a trigger announcing a
-// sub-window's key count. A spilled flow key never arrives here as a key:
-// it is injected back into the switch, and its AFRs come in a delivery
-// batch like any other; a spike copy arrives as a record (IngestSpike).
-// Safe for concurrent callers: records fan out to their owning shard.
-func (c *Controller) Receive(p *packet.Packet) {
-	start := time.Now()
-	switch p.OW.Flag {
-	case packet.OWAFR, packet.OWRetransmit:
-		c.ingestBatch(p.OW.AFRs, p.OW.Summaries, p.OW.Flag == packet.OWRetransmit, true)
-	case packet.OWTrigger:
-		r, _ := c.open(p.OW.SubWindow)
+// Apply is the controller's one input, one record of the kinds the
+// write-ahead log stores, so a live run and a replay of its log are the
+// same Apply calls: an AFR batch (first sent, or retransmitted when
+// rec.Retrans) or a trigger, both charged to O1, a shed note (NoteShed)
+// or spike copies (IngestSpike). Other types are ignored. Nothing of rec
+// is retained. Safe for concurrent callers.
+func (c *Controller) Apply(rec *wire.WALRecord) {
+	switch rec.Type {
+	case wire.WALAFRBatch:
+		c.ingestBatch(rec.AFRs, rec.Summaries, rec.Retrans)
+	case wire.WALTrigger:
+		start := time.Now()
+		r, _ := c.open(rec.SubWindow)
 		if r == nil {
-			c.obs.Duplicates.Inc()
+			c.obs.Duplicates.Inc() // late: the sub-window has finished
 			return
 		}
 		// Announcements are cumulative knowledge: a retransmitted or
@@ -380,42 +384,54 @@ func (c *Controller) Receive(p *packet.Packet) {
 		// that would erase Missing entries for keys the controller knows
 		// it has not received. Keep the max; -1 means "not yet announced".
 		r.arrived = true
-		if n := int(p.OW.KeyCount); n > r.expected {
-			r.expected = n
-		}
+		r.expected = max(r.expected, int(rec.KeyCount))
 		r.mu.Unlock()
-		c.obs.Ring.Record(obs.StageAnnounced, p.OW.SubWindow, -1, int64(p.OW.KeyCount))
-		c.addCollect(p.OW.SubWindow, time.Since(start))
+		c.obs.Ring.Record(obs.StageAnnounced, rec.SubWindow, -1, int64(rec.KeyCount))
+		c.addCollect(rec.SubWindow, time.Since(start))
+	case wire.WALShed:
+		c.NoteShed(rec.SubWindow, int(rec.Count))
+	case wire.WALSpike:
+		for _, sp := range rec.AFRs {
+			c.IngestSpike(sp)
+		}
 	}
 }
 
-// IngestAFRs adds records directly (the RDMA path delivers memory writes,
-// not packets). Dedup by sequence still applies. recs is not retained, so
-// a caller may pass a buffer it reuses once IngestAFRs returns. Safe for
-// concurrent callers.
+// Receive applies the record a switch-to-controller packet carries: an
+// AFR batch (OWAFR, OWRetransmit) or a trigger; other flags are ignored.
+// The deployment never calls it. It stays for callers that hold packets
+// — examples/udpcollector, the benchmark's ladder and this package's
+// tests — and leaves with the packet's AFR payload (ROADMAP item 2(c)).
+func (c *Controller) Receive(p *packet.Packet) {
+	rec := wire.WALRecord{SubWindow: p.OW.SubWindow, AFRs: p.OW.AFRs, Summaries: p.OW.Summaries}
+	switch p.OW.Flag {
+	case packet.OWAFR, packet.OWRetransmit:
+		rec.Type, rec.Retrans = wire.WALAFRBatch, p.OW.Flag == packet.OWRetransmit
+	case packet.OWTrigger:
+		rec.Type, rec.KeyCount = wire.WALTrigger, p.OW.KeyCount
+	default:
+		return
+	}
+	c.Apply(&rec)
+}
+
+// IngestAFRs applies recs, which it does not retain, as one batch.
 func (c *Controller) IngestAFRs(recs []packet.AFR) {
-	c.ingestBatch(recs, nil, false, false)
+	c.Apply(&wire.WALRecord{Type: wire.WALAFRBatch, AFRs: recs})
 }
 
-// IngestRecords is IngestAFRs for records that carry summaries: summ is
-// parallel to recs, or empty (packet.Summary). Neither is retained.
-func (c *Controller) IngestRecords(recs []packet.AFR, summ []packet.Summary) {
-	c.ingestBatch(recs, summ, false, false)
-}
-
-// ingestBatch is the shared batched ingest under Receive, IngestAFRs and
-// IngestRecords, summ being recs' summaries (parallel, or empty): route
-// lock-free, dedup with one hold of the ledger record per run of
-// equal sub-windows, then append each shard's survivors under one shard
-// lock acquisition per (shard, batch). retrans marks records arriving via
-// the NACK/retransmit path: recovery accounting counts only sequences
-// whose FIRST arrival was a retransmission (a retransmit of a record that
-// also arrived normally is a plain duplicate). charge attributes the
-// elapsed time to O1 Collect (the packet path; direct RDMA ingest is not
-// an O1 receive). recs and summ are not retained: survivors are copied
-// into the shard's pending storage. The one sub-window the next finish
-// takes, when the plan covers it, is folded ahead (shard.appendPart).
-func (c *Controller) ingestBatch(recs []packet.AFR, summ []packet.Summary, retrans, charge bool) {
+// ingestBatch is Apply's batched ingest, summ being recs' summaries
+// (parallel, or empty): route lock-free, dedup with one hold of the
+// ledger record per run of equal sub-windows, then append each shard's
+// survivors under one shard lock acquisition per (shard, batch). retrans
+// marks records arriving via the NACK/retransmit path: recovery
+// accounting counts only sequences whose FIRST arrival was a
+// retransmission (a retransmit of a record that also arrived normally is
+// a plain duplicate). Each run's time is charged to its sub-window's O1
+// Collect. recs and summ are not retained: survivors are copied into the
+// shard's pending storage. The one sub-window the next finish takes,
+// when the plan covers it, is folded ahead (shard.appendPart).
+func (c *Controller) ingestBatch(recs []packet.AFR, summ []packet.Summary, retrans bool) {
 	if len(recs) == 0 {
 		return
 	}
@@ -460,10 +476,8 @@ func (c *Controller) ingestBatch(recs []packet.AFR, summ []packet.Summary, retra
 		}
 		r.mu.Unlock()
 		admitted += n
-		if charge {
-			c.addCollect(sw, time.Since(start))
-			start = time.Now()
-		}
+		c.addCollect(sw, time.Since(start))
+		start = time.Now()
 	}
 	c.obs.Ingested.Add(int64(admitted))
 	c.obs.Duplicates.Add(int64(len(recs) - admitted))

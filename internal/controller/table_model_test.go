@@ -550,7 +550,7 @@ func runTableOps(t *testing.T, cfg Config, keys []packet.FlowKey, data []byte, b
 					summ = append(summ, packet.Summary{})
 				}
 			}
-			real.IngestRecords(recs, summ)
+			real.Apply(&wire.WALRecord{Type: wire.WALAFRBatch, AFRs: recs, Summaries: summ})
 			model.ingest(recs, summ, false)
 			if b%16 != 15 && off+len(recs) < n {
 				if g, w := real.TableSize(), model.tableSize(); g != w {
@@ -588,7 +588,7 @@ func runTableOps(t *testing.T, cfg Config, keys []packet.FlowKey, data []byte, b
 			}
 			switch next() % 3 {
 			case 0:
-				real.IngestRecords(recs, summ)
+				real.Apply(&wire.WALRecord{Type: wire.WALAFRBatch, AFRs: recs, Summaries: summ})
 				model.ingest(recs, summ, false)
 			case 1:
 				p := afrPkt(recs...)

@@ -593,8 +593,13 @@ func (s *Store) groupEnd() int64 {
 	return s.active().size + int64(len(s.group))
 }
 
-// append issues rec the next LSN and logs it.
-func (s *Store) append(rec *wire.WALRecord) error {
+// Append issues rec the next LSN and logs it under the store's term,
+// setting rec.LSN and rec.Term. rec is not retained. A record batch
+// (wire.WALAFRBatch) collects in the write group; every other frame is
+// written at once (appendLocked). Its records are logged without their
+// sub-window and app: replay gives each rec.SubWindow and app 0, since a
+// durable deployment runs one app.
+func (s *Store) Append(rec *wire.WALRecord) error {
 	start := time.Now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -672,45 +677,21 @@ func (s *Store) SealBoundary() {
 // AppendBatch logs one ingested AFR batch of sub-window sw. The first
 // argument is ignored: it once named the controller shard whose log the
 // batch went to. retrans marks batches that arrived via the NACK/retransmit
-// path, so replayed delivery accounting matches the original run's. Each
-// record is logged as its sequence number, key and attr (wire.WALAFRBatch):
-// replay gives every record sw, whatever SubWindow it held, and app 0,
-// since a durable deployment runs one app.
+// path, so replayed delivery accounting matches the original run's.
 func (s *Store) AppendBatch(_ int, sw uint64, retrans bool, afrs []packet.AFR) error {
-	return s.AppendRecords(sw, retrans, afrs, nil)
-}
-
-// AppendRecords is AppendBatch for records that carry summaries: summ is
-// parallel to afrs, or empty (packet.Summary), and a record's summary is
-// logged after its attr.
-func (s *Store) AppendRecords(sw uint64, retrans bool, afrs []packet.AFR, summ []packet.Summary) error {
-	return s.append(&wire.WALRecord{Type: wire.WALAFRBatch, SubWindow: sw, Retrans: retrans, AFRs: afrs, Summaries: summ})
+	return s.Append(&wire.WALRecord{Type: wire.WALAFRBatch, SubWindow: sw, Retrans: retrans, AFRs: afrs})
 }
 
 // AppendTrigger logs a sub-window's trigger announcement.
 func (s *Store) AppendTrigger(sw uint64, keyCount uint32) error {
-	return s.append(&wire.WALRecord{Type: wire.WALTrigger, SubWindow: sw, KeyCount: keyCount})
+	return s.Append(&wire.WALRecord{Type: wire.WALTrigger, SubWindow: sw, KeyCount: keyCount})
 }
 
 // AppendFinish logs a FinishSubWindow call, so replay re-runs the window
 // assembly (and its evictions) at exactly the same point in the ingest
 // order.
 func (s *Store) AppendFinish(sw uint64) error {
-	return s.append(&wire.WALRecord{Type: wire.WALFinish, SubWindow: sw})
-}
-
-// AppendShed logs records dropped by admission control, so restored
-// ShedAFRs/Degraded accounting matches the pre-crash state.
-func (s *Store) AppendShed(sw uint64, n uint32) error {
-	return s.append(&wire.WALRecord{Type: wire.WALShed, SubWindow: sw, Count: n})
-}
-
-// AppendSpike logs a latency-spike copy the controller merged into
-// sub-window sw in software: its key, packet sequence and contribution,
-// a batch of one (wire.WALSpike) that replay gives sub-window sw and app 0.
-func (s *Store) AppendSpike(sw uint64, key packet.FlowKey, seq uint32, attr uint64) error {
-	spike := [1]packet.AFR{{Key: key, Seq: seq, Attr: attr, SubWindow: sw}}
-	return s.append(&wire.WALRecord{Type: wire.WALSpike, SubWindow: sw, AFRs: spike[:]})
+	return s.Append(&wire.WALRecord{Type: wire.WALFinish, SubWindow: sw})
 }
 
 // quarantineLocked sets a damaged file aside and drops it from the live

@@ -35,7 +35,7 @@ func TestStoreAppendAndRecover(t *testing.T) {
 	if err := s.AppendFinish(0); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AppendShed(1, 4); err != nil {
+	if err := s.Append(&wire.WALRecord{Type: wire.WALShed, SubWindow: 1, Count: 4}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -92,8 +92,8 @@ func TestTermFencesAllMutations(t *testing.T) {
 	if err := s.AppendFinish(1); !errors.Is(err, ErrFenced) {
 		t.Fatalf("AppendFinish: %v, want ErrFenced", err)
 	}
-	if err := s.AppendShed(1, 2); !errors.Is(err, ErrFenced) {
-		t.Fatalf("AppendShed: %v, want ErrFenced", err)
+	if err := s.Append(&wire.WALRecord{Type: wire.WALShed, SubWindow: 1, Count: 2}); !errors.Is(err, ErrFenced) {
+		t.Fatalf("Append(shed): %v, want ErrFenced", err)
 	}
 	if err := s.Checkpoint(&wire.Snapshot{}); !errors.Is(err, ErrFenced) {
 		t.Fatalf("Checkpoint: %v, want ErrFenced", err)

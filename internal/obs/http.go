@@ -42,7 +42,10 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		samples[g.name] = sample{name: g.name, typ: "gauge", help: g.help, val: float64(g.Value())}
 		names = append(names, g.name)
 	}
-	funcs := append([]funcMetric(nil), r.funcs...)
+	funcs := make([]funcMetric, len(r.funcs))
+	for i, f := range r.funcs {
+		funcs[i] = *f
+	}
 	for _, h := range r.hists {
 		samples[h.name] = sample{name: h.name, typ: "histogram", help: h.help, hist: h}
 		names = append(names, h.name)
@@ -52,7 +55,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	// callbacks reach into live pipeline state (queue depths, table
 	// sizes) and must be free to take other locks.
 	for _, f := range funcs {
-		samples[f.name] = sample{name: f.name, typ: f.typ, help: f.help, val: float64(f.collect())}
+		samples[f.name] = sample{name: f.name, typ: f.typ, help: f.help, val: float64(f.base + f.collect())}
 		names = append(names, f.name)
 	}
 

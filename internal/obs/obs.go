@@ -90,12 +90,15 @@ func (g *Gauge) Value() int64 {
 // funcMetric is a scrape-time metric: its value is computed by a callback
 // when the registry is exposed, so hot paths that already maintain their
 // own atomics (the UDP collector's accounting) are exported without
-// double-counting a single write.
+// double-counting a single write. A counter's value is base plus what
+// collect reads: base holds what the functions it replaced had counted.
 type funcMetric struct {
 	name    string
 	help    string
 	typ     string // "counter" or "gauge"
 	collect func() int64
+	base    int64
+	gen     uint64 // bumped each time collect is replaced
 }
 
 // Registry holds a deployment's metrics and its lifecycle trace ring, and
@@ -107,7 +110,7 @@ type Registry struct {
 	counters []*Counter
 	gauges   []*Gauge
 	hists    []*Histogram
-	funcs    []funcMetric
+	funcs    []*funcMetric
 	byName   map[string]interface{}
 	ring     *Ring
 }
@@ -180,27 +183,57 @@ func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
 }
 
 // CounterFunc registers a scrape-time counter whose value comes from
-// collect. Duplicate names are ignored (first registration wins).
+// collect. Registering a name again — a restarted deployment on the same
+// registry — adds what the old function reads now to the counter's base
+// and adopts collect, so the counter stays monotonic across the restart
+// and the registry no longer holds the old function (nor what it reaches).
 func (r *Registry) CounterFunc(name, help string, collect func() int64) {
 	r.addFunc(name, help, "counter", collect)
 }
 
 // GaugeFunc registers a scrape-time gauge whose value comes from collect.
+// Registering a name again replaces the old function.
 func (r *Registry) GaugeFunc(name, help string, collect func() int64) {
 	r.addFunc(name, help, "gauge", collect)
 }
 
+// addFunc registers or re-registers a func metric; a name already taken
+// by a metric of another kind is ignored. A replaced counter function is
+// read outside the lock, as a scrape reads it, and its count lands only
+// if no other re-registration swapped the function meanwhile (gen).
 func (r *Registry) addFunc(name, help, typ string, collect func() int64) {
 	if r == nil || collect == nil {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.byName[name]; ok {
-		return
+	for {
+		r.mu.Lock()
+		m, ok := r.byName[name]
+		if !ok {
+			f := &funcMetric{name: name, help: help, typ: typ, collect: collect}
+			r.funcs = append(r.funcs, f)
+			r.byName[name] = f
+			r.mu.Unlock()
+			return
+		}
+		f, _ := m.(*funcMetric)
+		if f == nil || f.typ != typ {
+			r.mu.Unlock()
+			return
+		}
+		old, gen := f.collect, f.gen
+		r.mu.Unlock()
+		var n int64
+		if typ == "counter" {
+			n = old()
+		}
+		r.mu.Lock()
+		if f.gen == gen {
+			f.base, f.collect, f.gen = f.base+n, collect, gen+1
+			r.mu.Unlock()
+			return
+		}
+		r.mu.Unlock()
 	}
-	r.funcs = append(r.funcs, funcMetric{name: name, help: help, typ: typ, collect: collect})
-	r.byName[name] = collect
 }
 
 // Ring returns the registry's window-lifecycle trace ring, creating it

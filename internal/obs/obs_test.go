@@ -2,9 +2,11 @@ package obs
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -239,5 +241,54 @@ func TestLabeledFamilies(t *testing.T) {
 	fam, labels := family(`fam_total{switch="2"}`)
 	if fam != "fam_total" || labels != `switch="2"` {
 		t.Fatalf("family split: %q %q", fam, labels)
+	}
+}
+
+// TestFuncMetricReRegistration: re-registering a counter func carries the
+// old function's count into the family's base and adopts the new one, so
+// the counter never goes backwards; re-registering a gauge func replaces
+// it; a func cannot take over a name another kind holds.
+func TestFuncMetricReRegistration(t *testing.T) {
+	reg := NewRegistry()
+	old := int64(7)
+	reg.CounterFunc("restarts_total", "x", func() int64 { return old })
+	reg.GaugeFunc("depth", "x", func() int64 { return 3 })
+	reg.Counter("plain_total", "x").Add(2)
+	reg.CounterFunc("restarts_total", "x", func() int64 { return 5 })
+	reg.GaugeFunc("depth", "x", func() int64 { return 4 })
+	reg.CounterFunc("plain_total", "x", func() int64 { return 100 })
+	old = 1000 // the replaced function is no longer read
+
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"restarts_total 12\n", "depth 4\n", "plain_total 2\n"} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("exposition lacks %q:\n%s", want, sb.String())
+		}
+	}
+
+	// Racing re-registrations beside a scrape: each of the nine functions
+	// that ever held the name counts once, replaced or current.
+	reg.CounterFunc("racing_total", "x", func() int64 { return 1 })
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			reg.CounterFunc("racing_total", "x", func() int64 { return 1 })
+		}()
+	}
+	if err := reg.WritePrometheus(io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	sb.Reset()
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), "racing_total 9\n") {
+		t.Errorf("racing re-registrations lost or double-counted a function:\n%s", sb.String())
 	}
 }

@@ -6,12 +6,15 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"omniwindow/internal/afr"
+	"omniwindow/internal/controller"
 	"omniwindow/internal/faults"
 	"omniwindow/internal/obs"
 	"omniwindow/internal/packet"
@@ -174,6 +177,52 @@ func TestObsRegistryWithoutEndpoint(t *testing.T) {
 	if !strings.Contains(text, "omniwindow_switch_packets_total 20") {
 		t.Fatalf("packet counter missing from the supplied registry:\n%s", text)
 	}
+}
+
+// TestObsRegistryOutlivesDeployment: two deployments built one after the
+// other on one registry — a restart — read as one. The scrape-time
+// counter families continue from the first deployment's counts instead of
+// freezing at them, and the registry lets the first deployment go. The
+// finalizer sits on its controller, which only the deployment holds: a
+// deployment is a cyclic structure (its switch program closes over it),
+// which a finalizer on the deployment itself would never run under.
+func TestObsRegistryOutlivesDeployment(t *testing.T) {
+	reg := obs.NewRegistry()
+	cfg := freqConfig(window.Tumbling(2), 5, false)
+	cfg.Obs = reg
+	trace := burstTrace(map[int64][]int{100 * ms: {1, 2}}, 10)
+	run := func() *Deployment {
+		d, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.RunFor(trace, 300*ms)
+		return d
+	}
+	released := make(chan struct{})
+	runtime.SetFinalizer(run().Controller(), func(*controller.Controller) { close(released) })
+	run()
+
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if got := parseMetrics(t, strings.NewReader(sb.String()))["omniwindow_switch_packets_total"]; got != 40 {
+		t.Errorf("omniwindow_switch_packets_total = %v after two 20-packet deployments, want 40", got)
+	}
+	collected := false
+	for i := 0; i < 20 && !collected; i++ {
+		runtime.GC()
+		select {
+		case <-released:
+			collected = true
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	if !collected {
+		t.Error("the registry keeps the first deployment alive")
+	}
+	runtime.KeepAlive(reg)
 }
 
 // TestUninstrumentedDeploymentHasNoObs: without Obs/DebugAddr the

@@ -126,8 +126,8 @@ type Config struct {
 	// Obs optionally supplies an existing observability registry to
 	// instrument into, instead of (or in addition to) DebugAddr, so the
 	// caller keeps a handle on it. Setting either Obs or DebugAddr enables
-	// instrumentation. A registry serves one deployment: the deployment's
-	// and its store's counter families read the first one registered.
+	// instrumentation. A deployment restarted on the same registry takes
+	// its families over; each counter continues from the earlier count.
 	Obs *obs.Registry
 
 	// plan is what the in-package chaos suites inject; the zero value is

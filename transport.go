@@ -44,8 +44,7 @@ type collectTransport interface {
 func newTransport(d *Deployment) collectTransport {
 	cfg := &d.cfg
 	if !cfg.RDMA {
-		batch := packet.OWHeader{AFRs: make([]packet.AFR, 0, afrBatchCap)}
-		return &packetPath{d: d, batch: packet.Packet{OW: batch}}
+		return &packetPath{d: d, batch: make([]packet.AFR, 0, afrBatchCap)}
 	}
 	return &rdmaPath{
 		d: d,
@@ -92,9 +91,12 @@ const afrBatchCap = wire.MaxAFRsPerDatagram
 // boundary and it holds no memory of its own, so those calls are empty.
 type packetPath struct {
 	d *Deployment
-	// batch is the delivery batch: its record buffer has fixed capacity
-	// afrBatchCap and is empty between boundaries.
-	batch packet.Packet
+	// batch is the delivery batch, of fixed capacity afrBatchCap and empty
+	// between boundaries; summ is its records' summaries (parallel, or
+	// empty) and retrans marks a batch answering a NACK.
+	batch   []packet.AFR
+	summ    []packet.Summary
+	retrans bool
 }
 
 func (p *packetPath) begin(uint64)         {}
@@ -104,32 +106,23 @@ func (p *packetPath) reregister()          {}
 
 // deliver copies records into the delivery batch, flushing whenever it
 // fills and before the flag changes between OWAFR and OWRetransmit (the
-// controller's recovery accounting is per delivered packet).
+// controller's recovery accounting is per delivered batch).
 func (p *packetPath) deliver(flag packet.OWFlag, recs []packet.AFR, summ []packet.Summary) {
-	b := &p.batch.OW
-	if b.Flag != flag {
+	if retrans := flag == packet.OWRetransmit; retrans != p.retrans {
 		p.flush()
-		b.Flag = flag
+		p.retrans = retrans
 	}
-	stageAFRs(&b.AFRs, &b.Summaries, recs, summ, p.flush)
+	stageAFRs(&p.batch, &p.summ, recs, summ, p.flush)
 }
 
-// flush delivers the batched records as one packet: one WAL append, then
-// one hand-off to the controller.
+// flush records the batched records (recordBatch), then empties the batch.
 func (p *packetPath) flush() {
-	b := &p.batch.OW
-	if len(b.AFRs) == 0 {
+	if len(p.batch) == 0 {
 		return
 	}
-	p.d.logBatch(b.Flag == packet.OWRetransmit, b.AFRs, b.Summaries)
-	p.handOff()
-	b.AFRs, b.Summaries = b.AFRs[:0], b.Summaries[:0]
+	p.d.recordBatch(p.retrans, p.batch, p.summ)
+	p.batch, p.summ = p.batch[:0], p.summ[:0]
 }
-
-// handOff is the one way a delivery batch reaches the controller: as the
-// packet it is, through Receive, which tells a recovery from a first
-// delivery by the batch's flag and charges the O1 receive.
-func (p *packetPath) handOff() { p.d.ctrl.Receive(&p.batch) }
 
 // missing is the controller's sequence gaps — none on an unowned boundary:
 // a region a newer sub-window took over has nothing left to re-query.
@@ -233,18 +226,15 @@ func (r *rdmaPath) ingestParked() {
 	r.parked, r.parkedSumm = r.parked[:0], r.parkedSumm[:0]
 }
 
-// ingest hands RDMA-delivered (or fallen-back) records and their summaries
-// (parallel, or empty) to the controller in delivery batches of at most
-// afrBatchCap, the packet path's shape, logging each to the WAL first —
-// they become durable at controller-ingest time, exactly when the
-// controller's state starts reflecting them. They are memory writes, not
-// packets: no O1 receive is charged.
+// ingest records RDMA-delivered (or fallen-back) records and their
+// summaries (parallel, or empty) in delivery batches of at most
+// afrBatchCap, the packet path's shape (recordBatch): they become durable
+// at controller-ingest time, exactly when the controller's state starts
+// reflecting them.
 func (r *rdmaPath) ingest(recs []packet.AFR, summ []packet.Summary) {
 	for off := 0; off < len(recs); off += afrBatchCap {
 		end := min(len(recs), off+afrBatchCap)
-		s := packet.SummarySlice(summ, off, end)
-		r.d.logBatch(false, recs[off:end], s)
-		r.d.ctrl.IngestRecords(recs[off:end], s)
+		r.d.recordBatch(false, recs[off:end], packet.SummarySlice(summ, off, end))
 	}
 }
 
