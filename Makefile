@@ -91,8 +91,10 @@ chaos:
 # logged records through the same call, and TestApplyMatchesReceive holds
 # the packet adapter (Receive) to Apply on one delivery stream, so
 # recovery rebuilds what the live run built.
+# Restore selects TestRestoreFoldsLoggedColumn: restore counts a live
+# column's logged records by the controller's rule, the one fold.
 failover:
-	$(GO) test -race -run 'Crash|Failover|Shed|Store|Lease|CollectBatch|Checkpoint|Cut|Scrub|WALGroup|Apply' \
+	$(GO) test -race -run 'Crash|Failover|Shed|Store|Lease|CollectBatch|Checkpoint|Cut|Scrub|WALGroup|Apply|Restore' \
 		. ./internal/controller/ ./internal/faults/ ./internal/durable/ ./examples/udpcollector/
 
 # RDMA chaos suite: the fault-tolerant transport (QP state machine, PSN
@@ -130,9 +132,12 @@ rdma-chaos:
 # (TestRecoverChargesColumnsOfQuarantinedSegment); WALGroup the grouped
 # log writes under short writes and crashes (TestWALGroup*), and Scrub the
 # scrub's one reused read buffer (TestScrubWarmAllocatesNoReadBuffer).
+# Restore selects TestRestoreFoldsLoggedColumn (internal/controller):
+# restore counts the records a re-cut or recovered column hands over by
+# the controller's rule, the one fold.
 disk-chaos:
-	$(GO) test -race -run 'Disk|Scrub|Quarantine|Segment|Heal|Degrad|CollectBatch|Verify|Corrupt|Checkpoint|Cut|WALGroup' \
-		. ./internal/durable/ ./internal/faults/ ./internal/wire/
+	$(GO) test -race -run 'Disk|Scrub|Quarantine|Segment|Heal|Degrad|CollectBatch|Verify|Corrupt|Checkpoint|Cut|WALGroup|Restore' \
+		. ./internal/durable/ ./internal/faults/ ./internal/wire/ ./internal/controller/
 
 # Partition chaos suite: the hot-standby pair under network partitions
 # that leave the primary alive — lost lease renewals, all a partition can

@@ -222,15 +222,14 @@ func (d *Deployment) recover() error {
 }
 
 // replayLog rebuilds the serving controller, freshly built, from what
-// Store.Recover read: the checkpoint (its manifest, each live column
-// folded from the log) restores it; then damage is charged — every
-// sub-window a quarantined segment's LSN gap may span, and every live
-// column a quarantined segment may have held part of, is marked Missing
-// (NoteLost), so the windows it feeds assemble Incomplete instead of
-// silently wrong; then the WAL frames the checkpoint does not cover are
+// Store.Recover read: the checkpoint (its manifest, each live column the
+// records the log holds for it) restores it; then damage is charged —
+// every sub-window a quarantined segment's LSN gap may span, and every
+// live column a quarantined segment may have held part of, is marked
+// Missing (NoteLost), so the windows it feeds assemble Incomplete instead
+// of silently wrong; then the WAL frames the checkpoint does not cover are
 // applied in their original (LSN) order, as the live run applied them
-// (record). Each finish not yet reflected goes to finish, which
-// re-assembles the sub-window's windows.
+// (record), each finish through finish, which re-assembles its windows.
 func (d *Deployment) replayLog(snap *wire.Snapshot, recs []*wire.WALRecord, finish func(sw uint64)) {
 	if snap != nil {
 		d.ctrl.RestoreState(snap)
@@ -241,10 +240,10 @@ func (d *Deployment) replayLog(snap *wire.Snapshot, recs []*wire.WALRecord, fini
 		}
 	}
 	for _, r := range recs {
-		if r.Type != wire.WALFinish {
+		if r.Type == wire.WALFinish {
+			finish(r.SubWindow) // a no-op where the checkpoint already reflects it
+		} else {
 			d.ctrl.Apply(r)
-		} else if lf, ok := d.ctrl.LastFinished(); !ok || r.SubWindow > lf {
-			finish(r.SubWindow) // else the checkpoint already reflects this assembly
 		}
 	}
 }

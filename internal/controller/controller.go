@@ -493,12 +493,12 @@ func (c *Controller) ingestBatch(recs []packet.AFR, summ []packet.Summary, retra
 	c.putScratch(sc)
 }
 
-// appendPart appends one shard's share of an ingest batch to its pending
-// records under one hold of s.mu, a run of equal sub-windows at a time so
-// each run costs one map lookup (appendPending pre-sizes a new
-// sub-window's slice from the previous one's cardinality). When aheadOK,
-// sub-window ahead is the one the next finish takes, and a fold of it
-// starts once foldChunk of its records wait unfolded and none is running.
+// appendPart appends one shard's share of a batch (ingest's, or a restored
+// cut's) to its pending records under one hold of s.mu, a run of equal
+// sub-windows at a time so each costs one map lookup (appendPending
+// pre-sizes a new sub-window's slice from the previous one's cardinality).
+// When aheadOK, sub-window ahead is the one the next finish takes, and a
+// fold of it starts once foldChunk of its records wait unfolded.
 func (s *shard) appendPart(part *pendingRecs, ahead uint64, aheadOK bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -68,7 +68,7 @@ func TestExportCutAllocatesCellsOnce(t *testing.T) {
 		t.Skip("alloc accounting is perturbed by the race detector")
 	}
 	c, last := exportFixture(31_000)
-	cells := len(c.ExportCut(last).Columns[0].Cells)
+	cells := len(c.ExportCut(last).Columns[0].Records[0].AFRs)
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -92,9 +92,12 @@ func TestExportCutOrdersPendingBySummary(t *testing.T) {
 	if comparePending(summarized{rec, packet.Summary{0, 1}}, summarized{rec, packet.Summary{0, 2}}) >= 0 {
 		t.Fatal("comparePending does not order equal records by summary")
 	}
+	cells := &wire.WALRecord{Type: wire.WALColumn, SubWindow: 3,
+		AFRs:      []packet.AFR{{Key: fk(9), Attr: 1}, {Key: fk(2), Attr: 1}, {Key: fk(5), Attr: 1}},
+		Summaries: []packet.Summary{{9}, {}, {5}}}
 	in := &wire.Snapshot{
 		Live:             []uint64{3},
-		Columns:          []wire.SnapColumn{{SW: 3, Cells: []packet.AFR{{Key: fk(9), Attr: 1}, {Key: fk(2), Attr: 1}, {Key: fk(5), Attr: 1}}, Summaries: []packet.Summary{{9}, {}, {5}}}},
+		Columns:          []wire.SnapColumn{{SW: 3, Records: []*wire.WALRecord{cells}}},
 		Pending:          []packet.AFR{rec, rec, rec, {Key: fk(2), SubWindow: 4, Attr: 2}},
 		PendingSummaries: []packet.Summary{{3}, {1}, {2}, {}},
 		Dedups:           []wire.SnapDedup{{SW: 4, Expected: -1}},
@@ -108,10 +111,10 @@ func TestExportCutOrdersPendingBySummary(t *testing.T) {
 		if !slices.Equal(out.Pending, wantPending) || !slices.Equal(out.PendingSummaries, wantSumm) {
 			t.Fatalf("%d shards: pending %v %v, want %v %v", shards, out.Pending, out.PendingSummaries, wantPending, wantSumm)
 		}
-		col := out.Columns[0]
+		col := out.Columns[0].Records[0]
 		wantCells := []packet.AFR{{Key: fk(2), Attr: 1, SubWindow: 3}, {Key: fk(5), Attr: 1, SubWindow: 3}, {Key: fk(9), Attr: 1, SubWindow: 3}}
-		if !slices.Equal(col.Cells, wantCells) || !slices.Equal(col.Summaries, []packet.Summary{{}, {5}, {9}}) {
-			t.Fatalf("%d shards: column %v %v, want each summary beside its cell", shards, col.Cells, col.Summaries)
+		if !slices.Equal(col.AFRs, wantCells) || !slices.Equal(col.Summaries, []packet.Summary{{}, {5}, {9}}) {
+			t.Fatalf("%d shards: column %v %v, want each summary beside its cell", shards, col.AFRs, col.Summaries)
 		}
 	}
 }

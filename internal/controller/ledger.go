@@ -62,6 +62,12 @@ func (s *seqSet) add(seq uint32) bool {
 	return true
 }
 
+// reset empties the set, keeping its words zeroed for add to grow into.
+func (s *seqSet) reset() {
+	clear(s.words)
+	*s = seqSet{words: s.words[:0]}
+}
+
 // has reports whether seq is in the set.
 func (s *seqSet) has(seq uint32) bool {
 	if seq >= maxDenseSeq {

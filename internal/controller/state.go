@@ -1,11 +1,10 @@
 // Controller state export and restore for the durability layer
-// (internal/durable). A cut, its live columns (each rebuilt from the
-// records logged for it) and the write-ahead log of everything ingested
-// since rebuild the controller to the exact pre-crash state: a finished sub-window's column never changes
-// again; merged values are rebuilt by folding the records back into their
-// columns and merging those (every merge kind is order-insensitive, so the
-// rebuild is exact), and sequence-number dedup makes replaying batches a
-// cut already covers harmless.
+// (internal/durable). A cut, its live columns (each the records logged for
+// it) and the write-ahead log of everything ingested since rebuild the
+// controller to the exact pre-crash state: merged values are rebuilt by
+// folding the records back into their columns and merging those (every
+// merge kind is order-insensitive, so the rebuild is exact), and
+// sequence-number dedup counts each logged AFR once.
 
 package controller
 
@@ -30,9 +29,9 @@ func (c *Controller) LastFinished() (sw uint64, ok bool) {
 func (c *Controller) ExportState() *wire.Snapshot { return c.ExportCut(0) }
 
 // ExportCut cuts the controller's restorable state at a boundary: the
-// columns of live sub-windows >= from (exportColumn), the list of every
-// live sub-window, routed-but-unmerged records, open sub-window arrival
-// state and finished sub-window accounting. A cut from just past the
+// columns of live sub-windows >= from, each one column record (exportColumn),
+// the list of every live sub-window, routed-but-unmerged records, open
+// sub-window arrival state and finished sub-window accounting. A cut from just past the
 // previous cut's LastFinished carries only the columns finished since,
 // from 0 all, from math.MaxUint64 none. Output ordering is deterministic
 // (columns by sub-window, cells by packetKeyCmp, everything else by
@@ -137,18 +136,18 @@ func (c *Controller) exportColumn(sw uint64) wire.SnapColumn {
 	}
 	if len(summ) == 0 {
 		slices.SortFunc(cells, func(a, b packet.AFR) int { return packetKeyCmp(a.Key, b.Key) })
-		return wire.SnapColumn{SW: sw, Cells: cells}
+	} else {
+		// Each summary must move with its cell: sort them as pairs.
+		pairs := make([]summarized, len(cells))
+		for i := range cells {
+			pairs[i] = summarized{cells[i], summ[i]}
+		}
+		slices.SortFunc(pairs, func(a, b summarized) int { return packetKeyCmp(a.rec.Key, b.rec.Key) })
+		for i, p := range pairs {
+			cells[i], summ[i] = p.rec, p.summ
+		}
 	}
-	// Each summary must move with its cell: sort them as pairs.
-	pairs := make([]summarized, len(cells))
-	for i := range cells {
-		pairs[i] = summarized{cells[i], summ[i]}
-	}
-	slices.SortFunc(pairs, func(a, b summarized) int { return packetKeyCmp(a.rec.Key, b.rec.Key) })
-	for i, p := range pairs {
-		cells[i], summ[i] = p.rec, p.summ
-	}
-	return wire.SnapColumn{SW: sw, Cells: cells, Summaries: summ}
+	return wire.SnapColumn{SW: sw, Records: []*wire.WALRecord{{Type: wire.WALColumn, SubWindow: sw, AFRs: cells, Summaries: summ}}}
 }
 
 // summarized is a record with its summary, for sorts that must move the
@@ -182,50 +181,44 @@ func comparePending(a, b summarized) int {
 // RestoreState applies a cut (ExportCut) to a freshly built controller:
 // the columns it carries and lists as live, its ledger, pending records
 // and last finish. A full cut restores the exporter's state; recovery
-// applies a manifest whose live columns the durable layer folded from
-// the log. A carried column's records (a cell per flow, or the AFRs and
-// spikes a finish folded) are re-routed by hash and go through O2 and O3
-// (table.insert, table.merge), the path a finish folds records by, so a
-// cut exported at one shard count applies correctly at another; a column
-// the live list does not name is skipped. The configuration (plan, kind,
-// detector) is NOT carried by cuts — the restored controller must be built
-// with the same Config the exporter used, or merged values will diverge.
-// Under another Plan two live columns may map to one ring slot; O2 then
-// retires the column holding it, and every older one, rather than merge
-// into it.
+// applies a manifest whose live columns are the records the durable log
+// holds for them, and route alone decides what each counts for. They are
+// re-routed by hash and go through O2 and O3 (table.insert, table.merge),
+// the path a finish folds records by, so a cut exported at one shard count
+// applies correctly at another; a column the live list does not name is
+// skipped. The configuration (plan, kind, detector) is NOT carried by
+// cuts — the restored controller must be built with the same Config the
+// exporter used, or merged values will diverge. Under another Plan two
+// live columns may map to one ring slot; O2 then retires the column
+// holding it, and every older one, rather than merge into it.
 func (c *Controller) RestoreState(s *wire.Snapshot) {
 	c.finishMu.Lock()
 	defer c.finishMu.Unlock()
 
-	parts := make([][]packet.AFR, len(c.shards))
-	sparts := make([][]packet.Summary, len(c.shards))
+	parts := make([]pendingRecs, len(c.shards))
+	var seen seqSet
 	for _, col := range s.Columns {
 		if !slices.Contains(s.Live, col.SW) {
 			continue
 		}
-		for i := range parts {
-			parts[i], sparts[i] = parts[i][:0], sparts[i][:0]
+		seen.reset()
+		for _, r := range col.Records {
+			c.route(parts, r, &seen)
 		}
-		for j, cell := range col.Cells {
-			i := c.shardIndex(cell.Key)
-			sparts[i] = packet.AppendSummary(sparts[i], len(parts[i]), packet.SummaryAt(col.Summaries, j))
-			parts[i] = append(parts[i], cell)
-		}
-		for i, sh := range c.shards {
+		for i, sh := range c.shards { // an empty column is inserted and merged too
 			sh.foldMu.Lock()
 			sh.mu.Lock()
-			sh.table.insert(col.SW, parts[i], sparts[i])
+			sh.table.insert(col.SW, parts[i].recs, parts[i].summ)
 			sh.table.merge(col.SW)
 			sh.rows = sh.table.rows
 			sh.mu.Unlock()
 			sh.foldMu.Unlock()
+			parts[i] = pendingRecs{recs: parts[i].recs[:0], summ: parts[i].summ[:0]}
 		}
 	}
-	for j, r := range s.Pending {
-		sh := c.shards[c.shardIndex(r.Key)]
-		sh.mu.Lock()
-		sh.appendPending(r.SubWindow, s.Pending[j:j+1], packet.SummarySlice(s.PendingSummaries, j, j+1))
-		sh.mu.Unlock()
+	c.route(parts, &wire.WALRecord{AFRs: s.Pending, Summaries: s.PendingSummaries}, nil)
+	for i, sh := range c.shards {
+		sh.appendPart(&parts[i], 0, false)
 	}
 
 	c.mu.Lock()
@@ -252,5 +245,26 @@ func (c *Controller) RestoreState(s *wire.Snapshot) {
 			Missing:   int(sr.Missing),
 			Shed:      int(sr.Shed),
 		}
+	}
+}
+
+// route appends the AFRs of r that count to their shards' parts, by the
+// live controller's rule: a batch's on their sequence number's first
+// arrival only (seen; retransmits and duplicates are logged too), any
+// other record's as they are — a spike's Seq is the packet's, a column's
+// cells carry none. A column record, the whole column as of its cut,
+// supersedes what came before it.
+func (c *Controller) route(parts []pendingRecs, r *wire.WALRecord, seen *seqSet) {
+	if r.Type == wire.WALColumn {
+		clear(parts)
+		seen.reset()
+	}
+	for i, a := range r.AFRs {
+		if r.Type == wire.WALAFRBatch && !seen.add(a.Seq) {
+			continue
+		}
+		p := &parts[c.shardIndex(a.Key)]
+		p.summ = packet.AppendSummary(p.summ, len(p.recs), packet.SummaryAt(r.Summaries, i))
+		p.recs = append(p.recs, a)
 	}
 }

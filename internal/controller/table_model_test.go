@@ -338,12 +338,12 @@ func (m *modelController) export() *wire.Snapshot {
 	for sw, cells := range cols {
 		slices.SortFunc(cells, func(a, b summarized) int { return packetKeyCmp(a.rec.Key, b.rec.Key) })
 		s.Live = append(s.Live, sw)
-		col := wire.SnapColumn{SW: sw}
+		rec := &wire.WALRecord{Type: wire.WALColumn, SubWindow: sw}
 		for _, c := range cells {
-			col.Summaries = packet.AppendSummary(col.Summaries, len(col.Cells), c.summ)
-			col.Cells = append(col.Cells, c.rec)
+			rec.Summaries = packet.AppendSummary(rec.Summaries, len(rec.AFRs), c.summ)
+			rec.AFRs = append(rec.AFRs, c.rec)
 		}
-		s.Columns = append(s.Columns, col)
+		s.Columns = append(s.Columns, wire.SnapColumn{SW: sw, Records: []*wire.WALRecord{rec}})
 	}
 	slices.Sort(s.Live)
 	slices.SortFunc(s.Columns, func(a, b wire.SnapColumn) int { return cmp.Compare(a.SW, b.SW) })
@@ -394,13 +394,14 @@ func (m *modelController) restore(s *wire.Snapshot) {
 	m.table = make(map[packet.FlowKey]*entry)
 	m.pending = make(map[uint64][]summarized)
 	for _, col := range s.Columns {
-		for i, c := range col.Cells {
+		rec := col.Records[0] // an exported column is its one column record
+		for i, c := range rec.AFRs {
 			e, ok := m.table[c.Key]
 			if !ok {
 				e = &entry{merged: afr.NewMergedWithCounter(m.cfg.Kind, m.cfg.DistinctCounter)}
 				m.table[c.Key] = e
 			}
-			summ := packet.SummaryAt(col.Summaries, i)
+			summ := packet.SummaryAt(rec.Summaries, i)
 			e.contribs = append(e.contribs, contrib{sw: col.SW, attr: c.Attr, distinct: summ})
 			e.merged.Absorb(c.Attr, summ)
 		}
@@ -678,12 +679,15 @@ func TestTableDifferential(t *testing.T) {
 	}
 }
 
-// snapBytes encodes a cut whole: its manifest, then each column as the
-// column record the durable log would hold of it.
+// snapBytes encodes a cut whole: its manifest, then each column's records
+// (an exported column is its one column record) as the durable log would
+// hold them.
 func snapBytes(s *wire.Snapshot) []byte {
 	buf := wire.EncodeSnapshot(nil, s)
 	for _, c := range s.Columns {
-		buf = wire.AppendWALRecord(buf, &wire.WALRecord{Type: wire.WALColumn, SubWindow: c.SW, AFRs: c.Cells, Summaries: c.Summaries})
+		for _, rec := range c.Records {
+			buf = wire.AppendWALRecord(buf, rec)
+		}
 	}
 	return buf
 }
@@ -702,7 +706,7 @@ func roundTrip(t *testing.T, s *wire.Snapshot) *wire.Snapshot {
 		if err != nil {
 			t.Fatalf("decode column record: %v", err)
 		}
-		out.Columns = append(out.Columns, wire.SnapColumn{SW: rec.SubWindow, Cells: rec.AFRs, Summaries: rec.Summaries})
+		out.Columns = append(out.Columns, wire.SnapColumn{SW: rec.SubWindow, Records: []*wire.WALRecord{rec}})
 		rest = rest[n:]
 	}
 	return out

@@ -9,10 +9,12 @@ import (
 	"omniwindow/internal/wire"
 )
 
-// BenchmarkRecover times a restart on a steady-state directory shaped like
-// the repository benchmark's flow_churn_durable workload: OpenStore and
-// Recover, which read every live segment back and fold each live column
-// from its frames. The directory holds 5 live sub-windows of 31 000 AFRs,
+// BenchmarkRecover times the store's half of a restart on a steady-state
+// directory shaped like the repository benchmark's flow_churn_durable
+// workload: OpenStore and Recover, which read every live segment back and
+// gather each live column's frames. Folding them is the controller's half
+// (RestoreState), which the root package's BenchmarkRestart times with
+// this one. The directory holds 5 live sub-windows of 31 000 AFRs,
 // logged in 128-record frames between each one's trigger and finish, and
 // the manifest of the last boundary; dir_MB is its size on disk.
 func BenchmarkRecover(b *testing.B) {
@@ -91,8 +93,8 @@ func BenchmarkRecover(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StopTimer()
-		if len(snap.Columns) != live || len(snap.Columns[0].Cells) != afrs || len(s.Lost()) != 0 {
-			b.Fatalf("recovered %d columns, lost %v: want %d columns of %d cells", len(snap.Columns), s.Lost(), live, afrs)
+		if len(snap.Columns) != live || len(snap.Columns[0].Records) != (afrs+perSend-1)/perSend || len(s.Lost()) != 0 {
+			b.Fatalf("recovered %d columns, lost %v: want %d columns of %d frames", len(snap.Columns), s.Lost(), live, (afrs+perSend-1)/perSend)
 		}
 		s.Close()
 		b.StartTimer()

@@ -2,11 +2,11 @@
 // log already holds the records its finish folded, so a checkpoint writes
 // only the manifest, checkpoint.snap — the commit point: the controller
 // state but its columns (ledger, pending records, last finish) and the
-// live list. Recovery rebuilds each live column from the log (fold). A
-// column the log no longer holds whole — a segment set aside as rotted, a
-// degraded stretch — is re-logged from the live state as one column record
-// (wire.WALColumn), which supersedes every earlier record of its
-// sub-window.
+// live list. Recovery hands each live column back as the records the log
+// holds for it (fold), and the controller folds them. A column the log no
+// longer holds whole — a segment set aside as rotted, a degraded stretch —
+// is re-logged as the cut's column record (wire.WALColumn), which
+// supersedes every earlier record of its sub-window.
 //
 // The write order, and what a crash at each point leaves behind:
 //
@@ -31,7 +31,6 @@ import (
 	"slices"
 	"time"
 
-	"omniwindow/internal/packet"
 	"omniwindow/internal/wire"
 )
 
@@ -55,11 +54,11 @@ func (s *Store) damageLocked(from uint64) {
 }
 
 // Checkpoint commits snap, a cut of the controller state
-// (controller.ExportCut): its columns at or past CutFrom are logged as
-// column records (any others are not written), the rest goes to the
-// manifest, stamped with the LSN high-water mark as ThroughLSN — the
-// caller exports after logging everything it ingested — and the segments
-// the manifest no longer needs are deleted.
+// (controller.ExportCut): its columns at or past CutFrom are logged, each
+// its column record as it is (any others are not written), the rest goes
+// to the manifest, stamped with the LSN high-water mark as ThroughLSN —
+// the caller exports after logging everything it ingested — and the
+// segments the manifest no longer needs are deleted.
 func (s *Store) Checkpoint(snap *wire.Snapshot) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -84,11 +83,10 @@ func (s *Store) checkpointLocked(snap *wire.Snapshot) error {
 		i := slices.IndexFunc(snap.Columns, func(c wire.SnapColumn) bool { return c.SW == sw })
 		switch {
 		case sw < s.cutFrom:
-		case i < 0:
-			return fmt.Errorf("durable: checkpoint: sub-window %d must be re-logged but the cut does not carry it", sw)
+		case i < 0 || len(snap.Columns[i].Records) != 1 || snap.Columns[i].Records[0].Type != wire.WALColumn:
+			return fmt.Errorf("durable: checkpoint: sub-window %d must be re-logged but the cut does not carry its column record", sw)
 		default:
-			col := &snap.Columns[i]
-			n, err := s.appendLocked(&wire.WALRecord{Type: wire.WALColumn, SubWindow: sw, AFRs: col.Cells, Summaries: col.Summaries})
+			n, err := s.appendLocked(snap.Columns[i].Records[0])
 			if err != nil {
 				return err
 			}
@@ -220,21 +218,19 @@ func (s *Store) loadCheckpointLocked() *wire.Snapshot {
 	return m
 }
 
-// fold rebuilds a manifest's live columns from the records at or below its
-// ThroughLSN, fed in LSN order. A column is its sub-window's newest column
-// record if it has one; otherwise its AFRs, each sequence number's first
-// arrival only (retransmits and duplicates are logged too), and its spike
-// copies, up to the first finish at or past it — the live controller
-// dropped anything later as late. from and to are the generations the
-// column starts at (its column record, else its first trigger; 0 when
-// neither survives) and is closed at: a segment set aside between them may
-// have held part of the column.
+// fold gathers a manifest's live columns from the records at or below its
+// ThroughLSN, fed in LSN order, reading no record's payload: what a record
+// counts for is the controller's rule (RestoreState). A column is its
+// sub-window's newest column record if it has one; otherwise its batch and
+// spike frames as logged, up to the first finish at or past it — the live
+// controller dropped anything later as late. from and to are the
+// generations the column starts at (its column record, else its first
+// trigger; 0 when neither survives) and is closed at: a segment set aside
+// between them may have held part of the column.
 type fold map[uint64]*foldCol
 
 type foldCol struct {
-	cells    []packet.AFR
-	summ     []packet.Summary // parallel to cells, or empty
-	seen     map[uint32]bool  // nil: gather no cells, only from, to and closed
+	recs     []*wire.WALRecord
 	closed   bool
 	from, to uint64
 }
@@ -250,21 +246,12 @@ func (f fold) add(gen uint64, r *wire.WALRecord) {
 		}
 	case c == nil:
 	case r.Type == wire.WALColumn:
-		*c = foldCol{cells: r.AFRs, summ: r.Summaries, closed: true, from: gen, to: gen}
+		*c = foldCol{recs: []*wire.WALRecord{r}, closed: true, from: gen, to: gen}
 	case r.Type == wire.WALTrigger && c.from == 0 && !c.closed:
 		c.from = gen
-	case c.closed, c.seen == nil:
-	case r.Type == wire.WALSpike:
-		c.summ = packet.AppendSummaries(c.summ, len(c.cells), r.Summaries, len(r.AFRs))
-		c.cells = append(c.cells, r.AFRs...)
-	case r.Type == wire.WALAFRBatch:
-		for i, a := range r.AFRs {
-			if !c.seen[a.Seq] {
-				c.seen[a.Seq] = true
-				c.summ = packet.AppendSummary(c.summ, len(c.cells), packet.SummaryAt(r.Summaries, i))
-				c.cells = append(c.cells, a)
-			}
-		}
+	case c.closed:
+	case r.Type == wire.WALAFRBatch, r.Type == wire.WALSpike:
+		c.recs = append(c.recs, r)
 	}
 }
 
@@ -278,7 +265,7 @@ func (f fold) apply(s *Store, m *wire.Snapshot) {
 			s.lost = append(s.lost, LostLSNRange{SWLow: sw, SWHigh: sw})
 			return true
 		}
-		m.Columns = append(m.Columns, wire.SnapColumn{SW: sw, Cells: c.cells, Summaries: c.summ})
+		m.Columns = append(m.Columns, wire.SnapColumn{SW: sw, Records: c.recs})
 		return false
 	})
 }

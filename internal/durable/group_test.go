@@ -426,8 +426,7 @@ func TestScrubKeepsNoBufferPastTheSegmentCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	col := wire.SnapColumn{SW: 0, Cells: batchAFRs(0, 20_000)}
-	if err := s.Heal(&wire.Snapshot{HasFinished: true, Live: []uint64{0}, Columns: []wire.SnapColumn{col}}); err != nil {
+	if err := s.Heal(&wire.Snapshot{HasFinished: true, Live: []uint64{0}, Columns: []wire.SnapColumn{column(0, batchAFRs(0, 20_000)...)}}); err != nil {
 		t.Fatal(err)
 	}
 	if len(s.segs) != 1 || s.segs[0].size <= segBytes+groupBytes {

@@ -23,11 +23,17 @@ import (
 // fault is drawn at one call site in fs.go (one fault ladder); and each
 // kind of file has one wire integrity check in the store, the one its
 // decoder runs: the scrub's for the manifest, framesIntact's for the
-// segments, the active one and the sealed ones alike.
+// segments, the active one and the sealed ones alike. And the store reads a
+// record's Type, LSN and SubWindow, never its payload: no function selects
+// an AFR batch, its summaries, cells or sequence numbers, or calls the
+// summary helpers, so what a logged record counts for is decided in one
+// place, the controller's restore.
 func TestStoreShape(t *testing.T) {
 	const maxLines = 60
 	type site struct{ file, fn string } // file is "durable/x.go" or "wire/x.go"
 	calls := map[string][]site{}        // called expression (e.g. "s.ioWait.Add") → call sites
+	payload := map[string]bool{"AFRs": true, "Summaries": true, "Cells": true, "Seq": true,
+		"AppendSummary": true, "AppendSummaries": true, "SummaryAt": true}
 	fset := token.NewFileSet()
 	for _, dir := range []string{".", "../wire"} {
 		pkg := "durable"
@@ -59,6 +65,10 @@ func TestStoreShape(t *testing.T) {
 					if call, ok := n.(*ast.CallExpr); ok {
 						e := types.ExprString(call.Fun)
 						calls[e] = append(calls[e], site{pkg + "/" + filepath.Base(name), fn.Name.Name})
+					}
+					if sel, ok := n.(*ast.SelectorExpr); ok && dir == "." && payload[sel.Sel.Name] {
+						t.Errorf("%s: %s selects %s: the store routes records by Type, LSN and SubWindow only",
+							fset.Position(sel.Pos()), fn.Name.Name, types.ExprString(sel))
 					}
 					return true
 				})
@@ -125,7 +135,7 @@ func TestCutFencing(t *testing.T) {
 	cut := func(sw uint64, carry bool) *wire.Snapshot {
 		snap := &wire.Snapshot{LastFinished: sw, HasFinished: true, Live: []uint64{sw}}
 		if carry {
-			snap.Columns = []wire.SnapColumn{{SW: sw, Cells: []packet.AFR{{Key: key(int(sw)), Attr: 1, SubWindow: sw}}}}
+			snap.Columns = []wire.SnapColumn{column(sw, packet.AFR{Key: key(int(sw)), Attr: 1, SubWindow: sw})}
 		}
 		return snap
 	}

@@ -3,8 +3,8 @@
 // every sub-window boundary that says how much of the log the controller
 // state covers, so a crashed controller (or a promoted standby) replays
 // back to the exact pre-crash state. The log is the only data file: each
-// AFR reaches disk once, as a frame, and recovery rebuilds each finished
-// sub-window's column from the frames logged for it (checkpoint.go).
+// AFR reaches disk once, as a frame, and recovery hands each live column
+// back as the frames logged for it, for the controller to fold.
 //
 // Layout inside the directory:
 //
@@ -247,7 +247,7 @@ func OpenStore(dir string, _ int, opt Options) (*Store, error) {
 	// also surfaces the newest segment-header term, which backs the term
 	// file up if it is damaged or missing.
 	s.mu.Lock()
-	s.recoverLocked(false)
+	s.recoverLocked()
 	s.loadTermLocked(s.segTermHigh)
 	s.mu.Unlock()
 	return s, nil
@@ -767,14 +767,12 @@ func (s *Store) replaySegmentLocked(g *segment) (recs []*wire.WALRecord, keep bo
 // recoverLocked replays every live segment in generation order, which is
 // LSN order, quarantining damage, and rebuilds the store's view: LSN
 // high-water mark, live segment list, and the LostLSNRange gaps. Returns
-// the checkpoint (nil if none survives) with its live columns folded from
-// the frames it covers, and the frames it does not cover but column
-// records, debris of a checkpoint that did not commit, which the next one
-// re-logs. Any damage makes the next checkpoint re-log every live column.
-// Without cells, the columns' bounds are tracked but their cells are not
-// gathered: the open's scan has the same effect on the store and
-// allocates no column.
-func (s *Store) recoverLocked(cells bool) (*wire.Snapshot, []*wire.WALRecord) {
+// the checkpoint (nil if none survives) with its live columns gathered
+// from the frames it covers (fold), and the frames it does not cover but
+// column records, debris of a checkpoint that did not commit, which the
+// next one re-logs. Any damage makes the next checkpoint re-log every live
+// column.
+func (s *Store) recoverLocked() (*wire.Snapshot, []*wire.WALRecord) {
 	s.lost = s.lost[:0]
 	quarantined := s.quarantines.Load()
 	snap := s.loadCheckpointLocked()
@@ -784,9 +782,6 @@ func (s *Store) recoverLocked(cells bool) (*wire.Snapshot, []*wire.WALRecord) {
 		through = snap.ThroughLSN
 		for _, sw := range snap.Live {
 			f[sw] = &foldCol{}
-			if cells {
-				f[sw].seen = map[uint32]bool{}
-			}
 		}
 	}
 	high := through
@@ -850,11 +845,11 @@ func (s *Store) noteGapsLocked(snap *wire.Snapshot, recs []*wire.WALRecord) {
 }
 
 // Recover loads the latest checkpoint (nil when none survives) with its
-// live columns rebuilt from the log, plus the WAL frames it does not cover,
-// in LSN order. It writes the group first, and reads what the disk holds
-// even if that write fails. Damaged files are quarantined rather than
-// failing the recovery; the LSNs and columns they took with them are
-// reported by Lost.
+// live columns as the records the log holds for them, plus the WAL frames
+// it does not cover, in LSN order. It writes the group first, and reads
+// what the disk holds even if that write fails. Damaged files are
+// quarantined rather than failing the recovery; the LSNs and columns they
+// took with them are reported by Lost.
 func (s *Store) Recover() (*wire.Snapshot, []*wire.WALRecord, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -862,7 +857,7 @@ func (s *Store) Recover() (*wire.Snapshot, []*wire.WALRecord, error) {
 		return nil, nil, s.deadErr
 	}
 	s.flushLocked()
-	snap, recs := s.recoverLocked(true)
+	snap, recs := s.recoverLocked()
 	return snap, recs, nil
 }
 

@@ -50,15 +50,14 @@ const (
 	WALColumn byte = 6
 )
 
-// SnapColumn is one sub-window's column of the controller table: records
-// O2 folds into it, as exported a cell per flow in key order (Key and
-// Attr; WALColumn's decoder sets SubWindow), as recovery folds it from the
-// log the AFRs and spikes, several per flow. Summaries are the cells'
-// summaries, parallel to Cells or empty (packet.Summary).
+// SnapColumn is one sub-window's column of the controller table as the
+// records that build it: exported, one WALColumn record, a cell per flow
+// in key order; recovered, the records the log holds for it, its newest
+// WALColumn record or else its batch and spike frames up to its finish.
+// What each counts for is controller.RestoreState's to decide.
 type SnapColumn struct {
-	SW        uint64
-	Cells     []packet.AFR
-	Summaries []packet.Summary
+	SW      uint64
+	Records []*WALRecord
 }
 
 // SnapDedup is one open sub-window's arrival state.

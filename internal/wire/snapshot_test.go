@@ -48,7 +48,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	// The columns a cut carries are not the manifest's: they are left out.
 	withCols := sampleSnapshot()
-	withCols.Columns = []SnapColumn{{SW: 1, Cells: []packet.AFR{{Key: snapKey(1), Attr: 7, SubWindow: 1}}}}
+	withCols.Columns = []SnapColumn{{SW: 1, Records: []*WALRecord{{Type: WALColumn, SubWindow: 1, AFRs: []packet.AFR{{Key: snapKey(1), Attr: 7, SubWindow: 1}}}}}}
 	if string(buf) != string(EncodeSnapshot(nil, withCols)) {
 		t.Fatal("a snapshot's columns reached its encoding")
 	}
